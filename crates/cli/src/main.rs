@@ -497,14 +497,17 @@ impl Source {
     fn into_store(self) -> Result<IndexStore, String> {
         match self {
             Source::Stored(store) => Ok(*store),
-            Source::Built { graph, index } => {
-                let bytes = hcl_store::serialize(&graph, &index)
-                    .map_err(|e| format!("serialising built index: {e}"))?;
-                IndexStore::from_bytes_trusted(&bytes)
-                    .map_err(|e| format!("re-opening built index image: {e}"))
-            }
+            Source::Built { graph, index } => memory_image(&graph, &index),
         }
     }
+}
+
+/// An index built this session as an opened in-memory container image —
+/// what generation handles and the live-update engine work on.
+fn memory_image(graph: &Graph, index: &HighwayCoverIndex) -> Result<IndexStore, String> {
+    let bytes =
+        hcl_store::serialize(graph, index).map_err(|e| format!("serialising built index: {e}"))?;
+    IndexStore::from_bytes_trusted(&bytes).map_err(|e| format!("re-opening built index image: {e}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -1273,8 +1276,8 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
 }
 
 /// Applies one `+u v` / `-u v` stdin line in sequential serving:
-/// incremental label repair, then write-back to the `--index` file (if
-/// any). The serve contract for bad lines holds — a stderr diagnostic, a
+/// incremental label repair, then one journal frame appended to the
+/// `--index` file (if any). The serve contract for bad lines holds — a stderr diagnostic, a
 /// failure-counter bump, and the session continues on the old state.
 #[allow(clippy::too_many_arguments)]
 fn apply_seq_delta(
@@ -1296,16 +1299,26 @@ fn apply_seq_delta(
         }
     };
     if engine.is_none() {
-        *engine = Some(match source {
-            Source::Stored(store) => update::UpdateEngine::from_store(
-                store,
-                index_path.map(std::path::PathBuf::from),
-                compact_after,
-            ),
-            Source::Built { graph, index } => {
-                update::UpdateEngine::from_views(graph.as_view(), index.as_view(), compact_after)
+        let path = index_path.map(std::path::PathBuf::from);
+        *engine = match source {
+            Source::Stored(store) => {
+                Some(update::UpdateEngine::from_store(store, path, compact_after))
             }
-        });
+            // Built this session from an edge list: the engine continues
+            // the history of an in-memory image of it.
+            Source::Built { graph, index } => match memory_image(graph, index) {
+                Ok(image) => Some(update::UpdateEngine::from_store(
+                    &image,
+                    None,
+                    compact_after,
+                )),
+                Err(e) => {
+                    metrics.update_failures.inc();
+                    eprintln!("error: stdin:{lineno}: {e}");
+                    return;
+                }
+            },
+        };
     }
     let mut discard = false;
     if let Some(eng) = engine.as_mut() {
@@ -1313,20 +1326,25 @@ fn apply_seq_delta(
             Ok(outcome) if !outcome.applied => {
                 eprintln!("update stdin:{lineno}: {delta} is a no-op (edge state unchanged)");
             }
-            Ok(_) => match eng.persist() {
-                Ok(report) => {
-                    metrics.updates_applied.inc();
-                    if report.compacted {
-                        metrics.compactions.inc();
-                    }
+            // Sequential serving answers from the engine itself, so the
+            // published generation is only dropped.
+            Ok(_) => match eng.publish(false) {
+                Ok(published) => {
+                    metrics.record_update(
+                        &published.phases,
+                        1,
+                        published.bytes,
+                        published.compacted,
+                        eng.pending(),
+                    );
                     eprintln!(
                         "update stdin:{lineno}: applied {delta}{}{}",
-                        if report.compacted {
+                        if published.compacted {
                             "; journal compacted"
                         } else {
                             ""
                         },
-                        match report.bytes {
+                        match published.bytes {
                             Some(b) => format!("; {b} bytes written to disk"),
                             None => String::new(),
                         }
@@ -1418,8 +1436,7 @@ fn cmd_update(args: Vec<String>) -> Result<(), String> {
         Some(std::path::PathBuf::from(&path)),
         compact_after,
     );
-    // The engine owns everything it needs; release the mapping before the
-    // write-back replaces the file under it.
+    // The engine shares the validated image; this handle is not needed.
     drop(store);
 
     let mut applied = 0u64;
@@ -1438,21 +1455,19 @@ fn cmd_update(args: Vec<String>) -> Result<(), String> {
             noops += 1;
         }
     }
-    if force_compact {
-        engine.compact();
-    }
-    let report = engine.persist()?;
+    let published = engine.publish(force_compact)?;
     eprintln!(
         "updated {path}: {applied} delta(s) applied ({noops} no-op), {trees} landmark tree(s) \
          repaired, {full_relabels} full relabel(s); journal: {} pending, {} compaction(s){}; \
-         took {:.1?}",
+         took {:.1?} ({})",
         engine.pending(),
         engine.compactions(),
-        match report.bytes {
+        match published.bytes {
             Some(b) => format!(", {b} bytes written"),
             None => String::new(),
         },
-        t0.elapsed()
+        t0.elapsed(),
+        published.phases
     );
     Ok(())
 }
@@ -1582,11 +1597,14 @@ fn cmd_inspect(args: Vec<String>) -> Result<(), String> {
     let mut out = std::io::BufWriter::new(stdout.lock());
     let report = |out: &mut dyn Write| -> std::io::Result<()> {
         writeln!(out, "file:          {path}")?;
+        let tail = store.tail();
         writeln!(
             out,
-            "size:          {} bytes ({:.1} KiB)",
+            "size:          {} bytes ({:.1} KiB): {} B container image + {} B journal tail",
+            store.len_bytes(),
+            store.len_bytes() as f64 / 1024.0,
             meta.file_len,
-            meta.file_len as f64 / 1024.0
+            store.len_bytes() - meta.file_len
         )?;
         writeln!(
             out,
@@ -1631,6 +1649,18 @@ fn cmd_inspect(args: Vec<String>) -> Result<(), String> {
                 "journal:       (none; live-update journals start at format v6)"
             )?,
         }
+        writeln!(
+            out,
+            "journal tail:  {} frame(s), {} B{}",
+            tail.frames,
+            tail.frame_bytes,
+            match tail.torn_bytes {
+                0 => String::new(),
+                torn => format!(
+                    "; {torn} B torn remainder (an unacknowledged append; the next one removes it)"
+                ),
+            }
+        )?;
         writeln!(out, "sections:")?;
         for s in store.sections() {
             writeln!(

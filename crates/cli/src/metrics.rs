@@ -15,6 +15,7 @@
 //! disconnects, write timeouts, oversized lines, and index reloads. The
 //! rendered format is Prometheus-style `name value` lines.
 
+use crate::update::UpdatePhases;
 use hcl_index::AnswerSource;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
@@ -203,6 +204,15 @@ pub(crate) struct ServerMetrics {
     pub(crate) update_failures: Counter,
     /// Journal folds triggered by `--compact-after` during live updates.
     pub(crate) compactions: Counter,
+    /// Bytes live updates wrote to the index file: one journal frame per
+    /// batch, or a whole container per compaction.
+    pub(crate) update_persist_bytes: Counter,
+    /// Nanoseconds live updates spent per phase, in
+    /// [`UpdatePhases::named`] order; exported in seconds.
+    update_phase_ns: [AtomicU64; 4],
+    /// Pending-journal gauge: deltas a reopen of the index file would
+    /// replay (reset by a compaction or a reload).
+    pub(crate) journal_pending: AtomicU64,
     /// Degradation gauge: non-zero while `/healthz` reports `degraded`
     /// (corruption detected by the scrubber, cleared by a clean scrub
     /// pass or a successful reload).
@@ -243,6 +253,9 @@ impl ServerMetrics {
             updates_applied: Counter::new("hcl_updates_applied_total"),
             update_failures: Counter::new("hcl_update_failures_total"),
             compactions: Counter::new("hcl_compactions_total"),
+            update_persist_bytes: Counter::new("hcl_update_persist_bytes_total"),
+            update_phase_ns: std::array::from_fn(|_| AtomicU64::new(0)),
+            journal_pending: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
             answers_label_hit: Counter::new("hcl_answers_label_hit_total"),
             answers_highway: Counter::new("hcl_answers_highway_total"),
@@ -264,6 +277,30 @@ impl ServerMetrics {
             AnswerSource::Trivial => self.answers_trivial.inc(),
             AnswerSource::Disconnected => self.answers_disconnected.inc(),
         }
+    }
+
+    /// Accounts one published update batch: `applied` effective deltas,
+    /// where the time went, what reached the file, and the journal depth
+    /// it left.
+    pub(crate) fn record_update(
+        &self,
+        phases: &UpdatePhases,
+        applied: u64,
+        bytes: Option<u64>,
+        compacted: bool,
+        pending: usize,
+    ) {
+        self.updates_applied.add(applied);
+        if compacted {
+            self.compactions.inc();
+        }
+        self.update_persist_bytes.add(bytes.unwrap_or(0));
+        for (slot, (_, took)) in self.update_phase_ns.iter().zip(phases.named()) {
+            let ns = u64::try_from(took.as_nanos()).unwrap_or(u64::MAX);
+            slot.fetch_add(ns, Ordering::Relaxed);
+        }
+        self.journal_pending
+            .store(pending as u64, Ordering::Relaxed);
     }
 
     /// Renders the `GET /metrics` body: Prometheus-style `name value`
@@ -293,6 +330,7 @@ impl ServerMetrics {
             &self.updates_applied,
             &self.update_failures,
             &self.compactions,
+            &self.update_persist_bytes,
             &self.answers_label_hit,
             &self.answers_highway,
             &self.answers_bfs,
@@ -301,6 +339,19 @@ impl ServerMetrics {
         ] {
             let _ = writeln!(out, "{} {}", c.name, c.get());
         }
+        let phase_names = UpdatePhases::default().named();
+        for (slot, (phase, _)) in self.update_phase_ns.iter().zip(phase_names) {
+            let _ = writeln!(
+                out,
+                "hcl_update_phase_seconds_total{{phase=\"{phase}\"}} {:.6}",
+                slot.load(Ordering::Relaxed) as f64 / 1e9
+            );
+        }
+        let _ = writeln!(
+            out,
+            "hcl_journal_pending {}",
+            self.journal_pending.load(Ordering::Relaxed)
+        );
         let _ = writeln!(
             out,
             "hcl_inflight_connections {}",
@@ -411,6 +462,17 @@ mod tests {
         m.record_source(AnswerSource::LabelHit);
         m.record_source(AnswerSource::LabelHit);
         m.record_source(AnswerSource::ResidualBfs);
+        m.record_update(
+            &UpdatePhases {
+                repair: Duration::from_millis(63),
+                persist: Duration::from_micros(1500),
+                ..Default::default()
+            },
+            2,
+            Some(56),
+            false,
+            7,
+        );
         let text = m.render(3);
         for needle in [
             "hcl_up 1\n",
@@ -425,9 +487,15 @@ mod tests {
             "hcl_answers_disconnected_total 0\n",
             "hcl_scrub_passes_total 0\n",
             "hcl_scrub_failures_total 0\n",
-            "hcl_updates_applied_total 0\n",
+            "hcl_updates_applied_total 2\n",
             "hcl_update_failures_total 0\n",
             "hcl_compactions_total 0\n",
+            "hcl_update_persist_bytes_total 56\n",
+            "hcl_update_phase_seconds_total{phase=\"repair\"} 0.063000\n",
+            "hcl_update_phase_seconds_total{phase=\"materialise\"} 0.000000\n",
+            "hcl_update_phase_seconds_total{phase=\"persist\"} 0.001500\n",
+            "hcl_update_phase_seconds_total{phase=\"swap\"} 0.000000\n",
+            "hcl_journal_pending 7\n",
             "hcl_degraded 0\n",
             "hcl_latency_samples 1\n",
             "hcl_latency_us{quantile=\"0.99\"}",

@@ -343,8 +343,8 @@ fn read_loop(
     result
 }
 
-/// Applies one `+u v` / `-u v` stdin line: incremental repair, persist,
-/// publish as a new generation. The serve contract for bad lines holds —
+/// Applies one `+u v` / `-u v` stdin line: incremental repair, one
+/// journal frame appended to the index file, a new generation swapped in. The serve contract for bad lines holds —
 /// a stderr diagnostic, a failure-counter bump, and the session continues
 /// on the old state. The caller has already quiesced the pool.
 fn apply_stdin_delta(
@@ -379,32 +379,33 @@ fn apply_stdin_delta(
         Ok(outcome) if !outcome.applied => {
             eprintln!("update stdin:{lineno}: {delta} is a no-op (edge state unchanged)");
         }
-        Ok(_) => {
-            let published = eng
-                .persist()
-                .and_then(|report| eng.fold_store().map(|store| (report, store)));
-            match published {
-                Ok((report, store)) => {
-                    let generation = handle.swap(store);
-                    metrics.updates_applied.inc();
-                    if report.compacted {
-                        metrics.compactions.inc();
-                    }
-                    eprintln!(
-                        "update stdin:{lineno}: applied {delta}; now serving generation \
-                         {generation}"
-                    );
-                }
-                Err(e) => {
-                    // The in-memory repair succeeded but publication
-                    // failed: discard the engine so the next delta
-                    // restarts from the generation actually being served.
-                    *engine = None;
-                    metrics.update_failures.inc();
-                    eprintln!("error: stdin:{lineno}: publishing {delta} failed: {e}");
-                }
+        Ok(_) => match eng.publish(false) {
+            Ok(published) => {
+                let mut phases = published.phases;
+                let t0 = Instant::now();
+                let generation = handle.swap(published.store);
+                phases.swap = t0.elapsed();
+                metrics.record_update(
+                    &phases,
+                    1,
+                    published.bytes,
+                    published.compacted,
+                    eng.pending(),
+                );
+                eprintln!(
+                    "update stdin:{lineno}: applied {delta}; now serving generation \
+                     {generation}"
+                );
             }
-        }
+            Err(e) => {
+                // The in-memory repair succeeded but publication failed:
+                // discard the engine so the next delta restarts from the
+                // generation actually being served.
+                *engine = None;
+                metrics.update_failures.inc();
+                eprintln!("error: stdin:{lineno}: publishing {delta} failed: {e}");
+            }
+        },
         Err(e) => {
             metrics.update_failures.inc();
             eprintln!("error: stdin:{lineno}: {e}");

@@ -51,7 +51,7 @@
 use crate::metrics::ServerMetrics;
 use crate::parse_pair_line;
 use crate::slowlog::{SlowLog, SlowQuery};
-use crate::update::UpdateEngine;
+use crate::update::{Published, UpdateEngine};
 use hcl_index::{QueryContext, QueryStats};
 use hcl_store::{GenerationHandle, IndexStore};
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
@@ -178,6 +178,7 @@ pub(crate) fn serve_listen(handle: GenerationHandle, cfg: ServerConfig) -> Resul
         update: Mutex::new(None),
         compact_after: cfg.compact_after,
     });
+    set_journal_gauge(&state, &state.handle.current().store);
     sig::install(cfg.reload_signal);
 
     // The line the tooling greps for: the bound address (resolving `:0`)
@@ -318,6 +319,16 @@ pub(crate) fn serve_listen(handle: GenerationHandle, cfg: ServerConfig) -> Resul
     Ok(())
 }
 
+/// Points `hcl_journal_pending` at what a reopen of `store`'s file would
+/// replay; live updates keep it current from there.
+fn set_journal_gauge(state: &ServerState, store: &IndexStore) {
+    let pending = store.journal().map_or(0, |j| j.len() as u64);
+    state
+        .metrics
+        .journal_pending
+        .store(pending, Ordering::Relaxed);
+}
+
 /// Re-opens the reload source and swaps it in as the new generation,
 /// retrying up to `--reload-retries` times with exponential backoff.
 ///
@@ -357,6 +368,7 @@ pub(crate) fn do_reload(state: &ServerState) -> Result<u64, String> {
         };
         match opened {
             Ok(store) => {
+                set_journal_gauge(state, &store);
                 let generation = state.handle.swap(store);
                 state.metrics.reloads.inc();
                 // The file on disk superseded any in-memory update state:
@@ -930,10 +942,11 @@ fn read_body_bounded(
 ///
 /// The whole batch is transactional from the client's point of view: the
 /// deltas are parsed up front, applied to the (lazily created) update
-/// engine, persisted to the `--index` file, and only then swapped in. On
-/// *any* failure the engine is discarded — the served generation and the
-/// file on disk keep their pre-request state, and the next update
-/// restarts from the last published generation.
+/// engine, appended to the `--index` file as one synced journal frame,
+/// and only then swapped in. On *any* failure the engine is discarded —
+/// the served generation and the file on disk keep their pre-request
+/// state, and the next update restarts from the last published
+/// generation.
 fn handle_http_update(
     content_length: Option<usize>,
     reader: &mut impl BufRead,
@@ -1052,21 +1065,23 @@ fn handle_http_update(
             );
         }
         Ok(done) => {
-            let generation = state.handle.swap(done.store);
-            m.updates_applied.add(done.applied);
-            if done.persisted.compacted {
-                m.compactions.inc();
-            }
+            let Published {
+                store,
+                bytes,
+                compacted,
+                mut phases,
+            } = done.published;
+            let t0 = Instant::now();
+            let generation = state.handle.swap(store);
+            phases.swap = t0.elapsed();
+            m.record_update(&phases, done.applied, bytes, compacted, done.pending);
             eprintln!(
-                "update from {peer}: {} delta(s) applied ({} no-op) as generation {generation}{}{}",
+                "update from {peer}: {} delta(s) applied ({} no-op) as generation {generation}{}{}; \
+                 {phases}",
                 done.applied,
                 done.ignored,
-                if done.persisted.compacted {
-                    "; journal compacted"
-                } else {
-                    ""
-                },
-                match done.persisted.bytes {
+                if compacted { "; journal compacted" } else { "" },
+                match bytes {
                     Some(b) => format!("; {b} bytes written to disk"),
                     None => "; in-memory index, nothing persisted".to_string(),
                 }
@@ -1081,19 +1096,18 @@ fn handle_http_update(
     }
 }
 
-/// What a successful `/update` batch produced, ready to publish.
+/// What a successful `/update` batch produced, ready to swap in.
 struct UpdateDone {
     applied: u64,
     ignored: u64,
     pending: usize,
-    persisted: crate::update::PersistReport,
-    store: IndexStore,
+    published: Published,
 }
 
-/// Applies a parsed delta batch to the engine, persists, and folds the
-/// live state into a swappable store. Pure engine work — no locking, no
-/// I/O to the client — so the caller can treat any `Err` as "discard the
-/// engine and report `(status, reason, message)`".
+/// Applies a parsed delta batch to the engine and publishes it: one
+/// durable journal frame and the generation that serves it. Pure engine
+/// work — no locking, no I/O to the client — so the caller can treat any
+/// `Err` as "discard the engine and report `(status, reason, message)`".
 fn run_update(
     engine: &mut UpdateEngine,
     deltas: Vec<hcl_core::EdgeDelta>,
@@ -1107,18 +1121,14 @@ fn run_update(
             Err(e) => return Err((400, "Bad Request", e)),
         }
     }
-    let persisted = engine
-        .persist()
-        .map_err(|e| (500, "Internal Server Error", e))?;
-    let store = engine
-        .fold_store()
+    let published = engine
+        .publish(false)
         .map_err(|e| (500, "Internal Server Error", e))?;
     Ok(UpdateDone {
         applied,
         ignored,
         pending: engine.pending(),
-        persisted,
-        store,
+        published,
     })
 }
 

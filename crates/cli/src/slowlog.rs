@@ -83,17 +83,23 @@ impl SlowLog {
     /// Logs the query if it is over threshold and the rate limiter has a
     /// token; otherwise returns immediately.
     pub(crate) fn observe(&self, q: &SlowQuery<'_>) {
-        if q.latency < self.threshold {
-            return;
+        if q.latency >= self.threshold {
+            self.observe_at(q, Instant::now());
         }
+    }
+
+    /// [`observe`](SlowLog::observe) for an over-threshold query, with the
+    /// token bucket's clock passed in (tests freeze it).
+    fn observe_at(&self, q: &SlowQuery<'_>, now: Instant) {
         let line = format_line(q);
         // Diagnostics must never take serving down: a poisoned lock (a
         // panic inside some other observe call) is recovered — the token
         // bucket state degrades gracefully no matter where the panic hit.
         let mut inner = lock_recover(&self.inner, "slow-log");
-        let now = Instant::now();
+        // Racing observers may arrive out of order: the bucket's clock
+        // only moves forward (`duration_since` saturates at zero).
         let elapsed = now.duration_since(inner.last_refill).as_secs_f64();
-        inner.last_refill = now;
+        inner.last_refill = inner.last_refill.max(now);
         inner.tokens = (inner.tokens + elapsed * MAX_LINES_PER_SEC).min(MAX_LINES_PER_SEC);
         if inner.tokens < 1.0 {
             inner.dropped += 1;
@@ -227,14 +233,26 @@ mod tests {
         assert!(sink.0.lock().unwrap().is_empty());
 
         q.latency = Duration::from_micros(50);
-        // Exhaust the burst and then some; the excess must be dropped,
-        // counted, and never block.
+        // Exhaust the burst and then some with the bucket's clock frozen
+        // (no refill, however slow the host): exactly the burst is
+        // written, the excess is dropped, counted, and never blocks.
+        let frozen = Instant::now();
         for _ in 0..(MAX_LINES_PER_SEC as usize + 100) {
-            log.observe(&q);
+            log.observe_at(&q, frozen);
         }
-        let written = sink.0.lock().unwrap().clone();
-        let lines = written.split(|&b| b == b'\n').filter(|l| !l.is_empty());
-        assert!(lines.count() <= MAX_LINES_PER_SEC as usize + 1);
-        assert!(log.dropped() >= 99, "dropped = {}", log.dropped());
+        let lines = |sink: &Sink| {
+            let written = sink.0.lock().unwrap();
+            written.iter().filter(|&&b| b == b'\n').count()
+        };
+        assert_eq!(lines(&sink), MAX_LINES_PER_SEC as usize);
+        assert_eq!(log.dropped(), 100);
+
+        // Ten milliseconds later the bucket holds ten more tokens.
+        let later = frozen + Duration::from_millis(10);
+        for _ in 0..15 {
+            log.observe_at(&q, later);
+        }
+        assert_eq!(lines(&sink), MAX_LINES_PER_SEC as usize + 10);
+        assert_eq!(log.dropped(), 105);
     }
 }

@@ -1,24 +1,31 @@
 //! Live edge updates: the engine every serving mode routes `+u v` /
 //! `-u v` deltas through.
 //!
-//! [`UpdateEngine`] holds both halves of the journalled-container
-//! contract in memory:
+//! [`UpdateEngine`] holds the **live** state — graph plus repairable
+//! labels, maintained incrementally by `hcl-index`'s repair path (never a
+//! full rebuild) — and a `hcl_store::JournalWriter`, the container's
+//! single writer. One call, [`UpdateEngine::publish`], makes a batch of
+//! applied deltas durable and servable at a cost proportional to the
+//! batch, not the container:
 //!
-//! * the **base** state — graph and labels exactly as the container's
-//!   base sections hold them (the as-last-compacted snapshot), plus the
-//!   delta journal accumulated since. Persisting writes *this* pair via
-//!   `save_with_journal`, so what lands on disk is always a container
-//!   whose open-time replay reconstructs the live state.
-//! * the **live** state — the base with every journalled delta applied,
-//!   maintained incrementally by `hcl-index`'s repair path (never a full
-//!   rebuild). Queries and generation swaps are served from here.
+//! * **persist** — the batch goes to the file as one self-checksummed
+//!   frame appended after the container image and `fdatasync`ed; the
+//!   image is never rewritten. Reopening the file replays the frames
+//!   through the same repair code and arrives at the live state.
+//! * **publish** — the next generation is an `IndexStore` sharing the
+//!   already-validated image and carrying the live graph and flattened
+//!   labels in its replayed slot: exactly what that reopen would produce,
+//!   with nothing serialised, copied or re-validated.
+//!
+//! Only a compacting publish (`--compact-after N` reached, or `hcl update
+//! --compact`) writes a whole container — the live state as the new base,
+//! empty journal, no tail — and then serves a trusted reopen of it, which
+//! bounds both open-time replay and the memory the shared image pins.
 //!
 //! The engine is deliberately transport-agnostic: the `update`
 //! subcommand drives it file-to-file, the stdin serve loops drive it a
 //! line at a time, and the socket server drives it from `POST /update`
-//! batches behind a mutex. Auto-compaction (`--compact-after N`) folds
-//! the journal into the base once it reaches N pending deltas, bounding
-//! both open-time replay work and journal growth.
+//! batches behind a mutex.
 //!
 //! This file is on the request-serving path (the `no-panics` lint
 //! covers it): every failure degrades into a `Result` the caller can
@@ -27,103 +34,108 @@
 use hcl_core::{DeltaGraph, DeltaOp, EdgeDelta, Graph, GraphView};
 use hcl_index::repair::{DynamicIndex, RepairOutcome};
 use hcl_index::{BuildContext, HighwayCoverIndex, IndexView};
-use hcl_store::{BuildInfo, IndexStore, StoredJournal};
+use hcl_store::{IndexStore, JournalWriter};
 use std::path::PathBuf;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-/// What one [`UpdateEngine::persist`] call did.
-pub(crate) struct PersistReport {
+/// Where one update batch spent its time, measured at the engine's own
+/// boundaries. The caller adds `swap` (it owns the generation handle).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct UpdatePhases {
+    /// Label repair (`DynamicIndex::apply_and_repair`).
+    pub(crate) repair: Duration,
+    /// Live state made servable: the edited graph rematerialised as CSR
+    /// (`to_graph`) and the labels flattened (`to_index`).
+    pub(crate) materialise: Duration,
+    /// Made durable: the frame append, or the whole-container publish and
+    /// reopen of a compaction.
+    pub(crate) persist: Duration,
+    /// The generation swap.
+    pub(crate) swap: Duration,
+}
+
+impl UpdatePhases {
+    /// `(name, duration)` per phase, in pipeline order; the names are the
+    /// `phase` label values of `hcl_update_phase_seconds_total`.
+    pub(crate) fn named(&self) -> [(&'static str, Duration); 4] {
+        [
+            ("repair", self.repair),
+            ("materialise", self.materialise),
+            ("persist", self.persist),
+            ("swap", self.swap),
+        ]
+    }
+}
+
+impl std::fmt::Display for UpdatePhases {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, (name, took)) in self.named().iter().enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            write!(f, "{sep}{name}={:.1}ms", took.as_secs_f64() * 1e3)?;
+        }
+        Ok(())
+    }
+}
+
+/// What one [`UpdateEngine::publish`] call produced.
+pub(crate) struct Published {
+    /// The generation to serve: shares the validated image with its
+    /// predecessor (or, after a compaction, is a trusted reopen).
+    pub(crate) store: IndexStore,
     /// Bytes written to the backing file, or `None` for an in-memory
     /// engine (no `--index` to write back to).
     pub(crate) bytes: Option<u64>,
-    /// Whether the journal was folded into the base first
+    /// Whether the journal was folded into a new base
     /// (`--compact-after` threshold reached, or an explicit compact).
     pub(crate) compacted: bool,
+    /// Time since the previous publish, by phase (`swap` still zero).
+    pub(crate) phases: UpdatePhases,
 }
 
 /// Incremental edge-update engine: applies deltas through label repair,
-/// journals them for durability, and hands out the live state for
-/// queries and generation swaps.
+/// journals them for durability, and stamps out the generations that
+/// serve them.
 pub(crate) struct UpdateEngine {
-    /// The as-last-compacted snapshot the on-disk base sections hold.
-    base_graph: Graph,
-    base_index: HighwayCoverIndex,
-    /// Build metadata carried through every rewrite of the container.
-    build: BuildInfo,
-    /// Deltas applied since the base snapshot, in application order.
-    journal: Vec<EdgeDelta>,
-    /// Journal folds so far (the container's compaction counter).
-    compactions: u64,
-    /// The live graph: base + journal, rematerialised after each apply.
-    live_graph: Graph,
+    /// The container's writer: shared image, pending journal, append
+    /// handle to the `--index` file (if any).
+    writer: JournalWriter,
+    /// The live graph: image + journal + staged deltas, rematerialised
+    /// after each apply and shared with the generations stamped from it.
+    live_graph: Arc<Graph>,
     /// The live labels in repairable form.
     dynamic: DynamicIndex,
-    /// CSR-flattened cache of `dynamic`, refreshed lazily — repairs only
-    /// mark it stale, so a batch of deltas pays one flatten, not one per
-    /// delta.
-    live_index: HighwayCoverIndex,
-    stale: bool,
+    /// CSR-flattened cache of `dynamic`; `None` while stale — repairs
+    /// only invalidate it, so a batch of deltas pays one flatten.
+    live_index: Option<Arc<HighwayCoverIndex>>,
+    /// Deltas applied since the last publish: the next frame.
+    staged: Vec<EdgeDelta>,
     /// Reused BFS scratch for the repair path.
     cx: BuildContext,
-    /// Where [`persist`](UpdateEngine::persist) writes, if anywhere.
-    path: Option<PathBuf>,
     /// Fold the journal once it holds this many deltas (0 = never).
     compact_after: usize,
+    /// Phase time accumulated since the last publish.
+    phases: UpdatePhases,
 }
 
 impl UpdateEngine {
-    /// Builds the engine from an opened container: the base sections and
-    /// journal come across as-is, so a later [`persist`](
-    /// UpdateEngine::persist) continues the container's history instead
-    /// of restarting it.
+    /// Builds the engine from an opened container, continuing its history:
+    /// a later [`publish`](UpdateEngine::publish) appends to `path` (the
+    /// file `store` was opened from) or, without one, journals in memory.
     pub(crate) fn from_store(
         store: &IndexStore,
         path: Option<PathBuf>,
         compact_after: usize,
     ) -> Self {
-        let (journal, compactions) = match store.journal() {
-            Some(j) => (j.deltas.clone(), j.compactions),
-            None => (Vec::new(), 0),
-        };
-        let dynamic = DynamicIndex::from_view(store.index());
-        let live_index = dynamic.to_index();
         Self {
-            base_graph: store.base_graph().to_owned_graph(),
-            base_index: store.base_index().to_owned_index(),
-            build: store.meta().build,
-            journal,
-            compactions,
-            live_graph: store.graph().to_owned_graph(),
-            dynamic,
-            live_index,
-            stale: false,
+            writer: JournalWriter::new(store, path),
+            live_graph: Arc::new(store.graph().to_owned_graph()),
+            dynamic: DynamicIndex::from_view(store.index()),
+            live_index: None,
+            staged: Vec::new(),
             cx: BuildContext::new(),
-            path,
             compact_after,
-        }
-    }
-
-    /// Builds the engine around an index built in memory this session:
-    /// the current state doubles as the base, the journal starts empty,
-    /// and there is no file to persist to.
-    pub(crate) fn from_views(
-        graph: GraphView<'_>,
-        index: IndexView<'_>,
-        compact_after: usize,
-    ) -> Self {
-        let dynamic = DynamicIndex::from_view(index);
-        Self {
-            base_graph: graph.to_owned_graph(),
-            base_index: dynamic.to_index(),
-            build: BuildInfo::default(),
-            journal: Vec::new(),
-            compactions: 0,
-            live_graph: graph.to_owned_graph(),
-            live_index: dynamic.to_index(),
-            dynamic,
-            stale: false,
-            cx: BuildContext::new(),
-            path: None,
-            compact_after,
+            phases: UpdatePhases::default(),
         }
     }
 
@@ -133,102 +145,89 @@ impl UpdateEngine {
     /// one (out-of-range endpoint, self-loop) is an error and changes
     /// nothing.
     pub(crate) fn apply(&mut self, delta: EdgeDelta) -> Result<RepairOutcome, String> {
+        let t0 = Instant::now();
         let mut overlay = DeltaGraph::new(self.live_graph.as_view());
         let outcome = self
             .dynamic
             .apply_and_repair(&mut overlay, delta, &mut self.cx)
             .map_err(|e| format!("applying {delta}: {e}"))?;
+        let repaired = Instant::now();
+        self.phases.repair += repaired - t0;
         if outcome.applied {
-            self.live_graph = overlay.to_graph();
-            self.journal.push(delta);
-            self.stale = true;
+            self.live_graph = Arc::new(overlay.to_graph());
+            self.live_index = None;
+            self.staged.push(delta);
+            self.phases.materialise += repaired.elapsed();
         }
         Ok(outcome)
     }
 
-    /// The live graph and index, for answering queries in-process.
-    pub(crate) fn views(&mut self) -> (GraphView<'_>, IndexView<'_>) {
-        if self.stale {
-            self.live_index = self.dynamic.to_index();
-            self.stale = false;
-        }
-        (self.live_graph.as_view(), self.live_index.as_view())
+    /// The flattened live labels, refreshed if a repair invalidated them.
+    fn flattened(&mut self) -> Arc<HighwayCoverIndex> {
+        let t0 = Instant::now();
+        let index = self
+            .live_index
+            .get_or_insert_with(|| Arc::new(self.dynamic.to_index()));
+        self.phases.materialise += t0.elapsed();
+        Arc::clone(index)
     }
 
-    /// Pending (journalled, not yet folded) delta count.
+    /// The live graph and index, for answering queries in-process.
+    pub(crate) fn views(&mut self) -> (GraphView<'_>, IndexView<'_>) {
+        let index = self
+            .live_index
+            .get_or_insert_with(|| Arc::new(self.dynamic.to_index()));
+        (self.live_graph.as_view(), index.as_view())
+    }
+
+    /// Pending (applied, not yet compacted) delta count.
     pub(crate) fn pending(&self) -> usize {
-        self.journal.len()
+        self.writer.pending() + self.staged.len()
     }
 
     /// Journal folds so far.
     pub(crate) fn compactions(&self) -> u64 {
-        self.compactions
+        self.writer.compactions()
     }
 
-    /// Folds the journal into the base: the live state becomes the new
-    /// base snapshot, the journal empties, and the compaction counter
-    /// bumps (only if there was anything to fold).
-    pub(crate) fn compact(&mut self) {
-        if self.journal.is_empty() {
-            return;
-        }
-        self.base_graph = self.live_graph.clone();
-        self.base_index = self.dynamic.to_index();
-        self.journal.clear();
-        self.compactions += 1;
-    }
-
-    /// Writes the container back to its file (base sections + journal),
-    /// folding the journal first when the `--compact-after` threshold is
-    /// reached. Engines without a backing file only perform the fold.
-    pub(crate) fn persist(&mut self) -> Result<PersistReport, String> {
-        let compacted = self.compact_after > 0 && self.journal.len() >= self.compact_after;
-        if compacted {
-            self.compact();
-        }
-        let bytes = match &self.path {
-            Some(path) => {
-                let journal = StoredJournal {
-                    deltas: self.journal.clone(),
-                    compactions: self.compactions,
-                };
-                let written = hcl_store::save_with_journal(
-                    path,
-                    &self.base_graph,
-                    &self.base_index,
-                    self.build,
-                    &journal,
-                )
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                Some(written)
-            }
-            None => None,
+    /// Makes every delta applied since the last publish durable and
+    /// returns the generation that serves them. Normally that is one
+    /// frame appended to the file and a generation sharing the validated
+    /// image; when `force_compact` is set or the `--compact-after`
+    /// threshold is reached (and anything is pending), the live state is
+    /// instead published as a whole new container and reopened.
+    pub(crate) fn publish(&mut self, force_compact: bool) -> Result<Published, String> {
+        let index = self.flattened();
+        let pending = self.pending();
+        let compacting = pending > 0
+            && (force_compact || (self.compact_after > 0 && pending >= self.compact_after));
+        let t0 = Instant::now();
+        let (store, written) = if compacting {
+            let store = self
+                .writer
+                .compact(&self.live_graph, &index)
+                .map_err(|e| format!("compacting the index: {e}"))?;
+            let written = store.len_bytes();
+            (store, written)
+        } else {
+            let written = self
+                .writer
+                .append(&self.staged)
+                .map_err(|e| format!("journalling the update: {e}"))?;
+            let store = self
+                .writer
+                .generation(Arc::clone(&self.live_graph), index)
+                .map_err(|e| format!("publishing the updated index: {e}"))?;
+            (store, written)
         };
-        Ok(PersistReport { bytes, compacted })
-    }
-
-    /// Serialises the **live** state into a fresh in-memory container for
-    /// a generation swap: the journal it carries is empty (the deltas are
-    /// already folded into its sections), so opening it replays nothing.
-    /// Trusted open — the bytes were produced in this process.
-    pub(crate) fn fold_store(&mut self) -> Result<IndexStore, String> {
-        if self.stale {
-            self.live_index = self.dynamic.to_index();
-            self.stale = false;
-        }
-        let journal = StoredJournal {
-            deltas: Vec::new(),
-            compactions: self.compactions,
-        };
-        let bytes = hcl_store::serialize_with_journal(
-            &self.live_graph,
-            &self.live_index,
-            self.build,
-            &journal,
-        )
-        .map_err(|e| format!("serialising updated index: {e}"))?;
-        IndexStore::from_bytes_trusted(&bytes)
-            .map_err(|e| format!("re-opening updated index image: {e}"))
+        self.staged.clear();
+        self.phases.persist += t0.elapsed();
+        Ok(Published {
+            store,
+            bytes: self.writer.path().is_some().then_some(written),
+            compacted: compacting,
+            phases: std::mem::take(&mut self.phases),
+        })
     }
 }
 
@@ -303,8 +302,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        let engine = UpdateEngine::from_views(graph.as_view(), index.as_view(), 0);
-        (graph, engine)
+        let image = hcl_store::serialize(&graph, &index).unwrap();
+        let store = IndexStore::from_bytes(&image).unwrap();
+        (graph, UpdateEngine::from_store(&store, None, 0))
     }
 
     #[test]
@@ -367,29 +367,41 @@ mod tests {
     }
 
     #[test]
-    fn compact_folds_journal_into_base() {
+    fn compacting_publish_folds_the_journal_into_a_new_base() {
         let (_graph, mut engine) = engine_for(30, 4, 2);
         engine.apply(EdgeDelta::insert(0, 17)).unwrap();
         engine.apply(EdgeDelta::delete(0, 17)).unwrap();
         assert_eq!(engine.pending(), 2);
-        engine.compact();
+        let published = engine.publish(true).unwrap();
+        assert!(published.compacted);
         assert_eq!(engine.pending(), 0);
         assert_eq!(engine.compactions(), 1);
-        // Nothing pending: a second compact is a no-op.
-        engine.compact();
+        let journal = published.store.journal().unwrap();
+        assert!(journal.is_empty());
+        assert_eq!(journal.compactions, 1);
+        // Nothing pending: a second compacting publish folds nothing.
+        assert!(!engine.publish(true).unwrap().compacted);
         assert_eq!(engine.compactions(), 1);
     }
 
     #[test]
-    fn fold_store_swaps_in_the_live_answers() {
-        let (_graph, mut engine) = engine_for(30, 4, 5);
+    fn publish_stamps_the_live_answers_onto_the_shared_image() {
+        let (graph, mut engine) = engine_for(30, 4, 5);
         engine.apply(EdgeDelta::insert(2, 29)).unwrap();
-        let store = engine.fold_store().unwrap();
-        assert!(store.journal().unwrap().is_empty());
+        let published = engine.publish(false).unwrap();
+        assert!(!published.compacted);
+        assert_eq!(published.bytes, None, "no --index file to write back to");
+        let store = published.store;
+        // What a reopen would produce: the image untouched, the delta in
+        // the journal, the live state served.
+        assert_eq!(store.journal().unwrap().deltas, [EdgeDelta::insert(2, 29)]);
+        assert_eq!(store.base_graph().num_edges(), graph.num_edges());
+        assert_eq!(store.graph().num_edges(), graph.num_edges() + 1);
         let mut ctx = QueryContext::new();
         assert_eq!(
             store.index().query_with(store.graph(), &mut ctx, 2, 29),
             Some(1)
         );
+        assert_eq!(engine.pending(), 1);
     }
 }

@@ -556,6 +556,75 @@ fn http_update_compact_after_folds_journal_while_serving() {
     );
 }
 
+/// Every acknowledged single-edge update is one small frame appended to
+/// the file: `kill -9` after N of them loses none, the file grew by a few
+/// hundred bytes, and the container image in front of them is untouched.
+#[test]
+fn acked_updates_survive_kill_9_as_appended_journal_frames() {
+    let scratch = Scratch::new("kill9");
+    let graph = testkit::barabasi_albert(90, 3, 0x9111);
+    let live = build_index(&scratch, "live", &edge_list(&graph), 6);
+    let before = std::fs::read(&live).expect("read container");
+    let inserts: Vec<(u32, u32)> = (1..90u32)
+        .filter(|&v| !graph.as_view().neighbors(0).contains(&v))
+        .map(|v| (0, v))
+        .take(5)
+        .collect();
+    assert_eq!(inserts.len(), 5);
+
+    let mut server = Server::spawn(&live, &["--workers", "2"]);
+    for (i, (u, v)) in inserts.iter().enumerate() {
+        let (status, body) = server.http_post("/update", &format!("+{u} {v}\n"));
+        assert_eq!(status, 200, "update {i}: {body}");
+        assert!(
+            body.contains(&format!("\"pending\":{}", i + 1)),
+            "update {i}: {body}"
+        );
+    }
+    assert_eq!(server.metric("hcl_journal_pending"), 5);
+    assert_eq!(server.metric("hcl_update_persist_bytes_total"), 5 * 40);
+    let (status, metrics) = server.http_get("/metrics");
+    assert_eq!(status, 200);
+    for phase in ["repair", "materialise", "persist", "swap"] {
+        let name = format!("hcl_update_phase_seconds_total{{phase=\"{phase}\"}} ");
+        assert!(metrics.contains(&name), "missing {name} in:\n{metrics}");
+    }
+    // SIGKILL: no drain, no flush, no goodbye.
+    server.child.kill().expect("kill -9");
+    server.child.wait().expect("reap");
+    let stderr = server.stderr.lock().unwrap().clone();
+    assert!(
+        stderr.contains("40 bytes written to disk; repair="),
+        "update log line lost its size or phases:\n{stderr}"
+    );
+    drop(server);
+
+    let after = std::fs::read(&live).expect("re-read container");
+    assert_eq!(
+        after.len(),
+        before.len() + 5 * 40,
+        "one 40-byte frame per ack"
+    );
+    assert!(after.len() - before.len() < 1024);
+    assert_eq!(
+        &after[..before.len()],
+        &before[..],
+        "container image rewritten"
+    );
+
+    let report = inspect(&live);
+    assert!(
+        report.contains("5 pending delta(s)") && report.contains("5 frame(s), 200 B"),
+        "journal tail not visible:\n{report}"
+    );
+    let queries: String = inserts.iter().map(|(u, v)| format!("{u} {v}\n")).collect();
+    let expected: String = inserts
+        .iter()
+        .map(|(u, v)| format!("{u} {v} 1\n"))
+        .collect();
+    assert_eq!(stdin_serve(&live, &[], &queries), expected);
+}
+
 // ---------------------------------------------------------------------------
 // Acceptance: generation swaps drop no in-flight answer
 // ---------------------------------------------------------------------------

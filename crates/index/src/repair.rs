@@ -18,9 +18,11 @@
 //! full rebuild for no answer-quality gain; the landmarks stay exactly the
 //! vertices the original build chose). Each edit is processed as:
 //!
-//! 1. **Affected-tree detection** on the *pre-edit* graph: two full BFS
-//!    runs from the edit's endpoints `u` and `v` give `d(i, u)` and
-//!    `d(i, v)` for every landmark `i`. For an **insertion**, landmark
+//! 1. **Affected-tree detection** on the *pre-edit* state: `d(i, u)` and
+//!    `d(i, v)` for every landmark `i` are read off the endpoints' labels
+//!    and the highway ([`DynamicIndex::landmark_distances`], the paper's
+//!    detection step — `O(|L|·k)` per endpoint, no graph search). For an
+//!    **insertion**, landmark
 //!    `i`'s distance function can only change if `|d(i,u) − d(i,v)| ≥ 2`
 //!    (a new strictly-shorter path must route through the new edge). For a
 //!    **deletion**, it can only change if `|d(i,u) − d(i,v)| == 1` (the
@@ -122,6 +124,29 @@ impl DynamicIndex {
         self.labels.iter().map(Vec::len).sum()
     }
 
+    /// `d(landmark_i, v)` for every landmark rank `i`, read from `v`'s
+    /// label and the highway: `min over (j, δ) ∈ L(v) of highway[i][j] + δ`
+    /// (`INFINITY` when no labelled hub reaches landmark `i`). Exact by the
+    /// highway-cover property — some hub of `v` lies on a shortest path to
+    /// every landmark `v` can reach; a landmark's own label is its self
+    /// entry, so its row is the highway row. `O(|L(v)|·k)`.
+    ///
+    /// # Panics
+    /// Panics if `v` is not a vertex of the index.
+    pub fn landmark_distances(&self, v: VertexId) -> Vec<u32> {
+        let k = self.landmarks.len();
+        let mut out = vec![INFINITY; k];
+        for &(hub, d) in &self.labels[v as usize] {
+            // The highway is symmetric: row `hub` read across is column
+            // `hub` read down.
+            let row = &self.highway[hub as usize * k..(hub as usize + 1) * k];
+            for (best, &h) in out.iter_mut().zip(row) {
+                *best = (*best).min(sat_add(h, d));
+            }
+        }
+        out
+    }
+
     /// Flattens back into the frozen, query-servable form.
     pub fn to_index(&self) -> HighwayCoverIndex {
         let n = self.labels.len();
@@ -176,21 +201,11 @@ impl DynamicIndex {
             return Ok(RepairOutcome::default());
         }
 
-        // Step 1: endpoint BFS on the *pre-edit* graph — the affected-tree
-        // tests below are stated in terms of old distances.
-        let mut d_landmarks_u = vec![INFINITY; k];
-        let mut d_landmarks_v = vec![INFINITY; k];
-        if k > 0 {
-            distances_from_with(&*graph, delta.u, &mut cx.scratch);
-            for (i, &lm) in self.landmarks.iter().enumerate() {
-                d_landmarks_u[i] = cx.scratch.dist[lm as usize];
-            }
-            distances_from_with(&*graph, delta.v, &mut cx.scratch);
-            for (i, &lm) in self.landmarks.iter().enumerate() {
-                d_landmarks_v[i] = cx.scratch.dist[lm as usize];
-            }
-            cx.scratch.reset();
-        }
+        // Step 1: landmark distances of both endpoints, read from the
+        // *pre-edit* labels — the affected-tree tests below are stated in
+        // terms of old distances.
+        let d_landmarks_u = self.landmark_distances(delta.u);
+        let d_landmarks_v = self.landmark_distances(delta.v);
 
         let applied = graph.apply(delta)?;
         debug_assert!(applied, "membership probe and apply disagreed");

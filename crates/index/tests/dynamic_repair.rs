@@ -103,6 +103,67 @@ fn edit_scripts_match_rebuild_over_all_families_four_threads() {
     }
 }
 
+/// The paper's detection step: landmark distances read off a vertex's
+/// label and the highway must equal a BFS's, for every vertex, on the
+/// built index and after every step of a seeded edit script — so the
+/// affected set, and with it every repaired label, is exactly what the
+/// endpoint BFSs it replaced computed.
+#[test]
+fn label_derived_landmark_distances_match_bfs_over_all_families() {
+    // The landmark counts of `oracle_property.rs`.
+    const KS: &[usize] = &[0, 1, 2, 4, 16];
+    for (name, base) in families() {
+        let n = base.num_vertices();
+        for &k in KS {
+            let options = BuildOptions {
+                num_landmarks: k,
+                ..Default::default()
+            };
+            let built = HighwayCoverIndex::build_with(&base, &options);
+            let mut dynamic = DynamicIndex::from_view(built.as_view());
+            let mut graph = DeltaGraph::new(base.as_view());
+            let mut cx = BuildContext::new();
+            let mut rng = SplitMix64::new(0xDE7E_C7ED ^ (n * 31 + k) as u64);
+            for step in 0..=SCRIPT_LEN {
+                let current = graph.to_graph();
+                let from_landmarks: Vec<Vec<u32>> = built
+                    .as_view()
+                    .landmarks()
+                    .iter()
+                    .map(|&lm| bfs::distances_from(&current, lm))
+                    .collect();
+                for v in 0..n {
+                    let want: Vec<u32> = from_landmarks.iter().map(|d| d[v]).collect();
+                    assert_eq!(
+                        dynamic.landmark_distances(v as u32),
+                        want,
+                        "[{name}] k={k} after {step} edit(s): label-derived landmark \
+                         distances of vertex {v} differ from BFS"
+                    );
+                }
+                if n < 2 || step == SCRIPT_LEN {
+                    break;
+                }
+                let (u, v) = loop {
+                    let u = rng.next_below(n as u64) as u32;
+                    let v = rng.next_below(n as u64) as u32;
+                    if u != v {
+                        break (u, v);
+                    }
+                };
+                let delta = if graph.has_edge(u, v) {
+                    EdgeDelta::delete(u, v)
+                } else {
+                    EdgeDelta::insert(u, v)
+                };
+                dynamic
+                    .apply_and_repair(&mut graph, delta, &mut cx)
+                    .unwrap_or_else(|e| panic!("[{name}] k={k} step {step}: {delta}: {e}"));
+            }
+        }
+    }
+}
+
 #[test]
 fn deltas_never_mutate_the_base_graph() {
     let base = hcl_core::testkit::barabasi_albert(60, 3, 7);

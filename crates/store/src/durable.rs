@@ -30,6 +30,12 @@
 //! and assert that a subsequent [`IndexStore::open`](crate::IndexStore::open)
 //! still yields the old container, the new one, or a typed error.
 //!
+//! The same layer gates the journal-tail append of
+//! [`JournalWriter`](crate::JournalWriter) — [`AppendStep`]: open-tail,
+//! write-frame, sync-tail — through [`StoreIo::decide_append`], so one
+//! fault-schedule discipline covers both ways a container changes on
+//! disk: a whole-file publish, and a frame appended after the image.
+//!
 //! Concurrency: temp names carry the pid plus a process-global counter,
 //! so any number of same-process saves to one path proceed without
 //! colliding (last rename wins, each file complete). The stale-temp sweep
@@ -83,7 +89,41 @@ impl PublishStep {
     }
 }
 
-/// What an injected I/O layer wants to happen at one publish step.
+/// One step of a journal-tail append ([`JournalWriter`](
+/// crate::JournalWriter)), in execution order. The open step runs on a
+/// writer's first append (and again after a compaction or a failed
+/// append); write and sync run on every append.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum AppendStep {
+    /// Open the container read-write, check it is still the file this
+    /// writer descends from, and truncate a torn remainder.
+    OpenTail,
+    /// Write the frame at the end of the valid tail.
+    WriteFrame,
+    /// `fdatasync` the file: the frame is durable before the ack.
+    SyncTail,
+}
+
+impl AppendStep {
+    /// Every step, in execution order — for exhaustive schedule sweeps.
+    pub const ALL: [AppendStep; 3] = [
+        AppendStep::OpenTail,
+        AppendStep::WriteFrame,
+        AppendStep::SyncTail,
+    ];
+
+    /// Stable lowercase name, used in [`StoreError::Append`] diagnostics.
+    pub fn name(self) -> &'static str {
+        match self {
+            AppendStep::OpenTail => "open-tail",
+            AppendStep::WriteFrame => "write-frame",
+            AppendStep::SyncTail => "sync-tail",
+        }
+    }
+}
+
+/// What an injected I/O layer wants to happen at one publish or append
+/// step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IoDecision {
     /// Perform the operation normally (the production default).
@@ -96,15 +136,17 @@ pub enum IoDecision {
     /// the publish stops, leaving on disk exactly what the completed
     /// prefix of the sequence produced (no cleanup — the process died).
     CrashBefore,
-    /// Simulated power cut **during** [`PublishStep::WriteTemp`] after
-    /// this many bytes reached the file — the torn-write case. At any
-    /// other step it behaves like [`IoDecision::CrashBefore`].
+    /// Simulated power cut **during** [`PublishStep::WriteTemp`] or
+    /// [`AppendStep::WriteFrame`] after this many bytes reached the file —
+    /// the torn-write case. At any other step it behaves like
+    /// [`IoDecision::CrashBefore`].
     CrashDuring(usize),
     /// Simulated power cut immediately **after** the operation completes.
     CrashAfter,
 }
 
-/// The injectable I/O layer threaded through the durable publish.
+/// The injectable I/O layer threaded through the durable publish and the
+/// journal-tail append.
 ///
 /// The default implementation proceeds at every step and inlines to
 /// nothing; [`SystemIo`] is that default. Fault simulators override
@@ -114,6 +156,12 @@ pub trait StoreIo {
     /// Called once per [`PublishStep`] before it executes.
     #[inline]
     fn decide(&self, _step: PublishStep) -> IoDecision {
+        IoDecision::Proceed
+    }
+
+    /// Called once per [`AppendStep`] before it executes.
+    #[inline]
+    fn decide_append(&self, _step: AppendStep) -> IoDecision {
         IoDecision::Proceed
     }
 }
@@ -249,9 +297,24 @@ fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
     }
 }
 
+/// `fdatasync`: the file's bytes and the size that makes them reachable,
+/// without the timestamp update `fsync` would also flush. Skipped under
+/// Miri like [`sync_file`].
+pub(crate) fn sync_data(file: &File) -> std::io::Result<()> {
+    #[cfg(not(miri))]
+    {
+        file.sync_data()
+    }
+    #[cfg(miri)]
+    {
+        let _ = file;
+        Ok(())
+    }
+}
+
 /// The `io::Error` carried by injected [`IoDecision::Fail`] faults.
-fn injected_error(step: PublishStep) -> std::io::Error {
-    std::io::Error::other(format!("injected fault at {}", step.name()))
+pub(crate) fn injected_error(step: &str) -> std::io::Error {
+    std::io::Error::other(format!("injected fault at {step}"))
 }
 
 /// Maps one step's failure into the typed publish error, removing the
@@ -294,7 +357,7 @@ pub fn publish_with<Io: StoreIo>(
         IoDecision::Fail => {
             return Err(fail(
                 PublishStep::CreateTemp,
-                injected_error(PublishStep::CreateTemp),
+                injected_error(PublishStep::CreateTemp.name()),
                 &tmp,
             ))
         }
@@ -315,7 +378,7 @@ pub fn publish_with<Io: StoreIo>(
         IoDecision::Fail => {
             return Err(fail(
                 PublishStep::WriteTemp,
-                injected_error(PublishStep::WriteTemp),
+                injected_error(PublishStep::WriteTemp.name()),
                 &tmp,
             ))
         }
@@ -341,7 +404,7 @@ pub fn publish_with<Io: StoreIo>(
         IoDecision::Fail => {
             return Err(fail(
                 PublishStep::SyncTemp,
-                injected_error(PublishStep::SyncTemp),
+                injected_error(PublishStep::SyncTemp.name()),
                 &tmp,
             ))
         }
@@ -362,7 +425,7 @@ pub fn publish_with<Io: StoreIo>(
         IoDecision::Fail => {
             return Err(fail(
                 PublishStep::Rename,
-                injected_error(PublishStep::Rename),
+                injected_error(PublishStep::Rename.name()),
                 &tmp,
             ))
         }
@@ -388,7 +451,7 @@ pub fn publish_with<Io: StoreIo>(
         IoDecision::Fail => {
             return Err(StoreError::Publish {
                 step: PublishStep::SyncDir.name(),
-                source: injected_error(PublishStep::SyncDir),
+                source: injected_error(PublishStep::SyncDir.name()),
             })
         }
         IoDecision::CrashBefore | IoDecision::CrashDuring(_) => {

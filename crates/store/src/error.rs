@@ -45,7 +45,8 @@ pub enum StoreError {
         computed: u64,
     },
     /// Structurally invalid container (bad section table, overlapping or
-    /// out-of-bounds sections, trailing bytes, inconsistent counts).
+    /// out-of-bounds sections, inconsistent counts, trailing bytes that are
+    /// not journal frames, a damaged or out-of-sequence frame).
     Corrupt {
         /// Human-readable description of the inconsistency.
         what: String,
@@ -75,6 +76,17 @@ pub enum StoreError {
     /// container it held before.
     Publish {
         /// Name of the [`PublishStep`](crate::durable::PublishStep) that
+        /// failed.
+        step: &'static str,
+        /// The underlying I/O error (real or injected).
+        source: io::Error,
+    },
+    /// Appending a frame to the journal tail failed at a named step
+    /// (open-tail, write-frame, sync-tail). Nothing was acknowledged; a
+    /// partial frame, if any reached the file, is a torn tail that opens
+    /// as the state before the append.
+    Append {
+        /// Name of the [`AppendStep`](crate::durable::AppendStep) that
         /// failed.
         step: &'static str,
         /// The underlying I/O error (real or injected).
@@ -124,6 +136,9 @@ impl fmt::Display for StoreError {
             StoreError::Publish { step, source } => {
                 write!(f, "durable publish failed at {step}: {source}")
             }
+            StoreError::Append { step, source } => {
+                write!(f, "journal append failed at {step}: {source}")
+            }
         }
     }
 }
@@ -134,7 +149,7 @@ impl std::error::Error for StoreError {
             StoreError::Io(e) => Some(e),
             StoreError::InvalidGraph(e) => Some(e),
             StoreError::InvalidIndex(e) => Some(e),
-            StoreError::Publish { source, .. } => Some(source),
+            StoreError::Publish { source, .. } | StoreError::Append { source, .. } => Some(source),
             _ => None,
         }
     }

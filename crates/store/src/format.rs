@@ -10,8 +10,9 @@
 //!               3/4, 7 or 8 in version 5 (the build-stats section is
 //!               optional), 7 through 9 in version 6 (build-stats and
 //!               journal both optional)
-//!     16     8  total file length in bytes (u64 LE)
-//!     24     8  CRC-64/ECMA of the whole file with this field zeroed
+//!     16     8  length of the container image in bytes (u64 LE): the
+//!               whole file, unless a journal tail follows (see below)
+//!     24     8  CRC-64/ECMA of the image with this field zeroed
 //!     32     8  num_vertices (u64 LE)
 //!     40     8  num_edges (u64 LE)
 //!     48     8  num_landmarks (u64 LE)
@@ -80,6 +81,53 @@
 //! [`serialize_v3_with`], [`serialize_v4_with`], and [`serialize_v5_with`]
 //! exist so tests and migration tooling can fabricate legacy containers.
 //! Unknown versions are rejected with a typed error rather than mis-read.
+//!
+//! ## Journal tail (after the container image)
+//!
+//! Everything above describes the **container image**: header through
+//! the declared length at offset 16, covered by the whole-image CRC. A
+//! file may continue past that length with a **journal tail** — zero or
+//! more self-checksummed *frames*, one per acknowledged update batch,
+//! appended and `fdatasync`ed by [`JournalWriter`](crate::JournalWriter)
+//! without ever rewriting the image. A frame is a run of little-endian
+//! `u64` words:
+//!
+//! ```text
+//! word       value
+//! ----       ------------------------------------------------------
+//!    0       (delta count C << 32) | frame magic "HCLJ" (C ≥ 1; the
+//!            magic is the first four bytes on disk)
+//!    1       sequence number of the frame's first delta: how many
+//!            pending deltas (journal section ++ earlier frames)
+//!            precede it
+//! 2+2i       op of delta i (0 = insert, 1 = delete)
+//! 3+2i       endpoints of delta i, packed (u << 32) | v
+//! 2+2C       CRC-64 of words 0 .. 2+2C, seeded with the image's header
+//!            checksum — a frame never replays over another base
+//! ```
+//!
+//! The pending journal of a file is its journal section's deltas followed
+//! by every tail frame's, and open replays it exactly as it replays the
+//! section alone. Frames are decoded and CRC-checked by **both** validated
+//! and trusted opens (they are a few words each). The image is the same
+//! for every readable version, so a tail may follow any of them; only a
+//! compaction writes a new image (current version, live state as the
+//! base, empty journal, no tail).
+//!
+//! **Torn tail vs corruption.** There is one appender and it syncs each
+//! frame before acknowledging it, so a crash can damage only the *last*
+//! frame. A final frame that is short (its declared length runs past the
+//! end of the file, and what is present is a prefix of a well-formed
+//! frame) or that fails its CRC while ending exactly at the end of the
+//! file was never acknowledged: the file opens as the state before it,
+//! the remainder is reported as torn, and the next append truncates it
+//! away. Everything else is a typed [`StoreError::Corrupt`] — bytes that
+//! are not a frame (the wrong magic, a zero count, an op word that is
+//! neither 0 nor 1), a sequence gap, or a bad frame with further bytes
+//! after it — because dropping those would silently lose acknowledged
+//! deltas. (The well-formedness of a short frame matters: an *earlier*
+//! frame whose count was corrupted upwards also runs past the end of the
+//! file, over the acknowledged frames behind it.)
 //!
 //! All integers are little-endian, all arrays fixed-width (`u32`/`u64`),
 //! all section offsets 8-byte aligned — which is exactly what lets a
@@ -344,6 +392,30 @@ const JOURNAL_FORMAT_TAG: u64 = 1;
 const JOURNAL_OP_INSERT: u64 = 0;
 const JOURNAL_OP_DELETE: u64 = 1;
 
+/// The two-word `{op, (u << 32) | v}` encoding of one delta, shared by the
+/// journal section and the tail frames.
+pub(crate) fn encode_delta(d: &EdgeDelta) -> [u64; 2] {
+    let op = match d.op {
+        DeltaOp::Insert => JOURNAL_OP_INSERT,
+        DeltaOp::Delete => JOURNAL_OP_DELETE,
+    };
+    [op, ((d.u as u64) << 32) | d.v as u64]
+}
+
+/// Inverse of [`encode_delta`]; `None` for an unknown op word.
+pub(crate) fn decode_delta(op: u64, endpoints: u64) -> Option<EdgeDelta> {
+    let op = match op {
+        JOURNAL_OP_INSERT => DeltaOp::Insert,
+        JOURNAL_OP_DELETE => DeltaOp::Delete,
+        _ => return None,
+    };
+    Some(EdgeDelta {
+        op,
+        u: (endpoints >> 32) as u32,
+        v: endpoints as u32,
+    })
+}
+
 /// The append-only edge-delta journal persisted in a v6 container's
 /// optional `journal` section.
 ///
@@ -390,11 +462,7 @@ impl StoredJournal {
         words.push(self.compactions);
         words.push(self.deltas.len() as u64);
         for d in &self.deltas {
-            words.push(match d.op {
-                DeltaOp::Insert => JOURNAL_OP_INSERT,
-                DeltaOp::Delete => JOURNAL_OP_DELETE,
-            });
-            words.push(((d.u as u64) << 32) | d.v as u64);
+            words.extend_from_slice(&encode_delta(d));
         }
         words
     }
@@ -413,14 +481,7 @@ impl StoredJournal {
         }
         let mut deltas = Vec::with_capacity(count);
         for pair in words[3..].chunks_exact(2) {
-            let op = match pair[0] {
-                JOURNAL_OP_INSERT => DeltaOp::Insert,
-                JOURNAL_OP_DELETE => DeltaOp::Delete,
-                _ => return None,
-            };
-            let u = (pair[1] >> 32) as u32;
-            let v = pair[1] as u32;
-            deltas.push(EdgeDelta { op, u, v });
+            deltas.push(decode_delta(pair[0], pair[1])?);
         }
         Some(Self {
             deltas,
@@ -459,7 +520,9 @@ pub struct BuildInfo {
 pub struct StoreMeta {
     /// Format version of the file (2 through 5; see the module docs).
     pub version: u32,
-    /// Total file length in bytes.
+    /// Declared length of the container image in bytes; a journal tail,
+    /// if any, follows it (see
+    /// [`IndexStore::len_bytes`](crate::IndexStore::len_bytes)).
     pub file_len: u64,
     /// CRC-64/ECMA checksum recorded in the header.
     pub checksum: u64,
@@ -873,7 +936,8 @@ fn corrupt(what: impl Into<String>) -> StoreError {
 ///
 /// Checks, in order: minimum length, magic, version (2 through 6 are
 /// readable), version-specific header length, declared vs actual file
-/// length (truncation / trailing bytes), checksum (unless
+/// length (truncation; bytes past the declared length are the journal
+/// tail and are not looked at here), checksum over the image (unless
 /// `verify_checksum` is false — the trusted-open path), then section-table
 /// geometry (version-appropriate kinds, element sizes, 8-byte alignment,
 /// in-bounds, non-overlapping) and element counts against the header
@@ -922,12 +986,14 @@ pub(crate) fn parse_and_validate(
             actual: bytes.len() as u64,
         });
     }
-    if (bytes.len() as u64) > file_len {
+    if file_len < hlen as u64 {
         return Err(corrupt(format!(
-            "{} trailing bytes after declared end of file",
-            bytes.len() as u64 - file_len
+            "declared length {file_len} shorter than the {hlen}-byte header"
         )));
     }
+    // Bytes past the declared length are the journal tail, decoded by
+    // `tail::parse`; from here on `bytes` is the image alone.
+    let bytes = &bytes[..file_len as usize];
     let stored = u64_le(bytes, CHECKSUM_OFFSET);
     if verify_checksum {
         let computed = file_checksum(bytes);

@@ -78,15 +78,27 @@ impl GenerationHandle {
     /// alive; requests that take a snapshot after `swap` returns see the
     /// new one.
     pub fn swap(&self, store: IndexStore) -> u64 {
+        let (old, number) = self.replace(store);
+        // Possibly the last reference: unmapping or freeing a whole index
+        // image must not happen while readers queue on the lock.
+        drop(old);
+        number
+    }
+
+    /// The swap's critical section: installs `store` and hands the
+    /// previous generation's store back, still alive, with the lock
+    /// already released.
+    fn replace(&self, store: IndexStore) -> (Arc<IndexStore>, u64) {
+        let next = Arc::new(store);
         // See `current` for why recovering from poison is sound here.
         let mut cur = self
             .current
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        cur.store = Arc::new(store);
+        let old = std::mem::replace(&mut cur.store, next);
         cur.number += 1;
         self.number.store(cur.number, Ordering::Release);
-        cur.number
+        (old, cur.number)
     }
 
     /// The current generation number without taking the lock (may be one
@@ -148,6 +160,25 @@ mod tests {
             .index()
             .query_with(g2.store.graph(), &mut ctx, 0, 7);
         assert_eq!(d_old, d_new);
+    }
+
+    #[test]
+    fn readers_are_not_held_for_the_old_stores_drop() {
+        let handle = std::sync::Arc::new(GenerationHandle::new(store_for(3, 4)));
+        let (old, number) = handle.replace(store_for(3, 8));
+        assert_eq!(number, 2);
+        // The previous store's last reference left the critical section
+        // alive: its drop — the unmap of a whole image — is still ahead...
+        assert_eq!(Arc::strong_count(&old), 1);
+        assert_eq!(old.meta().num_landmarks, 4);
+        // ...and a reader gets through before it happens (with the drop
+        // inside the lock this join would never return).
+        let reader = {
+            let handle = handle.clone();
+            std::thread::spawn(move || handle.current().number)
+        };
+        assert_eq!(reader.join().expect("reader panicked"), 2);
+        drop(old);
     }
 
     #[test]

@@ -38,6 +38,12 @@
 //! `format.rs` for the byte layout, including the v3 packed label-entry
 //! section and the v2 compatibility path.
 //!
+//! Live edge updates never rewrite a container: [`JournalWriter`] appends
+//! one small self-checksummed frame per acknowledged batch after the
+//! image (the *journal tail*, replayed at open) and stamps the next
+//! serving generation onto the shared, already-validated image. Only a
+//! compaction writes a whole file.
+//!
 //! Platforms without the mmap fast path (or callers preferring a private
 //! copy) get the same API via [`IndexStore::open_preloaded`] /
 //! [`IndexStore::from_bytes`], which read into an aligned heap buffer.
@@ -53,6 +59,7 @@ pub mod durable;
 mod error;
 mod format;
 mod generation;
+mod tail;
 
 pub use checksum::crc64;
 pub use error::StoreError;
@@ -63,6 +70,7 @@ pub use format::{
     FORMAT_VERSION, HEADER_LEN, LEGACY_HEADER_LEN, MAGIC, OLDEST_READABLE_VERSION,
 };
 pub use generation::{Generation, GenerationHandle};
+pub use tail::{encode_tail_frame, AppendOutcome, JournalWriter, TailInfo};
 // The strategy type recorded in [`BuildInfo`] lives in `hcl-index`;
 // re-exported so store-level tooling does not need the extra import.
 pub use hcl_index::SelectionStrategy;
@@ -74,6 +82,7 @@ use hcl_index::repair::DynamicIndex;
 use hcl_index::{pack_label_entry, BuildContext, HighwayCoverIndex, IndexView};
 use std::fs::File;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Serialises `graph` and `index` and writes them to `path` atomically,
 /// leaving the header's build-metadata bytes unrecorded; see [`save_with`].
@@ -130,22 +139,6 @@ pub fn save_with_stats(
     Ok(bytes.len() as u64)
 }
 
-/// [`save_with`] for a journalled container: `graph`/`index` are the
-/// **base** (as-last-compacted) state and `journal` the deltas applied
-/// since — see [`serialize_with_journal`]. Returns the bytes written.
-pub fn save_with_journal(
-    path: impl AsRef<Path>,
-    graph: &Graph,
-    index: &HighwayCoverIndex,
-    build: BuildInfo,
-    journal: &StoredJournal,
-) -> Result<u64, StoreError> {
-    let path = path.as_ref();
-    let bytes = serialize_with_journal(graph, index, build, journal)?;
-    write_atomically(path, &bytes)?;
-    Ok(bytes.len() as u64)
-}
-
 /// What [`compact_file`] did, for logging and `inspect`-style tooling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompactReport {
@@ -159,10 +152,11 @@ pub struct CompactReport {
     pub compactions: u64,
 }
 
-/// Folds a container's delta journal into its base sections: opens the
-/// file (which replays pending deltas and repairs the labels), then
-/// atomically republishes it with the replayed state as the new base, an
-/// empty journal, and the compaction counter bumped.
+/// Folds a container's delta journal (section and tail frames) into its
+/// base sections: opens the file (which replays pending deltas and repairs
+/// the labels), then atomically republishes it with the replayed state as
+/// the new base, an empty journal, no tail, and the compaction counter
+/// bumped.
 ///
 /// The write goes through the durable temp-fsync/rename/dir-fsync path
 /// ([`durable`]), so a crash mid-compaction leaves the old journalled
@@ -192,7 +186,7 @@ pub fn compact_file(path: impl AsRef<Path>) -> Result<CompactReport, StoreError>
     write_atomically(path, &bytes)?;
     Ok(CompactReport {
         deltas_folded: journal.len(),
-        bytes_before: meta.file_len,
+        bytes_before: store.len_bytes(),
         bytes_after: bytes.len() as u64,
         compactions: folded.compactions,
     })
@@ -213,42 +207,64 @@ enum OpenMode {
 /// views.
 ///
 /// All validation (header, checksum, section geometry, CSR and labelling
-/// invariants) happens in the constructors; afterwards [`graph`]
-/// (IndexStore::graph) and [`index`](IndexStore::index) are pointer
-/// arithmetic over the backing bytes. The store must outlive the views it
-/// hands out, which the borrow checker enforces.
+/// invariants, journal-tail frames) happens in the constructors;
+/// afterwards [`graph`](IndexStore::graph) and [`index`](IndexStore::index)
+/// are pointer arithmetic over the backing bytes. The store must outlive
+/// the views it hands out, which the borrow checker enforces.
 ///
 /// Version-2 files (split hub/distance label sections) are served through
 /// a converting open: the label entries are packed into an owned array
 /// once at load, while every other section still serves zero-copy.
+///
+/// The validated image is shared (`Arc`) between a store and the
+/// generations a [`JournalWriter`] stamps from it after live updates, so
+/// publishing an update never copies or re-validates it.
 pub struct IndexStore {
-    backing: Backing,
-    layout: Layout,
-    /// Owned packed label entries for v2 files (`None` for v3, which
-    /// serves them straight from the backing).
-    converted_entries: Option<Vec<u64>>,
-    /// The decoded delta journal of a v6 file (`None` when the file has
-    /// no journal section).
+    base: Arc<Base>,
+    /// The pending journal — the journal section's deltas followed by the
+    /// tail frames' (`None` when the file has neither).
     journal: Option<StoredJournal>,
-    /// Current graph/index reconstructed by replaying a non-empty journal
-    /// over the base sections at open. When present, [`IndexStore::graph`]
-    /// and [`IndexStore::index`] serve these instead of the (stale) base
-    /// sections.
+    /// Extent of the journal tail after the image.
+    tail: TailInfo,
+    /// Current graph/index: the pending journal replayed over the base
+    /// sections (at open, or by the live-update engine that appended it).
+    /// When present, [`IndexStore::graph`] and [`IndexStore::index`] serve
+    /// these instead of the (stale) base sections.
     replayed: Option<ReplayedState>,
 }
 
+/// The validated container image of an opened store: immutable, and
+/// shared by every generation that descends from the same open.
+struct Base {
+    backing: Backing,
+    layout: Layout,
+    /// Owned packed label entries for v2 files (`None` for v3+, which
+    /// serve them straight from the backing).
+    converted_entries: Option<Vec<u64>>,
+}
+
+impl Base {
+    /// The image: the backing's bytes up to the declared length (a file
+    /// backing continues with the journal tail).
+    fn image(&self) -> &[u8] {
+        &self.backing.bytes()[..self.layout.meta.file_len as usize]
+    }
+}
+
 /// Owned current state of a journalled container: base sections plus
-/// replayed deltas, with labels repaired incrementally at open.
+/// replayed deltas, with labels repaired incrementally. `Arc`s, because
+/// the live-update engine keeps working on the same graph and index.
 struct ReplayedState {
-    graph: Graph,
-    index: HighwayCoverIndex,
+    graph: Arc<Graph>,
+    index: Arc<HighwayCoverIndex>,
 }
 
 impl std::fmt::Debug for IndexStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IndexStore")
             .field("backing", &self.backing_kind())
-            .field("meta", &self.layout.meta)
+            .field("meta", &self.base.layout.meta)
+            .field("tail", &self.tail)
             .finish()
     }
 }
@@ -261,20 +277,20 @@ impl IndexStore {
         Self::open_mode(path, OpenMode::Validated)
     }
 
-    /// Opens a container **without the whole-file CRC pass** — for files
+    /// Opens a container **without the whole-image CRC pass** — for files
     /// this process (or a trusted pipeline stage) just wrote, where the
     /// checksum would only re-verify bytes the page cache already holds.
     ///
     /// Everything cheap still runs: magic, version, declared length,
-    /// section-table geometry, and the full semantic CSR/label validation
-    /// (`O(n + entries + k²)`, but without touching every payload byte a
-    /// second time for the CRC). What is *lost* is detection of silent
-    /// storage-level corruption inside array payloads whose values happen
-    /// to stay structurally plausible — distances, for instance. A
-    /// tampered-but-well-formed file therefore yields wrong answers,
-    /// never panics or UB (the same contract as
-    /// [`IndexView::from_parts`]); use [`IndexStore::open`] for files of
-    /// unknown provenance.
+    /// section-table geometry, the journal-tail frame checksums, and the
+    /// full semantic CSR/label validation (`O(n + entries + k²)`, but
+    /// without touching every payload byte a second time for the CRC).
+    /// What is *lost* is detection of silent storage-level corruption
+    /// inside array payloads whose values happen to stay structurally
+    /// plausible — distances, for instance. A tampered-but-well-formed
+    /// file therefore yields wrong answers, never panics or UB (the same
+    /// contract as [`IndexView::from_parts`]); use [`IndexStore::open`]
+    /// for files of unknown provenance.
     pub fn open_trusted(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::open_mode(path, OpenMode::Trusted)
     }
@@ -312,9 +328,9 @@ impl IndexStore {
         Self::from_backing(Backing::Heap(buf), mode)
     }
 
-    /// Validates an in-memory container image (copied into an aligned heap
-    /// buffer). Handy for tests and for receiving index images over the
-    /// network.
+    /// Validates an in-memory container image, with or without a journal
+    /// tail after it (copied into an aligned heap buffer). Handy for tests
+    /// and for receiving index images over the network.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
         Self::from_backing(
             Backing::Heap(AlignedBuf::copy_from(bytes)),
@@ -345,7 +361,7 @@ impl IndexStore {
             // v2 files carry labels as two parallel u32 sections; pack them
             // once into the layout the query engine consumes. v3 serves
             // them in place.
-            let bytes = backing.bytes();
+            let (bytes, tail_bytes) = backing.bytes().split_at(layout.meta.file_len as usize);
             let converted_entries = match &layout.labels {
                 LabelRanges::Packed { .. } => None,
                 LabelRanges::Split { hubs, dists } => {
@@ -381,13 +397,12 @@ impl IndexStore {
                 });
             }
 
-            // v6: decode the journal and, when it holds pending deltas,
-            // replay them over the base sections — applying each edit to a
-            // delta overlay and repairing the labels incrementally — so
-            // the store serves *current* state. An undecodable journal is
-            // a hard error: silently dropping edits would serve stale
-            // answers as if they were current.
-            let journal =
+            // The pending journal is the journal section's deltas followed
+            // by the tail frames'. An undecodable section or a corrupt
+            // frame is a hard error: silently dropping edits would serve
+            // stale answers as if they were current. (A torn *final* frame
+            // is not corruption — see `format.rs` — and is only counted.)
+            let section =
                 match &layout.journal {
                     None => None,
                     Some(range) => {
@@ -398,6 +413,23 @@ impl IndexStore {
                     })?)
                     }
                 };
+            let first_seq = section.as_ref().map_or(0, |j| j.len() as u64);
+            let parsed = tail::parse(tail_bytes, layout.meta.checksum, first_seq)?;
+            let journal = match section {
+                Some(mut journal) => {
+                    journal.deltas.extend(parsed.deltas);
+                    Some(journal)
+                }
+                None if parsed.info.frames > 0 => Some(StoredJournal {
+                    deltas: parsed.deltas,
+                    compactions: 0,
+                }),
+                None => None,
+            };
+
+            // Replay pending deltas over the base sections — applying each
+            // edit to a delta overlay and repairing the labels
+            // incrementally — so the store serves *current* state.
             let replayed = match &journal {
                 Some(j) if !j.is_empty() => {
                     let mut overlay = DeltaGraph::new(graph);
@@ -411,18 +443,21 @@ impl IndexStore {
                             })?;
                     }
                     Some(ReplayedState {
-                        graph: overlay.to_graph(),
-                        index: dynamic.to_index(),
+                        graph: Arc::new(overlay.to_graph()),
+                        index: Arc::new(dynamic.to_index()),
                     })
                 }
                 _ => None,
             };
 
             Ok(Self {
-                backing,
-                layout,
-                converted_entries,
+                base: Arc::new(Base {
+                    backing,
+                    layout,
+                    converted_entries,
+                }),
                 journal,
+                tail: parsed.info,
                 replayed,
             })
         }
@@ -454,51 +489,58 @@ impl IndexStore {
     /// Identical to [`graph`](IndexStore::graph) when the journal is
     /// empty or absent.
     pub fn base_graph(&self) -> GraphView<'_> {
-        let bytes = self.backing.bytes();
+        let (bytes, layout) = (self.base.image(), &self.base.layout);
         GraphView::from_csr_unchecked(
-            cast_u64s(&bytes[self.layout.graph_offsets.clone()]),
-            cast_u32s(&bytes[self.layout.graph_neighbors.clone()]),
+            cast_u64s(&bytes[layout.graph_offsets.clone()]),
+            cast_u32s(&bytes[layout.graph_neighbors.clone()]),
         )
     }
 
     /// The index exactly as stored in the base sections; see
     /// [`base_graph`](IndexStore::base_graph).
     pub fn base_index(&self) -> IndexView<'_> {
-        let bytes = self.backing.bytes();
-        let entries = packed_entries(&self.layout.labels, &self.converted_entries, bytes);
+        let (bytes, layout) = (self.base.image(), &self.base.layout);
+        let entries = packed_entries(&layout.labels, &self.base.converted_entries, bytes);
         IndexView::from_parts_unchecked(
-            cast_u32s(&bytes[self.layout.landmarks.clone()]),
-            cast_u32s(&bytes[self.layout.landmark_rank.clone()]),
-            cast_u64s(&bytes[self.layout.label_offsets.clone()]),
+            cast_u32s(&bytes[layout.landmarks.clone()]),
+            cast_u32s(&bytes[layout.landmark_rank.clone()]),
+            cast_u64s(&bytes[layout.label_offsets.clone()]),
             entries,
-            cast_u32s(&bytes[self.layout.highway.clone()]),
+            cast_u32s(&bytes[layout.highway.clone()]),
         )
     }
 
-    /// The decoded delta journal of a v6 container, or `None` for files
-    /// that predate the journal section or were written without one.
+    /// The pending delta journal — the journal section's deltas followed
+    /// by the tail frames' — or `None` for a file with neither (one that
+    /// predates the journal section or was written without one, and has
+    /// never been appended to).
     pub fn journal(&self) -> Option<&StoredJournal> {
         self.journal.as_ref()
     }
 
-    /// Size in bytes of the journal section on disk (0 when absent).
+    /// Bytes the pending journal occupies on disk: the journal section
+    /// plus the complete tail frames (0 when there is neither).
     pub fn journal_bytes(&self) -> u64 {
-        self.layout
-            .journal
-            .as_ref()
-            .map_or(0, |r| (r.end - r.start) as u64)
+        let section = self.base.layout.journal.as_ref();
+        section.map_or(0, |r| (r.end - r.start) as u64) + self.tail.frame_bytes
+    }
+
+    /// Extent of the journal tail after the image: complete frames, their
+    /// bytes, and any torn remainder.
+    pub fn tail(&self) -> TailInfo {
+        self.tail
     }
 
     /// Header metadata (counts, version, checksum) — available without
     /// touching section bytes.
     pub fn meta(&self) -> StoreMeta {
-        self.layout.meta
+        self.base.layout.meta
     }
 
     /// Per-section name/offset/size information for inspection tooling
     /// (7 sections for v3/v4 files, 8 for v2, 7 or 8 for v5).
     pub fn sections(&self) -> Vec<SectionInfo> {
-        self.layout.sections()
+        self.base.layout.sections()
     }
 
     /// The build counters recorded in the container's optional
@@ -507,19 +549,20 @@ impl IndexStore {
     /// reader does not understand — deep-inspection tooling degrades
     /// gracefully on legacy containers.
     pub fn build_stats(&self) -> Option<StoredBuildStats> {
-        let range = self.layout.build_stats.clone()?;
-        let words = cast_u64s(&self.backing.bytes()[range]);
-        StoredBuildStats::decode(words, self.layout.meta.num_landmarks)
+        let range = self.base.layout.build_stats.clone()?;
+        let words = cast_u64s(&self.base.image()[range]);
+        StoredBuildStats::decode(words, self.base.layout.meta.num_landmarks)
     }
 
     /// Which backing serves this store: `"mmap"` or `"heap"`.
     pub fn backing_kind(&self) -> &'static str {
-        self.backing.kind()
+        self.base.backing.kind()
     }
 
-    /// Total size of the container in bytes.
+    /// Total size of the file in bytes: the container image plus its
+    /// journal tail (complete frames and any torn remainder).
     pub fn len_bytes(&self) -> u64 {
-        self.layout.meta.file_len
+        self.base.layout.meta.file_len + self.tail.frame_bytes + self.tail.torn_bytes
     }
 
     /// Copies the stored graph and index into owned structures (a full
@@ -528,7 +571,7 @@ impl IndexStore {
         (self.graph().to_owned_graph(), self.index().to_owned_index())
     }
 
-    /// Re-runs the whole-file CRC-64 pass over this store's live backing
+    /// Re-runs the whole-image CRC-64 pass over this store's live backing
     /// bytes, comparing against the checksum recorded in the header.
     ///
     /// This is the integrity-scrubber entry point: a store opened via
@@ -536,10 +579,12 @@ impl IndexStore {
     /// pass), or one mapped long enough for storage rot to matter, can be
     /// re-verified in place without reopening. Returns
     /// [`StoreError::ChecksumMismatch`] when the bytes no longer hash to
-    /// the header's value.
+    /// the header's value. The journal tail is not re-read here — its
+    /// frames were verified at open, and [`verify_file`] re-verifies the
+    /// file on disk, tail included.
     pub fn verify_checksum(&self) -> Result<(), StoreError> {
-        let computed = format::file_checksum(self.backing.bytes());
-        let stored = self.layout.meta.checksum;
+        let computed = format::file_checksum(self.base.image());
+        let stored = self.base.layout.meta.checksum;
         if computed != stored {
             return Err(StoreError::ChecksumMismatch { stored, computed });
         }
@@ -547,10 +592,10 @@ impl IndexStore {
     }
 }
 
-/// Fully validates the container at `path` — header, section geometry,
-/// whole-file CRC-64, and semantic CSR/label invariants — by reading it
-/// into a heap buffer, without constructing a served store. Returns the
-/// header metadata on success.
+/// Fully validates the file at `path` — header, section geometry,
+/// whole-image CRC-64, semantic CSR/label invariants, and every
+/// journal-tail frame — by reading it into a heap buffer, without
+/// constructing a served store. Returns the header metadata on success.
 ///
 /// This is what the serving-path scrubber runs against a reload *source*:
 /// it always re-reads the file's current bytes (an existing mmap of the
@@ -561,7 +606,7 @@ pub fn verify_file(path: impl AsRef<Path>) -> Result<StoreMeta, StoreError> {
     let len = file.metadata()?.len();
     let buf = AlignedBuf::read_from(&mut file, len as usize)?;
     let store = IndexStore::from_backing(Backing::Heap(buf), OpenMode::Validated)?;
-    Ok(store.layout.meta)
+    Ok(store.meta())
 }
 
 /// Resolves the packed label-entry slice for a layout: straight from the

@@ -75,14 +75,32 @@ fn bit_flips_anywhere_in_the_payload_fail_the_checksum() {
     }
 }
 
+/// Bytes after the declared end of the image are the journal tail; only
+/// frames may live there. Anything else — here, in both open modes — is
+/// rejected, never ignored. (The frame-level cases are in `journal.rs`.)
 #[test]
 fn trailing_garbage_is_detected() {
-    let mut bytes = sample_bytes();
-    bytes.extend_from_slice(b"padding");
-    assert!(matches!(
-        IndexStore::from_bytes(&bytes).unwrap_err(),
-        StoreError::Corrupt { .. }
-    ));
+    let clean = sample_bytes();
+    let garbage: [&[u8]; 4] = [
+        b"padding",
+        b"\0",
+        &[0u8; 64],
+        b"sixteen bytes that are no frame",
+    ];
+    for extra in garbage {
+        let mut bytes = clean.clone();
+        bytes.extend_from_slice(extra);
+        for opened in [
+            IndexStore::from_bytes(&bytes),
+            IndexStore::from_bytes_trusted(&bytes),
+        ] {
+            assert!(
+                matches!(opened, Err(StoreError::Corrupt { .. })),
+                "{} trailing non-frame bytes were accepted",
+                extra.len()
+            );
+        }
+    }
 }
 
 #[test]

@@ -8,16 +8,23 @@
 //! target path always yields the **old complete container**, the **new
 //! complete container**, or a **typed error** — never accepted garbage.
 //!
+//! The same schedule discipline covers the live-update write path: a
+//! journal-frame append (open-tail, write-frame with a cut at every byte,
+//! sync-tail) and the compacting persist that folds the journal into a new
+//! container. There the survivor is the **old state** (every acknowledged
+//! delta) or the **new state** (those plus the batch in flight), and an
+//! acknowledged delta is never lost.
+//!
 //! Set `HCL_FAULT_SWEEP=full` (the fault-injection CI job does) to
 //! densify the torn-write cut positions from a handful of landmarks to a
 //! sweep across the whole payload.
 
-use hcl_core::testkit;
+use hcl_core::{testkit, EdgeDelta};
 use hcl_index::{HighwayCoverIndex, IndexConfig};
 use hcl_store::durable::{
-    publish_with, IoDecision, PublishOutcome, PublishStep, StoreIo, SystemIo,
+    publish_with, AppendStep, IoDecision, PublishOutcome, PublishStep, StoreIo, SystemIo,
 };
-use hcl_store::{IndexStore, StoreError};
+use hcl_store::{AppendOutcome, IndexStore, JournalWriter, StoreError};
 use std::path::{Path, PathBuf};
 
 /// Serialised container with `k` landmarks over the shared sample graph;
@@ -62,6 +69,22 @@ struct FaultAt {
 
 impl StoreIo for FaultAt {
     fn decide(&self, step: PublishStep) -> IoDecision {
+        if step == self.step {
+            self.decision
+        } else {
+            IoDecision::Proceed
+        }
+    }
+}
+
+/// Injects one decision at one append step; every other step proceeds.
+struct AppendFaultAt {
+    step: AppendStep,
+    decision: IoDecision,
+}
+
+impl StoreIo for AppendFaultAt {
+    fn decide_append(&self, step: AppendStep) -> IoDecision {
         if step == self.step {
             self.decision
         } else {
@@ -374,4 +397,211 @@ fn save_is_durable_and_leaves_no_temps() {
     store
         .verify_checksum()
         .expect("freshly saved file verifies");
+}
+
+/// Three absent edges of the shared sample graph, as inserts: `acked` is
+/// journalled before the fault, `in_flight` is the batch the fault hits,
+/// `after` is the recovery append.
+fn sample_inserts() -> [EdgeDelta; 3] {
+    let g = testkit::barabasi_albert(80, 3, 4);
+    let mut absent = (1..80u32)
+        .filter(|&v| !g.has_edge(0, v))
+        .map(|v| EdgeDelta::insert(0, v));
+    [(); 3].map(|()| absent.next().expect("vertex 0 has three non-neighbours"))
+}
+
+fn has(store: &IndexStore, delta: EdgeDelta) -> bool {
+    store.graph().has_edge(delta.u, delta.v)
+}
+
+/// Every fault schedule over one frame append — each step × {fail,
+/// crash-before, crash-after}, plus a cut at every byte of the frame write
+/// — leaves a file that opens as the old state or the new one, with the
+/// acknowledged delta present either way; and the next writer appends
+/// cleanly over whatever the fault left.
+#[test]
+fn append_fault_schedules_leave_old_or_new_and_never_lose_an_ack() {
+    let [acked, in_flight, after] = sample_inserts();
+    let scratch = Scratch::new("append");
+    let target = scratch.target();
+    publish_with(&target, &container(4), &SystemIo).unwrap();
+    let opened = IndexStore::open(&target).unwrap();
+    JournalWriter::new(&opened, Some(target.clone()))
+        .append(&[acked])
+        .unwrap();
+    drop(opened);
+    let old = std::fs::read(&target).unwrap();
+    let frame_len = 40;
+
+    let mut schedules: Vec<(AppendStep, IoDecision)> = Vec::new();
+    for step in AppendStep::ALL {
+        for decision in [
+            IoDecision::Fail,
+            IoDecision::CrashBefore,
+            IoDecision::CrashAfter,
+        ] {
+            schedules.push((step, decision));
+        }
+    }
+    schedules.extend((0..=frame_len).map(|n| (AppendStep::WriteFrame, IoDecision::CrashDuring(n))));
+
+    for (step, decision) in schedules {
+        let schedule = format!("{decision:?}@{}", step.name());
+        std::fs::write(&target, &old).unwrap();
+        let before = IndexStore::open(&target).unwrap();
+        let mut writer = JournalWriter::new(&before, Some(target.clone()));
+        let outcome = writer.append_with(&[in_flight], &AppendFaultAt { step, decision });
+        drop((writer, before));
+
+        match outcome {
+            Ok(AppendOutcome::Committed { .. }) => {
+                panic!("{schedule}: append committed despite the injected fault")
+            }
+            Ok(AppendOutcome::Crashed(at)) => {
+                assert_ne!(decision, IoDecision::Fail, "{schedule}: fail must error");
+                assert_eq!(at, step, "{schedule}: crash reported at the wrong step");
+            }
+            Err(StoreError::Append { step: failed, .. }) => {
+                assert_eq!(decision, IoDecision::Fail, "{schedule}: unexpected error");
+                assert_eq!(
+                    failed,
+                    step.name(),
+                    "{schedule}: error names the wrong step"
+                );
+                // A failed append cleans up after itself: nothing of the
+                // frame stays behind.
+                assert_eq!(std::fs::read(&target).unwrap(), old, "{schedule}");
+            }
+            Err(other) => panic!("{schedule}: unexpected error kind {other:?}"),
+        }
+
+        // The image is never touched, whatever happened to the tail.
+        let on_disk = std::fs::read(&target).unwrap();
+        assert_eq!(
+            &on_disk[..old.len()],
+            &old[..],
+            "{schedule}: old bytes intact"
+        );
+        let survivor = IndexStore::open(&target)
+            .unwrap_or_else(|e| panic!("{schedule}: survivor failed to open: {e}"));
+        assert!(has(&survivor, acked), "{schedule}: acknowledged delta lost");
+        let pending = survivor.journal().unwrap().len();
+        assert_eq!(
+            pending,
+            1 + usize::from(has(&survivor, in_flight)),
+            "{schedule}: the batch in flight is wholly there or wholly not"
+        );
+        // Durable but never acknowledged is allowed only once the whole
+        // frame reached the file.
+        if has(&survivor, in_flight) {
+            assert_eq!(on_disk.len(), old.len() + frame_len, "{schedule}");
+        } else {
+            assert_eq!(
+                survivor.tail().torn_bytes,
+                (on_disk.len() - old.len()) as u64,
+                "{schedule}: what the fault left is a torn remainder"
+            );
+        }
+
+        // Recovery: the next writer removes the remainder and appends.
+        let mut writer = JournalWriter::new(&survivor, Some(target.clone()));
+        writer
+            .append(&[after])
+            .unwrap_or_else(|e| panic!("{schedule}: recovery append: {e}"));
+        let recovered = IndexStore::open(&target).unwrap();
+        assert_eq!(recovered.tail().torn_bytes, 0, "{schedule}");
+        assert_eq!(
+            recovered.journal().unwrap().len(),
+            pending + 1,
+            "{schedule}"
+        );
+        assert!(
+            has(&recovered, acked) && has(&recovered, after),
+            "{schedule}"
+        );
+    }
+}
+
+/// The compacting persist rides the durable publish: under every schedule
+/// the file is the old journalled container or the new compacted one, and
+/// both hold every acknowledged delta.
+#[test]
+fn compaction_fault_schedules_keep_every_acknowledged_delta() {
+    let [acked, also_acked, _] = sample_inserts();
+    let scratch = Scratch::new("compact");
+    let target = scratch.target();
+    publish_with(&target, &container(4), &SystemIo).unwrap();
+    let opened = IndexStore::open(&target).unwrap();
+    let mut writer = JournalWriter::new(&opened, Some(target.clone()));
+    writer.append(&[acked]).unwrap();
+    writer.append(&[also_acked]).unwrap();
+    drop((writer, opened));
+    let old = std::fs::read(&target).unwrap();
+
+    let mut schedules: Vec<(PublishStep, IoDecision)> = Vec::new();
+    for step in PublishStep::ALL {
+        for decision in [
+            IoDecision::Fail,
+            IoDecision::CrashBefore,
+            IoDecision::CrashAfter,
+        ] {
+            schedules.push((step, decision));
+        }
+    }
+    schedules.extend(
+        [0, 1, 24, 97, old.len() / 2, old.len() - 1]
+            .map(|n| (PublishStep::WriteTemp, IoDecision::CrashDuring(n))),
+    );
+
+    for (step, decision) in schedules {
+        let schedule = format!("compact {decision:?}@{}", step.name());
+        std::fs::write(&target, &old).unwrap();
+        let before = IndexStore::open(&target).unwrap();
+        let (graph, index) = before.to_owned_parts();
+        let mut writer = JournalWriter::new(&before, Some(target.clone()));
+        let outcome = writer.compact_with(&graph, &index, &FaultAt { step, decision });
+        match outcome {
+            Ok(Some(_)) => panic!("{schedule}: compaction committed despite the fault"),
+            Ok(None) => assert_ne!(decision, IoDecision::Fail, "{schedule}"),
+            Err(StoreError::Publish { step: failed, .. }) => {
+                assert_eq!(decision, IoDecision::Fail, "{schedule}");
+                assert_eq!(failed, step.name(), "{schedule}");
+            }
+            Err(other) => panic!("{schedule}: unexpected error kind {other:?}"),
+        }
+        drop((writer, before));
+
+        let on_disk = std::fs::read(&target).unwrap();
+        let survivor = IndexStore::open(&target)
+            .unwrap_or_else(|e| panic!("{schedule}: survivor failed to open: {e}"));
+        assert!(
+            has(&survivor, acked) && has(&survivor, also_acked),
+            "{schedule}: acknowledged delta lost"
+        );
+        let journal = survivor.journal().unwrap();
+        if on_disk == old {
+            assert_eq!((journal.len(), journal.compactions), (2, 0), "{schedule}");
+            assert_eq!(survivor.tail().frames, 2, "{schedule}");
+        } else {
+            // The rename landed: a whole compacted container, no tail.
+            assert_eq!((journal.len(), journal.compactions), (0, 1), "{schedule}");
+            assert_eq!(on_disk.len() as u64, survivor.meta().file_len, "{schedule}");
+            assert!(
+                survivor.base_graph().has_edge(acked.u, acked.v),
+                "{schedule}"
+            );
+        }
+
+        // Recovery: a clean compaction of the survivor commits and sweeps
+        // whatever temp the power cut stranded.
+        let (graph, index) = survivor.to_owned_parts();
+        let mut writer = JournalWriter::new(&survivor, Some(target.clone()));
+        let compacted = writer.compact(&graph, &index).unwrap();
+        assert_eq!(temps(&target), Vec::<PathBuf>::new(), "{schedule}");
+        assert!(
+            has(&compacted, acked) && has(&compacted, also_acked),
+            "{schedule}"
+        );
+        assert!(compacted.journal().unwrap().is_empty(), "{schedule}");
+    }
 }

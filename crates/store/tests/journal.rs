@@ -1,12 +1,17 @@
 //! v6 journal behaviour: replay-on-open answer identity, compaction,
-//! graceful degradation on legacy versions, and journal corruption.
+//! graceful degradation on legacy versions, and journal corruption — for
+//! the journal section and for the frames appended after the image (the
+//! torn-tail sweep, damaged and foreign frames, and the writer that
+//! appends them).
 
 use hcl_core::{bfs, testkit, DeltaGraph, EdgeDelta, Graph};
 use hcl_index::{BuildOptions, HighwayCoverIndex, QueryContext};
 use hcl_store::{
-    compact_file, serialize, serialize_v2_with, serialize_v3_with, serialize_v4_with,
-    serialize_v5_with, serialize_with_journal, BuildInfo, IndexStore, StoreError, StoredJournal,
+    compact_file, encode_tail_frame, serialize, serialize_v2_with, serialize_v3_with,
+    serialize_v4_with, serialize_v5_with, serialize_with_journal, BuildInfo, IndexStore,
+    JournalWriter, StoreError, StoredJournal, TailInfo,
 };
+use std::sync::Arc;
 
 fn build(graph: &Graph, k: usize) -> HighwayCoverIndex {
     HighwayCoverIndex::build_with(
@@ -230,6 +235,320 @@ fn undecodable_journal_is_a_hard_error() {
         }
         other => panic!("expected delta corruption error, got {other:?}"),
     }
+}
+
+/// A journalled image plus a tail: two deltas in the journal section, then
+/// `batches` as one frame each. Returns the image, each frame's bytes,
+/// and every delta in replay order.
+fn image_and_frames(
+    base: &Graph,
+    batch_lens: &[usize],
+    seed: u64,
+) -> (Vec<u8>, Vec<Vec<u8>>, Vec<EdgeDelta>) {
+    let index = build(base, 5);
+    let all = script(base, 2 + batch_lens.iter().sum::<usize>(), seed);
+    let journal = StoredJournal {
+        deltas: all[..2].to_vec(),
+        compactions: 1,
+    };
+    let image = serialize_with_journal(base, &index, BuildInfo::default(), &journal).unwrap();
+    let checksum = IndexStore::from_bytes(&image).unwrap().meta().checksum;
+    let mut frames = Vec::new();
+    let mut seq = 2;
+    for &len in batch_lens {
+        frames.push(encode_tail_frame(&all[seq..seq + len], seq as u64, checksum).unwrap());
+        seq += len;
+    }
+    (image, frames, all)
+}
+
+fn concat(image: &[u8], frames: &[&[u8]]) -> Vec<u8> {
+    let mut bytes = image.to_vec();
+    for frame in frames {
+        bytes.extend_from_slice(frame);
+    }
+    bytes
+}
+
+fn assert_corrupt(bytes: &[u8], what: &str) {
+    for opened in [
+        IndexStore::from_bytes(bytes),
+        IndexStore::from_bytes_trusted(bytes),
+    ] {
+        match opened {
+            Err(StoreError::Corrupt { .. }) => {}
+            other => panic!("{what}: expected a corruption error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn tail_frames_replay_after_the_journal_section() {
+    let base = testkit::barabasi_albert(70, 3, 5);
+    let (image, frames, all) = image_and_frames(&base, &[1, 2, 3], 0x7A11);
+    assert_eq!(frames[0].len(), 40, "a single-delta frame is five words");
+    let bytes = concat(&image, &[&frames[0], &frames[1], &frames[2]]);
+    let tail_len = (bytes.len() - image.len()) as u64;
+
+    for store in [
+        IndexStore::from_bytes(&bytes).unwrap(),
+        IndexStore::from_bytes_trusted(&bytes).unwrap(),
+    ] {
+        let journal = store.journal().unwrap();
+        assert_eq!(
+            journal.deltas, all,
+            "section deltas ++ tail deltas, in order"
+        );
+        assert_eq!(journal.compactions, 1);
+        assert_eq!(store.meta().file_len, image.len() as u64, "the image");
+        assert_eq!(store.len_bytes(), bytes.len() as u64, "the whole file");
+        assert_eq!(
+            store.tail(),
+            TailInfo {
+                frames: 3,
+                frame_bytes: tail_len,
+                torn_bytes: 0
+            }
+        );
+        let section = store
+            .sections()
+            .iter()
+            .find(|s| s.name == "journal")
+            .unwrap()
+            .len_bytes;
+        assert_eq!(store.journal_bytes(), section + tail_len);
+        store.verify_checksum().expect("the image still verifies");
+
+        let mut overlay = DeltaGraph::new(base.as_view());
+        for &d in &all {
+            overlay.apply(d).unwrap();
+        }
+        let edited = overlay.to_graph();
+        let mut ctx = QueryContext::new();
+        let mut scratch = bfs::BfsScratch::new();
+        for u in (0..70).step_by(3) {
+            for v in (0..70).step_by(5) {
+                assert_eq!(
+                    store.index().query_with(store.graph(), &mut ctx, u, v),
+                    bfs::distance_with(&edited, u, v, &mut scratch),
+                    "replayed answer wrong for ({u}, {v})"
+                );
+            }
+        }
+    }
+
+    // A tail also follows an image that has no journal section at all.
+    let index = build(&base, 5);
+    let plain = serialize(&base, &index).unwrap();
+    let checksum = IndexStore::from_bytes(&plain).unwrap().meta().checksum;
+    let frame = encode_tail_frame(&all[..1], 0, checksum).unwrap();
+    let store = IndexStore::from_bytes(&concat(&plain, &[&frame])).unwrap();
+    assert_eq!(store.journal().unwrap().deltas, all[..1]);
+    assert_eq!(store.journal().unwrap().compactions, 0);
+}
+
+/// A crash mid-append damages only the last frame: cut the file at every
+/// byte inside it and the open is the state before that frame.
+#[test]
+fn torn_tail_at_every_byte_opens_as_the_state_before_the_last_frame() {
+    let base = testkit::barabasi_albert(50, 3, 8);
+    let (image, frames, all) = image_and_frames(&base, &[2, 1, 3], 0x70A2);
+    let before_last = &all[..all.len() - 3];
+    let intact = concat(&image, &[&frames[0], &frames[1]]);
+    let intact_tail = (intact.len() - image.len()) as u64;
+    for cut in 0..frames[2].len() {
+        let bytes = concat(&intact, &[&frames[2][..cut]]);
+        for store in [
+            IndexStore::from_bytes(&bytes),
+            IndexStore::from_bytes_trusted(&bytes),
+        ] {
+            let store = store.unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+            assert_eq!(store.journal().unwrap().deltas, before_last, "cut at {cut}");
+            assert_eq!(
+                store.tail(),
+                TailInfo {
+                    frames: 2,
+                    frame_bytes: intact_tail,
+                    torn_bytes: cut as u64
+                },
+                "cut at {cut}"
+            );
+            assert_eq!(store.len_bytes(), bytes.len() as u64);
+        }
+    }
+    // Whole length on disk but not whole contents: the checksum fails and
+    // the frame ends the file. (Bytes 24.. are delta 0's endpoints; the
+    // last eight are the checksum itself.)
+    for at in [24usize, 47, frames[2].len() - 1] {
+        let mut damaged = frames[2].clone();
+        damaged[at] ^= 0x20;
+        let store = IndexStore::from_bytes(&concat(&intact, &[&damaged])).unwrap();
+        assert_eq!(store.journal().unwrap().deltas, before_last, "byte {at}");
+        assert_eq!(store.tail().torn_bytes, frames[2].len() as u64);
+    }
+}
+
+/// Anything wrong with a frame that is *not* the last one would drop
+/// acknowledged deltas if it were tolerated: every single-bit flip in
+/// every word of an earlier frame is a typed error.
+#[test]
+fn a_damaged_earlier_frame_is_a_typed_error() {
+    let base = testkit::barabasi_albert(50, 3, 9);
+    let (image, frames, _) = image_and_frames(&base, &[2, 1, 3], 0xBAD5);
+    for victim in [0usize, 1] {
+        for bit in 0..frames[victim].len() * 8 {
+            let mut damaged = frames[victim].clone();
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            let mut parts: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+            parts[victim] = &damaged;
+            assert_corrupt(
+                &concat(&image, &parts),
+                &format!("frame {victim}, word {}, bit {}", bit / 64, bit % 64),
+            );
+        }
+    }
+}
+
+#[test]
+fn foreign_misnumbered_and_non_frame_tails_are_typed_errors() {
+    let base = testkit::barabasi_albert(50, 3, 10);
+    let (image, frames, all) = image_and_frames(&base, &[1, 1, 1], 0xF0E1);
+    let checksum = IndexStore::from_bytes(&image).unwrap().meta().checksum;
+
+    // Bound to another container's checksum (a tail copied across files).
+    let foreign = encode_tail_frame(&all[2..3], 2, checksum ^ 1).unwrap();
+    assert_corrupt(
+        &concat(&image, &[&foreign, &frames[1], &frames[2]]),
+        "frame of another container",
+    );
+    // A sequence gap: frame 1 missing, frame 2 in its place.
+    assert_corrupt(&concat(&image, &[&frames[0], &frames[2]]), "sequence gap");
+    // A frame replayed twice.
+    assert_corrupt(
+        &concat(&image, &[&frames[0], &frames[0]]),
+        "repeated sequence number",
+    );
+    // Not a frame at all, behind good frames.
+    assert_corrupt(
+        &concat(&image, &[&frames[0], b"garbage after the journal"]),
+        "non-frame bytes",
+    );
+    // A well-formed header that declares no deltas.
+    let empty = encode_tail_frame(&[], 2, checksum).unwrap();
+    assert_corrupt(&concat(&image, &[&empty]), "zero-delta frame");
+    // A frame whose delta cannot apply (vertex out of range) decodes but
+    // must not replay.
+    let bad = encode_tail_frame(&[EdgeDelta::insert(0, 5000)], 2, checksum).unwrap();
+    assert_corrupt(&concat(&image, &[&bad]), "inapplicable delta");
+}
+
+/// The write path: frames land after an untouched image, a reopen replays
+/// them, the stamped generation equals that reopen, a torn remainder is
+/// cut by the next append, and a compaction leaves no tail.
+#[test]
+fn writer_appends_frames_and_stamps_the_generation_a_reopen_would_produce() {
+    let dir = tempdir();
+    let path = dir.join("writer.hcl");
+    let base = testkit::barabasi_albert(60, 3, 33);
+    let index = build(&base, 5);
+    hcl_store::save(&path, &base, &index).unwrap();
+    let image = std::fs::read(&path).unwrap();
+    let deltas = script(&base, 4, 0xA99E);
+
+    let opened = IndexStore::open(&path).unwrap();
+    let mut writer = JournalWriter::new(&opened, Some(path.clone()));
+    assert_eq!(writer.append(&deltas[..1]).unwrap(), 40);
+    assert_eq!(writer.append(&deltas[1..3]).unwrap(), 56);
+    assert_eq!(
+        writer.append(&[]).unwrap(),
+        0,
+        "an empty batch writes nothing"
+    );
+    assert_eq!(writer.pending(), 3);
+
+    let on_disk = std::fs::read(&path).unwrap();
+    assert_eq!(on_disk.len(), image.len() + 96);
+    assert_eq!(
+        &on_disk[..image.len()],
+        &image[..],
+        "the image is never rewritten"
+    );
+    hcl_store::verify_file(&path).expect("scrubbers cover the tail");
+    let reopened = IndexStore::open(&path).unwrap();
+    assert_eq!(reopened.journal().unwrap().deltas, deltas[..3]);
+
+    // The generation is stamped from the caller's live state; here, the
+    // reopen's own replay result.
+    let (graph, live) = reopened.to_owned_parts();
+    let stamped = writer.generation(Arc::new(graph), Arc::new(live)).unwrap();
+    assert_eq!(stamped.journal(), reopened.journal());
+    assert_eq!(stamped.tail(), reopened.tail());
+    assert_eq!(stamped.len_bytes(), on_disk.len() as u64);
+    assert_eq!(stamped.meta(), reopened.meta());
+    assert_eq!(stamped.base_graph().num_edges(), base.num_edges());
+    let mut ctx = QueryContext::new();
+    for v in 0..60u32 {
+        assert_eq!(
+            stamped.index().query_with(stamped.graph(), &mut ctx, 7, v),
+            reopened
+                .index()
+                .query_with(reopened.graph(), &mut ctx, 7, v),
+        );
+    }
+    // A live state for some other graph is refused.
+    let other = testkit::path(9);
+    assert!(matches!(
+        writer.generation(Arc::new(other.clone()), Arc::new(build(&other, 2))),
+        Err(StoreError::Corrupt { .. })
+    ));
+
+    // A crashed append left half a frame: the file opens as before it, and
+    // the next writer's first append truncates the remainder away.
+    drop((writer, reopened, stamped, opened));
+    let frame = encode_tail_frame(
+        &deltas[3..],
+        3,
+        IndexStore::open(&path).unwrap().meta().checksum,
+    );
+    let mut torn = on_disk.clone();
+    torn.extend_from_slice(&frame.unwrap()[..21]);
+    std::fs::write(&path, &torn).unwrap();
+    let recovered = IndexStore::open(&path).unwrap();
+    assert_eq!(recovered.tail().torn_bytes, 21);
+    assert_eq!(recovered.journal().unwrap().deltas, deltas[..3]);
+    let mut writer = JournalWriter::new(&recovered, Some(path.clone()));
+    assert_eq!(writer.append(&deltas[3..]).unwrap(), 40);
+    assert_eq!(std::fs::read(&path).unwrap().len(), on_disk.len() + 40);
+    let whole = IndexStore::open(&path).unwrap();
+    assert_eq!(whole.journal().unwrap().deltas, deltas);
+    assert_eq!(whole.tail().torn_bytes, 0);
+
+    // A second writer from a stale open must not overwrite acknowledged
+    // frames.
+    let mut stale = JournalWriter::new(&recovered, Some(path.clone()));
+    assert!(matches!(
+        stale.append(&deltas[..1]),
+        Err(StoreError::Corrupt { .. })
+    ));
+
+    // Compaction: whole new container, live state as the base, no tail.
+    let (graph, live) = whole.to_owned_parts();
+    let compacted = writer.compact(&graph, &live).unwrap();
+    assert_eq!(compacted.tail(), TailInfo::default());
+    assert!(compacted.journal().unwrap().is_empty());
+    assert_eq!(compacted.journal().unwrap().compactions, 1);
+    assert_eq!(
+        compacted.base_graph().num_edges(),
+        whole.graph().num_edges()
+    );
+    assert_eq!(
+        std::fs::read(&path).unwrap().len() as u64,
+        compacted.meta().file_len
+    );
+    // The writer continues on the new container.
+    assert_eq!(writer.pending(), 0);
+    writer.append(&deltas[..1]).unwrap();
+    assert_eq!(IndexStore::open(&path).unwrap().tail().frames, 1);
 }
 
 /// Minimal per-test temp dir (no external tempfile dependency).
