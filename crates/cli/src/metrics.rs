@@ -12,8 +12,10 @@
 //! [`ServerMetrics`] adds the counters the socket front end exposes on
 //! `GET /metrics`: totals for requests, answers, malformed and
 //! out-of-range requests, connections, backpressure rejections, client
-//! disconnects, write timeouts, oversized lines, and index reloads. The
-//! rendered format is Prometheus-style `name value` lines.
+//! disconnects, write timeouts, oversized lines, index reloads, and live
+//! updates (per-phase time, affected-set size, and a second histogram for
+//! update latency). The rendered format is Prometheus-style `name value`
+//! lines.
 
 use crate::update::UpdatePhases;
 use hcl_index::AnswerSource;
@@ -210,6 +212,13 @@ pub(crate) struct ServerMetrics {
     /// Nanoseconds live updates spent per phase, in
     /// [`UpdatePhases::named`] order; exported in seconds.
     update_phase_ns: [AtomicU64; 4],
+    /// Landmarks whose distance function an applied delta affected.
+    pub(crate) update_affected_landmarks: Counter,
+    /// `(landmark, vertex)` pairs whose distance an applied insert
+    /// dropped — the labels its partial repair visited.
+    pub(crate) update_affected_vertices: Counter,
+    /// `POST /update` latency: request received → generation swapped.
+    pub(crate) update_latency: LatencyHistogram,
     /// Pending-journal gauge: deltas a reopen of the index file would
     /// replay (reset by a compaction or a reload).
     pub(crate) journal_pending: AtomicU64,
@@ -255,6 +264,9 @@ impl ServerMetrics {
             compactions: Counter::new("hcl_compactions_total"),
             update_persist_bytes: Counter::new("hcl_update_persist_bytes_total"),
             update_phase_ns: std::array::from_fn(|_| AtomicU64::new(0)),
+            update_affected_landmarks: Counter::new("hcl_update_affected_landmarks_total"),
+            update_affected_vertices: Counter::new("hcl_update_affected_vertices_total"),
+            update_latency: LatencyHistogram::new(),
             journal_pending: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
             answers_label_hit: Counter::new("hcl_answers_label_hit_total"),
@@ -280,8 +292,8 @@ impl ServerMetrics {
     }
 
     /// Accounts one published update batch: `applied` effective deltas,
-    /// where the time went, what reached the file, and the journal depth
-    /// it left.
+    /// where the time went and what the repairs touched (`phases`), what
+    /// reached the file, and the journal depth it left.
     pub(crate) fn record_update(
         &self,
         phases: &UpdatePhases,
@@ -299,6 +311,9 @@ impl ServerMetrics {
             let ns = u64::try_from(took.as_nanos()).unwrap_or(u64::MAX);
             slot.fetch_add(ns, Ordering::Relaxed);
         }
+        self.update_affected_landmarks
+            .add(phases.affected_landmarks);
+        self.update_affected_vertices.add(phases.affected_vertices);
         self.journal_pending
             .store(pending as u64, Ordering::Relaxed);
     }
@@ -331,6 +346,8 @@ impl ServerMetrics {
             &self.update_failures,
             &self.compactions,
             &self.update_persist_bytes,
+            &self.update_affected_landmarks,
+            &self.update_affected_vertices,
             &self.answers_label_hit,
             &self.answers_highway,
             &self.answers_bfs,
@@ -369,14 +386,19 @@ impl ServerMetrics {
             "hcl_lock_poisoned_total {}",
             crate::sync::LOCK_POISONED.load(Ordering::Relaxed)
         );
-        let _ = writeln!(out, "hcl_latency_samples {}", self.latency.count());
-        for (q, label) in [(0.50, "0.5"), (0.90, "0.9"), (0.99, "0.99")] {
-            if let Some(us) = self.latency.quantile_us(q) {
-                let _ = writeln!(out, "hcl_latency_us{{quantile=\"{label}\"}} {us:.1}");
+        for (prefix, histogram) in [
+            ("hcl_latency", &self.latency),
+            ("hcl_update_latency", &self.update_latency),
+        ] {
+            let _ = writeln!(out, "{prefix}_samples {}", histogram.count());
+            for (q, label) in [(0.50, "0.5"), (0.90, "0.9"), (0.99, "0.99")] {
+                if let Some(us) = histogram.quantile_us(q) {
+                    let _ = writeln!(out, "{prefix}_us{{quantile=\"{label}\"}} {us:.1}");
+                }
             }
-        }
-        if let Some(us) = self.latency.mean_us() {
-            let _ = writeln!(out, "hcl_latency_us_mean {us:.1}");
+            if let Some(us) = histogram.mean_us() {
+                let _ = writeln!(out, "{prefix}_us_mean {us:.1}");
+            }
         }
         out
     }
@@ -462,10 +484,13 @@ mod tests {
         m.record_source(AnswerSource::LabelHit);
         m.record_source(AnswerSource::LabelHit);
         m.record_source(AnswerSource::ResidualBfs);
+        m.update_latency.record(Duration::from_millis(70));
         m.record_update(
             &UpdatePhases {
                 repair: Duration::from_millis(63),
                 persist: Duration::from_micros(1500),
+                affected_landmarks: 3,
+                affected_vertices: 11,
                 ..Default::default()
             },
             2,
@@ -491,6 +516,11 @@ mod tests {
             "hcl_update_failures_total 0\n",
             "hcl_compactions_total 0\n",
             "hcl_update_persist_bytes_total 56\n",
+            "hcl_update_affected_landmarks_total 3\n",
+            "hcl_update_affected_vertices_total 11\n",
+            "hcl_update_latency_samples 1\n",
+            "hcl_update_latency_us{quantile=\"0.5\"} 7",
+            "hcl_update_latency_us_mean 70000.0\n",
             "hcl_update_phase_seconds_total{phase=\"repair\"} 0.063000\n",
             "hcl_update_phase_seconds_total{phase=\"materialise\"} 0.000000\n",
             "hcl_update_phase_seconds_total{phase=\"persist\"} 0.001500\n",

@@ -5,9 +5,10 @@
 //! TCP:
 //!
 //! * **Accept loop** (the calling thread): a non-blocking `TcpListener`
-//!   polled on a short tick, so one loop multiplexes accepting, signal
-//!   flags (drain / reload), and stdin-EOF shutdown without any async
-//!   runtime.
+//!   waited on with `poll(2)` — woken at once by an incoming connection,
+//!   and at least once per short tick to look at the signal flags (drain /
+//!   reload) and the stdin-EOF shutdown flag — so one loop multiplexes all
+//!   of them without any async runtime.
 //! * **Admission control**: accepted sockets go through a **bounded**
 //!   queue of `--max-inflight` connections feeding `--workers` handler
 //!   threads. Beyond the bound, connections are turned away immediately
@@ -66,8 +67,9 @@ use std::time::{Duration, Instant};
 /// hostile client, and bounding it keeps per-connection memory fixed.
 pub(crate) const MAX_LINE: usize = 8 * 1024;
 
-/// Poll tick for the accept loop (signal flags, shutdown) — the latency
-/// floor for noticing a drain or signal-triggered reload.
+/// Longest the accept loop waits for a connection before re-checking the
+/// signal and shutdown flags — the latency floor for noticing a stdin-EOF
+/// drain (a signal interrupts the wait). A connection never waits it out.
 const ACCEPT_TICK: Duration = Duration::from_millis(25);
 
 /// Read-timeout tick for connection handlers: how often an idle
@@ -258,7 +260,9 @@ pub(crate) fn serve_listen(handle: GenerationHandle, cfg: ServerConfig) -> Resul
                     Err(TrySendError::Disconnected(_)) => break,
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_TICK),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                sig::wait_readable(&listener, ACCEPT_TICK)
+            }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => {
                 // Transient accept failures (EMFILE under load, aborted
@@ -955,6 +959,7 @@ fn handle_http_update(
     peer: &str,
 ) {
     let m = &state.metrics;
+    let received = Instant::now();
     let Some(len) = content_length else {
         m.update_failures.inc();
         respond(
@@ -1075,6 +1080,7 @@ fn handle_http_update(
             let generation = state.handle.swap(store);
             phases.swap = t0.elapsed();
             m.record_update(&phases, done.applied, bytes, compacted, done.pending);
+            m.update_latency.record(received.elapsed());
             eprintln!(
                 "update from {peer}: {} delta(s) applied ({} no-op) as generation {generation}{}{}; \
                  {phases}",
@@ -1165,10 +1171,15 @@ pub(crate) mod sig {
     //! handlers only store to static atomics; the accept loop polls.
     //!
     //! This module is the one `unsafe_code` exception in the binary (the
-    //! crate root denies it); the FFI surface is two `signal(2)` calls.
+    //! crate root denies it); the FFI surface is two `signal(2)` calls
+    //! and the accept loop's `poll(2)`.
     #![allow(unsafe_code)]
 
+    use std::io::ErrorKind;
+    use std::net::TcpListener;
+    use std::os::fd::AsRawFd;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
     /// Set by SIGTERM/SIGINT: drain and exit 0.
     pub(crate) static TERM: AtomicBool = AtomicBool::new(false);
@@ -1183,8 +1194,23 @@ pub(crate) mod sig {
     pub(crate) const SIGUSR1: i32 = 10;
     const SIGTERM: i32 = 15;
 
+    /// `struct pollfd` of `poll(2)`.
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    const POLLIN: i16 = 1;
+    /// `nfds_t`.
+    #[cfg(any(target_os = "macos", target_os = "freebsd", target_os = "openbsd"))]
+    type Nfds = std::ffi::c_uint;
+    #[cfg(not(any(target_os = "macos", target_os = "freebsd", target_os = "openbsd")))]
+    type Nfds = std::ffi::c_ulong;
+
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
     }
 
     extern "C" fn on_term(_sig: i32) {
@@ -1214,6 +1240,27 @@ pub(crate) mod sig {
             }
         }
     }
+
+    /// Blocks until a connection is waiting on `listener`, `timeout`
+    /// elapses, or a signal arrives — whichever is first; the caller
+    /// re-checks its flags and retries `accept` in every case.
+    pub(crate) fn wait_readable(listener: &TcpListener, timeout: Duration) {
+        let mut fd = PollFd {
+            fd: listener.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        };
+        let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+        // SAFETY: `poll(2)` reads and writes exactly `nfds` = 1 `pollfd`
+        // through the pointer, which is to a live local whose `repr(C)`
+        // layout is the C struct's; the descriptor is borrowed from
+        // `listener`, which outlives the call.
+        let rc = unsafe { poll(&mut fd, 1, timeout_ms) };
+        if rc < 0 && std::io::Error::last_os_error().kind() != ErrorKind::Interrupted {
+            // A failing poll must not turn the accept loop into a spin.
+            std::thread::sleep(timeout);
+        }
+    }
 }
 
 #[cfg(not(unix))]
@@ -1227,6 +1274,11 @@ pub(crate) mod sig {
     pub(crate) const SIGUSR1: i32 = 10;
 
     pub(crate) fn install(_reload_signal: Option<i32>) {}
+
+    /// No readiness wait without `poll(2)`: sleep out the tick.
+    pub(crate) fn wait_readable(_listener: &std::net::TcpListener, timeout: std::time::Duration) {
+        std::thread::sleep(timeout);
+    }
 }
 
 #[cfg(test)]

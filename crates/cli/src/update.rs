@@ -31,7 +31,7 @@
 //! covers it): every failure degrades into a `Result` the caller can
 //! report and count, never a panic that would take a serving loop down.
 
-use hcl_core::{DeltaGraph, DeltaOp, EdgeDelta, Graph, GraphView};
+use hcl_core::{DeltaGraph, DeltaOp, DeltaPatches, EdgeDelta, Graph, GraphView};
 use hcl_index::repair::{DynamicIndex, RepairOutcome};
 use hcl_index::{BuildContext, HighwayCoverIndex, IndexView};
 use hcl_store::{IndexStore, JournalWriter};
@@ -39,20 +39,27 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Where one update batch spent its time, measured at the engine's own
-/// boundaries. The caller adds `swap` (it owns the generation handle).
+/// What one update batch cost: where it spent its time, measured at the
+/// engine's own boundaries, and how much of the index its repairs touched.
+/// The caller adds `swap` (it owns the generation handle).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct UpdatePhases {
     /// Label repair (`DynamicIndex::apply_and_repair`).
     pub(crate) repair: Duration,
     /// Live state made servable: the edited graph rematerialised as CSR
-    /// (`to_graph`) and the labels flattened (`to_index`).
+    /// (`to_graph`) and the labels flattened (`to_index`), once per batch.
     pub(crate) materialise: Duration,
     /// Made durable: the frame append, or the whole-container publish and
     /// reopen of a compaction.
     pub(crate) persist: Duration,
     /// The generation swap.
     pub(crate) swap: Duration,
+    /// Landmarks whose distance function an applied delta affected
+    /// (`RepairOutcome::affected_landmarks`, summed over the batch).
+    pub(crate) affected_landmarks: u64,
+    /// `(landmark, vertex)` pairs whose distance dropped — the labels the
+    /// batch's insert repairs visited (`RepairOutcome::affected_vertices`).
+    pub(crate) affected_vertices: u64,
 }
 
 impl UpdatePhases {
@@ -70,11 +77,14 @@ impl UpdatePhases {
 
 impl std::fmt::Display for UpdatePhases {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (i, (name, took)) in self.named().iter().enumerate() {
-            let sep = if i == 0 { "" } else { " " };
-            write!(f, "{sep}{name}={:.1}ms", took.as_secs_f64() * 1e3)?;
+        for (name, took) in self.named() {
+            write!(f, "{name}={:.1}ms ", took.as_secs_f64() * 1e3)?;
         }
-        Ok(())
+        write!(
+            f,
+            "affected={}/{}",
+            self.affected_landmarks, self.affected_vertices
+        )
     }
 }
 
@@ -100,9 +110,13 @@ pub(crate) struct UpdateEngine {
     /// The container's writer: shared image, pending journal, append
     /// handle to the `--index` file (if any).
     writer: JournalWriter,
-    /// The live graph: image + journal + staged deltas, rematerialised
-    /// after each apply and shared with the generations stamped from it.
+    /// The live graph as last materialised, shared with the generations
+    /// stamped from it; `patches` holds what was applied since.
     live_graph: Arc<Graph>,
+    /// Adjacency edits applied since `live_graph` was materialised: the
+    /// detached half of the overlay repairs run on, kept across `apply`
+    /// calls so a batch pays one CSR rebuild, not one per delta.
+    patches: DeltaPatches,
     /// The live labels in repairable form.
     dynamic: DynamicIndex,
     /// CSR-flattened cache of `dynamic`; `None` while stale — repairs
@@ -130,6 +144,7 @@ impl UpdateEngine {
         Self {
             writer: JournalWriter::new(store, path),
             live_graph: Arc::new(store.graph().to_owned_graph()),
+            patches: DeltaPatches::default(),
             dynamic: DynamicIndex::from_view(store.index()),
             live_index: None,
             staged: Vec::new(),
@@ -146,38 +161,44 @@ impl UpdateEngine {
     /// nothing.
     pub(crate) fn apply(&mut self, delta: EdgeDelta) -> Result<RepairOutcome, String> {
         let t0 = Instant::now();
-        let mut overlay = DeltaGraph::new(self.live_graph.as_view());
-        let outcome = self
+        let mut overlay =
+            DeltaGraph::reattach(self.live_graph.as_view(), std::mem::take(&mut self.patches));
+        let repaired = self
             .dynamic
-            .apply_and_repair(&mut overlay, delta, &mut self.cx)
-            .map_err(|e| format!("applying {delta}: {e}"))?;
-        let repaired = Instant::now();
-        self.phases.repair += repaired - t0;
+            .apply_and_repair(&mut overlay, delta, &mut self.cx);
+        self.patches = overlay.detach();
+        let outcome = repaired.map_err(|e| format!("applying {delta}: {e}"))?;
+        self.phases.repair += t0.elapsed();
         if outcome.applied {
-            self.live_graph = Arc::new(overlay.to_graph());
             self.live_index = None;
             self.staged.push(delta);
-            self.phases.materialise += repaired.elapsed();
+            self.phases.affected_landmarks += outcome.affected_landmarks as u64;
+            self.phases.affected_vertices += outcome.affected_vertices as u64;
         }
         Ok(outcome)
     }
 
-    /// The flattened live labels, refreshed if a repair invalidated them.
-    fn flattened(&mut self) -> Arc<HighwayCoverIndex> {
+    /// The live graph and flattened labels, brought up to date first: at
+    /// most one CSR rematerialisation and one flatten, however many deltas
+    /// were applied since the last call.
+    fn materialised(&mut self) -> (&Arc<Graph>, &Arc<HighwayCoverIndex>) {
         let t0 = Instant::now();
+        if !self.patches.is_empty() {
+            let patches = std::mem::take(&mut self.patches);
+            let graph = DeltaGraph::reattach(self.live_graph.as_view(), patches).to_graph();
+            self.live_graph = Arc::new(graph);
+        }
         let index = self
             .live_index
             .get_or_insert_with(|| Arc::new(self.dynamic.to_index()));
         self.phases.materialise += t0.elapsed();
-        Arc::clone(index)
+        (&self.live_graph, index)
     }
 
     /// The live graph and index, for answering queries in-process.
     pub(crate) fn views(&mut self) -> (GraphView<'_>, IndexView<'_>) {
-        let index = self
-            .live_index
-            .get_or_insert_with(|| Arc::new(self.dynamic.to_index()));
-        (self.live_graph.as_view(), index.as_view())
+        let (graph, index) = self.materialised();
+        (graph.as_view(), index.as_view())
     }
 
     /// Pending (applied, not yet compacted) delta count.
@@ -197,7 +218,8 @@ impl UpdateEngine {
     /// threshold is reached (and anything is pending), the live state is
     /// instead published as a whole new container and reopened.
     pub(crate) fn publish(&mut self, force_compact: bool) -> Result<Published, String> {
-        let index = self.flattened();
+        let (graph, index) = self.materialised();
+        let (graph, index) = (Arc::clone(graph), Arc::clone(index));
         let pending = self.pending();
         let compacting = pending > 0
             && (force_compact || (self.compact_after > 0 && pending >= self.compact_after));
@@ -205,7 +227,7 @@ impl UpdateEngine {
         let (store, written) = if compacting {
             let store = self
                 .writer
-                .compact(&self.live_graph, &index)
+                .compact(&graph, &index)
                 .map_err(|e| format!("compacting the index: {e}"))?;
             let written = store.len_bytes();
             (store, written)
@@ -216,7 +238,7 @@ impl UpdateEngine {
                 .map_err(|e| format!("journalling the update: {e}"))?;
             let store = self
                 .writer
-                .generation(Arc::clone(&self.live_graph), index)
+                .generation(graph, index)
                 .map_err(|e| format!("publishing the updated index: {e}"))?;
             (store, written)
         };
@@ -382,6 +404,50 @@ mod tests {
         // Nothing pending: a second compacting publish folds nothing.
         assert!(!engine.publish(true).unwrap().compacted);
         assert_eq!(engine.compactions(), 1);
+    }
+
+    /// Journal replay at open runs the same repair over the same deltas,
+    /// so it must land on the same bytes as the live engine did — graph
+    /// CSR, labels and highway — not merely on the same answers.
+    #[test]
+    fn reopening_the_file_replays_to_the_last_published_generation_byte_for_byte() {
+        const INSERTS: usize = 24;
+        let graph = testkit::barabasi_albert(300, 3, 21);
+        let index = HighwayCoverIndex::build_with(
+            &graph,
+            &BuildOptions {
+                num_landmarks: 8,
+                ..Default::default()
+            },
+        );
+        let path = std::env::temp_dir().join(format!("hcl_replay_{}.hcl", std::process::id()));
+        hcl_store::save(&path, &graph, &index).unwrap();
+        let store = IndexStore::open(&path).unwrap();
+        let mut engine = UpdateEngine::from_store(&store, Some(path.clone()), 0);
+        drop(store);
+
+        let mut rng = testkit::SplitMix64::new(0x4E91A7);
+        let mut last = None;
+        while engine.pending() < INSERTS {
+            let (u, v) = (rng.next_below(300) as u32, rng.next_below(300) as u32);
+            if u != v && engine.apply(EdgeDelta::insert(u, v)).unwrap().applied {
+                last = Some(engine.publish(false).unwrap().store);
+            }
+        }
+        let published = last.unwrap();
+        let reopened = IndexStore::open(&path);
+        std::fs::remove_file(&path).ok();
+        let reopened = reopened.unwrap();
+
+        assert_eq!(reopened.journal().unwrap().len(), INSERTS);
+        let (live, replayed) = (published.graph(), reopened.graph());
+        assert_eq!(replayed.csr_offsets(), live.csr_offsets());
+        assert_eq!(replayed.csr_neighbors(), live.csr_neighbors());
+        let (live, replayed) = (published.index(), reopened.index());
+        assert_eq!(replayed.landmarks(), live.landmarks());
+        assert_eq!(replayed.label_offsets(), live.label_offsets());
+        assert_eq!(replayed.label_entries(), live.label_entries());
+        assert_eq!(replayed.highway(), live.highway());
     }
 
     #[test]

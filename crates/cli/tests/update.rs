@@ -556,6 +556,116 @@ fn http_update_compact_after_folds_journal_while_serving() {
     );
 }
 
+/// A `POST /update` body is one batch: its deltas are repaired one by
+/// one on a single overlay and the CSR is rematerialised once, at
+/// publish — not once per line. Same answers as the same edges posted one
+/// per request (and as the BFS oracle), same repairs, a fraction of the
+/// `materialise` time.
+#[test]
+fn batched_update_body_materialises_once_and_matches_single_posts() {
+    const BATCH: usize = 64;
+    let scratch = Scratch::new("batch_body");
+    let graph = testkit::barabasi_albert(20_000, 3, 0xBA7C);
+    let n = graph.num_vertices() as u64;
+    let mut rng = testkit::SplitMix64::new(0x64);
+    let mut inserts: Vec<(u32, u32)> = Vec::new();
+    while inserts.len() < BATCH {
+        let (u, v) = (rng.next_below(n) as u32, rng.next_below(n) as u32);
+        let fresh = u != v
+            && !graph.as_view().has_edge(u, v)
+            && !inserts.contains(&(u, v))
+            && !inserts.contains(&(v, u));
+        if fresh {
+            inserts.push((u, v));
+        }
+    }
+    let pristine = build_index(&scratch, "pristine", &edge_list(&graph), 16);
+    let servers: Vec<Server> = ["batched", "single"]
+        .iter()
+        .map(|tag| {
+            let copy = scratch.path(&format!("{tag}.hcl"));
+            std::fs::copy(&pristine, &copy).expect("copy container");
+            Server::spawn(&copy, &[])
+        })
+        .collect();
+    let (batched, single) = (&servers[0], &servers[1]);
+
+    let body: String = inserts.iter().map(|(u, v)| format!("+{u} {v}\n")).collect();
+    let (status, response) = batched.http_post("/update", &body);
+    assert_eq!(status, 200, "batch: {response}");
+    assert!(
+        response.contains(&format!("\"applied\":{BATCH}")) && response.contains("\"generation\":2"),
+        "batch: {response}"
+    );
+    for (u, v) in &inserts {
+        let (status, response) = single.http_post("/update", &format!("+{u} {v}\n"));
+        assert_eq!(status, 200, "single +{u} {v}: {response}");
+    }
+
+    // Same answers on both, and both equal to the oracle on the edited
+    // graph: every inserted pair plus a random sample.
+    let mut pairs = inserts.clone();
+    pairs.extend((0..300).map(|_| (rng.next_below(n) as u32, rng.next_below(n) as u32)));
+    let input: String = pairs.iter().map(|(u, v)| format!("{u} {v}\n")).collect();
+    let mut edges: Vec<(u32, u32)> = inserts.clone();
+    for u in 0..n as u32 {
+        edges.extend(graph.as_view().neighbors(u).iter().map(|&w| (u, w)));
+    }
+    let edited = Graph::from_edges(&edges);
+    let expected: String = pairs
+        .iter()
+        .map(|&(u, v)| match hcl_core::bfs::distance(&edited, u, v) {
+            Some(d) => format!("{u} {v} {d}\n"),
+            None => format!("{u} {v} inf\n"),
+        })
+        .collect();
+    assert_eq!(batched.tcp_roundtrip(&input), expected, "batched answers");
+    assert_eq!(single.tcp_roundtrip(&input), expected, "single answers");
+
+    // The same repairs ran in the same order, so the affected-set counters
+    // agree; what differs is how many requests they were spread over.
+    for server in [batched, single] {
+        assert_eq!(server.metric("hcl_updates_applied_total"), BATCH as u64);
+    }
+    for name in [
+        "hcl_update_affected_landmarks_total",
+        "hcl_update_affected_vertices_total",
+    ] {
+        assert!(batched.metric(name) > 0, "{name} never moved");
+        assert_eq!(batched.metric(name), single.metric(name), "{name}");
+    }
+    assert_eq!(batched.metric("hcl_update_latency_samples"), 1);
+    assert_eq!(single.metric("hcl_update_latency_samples"), BATCH as u64);
+
+    // `materialise=<ms>` of every `update from …` stderr line.
+    let materialise_ms = |stderr: &str| -> Vec<f64> {
+        stderr
+            .lines()
+            .filter(|l| l.starts_with("update from "))
+            .map(|l| {
+                assert!(l.contains(" affected="), "no affected-set field: {l}");
+                let rest = l.split_once("materialise=").expect("materialise field").1;
+                rest.split_once("ms").unwrap().0.parse().expect("ms value")
+            })
+            .collect()
+    };
+    let mut servers = servers.into_iter();
+    let (status, stderr) = servers.next().unwrap().drain();
+    assert!(status.success(), "stderr:\n{stderr}");
+    let batch_ms = materialise_ms(&stderr);
+    let (status, stderr) = servers.next().unwrap().drain();
+    assert!(status.success(), "stderr:\n{stderr}");
+    let single_ms = materialise_ms(&stderr);
+    assert_eq!((batch_ms.len(), single_ms.len()), (1, BATCH));
+    let single_total: f64 = single_ms.iter().sum();
+    assert!(
+        batch_ms[0] * 4.0 < single_total,
+        "one {BATCH}-line body spent {:.1} ms materialising, {BATCH} single posts {single_total:.1} ms: \
+         the batch is rebuilding the CSR per delta",
+        batch_ms[0]
+    );
+}
+
 /// Every acknowledged single-edge update is one small frame appended to
 /// the file: `kill -9` after N of them loses none, the file grew by a few
 /// hundred bytes, and the container image in front of them is untouched.

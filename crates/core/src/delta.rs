@@ -232,6 +232,27 @@ impl<'a> DeltaGraph<'a> {
         Ok(true)
     }
 
+    /// Detaches the edits from the base borrow, so a caller that *owns*
+    /// the base graph can keep them across calls without a
+    /// self-referential struct; [`DeltaGraph::reattach`] is the inverse.
+    pub fn detach(self) -> DeltaPatches {
+        DeltaPatches {
+            net_edges: self.num_edges as isize - self.base.num_edges() as isize,
+            patched: self.patched,
+        }
+    }
+
+    /// Resumes an overlay from patches [`detach`](DeltaGraph::detach)ed
+    /// off an overlay of the same `base`. Default (empty) patches
+    /// reattach to any base as an overlay with no edits.
+    pub fn reattach(base: GraphView<'a>, patches: DeltaPatches) -> Self {
+        Self {
+            base,
+            patched: patches.patched,
+            num_edges: base.num_edges().saturating_add_signed(patches.net_edges),
+        }
+    }
+
     /// Materialises the overlay into an owned, canonical CSR [`Graph`].
     pub fn to_graph(&self) -> Graph {
         let mut b = GraphBuilder::new();
@@ -249,6 +270,24 @@ impl<'a> DeltaGraph<'a> {
     /// A borrowed enum view of this overlay for the traversal APIs.
     pub fn as_dyn_view(&self) -> DynGraphView<'_> {
         DynGraphView::Delta(self)
+    }
+}
+
+/// The owned half of a [`DeltaGraph`] — its edits without the base borrow
+/// (see [`DeltaGraph::detach`]). Opaque: only meaningful reattached to the
+/// base it was detached from.
+#[derive(Default)]
+pub struct DeltaPatches {
+    patched: HashMap<VertexId, Vec<VertexId>>,
+    /// Undirected edges added minus edges removed.
+    net_edges: isize,
+}
+
+impl DeltaPatches {
+    /// Whether no vertex's adjacency differs from the base (nothing to
+    /// materialise).
+    pub fn is_empty(&self) -> bool {
+        self.patched.is_empty()
     }
 }
 
@@ -412,6 +451,31 @@ mod tests {
         for v in 0..30 {
             assert_eq!(materialised.neighbors(v), d.neighbors(v), "vertex {v}");
         }
+    }
+
+    #[test]
+    fn detached_patches_reattach_to_the_same_overlay() {
+        let g = testkit::path(6);
+        let mut d = DeltaGraph::new(g.as_view());
+        d.apply(EdgeDelta::insert(0, 5)).unwrap();
+        d.apply(EdgeDelta::delete(2, 3)).unwrap();
+        d.apply(EdgeDelta::insert(1, 4)).unwrap();
+        let patches = d.detach();
+        assert!(!patches.is_empty());
+        let mut d = DeltaGraph::reattach(g.as_view(), patches);
+        assert_eq!(d.num_edges(), g.num_edges() + 1);
+        assert!(d.has_edge(0, 5) && d.has_edge(4, 1) && !d.has_edge(2, 3));
+        // Edits keep accumulating across the round trip.
+        d.apply(EdgeDelta::delete(0, 5)).unwrap();
+        let materialised = d.to_graph();
+        assert_eq!(materialised.num_edges(), g.num_edges());
+        assert_eq!(materialised.neighbors(0), &[1]);
+
+        // Default patches are an overlay with no edits, on any base.
+        assert!(DeltaPatches::default().is_empty());
+        let fresh = DeltaGraph::reattach(g.as_view(), DeltaPatches::default());
+        assert_eq!(fresh.num_edges(), g.num_edges());
+        assert_eq!(fresh.num_patched(), 0);
     }
 
     #[test]

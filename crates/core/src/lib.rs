@@ -40,5 +40,5 @@ pub mod testkit;
 
 pub use bfs::{BfsProbe, NoProbe};
 pub use bitset::DenseBitSet;
-pub use delta::{DeltaError, DeltaGraph, DeltaOp, DynGraphView, EdgeDelta};
+pub use delta::{DeltaError, DeltaGraph, DeltaOp, DeltaPatches, DynGraphView, EdgeDelta};
 pub use graph::{CsrError, Graph, GraphBuilder, GraphView, VertexId, INFINITY};

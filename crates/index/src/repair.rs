@@ -16,40 +16,93 @@
 //!
 //! The landmark set is kept fixed across edits (re-selection would force a
 //! full rebuild for no answer-quality gain; the landmarks stay exactly the
-//! vertices the original build chose). Each edit is processed as:
+//! vertices the original build chose). Two invariants hold for a built
+//! index and are restored by every repair; together with an exact highway
+//! `H` they are all the query engine relies on:
 //!
-//! 1. **Affected-tree detection** on the *pre-edit* state: `d(i, u)` and
-//!    `d(i, v)` for every landmark `i` are read off the endpoints' labels
-//!    and the highway ([`DynamicIndex::landmark_distances`], the paper's
-//!    detection step — `O(|L|·k)` per endpoint, no graph search). For an
-//!    **insertion**, landmark
-//!    `i`'s distance function can only change if `|d(i,u) − d(i,v)| ≥ 2`
-//!    (a new strictly-shorter path must route through the new edge). For a
-//!    **deletion**, it can only change if `|d(i,u) − d(i,v)| == 1` (the
-//!    edge lies on a shortest path from `i` exactly when the endpoint
-//!    depths differ; equal depths mean no shortest path from `i` crosses
-//!    it).
-//! 2. **Exact highway patch**: each affected row is recomputed by a full
-//!    (unpruned) BFS from that landmark on the post-edit graph, then
-//!    mirrored to keep the matrix symmetric. Unaffected rows are untouched
-//!    — their distance functions did not change. The highway therefore
-//!    stays *exact* at all times (the build's Floyd–Warshall closure is
-//!    never needed again).
-//! 3. **Tree relabel**: stale per-landmark label trees are stripped and
-//!    regrown with the same pruned BFS discipline as the builder (landmark
-//!    stop + domination pruning against strictly lower-rank entries, in
-//!    rank order), reusing [`BuildContext`]'s scratch buffers.
+//! * **(U) upper bound** — every entry `(j, δ) ∈ L(v)` has
+//!   `δ ≥ d(r_j, v)`;
+//! * **(C) cover** — for every vertex `v` and landmark `i`,
+//!   `min over (j, δ) ∈ L(v) of δ + H[j][i] = d(r_i, v)`
+//!   ([`DynamicIndex::landmark_distances`] reads exactly this). A
+//!   landmark's label is its own self entry, so its row is the highway row.
 //!
-//! The relabel scope differs by edit kind, and the asymmetry is load
-//! bearing. An **insertion** only shrinks distances, so repairing just the
-//! affected trees preserves the cover property: an unaffected landmark's
-//! coverage can only improve when the entries it routes through get
-//! tighter. A **deletion** grows distances, which can silently break the
-//! coverage of *unaffected* landmarks whose cover routed through an
-//! affected hub — so a deletion with a non-empty affected set strips every
-//! label and regrows all trees (still cheaper than a rebuild: selection is
-//! skipped and unaffected highway rows are reused). A deletion whose
-//! affected set is empty is free: no label touches at all.
+//! Every edit starts with the paper's **detection** step on the *pre-edit*
+//! state: `da[i] = d(r_i, a)` and `db[i] = d(r_i, b)` for the endpoints
+//! `a`, `b` and every landmark `i`, read off the endpoints' labels and the
+//! highway — `O(|L|·k)` per endpoint, no graph search.
+//!
+//! ## Insertion of `(a, b)`: IncHL+ partial repair
+//!
+//! A new strictly shorter path must cross the new edge, so landmark `i` is
+//! affected only if `|da[i] − db[i]| ≥ 2` (or exactly one endpoint was
+//! unreachable from it). The repair reads and writes only the affected
+//! set — the `(landmark, vertex)` pairs whose distance strictly drops:
+//!
+//! 1. **Find**, per affected landmark `i`: a BFS on the post-edit graph
+//!    from the endpoint farther from `r_i`, seeded at depth
+//!    `min(da[i], db[i]) + 1`, that enqueues a neighbour `x` at depth `D`
+//!    only if `D < d_old(r_i, x)`, with `d_old` read from `x`'s pre-edit
+//!    label and the pre-edit highway (property (C)). Every vertex on a new
+//!    shortest path behind the far endpoint is itself affected, so this
+//!    search visits exactly the pairs whose distance drops, at their new
+//!    exact distance `D`, and records `(i, x, D)`. It expands *through*
+//!    landmarks and through vertices that will end up without an `i`
+//!    entry: coverage by another hub does not stop a distance from
+//!    dropping further out.
+//! 2. **Highway in closed form**, no search:
+//!    `H'[i][j] = min(H[i][j], da[i] + 1 + db[j], db[i] + 1 + da[j])`
+//!    — exact because a new shortest path crosses the new edge exactly
+//!    once, symmetric by construction.
+//! 3. **Repair**, over the recorded pairs in landmark-rank order: a
+//!    landmark `x` is skipped (its row is the highway); otherwise, if some
+//!    other hub already certifies the new distance
+//!    (`∃ (j, δ) ∈ L(x), j ≠ i, H'[i][j] + δ ≤ D`) the `i` entry of `x` is
+//!    removed if there is one, else `(i, D)` is inserted or tightened.
+//!
+//! **Find precedes repair — all of it.** No find may read a label an
+//! earlier landmark's repair already tightened, nor the patched highway:
+//! `d_old` computed from half-repaired state can make a vertex look
+//! "already covered at the new distance", stop the search there, and
+//! strand the affected vertices behind it.
+//!
+//! Why (U) and (C) survive. Insertions only shrink distances, so untouched
+//! entries keep (U), and written entries are exact new distances. For a
+//! pair `(i, v)` *outside* the recorded set the distance is unchanged; the
+//! hub `j` that covered it before has `δ_j = d_old(r_j, v)` on a shortest
+//! `r_i`–`v` path, so `(j, v)` cannot be recorded either (if `d(r_j, v)`
+//! had dropped, `d(r_i, v)` would have too) — the entry is untouched, and
+//! `H' ≤ H` keeps it tight. For a recorded pair either `(i, D)` is written
+//! or a certifier exists; a certifier's entry is an exact *new* distance
+//! (by (U) and the exactness of `H'`), so it is either untouched or was
+//! written earlier in the same pass, and is never removed later: an entry
+//! still waiting for its own repair holds an old, strictly larger distance
+//! and cannot certify anything.
+//!
+//! The cost is `O(Σ affected vertices × degree × |L|)` — on the
+//! benchmark's 100k-vertex graphs a median of one or two pairs per insert
+//! — against `O(affected landmarks × (n + m))` for regrowing whole trees.
+//! The repaired labels are *not* a fresh build's bytes: the builder prunes
+//! per rank-ordered batch against lower ranks only, this repair prunes
+//! against any certifying hub and never touches a label outside the
+//! affected set.
+//!
+//! ## Deletion: full relabel
+//!
+//! A deleted edge lies on a shortest path from `r_i` exactly when the
+//! endpoint depths differ (by 1, since the edge existed), so landmark `i`
+//! is affected iff `da[i] ≠ db[i]`; an empty affected set costs nothing.
+//! Otherwise each affected highway row is recomputed by a full BFS from
+//! its landmark (unaffected rows did not change), and **every** label is
+//! stripped and every tree regrown with the builder's pruned BFS (landmark
+//! stop + domination pruning against strictly lower-rank entries, in rank
+//! order). The asymmetry with insertion is load bearing: a deletion
+//! *grows* distances, which can silently break the coverage of an
+//! *unaffected* landmark whose cover routed through an affected hub, and
+//! entries that were exact become too small — (U) fails — so neither
+//! "only the affected trees" nor "only tighten" is sound. A decremental
+//! partial repair is future work; until then a delete costs about a
+//! rebuild minus selection.
 
 use crate::build::{sat_add, BuildContext, HighwayCoverIndex, NOT_A_LANDMARK};
 use crate::view::IndexView;
@@ -64,17 +117,22 @@ pub struct RepairOutcome {
     /// edge or deleting a missing one is a no-op and costs nothing beyond
     /// the membership probe).
     pub applied: bool,
-    /// Number of landmark trees whose distance function was (possibly)
-    /// affected by the edit.
+    /// Number of landmarks whose distance function was (possibly)
+    /// affected by the edit — those passing the detection test.
     pub affected_landmarks: usize,
+    /// Number of `(landmark, vertex)` pairs whose distance strictly
+    /// dropped: what an insertion's find phase visited and the only labels
+    /// its repair touched. Always 0 for a deletion, whose full-relabel
+    /// fallback never computes the set.
+    pub affected_vertices: usize,
     /// Whether the repair fell back to regrowing every tree (deletions
     /// with a non-empty affected set; see the module docs for why).
     pub full_relabel: bool,
 }
 
 /// An editable highway-cover index: same landmarks, labels, and highway as
-/// the frozen form, but with per-vertex label vectors that can be stripped
-/// and regrown in place.
+/// the frozen form, but with per-vertex label vectors that can be edited
+/// in place.
 ///
 /// Convert a built index in with [`DynamicIndex::from_view`], apply edits
 /// with [`DynamicIndex::apply_and_repair`], and flatten back out with
@@ -188,7 +246,6 @@ impl DynamicIndex {
         cx: &mut BuildContext,
     ) -> Result<RepairOutcome, DeltaError> {
         let n = self.num_vertices();
-        let k = self.num_landmarks();
         assert_eq!(graph.num_vertices(), n, "graph/index vertex count mismatch");
         // Probe validity first so detection work is never wasted on a
         // delta that will not apply.
@@ -201,53 +258,157 @@ impl DynamicIndex {
             return Ok(RepairOutcome::default());
         }
 
-        // Step 1: landmark distances of both endpoints, read from the
-        // *pre-edit* labels — the affected-tree tests below are stated in
-        // terms of old distances.
-        let d_landmarks_u = self.landmark_distances(delta.u);
-        let d_landmarks_v = self.landmark_distances(delta.v);
+        // Detection: landmark distances of both endpoints, read from the
+        // *pre-edit* labels — the affected tests are stated in terms of
+        // old distances.
+        let da = self.landmark_distances(delta.u);
+        let db = self.landmark_distances(delta.v);
 
         let applied = graph.apply(delta)?;
         debug_assert!(applied, "membership probe and apply disagreed");
 
-        let affected: Vec<usize> = (0..k)
-            .filter(|&i| {
-                let (a, b) = (d_landmarks_u[i], d_landmarks_v[i]);
-                match delta.op {
-                    // A new edge only creates shorter paths from landmark i
-                    // if hopping it beats the old detour; both endpoints
-                    // unreachable stay unreachable (the new edge cannot be
-                    // reached from i at all).
-                    DeltaOp::Insert => {
-                        if a == INFINITY || b == INFINITY {
-                            a != b
-                        } else {
-                            a.abs_diff(b) >= 2
-                        }
-                    }
-                    // A removed edge lies on a shortest path from i exactly
-                    // when the endpoint depths differ (by 1, since the edge
-                    // existed; equal depths mean no shortest path from i
-                    // crosses it, so i's distances cannot change).
-                    DeltaOp::Delete => a != b,
-                }
-            })
-            .collect();
+        let view = graph.as_dyn_view();
+        Ok(match delta.op {
+            DeltaOp::Insert => self.repair_insert(view, (delta.u, delta.v), &da, &db, cx),
+            DeltaOp::Delete => self.repair_delete(view, &da, &db, cx),
+        })
+    }
 
-        if affected.is_empty() {
-            return Ok(RepairOutcome {
-                applied: true,
-                affected_landmarks: 0,
-                full_relabel: false,
-            });
+    /// `d(landmark_i, v)` from `v`'s label and column `i` of the highway
+    /// (the matrix is symmetric) — one cell of
+    /// [`landmark_distances`](Self::landmark_distances), `O(|L(v)|)`.
+    fn landmark_distance(&self, i: usize, v: VertexId) -> u32 {
+        let k = self.landmarks.len();
+        self.labels[v as usize]
+            .iter()
+            .map(|&(hub, d)| sat_add(self.highway[hub as usize * k + i], d))
+            .min()
+            .unwrap_or(INFINITY)
+    }
+
+    /// The insert branch: find, closed-form highway patch, repair — see
+    /// the module docs. Reads and writes only the affected set.
+    fn repair_insert(
+        &mut self,
+        graph: DynGraphView<'_>,
+        (a, b): (VertexId, VertexId),
+        da: &[u32],
+        db: &[u32],
+        cx: &mut BuildContext,
+    ) -> RepairOutcome {
+        let k = self.landmarks.len();
+        let mut outcome = RepairOutcome {
+            applied: true,
+            ..RepairOutcome::default()
+        };
+
+        // Find: every `(rank, vertex, new distance)` whose distance drops,
+        // in rank order. Labels and highway are still pre-edit throughout.
+        let mut dropped: Vec<(u32, VertexId, u32)> = Vec::new();
+        cx.scratch.reset();
+        cx.scratch.ensure_capacity(graph.num_vertices());
+        for i in 0..k {
+            let (near, far_depth, far) = if da[i] <= db[i] {
+                (da[i], db[i], b)
+            } else {
+                (db[i], da[i], a)
+            };
+            // Hopping the new edge must beat the old detour; both
+            // endpoints unreachable stay unreachable.
+            let affected = if far_depth == INFINITY {
+                near != INFINITY
+            } else {
+                far_depth.abs_diff(near) >= 2
+            };
+            if !affected {
+                continue;
+            }
+            outcome.affected_landmarks += 1;
+
+            let seed = sat_add(near, 1);
+            cx.scratch.dist[far as usize] = seed;
+            cx.scratch.touched.push(far);
+            cx.scratch.queue.push_back(far);
+            dropped.push((i as u32, far, seed));
+            while let Some(x) = cx.scratch.queue.pop_front() {
+                let depth = sat_add(cx.scratch.dist[x as usize], 1);
+                for &w in graph.neighbors(x) {
+                    if cx.scratch.dist[w as usize] == INFINITY
+                        && depth < self.landmark_distance(i, w)
+                    {
+                        cx.scratch.dist[w as usize] = depth;
+                        cx.scratch.touched.push(w);
+                        cx.scratch.queue.push_back(w);
+                        dropped.push((i as u32, w, depth));
+                    }
+                }
+            }
+            cx.scratch.reset();
+        }
+        outcome.affected_vertices = dropped.len();
+        if dropped.is_empty() {
+            return outcome;
         }
 
-        // Step 2: recompute affected highway rows exactly on the post-edit
-        // graph, mirroring writes to preserve symmetry. Unaffected rows
-        // are already exact — their landmarks' distances did not change.
-        let view = graph.as_dyn_view();
+        // Highway in closed form: a new shortest path crosses the new edge
+        // once, in one direction or the other.
+        for i in 0..k {
+            for j in (i + 1)..k {
+                let via = sat_add(sat_add(da[i], 1), db[j]).min(sat_add(sat_add(db[i], 1), da[j]));
+                if via < self.highway[i * k + j] {
+                    self.highway[i * k + j] = via;
+                    self.highway[j * k + i] = via;
+                }
+            }
+        }
+
+        // Repair, in rank order, against the patched highway.
+        for (i, x, d) in dropped {
+            if self.landmark_rank[x as usize] != NOT_A_LANDMARK {
+                continue; // a landmark's row is the highway
+            }
+            let row = &self.highway[i as usize * k..(i as usize + 1) * k];
+            let label = &mut self.labels[x as usize];
+            let certified = label
+                .iter()
+                .any(|&(j, dj)| j != i && sat_add(row[j as usize], dj) <= d);
+            if !certified {
+                insert_sorted(label, i, d);
+            } else if let Ok(pos) = label.binary_search_by_key(&i, |&(r, _)| r) {
+                label.remove(pos);
+            }
+        }
+        outcome
+    }
+
+    /// The delete branch: exact BFS patch of the affected highway rows,
+    /// then every tree regrown (see the module docs for why nothing less
+    /// is sound).
+    fn repair_delete(
+        &mut self,
+        graph: DynGraphView<'_>,
+        da: &[u32],
+        db: &[u32],
+        cx: &mut BuildContext,
+    ) -> RepairOutcome {
+        let k = self.landmarks.len();
+        // A removed edge lies on a shortest path from i exactly when the
+        // endpoint depths differ (by 1, since the edge existed; equal
+        // depths mean no shortest path from i crosses it, so i's distances
+        // cannot change).
+        let affected: Vec<usize> = (0..k).filter(|&i| da[i] != db[i]).collect();
+        if affected.is_empty() {
+            return RepairOutcome {
+                applied: true,
+                ..RepairOutcome::default()
+            };
+        }
+
+        // Recompute affected highway rows exactly on the post-edit graph,
+        // mirroring writes to preserve symmetry. Unaffected rows are
+        // already exact — their landmarks' distances did not change.
         for &i in &affected {
-            distances_from_with(view, self.landmarks[i], &mut cx.scratch);
+            distances_from_with(graph, self.landmarks[i], &mut cx.scratch);
             for j in 0..k {
                 let d = cx.scratch.dist[self.landmarks[j] as usize];
                 self.highway[i * k + j] = d;
@@ -256,35 +417,19 @@ impl DynamicIndex {
         }
         cx.scratch.reset();
 
-        // Step 3: strip and regrow stale trees. Insertions repair only the
-        // affected trees; deletions with a non-empty affected set regrow
-        // everything (see module docs for the coverage argument).
-        let full_relabel = matches!(delta.op, DeltaOp::Delete);
-        if full_relabel {
-            for per_vertex in &mut self.labels {
-                per_vertex.clear();
-            }
-            for rank in 0..k {
-                self.relabel_tree(view, rank, cx);
-            }
-        } else {
-            let mut stale = vec![false; k];
-            for &i in &affected {
-                stale[i] = true;
-            }
-            for per_vertex in &mut self.labels {
-                per_vertex.retain(|&(rank, _)| !stale[rank as usize]);
-            }
-            for &rank in &affected {
-                self.relabel_tree(view, rank, cx);
-            }
+        for per_vertex in &mut self.labels {
+            per_vertex.clear();
+        }
+        for rank in 0..k {
+            self.relabel_tree(graph, rank, cx);
         }
 
-        Ok(RepairOutcome {
+        RepairOutcome {
             applied: true,
             affected_landmarks: affected.len(),
-            full_relabel,
-        })
+            affected_vertices: 0,
+            full_relabel: true,
+        }
     }
 
     /// Regrows one landmark's label tree with the builder's pruned BFS
@@ -347,8 +492,7 @@ impl DynamicIndex {
 }
 
 /// Inserts `(rank, d)` into a rank-sorted label vector, replacing any
-/// existing entry for the same rank (regrowth after a strip never sees one,
-/// but root self-entries of unaffected-then-regrown trees do).
+/// existing entry for the same rank.
 fn insert_sorted(entries: &mut Vec<(u32, u32)>, rank: u32, d: u32) {
     match entries.binary_search_by_key(&rank, |&(r, _)| r) {
         Ok(pos) => entries[pos] = (rank, d),
@@ -450,6 +594,7 @@ mod tests {
             .apply_and_repair(&mut graph, EdgeDelta::insert(0, 6), &mut cx)
             .unwrap();
         assert!(out.applied && out.affected_landmarks > 0 && !out.full_relabel);
+        assert!(out.affected_vertices >= out.affected_landmarks);
         assert_answers_match_rebuild(&graph, &dynamic, 3);
     }
 

@@ -8,16 +8,16 @@
 //! allowed to produce different label *bytes* than a rebuild (pruning
 //! decisions are history-dependent), but never a different *answer*.
 
-use hcl_core::testkit::{families, SplitMix64};
-use hcl_core::{bfs, DeltaGraph, EdgeDelta};
-use hcl_index::repair::DynamicIndex;
+use hcl_core::testkit::{barabasi_albert, disjoint_union, families, SplitMix64};
+use hcl_core::{bfs, DeltaGraph, DeltaOp, EdgeDelta, Graph};
+use hcl_index::repair::{DynamicIndex, RepairOutcome};
 use hcl_index::{BuildContext, BuildOptions, HighwayCoverIndex, QueryContext};
 
 const SCRIPT_LEN: usize = 12;
 
 /// Drives one seeded edit script over one family and checks answer
 /// identity after every effective step.
-fn run_script(name: &str, base: &hcl_core::Graph, threads: usize, seed: u64) {
+fn run_script(name: &str, base: &Graph, threads: usize, seed: u64) {
     let n = base.num_vertices();
     if n < 2 {
         return; // no representable edge edits
@@ -103,15 +103,49 @@ fn edit_scripts_match_rebuild_over_all_families_four_threads() {
     }
 }
 
-/// The paper's detection step: landmark distances read off a vertex's
-/// label and the highway must equal a BFS's, for every vertex, on the
-/// built index and after every step of a seeded edit script — so the
-/// affected set, and with it every repaired label, is exactly what the
-/// endpoint BFSs it replaced computed.
-#[test]
-fn label_derived_landmark_distances_match_bfs_over_all_families() {
-    // The landmark counts of `oracle_property.rs`.
-    const KS: &[usize] = &[0, 1, 2, 4, 16];
+/// The landmark counts of `oracle_property.rs`.
+const KS: &[usize] = &[0, 1, 2, 4, 16];
+
+/// BFS distances from every landmark of `index` on `graph`, in rank order.
+fn landmark_bfs(graph: &Graph, index: &HighwayCoverIndex) -> Vec<Vec<u32>> {
+    index
+        .as_view()
+        .landmarks()
+        .iter()
+        .map(|&lm| bfs::distances_from(graph, lm))
+        .collect()
+}
+
+/// Every vertex's `(hub rank, distance)` label, read off the flattened form.
+fn labels_of(dynamic: &DynamicIndex) -> Vec<Vec<(u32, u32)>> {
+    let index = dynamic.to_index();
+    (0..index.num_vertices() as u32)
+        .map(|v| index.label(v).collect())
+        .collect()
+}
+
+/// The edit that led to a [`Snapshot`], with the state it started from.
+struct Edit<'a> {
+    delta: EdgeDelta,
+    outcome: RepairOutcome,
+    labels_before: &'a [Vec<(u32, u32)>],
+    truth_before: &'a [Vec<u32>],
+}
+
+/// What [`sweep_edit_scripts`] hands its check: the freshly built index
+/// (`edit: None`), then the state after every edit of the script.
+struct Snapshot<'a> {
+    tag: &'a str,
+    dynamic: &'a DynamicIndex,
+    /// BFS distances from each landmark on the current graph.
+    truth: &'a [Vec<u32>],
+    edit: Option<Edit<'a>>,
+}
+
+/// Walks every family × landmark count × one seeded script of mixed
+/// inserts and deletes, calling `check` on the built index and after
+/// every step.
+fn sweep_edit_scripts(mut check: impl FnMut(&Snapshot<'_>)) {
     for (name, base) in families() {
         let n = base.num_vertices();
         for &k in KS {
@@ -124,26 +158,17 @@ fn label_derived_landmark_distances_match_bfs_over_all_families() {
             let mut graph = DeltaGraph::new(base.as_view());
             let mut cx = BuildContext::new();
             let mut rng = SplitMix64::new(0xDE7E_C7ED ^ (n * 31 + k) as u64);
-            for step in 0..=SCRIPT_LEN {
-                let current = graph.to_graph();
-                let from_landmarks: Vec<Vec<u32>> = built
-                    .as_view()
-                    .landmarks()
-                    .iter()
-                    .map(|&lm| bfs::distances_from(&current, lm))
-                    .collect();
-                for v in 0..n {
-                    let want: Vec<u32> = from_landmarks.iter().map(|d| d[v]).collect();
-                    assert_eq!(
-                        dynamic.landmark_distances(v as u32),
-                        want,
-                        "[{name}] k={k} after {step} edit(s): label-derived landmark \
-                         distances of vertex {v} differ from BFS"
-                    );
-                }
-                if n < 2 || step == SCRIPT_LEN {
-                    break;
-                }
+            let mut truth = landmark_bfs(&base, &built);
+            check(&Snapshot {
+                tag: &format!("[{name}] k={k} as built"),
+                dynamic: &dynamic,
+                truth: &truth,
+                edit: None,
+            });
+            if n < 2 {
+                continue; // no representable edge edits
+            }
+            for step in 0..SCRIPT_LEN {
                 let (u, v) = loop {
                     let u = rng.next_below(n as u64) as u32;
                     let v = rng.next_below(n as u64) as u32;
@@ -156,11 +181,238 @@ fn label_derived_landmark_distances_match_bfs_over_all_families() {
                 } else {
                     EdgeDelta::insert(u, v)
                 };
-                dynamic
+                let labels_before = labels_of(&dynamic);
+                let outcome = dynamic
                     .apply_and_repair(&mut graph, delta, &mut cx)
                     .unwrap_or_else(|e| panic!("[{name}] k={k} step {step}: {delta}: {e}"));
+                let truth_after = landmark_bfs(&graph.to_graph(), &built);
+                check(&Snapshot {
+                    tag: &format!("[{name}] k={k} step {step} ({delta})"),
+                    dynamic: &dynamic,
+                    truth: &truth_after,
+                    edit: Some(Edit {
+                        delta,
+                        outcome,
+                        labels_before: &labels_before,
+                        truth_before: &truth,
+                    }),
+                });
+                truth = truth_after;
             }
         }
+    }
+}
+
+/// (C): the landmark distances read off each vertex's label and the
+/// highway equal BFS's, for every vertex.
+fn assert_cover(tag: &str, dynamic: &DynamicIndex, truth: &[Vec<u32>]) {
+    for v in 0..dynamic.num_vertices() {
+        let want: Vec<u32> = truth.iter().map(|d| d[v]).collect();
+        assert_eq!(
+            dynamic.landmark_distances(v as u32),
+            want,
+            "{tag}: label-derived landmark distances of vertex {v} differ from BFS"
+        );
+    }
+}
+
+/// The invariants every repair must restore, against BFS ground truth:
+/// (U) no label entry is below the true landmark distance, (C) the cover
+/// property, and a highway that is exact for every landmark pair.
+fn assert_index_invariants(tag: &str, dynamic: &DynamicIndex, truth: &[Vec<u32>]) {
+    assert_cover(tag, dynamic, truth);
+    let index = dynamic.to_index();
+    let view = index.as_view();
+    let k = view.landmarks().len();
+    for v in 0..index.num_vertices() as u32 {
+        for (hub, d) in index.label(v) {
+            let exact = truth[hub as usize][v as usize];
+            assert!(
+                d >= exact,
+                "{tag}: entry ({hub}, {d}) of vertex {v} is below the BFS distance {exact}"
+            );
+        }
+    }
+    for (i, from_i) in truth.iter().enumerate() {
+        for (j, &lm) in view.landmarks().iter().enumerate() {
+            assert_eq!(
+                view.highway()[i * k + j],
+                from_i[lm as usize],
+                "{tag}: highway[{i}][{j}] differs from BFS"
+            );
+        }
+    }
+}
+
+/// The paper's detection step: landmark distances read off a vertex's
+/// label and the highway must equal a BFS's, for every vertex, on the
+/// built index and after every step of a seeded edit script — so the
+/// affected set, and with it every repaired label, is exactly what the
+/// endpoint BFSs it replaced computed.
+#[test]
+fn label_derived_landmark_distances_match_bfs_over_all_families() {
+    sweep_edit_scripts(|s| assert_cover(s.tag, s.dynamic, s.truth));
+}
+
+/// After every step the index holds (U), (C) and an exact highway; and an
+/// insert's repair is *partial*: it reports exactly the (landmark, vertex)
+/// pairs whose BFS distance strictly dropped, and every vertex outside
+/// that set keeps a byte-identical label — the write set is the affected
+/// set.
+#[test]
+fn repair_restores_invariants_and_writes_only_the_affected_set() {
+    sweep_edit_scripts(|s| {
+        assert_index_invariants(s.tag, s.dynamic, s.truth);
+        let Some(edit) = &s.edit else { return };
+        let tag = s.tag;
+        assert!(edit.outcome.applied, "{tag}: was a no-op");
+        if edit.delta.op == DeltaOp::Delete {
+            assert_eq!(edit.outcome.affected_vertices, 0, "{tag}");
+            return;
+        }
+        assert!(!edit.outcome.full_relabel, "{tag}: insert fell back");
+        let n = s.dynamic.num_vertices();
+        let dropped = |i: usize, v: usize| s.truth[i][v] < edit.truth_before[i][v];
+        let k = s.truth.len();
+        let pairs = (0..k)
+            .map(|i| (0..n).filter(|&v| dropped(i, v)).count())
+            .collect::<Vec<_>>();
+        assert_eq!(
+            edit.outcome.affected_vertices,
+            pairs.iter().sum::<usize>(),
+            "{tag}: affected_vertices is not the number of pairs whose distance dropped"
+        );
+        assert_eq!(
+            edit.outcome.affected_landmarks,
+            pairs.iter().filter(|&&c| c > 0).count(),
+            "{tag}: affected_landmarks is not the number of landmarks with a drop"
+        );
+        let labels_after = labels_of(s.dynamic);
+        for v in (0..n).filter(|&v| !(0..k).any(|i| dropped(i, v))) {
+            assert_eq!(
+                labels_after[v], edit.labels_before[v],
+                "{tag}: label of unaffected vertex {v} was rewritten"
+            );
+        }
+    });
+}
+
+/// Joining two components: every vertex on the other side becomes
+/// reachable from each landmark, so the affected set is the whole newly
+/// reachable side, and the repair must label all of it.
+#[test]
+fn joining_two_components_repairs_the_whole_newly_reachable_side() {
+    let left = barabasi_albert(60, 3, 5);
+    let right = barabasi_albert(40, 2, 6);
+    let base = disjoint_union(&left, &right);
+    let built = HighwayCoverIndex::build_with(
+        &base,
+        &BuildOptions {
+            num_landmarks: 8,
+            ..Default::default()
+        },
+    );
+    let on_left = built
+        .as_view()
+        .landmarks()
+        .iter()
+        .filter(|&&lm| lm < 60)
+        .count();
+    let mut dynamic = DynamicIndex::from_view(built.as_view());
+    let mut graph = DeltaGraph::new(base.as_view());
+    let mut cx = BuildContext::new();
+    assert_index_invariants("disjoint, as built", &dynamic, &landmark_bfs(&base, &built));
+
+    // Two ordinary vertices, one per side.
+    let a = (0..60).rev().find(|&v| !built.is_landmark(v)).unwrap();
+    let b = (60..100).rev().find(|&v| !built.is_landmark(v)).unwrap();
+    let outcome = dynamic
+        .apply_and_repair(&mut graph, EdgeDelta::insert(a, b), &mut cx)
+        .unwrap();
+    assert_eq!(outcome.affected_landmarks, 8);
+    assert_eq!(outcome.affected_vertices, on_left * 40 + (8 - on_left) * 60);
+    let joined = graph.to_graph();
+    assert_index_invariants("joined", &dynamic, &landmark_bfs(&joined, &built));
+
+    // Cross-component answers exist now and are exact.
+    let repaired = dynamic.to_index();
+    let mut ctx = QueryContext::new();
+    for (u, v) in [(0, 99), (a, b), (17, 73), (59, 60)] {
+        assert_eq!(
+            repaired.as_view().query_with(&joined, &mut ctx, u, v),
+            bfs::distance(&joined, u, v),
+            "({u}, {v}) after the join"
+        );
+    }
+
+    // A second bridge is an ordinary insert on a connected graph.
+    dynamic
+        .apply_and_repair(&mut graph, EdgeDelta::insert(0, 60), &mut cx)
+        .unwrap();
+    let truth = landmark_bfs(&graph.to_graph(), &built);
+    assert_index_invariants("second bridge", &dynamic, &truth);
+}
+
+/// The paper's size and locality claims as counts, not timings: after 200
+/// random inserts on a 10k-vertex power-law graph the repaired labelling is
+/// within 1 % of a fresh build's size, and an insert's find phase visits —
+/// `affected_vertices` is one visit per recorded pair — fewer than 1 % of
+/// the vertices on average.
+#[test]
+fn partial_repair_stays_small_and_local_on_a_power_law_graph() {
+    const N: usize = 10_000;
+    const INSERTS: usize = 200;
+    let base = barabasi_albert(N, 5, 0x1AC4);
+    let options = BuildOptions {
+        num_landmarks: 32,
+        ..Default::default()
+    };
+    let built = HighwayCoverIndex::build_with(&base, &options);
+    let mut dynamic = DynamicIndex::from_view(built.as_view());
+    let mut graph = DeltaGraph::new(base.as_view());
+    let mut cx = BuildContext::new();
+    let mut rng = SplitMix64::new(0x5CA1E);
+    let mut visited = 0usize;
+    let mut applied = 0usize;
+    while applied < INSERTS {
+        let u = rng.next_below(N as u64) as u32;
+        let v = rng.next_below(N as u64) as u32;
+        if u == v || graph.has_edge(u, v) {
+            continue;
+        }
+        let outcome = dynamic
+            .apply_and_repair(&mut graph, EdgeDelta::insert(u, v), &mut cx)
+            .unwrap();
+        assert!(outcome.applied && !outcome.full_relabel);
+        visited += outcome.affected_vertices;
+        applied += 1;
+    }
+    assert!(
+        visited < INSERTS * N / 100,
+        "{visited} vertices visited over {INSERTS} inserts: not under 1 % of {N} per insert"
+    );
+    let edited = graph.to_graph();
+    let fresh = HighwayCoverIndex::build_with(&edited, &options);
+    let (repaired, rebuilt) = (
+        dynamic.num_label_entries(),
+        fresh.stats().total_label_entries,
+    );
+    assert!(
+        repaired * 100 <= rebuilt * 101,
+        "repaired labelling holds {repaired} entries, a fresh build {rebuilt}"
+    );
+    // Still exact where it matters: sampled answers against the oracle.
+    let repaired = dynamic.to_index();
+    let mut ctx = QueryContext::new();
+    let mut scratch = bfs::BfsScratch::new();
+    for _ in 0..200 {
+        let u = rng.next_below(N as u64) as u32;
+        let v = rng.next_below(N as u64) as u32;
+        assert_eq!(
+            repaired.as_view().query_with(&edited, &mut ctx, u, v),
+            bfs::distance_with(&edited, u, v, &mut scratch),
+            "({u}, {v}) after {INSERTS} inserts"
+        );
     }
 }
 
