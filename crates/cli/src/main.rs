@@ -432,7 +432,7 @@ impl Source {
                 let meta = store.meta();
                 eprintln!(
                     "index file: {} vertices, {} edges, {} landmarks, {} label entries \
-                     ({:.1} KiB file, {} backing, loaded+{} in {:.1?}, no rebuild)",
+                     ({:.1} KiB file, {} backing, loaded+{} in {:.1?} ({}), no rebuild)",
                     meta.num_vertices,
                     meta.num_edges,
                     meta.num_landmarks,
@@ -444,7 +444,8 @@ impl Source {
                     } else {
                         "validated"
                     },
-                    load_time
+                    load_time,
+                    store.open_phases()
                 );
                 Ok(Source::Stored(Box::new(store)))
             }
@@ -1612,6 +1613,7 @@ fn cmd_inspect(args: Vec<String>) -> Result<(), String> {
             store.backing_kind(),
             load_time
         )?;
+        writeln!(out, "open:          {}", store.open_phases())?;
         writeln!(out, "vertices:      {}", meta.num_vertices)?;
         writeln!(out, "edges:         {}", meta.num_edges)?;
         writeln!(out, "landmarks:     {}", meta.num_landmarks)?;

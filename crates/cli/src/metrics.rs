@@ -12,13 +12,14 @@
 //! [`ServerMetrics`] adds the counters the socket front end exposes on
 //! `GET /metrics`: totals for requests, answers, malformed and
 //! out-of-range requests, connections, backpressure rejections, client
-//! disconnects, write timeouts, oversized lines, index reloads, and live
-//! updates (per-phase time, affected-set size, and a second histogram for
-//! update latency). The rendered format is Prometheus-style `name value`
-//! lines.
+//! disconnects, write timeouts, oversized lines, index reloads, the live
+//! generation's open (per-phase time), and live updates (per-phase time,
+//! affected-set size, and a second histogram for update latency). The
+//! rendered format is Prometheus-style `name value` lines.
 
 use crate::update::UpdatePhases;
 use hcl_index::AnswerSource;
+use hcl_store::OpenPhases;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -61,6 +62,12 @@ fn bucket_upper_ns(idx: usize) -> u64 {
     ((SUBS as u64 + sub + 1) << (octave - SUB_BITS as usize)) - 1
 }
 
+/// A duration as the nanosecond count the atomics hold (saturating:
+/// `u64` nanoseconds are 584 years).
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
 impl LatencyHistogram {
     pub(crate) fn new() -> Self {
         Self {
@@ -72,7 +79,7 @@ impl LatencyHistogram {
 
     /// Records one request latency. Lock-free; safe from any thread.
     pub(crate) fn record(&self, elapsed: Duration) {
-        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        let ns = nanos(elapsed);
         self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
@@ -198,6 +205,9 @@ pub(crate) struct ServerMetrics {
     pub(crate) scrub_passes: Counter,
     /// Scrub passes that detected corruption (the server degrades).
     pub(crate) scrub_failures: Counter,
+    /// Gauge: nanoseconds the open behind the live generation spent per
+    /// phase, in [`OpenPhases::named`] order; exported in seconds.
+    open_phase_ns: [AtomicU64; 4],
     /// Edge deltas applied through live updates (stdin `+u v` / `-u v`
     /// lines and `POST /update` bodies); no-op deltas are not counted.
     pub(crate) updates_applied: Counter,
@@ -259,6 +269,7 @@ impl ServerMetrics {
             reload_failures: Counter::new("hcl_reload_failures_total"),
             scrub_passes: Counter::new("hcl_scrub_passes_total"),
             scrub_failures: Counter::new("hcl_scrub_failures_total"),
+            open_phase_ns: std::array::from_fn(|_| AtomicU64::new(0)),
             updates_applied: Counter::new("hcl_updates_applied_total"),
             update_failures: Counter::new("hcl_update_failures_total"),
             compactions: Counter::new("hcl_compactions_total"),
@@ -291,6 +302,14 @@ impl ServerMetrics {
         }
     }
 
+    /// Points `hcl_open_seconds` at the open that produced the generation
+    /// going live (server start, each successful reload).
+    pub(crate) fn record_open(&self, phases: &OpenPhases) {
+        for (slot, (_, took)) in self.open_phase_ns.iter().zip(phases.named()) {
+            slot.store(nanos(took), Ordering::Relaxed);
+        }
+    }
+
     /// Accounts one published update batch: `applied` effective deltas,
     /// where the time went and what the repairs touched (`phases`), what
     /// reached the file, and the journal depth it left.
@@ -308,8 +327,7 @@ impl ServerMetrics {
         }
         self.update_persist_bytes.add(bytes.unwrap_or(0));
         for (slot, (_, took)) in self.update_phase_ns.iter().zip(phases.named()) {
-            let ns = u64::try_from(took.as_nanos()).unwrap_or(u64::MAX);
-            slot.fetch_add(ns, Ordering::Relaxed);
+            slot.fetch_add(nanos(took), Ordering::Relaxed);
         }
         self.update_affected_landmarks
             .add(phases.affected_landmarks);
@@ -356,14 +374,25 @@ impl ServerMetrics {
         ] {
             let _ = writeln!(out, "{} {}", c.name, c.get());
         }
-        let phase_names = UpdatePhases::default().named();
-        for (slot, (phase, _)) in self.update_phase_ns.iter().zip(phase_names) {
-            let _ = writeln!(
-                out,
-                "hcl_update_phase_seconds_total{{phase=\"{phase}\"}} {:.6}",
-                slot.load(Ordering::Relaxed) as f64 / 1e9
-            );
-        }
+        let mut per_phase = |metric: &str, slots: &[AtomicU64; 4], phases: [&str; 4]| {
+            for (slot, phase) in slots.iter().zip(phases) {
+                let _ = writeln!(
+                    out,
+                    "{metric}{{phase=\"{phase}\"}} {:.6}",
+                    slot.load(Ordering::Relaxed) as f64 / 1e9
+                );
+            }
+        };
+        per_phase(
+            "hcl_open_seconds",
+            &self.open_phase_ns,
+            OpenPhases::default().named().map(|(phase, _)| phase),
+        );
+        per_phase(
+            "hcl_update_phase_seconds_total",
+            &self.update_phase_ns,
+            UpdatePhases::default().named().map(|(phase, _)| phase),
+        );
         let _ = writeln!(
             out,
             "hcl_journal_pending {}",
@@ -498,8 +527,17 @@ mod tests {
             false,
             7,
         );
+        m.record_open(&OpenPhases {
+            checksum: Duration::from_millis(20),
+            graph: Duration::from_micros(23_500),
+            ..Default::default()
+        });
         let text = m.render(3);
         for needle in [
+            "hcl_open_seconds{phase=\"crc\"} 0.020000\n",
+            "hcl_open_seconds{phase=\"graph\"} 0.023500\n",
+            "hcl_open_seconds{phase=\"labels\"} 0.000000\n",
+            "hcl_open_seconds{phase=\"replay\"} 0.000000\n",
             "hcl_up 1\n",
             "hcl_index_generation 3\n",
             "hcl_requests_total 2\n",

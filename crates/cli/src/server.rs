@@ -180,7 +180,7 @@ pub(crate) fn serve_listen(handle: GenerationHandle, cfg: ServerConfig) -> Resul
         update: Mutex::new(None),
         compact_after: cfg.compact_after,
     });
-    set_journal_gauge(&state, &state.handle.current().store);
+    set_open_gauges(&state, &state.handle.current().store);
     sig::install(cfg.reload_signal);
 
     // The line the tooling greps for: the bound address (resolving `:0`)
@@ -323,9 +323,12 @@ pub(crate) fn serve_listen(handle: GenerationHandle, cfg: ServerConfig) -> Resul
     Ok(())
 }
 
-/// Points `hcl_journal_pending` at what a reopen of `store`'s file would
-/// replay; live updates keep it current from there.
-fn set_journal_gauge(state: &ServerState, store: &IndexStore) {
+/// Points the gauges a freshly opened generation sets at `store`:
+/// `hcl_open_seconds` at where its open spent the time, and
+/// `hcl_journal_pending` at what a reopen of its file would replay (live
+/// updates keep that one current from there).
+fn set_open_gauges(state: &ServerState, store: &IndexStore) {
+    state.metrics.record_open(&store.open_phases());
     let pending = store.journal().map_or(0, |j| j.len() as u64);
     state
         .metrics
@@ -372,7 +375,7 @@ pub(crate) fn do_reload(state: &ServerState) -> Result<u64, String> {
         };
         match opened {
             Ok(store) => {
-                set_journal_gauge(state, &store);
+                set_open_gauges(state, &store);
                 let generation = state.handle.swap(store);
                 state.metrics.reloads.inc();
                 // The file on disk superseded any in-memory update state:

@@ -735,6 +735,68 @@ fn acked_updates_survive_kill_9_as_appended_journal_frames() {
     assert_eq!(stdin_serve(&live, &[], &queries), expected);
 }
 
+/// The open is lit on every surface an operator has: `inspect`'s
+/// `open:` line, the `index file:` load line, and `hcl_open_seconds` —
+/// a gauge for the live generation, so a reload repoints it.
+#[test]
+fn open_phases_show_in_inspect_on_the_load_line_and_in_metrics() {
+    let scratch = Scratch::new("open_phases");
+    // Big enough that the phases asserted non-zero below take well over
+    // the gauge's microsecond resolution in an optimised build too.
+    let graph = testkit::barabasi_albert(2_000, 3, 0x09E4);
+    let live = build_index(&scratch, "live", &edge_list(&graph), 6);
+    let (a, b) = non_edge(&graph);
+    let edit = scratch.file("edit.txt", &format!("+{a} {b}\n"));
+    let (status, stderr) = run_update(&live, &edit, &[]);
+    assert!(status.success(), "stderr:\n{stderr}");
+
+    let report = inspect(&live);
+    let open = report
+        .lines()
+        .find(|l| l.starts_with("open: "))
+        .unwrap_or_else(|| panic!("no open: line in:\n{report}"));
+    for phase in ["crc ", ", graph ", ", labels ", ", replay "] {
+        assert!(open.contains(phase), "missing `{phase}` in: {open}");
+    }
+
+    let open_seconds = |server: &Server, phase: &str| -> f64 {
+        let (status, body) = server.http_get("/metrics");
+        assert_eq!(status, 200);
+        let name = format!("hcl_open_seconds{{phase=\"{phase}\"}} ");
+        body.lines()
+            .find_map(|l| l.strip_prefix(&name)?.parse().ok())
+            .unwrap_or_else(|| panic!("missing {name} in:\n{body}"))
+    };
+    // A validated open of a file with one pending delta ran all four.
+    let server = Server::spawn(&live, &[]);
+    for phase in ["graph", "labels"] {
+        open_seconds(&server, phase);
+    }
+    assert!(open_seconds(&server, "crc") > 0.0);
+    assert!(open_seconds(&server, "replay") > 0.0);
+    // Fold the journal offline and reload: nothing left to replay.
+    let nothing = scratch.file("nothing.txt", "");
+    let (status, stderr) = run_update(&live, &nothing, &["--compact"]);
+    assert!(status.success(), "stderr:\n{stderr}");
+    assert_eq!(server.http_get("/reload").0, 200);
+    assert_eq!(open_seconds(&server, "replay"), 0.0);
+    assert!(open_seconds(&server, "crc") > 0.0);
+    let (status, stderr) = server.drain();
+    assert!(status.success(), "stderr:\n{stderr}");
+    let load_line = stderr
+        .lines()
+        .find(|l| l.starts_with("index file: "))
+        .unwrap_or_else(|| panic!("no load line in:\n{stderr}"));
+    assert!(
+        load_line.contains("loaded+validated in ") && load_line.contains(" (crc "),
+        "load line lost its phases: {load_line}"
+    );
+
+    // A trusted open skips exactly the checksum pass.
+    let server = Server::spawn(&live, &["--trusted"]);
+    assert_eq!(open_seconds(&server, "crc"), 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // Acceptance: generation swaps drop no in-flight answer
 // ---------------------------------------------------------------------------

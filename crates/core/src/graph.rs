@@ -144,8 +144,8 @@ impl<'a> GraphView<'a> {
     /// Checks every structural invariant the traversal code relies on:
     /// offsets are monotone and span the neighbour array, adjacency lists
     /// are strictly ascending, in range, self-loop free, and symmetric
-    /// (this is an undirected graph). `O(n + m log m)` — run once per load,
-    /// never per query.
+    /// (this is an undirected graph). `O(n + m)` — run once per load, never
+    /// per query.
     pub fn from_csr(offsets: &'a [u64], neighbors: &'a [VertexId]) -> Result<Self, CsrError> {
         let view = Self::from_csr_unchecked(offsets, neighbors);
         view.validate()?;
@@ -210,15 +210,33 @@ impl<'a> GraphView<'a> {
                 last = Some(w);
             }
         }
-        // Symmetry: every directed entry must have its reverse.
-        for v in 0..n {
-            for &w in self.neighbors_of(v) {
-                if self.neighbors(w).binary_search(&(v as VertexId)).is_err() {
-                    return Err(CsrError::MissingReverseEdge {
-                        u: v as VertexId,
-                        v: w,
-                    });
+        // Symmetry: every directed entry must have its reverse — one sweep
+        // with a cursor per vertex, `O(n + m)`. `cursor[w]` is the first
+        // entry of `adj(w)` no reverse has claimed yet. Sources are visited
+        // in ascending order and every list is strictly ascending (checked
+        // above), so the sources that name `w` arrive in exactly the order
+        // `adj(w)` must list them: each entry `u -> w` has to find `u`
+        // *at* the cursor, and claiming it consumes the list front to back.
+        let mut cursor: Vec<u64> = offsets[..n].to_vec();
+        for u in 0..n {
+            for &w in self.neighbors_of(u) {
+                let at = cursor[w as usize];
+                let next = (at < offsets[w as usize + 1]).then(|| self.neighbors[at as usize]);
+                if next == Some(u as VertexId) {
+                    cursor[w as usize] = at + 1;
+                    continue;
                 }
+                return Err(match next {
+                    // `x` was visited (x < u) without claiming its slot in
+                    // `adj(w)`: it does not list `w`.
+                    Some(x) if (x as usize) < u => CsrError::MissingReverseEdge { u: w, v: x },
+                    // Everything before the cursor is smaller than `u`,
+                    // everything from it on is larger: `adj(w)` lacks `u`.
+                    _ => CsrError::MissingReverseEdge {
+                        u: u as VertexId,
+                        v: w,
+                    },
+                });
             }
         }
         Ok(())
@@ -502,6 +520,47 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
+    use crate::testkit;
+
+    /// The search-based symmetry scan `validate` ran before the cursor
+    /// sweep — one binary search per directed entry — kept as the
+    /// reference: every entry `u -> v` lacking its reverse, in scan order
+    /// (the old scan reported the first).
+    fn missing_reverse_edges(offsets: &[u64], neighbors: &[VertexId]) -> Vec<(VertexId, VertexId)> {
+        let view = GraphView::from_csr_unchecked(offsets, neighbors);
+        let mut missing = Vec::new();
+        for u in 0..view.num_vertices() as VertexId {
+            for &v in view.neighbors(u) {
+                if !view.has_edge(v, u) {
+                    missing.push((u, v));
+                }
+            }
+        }
+        missing
+    }
+
+    /// `from_csr` on arrays with `violations` planted (lists still in
+    /// range and strictly ascending) must name one of them — and the very
+    /// pair the search-based scan named whenever there is only one.
+    fn assert_names_a_planted_violation(
+        offsets: &[u64],
+        neighbors: &[VertexId],
+        violations: usize,
+        what: &str,
+    ) {
+        let missing = missing_reverse_edges(offsets, neighbors);
+        assert_eq!(missing.len(), violations, "{what}: planted violations");
+        match GraphView::from_csr(offsets, neighbors) {
+            Err(CsrError::MissingReverseEdge { u, v }) => {
+                assert!(missing.contains(&(u, v)), "{what}: ({u}, {v}) is symmetric");
+                if violations == 1 {
+                    assert_eq!((u, v), missing[0], "{what}: differs from the search scan");
+                }
+            }
+            other => panic!("{what}: expected MissingReverseEdge, got {other:?}"),
+        }
+    }
 
     #[test]
     fn empty_graph() {
@@ -604,6 +663,105 @@ mod tests {
         let rebuilt = Graph::from_csr(g.csr_offsets().to_vec(), g.csr_neighbors().to_vec())
             .expect("builder output must be valid CSR");
         assert_eq!(rebuilt, g);
+    }
+
+    #[test]
+    fn from_csr_accepts_every_testkit_family() {
+        for (name, g) in testkit::families() {
+            assert!(
+                missing_reverse_edges(g.csr_offsets(), g.csr_neighbors()).is_empty(),
+                "{name}"
+            );
+            let view = GraphView::from_csr(g.csr_offsets(), g.csr_neighbors())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(view.to_owned_graph(), g, "{name}");
+        }
+    }
+
+    #[test]
+    fn from_csr_accepts_a_long_star() {
+        // One list of length n - 1 that every other vertex advances once:
+        // the shape a per-entry rescan of the hub list would make
+        // quadratic. Shape guard only — nothing here is timed.
+        let leaves = if cfg!(miri) { 1_000 } else { 100_000 };
+        let g = testkit::star(leaves + 1);
+        let view = GraphView::from_csr(g.csr_offsets(), g.csr_neighbors()).expect("star is valid");
+        assert_eq!(view.degree(0), leaves);
+    }
+
+    #[test]
+    fn from_csr_names_a_genuine_missing_reverse_edge() {
+        let mut rng = SplitMix64::new(0x5EED);
+        for (name, g) in testkit::families() {
+            let (offsets, neighbors) = (g.csr_offsets(), g.csr_neighbors());
+            let n = g.num_vertices();
+            // The vertex owning directed entry `e`.
+            let owner = |e: usize| offsets.partition_point(|&o| o <= e as u64) - 1;
+            // Every entry; the interpreter gets the first few per family.
+            let sampled = if cfg!(miri) { 8 } else { usize::MAX };
+            for e in 0..neighbors.len().min(sampled) {
+                let u = owner(e);
+                let what = format!("{name}: entry {e} ({u} -> {})", neighbors[e]);
+
+                // Drop the entry: its reverse is left dangling.
+                let mut cut_offsets = offsets.to_vec();
+                for o in &mut cut_offsets[u + 1..] {
+                    *o -= 1;
+                }
+                let mut cut = neighbors.to_vec();
+                cut.remove(e);
+                assert_names_a_planted_violation(&cut_offsets, &cut, 1, &format!("{what} dropped"));
+
+                // Retarget it within the gap between its list neighbours,
+                // so the list stays strictly ascending: the new target has
+                // no reverse, and the old target's reverse dangles.
+                let lo = if e as u64 > offsets[u] {
+                    neighbors[e - 1] + 1
+                } else {
+                    0
+                };
+                let hi = if (e as u64 + 1) < offsets[u + 1] {
+                    neighbors[e + 1]
+                } else {
+                    n as VertexId
+                };
+                if let Some(target) = (lo..hi).find(|&t| t != neighbors[e] && t as usize != u) {
+                    let mut moved = neighbors.to_vec();
+                    moved[e] = target;
+                    assert_names_a_planted_violation(
+                        offsets,
+                        &moved,
+                        2,
+                        &format!("{what} retargeted to {target}"),
+                    );
+                }
+            }
+
+            // Add one extra entry `u -> w` at its sorted position.
+            for u in 0..n {
+                let absent: Vec<VertexId> = (0..n as VertexId)
+                    .filter(|&w| w as usize != u && !g.has_edge(u as VertexId, w))
+                    .collect();
+                if absent.is_empty() {
+                    continue;
+                }
+                let w = absent[rng.next_below(absent.len() as u64) as usize];
+                let at =
+                    offsets[u] as usize + g.neighbors(u as VertexId).partition_point(|&x| x < w);
+                let mut grown_offsets = offsets.to_vec();
+                for o in &mut grown_offsets[u + 1..] {
+                    *o += 1;
+                }
+                let mut grown = neighbors.to_vec();
+                grown.insert(at, w);
+                assert_names_a_planted_violation(
+                    &grown_offsets,
+                    &grown,
+                    1,
+                    &format!("{name}: extra entry {u} -> {w}"),
+                );
+            }
+        }
     }
 
     #[test]

@@ -29,14 +29,16 @@
 //! Integrity: the container carries magic, version, declared length, and a
 //! CRC-64 over the whole file, and every structural invariant of the CSR
 //! arrays is validated once at open. Corrupt, truncated, or tampered input
-//! yields a typed [`StoreError`] — never a panic, never UB. The full-file
-//! CRC pass is the one validation cost that scales with file size, and it
-//! exists to catch *storage* corruption; for files the process just wrote
-//! (or the operator vouches for), [`IndexStore::open_trusted`] skips
-//! exactly that pass while keeping every header, geometry, and semantic
-//! check — making serving fan-out nearly free. See [`format`](self) docs in
-//! `format.rs` for the byte layout, including the v3 packed label-entry
-//! section and the v2 compatibility path.
+//! yields a typed [`StoreError`] — never a panic, never UB. Every
+//! validation cost is linear in the file — the CRC pass streams each byte
+//! once (slicing-by-16, about memory speed), the semantic passes read each
+//! section once — and [`IndexStore::open_phases`] says how an open split
+//! between them. The CRC exists to catch *storage* corruption; for files
+//! the process just wrote (or the operator vouches for),
+//! [`IndexStore::open_trusted`] skips exactly that pass while keeping every
+//! header, geometry, and semantic check — roughly halving the open. See
+//! [`format`](self) docs in `format.rs` for the byte layout, including the
+//! v3 packed label-entry section and the v2 compatibility path.
 //!
 //! Live edge updates never rewrite a container: [`JournalWriter`] appends
 //! one small self-checksummed frame per acknowledged batch after the
@@ -77,12 +79,13 @@ pub use hcl_index::SelectionStrategy;
 
 use backing::{cast_u32s, cast_u64s, AlignedBuf, Backing};
 use format::{LabelRanges, Layout};
-use hcl_core::{DeltaGraph, Graph, GraphView, VertexId};
+use hcl_core::{DeltaError, DeltaGraph, EdgeDelta, Graph, GraphView, VertexId};
 use hcl_index::repair::DynamicIndex;
 use hcl_index::{pack_label_entry, BuildContext, HighwayCoverIndex, IndexView};
 use std::fs::File;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Serialises `graph` and `index` and writes them to `path` atomically,
 /// leaving the header's build-metadata bytes unrecorded; see [`save_with`].
@@ -203,6 +206,50 @@ enum OpenMode {
     Trusted,
 }
 
+/// Where an open spent its time, phase by phase in the order they run.
+/// A phase that did not run reads zero: `checksum` on a trusted open,
+/// `replay` on a file with no pending deltas, all four on a generation a
+/// [`JournalWriter`] stamped in memory (nothing was opened).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OpenPhases {
+    /// The whole-image CRC-64 pass (with the header and section-table
+    /// checks, which are microseconds).
+    pub checksum: Duration,
+    /// Semantic validation of the CSR arrays (`GraphView::from_csr`).
+    pub graph: Duration,
+    /// Semantic validation of the labelling (`IndexView::from_parts`),
+    /// after packing the split label sections of a v2 file.
+    pub labels: Duration,
+    /// Pending journal deltas replayed over the base sections: label
+    /// repair per delta, then one rematerialised graph and index.
+    pub replay: Duration,
+}
+
+impl OpenPhases {
+    /// `(name, duration)` per phase, in the order they run; the names are
+    /// what the CLI prints and the `phase` label values of
+    /// `hcl_open_seconds`.
+    pub fn named(&self) -> [(&'static str, Duration); 4] {
+        [
+            ("crc", self.checksum),
+            ("graph", self.graph),
+            ("labels", self.labels),
+            ("replay", self.replay),
+        ]
+    }
+}
+
+/// `crc 19.8ms, graph 23.1ms, labels 5.1ms, replay 0.0ns`.
+impl std::fmt::Display for OpenPhases {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, (name, took)) in self.named().into_iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}{name} {took:.1?}")?;
+        }
+        Ok(())
+    }
+}
+
 /// An opened, validated `.hcl` container serving borrowed graph and index
 /// views.
 ///
@@ -231,6 +278,8 @@ pub struct IndexStore {
     /// When present, [`IndexStore::graph`] and [`IndexStore::index`] serve
     /// these instead of the (stale) base sections.
     replayed: Option<ReplayedState>,
+    /// Where the open that produced this store spent its time.
+    open_phases: OpenPhases,
 }
 
 /// The validated container image of an opened store: immutable, and
@@ -248,6 +297,164 @@ impl Base {
     /// backing continues with the journal tail).
     fn image(&self) -> &[u8] {
         &self.backing.bytes()[..self.layout.meta.file_len as usize]
+    }
+
+    /// The graph sections as a view. Unchecked: a `Base` only ever holds
+    /// an image that passed [`validate`].
+    fn graph(&self) -> GraphView<'_> {
+        let (bytes, layout) = (self.image(), &self.layout);
+        GraphView::from_csr_unchecked(
+            cast_u64s(&bytes[layout.graph_offsets.clone()]),
+            cast_u32s(&bytes[layout.graph_neighbors.clone()]),
+        )
+    }
+
+    /// The index sections as a view; see [`Base::graph`].
+    fn index(&self) -> IndexView<'_> {
+        let (bytes, layout) = (self.image(), &self.layout);
+        let entries = packed_entries(&layout.labels, &self.converted_entries, bytes);
+        IndexView::from_parts_unchecked(
+            cast_u32s(&bytes[layout.landmarks.clone()]),
+            cast_u32s(&bytes[layout.landmark_rank.clone()]),
+            cast_u64s(&bytes[layout.label_offsets.clone()]),
+            entries,
+            cast_u32s(&bytes[layout.highway.clone()]),
+        )
+    }
+}
+
+/// What [`validate`] establishes about a container's bytes — everything
+/// an open checks, before any served state is built from it.
+struct Validated {
+    layout: Layout,
+    /// Owned packed label entries for v2 files; see [`Base`].
+    converted_entries: Option<Vec<u64>>,
+    /// The pending journal: the journal section's deltas followed by the
+    /// tail frames', every one of them applicable in order.
+    journal: Option<StoredJournal>,
+    tail: TailInfo,
+    /// `replay` is still zero: nothing has been replayed yet.
+    phases: OpenPhases,
+}
+
+/// The typed error for a journal delta that does not apply to the state
+/// the deltas before it produced.
+fn inapplicable(i: usize, delta: EdgeDelta, why: DeltaError) -> StoreError {
+    StoreError::Corrupt {
+        what: format!("journal delta {i} ({delta}) cannot be applied: {why}"),
+    }
+}
+
+/// Runs every check an open makes over `bytes` (a container image plus
+/// whatever journal tail follows it): header and section geometry, the
+/// whole-image CRC-64 unless `mode` is trusted, the semantic CSR and label
+/// invariants, the journal section's encoding, every tail frame, and that
+/// each pending delta applies in order. Builds nothing that serves.
+fn validate(bytes: &[u8], mode: OpenMode) -> Result<Validated, StoreError> {
+    #[cfg(target_endian = "big")]
+    {
+        return Err(StoreError::UnsupportedPlatform {
+            why: "zero-copy .hcl serving requires a little-endian host",
+        });
+    }
+    #[cfg(not(target_endian = "big"))]
+    {
+        let mut phases = OpenPhases::default();
+        let t = Instant::now();
+        let layout = format::parse_and_validate(bytes, mode == OpenMode::Validated)?;
+        if mode == OpenMode::Validated {
+            phases.checksum = t.elapsed();
+        }
+
+        // Semantic validation, once: afterwards the accessors can use the
+        // unchecked view constructors.
+        let (bytes, tail_bytes) = bytes.split_at(layout.meta.file_len as usize);
+        let t = Instant::now();
+        let graph = GraphView::from_csr(
+            cast_u64s(&bytes[layout.graph_offsets.clone()]),
+            cast_u32s(&bytes[layout.graph_neighbors.clone()]),
+        )?;
+        phases.graph = t.elapsed();
+
+        // v2 files carry labels as two parallel u32 sections; pack them
+        // once into the layout the query engine consumes. v3 serves them
+        // in place.
+        let t = Instant::now();
+        let converted_entries = match &layout.labels {
+            LabelRanges::Packed { .. } => None,
+            LabelRanges::Split { hubs, dists } => {
+                let hubs = cast_u32s(&bytes[hubs.clone()]);
+                let dists = cast_u32s(&bytes[dists.clone()]);
+                Some(
+                    hubs.iter()
+                        .zip(dists)
+                        .map(|(&h, &d)| pack_label_entry(h, d))
+                        .collect::<Vec<u64>>(),
+                )
+            }
+        };
+        let entries = packed_entries(&layout.labels, &converted_entries, bytes);
+        let index = IndexView::from_parts(
+            cast_u32s(&bytes[layout.landmarks.clone()]),
+            cast_u32s(&bytes[layout.landmark_rank.clone()]),
+            cast_u64s(&bytes[layout.label_offsets.clone()]),
+            entries,
+            cast_u32s(&bytes[layout.highway.clone()]),
+        )?;
+        phases.labels = t.elapsed();
+        if graph.num_vertices() != index.num_vertices() {
+            return Err(StoreError::GraphIndexMismatch {
+                graph_vertices: graph.num_vertices(),
+                index_vertices: index.num_vertices(),
+            });
+        }
+
+        // The pending journal is the journal section's deltas followed by
+        // the tail frames'. An undecodable section or a corrupt frame is a
+        // hard error: silently dropping edits would serve stale answers as
+        // if they were current. (A torn *final* frame is not corruption —
+        // see `format.rs` — and is only counted.)
+        let section = match &layout.journal {
+            None => None,
+            Some(range) => {
+                let words = cast_u64s(&bytes[range.clone()]);
+                Some(StoredJournal::decode(words).ok_or(StoreError::Corrupt {
+                    what: "journal section cannot be decoded (unknown tag, op, or geometry)".into(),
+                })?)
+            }
+        };
+        let first_seq = section.as_ref().map_or(0, |j| j.len() as u64);
+        let parsed = tail::parse(tail_bytes, layout.meta.checksum, first_seq)?;
+        let journal = match section {
+            Some(mut journal) => {
+                journal.deltas.extend(parsed.deltas);
+                Some(journal)
+            }
+            None if parsed.info.frames > 0 => Some(StoredJournal {
+                deltas: parsed.deltas,
+                compactions: 0,
+            }),
+            None => None,
+        };
+
+        // Applicability needs only the edited graph: the label repair a
+        // replay adds rejects a delta exactly when the overlay does.
+        if let Some(journal) = &journal {
+            let mut overlay = DeltaGraph::new(graph);
+            for (i, &delta) in journal.deltas.iter().enumerate() {
+                overlay
+                    .apply(delta)
+                    .map_err(|why| inapplicable(i, delta, why))?;
+            }
+        }
+
+        Ok(Validated {
+            layout,
+            converted_entries,
+            journal,
+            tail: parsed.info,
+            phases,
+        })
     }
 }
 
@@ -281,9 +488,9 @@ impl IndexStore {
     /// this process (or a trusted pipeline stage) just wrote, where the
     /// checksum would only re-verify bytes the page cache already holds.
     ///
-    /// Everything cheap still runs: magic, version, declared length,
+    /// Everything else still runs: magic, version, declared length,
     /// section-table geometry, the journal-tail frame checksums, and the
-    /// full semantic CSR/label validation (`O(n + entries + k²)`, but
+    /// full semantic CSR/label validation (`O(n + m + entries + k²)`, but
     /// without touching every payload byte a second time for the CRC).
     /// What is *lost* is detection of silent storage-level corruption
     /// inside array payloads whose values happen to stay structurally
@@ -348,119 +555,50 @@ impl IndexStore {
     }
 
     fn from_backing(backing: Backing, mode: OpenMode) -> Result<Self, StoreError> {
-        #[cfg(target_endian = "big")]
-        {
-            return Err(StoreError::UnsupportedPlatform {
-                why: "zero-copy .hcl serving requires a little-endian host",
-            });
-        }
-        #[cfg(not(target_endian = "big"))]
-        {
-            let layout = format::parse_and_validate(backing.bytes(), mode == OpenMode::Validated)?;
+        let Validated {
+            layout,
+            converted_entries,
+            journal,
+            tail,
+            phases: mut open_phases,
+        } = validate(backing.bytes(), mode)?;
+        let base = Base {
+            backing,
+            layout,
+            converted_entries,
+        };
 
-            // v2 files carry labels as two parallel u32 sections; pack them
-            // once into the layout the query engine consumes. v3 serves
-            // them in place.
-            let (bytes, tail_bytes) = backing.bytes().split_at(layout.meta.file_len as usize);
-            let converted_entries = match &layout.labels {
-                LabelRanges::Packed { .. } => None,
-                LabelRanges::Split { hubs, dists } => {
-                    let hubs = cast_u32s(&bytes[hubs.clone()]);
-                    let dists = cast_u32s(&bytes[dists.clone()]);
-                    Some(
-                        hubs.iter()
-                            .zip(dists)
-                            .map(|(&h, &d)| pack_label_entry(h, d))
-                            .collect::<Vec<u64>>(),
-                    )
+        // Replay pending deltas over the base sections — applying each
+        // edit to a delta overlay and repairing the labels incrementally
+        // — so the store serves *current* state.
+        let replayed = match &journal {
+            Some(j) if !j.is_empty() => {
+                let t = Instant::now();
+                let mut overlay = DeltaGraph::new(base.graph());
+                let mut dynamic = DynamicIndex::from_view(base.index());
+                let mut cx = BuildContext::new();
+                for (i, &delta) in j.deltas.iter().enumerate() {
+                    dynamic
+                        .apply_and_repair(&mut overlay, delta, &mut cx)
+                        .map_err(|why| inapplicable(i, delta, why))?;
                 }
-            };
-
-            // Semantic validation, once: afterwards the accessors can use
-            // the unchecked view constructors.
-            let graph = GraphView::from_csr(
-                cast_u64s(&bytes[layout.graph_offsets.clone()]),
-                cast_u32s(&bytes[layout.graph_neighbors.clone()]),
-            )?;
-            let entries = packed_entries(&layout.labels, &converted_entries, bytes);
-            let index = IndexView::from_parts(
-                cast_u32s(&bytes[layout.landmarks.clone()]),
-                cast_u32s(&bytes[layout.landmark_rank.clone()]),
-                cast_u64s(&bytes[layout.label_offsets.clone()]),
-                entries,
-                cast_u32s(&bytes[layout.highway.clone()]),
-            )?;
-            if graph.num_vertices() != index.num_vertices() {
-                return Err(StoreError::GraphIndexMismatch {
-                    graph_vertices: graph.num_vertices(),
-                    index_vertices: index.num_vertices(),
-                });
-            }
-
-            // The pending journal is the journal section's deltas followed
-            // by the tail frames'. An undecodable section or a corrupt
-            // frame is a hard error: silently dropping edits would serve
-            // stale answers as if they were current. (A torn *final* frame
-            // is not corruption — see `format.rs` — and is only counted.)
-            let section =
-                match &layout.journal {
-                    None => None,
-                    Some(range) => {
-                        let words = cast_u64s(&bytes[range.clone()]);
-                        Some(StoredJournal::decode(words).ok_or(StoreError::Corrupt {
-                        what: "journal section cannot be decoded (unknown tag, op, or geometry)"
-                            .into(),
-                    })?)
-                    }
+                let state = ReplayedState {
+                    graph: Arc::new(overlay.to_graph()),
+                    index: Arc::new(dynamic.to_index()),
                 };
-            let first_seq = section.as_ref().map_or(0, |j| j.len() as u64);
-            let parsed = tail::parse(tail_bytes, layout.meta.checksum, first_seq)?;
-            let journal = match section {
-                Some(mut journal) => {
-                    journal.deltas.extend(parsed.deltas);
-                    Some(journal)
-                }
-                None if parsed.info.frames > 0 => Some(StoredJournal {
-                    deltas: parsed.deltas,
-                    compactions: 0,
-                }),
-                None => None,
-            };
+                open_phases.replay = t.elapsed();
+                Some(state)
+            }
+            _ => None,
+        };
 
-            // Replay pending deltas over the base sections — applying each
-            // edit to a delta overlay and repairing the labels
-            // incrementally — so the store serves *current* state.
-            let replayed = match &journal {
-                Some(j) if !j.is_empty() => {
-                    let mut overlay = DeltaGraph::new(graph);
-                    let mut dynamic = DynamicIndex::from_view(index);
-                    let mut cx = BuildContext::new();
-                    for (i, &delta) in j.deltas.iter().enumerate() {
-                        dynamic
-                            .apply_and_repair(&mut overlay, delta, &mut cx)
-                            .map_err(|e| StoreError::Corrupt {
-                                what: format!("journal delta {i} ({delta}) cannot be applied: {e}"),
-                            })?;
-                    }
-                    Some(ReplayedState {
-                        graph: Arc::new(overlay.to_graph()),
-                        index: Arc::new(dynamic.to_index()),
-                    })
-                }
-                _ => None,
-            };
-
-            Ok(Self {
-                base: Arc::new(Base {
-                    backing,
-                    layout,
-                    converted_entries,
-                }),
-                journal,
-                tail: parsed.info,
-                replayed,
-            })
-        }
+        Ok(Self {
+            base: Arc::new(base),
+            journal,
+            tail,
+            replayed,
+            open_phases,
+        })
     }
 
     /// The *current* graph: the replayed state for a journalled container
@@ -489,25 +627,13 @@ impl IndexStore {
     /// Identical to [`graph`](IndexStore::graph) when the journal is
     /// empty or absent.
     pub fn base_graph(&self) -> GraphView<'_> {
-        let (bytes, layout) = (self.base.image(), &self.base.layout);
-        GraphView::from_csr_unchecked(
-            cast_u64s(&bytes[layout.graph_offsets.clone()]),
-            cast_u32s(&bytes[layout.graph_neighbors.clone()]),
-        )
+        self.base.graph()
     }
 
     /// The index exactly as stored in the base sections; see
     /// [`base_graph`](IndexStore::base_graph).
     pub fn base_index(&self) -> IndexView<'_> {
-        let (bytes, layout) = (self.base.image(), &self.base.layout);
-        let entries = packed_entries(&layout.labels, &self.base.converted_entries, bytes);
-        IndexView::from_parts_unchecked(
-            cast_u32s(&bytes[layout.landmarks.clone()]),
-            cast_u32s(&bytes[layout.landmark_rank.clone()]),
-            cast_u64s(&bytes[layout.label_offsets.clone()]),
-            entries,
-            cast_u32s(&bytes[layout.highway.clone()]),
-        )
+        self.base.index()
     }
 
     /// The pending delta journal — the journal section's deltas followed
@@ -554,6 +680,11 @@ impl IndexStore {
         StoredBuildStats::decode(words, self.base.layout.meta.num_landmarks)
     }
 
+    /// Where the open that produced this store spent its time.
+    pub fn open_phases(&self) -> OpenPhases {
+        self.open_phases
+    }
+
     /// Which backing serves this store: `"mmap"` or `"heap"`.
     pub fn backing_kind(&self) -> &'static str {
         self.base.backing.kind()
@@ -593,9 +724,11 @@ impl IndexStore {
 }
 
 /// Fully validates the file at `path` — header, section geometry,
-/// whole-image CRC-64, semantic CSR/label invariants, and every
-/// journal-tail frame — by reading it into a heap buffer, without
-/// constructing a served store. Returns the header metadata on success.
+/// whole-image CRC-64, semantic CSR/label invariants, every journal-tail
+/// frame, and that each pending delta applies — by reading it into a heap
+/// buffer, without constructing a served store: no label repair, no
+/// replayed graph or index. `Ok` exactly when [`IndexStore::open`] would
+/// be, with the same typed error otherwise. Returns the header metadata.
 ///
 /// This is what the serving-path scrubber runs against a reload *source*:
 /// it always re-reads the file's current bytes (an existing mmap of the
@@ -605,8 +738,7 @@ pub fn verify_file(path: impl AsRef<Path>) -> Result<StoreMeta, StoreError> {
     let mut file = File::open(path.as_ref())?;
     let len = file.metadata()?.len();
     let buf = AlignedBuf::read_from(&mut file, len as usize)?;
-    let store = IndexStore::from_backing(Backing::Heap(buf), OpenMode::Validated)?;
-    Ok(store.meta())
+    Ok(validate(buf.bytes(), OpenMode::Validated)?.layout.meta)
 }
 
 /// Resolves the packed label-entry slice for a layout: straight from the

@@ -15,7 +15,7 @@ use crate::checksum::{crc64_finish, crc64_init, crc64_update};
 use crate::durable::{self, AppendStep, IoDecision, PublishOutcome, StoreIo, SystemIo};
 use crate::error::StoreError;
 use crate::format::{decode_delta, encode_delta, serialize_with_journal, StoredJournal, MAGIC};
-use crate::{Base, IndexStore, ReplayedState};
+use crate::{Base, IndexStore, OpenPhases, ReplayedState};
 use hcl_core::{EdgeDelta, Graph};
 use hcl_index::HighwayCoverIndex;
 use std::fs::File;
@@ -405,6 +405,7 @@ impl JournalWriter {
             journal: journalled.then(|| self.journal.clone()),
             tail: self.tail,
             replayed: Some(ReplayedState { graph, index }),
+            open_phases: OpenPhases::default(),
         })
     }
 

@@ -216,7 +216,9 @@ fn undecodable_journal_is_a_hard_error() {
     let len = bytes.len();
     bytes[len - 5 * 8..len - 4 * 8].copy_from_slice(&99u64.to_le_bytes());
     hcl_store::rewrite_checksum(&mut bytes);
-    match IndexStore::from_bytes(&bytes) {
+    let opened = IndexStore::from_bytes(&bytes);
+    assert_verify_file_agrees(&bytes, &opened, "unknown journal tag");
+    match opened {
         Err(StoreError::Corrupt { what }) => {
             assert!(what.contains("journal"), "unexpected diagnosis: {what}")
         }
@@ -229,7 +231,9 @@ fn undecodable_journal_is_a_hard_error() {
         compactions: 0,
     };
     let bytes = serialize_with_journal(&base, &index, BuildInfo::default(), &bad).unwrap();
-    match IndexStore::from_bytes(&bytes) {
+    let opened = IndexStore::from_bytes(&bytes);
+    assert_verify_file_agrees(&bytes, &opened, "out-of-range section delta");
+    match opened {
         Err(StoreError::Corrupt { what }) => {
             assert!(what.contains("delta"), "unexpected diagnosis: {what}")
         }
@@ -270,11 +274,21 @@ fn concat(image: &[u8], frames: &[&[u8]]) -> Vec<u8> {
     bytes
 }
 
+/// The scrubber's verdict on `bytes` as a file must be the validated
+/// open's — the same metadata, or the same typed error — although
+/// `verify_file` stops before anything is replayed.
+fn assert_verify_file_agrees(bytes: &[u8], opened: &Result<IndexStore, StoreError>, what: &str) {
+    let path = tempdir().join("verify.hcl");
+    std::fs::write(&path, bytes).unwrap();
+    let verdict = hcl_store::verify_file(&path);
+    let expected = opened.as_ref().map(IndexStore::meta);
+    assert_eq!(format!("{verdict:?}"), format!("{expected:?}"), "{what}");
+}
+
 fn assert_corrupt(bytes: &[u8], what: &str) {
-    for opened in [
-        IndexStore::from_bytes(bytes),
-        IndexStore::from_bytes_trusted(bytes),
-    ] {
+    let validated = IndexStore::from_bytes(bytes);
+    assert_verify_file_agrees(bytes, &validated, what);
+    for opened in [validated, IndexStore::from_bytes_trusted(bytes)] {
         match opened {
             Err(StoreError::Corrupt { .. }) => {}
             other => panic!("{what}: expected a corruption error, got {other:?}"),
@@ -290,8 +304,10 @@ fn tail_frames_replay_after_the_journal_section() {
     let bytes = concat(&image, &[&frames[0], &frames[1], &frames[2]]);
     let tail_len = (bytes.len() - image.len()) as u64;
 
+    let validated = IndexStore::from_bytes(&bytes);
+    assert_verify_file_agrees(&bytes, &validated, "three intact frames");
     for store in [
-        IndexStore::from_bytes(&bytes).unwrap(),
+        validated.unwrap(),
         IndexStore::from_bytes_trusted(&bytes).unwrap(),
     ] {
         let journal = store.journal().unwrap();
@@ -358,10 +374,9 @@ fn torn_tail_at_every_byte_opens_as_the_state_before_the_last_frame() {
     let intact_tail = (intact.len() - image.len()) as u64;
     for cut in 0..frames[2].len() {
         let bytes = concat(&intact, &[&frames[2][..cut]]);
-        for store in [
-            IndexStore::from_bytes(&bytes),
-            IndexStore::from_bytes_trusted(&bytes),
-        ] {
+        let validated = IndexStore::from_bytes(&bytes);
+        assert_verify_file_agrees(&bytes, &validated, &format!("cut at {cut}"));
+        for store in [validated, IndexStore::from_bytes_trusted(&bytes)] {
             let store = store.unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
             assert_eq!(store.journal().unwrap().deltas, before_last, "cut at {cut}");
             assert_eq!(
@@ -382,7 +397,10 @@ fn torn_tail_at_every_byte_opens_as_the_state_before_the_last_frame() {
     for at in [24usize, 47, frames[2].len() - 1] {
         let mut damaged = frames[2].clone();
         damaged[at] ^= 0x20;
-        let store = IndexStore::from_bytes(&concat(&intact, &[&damaged])).unwrap();
+        let bytes = concat(&intact, &[&damaged]);
+        let validated = IndexStore::from_bytes(&bytes);
+        assert_verify_file_agrees(&bytes, &validated, &format!("damaged byte {at}"));
+        let store = validated.unwrap();
         assert_eq!(store.journal().unwrap().deltas, before_last, "byte {at}");
         assert_eq!(store.tail().torn_bytes, frames[2].len() as u64);
     }

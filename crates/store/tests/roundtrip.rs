@@ -3,7 +3,7 @@
 //! heap backings.
 
 use hcl_core::{testkit, Graph};
-use hcl_index::{HighwayCoverIndex, IndexConfig, QueryContext};
+use hcl_index::{BuildOptions, HighwayCoverIndex, IndexConfig, QueryContext, SelectionStrategy};
 use hcl_store::IndexStore;
 use std::path::PathBuf;
 
@@ -133,6 +133,31 @@ fn serialization_is_deterministic_and_meta_is_accurate() {
     let offsets = sections.iter().find(|s| s.name == "graph_offsets").unwrap();
     assert_eq!(offsets.len_bytes, (150 + 1) * 8);
     assert!(sections.iter().all(|s| s.offset % 8 == 0));
+}
+
+/// The checksum kernel's tables are generated, so a wrong table would
+/// write and verify its own files happily. Pin the header checksum of one
+/// fixed container to the value the bytewise CRC-64 wrote for it: files
+/// from before the slicing kernel must keep verifying, bit for bit.
+#[test]
+fn header_checksum_of_a_fixed_container_is_pinned() {
+    let g = testkit::barabasi_albert(300, 3, 19);
+    // Every knob explicit: the ambient HCL_BUILD_* defaults must not move
+    // the bytes under the pin.
+    let idx = HighwayCoverIndex::build_with(
+        &g,
+        &BuildOptions {
+            num_landmarks: 8,
+            threads: 1,
+            batch_size: 0,
+            selection: Some(SelectionStrategy::DegreeRank),
+        },
+    );
+    let bytes = hcl_store::serialize(&g, &idx).unwrap();
+    assert_eq!(bytes.len(), 32_392);
+    let store = IndexStore::from_bytes(&bytes).expect("the checksum verifies");
+    assert_eq!(store.meta().checksum, 0xF8DB_B70D_24B0_84F8);
+    assert_eq!(hcl_store::crc64(&bytes), 0x9015_7B03_F88E_7100);
 }
 
 #[test]
