@@ -25,9 +25,6 @@
 //! byte-identical to the sequential path — see the `pool` module).
 //! `inspect` dumps header metadata and the section table.
 //!
-//! Invoking `hcl <graph.edges> …` without a subcommand keeps the original
-//! build-in-memory-and-query behaviour for compatibility.
-//!
 //! Answers are printed as `u v d` (`d` is `inf` for disconnected pairs) on
 //! stdout; timing and index statistics go to stderr so stdout stays
 //! machine-readable. `--verify` re-checks every answer against the BFS
@@ -148,15 +145,11 @@ const USAGE: &str = "usage: hcl <command> [args]\n\
            pending. --trusted skips the open-time checksum pass.\n\
        inspect <FILE.hcl> [--stats]\n\
            Print header metadata, build statistics, journal state\n\
-           (pending deltas, size, compactions — format v6+), and the\n\
-           section table.\n\
+           (pending deltas, size, compactions), and the section table.\n\
            --stats adds the label-size histogram (p50/p99/max entries per\n\
            vertex), the top hubs by label frequency, and the recorded\n\
            build counters (BFS visits, domination cut rate, per-landmark\n\
-           contributions) when the container carries them (format v5+).\n\
-     \n\
-     `hcl <graph.edges> [query flags]` (no subcommand) behaves like\n\
-     `hcl query <graph.edges>`.";
+           contributions) when the container carries them.";
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
@@ -636,7 +629,7 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// hcl query  (also the legacy no-subcommand mode)
+// hcl query
 // ---------------------------------------------------------------------------
 
 struct QueryOptions {
@@ -1473,8 +1466,8 @@ fn cmd_update(args: Vec<String>) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 
 /// The `inspect --stats` appendix: the label-size distribution, the hubs
-/// that dominate the labels, and the build counters recorded in v5+
-/// containers (older containers print a one-line absence note instead).
+/// that dominate the labels, and the build counters when the container
+/// records them (a one-line absence note otherwise).
 fn write_deep_stats(out: &mut dyn Write, store: &IndexStore) -> std::io::Result<()> {
     let index = store.index();
     let offsets = index.label_offsets();
@@ -1554,10 +1547,7 @@ fn write_deep_stats(out: &mut dyn Write, store: &IndexStore) -> std::io::Result<
                 )?;
             }
         }
-        None => writeln!(
-            out,
-            "build stats:   (not recorded; container written before format v5)"
-        )?,
+        None => writeln!(out, "build stats:   (not recorded)")?,
     }
     Ok(())
 }
@@ -1617,7 +1607,6 @@ fn cmd_inspect(args: Vec<String>) -> Result<(), String> {
         writeln!(out, "vertices:      {}", meta.num_vertices)?;
         writeln!(out, "edges:         {}", meta.num_edges)?;
         writeln!(out, "landmarks:     {}", meta.num_landmarks)?;
-        // v2/v3 files predate recorded strategies and load as degree-rank.
         writeln!(out, "strategy:      {}", meta.build.strategy)?;
         writeln!(
             out,
@@ -1641,10 +1630,7 @@ fn cmd_inspect(args: Vec<String>) -> Result<(), String> {
                 store.journal_bytes(),
                 j.compactions
             )?,
-            None => writeln!(
-                out,
-                "journal:       (none; live-update journals start at format v6)"
-            )?,
+            None => writeln!(out, "journal:       (none)")?,
         }
         writeln!(
             out,
@@ -1698,8 +1684,10 @@ fn run() -> Result<(), String> {
         "update" => cmd_update(args.split_off(1)),
         "inspect" => cmd_inspect(args.split_off(1)),
         "--help" | "-h" => help(),
-        // Legacy invocation: `hcl <graph.edges> [query flags]`.
-        _ => cmd_query(args),
+        other => {
+            eprintln!("error: unknown command `{other}`");
+            usage()
+        }
     }
 }
 

@@ -378,8 +378,9 @@ fn inspect_survives_stdout_reader_closing() {
 
 /// A landmark request larger than the graph must not be clamped
 /// *silently*: every subcommand that builds from an edge list (build,
-/// query, serve, and the legacy no-subcommand form) owes the user a
-/// one-line stderr warning naming both numbers.
+/// query, serve) owes the user a one-line stderr warning naming both
+/// numbers. There is no fourth form: `hcl <graph.edges> …` without a
+/// subcommand is a usage error, not an implicit `query`.
 #[test]
 fn landmark_clamp_warns_on_every_subcommand() {
     let scratch = Scratch::new("clamp");
@@ -433,14 +434,19 @@ fn landmark_clamp_warns_on_every_subcommand() {
     assert!(out.status.success());
     expect_warned(&out, "serve");
 
-    // Legacy no-subcommand invocation.
-    let out = run_ok(
-        hcl()
-            .arg(&graph)
-            .args(["--landmarks", "99", "--queries"])
-            .arg(&queries),
-    );
-    expect_warned(&out, "legacy");
+    // No subcommand: the first argument is not a command.
+    let out = hcl()
+        .arg(&graph)
+        .args(["--landmarks", "99", "--queries"])
+        .arg(&queries)
+        .output()
+        .expect("spawn hcl");
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    assert_eq!(stdout_of(&out), "");
+    let err = stderr_of(&out);
+    assert!(err.contains("error: unknown command"), "stderr: {err}");
+    assert!(err.contains("usage: hcl <command>"), "stderr: {err}");
+    assert!(!err.contains("panicked"), "stderr: {err}");
 
     // And no warning when the request fits.
     let out = run_ok(

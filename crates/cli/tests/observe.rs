@@ -613,8 +613,8 @@ fn inspect_stats_renders_deep_stats_for_v5_containers() {
 #[test]
 fn inspect_stats_degrades_gracefully_on_v4_containers() {
     let scratch = Scratch::new("inspect_v4");
-    // Fabricate a v4 container (no build_stats section) via the store
-    // crate's compat writer, exactly what a pre-PR7 binary produced.
+    // A container with neither optional section, as the library's plain
+    // `serialize` / `save` write it (`hcl build` always records stats).
     let graph = testkit::barabasi_albert(60, 2, 5);
     let index = hcl_index::HighwayCoverIndex::build_with(
         &graph,
@@ -625,20 +625,18 @@ fn inspect_stats_degrades_gracefully_on_v4_containers() {
             selection: None,
         },
     );
-    let bytes = hcl_store::serialize_v4_with(&graph, &index, hcl_store::BuildInfo::default())
-        .expect("serialize v4");
-    let path = scratch.path("old.hcl");
-    std::fs::write(&path, &bytes).expect("write v4 container");
+    let bytes = hcl_store::serialize(&graph, &index).expect("serialize");
+    let path = scratch.path("plain.hcl");
+    std::fs::write(&path, &bytes).expect("write plain container");
 
     let out = run_ok(&["inspect", path.to_str().unwrap(), "--stats"], "");
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("HCLSTOR v4"), "not a v4 file?\n{text}");
+    assert!(text.contains("HCLSTOR v6"), "not a v6 file?\n{text}");
     // Histogram and hubs come from the label sections and still render;
     // the build counters honestly report their absence.
     assert!(text.contains("label histogram:"), "{text}");
     assert!(text.contains("top hubs:"), "{text}");
-    assert!(
-        text.contains("build stats:   (not recorded; container written before format v5)"),
-        "missing absence note in:\n{text}"
-    );
+    for absent in ["build stats:   (not recorded)\n", "journal:       (none)\n"] {
+        assert!(text.contains(absent), "missing {absent:?} in:\n{text}");
+    }
 }

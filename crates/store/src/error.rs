@@ -20,13 +20,11 @@ pub enum StoreError {
         /// The first eight bytes actually found.
         found: [u8; 8],
     },
-    /// The format version is not one this build can read.
+    /// The format version is not the one this build reads and writes.
     UnsupportedVersion {
         /// Version number in the file.
         found: u32,
-        /// Oldest version this build reads.
-        oldest_supported: u32,
-        /// Newest version this build reads (the one it writes).
+        /// The one version this build reads (the one it writes).
         supported: u32,
     },
     /// The file is shorter than its header claims (or than the header
@@ -101,15 +99,10 @@ impl fmt::Display for StoreError {
             StoreError::BadMagic { found } => {
                 write!(f, "not an hcl index file (magic {:02x?})", found)
             }
-            StoreError::UnsupportedVersion {
-                found,
-                oldest_supported,
-                supported,
-            } => {
+            StoreError::UnsupportedVersion { found, supported } => {
                 write!(
                     f,
-                    "format version {found} unsupported (this build reads \
-                     {oldest_supported} through {supported})"
+                    "format version {found} unsupported (this build reads only {supported})"
                 )
             }
             StoreError::Truncated { expected, actual } => {

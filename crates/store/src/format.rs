@@ -6,10 +6,8 @@
 //! ------  ----  -----------------------------------------------------
 //!      0     8  magic "HCLSTOR1"
 //!      8     4  format version (u32 LE)
-//!     12     4  section count (u32 LE) — 8 in version 2, 7 in versions
-//!               3/4, 7 or 8 in version 5 (the build-stats section is
-//!               optional), 7 through 9 in version 6 (build-stats and
-//!               journal both optional)
+//!     12     4  section count (u32 LE) — 7 through 9: the seven required
+//!               sections, then the optional build-stats and journal ones
 //!     16     8  length of the container image in bytes (u64 LE): the
 //!               whole file, unless a journal tail follows (see below)
 //!     24     8  CRC-64/ECMA of the image with this field zeroed
@@ -19,68 +17,44 @@
 //!     56     8  total label entries (u64 LE)
 //!     64     4  build metadata: builder worker threads (u32 LE, 0 = unrecorded)
 //!     68     4  build metadata: landmark batch size (u32 LE, 0 = unrecorded)
-//!     72     4  landmark-selection strategy tag (u32 LE, v4+; see
+//!     72     4  landmark-selection strategy tag (u32 LE; see
 //!               `SelectionStrategy::tag` — 0 = degree-rank)
 //!     76     4  reserved (zeroed, ignored on read)
-//!     80     8  landmark-selection strategy seed (u64 LE, v4+)
+//!     80     8  landmark-selection strategy seed (u64 LE)
 //!     88     8  reserved (zeroed, ignored on read)
 //!     96  S·24  section table: {kind u32, elem_size u32, offset u64,
 //!               len_bytes u64} per section (S = section count)
 //!      …     …  sections, each 8-byte aligned, zero-padded between
 //! ```
 //!
-//! Versions 2 and 3 have an **80-byte header** (the table starts at 80;
-//! bytes 72..80 are reserved); version 4 grew it to 96 bytes to record the
-//! landmark-selection strategy.
+//! ## Sections
 //!
-//! ## Packed label entries (v3+)
+//! Seven sections are required, in canonical order: `graph_offsets` (kind
+//! 1, u64), `graph_neighbors` (2, u32), `landmarks` (3, u32),
+//! `landmark_rank` (4, u32), `label_offsets` (5, u64), `label_entries`
+//! (9, u64), `highway` (8, u32). Each label entry is one `u64` — hub rank
+//! in the high 32 bits, distance in the low 32 (`hcl-index`'s
+//! [`pack_label_entry`](hcl_index::pack_label_entry)) — which is exactly
+//! the in-memory layout of the query hot path, so a mapped file serves
+//! with no decode step at all. Two more may follow, each independently
+//! absent:
 //!
-//! v3 onwards stores each label entry as one `u64` — hub rank in the high
-//! 32 bits, distance in the low 32 (`hcl-index`'s
-//! [`pack_label_entry`](hcl_index::pack_label_entry)) — in a single
-//! `label_entries` section (kind 9, element size 8). That is exactly the
-//! in-memory layout of the query hot path, so a mapped file serves with
-//! no decode step at all. The seven sections, in canonical order:
-//! `graph_offsets` (u64), `graph_neighbors` (u32), `landmarks` (u32),
-//! `landmark_rank` (u32), `label_offsets` (u64), `label_entries` (u64),
-//! `highway` (u32).
+//! * `build_stats` (kind 10, u64): the thread-count-invariant build
+//!   counters — see [`StoredBuildStats`] for the payload layout.
+//! * `journal` (kind 11, u64): edge deltas not yet folded into the base
+//!   sections, plus the container's compaction counter — see
+//!   [`StoredJournal`]. The base sections always describe the graph/index
+//!   *as last compacted*; opening a file with a non-empty journal replays
+//!   the deltas (see [`IndexStore::open`](crate::IndexStore)).
 //!
-//! ## Version history and compatibility
+//! ## Versions
 //!
-//! * v1: 64-byte header, no build-metadata block (no longer readable).
-//! * v2: appended 16 build-metadata bytes to the header; labels stored as
-//!   two parallel `u32` sections, `label_hubs` (kind 6) and `label_dists`
-//!   (kind 7).
-//! * v3: replaced the two label sections with the packed `label_entries`
-//!   section (kind 9).
-//! * v4: grew the header from 80 to 96 bytes, recording the
-//!   landmark-selection strategy tag and seed
-//!   ([`hcl_index::SelectionStrategy`]); sections unchanged from v3.
-//! * v5: added an **optional** `build_stats` section (kind 10, `u64`
-//!   elements) holding the thread-count-invariant build counters — see
-//!   [`StoredBuildStats`] for the payload layout. Header and the seven
-//!   core sections are unchanged from v4; a v5 file without the stats
-//!   section is byte-identical to a v4 file except for the version field.
-//! * v6: added an **optional** `journal` section (kind 11, `u64`
-//!   elements): an append-only log of edge deltas not yet folded into the
-//!   base sections, plus the container's compaction counter — see
-//!   [`StoredJournal`] for the payload layout. The base sections always
-//!   describe the graph/index *as last compacted*; opening a file with a
-//!   non-empty journal replays the deltas (see
-//!   [`IndexStore::open`](crate::IndexStore)). A v6 file without the
-//!   journal section is byte-identical to a v5 file except for the
-//!   version field.
-//!
-//! This reader accepts **v2 through v6**. v2 files are served through a
-//! converting open: the two `u32` sections are packed once into an owned
-//! entry array at load (`O(entries)` time and `8·entries` bytes of heap;
-//! the rest of the file still serves zero-copy from the map). v2 and v3
-//! files predate recorded selection strategies and load as
-//! `SelectionStrategy::DegreeRank` — the only strategy that existed when
-//! they were written. Writers always emit v6; [`serialize_v2_with`],
-//! [`serialize_v3_with`], [`serialize_v4_with`], and [`serialize_v5_with`]
-//! exist so tests and migration tooling can fabricate legacy containers.
-//! Unknown versions are rejected with a typed error rather than mis-read.
+//! There is one format: this reader accepts exactly [`FORMAT_VERSION`] and
+//! every writer emits it. Any other version word — older or newer — is
+//! rejected with the typed [`StoreError::UnsupportedVersion`] rather than
+//! mis-read. Section kinds 6 and 7 belonged to a retired split-label
+//! layout; they are **reserved and never reused**, so a table entry
+//! carrying one is an unknown kind.
 //!
 //! ## Journal tail (after the container image)
 //!
@@ -109,10 +83,8 @@
 //! The pending journal of a file is its journal section's deltas followed
 //! by every tail frame's, and open replays it exactly as it replays the
 //! section alone. Frames are decoded and CRC-checked by **both** validated
-//! and trusted opens (they are a few words each). The image is the same
-//! for every readable version, so a tail may follow any of them; only a
-//! compaction writes a new image (current version, live state as the
-//! base, empty journal, no tail).
+//! and trusted opens (they are a few words each). Only a compaction writes
+//! a new image (live state as the base, empty journal, no tail).
 //!
 //! **Torn tail vs corruption.** There is one appender and it syncs each
 //! frame before acknowledging it, so a crash can damage only the *last*
@@ -141,52 +113,29 @@
 use crate::checksum::{crc64_finish, crc64_init, crc64_update};
 use crate::error::StoreError;
 use hcl_core::{DeltaOp, EdgeDelta, Graph};
-use hcl_index::{unpack_label_entry, HighwayCoverIndex, SelectionStrategy};
+use hcl_index::{HighwayCoverIndex, SelectionStrategy};
 use std::ops::Range;
 
 /// File magic: "HCLSTOR1".
 pub const MAGIC: [u8; 8] = *b"HCLSTOR1";
-/// Format version this build writes (v6: v5's layout plus an optional
-/// append-only `journal` section of edge deltas). Versions 2 through 6
-/// are readable.
+/// The format version this build writes, and the only one it reads.
 pub const FORMAT_VERSION: u32 = 6;
-/// Oldest format version this build still reads (v2: split
-/// `label_hubs`/`label_dists` sections, served through a converting open).
-pub const OLDEST_READABLE_VERSION: u32 = 2;
-/// Header length in bytes of the **current** format version. Legacy v2/v3
-/// containers have [`LEGACY_HEADER_LEN`]-byte headers; use
-/// [`header_len`] when handling arbitrary readable versions.
+/// Header length in bytes.
 pub const HEADER_LEN: usize = 96;
-/// Header length in bytes of the legacy v2/v3 formats (also the minimum
-/// parseable prefix for any readable version).
-pub const LEGACY_HEADER_LEN: usize = 80;
 /// Byte offset of the checksum field inside the header.
 pub const CHECKSUM_OFFSET: usize = 24;
 /// Byte offset of the build-metadata block inside the header.
 const BUILD_META_OFFSET: usize = 64;
-/// Byte offsets of the v4 selection-strategy fields inside the header.
+/// Byte offsets of the selection-strategy fields inside the header.
 const STRATEGY_TAG_OFFSET: usize = 72;
 const STRATEGY_SEED_OFFSET: usize = 80;
 
-/// Header length of a given readable format version.
-pub const fn header_len(version: u32) -> usize {
-    if version >= 4 {
-        HEADER_LEN
-    } else {
-        LEGACY_HEADER_LEN
-    }
-}
-
 const SECTION_ENTRY_LEN: usize = 24;
-/// Section counts per readable version.
-const NUM_SECTIONS_V2: usize = 8;
-const NUM_SECTIONS_V3: usize = 7;
-/// Highest section-kind discriminant across all readable versions.
+/// Highest section-kind discriminant.
 const MAX_SECTION_KINDS: usize = 11;
 
-/// Section kinds across all readable versions. Kinds 6/7 only appear in
-/// v2 files, kind 9 in v3 and later, kind 10 (optionally) in v5 and
-/// later, kind 11 (optionally) in v6 and later.
+/// Section kinds. Discriminants 6 and 7 are reserved (see the module
+/// docs) and must never be reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u32)]
 enum SectionKind {
@@ -195,13 +144,27 @@ enum SectionKind {
     Landmarks = 3,
     LandmarkRank = 4,
     LabelOffsets = 5,
-    LabelHubs = 6,
-    LabelDists = 7,
     Highway = 8,
     LabelEntries = 9,
     BuildStats = 10,
     Journal = 11,
 }
+
+/// Canonical section-table order. The first [`NUM_REQUIRED_SECTIONS`]
+/// kinds are in every container; the trailing `BuildStats` and `Journal`
+/// sections are each independently optional.
+const SECTION_TABLE: [SectionKind; 9] = [
+    SectionKind::GraphOffsets,
+    SectionKind::GraphNeighbors,
+    SectionKind::Landmarks,
+    SectionKind::LandmarkRank,
+    SectionKind::LabelOffsets,
+    SectionKind::LabelEntries,
+    SectionKind::Highway,
+    SectionKind::BuildStats,
+    SectionKind::Journal,
+];
+const NUM_REQUIRED_SECTIONS: usize = 7;
 
 impl SectionKind {
     fn from_u32(v: u32) -> Option<Self> {
@@ -211,8 +174,6 @@ impl SectionKind {
             3 => Some(Self::Landmarks),
             4 => Some(Self::LandmarkRank),
             5 => Some(Self::LabelOffsets),
-            6 => Some(Self::LabelHubs),
-            7 => Some(Self::LabelDists),
             8 => Some(Self::Highway),
             9 => Some(Self::LabelEntries),
             10 => Some(Self::BuildStats),
@@ -236,61 +197,10 @@ impl SectionKind {
             Self::Landmarks => "landmarks",
             Self::LandmarkRank => "landmark_rank",
             Self::LabelOffsets => "label_offsets",
-            Self::LabelHubs => "label_hubs",
-            Self::LabelDists => "label_dists",
             Self::Highway => "highway",
             Self::LabelEntries => "label_entries",
             Self::BuildStats => "build_stats",
             Self::Journal => "journal",
-        }
-    }
-
-    /// Canonical section-table order for one format version. The v5/v6
-    /// tables list every *allowed* kind; the trailing `BuildStats` and
-    /// (v6) `Journal` sections are optional.
-    fn table_for(version: u32) -> &'static [SectionKind] {
-        match version {
-            2 => &[
-                Self::GraphOffsets,
-                Self::GraphNeighbors,
-                Self::Landmarks,
-                Self::LandmarkRank,
-                Self::LabelOffsets,
-                Self::LabelHubs,
-                Self::LabelDists,
-                Self::Highway,
-            ],
-            3 | 4 => &[
-                Self::GraphOffsets,
-                Self::GraphNeighbors,
-                Self::Landmarks,
-                Self::LandmarkRank,
-                Self::LabelOffsets,
-                Self::LabelEntries,
-                Self::Highway,
-            ],
-            5 => &[
-                Self::GraphOffsets,
-                Self::GraphNeighbors,
-                Self::Landmarks,
-                Self::LandmarkRank,
-                Self::LabelOffsets,
-                Self::LabelEntries,
-                Self::Highway,
-                Self::BuildStats,
-            ],
-            6 => &[
-                Self::GraphOffsets,
-                Self::GraphNeighbors,
-                Self::Landmarks,
-                Self::LandmarkRank,
-                Self::LabelOffsets,
-                Self::LabelEntries,
-                Self::Highway,
-                Self::BuildStats,
-                Self::Journal,
-            ],
-            _ => unreachable!("version gated before table lookup"),
         }
     }
 }
@@ -300,7 +210,7 @@ impl SectionKind {
 /// of mis-decoding.
 const STATS_FORMAT_TAG: u64 = 1;
 
-/// The thread-count-invariant build counters persisted in a v5 container's
+/// The thread-count-invariant build counters persisted in a container's
 /// optional `build_stats` section.
 ///
 /// Wall times are deliberately **not** stored: the same graph built with
@@ -416,10 +326,10 @@ pub(crate) fn decode_delta(op: u64, endpoints: u64) -> Option<EdgeDelta> {
     })
 }
 
-/// The append-only edge-delta journal persisted in a v6 container's
+/// The append-only edge-delta journal persisted in a container's
 /// optional `journal` section.
 ///
-/// The base sections of a v6 file always hold the graph and index **as
+/// The base sections of a file always hold the graph and index **as
 /// last compacted**; the journal holds the edits applied since, in order.
 /// Opening a journalled file replays the deltas (and repairs the labels)
 /// to reconstruct current state; `compact` folds the replayed state back
@@ -499,9 +409,8 @@ impl StoredJournal {
 ///
 /// `0` in `threads`/`batch_size` means "unrecorded" (e.g. a file written
 /// through the plain [`serialize`]/[`save`](crate::save) entry points).
-/// The strategy field always holds a concrete value; v2/v3 files (and
-/// plain-serialize v4 files) carry [`SelectionStrategy::DegreeRank`], the
-/// only strategy that existed before v4.
+/// The strategy field always holds a concrete value; plain-serialize files
+/// carry the default, [`SelectionStrategy::DegreeRank`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BuildInfo {
     /// Worker threads the builder ran with.
@@ -510,7 +419,7 @@ pub struct BuildInfo {
     /// `hcl-index`'s build docs).
     pub batch_size: u32,
     /// Landmark-selection strategy (and its seed) the index was built
-    /// with. Recorded as a `(tag, seed)` pair in the v4 header.
+    /// with. Recorded as a `(tag, seed)` pair in the header.
     pub strategy: SelectionStrategy,
 }
 
@@ -518,7 +427,8 @@ pub struct BuildInfo {
 /// touching any section.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StoreMeta {
-    /// Format version of the file (2 through 5; see the module docs).
+    /// Format version of the file (always [`FORMAT_VERSION`]: an open
+    /// rejects every other value).
     pub version: u32,
     /// Declared length of the container image in bytes; a journal tail,
     /// if any, follows it (see
@@ -551,23 +461,6 @@ pub struct SectionInfo {
     pub len_bytes: u64,
 }
 
-/// Where the label entries live — the one layout difference between the
-/// readable versions.
-pub(crate) enum LabelRanges {
-    /// v3: one packed `u64` section, servable in place.
-    Packed {
-        /// Byte range of the `label_entries` section.
-        entries: Range<usize>,
-    },
-    /// v2: two parallel `u32` sections, packed into an owned array at open.
-    Split {
-        /// Byte range of the `label_hubs` section.
-        hubs: Range<usize>,
-        /// Byte range of the `label_dists` section.
-        dists: Range<usize>,
-    },
-}
-
 /// Validated byte ranges of every section plus the decoded metadata.
 pub(crate) struct Layout {
     pub(crate) meta: StoreMeta,
@@ -576,11 +469,11 @@ pub(crate) struct Layout {
     pub(crate) landmarks: Range<usize>,
     pub(crate) landmark_rank: Range<usize>,
     pub(crate) label_offsets: Range<usize>,
-    pub(crate) labels: LabelRanges,
+    pub(crate) label_entries: Range<usize>,
     pub(crate) highway: Range<usize>,
-    /// v5's optional `build_stats` section (`None` when absent or legacy).
+    /// The optional `build_stats` section.
     pub(crate) build_stats: Option<Range<usize>>,
-    /// v6's optional `journal` section (`None` when absent or legacy).
+    /// The optional `journal` section.
     pub(crate) journal: Option<Range<usize>>,
 }
 
@@ -598,15 +491,9 @@ impl Layout {
             info(SectionKind::Landmarks, &self.landmarks),
             info(SectionKind::LandmarkRank, &self.landmark_rank),
             info(SectionKind::LabelOffsets, &self.label_offsets),
+            info(SectionKind::LabelEntries, &self.label_entries),
+            info(SectionKind::Highway, &self.highway),
         ];
-        match &self.labels {
-            LabelRanges::Packed { entries } => out.push(info(SectionKind::LabelEntries, entries)),
-            LabelRanges::Split { hubs, dists } => {
-                out.push(info(SectionKind::LabelHubs, hubs));
-                out.push(info(SectionKind::LabelDists, dists));
-            }
-        }
-        out.push(info(SectionKind::Highway, &self.highway));
         if let Some(stats) = &self.build_stats {
             out.push(info(SectionKind::BuildStats, stats));
         }
@@ -647,10 +534,8 @@ impl Payload<'_> {
 }
 
 /// CRC-64 of the file with the header checksum field treated as zero.
-/// Version-independent: only the 8 checksum bytes are masked, so it works
-/// for every header length.
 pub(crate) fn file_checksum(bytes: &[u8]) -> u64 {
-    debug_assert!(bytes.len() >= LEGACY_HEADER_LEN);
+    debug_assert!(bytes.len() >= HEADER_LEN);
     let mut state = crc64_init();
     state = crc64_update(state, &bytes[..CHECKSUM_OFFSET]);
     state = crc64_update(state, &[0u8; 8]);
@@ -677,10 +562,10 @@ pub fn serialize_with(
     index: &HighwayCoverIndex,
     build: BuildInfo,
 ) -> Result<Vec<u8>, StoreError> {
-    serialize_version(graph, index, build, FORMAT_VERSION, None, None)
+    serialize_sections(graph, index, build, None, None)
 }
 
-/// Serialises a graph, its index, and a delta journal into a v6 container.
+/// Serialises a graph, its index, and a delta journal into a container.
 ///
 /// The graph and index must describe the **base** (as-last-compacted)
 /// state; the journal's deltas are what a reader replays on top to
@@ -693,14 +578,7 @@ pub fn serialize_with_journal(
     build: BuildInfo,
     journal: &StoredJournal,
 ) -> Result<Vec<u8>, StoreError> {
-    serialize_version(
-        graph,
-        index,
-        build,
-        FORMAT_VERSION,
-        None,
-        Some(&journal.encode()),
-    )
+    serialize_sections(graph, index, build, None, Some(&journal.encode()))
 }
 
 /// Serialises a graph and its index (current version) with the build's
@@ -715,92 +593,13 @@ pub fn serialize_with_stats(
     build: BuildInfo,
     stats: &StoredBuildStats,
 ) -> Result<Vec<u8>, StoreError> {
-    serialize_version(
-        graph,
-        index,
-        build,
-        FORMAT_VERSION,
-        Some(&stats.encode()),
-        None,
-    )
+    serialize_sections(graph, index, build, Some(&stats.encode()), None)
 }
 
-/// Serialises a graph and its index as a **legacy v2 container** (split
-/// `label_hubs`/`label_dists` sections, 80-byte header).
-///
-/// For compatibility tests and migration tooling only — it lets this build
-/// fabricate the files older readers expect, and lets the test suite prove
-/// the v2 converting open answers queries identically. New files should
-/// always be written through [`serialize`]/[`serialize_with`]. The
-/// `build.strategy` field is not representable before v4 and is ignored.
-pub fn serialize_v2_with(
+fn serialize_sections(
     graph: &Graph,
     index: &HighwayCoverIndex,
     build: BuildInfo,
-) -> Result<Vec<u8>, StoreError> {
-    serialize_version(graph, index, build, 2, None, None)
-}
-
-/// Serialises a graph and its index as a **legacy v3 container** (packed
-/// label entries, 80-byte header without the selection-strategy fields).
-///
-/// Compatibility-test and migration tooling counterpart of
-/// [`serialize_v2_with`]; it lets the suite prove v3 files load with
-/// [`SelectionStrategy::DegreeRank`] reported. `build.strategy` is ignored.
-pub fn serialize_v3_with(
-    graph: &Graph,
-    index: &HighwayCoverIndex,
-    build: BuildInfo,
-) -> Result<Vec<u8>, StoreError> {
-    serialize_version(graph, index, build, 3, None, None)
-}
-
-/// Serialises a graph and its index as a **legacy v4 container** (96-byte
-/// header with the selection strategy, no `build_stats` section).
-///
-/// Compatibility-test and migration tooling counterpart of
-/// [`serialize_v2_with`]/[`serialize_v3_with`]; it lets the suite prove v4
-/// files still load, with [`IndexStore::build_stats`]
-/// (crate::IndexStore::build_stats) reporting `None`.
-pub fn serialize_v4_with(
-    graph: &Graph,
-    index: &HighwayCoverIndex,
-    build: BuildInfo,
-) -> Result<Vec<u8>, StoreError> {
-    serialize_version(graph, index, build, 4, None, None)
-}
-
-/// Serialises a graph and its index as a **legacy v5 container** (no
-/// journal section; optionally with build stats).
-///
-/// Compatibility-test and migration tooling counterpart of the other
-/// `serialize_v*_with` fabricators; it lets the suite prove v5 files
-/// still load, with an empty journal reported.
-pub fn serialize_v5_with(
-    graph: &Graph,
-    index: &HighwayCoverIndex,
-    build: BuildInfo,
-    stats: Option<&StoredBuildStats>,
-) -> Result<Vec<u8>, StoreError> {
-    let words = stats.map(StoredBuildStats::encode);
-    serialize_version(graph, index, build, 5, words.as_deref(), None)
-}
-
-/// Whether `needle` is a subsequence of `haystack` (order-preserving,
-/// not necessarily contiguous) — the shape contract between emitted
-/// sections and the canonical per-version table, where trailing optional
-/// kinds may be independently absent.
-#[cfg(debug_assertions)]
-fn is_subsequence(needle: &[SectionKind], haystack: &[SectionKind]) -> bool {
-    let mut it = haystack.iter();
-    needle.iter().all(|k| it.any(|h| h == k))
-}
-
-fn serialize_version(
-    graph: &Graph,
-    index: &HighwayCoverIndex,
-    build: BuildInfo,
-    version: u32,
     stats: Option<&[u64]>,
     journal: Option<&[u64]>,
 ) -> Result<Vec<u8>, StoreError> {
@@ -813,18 +612,7 @@ fn serialize_version(
         });
     }
 
-    // v2 stores labels as two parallel u32 arrays; unpack into temporaries.
-    let (mut hubs, mut dists) = (Vec::new(), Vec::new());
-    if version == 2 {
-        hubs.reserve_exact(iv.label_entries().len());
-        dists.reserve_exact(iv.label_entries().len());
-        for &e in iv.label_entries() {
-            let (h, d) = unpack_label_entry(e);
-            hubs.push(h);
-            dists.push(d);
-        }
-    }
-
+    // In `SECTION_TABLE` order.
     let mut parts: Vec<(SectionKind, Payload<'_>)> = vec![
         (SectionKind::GraphOffsets, Payload::U64(gv.csr_offsets())),
         (
@@ -834,33 +622,17 @@ fn serialize_version(
         (SectionKind::Landmarks, Payload::U32(iv.landmarks())),
         (SectionKind::LandmarkRank, Payload::U32(iv.landmark_rank())),
         (SectionKind::LabelOffsets, Payload::U64(iv.label_offsets())),
+        (SectionKind::LabelEntries, Payload::U64(iv.label_entries())),
+        (SectionKind::Highway, Payload::U32(iv.highway())),
     ];
-    if version == 2 {
-        parts.push((SectionKind::LabelHubs, Payload::U32(&hubs)));
-        parts.push((SectionKind::LabelDists, Payload::U32(&dists)));
-    } else {
-        parts.push((SectionKind::LabelEntries, Payload::U64(iv.label_entries())));
-    }
-    parts.push((SectionKind::Highway, Payload::U32(iv.highway())));
     if let Some(words) = stats {
-        debug_assert!(version >= 5, "build stats require format v5");
         parts.push((SectionKind::BuildStats, Payload::U64(words)));
     }
     if let Some(words) = journal {
-        debug_assert!(version >= 6, "delta journals require format v6");
         parts.push((SectionKind::Journal, Payload::U64(words)));
     }
-    // The emitted kinds must be a subsequence of the canonical table
-    // (trailing optional kinds may be independently absent).
-    #[cfg(debug_assertions)]
-    debug_assert!(is_subsequence(
-        &parts.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-        SectionKind::table_for(version),
-    ));
-
-    let hlen = header_len(version);
     let num_sections = parts.len();
-    let table_end = hlen + num_sections * SECTION_ENTRY_LEN;
+    let table_end = HEADER_LEN + num_sections * SECTION_ENTRY_LEN;
     let mut out = vec![0u8; table_end];
     let mut entries: Vec<(SectionKind, u64, u64)> = Vec::with_capacity(num_sections);
     for (kind, payload) in &parts {
@@ -874,7 +646,7 @@ fn serialize_version(
 
     // Section table.
     for (i, (kind, offset, len)) in entries.iter().enumerate() {
-        let at = hlen + i * SECTION_ENTRY_LEN;
+        let at = HEADER_LEN + i * SECTION_ENTRY_LEN;
         out[at..at + 4].copy_from_slice(&(*kind as u32).to_le_bytes());
         out[at + 4..at + 8].copy_from_slice(&kind.elem_size().to_le_bytes());
         out[at + 8..at + 16].copy_from_slice(&offset.to_le_bytes());
@@ -883,7 +655,7 @@ fn serialize_version(
 
     // Header (checksum patched last).
     out[0..8].copy_from_slice(&MAGIC);
-    out[8..12].copy_from_slice(&version.to_le_bytes());
+    out[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
     out[12..16].copy_from_slice(&(num_sections as u32).to_le_bytes());
     let total_len = out.len() as u64;
     out[16..24].copy_from_slice(&total_len.to_le_bytes());
@@ -894,15 +666,12 @@ fn serialize_version(
     out[BUILD_META_OFFSET..BUILD_META_OFFSET + 4].copy_from_slice(&build.threads.to_le_bytes());
     out[BUILD_META_OFFSET + 4..BUILD_META_OFFSET + 8]
         .copy_from_slice(&build.batch_size.to_le_bytes());
-    if version >= 4 {
-        // Selection strategy tag + seed; bytes 76..80 and 88..96 stay
-        // zero (reserved).
-        out[STRATEGY_TAG_OFFSET..STRATEGY_TAG_OFFSET + 4]
-            .copy_from_slice(&build.strategy.tag().to_le_bytes());
-        out[STRATEGY_SEED_OFFSET..STRATEGY_SEED_OFFSET + 8]
-            .copy_from_slice(&build.strategy.seed().to_le_bytes());
-    }
-    // In legacy versions bytes 72..80 stay zero: reserved build metadata.
+    // Selection strategy tag + seed; bytes 76..80 and 88..96 stay zero
+    // (reserved).
+    out[STRATEGY_TAG_OFFSET..STRATEGY_TAG_OFFSET + 4]
+        .copy_from_slice(&build.strategy.tag().to_le_bytes());
+    out[STRATEGY_SEED_OFFSET..STRATEGY_SEED_OFFSET + 8]
+        .copy_from_slice(&build.strategy.seed().to_le_bytes());
     let crc = file_checksum(&out);
     out[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&crc.to_le_bytes());
     Ok(out)
@@ -934,14 +703,13 @@ fn corrupt(what: impl Into<String>) -> StoreError {
 
 /// Parses and validates the header and section table, returning the layout.
 ///
-/// Checks, in order: minimum length, magic, version (2 through 6 are
-/// readable), version-specific header length, declared vs actual file
-/// length (truncation; bytes past the declared length are the journal
-/// tail and are not looked at here), checksum over the image (unless
-/// `verify_checksum` is false — the trusted-open path), then section-table
-/// geometry (version-appropriate kinds, element sizes, 8-byte alignment,
-/// in-bounds, non-overlapping) and element counts against the header
-/// metadata. Semantic validation of the array *contents* happens
+/// Checks, in order: magic, header length, version (exactly
+/// [`FORMAT_VERSION`]), declared vs actual file length (truncation; bytes
+/// past the declared length are the journal tail and are not looked at
+/// here), checksum over the image (unless `verify_checksum` is false —
+/// the trusted-open path), then section-table geometry (known kinds,
+/// element sizes, 8-byte alignment, in-bounds, non-overlapping) and
+/// element counts against the header metadata. Semantic validation of the array *contents* happens
 /// afterwards in `IndexStore` via `GraphView::from_csr` /
 /// `IndexView::from_parts`.
 pub(crate) fn parse_and_validate(
@@ -956,27 +724,17 @@ pub(crate) fn parse_and_validate(
             return Err(StoreError::BadMagic { found: magic });
         }
     }
-    // Every readable version has at least the legacy header; the version
-    // field (inside it) then decides how long this header really is.
-    if bytes.len() < LEGACY_HEADER_LEN {
+    if bytes.len() < HEADER_LEN {
         return Err(StoreError::Truncated {
-            expected: LEGACY_HEADER_LEN as u64,
+            expected: HEADER_LEN as u64,
             actual: bytes.len() as u64,
         });
     }
     let version = u32_le(bytes, 8);
-    if !(OLDEST_READABLE_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(StoreError::UnsupportedVersion {
             found: version,
-            oldest_supported: OLDEST_READABLE_VERSION,
             supported: FORMAT_VERSION,
-        });
-    }
-    let hlen = header_len(version);
-    if bytes.len() < hlen {
-        return Err(StoreError::Truncated {
-            expected: hlen as u64,
-            actual: bytes.len() as u64,
         });
     }
     let file_len = u64_le(bytes, 16);
@@ -986,9 +744,9 @@ pub(crate) fn parse_and_validate(
             actual: bytes.len() as u64,
         });
     }
-    if file_len < hlen as u64 {
+    if file_len < HEADER_LEN as u64 {
         return Err(corrupt(format!(
-            "declared length {file_len} shorter than the {hlen}-byte header"
+            "declared length {file_len} shorter than the {HEADER_LEN}-byte header"
         )));
     }
     // Bytes past the declared length are the journal tail, decoded by
@@ -1002,37 +760,24 @@ pub(crate) fn parse_and_validate(
         }
     }
 
-    // v2 has 8 fixed sections, v3/v4 have 7; v5 has 7 plus an optional
-    // trailing build-stats section, so 7 and 8 are both well-formed
-    // there; v6 adds an optional journal section on top (7 through 9).
-    let allowed = SectionKind::table_for(version);
+    // The required sections plus any of the optional trailing ones.
     let section_count = u32_le(bytes, 12) as usize;
-    let well_formed = match version {
-        2 => section_count == NUM_SECTIONS_V2,
-        3 | 4 => section_count == NUM_SECTIONS_V3,
-        5 => section_count == NUM_SECTIONS_V3 || section_count == NUM_SECTIONS_V3 + 1,
-        _ => (NUM_SECTIONS_V3..=NUM_SECTIONS_V3 + 2).contains(&section_count),
-    };
-    if !well_formed {
+    if !(NUM_REQUIRED_SECTIONS..=SECTION_TABLE.len()).contains(&section_count) {
         return Err(corrupt(format!(
-            "header declares {section_count} sections, invalid for version {version}"
+            "header declares {section_count} sections, expected {NUM_REQUIRED_SECTIONS} \
+             through {}",
+            SECTION_TABLE.len()
         )));
     }
-    let table_end = hlen + section_count * SECTION_ENTRY_LEN;
+    let table_end = HEADER_LEN + section_count * SECTION_ENTRY_LEN;
     if bytes.len() < table_end {
         return Err(corrupt("section table extends past end of file"));
     }
 
-    // v2/v3 predate recorded selection strategies; degree ranking was the
-    // only one that existed, so that is what they load as.
-    let strategy = if version >= 4 {
-        let tag = u32_le(bytes, STRATEGY_TAG_OFFSET);
-        let seed = u64_le(bytes, STRATEGY_SEED_OFFSET);
-        SelectionStrategy::from_tag(tag, seed)
-            .ok_or_else(|| corrupt(format!("unknown landmark-selection strategy tag {tag}")))?
-    } else {
-        SelectionStrategy::DegreeRank
-    };
+    let tag = u32_le(bytes, STRATEGY_TAG_OFFSET);
+    let seed = u64_le(bytes, STRATEGY_SEED_OFFSET);
+    let strategy = SelectionStrategy::from_tag(tag, seed)
+        .ok_or_else(|| corrupt(format!("unknown landmark-selection strategy tag {tag}")))?;
     let meta = StoreMeta {
         version,
         file_len,
@@ -1046,23 +791,18 @@ pub(crate) fn parse_and_validate(
             batch_size: u32_le(bytes, BUILD_META_OFFSET + 4),
             strategy,
         },
-        // The reserved header bytes (72..80 in v2/v3; 76..80 and 88..96
-        // in v4) are deliberately not validated: a future writer may use
-        // them without breaking this reader.
+        // The reserved header bytes (76..80 and 88..96) are deliberately
+        // not validated: a future writer may use them without breaking
+        // this reader.
     };
 
     let mut ranges: [Option<Range<usize>>; MAX_SECTION_KINDS] = Default::default();
     let mut spans: Vec<(u64, u64)> = Vec::with_capacity(section_count);
     for i in 0..section_count {
-        let at = hlen + i * SECTION_ENTRY_LEN;
+        let at = HEADER_LEN + i * SECTION_ENTRY_LEN;
         let kind_raw = u32_le(bytes, at);
         let kind = SectionKind::from_u32(kind_raw)
-            .filter(|k| allowed.contains(k))
-            .ok_or_else(|| {
-                corrupt(format!(
-                    "unknown section kind {kind_raw} for version {version}"
-                ))
-            })?;
+            .ok_or_else(|| corrupt(format!("unknown section kind {kind_raw}")))?;
         let elem_size = u32_le(bytes, at + 4);
         let offset = u64_le(bytes, at + 8);
         let len = u64_le(bytes, at + 16);
@@ -1106,14 +846,10 @@ pub(crate) fn parse_and_validate(
         }
     }
 
-    // Every allowed kind except the optional trailing stats/journal
-    // sections is required. (For v2–v4 the count match + duplicate
-    // rejection already imply presence; for v5/v6 a short file could have
-    // smuggled an optional entry in place of a core section, so check
-    // explicitly.)
-    for &kind in allowed {
-        let optional = kind == SectionKind::BuildStats || kind == SectionKind::Journal;
-        if !optional && ranges[kind as u32 as usize - 1].is_none() {
+    // A short table could have smuggled an optional entry in place of a
+    // required section, so check presence explicitly.
+    for kind in &SECTION_TABLE[..NUM_REQUIRED_SECTIONS] {
+        if ranges[*kind as u32 as usize - 1].is_none() {
             return Err(corrupt(format!("missing section {}", kind.name())));
         }
     }
@@ -1122,16 +858,6 @@ pub(crate) fn parse_and_validate(
             .clone()
             .expect("required kinds checked present above")
     };
-    let labels = if version == 2 {
-        LabelRanges::Split {
-            hubs: take(SectionKind::LabelHubs),
-            dists: take(SectionKind::LabelDists),
-        }
-    } else {
-        LabelRanges::Packed {
-            entries: take(SectionKind::LabelEntries),
-        }
-    };
     let layout = Layout {
         meta,
         graph_offsets: take(SectionKind::GraphOffsets),
@@ -1139,7 +865,7 @@ pub(crate) fn parse_and_validate(
         landmarks: take(SectionKind::Landmarks),
         landmark_rank: take(SectionKind::LandmarkRank),
         label_offsets: take(SectionKind::LabelOffsets),
-        labels,
+        label_entries: take(SectionKind::LabelEntries),
         highway: take(SectionKind::Highway),
         build_stats: ranges[SectionKind::BuildStats as u32 as usize - 1].clone(),
         journal: ranges[SectionKind::Journal as u32 as usize - 1].clone(),
@@ -1174,15 +900,11 @@ pub(crate) fn parse_and_validate(
     expect("landmarks", elems(&layout.landmarks, 4), k)?;
     expect("landmark_rank", elems(&layout.landmark_rank, 4), nv)?;
     expect("label_offsets", elems(&layout.label_offsets, 8), nv + 1)?;
-    match &layout.labels {
-        LabelRanges::Packed { entries } => {
-            expect("label_entries", elems(entries, 8), meta.label_entries)?;
-        }
-        LabelRanges::Split { hubs, dists } => {
-            expect("label_hubs", elems(hubs, 4), meta.label_entries)?;
-            expect("label_dists", elems(dists, 4), meta.label_entries)?;
-        }
-    }
+    expect(
+        "label_entries",
+        elems(&layout.label_entries, 8),
+        meta.label_entries,
+    )?;
     expect(
         "highway",
         elems(&layout.highway, 4),

@@ -37,8 +37,7 @@
 //! the process just wrote (or the operator vouches for),
 //! [`IndexStore::open_trusted`] skips exactly that pass while keeping every
 //! header, geometry, and semantic check — roughly halving the open. See
-//! [`format`](self) docs in `format.rs` for the byte layout, including the
-//! v3 packed label-entry section and the v2 compatibility path.
+//! [`format`](self) docs in `format.rs` for the byte layout.
 //!
 //! Live edge updates never rewrite a container: [`JournalWriter`] appends
 //! one small self-checksummed frame per acknowledged batch after the
@@ -66,10 +65,9 @@ mod tail;
 pub use checksum::crc64;
 pub use error::StoreError;
 pub use format::{
-    header_len, rewrite_checksum, serialize, serialize_v2_with, serialize_v3_with,
-    serialize_v4_with, serialize_v5_with, serialize_with, serialize_with_journal,
-    serialize_with_stats, BuildInfo, SectionInfo, StoreMeta, StoredBuildStats, StoredJournal,
-    FORMAT_VERSION, HEADER_LEN, LEGACY_HEADER_LEN, MAGIC, OLDEST_READABLE_VERSION,
+    rewrite_checksum, serialize, serialize_with, serialize_with_journal, serialize_with_stats,
+    BuildInfo, SectionInfo, StoreMeta, StoredBuildStats, StoredJournal, FORMAT_VERSION, HEADER_LEN,
+    MAGIC,
 };
 pub use generation::{Generation, GenerationHandle};
 pub use tail::{encode_tail_frame, AppendOutcome, JournalWriter, TailInfo};
@@ -78,10 +76,10 @@ pub use tail::{encode_tail_frame, AppendOutcome, JournalWriter, TailInfo};
 pub use hcl_index::SelectionStrategy;
 
 use backing::{cast_u32s, cast_u64s, AlignedBuf, Backing};
-use format::{LabelRanges, Layout};
+use format::Layout;
 use hcl_core::{DeltaError, DeltaGraph, EdgeDelta, Graph, GraphView, VertexId};
 use hcl_index::repair::DynamicIndex;
-use hcl_index::{pack_label_entry, BuildContext, HighwayCoverIndex, IndexView};
+use hcl_index::{BuildContext, HighwayCoverIndex, IndexView};
 use std::fs::File;
 use std::path::Path;
 use std::sync::Arc;
@@ -164,14 +162,13 @@ pub struct CompactReport {
 /// The write goes through the durable temp-fsync/rename/dir-fsync path
 /// ([`durable`]), so a crash mid-compaction leaves the old journalled
 /// container intact. A file whose journal is already empty (or absent) is
-/// rewritten only when it predates v6, upgrading it in place; otherwise
-/// it is left untouched.
+/// left untouched.
 pub fn compact_file(path: impl AsRef<Path>) -> Result<CompactReport, StoreError> {
     let path = path.as_ref();
     let store = IndexStore::open(path)?;
     let meta = store.meta();
     let journal = store.journal().cloned().unwrap_or_default();
-    if journal.is_empty() && meta.version >= 6 {
+    if journal.is_empty() {
         let len = store.len_bytes();
         return Ok(CompactReport {
             deltas_folded: 0,
@@ -183,7 +180,7 @@ pub fn compact_file(path: impl AsRef<Path>) -> Result<CompactReport, StoreError>
     let (graph, index) = store.to_owned_parts();
     let folded = StoredJournal {
         deltas: Vec::new(),
-        compactions: journal.compactions + u64::from(!journal.is_empty()),
+        compactions: journal.compactions + 1,
     };
     let bytes = serialize_with_journal(&graph, &index, meta.build, &folded)?;
     write_atomically(path, &bytes)?;
@@ -217,8 +214,7 @@ pub struct OpenPhases {
     pub checksum: Duration,
     /// Semantic validation of the CSR arrays (`GraphView::from_csr`).
     pub graph: Duration,
-    /// Semantic validation of the labelling (`IndexView::from_parts`),
-    /// after packing the split label sections of a v2 file.
+    /// Semantic validation of the labelling (`IndexView::from_parts`).
     pub labels: Duration,
     /// Pending journal deltas replayed over the base sections: label
     /// repair per delta, then one rematerialised graph and index.
@@ -259,10 +255,6 @@ impl std::fmt::Display for OpenPhases {
 /// are pointer arithmetic over the backing bytes. The store must outlive
 /// the views it hands out, which the borrow checker enforces.
 ///
-/// Version-2 files (split hub/distance label sections) are served through
-/// a converting open: the label entries are packed into an owned array
-/// once at load, while every other section still serves zero-copy.
-///
 /// The validated image is shared (`Arc`) between a store and the
 /// generations a [`JournalWriter`] stamps from it after live updates, so
 /// publishing an update never copies or re-validates it.
@@ -287,9 +279,6 @@ pub struct IndexStore {
 struct Base {
     backing: Backing,
     layout: Layout,
-    /// Owned packed label entries for v2 files (`None` for v3+, which
-    /// serve them straight from the backing).
-    converted_entries: Option<Vec<u64>>,
 }
 
 impl Base {
@@ -312,12 +301,11 @@ impl Base {
     /// The index sections as a view; see [`Base::graph`].
     fn index(&self) -> IndexView<'_> {
         let (bytes, layout) = (self.image(), &self.layout);
-        let entries = packed_entries(&layout.labels, &self.converted_entries, bytes);
         IndexView::from_parts_unchecked(
             cast_u32s(&bytes[layout.landmarks.clone()]),
             cast_u32s(&bytes[layout.landmark_rank.clone()]),
             cast_u64s(&bytes[layout.label_offsets.clone()]),
-            entries,
+            cast_u64s(&bytes[layout.label_entries.clone()]),
             cast_u32s(&bytes[layout.highway.clone()]),
         )
     }
@@ -327,8 +315,6 @@ impl Base {
 /// an open checks, before any served state is built from it.
 struct Validated {
     layout: Layout,
-    /// Owned packed label entries for v2 files; see [`Base`].
-    converted_entries: Option<Vec<u64>>,
     /// The pending journal: the journal section's deltas followed by the
     /// tail frames', every one of them applicable in order.
     journal: Option<StoredJournal>,
@@ -376,29 +362,12 @@ fn validate(bytes: &[u8], mode: OpenMode) -> Result<Validated, StoreError> {
         )?;
         phases.graph = t.elapsed();
 
-        // v2 files carry labels as two parallel u32 sections; pack them
-        // once into the layout the query engine consumes. v3 serves them
-        // in place.
         let t = Instant::now();
-        let converted_entries = match &layout.labels {
-            LabelRanges::Packed { .. } => None,
-            LabelRanges::Split { hubs, dists } => {
-                let hubs = cast_u32s(&bytes[hubs.clone()]);
-                let dists = cast_u32s(&bytes[dists.clone()]);
-                Some(
-                    hubs.iter()
-                        .zip(dists)
-                        .map(|(&h, &d)| pack_label_entry(h, d))
-                        .collect::<Vec<u64>>(),
-                )
-            }
-        };
-        let entries = packed_entries(&layout.labels, &converted_entries, bytes);
         let index = IndexView::from_parts(
             cast_u32s(&bytes[layout.landmarks.clone()]),
             cast_u32s(&bytes[layout.landmark_rank.clone()]),
             cast_u64s(&bytes[layout.label_offsets.clone()]),
-            entries,
+            cast_u64s(&bytes[layout.label_entries.clone()]),
             cast_u32s(&bytes[layout.highway.clone()]),
         )?;
         phases.labels = t.elapsed();
@@ -450,7 +419,6 @@ fn validate(bytes: &[u8], mode: OpenMode) -> Result<Validated, StoreError> {
 
         Ok(Validated {
             layout,
-            converted_entries,
             journal,
             tail: parsed.info,
             phases,
@@ -557,16 +525,11 @@ impl IndexStore {
     fn from_backing(backing: Backing, mode: OpenMode) -> Result<Self, StoreError> {
         let Validated {
             layout,
-            converted_entries,
             journal,
             tail,
             phases: mut open_phases,
         } = validate(backing.bytes(), mode)?;
-        let base = Base {
-            backing,
-            layout,
-            converted_entries,
-        };
+        let base = Base { backing, layout };
 
         // Replay pending deltas over the base sections — applying each
         // edit to a delta overlay and repairing the labels incrementally
@@ -613,8 +576,7 @@ impl IndexStore {
 
     /// The *current* index: the replayed (incrementally repaired) state
     /// for a journalled container with pending deltas, otherwise the base
-    /// sections (zero-copy for v3+ files; label entries come from the
-    /// converted array for v2 files).
+    /// sections zero-copy from the backing.
     pub fn index(&self) -> IndexView<'_> {
         match &self.replayed {
             Some(state) => state.index.as_view(),
@@ -637,9 +599,8 @@ impl IndexStore {
     }
 
     /// The pending delta journal — the journal section's deltas followed
-    /// by the tail frames' — or `None` for a file with neither (one that
-    /// predates the journal section or was written without one, and has
-    /// never been appended to).
+    /// by the tail frames' — or `None` for a file with neither (one
+    /// written without a journal section and never appended to).
     pub fn journal(&self) -> Option<&StoredJournal> {
         self.journal.as_ref()
     }
@@ -664,16 +625,15 @@ impl IndexStore {
     }
 
     /// Per-section name/offset/size information for inspection tooling
-    /// (7 sections for v3/v4 files, 8 for v2, 7 or 8 for v5).
+    /// (the seven required sections, then whichever optional ones the
+    /// file carries).
     pub fn sections(&self) -> Vec<SectionInfo> {
         self.base.layout.sections()
     }
 
     /// The build counters recorded in the container's optional
-    /// `build_stats` section (v5+), or `None` when the file predates the
-    /// section, was written without one, or carries a stats layout this
-    /// reader does not understand — deep-inspection tooling degrades
-    /// gracefully on legacy containers.
+    /// `build_stats` section, or `None` when the file was written without
+    /// one or carries a stats layout this reader does not understand.
     pub fn build_stats(&self) -> Option<StoredBuildStats> {
         let range = self.base.layout.build_stats.clone()?;
         let words = cast_u64s(&self.base.image()[range]);
@@ -739,21 +699,6 @@ pub fn verify_file(path: impl AsRef<Path>) -> Result<StoreMeta, StoreError> {
     let len = file.metadata()?.len();
     let buf = AlignedBuf::read_from(&mut file, len as usize)?;
     Ok(validate(buf.bytes(), OpenMode::Validated)?.layout.meta)
-}
-
-/// Resolves the packed label-entry slice for a layout: straight from the
-/// backing for v3, from the conversion buffer for v2 — the single source
-/// of truth shared by open-time validation and the served view.
-fn packed_entries<'a>(
-    labels: &LabelRanges,
-    converted: &'a Option<Vec<u64>>,
-    bytes: &'a [u8],
-) -> &'a [u64] {
-    match (labels, converted) {
-        (LabelRanges::Packed { entries }, _) => cast_u64s(&bytes[entries.clone()]),
-        (LabelRanges::Split { .. }, Some(packed)) => packed,
-        (LabelRanges::Split { .. }, None) => unreachable!("split labels always convert at open"),
-    }
 }
 
 // Keep VertexId in the public-API surface story: sections store plain u32

@@ -63,7 +63,7 @@ fn frame_crc(seed: u64, body: &[u8]) -> u64 {
 ///
 /// [`JournalWriter`] is the writer; this is public so tests and tooling
 /// can fabricate tails in memory (torn, damaged, bound to the wrong
-/// container) the way `serialize_v2_with` fabricates legacy images.
+/// container).
 pub fn encode_tail_frame(
     deltas: &[EdgeDelta],
     first_seq: u64,

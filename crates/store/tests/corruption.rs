@@ -49,13 +49,61 @@ fn bad_magic_is_detected() {
     ));
 }
 
+/// There is one format version. Every other version word — stamped into
+/// an otherwise valid, re-checksummed image — is refused by every entry
+/// point with the typed error, never mis-read; so are the other marks of
+/// the retired layouts (section kinds 6/7, the 80-byte header).
 #[test]
 fn wrong_version_is_detected() {
-    let mut bytes = sample_bytes();
-    bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
+    let clean = sample_bytes();
+    let mut path = std::env::temp_dir();
+    path.push(format!("hcl_store_version_{}.hcl", std::process::id()));
+    // A plain (journal-less) image stamped 5 is byte-for-byte what the
+    // last v5 writer produced.
+    for version in [0u32, 1, 2, 3, 4, 5, 7, 99] {
+        let mut bytes = clean.clone();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        hcl_store::rewrite_checksum(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        let errors = [
+            IndexStore::from_bytes(&bytes).unwrap_err(),
+            IndexStore::from_bytes_trusted(&bytes).unwrap_err(),
+            IndexStore::open(&path).unwrap_err(),
+            IndexStore::open_trusted(&path).unwrap_err(),
+            hcl_store::verify_file(&path).unwrap_err(),
+        ];
+        for err in errors {
+            assert!(
+                matches!(
+                    err,
+                    StoreError::UnsupportedVersion { found, supported: 6 } if found == version
+                ),
+                "version {version}: expected UnsupportedVersion, got {err:?}"
+            );
+        }
+    }
+    std::fs::remove_file(&path).ok();
+
+    // Section kinds 6 and 7 are reserved, not readable.
+    for kind in [6u32, 7] {
+        let mut bytes = clean.clone();
+        bytes[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&kind.to_le_bytes());
+        hcl_store::rewrite_checksum(&mut bytes);
+        match IndexStore::from_bytes(&bytes).unwrap_err() {
+            StoreError::Corrupt { what } => {
+                assert!(what.contains("unknown section kind"), "kind {kind}: {what}")
+            }
+            other => panic!("kind {kind}: expected Corrupt, got {other:?}"),
+        }
+    }
+
+    // The old legacy-header minimum is not enough of a header.
     assert!(matches!(
-        IndexStore::from_bytes(&bytes).unwrap_err(),
-        StoreError::UnsupportedVersion { found: 99, .. }
+        IndexStore::from_bytes(&clean[..80]).unwrap_err(),
+        StoreError::Truncated {
+            expected: 96,
+            actual: 80
+        }
     ));
 }
 

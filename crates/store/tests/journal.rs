@@ -1,14 +1,12 @@
-//! v6 journal behaviour: replay-on-open answer identity, compaction,
-//! graceful degradation on legacy versions, and journal corruption — for
-//! the journal section and for the frames appended after the image (the
-//! torn-tail sweep, damaged and foreign frames, and the writer that
-//! appends them).
+//! Journal behaviour: replay-on-open answer identity, compaction, and
+//! journal corruption — for the journal section and for the frames
+//! appended after the image (the torn-tail sweep, damaged and foreign
+//! frames, and the writer that appends them).
 
 use hcl_core::{bfs, testkit, DeltaGraph, EdgeDelta, Graph};
 use hcl_index::{BuildOptions, HighwayCoverIndex, QueryContext};
 use hcl_store::{
-    compact_file, encode_tail_frame, serialize, serialize_v2_with, serialize_v3_with,
-    serialize_v4_with, serialize_v5_with, serialize_with_journal, BuildInfo, IndexStore,
+    compact_file, encode_tail_frame, serialize, serialize_with_journal, BuildInfo, IndexStore,
     JournalWriter, StoreError, StoredJournal, TailInfo,
 };
 use std::sync::Arc;
@@ -112,29 +110,6 @@ fn plain_serialize_has_no_journal_section() {
 }
 
 #[test]
-fn legacy_versions_open_without_journal() {
-    let base = testkit::erdos_renyi(40, 0.15, 3);
-    let index = build(&base, 4);
-    let build_info = BuildInfo::default();
-    let legacy: [(&str, Vec<u8>); 4] = [
-        ("v2", serialize_v2_with(&base, &index, build_info).unwrap()),
-        ("v3", serialize_v3_with(&base, &index, build_info).unwrap()),
-        ("v4", serialize_v4_with(&base, &index, build_info).unwrap()),
-        (
-            "v5",
-            serialize_v5_with(&base, &index, build_info, None).unwrap(),
-        ),
-    ];
-    for (name, bytes) in legacy {
-        let store = IndexStore::from_bytes(&bytes)
-            .unwrap_or_else(|e| panic!("{name} container failed to open: {e}"));
-        assert!(store.journal().is_none(), "{name} should carry no journal");
-        assert_eq!(store.journal_bytes(), 0);
-        assert_eq!(store.graph().num_edges(), base.num_edges());
-    }
-}
-
-#[test]
 fn compact_folds_journal_and_preserves_answers() {
     let dir = tempdir();
     let path = dir.join("compact.hcl");
@@ -180,25 +155,6 @@ fn compact_folds_journal_and_preserves_answers() {
     let report = compact_file(&path).unwrap();
     assert_eq!(report.deltas_folded, 0);
     assert_eq!(report.compactions, 3);
-}
-
-#[test]
-fn compact_upgrades_legacy_containers() {
-    let dir = tempdir();
-    let path = dir.join("legacy.hcl");
-    let base = testkit::grid(4, 5);
-    let index = build(&base, 3);
-    std::fs::write(
-        &path,
-        serialize_v4_with(&base, &index, BuildInfo::default()).unwrap(),
-    )
-    .unwrap();
-    let report = compact_file(&path).unwrap();
-    assert_eq!(report.deltas_folded, 0);
-    assert_eq!(report.compactions, 0);
-    let store = IndexStore::open(&path).unwrap();
-    assert_eq!(store.meta().version, 6);
-    assert!(store.journal().unwrap().is_empty());
 }
 
 #[test]

@@ -216,53 +216,6 @@ fn to_owned_parts_fully_deserialises() {
     }
 }
 
-/// Legacy v2 containers (split hub/dist label sections) must load through
-/// the converting reader and answer every query identically to the owned
-/// index — across all graph families and landmark counts, through both the
-/// in-memory and file open paths, validated and trusted alike.
-#[test]
-fn v2_containers_round_trip_through_the_converting_reader() {
-    for (name, g) in testkit::families() {
-        for k in [0usize, 1, 4, 16] {
-            let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: k });
-            let v2 = hcl_store::serialize_v2_with(&g, &idx, hcl_store::BuildInfo::default())
-                .expect("serialize v2");
-            let current = hcl_store::serialize(&g, &idx).expect("serialize current");
-            assert_ne!(v2, current, "{name} k={k}: versions must differ on disk");
-
-            let store = IndexStore::from_bytes(&v2).expect("v2 loads");
-            let meta = store.meta();
-            assert_eq!(meta.version, 2, "{name} k={k}");
-            assert_eq!(
-                meta.build.strategy,
-                hcl_store::SelectionStrategy::DegreeRank,
-                "{name} k={k}: v2 must report the degree-rank default"
-            );
-            assert_eq!(meta.label_entries, idx.stats().total_label_entries as u64);
-            let sections = store.sections();
-            assert_eq!(sections.len(), 8, "{name} k={k}: v2 has split sections");
-            assert!(sections.iter().any(|s| s.name == "label_hubs"));
-            assert!(sections.iter().any(|s| s.name == "label_dists"));
-            assert_store_matches_owned(&format!("{name} k={k} v2 bytes"), &g, &idx, &store);
-
-            // Same answers through a real file, both open modes.
-            let path = temp_path(&format!(
-                "v2_{}_{k}",
-                name.replace(['(', ')', ',', '.', '⊎', '+'], "_")
-            ));
-            std::fs::write(&path, &v2).expect("write v2 file");
-            let opened = IndexStore::open(&path).expect("open v2 file");
-            assert_store_matches_owned(&format!("{name} k={k} v2 file"), &g, &idx, &opened);
-            drop(opened);
-            let trusted = IndexStore::open_trusted(&path).expect("open_trusted v2 file");
-            assert_eq!(trusted.meta().version, 2);
-            assert_store_matches_owned(&format!("{name} k={k} v2 trusted"), &g, &idx, &trusted);
-            drop(trusted);
-            std::fs::remove_file(&path).ok();
-        }
-    }
-}
-
 /// The trusted open skips exactly the whole-file CRC pass: it must load
 /// pristine containers (agreeing with the validated open everywhere) and
 /// must *still* reject everything the structural and semantic validators
@@ -347,36 +300,6 @@ fn v4_header_round_trips_strategy_and_seed_on_all_families() {
     }
 }
 
-/// Legacy v3 containers (80-byte header, no strategy fields) must keep
-/// loading — reported as `DegreeRank`, the only strategy that existed
-/// when they were written — with answers identical to the owned index.
-#[test]
-fn v3_containers_load_as_degree_rank() {
-    for (name, g) in testkit::families() {
-        for k in [0usize, 4] {
-            let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: k });
-            let v3 = hcl_store::serialize_v3_with(&g, &idx, hcl_store::BuildInfo::default())
-                .expect("serialize v3");
-            let v4 = hcl_store::serialize(&g, &idx).expect("serialize v4");
-            assert_ne!(v3, v4, "{name} k={k}: versions must differ on disk");
-
-            let store = IndexStore::from_bytes(&v3).expect("v3 loads");
-            assert_eq!(store.meta().version, 3, "{name} k={k}");
-            assert_eq!(
-                store.meta().build.strategy,
-                hcl_store::SelectionStrategy::DegreeRank,
-                "{name} k={k}: v3 must report the degree-rank default"
-            );
-            assert_store_matches_owned(&format!("{name} k={k} v3"), &g, &idx, &store);
-            let trusted = IndexStore::from_bytes_trusted(&v3).expect("v3 trusted");
-            assert_eq!(
-                trusted.meta().build.strategy,
-                hcl_store::SelectionStrategy::DegreeRank
-            );
-        }
-    }
-}
-
 #[test]
 fn serialize_rejects_mismatched_graph() {
     let g = testkit::path(10);
@@ -441,34 +364,4 @@ fn v5_build_stats_round_trip_and_optionality() {
     assert_store_matches_owned("v5 stats trusted", &g, &idx, &trusted);
     drop(trusted);
     std::fs::remove_file(&path).ok();
-}
-
-/// Legacy v4 containers (no `build_stats` section kind at all) must keep
-/// loading with `build_stats() == None` and identical answers — the
-/// compatibility contract deep-inspection tooling relies on.
-#[test]
-fn v4_containers_load_without_build_stats() {
-    for (name, g) in testkit::families() {
-        for k in [0usize, 4] {
-            let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: k });
-            let info = hcl_store::BuildInfo {
-                threads: 2,
-                batch_size: 8,
-                strategy: hcl_store::SelectionStrategy::ApproxCoverage { seed: 7 },
-            };
-            let v4 = hcl_store::serialize_v4_with(&g, &idx, info).expect("serialize v4");
-            let v5 = hcl_store::serialize_with(&g, &idx, info).expect("serialize v5");
-            assert_ne!(v4, v5, "{name} k={k}: version field must differ");
-
-            let store = IndexStore::from_bytes(&v4).expect("v4 loads");
-            assert_eq!(store.meta().version, 4, "{name} k={k}");
-            assert_eq!(store.meta().build.strategy, info.strategy, "{name} k={k}");
-            assert_eq!(
-                store.build_stats(),
-                None,
-                "{name} k={k}: v4 predates build stats"
-            );
-            assert_store_matches_owned(&format!("{name} k={k} v4"), &g, &idx, &store);
-        }
-    }
 }

@@ -336,9 +336,7 @@ pub fn no_print(files: &[SourceFile], allow: &mut Allowlist) -> Vec<Violation> {
 /// What the store-format rule extracted from `store/src/format.rs`.
 struct FormatFacts {
     version: u64,
-    oldest: u64,
     header_len: u64,
-    legacy_header_len: u64,
     /// `(kind discriminant, snake_case name, element type)` per variant.
     kinds: Vec<(u64, String, &'static str)>,
 }
@@ -404,22 +402,20 @@ pub fn store_format(root: &Path, files: &[SourceFile]) -> Vec<Violation> {
         )];
     };
 
-    // Prose side: the four bold integers, in order: current version,
-    // oldest readable, header bytes, legacy header bytes.
+    // Prose side: the two bold integers, in order: format version,
+    // header bytes.
     let bold: Vec<u64> = bold_ints(block);
     let expected = [
-        ("current format version", facts.version),
-        ("oldest readable version", facts.oldest),
+        ("format version", facts.version),
         ("header length", facts.header_len),
-        ("legacy header length", facts.legacy_header_len),
     ];
     if bold.len() < expected.len() {
         out.push(fail(
             block_start,
             DOC,
             format!(
-                "store-format block must carry four bold integers (current version, oldest \
-                 readable, header bytes, legacy header bytes); found {}",
+                "store-format block must carry two bold integers (format version, header \
+                 bytes); found {}",
                 bold.len()
             ),
         ));
@@ -506,9 +502,7 @@ fn extract_format_facts(file: &SourceFile) -> Result<FormatFacts, String> {
         Err(format!("`const {name}` not found"))
     };
     let version = const_val("FORMAT_VERSION")?;
-    let oldest = const_val("OLDEST_READABLE_VERSION")?;
     let header_len = const_val("HEADER_LEN")?;
-    let legacy_header_len = const_val("LEGACY_HEADER_LEN")?;
 
     // Enum variants with explicit discriminants.
     let mut variants: Vec<(u64, String)> = Vec::new();
@@ -571,9 +565,7 @@ fn extract_format_facts(file: &SourceFile) -> Result<FormatFacts, String> {
         .collect();
     Ok(FormatFacts {
         version,
-        oldest,
         header_len,
-        legacy_header_len,
         kinds,
     })
 }

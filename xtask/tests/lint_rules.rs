@@ -208,9 +208,7 @@ fn no_print_flags_library_prints_but_not_tests_or_bins() {
 
 const FORMAT_RS_FIXTURE: &str = r#"
 pub const FORMAT_VERSION: u32 = 5;
-pub const OLDEST_READABLE_VERSION: u32 = 2;
 pub const HEADER_LEN: usize = 96;
-pub const LEGACY_HEADER_LEN: usize = 80;
 pub enum SectionKind {
     GraphOffsets = 1,
     Highway = 8,
@@ -233,8 +231,8 @@ impl SectionKind {
 
 fn format_doc(version: u64, highway_elem: &str) -> String {
     format!(
-        "# doc\n<!-- lint:store-format:begin -->\nversion **{version}** accepts \
-         **2**; header **96** bytes, legacy **80**.\n\n\
+        "# doc\n<!-- lint:store-format:begin -->\nversion **{version}**; header \
+         **96** bytes.\n\n\
          | kind | section | element |\n|---|---|---|\n\
          | 1 | graph_offsets | u64 |\n| 8 | highway | {highway_elem} |\n\
          <!-- lint:store-format:end -->\n"
