@@ -56,22 +56,22 @@ const USAGE: &str = "usage: hcl <command> [args]\n\
      \n\
      commands:\n\
        build <graph.edges> [--out FILE.hcl] [--landmarks K] [--threads T]\n\
-             [--batch B] [--strategy S] [--progress]\n\
+             [--strategy S] [--progress]\n\
            Build the highway-cover index once and persist it (default\n\
-           output: <graph.edges>.hcl). --threads shards the landmark\n\
-           searches over T worker threads (default: HCL_BUILD_THREADS or\n\
-           all available cores); the output is byte-identical at every\n\
-           thread count. --batch sets landmarks per batch (advanced;\n\
-           changes the labelling shape, not its exactness). --strategy\n\
-           picks how landmarks are chosen: degree-rank (default),\n\
-           approx-coverage[:seed], or seeded-random[:seed] (default:\n\
-           HCL_BUILD_STRATEGY, else degree-rank); the choice is recorded\n\
-           in the container header and shown by inspect. --progress\n\
-           streams per-phase timing lines (selection, each landmark\n\
-           batch, highway closure) to stderr while the build runs. Build\n\
-           counters (BFS visits, domination prunes, per-landmark label\n\
-           contributions) are always recorded in the container and shown\n\
-           by inspect --stats.\n\
+           output: <graph.edges>.hcl). Landmarks are swept 64 at a time;\n\
+           --threads shards those groups over T worker threads (default:\n\
+           HCL_BUILD_THREADS or all available cores; at most one worker\n\
+           per 64 landmarks ever starts), and the output is byte-identical\n\
+           at every thread count. --strategy picks how landmarks are\n\
+           chosen: degree-rank (default), approx-coverage[:seed], or\n\
+           seeded-random[:seed] (default: HCL_BUILD_STRATEGY, else\n\
+           degree-rank); the choice is recorded in the container header\n\
+           and shown by inspect. --progress\n\
+           streams per-phase lines (selection, each sweep group with its\n\
+           levels, activations, entries and covered arrivals, the label\n\
+           fill) to stderr. Build counters (BFS visits, covered arrivals,\n\
+           per-landmark label contributions) are always recorded in the\n\
+           container and shown by inspect --stats.\n\
        query (--index FILE.hcl [--trusted] | <graph.edges> [--landmarks K]\n\
              [--threads T] [--strategy S]) [--queries FILE | --random N]\n\
              [--seed S] [--workers W] [--verify] [--explain]\n\
@@ -148,7 +148,7 @@ const USAGE: &str = "usage: hcl <command> [args]\n\
            (pending deltas, size, compactions), and the section table.\n\
            --stats adds the label-size histogram (p50/p99/max entries per\n\
            vertex), the top hubs by label frequency, and the recorded\n\
-           build counters (BFS visits, domination cut rate, per-landmark\n\
+           build counters (BFS visits, covered share, per-landmark\n\
            contributions) when the container carries them.";
 
 fn usage() -> ! {
@@ -513,7 +513,6 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
     let mut out_path: Option<String> = None;
     let mut num_landmarks: Option<usize> = None;
     let mut threads: Option<usize> = None;
-    let mut batch_size = 0usize;
     let mut selection: Option<SelectionStrategy> = None;
     let mut progress = false;
     let mut args = args.into_iter();
@@ -533,7 +532,6 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
                     "--threads",
                 ))
             }
-            "--batch" => batch_size = parse_or_usage(next_value(&mut args, "--batch"), "--batch"),
             "--strategy" | "-s" => {
                 selection = Some(parse_strategy_or_usage(next_value(&mut args, "--strategy")))
             }
@@ -557,7 +555,7 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
     let options = BuildOptions {
         num_landmarks: resolve_landmarks(num_landmarks, graph.num_vertices()),
         threads: resolve_build_threads(threads),
-        batch_size,
+        batch_size: 0,
         selection,
     };
     let t1 = Instant::now();
@@ -586,15 +584,14 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
 
     if progress {
         eprintln!(
-            "phases: selection {}µs, searches {}µs over {} batch(es), merge {}µs, closure {}µs",
+            "phases: selection {}µs, sweeps {}µs over {} group(s), fill {}µs",
             build_stats.selection_us,
             build_stats.batch_us.iter().sum::<u64>(),
             build_stats.batch_us.len(),
-            build_stats.merge_us,
             build_stats.closure_us
         );
         eprintln!(
-            "pruning: {} BFS visits, {} label insertions, {} dominated ({:.1}% cut)",
+            "labelling: {} BFS visits, {} label entries, {} covered ({:.1}%)",
             build_stats.bfs_visits,
             build_stats.label_insertions,
             build_stats.dominated,
@@ -610,14 +607,13 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
     );
     eprintln!(
         "index: {} landmarks, {} label entries (avg {:.2}/vertex, max {}), built in {:.1?} \
-         with {} thread(s), batch {}, strategy {}",
+         with {} thread(s), strategy {}",
         stats.num_landmarks,
         stats.total_label_entries,
         stats.avg_label_size,
         stats.max_label_size,
         build_time,
         build_info.threads,
-        build_info.batch_size,
         build_info.strategy
     );
     eprintln!(
@@ -1526,7 +1522,7 @@ fn write_deep_stats(out: &mut dyn Write, store: &IndexStore) -> std::io::Result<
             writeln!(out, "  label insertions: {}", bs.label_insertions)?;
             writeln!(
                 out,
-                "  dominated:        {} ({:.1}% of visits cut)",
+                "  covered:          {} ({:.1}% of visits)",
                 bs.dominated,
                 bs.domination_cut_rate() * 100.0
             )?;
@@ -1618,7 +1614,7 @@ fn cmd_inspect(args: Vec<String>) -> Result<(), String> {
         } else {
             writeln!(
                 out,
-                "built with:    {} thread(s), landmark batch {}",
+                "built with:    {} thread(s), sweep width {}",
                 meta.build.threads, meta.build.batch_size
             )?;
         }

@@ -110,7 +110,7 @@ fn empty_graph_pipeline_builds_serves_inspects() {
     assert!(inspect.contains("vertices:      0"), "inspect: {inspect}");
     assert!(inspect.contains("landmarks:     0"), "inspect: {inspect}");
     assert!(
-        inspect.contains("built with:    2 thread(s), landmark batch 8"),
+        inspect.contains("built with:    2 thread(s), sweep width 64"),
         "inspect must show recorded build metadata: {inspect}"
     );
 }
@@ -631,7 +631,7 @@ fn strategy_flag_is_recorded_and_validated() {
 #[test]
 fn threads_flag_does_not_change_the_served_index() {
     let scratch = Scratch::new("threads");
-    // A graph big enough that batching actually spans several batches.
+    // Enough landmarks for several sweep groups, so 4 threads means workers.
     let edges: String = (0..400u32)
         .map(|i| format!("{} {}\n", i, (i * 7 + 1) % 400))
         .collect();
@@ -640,13 +640,13 @@ fn threads_flag_does_not_change_the_served_index() {
     let par = scratch.path("par.hcl");
     run_ok(hcl().arg("build").arg(&graph).arg("--out").arg(&seq).args([
         "--landmarks",
-        "24",
+        "130",
         "--threads",
         "1",
     ]));
     run_ok(hcl().arg("build").arg(&graph).arg("--out").arg(&par).args([
         "--landmarks",
-        "24",
+        "130",
         "--threads",
         "4",
     ]));
@@ -658,4 +658,15 @@ fn threads_flag_does_not_change_the_served_index() {
         "served payload must be thread-count independent"
     );
     assert_ne!(a, b, "recorded build metadata should differ");
+
+    // The batched builder's knob went with it: a usage error, not ignored.
+    let out = hcl()
+        .arg("build")
+        .arg(&graph)
+        .args(["--batch", "8"])
+        .output()
+        .expect("spawn hcl");
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    let err = stderr_of(&out);
+    assert!(err.contains("unrecognised argument `--batch`"), "{err}");
 }

@@ -587,8 +587,8 @@ fn inspect_stats_renders_deep_stats_for_v5_containers() {
         "build stats:",
         "  bfs visits:",
         "  label insertions:",
-        "  dominated:",
-        "% of visits cut)",
+        "  covered:",
+        "% of visits)",
         "  top contributors:",
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");

@@ -1,51 +1,43 @@
-//! Index construction: pruned landmark BFS, deterministic batching, and
-//! the highway matrix.
+//! Index construction: the paper's order-independent highway cover
+//! labelling, built by a bit-parallel multi-source BFS sweep.
 //!
-//! # The batched build and why it parallelises
+//! # The labelling
 //!
-//! The labelling is one pruned BFS per landmark. Each search reads two
-//! pieces of shared state — the labels recorded by earlier landmarks and
-//! the highway row of its own landmark — and produces two fragments: the
-//! vertices it labels and the landmark-to-landmark depths it discovers.
-//! The searches are therefore independent *modulo* that shared state, and
-//! this module exploits it deterministically:
+//! For a landmark set `R`, vertex `v` holds the entry `(r, δ)` **iff**
+//! `δ = d(r, v)` is finite and no *other* landmark lies on *any* shortest
+//! `r`–`v` path (Farhan et al., EDBT 2019 — the labelling IncHL+
+//! maintains). A landmark's label is therefore exactly its self entry
+//! `(r, 0)`, and the highway holds `d(r_i, r_j)` for every pair. The
+//! definition mentions no order among landmarks, so the labelling is a
+//! function of the graph and the landmark *set* alone, it is minimal —
+//! drop any entry and the landmark distance it carries can no longer be
+//! read off the label — and its per-landmark searches are independent of
+//! one another.
 //!
-//! * Landmarks are processed in **rank-ordered batches** of fixed size
-//!   ([`BuildOptions::batch_size`], default
-//!   [`BuildOptions::DEFAULT_BATCH_SIZE`]).
-//! * Every search in a batch runs against a **read-only snapshot** of the
-//!   shared state as it stood when the batch started — domination pruning
-//!   consults only labels and highway entries from strictly earlier
-//!   batches, plus the highway depths the search itself discovers.
-//! * After a batch completes, a **merge in landmark-rank order** folds the
-//!   per-landmark fragments back into the shared state.
+//! # The sweep
 //!
-//! Because a search never observes a batch-mate's results, the output is a
-//! pure function of the graph, the landmark count, and the batch size —
-//! **byte-identical for every thread count**, which
-//! `tests/parallel_build.rs` asserts across all testkit families. The
-//! sequential builder ([`sequential`]) is literally the `threads = 1` case
-//! of the same batched algorithm; [`parallel`] shards each batch over
-//! `std::thread::scope` workers, each with its own reusable
-//! [`BuildContext`].
-//!
-//! Batch-local blindness can only *weaken* pruning (a batch-mate's label
-//! that would have dominated a vertex is not visible yet), so labels may
-//! hold slightly more entries than a fully sequential ordering would
-//! produce — never any wrong ones, and exactness of every query is
-//! unaffected (the oracle property tests run over the batched output).
+//! Whether `v` keeps an `r` entry is local in BFS order from `r`: it does
+//! iff `v` is not a landmark and no shortest-path predecessor of `v` is
+//! *covered* (is another landmark, or has a covered predecessor itself).
+//! [`sweep`] evaluates that for 64 landmarks at once, one bit of a machine
+//! word each, in one level-synchronous full BFS that also reads the
+//! highway rows off directly — no closure pass — and lays the entries out
+//! as the hub-sorted CSR by count, prefix-sum, fill; its module docs have
+//! the details. Groups of 64 share no state, so
+//! [`BuildOptions::threads`] shards *groups* over `std::thread::scope`
+//! workers — at most one per 64 landmarks can ever have work — and the
+//! output is **byte-identical at every thread count** by construction,
+//! which `tests/parallel_build.rs` asserts across all testkit families.
 
-mod state;
-
-pub(crate) mod parallel;
-pub(crate) mod sequential;
+mod sweep;
 
 use crate::select::{self, LandmarkSelector, SelectionStrategy};
 use crate::view::IndexView;
 use hcl_core::bfs::BfsScratch;
-use hcl_core::{Graph, VertexId};
-use state::{BuildState, LandmarkFragment};
+use hcl_core::{Graph, GraphView, VertexId};
 use std::time::Instant;
+
+pub(crate) use sweep::label;
 
 /// Sentinel rank for vertices that are not landmarks.
 pub(crate) const NOT_A_LANDMARK: u32 = u32::MAX;
@@ -65,39 +57,36 @@ impl Default for IndexConfig {
     }
 }
 
-/// Full construction options: landmark count plus the parallel-build knobs.
+/// Full construction options: landmark count, worker threads, selection.
 ///
 /// [`IndexConfig`] stays the simple "how many landmarks" surface;
-/// `BuildOptions` adds worker-thread and batching control for
-/// [`HighwayCoverIndex::build_with`]. The batch size — not the thread
-/// count — is what shapes the output: for a fixed batch size the built
-/// index is byte-identical at every thread count (see the module docs).
+/// `BuildOptions` adds worker-thread and strategy control for
+/// [`HighwayCoverIndex::build_with`]. Only the landmark set shapes the
+/// output: the built index is byte-identical at every thread count (see
+/// the module docs).
 #[derive(Clone, Copy, Debug)]
 pub struct BuildOptions {
     /// Number of landmarks; clamped to the vertex count at build time.
     pub num_landmarks: usize,
     /// Worker threads. `0` means auto: the `HCL_BUILD_THREADS` environment
-    /// variable if set to a positive integer, otherwise `1` (the
-    /// sequential path). The thread count never changes the output.
+    /// variable if set to a positive integer, otherwise `1` (the calling
+    /// thread). Workers take whole sweep groups, so at most one per 64
+    /// landmarks is ever started. The thread count never changes the
+    /// output.
     pub threads: usize,
-    /// Landmarks per batch. `0` means [`Self::DEFAULT_BATCH_SIZE`]. Larger
-    /// batches expose more parallelism but weaken domination pruning
-    /// (batch-mates cannot prune against each other), so labels grow;
-    /// `1` reproduces the fully sequential pruning order exactly.
+    /// Ignored. The batched builder this field configured is gone; it
+    /// stays only so struct literals written against it keep compiling.
     pub batch_size: usize,
     /// Landmark-selection strategy. `None` means auto: the
     /// `HCL_BUILD_STRATEGY` environment variable if set to a valid
     /// `name[:seed]` spelling, otherwise
-    /// [`SelectionStrategy::DegreeRank`]. Unlike threads and batch size,
-    /// the strategy *shapes the output* (it decides which vertices anchor
-    /// the labelling), so persisted containers record it in their header.
+    /// [`SelectionStrategy::DegreeRank`]. Unlike the thread count, the
+    /// strategy *shapes the output* (it decides which vertices anchor the
+    /// labelling), so persisted containers record it in their header.
     pub selection: Option<SelectionStrategy>,
 }
 
 impl BuildOptions {
-    /// Default landmarks-per-batch when [`BuildOptions::batch_size`] is 0.
-    pub const DEFAULT_BATCH_SIZE: usize = 8;
-
     /// The worker-thread count this configuration resolves to (see
     /// [`BuildOptions::threads`]).
     pub fn resolved_threads(&self) -> usize {
@@ -121,14 +110,11 @@ impl BuildOptions {
             .unwrap_or(fallback)
     }
 
-    /// The batch size this configuration resolves to (see
-    /// [`BuildOptions::batch_size`]).
+    /// Landmarks per sweep group — 64, whatever
+    /// [`BuildOptions::batch_size`] says. This is the value containers
+    /// record in the header's batch word.
     pub fn resolved_batch_size(&self) -> usize {
-        if self.batch_size > 0 {
-            self.batch_size
-        } else {
-            Self::DEFAULT_BATCH_SIZE
-        }
+        sweep::WIDTH
     }
 
     /// The landmark-selection strategy this configuration resolves to:
@@ -164,17 +150,15 @@ impl From<IndexConfig> for BuildOptions {
 /// Reusable scratch space for one build worker, mirroring
 /// [`QueryContext`](crate::QueryContext) on the query side.
 ///
-/// A pruned landmark BFS needs a distance array, a queue, a touched-list
-/// (all provided by [`BfsScratch`] from `hcl-core`), and a private copy of
-/// its landmark's highway row. One context serves any number of searches —
-/// buffers are reset via the touched-list, so reuse costs `O(visited)` per
-/// search, not `O(n)`. Create one per worker thread; callers that rebuild
-/// indexes repeatedly can hold a pool and pass it to
-/// [`HighwayCoverIndex::build_in`].
+/// Holds the per-vertex words of the labelling sweep and the
+/// [`BfsScratch`] the insert repair's find phase searches with. One
+/// context serves any number of builds and repairs; create one per worker
+/// thread. Callers that rebuild indexes repeatedly can hold a pool and
+/// pass it to [`HighwayCoverIndex::build_in`].
 #[derive(Default)]
 pub struct BuildContext {
     pub(crate) scratch: BfsScratch,
-    pub(crate) highway_row: Vec<u32>,
+    pub(crate) sweep: sweep::SweepScratch,
 }
 
 impl BuildContext {
@@ -189,104 +173,62 @@ impl BuildContext {
 /// Because [`INFINITY`](hcl_core::INFINITY) is `u32::MAX`, saturation
 /// doubles as absorption — anything plus unreachable stays unreachable, and
 /// a sum that would wrap clamps to the sentinel instead of turning into a
-/// small bogus "distance". Used by the Floyd–Warshall closure and the
-/// domination check, where operands can sit near the sentinel when fed a
-/// hostile (well-formed but semantically tampered) index file.
+/// small bogus "distance". Used wherever a label distance meets a highway
+/// cell, where operands can sit near the sentinel when fed a hostile
+/// (well-formed but semantically tampered) index file.
 #[inline]
 pub(crate) fn sat_add(a: u32, b: u32) -> u32 {
     a.saturating_add(b)
 }
 
-/// Per-build instrumentation: phase wall times and pruning counters,
+/// Per-build instrumentation: phase wall times and sweep counters,
 /// produced by [`HighwayCoverIndex::build_with_stats`].
 ///
 /// The counters (`bfs_visits`, `label_insertions`, `dominated`,
 /// `landmark_labels`) are **thread-count-invariant**: they are pure
-/// functions of the graph, selection, and batch size, exactly like the
-/// built index itself — which is why they are safe to persist in the
-/// container (`hcl-store` section kind 10) without breaking the build's
+/// functions of the graph and the landmark set, exactly like the built
+/// index itself — which is why they are safe to persist in the container
+/// (`hcl-store` section kind 10) without breaking the build's
 /// byte-identity guarantee. The wall times are, of course, per-run.
+///
+/// The time fields keep the names the batched builder gave them; what
+/// they measure now is stated on each.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BuildStats {
     /// Wall time of landmark selection, in microseconds.
     pub selection_us: u64,
-    /// Wall time of each landmark batch's pruned searches, in
-    /// microseconds, in batch order.
+    /// Wall time of each sweep group (64 landmarks), in microseconds, in
+    /// rank order. Groups overlap in time when built with several threads.
     pub batch_us: Vec<u64>,
-    /// Cumulative wall time of folding fragments back into the shared
-    /// state, in microseconds.
+    /// Always 0: sweep groups share no state, so nothing is merged.
     pub merge_us: u64,
-    /// Wall time of the highway Floyd–Warshall closure plus the CSR label
-    /// flatten, in microseconds.
+    /// Wall time of laying the entries out as the hub-sorted CSR, in
+    /// microseconds. (The highway needs no closure.)
     pub closure_us: u64,
     /// Whole-build wall time, in microseconds.
     pub total_us: u64,
-    /// Vertices dequeued across all pruned landmark searches.
+    /// `(landmark, vertex)` pairs reached, roots included — the vertices
+    /// the per-landmark BFSs would have dequeued between them.
     pub bfs_visits: u64,
-    /// Label entries inserted (including each landmark's own root entry).
+    /// Label entries written (including each landmark's self entry).
     pub label_insertions: u64,
-    /// Visited vertices cut by domination pruning.
+    /// Reached pairs that earned no entry because the vertex is another
+    /// landmark or a shortest path to it passes through one:
+    /// `bfs_visits − label_insertions`.
     pub dominated: u64,
-    /// Label entries contributed by each landmark, in rank order.
+    /// Label entries owned by each landmark, in rank order.
     pub landmark_labels: Vec<u64>,
 }
 
 impl BuildStats {
-    /// Fraction of visited vertices cut by domination pruning, in `0..=1`
-    /// (`0` when nothing was visited).
+    /// Fraction of reached `(landmark, vertex)` pairs that another
+    /// landmark covers, in `0..=1` (`0` when nothing was reached).
     pub fn domination_cut_rate(&self) -> f64 {
         if self.bfs_visits == 0 {
             0.0
         } else {
             self.dominated as f64 / self.bfs_visits as f64
         }
-    }
-}
-
-/// Driver-side observation state: the stats being accumulated plus an
-/// optional live progress sink (one human-readable line per event).
-pub(crate) struct Observer<'s, 'p> {
-    pub(crate) stats: &'s mut BuildStats,
-    pub(crate) progress: Option<&'p mut dyn FnMut(String)>,
-}
-
-impl Observer<'_, '_> {
-    fn emit(&mut self, line: impl FnOnce() -> String) {
-        if let Some(sink) = self.progress.as_mut() {
-            sink(line());
-        }
-    }
-
-    /// Records one completed batch: `frags` must already be in rank order
-    /// (both drivers guarantee it), `us` is the batch's search wall time.
-    pub(crate) fn record_batch(
-        &mut self,
-        start: usize,
-        end: usize,
-        k: usize,
-        us: u64,
-        frags: &[LandmarkFragment],
-    ) {
-        let mut visits = 0u64;
-        let mut labels = 0u64;
-        let mut dominated = 0u64;
-        for frag in frags {
-            visits += frag.visits;
-            labels += frag.labelled.len() as u64;
-            dominated += frag.dominated;
-            self.stats.landmark_labels[frag.rank] = frag.labelled.len() as u64;
-        }
-        self.stats.batch_us.push(us);
-        self.stats.bfs_visits += visits;
-        self.stats.label_insertions += labels;
-        self.stats.dominated += dominated;
-        let batch = self.stats.batch_us.len();
-        self.emit(|| {
-            format!(
-                "batch {batch}: landmarks {start}..{end} of {k} in {us} µs \
-                 (visits {visits}, labels {labels}, dominated {dominated})"
-            )
-        });
     }
 }
 
@@ -327,55 +269,36 @@ pub struct HighwayCoverIndex {
     /// ([`pack_label_entry`](crate::pack_label_entry)), hub-ascending
     /// within each vertex.
     pub(crate) label_entries: Vec<u64>,
-    /// Row-major `k × k` landmark-to-landmark distances, closed under
-    /// shortest paths (Floyd–Warshall), [`INFINITY`](hcl_core::INFINITY)
-    /// when disconnected.
+    /// Row-major `k × k` exact landmark-to-landmark distances,
+    /// [`INFINITY`](hcl_core::INFINITY) when disconnected.
     pub(crate) highway: Vec<u32>,
 }
 
 impl HighwayCoverIndex {
-    /// Builds the index for `graph` with the given configuration.
+    /// Builds the index for `graph` with the given configuration: selects
+    /// the landmarks, then labels the graph for them (see the module docs
+    /// for the labelling and the sweep that computes it).
     ///
-    /// Runs one pruned BFS per landmark (see the module docs for the
-    /// batched schedule). A BFS from landmark `r` stops at two kinds of
-    /// vertices:
-    ///
-    /// * another landmark — its depth seeds the highway matrix and the
-    ///   search does not continue through it, so every recorded label
-    ///   distance is over a path whose interior avoids landmarks;
-    /// * a vertex whose distance to `r` is already covered at least as well
-    ///   via an earlier-batch landmark and the highway (*domination
-    ///   pruning*) — this is what keeps labels small on complex networks.
-    ///
-    /// The highway matrix is then closed with Floyd–Warshall over the `k`
-    /// landmarks so it holds exact landmark-to-landmark distances.
-    ///
-    /// Thread count defaults to auto (`HCL_BUILD_THREADS` or sequential);
-    /// use [`HighwayCoverIndex::build_with`] for explicit control.
+    /// Thread count defaults to auto (`HCL_BUILD_THREADS` or the calling
+    /// thread); use [`HighwayCoverIndex::build_with`] for explicit control.
     pub fn build(graph: &Graph, config: IndexConfig) -> Self {
         Self::build_with(graph, &BuildOptions::from(config))
     }
 
-    /// Builds the index with explicit thread/batch control.
+    /// Builds the index with explicit thread and strategy control.
     ///
-    /// For a fixed batch size the result is **byte-identical at every
-    /// thread count**; `threads = 1` runs fully in the calling thread with
-    /// one [`BuildContext`].
+    /// The result is **byte-identical at every thread count**;
+    /// `threads = 1` runs fully in the calling thread with one
+    /// [`BuildContext`].
     pub fn build_with(graph: &Graph, options: &BuildOptions) -> Self {
-        // A batch holds at most batch_size searches, so extra workers
-        // beyond that could never receive work — don't create them.
-        let threads = options
-            .resolved_threads()
-            .clamp(1, options.resolved_batch_size());
-        let mut contexts: Vec<BuildContext> = (0..threads).map(|_| BuildContext::new()).collect();
-        Self::build_in(graph, options, &mut contexts)
+        Self::build_in(graph, options, &mut worker_contexts(options))
     }
 
     /// [`HighwayCoverIndex::build_with`] plus instrumentation: returns the
-    /// index together with [`BuildStats`] (phase wall times, pruning
+    /// index together with [`BuildStats`] (phase wall times, sweep
     /// counters, per-landmark label contributions), and streams one
     /// human-readable line per build event to `progress` when given (the
-    /// CLI's `build --progress` prints them to stderr as phases finish).
+    /// CLI's `build --progress` prints them to stderr).
     ///
     /// Instrumentation never changes the output: the index is byte-
     /// identical to a [`build_with`](Self::build_with) run, and the stats
@@ -385,16 +308,12 @@ impl HighwayCoverIndex {
         options: &BuildOptions,
         progress: Option<&mut dyn FnMut(String)>,
     ) -> (Self, BuildStats) {
-        let threads = options
-            .resolved_threads()
-            .clamp(1, options.resolved_batch_size());
-        let mut contexts: Vec<BuildContext> = (0..threads).map(|_| BuildContext::new()).collect();
         let selector = options.resolved_selection().selector();
         let mut stats = BuildStats::default();
         let index = Self::build_observed(
             graph,
             options,
-            &mut contexts,
+            &mut worker_contexts(options),
             selector.as_ref(),
             &mut stats,
             progress,
@@ -408,9 +327,9 @@ impl HighwayCoverIndex {
     ///
     /// One worker runs per context, so `contexts.len()` — not
     /// [`BuildOptions::threads`] — is the thread count here, capped at the
-    /// per-batch job count (extra workers could never receive work). An
-    /// empty slice builds sequentially with a temporary context. Landmarks
-    /// are chosen by [`BuildOptions::selection`] (resolved via
+    /// number of sweep groups (extra workers could never receive work). An
+    /// empty slice builds in the calling thread with temporary scratch.
+    /// Landmarks are chosen by [`BuildOptions::selection`] (resolved via
     /// [`BuildOptions::resolved_selection`]).
     pub fn build_in(graph: &Graph, options: &BuildOptions, contexts: &mut [BuildContext]) -> Self {
         let selector = options.resolved_selection().selector();
@@ -427,11 +346,10 @@ impl HighwayCoverIndex {
     /// in-range ids) and the build panics with a message naming the
     /// selector if the contract is violated. In a *multi-threaded* build
     /// the selector runs under the same worker-panic capture as the
-    /// landmark searches, so a faulty strategy surfaces as one coherent
-    /// `index build worker panicked: …` panic instead of the old opaque
-    /// join failure; a single-threaded build runs the selector inline,
-    /// where its panic already propagates coherently (original payload and
-    /// location) without wrapping.
+    /// sweeps, so a faulty strategy surfaces as one coherent
+    /// `index build worker panicked: …` panic; a single-threaded build
+    /// runs the selector inline, where its panic already propagates
+    /// coherently (original payload and location) without wrapping.
     pub fn build_in_with_selector(
         graph: &Graph,
         options: &BuildOptions,
@@ -451,66 +369,89 @@ impl HighwayCoverIndex {
     /// The one real build path: every public entry point funnels here.
     /// `stats` is always populated (the un-instrumented entries hand in a
     /// throwaway — the bookkeeping is a handful of timestamps and counter
-    /// folds per *batch*, noise next to the searches a batch contains);
-    /// `progress` streams per-phase lines when given.
+    /// folds per sweep *group*); `progress` streams per-phase lines when
+    /// given.
     fn build_observed(
         graph: &Graph,
         options: &BuildOptions,
         contexts: &mut [BuildContext],
         selector: &dyn LandmarkSelector,
         stats: &mut BuildStats,
-        progress: Option<&mut dyn FnMut(String)>,
+        mut progress: Option<&mut dyn FnMut(String)>,
     ) -> Self {
         let t_total = Instant::now();
         let graph = graph.as_view();
-        let batch_size = options.resolved_batch_size();
-        let num_landmarks = options.num_landmarks.min(graph.num_vertices());
-        // Contexts beyond the per-batch job count could never receive
-        // work; cap the pool so no idle worker threads get spawned.
-        let workers = contexts.len().min(batch_size).min(num_landmarks);
+        let n = graph.num_vertices();
+        let k = options.num_landmarks.min(n);
+        // Contexts beyond the group count could never receive work; cap
+        // the pool so no idle worker threads get spawned.
+        let workers = contexts.len().min(k.div_ceil(sweep::WIDTH));
+        let mut emit = |line: String| {
+            if let Some(sink) = progress.as_mut() {
+                sink(line);
+            }
+        };
+
         let t = Instant::now();
         let landmarks = if workers > 1 {
-            parallel::run_selection(graph, selector, num_landmarks)
+            run_selection(graph, selector, k)
         } else {
-            select::checked_select(selector, graph, num_landmarks)
+            select::checked_select(selector, graph, k)
         };
         stats.selection_us = t.elapsed().as_micros() as u64;
-        stats.landmark_labels = vec![0; landmarks.len()];
-        let sel_us = stats.selection_us;
-        let mut obs = Observer { stats, progress };
-        obs.emit(|| {
-            format!(
-                "select: {} landmark(s) [{}] in {sel_us} µs",
-                landmarks.len(),
-                selector.name()
-            )
-        });
-        let mut state = BuildState::new(graph, landmarks);
-        match &mut contexts[..workers] {
-            [] => sequential::run(
-                graph,
-                &mut state,
-                batch_size,
-                &mut BuildContext::new(),
-                &mut obs,
-            ),
-            [cx] => sequential::run(graph, &mut state, batch_size, cx, &mut obs),
-            many => parallel::run(graph, &mut state, batch_size, many, &mut obs),
+        emit(format!(
+            "select: {k} landmark(s) [{}] in {} µs",
+            selector.name(),
+            stats.selection_us
+        ));
+
+        let mut landmark_rank = vec![NOT_A_LANDMARK; n];
+        for (rank, &v) in landmarks.iter().enumerate() {
+            landmark_rank[v as usize] = rank as u32;
         }
-        let t = Instant::now();
-        let index = state.finish();
-        obs.stats.closure_us = t.elapsed().as_micros() as u64;
-        let closure_us = obs.stats.closure_us;
-        obs.emit(|| format!("closure: highway closed + labels flattened in {closure_us} µs"));
-        obs.stats.total_us = t_total.elapsed().as_micros() as u64;
-        let (total, cut) = (obs.stats.total_us, obs.stats.domination_cut_rate());
-        obs.emit(|| {
-            format!(
-                "build: done in {total} µs (domination cut {:.1} %)",
-                cut * 100.0
-            )
-        });
-        index
+        let swept = label(
+            graph.into(),
+            &landmarks,
+            &landmark_rank,
+            &mut contexts[..workers],
+        );
+        for (number, group) in swept.groups.iter().enumerate() {
+            stats.batch_us.push(group.us);
+            stats.bfs_visits += group.arrivals;
+            stats.label_insertions += group.entries;
+            emit(format!(
+                "sweep {}: landmarks {}..{} of {k} in {} µs (levels {}, activations {}, \
+                 entries {}, covered arrivals {})",
+                number + 1,
+                group.start,
+                (group.start + sweep::WIDTH).min(k),
+                group.us,
+                group.levels,
+                group.activations,
+                group.entries,
+                group.arrivals - group.entries
+            ));
+        }
+        stats.dominated = stats.bfs_visits - stats.label_insertions;
+        stats.closure_us = swept.fill_us;
+        stats.landmark_labels = swept.landmark_labels;
+        emit(format!(
+            "fill: {} label entries laid out in {} µs",
+            stats.label_insertions, stats.closure_us
+        ));
+        stats.total_us = t_total.elapsed().as_micros() as u64;
+        emit(format!(
+            "build: done in {} µs ({:.1} % of arrivals covered)",
+            stats.total_us,
+            stats.domination_cut_rate() * 100.0
+        ));
+        HighwayCoverIndex {
+            landmarks,
+            landmark_rank,
+            label_offsets: swept.label_offsets,
+            label_entries: swept.label_entries,
+            highway: swept.highway,
+        }
     }
 
     /// A borrowed, `Copy` view of this index. Cheap; this is the type the
@@ -550,6 +491,33 @@ impl HighwayCoverIndex {
     pub fn stats(&self) -> IndexStats {
         self.as_view().stats()
     }
+}
+
+/// One fresh context per worker `options` asks for; the build itself
+/// leaves idle the ones beyond its group count.
+fn worker_contexts(options: &BuildOptions) -> Vec<BuildContext> {
+    (0..options.resolved_threads())
+        .map(|_| BuildContext::new())
+        .collect()
+}
+
+/// Runs landmark selection on a scoped worker thread, under the same
+/// capture-and-re-raise discipline as the sweep workers.
+///
+/// Selection strategies are *pluggable* code — the one part of the build a
+/// caller can inject — so the multi-threaded driver gives their panics the
+/// same single coherent surfacing as any other build-worker panic.
+fn run_selection(
+    graph: GraphView<'_>,
+    selector: &dyn LandmarkSelector,
+    num_landmarks: usize,
+) -> Vec<VertexId> {
+    std::thread::scope(|s| {
+        let handle = s.spawn(move || select::checked_select(selector, graph, num_landmarks));
+        sweep::join_workers(vec![handle])
+            .pop()
+            .expect("one selection worker, one result")
+    })
 }
 
 #[cfg(test)]
@@ -624,32 +592,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_one_matches_sequential_pruning_order() {
-        // Batch size 1 reproduces the fully sequential pruning order; the
-        // batched default can only label the same vertices or more.
-        let g = testkit::barabasi_albert(80, 3, 11);
-        let opts = |batch_size| BuildOptions {
-            num_landmarks: 16,
-            threads: 1,
-            batch_size,
-            selection: None,
-        };
-        let tight = HighwayCoverIndex::build_with(&g, &opts(1));
-        let batched = HighwayCoverIndex::build_with(&g, &opts(0));
-        assert!(tight.stats().total_label_entries <= batched.stats().total_label_entries);
-        // Both remain exact: spot-check a few pairs against the oracle.
-        for (u, v) in [(0, 79), (3, 41), (17, 17), (60, 2)] {
-            let expected = hcl_core::bfs::distance(&g, u, v);
-            assert_eq!(tight.query(&g, u, v), expected);
-            assert_eq!(batched.query(&g, u, v), expected);
-        }
-    }
-
-    #[test]
     fn build_stats_counters_are_thread_invariant_and_consistent() {
-        let g = testkit::barabasi_albert(80, 3, 7);
+        // 130 landmarks → 3 sweep groups, so 4 threads really run workers.
+        let g = testkit::barabasi_albert(300, 3, 7);
         let opts = |threads| BuildOptions {
-            num_landmarks: 12,
+            num_landmarks: 130,
             threads,
             ..BuildOptions::default()
         };
@@ -658,46 +605,56 @@ mod tests {
         let (idx1, s1) = HighwayCoverIndex::build_with_stats(&g, &opts(1), Some(&mut sink));
         let (idx4, s4) = HighwayCoverIndex::build_with_stats(&g, &opts(4), None);
 
-        // The counters are pure functions of (graph, selection, batch
-        // size) — identical across thread counts, like the index itself.
+        // The counters are pure functions of (graph, landmark set) —
+        // identical across thread counts, like the index itself.
         assert_eq!(s1.bfs_visits, s4.bfs_visits);
         assert_eq!(s1.label_insertions, s4.label_insertions);
         assert_eq!(s1.dominated, s4.dominated);
         assert_eq!(s1.landmark_labels, s4.landmark_labels);
-        assert_eq!(
-            idx1.stats().total_label_entries,
-            idx4.stats().total_label_entries
-        );
+        assert_eq!(idx1.label_entries, idx4.label_entries);
 
-        // Internal consistency: insertions account for every label entry,
-        // and every visit was either another landmark, dominated, or
-        // labelled.
+        // Internal consistency: insertions account for every label entry;
+        // every search is a full BFS of a connected graph, and each
+        // arrival is either an entry or covered.
         assert_eq!(s1.label_insertions, idx1.stats().total_label_entries as u64);
         assert_eq!(s1.landmark_labels.iter().sum::<u64>(), s1.label_insertions);
-        assert!(s1.bfs_visits >= s1.label_insertions + s1.dominated);
-        assert!(s1.domination_cut_rate() >= 0.0 && s1.domination_cut_rate() <= 1.0);
+        assert_eq!(s1.bfs_visits, 130 * 300);
+        assert_eq!(s1.bfs_visits, s1.label_insertions + s1.dominated);
+        assert!(s1.domination_cut_rate() > 0.0 && s1.domination_cut_rate() < 1.0);
+        for (rank, &entries) in s1.landmark_labels.iter().enumerate() {
+            let held = (0..300).filter(|&v| idx1.label(v).any(|(h, _)| h as usize == rank));
+            assert_eq!(entries, held.count() as u64, "landmark {rank}");
+        }
 
-        // 12 landmarks at the default batch size of 8 → 2 batches.
-        assert_eq!(s1.batch_us.len(), 2);
+        // One time per group, nothing merged.
+        assert_eq!(s1.batch_us.len(), 3);
+        assert_eq!(s1.merge_us, 0);
 
         // The progress sink saw every phase.
-        assert!(lines.iter().any(|l| l.starts_with("select: ")));
-        assert!(lines.iter().any(|l| l.starts_with("batch 1: ")));
-        assert!(lines.iter().any(|l| l.starts_with("batch 2: ")));
-        assert!(lines.iter().any(|l| l.starts_with("closure: ")));
-        assert!(lines.iter().any(|l| l.starts_with("build: done")));
+        for prefix in [
+            "select: ",
+            "sweep 1: landmarks 0..64 of 130 ",
+            "sweep 3: landmarks 128..130 of 130 ",
+            "fill: ",
+            "build: done",
+        ] {
+            assert!(
+                lines.iter().any(|l| l.starts_with(prefix)),
+                "no `{prefix}` line"
+            );
+        }
     }
 
     #[test]
     fn build_options_resolve_explicit_values() {
-        let opts = BuildOptions::default();
-        assert_eq!(opts.resolved_batch_size(), BuildOptions::DEFAULT_BATCH_SIZE);
         let explicit = BuildOptions {
             threads: 3,
             batch_size: 5,
             ..BuildOptions::default()
         };
         assert_eq!(explicit.resolved_threads(), 3);
-        assert_eq!(explicit.resolved_batch_size(), 5);
+        // The batch size is ignored: the sweep width is what is recorded.
+        assert_eq!(explicit.resolved_batch_size(), 64);
+        assert_eq!(BuildOptions::default().resolved_batch_size(), 64);
     }
 }

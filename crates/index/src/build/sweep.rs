@@ -1,0 +1,336 @@
+//! The bit-parallel multi-source sweep that computes the labelling, and
+//! the count → prefix-sum → fill that lays it out as the hub-sorted CSR.
+//!
+//! One [`sweep_group`] call runs the searches of up to [`WIDTH`] landmarks
+//! as a single level-synchronous traversal (the MS-BFS idea: one machine
+//! word per vertex, one bit per source). Bit `b` of a vertex's words
+//! belongs to the landmark of rank `start + b`:
+//!
+//! * `seen` — the searches that have reached the vertex, advanced only
+//!   *between* levels;
+//! * `frontier` — the searches that reached it at the level being expanded;
+//! * `next` — the searches reaching it at the level being assembled;
+//! * `cov` — of the searches that have reached it, those for which some
+//!   shortest path from the root passes through another landmark (the
+//!   vertex itself included).
+//!
+//! Expanding an active vertex `x` with `f = frontier[x]` and
+//! `c = cov[x] & f`, every neighbour `w` receives `new = f & !seen[w]`
+//! into `next[w]` and `c & new` into `cov[w]`. Because `seen` does not move
+//! during a level, *every* parent of `w` at the previous depth contributes
+//! its covered bits, so after the level `cov[w]` says whether *any*
+//! shortest path is covered — the paper's predicate, decided locally.
+//! Closing the level, a landmark `w` records `depth` in the highway row of
+//! every arriving search and marks them all covered (its own search, at
+//! depth 0, excepted); then, landmark or not, the arriving bits outside
+//! `cov[w]` are the label entries `(rank, depth)` of `w`.
+//!
+//! Covered bits keep propagating. Dropping them would let a vertex behind
+//! a landmark be reached later by a longer landmark-free detour and be
+//! labelled with a distance that is not the shortest; carrying them makes
+//! every search a full BFS, which is also why the highway rows come out
+//! exact with no closure pass.
+
+use super::{BuildContext, NOT_A_LANDMARK};
+use crate::view::pack_label_entry;
+use hcl_core::{DynGraphView, VertexId, INFINITY};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread::ScopedJoinHandle;
+use std::time::Instant;
+
+/// Landmarks per sweep group: one bit of a `u64` each.
+pub(crate) const WIDTH: usize = 64;
+
+/// The four per-vertex words of one sweep (see the module docs), kept
+/// together so an edge relaxation touches one cache line of scratch.
+#[derive(Clone, Copy, Default)]
+struct Cell {
+    seen: u64,
+    frontier: u64,
+    next: u64,
+    cov: u64,
+}
+
+/// Reusable sweep buffers: `O(n)` words, reset per group.
+#[derive(Default)]
+pub(crate) struct SweepScratch {
+    cells: Vec<Cell>,
+    /// Vertices with a non-zero `frontier`.
+    active: Vec<VertexId>,
+    /// Vertices with a non-zero `next`.
+    arriving: Vec<VertexId>,
+}
+
+/// The label entries one vertex gained at one level: `(start + b, depth)`
+/// for every set bit `b`.
+struct Emit {
+    vertex: VertexId,
+    depth: u32,
+    bits: u64,
+}
+
+/// What the sweep of one landmark group produced.
+pub(crate) struct GroupSweep {
+    /// Rank of the group's first landmark (bit 0).
+    pub(crate) start: usize,
+    /// Per vertex, the group's searches that own a label entry there.
+    labelled: Vec<u64>,
+    /// Those entries, in level order.
+    emits: Vec<Emit>,
+    /// Exact highway rows of the group's landmarks, `len × k` row-major.
+    highway_rows: Vec<u32>,
+    /// BFS levels swept (the largest eccentricity in the group, plus one).
+    pub(crate) levels: u32,
+    /// `(vertex, level)` expansions — the adjacency lists read.
+    pub(crate) activations: u64,
+    /// `(landmark, vertex)` pairs reached, roots included.
+    pub(crate) arrivals: u64,
+    /// Label entries emitted, self entries included.
+    pub(crate) entries: u64,
+    /// Wall time of the sweep, in microseconds.
+    pub(crate) us: u64,
+}
+
+/// The set bits of `mask`, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
+/// Sweeps the group of landmarks starting at rank `start`.
+fn sweep_group(
+    graph: DynGraphView<'_>,
+    landmarks: &[VertexId],
+    landmark_rank: &[u32],
+    start: usize,
+    scratch: &mut SweepScratch,
+) -> GroupSweep {
+    let t = Instant::now();
+    let k = landmarks.len();
+    let group = &landmarks[start..(start + WIDTH).min(k)];
+    let SweepScratch {
+        cells,
+        active,
+        arriving,
+    } = scratch;
+    cells.clear();
+    cells.resize(graph.num_vertices(), Cell::default());
+    active.clear();
+    arriving.clear();
+    let mut out = GroupSweep {
+        start,
+        labelled: Vec::new(),
+        emits: Vec::new(),
+        highway_rows: vec![INFINITY; group.len() * k],
+        levels: 0,
+        activations: 0,
+        arrivals: 0,
+        entries: 0,
+        us: 0,
+    };
+
+    for (bit, &root) in group.iter().enumerate() {
+        cells[root as usize].next = 1 << bit;
+        arriving.push(root);
+    }
+    let mut depth = 0u32;
+    while !arriving.is_empty() {
+        // Close level `depth`: the bits in `next` have arrived.
+        for &w in arriving.iter() {
+            let cell = &mut cells[w as usize];
+            let new = std::mem::take(&mut cell.next);
+            cell.seen |= new;
+            cell.frontier = new;
+            out.arrivals += u64::from(new.count_ones());
+            let rank = landmark_rank[w as usize];
+            if rank != NOT_A_LANDMARK {
+                for bit in bits(new) {
+                    out.highway_rows[bit * k + rank as usize] = depth;
+                }
+                let own = match (rank as usize).checked_sub(start) {
+                    Some(bit) if bit < group.len() => 1u64 << bit,
+                    _ => 0,
+                };
+                cell.cov |= new & !own;
+            }
+            let fresh = new & !cell.cov;
+            if fresh != 0 {
+                out.entries += u64::from(fresh.count_ones());
+                out.emits.push(Emit {
+                    vertex: w,
+                    depth,
+                    bits: fresh,
+                });
+            }
+        }
+        std::mem::swap(active, arriving);
+        arriving.clear();
+        out.activations += active.len() as u64;
+        depth += 1;
+        // Expand it into level `depth`.
+        for &x in active.iter() {
+            let cell = &mut cells[x as usize];
+            let f = std::mem::take(&mut cell.frontier);
+            let c = cell.cov & f;
+            for &w in graph.neighbors(x) {
+                let cell = &mut cells[w as usize];
+                let new = f & !cell.seen;
+                if new != 0 {
+                    if cell.next == 0 {
+                        arriving.push(w);
+                    }
+                    cell.next |= new;
+                    cell.cov |= c & new;
+                }
+            }
+        }
+    }
+    out.levels = depth;
+    // A search owns an entry exactly where it arrived uncovered; `cov` is
+    // only ever written for arriving bits, so this is the union of `emits`.
+    out.labelled = cells.iter().map(|c| c.seen & !c.cov).collect();
+    out.us = t.elapsed().as_micros() as u64;
+    out
+}
+
+/// A complete labelling for a fixed landmark set: the hub-sorted label
+/// CSR, the exact highway, and the per-group reports it was assembled from.
+pub(crate) struct Labelling {
+    pub(crate) label_offsets: Vec<u64>,
+    pub(crate) label_entries: Vec<u64>,
+    pub(crate) highway: Vec<u32>,
+    /// Label entries owned by each landmark, in rank order.
+    pub(crate) landmark_labels: Vec<u64>,
+    pub(crate) groups: Vec<GroupSweep>,
+    /// Wall time of the CSR fill, in microseconds.
+    pub(crate) fill_us: u64,
+}
+
+/// Labels `graph` for `landmarks` (rank order; `landmark_rank` is its
+/// inverse): one sweep per group of [`WIDTH`], the groups sharded over one
+/// worker per context, then the CSR fill.
+///
+/// Groups share nothing, and the fill visits them in rank order, so the
+/// result does not depend on how many contexts there are or on how the
+/// workers were scheduled.
+pub(crate) fn label(
+    graph: DynGraphView<'_>,
+    landmarks: &[VertexId],
+    landmark_rank: &[u32],
+    contexts: &mut [BuildContext],
+) -> Labelling {
+    let k = landmarks.len();
+    let starts = (0..k).step_by(WIDTH);
+    let groups: Vec<GroupSweep> = if contexts.len() > 1 {
+        let cursor = AtomicUsize::new(0);
+        let mut groups: Vec<GroupSweep> = std::thread::scope(|s| {
+            let handles: Vec<_> = contexts
+                .iter_mut()
+                .map(|cx| {
+                    let cursor = &cursor;
+                    s.spawn(move || {
+                        let mut out = Vec::new();
+                        loop {
+                            // Relaxed: the cursor only hands out group
+                            // numbers; results travel through `join`.
+                            let start = cursor.fetch_add(1, Ordering::Relaxed) * WIDTH;
+                            if start >= k {
+                                break out;
+                            }
+                            let scratch = &mut cx.sweep;
+                            out.push(sweep_group(graph, landmarks, landmark_rank, start, scratch));
+                        }
+                    })
+                })
+                .collect();
+            join_workers(handles).into_iter().flatten().collect()
+        });
+        groups.sort_unstable_by_key(|g| g.start);
+        groups
+    } else {
+        let mut spare = SweepScratch::default();
+        let scratch = contexts.first_mut().map_or(&mut spare, |cx| &mut cx.sweep);
+        starts
+            .map(|start| sweep_group(graph, landmarks, landmark_rank, start, scratch))
+            .collect()
+    };
+
+    let t = Instant::now();
+    let n = graph.num_vertices();
+    let mut label_offsets = Vec::with_capacity(n + 1);
+    let mut total = 0u64;
+    label_offsets.push(total);
+    for v in 0..n {
+        total += groups
+            .iter()
+            .map(|g| u64::from(g.labelled[v].count_ones()))
+            .sum::<u64>();
+        label_offsets.push(total);
+    }
+    let mut label_entries = vec![0u64; total as usize];
+    let mut landmark_labels = vec![0u64; k];
+    let mut highway = Vec::with_capacity(k * k);
+    // Where each vertex's entries for the current group begin.
+    let mut cursor = label_offsets[..n].to_vec();
+    for group in &groups {
+        for emit in &group.emits {
+            let v = emit.vertex as usize;
+            for bit in bits(emit.bits) {
+                let below = group.labelled[v] & ((1u64 << bit) - 1);
+                let slot = cursor[v] + u64::from(below.count_ones());
+                let rank = group.start + bit;
+                label_entries[slot as usize] = pack_label_entry(rank as u32, emit.depth);
+                landmark_labels[rank] += 1;
+            }
+        }
+        for (at, mask) in cursor.iter_mut().zip(&group.labelled) {
+            *at += u64::from(mask.count_ones());
+        }
+        highway.extend_from_slice(&group.highway_rows);
+    }
+    Labelling {
+        label_offsets,
+        label_entries,
+        highway,
+        landmark_labels,
+        groups,
+        fill_us: t.elapsed().as_micros() as u64,
+    }
+}
+
+/// Joins every handle, collecting the results; if any worker panicked,
+/// re-raises **after all workers are joined** as one coherent build panic.
+///
+/// String-ish payloads (the overwhelmingly common case: `panic!`,
+/// assertion failures, slice-index messages) are wrapped with build
+/// context; anything else is re-raised verbatim via `resume_unwind` so
+/// custom payloads still reach the caller. When several workers panic, the
+/// first (by spawn order) wins — one build failure, one report.
+pub(crate) fn join_workers<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Vec<T> {
+    let mut out = Vec::with_capacity(handles.len());
+    let mut panicked: Option<Box<dyn std::any::Any + Send>> = None;
+    for handle in handles {
+        match handle.join() {
+            Ok(value) => out.push(value),
+            Err(payload) => {
+                panicked.get_or_insert(payload);
+            }
+        }
+    }
+    if let Some(payload) = panicked {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned());
+        match msg {
+            Some(msg) => panic!("index build worker panicked: {msg}"),
+            None => std::panic::resume_unwind(payload),
+        }
+    }
+    out
+}

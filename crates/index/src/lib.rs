@@ -1,11 +1,13 @@
 //! Highway-cover 2-hop hub labelling for exact shortest-path distance
 //! queries on complex networks.
 //!
-//! This crate implements the labelling scheme of the source paper
-//! (conf_edbt_Farhan021): pick the top-`k` highest-degree vertices as
-//! *landmarks*, run a *pruned* BFS from each landmark to build compact
-//! per-vertex label arrays plus a small `k × k` *highway* of
-//! landmark-to-landmark distances, and answer queries as
+//! This crate implements the labelling the source paper
+//! (conf_edbt_Farhan021, IncHL+) maintains — the *highway cover labelling*
+//! of Farhan et al. (EDBT 2019): pick `k` *landmarks* (by default the
+//! highest-degree vertices), give vertex `v` the entry `(r, d(r, v))` for
+//! exactly those landmarks `r` with no other landmark on any shortest
+//! `r`–`v` path, keep a small `k × k` *highway* of landmark-to-landmark
+//! distances, and answer queries as
 //!
 //! ```text
 //! d(u, v) = min( label/highway upper bound,
@@ -18,15 +20,17 @@
 //! shortest paths in complex networks, and the fallback BFS explores only
 //! the sparse landmark-free residue of the graph.
 //!
-//! Construction runs the per-landmark pruned searches in deterministic
-//! rank-ordered batches, optionally sharded over scoped worker threads
-//! ([`BuildOptions`] / [`BuildContext`]); for a fixed batch size the built
-//! index is byte-identical at every thread count — see the `build` module
-//! docs for the visibility argument. *Which* vertices become landmarks is
-//! pluggable ([`LandmarkSelector`] / [`SelectionStrategy`]): degree
-//! ranking (the paper's default), greedy sampled-BFS coverage, or a seeded
-//! random baseline, each deterministic so the guarantee holds per
-//! strategy.
+//! The labelling is defined without any order among the landmarks, so it
+//! is a function of the graph and the landmark set alone, and minimal.
+//! Construction evaluates the definition for 64 landmarks at a time in one
+//! bit-parallel multi-source BFS sweep, writing entries straight into the
+//! hub-sorted CSR; groups of 64 share nothing and are optionally sharded
+//! over scoped worker threads ([`BuildOptions`] / [`BuildContext`]), so
+//! the built index is byte-identical at every thread count — see the
+//! `build` module docs. *Which* vertices become landmarks is pluggable
+//! ([`LandmarkSelector`] / [`SelectionStrategy`]): degree ranking (the
+//! paper's default), greedy sampled-BFS coverage, or a seeded random
+//! baseline, each deterministic so the guarantee holds per strategy.
 //!
 //! Storage comes in two backings sharing one query engine:
 //!
@@ -45,7 +49,7 @@
 //! Observability is a compile-time opt-in: the query path is generic over
 //! the [`Probe`] trait (no-op by default, so un-instrumented queries pay
 //! nothing) and [`QueryStats`] is the standard collector; builds report
-//! deterministic pruning counters and per-phase wall times through
+//! deterministic sweep counters and per-phase wall times through
 //! [`BuildStats`] / [`HighwayCoverIndex::build_with_stats`].
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,16 +1,19 @@
 //! Incremental label repair under edge insertions and deletions.
 //!
 //! A built [`HighwayCoverIndex`](crate::HighwayCoverIndex) is frozen — its
-//! labels are CSR-flattened and its highway closed. This module keeps an
-//! *editable* twin, [`DynamicIndex`], that answers the same queries but can
-//! be repaired in place after an edge edit instead of rebuilt from scratch.
+//! labels are CSR-flattened. This module keeps an *editable* twin,
+//! [`DynamicIndex`], that answers the same queries but can be repaired in
+//! place after an edge edit instead of rebuilt from scratch.
 //!
-//! The repair contract is **answer identity, not byte identity**: after any
-//! sequence of edits, queries against the repaired index return exactly the
-//! distances a fresh rebuild on the edited graph would return. The repaired
-//! label *bytes* may differ (pruning decisions depend on history), which is
-//! fine — the property suite checks answers against the BFS oracle and a
-//! fresh rebuild after every step of seeded edit scripts.
+//! The repair contract is **answer identity, and near byte identity**:
+//! after any sequence of edits, queries against the repaired index return
+//! exactly the distances a fresh build on the edited graph would return,
+//! and the repaired labels are a *superset* of that fresh build's (same
+//! highway, every fresh entry present at the same distance). Where the
+//! small surplus comes from is stated under the insertion steps below; the
+//! property suite checks answers against the BFS oracle, and the superset
+//! relation with its surplus count, after every step of seeded edit
+//! scripts.
 //!
 //! # How repair works
 //!
@@ -82,31 +85,40 @@
 //! The cost is `O(Σ affected vertices × degree × |L|)` — on the
 //! benchmark's 100k-vertex graphs a median of one or two pairs per insert
 //! — against `O(affected landmarks × (n + m))` for regrowing whole trees.
-//! The repaired labels are *not* a fresh build's bytes: the builder prunes
-//! per rank-ordered batch against lower ranks only, this repair prunes
-//! against any certifying hub and never touches a label outside the
-//! affected set.
 //!
-//! ## Deletion: full relabel
+//! **How far this is from a fresh build.** The builder's labelling is
+//! defined without reference to history: `(i, δ) ∈ L(v)` iff no other
+//! landmark lies on any shortest `r_i`–`v` path. (U), (C) and an exact
+//! highway already force every such entry to be present at its exact
+//! distance, so repaired ⊇ fresh with equality on the highway, and what
+//! remains is a surplus with two sources. A pair whose distance is
+//! unchanged but which *gains* an equal-length shortest path through
+//! another landmark (`D = d_old`) is never visited, and keeps an entry a
+//! fresh build would drop. And a visited pair `(i, x)` whose new shortest
+//! paths run through a landmark `r_j` is written anyway when `x`'s `j`
+//! entry is itself still waiting for its repair later in the pass
+//! (`j > i`, both distances dropped). Admitting `D ≤ d_old` in the find
+//! closes the first, pruning only after every write closes the second;
+//! both are future work. `tests/dynamic_repair.rs` checks the superset
+//! relation after every step and counts the surplus.
+//!
+//! ## Deletion: relabel
 //!
 //! A deleted edge lies on a shortest path from `r_i` exactly when the
 //! endpoint depths differ (by 1, since the edge existed), so landmark `i`
 //! is affected iff `da[i] ≠ db[i]`; an empty affected set costs nothing.
-//! Otherwise each affected highway row is recomputed by a full BFS from
-//! its landmark (unaffected rows did not change), and **every** label is
-//! stripped and every tree regrown with the builder's pruned BFS (landmark
-//! stop + domination pruning against strictly lower-rank entries, in rank
-//! order). The asymmetry with insertion is load bearing: a deletion
-//! *grows* distances, which can silently break the coverage of an
-//! *unaffected* landmark whose cover routed through an affected hub, and
-//! entries that were exact become too small — (U) fails — so neither
-//! "only the affected trees" nor "only tighten" is sound. A decremental
-//! partial repair is future work; until then a delete costs about a
-//! rebuild minus selection.
+//! Otherwise the post-edit graph is labelled afresh for the same landmark
+//! set by the builder's own sweep — labels and every highway row in one
+//! pass — so after a delete the index *is* a fresh build's. The asymmetry
+//! with insertion is load bearing: a deletion *grows* distances, which can
+//! silently break the coverage of an *unaffected* landmark whose cover
+//! routed through an affected hub, and entries that were exact become too
+//! small — (U) fails — so neither "only the affected trees" nor "only
+//! tighten" is sound. A decremental partial repair is future work; until
+//! then a delete costs a build minus selection.
 
-use crate::build::{sat_add, BuildContext, HighwayCoverIndex, NOT_A_LANDMARK};
-use crate::view::IndexView;
-use hcl_core::bfs::distances_from_with;
+use crate::build::{self, sat_add, BuildContext, HighwayCoverIndex, NOT_A_LANDMARK};
+use crate::view::{unpack_label_entry, IndexView};
 use hcl_core::{DeltaError, DeltaGraph, DeltaOp, DynGraphView, EdgeDelta, VertexId, INFINITY};
 
 /// What one [`DynamicIndex::apply_and_repair`] call did, for logging,
@@ -122,11 +134,12 @@ pub struct RepairOutcome {
     pub affected_landmarks: usize,
     /// Number of `(landmark, vertex)` pairs whose distance strictly
     /// dropped: what an insertion's find phase visited and the only labels
-    /// its repair touched. Always 0 for a deletion, whose full-relabel
-    /// fallback never computes the set.
+    /// its repair touched. Always 0 for a deletion, whose relabel never
+    /// computes the set.
     pub affected_vertices: usize,
-    /// Whether the repair fell back to regrowing every tree (deletions
-    /// with a non-empty affected set; see the module docs for why).
+    /// Whether the repair fell back to relabelling the whole graph
+    /// (deletions with a non-empty affected set; see the module docs for
+    /// why).
     pub full_relabel: bool,
 }
 
@@ -381,9 +394,9 @@ impl DynamicIndex {
         outcome
     }
 
-    /// The delete branch: exact BFS patch of the affected highway rows,
-    /// then every tree regrown (see the module docs for why nothing less
-    /// is sound).
+    /// The delete branch: if any landmark is affected, relabel the
+    /// post-edit graph for the same landmarks with the builder's sweep (see
+    /// the module docs for why nothing less is sound).
     fn repair_delete(
         &mut self,
         graph: DynGraphView<'_>,
@@ -391,103 +404,37 @@ impl DynamicIndex {
         db: &[u32],
         cx: &mut BuildContext,
     ) -> RepairOutcome {
-        let k = self.landmarks.len();
         // A removed edge lies on a shortest path from i exactly when the
         // endpoint depths differ (by 1, since the edge existed; equal
         // depths mean no shortest path from i crosses it, so i's distances
         // cannot change).
-        let affected: Vec<usize> = (0..k).filter(|&i| da[i] != db[i]).collect();
-        if affected.is_empty() {
+        let affected = da.iter().zip(db).filter(|(a, b)| a != b).count();
+        if affected == 0 {
             return RepairOutcome {
                 applied: true,
                 ..RepairOutcome::default()
             };
         }
 
-        // Recompute affected highway rows exactly on the post-edit graph,
-        // mirroring writes to preserve symmetry. Unaffected rows are
-        // already exact — their landmarks' distances did not change.
-        for &i in &affected {
-            distances_from_with(graph, self.landmarks[i], &mut cx.scratch);
-            for j in 0..k {
-                let d = cx.scratch.dist[self.landmarks[j] as usize];
-                self.highway[i * k + j] = d;
-                self.highway[j * k + i] = d;
-            }
-        }
-        cx.scratch.reset();
-
-        for per_vertex in &mut self.labels {
-            per_vertex.clear();
-        }
-        for rank in 0..k {
-            self.relabel_tree(graph, rank, cx);
+        let swept = build::label(
+            graph,
+            &self.landmarks,
+            &self.landmark_rank,
+            std::slice::from_mut(cx),
+        );
+        self.highway = swept.highway;
+        for (label, span) in self.labels.iter_mut().zip(swept.label_offsets.windows(2)) {
+            let entries = &swept.label_entries[span[0] as usize..span[1] as usize];
+            label.clear();
+            label.extend(entries.iter().map(|&e| unpack_label_entry(e)));
         }
 
         RepairOutcome {
             applied: true,
-            affected_landmarks: affected.len(),
+            affected_landmarks: affected,
             affected_vertices: 0,
             full_relabel: true,
         }
-    }
-
-    /// Regrows one landmark's label tree with the builder's pruned BFS
-    /// discipline: stop at other landmarks (the highway row is already
-    /// exact, so no seeds are collected), and skip vertices whose existing
-    /// *lower-rank* entries already cover them at least as well.
-    ///
-    /// Restricting domination to strictly lower ranks mirrors the
-    /// builder's strict batch ordering and is what makes regrowth sound:
-    /// the classic pruned-labelling induction (a pruned vertex is covered
-    /// through a smaller-rank hub, recursively) needs the rank order to
-    /// terminate.
-    fn relabel_tree(&mut self, graph: DynGraphView<'_>, rank: usize, cx: &mut BuildContext) {
-        let k = self.landmarks.len();
-        let root = self.landmarks[rank];
-        let rank32 = rank as u32;
-
-        cx.scratch.reset();
-        cx.scratch.ensure_capacity(graph.num_vertices());
-        cx.highway_row.clear();
-        cx.highway_row
-            .extend_from_slice(&self.highway[rank * k..(rank + 1) * k]);
-
-        insert_sorted(&mut self.labels[root as usize], rank32, 0);
-        cx.scratch.dist[root as usize] = 0;
-        cx.scratch.touched.push(root);
-        cx.scratch.queue.push_back(root);
-
-        while let Some(v) = cx.scratch.queue.pop_front() {
-            let d = cx.scratch.dist[v as usize];
-            if v != root {
-                if self.landmark_rank[v as usize] != NOT_A_LANDMARK {
-                    // Another landmark: the exact highway already carries
-                    // this distance, and searches never expand through
-                    // landmarks.
-                    continue;
-                }
-                let dominated = self.labels[v as usize].iter().any(|&(j, dj)| {
-                    if j >= rank32 {
-                        return false;
-                    }
-                    let h = cx.highway_row[j as usize];
-                    h != INFINITY && sat_add(h, dj) <= d
-                });
-                if dominated {
-                    continue;
-                }
-                insert_sorted(&mut self.labels[v as usize], rank32, d);
-            }
-            for &w in graph.neighbors(v) {
-                if cx.scratch.dist[w as usize] == INFINITY {
-                    cx.scratch.dist[w as usize] = d + 1;
-                    cx.scratch.touched.push(w);
-                    cx.scratch.queue.push_back(w);
-                }
-            }
-        }
-        cx.scratch.reset();
     }
 }
 

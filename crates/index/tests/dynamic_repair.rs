@@ -4,14 +4,15 @@
 //! fresh rebuild on the edited graph — and to the BFS oracle on a sampled
 //! pair set — at 1 and 4 build threads.
 //!
-//! This is the acceptance gate for the dynamic-graphs tentpole: repair is
-//! allowed to produce different label *bytes* than a rebuild (pruning
-//! decisions are history-dependent), but never a different *answer*.
+//! This is the acceptance gate for the dynamic-graphs tentpole: repair
+//! never gives a different *answer* than a rebuild, and its labels are a
+//! superset of a fresh build's over the same landmarks — how much of one
+//! is measured below, not assumed.
 
 use hcl_core::testkit::{barabasi_albert, disjoint_union, families, SplitMix64};
-use hcl_core::{bfs, DeltaGraph, DeltaOp, EdgeDelta, Graph};
+use hcl_core::{bfs, DeltaGraph, DeltaOp, EdgeDelta, Graph, GraphView, VertexId};
 use hcl_index::repair::{DynamicIndex, RepairOutcome};
-use hcl_index::{BuildContext, BuildOptions, HighwayCoverIndex, QueryContext};
+use hcl_index::{BuildContext, BuildOptions, HighwayCoverIndex, LandmarkSelector, QueryContext};
 
 const SCRIPT_LEN: usize = 12;
 
@@ -136,6 +137,8 @@ struct Edit<'a> {
 /// (`edit: None`), then the state after every edit of the script.
 struct Snapshot<'a> {
     tag: &'a str,
+    /// The graph as it stands.
+    graph: &'a Graph,
     dynamic: &'a DynamicIndex,
     /// BFS distances from each landmark on the current graph.
     truth: &'a [Vec<u32>],
@@ -161,6 +164,7 @@ fn sweep_edit_scripts(mut check: impl FnMut(&Snapshot<'_>)) {
             let mut truth = landmark_bfs(&base, &built);
             check(&Snapshot {
                 tag: &format!("[{name}] k={k} as built"),
+                graph: &base,
                 dynamic: &dynamic,
                 truth: &truth,
                 edit: None,
@@ -185,9 +189,11 @@ fn sweep_edit_scripts(mut check: impl FnMut(&Snapshot<'_>)) {
                 let outcome = dynamic
                     .apply_and_repair(&mut graph, delta, &mut cx)
                     .unwrap_or_else(|e| panic!("[{name}] k={k} step {step}: {delta}: {e}"));
-                let truth_after = landmark_bfs(&graph.to_graph(), &built);
+                let edited = graph.to_graph();
+                let truth_after = landmark_bfs(&edited, &built);
                 check(&Snapshot {
                     tag: &format!("[{name}] k={k} step {step} ({delta})"),
+                    graph: &edited,
                     dynamic: &dynamic,
                     truth: &truth_after,
                     edit: Some(Edit {
@@ -295,6 +301,87 @@ fn repair_restores_invariants_and_writes_only_the_affected_set() {
             );
         }
     });
+}
+
+/// Hands the builder a landmark list fixed in advance, so a fresh build
+/// can be compared with a repaired index that keeps its landmarks.
+struct Fixed<'a>(&'a [VertexId]);
+
+impl LandmarkSelector for Fixed<'_> {
+    fn name(&self) -> &'static str {
+        "fixed"
+    }
+
+    fn select(&self, _graph: GraphView<'_>, k: usize) -> Vec<VertexId> {
+        assert_eq!(k, self.0.len());
+        self.0.to_vec()
+    }
+}
+
+/// How far a repaired index is from a fresh build over the same
+/// landmarks, after every step: the highway is equal and the labels are a
+/// superset — every fresh entry present at the same distance. An index as
+/// built, and one just relabelled by a delete, *is* the fresh build. The
+/// surplus after inserts is the entries a vertex keeps when it gains an
+/// equal-length path through another landmark without its own distance
+/// dropping (the find never visits it), plus entries written while the
+/// only hub that would have certified them was still waiting for its own
+/// repair later in the same pass. It is counted and printed (`--nocapture`).
+/// These families are tiny and rich in equal-length paths, so it runs to
+/// a few percent here (3.7 % when written) against parts per million on
+/// the benchmark's power-law graphs; the bound is a tripwire, not a claim.
+#[test]
+fn repaired_labels_are_a_superset_of_a_fresh_builds() {
+    let (mut surplus_total, mut fresh_total, mut steps) = (0usize, 0usize, 0usize);
+    sweep_edit_scripts(|s| {
+        let tag = s.tag;
+        let repaired = s.dynamic.to_index();
+        let landmarks = repaired.as_view().landmarks();
+        let options = BuildOptions {
+            num_landmarks: landmarks.len(),
+            ..Default::default()
+        };
+        let fresh = HighwayCoverIndex::build_in_with_selector(
+            s.graph,
+            &options,
+            &mut [],
+            &Fixed(landmarks),
+        );
+        assert_eq!(
+            repaired.as_view().highway(),
+            fresh.as_view().highway(),
+            "{tag}: highway differs from a fresh build's"
+        );
+        let mut surplus = 0usize;
+        for v in 0..s.graph.num_vertices() as u32 {
+            let held: Vec<(u32, u32)> = repaired.label(v).collect();
+            for entry in fresh.label(v) {
+                assert!(
+                    held.contains(&entry),
+                    "{tag}: fresh entry {entry:?} of vertex {v} missing from {held:?}"
+                );
+            }
+            surplus += held.len() - fresh.label(v).count();
+        }
+        if s.edit.as_ref().is_none_or(|e| e.outcome.full_relabel) {
+            assert_eq!(
+                surplus, 0,
+                "{tag}: a build is not byte-identical to a build"
+            );
+        }
+        surplus_total += surplus;
+        fresh_total += fresh.stats().total_label_entries;
+        steps += 1;
+    });
+    println!(
+        "repaired vs fresh over {steps} snapshots: {surplus_total} surplus entries beside \
+         {fresh_total} fresh ones (ratio {:.6})",
+        (fresh_total + surplus_total) as f64 / fresh_total as f64
+    );
+    assert!(
+        surplus_total * 20 < fresh_total,
+        "surplus {surplus_total} is not under 5 % of {fresh_total}"
+    );
 }
 
 /// Joining two components: every vertex on the other side becomes

@@ -1,17 +1,19 @@
-//! Determinism property tests for the batched parallel builder: for a
-//! fixed batch size, every thread count must produce an index whose five
-//! arrays are **identical** to the sequential (`threads = 1`) build — over
-//! every testkit family, multiple landmark counts, and several batch
-//! sizes. This is the contract that lets `hcl build --threads N` persist
-//! byte-identical `.hcl` containers regardless of the machine it ran on.
+//! What the builder must produce, and that it produces it identically
+//! however it is run: the labelling is checked entry by entry against the
+//! paper's definition by brute force, and every thread count and every
+//! selection strategy must yield an index whose five arrays are
+//! **identical** to the single-threaded build — over every testkit family
+//! plus two graphs large enough for several sweep groups. This is the
+//! contract that lets `hcl build --threads N` persist byte-identical `.hcl`
+//! containers regardless of the machine it ran on.
 
-use hcl_core::{testkit, GraphView, VertexId};
+use hcl_core::{bfs, testkit, Graph, GraphView, VertexId, INFINITY};
 use hcl_index::{
     BuildContext, BuildOptions, HighwayCoverIndex, LandmarkSelector, SelectionStrategy,
 };
 
 /// Array-level equality of two built indexes (stronger than answer-level:
-/// the serialised container is a function of exactly these six arrays).
+/// the serialised container is a function of exactly these arrays).
 fn assert_identical(name: &str, a: &HighwayCoverIndex, b: &HighwayCoverIndex) {
     let (a, b) = (a.as_view(), b.as_view());
     assert_eq!(a.landmarks(), b.landmarks(), "{name}: landmarks");
@@ -21,47 +23,109 @@ fn assert_identical(name: &str, a: &HighwayCoverIndex, b: &HighwayCoverIndex) {
     assert_eq!(a.highway(), b.highway(), "{name}: highway");
 }
 
+/// Landmark counts on both sides of the 64-wide sweep group: none, one
+/// group (partly and exactly full), two and three.
+const KS: [usize; 7] = [0, 1, 4, 16, 64, 65, 130];
+
+/// The testkit families (none has more than 60 vertices) plus a connected
+/// and a disconnected graph big enough that 65 and 130 landmarks really
+/// are several groups — which is also what keeps a `HCL_BUILD_THREADS=4`
+/// run of this suite on the threaded path.
+fn graphs() -> Vec<(String, Graph)> {
+    let mut graphs = testkit::families();
+    graphs.push(("ba(150,2)".into(), testkit::barabasi_albert(150, 2, 21)));
+    graphs.push((
+        "grid(9x9)⊎er(70,0.05)".into(),
+        testkit::disjoint_union(&testkit::grid(9, 9), &testkit::erdos_renyi(70, 0.05, 5)),
+    ));
+    graphs
+}
+
+/// The paper's labelling, by definition and by brute force: `(i, δ)` is in
+/// `L(v)` iff `δ = d(r_i, v)` is finite and no other landmark `r_j` has
+/// `d(r_i, r_j) + d(r_j, v) = d(r_i, v)` — which also excludes every
+/// landmark `v ≠ r_i` (take `r_j = v`) and leaves `r_i` its self entry.
+fn labelling_by_definition(g: &Graph, landmarks: &[VertexId]) -> Vec<Vec<(u32, u32)>> {
+    let from: Vec<Vec<u32>> = landmarks
+        .iter()
+        .map(|&r| bfs::distances_from(g, r))
+        .collect();
+    (0..g.num_vertices())
+        .map(|v| {
+            (0..landmarks.len())
+                .filter(|&i| {
+                    from[i][v] != INFINITY
+                        && (0..landmarks.len()).all(|j| {
+                            let via = from[i][landmarks[j] as usize].saturating_add(from[j][v]);
+                            j == i || via != from[i][v]
+                        })
+                })
+                .map(|i| (i as u32, from[i][v]))
+                .collect()
+        })
+        .collect()
+}
+
+const STRATEGIES: [SelectionStrategy; 3] = [
+    SelectionStrategy::DegreeRank,
+    SelectionStrategy::ApproxCoverage { seed: 11 },
+    SelectionStrategy::SeededRandom { seed: 11 },
+];
+
+/// Builds single-threaded, asserts the 2-, 4- and 8-thread builds are
+/// identical to it, and hands the index back.
+fn build_at_every_thread_count(
+    tag: &str,
+    g: &Graph,
+    num_landmarks: usize,
+    selection: Option<SelectionStrategy>,
+) -> HighwayCoverIndex {
+    let opts = |threads| BuildOptions {
+        num_landmarks,
+        threads,
+        batch_size: 0,
+        selection,
+    };
+    let sequential = HighwayCoverIndex::build_with(g, &opts(1));
+    for threads in [2usize, 4, 8] {
+        let parallel = HighwayCoverIndex::build_with(g, &opts(threads));
+        assert_identical(&format!("{tag} t={threads}"), &sequential, &parallel);
+    }
+    sequential
+}
+
 #[test]
-fn every_thread_count_builds_the_identical_index() {
-    for (name, g) in testkit::families() {
-        for k in [0usize, 1, 4, 16] {
-            let opts = |threads| BuildOptions {
-                num_landmarks: k,
-                threads,
-                batch_size: 0,
-                selection: None,
-            };
-            let sequential = HighwayCoverIndex::build_with(&g, &opts(1));
-            for threads in [2usize, 4, 8] {
-                let parallel = HighwayCoverIndex::build_with(&g, &opts(threads));
-                assert_identical(&format!("{name} k={k} t={threads}"), &sequential, &parallel);
+fn built_labelling_is_the_papers_definition_on_every_family() {
+    for (name, g) in graphs() {
+        for (k, strategy) in KS.iter().flat_map(|&k| STRATEGIES.map(|s| (k, s))) {
+            let tag = format!("{name} k={k} {strategy}");
+            let built = build_at_every_thread_count(&tag, &g, k, Some(strategy));
+            let view = built.as_view();
+            let landmarks = view.landmarks();
+            assert_eq!(landmarks.len(), k.min(g.num_vertices()), "{tag}");
+            let expected = labelling_by_definition(&g, landmarks);
+            for (v, want) in expected.iter().enumerate() {
+                let got: Vec<(u32, u32)> = built.label(v as VertexId).collect();
+                assert_eq!(&got, want, "{tag}: label of vertex {v}");
+            }
+            for (i, &r) in landmarks.iter().enumerate() {
+                let own: Vec<(u32, u32)> = built.label(r).collect();
+                assert_eq!(own, [(i as u32, 0)], "{tag}: landmark {i}'s label");
+                let from = bfs::distances_from(&g, r);
+                let row = &view.highway()[i * landmarks.len()..][..landmarks.len()];
+                let want: Vec<u32> = landmarks.iter().map(|&o| from[o as usize]).collect();
+                assert_eq!(row, want, "{tag}: highway row {i}");
             }
         }
     }
 }
 
+/// The ambient default strategy (`HCL_BUILD_STRATEGY` or degree rank).
 #[test]
-fn batch_size_shapes_output_identically_across_thread_counts() {
-    // Sweep batch sizes, including 1 (fully sequential pruning order) and
-    // sizes larger than the landmark count (one batch, no cross-batch
-    // pruning at all): each is a distinct canonical output, and every
-    // thread count must reproduce it exactly.
-    let g = testkit::barabasi_albert(64, 3, 13);
-    for batch_size in [1usize, 2, 3, 8, 64] {
-        let opts = |threads| BuildOptions {
-            num_landmarks: 16,
-            threads,
-            batch_size,
-            selection: None,
-        };
-        let sequential = HighwayCoverIndex::build_with(&g, &opts(1));
-        for threads in [2usize, 4, 8] {
-            let parallel = HighwayCoverIndex::build_with(&g, &opts(threads));
-            assert_identical(
-                &format!("b={batch_size} t={threads}"),
-                &sequential,
-                &parallel,
-            );
+fn every_thread_count_builds_the_identical_index() {
+    for (name, g) in graphs() {
+        for k in KS {
+            build_at_every_thread_count(&format!("{name} k={k}"), &g, k, None);
         }
     }
 }
@@ -71,14 +135,14 @@ fn build_in_reuses_contexts_across_builds() {
     // A held worker pool must serve repeated builds of different graphs
     // without state leaking between them.
     let opts = BuildOptions {
-        num_landmarks: 8,
+        num_landmarks: 70,
         threads: 4,
         batch_size: 0,
         selection: None,
     };
     let mut pool: Vec<BuildContext> = (0..4).map(|_| BuildContext::new()).collect();
     for seed in 0..3 {
-        let g = testkit::erdos_renyi(40, 0.08, seed);
+        let g = testkit::erdos_renyi(40 + 40 * seed as usize, 0.08, seed);
         let fresh = HighwayCoverIndex::build_with(&g, &opts);
         let reused = HighwayCoverIndex::build_in(&g, &opts, &mut pool);
         assert_identical(&format!("seed {seed}"), &fresh, &reused);
@@ -88,39 +152,12 @@ fn build_in_reuses_contexts_across_builds() {
 #[test]
 fn every_strategy_is_thread_count_invariant() {
     // The byte-identity guarantee must hold *per selection strategy*:
-    // selection runs once, deterministically, before the batched searches,
-    // so the thread count can never change which landmarks anchor the
-    // index — or anything downstream of them.
-    let strategies = [
-        SelectionStrategy::DegreeRank,
-        SelectionStrategy::ApproxCoverage { seed: 11 },
-        SelectionStrategy::SeededRandom { seed: 11 },
-    ];
-    for (name, g) in [
-        ("ba(64,3)", testkit::barabasi_albert(64, 3, 7)),
-        ("er(48,0.08)", testkit::erdos_renyi(48, 0.08, 3)),
-        (
-            "grid⊎cycle",
-            testkit::disjoint_union(&testkit::grid(3, 3), &testkit::cycle(5)),
-        ),
-    ] {
-        for strategy in strategies {
-            let opts = |threads| BuildOptions {
-                num_landmarks: 8,
-                threads,
-                batch_size: 0,
-                selection: Some(strategy),
-            };
-            let sequential = HighwayCoverIndex::build_with(&g, &opts(1));
-            for threads in [2usize, 4, 8] {
-                let parallel = HighwayCoverIndex::build_with(&g, &opts(threads));
-                assert_identical(
-                    &format!("{name} {strategy} t={threads}"),
-                    &sequential,
-                    &parallel,
-                );
-            }
-        }
+    // selection runs once, deterministically, before the sweeps, so the
+    // thread count can never change which landmarks anchor the index — or
+    // anything downstream of them. Two groups, one of them partly full.
+    let g = testkit::barabasi_albert(160, 3, 7);
+    for strategy in STRATEGIES {
+        build_at_every_thread_count(&format!("ba(160,3) {strategy}"), &g, 100, Some(strategy));
     }
 }
 
@@ -142,9 +179,10 @@ impl LandmarkSelector for PoisonedSelector {
 
 #[test]
 fn worker_panics_reraise_as_one_coherent_build_panic() {
-    let g = testkit::barabasi_albert(40, 2, 3);
+    // Two sweep groups, so the four contexts really mean worker threads.
+    let g = testkit::barabasi_albert(100, 2, 3);
     let opts = BuildOptions {
-        num_landmarks: 8,
+        num_landmarks: 70,
         threads: 4,
         batch_size: 0,
         selection: None,
@@ -189,13 +227,13 @@ fn worker_panics_reraise_as_one_coherent_build_panic() {
 #[test]
 fn parallel_output_stays_exact_against_the_oracle() {
     // Equality above ties every thread count to the sequential output;
-    // this ties the batched output itself to ground truth on a graph with
-    // unreachable pairs.
-    let g = testkit::disjoint_union(&testkit::barabasi_albert(40, 2, 5), &testkit::grid(4, 4));
+    // this ties a threaded build's *answers* to ground truth on a graph
+    // with unreachable pairs.
+    let g = testkit::disjoint_union(&testkit::barabasi_albert(90, 2, 5), &testkit::grid(4, 4));
     let idx = HighwayCoverIndex::build_with(
         &g,
         &BuildOptions {
-            num_landmarks: 12,
+            num_landmarks: 72,
             threads: 4,
             batch_size: 0,
             selection: None,

@@ -16,7 +16,7 @@
 //!     48     8  num_landmarks (u64 LE)
 //!     56     8  total label entries (u64 LE)
 //!     64     4  build metadata: builder worker threads (u32 LE, 0 = unrecorded)
-//!     68     4  build metadata: landmark batch size (u32 LE, 0 = unrecorded)
+//!     68     4  build metadata: landmarks per builder group (u32 LE, 0 = unrecorded)
 //!     72     4  landmark-selection strategy tag (u32 LE; see
 //!               `SelectionStrategy::tag` — 0 = degree-rank)
 //!     76     4  reserved (zeroed, ignored on read)
@@ -215,27 +215,28 @@ const STATS_FORMAT_TAG: u64 = 1;
 ///
 /// Wall times are deliberately **not** stored: the same graph built with
 /// any thread count must produce byte-identical sections (the determinism
-/// contract `hcl-index`'s batched build provides), and timings would break
-/// that. The payload is a flat `u64` array:
+/// contract `hcl-index`'s build provides), and timings would break that.
+/// The payload is a flat `u64` array:
 ///
 /// ```text
 /// word  value
 /// ----  ---------------------------------------------------------
 ///    0  stats format tag (currently 1)
-///    1  bfs_visits — vertices dequeued across all pruned BFS runs
+///    1  bfs_visits — (landmark, vertex) pairs the landmark searches reached
 ///    2  label_insertions — label entries written (Σ landmark_labels)
-///    3  dominated — vertices cut by domination pruning
+///    3  dominated — reached pairs that earned no entry (covered by
+///       another landmark)
 ///    4  k — landmark count (length of the per-landmark array)
 /// 5..5+k  landmark_labels[i] — label entries contributed by rank i
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StoredBuildStats {
-    /// Vertices dequeued across all pruned landmark BFS runs.
+    /// `(landmark, vertex)` pairs the landmark searches reached.
     pub bfs_visits: u64,
     /// Total label entries inserted (equals the index's entry count).
     pub label_insertions: u64,
-    /// Vertices cut by domination pruning (visited, neither labelled nor
-    /// expanded).
+    /// Reached pairs that earned no label entry: another landmark covers
+    /// them.
     pub dominated: u64,
     /// Label entries contributed by each landmark, indexed by rank.
     pub landmark_labels: Vec<u64>,
@@ -253,7 +254,7 @@ impl StoredBuildStats {
         }
     }
 
-    /// Fraction of BFS visits cut by domination pruning, in `[0, 1]`.
+    /// Fraction of BFS visits another landmark covers, in `[0, 1]`.
     pub fn domination_cut_rate(&self) -> f64 {
         if self.bfs_visits == 0 {
             0.0
@@ -403,9 +404,8 @@ impl StoredJournal {
 /// How an index was built, recorded in the container header's
 /// build-metadata bytes. It never affects how the file is *served*, but it
 /// makes a persisted index reproducible — same graph, same landmark count,
-/// same batch size, same selection strategy ⇒ byte-identical sections on
-/// any machine — and lets `hcl inspect` and capacity tooling tell builds
-/// apart.
+/// same selection strategy ⇒ byte-identical sections on any machine — and
+/// lets `hcl inspect` and capacity tooling tell builds apart.
 ///
 /// `0` in `threads`/`batch_size` means "unrecorded" (e.g. a file written
 /// through the plain [`serialize`]/[`save`](crate::save) entry points).
@@ -415,8 +415,9 @@ impl StoredJournal {
 pub struct BuildInfo {
     /// Worker threads the builder ran with.
     pub threads: u32,
-    /// Landmarks per batch (the parameter that shapes the labelling; see
-    /// `hcl-index`'s build docs).
+    /// Landmarks per builder group: 64, the sweep width, in files this
+    /// build writes (it no longer shapes the labelling); the batch size of
+    /// the rank-ordered batched builder in older files.
     pub batch_size: u32,
     /// Landmark-selection strategy (and its seed) the index was built
     /// with. Recorded as a `(tag, seed)` pair in the header.

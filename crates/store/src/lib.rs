@@ -95,8 +95,8 @@ pub fn save(
     save_with(path, graph, index, BuildInfo::default())
 }
 
-/// Serialises `graph` and `index` — recording `build` (builder threads and
-/// landmark batch size) in the container header — and writes them to
+/// Serialises `graph` and `index` — recording `build` (builder threads,
+/// group width and strategy) in the container header — and writes them to
 /// `path` atomically: the bytes go to a temporary sibling file which is
 /// then renamed over the target, so a concurrent reader either sees the
 /// old complete container or the new one — never a truncated half-write,
