@@ -740,13 +740,14 @@ fn explain_line(u: VertexId, v: VertexId, d: Option<u32>, stats: &QueryStats) ->
     };
     format!(
         "explain: ({u}, {v}) -> {dist} source={} merge={} hub_entries={} \
-         highway_improvements={} bfs_nodes={} bfs_frontier_peak={}",
+         highway_improvements={} bfs_nodes={} bfs_frontier_peak={} bfs_edges={}",
         stats.source.as_str(),
         stats.merge.as_str(),
         stats.hub_entries_scanned,
         stats.highway_improvements,
         stats.bfs_nodes_expanded,
         stats.bfs_frontier_peak,
+        stats.bfs_edges_scanned,
     )
 }
 

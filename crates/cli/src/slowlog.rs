@@ -17,7 +17,7 @@
 //! {"endpoint":"stdin","u":0,"v":13,"dist":2,"latency_us":12,
 //!  "source":"label-hit","merge":"linear","hub_entries":5,
 //!  "highway_improvements":0,"bfs_nodes":0,"bfs_frontier_peak":0,
-//!  "worker":0,"generation":1}
+//!  "worker":0,"generation":1,"bfs_edges":0}
 //! ```
 //!
 //! `dist` is `null` for disconnected pairs. `worker` is the serving
@@ -134,7 +134,7 @@ fn format_line(q: &SlowQuery<'_>) -> String {
             "{{\"endpoint\":\"{}\",\"u\":{},\"v\":{},\"dist\":{},\"latency_us\":{},",
             "\"source\":\"{}\",\"merge\":\"{}\",\"hub_entries\":{},",
             "\"highway_improvements\":{},\"bfs_nodes\":{},\"bfs_frontier_peak\":{},",
-            "\"worker\":{},\"generation\":{}}}\n"
+            "\"worker\":{},\"generation\":{},\"bfs_edges\":{}}}\n"
         ),
         q.endpoint,
         q.u,
@@ -149,6 +149,7 @@ fn format_line(q: &SlowQuery<'_>) -> String {
         q.stats.bfs_frontier_peak,
         q.worker,
         q.generation,
+        q.stats.bfs_edges_scanned,
     )
 }
 
@@ -197,7 +198,7 @@ mod tests {
             "{\"endpoint\":\"stdin\",\"u\":0,\"v\":13,\"dist\":2,\"latency_us\":12,\
              \"source\":\"label-hit\",\"merge\":\"linear\",\"hub_entries\":5,\
              \"highway_improvements\":0,\"bfs_nodes\":0,\"bfs_frontier_peak\":0,\
-             \"worker\":0,\"generation\":1}\n"
+             \"worker\":0,\"generation\":1,\"bfs_edges\":0}\n"
         );
 
         let line = format_line(&SlowQuery {
@@ -211,7 +212,10 @@ mod tests {
             generation: 4,
         });
         assert!(line.contains("\"dist\":null,"), "line = {line}");
-        assert!(line.contains("\"worker\":2,\"generation\":4}"), "{line}");
+        assert!(
+            line.ends_with("\"worker\":2,\"generation\":4,\"bfs_edges\":0}\n"),
+            "{line}"
+        );
     }
 
     #[test]

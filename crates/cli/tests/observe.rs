@@ -185,6 +185,7 @@ fn assert_slow_log_line(line: &str, endpoints: &[&str]) {
             "bfs_frontier_peak",
             "worker",
             "generation",
+            "bfs_edges",
         ],
         "key order drifted in {line:?}"
     );
@@ -231,6 +232,7 @@ fn assert_slow_log_line(line: &str, endpoints: &[&str]) {
         "bfs_frontier_peak",
         "worker",
         "generation",
+        "bfs_edges",
     ] {
         assert!(
             matches!(get(numeric), Json::Num(_)),
@@ -272,7 +274,7 @@ fn explain_trace_format_is_pinned() {
     assert_eq!(
         traces[0],
         "explain: (0, 0) -> 0 source=trivial merge=none hub_entries=0 \
-         highway_improvements=0 bfs_nodes=0 bfs_frontier_peak=0"
+         highway_improvements=0 bfs_nodes=0 bfs_frontier_peak=0 bfs_edges=0"
     );
     // The second line's fields vary with the labelling; pin the shape.
     assert!(
@@ -286,6 +288,7 @@ fn explain_trace_format_is_pinned() {
         " highway_improvements=",
         " bfs_nodes=",
         " bfs_frontier_peak=",
+        " bfs_edges=",
     ] {
         assert!(
             traces[1].contains(field),
@@ -391,7 +394,7 @@ fn slow_log_stdin_sequential_emits_valid_json_per_line() {
         lines[1]
     );
     assert!(
-        lines[1].ends_with("\"worker\":0,\"generation\":1}"),
+        lines[1].ends_with("\"worker\":0,\"generation\":1,\"bfs_edges\":0}"),
         "line = {}",
         lines[1]
     );

@@ -1013,7 +1013,7 @@ fn socket_slow_log_emits_valid_json_for_tcp_and_http() {
         // the socket-specific fields: generation and worker are present
         // and the line is a complete flat object.
         assert!(line.ends_with('}'), "truncated line: {line}");
-        assert!(line.contains("\"generation\":1}"), "generation: {line}");
+        assert!(line.contains("\"generation\":1,"), "generation: {line}");
         assert!(line.contains("\"worker\":"), "worker: {line}");
         assert!(line.contains("\"latency_us\":"), "latency: {line}");
         assert!(line.contains("\"source\":\""), "source: {line}");

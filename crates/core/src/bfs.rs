@@ -29,8 +29,20 @@ pub trait BfsProbe {
     #[inline]
     fn bfs_node_expanded(&mut self) {}
 
-    /// Called once per completed level with the size of the *next*
-    /// frontier, so an implementation can track the peak frontier width.
+    /// Called once per expanded vertex, beside
+    /// [`bfs_node_expanded`](Self::bfs_node_expanded), with the length of
+    /// the adjacency list the traversal is about to scan. A search that
+    /// stops mid-list still reports the whole list, so the sum is the
+    /// scanned-edge count rounded up to whole vertices.
+    #[inline]
+    fn bfs_edges_scanned(&mut self, edges: usize) {
+        let _ = edges;
+    }
+
+    /// Called as each level starts with the size of the frontier about to
+    /// be *expanded*, so an implementation can track the widest frontier
+    /// the search actually worked through (a frontier that is built but
+    /// never expanded, or never built at all, is not reported).
     #[inline]
     fn bfs_level(&mut self, frontier_len: usize) {
         let _ = frontier_len;

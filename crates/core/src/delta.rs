@@ -17,6 +17,7 @@
 //! serving path's containers pin `n` at build time); growing the vertex
 //! set remains a rebuild.
 
+use crate::bitset::DenseBitSet;
 use crate::graph::{Graph, GraphBuilder, GraphView, VertexId};
 use std::collections::HashMap;
 use std::fmt;
@@ -147,6 +148,9 @@ pub struct DeltaGraph<'a> {
     /// Fully merged, sorted adjacency for vertices whose neighbourhood
     /// differs from the base.
     patched: HashMap<VertexId, Vec<VertexId>>,
+    /// The key set of `patched`, one bit per vertex: an adjacency fetch
+    /// for an unpatched vertex tests a bit instead of hashing.
+    is_patched: DenseBitSet,
     /// Undirected edge count after all applied deltas.
     num_edges: usize,
 }
@@ -154,11 +158,7 @@ pub struct DeltaGraph<'a> {
 impl<'a> DeltaGraph<'a> {
     /// An overlay with no edits yet.
     pub fn new(base: GraphView<'a>) -> Self {
-        Self {
-            base,
-            patched: HashMap::new(),
-            num_edges: base.num_edges(),
-        }
+        Self::reattach(base, DeltaPatches::default())
     }
 
     /// Number of vertices (fixed: always the base graph's count).
@@ -182,9 +182,10 @@ impl<'a> DeltaGraph<'a> {
     /// # Panics
     /// Panics if `v` is out of range (same contract as [`GraphView`]).
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        match self.patched.get(&v) {
-            Some(adj) => adj,
-            None => self.base.neighbors(v),
+        if self.is_patched.contains(v as usize) {
+            &self.patched[&v]
+        } else {
+            self.base.neighbors(v)
         }
     }
 
@@ -211,6 +212,7 @@ impl<'a> DeltaGraph<'a> {
             return Ok(false);
         }
         for (a, b) in [(delta.u, delta.v), (delta.v, delta.u)] {
+            self.is_patched.insert(a as usize);
             let adj = self
                 .patched
                 .entry(a)
@@ -239,6 +241,7 @@ impl<'a> DeltaGraph<'a> {
         DeltaPatches {
             net_edges: self.num_edges as isize - self.base.num_edges() as isize,
             patched: self.patched,
+            is_patched: self.is_patched,
         }
     }
 
@@ -246,9 +249,16 @@ impl<'a> DeltaGraph<'a> {
     /// off an overlay of the same `base`. Default (empty) patches
     /// reattach to any base as an overlay with no edits.
     pub fn reattach(base: GraphView<'a>, patches: DeltaPatches) -> Self {
+        let mut is_patched = patches.is_patched;
+        if is_patched.len() != base.num_vertices() {
+            // Default patches carry an unsized bitset; detached ones are
+            // already sized for the base they came off.
+            is_patched.reset(base.num_vertices());
+        }
         Self {
             base,
             patched: patches.patched,
+            is_patched,
             num_edges: base.num_edges().saturating_add_signed(patches.net_edges),
         }
     }
@@ -279,6 +289,7 @@ impl<'a> DeltaGraph<'a> {
 #[derive(Default)]
 pub struct DeltaPatches {
     patched: HashMap<VertexId, Vec<VertexId>>,
+    is_patched: DenseBitSet,
     /// Undirected edges added minus edges removed.
     net_edges: isize,
 }
@@ -429,10 +440,22 @@ mod tests {
 
     #[test]
     fn materialised_graph_matches_overlay() {
+        fn assert_materialises(d: &DeltaGraph<'_>, step: usize) {
+            let materialised = d.to_graph();
+            assert_eq!(materialised.num_vertices(), d.num_vertices());
+            assert_eq!(materialised.num_edges(), d.num_edges(), "step {step}");
+            for v in 0..d.num_vertices() as VertexId {
+                assert_eq!(
+                    materialised.neighbors(v),
+                    d.neighbors(v),
+                    "step {step} vertex {v}"
+                );
+            }
+        }
         let g = testkit::erdos_renyi(30, 0.1, 5);
         let mut d = DeltaGraph::new(g.as_view());
         let mut rng = testkit::SplitMix64::new(42);
-        for _ in 0..20 {
+        for step in 0..40 {
             let u = rng.next_below(30) as VertexId;
             let v = rng.next_below(30) as VertexId;
             if u == v {
@@ -444,13 +467,23 @@ mod tests {
                 EdgeDelta::insert(u, v)
             };
             d.apply(delta).unwrap();
+            assert_materialises(&d, step);
+            // The patch marks ride along with the patches.
+            if step % 8 == 7 {
+                d = DeltaGraph::reattach(g.as_view(), d.detach());
+                assert_materialises(&d, step);
+            }
         }
-        let materialised = d.to_graph();
-        assert_eq!(materialised.num_vertices(), d.num_vertices());
-        assert_eq!(materialised.num_edges(), d.num_edges());
-        for v in 0..30 {
-            assert_eq!(materialised.neighbors(v), d.neighbors(v), "vertex {v}");
-        }
+        assert!(d.num_patched() > 0 && d.num_patched() < 30);
+
+        // A vertex patched back to its base list still serves it.
+        let g = testkit::path(5);
+        let mut d = DeltaGraph::new(g.as_view());
+        d.apply(EdgeDelta::insert(0, 4)).unwrap();
+        d.apply(EdgeDelta::delete(0, 4)).unwrap();
+        assert_eq!(d.num_patched(), 2);
+        assert_materialises(&d, 0);
+        assert_eq!(d.neighbors(0), g.neighbors(0));
     }
 
     #[test]

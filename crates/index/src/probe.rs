@@ -126,8 +126,11 @@ pub struct QueryStats {
     pub highway_improvements: u64,
     /// Vertices expanded by the residual BFS (frontier pops).
     pub bfs_nodes_expanded: u64,
-    /// Peak residual-BFS frontier width.
+    /// Widest frontier the residual BFS expanded.
     pub bfs_frontier_peak: u64,
+    /// Edges the residual BFS scanned: the degrees of the vertices it
+    /// expanded, summed. Kernel time is close to linear in this.
+    pub bfs_edges_scanned: u64,
     /// Phase-1 bound from the merge alone (`u64::MAX` = none).
     pub merge_bound: u64,
     /// Phase-1 bound after the highway pass (`u64::MAX` = none).
@@ -144,6 +147,7 @@ impl QueryStats {
             highway_improvements: 0,
             bfs_nodes_expanded: 0,
             bfs_frontier_peak: 0,
+            bfs_edges_scanned: 0,
             merge_bound: u64::MAX,
             label_bound: u64::MAX,
         }
@@ -160,6 +164,11 @@ impl BfsProbe for QueryStats {
     #[inline]
     fn bfs_node_expanded(&mut self) {
         self.bfs_nodes_expanded += 1;
+    }
+
+    #[inline]
+    fn bfs_edges_scanned(&mut self, edges: usize) {
+        self.bfs_edges_scanned += edges as u64;
     }
 
     #[inline]
@@ -246,10 +255,13 @@ mod tests {
         s.merge_done(false, 2, 7);
         s.bfs_level(3);
         s.bfs_node_expanded();
+        s.bfs_edges_scanned(4);
         s.bfs_node_expanded();
+        s.bfs_edges_scanned(1);
         s.query_done(false, 7, 3);
         assert_eq!(s.source, AnswerSource::ResidualBfs);
         assert_eq!(s.bfs_nodes_expanded, 2);
+        assert_eq!(s.bfs_edges_scanned, 5);
         assert_eq!(s.bfs_frontier_peak, 3);
 
         // Disconnected; also checks reset between queries.
@@ -259,6 +271,7 @@ mod tests {
         assert_eq!(s.source, AnswerSource::Disconnected);
         assert_eq!(s.merge, MergeKind::None);
         assert_eq!(s.bfs_nodes_expanded, 0);
+        assert_eq!(s.bfs_edges_scanned, 0);
     }
 
     #[test]

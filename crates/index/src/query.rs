@@ -19,7 +19,32 @@
 //! `d1 + d2`) so rows that cannot beat the current best never touch the
 //! matrix, and the residual BFS tests landmark membership against a dense
 //! bitset — one bit per vertex instead of a 4-byte rank-table load.
-
+//!
+//! The residual BFS runs on *every* non-trivial query — also the ones the
+//! labels answer, to prove no shorter landmark-free path exists — and its
+//! time is close to linear in the edges it scans, so it does only what its
+//! own termination rule can use:
+//!
+//! * **One cell per scanned edge.** The two sides' distances are
+//!   interleaved as `[forward, backward]` in one `Vec<[u32; 2]>`, so "did
+//!   the other side reach `w`?" and "have I seen `w`?" read one 8-byte
+//!   cell (one cache line instead of two), and the touched-list reset
+//!   writes one cell per vertex.
+//! * **Exit at the floor.** Let `floor = depth_fwd + depth_bwd + 1` as a
+//!   level starts. Every landmark-free path of length `< floor` was
+//!   detected by an earlier level (one of its edges was scanned from a side
+//!   whose far end the other side had already reached), so no meet still to
+//!   come reads below `floor`. The moment a meet brings `best <= floor`
+//!   the answer is final and the search returns mid-scan.
+//! * **A write-free final level.** If `floor + 1 >= best` as a level
+//!   starts, the next level's floor is already `>= best`: the loop cannot
+//!   run again whatever this level finds, so nothing it would store is
+//!   ever read. That level only looks for meets — one read of the other
+//!   side's distance per scanned edge; no distance store, no touched or
+//!   next-frontier push, no landmark test (a meet is valid at a landmark
+//!   endpoint and impossible at any other landmark, which never holds a
+//!   distance). It is also where most scanned edges are: frontiers grow
+//!   geometrically, so the last level outweighs the ones before it.
 //!
 //! # Observability
 //!
@@ -42,20 +67,23 @@ const GALLOP_RATIO: usize = 8;
 
 /// Reusable scratch space for queries.
 ///
-/// A query needs two distance arrays, a few frontier vectors, and a dense
-/// landmark-membership bitset; allocating them per call would dominate the
-/// cost of cheap queries. Create one context per thread (or per serving
-/// task) and pass it to [`IndexView::query_with`]. All buffers are reset
-/// between queries via touched-lists, so reuse is `O(visited)`, not
-/// `O(n)`. One context can be shared across different indexes and
-/// backings; buffers grow to the largest graph seen, and the landmark
-/// bitset is rebuilt automatically whenever the context notices it is
-/// serving a different landmark set (an `O(k)` comparison per query, an
-/// `O(n / 64 + k)` rebuild only on an actual switch).
+/// A query needs one array of per-vertex distance cells, a few frontier
+/// vectors, and a dense landmark-membership bitset; allocating them per
+/// call would dominate the cost of cheap queries. Create one context per
+/// thread (or per serving task) and pass it to [`IndexView::query_with`].
+/// The cells are reset between queries via a touched-list, so reuse is
+/// `O(visited)`, not `O(n)`. One context can be shared across different
+/// indexes and backings; buffers grow to the largest graph seen, and the
+/// landmark bitset is rebuilt automatically whenever the context notices
+/// it is serving a different landmark set (an `O(k)` comparison per
+/// query, an `O(n / 64 + k)` rebuild only on an actual switch).
 #[derive(Default)]
 pub struct QueryContext {
-    dist_fwd: Vec<u32>,
-    dist_bwd: Vec<u32>,
+    /// Per-vertex `[forward, backward]` search distances, interleaved so
+    /// one scanned edge reads one 8-byte cell; `[INFINITY; 2]` everywhere
+    /// between queries.
+    dist: Vec<[u32; 2]>,
+    /// Vertices whose cell the current search wrote.
     touched: Vec<VertexId>,
     frontier_fwd: Vec<VertexId>,
     frontier_bwd: Vec<VertexId>,
@@ -74,10 +102,20 @@ impl QueryContext {
     }
 
     fn ensure_capacity(&mut self, n: usize) {
-        if self.dist_fwd.len() < n {
-            self.dist_fwd.resize(n, INFINITY);
-            self.dist_bwd.resize(n, INFINITY);
+        if self.dist.len() < n {
+            self.dist.resize(n, [INFINITY; 2]);
         }
+    }
+
+    /// Whether the scratch is in its between-queries state: every cell
+    /// `[INFINITY; 2]`, touched-list and frontiers empty.
+    #[cfg(test)]
+    fn is_clean(&self) -> bool {
+        self.dist.iter().all(|&cell| cell == [INFINITY; 2])
+            && self.touched.is_empty()
+            && self.frontier_fwd.is_empty()
+            && self.frontier_bwd.is_empty()
+            && self.next.is_empty()
     }
 
     /// Makes `landmark_bits` describe exactly `view`'s landmark set.
@@ -105,13 +143,14 @@ impl HighwayCoverIndex {
     /// Exact distance between `u` and `v`, or `None` if disconnected.
     ///
     /// Convenience wrapper that allocates a **fresh [`QueryContext`] on
-    /// every call** — six buffers plus the landmark bitset, which the
-    /// first query then has to grow to the graph size. On a µs-scale
-    /// query that allocation and warm-up is comparable to the query
-    /// itself, so anything issuing more than a handful of queries (batch
-    /// runs, serving loops, benchmarks) should hold one context per
-    /// thread and call [`query_with`](Self::query_with) instead; the CLI's
-    /// random-query, stdin, and worker-pool paths all do.
+    /// every call** — the distance cells, the touched-list, three
+    /// frontier lists and the landmark bitset, which the first query then
+    /// has to grow to the graph size. On a µs-scale query that allocation
+    /// and warm-up is comparable to the query itself, so anything issuing
+    /// more than a handful of queries (batch runs, serving loops,
+    /// benchmarks) should hold one context per thread and call
+    /// [`query_with`](Self::query_with) instead; the CLI's random-query,
+    /// stdin, and worker-pool paths all do.
     ///
     /// # Panics
     /// Panics if `u` or `v` is out of range, or if `graph` has a different
@@ -304,9 +343,11 @@ impl<'a> IndexView<'a> {
     /// directly, so a landmark endpoint still works); membership is tested
     /// against the context's dense bitset. Meets are detected on edge
     /// scans before the landmark check, so a direct edge into the other
-    /// frontier is never missed. The search stops as soon as the two
-    /// frontier depths certify that no undiscovered landmark-free path can
-    /// beat the current best.
+    /// frontier is never missed. The search does only the work its
+    /// termination rule needs — it returns mid-scan once a meet reaches the
+    /// level's floor, and its final level writes nothing (module docs,
+    /// "Hot-path layout"). The context is back in its all-`INFINITY` state
+    /// on return, whichever way the search ends.
     fn residual_bfs<P: Probe>(
         &self,
         graph: GraphView<'_>,
@@ -316,77 +357,98 @@ impl<'a> IndexView<'a> {
         bound: u64,
         probe: &mut P,
     ) -> u64 {
+        const FWD: usize = 0;
+        const BWD: usize = 1;
         let n = self.num_vertices();
         ctx.ensure_capacity(n);
         ctx.ensure_landmark_bits(self);
-        ctx.frontier_fwd.clear();
-        ctx.frontier_bwd.clear();
 
-        ctx.dist_fwd[u as usize] = 0;
-        ctx.dist_bwd[v as usize] = 0;
+        ctx.dist[u as usize][FWD] = 0;
+        ctx.dist[v as usize][BWD] = 0;
         ctx.touched.push(u);
         ctx.touched.push(v);
         ctx.frontier_fwd.push(u);
         ctx.frontier_bwd.push(v);
 
         let mut best = bound;
-        let mut depth_fwd: u64 = 0;
-        let mut depth_bwd: u64 = 0;
+        let mut depth = [0u64; 2];
         let landmark_bits = &ctx.landmark_bits;
+        let dist = &mut ctx.dist[..n];
 
-        while !ctx.frontier_fwd.is_empty()
-            && !ctx.frontier_bwd.is_empty()
-            && depth_fwd + depth_bwd + 1 < best
-        {
-            let forward = ctx.frontier_fwd.len() <= ctx.frontier_bwd.len();
-            let (frontier, dist_mine, dist_other, depth) = if forward {
-                (
-                    &ctx.frontier_fwd,
-                    &mut ctx.dist_fwd,
-                    &ctx.dist_bwd,
-                    &mut depth_fwd,
-                )
+        'search: while !ctx.frontier_fwd.is_empty() && !ctx.frontier_bwd.is_empty() {
+            // Every landmark-free path shorter than `floor` has already
+            // been detected, so no meet from here on can read below it.
+            let floor = depth[FWD] + depth[BWD] + 1;
+            if floor >= best {
+                break;
+            }
+            let (mine, other, frontier) = if ctx.frontier_fwd.len() <= ctx.frontier_bwd.len() {
+                (FWD, BWD, &ctx.frontier_fwd)
             } else {
-                (
-                    &ctx.frontier_bwd,
-                    &mut ctx.dist_bwd,
-                    &ctx.dist_fwd,
-                    &mut depth_bwd,
-                )
+                (BWD, FWD, &ctx.frontier_bwd)
             };
-            ctx.next.clear();
-            let next_depth = (*depth + 1) as u32;
+            probe.bfs_level(frontier.len());
+            let next_depth = depth[mine] + 1;
+
+            if floor + 1 >= best {
+                // Final level: the next floor is already `>= best`, so the
+                // loop cannot run again whatever is found here — nothing
+                // this level would store is ever read. Only look for meets.
+                for &x in frontier {
+                    let adj = graph.neighbors(x);
+                    probe.bfs_node_expanded();
+                    probe.bfs_edges_scanned(adj.len());
+                    for &w in adj {
+                        let met = dist[w as usize][other];
+                        if met != INFINITY {
+                            best = best.min(next_depth + met as u64);
+                            if best <= floor {
+                                break 'search;
+                            }
+                        }
+                    }
+                }
+                break;
+            }
+
             for &x in frontier {
+                let adj = graph.neighbors(x);
                 probe.bfs_node_expanded();
-                for &w in graph.neighbors(x) {
-                    let other = dist_other[w as usize];
-                    if other != INFINITY {
-                        best = best.min(*depth + 1 + other as u64);
+                probe.bfs_edges_scanned(adj.len());
+                for &w in adj {
+                    let cell = &mut dist[w as usize];
+                    if cell[other] != INFINITY {
+                        best = best.min(next_depth + cell[other] as u64);
+                        if best <= floor {
+                            break 'search;
+                        }
                     }
                     if landmark_bits.contains(w as usize) {
                         continue;
                     }
-                    if dist_mine[w as usize] == INFINITY {
-                        dist_mine[w as usize] = next_depth;
+                    if cell[mine] == INFINITY {
+                        cell[mine] = next_depth as u32;
                         ctx.touched.push(w);
                         ctx.next.push(w);
                     }
                 }
             }
-            *depth += 1;
-            probe.bfs_level(ctx.next.len());
-            if forward {
+            depth[mine] = next_depth;
+            if mine == FWD {
                 std::mem::swap(&mut ctx.frontier_fwd, &mut ctx.next);
             } else {
                 std::mem::swap(&mut ctx.frontier_bwd, &mut ctx.next);
             }
+            ctx.next.clear();
         }
 
         for &x in &ctx.touched {
-            ctx.dist_fwd[x as usize] = INFINITY;
-            ctx.dist_bwd[x as usize] = INFINITY;
+            dist[x as usize] = [INFINITY; 2];
         }
         ctx.touched.clear();
+        ctx.frontier_fwd.clear();
+        ctx.frontier_bwd.clear();
+        ctx.next.clear();
         best
     }
 }
@@ -573,6 +635,72 @@ mod tests {
         let low = entries(&[(0, 4)]);
         let tail = entries(&[(7, 1), (8, 2)]);
         assert_eq!(galloping_merge_bound(&low, &tail, p), INF64);
+    }
+
+    /// `g` without the edges that would put a landmark other than `keep`
+    /// in a path's interior: the graph the residual BFS searches for the
+    /// endpoint pair `keep`.
+    fn without_landmark_interiors(g: &Graph, landmarks: &[VertexId], keep: &[VertexId]) -> Graph {
+        let open = |x: VertexId| !landmarks.contains(&x) || keep.contains(&x);
+        let mut b = hcl_core::GraphBuilder::new();
+        b.reserve_vertices(g.num_vertices());
+        for a in 0..g.num_vertices() as VertexId {
+            for &c in g.neighbors(a) {
+                if a < c && open(a) && open(c) {
+                    b.add_edge(a, c);
+                }
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn residual_bfs_returns_the_clipped_landmark_free_distance_and_a_clean_context() {
+        use crate::{HighwayCoverIndex, IndexConfig};
+        let mut graphs = hcl_core::testkit::families();
+        graphs.push((
+            "ba(150,2)".into(),
+            hcl_core::testkit::barabasi_albert(150, 2, 11),
+        ));
+        // Deeper than a byte: the pure bidirectional case at k = 0.
+        graphs.push(("path(260)".into(), hcl_core::testkit::path(260)));
+        // One context across every graph size and landmark set.
+        let mut ctx = QueryContext::new();
+        let mut adjacent_landmark_pairs = 0;
+        for (name, g) in &graphs {
+            let n = g.num_vertices();
+            let ks: &[usize] = if n > 200 { &[0] } else { &[0, 1, 4] };
+            for &k in ks {
+                let index = HighwayCoverIndex::build(g, IndexConfig { num_landmarks: k });
+                let iv = index.as_view();
+                let landmarks = iv.landmarks();
+                for u in 0..n as VertexId {
+                    let from_u = hcl_core::bfs::distances_from(
+                        &without_landmark_interiors(g, landmarks, &[u]),
+                        u,
+                    );
+                    for v in (0..n as VertexId).filter(|&v| v != u) {
+                        let d = if landmarks.contains(&v) {
+                            adjacent_landmark_pairs +=
+                                usize::from(landmarks.contains(&u) && g.has_edge(u, v));
+                            let open = without_landmark_interiors(g, landmarks, &[u, v]);
+                            hcl_core::bfs::distance(&open, u, v).map_or(INF64, u64::from)
+                        } else if from_u[v as usize] == INFINITY {
+                            INF64
+                        } else {
+                            from_u[v as usize] as u64
+                        };
+                        for bound in [0, 1, d.saturating_sub(1), d, d.saturating_add(1), INF64] {
+                            let got =
+                                iv.residual_bfs(g.as_view(), &mut ctx, u, v, bound, &mut NoProbe);
+                            assert_eq!(got, bound.min(d), "{name} k={k} ({u},{v}) bound={bound}");
+                            assert!(ctx.is_clean(), "{name} k={k} ({u},{v}) bound={bound}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(adjacent_landmark_pairs > 0);
     }
 
     #[test]
