@@ -48,9 +48,9 @@ use hcl_index::{
     BuildOptions, HighwayCoverIndex, IndexView, QueryContext, QueryStats, SelectionStrategy,
 };
 use hcl_store::IndexStore;
-use std::io::{BufRead, ErrorKind, IsTerminal, Write};
+use std::io::{BufRead, ErrorKind, IsTerminal, Read, Write};
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: hcl <command> [args]\n\
      \n\
@@ -165,34 +165,109 @@ fn help() -> ! {
 // Edge-list / query-pair parsing
 // ---------------------------------------------------------------------------
 
-/// Parses `u v` pairs from a reader.
+/// Hands every `u v` pair of an edge-list or query file's bytes to
+/// `pair(lineno, u, v)` in input order, `lineno` 1-based, so diagnostics
+/// the scan cannot make (out-of-range ids need the graph) can still point
+/// at the input.
 ///
-/// Blank lines and comment lines starting with `#` or `%` (METIS/DIMACS
-/// style) are skipped. Every malformed line is reported as
-/// `<source>:<line>: <problem>`, quoting the offending token, instead of a
-/// bare parse panic.
-fn parse_pairs(reader: impl BufRead, what: &str) -> Result<Vec<(VertexId, VertexId)>, String> {
-    Ok(parse_pairs_numbered(reader, what)?
-        .into_iter()
-        .map(|(_, u, v)| (u, v))
-        .collect())
+/// Lines split at `\n` with one trailing `\r` dropped, exactly as
+/// `BufRead::lines` splits them. A line of the common shape — see
+/// [`fast_pair`] — is taken without further checks; every other line
+/// (tabs, CR, padding, signs, long ids, comments, blanks, errors) goes
+/// through [`parse_pair_line`], so what is accepted and every error text
+/// are those of a line-by-line parse: blank lines and `#`/`%` comment
+/// lines are skipped, a malformed line fails as `<source>:<line>:
+/// <problem>` quoting the token, and a line that is not UTF-8 fails as
+/// `reading <source>: stream did not contain valid UTF-8`.
+fn scan_pairs(
+    bytes: &[u8],
+    what: &str,
+    mut pair: impl FnMut(usize, VertexId, VertexId),
+) -> Result<(), String> {
+    let mut rest = bytes;
+    let mut lineno = 0;
+    while !rest.is_empty() {
+        lineno += 1;
+        if let Some((u, v, len)) = fast_pair(rest) {
+            pair(lineno, u, v);
+            rest = &rest[len..];
+            continue;
+        }
+        let (line, next) = match rest.iter().position(|&b| b == b'\n') {
+            Some(i) => (&rest[..i], &rest[i + 1..]),
+            None => (rest, &rest[rest.len()..]),
+        };
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let line = std::str::from_utf8(line)
+            .map_err(|_| format!("reading {what}: stream did not contain valid UTF-8"))?;
+        if let Some((u, v)) = parse_pair_line(line, what, lineno)? {
+            pair(lineno, u, v);
+        }
+        rest = next;
+    }
+    Ok(())
 }
 
-/// [`parse_pairs`], keeping each pair's 1-based source line so later
-/// diagnostics (e.g. out-of-range vertex ids, which parsing cannot detect
-/// because it does not know the graph) can still point at the input.
-fn parse_pairs_numbered(
-    reader: impl BufRead,
-    what: &str,
-) -> Result<Vec<(usize, VertexId, VertexId)>, String> {
-    let mut pairs = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| format!("reading {what}: {e}"))?;
-        if let Some((u, v)) = parse_pair_line(&line, what, lineno + 1)? {
-            pairs.push((lineno + 1, u, v));
+/// The common line shape: `digits SP digits` ending in `\n` or the end of
+/// the input, each id at most 10 digits and at most `u32::MAX`. Returns
+/// the pair and the bytes the line takes, its `\n` included; `None` for
+/// any other line.
+fn fast_pair(s: &[u8]) -> Option<(VertexId, VertexId, usize)> {
+    let (u, i) = fast_id(s, 0)?;
+    if s.get(i) != Some(&b' ') {
+        return None;
+    }
+    let (v, j) = fast_id(s, i + 1)?;
+    match s.get(j) {
+        None => Some((u, v, j)),
+        Some(b'\n') => Some((u, v, j + 1)),
+        Some(_) => None,
+    }
+}
+
+/// A run of 1–10 ASCII digits at `s[start..]` worth at most `u32::MAX`,
+/// and the index just past it.
+fn fast_id(s: &[u8], start: usize) -> Option<(VertexId, usize)> {
+    let mut value = 0u64;
+    let mut i = start;
+    while let Some(&b) = s.get(i).filter(|b| b.is_ascii_digit()) {
+        if i - start == 10 {
+            return None;
+        }
+        value = value * 10 + u64::from(b - b'0');
+        i += 1;
+    }
+    if i == start {
+        return None;
+    }
+    Some((VertexId::try_from(value).ok()?, i))
+}
+
+/// Reads a whole input file; a failed open keeps the `opening` text, a
+/// failed read the `reading` one a line-by-line reader would give.
+fn read_input(path: &str) -> Result<Vec<u8>, String> {
+    let mut file = std::fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)
+        .map_err(|e| format!("reading {path}: {e}"))?;
+    Ok(bytes)
+}
+
+/// Reads the next line into `buf` (cleared first), dropping its `\n` or
+/// `\r\n` as `BufRead::lines` does; `Ok(false)` at end of input. One
+/// buffer serves a whole stdin loop.
+pub(crate) fn next_line(input: &mut impl BufRead, buf: &mut String) -> std::io::Result<bool> {
+    buf.clear();
+    if input.read_line(buf)? == 0 {
+        return Ok(false);
+    }
+    if buf.ends_with('\n') {
+        buf.pop();
+        if buf.ends_with('\r') {
+            buf.pop();
         }
     }
-    Ok(pairs)
+    Ok(true)
 }
 
 /// Parses one line; `Ok(None)` for blanks and comments.
@@ -223,14 +298,41 @@ pub(crate) fn parse_pair_line(
     Ok(Some((u, v)))
 }
 
-fn load_graph(path: &str) -> Result<Graph, String> {
-    let file = std::fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-    let edges = parse_pairs(std::io::BufReader::new(file), path)?;
-    let mut b = GraphBuilder::new();
-    for (u, v) in edges {
-        b.add_edge(u, v);
+/// Where an edge-list load went: reading the file, scanning it into the
+/// builder, and building the CSR.
+struct LoadPhases {
+    read: Duration,
+    parse: Duration,
+    csr: Duration,
+}
+
+impl std::fmt::Display for LoadPhases {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "read {:.1?}, parse {:.1?}, csr {:.1?}",
+            self.read, self.parse, self.csr
+        )
     }
-    Ok(b.build())
+}
+
+fn load_graph(path: &str) -> Result<(Graph, LoadPhases), String> {
+    let t0 = Instant::now();
+    let bytes = read_input(path)?;
+    let t1 = Instant::now();
+    let mut b = GraphBuilder::new();
+    scan_pairs(&bytes, path, |_, u, v| {
+        b.add_edge(u, v);
+    })?;
+    drop(bytes);
+    let t2 = Instant::now();
+    let graph = b.build();
+    let phases = LoadPhases {
+        read: t1 - t0,
+        parse: t2 - t1,
+        csr: t2.elapsed(),
+    };
+    Ok((graph, phases))
 }
 
 // ---------------------------------------------------------------------------
@@ -444,7 +546,7 @@ impl Source {
             }
             (None, Some(path)) => {
                 let t0 = Instant::now();
-                let graph = load_graph(path)?;
+                let (graph, load_phases) = load_graph(path)?;
                 let load_time = t0.elapsed();
                 let num_landmarks = resolve_landmarks(num_landmarks, graph.num_vertices());
                 let options = BuildOptions {
@@ -458,7 +560,7 @@ impl Source {
                 let build_time = t1.elapsed();
                 let stats = index.stats();
                 eprintln!(
-                    "graph: {} vertices, {} edges (loaded in {:.1?})",
+                    "graph: {} vertices, {} edges (loaded in {:.1?} ({load_phases}))",
                     graph.num_vertices(),
                     graph.num_edges(),
                     load_time
@@ -550,7 +652,7 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
     let out_path = out_path.unwrap_or_else(|| format!("{graph_path}.hcl"));
 
     let t0 = Instant::now();
-    let graph = load_graph(&graph_path)?;
+    let (graph, load_phases) = load_graph(&graph_path)?;
     let load_time = t0.elapsed();
     let options = BuildOptions {
         num_landmarks: resolve_landmarks(num_landmarks, graph.num_vertices()),
@@ -578,9 +680,19 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
     // stays byte-identical at every --threads value). Wall times are
     // not persisted: they would break that identity.
     let stored_stats = hcl_store::StoredBuildStats::from_build(&build_stats);
-    let bytes = hcl_store::save_with_stats(&out_path, &graph, &index, build_info, &stored_stats)
+    let image = hcl_store::serialize_with_stats(&graph, &index, build_info, &stored_stats)
         .map_err(|e| format!("writing {out_path}: {e}"))?;
-    let save_time = t2.elapsed();
+    let serialise_time = t2.elapsed();
+    let t3 = Instant::now();
+    // `SystemIo` proceeds at every step, so a success is always
+    // `Committed`: the container is in place and durable.
+    hcl_store::durable::publish_with(
+        std::path::Path::new(&out_path),
+        &image,
+        &hcl_store::durable::SystemIo,
+    )
+    .map_err(|e| format!("writing {out_path}: {e}"))?;
+    let publish_time = t3.elapsed();
 
     if progress {
         eprintln!(
@@ -600,7 +712,7 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
     }
 
     eprintln!(
-        "graph: {} vertices, {} edges (loaded in {:.1?})",
+        "graph: {} vertices, {} edges (loaded in {:.1?} ({load_phases}))",
         graph.num_vertices(),
         graph.num_edges(),
         load_time
@@ -617,9 +729,11 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
         build_info.strategy
     );
     eprintln!(
-        "wrote {out_path}: {bytes} bytes ({:.1} KiB) in {:.1?}",
-        bytes as f64 / 1024.0,
-        save_time
+        "wrote {out_path}: {} bytes ({:.1} KiB) in {:.1?} (serialise {serialise_time:.1?}, \
+         publish {publish_time:.1?})",
+        image.len(),
+        image.len() as f64 / 1024.0,
+        serialise_time + publish_time
     );
     Ok(())
 }
@@ -778,20 +892,32 @@ fn collect_queries(opts: &QueryOptions, n: usize) -> Result<Workload, String> {
                 .collect(),
         });
     }
+    let mut pairs = Vec::new();
     if let Some(path) = &opts.queries_path {
-        let file = std::fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
+        scan_pairs(&read_input(path)?, path, |lineno, u, v| {
+            pairs.push((lineno, u, v))
+        })?;
         return Ok(Workload {
             source: path.clone(),
-            pairs: parse_pairs_numbered(std::io::BufReader::new(file), path)?,
+            pairs,
         });
     }
     let stdin = std::io::stdin();
     if stdin.is_terminal() {
         eprintln!("reading queries from stdin: one `u v` pair per line, Ctrl-D to finish");
     }
+    let mut input = stdin.lock();
+    let mut line = String::new();
+    let mut lineno = 0;
+    while next_line(&mut input, &mut line).map_err(|e| format!("reading stdin: {e}"))? {
+        lineno += 1;
+        if let Some((u, v)) = parse_pair_line(&line, "stdin", lineno)? {
+            pairs.push((lineno, u, v));
+        }
+    }
     Ok(Workload {
         source: "stdin".into(),
-        pairs: parse_pairs_numbered(stdin.lock(), "stdin")?,
+        pairs,
     })
 }
 
@@ -1181,13 +1307,16 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
     let mut engine: Option<update::UpdateEngine> = None;
     let mut served = 0u64;
     let t0 = Instant::now();
-    for (lineno, line) in stdin.lock().lines().enumerate() {
-        let line = line.map_err(|e| format!("reading stdin: {e}"))?;
+    let mut input = stdin.lock();
+    let mut line = String::new();
+    let mut lineno = 0;
+    while next_line(&mut input, &mut line).map_err(|e| format!("reading stdin: {e}"))? {
+        lineno += 1;
         if let Some((op, rest)) = update::delta_op(&line) {
             apply_seq_delta(
                 op,
                 rest,
-                lineno + 1,
+                lineno,
                 &source,
                 index_path.as_deref(),
                 compact_after,
@@ -1196,7 +1325,7 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
             );
             continue;
         }
-        let Some((u, v)) = validate_serve_pair(&line, lineno + 1, n, &metrics) else {
+        let Some((u, v)) = validate_serve_pair(&line, lineno, n, &metrics) else {
             continue;
         };
         let (graph, index) = match engine.as_mut() {
@@ -1701,9 +1830,177 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcl_core::testkit::SplitMix64;
+
+    /// The line-by-line loader `scan_pairs` replaced — a `String` per
+    /// line through `BufRead::lines` — kept as the reference the scanner
+    /// must agree with on every input, pairs, line numbers and errors.
+    fn parse_pairs_reference(
+        reader: impl BufRead,
+        what: &str,
+    ) -> Result<Vec<(usize, VertexId, VertexId)>, String> {
+        let mut pairs = Vec::new();
+        for (lineno, line) in reader.lines().enumerate() {
+            let line = line.map_err(|e| format!("reading {what}: {e}"))?;
+            if let Some((u, v)) = parse_pair_line(&line, what, lineno + 1)? {
+                pairs.push((lineno + 1, u, v));
+            }
+        }
+        Ok(pairs)
+    }
+
+    fn scan(text: &[u8], what: &str) -> Result<Vec<(usize, VertexId, VertexId)>, String> {
+        let mut pairs = Vec::new();
+        scan_pairs(text, what, |lineno, u, v| pairs.push((lineno, u, v)))?;
+        Ok(pairs)
+    }
 
     fn parse(text: &str) -> Result<Vec<(VertexId, VertexId)>, String> {
-        parse_pairs(std::io::Cursor::new(text), "test.edges")
+        Ok(scan(text.as_bytes(), "test.edges")?
+            .into_iter()
+            .map(|(_, u, v)| (u, v))
+            .collect())
+    }
+
+    /// Checks the scanner against the reference on `text` — the same
+    /// numbered pairs or the same `Err(String)` — and then [`load_graph`]
+    /// on a file holding it: the same `Ok(Graph)` or the same error. Texts
+    /// naming ids near `u32::MAX` skip the load (a graph that size does
+    /// not fit in a test; the pairs already match). Returns whether the
+    /// text loads.
+    fn assert_same_as_reference(tag: &str, text: &[u8]) -> bool {
+        let path =
+            std::env::temp_dir().join(format!("hcl-scan-{}-{tag}.edges", std::process::id()));
+        let what = path.to_str().expect("temp path is UTF-8");
+        let reference = parse_pairs_reference(std::io::Cursor::new(text), what);
+        assert_eq!(scan(text, what), reference, "pairs of {tag}: {text:?}");
+        if let Ok(pairs) = &reference {
+            if pairs.iter().any(|&(_, u, v)| u.max(v) >= 1 << 16) {
+                return true;
+            }
+        }
+        std::fs::write(&path, text).expect("write temp edge list");
+        let loaded = load_graph(what).map(|(graph, _)| graph);
+        let expected = reference.map(|pairs| {
+            Graph::from_edges(&pairs.iter().map(|&(_, u, v)| (u, v)).collect::<Vec<_>>())
+        });
+        std::fs::remove_file(&path).ok();
+        assert_eq!(loaded, expected, "graph of {tag}: {text:?}");
+        loaded.is_ok()
+    }
+
+    #[test]
+    fn scanner_matches_reference_on_named_cases() {
+        let cases: &[(&str, &[u8])] = &[
+            ("plain", b"0 1\n1 2\n2 3\n"),
+            ("tabs", b"0\t1\n1\t\t2\n"),
+            ("crlf", b"0 1\r\n1 2\r\n"),
+            ("lone-cr", b"0 1\r2 3\n"),
+            ("padding", b"  0 1\n1 2  \n1   2\n"),
+            ("plus", b"+7 1\n"),
+            ("zero-padded", b"007 0010\n"),
+            ("eleven-digits", b"00000000001 2\n"),
+            ("ten-digits", b"0000000001 0000000002\n"),
+            ("u32-max", b"4294967295 0\n"),
+            ("u32-max-plus-one", b"4294967296 0\n"),
+            ("eleven-digit-overflow", b"1 99999999999\n"),
+            ("negative", b"-1 2\n"),
+            ("one-token", b"0 1\n3\n"),
+            ("three-tokens", b"0 1\n1 2 9\n"),
+            ("hash-comment", b"# header\n0 1\n"),
+            ("percent-comment", b"% metis\n0 1\n"),
+            ("indented-comment", b"   # indented\n0 1\n"),
+            ("comment-after-pair", b"0 1 # trailing\n"),
+            ("blank-lines", b"\n\n0 1\n\n   \n1 2\n\n"),
+            ("no-final-newline", b"0 1\n1 2"),
+            ("no-final-newline-cr", b"0 1\n1 2\r"),
+            ("empty", b""),
+            ("only-newline", b"\n"),
+            ("nbsp", "0\u{a0}1\n".as_bytes()),
+            ("nbsp-padding", "\u{a0}0 1\u{a0}\n".as_bytes()),
+            ("ideographic-space", "0\u{3000}1\n".as_bytes()),
+            ("invalid-utf8-data", b"0 1\n2 \xff\n"),
+            ("invalid-utf8-comment", b"0 1\n# \xfe\xff\n2 3\n"),
+            ("invalid-utf8-after-error", b"x 1\n\xff\n"),
+            ("error-after-invalid-utf8", b"\xff\nx 1\n"),
+            ("nul", b"0 1\n\x002 3\n"),
+            ("nul-token", b"0 \x00\n"),
+            ("trailing-space-before-newline", b"0 1 \n"),
+            ("double-space", b"0  1\n"),
+            ("letters", b"a b\n"),
+            ("digits-then-letter", b"12x 3\n"),
+            ("space-at-end-of-input", b"0 "),
+            ("separator-only", b" \n"),
+        ];
+        for (tag, text) in cases {
+            assert_same_as_reference(tag, text);
+        }
+    }
+
+    #[test]
+    fn scanner_matches_reference_on_seeded_corpus() {
+        // Lines drawn from fragments that exercise both the fast shape
+        // and every way out of it.
+        const IDS: &[&str] = &[
+            "0",
+            "1",
+            "7",
+            "42",
+            "007",
+            "+7",
+            "-1",
+            "4294967295",
+            "4294967296",
+            "00000000001",
+            "0000000000",
+            "99999999999",
+            "x",
+            "1x",
+            "",
+        ];
+        const SEPS: &[&str] = &[" ", " ", " ", "\t", "  ", "\u{a0}", "\u{3000}", ""];
+        const ENDS: &[&[u8]] = &[b"\n", b"\n", b"\n", b"\r\n", b" \n", b"\t\n", b"\n\n"];
+        const EXTRAS: &[&[u8]] = &[
+            b"# comment\n",
+            b"% comment\n",
+            b"  # x\n",
+            b"\n",
+            b"\xff\n",
+            b"\x00\n",
+            b"5\n",
+            b"1 2 3\n",
+        ];
+        let mut rng = SplitMix64::new(0x5CA7);
+        let mut loads = 0;
+        for case in 0..400 {
+            let mut text = Vec::new();
+            for _ in 0..rng.next_below(12) {
+                if rng.next_below(8) == 0 {
+                    text.extend_from_slice(EXTRAS[rng.next_below(EXTRAS.len() as u64) as usize]);
+                    continue;
+                }
+                // Mostly well-formed lines, so errors come late in the text.
+                let well_formed = rng.next_below(4) != 0;
+                let pick = |rng: &mut SplitMix64, xs: &[&str], first: usize| -> String {
+                    let upto = if well_formed { first } else { xs.len() };
+                    xs[rng.next_below(upto as u64) as usize].to_string()
+                };
+                let u = pick(&mut rng, IDS, 5);
+                let sep = pick(&mut rng, SEPS, 3);
+                let v = pick(&mut rng, IDS, 5);
+                text.extend_from_slice(format!("{u}{sep}{v}").as_bytes());
+                text.extend_from_slice(ENDS[rng.next_below(ENDS.len() as u64) as usize]);
+            }
+            if rng.next_below(3) == 0 {
+                // No final newline.
+                while text.last() == Some(&b'\n') {
+                    text.pop();
+                }
+            }
+            loads += usize::from(assert_same_as_reference(&format!("corpus{case}"), &text));
+        }
+        // Both outcomes are well represented.
+        assert!((50..=350).contains(&loads), "{loads} of 400 texts load");
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::metrics::ServerMetrics;
 use crate::slowlog::{SlowLog, SlowQuery};
 use crate::sync::{lock_recover, wait_recover};
 use crate::update::{delta_op, parse_delta_rest, UpdateEngine};
-use crate::validate_serve_pair;
+use crate::{next_line, validate_serve_pair};
 use hcl_core::{GraphView, VertexId};
 use hcl_index::{IndexView, QueryContext, QueryStats};
 use hcl_store::GenerationHandle;
@@ -275,7 +275,7 @@ impl Window {
 fn read_loop(
     handle: &GenerationHandle,
     updates: UpdateConfig,
-    input: impl BufRead,
+    mut input: impl BufRead,
     job_tx: SyncSender<Job>,
     shutdown: &AtomicBool,
     window: &Window,
@@ -288,19 +288,22 @@ fn read_loop(
     let mut batch: Vec<(VertexId, VertexId, Instant)> = Vec::with_capacity(CHUNK);
     let mut engine: Option<UpdateEngine> = None;
     let mut result = Ok(());
-    for (lineno, line) in input.lines().enumerate() {
+    let mut line = String::new();
+    let mut lineno = 0;
+    loop {
         if shutdown.load(Ordering::Acquire) {
             return result; // stdout reader went away; stop consuming stdin
         }
-        let line = match line {
-            Ok(line) => line,
+        match next_line(&mut input, &mut line) {
+            Ok(true) => lineno += 1,
+            Ok(false) => break,
             Err(e) => {
                 // Fatal, as in sequential serving — but flush what was
                 // already read through the pool first.
                 result = Err(format!("reading stdin: {e}"));
                 break;
             }
-        };
+        }
         if let Some((op, rest)) = delta_op(&line) {
             // Quiesce: flush the partial chunk and wait until everything
             // enqueued so far is on the wire, so no in-flight chunk can
@@ -317,10 +320,10 @@ fn read_loop(
             if shutdown.load(Ordering::Acquire) {
                 return result;
             }
-            apply_stdin_delta(op, rest, lineno + 1, handle, &updates, &mut engine, metrics);
+            apply_stdin_delta(op, rest, lineno, handle, &updates, &mut engine, metrics);
             continue;
         }
-        let Some((u, v)) = validate_serve_pair(&line, lineno + 1, n, metrics) else {
+        let Some((u, v)) = validate_serve_pair(&line, lineno, n, metrics) else {
             continue;
         };
         // Stamp at parse time: the recorded latency then covers queueing,

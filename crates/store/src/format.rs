@@ -518,16 +518,19 @@ impl Payload<'_> {
         }
     }
 
-    fn write_le(&self, out: &mut Vec<u8>) {
+    /// Writes the little-endian bytes into `out`, which is exactly
+    /// [`byte_len`](Self::byte_len) long.
+    fn write_le(&self, out: &mut [u8]) {
+        debug_assert_eq!(out.len(), self.byte_len());
         match self {
             Payload::U32(s) => {
-                for &v in *s {
-                    out.extend_from_slice(&v.to_le_bytes());
+                for (dst, v) in out.chunks_exact_mut(4).zip(*s) {
+                    dst.copy_from_slice(&v.to_le_bytes());
                 }
             }
             Payload::U64(s) => {
-                for &v in *s {
-                    out.extend_from_slice(&v.to_le_bytes());
+                for (dst, v) in out.chunks_exact_mut(8).zip(*s) {
+                    dst.copy_from_slice(&v.to_le_bytes());
                 }
             }
         }
@@ -633,16 +636,19 @@ fn serialize_sections(
         parts.push((SectionKind::Journal, Payload::U64(words)));
     }
     let num_sections = parts.len();
+    // Lay the sections out first, so the image is allocated once at its
+    // final size, already zeroed for the padding and the checksum field.
     let table_end = HEADER_LEN + num_sections * SECTION_ENTRY_LEN;
-    let mut out = vec![0u8; table_end];
     let mut entries: Vec<(SectionKind, u64, u64)> = Vec::with_capacity(num_sections);
+    let mut end = table_end;
     for (kind, payload) in &parts {
-        while out.len() % 8 != 0 {
-            out.push(0);
-        }
-        let offset = out.len() as u64;
-        payload.write_le(&mut out);
-        entries.push((*kind, offset, payload.byte_len() as u64));
+        let offset = end.next_multiple_of(8);
+        end = offset + payload.byte_len();
+        entries.push((*kind, offset as u64, payload.byte_len() as u64));
+    }
+    let mut out = vec![0u8; end];
+    for ((_, payload), &(_, offset, len)) in parts.iter().zip(&entries) {
+        payload.write_le(&mut out[offset as usize..(offset + len) as usize]);
     }
 
     // Section table.

@@ -123,23 +123,6 @@ fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     durable::publish_with(path, bytes, &durable::SystemIo).map(|_| ())
 }
 
-/// [`save_with`] plus the build's thread-count-invariant counters recorded
-/// in the container's optional `build_stats` section (see
-/// [`StoredBuildStats`] for the payload layout and the determinism
-/// rationale). Returns the number of bytes written.
-pub fn save_with_stats(
-    path: impl AsRef<Path>,
-    graph: &Graph,
-    index: &HighwayCoverIndex,
-    build: BuildInfo,
-    stats: &StoredBuildStats,
-) -> Result<u64, StoreError> {
-    let path = path.as_ref();
-    let bytes = serialize_with_stats(graph, index, build, stats)?;
-    write_atomically(path, &bytes)?;
-    Ok(bytes.len() as u64)
-}
-
 /// What [`compact_file`] did, for logging and `inspect`-style tooling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompactReport {

@@ -357,8 +357,8 @@ fn v5_build_stats_round_trip_and_optionality() {
 
     // File path + trusted open.
     let path = temp_path("v5_stats");
-    hcl_store::save_with_stats(&path, &g, &idx, hcl_store::BuildInfo::default(), &stored)
-        .expect("save_with_stats");
+    hcl_store::durable::publish_with(&path, &with, &hcl_store::durable::SystemIo)
+        .expect("publish stats container");
     let opened = IndexStore::open(&path).expect("open v5");
     assert_eq!(opened.build_stats().as_ref(), Some(&stored));
     drop(opened);
