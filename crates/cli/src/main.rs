@@ -21,8 +21,10 @@
 //! rebuild and no deserialisation** — the serving path the paper's scheme
 //! exists for; `--trusted` skips the whole-file checksum pass for files a
 //! trusted pipeline stage just wrote, and `--workers` fans the workload
-//! out over a thread pool sharing the single mapped index (output stays
-//! byte-identical to the sequential path — see the `pool` module).
+//! out over a thread pool sharing the single mapped index (output is the
+//! same bytes at every worker count — see the `pool` module). Every serve
+//! transport answers and updates through one request pipeline (the
+//! `pipeline` module).
 //! `inspect` dumps header metadata and the section table.
 //!
 //! Answers are printed as `u v d` (`d` is `inf` for disconnected pairs) on
@@ -36,6 +38,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod metrics;
+mod pipeline;
 mod pool;
 mod scrub;
 mod server;
@@ -43,10 +46,8 @@ mod slowlog;
 mod sync;
 mod update;
 
-use hcl_core::{bfs, EdgeDelta, Graph, GraphBuilder, GraphView, VertexId};
-use hcl_index::{
-    BuildOptions, HighwayCoverIndex, IndexView, QueryContext, QueryStats, SelectionStrategy,
-};
+use hcl_core::{bfs, EdgeDelta, Graph, GraphBuilder, VertexId};
+use hcl_index::{BuildOptions, HighwayCoverIndex, QueryContext, QueryStats, SelectionStrategy};
 use hcl_store::IndexStore;
 use std::io::{BufRead, ErrorKind, IsTerminal, Read, Write};
 use std::process::ExitCode;
@@ -94,14 +95,15 @@ const USAGE: &str = "usage: hcl <command> [args]\n\
              [--reload-signal hup|usr1|none] [--reload-retries N]\n\
              [--reload-backoff-ms MS] [--scrub-interval-s N]\n\
              [--slow-log-us N] [--slow-log-file F] [--quiet]\n\
-           Serving loop: read `u v` per line on stdin. With --workers 1\n\
-           (default) answers are flushed per line; --workers W > 1 runs a\n\
-           thread pool over the shared index, reading stdin in chunks and\n\
-           writing answers in input order (byte-identical to --workers 1,\n\
-           flushed per chunk — a throughput mode; 0 = all cores). Bad\n\
-           lines are reported and skipped; a closed stdout (e.g. `| head`)\n\
-           is a clean shutdown. Both modes end with a latency summary\n\
-           (p50/p90/p99/mean) on stderr.\n\
+           Serving loop: read `u v` per line on stdin. --workers W query\n\
+           threads (default 1; 0 = all cores) share the index; answers\n\
+           are written in input order, the same bytes at every W, and are\n\
+           sent whenever input pauses or a chunk of 256 fills — one\n\
+           answer per line for an interactive client, full chunks for a\n\
+           piped batch. Bad lines are reported and skipped; a closed\n\
+           stdout (e.g. `| head`) is a clean shutdown. The session ends\n\
+           with a latency summary (p50/p90/p99/mean, each line parsed to\n\
+           its answer flushed) on stderr.\n\
            --listen ADDR serves sockets instead of stdin: newline `u v`\n\
            requests answered as `u v d` lines, plus HTTP GET /query?s=&t=,\n\
            /healthz, /metrics, and /reload (zero-downtime generation swap\n\
@@ -397,8 +399,8 @@ fn resolve_build_threads(explicit: Option<usize>) -> usize {
 }
 
 /// Serving worker count: `--workers 0` means every available core;
-/// absent means 1 (the sequential path). Never changes any answer or any
-/// output byte, only throughput.
+/// absent means 1. Never changes any answer or any output byte, only
+/// throughput.
 fn resolve_workers(explicit: Option<usize>) -> usize {
     match explicit {
         Some(0) => std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -407,203 +409,98 @@ fn resolve_workers(explicit: Option<usize>) -> usize {
     }
 }
 
-/// Result of writing one answer line to stdout.
-enum AnswerSink {
-    /// Written (and flushed, where the caller asked for it).
-    Written,
-    /// The reader closed the pipe (e.g. `hcl serve … | head`). Not an
-    /// error: the caller should stop producing output and shut down
-    /// cleanly, keeping its stderr summary.
-    Closed,
-}
-
-/// Writes one `u v d` answer line, treating a broken pipe as a clean
-/// end-of-output signal instead of a fatal error.
-fn write_answer(
-    out: &mut impl Write,
-    u: VertexId,
-    v: VertexId,
-    d: Option<u32>,
-    flush: bool,
-) -> Result<AnswerSink, String> {
-    // One formatter for every path — the pool's byte-identity guarantee
-    // rests on sequential and pooled serving sharing it.
-    let mut line = String::new();
-    pool::push_answer_line(&mut line, u, v, d);
-    let res = out
-        .write_all(line.as_bytes())
-        .and_then(|()| if flush { out.flush() } else { Ok(()) });
-    match res {
-        Ok(()) => Ok(AnswerSink::Written),
-        Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(AnswerSink::Closed),
-        Err(e) => Err(format!("writing output: {e}")),
-    }
-}
-
-/// Parses and range-checks one serve-loop input line; `None` for blanks,
-/// comments, and diagnosed-and-skipped bad lines (the serve contract:
-/// report to stderr, keep serving). Shared by the sequential loop and the
-/// worker pool's reader so diagnostics stay identical across `--workers`
-/// counts. Skips are tallied in the shared metrics counters (the same
-/// `hcl_malformed_total` / `hcl_out_of_range_total` the socket server
-/// exports) so the shutdown summary can report them.
-pub(crate) fn validate_serve_pair(
-    line: &str,
-    lineno: usize,
-    n: usize,
-    metrics: &metrics::ServerMetrics,
-) -> Option<(VertexId, VertexId)> {
-    let (u, v) = match parse_pair_line(line, "stdin", lineno) {
-        Ok(Some(pair)) => pair,
-        Ok(None) => return None,
-        Err(msg) => {
-            metrics.malformed.inc();
-            eprintln!("error: {msg}");
-            return None;
-        }
-    };
-    if u as usize >= n || v as usize >= n {
-        metrics.out_of_range.inc();
-        eprintln!("error: stdin:{lineno}: query ({u}, {v}) out of range (n = {n}); skipped");
-        return None;
-    }
-    Some((u, v))
-}
-
-/// One stderr line summarising skipped input, or `None` when nothing was
-/// skipped (the common case stays silent). Printed separately from the
-/// pinned latency summary line, whose field count is part of the CLI
-/// contract.
-fn skipped_summary(metrics: &metrics::ServerMetrics) -> Option<String> {
-    let malformed = metrics.malformed.get();
-    let out_of_range = metrics.out_of_range.get();
-    (malformed + out_of_range > 0)
-        .then(|| format!("skipped: {malformed} malformed, {out_of_range} out of range"))
-}
-
-/// Where the graph + index come from: built in memory from an edge list, or
-/// served from a persisted container.
-enum Source {
-    Built {
-        graph: Graph,
-        index: HighwayCoverIndex,
-    },
-    // Boxed: an IndexStore (with its replay state) dwarfs the built pair,
-    // and `Source` moves through several call frames by value.
-    Stored(Box<IndexStore>),
-}
-
-impl Source {
-    fn views(&self) -> (GraphView<'_>, IndexView<'_>) {
-        match self {
-            Source::Built { graph, index } => (graph.as_view(), index.as_view()),
-            Source::Stored(store) => (store.graph(), store.index()),
-        }
-    }
-
-    /// Loads and reports to stderr: either build-from-edge-list or
-    /// mmap-from-container. `trusted` skips the container's whole-file
-    /// checksum pass (structural and semantic validation still run);
-    /// `selection` picks the landmark strategy for the build-from-edge-
-    /// list forms (`None` = `HCL_BUILD_STRATEGY`, else degree ranking).
-    fn prepare(
-        index_path: Option<&str>,
-        graph_path: Option<&str>,
-        num_landmarks: Option<usize>,
-        threads: usize,
-        trusted: bool,
-        selection: Option<SelectionStrategy>,
-    ) -> Result<Self, String> {
-        match (index_path, graph_path) {
-            (Some(path), None) => {
-                let t0 = Instant::now();
-                let store = if trusted {
-                    IndexStore::open_trusted(path)
+/// Opens the index to serve and reports the load on stderr: mmap'd from
+/// a container, or built from an edge list and served as an in-memory
+/// image of the container `hcl build` would write. `trusted` skips the
+/// container's whole-file checksum pass (structural and semantic
+/// validation still run); `selection` picks the landmark strategy for the
+/// build-from-edge-list forms (`None` = `HCL_BUILD_STRATEGY`, else degree
+/// ranking).
+fn open_or_build(
+    index_path: Option<&str>,
+    graph_path: Option<&str>,
+    num_landmarks: Option<usize>,
+    threads: usize,
+    trusted: bool,
+    selection: Option<SelectionStrategy>,
+) -> Result<IndexStore, String> {
+    match (index_path, graph_path) {
+        (Some(path), None) => {
+            let t0 = Instant::now();
+            let store = if trusted {
+                IndexStore::open_trusted(path)
+            } else {
+                IndexStore::open(path)
+            }
+            .map_err(|e| format!("opening {path}: {e}"))?;
+            let load_time = t0.elapsed();
+            let meta = store.meta();
+            eprintln!(
+                "index file: {} vertices, {} edges, {} landmarks, {} label entries \
+                 ({:.1} KiB file, {} backing, loaded+{} in {:.1?} ({}), no rebuild)",
+                meta.num_vertices,
+                meta.num_edges,
+                meta.num_landmarks,
+                meta.label_entries,
+                store.len_bytes() as f64 / 1024.0,
+                store.backing_kind(),
+                if trusted {
+                    "trusted (checksum skipped)"
                 } else {
-                    IndexStore::open(path)
-                }
-                .map_err(|e| format!("opening {path}: {e}"))?;
-                let load_time = t0.elapsed();
-                let meta = store.meta();
-                eprintln!(
-                    "index file: {} vertices, {} edges, {} landmarks, {} label entries \
-                     ({:.1} KiB file, {} backing, loaded+{} in {:.1?} ({}), no rebuild)",
-                    meta.num_vertices,
-                    meta.num_edges,
-                    meta.num_landmarks,
-                    meta.label_entries,
-                    store.len_bytes() as f64 / 1024.0,
-                    store.backing_kind(),
-                    if trusted {
-                        "trusted (checksum skipped)"
-                    } else {
-                        "validated"
-                    },
-                    load_time,
-                    store.open_phases()
-                );
-                Ok(Source::Stored(Box::new(store)))
-            }
-            (None, Some(path)) => {
-                let t0 = Instant::now();
-                let (graph, load_phases) = load_graph(path)?;
-                let load_time = t0.elapsed();
-                let num_landmarks = resolve_landmarks(num_landmarks, graph.num_vertices());
-                let options = BuildOptions {
-                    num_landmarks,
-                    threads,
-                    batch_size: 0,
-                    selection,
-                };
-                let t1 = Instant::now();
-                let index = HighwayCoverIndex::build_with(&graph, &options);
-                let build_time = t1.elapsed();
-                let stats = index.stats();
-                eprintln!(
-                    "graph: {} vertices, {} edges (loaded in {:.1?} ({load_phases}))",
-                    graph.num_vertices(),
-                    graph.num_edges(),
-                    load_time
-                );
-                eprintln!(
-                    "index: {} landmarks, {} label entries (avg {:.2}/vertex, max {}), \
-                     {:.1} KiB, built in {:.1?} with {threads} thread(s), strategy {}",
-                    stats.num_landmarks,
-                    stats.total_label_entries,
-                    stats.avg_label_size,
-                    stats.max_label_size,
-                    stats.bytes as f64 / 1024.0,
-                    build_time,
-                    options.resolved_selection()
-                );
-                Ok(Source::Built { graph, index })
-            }
-            (Some(_), Some(g)) => Err(format!(
-                "pass either --index or an edge-list path, not both (got `{g}` too)"
-            )),
-            (None, None) => Err("no input: pass --index FILE.hcl or an edge-list path".into()),
+                    "validated"
+                },
+                load_time,
+                store.open_phases()
+            );
+            Ok(store)
         }
-    }
-
-    /// Converts into the owned [`IndexStore`] the socket server hands out
-    /// through its generation handle. Stored sources pass straight
-    /// through; built ones are serialised once into an in-memory
-    /// container image (trusted: these bytes were produced in-process,
-    /// so a CRC pass over them proves nothing).
-    fn into_store(self) -> Result<IndexStore, String> {
-        match self {
-            Source::Stored(store) => Ok(*store),
-            Source::Built { graph, index } => memory_image(&graph, &index),
+        (None, Some(path)) => {
+            let t0 = Instant::now();
+            let (graph, load_phases) = load_graph(path)?;
+            let load_time = t0.elapsed();
+            let num_landmarks = resolve_landmarks(num_landmarks, graph.num_vertices());
+            let options = BuildOptions {
+                num_landmarks,
+                threads,
+                batch_size: 0,
+                selection,
+            };
+            let t1 = Instant::now();
+            let index = HighwayCoverIndex::build_with(&graph, &options);
+            let build_time = t1.elapsed();
+            let stats = index.stats();
+            eprintln!(
+                "graph: {} vertices, {} edges (loaded in {:.1?} ({load_phases}))",
+                graph.num_vertices(),
+                graph.num_edges(),
+                load_time
+            );
+            eprintln!(
+                "index: {} landmarks, {} label entries (avg {:.2}/vertex, max {}), \
+                 {:.1} KiB, built in {:.1?} with {threads} thread(s), strategy {}",
+                stats.num_landmarks,
+                stats.total_label_entries,
+                stats.avg_label_size,
+                stats.max_label_size,
+                stats.bytes as f64 / 1024.0,
+                build_time,
+                options.resolved_selection()
+            );
+            // Trusted: these bytes were produced in-process, so a CRC pass
+            // over them proves nothing.
+            let image = hcl_store::serialize(&graph, &index)
+                .map_err(|e| format!("serialising built index: {e}"))?;
+            // The image holds both from here; free them before it is
+            // copied into the store's aligned buffer.
+            drop((graph, index));
+            IndexStore::from_bytes_trusted(&image)
+                .map_err(|e| format!("re-opening built index image: {e}"))
         }
+        (Some(_), Some(g)) => Err(format!(
+            "pass either --index or an edge-list path, not both (got `{g}` too)"
+        )),
+        (None, None) => Err("no input: pass --index FILE.hcl or an edge-list path".into()),
     }
-}
-
-/// An index built this session as an opened in-memory container image —
-/// what generation handles and the live-update engine work on.
-fn memory_image(graph: &Graph, index: &HighwayCoverIndex) -> Result<IndexStore, String> {
-    let bytes =
-        hcl_store::serialize(graph, index).map_err(|e| format!("serialising built index: {e}"))?;
-    IndexStore::from_bytes_trusted(&bytes).map_err(|e| format!("re-opening built index image: {e}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -923,7 +820,7 @@ fn collect_queries(opts: &QueryOptions, n: usize) -> Result<Workload, String> {
 
 fn cmd_query(args: Vec<String>) -> Result<(), String> {
     let opts = parse_query_args(args);
-    let source = Source::prepare(
+    let store = open_or_build(
         opts.index_path.as_deref(),
         opts.graph_path.as_deref(),
         opts.num_landmarks,
@@ -931,7 +828,7 @@ fn cmd_query(args: Vec<String>) -> Result<(), String> {
         opts.trusted,
         opts.strategy,
     )?;
-    let (graph, index) = source.views();
+    let (graph, index) = (store.graph(), store.index());
 
     let workload = collect_queries(&opts, graph.num_vertices())?;
     let n = graph.num_vertices();
@@ -950,8 +847,6 @@ fn cmd_query(args: Vec<String>) -> Result<(), String> {
         }
     }
 
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
     // One reused context per worker (a single context when sequential):
     // per-call allocation would dominate µs-scale queries.
     let workers = if opts.explain {
@@ -979,16 +874,19 @@ fn cmd_query(args: Vec<String>) -> Result<(), String> {
     };
     let query_time = t2.elapsed();
 
+    let mut text = String::with_capacity(queries.len() * 12);
     for (&(u, v), &d) in queries.iter().zip(&answers) {
-        if let AnswerSink::Closed = write_answer(&mut out, u, v, d, false)? {
-            eprintln!("stdout closed by reader; stopping output early");
-            break;
-        }
+        pipeline::push_answer_line(&mut text, u, v, d);
     }
-    if let Err(e) = out.flush() {
-        if e.kind() != ErrorKind::BrokenPipe {
-            return Err(format!("writing output: {e}"));
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => {}
+        // The reader went away (e.g. `hcl query … | head`): that ends the
+        // output, it doesn't fail the command.
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {
+            eprintln!("stdout closed by reader; stopping output early");
         }
+        Err(e) => return Err(format!("writing output: {e}")),
     }
 
     if !queries.is_empty() {
@@ -1166,8 +1064,8 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
         eprintln!("error: --slow-log-file only applies with --slow-log-us");
         usage();
     }
-    // Shared by every serving mode: threshold from --slow-log-us, sink
-    // stderr unless --slow-log-file redirects it.
+    // Threshold from --slow-log-us, sink stderr unless --slow-log-file
+    // redirects it.
     let slow_log = match slow_log_us {
         Some(us) => {
             let out: Box<dyn Write + Send> = match &slow_log_file {
@@ -1177,11 +1075,11 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
                 ),
                 None => Box::new(std::io::stderr()),
             };
-            Some(std::sync::Arc::new(slowlog::SlowLog::new(us, out)))
+            Some(slowlog::SlowLog::new(us, out))
         }
         None => None,
     };
-    let source = Source::prepare(
+    let store = open_or_build(
         index_path.as_deref(),
         graph_path.as_deref(),
         num_landmarks,
@@ -1189,15 +1087,20 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
         trusted,
         strategy,
     )?;
+    let pipeline = pipeline::Pipeline::new(
+        store,
+        slow_log,
+        index_path.as_deref().map(std::path::PathBuf::from),
+        compact_after,
+        listen.is_some(),
+    );
 
     if let Some(addr) = listen {
-        // Socket front end: the server owns the store outright (generation
-        // swaps need ownership), so convert before views are ever taken.
-        // Handler threads default to every core — it's a server.
-        let handle = hcl_store::GenerationHandle::new(source.into_store()?);
+        // Socket front end. Handler threads default to every core — it's
+        // a server.
         let reload = index_path.map(|path| server::ReloadSpec { path, trusted });
         return server::serve_listen(
-            handle,
+            pipeline,
             server::ServerConfig {
                 addr,
                 workers: resolve_workers(workers.or(Some(0))),
@@ -1215,279 +1118,29 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
                 reload_backoff: std::time::Duration::from_millis(reload_backoff_ms),
                 scrub_interval: (scrub_interval_s > 0)
                     .then(|| std::time::Duration::from_secs(scrub_interval_s)),
-                slow_log,
-                compact_after,
                 quiet,
             },
         );
     }
 
-    let n = {
-        let (graph, _) = source.views();
-        graph.num_vertices()
-    };
+    // Stdin: the reader chunks lines for the query workers, which answer
+    // on per-chunk generation snapshots, and a reorder buffer keeps stdout
+    // in input order at every worker count. `+u v` / `-u v` lines swap in
+    // a repaired generation between chunks.
     let workers = resolve_workers(workers);
-
     let stdin = std::io::stdin();
-    if workers > 1 {
-        // Pooled throughput mode: the reader thread chunks stdin, workers
-        // take per-chunk generation snapshots with a private context each,
-        // and a sequence-numbered reorder buffer keeps stdout
-        // byte-identical to the sequential path. The generation handle
-        // exists so `+u v` / `-u v` delta lines can swap in a repaired
-        // index without stopping the pool.
-        if stdin.is_terminal() {
-            eprintln!(
-                "serving with {workers} workers: one `u v` pair per line, answers flushed per \
-                 chunk of {}, Ctrl-D to finish",
-                pool::CHUNK
-            );
-        }
-        let metrics = metrics::ServerMetrics::new();
-        let t0 = Instant::now();
-        let handle = hcl_store::GenerationHandle::new(source.into_store()?);
-        let summary = pool::serve_pooled(
-            &handle,
-            workers,
-            stdin.lock(),
-            std::io::stdout(),
-            &metrics,
-            slow_log.as_deref(),
-            pool::UpdateConfig {
-                path: index_path.map(std::path::PathBuf::from),
-                compact_after,
-            },
-        )?;
-        if summary.closed {
-            eprintln!("stdout closed by reader; shutting down");
-        }
-        if summary.served > 0 {
-            eprintln!(
-                "served {} queries in {:.1?} with {workers} workers",
-                summary.served,
-                t0.elapsed()
-            );
-        }
-        if metrics.updates_applied.get() > 0 {
-            eprintln!(
-                "applied {} live update(s) ({} compaction(s), {} failed)",
-                metrics.updates_applied.get(),
-                metrics.compactions.get(),
-                metrics.update_failures.get()
-            );
-        }
-        if let Some(line) = skipped_summary(&metrics) {
-            eprintln!("{line}");
-        }
-        if !quiet {
-            if let Some(line) = metrics.latency.summary_line() {
-                eprintln!("{line}");
-            }
-        }
-        if let Some(log) = &slow_log {
-            if log.dropped() > 0 {
-                eprintln!(
-                    "slow-log: {} line(s) dropped by the rate limit",
-                    log.dropped()
-                );
-            }
-        }
-        return Ok(());
-    }
     if stdin.is_terminal() {
-        eprintln!("serving: one `u v` pair per line, answers flushed per line, Ctrl-D to finish");
+        eprintln!("serving with {workers} worker(s): one `u v` pair per line, Ctrl-D to finish");
     }
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let mut ctx = QueryContext::new();
-    let metrics = metrics::ServerMetrics::new();
-    // Live-update state: `None` until the first `+u v` / `-u v` line;
-    // afterwards queries are answered from the engine's repaired index
-    // instead of the original source.
-    let mut engine: Option<update::UpdateEngine> = None;
-    let mut served = 0u64;
     let t0 = Instant::now();
-    let mut input = stdin.lock();
-    let mut line = String::new();
-    let mut lineno = 0;
-    while next_line(&mut input, &mut line).map_err(|e| format!("reading stdin: {e}"))? {
-        lineno += 1;
-        if let Some((op, rest)) = update::delta_op(&line) {
-            apply_seq_delta(
-                op,
-                rest,
-                lineno,
-                &source,
-                index_path.as_deref(),
-                compact_after,
-                &mut engine,
-                &metrics,
-            );
-            continue;
-        }
-        let Some((u, v)) = validate_serve_pair(&line, lineno, n, &metrics) else {
-            continue;
-        };
-        let (graph, index) = match engine.as_mut() {
-            Some(eng) => eng.views(),
-            None => source.views(),
-        };
-        let t1 = Instant::now();
-        // The probe only rides along when a slow log wants its fields;
-        // the default path keeps the probe-free monomorphisation.
-        let (answer, stats) = match &slow_log {
-            Some(_) => {
-                let mut stats = QueryStats::new();
-                let d = index.query_probed(graph, &mut ctx, u, v, &mut stats);
-                (d, Some(stats))
-            }
-            None => (index.query_with(graph, &mut ctx, u, v), None),
-        };
-        if let AnswerSink::Closed = write_answer(&mut out, u, v, answer, true)? {
-            // The reader went away (e.g. `hcl serve … | head`): that ends
-            // the session, it doesn't fail it.
-            eprintln!("stdout closed by reader; shutting down");
-            break;
-        }
-        let elapsed = t1.elapsed();
-        metrics.latency.record(elapsed);
-        if let (Some(log), Some(stats)) = (&slow_log, &stats) {
-            log.observe(&slowlog::SlowQuery {
-                endpoint: "stdin",
-                u,
-                v,
-                dist: answer,
-                latency: elapsed,
-                stats,
-                worker: 0,
-                generation: 1,
-            });
-        }
-        served += 1;
+    if pool::serve_pooled(&pipeline, workers, stdin.lock(), std::io::stdout())? {
+        eprintln!("stdout closed by reader; shutting down");
     }
-    if served > 0 {
-        eprintln!("served {served} queries in {:.1?}", t0.elapsed());
-    }
-    if metrics.updates_applied.get() > 0 {
-        eprintln!(
-            "applied {} live update(s) ({} compaction(s), {} failed)",
-            metrics.updates_applied.get(),
-            metrics.compactions.get(),
-            metrics.update_failures.get()
-        );
-    }
-    if let Some(line) = skipped_summary(&metrics) {
-        eprintln!("{line}");
-    }
-    if !quiet {
-        if let Some(line) = metrics.latency.summary_line() {
-            eprintln!("{line}");
-        }
-    }
-    if let Some(log) = &slow_log {
-        if log.dropped() > 0 {
-            eprintln!(
-                "slow-log: {} line(s) dropped by the rate limit",
-                log.dropped()
-            );
-        }
-    }
+    pipeline.print_summary(
+        &format!("in {:.1?} with {workers} worker(s)", t0.elapsed()),
+        quiet,
+    );
     Ok(())
-}
-
-/// Applies one `+u v` / `-u v` stdin line in sequential serving:
-/// incremental label repair, then one journal frame appended to the
-/// `--index` file (if any). The serve contract for bad lines holds — a stderr diagnostic, a
-/// failure-counter bump, and the session continues on the old state.
-#[allow(clippy::too_many_arguments)]
-fn apply_seq_delta(
-    op: hcl_core::DeltaOp,
-    rest: &str,
-    lineno: usize,
-    source: &Source,
-    index_path: Option<&str>,
-    compact_after: usize,
-    engine: &mut Option<update::UpdateEngine>,
-    metrics: &metrics::ServerMetrics,
-) {
-    let delta = match update::parse_delta_rest(op, rest, "stdin", lineno) {
-        Ok(delta) => delta,
-        Err(msg) => {
-            metrics.update_failures.inc();
-            eprintln!("error: {msg}");
-            return;
-        }
-    };
-    if engine.is_none() {
-        let path = index_path.map(std::path::PathBuf::from);
-        *engine = match source {
-            Source::Stored(store) => {
-                Some(update::UpdateEngine::from_store(store, path, compact_after))
-            }
-            // Built this session from an edge list: the engine continues
-            // the history of an in-memory image of it.
-            Source::Built { graph, index } => match memory_image(graph, index) {
-                Ok(image) => Some(update::UpdateEngine::from_store(
-                    &image,
-                    None,
-                    compact_after,
-                )),
-                Err(e) => {
-                    metrics.update_failures.inc();
-                    eprintln!("error: stdin:{lineno}: {e}");
-                    return;
-                }
-            },
-        };
-    }
-    let mut discard = false;
-    if let Some(eng) = engine.as_mut() {
-        match eng.apply(delta) {
-            Ok(outcome) if !outcome.applied => {
-                eprintln!("update stdin:{lineno}: {delta} is a no-op (edge state unchanged)");
-            }
-            // Sequential serving answers from the engine itself, so the
-            // published generation is only dropped.
-            Ok(_) => match eng.publish(false) {
-                Ok(published) => {
-                    metrics.record_update(
-                        &published.phases,
-                        1,
-                        published.bytes,
-                        published.compacted,
-                        eng.pending(),
-                    );
-                    eprintln!(
-                        "update stdin:{lineno}: applied {delta}{}{}",
-                        if published.compacted {
-                            "; journal compacted"
-                        } else {
-                            ""
-                        },
-                        match published.bytes {
-                            Some(b) => format!("; {b} bytes written to disk"),
-                            None => String::new(),
-                        }
-                    );
-                }
-                Err(e) => {
-                    // Persistence failed after the in-memory repair: drop
-                    // the engine so served answers revert to the state the
-                    // container on disk still holds.
-                    discard = true;
-                    metrics.update_failures.inc();
-                    eprintln!("error: stdin:{lineno}: persisting {delta} failed: {e}");
-                }
-            },
-            Err(e) => {
-                metrics.update_failures.inc();
-                eprintln!("error: stdin:{lineno}: {e}");
-            }
-        }
-    }
-    if discard {
-        *engine = None;
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 //! Request-latency histograms and serving counters.
 //!
-//! One [`LatencyHistogram`] underlies every serving mode — sequential
-//! stdin, the pooled stdin workers, and the TCP/HTTP front end — so their
-//! shutdown summaries report the **same fields in the same format** and
-//! stay directly comparable. The histogram is log-linear (8 linear
-//! sub-buckets per power-of-two octave of nanoseconds, ≤ 12.5 % relative
-//! quantile error), lock-free (`AtomicU64` buckets, relaxed ordering), and
-//! fixed-size (~2.6 KiB), so any number of worker threads can record into
-//! a shared instance without coordination.
+//! One [`LatencyHistogram`] underlies every serve transport — stdin and
+//! the TCP/HTTP front end — so their shutdown summaries report the **same
+//! fields in the same format** and stay directly comparable. The
+//! histogram is log-linear (8 linear sub-buckets per power-of-two octave
+//! of nanoseconds, ≤ 12.5 % relative quantile error), lock-free
+//! (`AtomicU64` buckets, relaxed ordering), and fixed-size (~2.6 KiB), so
+//! any number of worker threads can record into a shared instance without
+//! coordination.
 //!
 //! [`ServerMetrics`] adds the counters the socket front end exposes on
 //! `GET /metrics`: totals for requests, answers, malformed and
@@ -123,8 +123,8 @@ impl LatencyHistogram {
     ///
     /// `latency: p50=1.2µs p90=3.4µs p99=5.6µs mean=1.8µs over 100 queries`
     ///
-    /// `None` when nothing was recorded (an idle session prints no
-    /// summary, matching the existing `served …` line's behaviour).
+    /// `None` when nothing was recorded: an idle session prints no
+    /// latency line.
     pub(crate) fn summary_line(&self) -> Option<String> {
         let n = self.count();
         if n == 0 {
@@ -227,7 +227,8 @@ pub(crate) struct ServerMetrics {
     /// `(landmark, vertex)` pairs whose distance an applied insert
     /// dropped — the labels its partial repair visited.
     pub(crate) update_affected_vertices: Counter,
-    /// `POST /update` latency: request received → generation swapped.
+    /// Update latency: request (stdin delta line or `POST /update`)
+    /// received → generation swapped.
     pub(crate) update_latency: LatencyHistogram,
     /// Pending-journal gauge: deltas a reopen of the index file would
     /// replay (reset by a compaction or a reload).

@@ -1,4 +1,4 @@
-//! Concurrent query serving: a worker pool over one shared index.
+//! Stdin serving and batch queries: a worker pool over one shared index.
 //!
 //! The shape is the one the storage layer was designed for: `GraphView` /
 //! `IndexView` are `Copy`, read-only, and `Sync`, so every worker thread
@@ -8,42 +8,49 @@
 //!
 //! * [`answer_batch`] — a materialised workload (query subcommand): fixed
 //!   chunks claimed off an atomic cursor, results reassembled in order.
-//! * [`serve_pooled`] — a streaming workload (serve subcommand): the
-//!   calling thread reads stdin and groups valid pairs into
-//!   sequence-numbered chunks pushed through a **bounded** channel
-//!   (backpressure: a slow consumer stalls the reader instead of ballooning
-//!   memory); workers answer chunks and format output lines; a dedicated
-//!   writer thread holds a **reorder buffer** keyed by sequence number and
-//!   writes chunks strictly in input order.
+//! * [`serve_pooled`] — a stream (serve subcommand without `--listen`, at
+//!   every `--workers` count): the calling thread reads stdin, has the
+//!   [`Pipeline`] parse and range-check each line, and groups the queries
+//!   into sequence-numbered chunks pushed through a **bounded** channel
+//!   (backpressure: a slow consumer stalls the reader instead of
+//!   ballooning memory); workers answer chunks through the pipeline and
+//!   format the output lines; a dedicated writer thread holds a **reorder
+//!   buffer** keyed by sequence number, writes chunks strictly in input
+//!   order, and records each answer once it is flushed.
 //!
-//! The ordering guarantee is therefore exact: stdout from `--workers N` is
-//! **byte-identical** to `--workers 1` for the same input — answers appear
-//! in input order, in the same format — which the CLI test suite asserts
-//! across graph families and worker counts. Per-line diagnostics
-//! (malformed input, out-of-range ids) are produced by the reading thread
-//! *before* pairs enter the pool, so stderr stays in input order too.
+//! A chunk is sent when it holds [`CHUNK`] queries or when the reader's
+//! read-ahead buffer runs dry, i.e. input paused: a piped batch moves in
+//! full chunks, and an interactive client gets each answer as soon as its
+//! line is in.
+//!
+//! The ordering guarantee is exact: stdout is the same bytes at every
+//! worker count — answers in input order, in one format — which the CLI
+//! test suite asserts across graph families and worker counts. Per-line
+//! diagnostics (malformed input, out-of-range ids) are produced by the
+//! reading thread *before* queries enter the pool, so stderr stays in
+//! input order too. A `+u v` / `-u v` line quiesces the pool (every
+//! earlier answer flushed) and goes through the pipeline's update step as
+//! a batch of one, so answers before it come from the old generation and
+//! answers after it from the new one.
 //!
 //! A stdout consumer that goes away early (`… | head`) — or any other
 //! write failure — flips a shutdown flag: the writer drains remaining
 //! results without writing (so no worker or reader is ever left blocked
 //! on a full channel), workers skip remaining chunks, and the reader
-//! stops consuming stdin. A broken pipe then ends the session cleanly
-//! (the single-threaded contract); other write errors are reported as
-//! fatal after the drain. The reorder buffer itself is bounded by a
-//! reader/writer sequence window ([`Window`]), so even a pathologically
-//! slow chunk stalling the write front cannot balloon memory.
+//! stops consuming stdin. A broken pipe then ends the session cleanly;
+//! other write errors are reported as fatal after the drain. The reorder
+//! buffer itself is bounded by a reader/writer sequence window
+//! ([`Window`]), so even a pathologically slow chunk stalling the write
+//! front cannot balloon memory.
 
-use crate::metrics::ServerMetrics;
-use crate::slowlog::{SlowLog, SlowQuery};
+use crate::next_line;
+use crate::pipeline::{push_answer_line, Answer, Pipeline, Request};
 use crate::sync::{lock_recover, wait_recover};
-use crate::update::{delta_op, parse_delta_rest, UpdateEngine};
-use crate::{next_line, validate_serve_pair};
+use crate::update::{delta_op, parse_delta_rest};
 use hcl_core::{GraphView, VertexId};
-use hcl_index::{IndexView, QueryContext, QueryStats};
-use hcl_store::GenerationHandle;
+use hcl_index::{IndexView, QueryContext};
 use std::collections::HashMap;
-use std::io::{BufRead, ErrorKind, Write};
-use std::path::PathBuf;
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Condvar, Mutex};
@@ -51,20 +58,13 @@ use std::time::Instant;
 
 /// Queries per pool chunk. Large enough that channel and reorder overhead
 /// amortises to noise against µs-scale queries, small enough that a
-/// pipelined consumer sees output promptly. Multi-worker serving is a
-/// batch-throughput mode: answers are flushed per chunk, not per line.
+/// pipelined consumer sees output promptly.
 pub(crate) const CHUNK: usize = 256;
 
-/// Appends one `u v d` answer line; the format single-threaded serving
-/// writes, shared so pooled output is byte-identical.
-pub(crate) fn push_answer_line(buf: &mut String, u: VertexId, v: VertexId, d: Option<u32>) {
-    use std::fmt::Write as _;
-    match d {
-        Some(d) => writeln!(buf, "{u} {v} {d}"),
-        None => writeln!(buf, "{u} {v} inf"),
-    }
-    .expect("String writes are infallible");
-}
+/// The reader's read-ahead buffer. At least std's own stdin buffer
+/// (8 KiB), so reads go straight to the file descriptor and an empty
+/// buffer here means no input is waiting in the process.
+const READ_AHEAD: usize = 64 * 1024;
 
 /// Answers a materialised workload with `workers` threads, returning
 /// answers in input order. `workers <= 1` (or a workload smaller than one
@@ -118,56 +118,34 @@ pub(crate) fn answer_batch(
     parts.into_iter().flat_map(|p| p.1).collect()
 }
 
-/// Outcome of a pooled serving session.
-pub(crate) struct ServeSummary {
-    /// Answer lines written to stdout.
-    pub(crate) served: u64,
-    /// Whether the session ended because the stdout reader went away.
-    pub(crate) closed: bool,
-}
+/// One unit of work: input-order sequence number plus the queries of one
+/// chunk.
+type Job = (u64, Vec<Request>);
 
-/// One unit of work: input-order sequence number plus the valid pairs of
-/// one chunk, each stamped with its parse time so latency can be measured
-/// end to end (parse → answer on the wire), matching what the socket
-/// front end reports.
-type Job = (u64, Vec<(VertexId, VertexId, Instant)>);
-/// One unit of output: the chunk's sequence number, its formatted answer
-/// lines, and the parse-time stamps riding along so the writer can record
-/// each answer's latency *after* the bytes are flushed.
-type Chunk = (u64, String, Vec<Instant>);
-
-/// Live-update wiring for a pooled serving session: where `-u v` deltas
-/// persist and when the journal auto-compacts.
-pub(crate) struct UpdateConfig {
-    /// `.hcl` file to write updated containers back to; `None` for an
-    /// index built in memory from an edge list (updates stay in memory).
-    pub(crate) path: Option<PathBuf>,
-    /// `--compact-after N`: fold the journal once it holds N deltas
-    /// (0 = never).
-    pub(crate) compact_after: usize,
+/// One unit of output: the chunk's formatted answer lines, and the answers
+/// themselves, which the writer records once the lines are flushed.
+struct Chunk {
+    seq: u64,
+    text: String,
+    worker: usize,
+    answers: Vec<Answer>,
 }
 
 /// Streams `u v` queries from `input` through a pool of `workers` query
-/// threads, writing answers to `output` in input order. `+u v` / `-u v`
-/// lines are edge deltas: the reader quiesces the pool (all earlier
-/// answers flushed), repairs the index incrementally, and publishes the
-/// result as a new generation — answers before the delta line come from
-/// the old graph, answers after it from the new one, exactly as in
-/// sequential serving.
+/// threads, writing answers to `output` in input order; `+u v` / `-u v`
+/// lines go through the pipeline's update step between chunks. Returns
+/// whether the session ended because the stdout reader went away.
 ///
 /// The calling thread reads and validates input (diagnostics to stderr in
 /// input order, bad lines skipped — the serve contract); workers answer
 /// and format on per-chunk generation snapshots; a writer thread reorders
 /// and writes. See the module docs for the channel/ordering design.
 pub(crate) fn serve_pooled(
-    handle: &GenerationHandle,
+    pipeline: &Pipeline,
     workers: usize,
-    input: impl BufRead,
+    input: impl Read,
     output: impl Write + Send,
-    metrics: &ServerMetrics,
-    slow_log: Option<&SlowLog>,
-    updates: UpdateConfig,
-) -> Result<ServeSummary, String> {
+) -> Result<bool, String> {
     let shutdown = AtomicBool::new(false);
     // Bounded everywhere: the channels cap chunks in transit, and the
     // reader additionally never runs more than WINDOW_CHUNKS_PER_WORKER
@@ -186,29 +164,33 @@ pub(crate) fn serve_pooled(
         for worker in 0..workers {
             let job_rx = &job_rx;
             let res_tx = res_tx.clone();
-            s.spawn(move || worker_loop(handle, job_rx, res_tx, shutdown, slow_log, worker));
+            s.spawn(move || worker_loop(pipeline, job_rx, res_tx, shutdown, worker));
         }
         // The clones above keep the channel open; drop the original so the
         // writer sees EOF once every worker is done.
         drop(res_tx);
 
-        let writer = s.spawn(move || writer_loop(output, res_rx, shutdown, window, metrics));
+        let writer = s.spawn(move || writer_loop(output, res_rx, shutdown, window, pipeline));
 
-        let read_result = read_loop(
-            handle, updates, input, job_tx, shutdown, window, workers, metrics,
-        );
+        let chunks = Chunks {
+            tx: job_tx,
+            window,
+            width: workers as u64 * WINDOW_CHUNKS_PER_WORKER,
+            seq: 0,
+            open: Vec::with_capacity(CHUNK),
+        };
+        let read_result = read_loop(pipeline, input, chunks, shutdown);
 
         // A writer panic is reported as a serve error, not re-raised: the
         // reader has already returned (join happens after `read_loop`), so
         // nothing is left blocked on the dead thread.
-        let summary = writer
+        let closed = writer
             .join()
             .map_err(|_| "writer thread panicked; output is incomplete".to_string())??;
-        // A stdin read failure is fatal, exactly as in sequential serving —
-        // but only after the pool has drained, so partial output still
-        // lands in order.
+        // A stdin read failure is fatal — but only after the pool has
+        // drained, so partial output still lands in order.
         read_result?;
-        Ok(summary)
+        Ok(closed)
     })
 }
 
@@ -267,168 +249,103 @@ impl Window {
     }
 }
 
-/// Reads, validates, chunks, and enqueues stdin pairs; runs on the
+/// The reader's end of the job channel: the chunk being filled and the
+/// sequence number it will carry. Dropping it closes the channel, and the
+/// workers drain and exit.
+struct Chunks<'a> {
+    tx: SyncSender<Job>,
+    window: &'a Window,
+    width: u64,
+    seq: u64,
+    open: Vec<Request>,
+}
+
+impl Chunks<'_> {
+    /// Sends the open chunk, if it holds anything, once the window admits
+    /// it; `false` when the pool has torn down.
+    fn send(&mut self) -> bool {
+        if self.open.is_empty() {
+            return true;
+        }
+        self.window.wait_for(self.seq, self.width);
+        let chunk = std::mem::replace(&mut self.open, Vec::with_capacity(CHUNK));
+        let sent = self.tx.send((self.seq, chunk)).is_ok();
+        self.seq += 1;
+        sent
+    }
+}
+
+/// Reads, validates, chunks, and enqueues stdin queries; runs on the
 /// calling thread so input-order diagnostics need no cross-thread
-/// coordination. Delta lines quiesce the pool and swap generations here,
-/// between chunks, so the answer stream splits exactly at the delta.
-#[allow(clippy::too_many_arguments)]
+/// coordination. Delta lines quiesce the pool and go through the
+/// pipeline's update step here, between chunks, so the answer stream
+/// splits exactly at the delta.
 fn read_loop(
-    handle: &GenerationHandle,
-    updates: UpdateConfig,
-    mut input: impl BufRead,
-    job_tx: SyncSender<Job>,
+    pipeline: &Pipeline,
+    input: impl Read,
+    mut chunks: Chunks<'_>,
     shutdown: &AtomicBool,
-    window: &Window,
-    workers: usize,
-    metrics: &ServerMetrics,
 ) -> Result<(), String> {
-    let n = handle.current().store.graph().num_vertices();
-    let width = workers as u64 * WINDOW_CHUNKS_PER_WORKER;
-    let mut seq = 0u64;
-    let mut batch: Vec<(VertexId, VertexId, Instant)> = Vec::with_capacity(CHUNK);
-    let mut engine: Option<UpdateEngine> = None;
-    let mut result = Ok(());
+    let mut input = BufReader::with_capacity(READ_AHEAD, input);
+    // Fixed for the session: a delta must name existing vertices, so no
+    // generation an update publishes changes the count.
+    let n = pipeline.handle.current().store.graph().num_vertices();
     let mut line = String::new();
     let mut lineno = 0;
-    loop {
+    let result = loop {
         if shutdown.load(Ordering::Acquire) {
-            return result; // stdout reader went away; stop consuming stdin
+            return Ok(()); // stdout reader went away; stop consuming stdin
         }
         match next_line(&mut input, &mut line) {
             Ok(true) => lineno += 1,
-            Ok(false) => break,
-            Err(e) => {
-                // Fatal, as in sequential serving — but flush what was
-                // already read through the pool first.
-                result = Err(format!("reading stdin: {e}"));
-                break;
-            }
+            Ok(false) => break Ok(()),
+            // Fatal — after what was already read has gone through the pool.
+            Err(e) => break Err(format!("reading stdin: {e}")),
         }
         if let Some((op, rest)) = delta_op(&line) {
-            // Quiesce: flush the partial chunk and wait until everything
-            // enqueued so far is on the wire, so no in-flight chunk can
-            // straddle the generation swap.
-            if !batch.is_empty() {
-                window.wait_for(seq, width);
-                let full = std::mem::replace(&mut batch, Vec::with_capacity(CHUNK));
-                if job_tx.send((seq, full)).is_err() {
-                    return result;
+            match parse_delta_rest(op, rest, "stdin", lineno) {
+                Err(msg) => {
+                    pipeline.metrics.update_failures.inc();
+                    eprintln!("error: {msg}");
                 }
-                seq += 1;
+                Ok(delta) => {
+                    // Quiesce: send the partial chunk and wait until
+                    // everything enqueued so far is on the wire, so no
+                    // in-flight chunk can straddle the generation swap.
+                    if !chunks.send() {
+                        return Ok(());
+                    }
+                    chunks.window.wait_drained(chunks.seq);
+                    if shutdown.load(Ordering::Acquire) {
+                        return Ok(());
+                    }
+                    let origin = format!("stdin:{lineno}");
+                    if let Err(e) = pipeline.update(&origin, &[delta], Instant::now()) {
+                        eprintln!("error: {origin}: {e}");
+                    }
+                }
             }
-            window.wait_drained(seq);
-            if shutdown.load(Ordering::Acquire) {
-                return result;
-            }
-            apply_stdin_delta(op, rest, lineno, handle, &updates, &mut engine, metrics);
-            continue;
+        } else if let Some(request) = pipeline.parse_query(&line, "stdin", lineno, n) {
+            chunks.open.push(request);
         }
-        let Some((u, v)) = validate_serve_pair(&line, lineno, n, metrics) else {
-            continue;
-        };
-        // Stamp at parse time: the recorded latency then covers queueing,
-        // the query itself, and the in-order write — the same end-to-end
-        // span the socket front end measures.
-        batch.push((u, v, Instant::now()));
-        if batch.len() == CHUNK {
-            window.wait_for(seq, width);
-            let full = std::mem::replace(&mut batch, Vec::with_capacity(CHUNK));
-            if job_tx.send((seq, full)).is_err() {
-                return result; // pool tore down; stop reading
-            }
-            seq += 1;
+        // A full chunk goes at once, a partial one as soon as input
+        // pauses, so an interactive client is answered line by line.
+        if (chunks.open.len() == CHUNK || input.buffer().is_empty()) && !chunks.send() {
+            return Ok(()); // pool tore down; stop reading
         }
-    }
-    if !batch.is_empty() {
-        job_tx.send((seq, batch)).ok();
-    }
-    // Dropping job_tx closes the channel; workers drain and exit.
+    };
+    chunks.send();
     result
 }
 
-/// Applies one `+u v` / `-u v` stdin line: incremental repair, one
-/// journal frame appended to the index file, a new generation swapped in. The serve contract for bad lines holds —
-/// a stderr diagnostic, a failure-counter bump, and the session continues
-/// on the old state. The caller has already quiesced the pool.
-fn apply_stdin_delta(
-    op: hcl_core::DeltaOp,
-    rest: &str,
-    lineno: usize,
-    handle: &GenerationHandle,
-    updates: &UpdateConfig,
-    engine: &mut Option<UpdateEngine>,
-    metrics: &ServerMetrics,
-) {
-    let delta = match parse_delta_rest(op, rest, "stdin", lineno) {
-        Ok(delta) => delta,
-        Err(msg) => {
-            metrics.update_failures.inc();
-            eprintln!("error: {msg}");
-            return;
-        }
-    };
-    if engine.is_none() {
-        let generation = handle.current();
-        *engine = Some(UpdateEngine::from_store(
-            &generation.store,
-            updates.path.clone(),
-            updates.compact_after,
-        ));
-    }
-    let Some(eng) = engine.as_mut() else {
-        return; // unreachable: the slot was just filled
-    };
-    match eng.apply(delta) {
-        Ok(outcome) if !outcome.applied => {
-            eprintln!("update stdin:{lineno}: {delta} is a no-op (edge state unchanged)");
-        }
-        Ok(_) => match eng.publish(false) {
-            Ok(published) => {
-                let mut phases = published.phases;
-                let t0 = Instant::now();
-                let generation = handle.swap(published.store);
-                phases.swap = t0.elapsed();
-                metrics.record_update(
-                    &phases,
-                    1,
-                    published.bytes,
-                    published.compacted,
-                    eng.pending(),
-                );
-                eprintln!(
-                    "update stdin:{lineno}: applied {delta}; now serving generation \
-                     {generation}"
-                );
-            }
-            Err(e) => {
-                // The in-memory repair succeeded but publication failed:
-                // discard the engine so the next delta restarts from the
-                // generation actually being served.
-                *engine = None;
-                metrics.update_failures.inc();
-                eprintln!("error: stdin:{lineno}: publishing {delta} failed: {e}");
-            }
-        },
-        Err(e) => {
-            metrics.update_failures.inc();
-            eprintln!("error: stdin:{lineno}: {e}");
-        }
-    }
-}
-
-/// Claims chunks, answers them on a private context, formats the output
-/// bytes. Skips the work (but keeps draining) once shutdown is flagged.
-/// When a slow log is attached, every query runs with the stats probe and
-/// over-threshold ones are logged here, with the parse → answer span as
-/// the latency (the writer has not flushed yet, so the wire time is not
-/// in it — but the slow part of a slow query is the queue and the query,
-/// which are).
+/// Claims chunks, answers them through the pipeline on a private context,
+/// formats the output bytes. Skips the work (but keeps draining) once
+/// shutdown is flagged.
 fn worker_loop(
-    handle: &GenerationHandle,
+    pipeline: &Pipeline,
     job_rx: &Mutex<Receiver<Job>>,
     res_tx: SyncSender<Chunk>,
     shutdown: &AtomicBool,
-    slow_log: Option<&SlowLog>,
     worker: usize,
 ) {
     let mut ctx = QueryContext::new();
@@ -437,9 +354,8 @@ fn worker_loop(
         // peer worker panicking mid-`recv` leaves the Receiver intact, so
         // recover the poisoned lock and keep serving.
         let job = lock_recover(job_rx, "job queue").recv();
-        let (seq, pairs) = match job {
-            Ok(job) => job,
-            Err(_) => return, // reader dropped the channel: input exhausted
+        let Ok((seq, requests)) = job else {
+            return; // reader dropped the channel: input exhausted
         };
         if shutdown.load(Ordering::Acquire) {
             continue; // drain without computing; nobody will write it
@@ -448,80 +364,68 @@ fn worker_loop(
         // before swapping generations, so every chunk sees exactly the
         // generation that was current when it was enqueued, and a swap
         // can never unmap state under a running chunk.
-        let generation = handle.current();
-        let store = &generation.store;
-        let graph = store.graph();
-        let index = store.index();
-        let mut buf = String::with_capacity(pairs.len() * 12);
-        let mut stamps = Vec::with_capacity(pairs.len());
-        for (u, v, stamp) in pairs {
-            let answer = match slow_log {
-                Some(log) => {
-                    let mut stats = QueryStats::new();
-                    let d = index.query_probed(graph, &mut ctx, u, v, &mut stats);
-                    log.observe(&SlowQuery {
-                        endpoint: "stdin",
-                        u,
-                        v,
-                        dist: d,
-                        latency: stamp.elapsed(),
-                        stats: &stats,
-                        worker,
-                        generation: generation.number,
-                    });
-                    d
-                }
-                None => index.query_with(graph, &mut ctx, u, v),
-            };
-            push_answer_line(&mut buf, u, v, answer);
-            stamps.push(stamp);
-        }
-        if res_tx.send((seq, buf, stamps)).is_err() {
+        let generation = pipeline.handle.current();
+        let mut text = String::with_capacity(requests.len() * 12);
+        let answers = requests
+            .into_iter()
+            .map(|request| {
+                let answer = pipeline.answer(&generation, &mut ctx, request);
+                push_answer_line(&mut text, answer.request.u, answer.request.v, answer.dist);
+                answer
+            })
+            .collect();
+        let chunk = Chunk {
+            seq,
+            text,
+            worker,
+            answers,
+        };
+        if res_tx.send(chunk).is_err() {
             return; // writer gone (can only mean it panicked) — bail out
         }
     }
 }
 
 /// Writes chunks strictly in sequence order via a reorder buffer, flushing
-/// per chunk and advancing the reader's flow-control watermark. **Any**
-/// write error — broken pipe or fatal — flips the shutdown flag, lifts
-/// the window, and keeps draining the results channel until it closes:
-/// returning early instead would leave the job `Receiver` alive with
-/// nobody recv'ing, wedging the reader in a full `job_tx.send` forever.
-/// Fatal errors are reported after the drain.
+/// per chunk, recording its answers, and advancing the reader's
+/// flow-control watermark. **Any** write error — broken pipe or fatal —
+/// flips the shutdown flag, lifts the window, and keeps draining the
+/// results channel until it closes: returning early instead would leave
+/// the job `Receiver` alive with nobody recv'ing, wedging the reader in a
+/// full `job_tx.send` forever. Fatal errors are reported after the drain;
+/// a broken pipe returns `Ok(true)`.
 fn writer_loop(
     output: impl Write,
     res_rx: Receiver<Chunk>,
     shutdown: &AtomicBool,
     window: &Window,
-    metrics: &ServerMetrics,
-) -> Result<ServeSummary, String> {
+    pipeline: &Pipeline,
+) -> Result<bool, String> {
     let mut out = std::io::BufWriter::new(output);
-    let mut pending: HashMap<u64, (String, Vec<Instant>)> = HashMap::new();
+    let mut pending: HashMap<u64, Chunk> = HashMap::new();
     let mut next_seq = 0u64;
-    let mut served = 0u64;
     let mut closed = false;
     let mut fatal: Option<String> = None;
 
-    while let Ok((seq, buf, stamps)) = res_rx.recv() {
+    while let Ok(chunk) = res_rx.recv() {
         if closed || fatal.is_some() {
             continue; // draining: output is done, the pool is winding down
         }
-        pending.insert(seq, (buf, stamps));
-        while let Some((buf, stamps)) = pending.remove(&next_seq) {
-            let res = out.write_all(buf.as_bytes()).and_then(|()| out.flush());
-            match res {
+        pending.insert(chunk.seq, chunk);
+        while let Some(chunk) = pending.remove(&next_seq) {
+            match out
+                .write_all(chunk.text.as_bytes())
+                .and_then(|()| out.flush())
+            {
                 Ok(()) => {
-                    // Latency is recorded only now, after the answers hit
-                    // the wire: parse-stamp to flushed-write, the same
-                    // end-to-end span the socket front end reports.
-                    let now = Instant::now();
-                    for stamp in &stamps {
-                        metrics
-                            .latency
-                            .record(now.saturating_duration_since(*stamp));
+                    // Recorded only now, on the wire: line parsed to
+                    // answer flushed, the span the socket front end
+                    // reports too. Before the watermark moves, so a
+                    // quiesced reader sees every earlier answer recorded.
+                    let sent = Instant::now();
+                    for answer in &chunk.answers {
+                        pipeline.record(answer, "stdin", chunk.worker, sent);
                     }
-                    served += stamps.len() as u64;
                     next_seq += 1;
                     window.advance(next_seq);
                 }
@@ -541,6 +445,6 @@ fn writer_loop(
     }
     match fatal {
         Some(e) => Err(e),
-        None => Ok(ServeSummary { served, closed }),
+        None => Ok(closed),
     }
 }

@@ -42,7 +42,7 @@ pub(crate) fn scrub_loop(state: &ServerState, interval: Duration) {
 /// One scrub pass over the live generation and the reload source.
 fn scrub_once(state: &ServerState) {
     let t0 = Instant::now();
-    let generation = state.handle.current();
+    let generation = state.pipeline.handle.current();
 
     // (1) The bytes being served right now.
     let mut failure = generation
@@ -63,8 +63,8 @@ fn scrub_once(state: &ServerState) {
 
     match failure {
         None => {
-            state.metrics.scrub_passes.inc();
-            if state.metrics.degraded.swap(0, Ordering::Relaxed) != 0 {
+            state.pipeline.metrics.scrub_passes.inc();
+            if state.pipeline.metrics.degraded.swap(0, Ordering::Relaxed) != 0 {
                 eprintln!(
                     "scrub: clean pass in {:.1?}; corruption is gone, /healthz is ok again",
                     t0.elapsed()
@@ -72,8 +72,8 @@ fn scrub_once(state: &ServerState) {
             }
         }
         Some(what) => {
-            state.metrics.scrub_failures.inc();
-            if state.metrics.degraded.swap(1, Ordering::Relaxed) == 0 {
+            state.pipeline.metrics.scrub_failures.inc();
+            if state.pipeline.metrics.degraded.swap(1, Ordering::Relaxed) == 0 {
                 eprintln!(
                     "error: scrub detected corruption ({what}); /healthz now reports degraded \
                      while queries continue on the intact mapped generation"

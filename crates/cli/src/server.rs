@@ -1,5 +1,9 @@
 //! The network serving front end: `hcl serve --listen <addr>`.
 //!
+//! This file does framing and admission; parsing, answering, recording
+//! and live updates go through the shared [`Pipeline`] (`pipeline.rs`),
+//! exactly as stdin serving does.
+//!
 //! A deliberately small, dependency-free socket server in the shape the
 //! ROADMAP asked for — the proven pool discipline promoted from stdin to
 //! TCP:
@@ -49,12 +53,9 @@
 //!   flowing from the intact mapping) until a clean pass or a successful
 //!   reload restores it.
 
-use crate::metrics::ServerMetrics;
-use crate::parse_pair_line;
-use crate::slowlog::{SlowLog, SlowQuery};
-use crate::update::{Published, UpdateEngine};
-use hcl_index::{QueryContext, QueryStats};
-use hcl_store::{GenerationHandle, IndexStore};
+use crate::pipeline::{push_answer_line, Pipeline, Request, UpdateError};
+use hcl_index::QueryContext;
+use hcl_store::IndexStore;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -92,15 +93,11 @@ pub(crate) struct ReloadSpec {
 
 /// Everything the accept loop, the handlers, and the scrubber share.
 pub(crate) struct ServerState {
-    pub(crate) handle: GenerationHandle,
+    /// Answers, updates and the served generation.
+    pub(crate) pipeline: Pipeline,
     /// `None` when the index was built in memory from an edge list —
     /// there is no file to re-open, so reload requests are refused.
     pub(crate) reload: Option<ReloadSpec>,
-    /// Serialises concurrent reload triggers (signal + HTTP racing) —
-    /// including the whole retry/backoff loop, so a retrying reload and a
-    /// concurrent `/reload` can never interleave generation swaps.
-    reload_lock: Mutex<()>,
-    pub(crate) metrics: ServerMetrics,
     pub(crate) shutdown: AtomicBool,
     write_timeout: Duration,
     /// Extra reload attempts after a failure (`--reload-retries`).
@@ -108,17 +105,6 @@ pub(crate) struct ServerState {
     /// Base pause before the first retry, doubling per attempt
     /// (`--reload-backoff-ms`).
     reload_backoff: Duration,
-    /// Slow-query sink (`--slow-log-us`), shared by every handler.
-    slow_log: Option<Arc<SlowLog>>,
-    /// The live-update engine behind `POST /update`, created lazily from
-    /// the current generation on the first update. Cleared by a
-    /// successful reload (the file on disk superseded it) and by any
-    /// failed update (rollback: the next update restarts from the last
-    /// published generation).
-    update: Mutex<Option<UpdateEngine>>,
-    /// Fold the journal once it holds this many deltas (`--compact-after`,
-    /// 0 = never).
-    compact_after: usize,
 }
 
 /// Server configuration assembled by `cmd_serve`.
@@ -147,17 +133,13 @@ pub(crate) struct ServerConfig {
     /// Background integrity-scrub cadence (`--scrub-interval-s`); `None`
     /// disables the scrubber thread.
     pub(crate) scrub_interval: Option<Duration>,
-    /// Slow-query log (`--slow-log-us` / `--slow-log-file`), if enabled.
-    pub(crate) slow_log: Option<Arc<SlowLog>>,
-    /// Auto-compaction threshold for live updates (`--compact-after`).
-    pub(crate) compact_after: usize,
     /// Suppress the shutdown latency summary line (`--quiet`).
     pub(crate) quiet: bool,
 }
 
 /// Runs the socket front end until drained. Returns `Ok` on a graceful
 /// shutdown (SIGTERM/SIGINT/stdin-EOF); the process then exits 0.
-pub(crate) fn serve_listen(handle: GenerationHandle, cfg: ServerConfig) -> Result<(), String> {
+pub(crate) fn serve_listen(pipeline: Pipeline, cfg: ServerConfig) -> Result<(), String> {
     let listener =
         TcpListener::bind(&cfg.addr).map_err(|e| format!("binding {}: {e}", cfg.addr))?;
     let local = listener
@@ -168,19 +150,13 @@ pub(crate) fn serve_listen(handle: GenerationHandle, cfg: ServerConfig) -> Resul
         .map_err(|e| format!("listener nonblocking: {e}"))?;
 
     let state = Arc::new(ServerState {
-        handle,
+        pipeline,
         reload: cfg.reload,
-        reload_lock: Mutex::new(()),
-        metrics: ServerMetrics::new(),
         shutdown: AtomicBool::new(false),
         write_timeout: cfg.write_timeout,
         reload_retries: cfg.reload_retries,
         reload_backoff: cfg.reload_backoff,
-        slow_log: cfg.slow_log,
-        update: Mutex::new(None),
-        compact_after: cfg.compact_after,
     });
-    set_open_gauges(&state, &state.handle.current().store);
     sig::install(cfg.reload_signal);
 
     // The line the tooling greps for: the bound address (resolving `:0`)
@@ -250,11 +226,11 @@ pub(crate) fn serve_listen(handle: GenerationHandle, cfg: ServerConfig) -> Resul
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
-                state.metrics.connections.inc();
+                state.pipeline.metrics.connections.inc();
                 match conn_tx.try_send(stream) {
                     Ok(()) => {}
                     Err(TrySendError::Full(stream)) => {
-                        state.metrics.busy_rejected.inc();
+                        state.pipeline.metrics.busy_rejected.inc();
                         reject_busy(stream);
                     }
                     Err(TrySendError::Disconnected(_)) => break,
@@ -281,7 +257,7 @@ pub(crate) fn serve_listen(handle: GenerationHandle, cfg: ServerConfig) -> Resul
         // A handler that panicked has already dropped (reset) whatever
         // connection it was serving; the server itself keeps draining.
         if h.join().is_err() {
-            state.metrics.disconnects.inc();
+            state.pipeline.metrics.disconnects.inc();
             eprintln!("error: a connection handler thread panicked; its connection was dropped");
         }
     }
@@ -293,47 +269,19 @@ pub(crate) fn serve_listen(handle: GenerationHandle, cfg: ServerConfig) -> Resul
         }
     }
 
-    let m = &state.metrics;
-    eprintln!(
-        "served {} queries over {} connections in {:.1?} with {} workers \
-         ({} reloads, {} rejected busy)",
-        m.answers.get(),
-        m.connections.get(),
-        t0.elapsed(),
-        cfg.workers.max(1),
-        m.reloads.get(),
-        m.busy_rejected.get(),
+    let m = &state.pipeline.metrics;
+    state.pipeline.print_summary(
+        &format!(
+            "over {} connections in {:.1?} with {} workers ({} reloads, {} rejected busy)",
+            m.connections.get(),
+            t0.elapsed(),
+            cfg.workers.max(1),
+            m.reloads.get(),
+            m.busy_rejected.get(),
+        ),
+        cfg.quiet,
     );
-    if let Some(line) = crate::skipped_summary(m) {
-        eprintln!("{line}");
-    }
-    if !cfg.quiet {
-        if let Some(line) = m.latency.summary_line() {
-            eprintln!("{line}");
-        }
-    }
-    if let Some(log) = &state.slow_log {
-        if log.dropped() > 0 {
-            eprintln!(
-                "slow-log: {} line(s) dropped by the rate limit",
-                log.dropped()
-            );
-        }
-    }
     Ok(())
-}
-
-/// Points the gauges a freshly opened generation sets at `store`:
-/// `hcl_open_seconds` at where its open spent the time, and
-/// `hcl_journal_pending` at what a reopen of its file would replay (live
-/// updates keep that one current from there).
-fn set_open_gauges(state: &ServerState, store: &IndexStore) {
-    state.metrics.record_open(&store.open_phases());
-    let pending = store.journal().map_or(0, |j| j.len() as u64);
-    state
-        .metrics
-        .journal_pending
-        .store(pending, Ordering::Relaxed);
 }
 
 /// Re-opens the reload source and swaps it in as the new generation,
@@ -348,9 +296,7 @@ pub(crate) fn do_reload(state: &ServerState) -> Result<u64, String> {
     let Some(spec) = &state.reload else {
         return Err("reload unavailable: server was built from an edge list, not --index".into());
     };
-    // The lock guards no data (it only serialises reload attempts), so a
-    // poisoned guard from a panicked reload is safe to recover.
-    let _serialised = crate::sync::lock_recover(&state.reload_lock, "reload");
+    let _serialised = state.pipeline.lock_swaps();
     let t0 = Instant::now();
     let attempts = state.reload_retries.saturating_add(1);
     let mut last_err = String::new();
@@ -375,14 +321,9 @@ pub(crate) fn do_reload(state: &ServerState) -> Result<u64, String> {
         };
         match opened {
             Ok(store) => {
-                set_open_gauges(state, &store);
-                let generation = state.handle.swap(store);
-                state.metrics.reloads.inc();
-                // The file on disk superseded any in-memory update state:
-                // drop the engine so the next update restarts from this
-                // freshly published generation.
-                *crate::sync::lock_recover(&state.update, "update engine") = None;
-                if state.metrics.degraded.swap(0, Ordering::Relaxed) != 0 {
+                let generation = state.pipeline.install_reloaded(store);
+                state.pipeline.metrics.reloads.inc();
+                if state.pipeline.metrics.degraded.swap(0, Ordering::Relaxed) != 0 {
                     eprintln!(
                         "health restored: reload published a freshly validated generation; \
                          /healthz is ok again"
@@ -397,7 +338,7 @@ pub(crate) fn do_reload(state: &ServerState) -> Result<u64, String> {
                 return Ok(generation);
             }
             Err(e) => {
-                state.metrics.reload_failures.inc();
+                state.pipeline.metrics.reload_failures.inc();
                 last_err = format!("re-opening {}: {e}", spec.path);
                 if attempt + 1 < attempts {
                     eprintln!(
@@ -439,9 +380,10 @@ fn handler_loop(rx: &Mutex<Receiver<TcpStream>>, state: &ServerState, worker: us
             drop(stream);
             continue;
         }
-        state.metrics.inflight.fetch_add(1, Ordering::Relaxed);
+        let inflight = &state.pipeline.metrics.inflight;
+        inflight.fetch_add(1, Ordering::Relaxed);
         handle_conn(stream, &mut ctx, state, worker);
-        state.metrics.inflight.fetch_sub(1, Ordering::Relaxed);
+        inflight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -512,7 +454,7 @@ fn looks_like_http(line: &str) -> bool {
 /// Serves one connection to completion: protocol sniff on the first
 /// line, then either the newline `u v` loop or one HTTP exchange.
 fn handle_conn(stream: TcpStream, ctx: &mut QueryContext, state: &ServerState, worker: usize) {
-    let m = &state.metrics;
+    let m = &state.pipeline.metrics;
     let peer = stream
         .peer_addr()
         .map(|a| a.to_string())
@@ -595,57 +537,19 @@ fn handle_tcp_request(
     peer: &str,
     worker: usize,
 ) -> bool {
-    let trimmed = text.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
+    let pipeline = &state.pipeline;
+    let generation = pipeline.handle.current();
+    let n = generation.store.graph().num_vertices();
+    let Some(request) = pipeline.parse_query(text, peer, lineno, n) else {
         return true;
-    }
-    state.metrics.requests.inc();
-    let t0 = Instant::now();
-    let (u, v) = match parse_pair_line(text, peer, lineno) {
-        Ok(Some(pair)) => pair,
-        Ok(None) => return true,
-        Err(msg) => {
-            state.metrics.malformed.inc();
-            eprintln!("error: {msg}");
-            return true;
-        }
     };
-    let generation = state.handle.current();
-    let store = &generation.store;
-    let n = store.graph().num_vertices();
-    if u as usize >= n || v as usize >= n {
-        state.metrics.out_of_range.inc();
-        eprintln!("error: {peer}:{lineno}: query ({u}, {v}) out of range (n = {n}); skipped");
-        return true;
-    }
-    // The stats probe always rides along on the socket path: its cost is
-    // a handful of field writes per query (far below socket overhead),
-    // and it feeds the per-mechanism /metrics counters and the slow log.
-    let mut stats = QueryStats::new();
-    let d = store
-        .index()
-        .query_probed(store.graph(), ctx, u, v, &mut stats);
+    let answer = pipeline.answer(&generation, ctx, request);
     let mut buf = String::with_capacity(24);
-    crate::pool::push_answer_line(&mut buf, u, v, d);
+    push_answer_line(&mut buf, answer.request.u, answer.request.v, answer.dist);
     if !write_answer_bytes(writer, buf.as_bytes(), state, peer) {
         return false;
     }
-    let elapsed = t0.elapsed();
-    state.metrics.latency.record(elapsed);
-    state.metrics.answers.inc();
-    state.metrics.record_source(stats.source);
-    if let Some(log) = &state.slow_log {
-        log.observe(&SlowQuery {
-            endpoint: "tcp",
-            u,
-            v,
-            dist: d,
-            latency: elapsed,
-            stats: &stats,
-            worker,
-            generation: generation.number,
-        });
-    }
+    pipeline.record(&answer, "tcp", worker, Instant::now());
     true
 }
 
@@ -661,7 +565,7 @@ fn write_answer_bytes(
     match writer.write_all(bytes).and_then(|()| writer.flush()) {
         Ok(()) => true,
         Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-            state.metrics.write_timeouts.inc();
+            state.pipeline.metrics.write_timeouts.inc();
             eprintln!(
                 "error: {peer}: answer write stalled past {:?} (slow reader); closing",
                 state.write_timeout
@@ -669,7 +573,7 @@ fn write_answer_bytes(
             false
         }
         Err(_) => {
-            state.metrics.disconnects.inc();
+            state.pipeline.metrics.disconnects.inc();
             false
         }
     }
@@ -691,7 +595,7 @@ fn handle_http(
     peer: &str,
     worker: usize,
 ) {
-    let m = &state.metrics;
+    let m = &state.pipeline.metrics;
     m.http_requests.inc();
 
     // Drain headers (bounded): the only one we act on is Content-Length
@@ -790,7 +694,7 @@ fn handle_http(
             }
         }
         "/metrics" => {
-            let body = m.render(state.handle.number());
+            let body = m.render(state.pipeline.handle.number());
             respond(writer, state, peer, 200, "OK", "text/plain", &body);
         }
         "/query" => handle_http_query(query, writer, ctx, state, peer, worker),
@@ -841,8 +745,9 @@ fn handle_http_query(
     peer: &str,
     worker: usize,
 ) {
-    state.metrics.requests.inc();
-    let t0 = Instant::now();
+    let pipeline = &state.pipeline;
+    pipeline.metrics.requests.inc();
+    let received = Instant::now();
     let (mut s, mut t) = (None, None);
     for kv in query.split('&') {
         match kv.split_once('=') {
@@ -852,7 +757,7 @@ fn handle_http_query(
         }
     }
     let (Some(s), Some(t)) = (s, t) else {
-        state.metrics.malformed.inc();
+        pipeline.metrics.malformed.inc();
         respond(
             writer,
             state,
@@ -864,11 +769,10 @@ fn handle_http_query(
         );
         return;
     };
-    let generation = state.handle.current();
-    let store = &generation.store;
-    let n = store.graph().num_vertices();
+    let generation = pipeline.handle.current();
+    let n = generation.store.graph().num_vertices();
     if s as usize >= n || t as usize >= n {
-        state.metrics.out_of_range.inc();
+        pipeline.metrics.out_of_range.inc();
         let body = format!("{{\"ok\":false,\"error\":\"vertex id out of range\",\"n\":{n}}}\n");
         respond(
             writer,
@@ -881,11 +785,13 @@ fn handle_http_query(
         );
         return;
     }
-    let mut stats = QueryStats::new();
-    let d = store
-        .index()
-        .query_probed(store.graph(), ctx, s, t, &mut stats);
-    let dist = match d {
+    let request = Request {
+        u: s,
+        v: t,
+        received,
+    };
+    let answer = pipeline.answer(&generation, ctx, request);
+    let dist = match answer.dist {
         Some(d) => d.to_string(),
         None => "null".into(),
     };
@@ -894,22 +800,7 @@ fn handle_http_query(
         generation.number
     );
     if respond(writer, state, peer, 200, "OK", "application/json", &body) {
-        let elapsed = t0.elapsed();
-        state.metrics.latency.record(elapsed);
-        state.metrics.answers.inc();
-        state.metrics.record_source(stats.source);
-        if let Some(log) = &state.slow_log {
-            log.observe(&SlowQuery {
-                endpoint: "http",
-                u: s,
-                v: t,
-                dist: d,
-                latency: elapsed,
-                stats: &stats,
-                worker,
-                generation: generation.number,
-            });
-        }
+        pipeline.record(&answer, "http", worker, Instant::now());
     }
 }
 
@@ -961,7 +852,7 @@ fn handle_http_update(
     state: &ServerState,
     peer: &str,
 ) {
-    let m = &state.metrics;
+    let m = &state.pipeline.metrics;
     let received = Instant::now();
     let Some(len) = content_length else {
         m.update_failures.inc();
@@ -1021,47 +912,21 @@ fn handle_http_update(
         }
     }
 
-    // Same lock order as `do_reload` (reload first, then the engine
-    // slot): an update and a concurrent reload serialise end-to-end, so
-    // a reload can never unmap state an update is folding from.
-    let _serialised = crate::sync::lock_recover(&state.reload_lock, "reload");
-    let mut slot = crate::sync::lock_recover(&state.update, "update engine");
-    if slot.is_none() {
-        let generation = state.handle.current();
-        let path = state
-            .reload
-            .as_ref()
-            .map(|spec| std::path::PathBuf::from(&spec.path));
-        *slot = Some(UpdateEngine::from_store(
-            &generation.store,
-            path,
-            state.compact_after,
-        ));
-    }
-    // The slot was just filled above; a vacant slot here is unreachable,
-    // but degrade to an error response rather than panic on this path.
-    let Some(engine) = slot.as_mut() else {
-        m.update_failures.inc();
-        respond(
-            writer,
-            state,
-            peer,
-            500,
-            "Internal Server Error",
-            "application/json",
-            "{\"ok\":false,\"error\":\"update engine unavailable\"}\n",
-        );
-        return;
-    };
-
-    match run_update(engine, deltas) {
-        Err((status, reason, err)) => {
-            // Rollback: drop the half-updated engine. The served
-            // generation and the file on disk still hold the pre-request
-            // state, and the next update restarts from them.
-            *slot = None;
-            m.update_failures.inc();
-            let body = format!("{{\"ok\":false,\"error\":{err:?}}}\n");
+    match state.pipeline.update(peer, &deltas, received) {
+        Ok(done) => {
+            let body = format!(
+                "{{\"ok\":true,\"applied\":{},\"ignored\":{},\"pending\":{},\
+                 \"generation\":{}}}\n",
+                done.applied, done.ignored, done.pending, done.generation
+            );
+            respond(writer, state, peer, 200, "OK", "application/json", &body);
+        }
+        Err(e) => {
+            let (status, reason) = match e {
+                UpdateError::Invalid(_) => (400, "Bad Request"),
+                UpdateError::Failed(_) => (500, "Internal Server Error"),
+            };
+            let body = format!("{{\"ok\":false,\"error\":{:?}}}\n", e.to_string());
             respond(
                 writer,
                 state,
@@ -1072,73 +937,7 @@ fn handle_http_update(
                 &body,
             );
         }
-        Ok(done) => {
-            let Published {
-                store,
-                bytes,
-                compacted,
-                mut phases,
-            } = done.published;
-            let t0 = Instant::now();
-            let generation = state.handle.swap(store);
-            phases.swap = t0.elapsed();
-            m.record_update(&phases, done.applied, bytes, compacted, done.pending);
-            m.update_latency.record(received.elapsed());
-            eprintln!(
-                "update from {peer}: {} delta(s) applied ({} no-op) as generation {generation}{}{}; \
-                 {phases}",
-                done.applied,
-                done.ignored,
-                if compacted { "; journal compacted" } else { "" },
-                match bytes {
-                    Some(b) => format!("; {b} bytes written to disk"),
-                    None => "; in-memory index, nothing persisted".to_string(),
-                }
-            );
-            let body = format!(
-                "{{\"ok\":true,\"applied\":{},\"ignored\":{},\"pending\":{},\
-                 \"generation\":{generation}}}\n",
-                done.applied, done.ignored, done.pending
-            );
-            respond(writer, state, peer, 200, "OK", "application/json", &body);
-        }
     }
-}
-
-/// What a successful `/update` batch produced, ready to swap in.
-struct UpdateDone {
-    applied: u64,
-    ignored: u64,
-    pending: usize,
-    published: Published,
-}
-
-/// Applies a parsed delta batch to the engine and publishes it: one
-/// durable journal frame and the generation that serves it. Pure engine
-/// work — no locking, no I/O to the client — so the caller can treat any
-/// `Err` as "discard the engine and report `(status, reason, message)`".
-fn run_update(
-    engine: &mut UpdateEngine,
-    deltas: Vec<hcl_core::EdgeDelta>,
-) -> Result<UpdateDone, (u16, &'static str, String)> {
-    let mut applied = 0u64;
-    let mut ignored = 0u64;
-    for delta in deltas {
-        match engine.apply(delta) {
-            Ok(outcome) if outcome.applied => applied += 1,
-            Ok(_) => ignored += 1,
-            Err(e) => return Err((400, "Bad Request", e)),
-        }
-    }
-    let published = engine
-        .publish(false)
-        .map_err(|e| (500, "Internal Server Error", e))?;
-    Ok(UpdateDone {
-        applied,
-        ignored,
-        pending: engine.pending(),
-        published,
-    })
 }
 
 /// Writes one complete HTTP response. Returns `true` on success (the

@@ -1,10 +1,11 @@
 //! The slow-query log: one JSON line per over-threshold query, with the
 //! probe's full work breakdown attached.
 //!
-//! Every serving mode (sequential stdin, pooled stdin, TCP/HTTP) shares
-//! one [`SlowLog`]: the threshold comes from `--slow-log-us N`, the sink
-//! is stderr unless `--slow-log-file` redirects it, and a token bucket
-//! caps emission at [`MAX_LINES_PER_SEC`] so a pathological workload
+//! Every serve transport (stdin, TCP/HTTP) logs through the one
+//! [`SlowLog`] its request pipeline holds: the threshold comes from
+//! `--slow-log-us N`, the sink is stderr unless `--slow-log-file`
+//! redirects it, and a token bucket caps emission at
+//! [`MAX_LINES_PER_SEC`] so a pathological workload
 //! (e.g. `--slow-log-us 0` on a firehose) degrades to sampling instead of
 //! flooding the disk. Suppressed lines are counted and reported once at
 //! shutdown.
@@ -20,9 +21,10 @@
 //!  "worker":0,"generation":1,"bfs_edges":0}
 //! ```
 //!
-//! `dist` is `null` for disconnected pairs. `worker` is the serving
-//! thread's index (0 for single-threaded modes); `generation` is the live
-//! index generation (fixed at 1 for stdin modes, which cannot reload).
+//! `dist` is `null` for disconnected pairs. `worker` is the index of the
+//! thread that answered; `generation` is the index generation that
+//! answered, which every live update (stdin delta line or `POST /update`)
+//! and every reload advances.
 
 use crate::sync::lock_recover;
 use hcl_index::QueryStats;
@@ -45,9 +47,9 @@ pub(crate) struct SlowQuery<'a> {
     pub(crate) latency: Duration,
     /// The probe's breakdown of where the answer came from.
     pub(crate) stats: &'a QueryStats,
-    /// Serving thread index (0 for single-threaded modes).
+    /// Index of the thread that answered.
     pub(crate) worker: usize,
-    /// Live index generation when the query ran.
+    /// The index generation that answered.
     pub(crate) generation: u64,
 }
 

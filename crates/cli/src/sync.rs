@@ -15,8 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Times a lock was recovered from poisoning anywhere in the process.
-/// Global rather than per-`ServerMetrics` so the stdin modes (which share
-/// the slow log and pool but not a metrics registry) are counted too.
+/// Global rather than per-`ServerMetrics`: the helpers run in code (the
+/// slow log, the pool's window) that has no metrics registry in reach.
 pub(crate) static LOCK_POISONED: AtomicU64 = AtomicU64::new(0);
 
 fn note_poisoned(what: &str) {

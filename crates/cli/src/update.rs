@@ -23,17 +23,18 @@
 //! bounds both open-time replay and the memory the shared image pins.
 //!
 //! The engine is deliberately transport-agnostic: the `update`
-//! subcommand drives it file-to-file, the stdin serve loops drive it a
-//! line at a time, and the socket server drives it from `POST /update`
-//! batches behind a mutex.
+//! subcommand drives it file-to-file, and every serve transport drives it
+//! through the serving pipeline's update step (`pipeline.rs`) behind a
+//! mutex — a stdin delta line as a batch of one, a `POST /update` body as
+//! one batch.
 //!
 //! This file is on the request-serving path (the `no-panics` lint
 //! covers it): every failure degrades into a `Result` the caller can
 //! report and count, never a panic that would take a serving loop down.
 
-use hcl_core::{DeltaGraph, DeltaOp, DeltaPatches, EdgeDelta, Graph, GraphView};
+use hcl_core::{DeltaGraph, DeltaOp, DeltaPatches, EdgeDelta, Graph};
 use hcl_index::repair::{DynamicIndex, RepairOutcome};
-use hcl_index::{BuildContext, HighwayCoverIndex, IndexView};
+use hcl_index::{BuildContext, HighwayCoverIndex};
 use hcl_store::{IndexStore, JournalWriter};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -193,12 +194,6 @@ impl UpdateEngine {
             .get_or_insert_with(|| Arc::new(self.dynamic.to_index()));
         self.phases.materialise += t0.elapsed();
         (&self.live_graph, index)
-    }
-
-    /// The live graph and index, for answering queries in-process.
-    pub(crate) fn views(&mut self) -> (GraphView<'_>, IndexView<'_>) {
-        let (graph, index) = self.materialised();
-        (graph.as_view(), index.as_view())
     }
 
     /// Pending (applied, not yet compacted) delta count.
@@ -376,8 +371,11 @@ mod tests {
         assert!(outcome.applied);
         assert_eq!(engine.pending(), 1);
         let mut ctx = QueryContext::new();
-        let (g, ix) = engine.views();
-        assert_eq!(ix.query_with(g, &mut ctx, u, v), Some(1));
+        let live = engine.publish(false).unwrap().store;
+        assert_eq!(
+            live.index().query_with(live.graph(), &mut ctx, u, v),
+            Some(1)
+        );
         // Re-inserting is a no-op and is not journalled.
         let outcome = engine.apply(EdgeDelta::insert(u, v)).unwrap();
         assert!(!outcome.applied);

@@ -2,7 +2,8 @@
 //! (pinned trace format; stdout byte-identical to a normal run across
 //! every testkit graph family), the slow-query log (every emitted line
 //! must parse as the documented flat JSON object, on stderr and via
-//! `--slow-log-file`, sequential and pooled), `--quiet` (suppresses the
+//! `--slow-log-file`, at one worker and several, naming the generation
+//! that answered), `--quiet` (suppresses the
 //! latency summary line and nothing else), the skipped-input summary,
 //! and `inspect --stats` (deep stats on v5 containers, graceful absence
 //! note on fabricated v4 ones).
@@ -443,6 +444,53 @@ fn slow_log_pooled_and_file_sink() {
         slow_log_lines(&stderr).is_empty(),
         "--slow-log-file must divert lines off stderr:\n{stderr}"
     );
+}
+
+/// A `+u v` line swaps in a new generation, and the slow log says which
+/// generation answered: the query after the delta reads generation 2 at
+/// every worker count.
+#[test]
+fn slow_log_names_the_generation_a_delta_line_published() {
+    let scratch = Scratch::new("slowlog_generation");
+    let edges = edge_list(&testkit::path(12));
+    let input = "0 11\n+0 11\n0 11\n";
+    for workers in ["1", "4"] {
+        // Each run journals the insert into its own container.
+        let index = build_index(&scratch, &format!("path_w{workers}"), &edges, 4);
+        let out = run_ok(
+            &[
+                "serve",
+                "--index",
+                index.to_str().unwrap(),
+                "--workers",
+                workers,
+                "--slow-log-us",
+                "0",
+            ],
+            input,
+        );
+        assert_eq!(String::from_utf8_lossy(&out.stdout), "0 11 11\n0 11 1\n");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let lines = slow_log_lines(&stderr);
+        assert_eq!(
+            lines.len(),
+            2,
+            "workers={workers}: one line per query:\n{stderr}"
+        );
+        for line in &lines {
+            assert_slow_log_line(line, &["stdin"]);
+        }
+        assert!(
+            lines[0].contains("\"dist\":11,") && lines[0].contains("\"generation\":1,"),
+            "workers={workers}: {}",
+            lines[0]
+        );
+        assert!(
+            lines[1].contains("\"dist\":1,") && lines[1].contains("\"generation\":2,"),
+            "workers={workers}: {}",
+            lines[1]
+        );
+    }
 }
 
 #[test]

@@ -93,6 +93,61 @@ fn run_with_stdin(cmd: &mut Command, stdin: &str) -> Output {
     out
 }
 
+/// The per-line contract for interactive clients: with stdin held open,
+/// each query is answered as soon as its line is in — the reader sends a
+/// partial chunk whenever input pauses — at one worker and at several.
+#[test]
+fn serve_answers_each_line_while_stdin_stays_open() {
+    let scratch = Scratch::new("interactive");
+    let edges = scratch.0.join("path.edges");
+    std::fs::write(&edges, edge_list(&testkit::path(10))).expect("write edges");
+    let index = scratch.0.join("path.hcl");
+    let build = hcl()
+        .arg("build")
+        .arg(&edges)
+        .arg("--out")
+        .arg(&index)
+        .output()
+        .expect("spawn build");
+    assert!(build.status.success(), "build failed");
+
+    for workers in ["1", "4"] {
+        let mut child = hcl()
+            .arg("serve")
+            .arg("--index")
+            .arg(&index)
+            .args(["--workers", workers])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn serve");
+        let mut stdin = child.stdin.take().expect("stdin piped");
+        let stdout = child.stdout.take().expect("stdout piped");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            for line in std::io::BufRead::lines(std::io::BufReader::new(stdout)) {
+                if tx.send(line.expect("read answer")).is_err() {
+                    break;
+                }
+            }
+        });
+        for (u, v) in [(0u32, 9u32), (3, 4), (7, 2)] {
+            stdin
+                .write_all(format!("{u} {v}\n").as_bytes())
+                .and_then(|()| stdin.flush())
+                .expect("write query");
+            let answer = rx
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("workers={workers}: no answer to `{u} {v}` within 5 s"));
+            assert_eq!(answer, format!("{u} {v} {}", u.abs_diff(v)));
+        }
+        drop(stdin);
+        assert!(child.wait().expect("wait serve").success());
+        reader.join().expect("stdout reader");
+    }
+}
+
 #[test]
 fn serve_output_is_byte_identical_across_worker_counts() {
     let scratch = Scratch::new("serve");

@@ -95,6 +95,7 @@ pub fn safety_comment(files: &[SourceFile], allow: &mut Allowlist) -> Vec<Violat
 /// Files on the request-serving path: a panic here takes down a worker
 /// thread (or wedges a pool) instead of degrading one request.
 pub const SERVING_PATH_FILES: &[&str] = &[
+    "crates/cli/src/pipeline.rs",
     "crates/cli/src/server.rs",
     "crates/cli/src/pool.rs",
     "crates/cli/src/scrub.rs",
@@ -618,13 +619,15 @@ fn bold_ints(text: &str) -> Vec<u64> {
 // ---------------------------------------------------------------------------
 
 /// Every `hcl_*` metric name emitted by the serving front end
-/// (`cli/src/metrics.rs`, `cli/src/server.rs`, `cli/src/scrub.rs`) must
+/// (`cli/src/metrics.rs`, `cli/src/pipeline.rs`, `cli/src/server.rs`,
+/// `cli/src/scrub.rs`) must
 /// be documented in `docs/ARCHITECTURE.md` — dashboards are built from the docs, and an
 /// undocumented counter is invisible operational surface.
 pub fn metrics_docs(root: &Path, files: &[SourceFile]) -> Vec<Violation> {
     const RULE: &str = "metrics-docs";
     const EMITTERS: &[&str] = &[
         "crates/cli/src/metrics.rs",
+        "crates/cli/src/pipeline.rs",
         "crates/cli/src/server.rs",
         "crates/cli/src/scrub.rs",
     ];
