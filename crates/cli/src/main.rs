@@ -1214,20 +1214,18 @@ fn cmd_update(args: Vec<String>) -> Result<(), String> {
 
     let mut applied = 0u64;
     let mut noops = 0u64;
-    let mut full_relabels = 0u64;
     for delta in deltas {
-        let outcome = engine.apply(delta)?;
-        if outcome.applied {
+        if engine.apply(delta)?.applied {
             applied += 1;
-            full_relabels += u64::from(outcome.full_relabel);
         } else {
             noops += 1;
         }
     }
     let published = engine.publish(force_compact)?;
     eprintln!(
-        "updated {path}: {applied} delta(s) applied ({noops} no-op), {full_relabels} full \
-         relabel(s); journal: {} pending, {} compaction(s){}; took {:.1?} ({})",
+        "updated {path}: {applied} delta(s) applied ({noops} no-op), {} full relabel(s); \
+         journal: {} pending, {} compaction(s){}; took {:.1?} ({})",
+        published.phases.full_relabels,
         engine.pending(),
         engine.compactions(),
         match published.bytes {

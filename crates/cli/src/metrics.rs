@@ -14,8 +14,8 @@
 //! out-of-range requests, connections, backpressure rejections, client
 //! disconnects, write timeouts, oversized lines, index reloads, the live
 //! generation's open (per-phase time), and live updates (per-phase time,
-//! affected-set size, and a second histogram for update latency). The
-//! rendered format is Prometheus-style `name value` lines.
+//! affected-set size, full relabels, and a second histogram for update
+//! latency). The rendered format is Prometheus-style `name value` lines.
 
 use crate::update::UpdatePhases;
 use hcl_index::AnswerSource;
@@ -227,6 +227,9 @@ pub(crate) struct ServerMetrics {
     /// `(landmark, vertex)` pairs whose distance an applied insert
     /// dropped — the labels its partial repair visited.
     pub(crate) update_affected_vertices: Counter,
+    /// Applied deltas whose repair relabelled the whole graph (a delete
+    /// that affected a landmark).
+    pub(crate) update_full_relabels: Counter,
     /// Update latency: request (stdin delta line or `POST /update`)
     /// received → generation swapped.
     pub(crate) update_latency: LatencyHistogram,
@@ -278,6 +281,7 @@ impl ServerMetrics {
             update_phase_ns: std::array::from_fn(|_| AtomicU64::new(0)),
             update_affected_landmarks: Counter::new("hcl_update_affected_landmarks_total"),
             update_affected_vertices: Counter::new("hcl_update_affected_vertices_total"),
+            update_full_relabels: Counter::new("hcl_update_full_relabels_total"),
             update_latency: LatencyHistogram::new(),
             journal_pending: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
@@ -333,6 +337,7 @@ impl ServerMetrics {
         self.update_affected_landmarks
             .add(phases.affected_landmarks);
         self.update_affected_vertices.add(phases.affected_vertices);
+        self.update_full_relabels.add(phases.full_relabels);
         self.journal_pending
             .store(pending as u64, Ordering::Relaxed);
     }
@@ -367,6 +372,7 @@ impl ServerMetrics {
             &self.update_persist_bytes,
             &self.update_affected_landmarks,
             &self.update_affected_vertices,
+            &self.update_full_relabels,
             &self.answers_label_hit,
             &self.answers_highway,
             &self.answers_bfs,
@@ -521,6 +527,7 @@ mod tests {
                 persist: Duration::from_micros(1500),
                 affected_landmarks: 3,
                 affected_vertices: 11,
+                full_relabels: 1,
                 ..Default::default()
             },
             2,
@@ -557,6 +564,7 @@ mod tests {
             "hcl_update_persist_bytes_total 56\n",
             "hcl_update_affected_landmarks_total 3\n",
             "hcl_update_affected_vertices_total 11\n",
+            "hcl_update_full_relabels_total 1\n",
             "hcl_update_latency_samples 1\n",
             "hcl_update_latency_us{quantile=\"0.5\"} 7",
             "hcl_update_latency_us_mean 70000.0\n",

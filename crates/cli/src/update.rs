@@ -15,7 +15,12 @@
 //! * **publish** — the next generation is an `IndexStore` sharing the
 //!   already-validated image and carrying the live graph and flattened
 //!   labels in its replayed slot: exactly what that reopen would produce,
-//!   with nothing serialised, copied or re-validated.
+//!   with nothing serialised or re-validated. Making the live state flat
+//!   is a splice — the previous generation's arrays copied run by run with
+//!   the batch's patched rows in between — and labels the batch did not
+//!   write are not copied at all: the generation shares the previous one's
+//!   label `Arc`, which is also the engine's own base, so labels are
+//!   resident once.
 //!
 //! Only a compacting publish (`--compact-after N` reached, or `hcl update
 //! --compact`) writes a whole container — the live state as the new base,
@@ -47,8 +52,10 @@ use std::time::{Duration, Instant};
 pub(crate) struct UpdatePhases {
     /// Label repair (`DynamicIndex::apply_and_repair`).
     pub(crate) repair: Duration,
-    /// Live state made servable: the edited graph rematerialised as CSR
-    /// (`to_graph`) and the labels flattened (`to_index`), once per batch.
+    /// Live state made servable, once per batch: the edited graph spliced
+    /// into a fresh CSR (`DeltaGraph::to_graph`) and the rewritten labels
+    /// into a fresh label array (`DynamicIndex::flatten`, free when the
+    /// batch wrote none) — memory-speed copies, `O(n + m)` bytes moved.
     pub(crate) materialise: Duration,
     /// Made durable: the frame append, or the whole-container publish and
     /// reopen of a compaction.
@@ -61,6 +68,9 @@ pub(crate) struct UpdatePhases {
     /// `(landmark, vertex)` pairs whose distance dropped — the labels the
     /// batch's insert repairs visited (`RepairOutcome::affected_vertices`).
     pub(crate) affected_vertices: u64,
+    /// Deltas whose repair relabelled the whole graph
+    /// (`RepairOutcome::full_relabel`).
+    pub(crate) full_relabels: u64,
 }
 
 impl UpdatePhases {
@@ -116,13 +126,12 @@ pub(crate) struct UpdateEngine {
     live_graph: Arc<Graph>,
     /// Adjacency edits applied since `live_graph` was materialised: the
     /// detached half of the overlay repairs run on, kept across `apply`
-    /// calls so a batch pays one CSR rebuild, not one per delta.
+    /// calls so a batch pays one CSR splice, not one per delta.
     patches: DeltaPatches,
-    /// The live labels in repairable form.
+    /// The live labels: the last published label arrays (the same `Arc`
+    /// the served generation holds) plus the labels repaired since, so a
+    /// batch pays one splice, not one per delta.
     dynamic: DynamicIndex,
-    /// CSR-flattened cache of `dynamic`; `None` while stale — repairs
-    /// only invalidate it, so a batch of deltas pays one flatten.
-    live_index: Option<Arc<HighwayCoverIndex>>,
     /// Deltas applied since the last publish: the next frame.
     staged: Vec<EdgeDelta>,
     /// Reused BFS scratch for the repair path.
@@ -147,7 +156,6 @@ impl UpdateEngine {
             live_graph: Arc::new(store.graph().to_owned_graph()),
             patches: DeltaPatches::default(),
             dynamic: DynamicIndex::from_view(store.index()),
-            live_index: None,
             staged: Vec::new(),
             cx: BuildContext::new(),
             compact_after,
@@ -171,29 +179,27 @@ impl UpdateEngine {
         let outcome = repaired.map_err(|e| format!("applying {delta}: {e}"))?;
         self.phases.repair += t0.elapsed();
         if outcome.applied {
-            self.live_index = None;
             self.staged.push(delta);
             self.phases.affected_landmarks += outcome.affected_landmarks as u64;
             self.phases.affected_vertices += outcome.affected_vertices as u64;
+            self.phases.full_relabels += u64::from(outcome.full_relabel);
         }
         Ok(outcome)
     }
 
     /// The live graph and flattened labels, brought up to date first: at
-    /// most one CSR rematerialisation and one flatten, however many deltas
-    /// were applied since the last call.
-    fn materialised(&mut self) -> (&Arc<Graph>, &Arc<HighwayCoverIndex>) {
+    /// most one CSR splice and one label splice, however many deltas were
+    /// applied since the last call.
+    fn materialised(&mut self) -> (Arc<Graph>, Arc<HighwayCoverIndex>) {
         let t0 = Instant::now();
         if !self.patches.is_empty() {
             let patches = std::mem::take(&mut self.patches);
             let graph = DeltaGraph::reattach(self.live_graph.as_view(), patches).to_graph();
             self.live_graph = Arc::new(graph);
         }
-        let index = self
-            .live_index
-            .get_or_insert_with(|| Arc::new(self.dynamic.to_index()));
+        let index = self.dynamic.flatten();
         self.phases.materialise += t0.elapsed();
-        (&self.live_graph, index)
+        (Arc::clone(&self.live_graph), index)
     }
 
     /// Pending (applied, not yet compacted) delta count.
@@ -214,7 +220,6 @@ impl UpdateEngine {
     /// instead published as a whole new container and reopened.
     pub(crate) fn publish(&mut self, force_compact: bool) -> Result<Published, String> {
         let (graph, index) = self.materialised();
-        let (graph, index) = (Arc::clone(graph), Arc::clone(index));
         let pending = self.pending();
         let compacting = pending > 0
             && (force_compact || (self.compact_after > 0 && pending >= self.compact_after));
@@ -406,10 +411,12 @@ mod tests {
 
     /// Journal replay at open runs the same repair over the same deltas,
     /// so it must land on the same bytes as the live engine did — graph
-    /// CSR, labels and highway — not merely on the same answers.
+    /// CSR, labels and highway — not merely on the same answers, over a
+    /// script of inserts and deletes published one by one. A publish whose
+    /// repair wrote no label serves its predecessor's label array itself.
     #[test]
     fn reopening_the_file_replays_to_the_last_published_generation_byte_for_byte() {
-        const INSERTS: usize = 24;
+        const DELTAS: usize = 32;
         let graph = testkit::barabasi_albert(300, 3, 21);
         let index = HighwayCoverIndex::build_with(
             &graph,
@@ -422,26 +429,53 @@ mod tests {
         hcl_store::save(&path, &graph, &index).unwrap();
         let store = IndexStore::open(&path).unwrap();
         let mut engine = UpdateEngine::from_store(&store, Some(path.clone()), 0);
-        drop(store);
 
         let mut rng = testkit::SplitMix64::new(0x4E91A7);
-        let mut last = None;
-        while engine.pending() < INSERTS {
-            let (u, v) = (rng.next_below(300) as u32, rng.next_below(300) as u32);
-            if u != v && engine.apply(EdgeDelta::insert(u, v)).unwrap().applied {
-                last = Some(engine.publish(false).unwrap().store);
+        // The first publish copies the labels out of the mapped file.
+        let mut last = engine.publish(false).unwrap().store;
+        let (mut deletes, mut neutral) = (0, 0);
+        while engine.pending() < DELTAS {
+            // Every fourth delta deletes an edge of the served graph.
+            let u = rng.next_below(300) as u32;
+            let adj = last.graph().neighbors(u);
+            let v = if engine.pending() % 4 == 3 && !adj.is_empty() {
+                adj[rng.next_below(adj.len() as u64) as usize]
+            } else {
+                rng.next_below(300) as u32
+            };
+            let delta = if last.graph().has_edge(u, v) {
+                EdgeDelta::delete(u, v)
+            } else {
+                EdgeDelta::insert(u, v)
+            };
+            if u == v || !engine.apply(delta).unwrap().applied {
+                continue;
             }
+            let published = engine.publish(false).unwrap();
+            let phases = published.phases;
+            let wrote_labels = phases.affected_vertices > 0 || phases.full_relabels > 0;
+            let shared = published.store.index().label_entries().as_ptr()
+                == last.index().label_entries().as_ptr();
+            if !wrote_labels {
+                assert!(shared, "{delta}: a label-neutral publish copied the labels");
+                neutral += 1;
+            }
+            deletes += usize::from(delta.op == DeltaOp::Delete);
+            last = published.store;
         }
-        let published = last.unwrap();
+        assert!(
+            deletes >= DELTAS / 4 && neutral > 0,
+            "{deletes} deletes, {neutral} neutral"
+        );
         let reopened = IndexStore::open(&path);
         std::fs::remove_file(&path).ok();
         let reopened = reopened.unwrap();
 
-        assert_eq!(reopened.journal().unwrap().len(), INSERTS);
-        let (live, replayed) = (published.graph(), reopened.graph());
+        assert_eq!(reopened.journal().unwrap().len(), DELTAS);
+        let (live, replayed) = (last.graph(), reopened.graph());
         assert_eq!(replayed.csr_offsets(), live.csr_offsets());
         assert_eq!(replayed.csr_neighbors(), live.csr_neighbors());
-        let (live, replayed) = (published.index(), reopened.index());
+        let (live, replayed) = (last.index(), reopened.index());
         assert_eq!(replayed.landmarks(), live.landmarks());
         assert_eq!(replayed.label_offsets(), live.label_offsets());
         assert_eq!(replayed.label_entries(), live.label_entries());

@@ -229,6 +229,12 @@ impl Server {
 
     /// Reads one counter from `/metrics`.
     fn metric(&self, name: &str) -> u64 {
+        self.metric_as(name)
+    }
+
+    /// Reads one sample from `/metrics` as `T` (a `_seconds` total is an
+    /// `f64`); `name` includes any label set.
+    fn metric_as<T: std::str::FromStr>(&self, name: &str) -> T {
         let (status, body) = self.http_get("/metrics");
         assert_eq!(status, 200, "metrics endpoint failed");
         body.lines()
@@ -557,10 +563,11 @@ fn http_update_compact_after_folds_journal_while_serving() {
 }
 
 /// A `POST /update` body is one batch: its deltas are repaired one by
-/// one on a single overlay and the CSR is rematerialised once, at
+/// one on a single overlay and the CSR and labels are spliced once, at
 /// publish — not once per line. Same answers as the same edges posted one
 /// per request (and as the BFS oracle), same repairs, a fraction of the
-/// `materialise` time.
+/// `materialise` time (read from `/metrics`, whose phase totals resolve
+/// microseconds; the stderr line rounds to 0.1 ms).
 #[test]
 fn batched_update_body_materialises_once_and_matches_single_posts() {
     const BATCH: usize = 64;
@@ -637,33 +644,32 @@ fn batched_update_body_materialises_once_and_matches_single_posts() {
     assert_eq!(batched.metric("hcl_update_latency_samples"), 1);
     assert_eq!(single.metric("hcl_update_latency_samples"), BATCH as u64);
 
-    // `materialise=<ms>` of every `update from …` stderr line.
-    let materialise_ms = |stderr: &str| -> Vec<f64> {
-        stderr
-            .lines()
-            .filter(|l| l.starts_with("update from "))
-            .map(|l| {
-                assert!(l.contains(" affected="), "no affected-set field: {l}");
-                let rest = l.split_once("materialise=").expect("materialise field").1;
-                rest.split_once("ms").unwrap().0.parse().expect("ms value")
-            })
-            .collect()
-    };
-    let mut servers = servers.into_iter();
-    let (status, stderr) = servers.next().unwrap().drain();
-    assert!(status.success(), "stderr:\n{stderr}");
-    let batch_ms = materialise_ms(&stderr);
-    let (status, stderr) = servers.next().unwrap().drain();
-    assert!(status.success(), "stderr:\n{stderr}");
-    let single_ms = materialise_ms(&stderr);
-    assert_eq!((batch_ms.len(), single_ms.len()), (1, BATCH));
-    let single_total: f64 = single_ms.iter().sum();
-    assert!(
-        batch_ms[0] * 4.0 < single_total,
-        "one {BATCH}-line body spent {:.1} ms materialising, {BATCH} single posts {single_total:.1} ms: \
-         the batch is rebuilding the CSR per delta",
-        batch_ms[0]
+    let materialise = r#"hcl_update_phase_seconds_total{phase="materialise"}"#;
+    let (batch_s, single_s): (f64, f64) = (
+        batched.metric_as(materialise),
+        single.metric_as(materialise),
     );
+    assert!(
+        batch_s > 0.0 && batch_s * 4.0 < single_s,
+        "one {BATCH}-line body spent {:.3} ms materialising, {BATCH} single posts {:.3} ms: \
+         the batch is splicing per delta",
+        batch_s * 1e3,
+        single_s * 1e3
+    );
+
+    // One `update from …` line per publish, each with its phases.
+    for (server, lines) in servers.into_iter().zip([1, BATCH]) {
+        let (status, stderr) = server.drain();
+        assert!(status.success(), "stderr:\n{stderr}");
+        let published = stderr.lines().filter(|l| l.starts_with("update from "));
+        assert!(
+            published
+                .clone()
+                .all(|l| l.contains(" materialise=") && l.contains(" affected=")),
+            "an update line lost its phases:\n{stderr}"
+        );
+        assert_eq!(published.count(), lines, "stderr:\n{stderr}");
+    }
 }
 
 /// Every acknowledged single-edge update is one small frame appended to

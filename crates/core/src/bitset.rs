@@ -66,6 +66,19 @@ impl DenseBitSet {
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
+
+    /// The elements in ascending order, one word scan (`O(len / 64)` plus
+    /// one step per element).
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                let bit = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+                bits &= bits - 1;
+                Some(w * 64 + bit)
+            })
+        })
+    }
 }
 
 #[cfg(test)]
@@ -80,11 +93,13 @@ mod tests {
         s.reset(130);
         assert_eq!(s.len(), 130);
         assert_eq!(s.count(), 0);
+        assert_eq!(s.iter().count(), 0);
+        s.insert(129);
+        s.insert(64);
         s.insert(0);
         s.insert(63);
-        s.insert(64);
-        s.insert(129);
         assert_eq!(s.count(), 4);
+        assert_eq!(s.iter().collect::<Vec<_>>(), [0, 63, 64, 129]);
         for i in [0usize, 63, 64, 129] {
             assert!(s.contains(i), "missing {i}");
         }
@@ -117,5 +132,6 @@ mod tests {
         for i in 0..256 {
             assert_eq!(s.contains(i), i % 2 == 0, "bit {i}");
         }
+        assert!(s.iter().eq((0..256).step_by(2)));
     }
 }

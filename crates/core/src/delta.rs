@@ -10,6 +10,12 @@
 //! overlay copy, everyone else serves the base CSR — so traversal code
 //! needs no per-edge branching and no iterator abstraction.
 //!
+//! The patched lists live in a [`CsrPatches`], the row-keyed overlay
+//! `hcl-index` also keeps its edited labels in. Folding one back into a
+//! flat CSR ([`DeltaGraph::to_graph`]) is a splice — the base's clean runs
+//! and the patched rows copied in row order — so it costs two memory-speed
+//! copies, not a sort.
+//!
 //! [`DynGraphView`] is the enum-dispatched view unifying both worlds: the
 //! BFS oracles in [`crate::bfs`] accept `impl Into<DynGraphView>` and run
 //! unchanged over a frozen CSR or a base+delta overlay. The vertex set is
@@ -18,7 +24,7 @@
 //! set remains a rebuild.
 
 use crate::bitset::DenseBitSet;
-use crate::graph::{Graph, GraphBuilder, GraphView, VertexId};
+use crate::graph::{Graph, GraphView, VertexId};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -136,6 +142,117 @@ impl fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
+/// Replacement rows for a CSR array (`offsets` + `items`), keyed by row:
+/// the overlay half of every base-plus-edits structure in the workspace —
+/// adjacency lists in [`DeltaGraph`], packed label entries in `hcl-index`'s
+/// `DynamicIndex`. A row is read from here when it was patched and from
+/// the base arrays otherwise; [`CsrPatches::splice`] folds the patches
+/// into one fresh copy of the base at memory speed.
+#[derive(Debug, Default)]
+pub struct CsrPatches<T> {
+    rows: HashMap<VertexId, Vec<T>>,
+    /// The key set of `rows`, one bit per row: a read of an unpatched row
+    /// tests a bit instead of hashing.
+    is_patched: DenseBitSet,
+}
+
+impl<T: Copy> CsrPatches<T> {
+    /// No patches over a base of `num_rows` rows.
+    pub fn new(num_rows: usize) -> Self {
+        let mut is_patched = DenseBitSet::new();
+        is_patched.reset(num_rows);
+        Self {
+            rows: HashMap::new(),
+            is_patched,
+        }
+    }
+
+    /// Rows of the base these patches apply to.
+    pub(crate) fn num_rows(&self) -> usize {
+        self.is_patched.len()
+    }
+
+    /// Number of patched rows.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether no row is patched.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The replacement for `row`, or `None` when the base row stands.
+    #[inline]
+    pub fn get(&self, row: VertexId) -> Option<&[T]> {
+        if self.is_patched.contains(row as usize) {
+            self.rows.get(&row).map(Vec::as_slice)
+        } else {
+            None
+        }
+    }
+
+    /// The replacement for `row`, created from `base` (the base row's
+    /// items) on first write.
+    ///
+    /// # Panics
+    /// Panics if `row` is not a row of the base the patches were made for.
+    pub fn get_or_insert_with(
+        &mut self,
+        row: VertexId,
+        base: impl FnOnce() -> Vec<T>,
+    ) -> &mut Vec<T> {
+        self.is_patched.insert(row as usize);
+        self.rows.entry(row).or_insert_with(base)
+    }
+
+    /// Every patched row with its replacement, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (VertexId, &[T])> {
+        self.rows
+            .iter()
+            .map(|(&row, items)| (row, items.as_slice()))
+    }
+
+    /// The base arrays with every patch applied, as fresh CSR arrays:
+    /// each run of unpatched rows between two patched ones is one copy of
+    /// its items plus its offsets shifted, each patched row one copy of
+    /// its replacement — no per-item work beyond the copies.
+    ///
+    /// # Panics
+    /// Panics if `offsets` does not have one row per row of the base the
+    /// patches were made for.
+    pub fn splice(&self, offsets: &[u64], items: &[T]) -> (Vec<u64>, Vec<T>) {
+        let n = self.num_rows();
+        assert_eq!(
+            offsets.len(),
+            n + 1,
+            "base row count differs from the patches'"
+        );
+        let base_len = |row: usize| (offsets[row + 1] - offsets[row]) as usize;
+        let len = self.iter().fold(items.len(), |len, (row, patched)| {
+            len - base_len(row as usize) + patched.len()
+        });
+        let mut out_offsets = Vec::with_capacity(n + 1);
+        let mut out_items = Vec::with_capacity(len);
+        out_offsets.push(0);
+        // `next` is the first row not yet written; `n` closes the last run.
+        let mut next = 0;
+        for row in self.is_patched.iter().chain([n]) {
+            // The clean run `next..row`: one copy, offsets shifted.
+            let (lo, hi) = (offsets[next], offsets[row]);
+            let at = out_items.len() as u64;
+            out_items.extend_from_slice(&items[lo as usize..hi as usize]);
+            out_offsets.extend(offsets[next + 1..=row].iter().map(|&o| o - lo + at));
+            if row < n {
+                out_items.extend_from_slice(&self.rows[&(row as VertexId)]);
+                out_offsets.push(out_items.len() as u64);
+                next = row + 1;
+            }
+        }
+        (out_offsets, out_items)
+    }
+}
+
 /// A mutable edge-delta overlay over an immutable base [`GraphView`].
 ///
 /// Edits are applied with [`DeltaGraph::apply`]; adjacency reads come
@@ -147,10 +264,7 @@ pub struct DeltaGraph<'a> {
     base: GraphView<'a>,
     /// Fully merged, sorted adjacency for vertices whose neighbourhood
     /// differs from the base.
-    patched: HashMap<VertexId, Vec<VertexId>>,
-    /// The key set of `patched`, one bit per vertex: an adjacency fetch
-    /// for an unpatched vertex tests a bit instead of hashing.
-    is_patched: DenseBitSet,
+    patched: CsrPatches<VertexId>,
     /// Undirected edge count after all applied deltas.
     num_edges: usize,
 }
@@ -182,10 +296,9 @@ impl<'a> DeltaGraph<'a> {
     /// # Panics
     /// Panics if `v` is out of range (same contract as [`GraphView`]).
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        if self.is_patched.contains(v as usize) {
-            &self.patched[&v]
-        } else {
-            self.base.neighbors(v)
+        match self.patched.get(v) {
+            Some(adj) => adj,
+            None => self.base.neighbors(v),
         }
     }
 
@@ -212,11 +325,10 @@ impl<'a> DeltaGraph<'a> {
             return Ok(false);
         }
         for (a, b) in [(delta.u, delta.v), (delta.v, delta.u)] {
-            self.is_patched.insert(a as usize);
+            let base = self.base;
             let adj = self
                 .patched
-                .entry(a)
-                .or_insert_with(|| self.base.neighbors(a).to_vec());
+                .get_or_insert_with(a, || base.neighbors(a).to_vec());
             match (delta.op, adj.binary_search(&b)) {
                 (DeltaOp::Insert, Err(pos)) => adj.insert(pos, b),
                 (DeltaOp::Delete, Ok(pos)) => {
@@ -241,7 +353,6 @@ impl<'a> DeltaGraph<'a> {
         DeltaPatches {
             net_edges: self.num_edges as isize - self.base.num_edges() as isize,
             patched: self.patched,
-            is_patched: self.is_patched,
         }
     }
 
@@ -249,32 +360,30 @@ impl<'a> DeltaGraph<'a> {
     /// off an overlay of the same `base`. Default (empty) patches
     /// reattach to any base as an overlay with no edits.
     pub fn reattach(base: GraphView<'a>, patches: DeltaPatches) -> Self {
-        let mut is_patched = patches.is_patched;
-        if is_patched.len() != base.num_vertices() {
-            // Default patches carry an unsized bitset; detached ones are
-            // already sized for the base they came off.
-            is_patched.reset(base.num_vertices());
+        let mut patched = patches.patched;
+        if patched.num_rows() != base.num_vertices() {
+            // Default patches are unsized; detached ones are already sized
+            // for the base they came off.
+            patched = CsrPatches::new(base.num_vertices());
         }
         Self {
             base,
-            patched: patches.patched,
-            is_patched,
+            patched,
             num_edges: base.num_edges().saturating_add_signed(patches.net_edges),
         }
     }
 
-    /// Materialises the overlay into an owned, canonical CSR [`Graph`].
+    /// Materialises the overlay into an owned, canonical CSR [`Graph`] by
+    /// splicing: the base CSR's runs of unpatched vertices and the patched
+    /// vertices' overlay lists, copied in vertex order. No sort and no
+    /// validation pass: overlay lists are sorted, deduplicated, symmetric
+    /// and self-loop free by construction, so the bytes are exactly what
+    /// `GraphBuilder` would make of the same edge set.
     pub fn to_graph(&self) -> Graph {
-        let mut b = GraphBuilder::new();
-        b.reserve_vertices(self.num_vertices());
-        for u in 0..self.num_vertices() as VertexId {
-            for &v in self.neighbors(u) {
-                if u < v {
-                    b.add_edge(u, v);
-                }
-            }
-        }
-        b.build()
+        let (offsets, neighbors) = self
+            .patched
+            .splice(self.base.csr_offsets(), self.base.csr_neighbors());
+        Graph::from_csr_trusted(offsets, neighbors)
     }
 
     /// A borrowed enum view of this overlay for the traversal APIs.
@@ -288,8 +397,7 @@ impl<'a> DeltaGraph<'a> {
 /// base it was detached from.
 #[derive(Default)]
 pub struct DeltaPatches {
-    patched: HashMap<VertexId, Vec<VertexId>>,
-    is_patched: DenseBitSet,
+    patched: CsrPatches<VertexId>,
     /// Undirected edges added minus edges removed.
     net_edges: isize,
 }
@@ -375,6 +483,7 @@ impl<'a> From<&'a DeltaGraph<'a>> for DynGraphView<'a> {
 mod tests {
     use super::*;
     use crate::bfs;
+    use crate::graph::GraphBuilder;
     use crate::testkit;
 
     #[test]
@@ -438,52 +547,103 @@ mod tests {
         );
     }
 
+    /// `to_graph`'s arrays are `GraphBuilder`'s over the overlay's edge set.
+    fn assert_splices_like_the_builder(d: &DeltaGraph<'_>, what: &str) {
+        let mut b = GraphBuilder::new();
+        b.reserve_vertices(d.num_vertices());
+        for u in 0..d.num_vertices() as VertexId {
+            for &v in d.neighbors(u) {
+                b.add_edge(u, v);
+            }
+        }
+        let (want, got) = (b.build(), d.to_graph());
+        assert_eq!(got.csr_offsets(), want.csr_offsets(), "{what}: offsets");
+        assert_eq!(
+            got.csr_neighbors(),
+            want.csr_neighbors(),
+            "{what}: neighbours"
+        );
+        assert_eq!(got.num_edges(), d.num_edges(), "{what}: edge count");
+    }
+
     #[test]
     fn materialised_graph_matches_overlay() {
-        fn assert_materialises(d: &DeltaGraph<'_>, step: usize) {
-            let materialised = d.to_graph();
-            assert_eq!(materialised.num_vertices(), d.num_vertices());
-            assert_eq!(materialised.num_edges(), d.num_edges(), "step {step}");
-            for v in 0..d.num_vertices() as VertexId {
-                assert_eq!(
-                    materialised.neighbors(v),
-                    d.neighbors(v),
-                    "step {step} vertex {v}"
-                );
+        let shapes = [
+            ("er", testkit::erdos_renyi(30, 0.1, 5)),
+            ("path", testkit::path(12)),
+            ("star", testkit::star(9)),
+        ];
+        for (name, g) in shapes {
+            let n = g.num_vertices() as u64;
+            let mut d = DeltaGraph::new(g.as_view());
+            let mut rng = testkit::SplitMix64::new(42 ^ n);
+            for step in 0..60 {
+                // Half the edits touch a run boundary: vertex 0 or n - 1.
+                let u = match step % 4 {
+                    0 => 0,
+                    1 => n - 1,
+                    _ => rng.next_below(n),
+                } as VertexId;
+                let v = rng.next_below(n) as VertexId;
+                if u == v {
+                    continue;
+                }
+                let delta = if d.has_edge(u, v) {
+                    EdgeDelta::delete(u, v)
+                } else {
+                    EdgeDelta::insert(u, v)
+                };
+                d.apply(delta).unwrap();
+                assert_splices_like_the_builder(&d, &format!("{name} step {step} ({delta})"));
+                // The patch marks ride along with the patches.
+                if step % 8 == 7 {
+                    d = DeltaGraph::reattach(g.as_view(), d.detach());
+                    assert_splices_like_the_builder(&d, &format!("{name} step {step} reattached"));
+                }
             }
+            assert!(d.num_patched() > 0, "{name}");
         }
-        let g = testkit::erdos_renyi(30, 0.1, 5);
-        let mut d = DeltaGraph::new(g.as_view());
-        let mut rng = testkit::SplitMix64::new(42);
-        for step in 0..40 {
-            let u = rng.next_below(30) as VertexId;
-            let v = rng.next_below(30) as VertexId;
-            if u == v {
-                continue;
-            }
-            let delta = if d.has_edge(u, v) {
-                EdgeDelta::delete(u, v)
-            } else {
-                EdgeDelta::insert(u, v)
-            };
-            d.apply(delta).unwrap();
-            assert_materialises(&d, step);
-            // The patch marks ride along with the patches.
-            if step % 8 == 7 {
-                d = DeltaGraph::reattach(g.as_view(), d.detach());
-                assert_materialises(&d, step);
-            }
-        }
-        assert!(d.num_patched() > 0 && d.num_patched() < 30);
 
-        // A vertex patched back to its base list still serves it.
-        let g = testkit::path(5);
+        // Deletes that empty adjacency lists, at both ends and inside.
+        let g = testkit::path(5); // 0-1-2-3-4
         let mut d = DeltaGraph::new(g.as_view());
-        d.apply(EdgeDelta::insert(0, 4)).unwrap();
-        d.apply(EdgeDelta::delete(0, 4)).unwrap();
-        assert_eq!(d.num_patched(), 2);
-        assert_materialises(&d, 0);
-        assert_eq!(d.neighbors(0), g.neighbors(0));
+        for (u, v) in [(0, 1), (3, 4), (1, 2)] {
+            d.apply(EdgeDelta::delete(u, v)).unwrap();
+        }
+        for v in [0, 1, 4] {
+            assert!(d.neighbors(v).is_empty(), "vertex {v}");
+        }
+        assert_splices_like_the_builder(&d, "emptied lists");
+
+        // Every vertex patched back to its base list splices to the base.
+        for (u, v) in [(0, 1), (3, 4), (1, 2)] {
+            d.apply(EdgeDelta::insert(u, v)).unwrap();
+        }
+        assert_eq!(d.num_patched(), 5);
+        assert_splices_like_the_builder(&d, "patched back");
+        assert_eq!(d.to_graph(), g);
+        assert_eq!(DeltaGraph::new(g.as_view()).to_graph(), g);
+    }
+
+    #[test]
+    fn csr_patches_splice_rows_in_order() {
+        // Rows [a], [], [b c], [d] with rows 0, 1 and 3 replaced.
+        let (offsets, items) = ([0u64, 1, 1, 3, 4], [10u64, 20, 21, 30]);
+        let mut patches = CsrPatches::new(4);
+        assert_eq!(
+            patches.splice(&offsets, &items),
+            (offsets.to_vec(), items.to_vec())
+        );
+        patches.get_or_insert_with(3, || vec![30]).clear();
+        patches.get_or_insert_with(0, || vec![10]).push(11);
+        patches.get_or_insert_with(1, Vec::new).extend([15, 16]);
+        assert_eq!(patches.len(), 3);
+        assert_eq!(patches.get(0), Some(&[10, 11][..]));
+        assert_eq!(patches.get(2), None);
+        assert_eq!(
+            patches.splice(&offsets, &items),
+            (vec![0, 2, 4, 6, 6], vec![10, 11, 15, 16, 20, 21])
+        );
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! Storage comes in two flavours sharing one implementation:
 //!
 //! * [`Graph`] — owns its two arrays (`Vec`-backed). Produced by
-//!   [`GraphBuilder`] or [`Graph::from_csr`].
+//!   [`GraphBuilder`] (ingest), [`Graph::from_csr`], or a delta overlay's
+//!   splice ([`DeltaGraph::to_graph`](crate::DeltaGraph::to_graph)).
 //! * [`GraphView`] — borrows the same two arrays as slices. This is what
 //!   `hcl-store` hands out when serving a memory-mapped index file without
 //!   copying: the mmap'd bytes *are* the arrays.
@@ -368,6 +369,12 @@ impl Graph {
     pub fn from_csr(offsets: Vec<u64>, neighbors: Vec<VertexId>) -> Result<Self, CsrError> {
         GraphView::from_csr(&offsets, &neighbors)?;
         Ok(Self { offsets, neighbors })
+    }
+
+    /// Adopts CSR arrays the caller built canonical by construction (the
+    /// delta overlay's splice), without a second validation pass.
+    pub(crate) fn from_csr_trusted(offsets: Vec<u64>, neighbors: Vec<VertexId>) -> Self {
+        Self { offsets, neighbors }
     }
 
     /// A borrowed, `Copy` view of this graph. Cheap; use it to share one

@@ -26,8 +26,10 @@
 //!   vertex instead of a 4-byte table load).
 //! * [`delta`] — the dynamic-graph layer: [`delta::EdgeDelta`] edge edits,
 //!   the [`delta::DeltaGraph`] overlay that applies them without touching
-//!   the frozen CSR, and [`delta::DynGraphView`], the enum-dispatched view
-//!   the BFS oracles accept so traversals run over base+delta unchanged.
+//!   the frozen CSR, [`delta::CsrPatches`], the row-keyed overlay it (and
+//!   `hcl-index`'s editable labels) splice back into a fresh CSR, and
+//!   [`delta::DynGraphView`], the enum-dispatched view the BFS oracles
+//!   accept so traversals run over base+delta unchanged.
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
@@ -40,5 +42,7 @@ pub mod testkit;
 
 pub use bfs::{BfsProbe, NoProbe};
 pub use bitset::DenseBitSet;
-pub use delta::{DeltaError, DeltaGraph, DeltaOp, DeltaPatches, DynGraphView, EdgeDelta};
+pub use delta::{
+    CsrPatches, DeltaError, DeltaGraph, DeltaOp, DeltaPatches, DynGraphView, EdgeDelta,
+};
 pub use graph::{CsrError, Graph, GraphBuilder, GraphView, VertexId, INFINITY};

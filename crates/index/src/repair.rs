@@ -5,6 +5,22 @@
 //! [`DynamicIndex`], that answers the same queries but can be repaired in
 //! place after an edge edit instead of rebuilt from scratch.
 //!
+//! # Representation
+//!
+//! A [`DynamicIndex`] is a frozen base, shared by `Arc` with whoever serves
+//! it, plus the edits made since: a replacement label (packed and
+//! hub-sorted like the base's) for each vertex a repair rewrote, keyed by
+//! vertex behind a bitset ([`hcl_core::CsrPatches`], the shape the graph
+//! overlay keeps its adjacency patches in), and the highway once a repair
+//! patched a cell. Every read — detection, the find's `d_old`, the repair —
+//! goes through one accessor: the replacement if there is one, else the
+//! base slice. [`DynamicIndex::flatten`] splices the replacements into a
+//! fresh copy of the base arrays (each clean run of vertices one copy, its
+//! offsets shifted) and adopts the result as the new base; when no repair
+//! wrote anything since the last flatten it hands back the same `Arc`. A
+//! delete's relabel adopts the builder sweep's arrays as the base
+//! directly.
+//!
 //! The repair contract is **answer identity, and near byte identity**:
 //! after any sequence of edits, queries against the repaired index return
 //! exactly the distances a fresh build on the edited graph would return,
@@ -109,7 +125,8 @@
 //! is affected iff `da[i] ≠ db[i]`; an empty affected set costs nothing.
 //! Otherwise the post-edit graph is labelled afresh for the same landmark
 //! set by the builder's own sweep — labels and every highway row in one
-//! pass — so after a delete the index *is* a fresh build's. The asymmetry
+//! pass — whose arrays become the new base as they come out of it, with
+//! no unpacking; so after a delete the index *is* a fresh build's. The asymmetry
 //! with insertion is load bearing: a deletion *grows* distances, which can
 //! silently break the coverage of an *unaffected* landmark whose cover
 //! routed through an affected hub, and entries that were exact become too
@@ -118,8 +135,11 @@
 //! then a delete costs a build minus selection.
 
 use crate::build::{self, sat_add, BuildContext, HighwayCoverIndex, NOT_A_LANDMARK};
-use crate::view::{unpack_label_entry, IndexView};
-use hcl_core::{DeltaError, DeltaGraph, DeltaOp, DynGraphView, EdgeDelta, VertexId, INFINITY};
+use crate::view::{entry_dist, entry_hub, pack_label_entry, IndexView};
+use hcl_core::{
+    CsrPatches, DeltaError, DeltaGraph, DeltaOp, DynGraphView, EdgeDelta, VertexId, INFINITY,
+};
+use std::sync::Arc;
 
 /// What one [`DynamicIndex::apply_and_repair`] call did, for logging,
 /// metrics, and the benchmark harness.
@@ -144,55 +164,70 @@ pub struct RepairOutcome {
 }
 
 /// An editable highway-cover index: same landmarks, labels, and highway as
-/// the frozen form, but with per-vertex label vectors that can be edited
-/// in place.
+/// the frozen form, held as a frozen base plus the edits made since.
 ///
 /// Convert a built index in with [`DynamicIndex::from_view`], apply edits
-/// with [`DynamicIndex::apply_and_repair`], and flatten back out with
-/// [`DynamicIndex::to_index`] whenever a frozen snapshot is needed (for
-/// serving or serialisation). The conversion round-trip is lossless.
+/// with [`DynamicIndex::apply_and_repair`], and get a frozen snapshot back
+/// (for serving or serialisation) with [`DynamicIndex::flatten`] — which
+/// also adopts it as the new base — or [`DynamicIndex::to_index`], a copy
+/// that leaves the edits pending. The conversion round-trip is lossless.
 pub struct DynamicIndex {
-    /// Landmark vertices in rank order (frozen across edits).
-    landmarks: Vec<VertexId>,
-    /// Inverse of `landmarks`: `NOT_A_LANDMARK` for ordinary vertices.
-    landmark_rank: Vec<u32>,
-    /// Per-vertex `(rank, distance)` labels, kept rank-sorted so the
-    /// flattened form is hub-sorted without a final sort pass.
-    labels: Vec<Vec<(u32, u32)>>,
-    /// Row-major exact `k × k` landmark-to-landmark distances.
-    highway: Vec<u32>,
+    /// The labelling as last flattened (or converted in, or relabelled):
+    /// exactly what [`flatten`](Self::flatten) returned last, shared with
+    /// whoever serves it.
+    base: Arc<HighwayCoverIndex>,
+    /// Replacement labels, packed and hub-sorted like the base's, for the
+    /// vertices a repair rewrote since `base`.
+    labels: CsrPatches<u64>,
+    /// The highway, once a repair has patched it since `base`.
+    highway: Option<Vec<u32>>,
 }
 
 impl DynamicIndex {
-    /// Unpacks a frozen index (owned or mapped) into editable form.
+    /// Copies a frozen index (owned or mapped) into editable form: five
+    /// slice copies, no per-vertex work.
     pub fn from_view(view: IndexView<'_>) -> Self {
-        let n = view.num_vertices();
-        let mut labels = Vec::with_capacity(n);
-        for v in 0..n {
-            labels.push(view.label(v as VertexId).collect());
-        }
+        let base = Arc::new(view.to_owned_index());
         Self {
-            landmarks: view.landmarks().to_vec(),
-            landmark_rank: view.landmark_rank().to_vec(),
-            labels,
-            highway: view.highway().to_vec(),
+            labels: CsrPatches::new(base.num_vertices()),
+            highway: None,
+            base,
         }
     }
 
     /// Number of landmarks (fixed across edits).
     pub fn num_landmarks(&self) -> usize {
-        self.landmarks.len()
+        self.base.num_landmarks()
     }
 
     /// Number of vertices the index covers (fixed across edits — the delta
     /// layer does not add vertices).
     pub fn num_vertices(&self) -> usize {
-        self.labels.len()
+        self.base.num_vertices()
     }
 
     /// Total number of label entries currently held.
     pub fn num_label_entries(&self) -> usize {
-        self.labels.iter().map(Vec::len).sum()
+        let base = self.base.as_view();
+        self.labels
+            .iter()
+            .fold(base.label_entries().len(), |total, (v, label)| {
+                total - base.packed_label(v).len() + label.len()
+            })
+    }
+
+    /// The packed, hub-sorted label of `v`: its replacement if a repair
+    /// rewrote it, else the base's.
+    fn label(&self, v: VertexId) -> &[u64] {
+        match self.labels.get(v) {
+            Some(label) => label,
+            None => self.base.as_view().packed_label(v),
+        }
+    }
+
+    /// The row-major `k × k` highway as it stands.
+    fn highway(&self) -> &[u32] {
+        self.highway.as_deref().unwrap_or(&self.base.highway)
     }
 
     /// `d(landmark_i, v)` for every landmark rank `i`, read from `v`'s
@@ -205,39 +240,49 @@ impl DynamicIndex {
     /// # Panics
     /// Panics if `v` is not a vertex of the index.
     pub fn landmark_distances(&self, v: VertexId) -> Vec<u32> {
-        let k = self.landmarks.len();
+        let k = self.num_landmarks();
+        let highway = self.highway();
         let mut out = vec![INFINITY; k];
-        for &(hub, d) in &self.labels[v as usize] {
+        for &entry in self.label(v) {
+            let (hub, d) = (entry_hub(entry) as usize, entry_dist(entry));
             // The highway is symmetric: row `hub` read across is column
             // `hub` read down.
-            let row = &self.highway[hub as usize * k..(hub as usize + 1) * k];
-            for (best, &h) in out.iter_mut().zip(row) {
+            for (best, &h) in out.iter_mut().zip(&highway[hub * k..(hub + 1) * k]) {
                 *best = (*best).min(sat_add(h, d));
             }
         }
         out
     }
 
-    /// Flattens back into the frozen, query-servable form.
+    /// The frozen, query-servable form of the current state, as a copy:
+    /// the base's label arrays spliced with the replacement labels (each
+    /// clean run of vertices one copy, its offsets shifted), the edits left
+    /// pending. [`flatten`](Self::flatten) is the form that also adopts it.
     pub fn to_index(&self) -> HighwayCoverIndex {
-        let n = self.labels.len();
-        let mut label_offsets = Vec::with_capacity(n.saturating_add(1));
-        label_offsets.push(0u64);
-        let total = self.num_label_entries();
-        let mut label_entries = Vec::with_capacity(total);
-        for per_vertex in &self.labels {
-            for &(hub, d) in per_vertex {
-                label_entries.push(crate::view::pack_label_entry(hub, d));
-            }
-            label_offsets.push(label_entries.len() as u64);
-        }
+        let base = &self.base;
+        let (label_offsets, label_entries) =
+            self.labels.splice(&base.label_offsets, &base.label_entries);
         HighwayCoverIndex {
-            landmarks: self.landmarks.clone(),
-            landmark_rank: self.landmark_rank.clone(),
+            landmarks: base.landmarks.clone(),
+            landmark_rank: base.landmark_rank.clone(),
             label_offsets,
             label_entries,
-            highway: self.highway.clone(),
+            highway: self.highway().to_vec(),
         }
+    }
+
+    /// The frozen form of the current state, adopted as the new base: the
+    /// pending edits are spliced in ([`to_index`](Self::to_index)) and
+    /// cleared. With nothing pending — no label and no highway cell
+    /// rewritten since the last call — this is the previous result, the
+    /// same `Arc`, and copies nothing.
+    pub fn flatten(&mut self) -> Arc<HighwayCoverIndex> {
+        if !self.labels.is_empty() || self.highway.is_some() {
+            self.base = Arc::new(self.to_index());
+            self.labels = CsrPatches::new(self.num_vertices());
+            self.highway = None;
+        }
+        Arc::clone(&self.base)
     }
 
     /// Applies one edge delta to `graph` and repairs the index so it
@@ -291,10 +336,10 @@ impl DynamicIndex {
     /// (the matrix is symmetric) — one cell of
     /// [`landmark_distances`](Self::landmark_distances), `O(|L(v)|)`.
     fn landmark_distance(&self, i: usize, v: VertexId) -> u32 {
-        let k = self.landmarks.len();
-        self.labels[v as usize]
+        let (k, highway) = (self.num_landmarks(), self.highway());
+        self.label(v)
             .iter()
-            .map(|&(hub, d)| sat_add(self.highway[hub as usize * k + i], d))
+            .map(|&e| sat_add(highway[entry_hub(e) as usize * k + i], entry_dist(e)))
             .min()
             .unwrap_or(INFINITY)
     }
@@ -309,7 +354,7 @@ impl DynamicIndex {
         db: &[u32],
         cx: &mut BuildContext,
     ) -> RepairOutcome {
-        let k = self.landmarks.len();
+        let k = self.num_landmarks();
         let mut outcome = RepairOutcome {
             applied: true,
             ..RepairOutcome::default()
@@ -368,35 +413,50 @@ impl DynamicIndex {
         for i in 0..k {
             for j in (i + 1)..k {
                 let via = sat_add(sat_add(da[i], 1), db[j]).min(sat_add(sat_add(db[i], 1), da[j]));
-                if via < self.highway[i * k + j] {
-                    self.highway[i * k + j] = via;
-                    self.highway[j * k + i] = via;
+                if via < self.highway()[i * k + j] {
+                    let highway = self
+                        .highway
+                        .get_or_insert_with(|| self.base.highway.clone());
+                    highway[i * k + j] = via;
+                    highway[j * k + i] = via;
                 }
             }
         }
 
-        // Repair, in rank order, against the patched highway.
+        // Repair, in rank order, against the patched highway. A vertex's
+        // label is copied into the replacements on its first real change.
         for (i, x, d) in dropped {
-            if self.landmark_rank[x as usize] != NOT_A_LANDMARK {
+            if self.base.landmark_rank[x as usize] != NOT_A_LANDMARK {
                 continue; // a landmark's row is the highway
             }
-            let row = &self.highway[i as usize * k..(i as usize + 1) * k];
-            let label = &mut self.labels[x as usize];
-            let certified = label
-                .iter()
-                .any(|&(j, dj)| j != i && sat_add(row[j as usize], dj) <= d);
-            if !certified {
-                insert_sorted(label, i, d);
-            } else if let Ok(pos) = label.binary_search_by_key(&i, |&(r, _)| r) {
-                label.remove(pos);
+            let row = &self.highway()[i as usize * k..(i as usize + 1) * k];
+            let label = self.label(x);
+            let certified = label.iter().any(|&e| {
+                entry_hub(e) != i && sat_add(row[entry_hub(e) as usize], entry_dist(e)) <= d
+            });
+            // The `i` slot of the label — its entry, or the empty gap where
+            // one would go — becomes `(i, d)`, or nothing if certified.
+            let slot = match label.binary_search_by_key(&i, |&e| entry_hub(e)) {
+                Ok(pos) => pos..pos + 1,
+                Err(pos) => pos..pos,
+            };
+            let entry = [pack_label_entry(i, d)];
+            let wanted = if certified { &entry[..0] } else { &entry[..] };
+            if label[slot.clone()] == *wanted {
+                continue;
             }
+            let base = self.base.as_view();
+            self.labels
+                .get_or_insert_with(x, || base.packed_label(x).to_vec())
+                .splice(slot, wanted.iter().copied());
         }
         outcome
     }
 
     /// The delete branch: if any landmark is affected, relabel the
     /// post-edit graph for the same landmarks with the builder's sweep (see
-    /// the module docs for why nothing less is sound).
+    /// the module docs for why nothing less is sound) and adopt the sweep's
+    /// arrays as the new base, pending edits and all superseded.
     fn repair_delete(
         &mut self,
         graph: DynGraphView<'_>,
@@ -416,18 +476,17 @@ impl DynamicIndex {
             };
         }
 
-        let swept = build::label(
-            graph,
-            &self.landmarks,
-            &self.landmark_rank,
-            std::slice::from_mut(cx),
-        );
-        self.highway = swept.highway;
-        for (label, span) in self.labels.iter_mut().zip(swept.label_offsets.windows(2)) {
-            let entries = &swept.label_entries[span[0] as usize..span[1] as usize];
-            label.clear();
-            label.extend(entries.iter().map(|&e| unpack_label_entry(e)));
-        }
+        let (landmarks, landmark_rank) = (&self.base.landmarks, &self.base.landmark_rank);
+        let swept = build::label(graph, landmarks, landmark_rank, std::slice::from_mut(cx));
+        self.base = Arc::new(HighwayCoverIndex {
+            landmarks: landmarks.clone(),
+            landmark_rank: landmark_rank.clone(),
+            label_offsets: swept.label_offsets,
+            label_entries: swept.label_entries,
+            highway: swept.highway,
+        });
+        self.labels = CsrPatches::new(self.num_vertices());
+        self.highway = None;
 
         RepairOutcome {
             applied: true,
@@ -435,15 +494,6 @@ impl DynamicIndex {
             affected_vertices: 0,
             full_relabel: true,
         }
-    }
-}
-
-/// Inserts `(rank, d)` into a rank-sorted label vector, replacing any
-/// existing entry for the same rank.
-fn insert_sorted(entries: &mut Vec<(u32, u32)>, rank: u32, d: u32) {
-    match entries.binary_search_by_key(&rank, |&(r, _)| r) {
-        Ok(pos) => entries[pos] = (rank, d),
-        Err(pos) => entries.insert(pos, (rank, d)),
     }
 }
 

@@ -361,11 +361,14 @@ impl<'a> IndexView<'a> {
 
     /// The `(hub rank, distance)` label entries of vertex `v`, hub-sorted.
     pub fn label(&self, v: VertexId) -> impl Iterator<Item = (u32, u32)> + 'a {
+        self.packed_label(v).iter().map(|&e| unpack_label_entry(e))
+    }
+
+    /// The packed label entries of vertex `v`, hub-sorted.
+    pub(crate) fn packed_label(&self, v: VertexId) -> &'a [u64] {
         let lo = self.label_offsets[v as usize] as usize;
         let hi = self.label_offsets[v as usize + 1] as usize;
-        self.label_entries[lo..hi]
-            .iter()
-            .map(|&e| unpack_label_entry(e))
+        &self.label_entries[lo..hi]
     }
 
     /// Whether vertex `v` is a landmark.

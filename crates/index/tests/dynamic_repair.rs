@@ -503,6 +503,82 @@ fn partial_repair_stays_small_and_local_on_a_power_law_graph() {
     }
 }
 
+/// Flattening is a publish step, not part of the repair: two twins fed the
+/// same seeded edit script — one flattened after every delta, one only at
+/// the end of each batch of eight, so delete relabels land mid-batch with
+/// replacement labels pending — hold byte-identical label offsets, label
+/// entries and highway at every batch boundary. A delta that wrote nothing
+/// flattens to the very `Arc` published before it.
+#[test]
+fn flattening_per_delta_or_per_batch_gives_the_same_bytes() {
+    const BATCH: usize = 8;
+    for (name, base) in families() {
+        let n = base.num_vertices();
+        if n < 2 {
+            continue; // no representable edge edits
+        }
+        for &k in KS {
+            let built = HighwayCoverIndex::build_with(
+                &base,
+                &BuildOptions {
+                    num_landmarks: k,
+                    ..Default::default()
+                },
+            );
+            let mut per_delta = DynamicIndex::from_view(built.as_view());
+            let mut per_batch = DynamicIndex::from_view(built.as_view());
+            let mut graphs = [
+                DeltaGraph::new(base.as_view()),
+                DeltaGraph::new(base.as_view()),
+            ];
+            let mut cx = BuildContext::new();
+            let mut rng = SplitMix64::new(0xF1A7 ^ (n * 31 + k) as u64);
+            let mut published = per_delta.flatten();
+            for step in 0..3 * BATCH {
+                // Every third edit deletes an existing edge, so each batch
+                // holds deletes between inserts.
+                let u = rng.next_below(n as u64) as u32;
+                let adj = graphs[0].neighbors(u);
+                let v = if step % 3 == 1 && !adj.is_empty() {
+                    adj[rng.next_below(adj.len() as u64) as usize]
+                } else {
+                    rng.next_below(n as u64) as u32
+                };
+                if u == v {
+                    continue;
+                }
+                let delta = if graphs[0].has_edge(u, v) {
+                    EdgeDelta::delete(u, v)
+                } else {
+                    EdgeDelta::insert(u, v)
+                };
+                let tag = format!("[{name}] k={k} step {step} ({delta})");
+                let [a, b] = &mut graphs;
+                let outcome = per_delta.apply_and_repair(a, delta, &mut cx).unwrap();
+                assert_eq!(
+                    per_batch.apply_and_repair(b, delta, &mut cx).unwrap(),
+                    outcome
+                );
+                let flattened = per_delta.flatten();
+                if outcome.affected_vertices == 0 && !outcome.full_relabel {
+                    assert!(
+                        std::sync::Arc::ptr_eq(&published, &flattened),
+                        "{tag}: a delta that wrote nothing republished the labels"
+                    );
+                }
+                published = flattened;
+                if step % BATCH == BATCH - 1 {
+                    let batched = per_batch.flatten();
+                    let (got, want) = (batched.as_view(), published.as_view());
+                    assert_eq!(got.label_offsets(), want.label_offsets(), "{tag}: offsets");
+                    assert_eq!(got.label_entries(), want.label_entries(), "{tag}: entries");
+                    assert_eq!(got.highway(), want.highway(), "{tag}: highway");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn deltas_never_mutate_the_base_graph() {
     let base = hcl_core::testkit::barabasi_albert(60, 3, 7);

@@ -199,8 +199,9 @@ pub struct OpenPhases {
     pub graph: Duration,
     /// Semantic validation of the labelling (`IndexView::from_parts`).
     pub labels: Duration,
-    /// Pending journal deltas replayed over the base sections: label
-    /// repair per delta, then one rematerialised graph and index.
+    /// Pending journal deltas replayed over the base sections: the base
+    /// labels copied into editable form, label repair per delta, then the
+    /// graph and labels spliced back into flat arrays once.
     pub replay: Duration,
 }
 
@@ -530,7 +531,7 @@ impl IndexStore {
                 }
                 let state = ReplayedState {
                     graph: Arc::new(overlay.to_graph()),
-                    index: Arc::new(dynamic.to_index()),
+                    index: dynamic.flatten(),
                 };
                 open_phases.replay = t.elapsed();
                 Some(state)
