@@ -2,13 +2,13 @@
 //! indexes.
 //!
 //! ```text
-//! hcl build <graph.edges> [--out FILE.hcl] [--landmarks K] [--strategy S]
+//! hcl build <graph.edges> [--out FILE.hcl] [--landmarks K] [--threads T]
 //!           [--progress]
-//! hcl query (--index FILE.hcl [--trusted] | <graph.edges> [--landmarks K]
-//!           [--strategy S]) [--queries FILE | --random N] [--seed S]
+//! hcl query (--index FILE.hcl [--trusted] | <graph.edges> [--landmarks K])
+//!           [--queries FILE | --random N] [--seed S]
 //!           [--workers W] [--verify] [--explain]
-//! hcl serve (--index FILE.hcl [--trusted] | <graph.edges> [--landmarks K]
-//!           [--strategy S]) [--workers W] [--compact-after N]
+//! hcl serve (--index FILE.hcl [--trusted] | <graph.edges> [--landmarks K])
+//!           [--workers W] [--compact-after N]
 //!           [--slow-log-us N] [--quiet]
 //! hcl update <FILE.hcl> [--deltas FILE] [--compact-after N] [--compact]
 //! hcl inspect <FILE.hcl> [--stats]
@@ -47,7 +47,7 @@ mod sync;
 mod update;
 
 use hcl_core::{bfs, EdgeDelta, Graph, GraphBuilder, VertexId};
-use hcl_index::{BuildOptions, HighwayCoverIndex, QueryContext, QueryStats, SelectionStrategy};
+use hcl_index::{BuildOptions, HighwayCoverIndex, QueryContext, QueryStats};
 use hcl_store::IndexStore;
 use std::io::{BufRead, ErrorKind, IsTerminal, Read, Write};
 use std::process::ExitCode;
@@ -57,24 +57,20 @@ const USAGE: &str = "usage: hcl <command> [args]\n\
      \n\
      commands:\n\
        build <graph.edges> [--out FILE.hcl] [--landmarks K] [--threads T]\n\
-             [--strategy S] [--progress]\n\
+             [--progress]\n\
            Build the highway-cover index once and persist it (default\n\
-           output: <graph.edges>.hcl). Landmarks are swept 64 at a time;\n\
-           --threads shards those groups over T worker threads (default:\n\
-           HCL_BUILD_THREADS or all available cores; at most one worker\n\
-           per 64 landmarks ever starts), and the output is byte-identical\n\
-           at every thread count. --strategy picks how landmarks are\n\
-           chosen: degree-rank (default), approx-coverage[:seed], or\n\
-           seeded-random[:seed] (default: HCL_BUILD_STRATEGY, else\n\
-           degree-rank); the choice is recorded in the container header\n\
-           and shown by inspect. --progress\n\
-           streams per-phase lines (selection, each sweep group with its\n\
-           levels, activations, entries and covered arrivals, the label\n\
-           fill) to stderr. Build counters (BFS visits, covered arrivals,\n\
+           output: <graph.edges>.hcl). The K highest-degree vertices are\n\
+           the landmarks, swept 64 at a time; --threads shards those groups\n\
+           over T worker threads (default: HCL_BUILD_THREADS or all\n\
+           available cores; at most one worker per 64 landmarks ever\n\
+           starts), and the output is byte-identical at every thread\n\
+           count. --progress streams per-phase lines (selection, each\n\
+           sweep group with its levels, activations, entries and covered\n\
+           arrivals, the label fill) to stderr. Build counters (BFS visits, covered arrivals,\n\
            per-landmark label contributions) are always recorded in the\n\
            container and shown by inspect --stats.\n\
        query (--index FILE.hcl [--trusted] | <graph.edges> [--landmarks K]\n\
-             [--threads T] [--strategy S]) [--queries FILE | --random N]\n\
+             [--threads T]) [--queries FILE | --random N]\n\
              [--seed S] [--workers W] [--verify] [--explain]\n\
            Answer `u v` distance queries. With --index the saved container\n\
            is memory-mapped and served zero-copy — no rebuild; --trusted\n\
@@ -90,7 +86,7 @@ const USAGE: &str = "usage: hcl <command> [args]\n\
            stays byte-identical to a run without it. --explain answers\n\
            sequentially, so it ignores --workers.\n\
        serve (--index FILE.hcl [--trusted] | <graph.edges> [--landmarks K]\n\
-             [--threads T] [--strategy S]) [--workers W] [--listen ADDR]\n\
+             [--threads T]) [--workers W] [--listen ADDR]\n\
              [--max-inflight N] [--write-timeout-ms MS]\n\
              [--reload-signal hup|usr1|none] [--reload-retries N]\n\
              [--reload-backoff-ms MS] [--scrub-interval-s N]\n\
@@ -355,16 +351,6 @@ fn parse_or_usage<T: std::str::FromStr>(value: String, flag: &str) -> T {
     })
 }
 
-/// Parses a `--strategy name[:seed]` value, exiting with the detailed
-/// parse error (not the generic invalid-value line) on failure, since the
-/// strategy grammar is richer than a plain number.
-fn parse_strategy_or_usage(value: String) -> SelectionStrategy {
-    SelectionStrategy::parse(&value).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        usage()
-    })
-}
-
 /// Default landmark count when `--landmarks` is not passed.
 const DEFAULT_LANDMARKS: usize = 16;
 
@@ -413,16 +399,13 @@ fn resolve_workers(explicit: Option<usize>) -> usize {
 /// a container, or built from an edge list and served as an in-memory
 /// image of the container `hcl build` would write. `trusted` skips the
 /// container's whole-file checksum pass (structural and semantic
-/// validation still run); `selection` picks the landmark strategy for the
-/// build-from-edge-list forms (`None` = `HCL_BUILD_STRATEGY`, else degree
-/// ranking).
+/// validation still run).
 fn open_or_build(
     index_path: Option<&str>,
     graph_path: Option<&str>,
     num_landmarks: Option<usize>,
     threads: usize,
     trusted: bool,
-    selection: Option<SelectionStrategy>,
 ) -> Result<IndexStore, String> {
     match (index_path, graph_path) {
         (Some(path), None) => {
@@ -462,8 +445,7 @@ fn open_or_build(
             let options = BuildOptions {
                 num_landmarks,
                 threads,
-                batch_size: 0,
-                selection,
+                ..BuildOptions::default()
             };
             let t1 = Instant::now();
             let index = HighwayCoverIndex::build_with(&graph, &options);
@@ -477,14 +459,13 @@ fn open_or_build(
             );
             eprintln!(
                 "index: {} landmarks, {} label entries (avg {:.2}/vertex, max {}), \
-                 {:.1} KiB, built in {:.1?} with {threads} thread(s), strategy {}",
+                 {:.1} KiB, built in {:.1?} with {threads} thread(s)",
                 stats.num_landmarks,
                 stats.total_label_entries,
                 stats.avg_label_size,
                 stats.max_label_size,
                 stats.bytes as f64 / 1024.0,
-                build_time,
-                options.resolved_selection()
+                build_time
             );
             // Trusted: these bytes were produced in-process, so a CRC pass
             // over them proves nothing.
@@ -512,7 +493,6 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
     let mut out_path: Option<String> = None;
     let mut num_landmarks: Option<usize> = None;
     let mut threads: Option<usize> = None;
-    let mut selection: Option<SelectionStrategy> = None;
     let mut progress = false;
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
@@ -530,9 +510,6 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
                     next_value(&mut args, "--threads"),
                     "--threads",
                 ))
-            }
-            "--strategy" | "-s" => {
-                selection = Some(parse_strategy_or_usage(next_value(&mut args, "--strategy")))
             }
             "--help" | "-h" => help(),
             _ if graph_path.is_none() && !arg.starts_with('-') => graph_path = Some(arg),
@@ -554,8 +531,7 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
     let options = BuildOptions {
         num_landmarks: resolve_landmarks(num_landmarks, graph.num_vertices()),
         threads: resolve_build_threads(threads),
-        batch_size: 0,
-        selection,
+        ..BuildOptions::default()
     };
     let t1 = Instant::now();
     let mut progress_sink = |line: String| eprintln!("{line}");
@@ -567,15 +543,15 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
     let build_time = t1.elapsed();
     let stats = index.stats();
     let t2 = Instant::now();
+    // The thread count is left unrecorded (0) so that the same edge list
+    // builds the same file on every host and at every --threads value.
     let build_info = hcl_store::BuildInfo {
-        threads: options.threads as u32,
         batch_size: options.resolved_batch_size() as u32,
-        strategy: options.resolved_selection(),
+        ..hcl_store::BuildInfo::default()
     };
     // The container always carries the build counters (they are
-    // deterministic — independent of thread count — so persisted output
-    // stays byte-identical at every --threads value). Wall times are
-    // not persisted: they would break that identity.
+    // deterministic — independent of thread count — so they keep that
+    // identity). Wall times are not persisted: they would break it.
     let stored_stats = hcl_store::StoredBuildStats::from_build(&build_stats);
     let image = hcl_store::serialize_with_stats(&graph, &index, build_info, &stored_stats)
         .map_err(|e| format!("writing {out_path}: {e}"))?;
@@ -616,14 +592,13 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
     );
     eprintln!(
         "index: {} landmarks, {} label entries (avg {:.2}/vertex, max {}), built in {:.1?} \
-         with {} thread(s), strategy {}",
+         with {} thread(s)",
         stats.num_landmarks,
         stats.total_label_entries,
         stats.avg_label_size,
         stats.max_label_size,
         build_time,
-        build_info.threads,
-        build_info.strategy
+        options.threads
     );
     eprintln!(
         "wrote {out_path}: {} bytes ({:.1} KiB) in {:.1?} (serialise {serialise_time:.1?}, \
@@ -647,9 +622,6 @@ struct QueryOptions {
     num_landmarks: Option<usize>,
     /// Same deal for `--threads` (build-time only).
     threads: Option<usize>,
-    /// And for `--strategy` (build-time only; the stored index already
-    /// has its landmarks).
-    strategy: Option<SelectionStrategy>,
     queries_path: Option<String>,
     random_queries: Option<usize>,
     seed: u64,
@@ -669,7 +641,6 @@ fn parse_query_args(args: Vec<String>) -> QueryOptions {
         graph_path: None,
         num_landmarks: None,
         threads: None,
-        strategy: None,
         queries_path: None,
         random_queries: None,
         seed: 0xC0FFEE,
@@ -693,9 +664,6 @@ fn parse_query_args(args: Vec<String>) -> QueryOptions {
                     next_value(&mut args, "--threads"),
                     "--threads",
                 ))
-            }
-            "--strategy" => {
-                opts.strategy = Some(parse_strategy_or_usage(next_value(&mut args, "--strategy")))
             }
             "--queries" | "-q" => opts.queries_path = Some(next_value(&mut args, "--queries")),
             "--random" => {
@@ -726,12 +694,8 @@ fn parse_query_args(args: Vec<String>) -> QueryOptions {
         eprintln!("error: --queries and --random are mutually exclusive");
         usage();
     }
-    if opts.index_path.is_some()
-        && (opts.num_landmarks.is_some() || opts.threads.is_some() || opts.strategy.is_some())
-    {
-        eprintln!(
-            "error: --landmarks/--threads/--strategy only apply when building from an edge list"
-        );
+    if opts.index_path.is_some() && (opts.num_landmarks.is_some() || opts.threads.is_some()) {
+        eprintln!("error: --landmarks/--threads only apply when building from an edge list");
         usage();
     }
     if opts.trusted && opts.index_path.is_none() {
@@ -826,7 +790,6 @@ fn cmd_query(args: Vec<String>) -> Result<(), String> {
         opts.num_landmarks,
         resolve_build_threads(opts.threads),
         opts.trusted,
-        opts.strategy,
     )?;
     let (graph, index) = (store.graph(), store.index());
 
@@ -940,7 +903,6 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
     let mut graph_path: Option<String> = None;
     let mut num_landmarks: Option<usize> = None;
     let mut threads: Option<usize> = None;
-    let mut strategy: Option<SelectionStrategy> = None;
     let mut workers: Option<usize> = None;
     let mut trusted = false;
     let mut listen: Option<String> = None;
@@ -970,9 +932,6 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
                     next_value(&mut args, "--threads"),
                     "--threads",
                 ))
-            }
-            "--strategy" => {
-                strategy = Some(parse_strategy_or_usage(next_value(&mut args, "--strategy")))
             }
             "--workers" | "-w" => {
                 workers = Some(parse_or_usage(
@@ -1039,11 +998,8 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
             }
         }
     }
-    if index_path.is_some() && (num_landmarks.is_some() || threads.is_some() || strategy.is_some())
-    {
-        eprintln!(
-            "error: --landmarks/--threads/--strategy only apply when building from an edge list"
-        );
+    if index_path.is_some() && (num_landmarks.is_some() || threads.is_some()) {
+        eprintln!("error: --landmarks/--threads only apply when building from an edge list");
         usage();
     }
     if trusted && index_path.is_none() {
@@ -1085,7 +1041,6 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
         num_landmarks,
         resolve_build_threads(threads),
         trusted,
-        strategy,
     )?;
     let pipeline = pipeline::Pipeline::new(
         store,
@@ -1384,20 +1339,15 @@ fn cmd_inspect(args: Vec<String>) -> Result<(), String> {
         writeln!(out, "vertices:      {}", meta.num_vertices)?;
         writeln!(out, "edges:         {}", meta.num_edges)?;
         writeln!(out, "landmarks:     {}", meta.num_landmarks)?;
-        writeln!(out, "strategy:      {}", meta.build.strategy)?;
         writeln!(
             out,
             "label entries: {} (avg {:.2}/vertex, max {})",
             meta.label_entries, stats.avg_label_size, stats.max_label_size
         )?;
-        if meta.build == hcl_store::BuildInfo::default() {
+        if meta.build.batch_size == 0 {
             writeln!(out, "built with:    (unrecorded)")?;
         } else {
-            writeln!(
-                out,
-                "built with:    {} thread(s), sweep width {}",
-                meta.build.threads, meta.build.batch_size
-            )?;
+            writeln!(out, "built with:    sweep width {}", meta.build.batch_size)?;
         }
         match store.journal() {
             Some(j) => writeln!(

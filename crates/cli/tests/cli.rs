@@ -110,7 +110,7 @@ fn empty_graph_pipeline_builds_serves_inspects() {
     assert!(inspect.contains("vertices:      0"), "inspect: {inspect}");
     assert!(inspect.contains("landmarks:     0"), "inspect: {inspect}");
     assert!(
-        inspect.contains("built with:    2 thread(s), sweep width 64"),
+        inspect.contains("built with:    sweep width 64"),
         "inspect must show recorded build metadata: {inspect}"
     );
 }
@@ -456,8 +456,7 @@ fn landmark_clamp_warns_on_every_subcommand() {
             .args(["--landmarks", "2", "--queries"])
             .arg(&queries),
     );
-    // Scoped to the clamp warning: other warnings (e.g. an invalid
-    // HCL_BUILD_STRATEGY in the ambient environment) are legitimate.
+    // Scoped to the clamp warning: other warnings are legitimate.
     assert!(
         !stderr_of(&out).contains("warning: requested"),
         "spurious clamp warning: {}",
@@ -552,86 +551,13 @@ fn zero_landmarks_pipeline_round_trips_and_serves() {
     );
 }
 
-/// `--strategy` end to end: recorded in the container, shown by inspect,
-/// still answering exactly; rejected where it cannot apply.
-#[test]
-fn strategy_flag_is_recorded_and_validated() {
-    let scratch = Scratch::new("strategy");
-    let edges: String = (0..60u32)
-        .map(|i| format!("{} {}\n", i, (i * 11 + 1) % 60))
-        .collect();
-    let graph = scratch.file("g.edges", &edges);
-
-    for (flag, shown) in [
-        ("degree-rank", "degree-rank"),
-        ("approx-coverage:42", "approx-coverage:42"),
-        ("seeded-random", "seeded-random:0"),
-    ] {
-        let index = scratch.path(&format!("{}.hcl", flag.replace(':', "_")));
-        run_ok(
-            hcl()
-                .arg("build")
-                .arg(&graph)
-                .arg("--out")
-                .arg(&index)
-                .args(["--landmarks", "6", "--strategy", flag]),
-        );
-        let inspect = stdout_of(&run_ok(hcl().arg("inspect").arg(&index)));
-        assert!(
-            inspect.contains(&format!("strategy:      {shown}")),
-            "inspect must show `{shown}`: {inspect}"
-        );
-        // Whatever the landmarks, answers stay exact.
-        let out = run_ok(
-            hcl()
-                .arg("query")
-                .arg("--index")
-                .arg(&index)
-                .args(["--random", "200", "--verify"]),
-        );
-        assert!(stderr_of(&out).contains("all 200 answers match"));
-    }
-
-    // Unknown strategy name: usage error, not a build.
-    let out = hcl()
-        .arg("build")
-        .arg(&graph)
-        .args(["--strategy", "betweenness"])
-        .output()
-        .expect("spawn");
-    assert!(!out.status.success());
-    assert!(
-        stderr_of(&out).contains("unknown landmark-selection strategy"),
-        "stderr: {}",
-        stderr_of(&out)
-    );
-
-    // Build-time flag with a stored index: rejected like --landmarks.
-    let index = scratch.path("degree-rank.hcl");
-    for sub in ["query", "serve"] {
-        let out = hcl()
-            .arg(sub)
-            .arg("--index")
-            .arg(&index)
-            .args(["--strategy", "degree-rank"])
-            .output()
-            .expect("spawn");
-        assert!(!out.status.success(), "{sub} must reject --strategy");
-        assert!(
-            stderr_of(&out).contains("only apply when building from an edge list"),
-            "{sub} stderr: {}",
-            stderr_of(&out)
-        );
-    }
-}
-
-/// `--threads` must not change what gets served: byte-compare the section
-/// payloads of containers built sequentially and with 4 threads (their
-/// headers differ only in the recorded build metadata and checksum).
+/// `--threads` must not change what gets written: the same edge list
+/// builds the byte-identical container at every thread count, header
+/// included, so two hosts with different core counts agree.
 #[test]
 fn threads_flag_does_not_change_the_served_index() {
     let scratch = Scratch::new("threads");
-    // Enough landmarks for several sweep groups, so 4 threads means workers.
+    // Two sweep groups, so 3 threads means two workers.
     let edges: String = (0..400u32)
         .map(|i| format!("{} {}\n", i, (i * 7 + 1) % 400))
         .collect();
@@ -640,24 +566,19 @@ fn threads_flag_does_not_change_the_served_index() {
     let par = scratch.path("par.hcl");
     run_ok(hcl().arg("build").arg(&graph).arg("--out").arg(&seq).args([
         "--landmarks",
-        "130",
+        "70",
         "--threads",
         "1",
     ]));
     run_ok(hcl().arg("build").arg(&graph).arg("--out").arg(&par).args([
         "--landmarks",
-        "130",
+        "70",
         "--threads",
-        "4",
+        "3",
     ]));
     let a = std::fs::read(&seq).expect("read seq");
     let b = std::fs::read(&par).expect("read par");
-    assert_eq!(
-        a[hcl_store::HEADER_LEN..],
-        b[hcl_store::HEADER_LEN..],
-        "served payload must be thread-count independent"
-    );
-    assert_ne!(a, b, "recorded build metadata should differ");
+    assert!(a == b, "the container must be thread-count independent");
 
     // The batched builder's knob went with it: a usage error, not ignored.
     let out = hcl()

@@ -672,8 +672,7 @@ fn inspect_stats_degrades_gracefully_on_v4_containers() {
         &hcl_index::BuildOptions {
             num_landmarks: 4,
             threads: 1,
-            batch_size: 0,
-            selection: None,
+            ..hcl_index::BuildOptions::default()
         },
     );
     let bytes = hcl_store::serialize(&graph, &index).expect("serialize");

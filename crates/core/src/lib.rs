@@ -14,9 +14,8 @@
 //!   property-tested against. They run over views, so mapped graphs verify
 //!   identically to owned ones.
 //! * [`rng`] — the seeded SplitMix64 generator. Its output stream is
-//!   **frozen**: seeded landmark selection records only `(strategy, seed)`
-//!   in the on-disk container, so the stream is part of that format
-//!   contract.
+//!   **frozen**: the testkit graphs and the benchmark harness's seeded
+//!   inputs depend on it.
 //! * [`testkit`] — deterministic, seeded synthetic graph generators (paths,
 //!   cycles, stars, grids, Erdős–Rényi, Barabási–Albert) plus the shared
 //!   eleven-family property-test sweep, so every crate in the workspace

@@ -1,22 +1,20 @@
 //! The workspace's seeded pseudo-random number generator.
 //!
-//! This lives outside [`testkit`](crate::testkit) because it is **not**
-//! just test tooling: seeded landmark selection (`hcl-index`'s
-//! `ApproxCoverage`/`SeededRandom`) derives landmarks from this generator,
-//! and `.hcl` containers (format v4) record only the strategy tag and seed
-//! with the promise that the index can be rebuilt identically. The output
-//! stream is therefore part of the on-disk format contract.
+//! The testkit graph generators and the benchmark harness's seeded inputs
+//! are all drawn from this generator: a test that pins a generated graph,
+//! and a benchmark that compares runs by seed, rely on the same seed
+//! giving the same stream in every release.
 
 /// SplitMix64 pseudo-random number generator.
 ///
-/// Tiny, fast, and statistically fine for graph generation and landmark
-/// sampling. Not cryptographic.
+/// Tiny, fast, and statistically fine for graph generation. Not
+/// cryptographic.
 ///
 /// **The output stream is frozen.** Changing the algorithm, constants, or
 /// the [`next_below`](SplitMix64::next_below) mapping silently changes
-/// which landmarks a recorded seed reproduces — a *container-format-
-/// breaking change*, not an internal tweak. A pinned-constants test
-/// enforces this.
+/// every seeded testkit graph and benchmark input, and with them every
+/// test pinned to one and every benchmark baseline. A pinned-constants
+/// test enforces this.
 #[derive(Clone, Debug)]
 pub struct SplitMix64 {
     state: u64,
@@ -65,11 +63,11 @@ mod tests {
 
     #[test]
     fn rng_stream_is_frozen() {
-        // Recorded landmark-selection seeds (`.hcl` format v4) must
-        // reproduce identical selections forever, so the exact output
-        // stream is part of the on-disk contract. If this test fails, the
-        // RNG changed — that requires a container format version bump,
-        // not a constant update here.
+        // Seeded testkit graphs and benchmark inputs must reproduce
+        // identically forever, so the exact output stream is pinned. If
+        // this test fails, the RNG changed — that moves every pinned test
+        // graph and benchmark baseline, so fix the RNG, do not update the
+        // constants here.
         let mut rng = SplitMix64::new(42);
         let got: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
         assert_eq!(

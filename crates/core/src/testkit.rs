@@ -31,10 +31,10 @@ pub fn families() -> Vec<(String, Graph)> {
     ]
 }
 
-// The RNG itself lives in [`crate::rng`] — its output stream is frozen as
-// part of the `.hcl` container contract (recorded landmark-selection
-// seeds), which makes it more than test tooling. Re-exported here because
-// every generator below is seeded with it.
+// The RNG itself lives in [`crate::rng`] — its output stream is frozen
+// because the benchmark harness's seeded inputs depend on it too, which
+// makes it more than test tooling. Re-exported here because every
+// generator below is seeded with it.
 pub use crate::rng::SplitMix64;
 
 /// Simple path `0 - 1 - … - (n-1)`.
@@ -167,6 +167,21 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> Graph {
         }
     }
     b.build()
+}
+
+/// `min(k, n)` distinct vertices of `0..n` in a seeded random order (a
+/// partial Fisher–Yates shuffle) — a landmark list with no relation to
+/// degree, for checking that the labelling is right for any landmark set.
+pub fn random_vertices(n: usize, k: usize, seed: u64) -> Vec<VertexId> {
+    let k = k.min(n);
+    let mut rng = SplitMix64::new(seed);
+    let mut perm: Vec<VertexId> = (0..n as VertexId).collect();
+    for i in 0..k {
+        let j = i + rng.next_below((n - i) as u64) as usize;
+        perm.swap(i, j);
+    }
+    perm.truncate(k);
+    perm
 }
 
 /// Disjoint union of two generated graphs: `b`'s vertex ids are shifted

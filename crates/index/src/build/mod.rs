@@ -31,10 +31,10 @@
 
 mod sweep;
 
-use crate::select::{self, LandmarkSelector, SelectionStrategy};
+use crate::select::SelectionStrategy;
 use crate::view::IndexView;
 use hcl_core::bfs::BfsScratch;
-use hcl_core::{Graph, GraphView, VertexId};
+use hcl_core::{Graph, VertexId};
 use std::time::Instant;
 
 pub(crate) use sweep::label;
@@ -57,11 +57,11 @@ impl Default for IndexConfig {
     }
 }
 
-/// Full construction options: landmark count, worker threads, selection.
+/// Full construction options: landmark count and worker threads.
 ///
 /// [`IndexConfig`] stays the simple "how many landmarks" surface;
-/// `BuildOptions` adds worker-thread and strategy control for
-/// [`HighwayCoverIndex::build_with`]. Only the landmark set shapes the
+/// `BuildOptions` adds worker-thread control for
+/// [`HighwayCoverIndex::build_with`]. Only the landmark count shapes the
 /// output: the built index is byte-identical at every thread count (see
 /// the module docs).
 #[derive(Clone, Copy, Debug)]
@@ -77,12 +77,9 @@ pub struct BuildOptions {
     /// Ignored. The batched builder this field configured is gone; it
     /// stays only so struct literals written against it keep compiling.
     pub batch_size: usize,
-    /// Landmark-selection strategy. `None` means auto: the
-    /// `HCL_BUILD_STRATEGY` environment variable if set to a valid
-    /// `name[:seed]` spelling, otherwise
-    /// [`SelectionStrategy::DegreeRank`]. Unlike the thread count, the
-    /// strategy *shapes the output* (it decides which vertices anchor the
-    /// labelling), so persisted containers record it in their header.
+    /// Ignored: landmarks are always the top `num_landmarks` by degree.
+    /// The field stays only so struct literals written against it keep
+    /// compiling.
     pub selection: Option<SelectionStrategy>,
 }
 
@@ -117,13 +114,10 @@ impl BuildOptions {
         sweep::WIDTH
     }
 
-    /// The landmark-selection strategy this configuration resolves to:
-    /// the explicit [`BuildOptions::selection`] if set, else the
-    /// `HCL_BUILD_STRATEGY` environment variable, else degree ranking.
+    /// [`SelectionStrategy::DegreeRank`], whatever
+    /// [`BuildOptions::selection`] says.
     pub fn resolved_selection(&self) -> SelectionStrategy {
-        self.selection
-            .or_else(SelectionStrategy::from_env)
-            .unwrap_or_default()
+        SelectionStrategy::DegreeRank
     }
 }
 
@@ -275,9 +269,10 @@ pub struct HighwayCoverIndex {
 }
 
 impl HighwayCoverIndex {
-    /// Builds the index for `graph` with the given configuration: selects
-    /// the landmarks, then labels the graph for them (see the module docs
-    /// for the labelling and the sweep that computes it).
+    /// Builds the index for `graph` with the given configuration: takes
+    /// the `num_landmarks` highest-degree vertices as landmarks, then
+    /// labels the graph for them (see the module docs for the labelling
+    /// and the sweep that computes it).
     ///
     /// Thread count defaults to auto (`HCL_BUILD_THREADS` or the calling
     /// thread); use [`HighwayCoverIndex::build_with`] for explicit control.
@@ -285,13 +280,14 @@ impl HighwayCoverIndex {
         Self::build_with(graph, &BuildOptions::from(config))
     }
 
-    /// Builds the index with explicit thread and strategy control.
+    /// Builds the index with explicit thread control.
     ///
     /// The result is **byte-identical at every thread count**;
     /// `threads = 1` runs fully in the calling thread with one
     /// [`BuildContext`].
     pub fn build_with(graph: &Graph, options: &BuildOptions) -> Self {
-        Self::build_in(graph, options, &mut worker_contexts(options))
+        let landmarks = graph.top_k_by_degree(options.num_landmarks);
+        Self::build_in(graph, &landmarks, &mut worker_contexts(options))
     }
 
     /// [`HighwayCoverIndex::build_with`] plus instrumentation: returns the
@@ -306,83 +302,67 @@ impl HighwayCoverIndex {
     pub fn build_with_stats(
         graph: &Graph,
         options: &BuildOptions,
-        progress: Option<&mut dyn FnMut(String)>,
+        mut progress: Option<&mut dyn FnMut(String)>,
     ) -> (Self, BuildStats) {
-        let selector = options.resolved_selection().selector();
-        let mut stats = BuildStats::default();
+        let t = Instant::now();
+        let landmarks = graph.top_k_by_degree(options.num_landmarks);
+        let mut stats = BuildStats {
+            selection_us: t.elapsed().as_micros() as u64,
+            ..BuildStats::default()
+        };
+        if let Some(sink) = progress.as_mut() {
+            sink(format!(
+                "select: {} landmark(s) by degree in {} µs",
+                landmarks.len(),
+                stats.selection_us
+            ));
+        }
         let index = Self::build_observed(
             graph,
-            options,
+            &landmarks,
             &mut worker_contexts(options),
-            selector.as_ref(),
             &mut stats,
             progress,
         );
         (index, stats)
     }
 
-    /// Builds the index reusing caller-owned worker scratch — the
-    /// allocation-amortising form of [`HighwayCoverIndex::build_with`] for
-    /// repeated builds (benchmarks, rebuild loops).
+    /// Labels `graph` for a caller-supplied landmark list, in rank order
+    /// (rank 0 first), reusing caller-owned worker scratch. This is the
+    /// one explicit-landmark entry point: a repair that keeps its
+    /// landmarks compares against it, and repeated builds amortise their
+    /// allocations through it.
     ///
-    /// One worker runs per context, so `contexts.len()` — not
-    /// [`BuildOptions::threads`] — is the thread count here, capped at the
-    /// number of sweep groups (extra workers could never receive work). An
-    /// empty slice builds in the calling thread with temporary scratch.
-    /// Landmarks are chosen by [`BuildOptions::selection`] (resolved via
-    /// [`BuildOptions::resolved_selection`]).
-    pub fn build_in(graph: &Graph, options: &BuildOptions, contexts: &mut [BuildContext]) -> Self {
-        let selector = options.resolved_selection().selector();
-        Self::build_in_with_selector(graph, options, contexts, selector.as_ref())
-    }
-
-    /// [`HighwayCoverIndex::build_in`] with a caller-supplied
-    /// [`LandmarkSelector`] — the fully pluggable entry point for
-    /// strategies beyond the built-in [`SelectionStrategy`] tags.
+    /// One worker runs per context, so `contexts.len()` is the thread
+    /// count here, capped at the number of sweep groups (extra workers
+    /// could never receive work). An empty slice builds in the calling
+    /// thread with temporary scratch.
     ///
-    /// `options.selection` is ignored here (the explicit `selector` wins);
-    /// everything else behaves as in [`HighwayCoverIndex::build_in`]. The
-    /// selector's output is validated (exactly `min(k, n)` distinct
-    /// in-range ids) and the build panics with a message naming the
-    /// selector if the contract is violated. In a *multi-threaded* build
-    /// the selector runs under the same worker-panic capture as the
-    /// sweeps, so a faulty strategy surfaces as one coherent
-    /// `index build worker panicked: …` panic; a single-threaded build
-    /// runs the selector inline, where its panic already propagates
-    /// coherently (original payload and location) without wrapping.
-    pub fn build_in_with_selector(
-        graph: &Graph,
-        options: &BuildOptions,
-        contexts: &mut [BuildContext],
-        selector: &dyn LandmarkSelector,
-    ) -> Self {
-        Self::build_observed(
-            graph,
-            options,
-            contexts,
-            selector,
-            &mut BuildStats::default(),
-            None,
-        )
+    /// # Panics
+    /// Panics with a message naming the problem if `landmarks` has more
+    /// entries than `graph` has vertices, names a vertex out of range, or
+    /// names one vertex twice.
+    pub fn build_in(graph: &Graph, landmarks: &[VertexId], contexts: &mut [BuildContext]) -> Self {
+        Self::build_observed(graph, landmarks, contexts, &mut BuildStats::default(), None)
     }
 
     /// The one real build path: every public entry point funnels here.
-    /// `stats` is always populated (the un-instrumented entries hand in a
-    /// throwaway — the bookkeeping is a handful of timestamps and counter
-    /// folds per sweep *group*); `progress` streams per-phase lines when
-    /// given.
+    /// `stats` is always populated apart from `selection_us`, which only
+    /// [`build_with_stats`](Self::build_with_stats) measures (the
+    /// un-instrumented entries hand in a throwaway — the bookkeeping is a
+    /// handful of timestamps and counter folds per sweep *group*);
+    /// `progress` streams per-phase lines when given.
     fn build_observed(
         graph: &Graph,
-        options: &BuildOptions,
+        landmarks: &[VertexId],
         contexts: &mut [BuildContext],
-        selector: &dyn LandmarkSelector,
         stats: &mut BuildStats,
         mut progress: Option<&mut dyn FnMut(String)>,
     ) -> Self {
         let t_total = Instant::now();
         let graph = graph.as_view();
-        let n = graph.num_vertices();
-        let k = options.num_landmarks.min(n);
+        let landmark_rank = rank_table(landmarks, graph.num_vertices());
+        let k = landmarks.len();
         // Contexts beyond the group count could never receive work; cap
         // the pool so no idle worker threads get spawned.
         let workers = contexts.len().min(k.div_ceil(sweep::WIDTH));
@@ -392,26 +372,9 @@ impl HighwayCoverIndex {
             }
         };
 
-        let t = Instant::now();
-        let landmarks = if workers > 1 {
-            run_selection(graph, selector, k)
-        } else {
-            select::checked_select(selector, graph, k)
-        };
-        stats.selection_us = t.elapsed().as_micros() as u64;
-        emit(format!(
-            "select: {k} landmark(s) [{}] in {} µs",
-            selector.name(),
-            stats.selection_us
-        ));
-
-        let mut landmark_rank = vec![NOT_A_LANDMARK; n];
-        for (rank, &v) in landmarks.iter().enumerate() {
-            landmark_rank[v as usize] = rank as u32;
-        }
         let swept = label(
             graph.into(),
-            &landmarks,
+            landmarks,
             &landmark_rank,
             &mut contexts[..workers],
         );
@@ -439,14 +402,14 @@ impl HighwayCoverIndex {
             "fill: {} label entries laid out in {} µs",
             stats.label_insertions, stats.closure_us
         ));
-        stats.total_us = t_total.elapsed().as_micros() as u64;
+        stats.total_us = stats.selection_us + t_total.elapsed().as_micros() as u64;
         emit(format!(
             "build: done in {} µs ({:.1} % of arrivals covered)",
             stats.total_us,
             stats.domination_cut_rate() * 100.0
         ));
         HighwayCoverIndex {
-            landmarks,
+            landmarks: landmarks.to_vec(),
             landmark_rank,
             label_offsets: swept.label_offsets,
             label_entries: swept.label_entries,
@@ -501,23 +464,31 @@ fn worker_contexts(options: &BuildOptions) -> Vec<BuildContext> {
         .collect()
 }
 
-/// Runs landmark selection on a scoped worker thread, under the same
-/// capture-and-re-raise discipline as the sweep workers.
+/// The rank table of a landmark list: vertex id → rank, or
+/// [`NOT_A_LANDMARK`]; `n` entries.
 ///
-/// Selection strategies are *pluggable* code — the one part of the build a
-/// caller can inject — so the multi-threaded driver gives their panics the
-/// same single coherent surfacing as any other build-worker panic.
-fn run_selection(
-    graph: GraphView<'_>,
-    selector: &dyn LandmarkSelector,
-    num_landmarks: usize,
-) -> Vec<VertexId> {
-    std::thread::scope(|s| {
-        let handle = s.spawn(move || select::checked_select(selector, graph, num_landmarks));
-        sweep::join_workers(vec![handle])
-            .pop()
-            .expect("one selection worker, one result")
-    })
+/// # Panics
+/// Panics with a message naming the problem if the list has more than `n`
+/// entries, names a vertex `≥ n`, or names one vertex twice — a bad list
+/// must fail the build loudly, not corrupt the rank table.
+fn rank_table(landmarks: &[VertexId], n: usize) -> Vec<u32> {
+    assert!(
+        landmarks.len() <= n,
+        "landmark list has {} entries but the graph has only {n} vertices",
+        landmarks.len()
+    );
+    let mut landmark_rank = vec![NOT_A_LANDMARK; n];
+    for (rank, &v) in landmarks.iter().enumerate() {
+        let slot = landmark_rank
+            .get_mut(v as usize)
+            .unwrap_or_else(|| panic!("landmark list names out-of-range vertex {v} (n = {n})"));
+        assert!(
+            *slot == NOT_A_LANDMARK,
+            "landmark list names vertex {v} twice"
+        );
+        *slot = rank as u32;
+    }
+    landmark_rank
 }
 
 #[cfg(test)]
@@ -529,17 +500,7 @@ mod tests {
     #[test]
     fn star_landmark_is_the_centre() {
         let g = testkit::star(10);
-        // Pin the strategy: this test asserts *degree-rank* behaviour, so
-        // it must not float with the HCL_BUILD_STRATEGY ambient default
-        // (a random selector is free to pick a leaf).
-        let idx = HighwayCoverIndex::build_with(
-            &g,
-            &BuildOptions {
-                num_landmarks: 1,
-                selection: Some(SelectionStrategy::DegreeRank),
-                ..BuildOptions::default()
-            },
-        );
+        let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 1 });
         assert_eq!(idx.num_landmarks(), 1);
         assert!(idx.is_landmark(0));
         // Every leaf is labelled with the centre at distance 1.
@@ -656,5 +617,26 @@ mod tests {
         // The batch size is ignored: the sweep width is what is recorded.
         assert_eq!(explicit.resolved_batch_size(), 64);
         assert_eq!(BuildOptions::default().resolved_batch_size(), 64);
+    }
+
+    #[test]
+    fn build_in_rejects_bad_landmark_lists() {
+        let g = testkit::path(4);
+        for (bad, what, names) in [
+            (&[0, 1, 2, 3, 0][..], "too long", "5 entries"),
+            (&[0, 9], "out of range", "out-of-range vertex 9"),
+            (&[1, 1], "duplicate", "vertex 1 twice"),
+        ] {
+            let err = std::panic::catch_unwind(|| HighwayCoverIndex::build_in(&g, bad, &mut []))
+                .map(|_| ())
+                .expect_err(what);
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("panic message is a String");
+            assert!(
+                msg.starts_with("landmark list ") && msg.contains(names),
+                "{what}: {msg}"
+            );
+        }
     }
 }

@@ -311,7 +311,7 @@ pub(crate) fn label(
 /// context; anything else is re-raised verbatim via `resume_unwind` so
 /// custom payloads still reach the caller. When several workers panic, the
 /// first (by spawn order) wins — one build failure, one report.
-pub(crate) fn join_workers<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Vec<T> {
+fn join_workers<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Vec<T> {
     let mut out = Vec::with_capacity(handles.len());
     let mut panicked: Option<Box<dyn std::any::Any + Send>> = None;
     for handle in handles {
@@ -333,4 +333,55 @@ pub(crate) fn join_workers<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Vec<T> {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::join_workers;
+
+    #[test]
+    fn worker_panics_reraise_as_one_coherent_build_panic() {
+        // Quiet the panic banner for this *deliberate* panic only: a
+        // filtering hook that delegates everything else to the previous
+        // hook. Installed once and left in place — swapping the hook back
+        // mid-run would race with concurrently failing tests in this
+        // binary and could swallow their diagnostics.
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            if !msg.is_some_and(|m| m.contains("worker poisoned on purpose")) {
+                previous(info);
+            }
+        }));
+        let result = std::panic::catch_unwind(|| {
+            std::thread::scope(|s| {
+                let handles = (0..3)
+                    .map(|i| {
+                        s.spawn(move || {
+                            if i == 1 {
+                                panic!("worker poisoned on purpose");
+                            }
+                            i
+                        })
+                    })
+                    .collect();
+                join_workers(handles)
+            })
+        });
+
+        let Err(payload) = result else {
+            panic!("a panicked worker must fail the join");
+        };
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("re-raised build panic carries a String payload");
+        assert_eq!(
+            msg, "index build worker panicked: worker poisoned on purpose",
+            "one build panic carrying the worker's payload"
+        );
+    }
 }

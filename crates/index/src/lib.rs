@@ -3,9 +3,9 @@
 //!
 //! This crate implements the labelling the source paper
 //! (conf_edbt_Farhan021, IncHL+) maintains — the *highway cover labelling*
-//! of Farhan et al. (EDBT 2019): pick `k` *landmarks* (by default the
-//! highest-degree vertices), give vertex `v` the entry `(r, d(r, v))` for
-//! exactly those landmarks `r` with no other landmark on any shortest
+//! of Farhan et al. (EDBT 2019): pick the `k` highest-degree vertices as
+//! *landmarks*, give vertex `v` the entry `(r, d(r, v))` for exactly
+//! those landmarks `r` with no other landmark on any shortest
 //! `r`–`v` path, keep a small `k × k` *highway* of landmark-to-landmark
 //! distances, and answer queries as
 //!
@@ -27,10 +27,8 @@
 //! hub-sorted CSR; groups of 64 share nothing and are optionally sharded
 //! over scoped worker threads ([`BuildOptions`] / [`BuildContext`]), so
 //! the built index is byte-identical at every thread count — see the
-//! `build` module docs. *Which* vertices become landmarks is pluggable
-//! ([`LandmarkSelector`] / [`SelectionStrategy`]): degree ranking (the
-//! paper's default), greedy sampled-BFS coverage, or a seeded random
-//! baseline, each deterministic so the guarantee holds per strategy.
+//! `build` module docs. A caller with its own landmark list labels the
+//! graph for it with [`HighwayCoverIndex::build_in`].
 //!
 //! Storage comes in two backings sharing one query engine:
 //!
@@ -67,5 +65,5 @@ pub use build::{
 pub use probe::{AnswerSource, MergeKind, Probe, QueryStats};
 pub use query::QueryContext;
 pub use repair::{DynamicIndex, RepairOutcome};
-pub use select::{ApproxCoverage, DegreeRank, LandmarkSelector, SeededRandom, SelectionStrategy};
+pub use select::SelectionStrategy;
 pub use view::{pack_label_entry, unpack_label_entry, IndexDataError, IndexView};

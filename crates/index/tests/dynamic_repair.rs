@@ -10,9 +10,9 @@
 //! is measured below, not assumed.
 
 use hcl_core::testkit::{barabasi_albert, disjoint_union, families, SplitMix64};
-use hcl_core::{bfs, DeltaGraph, DeltaOp, EdgeDelta, Graph, GraphView, VertexId};
+use hcl_core::{bfs, DeltaGraph, DeltaOp, EdgeDelta, Graph};
 use hcl_index::repair::{DynamicIndex, RepairOutcome};
-use hcl_index::{BuildContext, BuildOptions, HighwayCoverIndex, LandmarkSelector, QueryContext};
+use hcl_index::{BuildContext, BuildOptions, HighwayCoverIndex, QueryContext};
 
 const SCRIPT_LEN: usize = 12;
 
@@ -303,21 +303,6 @@ fn repair_restores_invariants_and_writes_only_the_affected_set() {
     });
 }
 
-/// Hands the builder a landmark list fixed in advance, so a fresh build
-/// can be compared with a repaired index that keeps its landmarks.
-struct Fixed<'a>(&'a [VertexId]);
-
-impl LandmarkSelector for Fixed<'_> {
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-
-    fn select(&self, _graph: GraphView<'_>, k: usize) -> Vec<VertexId> {
-        assert_eq!(k, self.0.len());
-        self.0.to_vec()
-    }
-}
-
 /// How far a repaired index is from a fresh build over the same
 /// landmarks, after every step: the highway is equal and the labels are a
 /// superset — every fresh entry present at the same distance. An index as
@@ -337,16 +322,7 @@ fn repaired_labels_are_a_superset_of_a_fresh_builds() {
         let tag = s.tag;
         let repaired = s.dynamic.to_index();
         let landmarks = repaired.as_view().landmarks();
-        let options = BuildOptions {
-            num_landmarks: landmarks.len(),
-            ..Default::default()
-        };
-        let fresh = HighwayCoverIndex::build_in_with_selector(
-            s.graph,
-            &options,
-            &mut [],
-            &Fixed(landmarks),
-        );
+        let fresh = HighwayCoverIndex::build_in(s.graph, landmarks, &mut []);
         assert_eq!(
             repaired.as_view().highway(),
             fresh.as_view().highway(),

@@ -3,7 +3,7 @@
 //! oracle — including `None` for disconnected pairs.
 
 use hcl_core::{bfs, testkit, Graph, INFINITY};
-use hcl_index::{BuildOptions, HighwayCoverIndex, IndexConfig, QueryContext, SelectionStrategy};
+use hcl_index::{HighwayCoverIndex, IndexConfig, QueryContext};
 
 /// Exhaustively checks `index.query(u, v) == bfs_oracle(u, v)` for all
 /// pairs, for each landmark count in `ks`.
@@ -31,35 +31,28 @@ fn assert_matches_oracle(name: &str, g: &Graph, ks: &[usize]) {
 
 const KS: &[usize] = &[0, 1, 2, 4, 16];
 
-/// Exactness is strategy-independent: whatever vertices a selector picks,
-/// every query must still equal the BFS oracle — the labelling and query
-/// engine may assume nothing about *why* a vertex is a landmark. All
-/// pairs over the shared eleven-family sweep (`testkit::families`), every
-/// built-in strategy, several landmark counts.
+/// Exactness does not depend on how the landmarks were chosen: for the
+/// degree-ranked landmarks every build uses and for two seeded random
+/// landmark lists, every query must still equal the BFS oracle — the
+/// labelling and query engine may assume nothing about *why* a vertex is a
+/// landmark. All pairs over the shared eleven-family sweep
+/// (`testkit::families`), several landmark counts.
 #[test]
 fn every_strategy_matches_oracle_on_all_families() {
-    let strategies = [
-        SelectionStrategy::DegreeRank,
-        SelectionStrategy::ApproxCoverage { seed: 7 },
-        SelectionStrategy::SeededRandom { seed: 7 },
-    ];
     for (name, g) in testkit::families() {
-        for strategy in strategies {
-            for &k in &[0usize, 2, 8] {
-                let idx = HighwayCoverIndex::build_with(
-                    &g,
-                    &BuildOptions {
-                        num_landmarks: k,
-                        threads: 1,
-                        batch_size: 0,
-                        selection: Some(strategy),
-                    },
-                );
-                let n = g.num_vertices() as u32;
+        let n = g.num_vertices();
+        for &k in &[0usize, 2, 8] {
+            let lists = [
+                ("degree", g.top_k_by_degree(k)),
+                ("random:7", testkit::random_vertices(n, k, 7)),
+                ("random:8", testkit::random_vertices(n, k, 8)),
+            ];
+            for (list, landmarks) in lists {
+                let idx = HighwayCoverIndex::build_in(&g, &landmarks, &mut []);
                 let mut ctx = QueryContext::new();
-                for u in 0..n {
+                for u in 0..n as u32 {
                     let oracle = bfs::distances_from(&g, u);
-                    for v in 0..n {
+                    for v in 0..n as u32 {
                         let expected = match oracle[v as usize] {
                             INFINITY => None,
                             d => Some(d),
@@ -67,7 +60,7 @@ fn every_strategy_matches_oracle_on_all_families() {
                         assert_eq!(
                             idx.query_with(&g, &mut ctx, u, v),
                             expected,
-                            "{name}: query({u}, {v}) with k={k}, strategy {strategy} \
+                            "{name}: query({u}, {v}) with k={k}, {list} landmarks, \
                              disagrees with BFS oracle"
                         );
                     }

@@ -1,16 +1,15 @@
 //! What the builder must produce, and that it produces it identically
 //! however it is run: the labelling is checked entry by entry against the
-//! paper's definition by brute force, and every thread count and every
-//! selection strategy must yield an index whose five arrays are
-//! **identical** to the single-threaded build — over every testkit family
-//! plus two graphs large enough for several sweep groups. This is the
-//! contract that lets `hcl build --threads N` persist byte-identical `.hcl`
-//! containers regardless of the machine it ran on.
+//! paper's definition by brute force, for the degree-ranked landmarks and
+//! for seeded random landmark lists, and every thread count must yield an
+//! index whose five arrays are **identical** to the single-threaded build
+//! — over every testkit family plus two graphs large enough for several
+//! sweep groups. This is the contract that lets `hcl build --threads N`
+//! persist byte-identical `.hcl` containers regardless of the machine it
+//! ran on.
 
-use hcl_core::{bfs, testkit, Graph, GraphView, VertexId, INFINITY};
-use hcl_index::{
-    BuildContext, BuildOptions, HighwayCoverIndex, LandmarkSelector, SelectionStrategy,
-};
+use hcl_core::{bfs, testkit, Graph, VertexId, INFINITY};
+use hcl_index::{BuildContext, BuildOptions, HighwayCoverIndex};
 
 /// Array-level equality of two built indexes (stronger than answer-level:
 /// the serialised container is a function of exactly these arrays).
@@ -66,29 +65,28 @@ fn labelling_by_definition(g: &Graph, landmarks: &[VertexId]) -> Vec<Vec<(u32, u
         .collect()
 }
 
-const STRATEGIES: [SelectionStrategy; 3] = [
-    SelectionStrategy::DegreeRank,
-    SelectionStrategy::ApproxCoverage { seed: 11 },
-    SelectionStrategy::SeededRandom { seed: 11 },
-];
+/// The landmark lists the definition is checked over: the degree-ranked
+/// top `k` every build uses, and two seeded random lists of the same
+/// length, so the labelling is right for any landmark set, not just hubs.
+fn landmark_lists(g: &Graph, k: usize) -> Vec<(String, Vec<VertexId>)> {
+    let n = g.num_vertices();
+    let mut lists = vec![("degree".to_string(), g.top_k_by_degree(k))];
+    for seed in [11, 12] {
+        lists.push((
+            format!("random:{seed}"),
+            testkit::random_vertices(n, k, seed),
+        ));
+    }
+    lists
+}
 
-/// Builds single-threaded, asserts the 2-, 4- and 8-thread builds are
-/// identical to it, and hands the index back.
-fn build_at_every_thread_count(
-    tag: &str,
-    g: &Graph,
-    num_landmarks: usize,
-    selection: Option<SelectionStrategy>,
-) -> HighwayCoverIndex {
-    let opts = |threads| BuildOptions {
-        num_landmarks,
-        threads,
-        batch_size: 0,
-        selection,
-    };
-    let sequential = HighwayCoverIndex::build_with(g, &opts(1));
+/// Builds for `landmarks` in the calling thread, asserts the 2-, 4- and
+/// 8-worker builds are identical to it, and hands the index back.
+fn build_at_every_thread_count(tag: &str, g: &Graph, landmarks: &[VertexId]) -> HighwayCoverIndex {
+    let sequential = HighwayCoverIndex::build_in(g, landmarks, &mut [BuildContext::new()]);
     for threads in [2usize, 4, 8] {
-        let parallel = HighwayCoverIndex::build_with(g, &opts(threads));
+        let mut pool: Vec<BuildContext> = (0..threads).map(|_| BuildContext::new()).collect();
+        let parallel = HighwayCoverIndex::build_in(g, landmarks, &mut pool);
         assert_identical(&format!("{tag} t={threads}"), &sequential, &parallel);
     }
     sequential
@@ -97,35 +95,52 @@ fn build_at_every_thread_count(
 #[test]
 fn built_labelling_is_the_papers_definition_on_every_family() {
     for (name, g) in graphs() {
-        for (k, strategy) in KS.iter().flat_map(|&k| STRATEGIES.map(|s| (k, s))) {
-            let tag = format!("{name} k={k} {strategy}");
-            let built = build_at_every_thread_count(&tag, &g, k, Some(strategy));
-            let view = built.as_view();
-            let landmarks = view.landmarks();
-            assert_eq!(landmarks.len(), k.min(g.num_vertices()), "{tag}");
-            let expected = labelling_by_definition(&g, landmarks);
-            for (v, want) in expected.iter().enumerate() {
-                let got: Vec<(u32, u32)> = built.label(v as VertexId).collect();
-                assert_eq!(&got, want, "{tag}: label of vertex {v}");
-            }
-            for (i, &r) in landmarks.iter().enumerate() {
-                let own: Vec<(u32, u32)> = built.label(r).collect();
-                assert_eq!(own, [(i as u32, 0)], "{tag}: landmark {i}'s label");
-                let from = bfs::distances_from(&g, r);
-                let row = &view.highway()[i * landmarks.len()..][..landmarks.len()];
-                let want: Vec<u32> = landmarks.iter().map(|&o| from[o as usize]).collect();
-                assert_eq!(row, want, "{tag}: highway row {i}");
+        for k in KS {
+            for (list, landmarks) in landmark_lists(&g, k) {
+                let tag = format!("{name} k={k} {list}");
+                let built = build_at_every_thread_count(&tag, &g, &landmarks);
+                assert_definition(&tag, &g, &built);
             }
         }
     }
 }
 
-/// The ambient default strategy (`HCL_BUILD_STRATEGY` or degree rank).
+/// Asserts `built` is the paper's labelling of `g` for its own landmarks,
+/// entry by entry, and that its highway holds the exact distances.
+fn assert_definition(tag: &str, g: &Graph, built: &HighwayCoverIndex) {
+    let view = built.as_view();
+    let landmarks = view.landmarks();
+    let expected = labelling_by_definition(g, landmarks);
+    for (v, want) in expected.iter().enumerate() {
+        let got: Vec<(u32, u32)> = built.label(v as VertexId).collect();
+        assert_eq!(&got, want, "{tag}: label of vertex {v}");
+    }
+    for (i, &r) in landmarks.iter().enumerate() {
+        let own: Vec<(u32, u32)> = built.label(r).collect();
+        assert_eq!(own, [(i as u32, 0)], "{tag}: landmark {i}'s label");
+        let from = bfs::distances_from(g, r);
+        let row = &view.highway()[i * landmarks.len()..][..landmarks.len()];
+        let want: Vec<u32> = landmarks.iter().map(|&o| from[o as usize]).collect();
+        assert_eq!(row, want, "{tag}: highway row {i}");
+    }
+}
+
+/// Every [`BuildOptions::threads`] value — the knob `hcl build --threads`
+/// turns — builds the identical index.
 #[test]
 fn every_thread_count_builds_the_identical_index() {
     for (name, g) in graphs() {
         for k in KS {
-            build_at_every_thread_count(&format!("{name} k={k}"), &g, k, None);
+            let opts = |threads| BuildOptions {
+                num_landmarks: k,
+                threads,
+                ..BuildOptions::default()
+            };
+            let sequential = HighwayCoverIndex::build_with(&g, &opts(1));
+            for threads in [2usize, 4, 8] {
+                let parallel = HighwayCoverIndex::build_with(&g, &opts(threads));
+                assert_identical(&format!("{name} k={k} t={threads}"), &sequential, &parallel);
+            }
         }
     }
 }
@@ -137,91 +152,16 @@ fn build_in_reuses_contexts_across_builds() {
     let opts = BuildOptions {
         num_landmarks: 70,
         threads: 4,
-        batch_size: 0,
-        selection: None,
+        ..BuildOptions::default()
     };
     let mut pool: Vec<BuildContext> = (0..4).map(|_| BuildContext::new()).collect();
     for seed in 0..3 {
         let g = testkit::erdos_renyi(40 + 40 * seed as usize, 0.08, seed);
         let fresh = HighwayCoverIndex::build_with(&g, &opts);
-        let reused = HighwayCoverIndex::build_in(&g, &opts, &mut pool);
+        let landmarks = g.top_k_by_degree(opts.num_landmarks);
+        let reused = HighwayCoverIndex::build_in(&g, &landmarks, &mut pool);
         assert_identical(&format!("seed {seed}"), &fresh, &reused);
     }
-}
-
-#[test]
-fn every_strategy_is_thread_count_invariant() {
-    // The byte-identity guarantee must hold *per selection strategy*:
-    // selection runs once, deterministically, before the sweeps, so the
-    // thread count can never change which landmarks anchor the index — or
-    // anything downstream of them. Two groups, one of them partly full.
-    let g = testkit::barabasi_albert(160, 3, 7);
-    for strategy in STRATEGIES {
-        build_at_every_thread_count(&format!("ba(160,3) {strategy}"), &g, 100, Some(strategy));
-    }
-}
-
-/// A selector that panics when consulted — the "poisoned" pluggable
-/// strategy case. It pins the worker-panic contract: the build must
-/// surface **one coherent panic carrying the worker's payload**, not the
-/// old opaque `join().expect("build worker panicked")` secondary panic.
-struct PoisonedSelector;
-
-impl LandmarkSelector for PoisonedSelector {
-    fn name(&self) -> &'static str {
-        "poisoned"
-    }
-
-    fn select(&self, _graph: GraphView<'_>, _k: usize) -> Vec<VertexId> {
-        panic!("selector poisoned on purpose")
-    }
-}
-
-#[test]
-fn worker_panics_reraise_as_one_coherent_build_panic() {
-    // Two sweep groups, so the four contexts really mean worker threads.
-    let g = testkit::barabasi_albert(100, 2, 3);
-    let opts = BuildOptions {
-        num_landmarks: 70,
-        threads: 4,
-        batch_size: 0,
-        selection: None,
-    };
-    // Quiet the panic banner for this *deliberate* panic only: a filtering
-    // hook that delegates everything else to the previous hook. Installed
-    // once and left in place — swapping the hook back mid-run would race
-    // with concurrently failing tests in this binary and could swallow
-    // their diagnostics.
-    let previous = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let payload = info.payload();
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
-        if !msg.is_some_and(|m| m.contains("selector poisoned on purpose")) {
-            previous(info);
-        }
-    }));
-    let mut contexts: Vec<BuildContext> = (0..4).map(|_| BuildContext::new()).collect();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        HighwayCoverIndex::build_in_with_selector(&g, &opts, &mut contexts, &PoisonedSelector)
-    }));
-
-    let Err(payload) = result else {
-        panic!("poisoned selector must fail the build");
-    };
-    let msg = payload
-        .downcast_ref::<String>()
-        .expect("re-raised build panic carries a String payload");
-    assert!(
-        msg.contains("index build worker panicked"),
-        "missing build context in panic: {msg}"
-    );
-    assert!(
-        msg.contains("selector poisoned on purpose"),
-        "worker payload swallowed: {msg}"
-    );
 }
 
 #[test]
@@ -235,8 +175,7 @@ fn parallel_output_stays_exact_against_the_oracle() {
         &BuildOptions {
             num_landmarks: 72,
             threads: 4,
-            batch_size: 0,
-            selection: None,
+            ..BuildOptions::default()
         },
     );
     let n = g.num_vertices() as u32;

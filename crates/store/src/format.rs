@@ -17,11 +17,7 @@
 //!     56     8  total label entries (u64 LE)
 //!     64     4  build metadata: builder worker threads (u32 LE, 0 = unrecorded)
 //!     68     4  build metadata: landmarks per builder group (u32 LE, 0 = unrecorded)
-//!     72     4  landmark-selection strategy tag (u32 LE; see
-//!               `SelectionStrategy::tag` — 0 = degree-rank)
-//!     76     4  reserved (zeroed, ignored on read)
-//!     80     8  landmark-selection strategy seed (u64 LE)
-//!     88     8  reserved (zeroed, ignored on read)
+//!     72    24  reserved (zeroed, ignored on read)
 //!     96  S·24  section table: {kind u32, elem_size u32, offset u64,
 //!               len_bytes u64} per section (S = section count)
 //!      …     …  sections, each 8-byte aligned, zero-padded between
@@ -126,9 +122,6 @@ pub const HEADER_LEN: usize = 96;
 pub const CHECKSUM_OFFSET: usize = 24;
 /// Byte offset of the build-metadata block inside the header.
 const BUILD_META_OFFSET: usize = 64;
-/// Byte offsets of the selection-strategy fields inside the header.
-const STRATEGY_TAG_OFFSET: usize = 72;
-const STRATEGY_SEED_OFFSET: usize = 80;
 
 const SECTION_ENTRY_LEN: usize = 24;
 /// Highest section-kind discriminant.
@@ -402,25 +395,24 @@ impl StoredJournal {
 }
 
 /// How an index was built, recorded in the container header's
-/// build-metadata bytes. It never affects how the file is *served*, but it
-/// makes a persisted index reproducible — same graph, same landmark count,
-/// same selection strategy ⇒ byte-identical sections on any machine — and
-/// lets `hcl inspect` and capacity tooling tell builds apart.
+/// build-metadata bytes. It never affects how the file is *served*; the
+/// sections are a function of the graph and the landmark count alone, on
+/// any machine.
 ///
 /// `0` in `threads`/`batch_size` means "unrecorded" (e.g. a file written
 /// through the plain [`serialize`]/[`save`](crate::save) entry points).
-/// The strategy field always holds a concrete value; plain-serialize files
-/// carry the default, [`SelectionStrategy::DegreeRank`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BuildInfo {
-    /// Worker threads the builder ran with.
+    /// Worker threads the builder ran with; `hcl build` leaves it 0, so
+    /// its output is the same at every `--threads`.
     pub threads: u32,
     /// Landmarks per builder group: 64, the sweep width, in files this
     /// build writes (it no longer shapes the labelling); the batch size of
     /// the rank-ordered batched builder in older files.
     pub batch_size: u32,
-    /// Landmark-selection strategy (and its seed) the index was built
-    /// with. Recorded as a `(tag, seed)` pair in the header.
+    /// Always [`SelectionStrategy::DegreeRank`]: not written to the
+    /// header, and not read from it. The field stays only so struct
+    /// literals written against it keep compiling.
     pub strategy: SelectionStrategy,
 }
 
@@ -673,12 +665,7 @@ fn serialize_sections(
     out[BUILD_META_OFFSET..BUILD_META_OFFSET + 4].copy_from_slice(&build.threads.to_le_bytes());
     out[BUILD_META_OFFSET + 4..BUILD_META_OFFSET + 8]
         .copy_from_slice(&build.batch_size.to_le_bytes());
-    // Selection strategy tag + seed; bytes 76..80 and 88..96 stay zero
-    // (reserved).
-    out[STRATEGY_TAG_OFFSET..STRATEGY_TAG_OFFSET + 4]
-        .copy_from_slice(&build.strategy.tag().to_le_bytes());
-    out[STRATEGY_SEED_OFFSET..STRATEGY_SEED_OFFSET + 8]
-        .copy_from_slice(&build.strategy.seed().to_le_bytes());
+    // Bytes 72..96 stay zero (reserved).
     let crc = file_checksum(&out);
     out[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&crc.to_le_bytes());
     Ok(out)
@@ -781,10 +768,6 @@ pub(crate) fn parse_and_validate(
         return Err(corrupt("section table extends past end of file"));
     }
 
-    let tag = u32_le(bytes, STRATEGY_TAG_OFFSET);
-    let seed = u64_le(bytes, STRATEGY_SEED_OFFSET);
-    let strategy = SelectionStrategy::from_tag(tag, seed)
-        .ok_or_else(|| corrupt(format!("unknown landmark-selection strategy tag {tag}")))?;
     let meta = StoreMeta {
         version,
         file_len,
@@ -796,11 +779,12 @@ pub(crate) fn parse_and_validate(
         build: BuildInfo {
             threads: u32_le(bytes, BUILD_META_OFFSET),
             batch_size: u32_le(bytes, BUILD_META_OFFSET + 4),
-            strategy,
+            strategy: SelectionStrategy::DegreeRank,
         },
-        // The reserved header bytes (76..80 and 88..96) are deliberately
-        // not validated: a future writer may use them without breaking
-        // this reader.
+        // The reserved header bytes (72..96) are deliberately not
+        // validated: older writers stored a landmark-selection tag and seed
+        // there, and a future writer may use them without breaking this
+        // reader.
     };
 
     let mut ranges: [Option<Range<usize>>; MAX_SECTION_KINDS] = Default::default();

@@ -71,9 +71,6 @@ pub use format::{
 };
 pub use generation::{Generation, GenerationHandle};
 pub use tail::{encode_tail_frame, AppendOutcome, JournalWriter, TailInfo};
-// The strategy type recorded in [`BuildInfo`] lives in `hcl-index`;
-// re-exported so store-level tooling does not need the extra import.
-pub use hcl_index::SelectionStrategy;
 
 use backing::{cast_u32s, cast_u64s, AlignedBuf, Backing};
 use format::Layout;
@@ -95,8 +92,8 @@ pub fn save(
     save_with(path, graph, index, BuildInfo::default())
 }
 
-/// Serialises `graph` and `index` — recording `build` (builder threads,
-/// group width and strategy) in the container header — and writes them to
+/// Serialises `graph` and `index` — recording `build` (builder threads
+/// and group width) in the container header — and writes them to
 /// `path` atomically: the bytes go to a temporary sibling file which is
 /// then renamed over the target, so a concurrent reader either sees the
 /// old complete container or the new one — never a truncated half-write,
