@@ -19,7 +19,7 @@
 
 use crate::update::UpdatePhases;
 use hcl_index::AnswerSource;
-use hcl_store::OpenPhases;
+use hcl_store::{IndexStore, OpenPhases};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -216,6 +216,13 @@ pub(crate) struct ServerMetrics {
     pub(crate) update_failures: Counter,
     /// Journal folds triggered by `--compact-after` during live updates.
     pub(crate) compactions: Counter,
+    /// Live-update publishes that spliced the patched rows into fresh base
+    /// arrays (an overlay outgrew its bound, or a compaction needed flat
+    /// arrays).
+    pub(crate) update_folds: Counter,
+    /// Gauge: rows the live generation serves from its frozen overlays,
+    /// `[graph, labels]` (0 for a flat generation).
+    overlay_rows: [AtomicU64; 2],
     /// Bytes live updates wrote to the index file: one journal frame per
     /// batch, or a whole container per compaction.
     pub(crate) update_persist_bytes: Counter,
@@ -277,6 +284,8 @@ impl ServerMetrics {
             updates_applied: Counter::new("hcl_updates_applied_total"),
             update_failures: Counter::new("hcl_update_failures_total"),
             compactions: Counter::new("hcl_compactions_total"),
+            update_folds: Counter::new("hcl_update_folds_total"),
+            overlay_rows: std::array::from_fn(|_| AtomicU64::new(0)),
             update_persist_bytes: Counter::new("hcl_update_persist_bytes_total"),
             update_phase_ns: std::array::from_fn(|_| AtomicU64::new(0)),
             update_affected_landmarks: Counter::new("hcl_update_affected_landmarks_total"),
@@ -315,20 +324,32 @@ impl ServerMetrics {
         }
     }
 
+    /// Points `hcl_overlay_rows` at the generation going live.
+    pub(crate) fn record_overlay(&self, store: &IndexStore) {
+        let rows = [store.graph().patched_rows(), store.index().patched_rows()];
+        for (slot, rows) in self.overlay_rows.iter().zip(rows) {
+            slot.store(rows as u64, Ordering::Relaxed);
+        }
+    }
+
     /// Accounts one published update batch: `applied` effective deltas,
     /// where the time went and what the repairs touched (`phases`), what
-    /// reached the file, and the journal depth it left.
+    /// reached the file, whether it folded, and the journal depth it left.
     pub(crate) fn record_update(
         &self,
         phases: &UpdatePhases,
         applied: u64,
         bytes: Option<u64>,
         compacted: bool,
+        folded: bool,
         pending: usize,
     ) {
         self.updates_applied.add(applied);
         if compacted {
             self.compactions.inc();
+        }
+        if folded {
+            self.update_folds.inc();
         }
         self.update_persist_bytes.add(bytes.unwrap_or(0));
         for (slot, (_, took)) in self.update_phase_ns.iter().zip(phases.named()) {
@@ -369,6 +390,7 @@ impl ServerMetrics {
             &self.updates_applied,
             &self.update_failures,
             &self.compactions,
+            &self.update_folds,
             &self.update_persist_bytes,
             &self.update_affected_landmarks,
             &self.update_affected_vertices,
@@ -405,6 +427,10 @@ impl ServerMetrics {
             "hcl_journal_pending {}",
             self.journal_pending.load(Ordering::Relaxed)
         );
+        for (slot, overlay) in self.overlay_rows.iter().zip(["graph", "labels"]) {
+            let rows = slot.load(Ordering::Relaxed);
+            let _ = writeln!(out, "hcl_overlay_rows{{overlay=\"{overlay}\"}} {rows}");
+        }
         let _ = writeln!(
             out,
             "hcl_inflight_connections {}",
@@ -533,6 +559,7 @@ mod tests {
             2,
             Some(56),
             false,
+            true,
             7,
         );
         m.record_open(&OpenPhases {
@@ -561,6 +588,7 @@ mod tests {
             "hcl_updates_applied_total 2\n",
             "hcl_update_failures_total 0\n",
             "hcl_compactions_total 0\n",
+            "hcl_update_folds_total 1\n",
             "hcl_update_persist_bytes_total 56\n",
             "hcl_update_affected_landmarks_total 3\n",
             "hcl_update_affected_vertices_total 11\n",
@@ -573,6 +601,8 @@ mod tests {
             "hcl_update_phase_seconds_total{phase=\"persist\"} 0.001500\n",
             "hcl_update_phase_seconds_total{phase=\"swap\"} 0.000000\n",
             "hcl_journal_pending 7\n",
+            "hcl_overlay_rows{overlay=\"graph\"} 0\n",
+            "hcl_overlay_rows{overlay=\"labels\"} 0\n",
             "hcl_degraded 0\n",
             "hcl_latency_samples 1\n",
             "hcl_latency_us{quantile=\"0.99\"}",

@@ -241,18 +241,21 @@ impl Pipeline {
             store,
             bytes,
             compacted,
+            folded,
             mut phases,
         } = published;
+        self.metrics.record_overlay(&store);
         let t0 = Instant::now();
         let generation = self.handle.swap(store);
         phases.swap = t0.elapsed();
         self.metrics
-            .record_update(&phases, applied, bytes, compacted, pending);
+            .record_update(&phases, applied, bytes, compacted, folded, pending);
         self.metrics.update_latency.record(received.elapsed());
         eprintln!(
             "update from {origin}: {applied} delta(s) applied ({ignored} no-op) as generation \
-             {generation}{}{}; {phases}",
+             {generation}{}{}{}; {phases}",
             if compacted { "; journal compacted" } else { "" },
+            if folded { "; folded" } else { "" },
             match bytes {
                 Some(b) => format!("; {b} bytes written to disk"),
                 None => "; in-memory index, nothing persisted".to_string(),
@@ -285,11 +288,13 @@ impl Pipeline {
     }
 
     /// Points the gauges a freshly opened generation sets at `store`:
-    /// `hcl_open_seconds` at where its open spent the time, and
-    /// `hcl_journal_pending` at what a reopen of its file would replay
-    /// (live updates keep that one current from there).
+    /// `hcl_open_seconds` at where its open spent the time,
+    /// `hcl_overlay_rows` at its overlays (none: an open serves flat
+    /// arrays), and `hcl_journal_pending` at what a reopen of its file
+    /// would replay (live updates keep the last two current from there).
     fn set_open_gauges(&self, store: &IndexStore) {
         self.metrics.record_open(&store.open_phases());
+        self.metrics.record_overlay(store);
         let pending = store.journal().map_or(0, |j| j.len() as u64);
         self.metrics
             .journal_pending

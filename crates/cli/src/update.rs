@@ -13,14 +13,20 @@
 //!   image is never rewritten. Reopening the file replays the frames
 //!   through the same repair code and arrives at the live state.
 //! * **publish** — the next generation is an `IndexStore` sharing the
-//!   already-validated image and carrying the live graph and flattened
-//!   labels in its replayed slot: exactly what that reopen would produce,
-//!   with nothing serialised or re-validated. Making the live state flat
-//!   is a splice — the previous generation's arrays copied run by run with
-//!   the batch's patched rows in between — and labels the batch did not
-//!   write are not copied at all: the generation shares the previous one's
-//!   label `Arc`, which is also the engine's own base, so labels are
-//!   resident once.
+//!   already-validated image and carrying the live state in its replayed
+//!   slot: answers identical to that reopen's, with nothing serialised or
+//!   re-validated. The live state is *frozen*, not copied: the generation
+//!   shares the graph and label arrays of the engine's last fold (the same
+//!   `Arc`s every generation since holds, so they are resident once) and
+//!   gets a frozen copy of only the adjacency and label rows patched since
+//!   that fold, plus the patched highway — `O(rows patched + n / 64)`,
+//!   whatever the size of the graph.
+//! * **fold** — once either overlay holds more than `n / FOLD_DIVISOR`
+//!   patched rows, the publish first splices both into fresh base arrays
+//!   (`DeltaGraph::to_graph`, `DynamicIndex::flatten`: the previous arrays
+//!   copied run by run with the patched rows in between) and serves those
+//!   flat. That bounds what each freeze copies, and spreads the `O(n + m)`
+//!   splice over the publishes that filled the overlay.
 //!
 //! Only a compacting publish (`--compact-after N` reached, or `hcl update
 //! --compact`) writes a whole container — the live state as the new base,
@@ -39,11 +45,16 @@
 
 use hcl_core::{DeltaGraph, DeltaOp, DeltaPatches, EdgeDelta, Graph};
 use hcl_index::repair::{DynamicIndex, RepairOutcome};
-use hcl_index::{BuildContext, HighwayCoverIndex};
+use hcl_index::BuildContext;
 use hcl_store::{IndexStore, JournalWriter};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// A publish folds both overlays into fresh base arrays once either holds
+/// more than `n / FOLD_DIVISOR` patched rows: that bounds what each freeze
+/// copies, and amortises the `O(n + m)` splice over the publishes before it.
+const FOLD_DIVISOR: usize = 64;
 
 /// What one update batch cost: where it spent its time, measured at the
 /// engine's own boundaries, and how much of the index its repairs touched.
@@ -52,10 +63,11 @@ use std::time::{Duration, Instant};
 pub(crate) struct UpdatePhases {
     /// Label repair (`DynamicIndex::apply_and_repair`).
     pub(crate) repair: Duration,
-    /// Live state made servable, once per batch: the edited graph spliced
-    /// into a fresh CSR (`DeltaGraph::to_graph`) and the rewritten labels
-    /// into a fresh label array (`DynamicIndex::flatten`, free when the
-    /// batch wrote none) — memory-speed copies, `O(n + m)` bytes moved.
+    /// Live state made servable, once per batch: the rows patched since
+    /// the last fold frozen beside the shared base arrays (`DeltaPatches::
+    /// freeze`, `DynamicIndex::freeze`), or — when the batch folds — the
+    /// fold's splice into fresh base arrays (`DeltaGraph::to_graph`,
+    /// `DynamicIndex::flatten`, `O(n + m)` bytes moved) first.
     pub(crate) materialise: Duration,
     /// Made durable: the frame append, or the whole-container publish and
     /// reopen of a compaction.
@@ -110,6 +122,10 @@ pub(crate) struct Published {
     /// Whether the journal was folded into a new base
     /// (`--compact-after` threshold reached, or an explicit compact).
     pub(crate) compacted: bool,
+    /// Whether the publish spliced the overlays into fresh base arrays
+    /// (an overlay outgrew `n / FOLD_DIVISOR` rows, or a compaction needed
+    /// flat arrays); the generation is then flat.
+    pub(crate) folded: bool,
     /// Time since the previous publish, by phase (`swap` still zero).
     pub(crate) phases: UpdatePhases,
 }
@@ -121,16 +137,15 @@ pub(crate) struct UpdateEngine {
     /// The container's writer: shared image, pending journal, append
     /// handle to the `--index` file (if any).
     writer: JournalWriter,
-    /// The live graph as last materialised, shared with the generations
-    /// stamped from it; `patches` holds what was applied since.
+    /// The live graph as of the last fold, shared with every generation
+    /// stamped since; `patches` holds what was applied after it.
     live_graph: Arc<Graph>,
-    /// Adjacency edits applied since `live_graph` was materialised: the
-    /// detached half of the overlay repairs run on, kept across `apply`
-    /// calls so a batch pays one CSR splice, not one per delta.
+    /// Adjacency edits applied since the last fold: the detached half of
+    /// the overlay repairs run on, kept across `apply` calls and frozen
+    /// into each generation until the next fold splices it.
     patches: DeltaPatches,
-    /// The live labels: the last published label arrays (the same `Arc`
-    /// the served generation holds) plus the labels repaired since, so a
-    /// batch pays one splice, not one per delta.
+    /// The live labels: the label arrays of the last fold (the same `Arc`
+    /// every generation since holds) plus the labels repaired after it.
     dynamic: DynamicIndex,
     /// Deltas applied since the last publish: the next frame.
     staged: Vec<EdgeDelta>,
@@ -187,19 +202,16 @@ impl UpdateEngine {
         Ok(outcome)
     }
 
-    /// The live graph and flattened labels, brought up to date first: at
-    /// most one CSR splice and one label splice, however many deltas were
-    /// applied since the last call.
-    fn materialised(&mut self) -> (Arc<Graph>, Arc<HighwayCoverIndex>) {
-        let t0 = Instant::now();
+    /// The fold: splices the adjacency patches into a fresh live graph and
+    /// the label patches into fresh label arrays, both adopted as the new
+    /// base with nothing left pending.
+    fn fold(&mut self) {
         if !self.patches.is_empty() {
             let patches = std::mem::take(&mut self.patches);
             let graph = DeltaGraph::reattach(self.live_graph.as_view(), patches).to_graph();
             self.live_graph = Arc::new(graph);
         }
-        let index = self.dynamic.flatten();
-        self.phases.materialise += t0.elapsed();
-        (Arc::clone(&self.live_graph), index)
+        self.dynamic.flatten();
     }
 
     /// Pending (applied, not yet compacted) delta count.
@@ -215,19 +227,29 @@ impl UpdateEngine {
     /// Makes every delta applied since the last publish durable and
     /// returns the generation that serves them. Normally that is one
     /// frame appended to the file and a generation sharing the validated
-    /// image; when `force_compact` is set or the `--compact-after`
-    /// threshold is reached (and anything is pending), the live state is
-    /// instead published as a whole new container and reopened.
+    /// image and the last fold's arrays under a frozen overlay; when
+    /// `force_compact` is set or the `--compact-after` threshold is reached
+    /// (and anything is pending), the live state is instead folded,
+    /// published as a whole new container and reopened.
     pub(crate) fn publish(&mut self, force_compact: bool) -> Result<Published, String> {
-        let (graph, index) = self.materialised();
         let pending = self.pending();
         let compacting = pending > 0
             && (force_compact || (self.compact_after > 0 && pending >= self.compact_after));
         let t0 = Instant::now();
+        let limit = self.dynamic.num_vertices() / FOLD_DIVISOR;
+        let rows = [self.patches.num_patched(), self.dynamic.patched_rows()];
+        let folded = rows.iter().any(|&r| r > 0) && (compacting || rows.iter().any(|&r| r > limit));
+        if folded || compacting {
+            self.fold();
+        }
+        let (graph, index) = (self.patches.freeze(&self.live_graph), self.dynamic.freeze());
+        self.phases.materialise += t0.elapsed();
+
+        let t0 = Instant::now();
         let (store, written) = if compacting {
             let store = self
                 .writer
-                .compact(&graph, &index)
+                .compact(graph.base(), index.base())
                 .map_err(|e| format!("compacting the index: {e}"))?;
             let written = store.len_bytes();
             (store, written)
@@ -248,6 +270,7 @@ impl UpdateEngine {
             store,
             bytes: self.writer.path().is_some().then_some(written),
             compacted: compacting,
+            folded,
             phases: std::mem::take(&mut self.phases),
         })
     }
@@ -313,7 +336,7 @@ pub(crate) fn parse_delta_line(
 mod tests {
     use super::*;
     use hcl_core::testkit;
-    use hcl_index::{BuildOptions, QueryContext};
+    use hcl_index::{BuildOptions, HighwayCoverIndex, QueryContext};
 
     fn engine_for(n: usize, k: usize, seed: u64) -> (Graph, UpdateEngine) {
         let graph = testkit::barabasi_albert(n, 3, seed);
@@ -412,12 +435,14 @@ mod tests {
     /// Journal replay at open runs the same repair over the same deltas,
     /// so it must land on the same bytes as the live engine did — graph
     /// CSR, labels and highway — not merely on the same answers, over a
-    /// script of inserts and deletes published one by one. A publish whose
-    /// repair wrote no label serves its predecessor's label array itself.
+    /// script of inserts and deletes published one by one: the live
+    /// generation, spliced, equals the reopened file's flat arrays. A
+    /// publish that does not fold serves the previous generation's base
+    /// arrays themselves (the labels' too, unless a delete relabelled).
     #[test]
     fn reopening_the_file_replays_to_the_last_published_generation_byte_for_byte() {
-        const DELTAS: usize = 32;
-        let graph = testkit::barabasi_albert(300, 3, 21);
+        const DELTAS: usize = 40;
+        let graph = testkit::barabasi_albert(640, 3, 21);
         let index = HighwayCoverIndex::build_with(
             &graph,
             &BuildOptions {
@@ -433,15 +458,17 @@ mod tests {
         let mut rng = testkit::SplitMix64::new(0x4E91A7);
         // The first publish copies the labels out of the mapped file.
         let mut last = engine.publish(false).unwrap().store;
-        let (mut deletes, mut neutral) = (0, 0);
+        let (mut deletes, mut folds, mut shared) = (0, 0, 0);
         while engine.pending() < DELTAS {
-            // Every fourth delta deletes an edge of the served graph.
-            let u = rng.next_below(300) as u32;
+            // Every fourth delta deletes an edge of the served graph, until
+            // the last few inserts leave both overlays patched.
+            let u = rng.next_below(640) as u32;
             let adj = last.graph().neighbors(u);
-            let v = if engine.pending() % 4 == 3 && !adj.is_empty() {
+            let deleting = engine.pending() % 4 == 3 && engine.pending() < DELTAS - 8;
+            let v = if deleting && !adj.is_empty() {
                 adj[rng.next_below(adj.len() as u64) as usize]
             } else {
-                rng.next_below(300) as u32
+                rng.next_below(640) as u32
             };
             let delta = if last.graph().has_edge(u, v) {
                 EdgeDelta::delete(u, v)
@@ -452,34 +479,128 @@ mod tests {
                 continue;
             }
             let published = engine.publish(false).unwrap();
-            let phases = published.phases;
-            let wrote_labels = phases.affected_vertices > 0 || phases.full_relabels > 0;
-            let shared = published.store.index().label_entries().as_ptr()
-                == last.index().label_entries().as_ptr();
-            if !wrote_labels {
-                assert!(shared, "{delta}: a label-neutral publish copied the labels");
-                neutral += 1;
+            let (graph, index) = (published.store.graph(), published.store.index());
+            if published.folded {
+                assert!(!graph.is_patched() && !index.is_patched(), "{delta}: fold");
+                folds += 1;
+            } else {
+                let (was_graph, was_index) = (last.graph(), last.index());
+                assert_eq!(
+                    graph.unpatched().csr_neighbors().as_ptr(),
+                    was_graph.unpatched().csr_neighbors().as_ptr(),
+                    "{delta}: a publish copied the CSR"
+                );
+                if published.phases.full_relabels == 0 {
+                    assert_eq!(
+                        index.unpatched().label_entries().as_ptr(),
+                        was_index.unpatched().label_entries().as_ptr(),
+                        "{delta}: a publish copied the labels"
+                    );
+                }
+                shared += 1;
             }
             deletes += usize::from(delta.op == DeltaOp::Delete);
             last = published.store;
         }
         assert!(
-            deletes >= DELTAS / 4 && neutral > 0,
-            "{deletes} deletes, {neutral} neutral"
+            deletes >= DELTAS / 5 && folds > 0 && shared > 0,
+            "{deletes} deletes, {folds} folds, {shared} sharing publishes"
+        );
+        let rows = (last.graph().patched_rows(), last.index().patched_rows());
+        assert!(
+            rows.0 > 0 && rows.1 > 0,
+            "the last generation is not patched: {rows:?}"
         );
         let reopened = IndexStore::open(&path);
         std::fs::remove_file(&path).ok();
         let reopened = reopened.unwrap();
 
         assert_eq!(reopened.journal().unwrap().len(), DELTAS);
-        let (live, replayed) = (last.graph(), reopened.graph());
-        assert_eq!(replayed.csr_offsets(), live.csr_offsets());
-        assert_eq!(replayed.csr_neighbors(), live.csr_neighbors());
-        let (live, replayed) = (last.index(), reopened.index());
-        assert_eq!(replayed.landmarks(), live.landmarks());
-        assert_eq!(replayed.label_offsets(), live.label_offsets());
-        assert_eq!(replayed.label_entries(), live.label_entries());
-        assert_eq!(replayed.highway(), live.highway());
+        let (live_graph, live_index) = last.to_owned_parts();
+        let (graph, index) = (reopened.graph(), reopened.index());
+        assert_eq!(graph.csr_offsets(), live_graph.csr_offsets());
+        assert_eq!(graph.csr_neighbors(), live_graph.csr_neighbors());
+        let live = live_index.as_view();
+        assert_eq!(index.landmarks(), live.landmarks());
+        assert_eq!(index.label_offsets(), live.label_offsets());
+        assert_eq!(index.label_entries(), live.label_entries());
+        assert_eq!(index.highway(), live.highway());
+        assert_eq!(last.index().highway(), live.highway());
+    }
+
+    /// Every answer `store` gives from a few sources equals BFS on
+    /// `oracle`.
+    fn assert_answers_match(store: &IndexStore, oracle: &DeltaGraph<'_>, what: &str) {
+        let mut ctx = QueryContext::new();
+        let n = oracle.num_vertices() as u32;
+        for source in [0, n / 3, n - 1] {
+            let want = hcl_core::bfs::distances_from(oracle, source);
+            for target in (0..n).step_by(7) {
+                let got = store
+                    .index()
+                    .query_with(store.graph(), &mut ctx, source, target);
+                let want = Some(want[target as usize]).filter(|&d| d != hcl_core::INFINITY);
+                assert_eq!(got, want, "{what}: ({source}, {target})");
+            }
+        }
+    }
+
+    /// A publish folds exactly when an overlay holds more than `n / 64`
+    /// patched rows: the generation before it is patched, the folding one
+    /// and the next are flat, and every one answers like the BFS oracle —
+    /// also once a delete's full relabel has replaced the label base.
+    #[test]
+    fn the_publish_that_crosses_the_overlay_bound_folds_to_a_flat_generation() {
+        const N: usize = 3_000;
+        let (graph, mut engine) = engine_for(N, 8, 0xF01D);
+        let limit = N / FOLD_DIVISOR;
+        let mut oracle = DeltaGraph::new(graph.as_view());
+        let mut rng = testkit::SplitMix64::new(0xF01D);
+        let hub = graph.top_k_by_degree(1)[0];
+        for phase in ["inserts", "after a full relabel"] {
+            if phase != "inserts" {
+                // Deleting an edge at the top landmark affects it.
+                let w = oracle.neighbors(hub)[0];
+                engine.apply(EdgeDelta::delete(hub, w)).unwrap();
+                oracle.apply(EdgeDelta::delete(hub, w)).unwrap();
+                let published = engine.publish(false).unwrap();
+                assert_eq!(published.phases.full_relabels, 1, "{phase}");
+                assert_eq!(published.store.index().patched_rows(), 0, "{phase}");
+                assert_answers_match(&published.store, &oracle, phase);
+            }
+            let mut folded = false;
+            while !folded {
+                let (u, v) = (
+                    rng.next_below(N as u64) as u32,
+                    rng.next_below(N as u64) as u32,
+                );
+                if u == v || oracle.has_edge(u, v) {
+                    continue;
+                }
+                engine.apply(EdgeDelta::insert(u, v)).unwrap();
+                oracle.apply(EdgeDelta::insert(u, v)).unwrap();
+                let rows = [engine.patches.num_patched(), engine.dynamic.patched_rows()];
+                let published = engine.publish(false).unwrap();
+                let (graph, index) = (published.store.graph(), published.store.index());
+                let what = format!("{phase}: +{u} {v} over {rows:?} rows");
+                folded = rows.iter().any(|&r| r > limit);
+                assert_eq!(published.folded, folded, "{what}");
+                assert_eq!(graph.is_patched(), !folded, "{what}");
+                if folded {
+                    assert!(!index.is_patched(), "{what}");
+                    assert_eq!(engine.patches.num_patched(), 0, "{what}");
+                    assert_eq!(engine.dynamic.patched_rows(), 0, "{what}");
+                } else {
+                    assert_eq!(graph.patched_rows(), rows[0], "{what}");
+                    assert_eq!(index.patched_rows(), rows[1], "{what}");
+                }
+                assert_answers_match(&published.store, &oracle, &what);
+            }
+            // The generation after a fold starts a fresh overlay.
+            let next = engine.publish(false).unwrap();
+            assert!(!next.folded && !next.store.graph().is_patched(), "{phase}");
+            assert_answers_match(&next.store, &oracle, phase);
+        }
     }
 
     #[test]

@@ -563,9 +563,9 @@ fn http_update_compact_after_folds_journal_while_serving() {
 }
 
 /// A `POST /update` body is one batch: its deltas are repaired one by
-/// one on a single overlay and the CSR and labels are spliced once, at
-/// publish — not once per line. Same answers as the same edges posted one
-/// per request (and as the BFS oracle), same repairs, a fraction of the
+/// one on a single overlay, which is frozen once, at publish — not once
+/// per line. Same answers as the same edges posted one per request (and
+/// as the BFS oracle), same repairs and folds, a fraction of the
 /// `materialise` time (read from `/metrics`, whose phase totals resolve
 /// microseconds; the stderr line rounds to 0.1 ms).
 #[test]
@@ -641,6 +641,10 @@ fn batched_update_body_materialises_once_and_matches_single_posts() {
         assert!(batched.metric(name) > 0, "{name} never moved");
         assert_eq!(batched.metric(name), single.metric(name), "{name}");
     }
+    // 64 inserts patch fewer than n / 64 rows: neither side folds.
+    for server in [batched, single] {
+        assert_eq!(server.metric("hcl_update_folds_total"), 0);
+    }
     assert_eq!(batched.metric("hcl_update_latency_samples"), 1);
     assert_eq!(single.metric("hcl_update_latency_samples"), BATCH as u64);
 
@@ -652,7 +656,7 @@ fn batched_update_body_materialises_once_and_matches_single_posts() {
     assert!(
         batch_s > 0.0 && batch_s * 4.0 < single_s,
         "one {BATCH}-line body spent {:.3} ms materialising, {BATCH} single posts {:.3} ms: \
-         the batch is splicing per delta",
+         the batch is freezing per delta",
         batch_s * 1e3,
         single_s * 1e3
     );
@@ -705,13 +709,20 @@ fn acked_updates_survive_kill_9_as_appended_journal_frames() {
         let name = format!("hcl_update_phase_seconds_total{{phase=\"{phase}\"}} ");
         assert!(metrics.contains(&name), "missing {name} in:\n{metrics}");
     }
+    // On 90 vertices an overlay may hold one row (n / 64), so every insert
+    // folds and the live generation is flat.
+    assert_eq!(server.metric("hcl_update_folds_total"), 5);
+    for overlay in ["graph", "labels"] {
+        let name = format!("hcl_overlay_rows{{overlay=\"{overlay}\"}} 0\n");
+        assert!(metrics.contains(&name), "missing {name} in:\n{metrics}");
+    }
     // SIGKILL: no drain, no flush, no goodbye.
     server.child.kill().expect("kill -9");
     server.child.wait().expect("reap");
     let stderr = server.stderr.lock().unwrap().clone();
     assert!(
-        stderr.contains("40 bytes written to disk; repair="),
-        "update log line lost its size or phases:\n{stderr}"
+        stderr.contains("; folded; 40 bytes written to disk; repair="),
+        "update log line lost its fold, size or phases:\n{stderr}"
     );
     drop(server);
 

@@ -16,6 +16,13 @@
 //! and the patched rows copied in row order — so it costs two memory-speed
 //! copies, not a sort.
 //!
+//! Serving an edited graph needs no splice at all: [`CsrPatches::freeze`]
+//! copies just the patched rows into a [`FrozenPatches`] — one array of
+//! rows behind a rank-indexed bitset, immutable and shareable across
+//! threads — and a [`FrozenGraph`] serves the shared base `Arc` under it
+//! as a patched [`GraphView`]. Freezing costs `O(rows patched + n / 64)`,
+//! whatever the size of the base.
+//!
 //! [`DynGraphView`] is the enum-dispatched view unifying both worlds: the
 //! BFS oracles in [`crate::bfs`] accept `impl Into<DynGraphView>` and run
 //! unchanged over a frozen CSR or a base+delta overlay. The vertex set is
@@ -27,6 +34,7 @@ use crate::bitset::DenseBitSet;
 use crate::graph::{Graph, GraphView, VertexId};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// What an [`EdgeDelta`] does to the edge `(u, v)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -146,8 +154,9 @@ impl std::error::Error for DeltaError {}
 /// the overlay half of every base-plus-edits structure in the workspace —
 /// adjacency lists in [`DeltaGraph`], packed label entries in `hcl-index`'s
 /// `DynamicIndex`. A row is read from here when it was patched and from
-/// the base arrays otherwise; [`CsrPatches::splice`] folds the patches
-/// into one fresh copy of the base at memory speed.
+/// the base arrays otherwise; [`CsrPatches::freeze`] copies the patched
+/// rows into their shareable, immutable form, and [`CsrPatches::splice`]
+/// folds the patches into one fresh copy of the base at memory speed.
 #[derive(Debug, Default)]
 pub struct CsrPatches<T> {
     rows: HashMap<VertexId, Vec<T>>,
@@ -173,7 +182,7 @@ impl<T: Copy> CsrPatches<T> {
     }
 
     /// Number of patched rows.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.rows.len()
     }
 
@@ -213,6 +222,125 @@ impl<T: Copy> CsrPatches<T> {
             .map(|(&row, items)| (row, items.as_slice()))
     }
 
+    /// The patched rows, frozen: one copy of each replacement row, in row
+    /// order, behind a rank-indexed bitset — `O(rows patched + n / 64)`.
+    /// `base_offsets` are the offsets of the base the patches apply to;
+    /// the patches themselves are left as they are.
+    ///
+    /// # Panics
+    /// Panics if `base_offsets` does not have one row per row of the base
+    /// the patches were made for.
+    pub fn freeze(&self, base_offsets: &[u64]) -> FrozenPatches<T> {
+        let n = self.num_rows();
+        assert_eq!(
+            base_offsets.len(),
+            n + 1,
+            "base row count differs from the patches'"
+        );
+        let mut words = vec![0u64; n.div_ceil(64)];
+        let mut rows = Vec::with_capacity(self.len());
+        let mut offsets = Vec::with_capacity(self.len() + 1);
+        let mut items = Vec::new();
+        let (mut added, mut removed) = (0, 0);
+        offsets.push(0);
+        for row in self.is_patched.iter() {
+            let patched = &self.rows[&(row as VertexId)];
+            words[row / 64] |= 1 << (row % 64);
+            rows.push(row as VertexId);
+            items.extend_from_slice(patched);
+            offsets.push(items.len() as u64);
+            added += patched.len();
+            removed += (base_offsets[row + 1] - base_offsets[row]) as usize;
+        }
+        let mut before = Vec::with_capacity(words.len());
+        let mut rank = 0u32;
+        for word in &words {
+            before.push(rank);
+            rank += word.count_ones();
+        }
+        FrozenPatches {
+            num_rows: n,
+            words,
+            before,
+            rows,
+            offsets,
+            items,
+            added,
+            removed,
+        }
+    }
+
+    /// The base arrays with every patch applied, as fresh CSR arrays; see
+    /// [`FrozenPatches::splice`].
+    ///
+    /// # Panics
+    /// Panics if `offsets` does not have one row per row of the base the
+    /// patches were made for.
+    pub fn splice(&self, offsets: &[u64], items: &[T]) -> (Vec<u64>, Vec<T>) {
+        self.freeze(offsets).splice(offsets, items)
+    }
+}
+
+/// Replacement rows for a CSR array, frozen ([`CsrPatches::freeze`]):
+/// the overlay half of a served generation. Immutable, so one copy is
+/// shared by every reader of that generation.
+///
+/// The rows sit back to back in row order, and a per-word prefix count
+/// over the patched-row bitset ranks a row among them, so a read of an
+/// unpatched row tests one bit and a read of a patched row adds a
+/// popcount — no hashing.
+#[derive(Clone, Debug)]
+pub struct FrozenPatches<T> {
+    /// Rows of the base these patches apply to.
+    num_rows: usize,
+    /// One bit per base row: set when the row is replaced.
+    words: Vec<u64>,
+    /// Patched rows in the words before each word.
+    before: Vec<u32>,
+    /// The patched rows, ascending.
+    rows: Vec<VertexId>,
+    /// `offsets[i]..offsets[i + 1]` indexes `items` for `rows[i]`.
+    offsets: Vec<u64>,
+    items: Vec<T>,
+    /// Items in the replacement rows, and in the base rows they replace.
+    added: usize,
+    removed: usize,
+}
+
+impl<T: Copy> FrozenPatches<T> {
+    /// Rows of the base these patches apply to.
+    pub fn num_rows(&self) -> usize {
+        self.num_rows
+    }
+
+    /// Number of patched rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether no row is patched.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The replacement for `row`, or `None` when the base row stands.
+    #[inline]
+    pub fn get(&self, row: VertexId) -> Option<&[T]> {
+        let (w, bit) = (row as usize / 64, row % 64);
+        let word = *self.words.get(w)?;
+        if (word >> bit) & 1 == 0 {
+            return None;
+        }
+        let rank = self.before[w] as usize + (word & ((1 << bit) - 1)).count_ones() as usize;
+        Some(&self.items[self.offsets[rank] as usize..self.offsets[rank + 1] as usize])
+    }
+
+    /// The item count of a base array of `base_len` items under these
+    /// patches.
+    pub fn patched_len(&self, base_len: usize) -> usize {
+        base_len - self.removed + self.added
+    }
+
     /// The base arrays with every patch applied, as fresh CSR arrays:
     /// each run of unpatched rows between two patched ones is one copy of
     /// its items plus its offsets shifted, each patched row one copy of
@@ -222,34 +350,65 @@ impl<T: Copy> CsrPatches<T> {
     /// Panics if `offsets` does not have one row per row of the base the
     /// patches were made for.
     pub fn splice(&self, offsets: &[u64], items: &[T]) -> (Vec<u64>, Vec<T>) {
-        let n = self.num_rows();
+        let n = self.num_rows;
         assert_eq!(
             offsets.len(),
             n + 1,
             "base row count differs from the patches'"
         );
-        let base_len = |row: usize| (offsets[row + 1] - offsets[row]) as usize;
-        let len = self.iter().fold(items.len(), |len, (row, patched)| {
-            len - base_len(row as usize) + patched.len()
-        });
         let mut out_offsets = Vec::with_capacity(n + 1);
-        let mut out_items = Vec::with_capacity(len);
+        let mut out_items = Vec::with_capacity(self.patched_len(items.len()));
         out_offsets.push(0);
         // `next` is the first row not yet written; `n` closes the last run.
         let mut next = 0;
-        for row in self.is_patched.iter().chain([n]) {
+        let patched = self.rows.iter().map(|&row| row as usize).enumerate();
+        for (rank, row) in patched.chain([(self.len(), n)]) {
             // The clean run `next..row`: one copy, offsets shifted.
             let (lo, hi) = (offsets[next], offsets[row]);
             let at = out_items.len() as u64;
             out_items.extend_from_slice(&items[lo as usize..hi as usize]);
             out_offsets.extend(offsets[next + 1..=row].iter().map(|&o| o - lo + at));
             if row < n {
-                out_items.extend_from_slice(&self.rows[&(row as VertexId)]);
+                let (lo, hi) = (self.offsets[rank], self.offsets[rank + 1]);
+                out_items.extend_from_slice(&self.items[lo as usize..hi as usize]);
                 out_offsets.push(out_items.len() as u64);
                 next = row + 1;
             }
         }
         (out_offsets, out_items)
+    }
+}
+
+/// A graph as a served generation holds it: the CSR of the last fold,
+/// shared by `Arc` with every generation since, plus the frozen adjacency
+/// patches made after it (none when the generation is flat).
+#[derive(Debug)]
+pub struct FrozenGraph {
+    base: Arc<Graph>,
+    patches: Option<FrozenPatches<VertexId>>,
+}
+
+impl FrozenGraph {
+    /// `base` with no patches.
+    pub fn flat(base: Arc<Graph>) -> Self {
+        Self {
+            base,
+            patches: None,
+        }
+    }
+
+    /// The shared base CSR.
+    pub fn base(&self) -> &Arc<Graph> {
+        &self.base
+    }
+
+    /// The graph as a view: the base under the patches.
+    pub fn as_view(&self) -> GraphView<'_> {
+        let base = self.base.as_view();
+        match &self.patches {
+            Some(patches) => base.with_patches(patches),
+            None => base,
+        }
     }
 }
 
@@ -407,6 +566,23 @@ impl DeltaPatches {
     /// materialise).
     pub fn is_empty(&self) -> bool {
         self.patched.is_empty()
+    }
+
+    /// Number of vertices whose adjacency differs from the base.
+    pub fn num_patched(&self) -> usize {
+        self.patched.len()
+    }
+
+    /// The edits frozen over `base`, the graph they were detached from:
+    /// `base` shared, the patched rows copied ([`CsrPatches::freeze`]).
+    ///
+    /// # Panics
+    /// Panics if the patches were made for a graph of another vertex count.
+    pub fn freeze(&self, base: &Arc<Graph>) -> FrozenGraph {
+        FrozenGraph {
+            base: Arc::clone(base),
+            patches: (!self.is_empty()).then(|| self.patched.freeze(base.csr_offsets())),
+        }
     }
 }
 
@@ -644,6 +820,98 @@ mod tests {
             patches.splice(&offsets, &items),
             (vec![0, 2, 4, 6, 6], vec![10, 11, 15, 16, 20, 21])
         );
+    }
+
+    #[test]
+    fn frozen_patches_read_and_splice_like_the_patches() {
+        // 130 rows, so the patched rows straddle three bitset words.
+        let n = 130;
+        let offsets: Vec<u64> = (0..=n as u64).map(|r| 2 * r).collect();
+        let items: Vec<u64> = (0..2 * n as u64).collect();
+        let mut patches = CsrPatches::new(n);
+        assert!(patches.freeze(&offsets).is_empty());
+        for row in [0u32, 5, 63, 64, 65, 127, 129] {
+            let replacement = patches.get_or_insert_with(row, Vec::new);
+            replacement.extend((0..u64::from(row % 4)).map(|i| 1000 * u64::from(row) + i));
+        }
+        let frozen = patches.freeze(&offsets);
+        assert_eq!((frozen.num_rows(), frozen.len()), (n, 7));
+        for row in 0..n as VertexId {
+            assert_eq!(frozen.get(row), patches.get(row), "row {row}");
+        }
+        assert_eq!(frozen.get(n as VertexId), None);
+        let spliced = patches.splice(&offsets, &items);
+        assert_eq!(frozen.splice(&offsets, &items), spliced);
+        assert_eq!(frozen.patched_len(items.len()), spliced.1.len());
+    }
+
+    /// A frozen overlay served as a patched `GraphView` reads exactly like
+    /// `to_graph`'s spliced CSR, and splices to it.
+    fn assert_frozen_view_matches(d: &DeltaGraph<'_>, base: &Arc<Graph>, what: &str) {
+        let spliced = d.to_graph();
+        let frozen = FrozenGraph {
+            base: Arc::clone(base),
+            patches: (d.num_patched() > 0).then(|| d.patched.freeze(base.csr_offsets())),
+        };
+        let view = frozen.as_view();
+        assert_eq!(view.is_patched(), d.num_patched() > 0, "{what}");
+        assert_eq!(view.patched_rows(), d.num_patched(), "{what}");
+        assert_eq!(view.num_vertices(), spliced.num_vertices(), "{what}");
+        assert_eq!(view.num_edges(), spliced.num_edges(), "{what}: edges");
+        let n = spliced.num_vertices() as VertexId;
+        for u in 0..n {
+            assert_eq!(view.neighbors(u), spliced.neighbors(u), "{what}: row {u}");
+            assert_eq!(view.degree(u), spliced.degree(u), "{what}: degree {u}");
+            for v in 0..n {
+                assert_eq!(view.has_edge(u, v), spliced.has_edge(u, v), "{what}");
+            }
+        }
+        assert_eq!(view.to_owned_graph(), spliced, "{what}: splice");
+        assert_eq!(
+            view.top_k_by_degree(4),
+            spliced.top_k_by_degree(4),
+            "{what}"
+        );
+        let base_ptr = view.unpatched().csr_neighbors().as_ptr();
+        assert_eq!(
+            base_ptr,
+            base.csr_neighbors().as_ptr(),
+            "{what}: base shared"
+        );
+    }
+
+    #[test]
+    fn frozen_graphs_read_like_the_spliced_graph() {
+        for (name, g) in testkit::families() {
+            let base = Arc::new(g);
+            let n = base.num_vertices() as u64;
+            let mut d = DeltaGraph::new(base.as_view());
+            assert_frozen_view_matches(&d, &base, &format!("{name} unedited"));
+            if n < 2 {
+                continue;
+            }
+            let mut rng = testkit::SplitMix64::new(0xF0 ^ n);
+            for step in 0..12 {
+                let (u, v) = (rng.next_below(n) as VertexId, rng.next_below(n) as VertexId);
+                if u == v {
+                    continue;
+                }
+                let delta = if d.has_edge(u, v) {
+                    EdgeDelta::delete(u, v)
+                } else {
+                    EdgeDelta::insert(u, v)
+                };
+                d.apply(delta).unwrap();
+                assert_frozen_view_matches(&d, &base, &format!("{name} step {step} ({delta})"));
+            }
+            // Empty every row of one vertex and of its neighbours' lists.
+            let hub = base.top_k_by_degree(1)[0];
+            for w in d.neighbors(hub).to_vec() {
+                d.apply(EdgeDelta::delete(hub, w)).unwrap();
+            }
+            assert!(d.neighbors(hub).is_empty(), "{name}");
+            assert_frozen_view_matches(&d, &base, &format!("{name} emptied {hub}"));
+        }
     }
 
     #[test]

@@ -14,16 +14,23 @@
 //!   splice ([`DeltaGraph::to_graph`](crate::DeltaGraph::to_graph)).
 //! * [`GraphView`] — borrows the same two arrays as slices. This is what
 //!   `hcl-store` hands out when serving a memory-mapped index file without
-//!   copying: the mmap'd bytes *are* the arrays.
+//!   copying: the mmap'd bytes *are* the arrays. A view may also carry a
+//!   [`FrozenPatches`] overlay of replacement adjacency rows (a live-updated
+//!   generation, see [`FrozenGraph`](crate::FrozenGraph)); every accessor
+//!   except the raw-array ones sees the patches.
 //!
 //! Every algorithm (BFS oracle, index build, query engine) is written
 //! against [`GraphView`]; `Graph` methods delegate through
-//! [`Graph::as_view`], so owned and mapped graphs behave identically.
+//! [`Graph::as_view`], so owned and mapped graphs behave identically. A hot
+//! loop that wants no per-row patch test reads through the [`Rows`] trait,
+//! which [`FlatRows`] (bare arrays) and [`GraphView`] (patch-aware) both
+//! implement, so one generic body compiles to both.
 //!
 //! Offsets are stored as `u64` (not `usize`) so the in-memory layout matches
 //! the on-disk little-endian format exactly, making the borrowed view a
 //! straight reinterpretation of file bytes.
 
+use crate::delta::FrozenPatches;
 use std::fmt;
 
 /// Vertex identifier. Dense, zero-based.
@@ -126,17 +133,55 @@ impl fmt::Display for CsrError {
 
 impl std::error::Error for CsrError {}
 
+/// Where a traversal reads the rows of a CSR array from: bare arrays
+/// ([`FlatRows`]) or arrays under an overlay of replacement rows (a patched
+/// [`GraphView`], `hcl-index`'s patched label views). A body generic over
+/// `Rows` runs the bare slice arithmetic when handed [`FlatRows`] — no
+/// per-row patch test — and the patch-aware lookup otherwise.
+pub trait Rows<'a, T: 'a>: Copy {
+    /// The items of row `r`.
+    ///
+    /// # Panics
+    /// Panics if `r` is out of range.
+    fn row(self, r: VertexId) -> &'a [T];
+}
+
+/// The rows of bare CSR arrays: `offsets[r]..offsets[r + 1]` of `items`.
+#[derive(Clone, Copy, Debug)]
+pub struct FlatRows<'a, T> {
+    offsets: &'a [u64],
+    items: &'a [T],
+}
+
+impl<'a, T> FlatRows<'a, T> {
+    /// The rows of `offsets` (`rows + 1` entries) over `items`.
+    pub fn new(offsets: &'a [u64], items: &'a [T]) -> Self {
+        Self { offsets, items }
+    }
+}
+
+impl<'a, T: Copy + 'a> Rows<'a, T> for FlatRows<'a, T> {
+    #[inline]
+    fn row(self, r: VertexId) -> &'a [T] {
+        let r = r as usize;
+        &self.items[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+    }
+}
+
 /// A borrowed, zero-copy view of a CSR graph.
 ///
 /// Layout-identical to [`Graph`], but the arrays live elsewhere — inside an
-/// owned `Graph`, or inside a memory-mapped index file. `Copy`, so pass it
-/// by value.
+/// owned `Graph`, or inside a memory-mapped index file — optionally under a
+/// frozen overlay of replacement adjacency rows. `Copy`, so pass it by
+/// value.
 #[derive(Clone, Copy, Debug)]
 pub struct GraphView<'a> {
     /// `offsets[v]..offsets[v + 1]` indexes `neighbors` for vertex `v`.
     offsets: &'a [u64],
     /// Concatenated, per-vertex-sorted adjacency lists.
     neighbors: &'a [VertexId],
+    /// Replacement adjacency rows over the two arrays, if any.
+    patches: Option<&'a FrozenPatches<VertexId>>,
 }
 
 impl<'a> GraphView<'a> {
@@ -160,7 +205,52 @@ impl<'a> GraphView<'a> {
     /// behaviour. Use only on arrays that already passed
     /// [`GraphView::from_csr`] (e.g. re-borrowing from a validated store).
     pub fn from_csr_unchecked(offsets: &'a [u64], neighbors: &'a [VertexId]) -> Self {
-        Self { offsets, neighbors }
+        Self {
+            offsets,
+            neighbors,
+            patches: None,
+        }
+    }
+
+    /// This (unpatched) view under `patches`: replacement rows made for
+    /// exactly these arrays (see [`FrozenGraph`](crate::FrozenGraph)).
+    ///
+    /// # Panics
+    /// Panics if `patches` were made for a different row count.
+    pub(crate) fn with_patches(self, patches: &'a FrozenPatches<VertexId>) -> Self {
+        assert_eq!(
+            patches.num_rows(),
+            self.num_vertices(),
+            "patches made for another vertex count"
+        );
+        Self {
+            patches: Some(patches),
+            ..self
+        }
+    }
+
+    /// Whether the view carries replacement rows.
+    pub fn is_patched(&self) -> bool {
+        self.patches.is_some()
+    }
+
+    /// Number of vertices whose adjacency the view's patches replace (0
+    /// for an unpatched view).
+    pub fn patched_rows(&self) -> usize {
+        self.patches.map_or(0, FrozenPatches::len)
+    }
+
+    /// The arrays this view's patches apply to, without them (the view
+    /// itself when it is unpatched).
+    pub fn unpatched(&self) -> Self {
+        Self::from_csr_unchecked(self.offsets, self.neighbors)
+    }
+
+    /// The bare CSR rows of an unpatched view, for traversal bodies
+    /// generic over [`Rows`].
+    pub fn flat_rows(&self) -> FlatRows<'a, VertexId> {
+        debug_assert!(self.patches.is_none(), "flat rows of a patched view");
+        FlatRows::new(self.offsets, self.neighbors)
     }
 
     fn validate(&self) -> Result<(), CsrError> {
@@ -254,7 +344,9 @@ impl<'a> GraphView<'a> {
 
     /// Number of undirected edges (each edge counted once).
     pub fn num_edges(&self) -> usize {
-        self.neighbors.len() / 2
+        self.patches.map_or(self.neighbors.len(), |p| {
+            p.patched_len(self.neighbors.len())
+        }) / 2
     }
 
     /// Degree of vertex `v`.
@@ -262,15 +354,23 @@ impl<'a> GraphView<'a> {
     /// # Panics
     /// Panics if `v` is out of range.
     pub fn degree(&self, v: VertexId) -> usize {
+        if let Some(adj) = self.patches.and_then(|p| p.get(v)) {
+            return adj.len();
+        }
         let v = v as usize;
         (self.offsets[v + 1] - self.offsets[v]) as usize
     }
 
-    /// The sorted neighbour list of vertex `v`.
+    /// The sorted neighbour list of vertex `v`: its replacement row if the
+    /// view is patched there, else the CSR slice.
     ///
     /// # Panics
     /// Panics if `v` is out of range.
+    #[inline]
     pub fn neighbors(&self, v: VertexId) -> &'a [VertexId] {
+        if let Some(adj) = self.patches.and_then(|p| p.get(v)) {
+            return adj;
+        }
         self.neighbors_of(v as usize)
     }
 
@@ -321,21 +421,41 @@ impl<'a> GraphView<'a> {
     }
 
     /// The raw CSR offsets array (`n + 1` entries), e.g. for serialisation.
+    /// Base only: a patched view's replacement rows are not in it, so call
+    /// this on unpatched views ([`unpatched`](Self::unpatched) gets the
+    /// base of a patched one).
     pub fn csr_offsets(&self) -> &'a [u64] {
+        debug_assert!(self.patches.is_none(), "raw offsets of a patched view");
         self.offsets
     }
 
-    /// The raw concatenated neighbour array, e.g. for serialisation.
+    /// The raw concatenated neighbour array, e.g. for serialisation. Base
+    /// only, like [`csr_offsets`](Self::csr_offsets).
     pub fn csr_neighbors(&self) -> &'a [VertexId] {
+        debug_assert!(self.patches.is_none(), "raw neighbours of a patched view");
         self.neighbors
     }
 
-    /// Copies the view into an owned [`Graph`].
+    /// Copies the view into an owned [`Graph`]; a patched view is spliced
+    /// (each clean run of rows one copy, each patched row one).
     pub fn to_owned_graph(&self) -> Graph {
-        Graph {
-            offsets: self.offsets.to_vec(),
-            neighbors: self.neighbors.to_vec(),
+        match self.patches {
+            Some(patches) => {
+                let (offsets, neighbors) = patches.splice(self.offsets, self.neighbors);
+                Graph { offsets, neighbors }
+            }
+            None => Graph {
+                offsets: self.offsets.to_vec(),
+                neighbors: self.neighbors.to_vec(),
+            },
         }
+    }
+}
+
+impl<'a> Rows<'a, VertexId> for GraphView<'a> {
+    #[inline]
+    fn row(self, v: VertexId) -> &'a [VertexId] {
+        self.neighbors(v)
     }
 }
 
@@ -380,10 +500,7 @@ impl Graph {
     /// A borrowed, `Copy` view of this graph. Cheap; use it to share one
     /// code path between owned and memory-mapped graphs.
     pub fn as_view(&self) -> GraphView<'_> {
-        GraphView {
-            offsets: &self.offsets,
-            neighbors: &self.neighbors,
-        }
+        GraphView::from_csr_unchecked(&self.offsets, &self.neighbors)
     }
 
     /// Number of vertices.

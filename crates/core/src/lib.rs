@@ -26,7 +26,9 @@
 //! * [`delta`] — the dynamic-graph layer: [`delta::EdgeDelta`] edge edits,
 //!   the [`delta::DeltaGraph`] overlay that applies them without touching
 //!   the frozen CSR, [`delta::CsrPatches`], the row-keyed overlay it (and
-//!   `hcl-index`'s editable labels) splice back into a fresh CSR, and
+//!   `hcl-index`'s editable labels) splice back into a fresh CSR or freeze
+//!   into a shareable [`delta::FrozenPatches`] (a [`delta::FrozenGraph`]
+//!   serves a base CSR under one), and
 //!   [`delta::DynGraphView`], the enum-dispatched view the BFS oracles
 //!   accept so traversals run over base+delta unchanged.
 #![deny(missing_docs)]
@@ -43,5 +45,6 @@ pub use bfs::{BfsProbe, NoProbe};
 pub use bitset::DenseBitSet;
 pub use delta::{
     CsrPatches, DeltaError, DeltaGraph, DeltaOp, DeltaPatches, DynGraphView, EdgeDelta,
+    FrozenGraph, FrozenPatches,
 };
-pub use graph::{CsrError, Graph, GraphBuilder, GraphView, VertexId, INFINITY};
+pub use graph::{CsrError, FlatRows, Graph, GraphBuilder, GraphView, Rows, VertexId, INFINITY};

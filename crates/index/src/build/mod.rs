@@ -421,13 +421,13 @@ impl HighwayCoverIndex {
     /// whole query engine is implemented on, shared with mmap-backed
     /// storage.
     pub fn as_view(&self) -> IndexView<'_> {
-        IndexView {
-            landmarks: &self.landmarks,
-            landmark_rank: &self.landmark_rank,
-            label_offsets: &self.label_offsets,
-            label_entries: &self.label_entries,
-            highway: &self.highway,
-        }
+        IndexView::from_parts_unchecked(
+            &self.landmarks,
+            &self.landmark_rank,
+            &self.label_offsets,
+            &self.label_entries,
+            &self.highway,
+        )
     }
 
     /// Number of landmarks in the index.

@@ -38,7 +38,8 @@
 //!   [`pack_label_entry`]), which is what `hcl-store` serves straight out
 //!   of a memory-mapped file. Untrusted slices are admitted through
 //!   [`IndexView::from_parts`], which validates every invariant the engine
-//!   indexes by.
+//!   indexes by. A live-updated generation's view ([`FrozenIndex`]) adds a
+//!   frozen overlay of replacement labels and a patched highway.
 //!
 //! Every query result is exact; the test suite property-checks the engine
 //! against the plain BFS oracle from `hcl-core` over multiple graph
@@ -64,6 +65,6 @@ pub use build::{
 };
 pub use probe::{AnswerSource, MergeKind, Probe, QueryStats};
 pub use query::QueryContext;
-pub use repair::{DynamicIndex, RepairOutcome};
+pub use repair::{DynamicIndex, FrozenIndex, RepairOutcome};
 pub use select::SelectionStrategy;
 pub use view::{pack_label_entry, unpack_label_entry, IndexDataError, IndexView};

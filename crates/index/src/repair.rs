@@ -14,11 +14,15 @@
 //! overlay keeps its adjacency patches in), and the highway once a repair
 //! patched a cell. Every read — detection, the find's `d_old`, the repair —
 //! goes through one accessor: the replacement if there is one, else the
-//! base slice. [`DynamicIndex::flatten`] splices the replacements into a
-//! fresh copy of the base arrays (each clean run of vertices one copy, its
-//! offsets shifted) and adopts the result as the new base; when no repair
-//! wrote anything since the last flatten it hands back the same `Arc`. A
-//! delete's relabel adopts the builder sweep's arrays as the base
+//! base slice. [`DynamicIndex::freeze`] hands out the serving form without
+//! copying the base: a [`FrozenIndex`] holds the base `Arc` plus a frozen
+//! copy of the replacement labels and the patched highway, `O(labels
+//! rewritten since the base)`, and leaves the edits pending.
+//! [`DynamicIndex::flatten`] is the fold: it splices the replacements into
+//! a fresh copy of the base arrays (each clean run of vertices one copy,
+//! its offsets shifted) and adopts the result as the new base; when no
+//! repair wrote anything since the last flatten it hands back the same
+//! `Arc`. A delete's relabel adopts the builder sweep's arrays as the base
 //! directly.
 //!
 //! The repair contract is **answer identity, and near byte identity**:
@@ -137,7 +141,8 @@
 use crate::build::{self, sat_add, BuildContext, HighwayCoverIndex, NOT_A_LANDMARK};
 use crate::view::{entry_dist, entry_hub, pack_label_entry, IndexView};
 use hcl_core::{
-    CsrPatches, DeltaError, DeltaGraph, DeltaOp, DynGraphView, EdgeDelta, VertexId, INFINITY,
+    CsrPatches, DeltaError, DeltaGraph, DeltaOp, DynGraphView, EdgeDelta, FrozenPatches, VertexId,
+    INFINITY,
 };
 use std::sync::Arc;
 
@@ -163,14 +168,51 @@ pub struct RepairOutcome {
     pub full_relabel: bool,
 }
 
+/// A labelling as a served generation holds it: the arrays of the last
+/// fold, shared by `Arc` with the [`DynamicIndex`] that froze it (and every
+/// generation frozen since), plus a frozen copy of the labels and highway
+/// its repairs rewrote after that fold ([`DynamicIndex::freeze`]).
+pub struct FrozenIndex {
+    base: Arc<HighwayCoverIndex>,
+    labels: Option<FrozenPatches<u64>>,
+    highway: Option<Vec<u32>>,
+}
+
+impl FrozenIndex {
+    /// `base` with no patches.
+    pub fn flat(base: Arc<HighwayCoverIndex>) -> Self {
+        Self {
+            base,
+            labels: None,
+            highway: None,
+        }
+    }
+
+    /// The shared base arrays.
+    pub fn base(&self) -> &Arc<HighwayCoverIndex> {
+        &self.base
+    }
+
+    /// The labelling as a view: the base labels under the replacements,
+    /// and the patched highway if a repair wrote one.
+    pub fn as_view(&self) -> IndexView<'_> {
+        IndexView {
+            highway: self.highway.as_deref().unwrap_or(&self.base.highway),
+            label_patches: self.labels.as_ref(),
+            ..self.base.as_view()
+        }
+    }
+}
+
 /// An editable highway-cover index: same landmarks, labels, and highway as
 /// the frozen form, held as a frozen base plus the edits made since.
 ///
 /// Convert a built index in with [`DynamicIndex::from_view`], apply edits
-/// with [`DynamicIndex::apply_and_repair`], and get a frozen snapshot back
-/// (for serving or serialisation) with [`DynamicIndex::flatten`] — which
-/// also adopts it as the new base — or [`DynamicIndex::to_index`], a copy
-/// that leaves the edits pending. The conversion round-trip is lossless.
+/// with [`DynamicIndex::apply_and_repair`], and get the current state back
+/// for serving with [`DynamicIndex::freeze`] (the base shared, the edits
+/// copied), or flat with [`DynamicIndex::flatten`] (spliced and adopted as
+/// the new base) or [`DynamicIndex::to_index`] (a spliced copy that leaves
+/// the edits pending). The conversion round-trip is lossless.
 pub struct DynamicIndex {
     /// The labelling as last flattened (or converted in, or relabelled):
     /// exactly what [`flatten`](Self::flatten) returned last, shared with
@@ -204,6 +246,11 @@ impl DynamicIndex {
     /// layer does not add vertices).
     pub fn num_vertices(&self) -> usize {
         self.base.num_vertices()
+    }
+
+    /// Number of vertices whose label a repair rewrote since the base.
+    pub fn patched_rows(&self) -> usize {
+        self.labels.len()
     }
 
     /// Total number of label entries currently held.
@@ -268,6 +315,18 @@ impl DynamicIndex {
             label_offsets,
             label_entries,
             highway: self.highway().to_vec(),
+        }
+    }
+
+    /// The current state for serving, without copying the base: its `Arc`
+    /// plus a frozen copy of the rewritten labels and the patched highway,
+    /// `O(labels rewritten since the base + n / 64)`. The edits stay
+    /// pending; [`flatten`](Self::flatten) is the fold.
+    pub fn freeze(&self) -> FrozenIndex {
+        FrozenIndex {
+            base: Arc::clone(&self.base),
+            labels: (!self.labels.is_empty()).then(|| self.labels.freeze(&self.base.label_offsets)),
+            highway: self.highway.clone(),
         }
     }
 

@@ -18,9 +18,16 @@
 //! Untrusted data enters through [`IndexView::from_parts`], which checks
 //! every structural invariant the query engine relies on, so hot paths can
 //! index unchecked without risking panics on corrupt input.
+//!
+//! A live-updated generation is served as a view of the last fold's arrays
+//! under a frozen overlay of replacement labels, with its highway slice
+//! pointing at the patched matrix ([`FrozenIndex`](crate::FrozenIndex)).
+//! Every accessor sees the patches except the raw label arrays
+//! ([`IndexView::label_offsets`] / [`IndexView::label_entries`]), which
+//! are the base's.
 
 use crate::build::{HighwayCoverIndex, IndexStats, NOT_A_LANDMARK};
-use hcl_core::VertexId;
+use hcl_core::{FlatRows, FrozenPatches, Rows, VertexId};
 use std::fmt;
 
 /// Packs a `(hub rank, distance)` label pair into one `u64`: hub in the
@@ -207,6 +214,8 @@ pub struct IndexView<'a> {
     pub(crate) label_entries: &'a [u64],
     /// Row-major `k × k` closed landmark-to-landmark distances.
     pub(crate) highway: &'a [u32],
+    /// Replacement labels over `label_offsets` / `label_entries`, if any.
+    pub(crate) label_patches: Option<&'a FrozenPatches<u64>>,
 }
 
 impl<'a> IndexView<'a> {
@@ -257,6 +266,7 @@ impl<'a> IndexView<'a> {
             label_offsets,
             label_entries,
             highway,
+            label_patches: None,
         }
     }
 
@@ -364,11 +374,43 @@ impl<'a> IndexView<'a> {
         self.packed_label(v).iter().map(|&e| unpack_label_entry(e))
     }
 
-    /// The packed label entries of vertex `v`, hub-sorted.
+    /// The packed label entries of vertex `v`, hub-sorted: its
+    /// replacement if the view is patched there, else the base slice.
+    #[inline]
     pub(crate) fn packed_label(&self, v: VertexId) -> &'a [u64] {
+        if let Some(label) = self.label_patches.and_then(|p| p.get(v)) {
+            return label;
+        }
         let lo = self.label_offsets[v as usize] as usize;
         let hi = self.label_offsets[v as usize + 1] as usize;
         &self.label_entries[lo..hi]
+    }
+
+    /// Whether the view carries replacement labels.
+    pub fn is_patched(&self) -> bool {
+        self.label_patches.is_some()
+    }
+
+    /// Number of vertices whose label the view's patches replace (0 for
+    /// an unpatched view).
+    pub fn patched_rows(&self) -> usize {
+        self.label_patches.map_or(0, FrozenPatches::len)
+    }
+
+    /// The label arrays this view's patches apply to, without them (the
+    /// view itself when it is unpatched); the highway stays the view's.
+    pub fn unpatched(&self) -> Self {
+        Self {
+            label_patches: None,
+            ..*self
+        }
+    }
+
+    /// The bare label rows of an unpatched view, for query bodies generic
+    /// over [`Rows`].
+    pub(crate) fn flat_label_rows(&self) -> FlatRows<'a, u64> {
+        debug_assert!(self.label_patches.is_none(), "flat rows of a patched view");
+        FlatRows::new(self.label_offsets, self.label_entries)
     }
 
     /// Whether vertex `v` is a landmark.
@@ -386,13 +428,25 @@ impl<'a> IndexView<'a> {
         self.landmark_rank
     }
 
-    /// CSR label offsets, `n + 1` entries (for serialisation).
+    /// CSR label offsets, `n + 1` entries (for serialisation). Base only:
+    /// a patched view's replacement labels are not in it, so call this on
+    /// unpatched views ([`unpatched`](Self::unpatched) gets the base of a
+    /// patched one).
     pub fn label_offsets(&self) -> &'a [u64] {
+        debug_assert!(
+            self.label_patches.is_none(),
+            "raw offsets of a patched view"
+        );
         self.label_offsets
     }
 
     /// Flat packed `(hub << 32) | dist` label entries (for serialisation).
+    /// Base only, like [`label_offsets`](Self::label_offsets).
     pub fn label_entries(&self) -> &'a [u64] {
+        debug_assert!(
+            self.label_patches.is_none(),
+            "raw entries of a patched view"
+        );
         self.label_entries
     }
 
@@ -401,29 +455,39 @@ impl<'a> IndexView<'a> {
         self.highway
     }
 
-    /// Copies the view into an owned [`HighwayCoverIndex`].
+    /// Copies the view into an owned [`HighwayCoverIndex`]; patched labels
+    /// are spliced (each clean run of vertices one copy, each patched label
+    /// one).
     pub fn to_owned_index(&self) -> HighwayCoverIndex {
+        let (label_offsets, label_entries) = match self.label_patches {
+            Some(patches) => patches.splice(self.label_offsets, self.label_entries),
+            None => (self.label_offsets.to_vec(), self.label_entries.to_vec()),
+        };
         HighwayCoverIndex {
             landmarks: self.landmarks.to_vec(),
             landmark_rank: self.landmark_rank.to_vec(),
-            label_offsets: self.label_offsets.to_vec(),
-            label_entries: self.label_entries.to_vec(),
+            label_offsets,
+            label_entries,
             highway: self.highway.to_vec(),
         }
     }
 
-    /// Size statistics for logging and tuning.
+    /// Size statistics for logging and tuning — of the labelling as served,
+    /// so a patched view reports what its splice would.
     pub fn stats(&self) -> IndexStats {
-        let total = self.label_entries.len();
+        let base_total = self.label_entries.len();
+        let total = self
+            .label_patches
+            .map_or(base_total, |p| p.patched_len(base_total));
         let n = self.num_vertices();
-        let max = (0..n)
-            .map(|v| (self.label_offsets[v + 1] - self.label_offsets[v]) as usize)
+        let max = (0..n as VertexId)
+            .map(|v| self.packed_label(v).len())
             .max()
             .unwrap_or(0);
         let bytes = std::mem::size_of_val(self.landmarks)
             + std::mem::size_of_val(self.landmark_rank)
             + std::mem::size_of_val(self.label_offsets)
-            + std::mem::size_of_val(self.label_entries)
+            + total * std::mem::size_of::<u64>()
             + std::mem::size_of_val(self.highway);
         IndexStats {
             num_landmarks: self.landmarks.len(),
@@ -432,6 +496,13 @@ impl<'a> IndexView<'a> {
             max_label_size: max,
             bytes,
         }
+    }
+}
+
+impl<'a> Rows<'a, u64> for IndexView<'a> {
+    #[inline]
+    fn row(self, v: VertexId) -> &'a [u64] {
+        self.packed_label(v)
     }
 }
 

@@ -228,4 +228,90 @@ mod tests {
         assert_eq!(handle.number(), swapped);
         assert_eq!(swapped, 21);
     }
+
+    /// Readers querying while generations swap under them get exact
+    /// answers from a patched generation — base arrays shared with the
+    /// writer under frozen overlays — as from its flat splice.
+    #[test]
+    fn concurrent_readers_on_a_patched_generation_see_exact_answers() {
+        use crate::JournalWriter;
+        use hcl_core::{bfs, DeltaGraph, EdgeDelta, FrozenGraph, INFINITY};
+        use hcl_index::repair::DynamicIndex;
+        use hcl_index::{BuildContext, FrozenIndex};
+
+        let graph = Arc::new(testkit::barabasi_albert(200, 3, 4));
+        let index = HighwayCoverIndex::build(&graph, IndexConfig { num_landmarks: 8 });
+        let bytes = crate::serialize(&graph, &index).expect("serialize");
+        let store = IndexStore::from_bytes(&bytes).expect("open");
+        let mut writer = JournalWriter::new(&store, None);
+        let mut dynamic = DynamicIndex::from_view(store.index());
+        let mut overlay = DeltaGraph::new(graph.as_view());
+        let mut cx = BuildContext::new();
+        let deltas: Vec<EdgeDelta> = (0..12u32)
+            .map(|i| EdgeDelta::insert(i, 199 - 3 * i))
+            .collect();
+        for &delta in &deltas {
+            dynamic
+                .apply_and_repair(&mut overlay, delta, &mut cx)
+                .unwrap();
+        }
+        writer.append(&deltas).expect("in-memory journal");
+        let edited = overlay.to_graph();
+        let patches = overlay.detach();
+        let patched = || {
+            let store = writer
+                .generation(patches.freeze(&graph), dynamic.freeze())
+                .expect("patched generation");
+            assert!(store.graph().is_patched() && store.index().is_patched());
+            store
+        };
+        let flat = || {
+            let (graph, index) = (Arc::new(edited.clone()), Arc::new(dynamic.to_index()));
+            writer
+                .generation(FrozenGraph::flat(graph), FrozenIndex::flat(index))
+                .expect("flat generation")
+        };
+        let pairs: Vec<(u32, u32, Option<u32>)> = (0..40u32)
+            .flat_map(|u| {
+                let from = bfs::distances_from(&edited, u);
+                (0..200u32)
+                    .step_by(9)
+                    .map(move |v| (u, v, Some(from[v as usize]).filter(|&d| d != INFINITY)))
+            })
+            .collect();
+
+        let handle = Arc::new(GenerationHandle::new(patched()));
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let passes = Arc::new(AtomicU64::new(0));
+        let readers: Vec<_> = (0..3)
+            .map(|_| {
+                let (handle, stop, passes) = (handle.clone(), stop.clone(), passes.clone());
+                let pairs = pairs.clone();
+                std::thread::spawn(move || {
+                    let mut ctx = QueryContext::new();
+                    while !stop.load(Ordering::Relaxed) {
+                        let gen = handle.current();
+                        let (graph, index) = (gen.store.graph(), gen.store.index());
+                        for &(u, v, want) in &pairs {
+                            assert_eq!(index.query_with(graph, &mut ctx, u, v), want);
+                        }
+                        passes.fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+            })
+            .collect();
+        let mut swaps = 0;
+        // A reader that stopped early has panicked: the join reports it.
+        while (swaps < 20 || passes.load(Ordering::Relaxed) < 3)
+            && !readers.iter().any(|r| r.is_finished())
+        {
+            handle.swap(if swaps % 2 == 0 { flat() } else { patched() });
+            swaps += 1;
+            std::thread::yield_now();
+        }
+        stop.store(true, Ordering::Relaxed);
+        for reader in readers {
+            reader.join().expect("reader panicked");
+        }
+    }
 }

@@ -42,8 +42,12 @@
 //! Live edge updates never rewrite a container: [`JournalWriter`] appends
 //! one small self-checksummed frame per acknowledged batch after the
 //! image (the *journal tail*, replayed at open) and stamps the next
-//! serving generation onto the shared, already-validated image. Only a
-//! compaction writes a whole file.
+//! serving generation onto the shared, already-validated image. That
+//! generation serves the live state as the update engine froze it — the
+//! arrays of its last fold, shared by `Arc` with every generation since,
+//! under a frozen overlay of the adjacency and label rows patched after
+//! that fold — so publishing copies only those rows. Open-time replay
+//! still produces flat arrays. Only a compaction writes a whole file.
 //!
 //! Platforms without the mmap fast path (or callers preferring a private
 //! copy) get the same API via [`IndexStore::open_preloaded`] /
@@ -74,9 +78,9 @@ pub use tail::{encode_tail_frame, AppendOutcome, JournalWriter, TailInfo};
 
 use backing::{cast_u32s, cast_u64s, AlignedBuf, Backing};
 use format::Layout;
-use hcl_core::{DeltaError, DeltaGraph, EdgeDelta, Graph, GraphView, VertexId};
+use hcl_core::{DeltaError, DeltaGraph, EdgeDelta, FrozenGraph, Graph, GraphView, VertexId};
 use hcl_index::repair::DynamicIndex;
-use hcl_index::{BuildContext, HighwayCoverIndex, IndexView};
+use hcl_index::{BuildContext, FrozenIndex, HighwayCoverIndex, IndexView};
 use std::fs::File;
 use std::path::Path;
 use std::sync::Arc;
@@ -408,11 +412,13 @@ fn validate(bytes: &[u8], mode: OpenMode) -> Result<Validated, StoreError> {
 }
 
 /// Owned current state of a journalled container: base sections plus
-/// replayed deltas, with labels repaired incrementally. `Arc`s, because
-/// the live-update engine keeps working on the same graph and index.
+/// replayed deltas, with labels repaired incrementally. Base `Arc`s, shared
+/// with the live-update engine and the generations before and after this
+/// one, plus the frozen overlay of rows patched since the engine last
+/// folded (none after an open-time replay, which produces flat arrays).
 struct ReplayedState {
-    graph: Arc<Graph>,
-    index: Arc<HighwayCoverIndex>,
+    graph: FrozenGraph,
+    index: FrozenIndex,
 }
 
 impl std::fmt::Debug for IndexStore {
@@ -527,8 +533,8 @@ impl IndexStore {
                         .map_err(|why| inapplicable(i, delta, why))?;
                 }
                 let state = ReplayedState {
-                    graph: Arc::new(overlay.to_graph()),
-                    index: dynamic.flatten(),
+                    graph: FrozenGraph::flat(Arc::new(overlay.to_graph())),
+                    index: FrozenIndex::flat(dynamic.flatten()),
                 };
                 open_phases.replay = t.elapsed();
                 Some(state)
@@ -546,8 +552,8 @@ impl IndexStore {
     }
 
     /// The *current* graph: the replayed state for a journalled container
-    /// with pending deltas, otherwise the base sections zero-copy from the
-    /// backing.
+    /// with pending deltas (patched when a live update froze it), otherwise
+    /// the base sections zero-copy from the backing.
     pub fn graph(&self) -> GraphView<'_> {
         match &self.replayed {
             Some(state) => state.graph.as_view(),
@@ -638,7 +644,8 @@ impl IndexStore {
     }
 
     /// Copies the stored graph and index into owned structures (a full
-    /// deserialisation, for callers that want to drop the file).
+    /// deserialisation, for callers that want to drop the file); a
+    /// patched generation is spliced into flat arrays.
     pub fn to_owned_parts(&self) -> (Graph, HighwayCoverIndex) {
         (self.graph().to_owned_graph(), self.index().to_owned_index())
     }

@@ -7,6 +7,10 @@
 //! ([`encode_tail_frame`] / [`parse`]) and the write path. A non-compacting
 //! persist costs one frame write plus one `fdatasync`, whatever the size
 //! of the container; only [`JournalWriter::compact`] writes a whole image.
+//! The generation a persist is served as ([`JournalWriter::generation`])
+//! takes the live state as the update engine froze it — the arrays of its
+//! last fold, shared, under the overlay of rows patched since — so it
+//! copies nothing but that overlay and the pending journal.
 //!
 //! This file is on the update-serving path (the `no-panics` lint covers
 //! it): every failure is a typed [`StoreError`].
@@ -16,8 +20,8 @@ use crate::durable::{self, AppendStep, IoDecision, PublishOutcome, StoreIo, Syst
 use crate::error::StoreError;
 use crate::format::{decode_delta, encode_delta, serialize_with_journal, StoredJournal, MAGIC};
 use crate::{Base, IndexStore, OpenPhases, ReplayedState};
-use hcl_core::{EdgeDelta, Graph};
-use hcl_index::HighwayCoverIndex;
+use hcl_core::{EdgeDelta, FrozenGraph, Graph};
+use hcl_index::{FrozenIndex, HighwayCoverIndex};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -215,8 +219,9 @@ pub enum AppendOutcome {
 /// caller [`append`](JournalWriter::append)s the batch's deltas — one
 /// frame, synced before it returns — and stamps the repaired state into
 /// the next [`generation`](JournalWriter::generation), an `IndexStore`
-/// equal to what reopening the file would produce, built without
-/// serialising, copying or re-validating anything.
+/// answering exactly as reopening the file would, built without
+/// serialising or re-validating anything: its base arrays are shared,
+/// and only the frozen overlay of patched rows is its own.
 /// [`compact`](JournalWriter::compact) is the one operation that writes a
 /// whole container.
 ///
@@ -374,17 +379,20 @@ impl JournalWriter {
 
     /// The generation after everything appended so far: `graph` and
     /// `index` are the live state (what replaying the pending journal over
-    /// the image yields — the caller's repair path produced them), served
-    /// from the replayed slot beside the shared, already-validated image.
-    /// The one cost that grows with history is the copy of the pending
-    /// journal (12 bytes per delta since the last compaction).
+    /// the image yields — the caller's repair path produced them) as base
+    /// arrays under a frozen overlay, served from the replayed slot beside
+    /// the shared, already-validated image. The one cost that grows with
+    /// history is the copy of the pending journal (12 bytes per delta since
+    /// the last compaction).
     pub fn generation(
         &self,
-        graph: Arc<Graph>,
-        index: Arc<HighwayCoverIndex>,
+        graph: FrozenGraph,
+        index: FrozenIndex,
     ) -> Result<IndexStore, StoreError> {
-        let (graph_vertices, index_vertices) =
-            (graph.num_vertices(), index.as_view().num_vertices());
+        let (graph_vertices, index_vertices) = (
+            graph.as_view().num_vertices(),
+            index.as_view().num_vertices(),
+        );
         if graph_vertices != index_vertices {
             return Err(StoreError::GraphIndexMismatch {
                 graph_vertices,

@@ -3,8 +3,8 @@
 //! appended after the image (the torn-tail sweep, damaged and foreign
 //! frames, and the writer that appends them).
 
-use hcl_core::{bfs, testkit, DeltaGraph, EdgeDelta, Graph};
-use hcl_index::{BuildOptions, HighwayCoverIndex, QueryContext};
+use hcl_core::{bfs, testkit, DeltaGraph, EdgeDelta, FrozenGraph, Graph};
+use hcl_index::{BuildOptions, FrozenIndex, HighwayCoverIndex, QueryContext};
 use hcl_store::{
     compact_file, encode_tail_frame, serialize, serialize_with_journal, BuildInfo, IndexStore,
     JournalWriter, StoreError, StoredJournal, TailInfo,
@@ -454,7 +454,12 @@ fn writer_appends_frames_and_stamps_the_generation_a_reopen_would_produce() {
     // The generation is stamped from the caller's live state; here, the
     // reopen's own replay result.
     let (graph, live) = reopened.to_owned_parts();
-    let stamped = writer.generation(Arc::new(graph), Arc::new(live)).unwrap();
+    let stamped = writer
+        .generation(
+            FrozenGraph::flat(Arc::new(graph)),
+            FrozenIndex::flat(Arc::new(live)),
+        )
+        .unwrap();
     assert_eq!(stamped.journal(), reopened.journal());
     assert_eq!(stamped.tail(), reopened.tail());
     assert_eq!(stamped.len_bytes(), on_disk.len() as u64);
@@ -472,7 +477,10 @@ fn writer_appends_frames_and_stamps_the_generation_a_reopen_would_produce() {
     // A live state for some other graph is refused.
     let other = testkit::path(9);
     assert!(matches!(
-        writer.generation(Arc::new(other.clone()), Arc::new(build(&other, 2))),
+        writer.generation(
+            FrozenGraph::flat(Arc::new(other.clone())),
+            FrozenIndex::flat(Arc::new(build(&other, 2)))
+        ),
         Err(StoreError::Corrupt { .. })
     ));
 
