@@ -48,7 +48,7 @@ mod update;
 
 use hcl_core::{bfs, EdgeDelta, Graph, GraphBuilder, VertexId};
 use hcl_index::{BuildOptions, HighwayCoverIndex, QueryContext, QueryStats};
-use hcl_store::IndexStore;
+use hcl_store::{IndexStore, UpdateEngine};
 use std::io::{BufRead, ErrorKind, IsTerminal, Read, Write};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -1159,24 +1159,14 @@ fn cmd_update(args: Vec<String>) -> Result<(), String> {
         IndexStore::open(&path)
     }
     .map_err(|e| format!("opening {path}: {e}"))?;
-    let mut engine = update::UpdateEngine::from_store(
-        &store,
-        Some(std::path::PathBuf::from(&path)),
-        compact_after,
-    );
+    let mut engine =
+        UpdateEngine::from_store(&store, Some(std::path::PathBuf::from(&path)), compact_after);
     // The engine shares the validated image; this handle is not needed.
     drop(store);
 
-    let mut applied = 0u64;
-    let mut noops = 0u64;
-    for delta in deltas {
-        if engine.apply(delta)?.applied {
-            applied += 1;
-        } else {
-            noops += 1;
-        }
-    }
-    let published = engine.publish(force_compact)?;
+    let applied = engine.apply(&deltas).map_err(|e| e.to_string())?;
+    let noops = deltas.len() as u64 - applied;
+    let published = engine.publish(force_compact).map_err(|e| e.to_string())?;
     eprintln!(
         "updated {path}: {applied} delta(s) applied ({noops} no-op), {} full relabel(s); \
          journal: {} pending, {} compaction(s){}; took {:.1?} ({})",
@@ -1201,9 +1191,23 @@ fn cmd_update(args: Vec<String>) -> Result<(), String> {
 /// that dominate the labels, and the build counters when the container
 /// records them (a one-line absence note otherwise).
 fn write_deep_stats(out: &mut dyn Write, store: &IndexStore) -> std::io::Result<()> {
+    // Through the patch-aware label accessor: a container whose pending
+    // journal opened patched reports its current labels, not the base's.
     let index = store.index();
-    let offsets = index.label_offsets();
-    let mut sizes: Vec<u64> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
+    let landmarks = index.landmarks();
+    let mut freq = vec![0u64; landmarks.len()];
+    let mut sizes: Vec<u64> = (0..index.num_vertices() as VertexId)
+        .map(|v| {
+            let mut size = 0;
+            for (rank, _) in index.label(v) {
+                if let Some(slot) = freq.get_mut(rank as usize) {
+                    *slot += 1;
+                }
+                size += 1;
+            }
+            size
+        })
+        .collect();
     sizes.sort_unstable();
     // Nearest-rank quantiles over the exact per-vertex sizes — no
     // bucketing, the data is right there.
@@ -1223,14 +1227,6 @@ fn write_deep_stats(out: &mut dyn Write, store: &IndexStore) -> std::io::Result<
         sizes.last().copied().unwrap_or(0)
     )?;
 
-    let landmarks = index.landmarks();
-    let mut freq = vec![0u64; landmarks.len()];
-    for &entry in index.label_entries() {
-        let (rank, _) = hcl_index::unpack_label_entry(entry);
-        if let Some(slot) = freq.get_mut(rank as usize) {
-            *slot += 1;
-        }
-    }
     let mut by_freq: Vec<(u64, usize)> = freq
         .iter()
         .copied()

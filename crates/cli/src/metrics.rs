@@ -17,9 +17,8 @@
 //! affected-set size, full relabels, and a second histogram for update
 //! latency). The rendered format is Prometheus-style `name value` lines.
 
-use crate::update::UpdatePhases;
 use hcl_index::AnswerSource;
-use hcl_store::{IndexStore, OpenPhases};
+use hcl_store::{IndexStore, OpenPhases, UpdatePhases};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
 

@@ -1,7 +1,7 @@
 //! The request pipeline every serve transport shares: one value that
 //! parses and range-checks a query line, answers it, records what the
-//! answer cost, applies a batch of edge deltas, and prints the shutdown
-//! summary.
+//! answer cost, applies a batch of edge deltas through the store's
+//! `UpdateEngine`, and prints the shutdown summary.
 //!
 //! The transports keep only what is theirs. Stdin serving (`pool.rs`)
 //! frames lines, chunks them through the worker pool and restores input
@@ -18,10 +18,9 @@ use crate::metrics::ServerMetrics;
 use crate::parse_pair_line;
 use crate::slowlog::{SlowLog, SlowQuery};
 use crate::sync::lock_recover;
-use crate::update::{Published, UpdateEngine};
 use hcl_core::{EdgeDelta, VertexId};
 use hcl_index::{QueryContext, QueryStats};
-use hcl_store::{Generation, GenerationHandle, IndexStore};
+use hcl_store::{Generation, GenerationHandle, IndexStore, Published, UpdateEngine, UpdateError};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{Mutex, MutexGuard};
@@ -52,23 +51,6 @@ pub(crate) struct Updated {
     pub(crate) generation: u64,
 }
 
-/// Why an update batch was refused. Either way nothing changed: the
-/// served generation and the file on disk keep their state.
-pub(crate) enum UpdateError {
-    /// A delta the graph cannot take (self-loop, out-of-range endpoint).
-    Invalid(String),
-    /// Making the batch durable or servable failed.
-    Failed(String),
-}
-
-impl std::fmt::Display for UpdateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            UpdateError::Invalid(e) | UpdateError::Failed(e) => f.write_str(e),
-        }
-    }
-}
-
 /// The state a serving process answers and updates from.
 pub(crate) struct Pipeline {
     /// The generation being served; swapped by updates and reloads.
@@ -90,7 +72,7 @@ pub(crate) struct Pipeline {
     /// The `--index` file updates append to; `None` for an index built in
     /// memory from an edge list (updates stay in memory).
     index_path: Option<PathBuf>,
-    /// `--compact-after N`: fold the journal once it holds N deltas
+    /// `--compact-after N`: compact the journal once it holds N deltas
     /// (0 = never).
     compact_after: usize,
 }
@@ -212,7 +194,8 @@ impl Pipeline {
     /// delta is repaired into the engine, the batch is made durable as one
     /// journal frame (or a compaction), and the new generation is swapped
     /// in. Any failure drops the engine instead, so nothing the batch did
-    /// is served or kept. `received` starts the update-latency sample.
+    /// is served or kept (the served generation and the file on disk keep
+    /// their state). `received` starts the update-latency sample.
     pub(crate) fn update(
         &self,
         origin: &str,
@@ -228,7 +211,10 @@ impl Pipeline {
                 self.compact_after,
             )
         });
-        let (applied, ignored, published) = match apply_batch(engine, deltas) {
+        let batch = engine
+            .apply(deltas)
+            .and_then(|applied| engine.publish(false).map(|published| (applied, published)));
+        let (applied, published) = match batch {
             Ok(done) => done,
             Err(e) => {
                 *slot = None;
@@ -236,7 +222,7 @@ impl Pipeline {
                 return Err(e);
             }
         };
-        let pending = engine.pending();
+        let (ignored, pending) = (deltas.len() as u64 - applied, engine.pending());
         let Published {
             store,
             bytes,
@@ -289,9 +275,10 @@ impl Pipeline {
 
     /// Points the gauges a freshly opened generation sets at `store`:
     /// `hcl_open_seconds` at where its open spent the time,
-    /// `hcl_overlay_rows` at its overlays (none: an open serves flat
-    /// arrays), and `hcl_journal_pending` at what a reopen of its file
-    /// would replay (live updates keep the last two current from there).
+    /// `hcl_overlay_rows` at its overlays (what its replay left patched:
+    /// none unless a pending journal stayed under the fold bound), and
+    /// `hcl_journal_pending` at what a reopen of its file would replay
+    /// (live updates keep the last two current from there).
     fn set_open_gauges(&self, store: &IndexStore) {
         self.metrics.record_open(&store.open_phases());
         self.metrics.record_overlay(store);
@@ -336,25 +323,6 @@ impl Pipeline {
             }
         }
     }
-}
-
-/// Repairs `deltas` into `engine` one by one and publishes the batch:
-/// `(applied, ignored, published)`. An ineffective delta (inserting an
-/// existing edge, deleting a missing one) is counted as ignored.
-fn apply_batch(
-    engine: &mut UpdateEngine,
-    deltas: &[EdgeDelta],
-) -> Result<(u64, u64, Published), UpdateError> {
-    let (mut applied, mut ignored) = (0, 0);
-    for &delta in deltas {
-        match engine.apply(delta) {
-            Ok(outcome) if outcome.applied => applied += 1,
-            Ok(_) => ignored += 1,
-            Err(e) => return Err(UpdateError::Invalid(e)),
-        }
-    }
-    let published = engine.publish(false).map_err(UpdateError::Failed)?;
-    Ok((applied, ignored, published))
 }
 
 /// Appends one `u v d` answer line (`inf` for a disconnected pair): the

@@ -53,7 +53,7 @@
 //!   flowing from the intact mapping) until a clean pass or a successful
 //!   reload restores it.
 
-use crate::pipeline::{push_answer_line, Pipeline, Request, UpdateError};
+use crate::pipeline::{push_answer_line, Pipeline, Request};
 use hcl_index::QueryContext;
 use hcl_store::IndexStore;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
@@ -923,8 +923,8 @@ fn handle_http_update(
         }
         Err(e) => {
             let (status, reason) = match e {
-                UpdateError::Invalid(_) => (400, "Bad Request"),
-                UpdateError::Failed(_) => (500, "Internal Server Error"),
+                hcl_store::UpdateError::Invalid { .. } => (400, "Bad Request"),
+                _ => (500, "Internal Server Error"),
             };
             let body = format!("{{\"ok\":false,\"error\":{:?}}}\n", e.to_string());
             respond(

@@ -4,41 +4,11 @@
 //! `query --index` and `serve`, and clean shutdown when the stdout reader
 //! disappears mid-serve (`hcl serve … | head`).
 
+mod common;
+
+use common::{hcl, Scratch};
 use std::io::{Read, Write};
-use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
-
-fn hcl() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_hcl"))
-}
-
-/// A per-test scratch directory, removed on drop.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Self {
-        let mut p = std::env::temp_dir();
-        p.push(format!("hcl_cli_test_{}_{tag}", std::process::id()));
-        std::fs::create_dir_all(&p).expect("create scratch dir");
-        Self(p)
-    }
-
-    fn file(&self, name: &str, contents: &str) -> PathBuf {
-        let p = self.0.join(name);
-        std::fs::write(&p, contents).expect("write scratch file");
-        p
-    }
-
-    fn path(&self, name: &str) -> PathBuf {
-        self.0.join(name)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
 
 fn stdout_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()

@@ -8,55 +8,12 @@
 //! and `inspect --stats` (deep stats on v5 containers, graceful absence
 //! note on fabricated v4 ones).
 
-use hcl_core::{testkit, Graph};
+mod common;
+
+use common::{build_index, edge_list, hcl, Scratch};
+use hcl_core::testkit;
 use std::io::Write;
-use std::path::PathBuf;
-use std::process::{Command, Output, Stdio};
-
-fn hcl() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_hcl"))
-}
-
-/// A per-test scratch directory, removed on drop.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Self {
-        let mut p = std::env::temp_dir();
-        p.push(format!("hcl_observe_test_{}_{tag}", std::process::id()));
-        std::fs::create_dir_all(&p).expect("create scratch dir");
-        Self(p)
-    }
-
-    fn file(&self, name: &str, contents: &str) -> PathBuf {
-        let p = self.0.join(name);
-        std::fs::write(&p, contents).expect("write scratch file");
-        p
-    }
-
-    fn path(&self, name: &str) -> PathBuf {
-        self.0.join(name)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
-/// Writes `g` as a `u v` edge list the CLI can rebuild.
-fn edge_list(g: &Graph) -> String {
-    let mut out = String::new();
-    for u in 0..g.num_vertices() as u32 {
-        for &w in g.as_view().neighbors(u) {
-            if w > u {
-                out.push_str(&format!("{u} {w}\n"));
-            }
-        }
-    }
-    out
-}
+use std::process::{Output, Stdio};
 
 /// Runs the binary with `args`, feeding `stdin`, asserting exit 0.
 fn run_ok(args: &[&str], stdin: &str) -> Output {
@@ -80,25 +37,6 @@ fn run_ok(args: &[&str], stdin: &str) -> Output {
         String::from_utf8_lossy(&out.stderr)
     );
     out
-}
-
-fn build_index(scratch: &Scratch, tag: &str, edges: &str, landmarks: usize) -> PathBuf {
-    let graph = scratch.file(&format!("{tag}.edges"), edges);
-    let index = scratch.path(&format!("{tag}.hcl"));
-    let out = hcl()
-        .arg("build")
-        .arg(&graph)
-        .arg("--out")
-        .arg(&index)
-        .args(["--landmarks", &landmarks.to_string()])
-        .output()
-        .expect("spawn hcl build");
-    assert!(
-        out.status.success(),
-        "build failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    index
 }
 
 // ---------------------------------------------------------------------------
@@ -689,4 +627,38 @@ fn inspect_stats_degrades_gracefully_on_v4_containers() {
     for absent in ["build stats:   (not recorded)\n", "journal:       (none)\n"] {
         assert!(text.contains(absent), "missing {absent:?} in:\n{text}");
     }
+}
+
+/// The `label histogram:` and `top hubs:` block of `inspect --stats`.
+fn label_stats_block(path: &std::path::Path) -> String {
+    let out = run_ok(&["inspect", path.to_str().unwrap(), "--stats"], "");
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    let from = text.find("label histogram:").expect("no histogram");
+    let to = text.find("build stats:").expect("no build stats");
+    text[from..to].to_string()
+}
+
+/// A container whose pending journal stays under the fold bound opens
+/// patched; `inspect --stats` reads its labels through the patches, so it
+/// prints exactly what its compacted copy does — not the base's labels.
+#[test]
+fn inspect_stats_of_a_patched_open_matches_its_compacted_copy() {
+    let scratch = Scratch::new("inspect_patched");
+    let graph = testkit::barabasi_albert(640, 3, 21);
+    let index = build_index(&scratch, "ba", &edge_list(&graph), 8);
+    let before = label_stats_block(&index);
+    let hub = graph.top_k_by_degree(1)[0];
+    let path = index.to_str().unwrap();
+    run_ok(&["update", path], &format!("+639 638\n+639 {hub}\n"));
+    let store = hcl_store::IndexStore::open(&index).expect("reopen");
+    assert_eq!(store.journal().map(|j| j.len()), Some(2));
+    assert!(store.graph().is_patched() && store.index().is_patched());
+    drop(store);
+
+    let compacted = scratch.path("compacted.hcl");
+    std::fs::copy(&index, &compacted).expect("copy container");
+    run_ok(&["update", compacted.to_str().unwrap(), "--compact"], "");
+    let patched = label_stats_block(&index);
+    assert_eq!(patched, label_stats_block(&compacted));
+    assert_ne!(patched, before, "the inserts changed no label statistic");
 }

@@ -11,60 +11,17 @@
 //! injected corruption (old generation still answering byte-identically)
 //! and back to `ok` after repair or a good reload.
 
+mod common;
+
+use common::{build_index, edge_list, hcl, Scratch};
 use hcl_core::{testkit, Graph};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, ChildStdin, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-
-fn hcl() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_hcl"))
-}
-
-/// A per-test scratch directory, removed on drop.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Self {
-        let mut p = std::env::temp_dir();
-        p.push(format!("hcl_server_test_{}_{tag}", std::process::id()));
-        std::fs::create_dir_all(&p).expect("create scratch dir");
-        Self(p)
-    }
-
-    fn file(&self, name: &str, contents: &str) -> PathBuf {
-        let p = self.0.join(name);
-        std::fs::write(&p, contents).expect("write scratch file");
-        p
-    }
-
-    fn path(&self, name: &str) -> PathBuf {
-        self.0.join(name)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
-/// Writes `g` as a `u v` edge list the CLI can rebuild (same helper as
-/// the worker-pool property tests).
-fn edge_list(g: &Graph) -> String {
-    let mut out = String::new();
-    for u in 0..g.num_vertices() as u32 {
-        for &w in g.as_view().neighbors(u) {
-            if w > u {
-                out.push_str(&format!("{u} {w}\n"));
-            }
-        }
-    }
-    out
-}
 
 /// A deterministic workload: mostly valid pairs salted with out-of-range
 /// ids, comments, blanks, and (optionally) malformed lines — the inputs
@@ -87,26 +44,6 @@ fn workload(n: usize, seed: u64, malformed: bool) -> String {
         }
     }
     out
-}
-
-/// Builds a `.hcl` container for an edge list via the real binary.
-fn build_index(scratch: &Scratch, tag: &str, edges: &str, landmarks: usize) -> PathBuf {
-    let graph = scratch.file(&format!("{tag}.edges"), edges);
-    let index = scratch.path(&format!("{tag}.hcl"));
-    let out = hcl()
-        .arg("build")
-        .arg(&graph)
-        .arg("--out")
-        .arg(&index)
-        .args(["--landmarks", &landmarks.to_string()])
-        .output()
-        .expect("spawn hcl build");
-    assert!(
-        out.status.success(),
-        "build failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    index
 }
 
 /// The stdin `serve` path's stdout for a workload — the byte-identity

@@ -6,59 +6,17 @@
 //! in-flight queries see zero dropped and zero wrong answers while
 //! update batches churn generations underneath.
 
+mod common;
+
+use common::{build_index, edge_list, hcl, Scratch};
 use hcl_core::{testkit, Graph};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, Command, ExitStatus, Stdio};
+use std::path::Path;
+use std::process::{Child, ChildStdin, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-
-fn hcl() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_hcl"))
-}
-
-/// A per-test scratch directory, removed on drop.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Self {
-        let mut p = std::env::temp_dir();
-        p.push(format!("hcl_update_test_{}_{tag}", std::process::id()));
-        std::fs::create_dir_all(&p).expect("create scratch dir");
-        Self(p)
-    }
-
-    fn file(&self, name: &str, contents: &str) -> PathBuf {
-        let p = self.0.join(name);
-        std::fs::write(&p, contents).expect("write scratch file");
-        p
-    }
-
-    fn path(&self, name: &str) -> PathBuf {
-        self.0.join(name)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
-/// Writes `g` as a `u v` edge list the CLI can rebuild.
-fn edge_list(g: &Graph) -> String {
-    let mut out = String::new();
-    for u in 0..g.num_vertices() as u32 {
-        for &w in g.as_view().neighbors(u) {
-            if w > u {
-                out.push_str(&format!("{u} {w}\n"));
-            }
-        }
-    }
-    out
-}
 
 /// The first non-adjacent pair `u < v` whose distance exceeds 1, so
 /// inserting the edge is effective *and* changes at least one answer.
@@ -72,26 +30,6 @@ fn non_edge(g: &Graph) -> (u32, u32) {
         }
     }
     panic!("graph is complete; no non-edge to insert");
-}
-
-/// Builds a `.hcl` container for an edge list via the real binary.
-fn build_index(scratch: &Scratch, tag: &str, edges: &str, landmarks: usize) -> PathBuf {
-    let graph = scratch.file(&format!("{tag}.edges"), edges);
-    let index = scratch.path(&format!("{tag}.hcl"));
-    let out = hcl()
-        .arg("build")
-        .arg(&graph)
-        .arg("--out")
-        .arg(&index)
-        .args(["--landmarks", &landmarks.to_string()])
-        .output()
-        .expect("spawn hcl build");
-    assert!(
-        out.status.success(),
-        "build failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    index
 }
 
 /// Runs `hcl serve --index <index> [extra…] < input`, asserting success,

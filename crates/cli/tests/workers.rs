@@ -5,30 +5,12 @@
 //! with the sequential batch path. Workloads are sized past one pool
 //! chunk so the reorder machinery actually reorders.
 
-use hcl_core::{testkit, Graph};
+mod common;
+
+use common::{edge_list, hcl, Scratch};
+use hcl_core::testkit;
 use std::io::Write;
-use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
-
-fn hcl() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_hcl"))
-}
-
-/// Writes `g` as a `u v` edge list the CLI can rebuild. (Trailing isolated
-/// vertices are not representable in an edge list; queries against them
-/// simply exercise the out-of-range diagnostics, identically across
-/// worker counts.)
-fn edge_list(g: &Graph) -> String {
-    let mut out = String::new();
-    for u in 0..g.num_vertices() as u32 {
-        for &w in g.as_view().neighbors(u) {
-            if w > u {
-                out.push_str(&format!("{u} {w}\n"));
-            }
-        }
-    }
-    out
-}
 
 /// A deterministic stdin workload: mostly valid pairs, salted with
 /// out-of-range ids, comments, and blanks — plus malformed lines when
@@ -52,23 +34,6 @@ fn workload(n: usize, seed: u64, malformed: bool) -> String {
         }
     }
     out
-}
-
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Self {
-        let mut p = std::env::temp_dir();
-        p.push(format!("hcl_workers_test_{}_{tag}", std::process::id()));
-        std::fs::create_dir_all(&p).expect("create scratch dir");
-        Self(p)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
 }
 
 fn run_with_stdin(cmd: &mut Command, stdin: &str) -> Output {

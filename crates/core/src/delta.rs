@@ -537,11 +537,15 @@ impl<'a> DeltaGraph<'a> {
     /// vertices' overlay lists, copied in vertex order. No sort and no
     /// validation pass: overlay lists are sorted, deduplicated, symmetric
     /// and self-loop free by construction, so the bytes are exactly what
-    /// `GraphBuilder` would make of the same edge set.
+    /// `GraphBuilder` would make of the same edge set. A patched base (a
+    /// served generation's view) is first spliced flat itself, so its own
+    /// replacement rows are kept.
     pub fn to_graph(&self) -> Graph {
+        let flat = self.base.is_patched().then(|| self.base.to_owned_graph());
+        let base = flat.as_ref().map_or(self.base, Graph::as_view);
         let (offsets, neighbors) = self
             .patched
-            .splice(self.base.csr_offsets(), self.base.csr_neighbors());
+            .splice(base.csr_offsets(), base.csr_neighbors());
         Graph::from_csr_trusted(offsets, neighbors)
     }
 
@@ -882,6 +886,18 @@ mod tests {
 
     #[test]
     fn frozen_graphs_read_like_the_spliced_graph() {
+        // An overlay over a patched base: one insert frozen into a served
+        // generation, then another made on top of that generation's view.
+        let g = Arc::new(testkit::barabasi_albert(200, 3, 7));
+        let mut first = DeltaGraph::new(g.as_view());
+        first.apply(EdgeDelta::insert(0, 199)).unwrap();
+        let frozen = first.detach().freeze(&g);
+        let mut d = DeltaGraph::new(frozen.as_view());
+        d.apply(EdgeDelta::insert(1, 198)).unwrap();
+        assert_splices_like_the_builder(&d, "over a patched base");
+        let spliced = d.to_graph();
+        assert!(spliced.has_edge(0, 199) && spliced.has_edge(1, 198));
+
         for (name, g) in testkit::families() {
             let base = Arc::new(g);
             let n = base.num_vertices() as u64;

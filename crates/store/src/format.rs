@@ -37,7 +37,7 @@
 //!
 //! * `build_stats` (kind 10, u64): the thread-count-invariant build
 //!   counters — see [`StoredBuildStats`] for the payload layout.
-//! * `journal` (kind 11, u64): edge deltas not yet folded into the base
+//! * `journal` (kind 11, u64): edge deltas not yet compacted into the base
 //!   sections, plus the container's compaction counter — see
 //!   [`StoredJournal`]. The base sections always describe the graph/index
 //!   *as last compacted*; opening a file with a non-empty journal replays
@@ -326,8 +326,8 @@ pub(crate) fn decode_delta(op: u64, endpoints: u64) -> Option<EdgeDelta> {
 /// The base sections of a file always hold the graph and index **as
 /// last compacted**; the journal holds the edits applied since, in order.
 /// Opening a journalled file replays the deltas (and repairs the labels)
-/// to reconstruct current state; `compact` folds the replayed state back
-/// into the base sections and empties the journal. The payload is a flat
+/// to reconstruct current state; `compact` writes the replayed state back
+/// as the base sections and empties the journal. The payload is a flat
 /// `u64` array:
 ///
 /// ```text
@@ -343,8 +343,8 @@ pub(crate) fn decode_delta(op: u64, endpoints: u64) -> Option<EdgeDelta> {
 pub struct StoredJournal {
     /// Edge edits applied since the last compaction, in application order.
     pub deltas: Vec<EdgeDelta>,
-    /// How many times this container's journal has been folded into the
-    /// base sections (monotone across the file's lifetime).
+    /// How many times this container's journal has been compacted into
+    /// the base sections (monotone across the file's lifetime).
     pub compactions: u64,
 }
 

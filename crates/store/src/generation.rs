@@ -231,51 +231,54 @@ mod tests {
 
     /// Readers querying while generations swap under them get exact
     /// answers from a patched generation — base arrays shared with the
-    /// writer under frozen overlays — as from its flat splice.
+    /// writer under frozen overlays — as from a flat one. Both come from
+    /// the update engine over the same deltas: one engine keeps its
+    /// overlay under the fold bound, the other compacted to flat arrays.
     #[test]
     fn concurrent_readers_on_a_patched_generation_see_exact_answers() {
-        use crate::JournalWriter;
-        use hcl_core::{bfs, DeltaGraph, EdgeDelta, FrozenGraph, INFINITY};
-        use hcl_index::repair::DynamicIndex;
-        use hcl_index::{BuildContext, FrozenIndex};
+        use crate::UpdateEngine;
+        use hcl_core::{bfs, DeltaGraph, EdgeDelta, INFINITY};
 
-        let graph = Arc::new(testkit::barabasi_albert(200, 3, 4));
+        const N: u32 = 400;
+        let graph = testkit::barabasi_albert(N as usize, 3, 4);
         let index = HighwayCoverIndex::build(&graph, IndexConfig { num_landmarks: 8 });
         let bytes = crate::serialize(&graph, &index).expect("serialize");
         let store = IndexStore::from_bytes(&bytes).expect("open");
-        let mut writer = JournalWriter::new(&store, None);
-        let mut dynamic = DynamicIndex::from_view(store.index());
-        let mut overlay = DeltaGraph::new(graph.as_view());
-        let mut cx = BuildContext::new();
-        let deltas: Vec<EdgeDelta> = (0..12u32)
-            .map(|i| EdgeDelta::insert(i, 199 - 3 * i))
+        // Three inserts patch 6 adjacency rows and 4 labels: under the
+        // fold bound of n / 64 = 6 rows.
+        let deltas: Vec<EdgeDelta> = (0..3u32)
+            .map(|i| EdgeDelta::insert(i, N - 1 - 3 * i))
             .collect();
-        for &delta in &deltas {
-            dynamic
-                .apply_and_repair(&mut overlay, delta, &mut cx)
-                .unwrap();
+        let mut oracle = DeltaGraph::new(graph.as_view());
+        let (mut patched_engine, mut flat_engine) = (
+            UpdateEngine::from_store(&store, None, 0),
+            UpdateEngine::from_store(&store, None, 0),
+        );
+        for engine in [&mut patched_engine, &mut flat_engine] {
+            assert_eq!(engine.apply(&deltas).expect("inserts"), 3);
         }
-        writer.append(&deltas).expect("in-memory journal");
-        let edited = overlay.to_graph();
-        let patches = overlay.detach();
-        let patched = || {
-            let store = writer
-                .generation(patches.freeze(&graph), dynamic.freeze())
-                .expect("patched generation");
+        for &delta in &deltas {
+            oracle.apply(delta).expect("oracle insert");
+        }
+        assert!(flat_engine.publish(true).expect("compaction").compacted);
+        let mut patched = || {
+            let store = patched_engine
+                .publish(false)
+                .expect("patched generation")
+                .store;
             assert!(store.graph().is_patched() && store.index().is_patched());
             store
         };
-        let flat = || {
-            let (graph, index) = (Arc::new(edited.clone()), Arc::new(dynamic.to_index()));
-            writer
-                .generation(FrozenGraph::flat(graph), FrozenIndex::flat(index))
-                .expect("flat generation")
+        let mut flat = || {
+            let store = flat_engine.publish(false).expect("flat generation").store;
+            assert!(!store.graph().is_patched() && !store.index().is_patched());
+            store
         };
         let pairs: Vec<(u32, u32, Option<u32>)> = (0..40u32)
             .flat_map(|u| {
-                let from = bfs::distances_from(&edited, u);
-                (0..200u32)
-                    .step_by(9)
+                let from = bfs::distances_from(&oracle, u);
+                (0..N)
+                    .step_by(17)
                     .map(move |v| (u, v, Some(from[v as usize]).filter(|&d| d != INFINITY)))
             })
             .collect();

@@ -39,15 +39,18 @@
 //! header, geometry, and semantic check — roughly halving the open. See
 //! [`format`](self) docs in `format.rs` for the byte layout.
 //!
-//! Live edge updates never rewrite a container: [`JournalWriter`] appends
-//! one small self-checksummed frame per acknowledged batch after the
-//! image (the *journal tail*, replayed at open) and stamps the next
-//! serving generation onto the shared, already-validated image. That
-//! generation serves the live state as the update engine froze it — the
-//! arrays of its last fold, shared by `Arc` with every generation since,
-//! under a frozen overlay of the adjacency and label rows patched after
-//! that fold — so publishing copies only those rows. Open-time replay
-//! still produces flat arrays. Only a compaction writes a whole file.
+//! Live edge updates never rewrite a container: [`UpdateEngine`] repairs
+//! the labels per delta, and its [`JournalWriter`] appends one small
+//! self-checksummed frame per acknowledged batch after the image (the
+//! *journal tail*, replayed at open) and stamps the next serving
+//! generation onto the shared, already-validated image. That generation
+//! serves the live state as the engine froze it — the arrays of its last
+//! fold, shared by `Arc` with every generation since, under a frozen
+//! overlay of the adjacency and label rows patched after that fold — so
+//! publishing copies only those rows. Open-time replay runs the pending
+//! journal through the same engine state and fold rule, so a small journal
+//! opens patched and a large one folds. Only a compaction writes a whole
+//! file.
 //!
 //! Platforms without the mmap fast path (or callers preferring a private
 //! copy) get the same API via [`IndexStore::open_preloaded`] /
@@ -61,12 +64,14 @@
 mod backing;
 mod checksum;
 pub mod durable;
+mod engine;
 mod error;
 mod format;
 mod generation;
 mod tail;
 
 pub use checksum::crc64;
+pub use engine::{Published, UpdateEngine, UpdateError, UpdatePhases};
 pub use error::StoreError;
 pub use format::{
     rewrite_checksum, serialize, serialize_with, serialize_with_journal, serialize_with_stats,
@@ -77,10 +82,10 @@ pub use generation::{Generation, GenerationHandle};
 pub use tail::{encode_tail_frame, AppendOutcome, JournalWriter, TailInfo};
 
 use backing::{cast_u32s, cast_u64s, AlignedBuf, Backing};
+use engine::LiveState;
 use format::Layout;
 use hcl_core::{DeltaError, DeltaGraph, EdgeDelta, FrozenGraph, Graph, GraphView, VertexId};
-use hcl_index::repair::DynamicIndex;
-use hcl_index::{BuildContext, FrozenIndex, HighwayCoverIndex, IndexView};
+use hcl_index::{FrozenIndex, HighwayCoverIndex, IndexView};
 use std::fs::File;
 use std::path::Path;
 use std::sync::Arc;
@@ -127,8 +132,8 @@ fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
 /// What [`compact_file`] did, for logging and `inspect`-style tooling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompactReport {
-    /// Journal deltas folded into the base sections.
-    pub deltas_folded: usize,
+    /// Journal deltas compacted into the base sections.
+    pub deltas_compacted: usize,
     /// Container size before compaction, in bytes.
     pub bytes_before: u64,
     /// Container size after compaction, in bytes.
@@ -137,11 +142,11 @@ pub struct CompactReport {
     pub compactions: u64,
 }
 
-/// Folds a container's delta journal (section and tail frames) into its
-/// base sections: opens the file (which replays pending deltas and repairs
-/// the labels), then atomically republishes it with the replayed state as
-/// the new base, an empty journal, no tail, and the compaction counter
-/// bumped.
+/// Compacts a container's delta journal (section and tail frames) into
+/// its base sections: opens the file (which replays pending deltas and
+/// repairs the labels), then atomically republishes it with the replayed
+/// state as the new base, an empty journal, no tail, and the compaction
+/// counter bumped.
 ///
 /// The write goes through the durable temp-fsync/rename/dir-fsync path
 /// ([`durable`]), so a crash mid-compaction leaves the old journalled
@@ -155,24 +160,24 @@ pub fn compact_file(path: impl AsRef<Path>) -> Result<CompactReport, StoreError>
     if journal.is_empty() {
         let len = store.len_bytes();
         return Ok(CompactReport {
-            deltas_folded: 0,
+            deltas_compacted: 0,
             bytes_before: len,
             bytes_after: len,
             compactions: journal.compactions,
         });
     }
     let (graph, index) = store.to_owned_parts();
-    let folded = StoredJournal {
+    let compacted = StoredJournal {
         deltas: Vec::new(),
         compactions: journal.compactions + 1,
     };
-    let bytes = serialize_with_journal(&graph, &index, meta.build, &folded)?;
+    let bytes = serialize_with_journal(&graph, &index, meta.build, &compacted)?;
     write_atomically(path, &bytes)?;
     Ok(CompactReport {
-        deltas_folded: journal.len(),
+        deltas_compacted: journal.len(),
         bytes_before: store.len_bytes(),
         bytes_after: bytes.len() as u64,
-        compactions: folded.compactions,
+        compactions: compacted.compactions,
     })
 }
 
@@ -200,9 +205,11 @@ pub struct OpenPhases {
     pub graph: Duration,
     /// Semantic validation of the labelling (`IndexView::from_parts`).
     pub labels: Duration,
-    /// Pending journal deltas replayed over the base sections: the base
-    /// labels copied into editable form, label repair per delta, then the
-    /// graph and labels spliced back into flat arrays once.
+    /// Pending journal deltas replayed over the base sections through the
+    /// update engine's live state: the base graph and labels copied into
+    /// editable form, label repair per delta, then one freeze — the
+    /// patched rows copied beside the copies, or, past the engine's fold
+    /// bound (`n / 64` rows in either overlay), both spliced flat.
     pub replay: Duration,
 }
 
@@ -413,9 +420,8 @@ fn validate(bytes: &[u8], mode: OpenMode) -> Result<Validated, StoreError> {
 
 /// Owned current state of a journalled container: base sections plus
 /// replayed deltas, with labels repaired incrementally. Base `Arc`s, shared
-/// with the live-update engine and the generations before and after this
-/// one, plus the frozen overlay of rows patched since the engine last
-/// folded (none after an open-time replay, which produces flat arrays).
+/// with the update engine and the generations before and after this one,
+/// plus the frozen overlay of rows patched since the engine last folded.
 struct ReplayedState {
     graph: FrozenGraph,
     index: FrozenIndex,
@@ -518,26 +524,20 @@ impl IndexStore {
         } = validate(backing.bytes(), mode)?;
         let base = Base { backing, layout };
 
-        // Replay pending deltas over the base sections — applying each
-        // edit to a delta overlay and repairing the labels incrementally
-        // — so the store serves *current* state.
+        // Replay pending deltas over the base sections through the update
+        // engine's live state, so the store serves *current* state, frozen
+        // by the fold rule the live updates ran under.
         let replayed = match &journal {
             Some(j) if !j.is_empty() => {
                 let t = Instant::now();
-                let mut overlay = DeltaGraph::new(base.graph());
-                let mut dynamic = DynamicIndex::from_view(base.index());
-                let mut cx = BuildContext::new();
+                let mut live = LiveState::new(base.graph(), base.index());
                 for (i, &delta) in j.deltas.iter().enumerate() {
-                    dynamic
-                        .apply_and_repair(&mut overlay, delta, &mut cx)
+                    live.apply(delta)
                         .map_err(|why| inapplicable(i, delta, why))?;
                 }
-                let state = ReplayedState {
-                    graph: FrozenGraph::flat(Arc::new(overlay.to_graph())),
-                    index: FrozenIndex::flat(dynamic.flatten()),
-                };
+                let (graph, index, _) = live.freeze(false);
                 open_phases.replay = t.elapsed();
-                Some(state)
+                Some(ReplayedState { graph, index })
             }
             _ => None,
         };

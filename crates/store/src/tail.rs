@@ -417,10 +417,11 @@ impl JournalWriter {
         })
     }
 
-    /// Folds the journal: durably publishes a whole new container with the
-    /// live `graph` / `index` as its base, an empty journal, no tail and
-    /// the compaction counter bumped, then continues from a trusted reopen
-    /// of it — the returned store, which is also the generation to serve.
+    /// Compacts the journal: durably publishes a whole new container with
+    /// the live `graph` / `index` as its base, an empty journal, no tail
+    /// and the compaction counter bumped, then continues from a trusted
+    /// reopen of it — the returned store, which is also the generation to
+    /// serve.
     /// (An in-memory image is re-imaged in memory instead.)
     pub fn compact(
         &mut self,
@@ -442,11 +443,11 @@ impl JournalWriter {
         index: &HighwayCoverIndex,
         io: &Io,
     ) -> Result<Option<IndexStore>, StoreError> {
-        let folded = StoredJournal {
+        let compacted = StoredJournal {
             deltas: Vec::new(),
             compactions: self.journal.compactions + 1,
         };
-        let bytes = serialize_with_journal(graph, index, self.base.layout.meta.build, &folded)?;
+        let bytes = serialize_with_journal(graph, index, self.base.layout.meta.build, &compacted)?;
         // The append handle points at the inode the rename unlinks.
         self.file = None;
         let store = match &self.path {

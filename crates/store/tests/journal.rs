@@ -134,7 +134,7 @@ fn compact_folds_journal_and_preserves_answers() {
     drop(before);
 
     let report = compact_file(&path).unwrap();
-    assert_eq!(report.deltas_folded, 8);
+    assert_eq!(report.deltas_compacted, 8);
     assert_eq!(report.compactions, 3);
 
     let after = IndexStore::open(&path).unwrap();
@@ -153,7 +153,7 @@ fn compact_folds_journal_and_preserves_answers() {
 
     // Compacting an already-clean v6 file is a no-op.
     let report = compact_file(&path).unwrap();
-    assert_eq!(report.deltas_folded, 0);
+    assert_eq!(report.deltas_compacted, 0);
     assert_eq!(report.compactions, 3);
 }
 

@@ -103,6 +103,7 @@ pub const SERVING_PATH_FILES: &[&str] = &[
     "crates/cli/src/metrics.rs",
     "crates/cli/src/sync.rs",
     "crates/cli/src/update.rs",
+    "crates/store/src/engine.rs",
     "crates/store/src/tail.rs",
     "crates/index/src/query.rs",
     "crates/index/src/view.rs",
