@@ -47,7 +47,7 @@ mod sync;
 mod update;
 
 use hcl_core::{bfs, EdgeDelta, Graph, GraphBuilder, VertexId};
-use hcl_index::{BuildOptions, HighwayCoverIndex, QueryContext, QueryStats};
+use hcl_index::{BuildOptions, HighwayCoverIndex, QueryStats};
 use hcl_store::{IndexStore, UpdateEngine};
 use std::io::{BufRead, ErrorKind, IsTerminal, Read, Write};
 use std::process::ExitCode;
@@ -83,8 +83,7 @@ const USAGE: &str = "usage: hcl <command> [args]\n\
            cores). --verify re-checks against a BFS oracle. --explain\n\
            prints one per-query trace line to stderr (answer source,\n\
            merge kind, hub entries scanned, residual-BFS work); stdout\n\
-           stays byte-identical to a run without it. --explain answers\n\
-           sequentially, so it ignores --workers.\n\
+           stays byte-identical to a run without it.\n\
        serve (--index FILE.hcl [--trusted] | <graph.edges> [--landmarks K]\n\
              [--threads T]) [--workers W] [--listen ADDR]\n\
              [--max-inflight N] [--write-timeout-ms MS]\n\
@@ -791,80 +790,66 @@ fn cmd_query(args: Vec<String>) -> Result<(), String> {
         resolve_build_threads(opts.threads),
         opts.trusted,
     )?;
-    let (graph, index) = (store.graph(), store.index());
+    let n = store.graph().num_vertices();
+    let workload = collect_queries(&opts, n)?;
+    // --explain needs each answer's stats; nothing else here does.
+    let pipeline = pipeline::Pipeline::new(store, None, None, 0, opts.explain);
 
-    let workload = collect_queries(&opts, graph.num_vertices())?;
-    let n = graph.num_vertices();
-    // Out-of-range ids are diagnosed with their source line and skipped —
-    // the same skip-don't-die contract `serve` has always had, so a batch
-    // file with one bad id still gets its other answers.
-    let mut queries = Vec::with_capacity(workload.pairs.len());
-    for &(lineno, u, v) in &workload.pairs {
-        if (u as usize) < n && (v as usize) < n {
-            queries.push((u, v));
-        } else {
-            eprintln!(
-                "error: {}:{lineno}: query ({u}, {v}) out of range (n = {n}); skipped",
-                workload.source
-            );
-        }
-    }
-
-    // One reused context per worker (a single context when sequential):
-    // per-call allocation would dominate µs-scale queries.
-    let workers = if opts.explain {
-        1 // --explain traces sequentially; the summary reports it honestly
-    } else {
-        resolve_workers(opts.workers)
-    };
+    let workers = resolve_workers(opts.workers);
+    let mut queries = 0usize;
+    let mut answered = Vec::new();
     let t2 = Instant::now();
-    let answers = if opts.explain {
-        // Explain mode answers sequentially with the stats probe attached,
-        // printing one trace line per query to stderr. Stdout is produced
-        // by the same formatter from the same answers, so it stays
-        // byte-identical to a run without --explain.
-        let mut ctx = QueryContext::new();
-        let mut stats = QueryStats::new();
-        let mut answers = Vec::with_capacity(queries.len());
-        for &(u, v) in &queries {
-            let d = index.query_probed(graph, &mut ctx, u, v, &mut stats);
-            eprintln!("{}", explain_line(u, v, d, &stats));
-            answers.push(d);
-        }
-        answers
-    } else {
-        pool::answer_batch(graph, index, &queries, workers)
-    };
+    // Out-of-range ids are diagnosed with their source line and skipped —
+    // the same skip-don't-die contract `serve` has, so a batch file with
+    // one bad id still gets its other answers.
+    let closed = pool::run(
+        &pipeline,
+        workers,
+        std::io::stdout(),
+        |answer, _, _| {
+            let (u, v, d) = (answer.request.u, answer.request.v, answer.dist);
+            if let Some(stats) = &answer.stats {
+                eprintln!("{}", explain_line(u, v, d, stats));
+            }
+            if opts.verify {
+                answered.push((u, v, d));
+            }
+        },
+        |feed| {
+            for &(lineno, u, v) in &workload.pairs {
+                if feed.stopped() {
+                    break;
+                }
+                // The whole workload arrived before answering started.
+                if let Some(request) = pipeline.check_range(u, v, t2, &workload.source, lineno, n) {
+                    queries += 1;
+                    feed.push(request);
+                }
+            }
+            Ok(())
+        },
+    )?;
     let query_time = t2.elapsed();
-
-    let mut text = String::with_capacity(queries.len() * 12);
-    for (&(u, v), &d) in queries.iter().zip(&answers) {
-        pipeline::push_answer_line(&mut text, u, v, d);
-    }
-    let mut out = std::io::stdout().lock();
-    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
-        Ok(()) => {}
+    if closed {
         // The reader went away (e.g. `hcl query … | head`): that ends the
         // output, it doesn't fail the command.
-        Err(e) if e.kind() == ErrorKind::BrokenPipe => {
-            eprintln!("stdout closed by reader; stopping output early");
-        }
-        Err(e) => return Err(format!("writing output: {e}")),
+        eprintln!("stdout closed by reader; stopping output early");
     }
 
-    if !queries.is_empty() {
+    if queries > 0 {
         eprintln!(
-            "queries: {} answered in {:.1?} ({:.2} µs/query, {workers} worker(s))",
-            queries.len(),
+            "queries: {queries} answered in {:.1?} ({:.2} µs/query, {workers} worker(s))",
             query_time,
-            query_time.as_secs_f64() * 1e6 / queries.len() as f64
+            query_time.as_secs_f64() * 1e6 / queries as f64
         );
     }
 
     if opts.verify {
         let t3 = Instant::now();
+        let generation = pipeline.handle.current();
+        let graph = generation.store.graph();
         let mut scratch = bfs::BfsScratch::new();
-        for (&(u, v), &d) in queries.iter().zip(&answers) {
+        for &(u, v, d) in &answered {
             let oracle = bfs::distance_with(graph, u, v, &mut scratch);
             if d != oracle {
                 return Err(format!(
@@ -874,7 +859,7 @@ fn cmd_query(args: Vec<String>) -> Result<(), String> {
         }
         eprintln!(
             "verify: all {} answers match the BFS oracle ({:.1?})",
-            queries.len(),
+            answered.len(),
             t3.elapsed()
         );
     }
@@ -1079,16 +1064,25 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
     }
 
     // Stdin: the reader chunks lines for the query workers, which answer
-    // on per-chunk generation snapshots, and a reorder buffer keeps stdout
-    // in input order at every worker count. `+u v` / `-u v` lines swap in
-    // a repaired generation between chunks.
+    // on per-chunk generation snapshots, and the writer takes the chunks'
+    // result slots in input order at every worker count. `+u v` / `-u v`
+    // lines swap in a repaired generation between chunks.
     let workers = resolve_workers(workers);
     let stdin = std::io::stdin();
     if stdin.is_terminal() {
         eprintln!("serving with {workers} worker(s): one `u v` pair per line, Ctrl-D to finish");
     }
     let t0 = Instant::now();
-    if pool::serve_pooled(&pipeline, workers, stdin.lock(), std::io::stdout())? {
+    let input = stdin.lock();
+    let closed = pool::run(
+        &pipeline,
+        // No more query threads than the workload has chunks.
+        workers,
+        std::io::stdout(),
+        |answer, worker, sent| pipeline.record(answer, "stdin", worker, sent),
+        |feed| pool::serve_stdin(&pipeline, input, feed),
+    )?;
+    if closed {
         eprintln!("stdout closed by reader; shutting down");
     }
     pipeline.print_summary(

@@ -1,10 +1,10 @@
-//! The request pipeline every serve transport shares: one value that
+//! The request pipeline every answer goes through: one value that
 //! parses and range-checks a query line, answers it, records what the
 //! answer cost, applies a batch of edge deltas through the store's
 //! `UpdateEngine`, and prints the shutdown summary.
 //!
-//! The transports keep only what is theirs. Stdin serving (`pool.rs`)
-//! frames lines, chunks them through the worker pool and restores input
+//! The front ends keep only what is theirs. Stdin serving and `hcl query`
+//! (`pool.rs`) feed queries through the worker pool, which keeps input
 //! order; the socket server (`server.rs`) frames TCP lines and HTTP
 //! exchanges and admits connections. What a query or an update *does*
 //! happens here, once, so the diagnostics, the counters, the slow log and
@@ -18,8 +18,8 @@ use crate::metrics::ServerMetrics;
 use crate::parse_pair_line;
 use crate::slowlog::{SlowLog, SlowQuery};
 use crate::sync::lock_recover;
-use hcl_core::{EdgeDelta, VertexId};
-use hcl_index::{QueryContext, QueryStats};
+use hcl_core::{EdgeDelta, GraphView, VertexId};
+use hcl_index::{IndexView, QueryContext, QueryStats};
 use hcl_store::{Generation, GenerationHandle, IndexStore, Published, UpdateEngine, UpdateError};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -40,7 +40,27 @@ pub(crate) struct Answer {
     pub(crate) request: Request,
     pub(crate) dist: Option<u32>,
     generation: u64,
-    stats: Option<QueryStats>,
+    /// The probe's breakdown, when the pipeline runs one.
+    pub(crate) stats: Option<QueryStats>,
+}
+
+/// A generation pinned for answering: its views, built once per chunk or
+/// request instead of once per query (per query, building them measured
+/// a few percent of a one-worker batch).
+pub(crate) struct Pinned<'a> {
+    graph: GraphView<'a>,
+    index: IndexView<'a>,
+    number: u64,
+}
+
+impl<'a> Pinned<'a> {
+    pub(crate) fn new(generation: &'a Generation) -> Self {
+        Self {
+            graph: generation.store.graph(),
+            index: generation.store.index(),
+            number: generation.number,
+        }
+    }
 }
 
 /// What one published update batch did, for the transport's reply.
@@ -59,8 +79,9 @@ pub(crate) struct Pipeline {
     /// `--slow-log-us` / `--slow-log-file`, if enabled.
     slow_log: Option<SlowLog>,
     /// Whether answers run with the stats probe: the slow log needs its
-    /// fields, and a socket server exports per-mechanism counters from it.
-    /// Everything else keeps the probe-free query path.
+    /// fields, a socket server exports per-mechanism counters from it, and
+    /// `query --explain` prints it. Everything else keeps the probe-free
+    /// query path.
     probe: bool,
     /// Serialises generation swaps: an update and a reload (including
     /// its whole retry loop) never interleave. Taken before `engine`.
@@ -78,18 +99,17 @@ pub(crate) struct Pipeline {
 }
 
 impl Pipeline {
-    /// Serves `store` as generation 1. `sockets` says whether the
-    /// per-mechanism answer counters are exported (`/metrics`), which is
-    /// what makes every answer pay for the probe.
+    /// Serves `store` as generation 1. `probe` makes every answer carry
+    /// its [`QueryStats`] (a slow log turns it on too).
     pub(crate) fn new(
         store: IndexStore,
         slow_log: Option<SlowLog>,
         index_path: Option<PathBuf>,
         compact_after: usize,
-        sockets: bool,
+        probe: bool,
     ) -> Self {
         let pipeline = Self {
-            probe: sockets || slow_log.is_some(),
+            probe: probe || slow_log.is_some(),
             handle: GenerationHandle::new(store),
             metrics: ServerMetrics::new(),
             slow_log,
@@ -117,14 +137,28 @@ impl Pipeline {
         let parsed = parse_pair_line(line, source, lineno).transpose()?;
         let received = Instant::now();
         self.metrics.requests.inc();
-        let (u, v) = match parsed {
-            Ok(pair) => pair,
+        match parsed {
+            Ok((u, v)) => self.check_range(u, v, received, source, lineno, n),
             Err(msg) => {
                 self.metrics.malformed.inc();
                 eprintln!("error: {msg}");
-                return None;
+                None
             }
-        };
+        }
+    }
+
+    /// Checks the pair on `source`'s line `lineno`, which arrived at
+    /// `received`, against a generation of `n` vertices. Out of range is
+    /// reported on stderr, counted and skipped (`None`).
+    pub(crate) fn check_range(
+        &self,
+        u: VertexId,
+        v: VertexId,
+        received: Instant,
+        source: &str,
+        lineno: usize,
+        n: usize,
+    ) -> Option<Request> {
         if u as usize >= n || v as usize >= n {
             self.metrics.out_of_range.inc();
             eprintln!("error: {source}:{lineno}: query ({u}, {v}) out of range (n = {n}); skipped");
@@ -133,15 +167,15 @@ impl Pipeline {
         Some(Request { u, v, received })
     }
 
-    /// Answers `request` on `generation`, the snapshot its transport
-    /// pinned for the chunk or request.
+    /// Answers `request` on the generation its transport pinned for the
+    /// chunk or request.
     pub(crate) fn answer(
         &self,
-        generation: &Generation,
+        pinned: &Pinned<'_>,
         ctx: &mut QueryContext,
         request: Request,
     ) -> Answer {
-        let (graph, index) = (generation.store.graph(), generation.store.index());
+        let (graph, index) = (pinned.graph, pinned.index);
         let (u, v) = (request.u, request.v);
         let (dist, stats) = if self.probe {
             let mut stats = QueryStats::new();
@@ -153,7 +187,7 @@ impl Pipeline {
         Answer {
             request,
             dist,
-            generation: generation.number,
+            generation: pinned.number,
             stats,
         }
     }
@@ -195,13 +229,23 @@ impl Pipeline {
     /// journal frame (or a compaction), and the new generation is swapped
     /// in. Any failure drops the engine instead, so nothing the batch did
     /// is served or kept (the served generation and the file on disk keep
-    /// their state). `received` starts the update-latency sample.
+    /// their state). `received` starts the update-latency sample. An empty
+    /// batch changes nothing: no engine, no frame, no generation, and it
+    /// reports the one being served.
     pub(crate) fn update(
         &self,
         origin: &str,
         deltas: &[EdgeDelta],
         received: Instant,
     ) -> Result<Updated, UpdateError> {
+        if deltas.is_empty() {
+            return Ok(Updated {
+                applied: 0,
+                ignored: 0,
+                pending: self.metrics.journal_pending.load(Ordering::Relaxed) as usize,
+                generation: self.handle.number(),
+            });
+        }
         let _serialised = self.lock_swaps();
         let mut slot = lock_recover(&self.engine, "update engine");
         let engine = slot.get_or_insert_with(|| {

@@ -53,7 +53,7 @@
 //!   flowing from the intact mapping) until a clean pass or a successful
 //!   reload restores it.
 
-use crate::pipeline::{push_answer_line, Pipeline, Request};
+use crate::pipeline::{push_answer_line, Pinned, Pipeline, Request};
 use hcl_index::QueryContext;
 use hcl_store::IndexStore;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
@@ -543,7 +543,7 @@ fn handle_tcp_request(
     let Some(request) = pipeline.parse_query(text, peer, lineno, n) else {
         return true;
     };
-    let answer = pipeline.answer(&generation, ctx, request);
+    let answer = pipeline.answer(&Pinned::new(&generation), ctx, request);
     let mut buf = String::with_capacity(24);
     push_answer_line(&mut buf, answer.request.u, answer.request.v, answer.dist);
     if !write_answer_bytes(writer, buf.as_bytes(), state, peer) {
@@ -644,35 +644,30 @@ fn handle_http(
             return;
         }
     };
-    if method == "POST" && target != "/reload" && target != "/update" {
-        respond(
-            writer,
-            state,
-            peer,
-            405,
-            "Method Not Allowed",
-            "text/plain",
-            "try GET\n",
-        );
-        return;
-    }
-    if target == "/update" && method != "POST" {
-        respond(
-            writer,
-            state,
-            peer,
-            405,
-            "Method Not Allowed",
-            "text/plain",
-            "try POST\n",
-        );
-        return;
-    }
-
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p, q),
         None => (target, ""),
     };
+    // A known path answers only its listed methods; an unknown one is 404.
+    let allowed: &[&str] = match path {
+        "/healthz" | "/metrics" | "/query" => &["GET"],
+        "/reload" => &["GET", "POST"],
+        "/update" => &["POST"],
+        _ => &[],
+    };
+    if !allowed.is_empty() && !allowed.contains(&method) {
+        let body = format!("try {}\n", allowed.join(" or "));
+        respond(
+            writer,
+            state,
+            peer,
+            405,
+            "Method Not Allowed",
+            "text/plain",
+            &body,
+        );
+        return;
+    }
     match path {
         "/healthz" => {
             // Degraded: the scrubber found corruption in the live
@@ -790,7 +785,7 @@ fn handle_http_query(
         v: t,
         received,
     };
-    let answer = pipeline.answer(&generation, ctx, request);
+    let answer = pipeline.answer(&Pinned::new(&generation), ctx, request);
     let dist = match answer.dist {
         Some(d) => d.to_string(),
         None => "null".into(),

@@ -1,8 +1,8 @@
 //! Poison-recovering lock helpers for the serving path.
 //!
 //! A poisoned `Mutex` means some thread panicked while holding it. For
-//! the serving structures in this crate (slow-log sink state, the pool's
-//! flow-control window, the admission and job queues, the reload lock)
+//! the serving structures in this crate (slow-log sink state, the
+//! admission and job queues, the reload lock)
 //! the protected data stays structurally valid across a panic — every
 //! critical section either completes its writes or leaves independently
 //! meaningful fields — so propagating the poison would only convert one
@@ -12,11 +12,11 @@
 //! occurrence so the original panic stays visible.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// Times a lock was recovered from poisoning anywhere in the process.
 /// Global rather than per-`ServerMetrics`: the helpers run in code (the
-/// slow log, the pool's window) that has no metrics registry in reach.
+/// slow log, the pool's job queue) that has no metrics registry in reach.
 pub(crate) static LOCK_POISONED: AtomicU64 = AtomicU64::new(0);
 
 fn note_poisoned(what: &str) {
@@ -55,21 +55,6 @@ pub(crate) fn sleep_unless(
         remaining = remaining.saturating_sub(step);
     }
     !stop.load(Ordering::Relaxed)
-}
-
-/// `Condvar::wait` with the same poison recovery as [`lock_recover`].
-pub(crate) fn wait_recover<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    what: &str,
-) -> MutexGuard<'a, T> {
-    match cv.wait(guard) {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            note_poisoned(what);
-            poisoned.into_inner()
-        }
-    }
 }
 
 #[cfg(test)]

@@ -239,6 +239,9 @@ fn explain_trace_format_is_pinned() {
     assert_eq!(String::from_utf8_lossy(&out.stdout), "0 0 0\n0 11 11\n");
 }
 
+/// `--explain` changes no stdout byte, and at `--workers 4` — past two
+/// pool chunks, so the chunks really go to different workers — it prints
+/// the same trace lines in the same order as at `--workers 1`.
 #[test]
 fn explain_mode_stdout_is_byte_identical_across_families() {
     let scratch = Scratch::new("explain_identity");
@@ -263,30 +266,40 @@ fn explain_mode_stdout_is_byte_identical_across_families() {
                     "--landmarks",
                     "4",
                     "--random",
-                    "60",
+                    "600",
                     "--seed",
                     "99",
                 ],
                 "",
-                60,
+                600,
             )
         };
         let plain = run_ok(&base, stdin);
-        let mut with_explain = base.clone();
-        with_explain.push("--explain");
-        let explained = run_ok(&with_explain, stdin);
-        assert_eq!(
-            plain.stdout, explained.stdout,
-            "{name}: --explain changed stdout"
-        );
-        let stderr = String::from_utf8_lossy(&explained.stderr);
-        assert_eq!(
-            stderr
+        let mut traces = Vec::new();
+        for workers in ["1", "4"] {
+            let mut with_explain = base.clone();
+            with_explain.extend(["--explain", "--workers", workers]);
+            let explained = run_ok(&with_explain, stdin);
+            assert_eq!(
+                plain.stdout, explained.stdout,
+                "{name}: --explain at {workers} worker(s) changed stdout"
+            );
+            let stderr = String::from_utf8_lossy(&explained.stderr).into_owned();
+            let lines: Vec<String> = stderr
                 .lines()
                 .filter(|l| l.starts_with("explain: "))
-                .count(),
-            expected_traces,
-            "{name}: expected one trace per query:\n{stderr}"
+                .map(str::to_string)
+                .collect();
+            assert_eq!(
+                lines.len(),
+                expected_traces,
+                "{name}: expected one trace per query:\n{stderr}"
+            );
+            traces.push(lines);
+        }
+        assert_eq!(
+            traces[0], traces[1],
+            "{name}: explain lines differ between 1 and 4 workers"
         );
     }
 }

@@ -448,8 +448,27 @@ fn http_update_applies_transactional_batches_and_persists() {
     assert!(server.metric("hcl_update_failures_total") >= 2);
 
     // Wrong method and missing/oversized bodies get the right statuses.
+    // A known path answers only its listed methods: nothing else reloads,
+    // updates or renders.
     let (status, _) = server.http_get("/update");
     assert_eq!(status, 405);
+    let reloads = server.metric("hcl_reloads_total");
+    for request in [
+        "PUT /reload",
+        "DELETE /reload",
+        "DELETE /metrics",
+        "HEAD /healthz",
+        "POST /query?s=0&t=1",
+        "PUT /update",
+    ] {
+        let (status, body) = http_exchange(
+            &server.addr,
+            &format!("{request} HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n"),
+        );
+        assert_eq!(status, 405, "{request}: {body}");
+    }
+    assert_eq!(server.metric("hcl_reloads_total"), reloads);
+    assert_eq!(server.metric("hcl_index_generation"), 2);
     let (status, _) = http_exchange(&server.addr, "POST /update HTTP/1.1\r\nHost: test\r\n\r\n");
     assert_eq!(status, 411);
     let (status, _) = http_exchange(
@@ -458,10 +477,30 @@ fn http_update_applies_transactional_batches_and_persists() {
     );
     assert_eq!(status, 413);
 
+    // An empty or comment-only batch changes nothing: the served
+    // generation answers, and no update runs or is logged.
+    for body in ["", "# nothing to do\n\n"] {
+        let (status, reply) = server.http_post("/update", body);
+        assert_eq!(status, 200, "body {body:?}: {reply}");
+        assert!(
+            reply.contains("\"applied\":0")
+                && reply.contains("\"pending\":1")
+                && reply.contains("\"generation\":2"),
+            "body {body:?}: {reply}"
+        );
+    }
+    assert_eq!(server.metric("hcl_index_generation"), 2);
+    assert_eq!(server.metric("hcl_updates_applied_total"), 1);
+
     // The applied insert was persisted to the --index file as a journal
     // entry: a fresh process replays it at open.
     let (status, stderr) = server.drain();
     assert!(status.success(), "stderr:\n{stderr}");
+    assert_eq!(
+        stderr.matches("update from ").count(),
+        1,
+        "only the one applied batch logs:\n{stderr}"
+    );
     assert!(
         inspect(&live).contains("1 pending delta(s)"),
         "journal not persisted:\n{}",

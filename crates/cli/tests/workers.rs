@@ -1,9 +1,9 @@
-//! Property tests for the serving worker pool: for every testkit graph
-//! family, `serve --workers {1, 2, 4, 8}` must produce **byte-identical**
-//! stdout (and identical per-line diagnostics) for the same stdin — the
-//! reorder buffer's ordering guarantee — and `query --workers` must agree
-//! with the sequential batch path. Workloads are sized past one pool
-//! chunk so the reorder machinery actually reorders.
+//! Property tests for the worker pool: for every testkit graph family,
+//! `serve --workers {1, 2, 4, 8}` must produce **byte-identical** stdout
+//! (and identical per-line diagnostics) for the same stdin — the writer
+//! takes each chunk's result slot in input order — and `query --workers`
+//! must agree with its one-worker run. Workloads are sized past one pool
+//! chunk so chunks really finish out of order.
 
 mod common;
 

@@ -108,25 +108,6 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Graph {
     b.build()
 }
 
-/// Erdős–Rényi graph specified by expected average degree instead of `p`,
-/// using `O(n * avg_degree)` edge sampling so it scales to bench-sized
-/// graphs without the `O(n^2)` coin-flip loop.
-pub fn erdos_renyi_avg_degree(n: usize, avg_degree: f64, seed: u64) -> Graph {
-    let mut rng = SplitMix64::new(seed);
-    let mut b = GraphBuilder::new();
-    b.reserve_vertices(n);
-    if n >= 2 {
-        let target_edges = ((n as f64) * avg_degree / 2.0) as usize;
-        for _ in 0..target_edges {
-            let u = rng.next_below(n as u64) as VertexId;
-            let v = rng.next_below(n as u64) as VertexId;
-            // Self-loops and duplicates are canonicalised away by the builder.
-            b.add_edge(u, v);
-        }
-    }
-    b.build()
-}
-
 /// Seeded Barabási–Albert preferential-attachment graph — the power-law,
 /// hub-dominated topology the highway-cover scheme actually targets.
 ///

@@ -52,9 +52,9 @@
 //! opens patched and a large one folds. Only a compaction writes a whole
 //! file.
 //!
-//! Platforms without the mmap fast path (or callers preferring a private
-//! copy) get the same API via [`IndexStore::open_preloaded`] /
-//! [`IndexStore::from_bytes`], which read into an aligned heap buffer.
+//! Platforms without the mmap fast path get the same API over an aligned
+//! heap buffer that [`IndexStore::open`] reads the file into, and
+//! [`IndexStore::from_bytes`] copies an in-memory image into one.
 #![deny(missing_docs)]
 // All unsafe in this crate is confined to `backing.rs` (mmap FFI and the
 // aligned-buffer casts); inside an unsafe fn every unsafe operation must
@@ -482,15 +482,8 @@ impl IndexStore {
         Self::open_via_read(file, len, mode)
     }
 
-    /// Opens a container by reading it fully into an aligned heap buffer —
-    /// the portable path, also useful when the file lives on storage where
-    /// mapped page faults are slower than one sequential read.
-    pub fn open_preloaded(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let file = File::open(path)?;
-        let len = file.metadata()?.len();
-        Self::open_via_read(file, len, OpenMode::Validated)
-    }
-
+    /// Opens a container by reading it fully into an aligned heap buffer:
+    /// the portable path, where the file cannot be mapped.
     fn open_via_read(mut file: File, len: u64, mode: OpenMode) -> Result<Self, StoreError> {
         let buf = AlignedBuf::read_from(&mut file, len as usize)?;
         Self::from_backing(Backing::Heap(buf), mode)

@@ -91,8 +91,8 @@ fn mmap_backing_is_used_on_supported_platforms() {
     )) {
         assert_eq!(store.backing_kind(), "mmap");
     }
-    // The explicit preload path must agree with the mapped one.
-    let pre = IndexStore::open_preloaded(&path).expect("open_preloaded");
+    // A heap copy of the same bytes must agree with the mapped open.
+    let pre = IndexStore::from_bytes(&std::fs::read(&path).expect("read")).expect("from_bytes");
     assert_eq!(pre.backing_kind(), "heap");
     let mut ctx = QueryContext::new();
     for (u, v) in [(0, 1), (7, 133), (42, 42), (199, 3)] {
