@@ -1316,8 +1316,10 @@ fn cmd_inspect(args: Vec<String>) -> Result<(), String> {
         )?;
         writeln!(
             out,
-            "format:        HCLSTOR v{} (checksum {:#018x}, verified)",
-            meta.version, meta.checksum
+            "format:        HCLSTOR v{} (checksum {:#018x}, verified, crc kernel {})",
+            meta.version,
+            meta.checksum,
+            hcl_store::crc64_kernel()
         )?;
         writeln!(
             out,

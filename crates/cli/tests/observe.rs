@@ -613,6 +613,29 @@ fn inspect_stats_renders_deep_stats_for_v5_containers() {
 }
 
 #[test]
+fn inspect_names_the_crc_kernel_on_the_format_line() {
+    let scratch = Scratch::new("inspect_kernel");
+    let index = build_index(
+        &scratch,
+        "ba",
+        &edge_list(&testkit::barabasi_albert(120, 3, 11)),
+        8,
+    );
+    let out = run_ok(&["inspect", index.to_str().unwrap()], "");
+    let text = String::from_utf8_lossy(&out.stdout);
+    let format = text
+        .lines()
+        .find(|l| l.starts_with("format:"))
+        .unwrap_or_else(|| panic!("no format: line in:\n{text}"));
+    let kernel = hcl_store::crc64_kernel();
+    assert!(["pclmulqdq", "slicing-by-16"].contains(&kernel), "{kernel}");
+    assert!(
+        format.ends_with(&format!(", verified, crc kernel {kernel})")),
+        "{format}"
+    );
+}
+
+#[test]
 fn inspect_stats_degrades_gracefully_on_v4_containers() {
     let scratch = Scratch::new("inspect_v4");
     // A container with neither optional section, as the library's plain

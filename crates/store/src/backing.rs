@@ -2,8 +2,10 @@
 //! platforms that support the zero-copy path, or an 8-byte-aligned heap
 //! buffer everywhere (and as the explicit portable fallback).
 //!
-//! This module owns all the `unsafe` in the workspace. The invariants are
-//! narrow and local:
+//! This module owns the store's storage `unsafe`; the only other `unsafe`
+//! in `hcl-store` is the CRC kernel's CPU-feature dispatch and 16-byte
+//! loads in `checksum.rs` (and the CLI has its signal FFI). The
+//! invariants here are narrow and local:
 //!
 //! * [`Mmap`] wraps a `PROT_READ`/`MAP_PRIVATE` mapping of the whole file;
 //!   the pointer is page-aligned (so 8-byte aligned) and valid for `len`
