@@ -561,3 +561,406 @@ fn threads_flag_does_not_change_the_served_index() {
     let err = stderr_of(&out);
     assert!(err.contains("unrecognised argument `--batch`"), "{err}");
 }
+
+/// Every flag that takes a value, per subcommand: `(subcommand, long
+/// name, short alias or "", whether the value must be a number)`.
+const VALUE_FLAGS: &[(&str, &str, &str, bool)] = &[
+    ("build", "--out", "-o", false),
+    ("build", "--landmarks", "-k", true),
+    ("build", "--threads", "-t", true),
+    ("query", "--index", "-i", false),
+    ("query", "--landmarks", "-k", true),
+    ("query", "--threads", "-t", true),
+    ("query", "--queries", "-q", false),
+    ("query", "--random", "", true),
+    ("query", "--seed", "", true),
+    ("query", "--workers", "-w", true),
+    ("serve", "--index", "-i", false),
+    ("serve", "--landmarks", "-k", true),
+    ("serve", "--threads", "-t", true),
+    ("serve", "--workers", "-w", true),
+    ("serve", "--listen", "-l", false),
+    ("serve", "--max-inflight", "", true),
+    ("serve", "--write-timeout-ms", "", true),
+    ("serve", "--reload-signal", "", false),
+    ("serve", "--reload-retries", "", true),
+    ("serve", "--reload-backoff-ms", "", true),
+    ("serve", "--scrub-interval-s", "", true),
+    ("serve", "--slow-log-us", "", true),
+    ("serve", "--slow-log-file", "", false),
+    ("serve", "--compact-after", "", true),
+    ("update", "--deltas", "-d", false),
+    ("update", "--compact-after", "", true),
+];
+
+/// Every usage error the argument parser gives, on every subcommand:
+/// exactly one `error: …` line, then the usage text, on stderr, nothing
+/// on stdout, exit code 2. Inputs that break two rules at once pin the
+/// order the rules are checked in; `-h` anywhere the parser reaches it
+/// prints the usage on stdout and exits 0.
+#[test]
+fn usage_errors_name_the_problem_then_print_usage_and_exit_2() {
+    let run = |args: &[String]| {
+        hcl()
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("spawn hcl")
+    };
+    let owned = |args: &[&str]| args.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+
+    let out = run(&owned(&["-h"]));
+    assert_eq!(out.status.code(), Some(0));
+    let usage = stdout_of(&out);
+    assert!(
+        usage.starts_with("usage: hcl <command> [args]\n"),
+        "{usage}"
+    );
+    for args in [
+        &["--help"][..],
+        &["build", "-h"],
+        &["query", "--help"],
+        &["serve", "-h"],
+        &["update", "-h"],
+        &["inspect", "--help"],
+        // The parser stops at `-h` before it sees the bad argument.
+        &["build", "-h", "--bogus"],
+        &["serve", "--landmarks", "4", "-h", "--listen"],
+    ] {
+        let out = run(&owned(args));
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert_eq!(stdout_of(&out), usage, "{args:?}");
+        assert_eq!(stderr_of(&out), "", "{args:?}");
+    }
+
+    // No command at all: the usage alone.
+    let out = run(&[]);
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(stdout_of(&out), "");
+    assert_eq!(stderr_of(&out), usage);
+
+    let mut cases: Vec<(Vec<String>, String)> = Vec::new();
+    for &(cmd, long, short, numeric) in VALUE_FLAGS {
+        let names = [long, short];
+        for name in names.iter().filter(|n| !n.is_empty()) {
+            cases.push((owned(&[cmd, name]), format!("{long} expects a value")));
+            if numeric {
+                for bad in ["x", "-1", "1.5", ""] {
+                    cases.push((
+                        owned(&[cmd, name, bad]),
+                        format!("invalid value for {long}: `{bad}`"),
+                    ));
+                }
+            }
+        }
+    }
+    let table: &[(&[&str], &str)] = &[
+        // Numbers are range-checked by their type.
+        (
+            &["serve", "--reload-retries", "4294967296"],
+            "invalid value for --reload-retries: `4294967296`",
+        ),
+        (
+            &["query", "--seed", "18446744073709551616"],
+            "invalid value for --seed: `18446744073709551616`",
+        ),
+        // A flag's value is the next argument, whatever it looks like.
+        (
+            &["query", "--landmarks", "-h"],
+            "invalid value for --landmarks: `-h`",
+        ),
+        (
+            &["serve", "--reload-signal", "term"],
+            "invalid --reload-signal `term` (expected hup, usr1, or none)",
+        ),
+        (
+            &["serve", "--reload-signal", "HUP", "--listen", "127.0.0.1:0"],
+            "invalid --reload-signal `HUP` (expected hup, usr1, or none)",
+        ),
+        // Unrecognised arguments: unknown flags, other commands' flags,
+        // a second positional, a bare `-`.
+        (&["build", "--bogus"], "unrecognised argument `--bogus`"),
+        (
+            &["build", "g.edges", "h.edges"],
+            "unrecognised argument `h.edges`",
+        ),
+        (
+            &["build", "g.edges", "--index", "f"],
+            "unrecognised argument `--index`",
+        ),
+        (
+            &["build", "g.edges", "--batch", "8"],
+            "unrecognised argument `--batch`",
+        ),
+        (&["build", "-"], "unrecognised argument `-`"),
+        (&["query", "--bogus"], "unrecognised argument `--bogus`"),
+        (
+            &["query", "--listen", "a"],
+            "unrecognised argument `--listen`",
+        ),
+        (&["query", "--stats"], "unrecognised argument `--stats`"),
+        (&["query", "--quiet"], "unrecognised argument `--quiet`"),
+        (&["serve", "--bogus"], "unrecognised argument `--bogus`"),
+        (
+            &["serve", "--random", "3"],
+            "unrecognised argument `--random`",
+        ),
+        (&["serve", "--verify"], "unrecognised argument `--verify`"),
+        (
+            &["serve", "g.edges", "h.edges"],
+            "unrecognised argument `h.edges`",
+        ),
+        (&["update", "--bogus"], "unrecognised argument `--bogus`"),
+        (
+            &["update", "f.hcl", "g.hcl"],
+            "unrecognised argument `g.hcl`",
+        ),
+        (
+            &["update", "--index", "f.hcl"],
+            "unrecognised argument `--index`",
+        ),
+        (
+            &["update", "f.hcl", "--stats"],
+            "unrecognised argument `--stats`",
+        ),
+        (&["inspect", "--bogus"], "unrecognised argument `--bogus`"),
+        (
+            &["inspect", "f.hcl", "g.hcl"],
+            "unrecognised argument `g.hcl`",
+        ),
+        (
+            &["inspect", "f.hcl", "--trusted"],
+            "unrecognised argument `--trusted`",
+        ),
+        (
+            &["inspect", "--index", "f.hcl"],
+            "unrecognised argument `--index`",
+        ),
+        // Commands that take one path need it.
+        (&["build"], "build needs an edge-list path"),
+        (
+            &["build", "--progress", "-k", "4"],
+            "build needs an edge-list path",
+        ),
+        (&["update"], "update needs an index-file path"),
+        (
+            &["update", "--compact", "--trusted"],
+            "update needs an index-file path",
+        ),
+        (&["inspect"], "inspect needs an index-file path"),
+        (&["inspect", "--stats"], "inspect needs an index-file path"),
+        // Cross-flag rules.
+        (
+            &["query", "--queries", "q", "--random", "3"],
+            "--queries and --random are mutually exclusive",
+        ),
+        (
+            &["query", "g.edges", "--random", "3", "-q", "q"],
+            "--queries and --random are mutually exclusive",
+        ),
+        (
+            &["query", "--index", "f", "--landmarks", "4"],
+            "--landmarks/--threads only apply when building from an edge list",
+        ),
+        (
+            &["query", "-t", "2", "-i", "f"],
+            "--landmarks/--threads only apply when building from an edge list",
+        ),
+        (
+            &["serve", "--index", "f", "--threads", "2"],
+            "--landmarks/--threads only apply when building from an edge list",
+        ),
+        (
+            &["serve", "-k", "4", "-i", "f"],
+            "--landmarks/--threads only apply when building from an edge list",
+        ),
+        (
+            &["query", "--trusted"],
+            "--trusted only applies when serving from --index",
+        ),
+        (
+            &["query", "g.edges", "--trusted"],
+            "--trusted only applies when serving from --index",
+        ),
+        (
+            &["serve", "--trusted"],
+            "--trusted only applies when serving from --index",
+        ),
+        (
+            &["serve", "g.edges", "--trusted"],
+            "--trusted only applies when serving from --index",
+        ),
+        (
+            &["serve", "--max-inflight", "5"],
+            "--max-inflight only applies with --listen",
+        ),
+        (
+            &["serve", "--write-timeout-ms", "10"],
+            "--write-timeout-ms only applies with --listen",
+        ),
+        (
+            &["serve", "--reload-signal", "usr1"],
+            "--reload-signal only applies with --listen",
+        ),
+        (
+            &["serve", "--reload-retries", "2"],
+            "--reload-retries only applies with --listen",
+        ),
+        (
+            &["serve", "--reload-backoff-ms", "5"],
+            "--reload-backoff-ms only applies with --listen",
+        ),
+        (
+            &["serve", "--scrub-interval-s", "1"],
+            "--scrub-interval-s only applies with --listen",
+        ),
+        (
+            &["serve", "--slow-log-file", "f"],
+            "--slow-log-file only applies with --slow-log-us",
+        ),
+        (
+            &["serve", "--listen", "127.0.0.1:0", "--max-inflight", "0"],
+            "--max-inflight must be at least 1",
+        ),
+        // Two listen-only flags and no --listen: the last one is named.
+        (
+            &["serve", "--max-inflight", "5", "--reload-retries", "2"],
+            "--reload-retries only applies with --listen",
+        ),
+        (
+            &["serve", "--reload-retries", "2", "--max-inflight", "5"],
+            "--max-inflight only applies with --listen",
+        ),
+        // Two broken rules: the order the checks run in.
+        (
+            &[
+                "query",
+                "--index",
+                "f",
+                "-k",
+                "4",
+                "--queries",
+                "q",
+                "--random",
+                "3",
+            ],
+            "--queries and --random are mutually exclusive",
+        ),
+        (
+            &[
+                "query",
+                "g.edges",
+                "--trusted",
+                "--random",
+                "3",
+                "--queries",
+                "q",
+            ],
+            "--queries and --random are mutually exclusive",
+        ),
+        (
+            &["serve", "--index", "f", "-k", "4", "--max-inflight", "5"],
+            "--landmarks/--threads only apply when building from an edge list",
+        ),
+        (
+            &[
+                "serve",
+                "--index",
+                "f",
+                "--threads",
+                "2",
+                "--slow-log-file",
+                "f",
+            ],
+            "--landmarks/--threads only apply when building from an edge list",
+        ),
+        (
+            &["serve", "g.edges", "--trusted", "--scrub-interval-s", "5"],
+            "--trusted only applies when serving from --index",
+        ),
+        (
+            &["serve", "--max-inflight", "0"],
+            "--max-inflight only applies with --listen",
+        ),
+        (
+            &[
+                "serve",
+                "--quiet",
+                "--scrub-interval-s",
+                "2",
+                "--slow-log-file",
+                "f",
+            ],
+            "--scrub-interval-s only applies with --listen",
+        ),
+        (
+            &[
+                "serve",
+                "-l",
+                "127.0.0.1:0",
+                "--max-inflight",
+                "0",
+                "--slow-log-file",
+                "f",
+            ],
+            "--max-inflight must be at least 1",
+        ),
+        // An error in the arguments comes before any cross-flag rule, and
+        // the first bad argument is the one named.
+        (
+            &["query", "--queries", "q", "--random", "3", "--bogus"],
+            "unrecognised argument `--bogus`",
+        ),
+        (
+            &["serve", "--trusted", "--reload-signal", "x"],
+            "invalid --reload-signal `x` (expected hup, usr1, or none)",
+        ),
+        (
+            &["serve", "--landmarks", "x", "--reload-signal", "bogus"],
+            "invalid value for --landmarks: `x`",
+        ),
+        (
+            &["serve", "--reload-signal", "bogus", "--landmarks", "x"],
+            "invalid --reload-signal `bogus` (expected hup, usr1, or none)",
+        ),
+        (
+            &["build", "--bogus", "-h"],
+            "unrecognised argument `--bogus`",
+        ),
+        (
+            &["build", "-k", "x", "--bogus"],
+            "invalid value for --landmarks: `x`",
+        ),
+        (
+            &["build", "--bogus", "-k", "x"],
+            "unrecognised argument `--bogus`",
+        ),
+        (&["build", "--landmarks"], "--landmarks expects a value"),
+        (
+            &["update", "--trusted", "--deltas"],
+            "--deltas expects a value",
+        ),
+        // Not a command.
+        (&["bogus"], "unknown command `bogus`"),
+        (&["Build", "g.edges"], "unknown command `Build`"),
+        (
+            &["g.edges", "--landmarks", "4"],
+            "unknown command `g.edges`",
+        ),
+        (&["--index", "f.hcl"], "unknown command `--index`"),
+    ];
+    for (args, line) in table {
+        cases.push((owned(args), line.to_string()));
+    }
+
+    for (args, line) in &cases {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr_of(&out));
+        assert_eq!(stdout_of(&out), "", "{args:?}");
+        assert_eq!(
+            stderr_of(&out),
+            format!("error: {line}\n{usage}"),
+            "{args:?}"
+        );
+    }
+}
