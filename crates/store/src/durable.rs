@@ -327,6 +327,34 @@ fn fail(step: PublishStep, source: std::io::Error, tmp: &Path) -> StoreError {
     }
 }
 
+/// Runs one publish step under the decision `io` gives it, asked once.
+/// `run` receives `Some(n)` when only the first `n` bytes may reach the
+/// file (a torn [`PublishStep::WriteTemp`]). `Ok(None)` is a simulated
+/// power cut at this step; a failure removes the temp.
+fn publish_step<Io: StoreIo, T>(
+    io: &Io,
+    step: PublishStep,
+    tmp: &Path,
+    run: impl FnOnce(Option<usize>) -> std::io::Result<T>,
+) -> Result<Option<T>, StoreError> {
+    let failed = |e| fail(step, e, tmp);
+    match io.decide(step) {
+        IoDecision::Proceed => run(None).map(Some).map_err(failed),
+        IoDecision::Fail => Err(failed(injected_error(step.name()))),
+        IoDecision::CrashBefore => Ok(None),
+        IoDecision::CrashDuring(n) => {
+            if step == PublishStep::WriteTemp {
+                run(Some(n)).map_err(failed)?;
+            }
+            Ok(None)
+        }
+        IoDecision::CrashAfter => {
+            run(None).map_err(failed)?;
+            Ok(None)
+        }
+    }
+}
+
 /// Durably publishes `bytes` at `path` through the injectable I/O layer.
 ///
 /// On [`PublishOutcome::Committed`] the new container is in place and
@@ -344,120 +372,46 @@ pub fn publish_with<Io: StoreIo>(
     sweep_stale_temps(path);
     let tmp = temp_path(path);
     let _guard = TempGuard::register(tmp.clone());
+    let crashed = |step| Ok(PublishOutcome::Crashed(step));
 
     // 1. create-temp
-    let mut file = match io.decide(PublishStep::CreateTemp) {
-        IoDecision::Proceed | IoDecision::CrashAfter => {
-            let created = File::create(&tmp).map_err(|e| fail(PublishStep::CreateTemp, e, &tmp))?;
-            if io.decide(PublishStep::CreateTemp) == IoDecision::CrashAfter {
-                return Ok(PublishOutcome::Crashed(PublishStep::CreateTemp));
-            }
-            created
-        }
-        IoDecision::Fail => {
-            return Err(fail(
-                PublishStep::CreateTemp,
-                injected_error(PublishStep::CreateTemp.name()),
-                &tmp,
-            ))
-        }
-        IoDecision::CrashBefore | IoDecision::CrashDuring(_) => {
-            return Ok(PublishOutcome::Crashed(PublishStep::CreateTemp))
-        }
+    let Some(mut file) = publish_step(io, PublishStep::CreateTemp, &tmp, |_| File::create(&tmp))?
+    else {
+        return crashed(PublishStep::CreateTemp);
     };
 
-    // 2. write-temp
-    match io.decide(PublishStep::WriteTemp) {
-        IoDecision::Proceed | IoDecision::CrashAfter => {
-            file.write_all(bytes)
-                .map_err(|e| fail(PublishStep::WriteTemp, e, &tmp))?;
-            if io.decide(PublishStep::WriteTemp) == IoDecision::CrashAfter {
-                return Ok(PublishOutcome::Crashed(PublishStep::WriteTemp));
-            }
-        }
-        IoDecision::Fail => {
-            return Err(fail(
-                PublishStep::WriteTemp,
-                injected_error(PublishStep::WriteTemp.name()),
-                &tmp,
-            ))
-        }
-        IoDecision::CrashBefore => return Ok(PublishOutcome::Crashed(PublishStep::WriteTemp)),
-        IoDecision::CrashDuring(n) => {
-            // Torn write: only a prefix reached the file before the cut.
-            let cut = n.min(bytes.len());
-            file.write_all(&bytes[..cut])
-                .map_err(|e| fail(PublishStep::WriteTemp, e, &tmp))?;
+    // 2. write-temp; a torn write leaves only a prefix before the cut.
+    let write = |cut: Option<usize>| match cut {
+        None => file.write_all(bytes),
+        Some(n) => {
+            file.write_all(&bytes[..n.min(bytes.len())])?;
             let _ = sync_file(&file);
-            return Ok(PublishOutcome::Crashed(PublishStep::WriteTemp));
+            Ok(())
         }
-    }
+    };
+    let Some(()) = publish_step(io, PublishStep::WriteTemp, &tmp, write)? else {
+        return crashed(PublishStep::WriteTemp);
+    };
 
     // 3. sync-temp
-    match io.decide(PublishStep::SyncTemp) {
-        IoDecision::Proceed | IoDecision::CrashAfter => {
-            sync_file(&file).map_err(|e| fail(PublishStep::SyncTemp, e, &tmp))?;
-            if io.decide(PublishStep::SyncTemp) == IoDecision::CrashAfter {
-                return Ok(PublishOutcome::Crashed(PublishStep::SyncTemp));
-            }
-        }
-        IoDecision::Fail => {
-            return Err(fail(
-                PublishStep::SyncTemp,
-                injected_error(PublishStep::SyncTemp.name()),
-                &tmp,
-            ))
-        }
-        IoDecision::CrashBefore | IoDecision::CrashDuring(_) => {
-            return Ok(PublishOutcome::Crashed(PublishStep::SyncTemp))
-        }
-    }
+    let Some(()) = publish_step(io, PublishStep::SyncTemp, &tmp, |_| sync_file(&file))? else {
+        return crashed(PublishStep::SyncTemp);
+    };
     drop(file);
 
     // 4. rename — the atomic publish point.
-    match io.decide(PublishStep::Rename) {
-        IoDecision::Proceed | IoDecision::CrashAfter => {
-            std::fs::rename(&tmp, path).map_err(|e| fail(PublishStep::Rename, e, &tmp))?;
-            if io.decide(PublishStep::Rename) == IoDecision::CrashAfter {
-                return Ok(PublishOutcome::Crashed(PublishStep::Rename));
-            }
-        }
-        IoDecision::Fail => {
-            return Err(fail(
-                PublishStep::Rename,
-                injected_error(PublishStep::Rename.name()),
-                &tmp,
-            ))
-        }
-        IoDecision::CrashBefore | IoDecision::CrashDuring(_) => {
-            return Ok(PublishOutcome::Crashed(PublishStep::Rename))
-        }
-    }
+    let Some(()) = publish_step(io, PublishStep::Rename, &tmp, |_| {
+        std::fs::rename(&tmp, path)
+    })?
+    else {
+        return crashed(PublishStep::Rename);
+    };
 
-    // 5. sync-dir
-    match io.decide(PublishStep::SyncDir) {
-        IoDecision::Proceed | IoDecision::CrashAfter => {
-            // The rename has already happened, so a failure here must NOT
-            // remove the (fully published) target: report the step with
-            // the temp already consumed by the rename.
-            sync_parent_dir(path).map_err(|e| StoreError::Publish {
-                step: PublishStep::SyncDir.name(),
-                source: e,
-            })?;
-            if io.decide(PublishStep::SyncDir) == IoDecision::CrashAfter {
-                return Ok(PublishOutcome::Crashed(PublishStep::SyncDir));
-            }
-        }
-        IoDecision::Fail => {
-            return Err(StoreError::Publish {
-                step: PublishStep::SyncDir.name(),
-                source: injected_error(PublishStep::SyncDir.name()),
-            })
-        }
-        IoDecision::CrashBefore | IoDecision::CrashDuring(_) => {
-            return Ok(PublishOutcome::Crashed(PublishStep::SyncDir))
-        }
-    }
+    // 5. sync-dir. The rename has consumed the temp, so a failure here
+    // leaves the fully published target in place.
+    let Some(()) = publish_step(io, PublishStep::SyncDir, &tmp, |_| sync_parent_dir(path))? else {
+        return crashed(PublishStep::SyncDir);
+    };
 
     Ok(PublishOutcome::Committed)
 }

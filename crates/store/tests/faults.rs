@@ -25,6 +25,7 @@ use hcl_store::durable::{
     publish_with, AppendStep, IoDecision, PublishOutcome, PublishStep, StoreIo, SystemIo,
 };
 use hcl_store::{AppendOutcome, IndexStore, JournalWriter, StoreError};
+use std::cell::Cell;
 use std::path::{Path, PathBuf};
 
 /// Serialised container with `k` landmarks over the shared sample graph;
@@ -380,6 +381,59 @@ fn failed_fsyncs_name_their_step() {
         new,
         "rename already landed"
     );
+}
+
+/// A stateful schedule: counts every `decide` call and gives `decision`
+/// the first time `step` is asked about, `Proceed` otherwise.
+struct OneShot {
+    step: Option<PublishStep>,
+    decision: IoDecision,
+    fired: Cell<bool>,
+    calls: Cell<usize>,
+}
+
+impl OneShot {
+    fn at(step: Option<PublishStep>, decision: IoDecision) -> Self {
+        Self {
+            step,
+            decision,
+            fired: Cell::new(false),
+            calls: Cell::new(0),
+        }
+    }
+}
+
+impl StoreIo for OneShot {
+    fn decide(&self, step: PublishStep) -> IoDecision {
+        self.calls.set(self.calls.get() + 1);
+        if Some(step) == self.step && !self.fired.replace(true) {
+            self.decision
+        } else {
+            IoDecision::Proceed
+        }
+    }
+}
+
+/// A publish asks its I/O layer exactly once per step, so a schedule
+/// with state sees each step once: a committed publish makes five calls,
+/// and a one-shot crash-after fires at whichever step it names.
+#[test]
+fn publish_decides_each_step_once() {
+    let scratch = Scratch::new("decide_once");
+    let target = scratch.target();
+    let bytes = container(4);
+
+    let io = OneShot::at(None, IoDecision::Proceed);
+    let outcome = publish_with(&target, &bytes, &io).expect("publish");
+    assert_eq!(outcome, PublishOutcome::Committed);
+    assert_eq!(io.calls.get(), PublishStep::ALL.len());
+
+    for (i, step) in PublishStep::ALL.into_iter().enumerate() {
+        let io = OneShot::at(Some(step), IoDecision::CrashAfter);
+        let outcome = publish_with(&target, &bytes, &io).expect("publish");
+        assert_eq!(outcome, PublishOutcome::Crashed(step), "{step:?}");
+        assert_eq!(io.calls.get(), i + 1, "{step:?}: one call per step run");
+    }
 }
 
 /// `save` / `save_with` ride the same durable publish: a plain save leaves
