@@ -46,7 +46,7 @@ mod slowlog;
 mod sync;
 mod update;
 
-use hcl_core::{bfs, EdgeDelta, Graph, GraphBuilder, VertexId};
+use hcl_core::{bfs, Graph, GraphBuilder, VertexId};
 use hcl_index::{BuildOptions, HighwayCoverIndex, QueryStats};
 use hcl_store::{IndexStore, UpdateEngine};
 use std::io::{BufRead, ErrorKind, IsTerminal, Read, Write};
@@ -333,21 +333,185 @@ fn load_graph(path: &str) -> Result<(Graph, LoadPhases), String> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared option plumbing
+// Argument parsing
 // ---------------------------------------------------------------------------
 
-fn next_value(args: &mut std::vec::IntoIter<String>, flag: &str) -> String {
-    args.next().unwrap_or_else(|| {
-        eprintln!("error: {flag} expects a value");
-        usage()
-    })
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    usage()
 }
 
-fn parse_or_usage<T: std::str::FromStr>(value: String, flag: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("error: invalid value for {flag}: `{value}`");
-        usage()
-    })
+/// What follows a flag on the command line.
+#[derive(Clone, Copy)]
+enum Takes {
+    /// Nothing: the flag is a switch.
+    Nothing,
+    /// Any one argument: a path or an address.
+    Text,
+    /// A number the check accepts (see [`parses`]).
+    Number(fn(&str) -> bool),
+    /// A [`reload_signal`] name.
+    Signal,
+}
+
+fn parses<T: std::str::FromStr>(value: &str) -> bool {
+    value.parse::<T>().is_ok()
+}
+
+const COUNT: Takes = Takes::Number(parses::<usize>);
+const U64: Takes = Takes::Number(parses::<u64>);
+
+/// A flag's names — the long one first, which every diagnostic uses —
+/// and what follows it.
+type Flag = (&'static [&'static str], Takes);
+
+const LANDMARKS: Flag = (&["--landmarks", "-k"], COUNT);
+const THREADS: Flag = (&["--threads", "-t"], COUNT);
+const TRUSTED: Flag = (&["--trusted"], Takes::Nothing);
+const COMPACT_AFTER: Flag = (&["--compact-after"], COUNT);
+const SLOW_LOG_FILE: Flag = (&["--slow-log-file"], Takes::Text);
+
+const BUILD_FLAGS: &[Flag] = &[
+    (&["--out", "-o"], Takes::Text),
+    (&["--progress"], Takes::Nothing),
+    LANDMARKS,
+    THREADS,
+];
+/// The flags `query` and `serve` share: where the index comes from (see
+/// [`Source`]) and how many workers answer.
+const SOURCE_FLAGS: &[Flag] = &[
+    (&["--index", "-i"], Takes::Text),
+    LANDMARKS,
+    THREADS,
+    TRUSTED,
+    (&["--workers", "-w"], COUNT),
+];
+const QUERY_FLAGS: &[Flag] = &[
+    (&["--queries", "-q"], Takes::Text),
+    (&["--random"], COUNT),
+    (&["--seed"], U64),
+    (&["--verify"], Takes::Nothing),
+    (&["--explain"], Takes::Nothing),
+];
+const SERVE_FLAGS: &[Flag] = &[
+    (&["--listen", "-l"], Takes::Text),
+    (&["--slow-log-us"], U64),
+    SLOW_LOG_FILE,
+    COMPACT_AFTER,
+    (&["--quiet"], Takes::Nothing),
+];
+/// The `serve` flags that only mean something with `--listen`.
+const LISTEN_FLAGS: &[Flag] = &[
+    (&["--max-inflight"], COUNT),
+    (&["--write-timeout-ms"], U64),
+    (&["--reload-signal"], Takes::Signal),
+    (&["--reload-retries"], Takes::Number(parses::<u32>)),
+    (&["--reload-backoff-ms"], U64),
+    (&["--scrub-interval-s"], U64),
+];
+const UPDATE_FLAGS: &[Flag] = &[
+    (&["--deltas", "-d"], Takes::Text),
+    COMPACT_AFTER,
+    (&["--compact"], Takes::Nothing),
+    TRUSTED,
+];
+const INSPECT_FLAGS: &[Flag] = &[(&["--stats"], Takes::Nothing)];
+
+/// A subcommand's arguments: its one positional argument and every flag
+/// given, in order, by long name (a repeated flag's last value counts).
+struct Args {
+    path: Option<String>,
+    flags: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args {
+    /// The argument loop every subcommand runs over its flag lists. The
+    /// first bad argument ends it with a usage error: a flag missing its
+    /// value, a value its flag refuses, or an argument that is neither a
+    /// flag of `lists` nor the first positional. `-h` prints the usage.
+    fn parse(args: Vec<String>, lists: &[&[Flag]]) -> Self {
+        let mut parsed = Args {
+            path: None,
+            flags: Vec::new(),
+        };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let flag = lists
+                .iter()
+                .copied()
+                .flatten()
+                .find(|(names, _)| names.contains(&arg.as_str()));
+            let Some(&(names, takes)) = flag else {
+                match arg.as_str() {
+                    "--help" | "-h" => help(),
+                    _ if parsed.path.is_none() && !arg.starts_with('-') => parsed.path = Some(arg),
+                    _ => usage_error(format_args!("unrecognised argument `{arg}`")),
+                }
+                continue;
+            };
+            let long = names[0];
+            let value = match takes {
+                Takes::Nothing => None,
+                _ => {
+                    let Some(v) = args.next() else {
+                        usage_error(format_args!("{long} expects a value"))
+                    };
+                    match takes {
+                        Takes::Number(ok) if !ok(&v) => {
+                            usage_error(format_args!("invalid value for {long}: `{v}`"))
+                        }
+                        Takes::Signal if reload_signal(&v).is_none() => usage_error(format_args!(
+                            "invalid {long} `{v}` (expected hup, usr1, or none)"
+                        )),
+                        _ => Some(v),
+                    }
+                }
+            };
+            parsed.flags.push((long, value));
+        }
+        parsed
+    }
+
+    fn has(&self, long: &str) -> bool {
+        self.flags.iter().any(|(flag, _)| *flag == long)
+    }
+
+    fn value(&self, long: &str) -> Option<&str> {
+        let (_, value) = self.flags.iter().rev().find(|(flag, _)| *flag == long)?;
+        value.as_deref()
+    }
+
+    /// A [`Takes::Number`] flag's value; the loop checked it parses as `T`.
+    fn number<T: std::str::FromStr>(&self, long: &str) -> Option<T> {
+        self.value(long)?.parse().ok()
+    }
+
+    /// A usage error, naming the last of `flags` given, unless `needed`
+    /// was given too.
+    fn require(&self, flags: &[Flag], needed: &str) {
+        if self.has(needed) {
+            return;
+        }
+        let given = self
+            .flags
+            .iter()
+            .rev()
+            .find(|(flag, _)| flags.iter().any(|(names, _)| names.first() == Some(flag)));
+        if let Some((flag, _)) = given {
+            usage_error(format_args!("{flag} only applies with {needed}"));
+        }
+    }
+}
+
+/// A `--reload-signal` value as the Unix signal it names (`Some(None)`
+/// for `none`); `None` for anything else.
+fn reload_signal(value: &str) -> Option<Option<i32>> {
+    match value {
+        "hup" => Some(Some(server::sig::SIGHUP)),
+        "usr1" => Some(Some(server::sig::SIGUSR1)),
+        "none" => Some(None),
+        _ => None,
+    }
 }
 
 /// Default landmark count when `--landmarks` is not passed.
@@ -394,142 +558,45 @@ fn resolve_workers(explicit: Option<usize>) -> usize {
     }
 }
 
-/// Opens the index to serve and reports the load on stderr: mmap'd from
-/// a container, or built from an edge list and served as an in-memory
-/// image of the container `hcl build` would write. `trusted` skips the
-/// container's whole-file checksum pass (structural and semantic
-/// validation still run).
-fn open_or_build(
-    index_path: Option<&str>,
-    graph_path: Option<&str>,
-    num_landmarks: Option<usize>,
-    threads: usize,
-    trusted: bool,
-) -> Result<IndexStore, String> {
-    match (index_path, graph_path) {
-        (Some(path), None) => {
-            let t0 = Instant::now();
-            let store = if trusted {
-                IndexStore::open_trusted(path)
-            } else {
-                IndexStore::open(path)
-            }
-            .map_err(|e| format!("opening {path}: {e}"))?;
-            let load_time = t0.elapsed();
-            let meta = store.meta();
-            eprintln!(
-                "index file: {} vertices, {} edges, {} landmarks, {} label entries \
-                 ({:.1} KiB file, {} backing, loaded+{} in {:.1?} ({}), no rebuild)",
-                meta.num_vertices,
-                meta.num_edges,
-                meta.num_landmarks,
-                meta.label_entries,
-                store.len_bytes() as f64 / 1024.0,
-                store.backing_kind(),
-                if trusted {
-                    "trusted (checksum skipped)"
-                } else {
-                    "validated"
-                },
-                load_time,
-                store.open_phases()
-            );
-            Ok(store)
-        }
-        (None, Some(path)) => {
-            let t0 = Instant::now();
-            let (graph, load_phases) = load_graph(path)?;
-            let load_time = t0.elapsed();
-            let num_landmarks = resolve_landmarks(num_landmarks, graph.num_vertices());
-            let options = BuildOptions {
-                num_landmarks,
-                threads,
-                ..BuildOptions::default()
-            };
-            let t1 = Instant::now();
-            let index = HighwayCoverIndex::build_with(&graph, &options);
-            let build_time = t1.elapsed();
-            let stats = index.stats();
-            eprintln!(
-                "graph: {} vertices, {} edges (loaded in {:.1?} ({load_phases}))",
-                graph.num_vertices(),
-                graph.num_edges(),
-                load_time
-            );
-            eprintln!(
-                "index: {} landmarks, {} label entries (avg {:.2}/vertex, max {}), \
-                 {:.1} KiB, built in {:.1?} with {threads} thread(s)",
-                stats.num_landmarks,
-                stats.total_label_entries,
-                stats.avg_label_size,
-                stats.max_label_size,
-                stats.bytes as f64 / 1024.0,
-                build_time
-            );
-            // Trusted: these bytes were produced in-process, so a CRC pass
-            // over them proves nothing.
-            let image = hcl_store::serialize(&graph, &index)
-                .map_err(|e| format!("serialising built index: {e}"))?;
-            // The image holds both from here; free them before it is
-            // copied into the store's aligned buffer.
-            drop((graph, index));
-            IndexStore::from_bytes_trusted(&image)
-                .map_err(|e| format!("re-opening built index image: {e}"))
-        }
-        (Some(_), Some(g)) => Err(format!(
-            "pass either --index or an edge-list path, not both (got `{g}` too)"
-        )),
-        (None, None) => Err("no input: pass --index FILE.hcl or an edge-list path".into()),
+// ---------------------------------------------------------------------------
+// Opening and building an index
+// ---------------------------------------------------------------------------
+
+/// Opens a container, skipping the whole-file checksum pass when
+/// `trusted` (structural and semantic validation still run). Serving
+/// from `--index`, `hcl update` and every reload open through here.
+pub(crate) fn open_index(path: &str, trusted: bool) -> Result<IndexStore, hcl_store::StoreError> {
+    if trusted {
+        IndexStore::open_trusted(path)
+    } else {
+        IndexStore::open(path)
     }
 }
 
-// ---------------------------------------------------------------------------
-// hcl build
-// ---------------------------------------------------------------------------
+/// The container image of an edge list: what `hcl build` publishes and
+/// what `query` / `serve` on an edge list serve.
+struct Built {
+    image: Vec<u8>,
+    serialise: Duration,
+    /// The stderr lines reporting the load and the build.
+    report: String,
+}
 
-fn cmd_build(args: Vec<String>) -> Result<(), String> {
-    let mut graph_path: Option<String> = None;
-    let mut out_path: Option<String> = None;
-    let mut num_landmarks: Option<usize> = None;
-    let mut threads: Option<usize> = None;
-    let mut progress = false;
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" | "-o" => out_path = Some(next_value(&mut args, "--out")),
-            "--progress" => progress = true,
-            "--landmarks" | "-k" => {
-                num_landmarks = Some(parse_or_usage(
-                    next_value(&mut args, "--landmarks"),
-                    "--landmarks",
-                ))
-            }
-            "--threads" | "-t" => {
-                threads = Some(parse_or_usage(
-                    next_value(&mut args, "--threads"),
-                    "--threads",
-                ))
-            }
-            "--help" | "-h" => help(),
-            _ if graph_path.is_none() && !arg.starts_with('-') => graph_path = Some(arg),
-            _ => {
-                eprintln!("error: unrecognised argument `{arg}`");
-                usage()
-            }
-        }
-    }
-    let graph_path = graph_path.unwrap_or_else(|| {
-        eprintln!("error: build needs an edge-list path");
-        usage()
-    });
-    let out_path = out_path.unwrap_or_else(|| format!("{graph_path}.hcl"));
-
+/// Loads the edge list at `path`, labels it and serialises the container
+/// with its build counters. `progress` streams the builder's per-phase
+/// lines to stderr as they happen and adds its totals to the report.
+fn build_image(
+    path: &str,
+    landmarks: Option<usize>,
+    threads: usize,
+    progress: bool,
+) -> Result<Built, String> {
     let t0 = Instant::now();
-    let (graph, load_phases) = load_graph(&graph_path)?;
+    let (graph, load_phases) = load_graph(path)?;
     let load_time = t0.elapsed();
     let options = BuildOptions {
-        num_landmarks: resolve_landmarks(num_landmarks, graph.num_vertices()),
-        threads: resolve_build_threads(threads),
+        num_landmarks: resolve_landmarks(landmarks, graph.num_vertices()),
+        threads,
         ..BuildOptions::default()
     };
     let t1 = Instant::now();
@@ -553,58 +620,164 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
     // identity). Wall times are not persisted: they would break it.
     let stored_stats = hcl_store::StoredBuildStats::from_build(&build_stats);
     let image = hcl_store::serialize_with_stats(&graph, &index, build_info, &stored_stats)
-        .map_err(|e| format!("writing {out_path}: {e}"))?;
-    let serialise_time = t2.elapsed();
-    let t3 = Instant::now();
-    // `SystemIo` proceeds at every step, so a success is always
-    // `Committed`: the container is in place and durable.
-    hcl_store::durable::publish_with(
-        std::path::Path::new(&out_path),
-        &image,
-        &hcl_store::durable::SystemIo,
-    )
-    .map_err(|e| format!("writing {out_path}: {e}"))?;
-    let publish_time = t3.elapsed();
+        .map_err(|e| format!("serialising built index: {e}"))?;
+    let serialise = t2.elapsed();
 
+    let mut report = String::new();
     if progress {
-        eprintln!(
-            "phases: selection {}µs, sweeps {}µs over {} group(s), fill {}µs",
+        report += &format!(
+            "phases: selection {}µs, sweeps {}µs over {} group(s), fill {}µs\n\
+             labelling: {} BFS visits, {} label entries, {} covered ({:.1}%)\n",
             build_stats.selection_us,
             build_stats.batch_us.iter().sum::<u64>(),
             build_stats.batch_us.len(),
-            build_stats.closure_us
-        );
-        eprintln!(
-            "labelling: {} BFS visits, {} label entries, {} covered ({:.1}%)",
+            build_stats.closure_us,
             build_stats.bfs_visits,
             build_stats.label_insertions,
             build_stats.dominated,
             build_stats.domination_cut_rate() * 100.0
         );
     }
-
-    eprintln!(
-        "graph: {} vertices, {} edges (loaded in {:.1?} ({load_phases}))",
+    report += &format!(
+        "graph: {} vertices, {} edges (loaded in {load_time:.1?} ({load_phases}))\n\
+         index: {} landmarks, {} label entries (avg {:.2}/vertex, max {}), built in \
+         {build_time:.1?} with {threads} thread(s)\n",
         graph.num_vertices(),
         graph.num_edges(),
-        load_time
-    );
-    eprintln!(
-        "index: {} landmarks, {} label entries (avg {:.2}/vertex, max {}), built in {:.1?} \
-         with {} thread(s)",
         stats.num_landmarks,
         stats.total_label_entries,
         stats.avg_label_size,
         stats.max_label_size,
-        build_time,
-        options.threads
     );
+    Ok(Built {
+        image,
+        serialise,
+        report,
+    })
+}
+
+/// Where `query` and `serve` get their index: a container (`--index`) or
+/// an edge list to build one from.
+struct Source {
+    index: Option<String>,
+    graph: Option<String>,
+    /// `Some` only when `--landmarks` was passed explicitly, so serving
+    /// from a stored index can reject the flag instead of ignoring it.
+    landmarks: Option<usize>,
+    /// Same deal for `--threads` (build-time only).
+    threads: Option<usize>,
+    /// Skip the container checksum pass (`--trusted`; `--index` only).
+    trusted: bool,
+}
+
+impl Source {
+    /// Reads [`SOURCE_FLAGS`] and the positional path, with a usage error
+    /// for a build flag on a container or `--trusted` on an edge list.
+    fn from_args(args: &Args) -> Self {
+        let source = Source {
+            index: args.value("--index").map(String::from),
+            graph: args.path.clone(),
+            landmarks: args.number("--landmarks"),
+            threads: args.number("--threads"),
+            trusted: args.has("--trusted"),
+        };
+        if source.index.is_some() && (source.landmarks.is_some() || source.threads.is_some()) {
+            usage_error("--landmarks/--threads only apply when building from an edge list");
+        }
+        if source.trusted && source.index.is_none() {
+            usage_error("--trusted only applies when serving from --index");
+        }
+        source
+    }
+
+    /// Opens the index to serve and reports the load on stderr: mmap'd
+    /// from the container, or the image [`build_image`] makes of the
+    /// edge list.
+    fn open(&self) -> Result<IndexStore, String> {
+        match (&self.index, &self.graph) {
+            (Some(path), None) => {
+                let t0 = Instant::now();
+                let store =
+                    open_index(path, self.trusted).map_err(|e| format!("opening {path}: {e}"))?;
+                let load_time = t0.elapsed();
+                let meta = store.meta();
+                eprintln!(
+                    "index file: {} vertices, {} edges, {} landmarks, {} label entries \
+                     ({:.1} KiB file, {} backing, loaded+{} in {:.1?} ({}), no rebuild)",
+                    meta.num_vertices,
+                    meta.num_edges,
+                    meta.num_landmarks,
+                    meta.label_entries,
+                    store.len_bytes() as f64 / 1024.0,
+                    store.backing_kind(),
+                    if self.trusted {
+                        "trusted (checksum skipped)"
+                    } else {
+                        "validated"
+                    },
+                    load_time,
+                    store.open_phases()
+                );
+                Ok(store)
+            }
+            (None, Some(path)) => {
+                let built = build_image(
+                    path,
+                    self.landmarks,
+                    resolve_build_threads(self.threads),
+                    false,
+                )?;
+                eprint!("{}", built.report);
+                // Trusted: these bytes were produced in-process, so a CRC
+                // pass over them proves nothing.
+                IndexStore::from_bytes_trusted(&built.image)
+                    .map_err(|e| format!("re-opening built index image: {e}"))
+            }
+            (Some(_), Some(g)) => Err(format!(
+                "pass either --index or an edge-list path, not both (got `{g}` too)"
+            )),
+            (None, None) => Err("no input: pass --index FILE.hcl or an edge-list path".into()),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// hcl build
+// ---------------------------------------------------------------------------
+
+fn cmd_build(args: Vec<String>) -> Result<(), String> {
+    let args = Args::parse(args, &[BUILD_FLAGS]);
+    let graph_path = args
+        .path
+        .clone()
+        .unwrap_or_else(|| usage_error("build needs an edge-list path"));
+    let out_path = match args.value("--out") {
+        Some(out) => out.to_string(),
+        None => format!("{graph_path}.hcl"),
+    };
+    let built = build_image(
+        &graph_path,
+        args.number("--landmarks"),
+        resolve_build_threads(args.number("--threads")),
+        args.has("--progress"),
+    )?;
+    let t0 = Instant::now();
+    // `SystemIo` proceeds at every step, so a success is always
+    // `Committed`: the container is in place and durable.
+    hcl_store::durable::publish_with(
+        std::path::Path::new(&out_path),
+        &built.image,
+        &hcl_store::durable::SystemIo,
+    )
+    .map_err(|e| format!("writing {out_path}: {e}"))?;
+    let publish = t0.elapsed();
+    eprint!("{}", built.report);
     eprintln!(
-        "wrote {out_path}: {} bytes ({:.1} KiB) in {:.1?} (serialise {serialise_time:.1?}, \
-         publish {publish_time:.1?})",
-        image.len(),
-        image.len() as f64 / 1024.0,
-        serialise_time + publish_time
+        "wrote {out_path}: {} bytes ({:.1} KiB) in {:.1?} (serialise {:.1?}, publish {publish:.1?})",
+        built.image.len(),
+        built.image.len() as f64 / 1024.0,
+        built.serialise + publish,
+        built.serialise
     );
     Ok(())
 }
@@ -612,97 +785,6 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 // hcl query
 // ---------------------------------------------------------------------------
-
-struct QueryOptions {
-    index_path: Option<String>,
-    graph_path: Option<String>,
-    /// `Some` only when `--landmarks` was passed explicitly, so serving
-    /// from a stored index can reject the flag instead of ignoring it.
-    num_landmarks: Option<usize>,
-    /// Same deal for `--threads` (build-time only).
-    threads: Option<usize>,
-    queries_path: Option<String>,
-    random_queries: Option<usize>,
-    seed: u64,
-    verify: bool,
-    /// Query-pool worker threads (`--workers`); `Some(0)` = all cores.
-    workers: Option<usize>,
-    /// Skip the container checksum pass (`--trusted`; `--index` only).
-    trusted: bool,
-    /// Print a per-query trace line to stderr (`--explain`). Stdout stays
-    /// byte-identical to a run without the flag.
-    explain: bool,
-}
-
-fn parse_query_args(args: Vec<String>) -> QueryOptions {
-    let mut opts = QueryOptions {
-        index_path: None,
-        graph_path: None,
-        num_landmarks: None,
-        threads: None,
-        queries_path: None,
-        random_queries: None,
-        seed: 0xC0FFEE,
-        verify: false,
-        workers: None,
-        trusted: false,
-        explain: false,
-    };
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--index" | "-i" => opts.index_path = Some(next_value(&mut args, "--index")),
-            "--landmarks" | "-k" => {
-                opts.num_landmarks = Some(parse_or_usage(
-                    next_value(&mut args, "--landmarks"),
-                    "--landmarks",
-                ))
-            }
-            "--threads" | "-t" => {
-                opts.threads = Some(parse_or_usage(
-                    next_value(&mut args, "--threads"),
-                    "--threads",
-                ))
-            }
-            "--queries" | "-q" => opts.queries_path = Some(next_value(&mut args, "--queries")),
-            "--random" => {
-                opts.random_queries = Some(parse_or_usage(
-                    next_value(&mut args, "--random"),
-                    "--random",
-                ))
-            }
-            "--seed" => opts.seed = parse_or_usage(next_value(&mut args, "--seed"), "--seed"),
-            "--verify" => opts.verify = true,
-            "--workers" | "-w" => {
-                opts.workers = Some(parse_or_usage(
-                    next_value(&mut args, "--workers"),
-                    "--workers",
-                ))
-            }
-            "--trusted" => opts.trusted = true,
-            "--explain" => opts.explain = true,
-            "--help" | "-h" => help(),
-            _ if opts.graph_path.is_none() && !arg.starts_with('-') => opts.graph_path = Some(arg),
-            _ => {
-                eprintln!("error: unrecognised argument `{arg}`");
-                usage()
-            }
-        }
-    }
-    if opts.queries_path.is_some() && opts.random_queries.is_some() {
-        eprintln!("error: --queries and --random are mutually exclusive");
-        usage();
-    }
-    if opts.index_path.is_some() && (opts.num_landmarks.is_some() || opts.threads.is_some()) {
-        eprintln!("error: --landmarks/--threads only apply when building from an edge list");
-        usage();
-    }
-    if opts.trusted && opts.index_path.is_none() {
-        eprintln!("error: --trusted only applies when serving from --index");
-        usage();
-    }
-    opts
-}
 
 /// Renders one `--explain` trace line. The format is pinned by the CLI
 /// test suite: fixed key order, `inf` for disconnected pairs, mechanism
@@ -733,12 +815,14 @@ struct Workload {
     pairs: Vec<(usize, VertexId, VertexId)>,
 }
 
-fn collect_queries(opts: &QueryOptions, n: usize) -> Result<Workload, String> {
-    if let Some(count) = opts.random_queries {
+/// The workload `--random N` (seeded by `--seed`), `--queries FILE` or
+/// stdin gives, in that order of precedence.
+fn collect_queries(args: &Args, n: usize) -> Result<Workload, String> {
+    if let Some(count) = args.number::<usize>("--random") {
         if n == 0 {
             return Err("cannot generate random queries on an empty graph".into());
         }
-        let mut rng = hcl_core::testkit::SplitMix64::new(opts.seed);
+        let mut rng = hcl_core::testkit::SplitMix64::new(args.number("--seed").unwrap_or(0xC0FFEE));
         return Ok(Workload {
             source: "--random".into(),
             pairs: (0..count)
@@ -753,12 +837,12 @@ fn collect_queries(opts: &QueryOptions, n: usize) -> Result<Workload, String> {
         });
     }
     let mut pairs = Vec::new();
-    if let Some(path) = &opts.queries_path {
+    if let Some(path) = args.value("--queries") {
         scan_pairs(&read_input(path)?, path, |lineno, u, v| {
             pairs.push((lineno, u, v))
         })?;
         return Ok(Workload {
-            source: path.clone(),
+            source: path.to_string(),
             pairs,
         });
     }
@@ -782,20 +866,18 @@ fn collect_queries(opts: &QueryOptions, n: usize) -> Result<Workload, String> {
 }
 
 fn cmd_query(args: Vec<String>) -> Result<(), String> {
-    let opts = parse_query_args(args);
-    let store = open_or_build(
-        opts.index_path.as_deref(),
-        opts.graph_path.as_deref(),
-        opts.num_landmarks,
-        resolve_build_threads(opts.threads),
-        opts.trusted,
-    )?;
+    let args = Args::parse(args, &[SOURCE_FLAGS, QUERY_FLAGS]);
+    if args.has("--queries") && args.has("--random") {
+        usage_error("--queries and --random are mutually exclusive");
+    }
+    let store = Source::from_args(&args).open()?;
+    let verify = args.has("--verify");
     let n = store.graph().num_vertices();
-    let workload = collect_queries(&opts, n)?;
+    let workload = collect_queries(&args, n)?;
     // --explain needs each answer's stats; nothing else here does.
-    let pipeline = pipeline::Pipeline::new(store, None, None, 0, opts.explain);
+    let pipeline = pipeline::Pipeline::new(store, None, None, 0, args.has("--explain"));
 
-    let workers = resolve_workers(opts.workers);
+    let workers = resolve_workers(args.number("--workers"));
     let mut queries = 0usize;
     let mut answered = Vec::new();
     let t2 = Instant::now();
@@ -811,7 +893,7 @@ fn cmd_query(args: Vec<String>) -> Result<(), String> {
             if let Some(stats) = &answer.stats {
                 eprintln!("{}", explain_line(u, v, d, stats));
             }
-            if opts.verify {
+            if verify {
                 answered.push((u, v, d));
             }
         },
@@ -844,7 +926,7 @@ fn cmd_query(args: Vec<String>) -> Result<(), String> {
         );
     }
 
-    if opts.verify {
+    if verify {
         let t3 = Instant::now();
         let generation = pipeline.handle.current();
         let graph = generation.store.graph();
@@ -870,146 +952,20 @@ fn cmd_query(args: Vec<String>) -> Result<(), String> {
 // hcl serve
 // ---------------------------------------------------------------------------
 
-/// Parses a `--reload-signal` value into a Unix signal number.
-fn parse_reload_signal(value: String) -> Option<i32> {
-    match value.as_str() {
-        "hup" => Some(server::sig::SIGHUP),
-        "usr1" => Some(server::sig::SIGUSR1),
-        "none" => None,
-        other => {
-            eprintln!("error: invalid --reload-signal `{other}` (expected hup, usr1, or none)");
-            usage()
-        }
-    }
-}
-
 fn cmd_serve(args: Vec<String>) -> Result<(), String> {
-    let mut index_path: Option<String> = None;
-    let mut graph_path: Option<String> = None;
-    let mut num_landmarks: Option<usize> = None;
-    let mut threads: Option<usize> = None;
-    let mut workers: Option<usize> = None;
-    let mut trusted = false;
-    let mut listen: Option<String> = None;
-    let mut max_inflight = 1024usize;
-    let mut write_timeout_ms = 30_000u64;
-    let mut reload_signal = Some(server::sig::SIGHUP);
-    let mut reload_retries = 0u32;
-    let mut reload_backoff_ms = 100u64;
-    let mut scrub_interval_s = 0u64;
-    let mut slow_log_us: Option<u64> = None;
-    let mut slow_log_file: Option<String> = None;
-    let mut compact_after = 0usize;
-    let mut quiet = false;
-    let mut listen_only_flag_seen: Option<&'static str> = None;
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--index" | "-i" => index_path = Some(next_value(&mut args, "--index")),
-            "--landmarks" | "-k" => {
-                num_landmarks = Some(parse_or_usage(
-                    next_value(&mut args, "--landmarks"),
-                    "--landmarks",
-                ))
-            }
-            "--threads" | "-t" => {
-                threads = Some(parse_or_usage(
-                    next_value(&mut args, "--threads"),
-                    "--threads",
-                ))
-            }
-            "--workers" | "-w" => {
-                workers = Some(parse_or_usage(
-                    next_value(&mut args, "--workers"),
-                    "--workers",
-                ))
-            }
-            "--trusted" => trusted = true,
-            "--listen" | "-l" => listen = Some(next_value(&mut args, "--listen")),
-            "--max-inflight" => {
-                max_inflight =
-                    parse_or_usage(next_value(&mut args, "--max-inflight"), "--max-inflight");
-                listen_only_flag_seen = Some("--max-inflight");
-            }
-            "--write-timeout-ms" => {
-                write_timeout_ms = parse_or_usage(
-                    next_value(&mut args, "--write-timeout-ms"),
-                    "--write-timeout-ms",
-                );
-                listen_only_flag_seen = Some("--write-timeout-ms");
-            }
-            "--reload-signal" => {
-                reload_signal = parse_reload_signal(next_value(&mut args, "--reload-signal"));
-                listen_only_flag_seen = Some("--reload-signal");
-            }
-            "--reload-retries" => {
-                reload_retries = parse_or_usage(
-                    next_value(&mut args, "--reload-retries"),
-                    "--reload-retries",
-                );
-                listen_only_flag_seen = Some("--reload-retries");
-            }
-            "--reload-backoff-ms" => {
-                reload_backoff_ms = parse_or_usage(
-                    next_value(&mut args, "--reload-backoff-ms"),
-                    "--reload-backoff-ms",
-                );
-                listen_only_flag_seen = Some("--reload-backoff-ms");
-            }
-            "--scrub-interval-s" => {
-                scrub_interval_s = parse_or_usage(
-                    next_value(&mut args, "--scrub-interval-s"),
-                    "--scrub-interval-s",
-                );
-                listen_only_flag_seen = Some("--scrub-interval-s");
-            }
-            "--slow-log-us" => {
-                slow_log_us = Some(parse_or_usage(
-                    next_value(&mut args, "--slow-log-us"),
-                    "--slow-log-us",
-                ))
-            }
-            "--slow-log-file" => slow_log_file = Some(next_value(&mut args, "--slow-log-file")),
-            "--compact-after" => {
-                compact_after =
-                    parse_or_usage(next_value(&mut args, "--compact-after"), "--compact-after")
-            }
-            "--quiet" => quiet = true,
-            "--help" | "-h" => help(),
-            _ if graph_path.is_none() && !arg.starts_with('-') => graph_path = Some(arg),
-            _ => {
-                eprintln!("error: unrecognised argument `{arg}`");
-                usage()
-            }
-        }
-    }
-    if index_path.is_some() && (num_landmarks.is_some() || threads.is_some()) {
-        eprintln!("error: --landmarks/--threads only apply when building from an edge list");
-        usage();
-    }
-    if trusted && index_path.is_none() {
-        eprintln!("error: --trusted only applies when serving from --index");
-        usage();
-    }
-    if listen.is_none() {
-        if let Some(flag) = listen_only_flag_seen {
-            eprintln!("error: {flag} only applies with --listen");
-            usage();
-        }
-    }
+    let args = Args::parse(args, &[SOURCE_FLAGS, SERVE_FLAGS, LISTEN_FLAGS]);
+    let source = Source::from_args(&args);
+    args.require(LISTEN_FLAGS, "--listen");
+    let max_inflight = args.number::<usize>("--max-inflight").unwrap_or(1024);
     if max_inflight == 0 {
-        eprintln!("error: --max-inflight must be at least 1");
-        usage();
+        usage_error("--max-inflight must be at least 1");
     }
-    if slow_log_file.is_some() && slow_log_us.is_none() {
-        eprintln!("error: --slow-log-file only applies with --slow-log-us");
-        usage();
-    }
+    args.require(&[SLOW_LOG_FILE], "--slow-log-us");
     // Threshold from --slow-log-us, sink stderr unless --slow-log-file
     // redirects it.
-    let slow_log = match slow_log_us {
+    let slow_log = match args.number("--slow-log-us") {
         Some(us) => {
-            let out: Box<dyn Write + Send> = match &slow_log_file {
+            let out: Box<dyn Write + Send> = match args.value("--slow-log-file") {
                 Some(path) => Box::new(
                     std::fs::File::create(path)
                         .map_err(|e| format!("creating slow-log file {path}: {e}"))?,
@@ -1020,44 +976,49 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
         }
         None => None,
     };
-    let store = open_or_build(
-        index_path.as_deref(),
-        graph_path.as_deref(),
-        num_landmarks,
-        resolve_build_threads(threads),
-        trusted,
-    )?;
+    let store = source.open()?;
     let pipeline = pipeline::Pipeline::new(
         store,
         slow_log,
-        index_path.as_deref().map(std::path::PathBuf::from),
-        compact_after,
-        listen.is_some(),
+        source.index.as_deref().map(std::path::PathBuf::from),
+        args.number("--compact-after").unwrap_or(0),
+        args.has("--listen"),
     );
+    let workers = args.number("--workers");
+    let quiet = args.has("--quiet");
 
-    if let Some(addr) = listen {
+    if let Some(addr) = args.value("--listen") {
         // Socket front end. Handler threads default to every core — it's
         // a server.
-        let reload = index_path.map(|path| server::ReloadSpec { path, trusted });
+        let reload = source.index.map(|path| server::ReloadSpec {
+            path,
+            trusted: source.trusted,
+        });
+        let reload_signal = match args.value("--reload-signal") {
+            Some(name) => reload_signal(name).flatten(),
+            None => Some(server::sig::SIGHUP),
+        };
         return server::serve_listen(
             pipeline,
             server::ServerConfig {
-                addr,
+                addr: addr.to_string(),
                 workers: resolve_workers(workers.or(Some(0))),
                 max_inflight,
-                write_timeout: std::time::Duration::from_millis(write_timeout_ms),
+                write_timeout: Duration::from_millis(
+                    args.number("--write-timeout-ms").unwrap_or(30_000),
+                ),
                 // A reload signal without a reload source would only ever
                 // log failures; leave it uninstalled.
-                reload_signal: if reload.is_some() {
-                    reload_signal
-                } else {
-                    None
-                },
+                reload_signal: reload.as_ref().and(reload_signal),
                 reload,
-                reload_retries,
-                reload_backoff: std::time::Duration::from_millis(reload_backoff_ms),
-                scrub_interval: (scrub_interval_s > 0)
-                    .then(|| std::time::Duration::from_secs(scrub_interval_s)),
+                reload_retries: args.number("--reload-retries").unwrap_or(0),
+                reload_backoff: Duration::from_millis(
+                    args.number("--reload-backoff-ms").unwrap_or(100),
+                ),
+                scrub_interval: args
+                    .number("--scrub-interval-s")
+                    .filter(|&s| s > 0)
+                    .map(Duration::from_secs),
                 quiet,
             },
         );
@@ -1097,70 +1058,37 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 
 fn cmd_update(args: Vec<String>) -> Result<(), String> {
-    let mut path: Option<String> = None;
-    let mut deltas_path: Option<String> = None;
-    let mut compact_after = 0usize;
-    let mut force_compact = false;
-    let mut trusted = false;
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--deltas" | "-d" => deltas_path = Some(next_value(&mut args, "--deltas")),
-            "--compact-after" => {
-                compact_after =
-                    parse_or_usage(next_value(&mut args, "--compact-after"), "--compact-after")
-            }
-            "--compact" => force_compact = true,
-            "--trusted" => trusted = true,
-            "--help" | "-h" => help(),
-            _ if path.is_none() && !arg.starts_with('-') => path = Some(arg),
-            _ => {
-                eprintln!("error: unrecognised argument `{arg}`");
-                usage()
-            }
-        }
-    }
-    let path = path.unwrap_or_else(|| {
-        eprintln!("error: update needs an index-file path");
-        usage()
-    });
+    let args = Args::parse(args, &[UPDATE_FLAGS]);
+    let path = args
+        .path
+        .clone()
+        .unwrap_or_else(|| usage_error("update needs an index-file path"));
 
-    // Read the whole delta script up front (strict grammar: every
-    // non-blank, non-comment line must be a delta) so a typo on line 40
-    // aborts before line 1 mutates anything.
-    fn read_deltas(reader: impl BufRead, what: &str) -> Result<Vec<EdgeDelta>, String> {
-        let mut deltas = Vec::new();
-        for (lineno, line) in reader.lines().enumerate() {
-            let line = line.map_err(|e| format!("reading {what}: {e}"))?;
-            if let Some(delta) = update::parse_delta_line(&line, what, lineno + 1)? {
-                deltas.push(delta);
-            }
-        }
-        Ok(deltas)
-    }
-    let deltas = match &deltas_path {
+    // The whole script is read before anything is opened or changed.
+    let deltas = match args.value("--deltas") {
         Some(file) => {
             let f = std::fs::File::open(file).map_err(|e| format!("opening {file}: {e}"))?;
-            read_deltas(std::io::BufReader::new(f), file)?
+            update::parse_delta_script(std::io::BufReader::new(f), file)?
         }
-        None => read_deltas(std::io::stdin().lock(), "stdin")?,
+        None => update::parse_delta_script(std::io::stdin().lock(), "stdin")?,
     };
 
     let t0 = Instant::now();
-    let store = if trusted {
-        IndexStore::open_trusted(&path)
-    } else {
-        IndexStore::open(&path)
-    }
-    .map_err(|e| format!("opening {path}: {e}"))?;
-    let mut engine =
-        UpdateEngine::from_store(&store, Some(std::path::PathBuf::from(&path)), compact_after);
+    let store =
+        open_index(&path, args.has("--trusted")).map_err(|e| format!("opening {path}: {e}"))?;
+    let mut engine = UpdateEngine::from_store(
+        &store,
+        Some(std::path::PathBuf::from(&path)),
+        args.number("--compact-after").unwrap_or(0),
+    );
     // The engine shares the validated image; this handle is not needed.
     drop(store);
 
     let applied = engine.apply(&deltas).map_err(|e| e.to_string())?;
     let noops = deltas.len() as u64 - applied;
-    let published = engine.publish(force_compact).map_err(|e| e.to_string())?;
+    let published = engine
+        .publish(args.has("--compact"))
+        .map_err(|e| e.to_string())?;
     eprintln!(
         "updated {path}: {applied} delta(s) applied ({noops} no-op), {} full relabel(s); \
          journal: {} pending, {} compaction(s){}; took {:.1?} ({})",
@@ -1275,23 +1203,12 @@ fn write_deep_stats(out: &mut dyn Write, store: &IndexStore) -> std::io::Result<
 }
 
 fn cmd_inspect(args: Vec<String>) -> Result<(), String> {
-    let mut path: Option<String> = None;
-    let mut show_stats = false;
-    for arg in args {
-        match arg.as_str() {
-            "--stats" => show_stats = true,
-            "--help" | "-h" => help(),
-            _ if path.is_none() && !arg.starts_with('-') => path = Some(arg),
-            _ => {
-                eprintln!("error: unrecognised argument `{arg}`");
-                usage()
-            }
-        }
-    }
-    let path = path.unwrap_or_else(|| {
-        eprintln!("error: inspect needs an index-file path");
-        usage()
-    });
+    let args = Args::parse(args, &[INSPECT_FLAGS]);
+    let path = args
+        .path
+        .clone()
+        .unwrap_or_else(|| usage_error("inspect needs an index-file path"));
+    let show_stats = args.has("--stats");
 
     let t0 = Instant::now();
     let store = IndexStore::open(&path).map_err(|e| format!("opening {path}: {e}"))?;
@@ -1403,10 +1320,7 @@ fn run() -> Result<(), String> {
         "update" => cmd_update(args.split_off(1)),
         "inspect" => cmd_inspect(args.split_off(1)),
         "--help" | "-h" => help(),
-        other => {
-            eprintln!("error: unknown command `{other}`");
-            usage()
-        }
+        other => usage_error(format_args!("unknown command `{other}`")),
     }
 }
 

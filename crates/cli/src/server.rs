@@ -55,7 +55,6 @@
 
 use crate::pipeline::{push_answer_line, Pinned, Pipeline, Request};
 use hcl_index::QueryContext;
-use hcl_store::IndexStore;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -86,8 +85,8 @@ const MAX_UPDATE_BODY: usize = 1024 * 1024;
 pub(crate) struct ReloadSpec {
     /// Path of the `.hcl` container to re-open (the `--index` argument).
     pub(crate) path: String,
-    /// Re-open with `open_trusted` (skip the whole-file CRC pass). The
-    /// reload pipeline just wrote the file, so this mirrors `--trusted`.
+    /// Re-open skipping the whole-file CRC pass. The reload pipeline just
+    /// wrote the file, so this mirrors `--trusted`.
     pub(crate) trusted: bool,
 }
 
@@ -314,12 +313,7 @@ pub(crate) fn do_reload(state: &ServerState) -> Result<u64, String> {
                 ));
             }
         }
-        let opened = if spec.trusted {
-            IndexStore::open_trusted(&spec.path)
-        } else {
-            IndexStore::open(&spec.path)
-        };
-        match opened {
+        match crate::open_index(&spec.path, spec.trusted) {
             Ok(store) => {
                 let generation = state.pipeline.install_reloaded(store);
                 state.pipeline.metrics.reloads.inc();
@@ -885,27 +879,23 @@ fn handle_http_update(
 
     // Parse the whole batch before touching anything: a body with any
     // bad line is rejected as a unit.
-    let mut deltas = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        match crate::update::parse_delta_line(line, peer, idx + 1) {
-            Ok(Some(delta)) => deltas.push(delta),
-            Ok(None) => {}
-            Err(e) => {
-                m.update_failures.inc();
-                let body = format!("{{\"ok\":false,\"error\":{e:?}}}\n");
-                respond(
-                    writer,
-                    state,
-                    peer,
-                    400,
-                    "Bad Request",
-                    "application/json",
-                    &body,
-                );
-                return;
-            }
+    let deltas = match crate::update::parse_delta_script(text.as_bytes(), peer) {
+        Ok(deltas) => deltas,
+        Err(e) => {
+            m.update_failures.inc();
+            let body = format!("{{\"ok\":false,\"error\":{e:?}}}\n");
+            respond(
+                writer,
+                state,
+                peer,
+                400,
+                "Bad Request",
+                "application/json",
+                &body,
+            );
+            return;
         }
-    }
+    };
 
     match state.pipeline.update(peer, &deltas, received) {
         Ok(done) => {

@@ -7,6 +7,7 @@
 //! it): a malformed line is a diagnostic, never a panic.
 
 use hcl_core::{DeltaOp, EdgeDelta};
+use std::io::BufRead;
 
 /// Splits a serve-loop input line into its delta operation and the `u v`
 /// remainder, or `None` when the line is not a delta (a plain query,
@@ -41,13 +42,26 @@ pub(crate) fn parse_delta_rest(
     }
 }
 
-/// Strict delta-script parsing for `hcl update` input: every non-blank,
+/// Parses a whole delta script — `hcl update`'s input or a `POST /update`
+/// body — before anything is applied, so a bad line on line 40 rejects
+/// the script before line 1 changes anything. Strict: every non-blank,
 /// non-comment line must be a `+u v` or `-u v` delta.
-pub(crate) fn parse_delta_line(
-    line: &str,
+pub(crate) fn parse_delta_script(
+    script: impl BufRead,
     what: &str,
-    lineno: usize,
-) -> Result<Option<EdgeDelta>, String> {
+) -> Result<Vec<EdgeDelta>, String> {
+    let mut deltas = Vec::new();
+    for (lineno, line) in script.lines().enumerate() {
+        let line = line.map_err(|e| format!("reading {what}: {e}"))?;
+        if let Some(delta) = parse_delta_line(&line, what, lineno + 1)? {
+            deltas.push(delta);
+        }
+    }
+    Ok(deltas)
+}
+
+/// One line of a delta script; `Ok(None)` for blanks and comments.
+fn parse_delta_line(line: &str, what: &str, lineno: usize) -> Result<Option<EdgeDelta>, String> {
     let trimmed = line.trim();
     if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
         return Ok(None);
@@ -82,6 +96,19 @@ mod tests {
         assert!(err.contains("t:6"), "missing location: {err}");
         let err = parse_delta_line("+3 7 9", "t", 7).unwrap_err();
         assert!(err.contains("trailing"), "wrong diagnosis: {err}");
+    }
+
+    #[test]
+    fn scripts_parse_whole_or_name_their_first_bad_line() {
+        let script = "# edits\r\n+1 2\r\n\n  -3 4\n% done";
+        assert_eq!(
+            parse_delta_script(script.as_bytes(), "s").unwrap(),
+            vec![EdgeDelta::insert(1, 2), EdgeDelta::delete(3, 4)]
+        );
+        let err = parse_delta_script("+1 2\n\n3 4\n+x 1\n".as_bytes(), "s").unwrap_err();
+        assert!(err.starts_with("s:3: expected `+u v`"), "{err}");
+        let err = parse_delta_script(&b"+1 2\n\xff\n"[..], "s").unwrap_err();
+        assert_eq!(err, "reading s: stream did not contain valid UTF-8");
     }
 
     #[test]

@@ -103,10 +103,15 @@ pub const SERVING_PATH_FILES: &[&str] = &[
     "crates/cli/src/metrics.rs",
     "crates/cli/src/sync.rs",
     "crates/cli/src/update.rs",
+    "crates/store/src/lib.rs",
+    "crates/store/src/durable.rs",
+    "crates/store/src/generation.rs",
     "crates/store/src/engine.rs",
     "crates/store/src/tail.rs",
+    "crates/core/src/delta.rs",
     "crates/index/src/query.rs",
     "crates/index/src/view.rs",
+    "crates/index/src/repair.rs",
 ];
 
 /// No `.unwrap()` / `.expect(…)` / `panic!` family in request-serving
