@@ -814,6 +814,34 @@ mod tests {
     }
 
     #[test]
+    fn from_csr_accepts_a_long_star_centred_last() {
+        // The other orientation: the hub is the last vertex, so its whole
+        // list sits below it and every leaf's row reaches into it once.
+        let leaves = if cfg!(miri) { 1_000 } else { 100_000 };
+        let hub = leaves as VertexId;
+        let edges: Vec<(VertexId, VertexId)> = (0..hub).map(|v| (v, hub)).collect();
+        let g = Graph::from_edges(&edges);
+        let (offsets, neighbors) = (g.csr_offsets(), g.csr_neighbors());
+        let view = GraphView::from_csr(offsets, neighbors).expect("star is valid");
+        assert_eq!(view.degree(hub), leaves);
+
+        // Drop one leaf's entry from the hub's list, then the hub from
+        // that leaf's list: one dangling reverse each.
+        let (leaf, hub_row) = (leaves / 2, offsets[hub as usize] as usize);
+        for e in [hub_row + leaf, leaf] {
+            let owner = offsets.partition_point(|&o| o <= e as u64) - 1;
+            let mut cut_offsets = offsets.to_vec();
+            for o in &mut cut_offsets[owner + 1..] {
+                *o -= 1;
+            }
+            let mut cut = neighbors.to_vec();
+            cut.remove(e);
+            let what = format!("star centred last: {owner} -> {} dropped", neighbors[e]);
+            assert_names_a_planted_violation(&cut_offsets, &cut, 1, &what);
+        }
+    }
+
+    #[test]
     fn from_csr_names_a_genuine_missing_reverse_edge() {
         let mut rng = SplitMix64::new(0x5EED);
         for (name, g) in testkit::families() {
@@ -883,6 +911,45 @@ mod tests {
                     &grown,
                     1,
                     &format!("{name}: extra entry {u} -> {w}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn from_csr_reports_structural_faults_before_asymmetry() {
+        // Rows 0: [1, 5], 1: [0, 2], 2: [1, 3, 5], 3: [2, 4], 4: [3, 5],
+        // 5: [0, 2, 4]. Each fault goes into the last row, which rows 0
+        // and 2 name, so it also breaks their reverses; the early row 1
+        // optionally gets an asymmetry of its own. Whatever the rows
+        // before it look like, a structural fault anywhere wins.
+        let g = Graph::from_edges(&[(0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5), (2, 5)]);
+        let (offsets, neighbors) = (g.csr_offsets(), g.csr_neighbors());
+        let last = offsets[5] as usize;
+        let faults: [(&[VertexId], CsrError); 4] = [
+            (
+                &[9, 2, 4],
+                CsrError::NeighborOutOfRange {
+                    vertex: 5,
+                    neighbor: 9,
+                },
+            ),
+            (&[0, 2, 5], CsrError::SelfLoop { vertex: 5 }),
+            (&[0, 4, 2], CsrError::UnsortedNeighbors { vertex: 5 }),
+            (&[0, 2, 2], CsrError::UnsortedNeighbors { vertex: 5 }),
+        ];
+        for (row, want) in faults {
+            for early in [false, true] {
+                let mut bad = neighbors.to_vec();
+                bad[last..].copy_from_slice(row);
+                if early {
+                    // 1: [0, 3] — neither 1 -> 3 nor 2 -> 1 has a reverse.
+                    bad[offsets[1] as usize + 1] = 3;
+                }
+                assert_eq!(
+                    GraphView::from_csr(offsets, &bad).unwrap_err(),
+                    want,
+                    "row 5 = {row:?}, early asymmetry {early}"
                 );
             }
         }
