@@ -187,11 +187,11 @@ pub struct GraphView<'a> {
 impl<'a> GraphView<'a> {
     /// Builds a validated view over raw CSR arrays.
     ///
-    /// Checks every structural invariant the traversal code relies on:
-    /// offsets are monotone and span the neighbour array, adjacency lists
-    /// are strictly ascending, in range, self-loop free, and symmetric
-    /// (this is an undirected graph). `O(n + m)` — run once per load, never
-    /// per query.
+    /// Checks every invariant traversals rely on: offsets monotone and
+    /// spanning the neighbour array; lists strictly ascending, in range,
+    /// self-loop free and symmetric (undirected). One `O(n + m)` pass checks
+    /// each undirected edge once, from its higher end; any structural fault
+    /// is reported before an asymmetry. Once per load, never per query.
     pub fn from_csr(offsets: &'a [u64], neighbors: &'a [VertexId]) -> Result<Self, CsrError> {
         let view = Self::from_csr_unchecked(offsets, neighbors);
         view.validate()?;
@@ -267,74 +267,73 @@ impl<'a> GraphView<'a> {
                 num_vertices: n as u64,
             });
         }
-        let mut prev = 0u64;
-        for (v, &off) in offsets.iter().enumerate().skip(1) {
-            if off < prev {
-                return Err(CsrError::NonMonotoneOffsets { vertex: v - 1 });
-            }
-            prev = off;
+        if let Some(vertex) = offsets.windows(2).position(|o| o[1] < o[0]) {
+            return Err(CsrError::NonMonotoneOffsets { vertex });
         }
-        if prev != self.neighbors.len() as u64 {
+        if offsets[n] != self.neighbors.len() as u64 {
             return Err(CsrError::LengthMismatch {
-                last_offset: prev,
+                last_offset: offsets[n],
                 neighbors_len: self.neighbors.len(),
             });
         }
-        for v in 0..n {
-            let adj = &self.neighbors[offsets[v] as usize..offsets[v + 1] as usize];
-            let mut last: Option<VertexId> = None;
-            for &w in adj {
-                if w as usize >= n {
+        // One pass checks each entry's structure and each undirected edge
+        // once, from its higher endpoint: `u -> w` with `w < u` claims `u` at
+        // `cursor[w]`, which row `w` leaves at its first upper entry. Rows
+        // ascend and so does each row, so the claimers of `adj(w)` arrive in
+        // the order it lists them: each must find itself *at* the cursor.
+        // Claims read no row end; the last sweep checks that each upper part
+        // was claimed exactly to its end. Claims land in the lower endpoint's
+        // list (a hub's, under preferential attachment), so mostly hit cache.
+        // A structural fault anywhere outranks an asymmetry (and may be its
+        // cause), so the pass goes on. Only the first failed claim is kept:
+        // every claim before it held, which is what makes its pair genuine.
+        let mut cursor: Vec<u64> = offsets[..n].to_vec();
+        let mut asymmetry = None;
+        for u in 0..n {
+            let (id, start) = (u as VertexId, offsets[u]);
+            for e in start..offsets[u + 1] {
+                let w = self.neighbors[e as usize];
+                let v = w as usize;
+                if v >= n {
                     return Err(CsrError::NeighborOutOfRange {
-                        vertex: v,
+                        vertex: u,
                         neighbor: w,
                     });
                 }
-                if w as usize == v {
-                    return Err(CsrError::SelfLoop { vertex: v });
+                if v == u {
+                    return Err(CsrError::SelfLoop { vertex: u });
                 }
-                if let Some(l) = last {
-                    if w <= l {
-                        return Err(CsrError::UnsortedNeighbors { vertex: v });
-                    }
+                if e > start && w <= self.neighbors[e as usize - 1] {
+                    return Err(CsrError::UnsortedNeighbors { vertex: u });
                 }
-                last = Some(w);
-            }
-        }
-        // Symmetry: every directed entry must have its reverse — one sweep
-        // with a cursor per vertex, `O(n + m)`. `cursor[w]` is the first
-        // entry of `adj(w)` no reverse has claimed yet. Sources are visited
-        // in ascending order and every list is strictly ascending (checked
-        // above), so the sources that name `w` arrive in exactly the order
-        // `adj(w)` must list them: each entry `u -> w` has to find `u`
-        // *at* the cursor, and claiming it consumes the list front to back.
-        let mut cursor: Vec<u64> = offsets[..n].to_vec();
-        for u in 0..n {
-            for &w in self.neighbors_of(u) {
-                let at = cursor[w as usize];
-                let next = (at < offsets[w as usize + 1]).then(|| self.neighbors[at as usize]);
-                if next == Some(u as VertexId) {
-                    cursor[w as usize] = at + 1;
+                if v > u {
                     continue;
                 }
-                return Err(match next {
-                    // `x` was visited (x < u) without claiming its slot in
-                    // `adj(w)`: it does not list `w`.
-                    Some(x) if (x as usize) < u => CsrError::MissingReverseEdge { u: w, v: x },
-                    // Everything before the cursor is smaller than `u`,
-                    // everything from it on is larger: `adj(w)` lacks `u`.
-                    _ => CsrError::MissingReverseEdge {
-                        u: u as VertexId,
-                        v: w,
-                    },
+                cursor[u] = e + 1;
+                if self.neighbors.get(cursor[v] as usize) == Some(&id) {
+                    cursor[v] += 1;
+                    continue;
+                }
+                let next = (cursor[v] < offsets[v + 1]).then(|| self.neighbors[cursor[v] as usize]);
+                asymmetry.get_or_insert(match next {
+                    // `x` (< u) had its turn and did not claim: it lacks `w`.
+                    Some(x) if x < id => CsrError::MissingReverseEdge { u: w, v: x },
+                    // Claimers below `u` precede the cursor, entries above it
+                    // follow: `adj(w)` lacks `u`.
+                    _ => CsrError::MissingReverseEdge { u: id, v: w },
                 });
             }
         }
-        Ok(())
-    }
-
-    fn neighbors_of(&self, v: usize) -> &'a [VertexId] {
-        &self.neighbors[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+        // An upper entry nobody claimed lacks its reverse; a claim past the
+        // end found `adj(w)` all taken, by vertices below the claimer.
+        for (w, (&at, &end)) in (0..).zip(cursor.iter().zip(&offsets[1..])) {
+            if at != end && asymmetry.is_none() {
+                let x = self.neighbors[at.min(end) as usize];
+                let (u, v) = if at < end { (w, x) } else { (x, w) };
+                asymmetry = Some(CsrError::MissingReverseEdge { u, v });
+            }
+        }
+        asymmetry.map_or(Ok(()), Err)
     }
 
     /// Number of vertices.
@@ -371,7 +370,7 @@ impl<'a> GraphView<'a> {
         if let Some(adj) = self.patches.and_then(|p| p.get(v)) {
             return adj;
         }
-        self.neighbors_of(v as usize)
+        FlatRows::new(self.offsets, self.neighbors).row(v)
     }
 
     /// Whether `u` and `v` are adjacent (`O(log degree(u))`).
