@@ -326,9 +326,9 @@ impl<'a> GraphView<'a> {
         }
         // An upper entry nobody claimed lacks its reverse; a claim past the
         // end found `adj(w)` all taken, by vertices below the claimer.
-        for (w, (&at, &end)) in (0..).zip(cursor.iter().zip(&offsets[1..])) {
+        for (w, (&at, &end)) in cursor.iter().zip(&offsets[1..]).enumerate() {
             if at != end && asymmetry.is_none() {
-                let x = self.neighbors[at.min(end) as usize];
+                let (w, x) = (w as VertexId, self.neighbors[at.min(end) as usize]);
                 let (u, v) = if at < end { (w, x) } else { (x, w) };
                 asymmetry = Some(CsrError::MissingReverseEdge { u, v });
             }
