@@ -150,6 +150,27 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> Graph {
     b.build()
 }
 
+/// A broom: a seeded [`barabasi_albert`] head on `core` vertices with a
+/// path of `tail` more vertices (ids `core..core + tail`, in path order)
+/// hanging off the head's last vertex. A search from the head sees a few
+/// wide levels, then one vertex per level down the handle.
+pub fn broom(core: usize, m: usize, tail: usize, seed: u64) -> Graph {
+    let head = barabasi_albert(core, m, seed);
+    let mut b = GraphBuilder::new();
+    b.reserve_vertices(core + tail);
+    for u in 0..core as VertexId {
+        for &v in head.neighbors(u) {
+            if u < v {
+                b.add_edge(u, v);
+            }
+        }
+    }
+    for v in core.max(1)..core + tail {
+        b.add_edge((v - 1) as VertexId, v as VertexId);
+    }
+    b.build()
+}
+
 /// `min(k, n)` distinct vertices of `0..n` in a seeded random order (a
 /// partial Fisher–Yates shuffle) — a landmark list with no relation to
 /// degree, for checking that the labelling is right for any landmark set.
@@ -236,6 +257,17 @@ mod tests {
         let tiny = barabasi_albert(3, 5, 1); // n smaller than m + 1: pure star
         assert_eq!(tiny.num_edges(), 2);
         assert_eq!(tiny.degree(0), 2);
+    }
+
+    #[test]
+    fn broom_is_a_head_with_a_handle() {
+        let g = broom(50, 3, 20, 5);
+        assert_eq!(g.num_vertices(), 70);
+        assert_eq!(g.num_edges(), barabasi_albert(50, 3, 5).num_edges() + 20);
+        let dist = bfs::distances_from(&g, 49);
+        assert_eq!(dist[69], 20);
+        assert!(dist.iter().all(|&d| d != crate::INFINITY));
+        assert_eq!(broom(0, 3, 4, 1), path(4));
     }
 
     #[test]

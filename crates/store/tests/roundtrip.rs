@@ -162,6 +162,30 @@ fn header_checksum_of_a_fixed_container_is_pinned() {
     assert_eq!(hcl_store::crc64(&bytes), 0x35CC_F4A4_44C2_6B7D);
 }
 
+/// The same pin over a graph whose labelling sweep closes both wide levels
+/// (the BA head, where a level reaches most of the graph) and one-vertex
+/// levels (the 1 500-vertex handle), at 65 landmarks — two sweep groups.
+/// The order a level is closed and expanded in must never reach the bytes:
+/// the pin predates the sweep ordering its levels by vertex id, and its
+/// CRC was re-derived bytewise outside this crate.
+#[test]
+fn checksum_of_a_two_group_broom_container_is_pinned() {
+    let g = testkit::broom(1_000, 3, 1_500, 23);
+    let idx = HighwayCoverIndex::build_with(
+        &g,
+        &BuildOptions {
+            num_landmarks: 65,
+            threads: 1,
+            ..BuildOptions::default()
+        },
+    );
+    let bytes = hcl_store::serialize(&g, &idx).unwrap();
+    assert_eq!(bytes.len(), 203_428);
+    let store = IndexStore::from_bytes(&bytes).expect("the checksum verifies");
+    assert_eq!(store.meta().checksum, 0xFCF3_D75A_B45B_777F);
+    assert_eq!(hcl_store::crc64(&bytes), 0x055F_6FC4_AD01_212C);
+}
+
 #[test]
 fn build_metadata_round_trips_through_the_header() {
     let g = testkit::barabasi_albert(120, 3, 21);
