@@ -64,11 +64,13 @@ const USAGE: &str = "usage: hcl <command> [args]\n\
            over T worker threads (default: HCL_BUILD_THREADS or all\n\
            available cores; at most one worker per 64 landmarks ever\n\
            starts), and the output is byte-identical at every thread\n\
-           count. --progress streams per-phase lines (selection, each\n\
-           sweep group with its levels, activations, entries and covered\n\
-           arrivals, the label fill) to stderr. Build counters (BFS visits, covered arrivals,\n\
-           per-landmark label contributions) are always recorded in the\n\
-           container and shown by inspect --stats.\n\
+           count; the index: line names the workers that ran.\n\
+           --progress streams per-phase lines (selection, each sweep group\n\
+           with its levels, how many of them were wide enough to be put\n\
+           in vertex order from a bitmap (dense), activations, entries and\n\
+           covered arrivals, the label fill) to stderr. Build counters (BFS\n\
+           visits, covered arrivals, per-landmark label contributions) are\n\
+           always recorded in the container and shown by inspect --stats.\n\
        query (--index FILE.hcl [--trusted] | <graph.edges> [--landmarks K]\n\
              [--threads T]) [--queries FILE | --random N]\n\
              [--seed S] [--workers W] [--verify] [--explain]\n\
@@ -607,6 +609,9 @@ fn build_image(
         progress.then_some(&mut progress_sink as &mut dyn FnMut(String)),
     );
     let build_time = t1.elapsed();
+    // At most one worker starts per sweep group; without landmarks the
+    // calling thread does the whole build.
+    let workers = threads.min(build_stats.batch_us.len()).max(1);
     let stats = index.stats();
     let t2 = Instant::now();
     // The thread count is left unrecorded (0) so that the same edge list
@@ -641,7 +646,7 @@ fn build_image(
     report += &format!(
         "graph: {} vertices, {} edges (loaded in {load_time:.1?} ({load_phases}))\n\
          index: {} landmarks, {} label entries (avg {:.2}/vertex, max {}), built in \
-         {build_time:.1?} with {threads} thread(s)\n",
+         {build_time:.1?} with {workers} thread(s)\n",
         graph.num_vertices(),
         graph.num_edges(),
         stats.num_landmarks,

@@ -562,6 +562,58 @@ fn threads_flag_does_not_change_the_served_index() {
     assert!(err.contains("unrecognised argument `--batch`"), "{err}");
 }
 
+/// The `index:` line names the build workers that ran, not the ones asked
+/// for: at most one starts per 64-landmark sweep group. `query` on an edge
+/// list prints the same line.
+#[test]
+fn build_reports_the_workers_that_ran() {
+    let scratch = Scratch::new("workers_ran");
+    let sample = concat!(env!("CARGO_MANIFEST_DIR"), "/../../data/sample.edges");
+    let out = run_ok(
+        hcl()
+            .args(["build", sample, "--landmarks", "4", "--threads", "3"])
+            .arg("--out")
+            .arg(scratch.path("sample.hcl")),
+    );
+    assert!(
+        stderr_of(&out).contains(" with 1 thread(s)\n"),
+        "{}",
+        stderr_of(&out)
+    );
+
+    // 130 landmarks are three groups, so three workers run.
+    let edges: String = (0..400u32)
+        .map(|i| format!("{} {}\n", i, (i * 7 + 1) % 400))
+        .collect();
+    let graph = scratch.file("g.edges", &edges);
+    let out = run_ok(
+        hcl()
+            .arg("build")
+            .arg(&graph)
+            .arg("--out")
+            .arg(scratch.path("g.hcl"))
+            .args(["--landmarks", "130", "--threads", "3"]),
+    );
+    assert!(
+        stderr_of(&out).contains(" with 3 thread(s)\n"),
+        "{}",
+        stderr_of(&out)
+    );
+    let out = run_ok(hcl().arg("query").arg(&graph).args([
+        "--landmarks",
+        "130",
+        "--threads",
+        "3",
+        "--random",
+        "1",
+    ]));
+    assert!(
+        stderr_of(&out).contains(" with 3 thread(s)\n"),
+        "{}",
+        stderr_of(&out)
+    );
+}
+
 /// Every flag that takes a value, per subcommand: `(subcommand, long
 /// name, short alias or "", whether the value must be a number)`.
 const VALUE_FLAGS: &[(&str, &str, &str, bool)] = &[

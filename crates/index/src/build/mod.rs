@@ -383,13 +383,14 @@ impl HighwayCoverIndex {
             stats.bfs_visits += group.arrivals;
             stats.label_insertions += group.entries;
             emit(format!(
-                "sweep {}: landmarks {}..{} of {k} in {} µs (levels {}, activations {}, \
-                 entries {}, covered arrivals {})",
+                "sweep {}: landmarks {}..{} of {k} in {} µs (levels {}, {} dense, \
+                 activations {}, entries {}, covered arrivals {})",
                 number + 1,
                 group.start,
                 (group.start + sweep::WIDTH).min(k),
                 group.us,
                 group.levels,
+                group.dense_levels,
                 group.activations,
                 group.entries,
                 group.arrivals - group.entries

@@ -30,6 +30,15 @@
 //! labelled with a distance that is not the shortest; carrying them makes
 //! every search a full BFS, which is also why the highway rows come out
 //! exact with no closure pass.
+//!
+//! Each level is closed and expanded in ascending vertex order, so the
+//! cells, the adjacency rows and the fill's writes (it replays `emits`)
+//! move forward through memory. A level with at least one vertex per word
+//! of the `arrived` bitmap is marked in it and read back off it; a
+//! narrower one is sorted, so a long path never pays `O(n / 64)` per
+//! level. The order cannot reach the output: `next` and `cov` gather
+//! unions, an entry's slot is a popcount rank, and a highway cell is
+//! addressed by (bit, rank).
 
 use super::{BuildContext, NOT_A_LANDMARK};
 use crate::view::pack_label_entry;
@@ -59,6 +68,8 @@ pub(crate) struct SweepScratch {
     active: Vec<VertexId>,
     /// Vertices with a non-zero `next`.
     arriving: Vec<VertexId>,
+    /// One bit per vertex to put a dense level in order; zero otherwise.
+    arrived: Vec<u64>,
 }
 
 /// The label entries one vertex gained at one level: `(start + b, depth)`
@@ -81,6 +92,8 @@ pub(crate) struct GroupSweep {
     highway_rows: Vec<u32>,
     /// BFS levels swept (the largest eccentricity in the group, plus one).
     pub(crate) levels: u32,
+    /// Of those, the levels put in order from the `arrived` bitmap.
+    pub(crate) dense_levels: u32,
     /// `(vertex, level)` expansions — the adjacency lists read.
     pub(crate) activations: u64,
     /// `(landmark, vertex)` pairs reached, roots included.
@@ -117,17 +130,21 @@ fn sweep_group(
         cells,
         active,
         arriving,
+        arrived,
     } = scratch;
     cells.clear();
     cells.resize(graph.num_vertices(), Cell::default());
     active.clear();
     arriving.clear();
+    arrived.clear();
+    arrived.resize(graph.num_vertices().div_ceil(64), 0);
     let mut out = GroupSweep {
         start,
         labelled: Vec::new(),
         emits: Vec::new(),
         highway_rows: vec![INFINITY; group.len() * k],
         levels: 0,
+        dense_levels: 0,
         activations: 0,
         arrivals: 0,
         entries: 0,
@@ -140,7 +157,20 @@ fn sweep_group(
     }
     let mut depth = 0u32;
     while !arriving.is_empty() {
-        // Close level `depth`: the bits in `next` have arrived.
+        // Put level `depth` in vertex order, then close it: the bits in
+        // `next` have arrived.
+        if arriving.len() >= arrived.len() {
+            for &w in arriving.iter() {
+                arrived[w as usize / 64] |= 1 << (w % 64);
+            }
+            arriving.clear();
+            for (at, word) in arrived.iter_mut().enumerate() {
+                arriving.extend(bits(std::mem::take(word)).map(|b| (at * 64 + b) as VertexId));
+            }
+            out.dense_levels += 1;
+        } else {
+            arriving.sort_unstable();
+        }
         for &w in arriving.iter() {
             let cell = &mut cells[w as usize];
             let new = std::mem::take(&mut cell.next);
@@ -337,7 +367,51 @@ fn join_workers<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Vec<T> {
 
 #[cfg(test)]
 mod tests {
-    use super::join_workers;
+    use super::{join_workers, label, WIDTH};
+    use crate::build::rank_table;
+    use hcl_core::{bfs, testkit};
+
+    #[test]
+    fn a_broom_sweep_orders_levels_both_ways_and_emits_in_vertex_order() {
+        // ⌈2500 / 64⌉ = 40: the head's wide levels reach that many vertices
+        // and are read off the bitmap; 16 roots and the handle's one-vertex
+        // levels are sorted.
+        let g = testkit::broom(1_000, 3, 1_500, 23);
+        for k in [16, 65] {
+            let landmarks = g.top_k_by_degree(k);
+            let rank = rank_table(&landmarks, g.num_vertices());
+            let swept = label(g.as_view().into(), &landmarks, &rank, &mut []);
+            for group in &swept.groups {
+                let (dense, levels) = (group.dense_levels, group.levels);
+                assert!(
+                    0 < dense && dense < levels,
+                    "k={k}: {dense} of {levels} dense"
+                );
+                // A vertex is expanded once per distinct distance from the
+                // group's roots: ordering a level adds no vertex to it.
+                let roots = &landmarks[group.start..(group.start + WIDTH).min(k)];
+                let from: Vec<_> = roots.iter().map(|&r| bfs::distances_from(&g, r)).collect();
+                let expansions = (0..g.num_vertices()).map(|v| {
+                    let mut depths: Vec<u32> = from.iter().map(|d| d[v]).collect();
+                    depths.sort_unstable();
+                    depths.dedup();
+                    depths.len() as u64
+                });
+                assert_eq!(group.activations, expansions.sum::<u64>(), "k={k}");
+                for pair in group.emits.windows(2) {
+                    let (a, b) = (&pair[0], &pair[1]);
+                    assert!(
+                        a.depth < b.depth || (a.depth == b.depth && a.vertex < b.vertex),
+                        "k={k}: emit ({}, {}) before ({}, {})",
+                        a.vertex,
+                        a.depth,
+                        b.vertex,
+                        b.depth
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn worker_panics_reraise_as_one_coherent_build_panic() {

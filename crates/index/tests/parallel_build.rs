@@ -105,6 +105,23 @@ fn built_labelling_is_the_papers_definition_on_every_family() {
     }
 }
 
+/// A broom — a BA head on 1 000 vertices with a 1 500-vertex path for a
+/// handle — makes the sweep put its head's wide levels in vertex order
+/// from the arrival bitmap and its handle's one-vertex levels by sorting;
+/// both orders must build the definition, identically at every thread
+/// count, in one group and in two.
+#[test]
+fn built_labelling_is_the_papers_definition_on_a_broom() {
+    let g = testkit::broom(1_000, 3, 1_500, 23);
+    for k in [16, 65] {
+        for (list, landmarks) in landmark_lists(&g, k) {
+            let tag = format!("broom k={k} {list}");
+            let built = build_at_every_thread_count(&tag, &g, &landmarks);
+            assert_definition(&tag, &g, &built);
+        }
+    }
+}
+
 /// Asserts `built` is the paper's labelling of `g` for its own landmarks,
 /// entry by entry, and that its highway holds the exact distances.
 fn assert_definition(tag: &str, g: &Graph, built: &HighwayCoverIndex) {
