@@ -685,6 +685,109 @@ mod tests {
         }
     }
 
+    /// What `from_csr` decides, by brute force, for arrays whose offsets
+    /// are well formed: a structural scan (every list in range, self-loop
+    /// free and strictly ascending), then the search-based symmetry scan.
+    fn is_valid_csr(offsets: &[u64], neighbors: &[VertexId]) -> bool {
+        let n = offsets.len() - 1;
+        let structural = (0..n).all(|u| {
+            let row = &neighbors[offsets[u] as usize..offsets[u + 1] as usize];
+            row.iter().all(|&w| (w as usize) < n && w as usize != u)
+                && row.windows(2).all(|p| p[0] < p[1])
+        });
+        structural && missing_reverse_edges(offsets, neighbors).is_empty()
+    }
+
+    /// Seeded single-fault mutations of `g`'s arrays, at up to `entries`
+    /// sampled positions (every position when there are no more): ±1 on
+    /// the entry, a swap with another entry, id `n`, a self-loop, and the
+    /// entry dropped (its reverse left dangling). Offsets stay well formed.
+    fn csr_mutations(
+        g: &Graph,
+        entries: usize,
+        rng: &mut SplitMix64,
+    ) -> Vec<(String, Vec<u64>, Vec<VertexId>)> {
+        let (offsets, neighbors) = (g.csr_offsets(), g.csr_neighbors());
+        let (n, m) = (g.num_vertices() as VertexId, neighbors.len());
+        let positions: Vec<usize> = if m <= entries {
+            (0..m).collect()
+        } else {
+            (0..entries)
+                .map(|_| rng.next_below(m as u64) as usize)
+                .collect()
+        };
+        let mut out = Vec::new();
+        for e in positions {
+            let owner = offsets.partition_point(|&o| o <= e as u64) - 1;
+            let mut set = |what: &str, value: VertexId| {
+                let mut bad = neighbors.to_vec();
+                bad[e] = value;
+                out.push((format!("{what} at {e}"), offsets.to_vec(), bad));
+            };
+            set("+1", neighbors[e].wrapping_add(1));
+            set("-1", neighbors[e].wrapping_sub(1));
+            set("id n", n);
+            set("self-loop", owner as VertexId);
+            let f = rng.next_below(m as u64) as usize;
+            let mut swapped = neighbors.to_vec();
+            swapped.swap(e, f);
+            out.push((format!("swap {e} <-> {f}"), offsets.to_vec(), swapped));
+            let mut cut_offsets = offsets.to_vec();
+            for o in &mut cut_offsets[owner + 1..] {
+                *o -= 1;
+            }
+            let mut cut = neighbors.to_vec();
+            cut.remove(e);
+            out.push((format!("dropped {e}"), cut_offsets, cut));
+        }
+        out
+    }
+
+    #[test]
+    fn from_csr_agrees_with_the_definition_under_mutation() {
+        // Mutated positions per graph: every entry of a family, a sample
+        // of the broom's and the stars'; a few of each under Miri.
+        let (leaves, sampled) = if cfg!(miri) {
+            (1_000, [4, 4, 4])
+        } else {
+            (100_000, [usize::MAX, 200, 12])
+        };
+        let hub = leaves as VertexId;
+        let mut graphs = testkit::families();
+        graphs.push((
+            "broom".into(),
+            if cfg!(miri) {
+                testkit::broom(60, 2, 40, 23)
+            } else {
+                testkit::broom(1_000, 3, 1_500, 23)
+            },
+        ));
+        graphs.push(("star centred first".into(), testkit::star(leaves + 1)));
+        let edges: Vec<(VertexId, VertexId)> = (0..hub).map(|v| (v, hub)).collect();
+        graphs.push(("star centred last".into(), Graph::from_edges(&edges)));
+
+        let mut rng = SplitMix64::new(0xC5_2026);
+        let mut rejected = 0;
+        for (name, g) in &graphs {
+            assert!(
+                GraphView::from_csr(g.csr_offsets(), g.csr_neighbors()).is_ok(),
+                "{name}"
+            );
+            let entries = match g.num_vertices() {
+                0..=100 => sampled[0],
+                101..=10_000 => sampled[1],
+                _ => sampled[2],
+            };
+            for (what, offsets, neighbors) in csr_mutations(g, entries, &mut rng) {
+                let want = is_valid_csr(&offsets, &neighbors);
+                let got = GraphView::from_csr(&offsets, &neighbors);
+                assert_eq!(got.is_ok(), want, "{name}: {what}: {got:?}");
+                rejected += usize::from(!want);
+            }
+        }
+        assert!(rejected > 0, "no mutation was rejected");
+    }
+
     #[test]
     fn empty_graph() {
         let g = GraphBuilder::new().build();

@@ -516,7 +516,8 @@ impl<'a> From<&'a HighwayCoverIndex> for IndexView<'a> {
 mod tests {
     use super::*;
     use crate::IndexConfig;
-    use hcl_core::testkit;
+    use hcl_core::testkit::{self, SplitMix64};
+    use hcl_core::Graph;
 
     /// Packs parallel hub/dist arrays — the shape tests are written in.
     fn pack(hubs: &[u32], dists: &[u32]) -> Vec<u64> {
@@ -566,6 +567,242 @@ mod tests {
             );
         }
         assert_eq!(idx.stats().bytes, copy.stats().bytes);
+    }
+
+    /// The label part of what `from_parts` decides, by brute force: every
+    /// hub below `k`, and each label strictly ascending by hub.
+    fn labels_are_valid(offsets: &[u64], entries: &[u64], k: usize) -> bool {
+        offsets.windows(2).all(|o| {
+            let label = &entries[o[0] as usize..o[1] as usize];
+            label.iter().all(|&e| (entry_hub(e) as usize) < k)
+                && label.windows(2).all(|p| entry_hub(p[0]) < entry_hub(p[1]))
+        })
+    }
+
+    /// Seeded single-fault mutations of `entries` at up to `positions`
+    /// sampled entries (every entry when there are no more): the hub
+    /// bumped by one, a hub `>= k`, a swap with another entry, and the
+    /// predecessor's hub with a larger distance (still `u64`-ascending).
+    fn label_mutations(
+        offsets: &[u64],
+        entries: &[u64],
+        k: usize,
+        positions: usize,
+        rng: &mut SplitMix64,
+    ) -> Vec<(String, Vec<u64>)> {
+        let len = entries.len();
+        let sampled: Vec<usize> = if len <= positions {
+            (0..len).collect()
+        } else {
+            (0..positions)
+                .map(|_| rng.next_below(len as u64) as usize)
+                .collect()
+        };
+        let mut out = Vec::new();
+        for e in sampled {
+            let (hub, dist) = unpack_label_entry(entries[e]);
+            let mut set = |what: String, value: u64| {
+                let mut bad = entries.to_vec();
+                bad[e] = value;
+                out.push((what, bad));
+            };
+            set(format!("hub + 1 at {e}"), pack_label_entry(hub + 1, dist));
+            let big = k as u32 + rng.next_below(3) as u32;
+            set(format!("hub {big} at {e}"), pack_label_entry(big, dist));
+            let row_start = offsets[offsets.partition_point(|&o| o <= e as u64) - 1];
+            if e as u64 > row_start {
+                let (prev, prev_dist) = unpack_label_entry(entries[e - 1]);
+                let equal = pack_label_entry(prev, prev_dist.saturating_add(1));
+                set(format!("hub {prev} repeated at {e}"), equal);
+            }
+            let f = rng.next_below(len as u64) as usize;
+            let mut swapped = entries.to_vec();
+            swapped.swap(e, f);
+            out.push((format!("swap {e} <-> {f}"), swapped));
+        }
+        out
+    }
+
+    #[test]
+    fn from_parts_agrees_with_the_definition_under_mutation() {
+        let leaves = 100_000;
+        let hub = leaves as VertexId;
+        let mut graphs = testkit::families();
+        graphs.push(("broom".into(), testkit::broom(1_000, 3, 1_500, 23)));
+        graphs.push(("star centred first".into(), testkit::star(leaves + 1)));
+        let edges: Vec<(VertexId, VertexId)> = (0..hub).map(|v| (v, hub)).collect();
+        graphs.push(("star centred last".into(), Graph::from_edges(&edges)));
+
+        let mut rng = SplitMix64::new(0x1AB_2026);
+        let mut rejected = 0;
+        for (name, g) in &graphs {
+            // Every entry of a family's labels, a sample of the broom's
+            // and the stars'.
+            let positions = match g.num_vertices() {
+                0..=100 => usize::MAX,
+                101..=10_000 => 200,
+                _ => 12,
+            };
+            for k in [1, 16] {
+                let idx = HighwayCoverIndex::build(g, IndexConfig { num_landmarks: k });
+                let v = idx.as_view();
+                let (offsets, entries) = (v.label_offsets(), v.label_entries());
+                let k = v.num_landmarks();
+                let error = |entries: &[u64]| {
+                    IndexView::from_parts(
+                        v.landmarks(),
+                        v.landmark_rank(),
+                        offsets,
+                        entries,
+                        v.highway(),
+                    )
+                    .err()
+                };
+                assert_eq!(error(entries), None, "{name}, k = {k}");
+                for (what, bad) in label_mutations(offsets, entries, k, positions, &mut rng) {
+                    let want = labels_are_valid(offsets, &bad, k);
+                    let got = error(&bad);
+                    assert_eq!(got.is_none(), want, "{name}, k = {k}: {what}: {got:?}");
+                    rejected += usize::from(!want);
+                }
+            }
+        }
+        assert!(rejected > 0, "no mutation was rejected");
+    }
+
+    #[test]
+    fn from_parts_reports_errors_in_section_order() {
+        // Three vertices, landmarks 0 and 1; vertex 2's label is the one
+        // with two entries.
+        let landmarks: &[u32] = &[0, 1];
+        let rank: &[u32] = &[0, 1, NOT_A_LANDMARK];
+        let offsets: &[u64] = &[0, 1, 2, 4];
+        let entries = pack(&[0, 1, 0, 1], &[0, 0, 1, 1]);
+        let highway: &[u32] = &[0, 1, 1, 0];
+        let check =
+            |landmarks: &[u32], rank: &[u32], offsets: &[u64], entries: &[u64], highway: &[u32]| {
+                IndexView::from_parts(landmarks, rank, offsets, entries, highway)
+                    .err()
+                    .map(|e| e.to_string())
+            };
+        assert_eq!(check(landmarks, rank, offsets, &entries, highway), None);
+
+        // One fault per section, in the order they are checked. Each
+        // later section's fault is planted beside every earlier one.
+        let bad_offsets: &[u64] = &[0, 2, 1, 4];
+        let bad_landmarks: &[u32] = &[0, 7];
+        let bad_entries = pack(&[0, 1, 1, 0], &[0, 0, 1, 1]);
+        let bad_highway: &[u32] = &[0, 1, 2, 0];
+        let offsets_err = IndexDataError::NonMonotoneOffsets { vertex: 1 }.to_string();
+        let landmark_err = IndexDataError::LandmarkOutOfRange { rank: 1, vertex: 7 }.to_string();
+        let label_err = IndexDataError::UnsortedHubs { vertex: 2 }.to_string();
+        let highway_err = IndexDataError::HighwayAsymmetric { a: 0, b: 1 }.to_string();
+        for later in 0..8u32 {
+            let (l, e, h) = (later & 1 != 0, later & 2 != 0, later & 4 != 0);
+            let landmarks = if l { bad_landmarks } else { landmarks };
+            let entries = if e { &bad_entries } else { &entries };
+            let highway = if h { bad_highway } else { highway };
+            assert_eq!(
+                check(landmarks, rank, bad_offsets, entries, highway),
+                Some(offsets_err.clone())
+            );
+            let first = [(l, &landmark_err), (e, &label_err), (h, &highway_err)]
+                .into_iter()
+                .find_map(|(planted, err)| planted.then(|| err.clone()));
+            assert_eq!(check(landmarks, rank, offsets, entries, highway), first);
+        }
+        // Offsets and length errors outrank a rank table that disagrees.
+        assert!(matches!(
+            IndexView::from_parts(landmarks, &[1, 0, 0], &[0, 1, 2, 5], &entries, highway),
+            Err(IndexDataError::EntriesLengthMismatch { .. })
+        ));
+        assert!(matches!(
+            IndexView::from_parts(landmarks, &[1, 0, 0], &[0, 1, 2], &entries, highway),
+            Err(IndexDataError::OffsetsLength { .. })
+        ));
+        // A disagreeing rank table outranks every label fault.
+        assert_eq!(
+            IndexView::from_parts(landmarks, &[1, 0, 0], offsets, &bad_entries, highway).err(),
+            Some(IndexDataError::RankTableMismatch { vertex: 0 })
+        );
+
+        // Labels: an earlier row outranks a later one, and within a row
+        // the first offending entry decides.
+        let labels = |hubs: &[u32], offsets: &[u64]| {
+            IndexView::from_parts(landmarks, rank, offsets, &pack(hubs, &[0; 4]), highway)
+                .unwrap_err()
+        };
+        let rows = [0, 1, 2, 4];
+        let cases: [(&[u32], &[u64], IndexDataError); 7] = [
+            // Row 0 out of range, row 2 unsorted.
+            (
+                &[5, 1, 1, 0],
+                &rows,
+                IndexDataError::HubOutOfRange { vertex: 0, hub: 5 },
+            ),
+            // Row 1 unsorted (two entries), row 2 out of range.
+            (
+                &[0, 1, 0, 9],
+                &[0, 1, 3, 4],
+                IndexDataError::UnsortedHubs { vertex: 1 },
+            ),
+            // Row 2: unsorted at its second entry, out of range at a later
+            // one — and the other way round.
+            (
+                &[0, 1, 1, 1],
+                &[0, 1, 1, 4],
+                IndexDataError::UnsortedHubs { vertex: 2 },
+            ),
+            (
+                &[0, 1, 8, 0],
+                &rows,
+                IndexDataError::HubOutOfRange { vertex: 2, hub: 8 },
+            ),
+            // Equal hubs whose packed words still ascend.
+            (
+                &[0, 1, 1, 1],
+                &rows,
+                IndexDataError::UnsortedHubs { vertex: 2 },
+            ),
+            // Both entries of row 2 out of range, the second also not
+            // above the first: the first entry is named, out of range.
+            (
+                &[0, 1, 9, 9],
+                &rows,
+                IndexDataError::HubOutOfRange { vertex: 2, hub: 9 },
+            ),
+            // A drop across a row start is no fault; row 2's is.
+            (
+                &[0, 1, 0, 0],
+                &rows,
+                IndexDataError::UnsortedHubs { vertex: 2 },
+            ),
+        ];
+        for (hubs, offsets, want) in cases {
+            assert_eq!(
+                labels(hubs, offsets),
+                want,
+                "hubs {hubs:?}, offsets {offsets:?}"
+            );
+        }
+
+        // Highway, row by row: row `a`'s diagonal, then its pairs `(a, b)`
+        // with `b > a`, then row `a + 1`.
+        let highway_err = |highway: &[u32]| {
+            IndexView::from_parts(landmarks, rank, offsets, &entries, highway).err()
+        };
+        assert_eq!(
+            highway_err(&[0, 1, 1, 3]),
+            Some(IndexDataError::HighwayDiagonal { rank: 1 })
+        );
+        assert_eq!(
+            highway_err(&[0, 1, 2, 3]),
+            Some(IndexDataError::HighwayAsymmetric { a: 0, b: 1 })
+        );
+        assert_eq!(
+            highway_err(&[4, 1, 2, 3]),
+            Some(IndexDataError::HighwayDiagonal { rank: 0 })
+        );
     }
 
     #[test]
