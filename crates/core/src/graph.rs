@@ -160,6 +160,43 @@ impl<'a, T> FlatRows<'a, T> {
     }
 }
 
+impl<T: Copy> FlatRows<'_, T> {
+    /// Whether every row ascends strictly by `key` and every key is below
+    /// `bound`, for offsets already checked monotone and spanning the
+    /// items: the order check of the accept-only passes of
+    /// [`GraphView::from_csr`] and `hcl-index`'s `IndexView::from_parts`.
+    /// One pass carries the previous key across the whole array, and every
+    /// adjacent pair whose keys do not ascend must straddle the start of a
+    /// row. It runs in blocks, and each block's row starts are checked
+    /// while the block is still in cache.
+    pub fn ascend_below(self, key: impl Fn(T) -> u32, bound: usize) -> bool {
+        const BLOCK: usize = 1 << 12;
+        let items = self.items;
+        let Some(&first) = items.first() else {
+            return true;
+        };
+        let mut starts = self
+            .offsets
+            .windows(2)
+            .filter(|o| 0 < o[0] && o[0] < o[1])
+            .map(|o| o[0] as usize)
+            .peekable();
+        let (mut max, mut drops, mut start_drops) = (key(first), 0, 0);
+        for lo in (1..items.len()).step_by(BLOCK) {
+            let hi = items.len().min(lo + BLOCK);
+            for (&prev, &item) in items[lo - 1..hi - 1].iter().zip(&items[lo..hi]) {
+                let k = key(item);
+                max = max.max(k);
+                drops += usize::from(k <= key(prev));
+            }
+            while let Some(at) = starts.next_if(|&at| at < hi) {
+                start_drops += usize::from(key(items[at]) <= key(items[at - 1]));
+            }
+        }
+        drops == start_drops && (max as usize) < bound
+    }
+}
+
 impl<'a, T: Copy + 'a> Rows<'a, T> for FlatRows<'a, T> {
     #[inline]
     fn row(self, r: VertexId) -> &'a [T] {
@@ -189,9 +226,10 @@ impl<'a> GraphView<'a> {
     ///
     /// Checks every invariant traversals rely on: offsets monotone and
     /// spanning the neighbour array; lists strictly ascending, in range,
-    /// self-loop free and symmetric (undirected). One `O(n + m)` pass checks
-    /// each undirected edge once, from its higher end; any structural fault
-    /// is reported before an asymmetry. Once per load, never per query.
+    /// self-loop free and symmetric (undirected). An exact `O(n + m)` pass
+    /// that only accepts or rejects runs first; only arrays it rejects are
+    /// walked again to name the fault, and any structural fault is
+    /// reported before an asymmetry. Once per load, never per query.
     pub fn from_csr(offsets: &'a [u64], neighbors: &'a [VertexId]) -> Result<Self, CsrError> {
         let view = Self::from_csr_unchecked(offsets, neighbors);
         view.validate()?;
@@ -276,8 +314,12 @@ impl<'a> GraphView<'a> {
                 neighbors_len: self.neighbors.len(),
             });
         }
-        // One pass checks each entry's structure and each undirected edge
-        // once, from its higher endpoint: `u -> w` with `w < u` claims `u` at
+        if self.accepts() {
+            return Ok(());
+        }
+        // The naming pass, run only on arrays `accepts` rejected. One walk
+        // checks each entry's structure and each undirected edge once, from
+        // its higher endpoint: `u -> w` with `w < u` claims `u` at
         // `cursor[w]`, which row `w` leaves at its first upper entry. Rows
         // ascend and so does each row, so the claimers of `adj(w)` arrive in
         // the order it lists them: each must find itself *at* the cursor.
@@ -334,6 +376,52 @@ impl<'a> GraphView<'a> {
             }
         }
         asymmetry.map_or(Ok(()), Err)
+    }
+
+    /// Whether arrays whose offsets passed `validate`'s checks are valid
+    /// CSR — exactly what the naming pass decides, without naming anything.
+    /// Arrays of `2^32` entries or more are left to the naming pass.
+    fn accepts(&self) -> bool {
+        let (offsets, neighbors) = (self.offsets, self.neighbors);
+        let n = offsets.len() - 1;
+        if u32::try_from(neighbors.len()).is_err() {
+            return false;
+        }
+        // Order and range first: the claims' cursors rely on them.
+        if !FlatRows::new(offsets, neighbors).ascend_below(|w| w, n) {
+            return false;
+        }
+        // Claims, as in the naming pass: each row walks its lower part only,
+        // claiming itself at each lower neighbour's cursor, and stops at its
+        // first entry `>= u`. Lists ascend strictly, so `w` is claimed at
+        // most once per row after its own, each of which lies past `adj(w)`:
+        // a cursor never leaves the array, and fits `u32`. A self-loop needs
+        // no check of its own: it is never below its row, so it sits in the
+        // row's upper part, which only the rows its entries name can claim,
+        // and row `u` never claims itself, so the sweep finds that part
+        // unclaimed.
+        let mut cursor = vec![0u32; n];
+        let mut claimed = true;
+        for (u, o) in offsets.windows(2).enumerate() {
+            let (id, row) = (u as VertexId, &neighbors[o[0] as usize..o[1] as usize]);
+            let mut lower = 0;
+            for &w in row {
+                if w >= id {
+                    break;
+                }
+                let at = &mut cursor[w as usize];
+                claimed &= neighbors[*at as usize] == id;
+                *at += 1;
+                lower += 1;
+            }
+            cursor[u] = (o[0] as usize + lower) as u32;
+        }
+        // Sweep: every upper part claimed exactly to its end.
+        claimed
+            && cursor
+                .iter()
+                .zip(&offsets[1..])
+                .all(|(&at, &end)| at as u64 == end)
     }
 
     /// Number of vertices.
@@ -773,6 +861,7 @@ mod tests {
                 GraphView::from_csr(g.csr_offsets(), g.csr_neighbors()).is_ok(),
                 "{name}"
             );
+            assert!(g.as_view().accepts(), "{name}: accept-only pass");
             let entries = match g.num_vertices() {
                 0..=100 => sampled[0],
                 101..=10_000 => sampled[1],
@@ -782,6 +871,9 @@ mod tests {
                 let want = is_valid_csr(&offsets, &neighbors);
                 let got = GraphView::from_csr(&offsets, &neighbors);
                 assert_eq!(got.is_ok(), want, "{name}: {what}: {got:?}");
+                // The accept-only pass alone decides the same.
+                let view = GraphView::from_csr_unchecked(&offsets, &neighbors);
+                assert_eq!(view.accepts(), want, "{name}: {what}: accept-only pass");
                 rejected += usize::from(!want);
             }
         }

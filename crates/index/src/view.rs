@@ -228,7 +228,9 @@ impl<'a> IndexView<'a> {
     /// entries + k²)` — run once per load. Semantic correctness of the
     /// *distances* is not (cannot cheaply be) verified here; a
     /// tampered-but-well-formed file yields wrong answers, never panics or
-    /// UB.
+    /// UB. The labels, the largest section, are checked by an exact pass
+    /// that only accepts or rejects; only labels it rejects are walked
+    /// again to name the fault.
     pub fn from_parts(
         landmarks: &'a [VertexId],
         landmark_rank: &'a [u32],
@@ -325,24 +327,30 @@ impl<'a> IndexView<'a> {
                 });
             }
         }
-        // Labels: hubs strictly ascending and in range. Because hubs sit in
-        // the high 32 bits, strict hub ascent is exactly strict `u64`
-        // ascent of the packed entries.
-        for v in 0..n {
-            let lo = self.label_offsets[v] as usize;
-            let hi = self.label_offsets[v + 1] as usize;
-            let mut last: Option<u32> = None;
-            for &entry in &self.label_entries[lo..hi] {
-                let hub = entry_hub(entry);
-                if hub as usize >= k {
-                    return Err(IndexDataError::HubOutOfRange { vertex: v, hub });
-                }
-                if let Some(l) = last {
-                    if hub <= l {
-                        return Err(IndexDataError::UnsortedHubs { vertex: v });
+        // Labels: hubs strictly ascending and in range. Strict hub ascent
+        // implies strict `u64` ascent of the packed entries but not the
+        // other way round — equal hubs with ascending distances ascend as
+        // words — so both passes compare hubs, never whole entries. The
+        // accept-only pass decides; the naming loop runs only on labels it
+        // rejected.
+        let labels = FlatRows::new(self.label_offsets, self.label_entries);
+        if !labels.ascend_below(entry_hub, k) {
+            for v in 0..n {
+                let lo = self.label_offsets[v] as usize;
+                let hi = self.label_offsets[v + 1] as usize;
+                let mut last: Option<u32> = None;
+                for &entry in &self.label_entries[lo..hi] {
+                    let hub = entry_hub(entry);
+                    if hub as usize >= k {
+                        return Err(IndexDataError::HubOutOfRange { vertex: v, hub });
                     }
+                    if let Some(l) = last {
+                        if hub <= l {
+                            return Err(IndexDataError::UnsortedHubs { vertex: v });
+                        }
+                    }
+                    last = Some(hub);
                 }
-                last = Some(hub);
             }
         }
         // Highway: zero diagonal, symmetric.
@@ -659,10 +667,15 @@ mod tests {
                     .err()
                 };
                 assert_eq!(error(entries), None, "{name}, k = {k}");
+                let labels = FlatRows::new(offsets, entries);
+                assert!(labels.ascend_below(entry_hub, k), "{name}, k = {k}");
                 for (what, bad) in label_mutations(offsets, entries, k, positions, &mut rng) {
                     let want = labels_are_valid(offsets, &bad, k);
                     let got = error(&bad);
                     assert_eq!(got.is_none(), want, "{name}, k = {k}: {what}: {got:?}");
+                    // The accept-only pass alone decides the same.
+                    let accepted = FlatRows::new(offsets, &bad).ascend_below(entry_hub, k);
+                    assert_eq!(accepted, want, "{name}, k = {k}: {what}: accept-only pass");
                     rejected += usize::from(!want);
                 }
             }
