@@ -165,14 +165,14 @@ impl<T: Copy> FlatRows<'_, T> {
     /// `bound`, for offsets already checked monotone and spanning the
     /// items: the order check of the accept-only passes of
     /// [`GraphView::from_csr`] and `hcl-index`'s `IndexView::from_parts`.
-    /// One pass carries the previous key across the whole array, and every
-    /// adjacent pair whose keys do not ascend must straddle the start of a
-    /// row. It runs in blocks, and each block's row starts are checked
-    /// while the block is still in cache.
+    /// One pass compares each item's key with the one before it, across
+    /// the whole array, and every adjacent pair whose keys do not ascend
+    /// must straddle the start of a row. It runs in blocks, and each
+    /// block's row starts are checked while the block is still in cache.
     pub fn ascend_below(self, key: impl Fn(T) -> u32, bound: usize) -> bool {
-        const BLOCK: usize = 1 << 12;
+        const BLOCK: usize = 1 << 14;
         let items = self.items;
-        let Some(&first) = items.first() else {
+        let Some(&last) = items.last() else {
             return true;
         };
         let mut starts = self
@@ -181,16 +181,19 @@ impl<T: Copy> FlatRows<'_, T> {
             .filter(|o| 0 < o[0] && o[0] < o[1])
             .map(|o| o[0] as usize)
             .peekable();
-        let (mut max, mut drops, mut start_drops) = (key(first), 0, 0);
+        // Once every row ascends, the largest key is the last of some row:
+        // the one before a later row's start, or the array's last.
+        let (mut max, mut drops, mut start_drops) = (key(last), 0, 0);
         for lo in (1..items.len()).step_by(BLOCK) {
             let hi = items.len().min(lo + BLOCK);
-            for (&prev, &item) in items[lo - 1..hi - 1].iter().zip(&items[lo..hi]) {
-                let k = key(item);
-                max = max.max(k);
-                drops += usize::from(k <= key(prev));
-            }
+            // A `u32` count per block vectorises; a `usize` one does not.
+            let pairs = items[lo - 1..hi - 1].iter().zip(&items[lo..hi]);
+            let block = pairs.fold(0u32, |d, (&a, &b)| d + u32::from(key(b) <= key(a)));
+            drops += block as usize;
             while let Some(at) = starts.next_if(|&at| at < hi) {
-                start_drops += usize::from(key(items[at]) <= key(items[at - 1]));
+                let before = key(items[at - 1]);
+                max = max.max(before);
+                start_drops += usize::from(key(items[at]) <= before);
             }
         }
         drops == start_drops && (max as usize) < bound
