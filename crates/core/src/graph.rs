@@ -169,6 +169,9 @@ impl<T: Copy> FlatRows<'_, T> {
     /// the whole array, and every adjacent pair whose keys do not ascend
     /// must straddle the start of a row. It runs in blocks, and each
     /// block's row starts are checked while the block is still in cache.
+    ///
+    /// # Panics
+    /// May panic if the offsets are not monotone or do not span the items.
     pub fn ascend_below(self, key: impl Fn(T) -> u32, bound: usize) -> bool {
         const BLOCK: usize = 1 << 14;
         let items = self.items;
@@ -390,7 +393,8 @@ impl<'a> GraphView<'a> {
         if u32::try_from(neighbors.len()).is_err() {
             return false;
         }
-        // Order and range first: the claims' cursors rely on them.
+        // Order (and range) first: the claims' cursor bound relies on
+        // strict ascent.
         if !FlatRows::new(offsets, neighbors).ascend_below(|w| w, n) {
             return false;
         }
