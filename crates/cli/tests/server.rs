@@ -861,6 +861,56 @@ fn good_reload_clears_scrubber_degradation() {
     assert!(exit.success(), "stderr:\n{stderr}");
 }
 
+/// `--trusted` is inert: a reload always opens through the checksum, so a
+/// file whose label distances rotted on disk — structurally valid, only
+/// the CRC can object — is refused, and the scrubber's verdict on it
+/// stands.
+#[test]
+fn trusted_reload_does_not_bless_a_rotted_file() {
+    let scratch = Scratch::new("scrub_rot_reload");
+    let graph = testkit::barabasi_albert(60, 3, 45);
+    let edges = edge_list(&graph);
+    let gen_a = build_index(&scratch, "gen_a", &edges, 4);
+    let live = scratch.path("live.hcl");
+    std::fs::copy(&gen_a, &live).expect("seed live file");
+
+    // Flip a bit inside a label *distance* (the low half of the first
+    // packed entry).
+    let entries = hcl_store::IndexStore::open(&gen_a)
+        .expect("clean file opens")
+        .sections()
+        .into_iter()
+        .find(|s| s.name == "label_entries")
+        .expect("label_entries section present");
+    let mut rotted = std::fs::read(&gen_a).expect("read clean file");
+    rotted[entries.offset as usize] ^= 0x01;
+    let rotted_path = scratch.path("rotted.hcl");
+    std::fs::write(&rotted_path, &rotted).expect("write rotted file");
+
+    let input = "0 1\n3 9\n17 42\n";
+    let server = Server::spawn(&live, &["--trusted", "--scrub-interval-s", "1"]);
+    let before = server.tcp_roundtrip(input);
+    assert_eq!(before, stdin_serve_stdout(&gen_a, input));
+
+    swap_in(&rotted_path, &live);
+    server.wait_metric_at_least("hcl_scrub_failures_total", 1, Duration::from_secs(30));
+
+    let (status, body) = server.http_get("/reload");
+    assert_eq!(status, 500, "a rotted file must not reload: {body}");
+    assert!(body.contains("checksum mismatch"), "body: {body}");
+    let (status, body) = server.http_get("/healthz");
+    assert_eq!(
+        (status, body.as_str()),
+        (503, "degraded\n"),
+        "a refused reload must leave the scrubber's verdict standing"
+    );
+    assert_eq!(server.metric("hcl_index_generation"), 1);
+    assert_eq!(server.tcp_roundtrip(input), before);
+
+    let (exit, stderr) = server.drain();
+    assert!(exit.success(), "stderr:\n{stderr}");
+}
+
 // ---------------------------------------------------------------------------
 // PR-7 observability: per-mechanism counters and the socket slow log
 // ---------------------------------------------------------------------------
