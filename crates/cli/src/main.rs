@@ -4,10 +4,10 @@
 //! ```text
 //! hcl build <graph.edges> [--out FILE.hcl] [--landmarks K] [--threads T]
 //!           [--progress]
-//! hcl query (--index FILE.hcl [--trusted] | <graph.edges> [--landmarks K])
+//! hcl query (--index FILE.hcl | <graph.edges> [--landmarks K])
 //!           [--queries FILE | --random N] [--seed S]
 //!           [--workers W] [--verify] [--explain]
-//! hcl serve (--index FILE.hcl [--trusted] | <graph.edges> [--landmarks K])
+//! hcl serve (--index FILE.hcl | <graph.edges> [--landmarks K])
 //!           [--workers W] [--compact-after N]
 //!           [--slow-log-us N] [--quiet]
 //! hcl update <FILE.hcl> [--deltas FILE] [--compact-after N] [--compact]
@@ -19,10 +19,10 @@
 //! versioned, checksummed `.hcl` container. `query --index` and `serve
 //! --index` memory-map that container and answer queries with **no
 //! rebuild and no deserialisation** — the serving path the paper's scheme
-//! exists for; `--trusted` skips the whole-file checksum pass for files a
-//! trusted pipeline stage just wrote, and `--workers` fans the workload
-//! out over a thread pool sharing the single mapped index (output is the
-//! same bytes at every worker count — see the `pool` module). Every serve
+//! exists for. Every open validates the whole container, checksum
+//! included. `--workers` fans the workload out over a thread pool sharing
+//! the single mapped index (output is the same bytes at every worker
+//! count — see the `pool` module). Every serve
 //! transport answers and updates through one request pipeline (the
 //! `pipeline` module).
 //! `inspect` dumps header metadata and the section table.
@@ -71,22 +71,22 @@ const USAGE: &str = "usage: hcl <command> [args]\n\
            covered arrivals, the label fill) to stderr. Build counters (BFS\n\
            visits, covered arrivals, per-landmark label contributions) are\n\
            always recorded in the container and shown by inspect --stats.\n\
-       query (--index FILE.hcl [--trusted] | <graph.edges> [--landmarks K]\n\
+       query (--index FILE.hcl | <graph.edges> [--landmarks K]\n\
              [--threads T]) [--queries FILE | --random N]\n\
              [--seed S] [--workers W] [--verify] [--explain]\n\
            Answer `u v` distance queries. With --index the saved container\n\
-           is memory-mapped and served zero-copy — no rebuild; --trusted\n\
-           additionally skips the whole-file checksum pass (for files this\n\
-           pipeline just wrote). Queries come from --queries, --random, or\n\
-           stdin; answers are `u v d` lines (`inf` when disconnected), in\n\
-           input order regardless of --workers. Out-of-range ids are\n\
-           reported with their source line and skipped. --workers W\n\
-           answers the workload on W threads sharing one index (0 = all\n\
-           cores). --verify re-checks against a BFS oracle. --explain\n\
+           is validated (checksum included), memory-mapped and served\n\
+           zero-copy — no rebuild; --trusted is accepted and ignored.\n\
+           Queries come from --queries, --random, or stdin; answers are\n\
+           `u v d` lines (`inf` when disconnected), in input order\n\
+           regardless of --workers. Out-of-range ids are reported with\n\
+           their source line and skipped. --workers W answers the\n\
+           workload on W threads sharing one index (0 = all cores).\n\
+           --verify re-checks against a BFS oracle. --explain\n\
            prints one per-query trace line to stderr (answer source,\n\
            merge kind, hub entries scanned, residual-BFS work); stdout\n\
            stays byte-identical to a run without it.\n\
-       serve (--index FILE.hcl [--trusted] | <graph.edges> [--landmarks K]\n\
+       serve (--index FILE.hcl | <graph.edges> [--landmarks K]\n\
              [--threads T]) [--workers W] [--listen ADDR]\n\
              [--max-inflight N] [--write-timeout-ms MS]\n\
              [--reload-signal hup|usr1|none] [--reload-retries N]\n\
@@ -133,7 +133,6 @@ const USAGE: &str = "usage: hcl <command> [args]\n\
            generation). --compact-after N folds the journal into the\n\
            base sections once N deltas accumulate (0 = never, default).\n\
        update <FILE.hcl> [--deltas FILE] [--compact-after N] [--compact]\n\
-              [--trusted]\n\
            Apply a script of `+u v` / `-u v` edge deltas to a saved\n\
            container offline, repairing the labels incrementally (no\n\
            rebuild) and journalling the deltas for crash-safe replay at\n\
@@ -141,7 +140,7 @@ const USAGE: &str = "usage: hcl <command> [args]\n\
            non-comment line must be a delta (strict, unlike serve).\n\
            --compact folds the journal into the base sections now;\n\
            --compact-after N folds automatically once N deltas are\n\
-           pending. --trusted skips the open-time checksum pass.\n\
+           pending.\n\
        inspect <FILE.hcl> [--stats]\n\
            Print header metadata, build statistics, journal state\n\
            (pending deltas, size, compactions), and the section table.\n\
@@ -369,7 +368,6 @@ type Flag = (&'static [&'static str], Takes);
 
 const LANDMARKS: Flag = (&["--landmarks", "-k"], COUNT);
 const THREADS: Flag = (&["--threads", "-t"], COUNT);
-const TRUSTED: Flag = (&["--trusted"], Takes::Nothing);
 const COMPACT_AFTER: Flag = (&["--compact-after"], COUNT);
 const SLOW_LOG_FILE: Flag = (&["--slow-log-file"], Takes::Text);
 
@@ -385,7 +383,9 @@ const SOURCE_FLAGS: &[Flag] = &[
     (&["--index", "-i"], Takes::Text),
     LANDMARKS,
     THREADS,
-    TRUSTED,
+    // Accepted and ignored: every open validates. The harness's stdin
+    // batch still passes it; ROADMAP 1(c) stops that and deletes it.
+    (&["--trusted"], Takes::Nothing),
     (&["--workers", "-w"], COUNT),
 ];
 const QUERY_FLAGS: &[Flag] = &[
@@ -415,7 +415,6 @@ const UPDATE_FLAGS: &[Flag] = &[
     (&["--deltas", "-d"], Takes::Text),
     COMPACT_AFTER,
     (&["--compact"], Takes::Nothing),
-    TRUSTED,
 ];
 const INSPECT_FLAGS: &[Flag] = &[(&["--stats"], Takes::Nothing)];
 
@@ -564,17 +563,6 @@ fn resolve_workers(explicit: Option<usize>) -> usize {
 // Opening and building an index
 // ---------------------------------------------------------------------------
 
-/// Opens a container, skipping the whole-file checksum pass when
-/// `trusted` (structural and semantic validation still run). Serving
-/// from `--index`, `hcl update` and every reload open through here.
-pub(crate) fn open_index(path: &str, trusted: bool) -> Result<IndexStore, hcl_store::StoreError> {
-    if trusted {
-        IndexStore::open_trusted(path)
-    } else {
-        IndexStore::open(path)
-    }
-}
-
 /// The container image of an edge list: what `hcl build` publishes and
 /// what `query` / `serve` on an edge list serve.
 struct Built {
@@ -671,26 +659,20 @@ struct Source {
     landmarks: Option<usize>,
     /// Same deal for `--threads` (build-time only).
     threads: Option<usize>,
-    /// Skip the container checksum pass (`--trusted`; `--index` only).
-    trusted: bool,
 }
 
 impl Source {
     /// Reads [`SOURCE_FLAGS`] and the positional path, with a usage error
-    /// for a build flag on a container or `--trusted` on an edge list.
+    /// for a build flag on a container.
     fn from_args(args: &Args) -> Self {
         let source = Source {
             index: args.value("--index").map(String::from),
             graph: args.path.clone(),
             landmarks: args.number("--landmarks"),
             threads: args.number("--threads"),
-            trusted: args.has("--trusted"),
         };
         if source.index.is_some() && (source.landmarks.is_some() || source.threads.is_some()) {
             usage_error("--landmarks/--threads only apply when building from an edge list");
-        }
-        if source.trusted && source.index.is_none() {
-            usage_error("--trusted only applies when serving from --index");
         }
         source
     }
@@ -702,24 +684,18 @@ impl Source {
         match (&self.index, &self.graph) {
             (Some(path), None) => {
                 let t0 = Instant::now();
-                let store =
-                    open_index(path, self.trusted).map_err(|e| format!("opening {path}: {e}"))?;
+                let store = IndexStore::open(path).map_err(|e| format!("opening {path}: {e}"))?;
                 let load_time = t0.elapsed();
                 let meta = store.meta();
                 eprintln!(
                     "index file: {} vertices, {} edges, {} landmarks, {} label entries \
-                     ({:.1} KiB file, {} backing, loaded+{} in {:.1?} ({}), no rebuild)",
+                     ({:.1} KiB file, {} backing, loaded+validated in {:.1?} ({}), no rebuild)",
                     meta.num_vertices,
                     meta.num_edges,
                     meta.num_landmarks,
                     meta.label_entries,
                     store.len_bytes() as f64 / 1024.0,
                     store.backing_kind(),
-                    if self.trusted {
-                        "trusted (checksum skipped)"
-                    } else {
-                        "validated"
-                    },
                     load_time,
                     store.open_phases()
                 );
@@ -733,9 +709,7 @@ impl Source {
                     false,
                 )?;
                 eprint!("{}", built.report);
-                // Trusted: these bytes were produced in-process, so a CRC
-                // pass over them proves nothing.
-                IndexStore::from_bytes_trusted(&built.image)
+                IndexStore::from_bytes(&built.image)
                     .map_err(|e| format!("re-opening built index image: {e}"))
             }
             (Some(_), Some(g)) => Err(format!(
@@ -995,10 +969,7 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
     if let Some(addr) = args.value("--listen") {
         // Socket front end. Handler threads default to every core — it's
         // a server.
-        let reload = source.index.map(|path| server::ReloadSpec {
-            path,
-            trusted: source.trusted,
-        });
+        let reload = source.index;
         let reload_signal = match args.value("--reload-signal") {
             Some(name) => reload_signal(name).flatten(),
             None => Some(server::sig::SIGHUP),
@@ -1079,8 +1050,7 @@ fn cmd_update(args: Vec<String>) -> Result<(), String> {
     };
 
     let t0 = Instant::now();
-    let store =
-        open_index(&path, args.has("--trusted")).map_err(|e| format!("opening {path}: {e}"))?;
+    let store = IndexStore::open(&path).map_err(|e| format!("opening {path}: {e}"))?;
     let mut engine = UpdateEngine::from_store(
         &store,
         Some(std::path::PathBuf::from(&path)),

@@ -2,8 +2,7 @@
 //!
 //! Checksums catch corruption only when somebody recomputes them: the
 //! open-time CRC-64 pass runs once, after which a serving process can map
-//! the same container for weeks while the storage underneath rots, and a
-//! trusted reload pipeline (`--trusted`) skips the pass entirely. The
+//! the same container for weeks while the storage underneath rots. The
 //! scrub loop closes that gap. Every `--scrub-interval-s` it re-verifies
 //!
 //! 1. the **live generation**: the whole-file CRC-64 over the bytes the
@@ -54,10 +53,10 @@ fn scrub_once(state: &ServerState) {
     // (2) The bytes a reload would publish. Only when serving from a
     // file; an edge-list server has no on-disk source to scrub.
     if failure.is_none() {
-        if let Some(spec) = &state.reload {
-            failure = hcl_store::verify_file(&spec.path)
+        if let Some(path) = &state.reload {
+            failure = hcl_store::verify_file(path)
                 .err()
-                .map(|e| format!("reload source {}: {e}", spec.path));
+                .map(|e| format!("reload source {path}: {e}"));
         }
     }
 

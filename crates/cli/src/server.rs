@@ -55,6 +55,7 @@
 
 use crate::pipeline::{push_answer_line, Pinned, Pipeline, Request};
 use hcl_index::QueryContext;
+use hcl_store::IndexStore;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -81,22 +82,14 @@ const READ_TICK: Duration = Duration::from_millis(100);
 /// per-connection memory bounded.
 const MAX_UPDATE_BODY: usize = 1024 * 1024;
 
-/// How the server re-opens the index on reload.
-pub(crate) struct ReloadSpec {
-    /// Path of the `.hcl` container to re-open (the `--index` argument).
-    pub(crate) path: String,
-    /// Re-open skipping the whole-file CRC pass. The reload pipeline just
-    /// wrote the file, so this mirrors `--trusted`.
-    pub(crate) trusted: bool,
-}
-
 /// Everything the accept loop, the handlers, and the scrubber share.
 pub(crate) struct ServerState {
     /// Answers, updates and the served generation.
     pub(crate) pipeline: Pipeline,
+    /// The `.hcl` container a reload re-opens (the `--index` argument);
     /// `None` when the index was built in memory from an edge list —
     /// there is no file to re-open, so reload requests are refused.
-    pub(crate) reload: Option<ReloadSpec>,
+    pub(crate) reload: Option<String>,
     pub(crate) shutdown: AtomicBool,
     write_timeout: Duration,
     /// Extra reload attempts after a failure (`--reload-retries`).
@@ -120,7 +113,7 @@ pub(crate) struct ServerConfig {
     /// is declared dead (slow-reader protection).
     pub(crate) write_timeout: Duration,
     /// Reload source; `None` disables `/reload` and the reload signal.
-    pub(crate) reload: Option<ReloadSpec>,
+    pub(crate) reload: Option<String>,
     /// Unix signal number that triggers a reload (e.g. SIGHUP = 1), if
     /// any.
     pub(crate) reload_signal: Option<i32>,
@@ -166,8 +159,8 @@ pub(crate) fn serve_listen(pipeline: Pipeline, cfg: ServerConfig) -> Result<(), 
         cfg.max_inflight,
         cfg.write_timeout,
         match (&state.reload, cfg.reload_signal) {
-            (Some(r), Some(sig)) => format!(", reload via /reload or signal {sig} from {}", r.path),
-            (Some(r), None) => format!(", reload via /reload from {}", r.path),
+            (Some(path), Some(sig)) => format!(", reload via /reload or signal {sig} from {path}"),
+            (Some(path), None) => format!(", reload via /reload from {path}"),
             (None, _) => ", reload disabled (no --index)".to_string(),
         }
     );
@@ -292,7 +285,7 @@ pub(crate) fn serve_listen(pipeline: Pipeline, cfg: ServerConfig) -> Result<(), 
 /// successful reload also clears the scrubber's `degraded` flag: the new
 /// generation was just (re-)validated at open.
 pub(crate) fn do_reload(state: &ServerState) -> Result<u64, String> {
-    let Some(spec) = &state.reload else {
+    let Some(path) = &state.reload else {
         return Err("reload unavailable: server was built from an edge list, not --index".into());
     };
     let _serialised = state.pipeline.lock_swaps();
@@ -313,7 +306,7 @@ pub(crate) fn do_reload(state: &ServerState) -> Result<u64, String> {
                 ));
             }
         }
-        match crate::open_index(&spec.path, spec.trusted) {
+        match IndexStore::open(path) {
             Ok(store) => {
                 let generation = state.pipeline.install_reloaded(store);
                 state.pipeline.metrics.reloads.inc();
@@ -324,16 +317,15 @@ pub(crate) fn do_reload(state: &ServerState) -> Result<u64, String> {
                     );
                 }
                 eprintln!(
-                    "reloaded {} as generation {generation} in {:.1?} (in-flight queries finish \
-                     on the old mapping)",
-                    spec.path,
+                    "reloaded {path} as generation {generation} in {:.1?} (in-flight queries \
+                     finish on the old mapping)",
                     t0.elapsed()
                 );
                 return Ok(generation);
             }
             Err(e) => {
                 state.pipeline.metrics.reload_failures.inc();
-                last_err = format!("re-opening {}: {e}", spec.path);
+                last_err = format!("re-opening {path}: {e}");
                 if attempt + 1 < attempts {
                     eprintln!(
                         "error: reload attempt {}/{attempts} failed: {last_err}; retrying",

@@ -797,7 +797,7 @@ fn usage_errors_name_the_problem_then_print_usage_and_exit_2() {
         (&["update"], "update needs an index-file path"),
         (
             &["update", "--compact", "--trusted"],
-            "update needs an index-file path",
+            "unrecognised argument `--trusted`",
         ),
         (&["inspect"], "inspect needs an index-file path"),
         (&["inspect", "--stats"], "inspect needs an index-file path"),
@@ -825,22 +825,6 @@ fn usage_errors_name_the_problem_then_print_usage_and_exit_2() {
         (
             &["serve", "-k", "4", "-i", "f"],
             "--landmarks/--threads only apply when building from an edge list",
-        ),
-        (
-            &["query", "--trusted"],
-            "--trusted only applies when serving from --index",
-        ),
-        (
-            &["query", "g.edges", "--trusted"],
-            "--trusted only applies when serving from --index",
-        ),
-        (
-            &["serve", "--trusted"],
-            "--trusted only applies when serving from --index",
-        ),
-        (
-            &["serve", "g.edges", "--trusted"],
-            "--trusted only applies when serving from --index",
         ),
         (
             &["serve", "--max-inflight", "5"],
@@ -928,7 +912,7 @@ fn usage_errors_name_the_problem_then_print_usage_and_exit_2() {
         ),
         (
             &["serve", "g.edges", "--trusted", "--scrub-interval-s", "5"],
-            "--trusted only applies when serving from --index",
+            "--scrub-interval-s only applies with --listen",
         ),
         (
             &["serve", "--max-inflight", "0"],
@@ -990,7 +974,7 @@ fn usage_errors_name_the_problem_then_print_usage_and_exit_2() {
         (&["build", "--landmarks"], "--landmarks expects a value"),
         (
             &["update", "--trusted", "--deltas"],
-            "--deltas expects a value",
+            "unrecognised argument `--trusted`",
         ),
         // Not a command.
         (&["bogus"], "unknown command `bogus`"),

@@ -786,9 +786,9 @@ fn open_phases_show_in_inspect_on_the_load_line_and_in_metrics() {
         "load line lost its phases: {load_line}"
     );
 
-    // A trusted open skips exactly the checksum pass.
+    // `--trusted` is inert: the open still runs the checksum pass.
     let server = Server::spawn(&live, &["--trusted"]);
-    assert_eq!(open_seconds(&server, "crc"), 0.0);
+    assert!(open_seconds(&server, "crc") > 0.0);
 }
 
 // ---------------------------------------------------------------------------

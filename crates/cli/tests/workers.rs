@@ -139,11 +139,11 @@ fn serve_output_is_byte_identical_across_worker_counts() {
         let reference = run_with_stdin(hcl().arg("serve").arg("--index").arg(&index), &input);
         for workers in [2usize, 4, 8] {
             let pooled = run_with_stdin(
-                hcl().arg("serve").arg("--index").arg(&index).args([
-                    "--workers",
-                    &workers.to_string(),
-                    "--trusted",
-                ]),
+                hcl()
+                    .arg("serve")
+                    .arg("--index")
+                    .arg(&index)
+                    .args(["--workers", &workers.to_string()]),
                 &input,
             );
             assert_eq!(

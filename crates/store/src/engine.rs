@@ -36,7 +36,7 @@
 //!
 //! Only a compacting publish (the `compact_after` threshold reached, or a
 //! forced compaction) writes a whole container — the live state as the new
-//! base, empty journal, no tail — and then serves a trusted reopen of it,
+//! base, empty journal, no tail — and then serves a validated reopen of it,
 //! which bounds both open-time replay and the memory the shared image pins.
 //!
 //! The engine is transport-agnostic: a caller drives it file-to-file or
@@ -189,7 +189,7 @@ impl std::fmt::Display for UpdatePhases {
 /// What one [`UpdateEngine::publish`] call produced.
 pub struct Published {
     /// The generation to serve: shares the validated image with its
-    /// predecessor (or, after a compaction, is a trusted reopen).
+    /// predecessor (or, after a compaction, is a validated reopen).
     pub store: IndexStore,
     /// Bytes written to the backing file, or `None` for an in-memory
     /// engine (no file to write back to).

@@ -78,9 +78,9 @@
 //!
 //! The pending journal of a file is its journal section's deltas followed
 //! by every tail frame's, and open replays it exactly as it replays the
-//! section alone. Frames are decoded and CRC-checked by **both** validated
-//! and trusted opens (they are a few words each). Only a compaction writes
-//! a new image (live state as the base, empty journal, no tail).
+//! section alone. Frames are decoded and CRC-checked by every open (they
+//! are a few words each). Only a compaction writes a new image (live state
+//! as the base, empty journal, no tail).
 //!
 //! **Torn tail vs corruption.** There is one appender and it syncs each
 //! frame before acknowledging it, so a crash can damage only the *last*
@@ -100,9 +100,7 @@
 //! All integers are little-endian, all arrays fixed-width (`u32`/`u64`),
 //! all section offsets 8-byte aligned — which is exactly what lets a
 //! little-endian host reinterpret the mapped file as the index's slices
-//! with no decode step. Validation happens once at open: header, checksum
-//! (skipped by the trusted-open path — see
-//! [`IndexStore::open_trusted`](crate::IndexStore::open_trusted)),
+//! with no decode step. Validation happens once at open: header, checksum,
 //! section-table geometry, then the semantic CSR/label invariants via
 //! `hcl-core`/`hcl-index`. After that, serving is pointer arithmetic.
 
@@ -700,16 +698,12 @@ fn corrupt(what: impl Into<String>) -> StoreError {
 /// Checks, in order: magic, header length, version (exactly
 /// [`FORMAT_VERSION`]), declared vs actual file length (truncation; bytes
 /// past the declared length are the journal tail and are not looked at
-/// here), checksum over the image (unless `verify_checksum` is false —
-/// the trusted-open path), then section-table geometry (known kinds,
+/// here), checksum over the image, then section-table geometry (known kinds,
 /// element sizes, 8-byte alignment, in-bounds, non-overlapping) and
 /// element counts against the header metadata. Semantic validation of the array *contents* happens
 /// afterwards in `IndexStore` via `GraphView::from_csr` /
 /// `IndexView::from_parts`.
-pub(crate) fn parse_and_validate(
-    bytes: &[u8],
-    verify_checksum: bool,
-) -> Result<Layout, StoreError> {
+pub(crate) fn parse_and_validate(bytes: &[u8]) -> Result<Layout, StoreError> {
     // Magic first (when at least 8 bytes exist): "this is not an index
     // file" is a more useful diagnosis than "truncated" for foreign files.
     if bytes.len() >= 8 {
@@ -747,11 +741,9 @@ pub(crate) fn parse_and_validate(
     // `tail::parse`; from here on `bytes` is the image alone.
     let bytes = &bytes[..file_len as usize];
     let stored = u64_le(bytes, CHECKSUM_OFFSET);
-    if verify_checksum {
-        let computed = file_checksum(bytes);
-        if stored != computed {
-            return Err(StoreError::ChecksumMismatch { stored, computed });
-        }
+    let computed = file_checksum(bytes);
+    if stored != computed {
+        return Err(StoreError::ChecksumMismatch { stored, computed });
     }
 
     // The required sections plus any of the optional trailing ones.

@@ -34,12 +34,11 @@
 //! once (carry-less multiply at memory speed where the CPU has
 //! `pclmulqdq`, slicing-by-16 elsewhere), the semantic passes read each
 //! section once — and [`IndexStore::open_phases`] says how an open split
-//! between them. The CRC exists to catch *storage* corruption; for files
-//! the process just wrote (or the operator vouches for),
-//! [`IndexStore::open_trusted`] skips exactly that pass while keeping every
-//! header, geometry, and semantic check (a seventh of a 200k-vertex open
-//! under the carry-less kernel, half of it under the table one). See
-//! [`format`](self) docs in `format.rs` for the byte layout.
+//! between them. There is one open: every entry point runs every check,
+//! the CRC included, because the CRC is the only check that catches
+//! *storage* corruption that stays structurally plausible (a rotted label
+//! distance). See [`format`](self) docs in `format.rs` for the byte
+//! layout.
 //!
 //! Live edge updates never rewrite a container: [`UpdateEngine`] repairs
 //! the labels per delta, and its [`JournalWriter`] appends one small
@@ -185,21 +184,10 @@ pub fn compact_file(path: impl AsRef<Path>) -> Result<CompactReport, StoreError>
     })
 }
 
-/// How much of the integrity machinery an open pays for; see
-/// [`IndexStore::open`] vs [`IndexStore::open_trusted`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum OpenMode {
-    /// Full validation including the whole-file CRC-64 pass.
-    Validated,
-    /// Skip the CRC pass; header, section geometry, and semantic CSR/label
-    /// validation still run.
-    Trusted,
-}
-
 /// Where an open spent its time, phase by phase in the order they run.
-/// A phase that did not run reads zero: `checksum` on a trusted open,
-/// `replay` on a file with no pending deltas, all four on a generation a
-/// [`JournalWriter`] stamped in memory (nothing was opened).
+/// A phase that did not run reads zero: `replay` on a file with no
+/// pending deltas, all four on a generation a [`JournalWriter`] stamped
+/// in memory (nothing was opened).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpenPhases {
     /// The whole-image CRC-64 pass (with the header and section-table
@@ -329,10 +317,10 @@ fn inapplicable(i: usize, delta: EdgeDelta, why: DeltaError) -> StoreError {
 
 /// Runs every check an open makes over `bytes` (a container image plus
 /// whatever journal tail follows it): header and section geometry, the
-/// whole-image CRC-64 unless `mode` is trusted, the semantic CSR and label
-/// invariants, the journal section's encoding, every tail frame, and that
-/// each pending delta applies in order. Builds nothing that serves.
-fn validate(bytes: &[u8], mode: OpenMode) -> Result<Validated, StoreError> {
+/// whole-image CRC-64, the semantic CSR and label invariants, the journal
+/// section's encoding, every tail frame, and that each pending delta
+/// applies in order. Builds nothing that serves.
+fn validate(bytes: &[u8]) -> Result<Validated, StoreError> {
     #[cfg(target_endian = "big")]
     {
         return Err(StoreError::UnsupportedPlatform {
@@ -343,10 +331,8 @@ fn validate(bytes: &[u8], mode: OpenMode) -> Result<Validated, StoreError> {
     {
         let mut phases = OpenPhases::default();
         let t = Instant::now();
-        let layout = format::parse_and_validate(bytes, mode == OpenMode::Validated)?;
-        if mode == OpenMode::Validated {
-            phases.checksum = t.elapsed();
-        }
+        let layout = format::parse_and_validate(bytes)?;
+        phases.checksum = t.elapsed();
 
         // Semantic validation, once: afterwards the accessors can use the
         // unchecked view constructors.
@@ -446,28 +432,6 @@ impl IndexStore {
     /// zero-copy memory-mapped backing and falling back to a heap copy
     /// where mmap is unavailable.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::open_mode(path, OpenMode::Validated)
-    }
-
-    /// Opens a container **without the whole-image CRC pass** — for files
-    /// this process (or a trusted pipeline stage) just wrote, where the
-    /// checksum would only re-verify bytes the page cache already holds.
-    ///
-    /// Everything else still runs: magic, version, declared length,
-    /// section-table geometry, the journal-tail frame checksums, and the
-    /// full semantic CSR/label validation (`O(n + m + entries + k²)`, but
-    /// without touching every payload byte a second time for the CRC).
-    /// What is *lost* is detection of silent storage-level corruption
-    /// inside array payloads whose values happen to stay structurally
-    /// plausible — distances, for instance. A tampered-but-well-formed
-    /// file therefore yields wrong answers, never panics or UB (the same
-    /// contract as [`IndexView::from_parts`]); use [`IndexStore::open`]
-    /// for files of unknown provenance.
-    pub fn open_trusted(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::open_mode(path, OpenMode::Trusted)
-    }
-
-    fn open_mode(path: impl AsRef<Path>, mode: OpenMode) -> Result<Self, StoreError> {
         let path = path.as_ref();
         let file = File::open(path)?;
         let len = file.metadata()?.len();
@@ -479,46 +443,46 @@ impl IndexStore {
         {
             if len > 0 {
                 if let Ok(map) = backing::mmap::Mmap::map(&file, len as usize) {
-                    return Self::from_backing(Backing::Mmap(map), mode);
+                    return Self::from_backing(Backing::Mmap(map));
                 }
             }
         }
-        Self::open_via_read(file, len, mode)
+        Self::open_via_read(file, len)
+    }
+
+    /// [`open`](IndexStore::open), kept only because the frozen harness
+    /// names it (ROADMAP 1(c)).
+    pub fn open_trusted(path: impl AsRef<Path>) -> Result<Self, StoreError> {
+        Self::open(path)
     }
 
     /// Opens a container by reading it fully into an aligned heap buffer:
     /// the portable path, where the file cannot be mapped.
-    fn open_via_read(mut file: File, len: u64, mode: OpenMode) -> Result<Self, StoreError> {
+    fn open_via_read(mut file: File, len: u64) -> Result<Self, StoreError> {
         let buf = AlignedBuf::read_from(&mut file, len as usize)?;
-        Self::from_backing(Backing::Heap(buf), mode)
+        Self::from_backing(Backing::Heap(buf))
     }
 
     /// Validates an in-memory container image, with or without a journal
     /// tail after it (copied into an aligned heap buffer). Handy for tests
     /// and for receiving index images over the network.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        Self::from_backing(
-            Backing::Heap(AlignedBuf::copy_from(bytes)),
-            OpenMode::Validated,
-        )
+        Self::from_backing(Backing::Heap(AlignedBuf::copy_from(bytes)))
     }
 
-    /// [`from_bytes`](IndexStore::from_bytes) without the CRC pass; the
-    /// in-memory counterpart of [`open_trusted`](IndexStore::open_trusted).
+    /// [`from_bytes`](IndexStore::from_bytes), kept only because the
+    /// frozen harness names it (ROADMAP 1(c)).
     pub fn from_bytes_trusted(bytes: &[u8]) -> Result<Self, StoreError> {
-        Self::from_backing(
-            Backing::Heap(AlignedBuf::copy_from(bytes)),
-            OpenMode::Trusted,
-        )
+        Self::from_bytes(bytes)
     }
 
-    fn from_backing(backing: Backing, mode: OpenMode) -> Result<Self, StoreError> {
+    fn from_backing(backing: Backing) -> Result<Self, StoreError> {
         let Validated {
             layout,
             journal,
             tail,
             phases: mut open_phases,
-        } = validate(backing.bytes(), mode)?;
+        } = validate(backing.bytes())?;
         let base = Base { backing, layout };
 
         // Replay pending deltas over the base sections through the update
@@ -650,10 +614,9 @@ impl IndexStore {
     /// Re-runs the whole-image CRC-64 pass over this store's live backing
     /// bytes, comparing against the checksum recorded in the header.
     ///
-    /// This is the integrity-scrubber entry point: a store opened via
-    /// [`open_trusted`](IndexStore::open_trusted) (which skipped the CRC
-    /// pass), or one mapped long enough for storage rot to matter, can be
-    /// re-verified in place without reopening. Returns
+    /// This is the integrity-scrubber entry point: a store mapped long
+    /// enough for storage rot to matter can be re-verified in place
+    /// without reopening. Returns
     /// [`StoreError::ChecksumMismatch`] when the bytes no longer hash to
     /// the header's value. The journal tail is not re-read here — its
     /// frames were verified at open, and [`verify_file`] re-verifies the
@@ -683,7 +646,7 @@ pub fn verify_file(path: impl AsRef<Path>) -> Result<StoreMeta, StoreError> {
     let mut file = File::open(path.as_ref())?;
     let len = file.metadata()?.len();
     let buf = AlignedBuf::read_from(&mut file, len as usize)?;
-    Ok(validate(buf.bytes(), OpenMode::Validated)?.layout.meta)
+    Ok(validate(buf.bytes())?.layout.meta)
 }
 
 // Keep VertexId in the public-API surface story: sections store plain u32

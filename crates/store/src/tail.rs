@@ -419,7 +419,7 @@ impl JournalWriter {
 
     /// Compacts the journal: durably publishes a whole new container with
     /// the live `graph` / `index` as its base, an empty journal, no tail
-    /// and the compaction counter bumped, then continues from a trusted
+    /// and the compaction counter bumped, then continues from a validated
     /// reopen of it — the returned store, which is also the generation to
     /// serve.
     /// (An in-memory image is re-imaged in memory instead.)
@@ -455,9 +455,9 @@ impl JournalWriter {
                 if let PublishOutcome::Crashed(_) = durable::publish_with(path, &bytes, io)? {
                     return Ok(None);
                 }
-                IndexStore::open_trusted(path)?
+                IndexStore::open(path)?
             }
-            None => IndexStore::from_bytes_trusted(&bytes)?,
+            None => IndexStore::from_bytes(&bytes)?,
         };
         *self = Self::new(&store, self.path.take());
         Ok(Some(store))

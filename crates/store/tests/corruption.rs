@@ -67,9 +67,7 @@ fn wrong_version_is_detected() {
         std::fs::write(&path, &bytes).unwrap();
         let errors = [
             IndexStore::from_bytes(&bytes).unwrap_err(),
-            IndexStore::from_bytes_trusted(&bytes).unwrap_err(),
             IndexStore::open(&path).unwrap_err(),
-            IndexStore::open_trusted(&path).unwrap_err(),
             hcl_store::verify_file(&path).unwrap_err(),
         ];
         for err in errors {
@@ -124,8 +122,8 @@ fn bit_flips_anywhere_in_the_payload_fail_the_checksum() {
 }
 
 /// Bytes after the declared end of the image are the journal tail; only
-/// frames may live there. Anything else — here, in both open modes — is
-/// rejected, never ignored. (The frame-level cases are in `journal.rs`.)
+/// frames may live there. Anything else is rejected, never ignored. (The
+/// frame-level cases are in `journal.rs`.)
 #[test]
 fn trailing_garbage_is_detected() {
     let clean = sample_bytes();
@@ -138,16 +136,14 @@ fn trailing_garbage_is_detected() {
     for extra in garbage {
         let mut bytes = clean.clone();
         bytes.extend_from_slice(extra);
-        for opened in [
-            IndexStore::from_bytes(&bytes),
-            IndexStore::from_bytes_trusted(&bytes),
-        ] {
-            assert!(
-                matches!(opened, Err(StoreError::Corrupt { .. })),
-                "{} trailing non-frame bytes were accepted",
-                extra.len()
-            );
-        }
+        assert!(
+            matches!(
+                IndexStore::from_bytes(&bytes),
+                Err(StoreError::Corrupt { .. })
+            ),
+            "{} trailing non-frame bytes were accepted",
+            extra.len()
+        );
     }
 }
 

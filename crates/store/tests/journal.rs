@@ -244,11 +244,9 @@ fn assert_verify_file_agrees(bytes: &[u8], opened: &Result<IndexStore, StoreErro
 fn assert_corrupt(bytes: &[u8], what: &str) {
     let validated = IndexStore::from_bytes(bytes);
     assert_verify_file_agrees(bytes, &validated, what);
-    for opened in [validated, IndexStore::from_bytes_trusted(bytes)] {
-        match opened {
-            Err(StoreError::Corrupt { .. }) => {}
-            other => panic!("{what}: expected a corruption error, got {other:?}"),
-        }
+    match validated {
+        Err(StoreError::Corrupt { .. }) => {}
+        other => panic!("{what}: expected a corruption error, got {other:?}"),
     }
 }
 
@@ -262,50 +260,46 @@ fn tail_frames_replay_after_the_journal_section() {
 
     let validated = IndexStore::from_bytes(&bytes);
     assert_verify_file_agrees(&bytes, &validated, "three intact frames");
-    for store in [
-        validated.unwrap(),
-        IndexStore::from_bytes_trusted(&bytes).unwrap(),
-    ] {
-        let journal = store.journal().unwrap();
-        assert_eq!(
-            journal.deltas, all,
-            "section deltas ++ tail deltas, in order"
-        );
-        assert_eq!(journal.compactions, 1);
-        assert_eq!(store.meta().file_len, image.len() as u64, "the image");
-        assert_eq!(store.len_bytes(), bytes.len() as u64, "the whole file");
-        assert_eq!(
-            store.tail(),
-            TailInfo {
-                frames: 3,
-                frame_bytes: tail_len,
-                torn_bytes: 0
-            }
-        );
-        let section = store
-            .sections()
-            .iter()
-            .find(|s| s.name == "journal")
-            .unwrap()
-            .len_bytes;
-        assert_eq!(store.journal_bytes(), section + tail_len);
-        store.verify_checksum().expect("the image still verifies");
-
-        let mut overlay = DeltaGraph::new(base.as_view());
-        for &d in &all {
-            overlay.apply(d).unwrap();
+    let store = validated.unwrap();
+    let journal = store.journal().unwrap();
+    assert_eq!(
+        journal.deltas, all,
+        "section deltas ++ tail deltas, in order"
+    );
+    assert_eq!(journal.compactions, 1);
+    assert_eq!(store.meta().file_len, image.len() as u64, "the image");
+    assert_eq!(store.len_bytes(), bytes.len() as u64, "the whole file");
+    assert_eq!(
+        store.tail(),
+        TailInfo {
+            frames: 3,
+            frame_bytes: tail_len,
+            torn_bytes: 0
         }
-        let edited = overlay.to_graph();
-        let mut ctx = QueryContext::new();
-        let mut scratch = bfs::BfsScratch::new();
-        for u in (0..70).step_by(3) {
-            for v in (0..70).step_by(5) {
-                assert_eq!(
-                    store.index().query_with(store.graph(), &mut ctx, u, v),
-                    bfs::distance_with(&edited, u, v, &mut scratch),
-                    "replayed answer wrong for ({u}, {v})"
-                );
-            }
+    );
+    let section = store
+        .sections()
+        .iter()
+        .find(|s| s.name == "journal")
+        .unwrap()
+        .len_bytes;
+    assert_eq!(store.journal_bytes(), section + tail_len);
+    store.verify_checksum().expect("the image still verifies");
+
+    let mut overlay = DeltaGraph::new(base.as_view());
+    for &d in &all {
+        overlay.apply(d).unwrap();
+    }
+    let edited = overlay.to_graph();
+    let mut ctx = QueryContext::new();
+    let mut scratch = bfs::BfsScratch::new();
+    for u in (0..70).step_by(3) {
+        for v in (0..70).step_by(5) {
+            assert_eq!(
+                store.index().query_with(store.graph(), &mut ctx, u, v),
+                bfs::distance_with(&edited, u, v, &mut scratch),
+                "replayed answer wrong for ({u}, {v})"
+            );
         }
     }
 
@@ -332,20 +326,18 @@ fn torn_tail_at_every_byte_opens_as_the_state_before_the_last_frame() {
         let bytes = concat(&intact, &[&frames[2][..cut]]);
         let validated = IndexStore::from_bytes(&bytes);
         assert_verify_file_agrees(&bytes, &validated, &format!("cut at {cut}"));
-        for store in [validated, IndexStore::from_bytes_trusted(&bytes)] {
-            let store = store.unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
-            assert_eq!(store.journal().unwrap().deltas, before_last, "cut at {cut}");
-            assert_eq!(
-                store.tail(),
-                TailInfo {
-                    frames: 2,
-                    frame_bytes: intact_tail,
-                    torn_bytes: cut as u64
-                },
-                "cut at {cut}"
-            );
-            assert_eq!(store.len_bytes(), bytes.len() as u64);
-        }
+        let store = validated.unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+        assert_eq!(store.journal().unwrap().deltas, before_last, "cut at {cut}");
+        assert_eq!(
+            store.tail(),
+            TailInfo {
+                frames: 2,
+                frame_bytes: intact_tail,
+                torn_bytes: cut as u64
+            },
+            "cut at {cut}"
+        );
+        assert_eq!(store.len_bytes(), bytes.len() as u64);
     }
     // Whole length on disk but not whole contents: the checksum fails and
     // the frame ends the file. (Bytes 24.. are delta 0's endpoints; the

@@ -242,36 +242,6 @@ fn to_owned_parts_fully_deserialises() {
     }
 }
 
-/// The trusted open skips exactly the whole-file CRC pass: it must load
-/// pristine containers (agreeing with the validated open everywhere) and
-/// must *still* reject everything the structural and semantic validators
-/// catch.
-#[test]
-fn trusted_open_agrees_with_validated_open() {
-    let g = testkit::barabasi_albert(120, 3, 5);
-    let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 8 });
-    let path = temp_path("trusted");
-    hcl_store::save(&path, &g, &idx).expect("save");
-
-    let validated = IndexStore::open(&path).expect("open");
-    let trusted = IndexStore::open_trusted(&path).expect("open_trusted");
-    assert_eq!(validated.meta(), trusted.meta());
-    let mut ctx = QueryContext::new();
-    let mut ctx_t = QueryContext::new();
-    for (u, v) in [(0, 1), (5, 117), (42, 42), (119, 60), (3, 77)] {
-        assert_eq!(
-            validated
-                .index()
-                .query_with(validated.graph(), &mut ctx, u, v),
-            trusted
-                .index()
-                .query_with(trusted.graph(), &mut ctx_t, u, v),
-        );
-    }
-    drop((validated, trusted));
-    std::fs::remove_file(&path).ok();
-}
-
 /// Header bytes 72..96 are reserved: whatever a writer left there —
 /// older binaries stored a landmark-selection tag and seed at 72..76 and
 /// 80..88 — a reader ignores, so such files open and serve unchanged.
@@ -304,7 +274,7 @@ fn serialize_rejects_mismatched_graph() {
 }
 
 /// The v5 `build_stats` section must round-trip the build counters through
-/// bytes, a saved file, and the trusted open — while leaving the served
+/// bytes and a saved file — while leaving the served
 /// answers untouched — and files written *without* stats must report
 /// `None` rather than failing.
 #[test]
@@ -343,16 +313,13 @@ fn v5_build_stats_round_trip_and_optionality() {
     assert_eq!(plain.build_stats(), None, "stats section is optional");
     assert_eq!(plain.sections().len(), 7);
 
-    // File path + trusted open.
+    // File path.
     let path = temp_path("v5_stats");
     hcl_store::durable::publish_with(&path, &with, &hcl_store::durable::SystemIo)
         .expect("publish stats container");
     let opened = IndexStore::open(&path).expect("open v5");
     assert_eq!(opened.build_stats().as_ref(), Some(&stored));
+    assert_store_matches_owned("v5 stats file", &g, &idx, &opened);
     drop(opened);
-    let trusted = IndexStore::open_trusted(&path).expect("open_trusted v5");
-    assert_eq!(trusted.build_stats().as_ref(), Some(&stored));
-    assert_store_matches_owned("v5 stats trusted", &g, &idx, &trusted);
-    drop(trusted);
     std::fs::remove_file(&path).ok();
 }
