@@ -149,6 +149,15 @@ impl Server {
         http_get_addr(&self.addr, target)
     }
 
+    /// One `POST` exchange: `(status, body)`.
+    fn http_post(&self, target: &str, body: &str) -> (u16, String) {
+        let head = format!(
+            "POST {target} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        http_exchange(&self.addr, &(head + body))
+    }
+
     /// Reads one counter from `/metrics`.
     fn metric(&self, name: &str) -> u64 {
         let (status, body) = self.http_get("/metrics");
@@ -197,11 +206,20 @@ impl Drop for Server {
 /// so background threads can issue requests (e.g. a `/reload` that blocks
 /// in the retry loop) without borrowing the `Server`.
 fn http_get_addr(addr: &str, target: &str) -> (u16, String) {
+    http_exchange(
+        addr,
+        &format!("GET {target} HTTP/1.1\r\nHost: test\r\n\r\n"),
+    )
+}
+
+/// One raw HTTP exchange: sends `request` verbatim and returns
+/// `(status, body)`.
+fn http_exchange(addr: &str, request: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect to server");
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .unwrap();
-    write!(stream, "GET {target} HTTP/1.1\r\nHost: test\r\n\r\n").expect("send request");
+    stream.write_all(request.as_bytes()).expect("send request");
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read response");
     let status = raw
@@ -1005,4 +1023,69 @@ fn socket_slow_log_emits_valid_json_for_tcp_and_http() {
         assert!(line.contains("\"latency_us\":"), "latency: {line}");
         assert!(line.contains("\"source\":\""), "source: {line}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Updates: a rejected batch leaves the live update state alone
+// ---------------------------------------------------------------------------
+
+/// A batch the graph refuses (a self-loop) changes nothing, so it must not
+/// throw away the update engine either: the inserts before it stay in the
+/// live overlay, and the next insert extends that overlay instead of
+/// starting over from a copy of the whole served graph and labels.
+#[test]
+fn a_rejected_update_keeps_the_live_overlay() {
+    let scratch = Scratch::new("rejected_update");
+    // 20 000 vertices: an overlay folds only past n / 64 = 312 rows, far
+    // beyond what four inserts patch.
+    let graph = testkit::barabasi_albert(20_000, 3, 0x7e7);
+    let index = build_index(&scratch, "ba", &edge_list(&graph), 16);
+    let server = Server::spawn(&index, &["--workers", "2"]);
+
+    // Late, low-degree vertices, pairwise apart: each insert patches two
+    // fresh adjacency rows.
+    let n = graph.num_vertices() as u32;
+    let inserts: Vec<(u32, u32)> = (1..=4)
+        .map(|i| (n - i, n / 2 - i))
+        .inspect(|&(u, v)| assert!(!graph.has_edge(u, v)))
+        .collect();
+    let graph_rows = "hcl_overlay_rows{overlay=\"graph\"}";
+    let mut rows = 0;
+    for (i, &(u, v)) in inserts.iter().enumerate() {
+        if i == 3 {
+            let (status, body) = server.http_post("/update", "+7 7\n");
+            assert_eq!(status, 400, "self-loop: {body}");
+            assert!(body.contains("self-loop"), "body: {body}");
+        }
+        let (status, body) = server.http_post("/update", &format!("+{u} {v}\n"));
+        assert_eq!(status, 200, "insert {i}: {body}");
+        let now = server.metric(graph_rows);
+        assert!(now > rows, "insert {i}: graph overlay went {rows} -> {now}");
+        rows = now;
+    }
+    assert_eq!(server.metric("hcl_update_folds_total"), 0);
+
+    let mut edges: Vec<(u32, u32)> = (0..n)
+        .flat_map(|u| graph.neighbors(u).iter().map(move |&w| (u, w)))
+        .filter(|&(u, w)| u < w)
+        .collect();
+    edges.extend(&inserts);
+    let updated = Graph::from_edges(&edges);
+    let mut rng = testkit::SplitMix64::new(0x7e7);
+    let mut pairs: Vec<(u32, u32)> = inserts.iter().map(|&(u, v)| (u, v + 1)).collect();
+    pairs.extend((0..40).map(|_| {
+        (
+            rng.next_below(n as u64) as u32,
+            rng.next_below(n as u64) as u32,
+        )
+    }));
+    let input: String = pairs.iter().map(|(s, t)| format!("{s} {t}\n")).collect();
+    let expected: String = pairs
+        .iter()
+        .map(|&(s, t)| match hcl_core::bfs::distance(&updated, s, t) {
+            Some(d) => format!("{s} {t} {d}\n"),
+            None => format!("{s} {t} inf\n"),
+        })
+        .collect();
+    assert_eq!(server.tcp_roundtrip(&input), expected);
 }
