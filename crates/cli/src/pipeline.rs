@@ -227,9 +227,12 @@ impl Pipeline {
     /// peer address) and serves the result as the next generation: each
     /// delta is repaired into the engine, the batch is made durable as one
     /// journal frame (or a compaction), and the new generation is swapped
-    /// in. Any failure drops the engine instead, so nothing the batch did
-    /// is served or kept (the served generation and the file on disk keep
-    /// their state). `received` starts the update-latency sample. An empty
+    /// in. A batch with a delta the graph refuses (self-loop, endpoint out
+    /// of range) is rejected whole before the engine is touched, so the
+    /// engine and its live overlay carry on. Any later failure drops the
+    /// engine instead, so nothing the batch did is served or kept (the
+    /// served generation and the file on disk keep their state).
+    /// `received` starts the update-latency sample. An empty
     /// batch changes nothing: no engine, no frame, no generation, and it
     /// reports the one being served.
     pub(crate) fn update(
@@ -247,6 +250,13 @@ impl Pipeline {
             });
         }
         let _serialised = self.lock_swaps();
+        let n = self.handle.current().store.graph().num_vertices();
+        for &delta in deltas {
+            if let Err(why) = delta.validate(n) {
+                self.metrics.update_failures.inc();
+                return Err(UpdateError::Invalid { delta, why });
+            }
+        }
         let mut slot = lock_recover(&self.engine, "update engine");
         let engine = slot.get_or_insert_with(|| {
             UpdateEngine::from_store(
