@@ -38,7 +38,7 @@
 //!   exits 0 with the same latency summary the stdin path prints.
 //! * **Zero-downtime reload**: `GET /reload` (or the `--reload-signal`
 //!   Unix signal) re-opens the `--index` file and atomically swaps the
-//!   new generation into the shared [`GenerationHandle`]; in-flight
+//!   new generation into the shared [`GenerationHandle`](hcl_store::GenerationHandle); in-flight
 //!   requests finish on the old mmap, which is unmapped when its last
 //!   snapshot drops. `save_with`'s rename-into-place makes the writer
 //!   side safe, so a build pipeline can overwrite the file and poke the

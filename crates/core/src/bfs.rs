@@ -5,7 +5,7 @@
 //! as the fallback search primitive inside the query engine.
 //!
 //! Both oracles accept anything convertible to a
-//! [`DynGraphView`](crate::DynGraphView) — an owned `&Graph`, a borrowed
+//! [`DynGraphView`] — an owned `&Graph`, a borrowed
 //! [`GraphView`](crate::GraphView) over a memory-mapped store, or a
 //! [`DeltaGraph`](crate::DeltaGraph) edit overlay — so verification works
 //! identically on every backing, frozen or dynamic.

@@ -1,6 +1,6 @@
 //! Incremental label repair under edge insertions and deletions.
 //!
-//! A built [`HighwayCoverIndex`](crate::HighwayCoverIndex) is frozen — its
+//! A built [`HighwayCoverIndex`] is frozen — its
 //! labels are CSR-flattened. This module keeps an *editable* twin,
 //! [`DynamicIndex`], that answers the same queries but can be repaired in
 //! place after an edge edit instead of rebuilt from scratch.

@@ -98,7 +98,7 @@ pub fn crc64_update(state: u64, bytes: &[u8]) -> u64 {
     update_slicing(state, bytes)
 }
 
-/// Names the kernel [`crc64_update`] runs on inputs of at least 128
+/// Names the kernel `crc64_update` runs on inputs of at least 128
 /// bytes on this host — every container image — so a
 /// slow `crc` open phase can be told apart from a missing CPU feature.
 pub fn crc64_kernel() -> &'static str {
