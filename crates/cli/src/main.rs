@@ -67,8 +67,10 @@ const USAGE: &str = "usage: hcl <command> [args]\n\
            count; the index: line names the workers that ran.\n\
            --progress streams per-phase lines (selection, each sweep group\n\
            with its levels, how many of them were wide enough to be put\n\
-           in vertex order from a bitmap (dense), activations, entries and\n\
-           covered arrivals, the label fill) to stderr. Build counters (BFS\n\
+           in vertex order from a bitmap (dense), how many were expanded\n\
+           by pulling from the unreached vertices instead of pushing from\n\
+           the frontier (pulled), activations, entries and covered\n\
+           arrivals, the label fill) to stderr. Build counters (BFS\n\
            visits, covered arrivals, per-landmark label contributions) are\n\
            always recorded in the container and shown by inspect --stats.\n\
        query (--index FILE.hcl | <graph.edges> [--landmarks K]\n\

@@ -8,7 +8,8 @@
 //!
 //! * `seen` — the searches that have reached the vertex, advanced only
 //!   *between* levels;
-//! * `frontier` — the searches that reached it at the level being expanded;
+//! * `frontier` — the searches that reached it at the level being expanded
+//!   (after a pulled level it may keep older bits; see below);
 //! * `next` — the searches reaching it at the level being assembled;
 //! * `cov` — of the searches that have reached it, those for which some
 //!   shortest path from the root passes through another landmark (the
@@ -31,14 +32,30 @@
 //! every search a full BFS, which is also why the highway rows come out
 //! exact with no closure pass.
 //!
+//! A level is expanded in one of two directions (Beamer, Asanović &
+//! Patterson's direction-optimising BFS). A *push* does the above from
+//! each active `x`. A *pull* visits, in vertex order, every `w` that some
+//! search of the group has not reached, ORs the `frontier` bits and the
+//! `frontier & cov` bits of its neighbours, and stops reading the row once
+//! every bit `w` lacks has arrived covered; the lacking bits some neighbour
+//! had become `next[w]`, the covered ones join `cov[w]`. A push reads the
+//! frontier's rows; a pull reads the rows of the vertices some search has
+//! not reached (`unsaturated` entries, kept as vertices fill up) plus one
+//! cell per vertex, at about half the cost per entry. So a level is pulled
+//! when `(unsaturated + n) / 2` is less than the frontier's row lengths:
+//! a BA graph's wide middle levels, and never a path's. A pull leaves the
+//! frontier in place: each of its bits is already in every neighbour's
+//! `seen`, so no later level can take it again.
+//!
 //! Each level is closed and expanded in ascending vertex order, so the
 //! cells, the adjacency rows and the fill's writes (it replays `emits`)
-//! move forward through memory. A level with at least one vertex per word
-//! of the `arrived` bitmap is marked in it and read back off it; a
-//! narrower one is sorted, so a long path never pays `O(n / 64)` per
-//! level. The order cannot reach the output: `next` and `cov` gather
-//! unions, an entry's slot is a popcount rank, and a highway cell is
-//! addressed by (bit, rank).
+//! move forward through memory. A pull delivers its level in that order.
+//! A pushed level with at least one vertex per word of the `arrived`
+//! bitmap is marked in it and read back off it; a narrower one is sorted,
+//! so a long path never pays `O(n / 64)` per level. Neither the order nor
+//! the direction can reach the output: `next` and `cov` gather the same
+//! unions either way, an entry's slot is a popcount rank, and a highway
+//! cell is addressed by (bit, rank).
 
 use super::{BuildContext, NOT_A_LANDMARK};
 use crate::view::pack_label_entry;
@@ -94,6 +111,8 @@ pub(crate) struct GroupSweep {
     pub(crate) levels: u32,
     /// Of those, the levels put in order from the `arrived` bitmap.
     pub(crate) dense_levels: u32,
+    /// Of those, the levels expanded by pulling instead of pushing.
+    pub(crate) pulled_levels: u32,
     /// `(vertex, level)` expansions — the adjacency lists read.
     pub(crate) activations: u64,
     /// `(landmark, vertex)` pairs reached, roots included.
@@ -124,7 +143,7 @@ fn sweep_group(
     scratch: &mut SweepScratch,
 ) -> GroupSweep {
     let t = Instant::now();
-    let k = landmarks.len();
+    let (n, k) = (graph.num_vertices(), landmarks.len());
     let group = &landmarks[start..(start + WIDTH).min(k)];
     let SweepScratch {
         cells,
@@ -133,11 +152,11 @@ fn sweep_group(
         arrived,
     } = scratch;
     cells.clear();
-    cells.resize(graph.num_vertices(), Cell::default());
+    cells.resize(n, Cell::default());
     active.clear();
     arriving.clear();
     arrived.clear();
-    arrived.resize(graph.num_vertices().div_ceil(64), 0);
+    arrived.resize(n.div_ceil(64), 0);
     let mut out = GroupSweep {
         start,
         labelled: Vec::new(),
@@ -145,6 +164,7 @@ fn sweep_group(
         highway_rows: vec![INFINITY; group.len() * k],
         levels: 0,
         dense_levels: 0,
+        pulled_levels: 0,
         activations: 0,
         arrivals: 0,
         entries: 0,
@@ -155,11 +175,21 @@ fn sweep_group(
         cells[root as usize].next = 1 << bit;
         arriving.push(root);
     }
+    let full = u64::MAX >> (WIDTH - group.len());
+    // Adjacency entries of the vertices some search has not reached yet.
+    let mut unsaturated = 2 * graph.num_edges();
+    let max_degree = (0..n as VertexId)
+        .map(|v| graph.neighbors(v).len())
+        .max()
+        .unwrap_or(0);
+    let mut pulled = false;
     let mut depth = 0u32;
     while !arriving.is_empty() {
         // Put level `depth` in vertex order, then close it: the bits in
         // `next` have arrived.
-        if arriving.len() >= arrived.len() {
+        if pulled {
+            // A pull delivers its level in vertex order.
+        } else if arriving.len() >= arrived.len() {
             for &w in arriving.iter() {
                 arrived[w as usize / 64] |= 1 << (w % 64);
             }
@@ -175,6 +205,9 @@ fn sweep_group(
             let cell = &mut cells[w as usize];
             let new = std::mem::take(&mut cell.next);
             cell.seen |= new;
+            if cell.seen == full {
+                unsaturated -= graph.neighbors(w).len();
+            }
             cell.frontier = new;
             out.arrivals += u64::from(new.count_ones());
             let rank = landmark_rank[w as usize];
@@ -202,20 +235,50 @@ fn sweep_group(
         arriving.clear();
         out.activations += active.len() as u64;
         depth += 1;
-        // Expand it into level `depth`.
-        for &x in active.iter() {
-            let cell = &mut cells[x as usize];
-            let f = std::mem::take(&mut cell.frontier);
-            let c = cell.cov & f;
-            for &w in graph.neighbors(x) {
-                let cell = &mut cells[w as usize];
-                let new = f & !cell.seen;
-                if new != 0 {
-                    if cell.next == 0 {
-                        arriving.push(w);
+        // Expand it into level `depth` from the side that reads less. A
+        // level whose rows cannot add up to the pull's cost skips the sum.
+        let pull_work = (unsaturated + n) / 2;
+        pulled = active.len().saturating_mul(max_degree) > pull_work
+            && pull_work < active.iter().map(|&x| graph.neighbors(x).len()).sum();
+        if pulled {
+            out.pulled_levels += 1;
+            for w in 0..n {
+                let unseen = full & !cells[w].seen;
+                if unseen == 0 {
+                    continue;
+                }
+                let (mut f, mut c) = (0, 0);
+                for &x in graph.neighbors(w as VertexId) {
+                    let cx = &cells[x as usize];
+                    f |= cx.frontier;
+                    c |= cx.frontier & cx.cov;
+                    if c & unseen == unseen {
+                        break;
                     }
-                    cell.next |= new;
+                }
+                let new = f & unseen;
+                if new != 0 {
+                    let cell = &mut cells[w];
+                    cell.next = new;
                     cell.cov |= c & new;
+                    arriving.push(w as VertexId);
+                }
+            }
+        } else {
+            for &x in active.iter() {
+                let cell = &mut cells[x as usize];
+                let f = std::mem::take(&mut cell.frontier);
+                let c = cell.cov & f;
+                for &w in graph.neighbors(x) {
+                    let cell = &mut cells[w as usize];
+                    let new = f & !cell.seen;
+                    if new != 0 {
+                        if cell.next == 0 {
+                            arriving.push(w);
+                        }
+                        cell.next |= new;
+                        cell.cov |= c & new;
+                    }
                 }
             }
         }
@@ -367,9 +430,41 @@ fn join_workers<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Vec<T> {
 
 #[cfg(test)]
 mod tests {
-    use super::{join_workers, label, WIDTH};
+    use super::{join_workers, label, GroupSweep, WIDTH};
     use crate::build::rank_table;
-    use hcl_core::{bfs, testkit};
+    use hcl_core::{bfs, testkit, Graph};
+
+    /// Asserts that `group` expanded each vertex once per distinct distance
+    /// from its roots — neither the order a level is put in nor the
+    /// direction it is expanded in adds a vertex to it — and emitted in
+    /// level order, each level in vertex order.
+    fn assert_expands_each_distance_once(
+        tag: &str,
+        g: &Graph,
+        landmarks: &[u32],
+        group: &GroupSweep,
+    ) {
+        let roots = &landmarks[group.start..(group.start + WIDTH).min(landmarks.len())];
+        let from: Vec<_> = roots.iter().map(|&r| bfs::distances_from(g, r)).collect();
+        let expansions = (0..g.num_vertices()).map(|v| {
+            let mut depths: Vec<u32> = from.iter().map(|d| d[v]).collect();
+            depths.sort_unstable();
+            depths.dedup();
+            depths.len() as u64
+        });
+        assert_eq!(group.activations, expansions.sum::<u64>(), "{tag}");
+        for pair in group.emits.windows(2) {
+            let (a, b) = (&pair[0], &pair[1]);
+            assert!(
+                a.depth < b.depth || (a.depth == b.depth && a.vertex < b.vertex),
+                "{tag}: emit ({}, {}) before ({}, {})",
+                a.vertex,
+                a.depth,
+                b.vertex,
+                b.depth
+            );
+        }
+    }
 
     #[test]
     fn a_broom_sweep_orders_levels_both_ways_and_emits_in_vertex_order() {
@@ -387,27 +482,31 @@ mod tests {
                     0 < dense && dense < levels,
                     "k={k}: {dense} of {levels} dense"
                 );
-                // A vertex is expanded once per distinct distance from the
-                // group's roots: ordering a level adds no vertex to it.
-                let roots = &landmarks[group.start..(group.start + WIDTH).min(k)];
-                let from: Vec<_> = roots.iter().map(|&r| bfs::distances_from(&g, r)).collect();
-                let expansions = (0..g.num_vertices()).map(|v| {
-                    let mut depths: Vec<u32> = from.iter().map(|d| d[v]).collect();
-                    depths.sort_unstable();
-                    depths.dedup();
-                    depths.len() as u64
-                });
-                assert_eq!(group.activations, expansions.sum::<u64>(), "k={k}");
-                for pair in group.emits.windows(2) {
-                    let (a, b) = (&pair[0], &pair[1]);
-                    assert!(
-                        a.depth < b.depth || (a.depth == b.depth && a.vertex < b.vertex),
-                        "k={k}: emit ({}, {}) before ({}, {})",
-                        a.vertex,
-                        a.depth,
-                        b.vertex,
-                        b.depth
-                    );
+                assert_expands_each_distance_once(&format!("k={k}"), &g, &landmarks, group);
+            }
+        }
+    }
+
+    #[test]
+    fn a_level_is_pulled_only_where_pulling_reads_less() {
+        // A BA graph's middle levels own more adjacency than the vertices
+        // still short of a search; a path's and a long grid's levels never
+        // do. (On a square grid a full group's 64 frontiers can cover most
+        // of it, and there pulling does read less.)
+        for (name, g, pulls) in [
+            ("ba", testkit::barabasi_albert(2_000, 5, 3), true),
+            ("path", testkit::path(2_000), false),
+            ("grid", testkit::grid(4, 500), false),
+        ] {
+            for k in [16, 65] {
+                let landmarks = g.top_k_by_degree(k);
+                let rank = rank_table(&landmarks, g.num_vertices());
+                let swept = label(g.as_view().into(), &landmarks, &rank, &mut []);
+                for group in &swept.groups {
+                    let tag = format!("{name} k={k} group {}", group.start);
+                    let pulled = group.pulled_levels;
+                    assert_eq!(pulled > 0, pulls, "{tag}: {pulled} pulled");
+                    assert_expands_each_distance_once(&tag, &g, &landmarks, group);
                 }
             }
         }

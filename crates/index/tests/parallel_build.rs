@@ -92,8 +92,28 @@ fn build_at_every_thread_count(tag: &str, g: &Graph, landmarks: &[VertexId]) -> 
     sequential
 }
 
+/// Levels the sweeps of a degree-ranked, single-threaded build of `g`
+/// expanded by pulling, read off its progress lines.
+fn pulled_levels(g: &Graph, k: usize) -> u64 {
+    let mut pulled = 0;
+    let mut sink = |line: String| {
+        let field = line.split_once(" dense, ").map(|(_, rest)| rest);
+        if let Some((count, _)) = field.and_then(|rest| rest.split_once(" pulled, ")) {
+            pulled += count.parse::<u64>().expect("a pulled-level count");
+        }
+    };
+    let options = BuildOptions {
+        num_landmarks: k,
+        threads: 1,
+        ..BuildOptions::default()
+    };
+    HighwayCoverIndex::build_with_stats(g, &options, Some(&mut sink));
+    pulled
+}
+
 #[test]
 fn built_labelling_is_the_papers_definition_on_every_family() {
+    let mut pulled = 0;
     for (name, g) in graphs() {
         for k in KS {
             for (list, landmarks) in landmark_lists(&g, k) {
@@ -101,8 +121,12 @@ fn built_labelling_is_the_papers_definition_on_every_family() {
                 let built = build_at_every_thread_count(&tag, &g, &landmarks);
                 assert_definition(&tag, &g, &built);
             }
+            pulled += pulled_levels(&g, k);
         }
     }
+    // The sweep chooses a direction per level; the check above must have
+    // held the pulled levels to the definition too, not only pushed ones.
+    assert!(pulled > 0, "no family pulled a level");
 }
 
 /// A broom — a BA head on 1 000 vertices with a 1 500-vertex path for a
