@@ -468,9 +468,9 @@ mod tests {
 
     #[test]
     fn a_broom_sweep_orders_levels_both_ways_and_emits_in_vertex_order() {
-        // ⌈2500 / 64⌉ = 40: the head's wide levels reach that many vertices
-        // and are read off the bitmap; 16 roots and the handle's one-vertex
-        // levels are sorted.
+        // ⌈2500 / 64⌉ = 40: the head's wide pushed levels reach that many
+        // vertices and are read off the bitmap; 16 roots and the handle's
+        // one-vertex levels are sorted.
         let g = testkit::broom(1_000, 3, 1_500, 23);
         for k in [16, 65] {
             let landmarks = g.top_k_by_degree(k);
