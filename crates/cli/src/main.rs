@@ -48,7 +48,7 @@ mod update;
 
 use hcl_core::{bfs, Graph, GraphBuilder, VertexId};
 use hcl_index::{BuildOptions, HighwayCoverIndex, QueryStats};
-use hcl_store::{IndexStore, UpdateEngine};
+use hcl_store::{IndexStore, UpdateEngine, UpdateError};
 use std::io::{BufRead, ErrorKind, IsTerminal, Read, Write};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -168,7 +168,9 @@ fn help() -> ! {
 /// Hands every `u v` pair of an edge-list or query file's bytes to
 /// `pair(lineno, u, v)` in input order, `lineno` 1-based, so diagnostics
 /// the scan cannot make (out-of-range ids need the graph) can still point
-/// at the input.
+/// at the input. `lineno` counts the lines before `bytes` on entry and
+/// those through `bytes` on return, so a file scanned in pieces cut at
+/// line ends numbers its lines as one scan would.
 ///
 /// Lines split at `\n` with one trailing `\r` dropped, exactly as
 /// `BufRead::lines` splits them. A line of the common shape — see
@@ -182,14 +184,14 @@ fn help() -> ! {
 fn scan_pairs(
     bytes: &[u8],
     what: &str,
-    mut pair: impl FnMut(usize, VertexId, VertexId),
+    lineno: &mut usize,
+    pair: &mut impl FnMut(usize, VertexId, VertexId),
 ) -> Result<(), String> {
     let mut rest = bytes;
-    let mut lineno = 0;
     while !rest.is_empty() {
-        lineno += 1;
+        *lineno += 1;
         if let Some((u, v, len)) = fast_pair(rest) {
-            pair(lineno, u, v);
+            pair(*lineno, u, v);
             rest = &rest[len..];
             continue;
         }
@@ -200,12 +202,65 @@ fn scan_pairs(
         let line = line.strip_suffix(b"\r").unwrap_or(line);
         let line = std::str::from_utf8(line)
             .map_err(|_| format!("reading {what}: stream did not contain valid UTF-8"))?;
-        if let Some((u, v)) = parse_pair_line(line, what, lineno)? {
-            pair(lineno, u, v);
+        if let Some((u, v)) = parse_pair_line(line, what, *lineno)? {
+            pair(*lineno, u, v);
         }
         rest = next;
     }
     Ok(())
+}
+
+/// Bytes an edge-list or query file is read in at a time.
+const READ_CHUNK: usize = 1 << 20;
+
+/// Where a [`scan_reader`] went: `read` calls and scanning.
+struct ScanTimes {
+    read: Duration,
+    parse: Duration,
+}
+
+/// [`scan_pairs`] over everything `input` yields, read through one reused
+/// buffer of `chunk` bytes: each fill is scanned up to its last line end,
+/// and the line cut at the buffer's edge moves to its front to be
+/// finished by the next read (a line longer than the buffer doubles it).
+/// A failed read fails as `reading <what>: <error>`.
+fn scan_reader(
+    input: &mut impl Read,
+    what: &str,
+    chunk: usize,
+    mut pair: impl FnMut(usize, VertexId, VertexId),
+) -> Result<ScanTimes, String> {
+    let mut buf = vec![0u8; chunk.max(1)];
+    let (mut filled, mut lineno) = (0, 0);
+    let mut times = ScanTimes {
+        read: Duration::ZERO,
+        parse: Duration::ZERO,
+    };
+    loop {
+        if filled == buf.len() {
+            buf.resize(2 * buf.len(), 0);
+        }
+        let t0 = Instant::now();
+        let got = match input.read(&mut buf[filled..]) {
+            Ok(got) => got,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(format!("reading {what}: {e}")),
+        };
+        let t1 = Instant::now();
+        times.read += t1 - t0;
+        if got == 0 {
+            scan_pairs(&buf[..filled], what, &mut lineno, &mut pair)?;
+            times.parse += t1.elapsed();
+            return Ok(times);
+        }
+        filled += got;
+        if let Some(end) = buf[..filled].iter().rposition(|&b| b == b'\n') {
+            scan_pairs(&buf[..=end], what, &mut lineno, &mut pair)?;
+            buf.copy_within(end + 1..filled, 0);
+            filled -= end + 1;
+        }
+        times.parse += t1.elapsed();
+    }
 }
 
 /// The common line shape: `digits SP digits` ending in `\n` or the end of
@@ -243,14 +298,10 @@ fn fast_id(s: &[u8], start: usize) -> Option<(VertexId, usize)> {
     Some((VertexId::try_from(value).ok()?, i))
 }
 
-/// Reads a whole input file; a failed open keeps the `opening` text, a
-/// failed read the `reading` one a line-by-line reader would give.
-fn read_input(path: &str) -> Result<Vec<u8>, String> {
-    let mut file = std::fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)
-        .map_err(|e| format!("reading {path}: {e}"))?;
-    Ok(bytes)
+/// Opens an input file; a failed open keeps the `opening` text a
+/// line-by-line reader would give.
+fn open_input(path: &str) -> Result<std::fs::File, String> {
+    std::fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))
 }
 
 /// Reads the next line into `buf` (cleared first), dropping its `\n` or
@@ -298,8 +349,8 @@ pub(crate) fn parse_pair_line(
     Ok(Some((u, v)))
 }
 
-/// Where an edge-list load went: reading the file, scanning it into the
-/// builder, and building the CSR.
+/// Where an edge-list load went: `read` calls on the file, scanning it
+/// into the builder, and building the CSR.
 struct LoadPhases {
     read: Duration,
     parse: Duration,
@@ -317,20 +368,16 @@ impl std::fmt::Display for LoadPhases {
 }
 
 fn load_graph(path: &str) -> Result<(Graph, LoadPhases), String> {
-    let t0 = Instant::now();
-    let bytes = read_input(path)?;
-    let t1 = Instant::now();
     let mut b = GraphBuilder::new();
-    scan_pairs(&bytes, path, |_, u, v| {
+    let scan = scan_reader(&mut open_input(path)?, path, READ_CHUNK, |_, u, v| {
         b.add_edge(u, v);
     })?;
-    drop(bytes);
-    let t2 = Instant::now();
+    let t0 = Instant::now();
     let graph = b.build();
     let phases = LoadPhases {
-        read: t1 - t0,
-        parse: t2 - t1,
-        csr: t2.elapsed(),
+        read: scan.read,
+        parse: scan.parse,
+        csr: t0.elapsed(),
     };
     Ok((graph, phases))
 }
@@ -565,18 +612,29 @@ fn resolve_workers(explicit: Option<usize>) -> usize {
 // Opening and building an index
 // ---------------------------------------------------------------------------
 
-/// The container image of an edge list: what `hcl build` publishes and
-/// what `query` / `serve` on an edge list serve.
+/// What an edge list builds: the graph, its labelling and the build
+/// counters, laid out by [`Built::image`] as the container `hcl build`
+/// publishes and `query` / `serve` on an edge list serve.
 struct Built {
-    image: Vec<u8>,
-    serialise: Duration,
+    graph: Graph,
+    index: HighwayCoverIndex,
+    info: hcl_store::BuildInfo,
+    stats: hcl_store::StoredBuildStats,
     /// The stderr lines reporting the load and the build.
     report: String,
 }
 
-/// Loads the edge list at `path`, labels it and serialises the container
-/// with its build counters. `progress` streams the builder's per-phase
-/// lines to stderr as they happen and adds its totals to the report.
+impl Built {
+    /// The container over the built arrays, its CRC included.
+    fn image(&self) -> Result<hcl_store::ImageParts<'_>, String> {
+        hcl_store::image_parts(&self.graph, &self.index, self.info, Some(&self.stats), None)
+            .map_err(|e| format!("serialising built index: {e}"))
+    }
+}
+
+/// Loads the edge list at `path` and labels it, keeping the build
+/// counters. `progress` streams the builder's per-phase lines to stderr
+/// as they happen and adds its totals to the report.
 fn build_image(
     path: &str,
     landmarks: Option<usize>,
@@ -603,20 +661,12 @@ fn build_image(
     // calling thread does the whole build.
     let workers = threads.min(build_stats.batch_us.len()).max(1);
     let stats = index.stats();
-    let t2 = Instant::now();
     // The thread count is left unrecorded (0) so that the same edge list
     // builds the same file on every host and at every --threads value.
-    let build_info = hcl_store::BuildInfo {
+    let info = hcl_store::BuildInfo {
         batch_size: options.resolved_batch_size() as u32,
         ..hcl_store::BuildInfo::default()
     };
-    // The container always carries the build counters (they are
-    // deterministic — independent of thread count — so they keep that
-    // identity). Wall times are not persisted: they would break it.
-    let stored_stats = hcl_store::StoredBuildStats::from_build(&build_stats);
-    let image = hcl_store::serialize_with_stats(&graph, &index, build_info, &stored_stats)
-        .map_err(|e| format!("serialising built index: {e}"))?;
-    let serialise = t2.elapsed();
 
     let mut report = String::new();
     if progress {
@@ -645,8 +695,13 @@ fn build_image(
         stats.max_label_size,
     );
     Ok(Built {
-        image,
-        serialise,
+        graph,
+        index,
+        info,
+        // The container always carries the build counters (they are
+        // deterministic — independent of thread count — so they keep that
+        // identity). Wall times are not persisted: they would break it.
+        stats: hcl_store::StoredBuildStats::from_build(&build_stats),
         report,
     })
 }
@@ -680,8 +735,8 @@ impl Source {
     }
 
     /// Opens the index to serve and reports the load on stderr: mmap'd
-    /// from the container, or the image [`build_image`] makes of the
-    /// edge list.
+    /// from the container, or the container [`build_image`] makes of the
+    /// edge list, as an in-memory image.
     fn open(&self) -> Result<IndexStore, String> {
         match (&self.index, &self.graph) {
             (Some(path), None) => {
@@ -711,7 +766,11 @@ impl Source {
                     false,
                 )?;
                 eprint!("{}", built.report);
-                IndexStore::from_bytes(&built.image)
+                let image = built.image()?.to_vec();
+                // The image is all the open needs: free the built arrays
+                // before it is copied into the store's aligned buffer.
+                drop(built);
+                IndexStore::from_bytes(&image)
                     .map_err(|e| format!("re-opening built index image: {e}"))
             }
             (Some(_), Some(g)) => Err(format!(
@@ -742,23 +801,27 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
         resolve_build_threads(args.number("--threads")),
         args.has("--progress"),
     )?;
+    // Serialising is the layout and the CRC; the sections are written
+    // straight from the built arrays.
     let t0 = Instant::now();
+    let image = built.image()?;
+    let serialise = t0.elapsed();
+    let t1 = Instant::now();
     // `SystemIo` proceeds at every step, so a success is always
     // `Committed`: the container is in place and durable.
-    hcl_store::durable::publish_with(
+    hcl_store::durable::publish_slices_with(
         std::path::Path::new(&out_path),
-        &built.image,
+        &image.slices(),
         &hcl_store::durable::SystemIo,
     )
     .map_err(|e| format!("writing {out_path}: {e}"))?;
-    let publish = t0.elapsed();
+    let publish = t1.elapsed();
     eprint!("{}", built.report);
+    let len = image.len_bytes();
     eprintln!(
-        "wrote {out_path}: {} bytes ({:.1} KiB) in {:.1?} (serialise {:.1?}, publish {publish:.1?})",
-        built.image.len(),
-        built.image.len() as f64 / 1024.0,
-        built.serialise + publish,
-        built.serialise
+        "wrote {out_path}: {len} bytes ({:.1} KiB) in {:.1?} (serialise {serialise:.1?}, publish {publish:.1?})",
+        len as f64 / 1024.0,
+        serialise + publish,
     );
     Ok(())
 }
@@ -819,7 +882,7 @@ fn collect_queries(args: &Args, n: usize) -> Result<Workload, String> {
     }
     let mut pairs = Vec::new();
     if let Some(path) = args.value("--queries") {
-        scan_pairs(&read_input(path)?, path, |lineno, u, v| {
+        scan_reader(&mut open_input(path)?, path, READ_CHUNK, |lineno, u, v| {
             pairs.push((lineno, u, v))
         })?;
         return Ok(Workload {
@@ -1053,6 +1116,14 @@ fn cmd_update(args: Vec<String>) -> Result<(), String> {
 
     let t0 = Instant::now();
     let store = IndexStore::open(&path).map_err(|e| format!("opening {path}: {e}"))?;
+    // A delta the graph refuses (self-loop, endpoint out of range) fails
+    // the script before the engine copies the graph and labels.
+    let n = store.graph().num_vertices();
+    for &delta in &deltas {
+        delta
+            .validate(n)
+            .map_err(|why| UpdateError::Invalid { delta, why }.to_string())?;
+    }
     let mut engine = UpdateEngine::from_store(
         &store,
         Some(std::path::PathBuf::from(&path)),
@@ -1333,10 +1404,25 @@ mod tests {
         Ok(pairs)
     }
 
+    /// The pairs `scan_reader` finds in `text`, which must be the same
+    /// for every buffer size: lines cut at a buffer edge, lines longer
+    /// than the buffer, and the whole text in one read.
     fn scan(text: &[u8], what: &str) -> Result<Vec<(usize, VertexId, VertexId)>, String> {
-        let mut pairs = Vec::new();
-        scan_pairs(text, what, |lineno, u, v| pairs.push((lineno, u, v)))?;
-        Ok(pairs)
+        let scan_in = |chunk: usize| {
+            let mut pairs = Vec::new();
+            scan_reader(
+                &mut std::io::Cursor::new(text),
+                what,
+                chunk,
+                |lineno, u, v| pairs.push((lineno, u, v)),
+            )
+            .map(|_| pairs)
+        };
+        let whole = scan_in(READ_CHUNK);
+        for chunk in [1, 2, 3, 5, 8, 13] {
+            assert_eq!(scan_in(chunk), whole, "{chunk}-byte buffer over {text:?}");
+        }
+        whole
     }
 
     fn parse(text: &str) -> Result<Vec<(VertexId, VertexId)>, String> {

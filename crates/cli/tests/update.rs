@@ -339,6 +339,39 @@ fn update_subcommand_rejects_bad_scripts_without_touching_the_file() {
     assert_eq!(std::fs::read(&live).expect("re-read"), before);
 }
 
+/// A script naming a delta the graph refuses is refused whole, after a
+/// valid delta before it and before the update engine is built, with the
+/// message the engine would give: the file is byte-unchanged.
+#[test]
+fn update_refuses_self_loops_and_out_of_range_deltas_before_repairing() {
+    let scratch = Scratch::new("refuse");
+    let graph = testkit::barabasi_albert(40, 3, 0x5E1F);
+    let live = build_index(&scratch, "live", &edge_list(&graph), 4);
+    let before = std::fs::read(&live).expect("read container");
+    let (a, b) = non_edge(&graph);
+
+    let cases = [
+        (
+            "self_loop",
+            format!("+{a} {b}\n+7 7\n"),
+            "error: applying +7 7: self-loop (7, 7) is not a valid edge\n",
+        ),
+        (
+            "out_of_range",
+            format!("+{a} {b}\n-3 40\n"),
+            "error: applying -3 40: vertex 40 out of range (graph has 40 vertices; the vertex \
+             set is fixed — growing it requires a rebuild)\n",
+        ),
+    ];
+    for (tag, script, message) in cases {
+        let script = scratch.file(&format!("{tag}.deltas"), &script);
+        let (status, stderr) = run_update(&live, &script, &[]);
+        assert_eq!(status.code(), Some(1), "{tag}: stderr {stderr}");
+        assert_eq!(stderr, message, "{tag}");
+        assert_eq!(std::fs::read(&live).expect("re-read"), before, "{tag}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // stdin serving: delta lines between queries, 1 worker ≡ N workers
 // ---------------------------------------------------------------------------

@@ -695,41 +695,44 @@ impl GraphBuilder {
         self
     }
 
-    /// Finalises the builder into an immutable CSR [`Graph`].
-    pub fn build(&self) -> Graph {
+    /// Finalises the builder into an immutable CSR [`Graph`], reusing its
+    /// edge buffer: the pairs are canonicalised and sorted in place, and
+    /// the adjacency rows come out sorted without sorting any row.
+    pub fn build(self) -> Graph {
         let n = self.num_vertices;
         // Canonicalise: drop self-loops, order endpoints, sort, dedup.
-        let mut canon: Vec<(VertexId, VertexId)> = self
-            .edges
-            .iter()
-            .filter(|&&(u, v)| u != v)
-            .map(|&(u, v)| if u <= v { (u, v) } else { (v, u) })
-            .collect();
-        canon.sort_unstable();
-        canon.dedup();
+        let mut edges = self.edges;
+        edges.retain_mut(|e| {
+            if e.0 > e.1 {
+                *e = (e.1, e.0);
+            }
+            e.0 != e.1
+        });
+        edges.sort_unstable();
+        edges.dedup();
 
-        let mut degrees = vec![0u64; n];
-        for &(u, v) in &canon {
-            degrees[u as usize] += 1;
-            degrees[v as usize] += 1;
+        // `offsets[w]` starts as the end of row `w` and serves as its
+        // descending cursor. Walking the sorted pairs in reverse hands
+        // each row its upper neighbours, then its lower ones, each in
+        // descending order, so filling every row from its end leaves it
+        // ascending — and leaves `offsets[w]` at the row's start.
+        let mut offsets = vec![0u64; n + 1];
+        for &(u, v) in &edges {
+            offsets[u as usize] += 1;
+            offsets[v as usize] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
         let mut acc = 0u64;
-        offsets.push(0);
-        for &d in &degrees {
-            acc += d;
-            offsets.push(acc);
+        for end in &mut offsets[..n] {
+            acc += *end;
+            *end = acc;
         }
-        let mut cursor: Vec<usize> = offsets[..n].iter().map(|&o| o as usize).collect();
+        offsets[n] = acc;
         let mut neighbors = vec![0 as VertexId; acc as usize];
-        for &(u, v) in &canon {
-            neighbors[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            neighbors[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
-        }
-        for v in 0..n {
-            neighbors[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable();
+        for &(u, v) in edges.iter().rev() {
+            offsets[u as usize] -= 1;
+            neighbors[offsets[u as usize] as usize] = v;
+            offsets[v as usize] -= 1;
+            neighbors[offsets[v as usize] as usize] = u;
         }
         Graph { offsets, neighbors }
     }

@@ -16,6 +16,12 @@
 //!   ranges; both element types accept any bit pattern, so the casts are
 //!   sound whenever alignment and length (checked by the format validator)
 //!   hold.
+//! * [`le_bytes`] is the other direction, for the writer: a `u32`/`u64`
+//!   slice viewed as its bytes on little-endian targets (every byte of
+//!   those types is initialised, and `u8` needs no alignment), an owned
+//!   little-endian copy elsewhere.
+
+use std::borrow::Cow;
 
 /// Read-only whole-file memory mapping (64-bit little-endian Unix only —
 /// the only platforms where the zero-copy serving path is enabled).
@@ -216,6 +222,52 @@ pub(crate) fn cast_u64s(bytes: &[u8]) -> &[u64] {
     mid
 }
 
+/// The fixed-width integers a container section holds.
+pub(crate) trait Word: Copy {
+    /// Appends the little-endian bytes of `self` to `out` (only the
+    /// big-endian copy in [`le_bytes`] needs it).
+    #[cfg_attr(target_endian = "little", allow(dead_code))]
+    fn extend_le(self, out: &mut Vec<u8>);
+}
+
+impl Word for u32 {
+    fn extend_le(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+}
+
+impl Word for u64 {
+    fn extend_le(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+}
+
+/// The little-endian bytes of `words`, as the container stores them: the
+/// slice itself viewed as bytes on little-endian targets, an owned copy
+/// elsewhere, so every writer has one path.
+pub(crate) fn le_bytes<T: Word>(words: &[T]) -> Cow<'_, [u8]> {
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: `Word` is implemented only for `u32` and `u64` (the trait
+        // is crate-private), which have no padding, so every byte of the
+        // slice is initialised; `u8` has alignment 1; the byte length is
+        // exactly the slice's size within its one allocation; and the
+        // result borrows `words`, so it cannot outlive them. On this target
+        // the in-memory order is the little-endian one the format stores.
+        Cow::Borrowed(unsafe {
+            std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), std::mem::size_of_val(words))
+        })
+    }
+    #[cfg(not(target_endian = "little"))]
+    {
+        let mut out = Vec::with_capacity(std::mem::size_of_val(words));
+        for &w in words {
+            w.extend_le(&mut out);
+        }
+        Cow::Owned(out)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,5 +287,28 @@ mod tests {
         let buf = AlignedBuf::copy_from(&[1, 0, 0, 0, 2, 0, 0, 0]);
         assert_eq!(cast_u32s(buf.bytes()), &[1, 2]);
         assert_eq!(cast_u64s(buf.bytes()), &[0x2_0000_0001]);
+    }
+
+    #[test]
+    fn byte_views_are_the_little_endian_encoding() {
+        let words32 = [0u32, 1, 0x0102_0304, u32::MAX, 0xDEAD_BEEF];
+        let words64 = [0u64, 1, 0x0102_0304_0506_0708, u64::MAX];
+        for len in 0..=words32.len() {
+            let expected: Vec<u8> = words32[..len]
+                .iter()
+                .flat_map(|w| w.to_le_bytes())
+                .collect();
+            assert_eq!(&*le_bytes(&words32[..len]), &expected[..]);
+        }
+        for len in 0..=words64.len() {
+            let expected: Vec<u8> = words64[..len]
+                .iter()
+                .flat_map(|w| w.to_le_bytes())
+                .collect();
+            assert_eq!(&*le_bytes(&words64[..len]), &expected[..]);
+        }
+        // A view starting mid-slice: only the element alignment holds.
+        let expected: Vec<u8> = words32[1..].iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(&*le_bytes(&words32[1..]), &expected[..]);
     }
 }

@@ -1,8 +1,10 @@
 //! Durable atomic publish with a dependency-free injectable I/O layer.
 //!
-//! Every save entry point in this crate funnels into [`publish_with`],
-//! which replaces the old write-temp-then-rename with a **durable
-//! publish**: the serialised container goes to a uniquely named temporary
+//! Every save entry point in this crate funnels into
+//! [`publish_slices_with`], which replaces the old write-temp-then-rename
+//! with a **durable publish**: the container's bytes — ordered slices, the
+//! header and table then each section straight from its array (see
+//! [`ImageParts`](crate::ImageParts)) — go to a uniquely named temporary
 //! sibling in the target's directory, the temp file is fsynced, renamed
 //! over the target, and finally the parent directory is fsynced so the
 //! rename itself survives a power cut. A crash at any point leaves the
@@ -11,15 +13,18 @@
 //! crashed publishes are swept on the next save to that path.
 //!
 //! ```text
-//! publish_with(path, bytes, io):
+//! publish_slices_with(path, slices, io):
 //!   sweep stale <path>.tmp.* siblings          (best effort)
 //!   tmp = <path>.tmp.<pid>.<counter>           (collision-proof name)
 //!   1. create-temp   File::create(tmp)
-//!   2. write-temp    write_all(bytes)
+//!   2. write-temp    write_all(slice) for each slice, in order
 //!   3. sync-temp     fsync(tmp)        — bytes durable before publish
 //!   4. rename        rename(tmp, path) — the atomic publish point
 //!   5. sync-dir      fsync(parent)     — the rename itself durable
 //! ```
+//!
+//! [`publish_with`] is the one-slice case, for a container already in
+//! memory.
 //!
 //! The I/O layer follows the same zero-cost discipline as `hcl-index`'s
 //! `Probe`: [`StoreIo::decide`] defaults to [`IoDecision::Proceed`] with
@@ -138,8 +143,9 @@ pub enum IoDecision {
     CrashBefore,
     /// Simulated power cut **during** [`PublishStep::WriteTemp`] or
     /// [`AppendStep::WriteFrame`] after this many bytes reached the file —
-    /// the torn-write case. At any other step it behaves like
-    /// [`IoDecision::CrashBefore`].
+    /// the torn-write case. A publish written in several slices keeps the
+    /// first `n` bytes of their concatenation. At any other step it
+    /// behaves like [`IoDecision::CrashBefore`].
     CrashDuring(usize),
     /// Simulated power cut immediately **after** the operation completes.
     CrashAfter,
@@ -355,7 +361,18 @@ fn publish_step<Io: StoreIo, T>(
     }
 }
 
-/// Durably publishes `bytes` at `path` through the injectable I/O layer.
+/// Durably publishes `bytes` at `path` through the injectable I/O layer:
+/// [`publish_slices_with`] with one slice.
+pub fn publish_with<Io: StoreIo>(
+    path: &Path,
+    bytes: &[u8],
+    io: &Io,
+) -> Result<PublishOutcome, StoreError> {
+    publish_slices_with(path, &[bytes], io)
+}
+
+/// Durably publishes the concatenation of `slices` at `path` through the
+/// injectable I/O layer, writing them in order without joining them.
 ///
 /// On [`PublishOutcome::Committed`] the new container is in place and
 /// durable. On [`StoreError::Publish`] the attempt was abandoned, its
@@ -364,9 +381,9 @@ fn publish_step<Io: StoreIo, T>(
 /// under fault simulation (see [`IoDecision`]); it deliberately leaves
 /// the partial on-disk state for the caller to inspect, exactly as a
 /// power cut would.
-pub fn publish_with<Io: StoreIo>(
+pub fn publish_slices_with<Io: StoreIo>(
     path: &Path,
-    bytes: &[u8],
+    slices: &[&[u8]],
     io: &Io,
 ) -> Result<PublishOutcome, StoreError> {
     sweep_stale_temps(path);
@@ -381,13 +398,17 @@ pub fn publish_with<Io: StoreIo>(
     };
 
     // 2. write-temp; a torn write leaves only a prefix before the cut.
-    let write = |cut: Option<usize>| match cut {
-        None => file.write_all(bytes),
-        Some(n) => {
-            file.write_all(&bytes[..n.min(bytes.len())])?;
-            let _ = sync_file(&file);
-            Ok(())
+    let write = |cut: Option<usize>| {
+        let mut left = cut.unwrap_or(usize::MAX);
+        for slice in slices {
+            let take = slice.len().min(left);
+            file.write_all(&slice[..take])?;
+            left -= take;
         }
+        if cut.is_some() {
+            let _ = sync_file(&file);
+        }
+        Ok(())
     };
     let Some(()) = publish_step(io, PublishStep::WriteTemp, &tmp, write)? else {
         return crashed(PublishStep::WriteTemp);

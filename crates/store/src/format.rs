@@ -104,10 +104,12 @@
 //! section-table geometry, then the semantic CSR/label invariants via
 //! `hcl-core`/`hcl-index`. After that, serving is pointer arithmetic.
 
+use crate::backing::le_bytes;
 use crate::checksum::{crc64_finish, crc64_init, crc64_update};
 use crate::error::StoreError;
 use hcl_core::{DeltaOp, EdgeDelta, Graph};
 use hcl_index::{HighwayCoverIndex, SelectionStrategy};
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// File magic: "HCLSTOR1".
@@ -495,38 +497,6 @@ impl Layout {
     }
 }
 
-enum Payload<'a> {
-    U32(&'a [u32]),
-    U64(&'a [u64]),
-}
-
-impl Payload<'_> {
-    fn byte_len(&self) -> usize {
-        match self {
-            Payload::U32(s) => s.len() * 4,
-            Payload::U64(s) => s.len() * 8,
-        }
-    }
-
-    /// Writes the little-endian bytes into `out`, which is exactly
-    /// [`byte_len`](Self::byte_len) long.
-    fn write_le(&self, out: &mut [u8]) {
-        debug_assert_eq!(out.len(), self.byte_len());
-        match self {
-            Payload::U32(s) => {
-                for (dst, v) in out.chunks_exact_mut(4).zip(*s) {
-                    dst.copy_from_slice(&v.to_le_bytes());
-                }
-            }
-            Payload::U64(s) => {
-                for (dst, v) in out.chunks_exact_mut(8).zip(*s) {
-                    dst.copy_from_slice(&v.to_le_bytes());
-                }
-            }
-        }
-    }
-}
-
 /// CRC-64 of the file with the header checksum field treated as zero.
 pub(crate) fn file_checksum(bytes: &[u8]) -> u64 {
     debug_assert!(bytes.len() >= HEADER_LEN);
@@ -535,6 +505,142 @@ pub(crate) fn file_checksum(bytes: &[u8]) -> u64 {
     state = crc64_update(state, &[0u8; 8]);
     state = crc64_update(state, &bytes[CHECKSUM_OFFSET + 8..]);
     crc64_finish(state)
+}
+
+/// A container laid out over the arrays it describes: the header and
+/// section table in a small buffer, then the rest of the file as ordered
+/// byte slices — each section's bytes, borrowed from the graph and index
+/// on little-endian targets, and the zero padding between sections.
+///
+/// [`image_parts`] makes one; [`serialize`] and friends concatenate it
+/// into an in-memory image, and
+/// [`durable::publish_slices_with`](crate::durable::publish_slices_with)
+/// writes it to a file without ever building that image.
+pub struct ImageParts<'a> {
+    /// Header and section table, checksum patched.
+    head: Vec<u8>,
+    /// Everything after the table, in file order.
+    body: Vec<Cow<'a, [u8]>>,
+    len: u64,
+    checksum: u64,
+}
+
+impl ImageParts<'_> {
+    /// The file's bytes as ordered slices: their concatenation is the
+    /// container.
+    pub fn slices(&self) -> Vec<&[u8]> {
+        std::iter::once(&self.head[..])
+            .chain(self.body.iter().map(|part| &part[..]))
+            .collect()
+    }
+
+    /// Length of the container in bytes.
+    pub fn len_bytes(&self) -> u64 {
+        self.len
+    }
+
+    /// The CRC-64 recorded in the header.
+    pub fn checksum(&self) -> u64 {
+        self.checksum
+    }
+
+    /// The container as one in-memory image.
+    pub fn to_vec(&self) -> Vec<u8> {
+        self.slices().concat()
+    }
+}
+
+/// Zero bytes the padding slices borrow: sections are 8-byte aligned, so
+/// a gap is at most 7 bytes.
+static PADDING: [u8; 8] = [0; 8];
+
+/// Lays a container out over `graph` and `index`, recording `build` in the
+/// header and adding the optional `build_stats` and `journal` sections.
+/// Only the header, the table and the two small optional sections are
+/// encoded; every other section is its array's bytes. The CRC is streamed
+/// over the slices and patched into the header before this returns.
+///
+/// Fails with [`StoreError::GraphIndexMismatch`] if the index was built for
+/// a different vertex count. The layout is deterministic: the same inputs
+/// always concatenate to byte-identical files.
+pub fn image_parts<'a>(
+    graph: &'a Graph,
+    index: &'a HighwayCoverIndex,
+    build: BuildInfo,
+    stats: Option<&StoredBuildStats>,
+    journal: Option<&StoredJournal>,
+) -> Result<ImageParts<'a>, StoreError> {
+    let gv = graph.as_view();
+    let iv = index.as_view();
+    if gv.num_vertices() != iv.num_vertices() {
+        return Err(StoreError::GraphIndexMismatch {
+            graph_vertices: gv.num_vertices(),
+            index_vertices: iv.num_vertices(),
+        });
+    }
+
+    // In `SECTION_TABLE` order.
+    let mut sections: Vec<(SectionKind, Cow<'a, [u8]>)> = vec![
+        (SectionKind::GraphOffsets, le_bytes(gv.csr_offsets())),
+        (SectionKind::GraphNeighbors, le_bytes(gv.csr_neighbors())),
+        (SectionKind::Landmarks, le_bytes(iv.landmarks())),
+        (SectionKind::LandmarkRank, le_bytes(iv.landmark_rank())),
+        (SectionKind::LabelOffsets, le_bytes(iv.label_offsets())),
+        (SectionKind::LabelEntries, le_bytes(iv.label_entries())),
+        (SectionKind::Highway, le_bytes(iv.highway())),
+    ];
+    let owned = |words: Vec<u64>| Cow::Owned(le_bytes(&words).into_owned());
+    if let Some(stats) = stats {
+        sections.push((SectionKind::BuildStats, owned(stats.encode())));
+    }
+    if let Some(journal) = journal {
+        sections.push((SectionKind::Journal, owned(journal.encode())));
+    }
+    let num_sections = sections.len();
+    let table_end = HEADER_LEN + num_sections * SECTION_ENTRY_LEN;
+    let mut head = vec![0u8; table_end];
+    let mut body = Vec::with_capacity(2 * num_sections);
+    let mut end = table_end;
+    for (i, (kind, bytes)) in sections.into_iter().enumerate() {
+        let offset = end.next_multiple_of(8);
+        if offset > end {
+            body.push(Cow::Borrowed(&PADDING[..offset - end]));
+        }
+        end = offset + bytes.len();
+        let at = HEADER_LEN + i * SECTION_ENTRY_LEN;
+        head[at..at + 4].copy_from_slice(&(kind as u32).to_le_bytes());
+        head[at + 4..at + 8].copy_from_slice(&kind.elem_size().to_le_bytes());
+        head[at + 8..at + 16].copy_from_slice(&(offset as u64).to_le_bytes());
+        head[at + 16..at + 24].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
+        body.push(bytes);
+    }
+
+    // Header; the checksum field stays zero until the CRC is in.
+    head[0..8].copy_from_slice(&MAGIC);
+    head[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    head[12..16].copy_from_slice(&(num_sections as u32).to_le_bytes());
+    head[16..24].copy_from_slice(&(end as u64).to_le_bytes());
+    head[32..40].copy_from_slice(&(gv.num_vertices() as u64).to_le_bytes());
+    head[40..48].copy_from_slice(&(gv.num_edges() as u64).to_le_bytes());
+    head[48..56].copy_from_slice(&(iv.num_landmarks() as u64).to_le_bytes());
+    head[56..64].copy_from_slice(&(iv.label_entries().len() as u64).to_le_bytes());
+    head[BUILD_META_OFFSET..BUILD_META_OFFSET + 4].copy_from_slice(&build.threads.to_le_bytes());
+    head[BUILD_META_OFFSET + 4..BUILD_META_OFFSET + 8]
+        .copy_from_slice(&build.batch_size.to_le_bytes());
+    // Bytes 72..96 stay zero (reserved).
+    let state = body
+        .iter()
+        .fold(crc64_update(crc64_init(), &head), |state, part| {
+            crc64_update(state, part)
+        });
+    let checksum = crc64_finish(state);
+    head[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&checksum.to_le_bytes());
+    Ok(ImageParts {
+        head,
+        body,
+        len: end as u64,
+        checksum,
+    })
 }
 
 /// Serialises a graph and its index into an in-memory `.hcl` container
@@ -556,7 +662,7 @@ pub fn serialize_with(
     index: &HighwayCoverIndex,
     build: BuildInfo,
 ) -> Result<Vec<u8>, StoreError> {
-    serialize_sections(graph, index, build, None, None)
+    Ok(image_parts(graph, index, build, None, None)?.to_vec())
 }
 
 /// Serialises a graph, its index, and a delta journal into a container.
@@ -572,7 +678,7 @@ pub fn serialize_with_journal(
     build: BuildInfo,
     journal: &StoredJournal,
 ) -> Result<Vec<u8>, StoreError> {
-    serialize_sections(graph, index, build, None, Some(&journal.encode()))
+    Ok(image_parts(graph, index, build, None, Some(journal))?.to_vec())
 }
 
 /// Serialises a graph and its index (current version) with the build's
@@ -587,86 +693,7 @@ pub fn serialize_with_stats(
     build: BuildInfo,
     stats: &StoredBuildStats,
 ) -> Result<Vec<u8>, StoreError> {
-    serialize_sections(graph, index, build, Some(&stats.encode()), None)
-}
-
-fn serialize_sections(
-    graph: &Graph,
-    index: &HighwayCoverIndex,
-    build: BuildInfo,
-    stats: Option<&[u64]>,
-    journal: Option<&[u64]>,
-) -> Result<Vec<u8>, StoreError> {
-    let gv = graph.as_view();
-    let iv = index.as_view();
-    if gv.num_vertices() != iv.num_vertices() {
-        return Err(StoreError::GraphIndexMismatch {
-            graph_vertices: gv.num_vertices(),
-            index_vertices: iv.num_vertices(),
-        });
-    }
-
-    // In `SECTION_TABLE` order.
-    let mut parts: Vec<(SectionKind, Payload<'_>)> = vec![
-        (SectionKind::GraphOffsets, Payload::U64(gv.csr_offsets())),
-        (
-            SectionKind::GraphNeighbors,
-            Payload::U32(gv.csr_neighbors()),
-        ),
-        (SectionKind::Landmarks, Payload::U32(iv.landmarks())),
-        (SectionKind::LandmarkRank, Payload::U32(iv.landmark_rank())),
-        (SectionKind::LabelOffsets, Payload::U64(iv.label_offsets())),
-        (SectionKind::LabelEntries, Payload::U64(iv.label_entries())),
-        (SectionKind::Highway, Payload::U32(iv.highway())),
-    ];
-    if let Some(words) = stats {
-        parts.push((SectionKind::BuildStats, Payload::U64(words)));
-    }
-    if let Some(words) = journal {
-        parts.push((SectionKind::Journal, Payload::U64(words)));
-    }
-    let num_sections = parts.len();
-    // Lay the sections out first, so the image is allocated once at its
-    // final size, already zeroed for the padding and the checksum field.
-    let table_end = HEADER_LEN + num_sections * SECTION_ENTRY_LEN;
-    let mut entries: Vec<(SectionKind, u64, u64)> = Vec::with_capacity(num_sections);
-    let mut end = table_end;
-    for (kind, payload) in &parts {
-        let offset = end.next_multiple_of(8);
-        end = offset + payload.byte_len();
-        entries.push((*kind, offset as u64, payload.byte_len() as u64));
-    }
-    let mut out = vec![0u8; end];
-    for ((_, payload), &(_, offset, len)) in parts.iter().zip(&entries) {
-        payload.write_le(&mut out[offset as usize..(offset + len) as usize]);
-    }
-
-    // Section table.
-    for (i, (kind, offset, len)) in entries.iter().enumerate() {
-        let at = HEADER_LEN + i * SECTION_ENTRY_LEN;
-        out[at..at + 4].copy_from_slice(&(*kind as u32).to_le_bytes());
-        out[at + 4..at + 8].copy_from_slice(&kind.elem_size().to_le_bytes());
-        out[at + 8..at + 16].copy_from_slice(&offset.to_le_bytes());
-        out[at + 16..at + 24].copy_from_slice(&len.to_le_bytes());
-    }
-
-    // Header (checksum patched last).
-    out[0..8].copy_from_slice(&MAGIC);
-    out[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out[12..16].copy_from_slice(&(num_sections as u32).to_le_bytes());
-    let total_len = out.len() as u64;
-    out[16..24].copy_from_slice(&total_len.to_le_bytes());
-    out[32..40].copy_from_slice(&(gv.num_vertices() as u64).to_le_bytes());
-    out[40..48].copy_from_slice(&(gv.num_edges() as u64).to_le_bytes());
-    out[48..56].copy_from_slice(&(iv.num_landmarks() as u64).to_le_bytes());
-    out[56..64].copy_from_slice(&(iv.label_entries().len() as u64).to_le_bytes());
-    out[BUILD_META_OFFSET..BUILD_META_OFFSET + 4].copy_from_slice(&build.threads.to_le_bytes());
-    out[BUILD_META_OFFSET + 4..BUILD_META_OFFSET + 8]
-        .copy_from_slice(&build.batch_size.to_le_bytes());
-    // Bytes 72..96 stay zero (reserved).
-    let crc = file_checksum(&out);
-    out[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&crc.to_le_bytes());
-    Ok(out)
+    Ok(image_parts(graph, index, build, Some(stats), None)?.to_vec())
 }
 
 /// Recomputes and patches the header checksum of a serialised container.

@@ -57,11 +57,12 @@
 //! heap buffer that [`IndexStore::open`] reads the file into, and
 //! [`IndexStore::from_bytes`] copies an in-memory image into one.
 #![deny(missing_docs)]
-// The unsafe in this crate lives in `backing.rs` (mmap FFI and the
-// aligned-buffer casts) and `checksum.rs` (the carry-less CRC kernel's
-// feature-checked call and unaligned 16-byte loads); inside an unsafe fn
-// every unsafe operation must still be in an explicit `unsafe {}` block
-// with its own SAFETY comment.
+// The unsafe in this crate lives in `backing.rs` (mmap FFI, the
+// aligned-buffer casts and the writer's little-endian byte view) and
+// `checksum.rs` (the carry-less CRC kernel's feature-checked call and
+// unaligned 16-byte loads); inside an unsafe fn every unsafe operation
+// must still be in an explicit `unsafe {}` block with its own SAFETY
+// comment.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod backing;
@@ -77,9 +78,9 @@ pub use checksum::{crc64, crc64_kernel};
 pub use engine::{Published, UpdateEngine, UpdateError, UpdatePhases};
 pub use error::StoreError;
 pub use format::{
-    rewrite_checksum, serialize, serialize_with, serialize_with_journal, serialize_with_stats,
-    BuildInfo, SectionInfo, StoreMeta, StoredBuildStats, StoredJournal, FORMAT_VERSION, HEADER_LEN,
-    MAGIC,
+    image_parts, rewrite_checksum, serialize, serialize_with, serialize_with_journal,
+    serialize_with_stats, BuildInfo, ImageParts, SectionInfo, StoreMeta, StoredBuildStats,
+    StoredJournal, FORMAT_VERSION, HEADER_LEN, MAGIC,
 };
 pub use generation::{Generation, GenerationHandle};
 pub use tail::{encode_tail_frame, AppendOutcome, JournalWriter, TailInfo};
@@ -104,9 +105,10 @@ pub fn save(
     save_with(path, graph, index, BuildInfo::default())
 }
 
-/// Serialises `graph` and `index` — recording `build` (builder threads
-/// and group width) in the container header — and writes them to
-/// `path` atomically: the bytes go to a temporary sibling file which is
+/// Lays `graph` and `index` out as a container — recording `build`
+/// (builder threads and group width) in the header — and writes it to
+/// `path` atomically, section by section straight from the arrays (no
+/// in-memory image): the bytes go to a temporary sibling file which is
 /// then renamed over the target, so a concurrent reader either sees the
 /// old complete container or the new one — never a truncated half-write,
 /// and a process already serving the old file via mmap keeps its mapping
@@ -118,18 +120,18 @@ pub fn save_with(
     index: &HighwayCoverIndex,
     build: BuildInfo,
 ) -> Result<u64, StoreError> {
-    let path = path.as_ref();
-    let bytes = serialize_with(graph, index, build)?;
-    write_atomically(path, &bytes)?;
-    Ok(bytes.len() as u64)
+    let image = image_parts(graph, index, build, None, None)?;
+    write_atomically(path.as_ref(), &image)?;
+    Ok(image.len_bytes())
 }
 
 /// Durable write-to-temporary-then-rename (temp fsync, rename, directory
-/// fsync — see [`durable`]), shared by every save entry point.
-fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+/// fsync — see [`durable`]) of a laid-out container, shared by every save
+/// entry point.
+fn write_atomically(path: &Path, image: &ImageParts<'_>) -> Result<(), StoreError> {
     // `SystemIo` proceeds at every step, so the outcome is always
     // `Committed`; the `Crashed` arm only exists for fault simulators.
-    durable::publish_with(path, bytes, &durable::SystemIo).map(|_| ())
+    durable::publish_slices_with(path, &image.slices(), &durable::SystemIo).map(|_| ())
 }
 
 /// What [`compact_file`] did, for logging and `inspect`-style tooling.
@@ -174,12 +176,12 @@ pub fn compact_file(path: impl AsRef<Path>) -> Result<CompactReport, StoreError>
         deltas: Vec::new(),
         compactions: journal.compactions + 1,
     };
-    let bytes = serialize_with_journal(&graph, &index, meta.build, &compacted)?;
-    write_atomically(path, &bytes)?;
+    let image = image_parts(&graph, &index, meta.build, None, Some(&compacted))?;
+    write_atomically(path, &image)?;
     Ok(CompactReport {
         deltas_compacted: journal.len(),
         bytes_before: store.len_bytes(),
-        bytes_after: bytes.len() as u64,
+        bytes_after: image.len_bytes(),
         compactions: compacted.compactions,
     })
 }

@@ -18,7 +18,7 @@
 use crate::checksum::{crc64_finish, crc64_init, crc64_update};
 use crate::durable::{self, AppendStep, IoDecision, PublishOutcome, StoreIo, SystemIo};
 use crate::error::StoreError;
-use crate::format::{decode_delta, encode_delta, serialize_with_journal, StoredJournal, MAGIC};
+use crate::format::{decode_delta, encode_delta, image_parts, StoredJournal, MAGIC};
 use crate::{Base, IndexStore, OpenPhases, ReplayedState};
 use hcl_core::{EdgeDelta, FrozenGraph, Graph};
 use hcl_index::{FrozenIndex, HighwayCoverIndex};
@@ -447,17 +447,25 @@ impl JournalWriter {
             deltas: Vec::new(),
             compactions: self.journal.compactions + 1,
         };
-        let bytes = serialize_with_journal(graph, index, self.base.layout.meta.build, &compacted)?;
+        let image = image_parts(
+            graph,
+            index,
+            self.base.layout.meta.build,
+            None,
+            Some(&compacted),
+        )?;
         // The append handle points at the inode the rename unlinks.
         self.file = None;
         let store = match &self.path {
             Some(path) => {
-                if let PublishOutcome::Crashed(_) = durable::publish_with(path, &bytes, io)? {
+                let slices = image.slices();
+                if let PublishOutcome::Crashed(_) = durable::publish_slices_with(path, &slices, io)?
+                {
                     return Ok(None);
                 }
                 IndexStore::open(path)?
             }
-            None => IndexStore::from_bytes(&bytes)?,
+            None => IndexStore::from_bytes(&image.to_vec())?,
         };
         *self = Self::new(&store, self.path.take());
         Ok(Some(store))

@@ -19,21 +19,30 @@
 //! densify the torn-write cut positions from a handful of landmarks to a
 //! sweep across the whole payload.
 
-use hcl_core::{testkit, EdgeDelta};
+use hcl_core::{testkit, EdgeDelta, Graph};
 use hcl_index::{HighwayCoverIndex, IndexConfig};
 use hcl_store::durable::{
-    publish_with, AppendStep, IoDecision, PublishOutcome, PublishStep, StoreIo, SystemIo,
+    publish_slices_with, publish_with, AppendStep, IoDecision, PublishOutcome, PublishStep,
+    StoreIo, SystemIo,
 };
-use hcl_store::{AppendOutcome, IndexStore, JournalWriter, StoreError};
+use hcl_store::{
+    AppendOutcome, BuildInfo, IndexStore, JournalWriter, StoreError, StoredBuildStats,
+};
 use std::cell::Cell;
 use std::path::{Path, PathBuf};
+
+/// A sample graph on `n` vertices and its index with `k` landmarks.
+fn sample(n: usize, k: usize) -> (Graph, HighwayCoverIndex) {
+    let g = testkit::barabasi_albert(n, 3, 4);
+    let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: k });
+    (g, idx)
+}
 
 /// Serialised container with `k` landmarks over the shared sample graph;
 /// distinct `k` values make the old/new survivors distinguishable both
 /// byte-wise and through [`IndexStore::meta`].
 fn container(k: usize) -> Vec<u8> {
-    let g = testkit::barabasi_albert(80, 3, 4);
-    let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: k });
+    let (g, idx) = sample(80, k);
     hcl_store::serialize(&g, &idx).expect("serialize")
 }
 
@@ -138,30 +147,36 @@ fn assert_trichotomy(target: &Path, old: &[u8], new: &[u8], schedule: &str) {
     }
 }
 
-/// The full schedule sweep: every step × {fail, crash-before, crash-after},
-/// then recovery — a clean publish over the survivor must commit, sweep
-/// stale temps, and open as the new container.
-#[test]
-fn every_fault_schedule_leaves_old_new_or_typed_error() {
-    let old = container(4);
-    let new = container(8);
+/// A clean I/O layer of the same type as the faulty ones.
+const PROCEED: FaultAt = FaultAt {
+    step: PublishStep::CreateTemp,
+    decision: IoDecision::Proceed,
+};
 
+/// Publishes the new container at a path through a fault schedule: in one
+/// slice, or in the slices of its layout.
+type Publish<'a> = &'a dyn Fn(&Path, &FaultAt) -> Result<PublishOutcome, StoreError>;
+
+/// Every step × {fail, crash-before, crash-after} against `publish`, then
+/// recovery — a clean publish over the survivor must commit, sweep stale
+/// temps, and leave exactly `new`.
+fn sweep_every_schedule(tag: &str, old: &[u8], new: &[u8], publish: Publish<'_>) {
     for step in PublishStep::ALL {
         for decision in [
             IoDecision::Fail,
             IoDecision::CrashBefore,
             IoDecision::CrashAfter,
         ] {
-            let schedule = format!("{decision:?}@{}", step.name());
-            let scratch = Scratch::new(&format!("sweep_{}_{decision:?}", step.name()));
+            let schedule = format!("{tag}: {decision:?}@{}", step.name());
+            let scratch = Scratch::new(&format!("{tag}_sweep_{}_{decision:?}", step.name()));
             let target = scratch.target();
             assert!(matches!(
-                publish_with(&target, &old, &SystemIo),
+                publish_with(&target, old, &SystemIo),
                 Ok(PublishOutcome::Committed)
             ));
 
             let io = FaultAt { step, decision };
-            match publish_with(&target, &new, &io) {
+            match publish(&target, &io) {
                 Err(StoreError::Publish {
                     step: failed,
                     source,
@@ -187,12 +202,12 @@ fn every_fault_schedule_leaves_old_new_or_typed_error() {
                 }
             }
 
-            assert_trichotomy(&target, &old, &new, &schedule);
+            assert_trichotomy(&target, old, new, &schedule);
 
             // Power-cut schedules may strand a temp; the next save to the
             // path must sweep it and publish cleanly.
             assert!(matches!(
-                publish_with(&target, &new, &SystemIo),
+                publish(&target, &PROCEED),
                 Ok(PublishOutcome::Committed)
             ));
             assert_eq!(
@@ -209,10 +224,65 @@ fn every_fault_schedule_leaves_old_new_or_typed_error() {
     }
 }
 
-/// Torn writes: the power cut lands mid-`write-temp`, so only a prefix of
-/// the payload reaches the temp file. The target must keep serving the old
-/// container byte-identically, and the stranded torn temp — were anyone to
-/// open it directly — must be a typed error, not accepted garbage.
+/// The full schedule sweep over a publish of one slice.
+#[test]
+fn every_fault_schedule_leaves_old_new_or_typed_error() {
+    let old = container(4);
+    let new = container(8);
+    sweep_every_schedule("whole", &old, &new, &|target, io| {
+        publish_with(target, &new, io)
+    });
+}
+
+/// Power cuts mid-`write-temp` after each of `cuts` bytes of `new`. The
+/// target must keep serving the old container byte-identically, and the
+/// stranded torn temp — were anyone to open it directly — must hold
+/// exactly the prefix and be a typed error, not accepted garbage.
+fn sweep_torn_writes(tag: &str, old: &[u8], new: &[u8], cuts: &[usize], publish: Publish<'_>) {
+    let scratch = Scratch::new(&format!("{tag}_torn"));
+    let target = scratch.target();
+    for &cut in cuts {
+        let schedule = format!("{tag}: cut at {cut}");
+        assert!(matches!(
+            publish_with(&target, old, &SystemIo),
+            Ok(PublishOutcome::Committed)
+        ));
+        let io = FaultAt {
+            step: PublishStep::WriteTemp,
+            decision: IoDecision::CrashDuring(cut),
+        };
+        assert_eq!(
+            publish(&target, &io).unwrap(),
+            PublishOutcome::Crashed(PublishStep::WriteTemp),
+            "{schedule}"
+        );
+        // The target never saw the torn bytes.
+        assert_eq!(std::fs::read(&target).unwrap(), old, "{schedule}");
+        assert_trichotomy(&target, old, new, &schedule);
+
+        // The stranded temp holds exactly the prefix; opening it directly
+        // is the would-be disaster of a non-atomic writer, and it must be
+        // a typed error (`cut == new.len()` never happens: strict prefix).
+        let stranded = temps(&target);
+        assert_eq!(stranded.len(), 1, "{schedule}: exactly one torn temp");
+        let torn = std::fs::read(&stranded[0]).unwrap();
+        assert_eq!(&torn, &new[..cut], "{schedule}: temp holds the prefix");
+        assert!(
+            IndexStore::open(&stranded[0]).is_err(),
+            "{schedule}: torn prefix must not open"
+        );
+
+        // Recovery sweeps the stranded temp.
+        assert!(matches!(
+            publish(&target, &PROCEED),
+            Ok(PublishOutcome::Committed)
+        ));
+        assert_eq!(temps(&target), Vec::<PathBuf>::new(), "{schedule}");
+    }
+}
+
+/// Torn writes of a publish of one slice: the power cut lands
+/// mid-`write-temp`, so only a prefix of the payload reaches the temp file.
 #[test]
 fn torn_write_prefixes_never_reach_the_target() {
     let old = container(4);
@@ -226,46 +296,52 @@ fn torn_write_prefixes_never_reach_the_target() {
     } else {
         vec![0, 1, 8, 24, new.len() / 2, new.len() - 1]
     };
+    sweep_torn_writes("whole", &old, &new, &cuts, &|target, io| {
+        publish_with(target, &new, io)
+    });
+}
 
-    let scratch = Scratch::new("torn");
-    let target = scratch.target();
-    for cut in cuts {
-        assert!(matches!(
-            publish_with(&target, &old, &SystemIo),
-            Ok(PublishOutcome::Committed)
-        ));
-        let io = FaultAt {
-            step: PublishStep::WriteTemp,
-            decision: IoDecision::CrashDuring(cut),
-        };
-        assert_eq!(
-            publish_with(&target, &new, &io).unwrap(),
-            PublishOutcome::Crashed(PublishStep::WriteTemp),
-            "cut at {cut}"
-        );
-        // The target never saw the torn bytes.
-        assert_eq!(std::fs::read(&target).unwrap(), old, "cut at {cut}");
-        assert_trichotomy(&target, &old, &new, &format!("torn@{cut}"));
+/// `publish_slices_with` over a container's layout — header and table,
+/// then each section and padding gap as its own slice — replays both
+/// sweeps: every step's schedules, and torn writes cut inside every slice
+/// and on both sides of, and exactly on, every slice edge. An odd vertex
+/// count leaves `landmark_rank` 4 bytes short of alignment, so one slice
+/// is padding.
+#[test]
+fn a_publish_in_slices_keeps_the_trichotomy() {
+    let old = container(4);
+    let (g, idx) = sample(81, 8);
+    let stats = StoredBuildStats {
+        bfs_visits: 1,
+        label_insertions: 2,
+        dominated: 3,
+        landmark_labels: vec![1; 8],
+    };
+    let image = hcl_store::image_parts(&g, &idx, BuildInfo::default(), Some(&stats), None)
+        .expect("lay out");
+    let slices = image.slices();
+    let new = image.to_vec();
+    assert_eq!(slices.len(), 10, "head, 8 sections, 1 padding gap");
+    assert!(slices.contains(&&[0u8; 4][..]), "a padding slice");
+    assert_eq!(
+        new,
+        hcl_store::serialize_with_stats(&g, &idx, BuildInfo::default(), &stats).unwrap()
+    );
+    let publish = |target: &Path, io: &FaultAt| publish_slices_with(target, &slices, io);
 
-        // The stranded temp holds exactly the prefix; opening it directly
-        // is the would-be disaster of a non-atomic writer, and it must be
-        // a typed error (`cut == new.len()` never happens: strict prefix).
-        let stranded = temps(&target);
-        assert_eq!(stranded.len(), 1, "cut at {cut}: exactly one torn temp");
-        let torn = std::fs::read(&stranded[0]).unwrap();
-        assert_eq!(&torn, &new[..cut], "cut at {cut}: temp holds the prefix");
-        assert!(
-            IndexStore::open(&stranded[0]).is_err(),
-            "cut at {cut}: torn prefix must not open"
-        );
+    sweep_every_schedule("sliced", &old, &new, &publish);
 
-        // Recovery sweeps the stranded temp.
-        assert!(matches!(
-            publish_with(&target, &new, &SystemIo),
-            Ok(PublishOutcome::Committed)
-        ));
-        assert_eq!(temps(&target), Vec::<PathBuf>::new(), "cut at {cut}");
+    let mut cuts = vec![0];
+    let mut edge = 0;
+    for slice in &slices {
+        cuts.push(edge + slice.len() / 2);
+        edge += slice.len();
+        cuts.extend([edge - 1, edge, edge + 1]);
     }
+    cuts.retain(|&cut| cut < new.len());
+    cuts.sort_unstable();
+    cuts.dedup();
+    sweep_torn_writes("sliced", &old, &new, &cuts, &publish);
 }
 
 /// The old `write_atomically` used `.tmp.<pid>` alone, so two same-process

@@ -234,7 +234,8 @@ fn concat(image: &[u8], frames: &[&[u8]]) -> Vec<u8> {
 /// open's — the same metadata, or the same typed error — although
 /// `verify_file` stops before anything is replayed.
 fn assert_verify_file_agrees(bytes: &[u8], opened: &Result<IndexStore, StoreError>, what: &str) {
-    let path = tempdir().join("verify.hcl");
+    let dir = tempdir();
+    let path = dir.join("verify.hcl");
     std::fs::write(&path, bytes).unwrap();
     let verdict = hcl_store::verify_file(&path);
     let expected = opened.as_ref().map(IndexStore::meta);
@@ -525,13 +526,29 @@ fn writer_appends_frames_and_stamps_the_generation_a_reopen_would_produce() {
     assert_eq!(IndexStore::open(&path).unwrap().tail().frames, 1);
 }
 
-/// Minimal per-test temp dir (no external tempfile dependency).
-fn tempdir() -> std::path::PathBuf {
+/// A per-call temp dir (no external tempfile dependency), removed on
+/// drop. The counter keeps two dirs alive in one thread apart.
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn join(&self, name: &str) -> std::path::PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+fn tempdir() -> TempDir {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "hcl-journal-test-{}-{:?}",
+        "hcl-journal-test-{}-{}",
         std::process::id(),
-        std::thread::current().id()
+        NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TempDir(dir)
 }

@@ -323,3 +323,61 @@ fn v5_build_stats_round_trip_and_optionality() {
     drop(opened);
     std::fs::remove_file(&path).ok();
 }
+
+/// The layout the writers publish slice by slice is the in-memory image:
+/// on every family, with and without landmarks and with each optional
+/// section, the slices concatenate to exactly the `serialize_*` bytes,
+/// and the CRC streamed over them is the CRC-64 of the image with its
+/// checksum field zeroed — the one in the header.
+#[test]
+fn image_slices_concatenate_to_the_serialised_image() {
+    let journal = hcl_store::StoredJournal {
+        deltas: vec![hcl_core::EdgeDelta::insert(0, 1)],
+        compactions: 3,
+    };
+    for (name, g) in testkit::families() {
+        for k in [0usize, 3, 16] {
+            let (idx, stats) = HighwayCoverIndex::build_with_stats(
+                &g,
+                &BuildOptions {
+                    num_landmarks: k,
+                    ..BuildOptions::default()
+                },
+                None,
+            );
+            let stats = hcl_store::StoredBuildStats::from_build(&stats);
+            let info = hcl_store::BuildInfo {
+                batch_size: 64,
+                ..hcl_store::BuildInfo::default()
+            };
+            let cases = [
+                (
+                    "stats",
+                    hcl_store::image_parts(&g, &idx, info, Some(&stats), None),
+                    hcl_store::serialize_with_stats(&g, &idx, info, &stats),
+                ),
+                (
+                    "journal",
+                    hcl_store::image_parts(&g, &idx, info, None, Some(&journal)),
+                    hcl_store::serialize_with_journal(&g, &idx, info, &journal),
+                ),
+                (
+                    "plain",
+                    hcl_store::image_parts(&g, &idx, info, None, None),
+                    hcl_store::serialize_with(&g, &idx, info),
+                ),
+            ];
+            for (what, image, bytes) in cases {
+                let tag = format!("{name} k={k} {what}");
+                let (image, bytes) = (image.expect("lay out"), bytes.expect("serialise"));
+                assert_eq!(image.slices().concat(), bytes, "{tag}");
+                assert_eq!(image.to_vec(), bytes, "{tag}");
+                assert_eq!(image.len_bytes(), bytes.len() as u64, "{tag}");
+                let mut zeroed = bytes.clone();
+                zeroed[24..32].fill(0);
+                assert_eq!(image.checksum(), hcl_store::crc64(&zeroed), "{tag}");
+                assert_eq!(bytes[24..32], image.checksum().to_le_bytes(), "{tag}");
+            }
+        }
+    }
+}
