@@ -312,6 +312,39 @@ fn update_subcommand_round_trips_and_compacts() {
 }
 
 #[test]
+fn compact_file_writes_what_update_compact_writes() {
+    let scratch = Scratch::new("compact_same");
+    let graph = testkit::barabasi_albert(300, 3, 0xC0DE);
+    let live = build_index(&scratch, "live", &edge_list(&graph), 8);
+    // Inserts and a delete, so the journal replays both repairs.
+    let (a, b) = non_edge(&graph);
+    let c = graph.num_vertices() as u32 - 1;
+    let d = graph.neighbors(c)[0];
+    let e = (0..c).find(|&w| w != d && !graph.has_edge(c, w)).unwrap();
+    let script = scratch.file("mixed.deltas", &format!("+{a} {b}\n-{c} {d}\n+{c} {e}\n"));
+    let (status, stderr) = run_update(&live, &script, &[]);
+    assert!(status.success(), "update failed: {stderr}");
+    assert!(inspect(&live).contains("3 pending delta(s)"));
+
+    let (by_library, by_cli) = (scratch.path("library.hcl"), scratch.path("cli.hcl"));
+    std::fs::copy(&live, &by_library).expect("copy container");
+    std::fs::copy(&live, &by_cli).expect("copy container");
+    let report = hcl_store::compact_file(&by_library).expect("compact_file");
+    let nothing = scratch.file("nothing.deltas", "");
+    let (status, stderr) = run_update(&by_cli, &nothing, &["--compact"]);
+    assert!(status.success(), "compacting update failed: {stderr}");
+
+    let (library, cli) = (
+        std::fs::read(&by_library).expect("read compacted"),
+        std::fs::read(&by_cli).expect("read compacted"),
+    );
+    assert!(library == cli, "compact_file and update --compact differ");
+    assert_eq!(report.deltas_compacted, 3);
+    assert_eq!(report.bytes_after, library.len() as u64);
+    assert_eq!(report.compactions, 1);
+}
+
+#[test]
 fn update_subcommand_rejects_bad_scripts_without_touching_the_file() {
     let scratch = Scratch::new("strict");
     let graph = testkit::barabasi_albert(40, 3, 0xBAD);

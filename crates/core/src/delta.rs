@@ -956,6 +956,43 @@ mod tests {
     }
 
     #[test]
+    fn every_row_source_reads_the_overlay_alike() {
+        use crate::graph::{FlatRows, Rows};
+        for (name, g) in testkit::families() {
+            let n = g.num_vertices() as u64;
+            let mut d = DeltaGraph::new(g.as_view());
+            let mut rng = testkit::SplitMix64::new(0x70 ^ n);
+            for _ in 0..(2 * n) {
+                let (u, v) = (rng.next_below(n) as VertexId, rng.next_below(n) as VertexId);
+                if u != v {
+                    let edit = if d.has_edge(u, v) {
+                        EdgeDelta::delete(u, v)
+                    } else {
+                        EdgeDelta::insert(u, v)
+                    };
+                    d.apply(edit).unwrap();
+                }
+            }
+            let spliced = d.to_graph();
+            let view = spliced.as_view();
+            let flat = FlatRows::new(spliced.csr_offsets(), spliced.csr_neighbors());
+            let rows = d.num_vertices();
+            assert_eq!(spliced.num_vertices(), rows, "{name}");
+            assert_eq!(view.num_vertices(), rows, "{name}");
+            assert_eq!(spliced.csr_offsets().len() - 1, rows, "{name}");
+            for v in 0..rows as VertexId {
+                let row = d.neighbors(v);
+                assert_eq!(spliced.neighbors(v), row, "{name}: row {v}");
+                assert_eq!(view.row(v), row, "{name}: row {v}");
+                assert_eq!(flat.row(v), row, "{name}: row {v}");
+                let from = bfs::distances_from(&d, v);
+                assert_eq!(bfs::distances_from(&spliced, v), from, "{name}: from {v}");
+                assert_eq!(bfs::distances_from(view, v), from, "{name}: from {v}");
+            }
+        }
+    }
+
+    #[test]
     fn bfs_oracles_run_over_the_overlay() {
         let g = testkit::path(6); // 0-1-2-3-4-5
         let mut d = DeltaGraph::new(g.as_view());

@@ -432,7 +432,7 @@ fn join_workers<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Vec<T> {
 mod tests {
     use super::{join_workers, label, GroupSweep, WIDTH};
     use crate::build::rank_table;
-    use hcl_core::{bfs, testkit, Graph};
+    use hcl_core::{bfs, testkit, DeltaGraph, Graph};
 
     /// Asserts that `group` expanded each vertex once per distinct distance
     /// from its roots — neither the order a level is put in nor the
@@ -508,6 +508,36 @@ mod tests {
                     assert_eq!(pulled > 0, pulls, "{tag}: {pulled} pulled");
                     assert_expands_each_distance_once(&tag, &g, &landmarks, group);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn an_unedited_overlay_sweeps_like_its_bare_arrays() {
+        // Same arrays, and the same push / pull and bitmap / sort choices
+        // level by level: a delete's relabel over the overlay is a build.
+        for g in [
+            testkit::barabasi_albert(2_000, 5, 3),
+            testkit::broom(1_000, 3, 1_500, 23),
+            testkit::grid(4, 500),
+        ] {
+            let overlay = DeltaGraph::new(g.as_view());
+            for k in [16, 65] {
+                let landmarks = g.top_k_by_degree(k);
+                let rank = rank_table(&landmarks, g.num_vertices());
+                let bare = label(g.as_view().into(), &landmarks, &rank, &mut []);
+                let over = label((&overlay).into(), &landmarks, &rank, &mut []);
+                assert_eq!(over.label_offsets, bare.label_offsets, "k={k}");
+                assert_eq!(over.label_entries, bare.label_entries, "k={k}");
+                assert_eq!(over.highway, bare.highway, "k={k}");
+                assert_eq!(over.landmark_labels, bare.landmark_labels, "k={k}");
+                let counters = |s: &GroupSweep| {
+                    let levels = (s.levels, s.dense_levels, s.pulled_levels);
+                    (s.start, levels, s.activations, s.arrivals, s.entries)
+                };
+                let over: Vec<_> = over.groups.iter().map(counters).collect();
+                let bare: Vec<_> = bare.groups.iter().map(counters).collect();
+                assert_eq!(over, bare, "k={k}");
             }
         }
     }
