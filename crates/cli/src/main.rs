@@ -766,11 +766,9 @@ impl Source {
                     false,
                 )?;
                 eprint!("{}", built.report);
-                let image = built.image()?.to_vec();
-                // The image is all the open needs: free the built arrays
-                // before it is copied into the store's aligned buffer.
-                drop(built);
-                IndexStore::from_bytes(&image)
+                // Gathered straight from the built arrays into the store's
+                // aligned buffer: the image is never joined.
+                IndexStore::from_slices(&built.image()?.slices())
                     .map_err(|e| format!("re-opening built index image: {e}"))
             }
             (Some(_), Some(g)) => Err(format!(
@@ -880,31 +878,22 @@ fn collect_queries(args: &Args, n: usize) -> Result<Workload, String> {
                 .collect(),
         });
     }
-    let mut pairs = Vec::new();
-    if let Some(path) = args.value("--queries") {
-        scan_reader(&mut open_input(path)?, path, READ_CHUNK, |lineno, u, v| {
-            pairs.push((lineno, u, v))
-        })?;
-        return Ok(Workload {
-            source: path.to_string(),
-            pairs,
-        });
-    }
-    let stdin = std::io::stdin();
-    if stdin.is_terminal() {
-        eprintln!("reading queries from stdin: one `u v` pair per line, Ctrl-D to finish");
-    }
-    let mut input = stdin.lock();
-    let mut line = String::new();
-    let mut lineno = 0;
-    while next_line(&mut input, &mut line).map_err(|e| format!("reading stdin: {e}"))? {
-        lineno += 1;
-        if let Some((u, v)) = parse_pair_line(&line, "stdin", lineno)? {
-            pairs.push((lineno, u, v));
+    let (mut input, source): (Box<dyn Read>, &str) = match args.value("--queries") {
+        Some(path) => (Box::new(open_input(path)?), path),
+        None => {
+            let stdin = std::io::stdin();
+            if stdin.is_terminal() {
+                eprintln!("reading queries from stdin: one `u v` pair per line, Ctrl-D to finish");
+            }
+            (Box::new(stdin.lock()), "stdin")
         }
-    }
+    };
+    let mut pairs = Vec::new();
+    scan_reader(&mut input, source, READ_CHUNK, |lineno, u, v| {
+        pairs.push((lineno, u, v))
+    })?;
     Ok(Workload {
-        source: "stdin".into(),
+        source: source.to_string(),
         pairs,
     })
 }

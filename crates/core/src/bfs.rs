@@ -4,14 +4,12 @@
 //! ground truth that the hub-labelling index is property-tested against, and
 //! as the fallback search primitive inside the query engine.
 //!
-//! Both oracles accept anything convertible to a
-//! [`DynGraphView`] — an owned `&Graph`, a borrowed
-//! [`GraphView`](crate::GraphView) over a memory-mapped store, or a
-//! [`DeltaGraph`](crate::DeltaGraph) edit overlay — so verification works
-//! identically on every backing, frozen or dynamic.
+//! Both oracles read their rows through [`Rows`] — an owned `&Graph`, a
+//! borrowed [`GraphView`](crate::GraphView) over a memory-mapped store, or
+//! a `&`[`DeltaGraph`](crate::DeltaGraph) edit overlay — so verification
+//! works identically on every backing, frozen or dynamic.
 
-use crate::delta::DynGraphView;
-use crate::graph::{VertexId, INFINITY};
+use crate::graph::{Rows, VertexId, INFINITY};
 use std::collections::VecDeque;
 
 /// Observation hooks for BFS-shaped traversals.
@@ -106,8 +104,7 @@ impl BfsScratch {
 ///
 /// # Panics
 /// Panics if `src` is out of range.
-pub fn distances_from<'a>(graph: impl Into<DynGraphView<'a>>, src: VertexId) -> Vec<u32> {
-    let graph = graph.into();
+pub fn distances_from<'a>(graph: impl Rows<'a, VertexId>, src: VertexId) -> Vec<u32> {
     let mut scratch = BfsScratch::new();
     distances_from_with(graph, src, &mut scratch);
     scratch.dist
@@ -124,7 +121,7 @@ pub fn distances_from<'a>(graph: impl Into<DynGraphView<'a>>, src: VertexId) -> 
 /// # Panics
 /// Panics if `src` is out of range.
 pub fn distances_from_with<'a>(
-    graph: impl Into<DynGraphView<'a>>,
+    graph: impl Rows<'a, VertexId>,
     src: VertexId,
     scratch: &mut BfsScratch,
 ) {
@@ -138,21 +135,20 @@ pub fn distances_from_with<'a>(
 /// # Panics
 /// Panics if `src` is out of range.
 pub fn distances_from_probed<'a, P: BfsProbe>(
-    graph: impl Into<DynGraphView<'a>>,
+    graph: impl Rows<'a, VertexId>,
     src: VertexId,
     scratch: &mut BfsScratch,
     probe: &mut P,
 ) {
-    let graph = graph.into();
     scratch.reset();
-    scratch.ensure_capacity(graph.num_vertices());
+    scratch.ensure_capacity(graph.num_rows());
     scratch.dist[src as usize] = 0;
     scratch.touched.push(src);
     scratch.queue.push_back(src);
     while let Some(u) = scratch.queue.pop_front() {
         probe.bfs_node_expanded();
         let du = scratch.dist[u as usize];
-        for &w in graph.neighbors(u) {
+        for &w in graph.row(u) {
             if scratch.dist[w as usize] == INFINITY {
                 scratch.dist[w as usize] = du + 1;
                 scratch.touched.push(w);
@@ -169,7 +165,7 @@ pub fn distances_from_probed<'a, P: BfsProbe>(
 ///
 /// # Panics
 /// Panics if `u` or `v` is out of range.
-pub fn distance<'a>(graph: impl Into<DynGraphView<'a>>, u: VertexId, v: VertexId) -> Option<u32> {
+pub fn distance<'a>(graph: impl Rows<'a, VertexId>, u: VertexId, v: VertexId) -> Option<u32> {
     distance_with(graph, u, v, &mut BfsScratch::new())
 }
 
@@ -179,24 +175,23 @@ pub fn distance<'a>(graph: impl Into<DynGraphView<'a>>, u: VertexId, v: VertexId
 /// # Panics
 /// Panics if `u` or `v` is out of range.
 pub fn distance_with<'a>(
-    graph: impl Into<DynGraphView<'a>>,
+    graph: impl Rows<'a, VertexId>,
     u: VertexId,
     v: VertexId,
     scratch: &mut BfsScratch,
 ) -> Option<u32> {
-    let graph = graph.into();
-    assert!((v as usize) < graph.num_vertices(), "vertex out of range");
+    assert!((v as usize) < graph.num_rows(), "vertex out of range");
     if u == v {
         return Some(0);
     }
     scratch.reset();
-    scratch.ensure_capacity(graph.num_vertices());
+    scratch.ensure_capacity(graph.num_rows());
     scratch.dist[u as usize] = 0;
     scratch.touched.push(u);
     scratch.queue.push_back(u);
     while let Some(x) = scratch.queue.pop_front() {
         let dx = scratch.dist[x as usize];
-        for &w in graph.neighbors(x) {
+        for &w in graph.row(x) {
             if scratch.dist[w as usize] == INFINITY {
                 if w == v {
                     // Leave the partial search on the touched-list; the next

@@ -23,15 +23,14 @@
 //! as a patched [`GraphView`]. Freezing costs `O(rows patched + n / 64)`,
 //! whatever the size of the base.
 //!
-//! [`DynGraphView`] is the enum-dispatched view unifying both worlds: the
-//! BFS oracles in [`crate::bfs`] accept `impl Into<DynGraphView>` and run
-//! unchanged over a frozen CSR or a base+delta overlay. The vertex set is
-//! fixed: deltas add and remove *edges* between existing vertices (the
-//! serving path's containers pin `n` at build time); growing the vertex
-//! set remains a rebuild.
+//! `&DeltaGraph` implements [`Rows`], so the BFS oracles in [`crate::bfs`]
+//! and every other traversal run unchanged over a frozen CSR or a
+//! base+delta overlay. The vertex set is fixed: deltas add and remove
+//! *edges* between existing vertices (the serving path's containers pin
+//! `n` at build time); growing the vertex set remains a rebuild.
 
 use crate::bitset::DenseBitSet;
-use crate::graph::{Graph, GraphView, VertexId};
+use crate::graph::{Graph, GraphView, Rows, VertexId};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -417,7 +416,7 @@ impl FrozenGraph {
 /// Edits are applied with [`DeltaGraph::apply`]; adjacency reads come
 /// back as plain sorted slices (overlay copies for patched vertices, the
 /// base CSR for everyone else), so the overlay plugs into every traversal
-/// through [`DynGraphView`] without changing its inner loop. Materialise
+/// through [`Rows`] without changing its inner loop. Materialise
 /// with [`DeltaGraph::to_graph`] once a batch of edits settles.
 pub struct DeltaGraph<'a> {
     base: GraphView<'a>,
@@ -549,9 +548,21 @@ impl<'a> DeltaGraph<'a> {
         Graph::from_csr_trusted(offsets, neighbors)
     }
 
-    /// A borrowed enum view of this overlay for the traversal APIs.
-    pub fn as_dyn_view(&self) -> DynGraphView<'_> {
-        DynGraphView::Delta(self)
+    /// The overlay itself, kept only because the frozen harness names it
+    /// (ROADMAP 1(c)): `&DeltaGraph` is what the traversal APIs take.
+    pub fn as_dyn_view(&self) -> &Self {
+        self
+    }
+}
+
+impl<'a> Rows<'a, VertexId> for &'a DeltaGraph<'_> {
+    #[inline]
+    fn row(self, v: VertexId) -> &'a [VertexId] {
+        self.neighbors(v)
+    }
+
+    fn num_rows(self) -> usize {
+        self.num_vertices()
     }
 }
 
@@ -587,75 +598,6 @@ impl DeltaPatches {
             base: Arc::clone(base),
             patches: (!self.is_empty()).then(|| self.patched.freeze(base.csr_offsets())),
         }
-    }
-}
-
-/// The enum-dispatched graph view: a frozen CSR or a base+delta overlay.
-///
-/// `Copy`, like [`GraphView`]. Every BFS oracle in [`crate::bfs`] takes
-/// `impl Into<DynGraphView>`, so owned graphs, mmap'd views, and delta
-/// overlays all run through one traversal implementation; the only cost
-/// is one predictable match per adjacency fetch.
-#[derive(Clone, Copy)]
-pub enum DynGraphView<'a> {
-    /// A frozen CSR graph.
-    Csr(GraphView<'a>),
-    /// A base CSR plus an edit overlay.
-    Delta(&'a DeltaGraph<'a>),
-}
-
-impl<'a> DynGraphView<'a> {
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> usize {
-        match self {
-            DynGraphView::Csr(g) => g.num_vertices(),
-            DynGraphView::Delta(d) => d.num_vertices(),
-        }
-    }
-
-    /// Number of undirected edges.
-    pub fn num_edges(&self) -> usize {
-        match self {
-            DynGraphView::Csr(g) => g.num_edges(),
-            DynGraphView::Delta(d) => d.num_edges(),
-        }
-    }
-
-    /// The sorted neighbour list of `v`.
-    ///
-    /// # Panics
-    /// Panics if `v` is out of range.
-    pub fn neighbors(&self, v: VertexId) -> &'a [VertexId] {
-        match self {
-            DynGraphView::Csr(g) => g.neighbors(v),
-            DynGraphView::Delta(d) => d.neighbors(v),
-        }
-    }
-
-    /// Whether `u` and `v` are adjacent.
-    ///
-    /// # Panics
-    /// Panics if `u` is out of range.
-    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.neighbors(u).binary_search(&v).is_ok()
-    }
-}
-
-impl<'a> From<GraphView<'a>> for DynGraphView<'a> {
-    fn from(g: GraphView<'a>) -> Self {
-        DynGraphView::Csr(g)
-    }
-}
-
-impl<'a> From<&'a Graph> for DynGraphView<'a> {
-    fn from(g: &'a Graph) -> Self {
-        DynGraphView::Csr(g.as_view())
-    }
-}
-
-impl<'a> From<&'a DeltaGraph<'a>> for DynGraphView<'a> {
-    fn from(d: &'a DeltaGraph<'a>) -> Self {
-        DynGraphView::Delta(d)
     }
 }
 
@@ -976,18 +918,20 @@ mod tests {
             let spliced = d.to_graph();
             let view = spliced.as_view();
             let flat = FlatRows::new(spliced.csr_offsets(), spliced.csr_neighbors());
-            let rows = d.num_vertices();
-            assert_eq!(spliced.num_vertices(), rows, "{name}");
-            assert_eq!(view.num_vertices(), rows, "{name}");
-            assert_eq!(spliced.csr_offsets().len() - 1, rows, "{name}");
+            let rows = (&d).num_rows();
+            assert_eq!(rows, d.num_vertices(), "{name}");
+            assert_eq!((&spliced).num_rows(), rows, "{name}");
+            assert_eq!(view.num_rows(), rows, "{name}");
+            assert_eq!(flat.num_rows(), rows, "{name}");
             for v in 0..rows as VertexId {
-                let row = d.neighbors(v);
-                assert_eq!(spliced.neighbors(v), row, "{name}: row {v}");
+                let row = (&d).row(v);
+                assert_eq!((&spliced).row(v), row, "{name}: row {v}");
                 assert_eq!(view.row(v), row, "{name}: row {v}");
                 assert_eq!(flat.row(v), row, "{name}: row {v}");
                 let from = bfs::distances_from(&d, v);
                 assert_eq!(bfs::distances_from(&spliced, v), from, "{name}: from {v}");
                 assert_eq!(bfs::distances_from(view, v), from, "{name}: from {v}");
+                assert_eq!(bfs::distances_from(flat, v), from, "{name}: from {v}");
             }
         }
     }

@@ -19,12 +19,13 @@
 //!   generation, see [`FrozenGraph`](crate::FrozenGraph)); every accessor
 //!   except the raw-array ones sees the patches.
 //!
-//! Every algorithm (BFS oracle, index build, query engine) is written
-//! against [`GraphView`]; `Graph` methods delegate through
-//! [`Graph::as_view`], so owned and mapped graphs behave identically. A hot
-//! loop that wants no per-row patch test reads through the [`Rows`] trait,
-//! which [`FlatRows`] (bare arrays) and [`GraphView`] (patch-aware) both
-//! implement, so one generic body compiles to both.
+//! `Graph` methods delegate through [`Graph::as_view`], so owned and
+//! mapped graphs behave identically. Every traversal (BFS oracle, index
+//! build, query engine) reads its rows through the [`Rows`] trait, which
+//! [`FlatRows`] and `&Graph` (bare arrays), [`GraphView`] (patch-aware)
+//! and `&DeltaGraph` (an edit overlay) implement, so one generic body
+//! compiles to each and a loop over bare arrays pays no per-row patch
+//! test.
 //!
 //! Offsets are stored as `u64` (not `usize`) so the in-memory layout matches
 //! the on-disk little-endian format exactly, making the borrowed view a
@@ -134,16 +135,20 @@ impl fmt::Display for CsrError {
 impl std::error::Error for CsrError {}
 
 /// Where a traversal reads the rows of a CSR array from: bare arrays
-/// ([`FlatRows`]) or arrays under an overlay of replacement rows (a patched
-/// [`GraphView`], `hcl-index`'s patched label views). A body generic over
-/// `Rows` runs the bare slice arithmetic when handed [`FlatRows`] — no
-/// per-row patch test — and the patch-aware lookup otherwise.
+/// ([`FlatRows`], `&Graph`) or arrays under an overlay of replacement
+/// rows (a patched [`GraphView`], a [`DeltaGraph`](crate::DeltaGraph),
+/// `hcl-index`'s patched label views). A body generic over `Rows` runs the
+/// bare slice arithmetic when handed bare arrays — no per-row patch test —
+/// and the patch-aware lookup otherwise.
 pub trait Rows<'a, T: 'a>: Copy {
     /// The items of row `r`.
     ///
     /// # Panics
     /// Panics if `r` is out of range.
     fn row(self, r: VertexId) -> &'a [T];
+
+    /// The number of rows: the vertex count of an adjacency.
+    fn num_rows(self) -> usize;
 }
 
 /// The rows of bare CSR arrays: `offsets[r]..offsets[r + 1]` of `items`.
@@ -208,6 +213,10 @@ impl<'a, T: Copy + 'a> Rows<'a, T> for FlatRows<'a, T> {
     fn row(self, r: VertexId) -> &'a [T] {
         let r = r as usize;
         &self.items[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+    }
+
+    fn num_rows(self) -> usize {
+        self.offsets.len() - 1
     }
 }
 
@@ -551,6 +560,10 @@ impl<'a> Rows<'a, VertexId> for GraphView<'a> {
     fn row(self, v: VertexId) -> &'a [VertexId] {
         self.neighbors(v)
     }
+
+    fn num_rows(self) -> usize {
+        self.num_vertices()
+    }
 }
 
 /// An immutable unweighted, undirected simple graph in CSR form.
@@ -651,6 +664,18 @@ impl Graph {
     /// The raw concatenated neighbour array, e.g. for serialisation.
     pub fn csr_neighbors(&self) -> &[VertexId] {
         &self.neighbors
+    }
+}
+
+/// An owned graph's rows are its bare arrays: no patch test.
+impl<'a> Rows<'a, VertexId> for &'a Graph {
+    #[inline]
+    fn row(self, v: VertexId) -> &'a [VertexId] {
+        FlatRows::new(&self.offsets, &self.neighbors).row(v)
+    }
+
+    fn num_rows(self) -> usize {
+        self.offsets.len() - 1
     }
 }
 

@@ -28,9 +28,9 @@
 //!   the frozen CSR, [`delta::CsrPatches`], the row-keyed overlay it (and
 //!   `hcl-index`'s editable labels) splice back into a fresh CSR or freeze
 //!   into a shareable [`delta::FrozenPatches`] (a [`delta::FrozenGraph`]
-//!   serves a base CSR under one), and
-//!   [`delta::DynGraphView`], the enum-dispatched view the BFS oracles
-//!   accept so traversals run over base+delta unchanged.
+//!   serves a base CSR under one); `&DeltaGraph` reads its rows through
+//!   the same [`graph::Rows`] trait as every CSR, so traversals run over
+//!   base+delta unchanged.
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
@@ -44,7 +44,7 @@ pub mod testkit;
 pub use bfs::{BfsProbe, NoProbe};
 pub use bitset::DenseBitSet;
 pub use delta::{
-    CsrPatches, DeltaError, DeltaGraph, DeltaOp, DeltaPatches, DynGraphView, EdgeDelta,
-    FrozenGraph, FrozenPatches,
+    CsrPatches, DeltaError, DeltaGraph, DeltaOp, DeltaPatches, EdgeDelta, FrozenGraph,
+    FrozenPatches,
 };
 pub use graph::{CsrError, FlatRows, Graph, GraphBuilder, GraphView, Rows, VertexId, INFINITY};

@@ -34,10 +34,10 @@ mod sweep;
 use crate::select::SelectionStrategy;
 use crate::view::IndexView;
 use hcl_core::bfs::BfsScratch;
-use hcl_core::{Graph, VertexId};
+use hcl_core::{Graph, Rows, VertexId};
 use std::time::Instant;
 
-pub(crate) use sweep::label;
+use sweep::label;
 
 /// Sentinel rank for vertices that are not landmarks.
 pub(crate) const NOT_A_LANDMARK: u32 = u32::MAX;
@@ -329,9 +329,11 @@ impl HighwayCoverIndex {
 
     /// Labels `graph` for a caller-supplied landmark list, in rank order
     /// (rank 0 first), reusing caller-owned worker scratch. This is the
-    /// one explicit-landmark entry point: a repair that keeps its
+    /// one explicit-landmark entry point: a delete's relabel runs it over
+    /// the edited overlay (`&DeltaGraph`), a repair that keeps its
     /// landmarks compares against it, and repeated builds amortise their
-    /// allocations through it.
+    /// allocations through it. `graph` is any [`Rows`] source; an owned
+    /// `&Graph` is swept over its bare arrays.
     ///
     /// One worker runs per context, so `contexts.len()` is the thread
     /// count here, capped at the number of sweep groups (extra workers
@@ -342,7 +344,11 @@ impl HighwayCoverIndex {
     /// Panics with a message naming the problem if `landmarks` has more
     /// entries than `graph` has vertices, names a vertex out of range, or
     /// names one vertex twice.
-    pub fn build_in(graph: &Graph, landmarks: &[VertexId], contexts: &mut [BuildContext]) -> Self {
+    pub fn build_in<'g>(
+        graph: impl Rows<'g, VertexId> + Send,
+        landmarks: &[VertexId],
+        contexts: &mut [BuildContext],
+    ) -> Self {
         Self::build_observed(graph, landmarks, contexts, &mut BuildStats::default(), None)
     }
 
@@ -352,16 +358,15 @@ impl HighwayCoverIndex {
     /// un-instrumented entries hand in a throwaway — the bookkeeping is a
     /// handful of timestamps and counter folds per sweep *group*);
     /// `progress` streams per-phase lines when given.
-    fn build_observed(
-        graph: &Graph,
+    fn build_observed<'g>(
+        graph: impl Rows<'g, VertexId> + Send,
         landmarks: &[VertexId],
         contexts: &mut [BuildContext],
         stats: &mut BuildStats,
         mut progress: Option<&mut dyn FnMut(String)>,
     ) -> Self {
         let t_total = Instant::now();
-        let graph = graph.as_view();
-        let landmark_rank = rank_table(landmarks, graph.num_vertices());
+        let landmark_rank = rank_table(landmarks, graph.num_rows());
         let k = landmarks.len();
         // Contexts beyond the group count could never receive work; cap
         // the pool so no idle worker threads get spawned.
@@ -372,12 +377,7 @@ impl HighwayCoverIndex {
             }
         };
 
-        let swept = label(
-            graph.into(),
-            landmarks,
-            &landmark_rank,
-            &mut contexts[..workers],
-        );
+        let swept = label(graph, landmarks, &landmark_rank, &mut contexts[..workers]);
         for (number, group) in swept.groups.iter().enumerate() {
             stats.batch_us.push(group.us);
             stats.bfs_visits += group.arrivals;

@@ -59,7 +59,7 @@
 
 use super::{BuildContext, NOT_A_LANDMARK};
 use crate::view::pack_label_entry;
-use hcl_core::{DynGraphView, VertexId, INFINITY};
+use hcl_core::{Rows, VertexId, INFINITY};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::ScopedJoinHandle;
 use std::time::Instant;
@@ -135,15 +135,15 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 }
 
 /// Sweeps the group of landmarks starting at rank `start`.
-fn sweep_group(
-    graph: DynGraphView<'_>,
+fn sweep_group<'g>(
+    graph: impl Rows<'g, VertexId>,
     landmarks: &[VertexId],
     landmark_rank: &[u32],
     start: usize,
     scratch: &mut SweepScratch,
 ) -> GroupSweep {
     let t = Instant::now();
-    let (n, k) = (graph.num_vertices(), landmarks.len());
+    let (n, k) = (graph.num_rows(), landmarks.len());
     let group = &landmarks[start..(start + WIDTH).min(k)];
     let SweepScratch {
         cells,
@@ -177,11 +177,12 @@ fn sweep_group(
     }
     let full = u64::MAX >> (WIDTH - group.len());
     // Adjacency entries of the vertices some search has not reached yet.
-    let mut unsaturated = 2 * graph.num_edges();
-    let max_degree = (0..n as VertexId)
-        .map(|v| graph.neighbors(v).len())
-        .max()
-        .unwrap_or(0);
+    let (mut unsaturated, mut max_degree) = (0, 0);
+    for v in 0..n as VertexId {
+        let degree = graph.row(v).len();
+        unsaturated += degree;
+        max_degree = max_degree.max(degree);
+    }
     let mut pulled = false;
     let mut depth = 0u32;
     while !arriving.is_empty() {
@@ -206,7 +207,7 @@ fn sweep_group(
             let new = std::mem::take(&mut cell.next);
             cell.seen |= new;
             if cell.seen == full {
-                unsaturated -= graph.neighbors(w).len();
+                unsaturated -= graph.row(w).len();
             }
             cell.frontier = new;
             out.arrivals += u64::from(new.count_ones());
@@ -239,7 +240,7 @@ fn sweep_group(
         // level whose rows cannot add up to the pull's cost skips the sum.
         let pull_work = (unsaturated + n) / 2;
         pulled = active.len().saturating_mul(max_degree) > pull_work
-            && pull_work < active.iter().map(|&x| graph.neighbors(x).len()).sum();
+            && pull_work < active.iter().map(|&x| graph.row(x).len()).sum();
         if pulled {
             out.pulled_levels += 1;
             for w in 0..n {
@@ -248,7 +249,7 @@ fn sweep_group(
                     continue;
                 }
                 let (mut f, mut c) = (0, 0);
-                for &x in graph.neighbors(w as VertexId) {
+                for &x in graph.row(w as VertexId) {
                     let cx = &cells[x as usize];
                     f |= cx.frontier;
                     c |= cx.frontier & cx.cov;
@@ -269,7 +270,7 @@ fn sweep_group(
                 let cell = &mut cells[x as usize];
                 let f = std::mem::take(&mut cell.frontier);
                 let c = cell.cov & f;
-                for &w in graph.neighbors(x) {
+                for &w in graph.row(x) {
                     let cell = &mut cells[w as usize];
                     let new = f & !cell.seen;
                     if new != 0 {
@@ -311,8 +312,8 @@ pub(crate) struct Labelling {
 /// Groups share nothing, and the fill visits them in rank order, so the
 /// result does not depend on how many contexts there are or on how the
 /// workers were scheduled.
-pub(crate) fn label(
-    graph: DynGraphView<'_>,
+pub(super) fn label<'g>(
+    graph: impl Rows<'g, VertexId> + Send,
     landmarks: &[VertexId],
     landmark_rank: &[u32],
     contexts: &mut [BuildContext],
@@ -354,7 +355,7 @@ pub(crate) fn label(
     };
 
     let t = Instant::now();
-    let n = graph.num_vertices();
+    let n = graph.num_rows();
     let mut label_offsets = Vec::with_capacity(n + 1);
     let mut total = 0u64;
     label_offsets.push(total);
@@ -475,7 +476,7 @@ mod tests {
         for k in [16, 65] {
             let landmarks = g.top_k_by_degree(k);
             let rank = rank_table(&landmarks, g.num_vertices());
-            let swept = label(g.as_view().into(), &landmarks, &rank, &mut []);
+            let swept = label(&g, &landmarks, &rank, &mut []);
             for group in &swept.groups {
                 let (dense, levels) = (group.dense_levels, group.levels);
                 assert!(
@@ -501,7 +502,7 @@ mod tests {
             for k in [16, 65] {
                 let landmarks = g.top_k_by_degree(k);
                 let rank = rank_table(&landmarks, g.num_vertices());
-                let swept = label(g.as_view().into(), &landmarks, &rank, &mut []);
+                let swept = label(&g, &landmarks, &rank, &mut []);
                 for group in &swept.groups {
                     let tag = format!("{name} k={k} group {}", group.start);
                     let pulled = group.pulled_levels;
@@ -525,8 +526,8 @@ mod tests {
             for k in [16, 65] {
                 let landmarks = g.top_k_by_degree(k);
                 let rank = rank_table(&landmarks, g.num_vertices());
-                let bare = label(g.as_view().into(), &landmarks, &rank, &mut []);
-                let over = label((&overlay).into(), &landmarks, &rank, &mut []);
+                let bare = label(&g, &landmarks, &rank, &mut []);
+                let over = label(&overlay, &landmarks, &rank, &mut []);
                 assert_eq!(over.label_offsets, bare.label_offsets, "k={k}");
                 assert_eq!(over.label_entries, bare.label_entries, "k={k}");
                 assert_eq!(over.highway, bare.highway, "k={k}");

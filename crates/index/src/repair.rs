@@ -22,7 +22,8 @@
 //! a fresh copy of the base arrays (each clean run of vertices one copy,
 //! its offsets shifted) and adopts the result as the new base; when no
 //! repair wrote anything since the last flatten it hands back the same
-//! `Arc`. A delete's relabel adopts the builder sweep's arrays as the base
+//! `Arc`. A delete's relabel adopts what
+//! [`HighwayCoverIndex::build_in`] returns over the overlay as the base
 //! directly.
 //!
 //! The repair contract is **answer identity, and near byte identity**:
@@ -128,21 +129,20 @@
 //! endpoint depths differ (by 1, since the edge existed), so landmark `i`
 //! is affected iff `da[i] ≠ db[i]`; an empty affected set costs nothing.
 //! Otherwise the post-edit graph is labelled afresh for the same landmark
-//! set by the builder's own sweep — labels and every highway row in one
-//! pass — whose arrays become the new base as they come out of it, with
-//! no unpacking; so after a delete the index *is* a fresh build's. The asymmetry
-//! with insertion is load bearing: a deletion *grows* distances, which can
-//! silently break the coverage of an *unaffected* landmark whose cover
-//! routed through an affected hub, and entries that were exact become too
-//! small — (U) fails — so neither "only the affected trees" nor "only
-//! tighten" is sound. A decremental partial repair is future work; until
+//! set by [`HighwayCoverIndex::build_in`] over the overlay — labels and
+//! every highway row in one pass — and the index it returns becomes the
+//! new base, with no unpacking; so after a delete the index *is* a fresh
+//! build's. The asymmetry with insertion is load bearing: a deletion
+//! *grows* distances, which can silently break the coverage of an
+//! *unaffected* landmark whose cover routed through an affected hub, and
+//! entries that were exact become too small — (U) fails — so neither
+//! "only the affected trees" nor "only tighten" is sound. A decremental partial repair is future work; until
 //! then a delete costs a build minus selection.
 
-use crate::build::{self, sat_add, BuildContext, HighwayCoverIndex, NOT_A_LANDMARK};
+use crate::build::{sat_add, BuildContext, HighwayCoverIndex, NOT_A_LANDMARK};
 use crate::view::{entry_dist, entry_hub, pack_label_entry, IndexView};
 use hcl_core::{
-    CsrPatches, DeltaError, DeltaGraph, DeltaOp, DynGraphView, EdgeDelta, FrozenPatches, VertexId,
-    INFINITY,
+    CsrPatches, DeltaError, DeltaGraph, DeltaOp, EdgeDelta, FrozenPatches, VertexId, INFINITY,
 };
 use std::sync::Arc;
 
@@ -384,10 +384,9 @@ impl DynamicIndex {
         let applied = graph.apply(delta)?;
         debug_assert!(applied, "membership probe and apply disagreed");
 
-        let view = graph.as_dyn_view();
         Ok(match delta.op {
-            DeltaOp::Insert => self.repair_insert(view, (delta.u, delta.v), &da, &db, cx),
-            DeltaOp::Delete => self.repair_delete(view, &da, &db, cx),
+            DeltaOp::Insert => self.repair_insert(graph, (delta.u, delta.v), &da, &db, cx),
+            DeltaOp::Delete => self.repair_delete(graph, &da, &db, cx),
         })
     }
 
@@ -407,7 +406,7 @@ impl DynamicIndex {
     /// the module docs. Reads and writes only the affected set.
     fn repair_insert(
         &mut self,
-        graph: DynGraphView<'_>,
+        graph: &DeltaGraph<'_>,
         (a, b): (VertexId, VertexId),
         da: &[u32],
         db: &[u32],
@@ -513,12 +512,13 @@ impl DynamicIndex {
     }
 
     /// The delete branch: if any landmark is affected, relabel the
-    /// post-edit graph for the same landmarks with the builder's sweep (see
-    /// the module docs for why nothing less is sound) and adopt the sweep's
-    /// arrays as the new base, pending edits and all superseded.
+    /// post-edit graph for the same landmarks with
+    /// [`HighwayCoverIndex::build_in`] (see the module docs for why nothing
+    /// less is sound) and adopt the result as the new base, pending edits
+    /// and all superseded.
     fn repair_delete(
         &mut self,
-        graph: DynGraphView<'_>,
+        graph: &DeltaGraph<'_>,
         da: &[u32],
         db: &[u32],
         cx: &mut BuildContext,
@@ -535,15 +535,9 @@ impl DynamicIndex {
             };
         }
 
-        let (landmarks, landmark_rank) = (&self.base.landmarks, &self.base.landmark_rank);
-        let swept = build::label(graph, landmarks, landmark_rank, std::slice::from_mut(cx));
-        self.base = Arc::new(HighwayCoverIndex {
-            landmarks: landmarks.clone(),
-            landmark_rank: landmark_rank.clone(),
-            label_offsets: swept.label_offsets,
-            label_entries: swept.label_entries,
-            highway: swept.highway,
-        });
+        let landmarks = &self.base.landmarks;
+        let relabelled = HighwayCoverIndex::build_in(graph, landmarks, std::slice::from_mut(cx));
+        self.base = Arc::new(relabelled);
         self.labels = CsrPatches::new(self.num_vertices());
         self.highway = None;
 

@@ -512,6 +512,10 @@ impl<'a> Rows<'a, u64> for IndexView<'a> {
     fn row(self, v: VertexId) -> &'a [u64] {
         self.packed_label(v)
     }
+
+    fn num_rows(self) -> usize {
+        self.num_vertices()
+    }
 }
 
 impl<'a> From<&'a HighwayCoverIndex> for IndexView<'a> {

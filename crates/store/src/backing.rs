@@ -118,27 +118,33 @@ pub(crate) mod mmap {
 }
 
 /// Bytes stored inside a `Vec<u64>`, guaranteeing the 8-byte base alignment
-/// the zero-copy slice casts rely on. Construction is fully safe (chunked
-/// `u64::from_le_bytes`); on the little-endian hosts the format serves,
-/// [`AlignedBuf::bytes`] reproduces the input bytes exactly.
+/// the zero-copy slice casts rely on. Filled by one byte copy into zeroed
+/// words, so [`AlignedBuf::bytes`] reproduces the input bytes exactly.
 pub(crate) struct AlignedBuf {
     words: Vec<u64>,
     len: usize,
 }
 
 impl AlignedBuf {
-    /// Copies `bytes` into an aligned buffer.
-    pub(crate) fn copy_from(bytes: &[u8]) -> Self {
-        let mut words = Vec::with_capacity(bytes.len().div_ceil(8));
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            words.push(u64::from_le_bytes(word));
-        }
+    /// A buffer of `len` zero bytes.
+    fn zeroed(len: usize) -> Self {
         Self {
-            words,
-            len: bytes.len(),
+            words: vec![0u64; len.div_ceil(8)],
+            len,
         }
+    }
+
+    /// Copies the concatenation of `slices` into an aligned buffer, each
+    /// slice straight to its place: no joined intermediate.
+    pub(crate) fn gather(slices: &[&[u8]]) -> Self {
+        let mut buf = Self::zeroed(slices.iter().map(|s| s.len()).sum());
+        let mut rest = buf.bytes_mut();
+        for slice in slices {
+            let (head, tail) = rest.split_at_mut(slice.len());
+            head.copy_from_slice(slice);
+            rest = tail;
+        }
+        buf
     }
 
     /// Reads exactly `len` bytes from `reader` straight into an aligned
@@ -146,13 +152,17 @@ impl AlignedBuf {
     /// container on the heap path costs peak memory of the file size, not
     /// twice it.
     pub(crate) fn read_from(reader: &mut impl std::io::Read, len: usize) -> std::io::Result<Self> {
-        let mut words = vec![0u64; len.div_ceil(8)];
+        let mut buf = Self::zeroed(len);
+        reader.read_exact(buf.bytes_mut())?;
+        Ok(buf)
+    }
+
+    /// The stored bytes, writable.
+    fn bytes_mut(&mut self) -> &mut [u8] {
         // SAFETY: the Vec owns `words.len() * 8 >= len` bytes at alignment
         // 8 >= 1; u8 accepts any bit pattern, and the tail byte(s) of the
         // last word stay at their zero initialisation.
-        let bytes = unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), len) };
-        reader.read_exact(bytes)?;
-        Ok(Self { words, len })
+        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<u8>(), self.len) }
     }
 
     /// The stored bytes.
@@ -276,15 +286,17 @@ mod tests {
     fn aligned_buf_roundtrips_bytes() {
         for len in [0usize, 1, 7, 8, 9, 63, 64, 65] {
             let data: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
-            let buf = AlignedBuf::copy_from(&data);
-            assert_eq!(buf.bytes(), &data[..]);
-            assert_eq!(buf.bytes().as_ptr() as usize % 8, 0);
+            for cut in 0..=len {
+                let buf = AlignedBuf::gather(&[&data[..cut], &data[cut..]]);
+                assert_eq!(buf.bytes(), &data[..]);
+                assert_eq!(buf.bytes().as_ptr() as usize % 8, 0);
+            }
         }
     }
 
     #[test]
     fn casts_reinterpret_little_endian() {
-        let buf = AlignedBuf::copy_from(&[1, 0, 0, 0, 2, 0, 0, 0]);
+        let buf = AlignedBuf::gather(&[&[1, 0, 0], &[], &[0, 2, 0, 0, 0]]);
         assert_eq!(cast_u32s(buf.bytes()), &[1, 2]);
         assert_eq!(cast_u64s(buf.bytes()), &[0x2_0000_0001]);
     }

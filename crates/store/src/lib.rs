@@ -55,7 +55,7 @@
 //!
 //! Platforms without the mmap fast path get the same API over an aligned
 //! heap buffer that [`IndexStore::open`] reads the file into, and
-//! [`IndexStore::from_bytes`] copies an in-memory image into one.
+//! [`IndexStore::from_slices`] copies an in-memory image into one.
 #![deny(missing_docs)]
 // The unsafe in this crate lives in `backing.rs` (mmap FFI, the
 // aligned-buffer casts and the writer's little-endian byte view) and
@@ -121,17 +121,10 @@ pub fn save_with(
     build: BuildInfo,
 ) -> Result<u64, StoreError> {
     let image = image_parts(graph, index, build, None, None)?;
-    write_atomically(path.as_ref(), &image)?;
-    Ok(image.len_bytes())
-}
-
-/// Durable write-to-temporary-then-rename (temp fsync, rename, directory
-/// fsync — see [`durable`]) of a laid-out container, shared by every save
-/// entry point.
-fn write_atomically(path: &Path, image: &ImageParts<'_>) -> Result<(), StoreError> {
     // `SystemIo` proceeds at every step, so the outcome is always
     // `Committed`; the `Crashed` arm only exists for fault simulators.
-    durable::publish_slices_with(path, &image.slices(), &durable::SystemIo).map(|_| ())
+    durable::publish_slices_with(path.as_ref(), &image.slices(), &durable::SystemIo)?;
+    Ok(image.len_bytes())
 }
 
 /// What [`compact_file`] did, for logging and `inspect`-style tooling.
@@ -149,9 +142,9 @@ pub struct CompactReport {
 
 /// Compacts a container's delta journal (section and tail frames) into
 /// its base sections: opens the file (which replays pending deltas and
-/// repairs the labels), then atomically republishes it with the replayed
-/// state as the new base, an empty journal, no tail, and the compaction
-/// counter bumped.
+/// repairs the labels), then compacts it through a [`JournalWriter`], as
+/// a live update does — the replayed state as the new base, an empty
+/// journal, no tail, and the compaction counter bumped.
 ///
 /// The write goes through the durable temp-fsync/rename/dir-fsync path
 /// ([`durable`]), so a crash mid-compaction leaves the old journalled
@@ -160,29 +153,23 @@ pub struct CompactReport {
 pub fn compact_file(path: impl AsRef<Path>) -> Result<CompactReport, StoreError> {
     let path = path.as_ref();
     let store = IndexStore::open(path)?;
-    let meta = store.meta();
-    let journal = store.journal().cloned().unwrap_or_default();
-    if journal.is_empty() {
-        let len = store.len_bytes();
+    let bytes_before = store.len_bytes();
+    let (pending, compactions) = store.journal().map_or((0, 0), |j| (j.len(), j.compactions));
+    if pending == 0 {
         return Ok(CompactReport {
             deltas_compacted: 0,
-            bytes_before: len,
-            bytes_after: len,
-            compactions: journal.compactions,
+            bytes_before,
+            bytes_after: bytes_before,
+            compactions,
         });
     }
     let (graph, index) = store.to_owned_parts();
-    let compacted = StoredJournal {
-        deltas: Vec::new(),
-        compactions: journal.compactions + 1,
-    };
-    let image = image_parts(&graph, &index, meta.build, None, Some(&compacted))?;
-    write_atomically(path, &image)?;
+    let compacted = JournalWriter::new(&store, Some(path.to_path_buf())).compact(&graph, &index)?;
     Ok(CompactReport {
-        deltas_compacted: journal.len(),
-        bytes_before: store.len_bytes(),
-        bytes_after: image.len_bytes(),
-        compactions: compacted.compactions,
+        deltas_compacted: pending,
+        bytes_before,
+        bytes_after: compacted.len_bytes(),
+        compactions: compactions + 1,
     })
 }
 
@@ -467,9 +454,17 @@ impl IndexStore {
 
     /// Validates an in-memory container image, with or without a journal
     /// tail after it (copied into an aligned heap buffer). Handy for tests
-    /// and for receiving index images over the network.
+    /// and for receiving index images over the network. The one-slice
+    /// case of [`from_slices`](IndexStore::from_slices).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        Self::from_backing(Backing::Heap(AlignedBuf::copy_from(bytes)))
+        Self::from_slices(&[bytes])
+    }
+
+    /// [`from_bytes`](IndexStore::from_bytes) of the concatenation of
+    /// `slices` — an [`ImageParts::slices`] layout, say — gathered straight
+    /// into the aligned heap buffer, without joining them first.
+    pub fn from_slices(slices: &[&[u8]]) -> Result<Self, StoreError> {
+        Self::from_backing(Backing::Heap(AlignedBuf::gather(slices)))
     }
 
     /// [`from_bytes`](IndexStore::from_bytes), kept only because the

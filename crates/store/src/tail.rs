@@ -465,7 +465,7 @@ impl JournalWriter {
                 }
                 IndexStore::open(path)?
             }
-            None => IndexStore::from_bytes(&image.to_vec())?,
+            None => IndexStore::from_slices(&image.slices())?,
         };
         *self = Self::new(&store, self.path.take());
         Ok(Some(store))
