@@ -629,6 +629,86 @@ mod tests {
         }
     }
 
+    /// Everything a generation serves, read out: every adjacency row,
+    /// every label, the highway, and the answers from a few sources.
+    #[derive(Debug, PartialEq)]
+    struct Snapshot {
+        rows: Vec<Vec<u32>>,
+        labels: Vec<Vec<(u32, u32)>>,
+        highway: Vec<u32>,
+        answers: Vec<Option<u32>>,
+    }
+
+    fn snapshot(store: &IndexStore) -> Snapshot {
+        let (graph, index) = (store.graph(), store.index());
+        let n = graph.num_vertices() as u32;
+        let mut ctx = QueryContext::new();
+        let answers = [0, n / 2, n - 1]
+            .into_iter()
+            .flat_map(|s| (0..n).step_by(11).map(move |t| (s, t)))
+            .map(|(s, t)| index.query_with(graph, &mut ctx, s, t))
+            .collect();
+        Snapshot {
+            rows: (0..n).map(|v| graph.neighbors(v).to_vec()).collect(),
+            labels: (0..n).map(|v| index.label(v).collect()).collect(),
+            highway: index.highway().to_vec(),
+            answers,
+        }
+    }
+
+    /// A served generation is immutable: inserts published after it, a
+    /// delete that relabels, and a fold leave every row, label, highway
+    /// cell and answer it serves exactly as they were when it went live.
+    #[test]
+    fn a_published_generation_reads_its_snapshot_through_later_updates() {
+        let n = if cfg!(miri) { 640 } else { 3_000 };
+        let (graph, mut engine) = engine_for(n, 8, 0x150);
+        let mut rng = testkit::SplitMix64::new(0x150);
+        let mut live = DeltaGraph::new(graph.as_view());
+        let mut publish = |engine: &mut UpdateEngine, delta: Option<EdgeDelta>| {
+            let delta = delta.unwrap_or_else(|| loop {
+                let (u, v) = (
+                    rng.next_below(n as u64) as u32,
+                    rng.next_below(n as u64) as u32,
+                );
+                if u != v && !live.has_edge(u, v) {
+                    break EdgeDelta::insert(u, v);
+                }
+            });
+            live.apply(delta).unwrap();
+            assert_eq!(engine.apply(&[delta]).unwrap(), 1);
+            engine.publish(false).unwrap()
+        };
+        // The generation to keep: patched rows, patched labels and a
+        // patched highway (an edge between two landmarks at distance 2).
+        let built = engine.live.index.to_index();
+        let (landmarks, highway) = (built.as_view().landmarks(), built.as_view().highway());
+        let k = landmarks.len();
+        let far = (0..k * k)
+            .find(|&c| highway[c] == 2)
+            .expect("two landmarks 2 apart");
+        let shortcut = EdgeDelta::insert(landmarks[far / k], landmarks[far % k]);
+        while !publish(&mut engine, None).store.index().is_patched() {}
+        let old = publish(&mut engine, Some(shortcut)).store;
+        assert!(old.index().highway() != highway);
+        assert!(old.graph().is_patched() && old.index().is_patched());
+        let before = snapshot(&old);
+
+        for _ in 0..5 {
+            publish(&mut engine, None);
+        }
+        assert_eq!(snapshot(&old), before, "after more inserts");
+
+        let hub = graph.top_k_by_degree(1)[0];
+        let w = old.graph().neighbors(hub)[0];
+        let relabelled = publish(&mut engine, Some(EdgeDelta::delete(hub, w)));
+        assert_eq!(relabelled.phases.full_relabels, 1);
+        assert_eq!(snapshot(&old), before, "after a full relabel");
+
+        while !publish(&mut engine, None).folded {}
+        assert_eq!(snapshot(&old), before, "after a fold");
+    }
+
     #[test]
     fn publish_stamps_the_live_answers_onto_the_shared_image() {
         let (graph, mut engine) = engine_for(30, 4, 5);
