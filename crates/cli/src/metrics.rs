@@ -219,7 +219,7 @@ pub(crate) struct ServerMetrics {
     /// arrays (an overlay outgrew its bound, or a compaction needed flat
     /// arrays).
     pub(crate) update_folds: Counter,
-    /// Gauge: rows the live generation serves from its frozen overlays,
+    /// Gauge: rows the live generation serves from its overlays,
     /// `[graph, labels]` (0 for a flat generation).
     overlay_rows: [AtomicU64; 2],
     /// Bytes live updates wrote to the index file: one journal frame per
@@ -227,7 +227,10 @@ pub(crate) struct ServerMetrics {
     pub(crate) update_persist_bytes: Counter,
     /// Nanoseconds live updates spent per phase, in
     /// [`UpdatePhases::named`] order; exported in seconds.
-    update_phase_ns: [AtomicU64; 4],
+    update_phase_ns: [AtomicU64; 5],
+    /// Bytes live updates copied: overlay spines and chunks copied on
+    /// write, the highway likewise, and the arrays of every fold.
+    pub(crate) update_copied_bytes: Counter,
     /// Landmarks whose distance function an applied delta affected.
     pub(crate) update_affected_landmarks: Counter,
     /// `(landmark, vertex)` pairs whose distance an applied insert
@@ -287,6 +290,7 @@ impl ServerMetrics {
             overlay_rows: std::array::from_fn(|_| AtomicU64::new(0)),
             update_persist_bytes: Counter::new("hcl_update_persist_bytes_total"),
             update_phase_ns: std::array::from_fn(|_| AtomicU64::new(0)),
+            update_copied_bytes: Counter::new("hcl_update_copied_bytes_total"),
             update_affected_landmarks: Counter::new("hcl_update_affected_landmarks_total"),
             update_affected_vertices: Counter::new("hcl_update_affected_vertices_total"),
             update_full_relabels: Counter::new("hcl_update_full_relabels_total"),
@@ -358,6 +362,7 @@ impl ServerMetrics {
             .add(phases.affected_landmarks);
         self.update_affected_vertices.add(phases.affected_vertices);
         self.update_full_relabels.add(phases.full_relabels);
+        self.update_copied_bytes.add(phases.copied_bytes);
         self.journal_pending
             .store(pending as u64, Ordering::Relaxed);
     }
@@ -394,6 +399,7 @@ impl ServerMetrics {
             &self.update_affected_landmarks,
             &self.update_affected_vertices,
             &self.update_full_relabels,
+            &self.update_copied_bytes,
             &self.answers_label_hit,
             &self.answers_highway,
             &self.answers_bfs,
@@ -402,7 +408,7 @@ impl ServerMetrics {
         ] {
             let _ = writeln!(out, "{} {}", c.name, c.get());
         }
-        let mut per_phase = |metric: &str, slots: &[AtomicU64; 4], phases: [&str; 4]| {
+        let mut per_phase = |metric: &str, slots: &[AtomicU64], phases: &[&str]| {
             for (slot, phase) in slots.iter().zip(phases) {
                 let _ = writeln!(
                     out,
@@ -414,12 +420,12 @@ impl ServerMetrics {
         per_phase(
             "hcl_open_seconds",
             &self.open_phase_ns,
-            OpenPhases::default().named().map(|(phase, _)| phase),
+            &OpenPhases::default().named().map(|(phase, _)| phase),
         );
         per_phase(
             "hcl_update_phase_seconds_total",
             &self.update_phase_ns,
-            UpdatePhases::default().named().map(|(phase, _)| phase),
+            &UpdatePhases::default().named().map(|(phase, _)| phase),
         );
         let _ = writeln!(
             out,
@@ -553,6 +559,8 @@ mod tests {
                 affected_landmarks: 3,
                 affected_vertices: 11,
                 full_relabels: 1,
+                adopt: Duration::from_micros(250),
+                copied_bytes: 4424,
                 ..Default::default()
             },
             2,
@@ -599,6 +607,8 @@ mod tests {
             "hcl_update_phase_seconds_total{phase=\"materialise\"} 0.000000\n",
             "hcl_update_phase_seconds_total{phase=\"persist\"} 0.001500\n",
             "hcl_update_phase_seconds_total{phase=\"swap\"} 0.000000\n",
+            "hcl_update_phase_seconds_total{phase=\"adopt\"} 0.000250\n",
+            "hcl_update_copied_bytes_total 4424\n",
             "hcl_journal_pending 7\n",
             "hcl_overlay_rows{overlay=\"graph\"} 0\n",
             "hcl_overlay_rows{overlay=\"labels\"} 0\n",

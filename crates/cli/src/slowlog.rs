@@ -91,7 +91,7 @@ impl SlowLog {
     }
 
     /// [`observe`](SlowLog::observe) for an over-threshold query, with the
-    /// token bucket's clock passed in (tests freeze it).
+    /// token bucket's clock passed in (tests hold it still).
     fn observe_at(&self, q: &SlowQuery<'_>, now: Instant) {
         let line = format_line(q);
         // Diagnostics must never take serving down: a poisoned lock (a

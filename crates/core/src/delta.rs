@@ -10,18 +10,20 @@
 //! overlay copy, everyone else serves the base CSR — so traversal code
 //! needs no per-edge branching and no iterator abstraction.
 //!
-//! The patched lists live in a [`CsrPatches`], the row-keyed overlay
+//! The patched lists live in an [`Overlay`], the row-keyed overlay
 //! `hcl-index` also keeps its edited labels in. Folding one back into a
 //! flat CSR ([`DeltaGraph::to_graph`]) is a splice — the base's clean runs
 //! and the patched rows copied in row order — so it costs two memory-speed
 //! copies, not a sort.
 //!
-//! Serving an edited graph needs no splice at all: [`CsrPatches::freeze`]
-//! copies just the patched rows into a [`FrozenPatches`] — one array of
-//! rows behind a rank-indexed bitset, immutable and shareable across
-//! threads — and a [`FrozenGraph`] serves the shared base `Arc` under it
-//! as a patched [`GraphView`]. Freezing costs `O(rows patched + n / 64)`,
-//! whatever the size of the base.
+//! Serving an edited graph needs no splice at all: a [`FrozenGraph`] is
+//! the shared base `Arc` plus a clone of the overlay, served as a patched
+//! [`GraphView`]. An overlay keeps its rows in chunks of 4 096 under an
+//! `Arc`'d spine and copies on write, so the clone is two `Arc` clones and
+//! shares everything; the edits after it copy the spine once and each
+//! chunk they touch once. A publish therefore costs the spine plus the
+//! chunks its update touched — never the rows patched before it, nor the
+//! size of the base.
 //!
 //! `&DeltaGraph` implements [`Rows`], so the BFS oracles in [`crate::bfs`]
 //! and every other traversal run unchanged over a frozen CSR or a
@@ -29,9 +31,7 @@
 //! *edges* between existing vertices (the serving path's containers pin
 //! `n` at build time); growing the vertex set remains a rebuild.
 
-use crate::bitset::DenseBitSet;
 use crate::graph::{Graph, GraphView, Rows, VertexId};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -149,164 +149,121 @@ impl fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
+/// Rows per [`Overlay`] chunk: row `r` lives in chunk `r / CHUNK_ROWS`.
+/// Fixed; a chunk's bitset is 64 words.
+pub const CHUNK_ROWS: usize = 4096;
+
 /// Replacement rows for a CSR array (`offsets` + `items`), keyed by row:
 /// the overlay half of every base-plus-edits structure in the workspace —
-/// adjacency lists in [`DeltaGraph`], packed label entries in `hcl-index`'s
-/// `DynamicIndex`. A row is read from here when it was patched and from
-/// the base arrays otherwise; [`CsrPatches::freeze`] copies the patched
-/// rows into their shareable, immutable form, and [`CsrPatches::splice`]
-/// folds the patches into one fresh copy of the base at memory speed.
-#[derive(Debug, Default)]
-pub struct CsrPatches<T> {
-    rows: HashMap<VertexId, Vec<T>>,
-    /// The key set of `rows`, one bit per row: a read of an unpatched row
-    /// tests a bit instead of hashing.
-    is_patched: DenseBitSet,
-}
-
-impl<T: Copy> CsrPatches<T> {
-    /// No patches over a base of `num_rows` rows.
-    pub fn new(num_rows: usize) -> Self {
-        let mut is_patched = DenseBitSet::new();
-        is_patched.reset(num_rows);
-        Self {
-            rows: HashMap::new(),
-            is_patched,
-        }
-    }
-
-    /// Rows of the base these patches apply to.
-    pub(crate) fn num_rows(&self) -> usize {
-        self.is_patched.len()
-    }
-
-    /// Number of patched rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether no row is patched.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The replacement for `row`, or `None` when the base row stands.
-    #[inline]
-    pub fn get(&self, row: VertexId) -> Option<&[T]> {
-        if self.is_patched.contains(row as usize) {
-            self.rows.get(&row).map(Vec::as_slice)
-        } else {
-            None
-        }
-    }
-
-    /// The replacement for `row`, created from `base` (the base row's
-    /// items) on first write.
-    ///
-    /// # Panics
-    /// Panics if `row` is not a row of the base the patches were made for.
-    pub fn get_or_insert_with(
-        &mut self,
-        row: VertexId,
-        base: impl FnOnce() -> Vec<T>,
-    ) -> &mut Vec<T> {
-        self.is_patched.insert(row as usize);
-        self.rows.entry(row).or_insert_with(base)
-    }
-
-    /// Every patched row with its replacement, in no particular order.
-    pub fn iter(&self) -> impl Iterator<Item = (VertexId, &[T])> {
-        self.rows
-            .iter()
-            .map(|(&row, items)| (row, items.as_slice()))
-    }
-
-    /// The patched rows, frozen: one copy of each replacement row, in row
-    /// order, behind a rank-indexed bitset — `O(rows patched + n / 64)`.
-    /// `base_offsets` are the offsets of the base the patches apply to;
-    /// the patches themselves are left as they are.
-    ///
-    /// # Panics
-    /// Panics if `base_offsets` does not have one row per row of the base
-    /// the patches were made for.
-    pub fn freeze(&self, base_offsets: &[u64]) -> FrozenPatches<T> {
-        let n = self.num_rows();
-        assert_eq!(
-            base_offsets.len(),
-            n + 1,
-            "base row count differs from the patches'"
-        );
-        let mut words = vec![0u64; n.div_ceil(64)];
-        let mut rows = Vec::with_capacity(self.len());
-        let mut offsets = Vec::with_capacity(self.len() + 1);
-        let mut items = Vec::new();
-        let (mut added, mut removed) = (0, 0);
-        offsets.push(0);
-        for row in self.is_patched.iter() {
-            let patched = &self.rows[&(row as VertexId)];
-            words[row / 64] |= 1 << (row % 64);
-            rows.push(row as VertexId);
-            items.extend_from_slice(patched);
-            offsets.push(items.len() as u64);
-            added += patched.len();
-            removed += (base_offsets[row + 1] - base_offsets[row]) as usize;
-        }
-        let mut before = Vec::with_capacity(words.len());
-        let mut rank = 0u32;
-        for word in &words {
-            before.push(rank);
-            rank += word.count_ones();
-        }
-        FrozenPatches {
-            num_rows: n,
-            words,
-            before,
-            rows,
-            offsets,
-            items,
-            added,
-            removed,
-        }
-    }
-
-    /// The base arrays with every patch applied, as fresh CSR arrays; see
-    /// [`FrozenPatches::splice`].
-    ///
-    /// # Panics
-    /// Panics if `offsets` does not have one row per row of the base the
-    /// patches were made for.
-    pub fn splice(&self, offsets: &[u64], items: &[T]) -> (Vec<u64>, Vec<T>) {
-        self.freeze(offsets).splice(offsets, items)
-    }
-}
-
-/// Replacement rows for a CSR array, frozen ([`CsrPatches::freeze`]):
-/// the overlay half of a served generation. Immutable, so one copy is
-/// shared by every reader of that generation.
+/// adjacency lists in [`DeltaGraph`] and [`FrozenGraph`], packed label
+/// entries in `hcl-index`'s `DynamicIndex` and `FrozenIndex`. A row is read
+/// from here when it was patched and from the base arrays otherwise;
+/// [`Overlay::splice`] folds the patches into one fresh copy of the base at
+/// memory speed.
 ///
-/// The rows sit back to back in row order, and a per-word prefix count
-/// over the patched-row bitset ranks a row among them, so a read of an
-/// unpatched row tests one bit and a read of a patched row adds a
-/// popcount — no hashing.
+/// The rows sit in chunks of 4 096 under an `Arc`'d spine of optional
+/// `Arc`'d [`Chunk`]s, so a clone — a served generation — is one `Arc`
+/// clone, and an edit copies on write: the spine once (`n / 4 096`
+/// pointers) and each chunk it lands in once while a clone shares them,
+/// in place after that. What an update copies is therefore the spine plus
+/// the chunks it touched, whatever the overlay holds. A read of a row
+/// loads one chunk pointer, then tests one bit; a patched row adds a
+/// popcount.
 #[derive(Clone, Debug)]
-pub struct FrozenPatches<T> {
+pub struct Overlay<T> {
     /// Rows of the base these patches apply to.
     num_rows: usize,
-    /// One bit per base row: set when the row is replaced.
-    words: Vec<u64>,
-    /// Patched rows in the words before each word.
-    before: Vec<u32>,
-    /// The patched rows, ascending.
-    rows: Vec<VertexId>,
-    /// `offsets[i]..offsets[i + 1]` indexes `items` for `rows[i]`.
-    offsets: Vec<u64>,
-    items: Vec<T>,
-    /// Items in the replacement rows, and in the base rows they replace.
-    added: usize,
-    removed: usize,
+    /// Chunk `c` holds the patched rows among `c * CHUNK_ROWS..`; `None`
+    /// when it holds none.
+    spine: Arc<Vec<Option<Arc<Chunk<T>>>>>,
+    /// Patched rows.
+    len: usize,
+    /// Items in the replacement rows minus items in the base rows they
+    /// replace.
+    net_items: isize,
+    /// Bytes copied on write since [`take_copied_bytes`](Self::take_copied_bytes).
+    copied: usize,
 }
 
-impl<T: Copy> FrozenPatches<T> {
+/// One chunk of an [`Overlay`]: the patched rows among 4 096, behind a
+/// rank-indexed bitset. Immutable once shared; an edit to a shared chunk
+/// edits a copy.
+#[derive(Clone, Debug)]
+pub struct Chunk<T> {
+    /// One bit per row of the chunk: set when the row is replaced.
+    words: [u64; CHUNK_ROWS / 64],
+    /// Patched rows in the words before each word.
+    ranks: [u16; CHUNK_ROWS / 64],
+    /// The replacement rows, in row order.
+    rows: Vec<Vec<T>>,
+}
+
+impl<T> Chunk<T> {
+    fn new() -> Self {
+        Self {
+            words: [0; CHUNK_ROWS / 64],
+            ranks: [0; CHUNK_ROWS / 64],
+            rows: Vec::new(),
+        }
+    }
+
+    /// Bytes a copy of the chunk copies: its bitset and ranks, one row
+    /// header per patched row, and the rows' items.
+    pub fn bytes(&self) -> usize {
+        let items: usize = self.rows.iter().map(Vec::len).sum();
+        std::mem::size_of::<Self>()
+            + self.rows.len() * std::mem::size_of::<Vec<T>>()
+            + items * std::mem::size_of::<T>()
+    }
+
+    /// Whether row `r` is patched.
+    #[inline]
+    fn is_patched(&self, r: usize) -> bool {
+        (self.words[r / 64] >> (r % 64)) & 1 == 1
+    }
+
+    /// The replacement for row `r` of the chunk, or `None` when the base
+    /// row stands.
+    #[inline]
+    fn get(&self, r: usize) -> Option<&[T]> {
+        self.is_patched(r)
+            .then(|| self.rows[self.rank(r)].as_slice())
+    }
+
+    /// The rank of row `r` among the patched rows: the index of its
+    /// replacement, or of the slot one would take.
+    #[inline]
+    fn rank(&self, r: usize) -> usize {
+        let below = self.words[r / 64] & ((1 << (r % 64)) - 1);
+        self.ranks[r / 64] as usize + below.count_ones() as usize
+    }
+
+    /// The patched rows with their replacements, ascending.
+    fn iter(&self) -> impl Iterator<Item = (usize, &[T])> {
+        let rows = self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros() as usize)?;
+                rest &= rest - 1;
+                Some(w * 64 + bit)
+            })
+        });
+        rows.zip(self.rows.iter().map(Vec::as_slice))
+    }
+}
+
+impl<T> Overlay<T> {
+    /// No patches over a base of `num_rows` rows.
+    pub fn new(num_rows: usize) -> Self {
+        Self {
+            num_rows,
+            spine: Arc::new(vec![None; num_rows.div_ceil(CHUNK_ROWS)]),
+            len: 0,
+            net_items: 0,
+            copied: 0,
+        }
+    }
+
     /// Rows of the base these patches apply to.
     pub fn num_rows(&self) -> usize {
         self.num_rows
@@ -314,32 +271,87 @@ impl<T: Copy> FrozenPatches<T> {
 
     /// Number of patched rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// Whether no row is patched.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
     /// The replacement for `row`, or `None` when the base row stands.
     #[inline]
     pub fn get(&self, row: VertexId) -> Option<&[T]> {
-        let (w, bit) = (row as usize / 64, row % 64);
-        let word = *self.words.get(w)?;
-        if (word >> bit) & 1 == 0 {
-            return None;
-        }
-        let rank = self.before[w] as usize + (word & ((1 << bit) - 1)).count_ones() as usize;
-        Some(&self.items[self.offsets[rank] as usize..self.offsets[rank + 1] as usize])
+        let row = row as usize;
+        let chunk = self.spine.get(row / CHUNK_ROWS)?.as_deref()?;
+        chunk.get(row % CHUNK_ROWS)
+    }
+
+    /// The chunks, `n / 4 096` rounded up: each one shared with every clone
+    /// of the overlay until an edit lands in it.
+    pub fn chunks(&self) -> &[Option<Arc<Chunk<T>>>] {
+        &self.spine
     }
 
     /// The item count of a base array of `base_len` items under these
     /// patches.
     pub fn patched_len(&self, base_len: usize) -> usize {
-        base_len - self.removed + self.added
+        base_len.saturating_add_signed(self.net_items)
     }
 
+    /// Bytes the edits copied on write since the last call: the spine and
+    /// every chunk a clone still shared when an edit landed in it.
+    pub fn take_copied_bytes(&mut self) -> usize {
+        std::mem::take(&mut self.copied)
+    }
+
+    /// Every patched row with its replacement, ascending.
+    fn iter(&self) -> impl Iterator<Item = (usize, &[T])> {
+        let chunks = self.spine.iter().enumerate();
+        chunks
+            .filter_map(|(c, chunk)| Some((c * CHUNK_ROWS, chunk.as_deref()?)))
+            .flat_map(|(first, chunk)| chunk.iter().map(move |(r, row)| (first + r, row)))
+    }
+}
+
+impl<T: Clone> Overlay<T> {
+    /// Runs `f` on the replacement for `row`, created from `base` (the
+    /// base row's items) on first write. Copies the spine and the row's
+    /// chunk first if a clone shares them.
+    ///
+    /// # Panics
+    /// Panics if `row` is not a row of the base the patches were made for.
+    pub fn edit<R>(&mut self, row: VertexId, base: &[T], f: impl FnOnce(&mut Vec<T>) -> R) -> R {
+        let row = row as usize;
+        assert!(row < self.num_rows, "row {row} of {} edited", self.num_rows);
+        if Arc::get_mut(&mut self.spine).is_none() {
+            self.copied += std::mem::size_of_val(self.spine.as_slice());
+        }
+        let slot = &mut Arc::make_mut(&mut self.spine)[row / CHUNK_ROWS];
+        let chunk = slot.get_or_insert_with(|| Arc::new(Chunk::new()));
+        if Arc::get_mut(chunk).is_none() {
+            self.copied += chunk.bytes();
+        }
+        let chunk = Arc::make_mut(chunk);
+        let r = row % CHUNK_ROWS;
+        let rank = chunk.rank(r);
+        if !chunk.is_patched(r) {
+            chunk.words[r / 64] |= 1 << (r % 64);
+            for later in &mut chunk.ranks[r / 64 + 1..] {
+                *later += 1;
+            }
+            chunk.rows.insert(rank, base.to_vec());
+            self.len += 1;
+        }
+        let items = &mut chunk.rows[rank];
+        let before = items.len() as isize;
+        let out = f(items);
+        self.net_items += items.len() as isize - before;
+        out
+    }
+}
+
+impl<T: Copy> Overlay<T> {
     /// The base arrays with every patch applied, as fresh CSR arrays:
     /// each run of unpatched rows between two patched ones is one copy of
     /// its items plus its offsets shifted, each patched row one copy of
@@ -360,16 +372,15 @@ impl<T: Copy> FrozenPatches<T> {
         out_offsets.push(0);
         // `next` is the first row not yet written; `n` closes the last run.
         let mut next = 0;
-        let patched = self.rows.iter().map(|&row| row as usize).enumerate();
-        for (rank, row) in patched.chain([(self.len(), n)]) {
+        let patched = self.iter().map(|(row, items)| (row, Some(items)));
+        for (row, replacement) in patched.chain([(n, None)]) {
             // The clean run `next..row`: one copy, offsets shifted.
             let (lo, hi) = (offsets[next], offsets[row]);
             let at = out_items.len() as u64;
             out_items.extend_from_slice(&items[lo as usize..hi as usize]);
             out_offsets.extend(offsets[next + 1..=row].iter().map(|&o| o - lo + at));
-            if row < n {
-                let (lo, hi) = (self.offsets[rank], self.offsets[rank + 1]);
-                out_items.extend_from_slice(&self.items[lo as usize..hi as usize]);
+            if let Some(replacement) = replacement {
+                out_items.extend_from_slice(replacement);
                 out_offsets.push(out_items.len() as u64);
                 next = row + 1;
             }
@@ -379,21 +390,26 @@ impl<T: Copy> FrozenPatches<T> {
 }
 
 /// A graph as a served generation holds it: the CSR of the last fold,
-/// shared by `Arc` with every generation since, plus the frozen adjacency
-/// patches made after it (none when the generation is flat).
-#[derive(Debug)]
+/// shared by `Arc` with every generation since, plus the adjacency overlay
+/// of the edits made after it (empty when the generation is flat), which
+/// shares every chunk an update did not touch with the generation before.
+#[derive(Clone, Debug)]
 pub struct FrozenGraph {
     base: Arc<Graph>,
-    patches: Option<FrozenPatches<VertexId>>,
+    patches: Overlay<VertexId>,
 }
 
 impl FrozenGraph {
+    /// `base` under `patches`, replacement rows made over `base`'s own
+    /// arrays (a [`DeltaGraph`] over `base.as_view()`, say).
+    pub fn new(base: Arc<Graph>, patches: Overlay<VertexId>) -> Self {
+        Self { base, patches }
+    }
+
     /// `base` with no patches.
     pub fn flat(base: Arc<Graph>) -> Self {
-        Self {
-            base,
-            patches: None,
-        }
+        let patches = Overlay::new(base.num_vertices());
+        Self::new(base, patches)
     }
 
     /// The shared base CSR.
@@ -401,12 +417,18 @@ impl FrozenGraph {
         &self.base
     }
 
+    /// The adjacency overlay over the base.
+    pub fn patches(&self) -> &Overlay<VertexId> {
+        &self.patches
+    }
+
     /// The graph as a view: the base under the patches.
     pub fn as_view(&self) -> GraphView<'_> {
         let base = self.base.as_view();
-        match &self.patches {
-            Some(patches) => base.with_patches(patches),
-            None => base,
+        if self.patches.is_empty() {
+            base
+        } else {
+            base.with_patches(&self.patches)
         }
     }
 }
@@ -422,15 +444,13 @@ pub struct DeltaGraph<'a> {
     base: GraphView<'a>,
     /// Fully merged, sorted adjacency for vertices whose neighbourhood
     /// differs from the base.
-    patched: CsrPatches<VertexId>,
-    /// Undirected edge count after all applied deltas.
-    num_edges: usize,
+    patched: Overlay<VertexId>,
 }
 
 impl<'a> DeltaGraph<'a> {
     /// An overlay with no edits yet.
     pub fn new(base: GraphView<'a>) -> Self {
-        Self::reattach(base, DeltaPatches::default())
+        Self::reattach(base, Overlay::new(base.num_vertices()))
     }
 
     /// Number of vertices (fixed: always the base graph's count).
@@ -440,7 +460,7 @@ impl<'a> DeltaGraph<'a> {
 
     /// Number of undirected edges after all applied deltas.
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.patched.patched_len(2 * self.base.num_edges()) / 2
     }
 
     /// Number of vertices whose adjacency differs from the base.
@@ -483,51 +503,48 @@ impl<'a> DeltaGraph<'a> {
             return Ok(false);
         }
         for (a, b) in [(delta.u, delta.v), (delta.v, delta.u)] {
-            let base = self.base;
-            let adj = self
-                .patched
-                .get_or_insert_with(a, || base.neighbors(a).to_vec());
-            match (delta.op, adj.binary_search(&b)) {
-                (DeltaOp::Insert, Err(pos)) => adj.insert(pos, b),
-                (DeltaOp::Delete, Ok(pos)) => {
-                    adj.remove(pos);
-                }
-                // `present` was checked on the merged adjacency, and both
-                // directions stay in lockstep, so these arms cannot occur.
-                _ => {}
-            }
-        }
-        match delta.op {
-            DeltaOp::Insert => self.num_edges = self.num_edges.saturating_add(1),
-            DeltaOp::Delete => self.num_edges = self.num_edges.saturating_sub(1),
+            let base = self.base.neighbors(a);
+            self.patched
+                .edit(a, base, |adj| match (delta.op, adj.binary_search(&b)) {
+                    (DeltaOp::Insert, Err(pos)) => adj.insert(pos, b),
+                    (DeltaOp::Delete, Ok(pos)) => {
+                        adj.remove(pos);
+                    }
+                    // `present` was checked on the merged adjacency, and
+                    // both directions stay in lockstep, so these arms
+                    // cannot occur.
+                    _ => {}
+                });
         }
         Ok(true)
+    }
+
+    /// The edits: the adjacency rows they replaced, over the base.
+    pub fn patches(&self) -> &Overlay<VertexId> {
+        &self.patched
     }
 
     /// Detaches the edits from the base borrow, so a caller that *owns*
     /// the base graph can keep them across calls without a
     /// self-referential struct; [`DeltaGraph::reattach`] is the inverse.
-    pub fn detach(self) -> DeltaPatches {
-        DeltaPatches {
-            net_edges: self.num_edges as isize - self.base.num_edges() as isize,
-            patched: self.patched,
-        }
+    pub fn detach(self) -> Overlay<VertexId> {
+        self.patched
     }
 
     /// Resumes an overlay from patches [`detach`](DeltaGraph::detach)ed
-    /// off an overlay of the same `base`. Default (empty) patches
-    /// reattach to any base as an overlay with no edits.
-    pub fn reattach(base: GraphView<'a>, patches: DeltaPatches) -> Self {
-        let mut patched = patches.patched;
-        if patched.num_rows() != base.num_vertices() {
-            // Default patches are unsized; detached ones are already sized
-            // for the base they came off.
-            patched = CsrPatches::new(base.num_vertices());
-        }
+    /// off an overlay of the same `base`.
+    ///
+    /// # Panics
+    /// Panics if the patches were made for another vertex count.
+    pub fn reattach(base: GraphView<'a>, patches: Overlay<VertexId>) -> Self {
+        assert_eq!(
+            patches.num_rows(),
+            base.num_vertices(),
+            "patches made for another vertex count"
+        );
         Self {
             base,
-            patched,
-            num_edges: base.num_edges().saturating_add_signed(patches.net_edges),
+            patched: patches,
         }
     }
 
@@ -563,41 +580,6 @@ impl<'a> Rows<'a, VertexId> for &'a DeltaGraph<'_> {
 
     fn num_rows(self) -> usize {
         self.num_vertices()
-    }
-}
-
-/// The owned half of a [`DeltaGraph`] — its edits without the base borrow
-/// (see [`DeltaGraph::detach`]). Opaque: only meaningful reattached to the
-/// base it was detached from.
-#[derive(Default)]
-pub struct DeltaPatches {
-    patched: CsrPatches<VertexId>,
-    /// Undirected edges added minus edges removed.
-    net_edges: isize,
-}
-
-impl DeltaPatches {
-    /// Whether no vertex's adjacency differs from the base (nothing to
-    /// materialise).
-    pub fn is_empty(&self) -> bool {
-        self.patched.is_empty()
-    }
-
-    /// Number of vertices whose adjacency differs from the base.
-    pub fn num_patched(&self) -> usize {
-        self.patched.len()
-    }
-
-    /// The edits frozen over `base`, the graph they were detached from:
-    /// `base` shared, the patched rows copied ([`CsrPatches::freeze`]).
-    ///
-    /// # Panics
-    /// Panics if the patches were made for a graph of another vertex count.
-    pub fn freeze(&self, base: &Arc<Graph>) -> FrozenGraph {
-        FrozenGraph {
-            base: Arc::clone(base),
-            patches: (!self.is_empty()).then(|| self.patched.freeze(base.csr_offsets())),
-        }
     }
 }
 
@@ -751,15 +733,16 @@ mod tests {
     fn csr_patches_splice_rows_in_order() {
         // Rows [a], [], [b c], [d] with rows 0, 1 and 3 replaced.
         let (offsets, items) = ([0u64, 1, 1, 3, 4], [10u64, 20, 21, 30]);
-        let mut patches = CsrPatches::new(4);
+        let mut patches = Overlay::new(4);
         assert_eq!(
             patches.splice(&offsets, &items),
             (offsets.to_vec(), items.to_vec())
         );
-        patches.get_or_insert_with(3, || vec![30]).clear();
-        patches.get_or_insert_with(0, || vec![10]).push(11);
-        patches.get_or_insert_with(1, Vec::new).extend([15, 16]);
+        patches.edit(3, &[30], Vec::clear);
+        patches.edit(0, &[10], |row| row.push(11));
+        patches.edit(1, &[], |row| row.extend([15, 16]));
         assert_eq!(patches.len(), 3);
+        assert_eq!(patches.patched_len(items.len()), 6);
         assert_eq!(patches.get(0), Some(&[10, 11][..]));
         assert_eq!(patches.get(2), None);
         assert_eq!(
@@ -774,13 +757,16 @@ mod tests {
         let n = 130;
         let offsets: Vec<u64> = (0..=n as u64).map(|r| 2 * r).collect();
         let items: Vec<u64> = (0..2 * n as u64).collect();
-        let mut patches = CsrPatches::new(n);
-        assert!(patches.freeze(&offsets).is_empty());
+        let mut patches = Overlay::new(n);
+        assert!(patches.clone().is_empty());
         for row in [0u32, 5, 63, 64, 65, 127, 129] {
-            let replacement = patches.get_or_insert_with(row, Vec::new);
-            replacement.extend((0..u64::from(row % 4)).map(|i| 1000 * u64::from(row) + i));
+            let base = &items[2 * row as usize..2 * row as usize + 2];
+            patches.edit(row, base, |replacement| {
+                replacement.clear();
+                replacement.extend((0..u64::from(row % 4)).map(|i| 1000 * u64::from(row) + i));
+            });
         }
-        let frozen = patches.freeze(&offsets);
+        let frozen = patches.clone();
         assert_eq!((frozen.num_rows(), frozen.len()), (n, 7));
         for row in 0..n as VertexId {
             assert_eq!(frozen.get(row), patches.get(row), "row {row}");
@@ -791,14 +777,54 @@ mod tests {
         assert_eq!(frozen.patched_len(items.len()), spliced.1.len());
     }
 
+    /// A clone shares every chunk; an edit after it copies the spine once
+    /// and each chunk it lands in once, and leaves the clone as it was.
+    #[test]
+    fn edits_after_a_clone_copy_only_the_spine_and_the_chunks_they_touch() {
+        // Four chunks, the last one partial; one item per base row.
+        let n = 3 * CHUNK_ROWS + 12;
+        let offsets: Vec<u64> = (0..=n as u64).collect();
+        let items: Vec<u32> = (0..n as u32).collect();
+        let row = |r: usize| (r as VertexId, &items[r..r + 1]);
+        let mut live = Overlay::new(n);
+        let (r, base) = row(1);
+        live.edit(r, base, |items| items.push(7));
+        let (r, base) = row(CHUNK_ROWS + 5);
+        live.edit(r, base, Vec::clear);
+        assert_eq!(live.take_copied_bytes(), 0, "nothing was shared");
+
+        let served = live.clone();
+        let spliced = served.splice(&offsets, &items);
+        let copied_chunk = served.chunks()[0].as_ref().map_or(0, |c| c.bytes());
+        for r in [2, 3, 2, 3 * CHUNK_ROWS + 1] {
+            let (r, base) = row(r);
+            live.edit(r, base, |items| items.push(9));
+        }
+        let spine = std::mem::size_of::<Option<Arc<Chunk<u32>>>>() * 4;
+        assert_eq!(live.take_copied_bytes(), spine + copied_chunk);
+        let shared: Vec<bool> = (0..4)
+            .map(|c| match (&live.chunks()[c], &served.chunks()[c]) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                (a, b) => a.is_none() && b.is_none(),
+            })
+            .collect();
+        assert_eq!(shared, [false, true, true, false]);
+        assert_eq!((served.len(), live.len()), (2, 5));
+        assert_eq!(served.splice(&offsets, &items), spliced, "the clone moved");
+        assert_eq!(live.get(2), Some(&[2, 9, 9][..]));
+        assert_eq!(served.get(2), None);
+
+        // Later edits land in place: the chunks are the live overlay's own.
+        let (r, base) = row(4);
+        live.edit(r, base, Vec::clear);
+        assert_eq!(live.take_copied_bytes(), 0);
+    }
+
     /// A frozen overlay served as a patched `GraphView` reads exactly like
     /// `to_graph`'s spliced CSR, and splices to it.
     fn assert_frozen_view_matches(d: &DeltaGraph<'_>, base: &Arc<Graph>, what: &str) {
         let spliced = d.to_graph();
-        let frozen = FrozenGraph {
-            base: Arc::clone(base),
-            patches: (d.num_patched() > 0).then(|| d.patched.freeze(base.csr_offsets())),
-        };
+        let frozen = FrozenGraph::new(Arc::clone(base), d.patches().clone());
         let view = frozen.as_view();
         assert_eq!(view.is_patched(), d.num_patched() > 0, "{what}");
         assert_eq!(view.patched_rows(), d.num_patched(), "{what}");
@@ -833,7 +859,7 @@ mod tests {
         let g = Arc::new(testkit::barabasi_albert(200, 3, 7));
         let mut first = DeltaGraph::new(g.as_view());
         first.apply(EdgeDelta::insert(0, 199)).unwrap();
-        let frozen = first.detach().freeze(&g);
+        let frozen = FrozenGraph::new(Arc::clone(&g), first.detach());
         let mut d = DeltaGraph::new(frozen.as_view());
         d.apply(EdgeDelta::insert(1, 198)).unwrap();
         assert_splices_like_the_builder(&d, "over a patched base");
@@ -890,9 +916,9 @@ mod tests {
         assert_eq!(materialised.num_edges(), g.num_edges());
         assert_eq!(materialised.neighbors(0), &[1]);
 
-        // Default patches are an overlay with no edits, on any base.
-        assert!(DeltaPatches::default().is_empty());
-        let fresh = DeltaGraph::reattach(g.as_view(), DeltaPatches::default());
+        // Fresh patches are an overlay with no edits.
+        assert!(Overlay::<VertexId>::new(g.num_vertices()).is_empty());
+        let fresh = DeltaGraph::reattach(g.as_view(), Overlay::new(g.num_vertices()));
         assert_eq!(fresh.num_edges(), g.num_edges());
         assert_eq!(fresh.num_patched(), 0);
     }

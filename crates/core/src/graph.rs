@@ -14,10 +14,11 @@
 //!   splice ([`DeltaGraph::to_graph`](crate::DeltaGraph::to_graph)).
 //! * [`GraphView`] — borrows the same two arrays as slices. This is what
 //!   `hcl-store` hands out when serving a memory-mapped index file without
-//!   copying: the mmap'd bytes *are* the arrays. A view may also carry a
-//!   [`FrozenPatches`] overlay of replacement adjacency rows (a live-updated
-//!   generation, see [`FrozenGraph`](crate::FrozenGraph)); every accessor
-//!   except the raw-array ones sees the patches.
+//!   copying: the mmap'd bytes *are* the arrays. A view may also carry an
+//!   [`Overlay`] of replacement adjacency rows (a live-updated generation,
+//!   see [`FrozenGraph`](crate::FrozenGraph)): a read loads one chunk
+//!   pointer, then tests one bit. Every accessor except the raw-array ones
+//!   sees the patches.
 //!
 //! `Graph` methods delegate through [`Graph::as_view`], so owned and
 //! mapped graphs behave identically. Every traversal (BFS oracle, index
@@ -31,7 +32,7 @@
 //! the on-disk little-endian format exactly, making the borrowed view a
 //! straight reinterpretation of file bytes.
 
-use crate::delta::FrozenPatches;
+use crate::delta::Overlay;
 use std::fmt;
 
 /// Vertex identifier. Dense, zero-based.
@@ -224,8 +225,8 @@ impl<'a, T: Copy + 'a> Rows<'a, T> for FlatRows<'a, T> {
 ///
 /// Layout-identical to [`Graph`], but the arrays live elsewhere — inside an
 /// owned `Graph`, or inside a memory-mapped index file — optionally under a
-/// frozen overlay of replacement adjacency rows. `Copy`, so pass it by
-/// value.
+/// copy-on-write overlay of replacement adjacency rows. `Copy`, so pass it
+/// by value.
 #[derive(Clone, Copy, Debug)]
 pub struct GraphView<'a> {
     /// `offsets[v]..offsets[v + 1]` indexes `neighbors` for vertex `v`.
@@ -233,7 +234,7 @@ pub struct GraphView<'a> {
     /// Concatenated, per-vertex-sorted adjacency lists.
     neighbors: &'a [VertexId],
     /// Replacement adjacency rows over the two arrays, if any.
-    patches: Option<&'a FrozenPatches<VertexId>>,
+    patches: Option<&'a Overlay<VertexId>>,
 }
 
 impl<'a> GraphView<'a> {
@@ -270,7 +271,7 @@ impl<'a> GraphView<'a> {
     ///
     /// # Panics
     /// Panics if `patches` were made for a different row count.
-    pub(crate) fn with_patches(self, patches: &'a FrozenPatches<VertexId>) -> Self {
+    pub(crate) fn with_patches(self, patches: &'a Overlay<VertexId>) -> Self {
         assert_eq!(
             patches.num_rows(),
             self.num_vertices(),
@@ -290,7 +291,7 @@ impl<'a> GraphView<'a> {
     /// Number of vertices whose adjacency the view's patches replace (0
     /// for an unpatched view).
     pub fn patched_rows(&self) -> usize {
-        self.patches.map_or(0, FrozenPatches::len)
+        self.patches.map_or(0, Overlay::len)
     }
 
     /// The arrays this view's patches apply to, without them (the view

@@ -25,12 +25,12 @@
 //!   vertex instead of a 4-byte table load).
 //! * [`delta`] — the dynamic-graph layer: [`delta::EdgeDelta`] edge edits,
 //!   the [`delta::DeltaGraph`] overlay that applies them without touching
-//!   the frozen CSR, [`delta::CsrPatches`], the row-keyed overlay it (and
-//!   `hcl-index`'s editable labels) splice back into a fresh CSR or freeze
-//!   into a shareable [`delta::FrozenPatches`] (a [`delta::FrozenGraph`]
-//!   serves a base CSR under one); `&DeltaGraph` reads its rows through
-//!   the same [`graph::Rows`] trait as every CSR, so traversals run over
-//!   base+delta unchanged.
+//!   the frozen CSR, and [`delta::Overlay`], the copy-on-write rows it (and
+//!   `hcl-index`'s editable labels) keep their edits in: chunks of 4 096
+//!   rows under an `Arc`'d spine, so a served generation ([`delta::FrozenGraph`])
+//!   is a clone, and an update copies only the spine and the chunks it
+//!   touches. `&DeltaGraph` reads its rows through the same [`graph::Rows`]
+//!   trait as every CSR, so traversals run over base+delta unchanged.
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
@@ -43,8 +43,5 @@ pub mod testkit;
 
 pub use bfs::{BfsProbe, NoProbe};
 pub use bitset::DenseBitSet;
-pub use delta::{
-    CsrPatches, DeltaError, DeltaGraph, DeltaOp, DeltaPatches, EdgeDelta, FrozenGraph,
-    FrozenPatches,
-};
+pub use delta::{DeltaError, DeltaGraph, DeltaOp, EdgeDelta, FrozenGraph, Overlay};
 pub use graph::{CsrError, FlatRows, Graph, GraphBuilder, GraphView, Rows, VertexId, INFINITY};

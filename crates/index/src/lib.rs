@@ -39,7 +39,9 @@
 //!   of a memory-mapped file. Untrusted slices are admitted through
 //!   [`IndexView::from_parts`], which validates every invariant the engine
 //!   indexes by. A live-updated generation's view ([`FrozenIndex`]) adds a
-//!   frozen overlay of replacement labels and a patched highway.
+//!   copy-on-write overlay of replacement labels and a patched highway,
+//!   which share with the generation before every chunk and the highway
+//!   unless its update wrote to them.
 //!
 //! Every query result is exact; the test suite property-checks the engine
 //! against the plain BFS oracle from `hcl-core` over multiple graph

@@ -7,13 +7,14 @@
 //! type's query methods are thin delegations through
 //! [`HighwayCoverIndex::as_view`].
 //!
-//! A live-updated generation serves base arrays under frozen overlays of
-//! replacement adjacency and label rows. Whether a query needs them is
-//! decided **once per query**: the merge and the residual BFS are one body
-//! generic over where rows come from ([`Rows`]), run with bare-array
-//! [`FlatRows`](hcl_core::FlatRows) when neither view is patched — a
-//! static generation's machine code is the patch-free loop — and with the
-//! patch-aware views (one bit test per row fetch) otherwise.
+//! A live-updated generation serves base arrays under copy-on-write
+//! overlays of replacement adjacency and label rows. Whether a query needs
+//! them is decided **once per query**: the merge and the residual BFS are
+//! one body generic over where rows come from ([`Rows`]), run with
+//! bare-array [`FlatRows`](hcl_core::FlatRows) when neither view is
+//! patched — a static generation's machine code is the patch-free loop —
+//! and with the patch-aware views (one chunk load and one bit test per row
+//! fetch) otherwise.
 //!
 //! # Hot-path layout
 //!
@@ -743,12 +744,11 @@ mod tests {
         ctx: &mut QueryContext,
         what: &str,
     ) -> [bool; 4] {
-        // Freeze the edits the way the update engine does: detached from
-        // the overlay, over the shared base.
-        let patches = std::mem::replace(graph, hcl_core::DeltaGraph::new(base.as_view())).detach();
-        let frozen_graph = patches.freeze(base);
-        *graph = hcl_core::DeltaGraph::reattach(base.as_view(), patches);
-        let frozen_index = dynamic.freeze();
+        // Publish the edits the way the update engine does: the overlays
+        // cloned beside the shared bases.
+        let frozen_graph =
+            hcl_core::FrozenGraph::new(std::sync::Arc::clone(base), graph.patches().clone());
+        let frozen_index = dynamic.current().clone();
         let (gv, iv) = (frozen_graph.as_view(), frozen_index.as_view());
         let (flat_graph, flat_index) = (gv.to_owned_graph(), iv.to_owned_index());
         assert_eq!(flat_graph, graph.to_graph(), "{what}: graph splice");

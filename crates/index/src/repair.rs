@@ -9,15 +9,16 @@
 //!
 //! A [`DynamicIndex`] is a frozen base, shared by `Arc` with whoever serves
 //! it, plus the edits made since: a replacement label (packed and
-//! hub-sorted like the base's) for each vertex a repair rewrote, keyed by
-//! vertex behind a bitset ([`hcl_core::CsrPatches`], the shape the graph
-//! overlay keeps its adjacency patches in), and the highway once a repair
-//! patched a cell. Every read — detection, the find's `d_old`, the repair —
+//! hub-sorted like the base's) for each vertex a repair rewrote, in an
+//! [`hcl_core::Overlay`] (the copy-on-write rows the graph overlay keeps its
+//! adjacency patches in), and the highway once a repair patched a cell,
+//! behind an `Arc`. Every read — detection, the find's `d_old`, the repair —
 //! goes through one accessor: the replacement if there is one, else the
-//! base slice. [`DynamicIndex::freeze`] hands out the serving form without
-//! copying the base: a [`FrozenIndex`] holds the base `Arc` plus a frozen
-//! copy of the replacement labels and the patched highway, `O(labels
-//! rewritten since the base)`, and leaves the edits pending.
+//! base slice. The whole state is a [`FrozenIndex`], and a served
+//! generation is a clone of it ([`DynamicIndex::current`]): `Arc` clones
+//! that share the base, every label chunk and the highway. The edits after
+//! it copy on write — the overlay's spine and each chunk they land in once,
+//! the highway once — so what a publish costs is what its update touched.
 //! [`DynamicIndex::flatten`] is the fold: it splices the replacements into
 //! a fresh copy of the base arrays (each clean run of vertices one copy,
 //! its offsets shifted) and adopts the result as the new base; when no
@@ -141,9 +142,8 @@
 
 use crate::build::{sat_add, BuildContext, HighwayCoverIndex, NOT_A_LANDMARK};
 use crate::view::{entry_dist, entry_hub, pack_label_entry, IndexView};
-use hcl_core::{
-    CsrPatches, DeltaError, DeltaGraph, DeltaOp, EdgeDelta, FrozenPatches, VertexId, INFINITY,
-};
+use hcl_core::{DeltaError, DeltaGraph, DeltaOp, EdgeDelta, Overlay, VertexId, INFINITY};
+use std::mem::size_of_val;
 use std::sync::Arc;
 
 /// What one [`DynamicIndex::apply_and_repair`] call did, for logging,
@@ -169,22 +169,24 @@ pub struct RepairOutcome {
 }
 
 /// A labelling as a served generation holds it: the arrays of the last
-/// fold, shared by `Arc` with the [`DynamicIndex`] that froze it (and every
-/// generation frozen since), plus a frozen copy of the labels and highway
-/// its repairs rewrote after that fold ([`DynamicIndex::freeze`]).
+/// fold, shared by `Arc` with the [`DynamicIndex`] it was cloned from (and
+/// every generation since), plus the labels and highway its repairs
+/// rewrote after that fold, sharing every label chunk and the highway with
+/// the generation before unless an update wrote to them.
+#[derive(Clone)]
 pub struct FrozenIndex {
     base: Arc<HighwayCoverIndex>,
-    labels: Option<FrozenPatches<u64>>,
-    highway: Option<Vec<u32>>,
+    labels: Overlay<u64>,
+    highway: Option<Arc<Vec<u32>>>,
 }
 
 impl FrozenIndex {
     /// `base` with no patches.
     pub fn flat(base: Arc<HighwayCoverIndex>) -> Self {
         Self {
-            base,
-            labels: None,
+            labels: Overlay::new(base.num_vertices()),
             highway: None,
+            base,
         }
     }
 
@@ -193,12 +195,17 @@ impl FrozenIndex {
         &self.base
     }
 
+    /// The replacement labels over the base.
+    pub fn labels(&self) -> &Overlay<u64> {
+        &self.labels
+    }
+
     /// The labelling as a view: the base labels under the replacements,
     /// and the patched highway if a repair wrote one.
     pub fn as_view(&self) -> IndexView<'_> {
         IndexView {
             highway: self.highway.as_deref().unwrap_or(&self.base.highway),
-            label_patches: self.labels.as_ref(),
+            label_patches: (!self.labels.is_empty()).then_some(&self.labels),
             ..self.base.as_view()
         }
     }
@@ -209,72 +216,83 @@ impl FrozenIndex {
 ///
 /// Convert a built index in with [`DynamicIndex::from_view`], apply edits
 /// with [`DynamicIndex::apply_and_repair`], and get the current state back
-/// for serving with [`DynamicIndex::freeze`] (the base shared, the edits
-/// copied), or flat with [`DynamicIndex::flatten`] (spliced and adopted as
-/// the new base) or [`DynamicIndex::to_index`] (a spliced copy that leaves
-/// the edits pending). The conversion round-trip is lossless.
+/// for serving with [`DynamicIndex::current`] (a clone shares the base and
+/// every unedited chunk), or flat with [`DynamicIndex::flatten`] (spliced
+/// and adopted as the new base) or [`DynamicIndex::to_index`] (a spliced
+/// copy that leaves the edits pending). The conversion round-trip is
+/// lossless.
 pub struct DynamicIndex {
-    /// The labelling as last flattened (or converted in, or relabelled):
-    /// exactly what [`flatten`](Self::flatten) returned last, shared with
-    /// whoever serves it.
-    base: Arc<HighwayCoverIndex>,
-    /// Replacement labels, packed and hub-sorted like the base's, for the
-    /// vertices a repair rewrote since `base`.
-    labels: CsrPatches<u64>,
-    /// The highway, once a repair has patched it since `base`.
-    highway: Option<Vec<u32>>,
+    /// The labelling as it stands: the arrays of the last flatten (or
+    /// conversion, or relabel), shared with whoever serves them, plus the
+    /// labels and highway repaired since.
+    live: FrozenIndex,
+    /// Bytes the highway's copies on write and the folds' splices copied
+    /// since [`take_copied_bytes`](Self::take_copied_bytes).
+    copied: usize,
 }
 
 impl DynamicIndex {
     /// Copies a frozen index (owned or mapped) into editable form: five
     /// slice copies, no per-vertex work.
     pub fn from_view(view: IndexView<'_>) -> Self {
-        let base = Arc::new(view.to_owned_index());
         Self {
-            labels: CsrPatches::new(base.num_vertices()),
-            highway: None,
-            base,
+            live: FrozenIndex::flat(Arc::new(view.to_owned_index())),
+            copied: 0,
         }
     }
 
     /// Number of landmarks (fixed across edits).
     pub fn num_landmarks(&self) -> usize {
-        self.base.num_landmarks()
+        self.live.base.num_landmarks()
     }
 
     /// Number of vertices the index covers (fixed across edits — the delta
     /// layer does not add vertices).
     pub fn num_vertices(&self) -> usize {
-        self.base.num_vertices()
+        self.live.base.num_vertices()
     }
 
     /// Number of vertices whose label a repair rewrote since the base.
     pub fn patched_rows(&self) -> usize {
-        self.labels.len()
+        self.live.labels.len()
     }
 
     /// Total number of label entries currently held.
     pub fn num_label_entries(&self) -> usize {
-        let base = self.base.as_view();
-        self.labels
-            .iter()
-            .fold(base.label_entries().len(), |total, (v, label)| {
-                total - base.packed_label(v).len() + label.len()
-            })
+        let base = self.live.base.label_entries.len();
+        self.live.labels.patched_len(base)
     }
 
     /// The packed, hub-sorted label of `v`: its replacement if a repair
     /// rewrote it, else the base's.
     fn label(&self, v: VertexId) -> &[u64] {
-        match self.labels.get(v) {
+        match self.live.labels.get(v) {
             Some(label) => label,
-            None => self.base.as_view().packed_label(v),
+            None => self.live.base.as_view().packed_label(v),
         }
     }
 
     /// The row-major `k × k` highway as it stands.
     fn highway(&self) -> &[u32] {
-        self.highway.as_deref().unwrap_or(&self.base.highway)
+        self.live
+            .highway
+            .as_deref()
+            .unwrap_or(&self.live.base.highway)
+    }
+
+    /// The highway for writing: copied from the base on the first write
+    /// since the last fold, and again whenever a served generation shares
+    /// it.
+    fn highway_mut(&mut self) -> &mut Vec<u32> {
+        let (base, bytes) = (&self.live.base, size_of_val(self.highway()));
+        let highway = self.live.highway.get_or_insert_with(|| {
+            self.copied += bytes;
+            Arc::new(base.highway.clone())
+        });
+        if Arc::get_mut(highway).is_none() {
+            self.copied += bytes;
+        }
+        Arc::make_mut(highway)
     }
 
     /// `d(landmark_i, v)` for every landmark rank `i`, read from `v`'s
@@ -306,9 +324,11 @@ impl DynamicIndex {
     /// clean run of vertices one copy, its offsets shifted), the edits left
     /// pending. [`flatten`](Self::flatten) is the form that also adopts it.
     pub fn to_index(&self) -> HighwayCoverIndex {
-        let base = &self.base;
-        let (label_offsets, label_entries) =
-            self.labels.splice(&base.label_offsets, &base.label_entries);
+        let base = &self.live.base;
+        let (label_offsets, label_entries) = self
+            .live
+            .labels
+            .splice(&base.label_offsets, &base.label_entries);
         HighwayCoverIndex {
             landmarks: base.landmarks.clone(),
             landmark_rank: base.landmark_rank.clone(),
@@ -318,16 +338,11 @@ impl DynamicIndex {
         }
     }
 
-    /// The current state for serving, without copying the base: its `Arc`
-    /// plus a frozen copy of the rewritten labels and the patched highway,
-    /// `O(labels rewritten since the base + n / 64)`. The edits stay
-    /// pending; [`flatten`](Self::flatten) is the fold.
-    pub fn freeze(&self) -> FrozenIndex {
-        FrozenIndex {
-            base: Arc::clone(&self.base),
-            labels: (!self.labels.is_empty()).then(|| self.labels.freeze(&self.base.label_offsets)),
-            highway: self.highway.clone(),
-        }
+    /// The current state as a served generation holds it; a clone of it is
+    /// the publish, `O(1)`. The edits stay pending;
+    /// [`flatten`](Self::flatten) is the fold.
+    pub fn current(&self) -> &FrozenIndex {
+        &self.live
     }
 
     /// The frozen form of the current state, adopted as the new base: the
@@ -336,12 +351,34 @@ impl DynamicIndex {
     /// rewritten since the last call — this is the previous result, the
     /// same `Arc`, and copies nothing.
     pub fn flatten(&mut self) -> Arc<HighwayCoverIndex> {
-        if !self.labels.is_empty() || self.highway.is_some() {
-            self.base = Arc::new(self.to_index());
-            self.labels = CsrPatches::new(self.num_vertices());
-            self.highway = None;
+        if !self.live.labels.is_empty() || self.live.highway.is_some() {
+            let index = self.to_index();
+            self.copied += [
+                size_of_val(index.landmarks.as_slice()),
+                size_of_val(index.landmark_rank.as_slice()),
+                size_of_val(index.label_offsets.as_slice()),
+                size_of_val(index.label_entries.as_slice()),
+                size_of_val(index.highway.as_slice()),
+            ]
+            .iter()
+            .sum::<usize>();
+            self.adopt(index);
         }
-        Arc::clone(&self.base)
+        Arc::clone(&self.live.base)
+    }
+
+    /// Adopts `base` with no edits pending; the copies the replaced label
+    /// overlay made stay counted.
+    fn adopt(&mut self, base: HighwayCoverIndex) {
+        self.copied += self.live.labels.take_copied_bytes();
+        self.live = FrozenIndex::flat(Arc::new(base));
+    }
+
+    /// Bytes copied since the last call: the label overlay's spine and
+    /// chunks and the highway, each copied on the first write while a
+    /// served generation shared it, plus the arrays of every fold.
+    pub fn take_copied_bytes(&mut self) -> usize {
+        self.live.labels.take_copied_bytes() + std::mem::take(&mut self.copied)
     }
 
     /// Applies one edge delta to `graph` and repairs the index so it
@@ -472,9 +509,7 @@ impl DynamicIndex {
             for j in (i + 1)..k {
                 let via = sat_add(sat_add(da[i], 1), db[j]).min(sat_add(sat_add(db[i], 1), da[j]));
                 if via < self.highway()[i * k + j] {
-                    let highway = self
-                        .highway
-                        .get_or_insert_with(|| self.base.highway.clone());
+                    let highway = self.highway_mut();
                     highway[i * k + j] = via;
                     highway[j * k + i] = via;
                 }
@@ -484,7 +519,7 @@ impl DynamicIndex {
         // Repair, in rank order, against the patched highway. A vertex's
         // label is copied into the replacements on its first real change.
         for (i, x, d) in dropped {
-            if self.base.landmark_rank[x as usize] != NOT_A_LANDMARK {
+            if self.live.base.landmark_rank[x as usize] != NOT_A_LANDMARK {
                 continue; // a landmark's row is the highway
             }
             let row = &self.highway()[i as usize * k..(i as usize + 1) * k];
@@ -503,10 +538,10 @@ impl DynamicIndex {
             if label[slot.clone()] == *wanted {
                 continue;
             }
-            let base = self.base.as_view();
-            self.labels
-                .get_or_insert_with(x, || base.packed_label(x).to_vec())
-                .splice(slot, wanted.iter().copied());
+            let base = self.live.base.as_view().packed_label(x);
+            self.live.labels.edit(x, base, |label| {
+                label.splice(slot, wanted.iter().copied());
+            });
         }
         outcome
     }
@@ -535,11 +570,9 @@ impl DynamicIndex {
             };
         }
 
-        let landmarks = &self.base.landmarks;
+        let landmarks = &self.live.base.landmarks;
         let relabelled = HighwayCoverIndex::build_in(graph, landmarks, std::slice::from_mut(cx));
-        self.base = Arc::new(relabelled);
-        self.labels = CsrPatches::new(self.num_vertices());
-        self.highway = None;
+        self.adopt(relabelled);
 
         RepairOutcome {
             applied: true,

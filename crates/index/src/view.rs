@@ -20,14 +20,15 @@
 //! index unchecked without risking panics on corrupt input.
 //!
 //! A live-updated generation is served as a view of the last fold's arrays
-//! under a frozen overlay of replacement labels, with its highway slice
-//! pointing at the patched matrix ([`FrozenIndex`](crate::FrozenIndex)).
+//! under a copy-on-write [`Overlay`] of replacement labels, with its highway
+//! slice pointing at the patched matrix ([`FrozenIndex`](crate::FrozenIndex)):
+//! a label read loads one chunk pointer, then tests one bit.
 //! Every accessor sees the patches except the raw label arrays
 //! ([`IndexView::label_offsets`] / [`IndexView::label_entries`]), which
 //! are the base's.
 
 use crate::build::{HighwayCoverIndex, IndexStats, NOT_A_LANDMARK};
-use hcl_core::{FlatRows, FrozenPatches, Rows, VertexId};
+use hcl_core::{FlatRows, Overlay, Rows, VertexId};
 use std::fmt;
 
 /// Packs a `(hub rank, distance)` label pair into one `u64`: hub in the
@@ -215,7 +216,7 @@ pub struct IndexView<'a> {
     /// Row-major `k × k` closed landmark-to-landmark distances.
     pub(crate) highway: &'a [u32],
     /// Replacement labels over `label_offsets` / `label_entries`, if any.
-    pub(crate) label_patches: Option<&'a FrozenPatches<u64>>,
+    pub(crate) label_patches: Option<&'a Overlay<u64>>,
 }
 
 impl<'a> IndexView<'a> {
@@ -402,7 +403,7 @@ impl<'a> IndexView<'a> {
     /// Number of vertices whose label the view's patches replace (0 for
     /// an unpatched view).
     pub fn patched_rows(&self) -> usize {
-        self.label_patches.map_or(0, FrozenPatches::len)
+        self.label_patches.map_or(0, Overlay::len)
     }
 
     /// The label arrays this view's patches apply to, without them (the

@@ -4,10 +4,10 @@
 //! [`LiveState`] is the live graph and labels — the base arrays of the
 //! last fold plus the rows patched since — maintained incrementally by
 //! `hcl-index`'s repair path (never a full rebuild). It holds the fold
-//! rule: freezing it for serving folds first once either overlay holds
-//! more than `n / FOLD_DIVISOR` patched rows. An open replays a pending
-//! journal through it, so a reopened file is exactly what the engine that
-//! appended the journal served, patched or flat.
+//! rule: publishing it folds first once either overlay holds more than
+//! `n / FOLD_DIVISOR` patched rows. An open replays a pending journal
+//! through it, so a reopened file is exactly what the engine that appended
+//! the journal served, patched or flat.
 //!
 //! [`UpdateEngine`] is that state plus a [`JournalWriter`], the
 //! container's single writer. One call, [`UpdateEngine::publish`], makes a
@@ -21,18 +21,22 @@
 //! * **publish** — the next generation is an `IndexStore` sharing the
 //!   already-validated image and carrying the live state in its replayed
 //!   slot: answers identical to that reopen's, with nothing serialised or
-//!   re-validated. The live state is *frozen*, not copied: the generation
+//!   re-validated. The live state is *cloned*, not copied: the generation
 //!   shares the graph and label arrays of the last fold (the same `Arc`s
-//!   every generation since holds, so they are resident once) and gets a
-//!   frozen copy of only the adjacency and label rows patched since that
-//!   fold, plus the patched highway — `O(rows patched + n / 64)`, whatever
-//!   the size of the graph.
+//!   every generation since holds, so they are resident once) and the
+//!   copy-on-write overlays of the rows patched since, chunks of 4 096 rows
+//!   under an `Arc`'d spine, plus the patched highway. The edits of the
+//!   next batch copy what they write to while a generation shares it: each
+//!   overlay's spine (`n / 4 096` pointers) once, each chunk they touch
+//!   once, the highway once. So a publish costs the chunks its update
+//!   touched plus the spines, whatever the size of the graph and whatever
+//!   was patched before; `UpdatePhases::copied_bytes` counts it.
 //! * **fold** — once either overlay holds more than `n / FOLD_DIVISOR`
 //!   patched rows, the publish first splices both into fresh base arrays
 //!   (`DeltaGraph::to_graph`, `DynamicIndex::flatten`: the previous arrays
 //!   copied run by run with the patched rows in between) and serves those
-//!   flat. That bounds what each freeze copies, and spreads the `O(n + m)`
-//!   splice over the publishes that filled the overlay.
+//!   flat. That bounds the overlays' memory and read cost, and spreads the
+//!   `O(n + m)` splice over the publishes that filled them.
 //!
 //! Only a compacting publish (the `compact_after` threshold reached, or a
 //! forced compaction) writes a whole container — the live state as the new
@@ -45,43 +49,51 @@
 //! [`UpdateError`], never a panic that would take a serving loop down.
 
 use crate::{IndexStore, JournalWriter, StoreError};
-use hcl_core::{DeltaError, DeltaGraph, DeltaPatches, EdgeDelta, FrozenGraph, Graph, GraphView};
+use hcl_core::{
+    DeltaError, DeltaGraph, EdgeDelta, FrozenGraph, Graph, GraphView, Overlay, VertexId,
+};
 use hcl_index::repair::{DynamicIndex, RepairOutcome};
 use hcl_index::{BuildContext, FrozenIndex, IndexView};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A freeze folds both overlays into fresh base arrays once either holds
-/// more than `n / FOLD_DIVISOR` patched rows: that bounds what each freeze
-/// copies, and amortises the `O(n + m)` splice over the publishes before it.
+/// A publish folds both overlays into fresh base arrays once either holds
+/// more than `n / FOLD_DIVISOR` patched rows: that bounds the overlays'
+/// memory and read cost, and amortises the `O(n + m)` splice over the
+/// publishes before it.
 const FOLD_DIVISOR: usize = 64;
 
 /// The live graph and labels: the base arrays of the last fold, shared
-/// with every generation frozen since, plus the edits applied after it.
+/// with every generation published since, plus the edits applied after it.
 pub(crate) struct LiveState {
     /// The graph as of the last fold; `patches` holds what was applied
     /// after it.
     graph: Arc<Graph>,
     /// Adjacency edits applied since the last fold: the detached half of
-    /// the overlay repairs run on, kept across `apply` calls and frozen
+    /// the overlay repairs run on, kept across `apply` calls and cloned
     /// into each generation until the next fold splices it.
-    patches: DeltaPatches,
+    patches: Overlay<VertexId>,
     /// The labels of the last fold (the same `Arc` every generation since
     /// holds) plus the labels repaired after it.
     index: DynamicIndex,
     /// Reused BFS scratch for the repair path.
     cx: BuildContext,
+    /// Bytes copied since the last publish that `patches` no longer
+    /// counts: a fold's splice, and the copies the overlay it replaced
+    /// made.
+    copied: usize,
 }
 
 impl LiveState {
     /// Copies `graph` and `index` (flat or patched) into editable form.
     pub(crate) fn new(graph: GraphView<'_>, index: IndexView<'_>) -> Self {
         Self {
+            patches: Overlay::new(graph.num_vertices()),
             graph: Arc::new(graph.to_owned_graph()),
-            patches: DeltaPatches::default(),
             index: DynamicIndex::from_view(index),
             cx: BuildContext::new(),
+            copied: 0,
         }
     }
 
@@ -90,8 +102,10 @@ impl LiveState {
     /// `applied: false`; an invalid one (out-of-range endpoint, self-loop)
     /// is an error and changes nothing.
     pub(crate) fn apply(&mut self, delta: EdgeDelta) -> Result<RepairOutcome, DeltaError> {
-        let mut overlay =
-            DeltaGraph::reattach(self.graph.as_view(), std::mem::take(&mut self.patches));
+        let mut overlay = DeltaGraph::reattach(
+            self.graph.as_view(),
+            std::mem::replace(&mut self.patches, Overlay::new(0)),
+        );
         let repaired = self
             .index
             .apply_and_repair(&mut overlay, delta, &mut self.cx);
@@ -101,32 +115,46 @@ impl LiveState {
 
     /// Patched rows in the graph and in the label overlay.
     fn rows(&self) -> [usize; 2] {
-        [self.patches.num_patched(), self.index.patched_rows()]
+        [self.patches.len(), self.index.patched_rows()]
     }
 
-    /// The live state for serving: the base arrays shared, the rows
-    /// patched since the last fold frozen beside them. Folds first when
+    /// The live state for serving: the base arrays and the overlays of
+    /// the rows patched since the last fold, shared. Folds first when
     /// `fold` is set or either overlay holds more than `n / FOLD_DIVISOR`
     /// rows; the flag says whether a fold spliced any rows (the result is
     /// then flat).
-    pub(crate) fn freeze(&mut self, fold: bool) -> (FrozenGraph, FrozenIndex, bool) {
+    pub(crate) fn publish(&mut self, fold: bool) -> (FrozenGraph, FrozenIndex, bool) {
         let (limit, rows) = (self.index.num_vertices() / FOLD_DIVISOR, self.rows());
         let folded = rows.iter().any(|&r| r > 0) && (fold || rows.iter().any(|&r| r > limit));
         if folded || fold {
             // The fold: both overlays spliced into fresh base arrays,
             // adopted with nothing left pending.
             if !self.patches.is_empty() {
-                let patches = std::mem::take(&mut self.patches);
+                let fresh = Overlay::new(self.graph.num_vertices());
+                let mut patches = std::mem::replace(&mut self.patches, fresh);
+                self.copied += patches.take_copied_bytes();
                 let graph = DeltaGraph::reattach(self.graph.as_view(), patches).to_graph();
+                self.copied += std::mem::size_of_val(graph.csr_offsets())
+                    + std::mem::size_of_val(graph.csr_neighbors());
                 self.graph = Arc::new(graph);
             }
             self.index.flatten();
         }
         (
-            self.patches.freeze(&self.graph),
-            self.index.freeze(),
+            FrozenGraph::new(Arc::clone(&self.graph), self.patches.clone()),
+            self.index.current().clone(),
             folded,
         )
+    }
+
+    /// Bytes copied since the last call: both overlays' spines and chunks
+    /// and the highway, each copied on the first write while a published
+    /// generation shared it, plus the arrays of every fold.
+    fn take_copied_bytes(&mut self) -> u64 {
+        let copied = std::mem::take(&mut self.copied)
+            + self.patches.take_copied_bytes()
+            + self.index.take_copied_bytes();
+        copied as u64
     }
 }
 
@@ -137,17 +165,25 @@ impl LiveState {
 pub struct UpdatePhases {
     /// Label repair (`DynamicIndex::apply_and_repair`).
     pub repair: Duration,
-    /// Live state made servable, once per batch: the rows patched since
-    /// the last fold frozen beside the shared base arrays (`DeltaPatches::
-    /// freeze`, `DynamicIndex::freeze`), or — when the batch folds — the
-    /// fold's splice into fresh base arrays (`DeltaGraph::to_graph`,
-    /// `DynamicIndex::flatten`, `O(n + m)` bytes moved) first.
+    /// Live state made servable, once per batch: the overlays cloned
+    /// beside the shared base arrays (`Arc` clones), or — when the batch
+    /// folds — the fold's splice into fresh base arrays
+    /// (`DeltaGraph::to_graph`, `DynamicIndex::flatten`, `O(n + m)` bytes
+    /// moved) first. The copies on write land in `repair`.
     pub materialise: Duration,
     /// Made durable: the frame append, or the whole-container publish and
     /// reopen of a compaction.
     pub persist: Duration,
     /// The generation swap.
     pub swap: Duration,
+    /// The engine's adoption of the served state: `UpdateEngine::from_store`
+    /// copying the whole graph and labels into editable form. Paid once,
+    /// by the first batch.
+    pub adopt: Duration,
+    /// Bytes the batch copied: each overlay's spine and each chunk its
+    /// edits touched while a published generation shared them, the
+    /// highway likewise, plus the arrays a fold spliced.
+    pub copied_bytes: u64,
     /// Landmarks whose distance function an applied delta affected
     /// (`RepairOutcome::affected_landmarks`, summed over the batch).
     pub affected_landmarks: u64,
@@ -160,19 +196,22 @@ pub struct UpdatePhases {
 }
 
 impl UpdatePhases {
-    /// `(name, duration)` per phase, in pipeline order; the names are the
-    /// `phase` label values of `hcl_update_phase_seconds_total`.
-    pub fn named(&self) -> [(&'static str, Duration); 4] {
+    /// `(name, duration)` per phase, in pipeline order with the one-off
+    /// `adopt` last; the names are the `phase` label values of
+    /// `hcl_update_phase_seconds_total`.
+    pub fn named(&self) -> [(&'static str, Duration); 5] {
         [
             ("repair", self.repair),
             ("materialise", self.materialise),
             ("persist", self.persist),
             ("swap", self.swap),
+            ("adopt", self.adopt),
         ]
     }
 }
 
-/// `repair=0.1ms materialise=0.0ms persist=0.2ms swap=0.0ms affected=3/41`.
+/// `repair=0.1ms materialise=0.0ms persist=0.2ms swap=0.0ms adopt=0.0ms
+/// affected=3/41 copied=4424B`.
 impl std::fmt::Display for UpdatePhases {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         for (name, took) in self.named() {
@@ -180,8 +219,8 @@ impl std::fmt::Display for UpdatePhases {
         }
         write!(
             f,
-            "affected={}/{}",
-            self.affected_landmarks, self.affected_vertices
+            "affected={}/{} copied={}B",
+            self.affected_landmarks, self.affected_vertices, self.copied_bytes
         )
     }
 }
@@ -259,14 +298,20 @@ impl UpdateEngine {
     /// Builds the engine from an opened container, continuing its history:
     /// a later [`publish`](UpdateEngine::publish) appends to `path` (the
     /// file `store` was opened from) or, without one, journals in memory.
-    /// The live state starts as a copy of what `store` serves.
+    /// The live state starts as a copy of what `store` serves, timed as
+    /// the first batch's `adopt` phase.
     pub fn from_store(store: &IndexStore, path: Option<PathBuf>, compact_after: usize) -> Self {
+        let t0 = Instant::now();
+        let live = LiveState::new(store.graph(), store.index());
         Self {
             writer: JournalWriter::new(store, path),
-            live: LiveState::new(store.graph(), store.index()),
+            live,
             staged: Vec::new(),
             compact_after,
-            phases: UpdatePhases::default(),
+            phases: UpdatePhases {
+                adopt: t0.elapsed(),
+                ..UpdatePhases::default()
+            },
         }
     }
 
@@ -307,7 +352,7 @@ impl UpdateEngine {
     /// Makes every delta applied since the last publish durable and
     /// returns the generation that serves them. Normally that is one
     /// frame appended to the file and a generation sharing the validated
-    /// image and the last fold's arrays under a frozen overlay; when
+    /// image, the last fold's arrays and the live overlays; when
     /// `force_compact` is set or the `compact_after` threshold is reached
     /// (and anything is pending), the live state is instead folded,
     /// published as a whole new container and reopened.
@@ -316,8 +361,9 @@ impl UpdateEngine {
         let compacting = pending > 0
             && (force_compact || (self.compact_after > 0 && pending >= self.compact_after));
         let t0 = Instant::now();
-        let (graph, index, folded) = self.live.freeze(compacting);
+        let (graph, index, folded) = self.live.publish(compacting);
         self.phases.materialise += t0.elapsed();
+        self.phases.copied_bytes += self.live.take_copied_bytes();
 
         let t0 = Instant::now();
         let (store, written) = if compacting {
@@ -355,6 +401,7 @@ mod tests {
     use super::*;
     use hcl_core::{testkit, DeltaOp};
     use hcl_index::{BuildOptions, HighwayCoverIndex, QueryContext};
+    use std::collections::BTreeSet;
 
     fn engine_for(n: usize, k: usize, seed: u64) -> (Graph, UpdateEngine) {
         let graph = testkit::barabasi_albert(n, 3, seed);
@@ -707,6 +754,121 @@ mod tests {
 
         while !publish(&mut engine, None).folded {}
         assert_eq!(snapshot(&old), before, "after a fold");
+    }
+
+    /// The overlays a published generation serves.
+    fn overlays(store: &IndexStore) -> (&Overlay<VertexId>, &Overlay<u64>) {
+        let state = store.replayed.as_ref().expect("a published generation");
+        (state.graph.patches(), state.index.labels())
+    }
+
+    /// What the edits of one update copy on write in an overlay that the
+    /// generation before shares (`was`): its spine, if they touched any
+    /// chunk, plus each touched chunk `was` held.
+    fn cow_bytes<T>(was: &Overlay<T>, touched: &BTreeSet<usize>) -> u64 {
+        let chunks = was.chunks();
+        let spine = std::mem::size_of_val(chunks) * usize::from(!touched.is_empty());
+        let held = touched.iter().filter_map(|&c| chunks[c].as_ref());
+        (spine + held.map(|chunk| chunk.bytes()).sum::<usize>()) as u64
+    }
+
+    /// Every chunk outside `touched` is `was`'s own `Arc` (or absent from
+    /// both); every touched one is a new chunk.
+    fn assert_shares_untouched<T>(was: &Overlay<T>, now: &Overlay<T>, touched: &BTreeSet<usize>) {
+        for (c, (was, now)) in was.chunks().iter().zip(now.chunks()).enumerate() {
+            let shared = match (was, now) {
+                (Some(was), Some(now)) => Arc::ptr_eq(was, now),
+                (was, now) => was.is_none() && now.is_none(),
+            };
+            assert_eq!(shared, !touched.contains(&c), "chunk {c} of {touched:?}");
+        }
+    }
+
+    /// The cost law of a publish, exactly, for every publish of a seeded
+    /// insert script on a graph of three chunks: the chunks the update did
+    /// not touch are the previous generation's own, and `copied_bytes` is
+    /// each written overlay's spine, plus the previous generation's copy
+    /// of each chunk the update touched, plus the highway when the update
+    /// wrote it — plus, on the publish that folds, the arrays the fold
+    /// spliced. No term grows with `n / 64` or with what was patched before.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn a_publish_copies_the_spines_and_the_chunks_its_update_touched() {
+        use hcl_core::delta::CHUNK_ROWS;
+        use std::mem::size_of_val;
+        const N: usize = 9_000;
+        let (graph, mut engine) = engine_for(N, 8, 0xC0);
+        let mut rng = testkit::SplitMix64::new(0xC0);
+        let mut live = DeltaGraph::new(graph.as_view());
+        // The first generation shares the fresh overlays, so every update
+        // after it copies on write.
+        let mut last = engine.publish(false).unwrap().store;
+        let (mut publishes, mut chunks_copied, mut highways) = (0, 0, 0);
+        loop {
+            // Every eighth insert joins two landmarks 2 or more apart while
+            // any are, so that the highway is written too.
+            let (landmarks, highway) = (last.index().landmarks(), last.index().highway());
+            let k = landmarks.len();
+            let far = (0..k * k).find(|&c| highway[c] >= 2 && highway[c] != hcl_core::INFINITY);
+            let (u, v) = match far {
+                Some(c) if publishes % 8 == 0 => (landmarks[c / k], landmarks[c % k]),
+                _ => (
+                    rng.next_below(N as u64) as u32,
+                    rng.next_below(N as u64) as u32,
+                ),
+            };
+            if u == v || live.has_edge(u, v) {
+                continue;
+            }
+            live.apply(EdgeDelta::insert(u, v)).unwrap();
+            engine.apply(&[EdgeDelta::insert(u, v)]).unwrap();
+            let published = engine.publish(false).unwrap();
+            let now = &published.store;
+            let what = format!("publish {publishes}: +{u} {v}");
+
+            let (was_graph, was_labels) = overlays(&last);
+            let graph_chunks: BTreeSet<usize> =
+                [u, v].iter().map(|&r| r as usize / CHUNK_ROWS).collect();
+            let label_chunks: BTreeSet<usize> = (0..N as u32)
+                .filter(|&x| !last.index().label(x).eq(now.index().label(x)))
+                .map(|x| x as usize / CHUNK_ROWS)
+                .collect();
+            let highway = last.index().highway();
+            let highway_written = highway != now.index().highway();
+            let mut law = cow_bytes(was_graph, &graph_chunks)
+                + cow_bytes(was_labels, &label_chunks)
+                + size_of_val(highway) as u64 * u64::from(highway_written);
+            if published.folded {
+                let (graph, index) = (now.graph(), now.index());
+                let arrays = [
+                    size_of_val(graph.csr_offsets()) + size_of_val(graph.csr_neighbors()),
+                    size_of_val(index.landmarks()) + size_of_val(index.landmark_rank()),
+                    size_of_val(index.label_offsets()) + size_of_val(index.label_entries()),
+                    size_of_val(index.highway()),
+                ];
+                assert!(
+                    last.index().is_patched(),
+                    "{what}: the labels had rows to fold"
+                );
+                law += arrays.iter().sum::<usize>() as u64;
+            } else {
+                let (now_graph, now_labels) = overlays(now);
+                assert_shares_untouched(was_graph, now_graph, &graph_chunks);
+                assert_shares_untouched(was_labels, now_labels, &label_chunks);
+            }
+            assert_eq!(published.phases.copied_bytes, law, "{what}");
+            publishes += 1;
+            chunks_copied += graph_chunks.len() + label_chunks.len();
+            highways += usize::from(highway_written);
+            if published.folded {
+                break;
+            }
+            last = published.store;
+        }
+        assert!(
+            publishes > 20 && chunks_copied > publishes && highways > 1,
+            "{publishes} publishes, {chunks_copied} chunks, {highways} highways"
+        );
     }
 
     #[test]

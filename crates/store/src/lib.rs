@@ -45,10 +45,11 @@
 //! self-checksummed frame per acknowledged batch after the image (the
 //! *journal tail*, replayed at open) and stamps the next serving
 //! generation onto the shared, already-validated image. That generation
-//! serves the live state as the engine froze it — the arrays of its last
-//! fold, shared by `Arc` with every generation since, under a frozen
-//! overlay of the adjacency and label rows patched after that fold — so
-//! publishing copies only those rows. Open-time replay runs the pending
+//! serves the live state as the engine published it — the arrays of its
+//! last fold, shared by `Arc` with every generation since, under
+//! copy-on-write overlays of the adjacency and label rows patched after
+//! that fold — so publishing copies nothing, and the next update copies
+//! only the overlay chunks it writes to. Open-time replay runs the pending
 //! journal through the same engine state and fold rule, so a small journal
 //! opens patched and a large one folds. Only a compaction writes a whole
 //! file.
@@ -188,9 +189,10 @@ pub struct OpenPhases {
     pub labels: Duration,
     /// Pending journal deltas replayed over the base sections through the
     /// update engine's live state: the base graph and labels copied into
-    /// editable form, label repair per delta, then one freeze — the
-    /// patched rows copied beside the copies, or, past the engine's fold
-    /// bound (`n / 64` rows in either overlay), both spliced flat.
+    /// editable form, label repair per delta, then one publish — the
+    /// overlays of the patched rows shared beside the copies, or, past the
+    /// engine's fold bound (`n / 64` rows in either overlay), both spliced
+    /// flat.
     pub replay: Duration,
 }
 
@@ -400,7 +402,8 @@ fn validate(bytes: &[u8]) -> Result<Validated, StoreError> {
 /// Owned current state of a journalled container: base sections plus
 /// replayed deltas, with labels repaired incrementally. Base `Arc`s, shared
 /// with the update engine and the generations before and after this one,
-/// plus the frozen overlay of rows patched since the engine last folded.
+/// plus the overlays of rows patched since the engine last folded, which
+/// share every chunk the updates after this one did not touch.
 struct ReplayedState {
     graph: FrozenGraph,
     index: FrozenIndex,
@@ -483,8 +486,8 @@ impl IndexStore {
         let base = Base { backing, layout };
 
         // Replay pending deltas over the base sections through the update
-        // engine's live state, so the store serves *current* state, frozen
-        // by the fold rule the live updates ran under.
+        // engine's live state, so the store serves *current* state,
+        // published by the fold rule the live updates ran under.
         let replayed = match &journal {
             Some(j) if !j.is_empty() => {
                 let t = Instant::now();
@@ -493,7 +496,7 @@ impl IndexStore {
                     live.apply(delta)
                         .map_err(|why| inapplicable(i, delta, why))?;
                 }
-                let (graph, index, _) = live.freeze(false);
+                let (graph, index, _) = live.publish(false);
                 open_phases.replay = t.elapsed();
                 Some(ReplayedState { graph, index })
             }

@@ -220,8 +220,8 @@ pub enum AppendOutcome {
 /// frame, synced before it returns — and stamps the repaired state into
 /// the next [`generation`](JournalWriter::generation), an `IndexStore`
 /// answering exactly as reopening the file would, built without
-/// serialising or re-validating anything: its base arrays are shared,
-/// and only the frozen overlay of patched rows is its own.
+/// serialising or re-validating anything: its base arrays and the
+/// overlays of patched rows are shared with the update engine.
 /// [`compact`](JournalWriter::compact) is the one operation that writes a
 /// whole container.
 ///
@@ -380,7 +380,7 @@ impl JournalWriter {
     /// The generation after everything appended so far: `graph` and
     /// `index` are the live state (what replaying the pending journal over
     /// the image yields — the caller's repair path produced them) as base
-    /// arrays under a frozen overlay, served from the replayed slot beside
+    /// arrays under shared overlays, served from the replayed slot beside
     /// the shared, already-validated image. The one cost that grows with
     /// history is the copy of the pending journal (12 bytes per delta since
     /// the last compaction).
