@@ -4,9 +4,9 @@
 //! ground truth that the hub-labelling index is property-tested against, and
 //! as the fallback search primitive inside the query engine.
 //!
-//! Both oracles read their rows through [`Rows`] — an owned `&Graph`, a
-//! borrowed [`GraphView`](crate::GraphView) over a memory-mapped store, or
-//! a `&`[`DeltaGraph`](crate::DeltaGraph) edit overlay — so verification
+//! Both oracles read their rows through [`Rows`] — an owned `&Graph`, or a
+//! borrowed [`GraphView`](crate::GraphView) over a memory-mapped store or
+//! under a [`PatchedGraph`](crate::PatchedGraph)'s edits — so verification
 //! works identically on every backing, frozen or dynamic.
 
 use crate::graph::{Rows, VertexId, INFINITY};

@@ -1,37 +1,39 @@
-//! Mutable edge-delta overlay on the immutable CSR graph.
+//! Edge edits on the immutable CSR graph: a shared flat base under a
+//! copy-on-write overlay of replacement rows.
 //!
 //! The CSR layout ([`Graph`]/[`GraphView`]) is deliberately frozen: its
 //! contiguous arrays are what the store memory-maps and what every
 //! traversal iterates. Dynamic graphs are layered *on top* of it instead
-//! of mutating it: a [`DeltaGraph`] keeps the base view untouched and
+//! of mutating it: a [`PatchedGraph`] keeps its base CSR untouched and
 //! materialises a private, fully merged adjacency list only for the
-//! vertices an edit actually touched. `neighbors` therefore still returns
-//! a plain sorted `&[VertexId]` slice — patched vertices serve their
-//! overlay copy, everyone else serves the base CSR — so traversal code
-//! needs no per-edge branching and no iterator abstraction.
+//! vertices an edit actually touched. Its view's `neighbors` therefore
+//! still returns a plain sorted `&[VertexId]` slice — patched vertices
+//! serve their overlay copy, everyone else serves the base CSR — so
+//! traversal code needs no per-edge branching and no iterator abstraction.
 //!
 //! The patched lists live in an [`Overlay`], the row-keyed overlay
 //! `hcl-index` also keeps its edited labels in. Folding one back into a
-//! flat CSR ([`DeltaGraph::to_graph`]) is a splice — the base's clean runs
-//! and the patched rows copied in row order — so it costs two memory-speed
-//! copies, not a sort.
+//! flat CSR ([`PatchedGraph::flatten`], or [`PatchedGraph::to_graph`] for a
+//! copy) is a splice — the base's clean runs and the patched rows copied
+//! in row order — so it costs two memory-speed copies, not a sort.
 //!
-//! Serving an edited graph needs no splice at all: a [`FrozenGraph`] is
-//! the shared base `Arc` plus a clone of the overlay, served as a patched
-//! [`GraphView`]. An overlay keeps its rows in chunks of 4 096 under an
-//! `Arc`'d spine and copies on write, so the clone is two `Arc` clones and
-//! shares everything; the edits after it copy the spine once and each
-//! chunk they touch once. A publish therefore costs the spine plus the
-//! chunks its update touched — never the rows patched before it, nor the
-//! size of the base.
+//! Serving an edited graph needs no splice at all: a clone of the
+//! [`PatchedGraph`] is the served generation — the base `Arc` plus a clone
+//! of the overlay, read as a patched [`GraphView`]. An overlay keeps its
+//! rows in chunks of 4 096 under an `Arc`'d spine and copies on write, so
+//! the clone is two `Arc` clones and shares everything; the edits after it
+//! copy the spine once and each chunk they touch once. A publish therefore
+//! costs the spine plus the chunks its update touched — never the rows
+//! patched before it, nor the size of the base.
 //!
-//! `&DeltaGraph` implements [`Rows`], so the BFS oracles in [`crate::bfs`]
-//! and every other traversal run unchanged over a frozen CSR or a
-//! base+delta overlay. The vertex set is fixed: deltas add and remove
+//! [`PatchedGraph::as_view`] is a [`GraphView`], which implements
+//! [`Rows`](crate::Rows), so the BFS oracles in [`crate::bfs`] and every
+//! other traversal run unchanged over a frozen CSR or a base+delta
+//! overlay. The vertex set is fixed: deltas add and remove
 //! *edges* between existing vertices (the serving path's containers pin
 //! `n` at build time); growing the vertex set remains a rebuild.
 
-use crate::graph::{Graph, GraphView, Rows, VertexId};
+use crate::graph::{Graph, GraphView, VertexId};
 use std::fmt;
 use std::sync::Arc;
 
@@ -155,11 +157,10 @@ pub const CHUNK_ROWS: usize = 4096;
 
 /// Replacement rows for a CSR array (`offsets` + `items`), keyed by row:
 /// the overlay half of every base-plus-edits structure in the workspace —
-/// adjacency lists in [`DeltaGraph`] and [`FrozenGraph`], packed label
-/// entries in `hcl-index`'s `DynamicIndex` and `FrozenIndex`. A row is read
-/// from here when it was patched and from the base arrays otherwise;
-/// [`Overlay::splice`] folds the patches into one fresh copy of the base at
-/// memory speed.
+/// adjacency lists in [`PatchedGraph`], packed label entries in
+/// `hcl-index`'s `PatchedIndex`. A row is read from here when it was
+/// patched and from the base arrays otherwise; [`Overlay::splice`] folds
+/// the patches into one fresh copy of the base at memory speed.
 ///
 /// The rows sit in chunks of 4 096 under an `Arc`'d spine of optional
 /// `Arc`'d [`Chunk`]s, so a clone — a served generation — is one `Arc`
@@ -389,27 +390,37 @@ impl<T: Copy> Overlay<T> {
     }
 }
 
-/// A graph as a served generation holds it: the CSR of the last fold,
-/// shared by `Arc` with every generation since, plus the adjacency overlay
-/// of the edits made after it (empty when the generation is flat), which
-/// shares every chunk an update did not touch with the generation before.
+/// A graph under edits: the CSR of the last fold, shared by `Arc` with
+/// every generation cloned since, plus the adjacency rows the edits after
+/// that fold replaced. A clone is a served generation: two `Arc` clones
+/// that share the base and every overlay chunk, which the edits after it
+/// copy on write.
+///
+/// Edits are applied with [`apply`](Self::apply); traversals read the rows
+/// through [`as_view`](Self::as_view), a patched [`GraphView`].
+/// [`flatten`](Self::flatten) is the fold, [`to_graph`](Self::to_graph)
+/// the spliced copy.
 #[derive(Clone, Debug)]
-pub struct FrozenGraph {
+pub struct PatchedGraph {
     base: Arc<Graph>,
     patches: Overlay<VertexId>,
+    /// Bytes the folds copied since [`take_copied_bytes`](Self::take_copied_bytes).
+    copied: usize,
 }
 
-impl FrozenGraph {
-    /// `base` under `patches`, replacement rows made over `base`'s own
-    /// arrays (a [`DeltaGraph`] over `base.as_view()`, say).
-    pub fn new(base: Arc<Graph>, patches: Overlay<VertexId>) -> Self {
-        Self { base, patches }
+impl PatchedGraph {
+    /// Copies `graph` (flat or patched) into a flat base with no edits.
+    pub fn new(graph: GraphView<'_>) -> Self {
+        Self::flat(Arc::new(graph.to_owned_graph()))
     }
 
-    /// `base` with no patches.
+    /// `base` with no edits.
     pub fn flat(base: Arc<Graph>) -> Self {
-        let patches = Overlay::new(base.num_vertices());
-        Self::new(base, patches)
+        Self {
+            patches: Overlay::new(base.num_vertices()),
+            base,
+            copied: 0,
+        }
     }
 
     /// The shared base CSR.
@@ -431,26 +442,11 @@ impl FrozenGraph {
             base.with_patches(&self.patches)
         }
     }
-}
 
-/// A mutable edge-delta overlay over an immutable base [`GraphView`].
-///
-/// Edits are applied with [`DeltaGraph::apply`]; adjacency reads come
-/// back as plain sorted slices (overlay copies for patched vertices, the
-/// base CSR for everyone else), so the overlay plugs into every traversal
-/// through [`Rows`] without changing its inner loop. Materialise
-/// with [`DeltaGraph::to_graph`] once a batch of edits settles.
-pub struct DeltaGraph<'a> {
-    base: GraphView<'a>,
-    /// Fully merged, sorted adjacency for vertices whose neighbourhood
-    /// differs from the base.
-    patched: Overlay<VertexId>,
-}
-
-impl<'a> DeltaGraph<'a> {
-    /// An overlay with no edits yet.
-    pub fn new(base: GraphView<'a>) -> Self {
-        Self::reattach(base, Overlay::new(base.num_vertices()))
+    /// [`as_view`](Self::as_view), kept only because the frozen harness
+    /// names it (ROADMAP 1(c)).
+    pub fn as_dyn_view(&self) -> GraphView<'_> {
+        self.as_view()
     }
 
     /// Number of vertices (fixed: always the base graph's count).
@@ -460,12 +456,12 @@ impl<'a> DeltaGraph<'a> {
 
     /// Number of undirected edges after all applied deltas.
     pub fn num_edges(&self) -> usize {
-        self.patched.patched_len(2 * self.base.num_edges()) / 2
+        self.as_view().num_edges()
     }
 
     /// Number of vertices whose adjacency differs from the base.
     pub fn num_patched(&self) -> usize {
-        self.patched.len()
+        self.patches.len()
     }
 
     /// The sorted neighbour list of `v`: the overlay copy if `v` was
@@ -474,10 +470,7 @@ impl<'a> DeltaGraph<'a> {
     /// # Panics
     /// Panics if `v` is out of range (same contract as [`GraphView`]).
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        match self.patched.get(v) {
-            Some(adj) => adj,
-            None => self.base.neighbors(v),
-        }
+        self.as_view().neighbors(v)
     }
 
     /// Whether `u` and `v` are adjacent (`O(log degree(u))`).
@@ -485,13 +478,14 @@ impl<'a> DeltaGraph<'a> {
     /// # Panics
     /// Panics if `u` is out of range.
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.neighbors(u).binary_search(&v).is_ok()
+        self.as_view().has_edge(u, v)
     }
 
     /// Applies one edit. `Ok(true)` when the graph changed, `Ok(false)`
     /// for a no-op (inserting an existing edge, deleting a missing one) —
     /// callers use the distinction to skip label repair and to keep
-    /// journals free of dead entries.
+    /// journals free of dead entries. Fails only where
+    /// [`EdgeDelta::validate`] does.
     pub fn apply(&mut self, delta: EdgeDelta) -> Result<bool, DeltaError> {
         delta.validate(self.num_vertices())?;
         let present = self.has_edge(delta.u, delta.v);
@@ -504,7 +498,7 @@ impl<'a> DeltaGraph<'a> {
         }
         for (a, b) in [(delta.u, delta.v), (delta.v, delta.u)] {
             let base = self.base.neighbors(a);
-            self.patched
+            self.patches
                 .edit(a, base, |adj| match (delta.op, adj.binary_search(&b)) {
                     (DeltaOp::Insert, Err(pos)) => adj.insert(pos, b),
                     (DeltaOp::Delete, Ok(pos)) => {
@@ -519,67 +513,37 @@ impl<'a> DeltaGraph<'a> {
         Ok(true)
     }
 
-    /// The edits: the adjacency rows they replaced, over the base.
-    pub fn patches(&self) -> &Overlay<VertexId> {
-        &self.patched
+    /// The graph as an owned, canonical CSR [`Graph`], spliced: the base
+    /// CSR's runs of unpatched vertices and the patched vertices' overlay
+    /// lists, copied in vertex order. No sort and no validation pass:
+    /// overlay lists are sorted, deduplicated, symmetric and self-loop
+    /// free by construction, so the bytes are exactly what `GraphBuilder`
+    /// would make of the same edge set. The edits stay pending.
+    pub fn to_graph(&self) -> Graph {
+        self.as_view().to_owned_graph()
     }
 
-    /// Detaches the edits from the base borrow, so a caller that *owns*
-    /// the base graph can keep them across calls without a
-    /// self-referential struct; [`DeltaGraph::reattach`] is the inverse.
-    pub fn detach(self) -> Overlay<VertexId> {
-        self.patched
-    }
-
-    /// Resumes an overlay from patches [`detach`](DeltaGraph::detach)ed
-    /// off an overlay of the same `base`.
-    ///
-    /// # Panics
-    /// Panics if the patches were made for another vertex count.
-    pub fn reattach(base: GraphView<'a>, patches: Overlay<VertexId>) -> Self {
-        assert_eq!(
-            patches.num_rows(),
-            base.num_vertices(),
-            "patches made for another vertex count"
-        );
-        Self {
-            base,
-            patched: patches,
+    /// The fold: the edits spliced in ([`to_graph`](Self::to_graph)) and
+    /// adopted as the new base, nothing left pending. With no edits it
+    /// keeps the same base and copies nothing.
+    pub fn flatten(&mut self) {
+        if !self.patches.is_empty() {
+            let graph = self.to_graph();
+            let copied = self.take_copied_bytes()
+                + std::mem::size_of_val(graph.csr_offsets())
+                + std::mem::size_of_val(graph.csr_neighbors());
+            *self = Self {
+                copied,
+                ..Self::flat(Arc::new(graph))
+            };
         }
     }
 
-    /// Materialises the overlay into an owned, canonical CSR [`Graph`] by
-    /// splicing: the base CSR's runs of unpatched vertices and the patched
-    /// vertices' overlay lists, copied in vertex order. No sort and no
-    /// validation pass: overlay lists are sorted, deduplicated, symmetric
-    /// and self-loop free by construction, so the bytes are exactly what
-    /// `GraphBuilder` would make of the same edge set. A patched base (a
-    /// served generation's view) is first spliced flat itself, so its own
-    /// replacement rows are kept.
-    pub fn to_graph(&self) -> Graph {
-        let flat = self.base.is_patched().then(|| self.base.to_owned_graph());
-        let base = flat.as_ref().map_or(self.base, Graph::as_view);
-        let (offsets, neighbors) = self
-            .patched
-            .splice(base.csr_offsets(), base.csr_neighbors());
-        Graph::from_csr_trusted(offsets, neighbors)
-    }
-
-    /// The overlay itself, kept only because the frozen harness names it
-    /// (ROADMAP 1(c)): `&DeltaGraph` is what the traversal APIs take.
-    pub fn as_dyn_view(&self) -> &Self {
-        self
-    }
-}
-
-impl<'a> Rows<'a, VertexId> for &'a DeltaGraph<'_> {
-    #[inline]
-    fn row(self, v: VertexId) -> &'a [VertexId] {
-        self.neighbors(v)
-    }
-
-    fn num_rows(self) -> usize {
-        self.num_vertices()
+    /// Bytes copied since the last call: the overlay's spine and chunks,
+    /// each copied on the first write while a clone shared it, plus the
+    /// arrays of every fold.
+    pub fn take_copied_bytes(&mut self) -> usize {
+        self.patches.take_copied_bytes() + std::mem::take(&mut self.copied)
     }
 }
 
@@ -593,7 +557,7 @@ mod tests {
     #[test]
     fn overlay_starts_identical_to_base() {
         let g = testkit::grid(4, 4);
-        let d = DeltaGraph::new(g.as_view());
+        let d = PatchedGraph::new(g.as_view());
         assert_eq!(d.num_vertices(), 16);
         assert_eq!(d.num_edges(), g.num_edges());
         assert_eq!(d.num_patched(), 0);
@@ -605,7 +569,7 @@ mod tests {
     #[test]
     fn insert_and_delete_patch_both_endpoints() {
         let g = testkit::path(5); // 0-1-2-3-4
-        let mut d = DeltaGraph::new(g.as_view());
+        let mut d = PatchedGraph::new(g.as_view());
         assert!(d.apply(EdgeDelta::insert(0, 4)).unwrap());
         assert!(d.has_edge(0, 4));
         assert!(d.has_edge(4, 0));
@@ -627,7 +591,7 @@ mod tests {
     #[test]
     fn ineffective_deltas_are_reported_not_applied() {
         let g = testkit::path(3);
-        let mut d = DeltaGraph::new(g.as_view());
+        let mut d = PatchedGraph::new(g.as_view());
         assert!(!d.apply(EdgeDelta::insert(0, 1)).unwrap()); // already present
         assert!(!d.apply(EdgeDelta::delete(0, 2)).unwrap()); // not present
         assert_eq!(d.num_patched(), 0);
@@ -637,7 +601,7 @@ mod tests {
     #[test]
     fn invalid_deltas_are_rejected() {
         let g = testkit::path(3);
-        let mut d = DeltaGraph::new(g.as_view());
+        let mut d = PatchedGraph::new(g.as_view());
         assert_eq!(
             d.apply(EdgeDelta::insert(0, 7)).unwrap_err(),
             DeltaError::VertexOutOfRange {
@@ -652,7 +616,7 @@ mod tests {
     }
 
     /// `to_graph`'s arrays are `GraphBuilder`'s over the overlay's edge set.
-    fn assert_splices_like_the_builder(d: &DeltaGraph<'_>, what: &str) {
+    fn assert_splices_like_the_builder(d: &PatchedGraph, what: &str) {
         let mut b = GraphBuilder::new();
         b.reserve_vertices(d.num_vertices());
         for u in 0..d.num_vertices() as VertexId {
@@ -679,7 +643,7 @@ mod tests {
         ];
         for (name, g) in shapes {
             let n = g.num_vertices() as u64;
-            let mut d = DeltaGraph::new(g.as_view());
+            let mut d = PatchedGraph::new(g.as_view());
             let mut rng = testkit::SplitMix64::new(42 ^ n);
             for step in 0..60 {
                 // Half the edits touch a run boundary: vertex 0 or n - 1.
@@ -699,10 +663,10 @@ mod tests {
                 };
                 d.apply(delta).unwrap();
                 assert_splices_like_the_builder(&d, &format!("{name} step {step} ({delta})"));
-                // The patch marks ride along with the patches.
+                // The patch marks ride along with a clone.
                 if step % 8 == 7 {
-                    d = DeltaGraph::reattach(g.as_view(), d.detach());
-                    assert_splices_like_the_builder(&d, &format!("{name} step {step} reattached"));
+                    d = d.clone();
+                    assert_splices_like_the_builder(&d, &format!("{name} step {step} cloned"));
                 }
             }
             assert!(d.num_patched() > 0, "{name}");
@@ -710,7 +674,7 @@ mod tests {
 
         // Deletes that empty adjacency lists, at both ends and inside.
         let g = testkit::path(5); // 0-1-2-3-4
-        let mut d = DeltaGraph::new(g.as_view());
+        let mut d = PatchedGraph::new(g.as_view());
         for (u, v) in [(0, 1), (3, 4), (1, 2)] {
             d.apply(EdgeDelta::delete(u, v)).unwrap();
         }
@@ -726,7 +690,7 @@ mod tests {
         assert_eq!(d.num_patched(), 5);
         assert_splices_like_the_builder(&d, "patched back");
         assert_eq!(d.to_graph(), g);
-        assert_eq!(DeltaGraph::new(g.as_view()).to_graph(), g);
+        assert_eq!(PatchedGraph::new(g.as_view()).to_graph(), g);
     }
 
     #[test]
@@ -822,9 +786,9 @@ mod tests {
 
     /// A frozen overlay served as a patched `GraphView` reads exactly like
     /// `to_graph`'s spliced CSR, and splices to it.
-    fn assert_frozen_view_matches(d: &DeltaGraph<'_>, base: &Arc<Graph>, what: &str) {
+    fn assert_frozen_view_matches(d: &PatchedGraph, base: &Arc<Graph>, what: &str) {
         let spliced = d.to_graph();
-        let frozen = FrozenGraph::new(Arc::clone(base), d.patches().clone());
+        let frozen = d.clone();
         let view = frozen.as_view();
         assert_eq!(view.is_patched(), d.num_patched() > 0, "{what}");
         assert_eq!(view.patched_rows(), d.num_patched(), "{what}");
@@ -857,10 +821,10 @@ mod tests {
         // An overlay over a patched base: one insert frozen into a served
         // generation, then another made on top of that generation's view.
         let g = Arc::new(testkit::barabasi_albert(200, 3, 7));
-        let mut first = DeltaGraph::new(g.as_view());
+        let mut first = PatchedGraph::new(g.as_view());
         first.apply(EdgeDelta::insert(0, 199)).unwrap();
-        let frozen = FrozenGraph::new(Arc::clone(&g), first.detach());
-        let mut d = DeltaGraph::new(frozen.as_view());
+        let frozen = first.clone();
+        let mut d = PatchedGraph::new(frozen.as_view());
         d.apply(EdgeDelta::insert(1, 198)).unwrap();
         assert_splices_like_the_builder(&d, "over a patched base");
         let spliced = d.to_graph();
@@ -869,7 +833,7 @@ mod tests {
         for (name, g) in testkit::families() {
             let base = Arc::new(g);
             let n = base.num_vertices() as u64;
-            let mut d = DeltaGraph::new(base.as_view());
+            let mut d = PatchedGraph::flat(Arc::clone(&base));
             assert_frozen_view_matches(&d, &base, &format!("{name} unedited"));
             if n < 2 {
                 continue;
@@ -899,36 +863,11 @@ mod tests {
     }
 
     #[test]
-    fn detached_patches_reattach_to_the_same_overlay() {
-        let g = testkit::path(6);
-        let mut d = DeltaGraph::new(g.as_view());
-        d.apply(EdgeDelta::insert(0, 5)).unwrap();
-        d.apply(EdgeDelta::delete(2, 3)).unwrap();
-        d.apply(EdgeDelta::insert(1, 4)).unwrap();
-        let patches = d.detach();
-        assert!(!patches.is_empty());
-        let mut d = DeltaGraph::reattach(g.as_view(), patches);
-        assert_eq!(d.num_edges(), g.num_edges() + 1);
-        assert!(d.has_edge(0, 5) && d.has_edge(4, 1) && !d.has_edge(2, 3));
-        // Edits keep accumulating across the round trip.
-        d.apply(EdgeDelta::delete(0, 5)).unwrap();
-        let materialised = d.to_graph();
-        assert_eq!(materialised.num_edges(), g.num_edges());
-        assert_eq!(materialised.neighbors(0), &[1]);
-
-        // Fresh patches are an overlay with no edits.
-        assert!(Overlay::<VertexId>::new(g.num_vertices()).is_empty());
-        let fresh = DeltaGraph::reattach(g.as_view(), Overlay::new(g.num_vertices()));
-        assert_eq!(fresh.num_edges(), g.num_edges());
-        assert_eq!(fresh.num_patched(), 0);
-    }
-
-    #[test]
     fn every_row_source_reads_the_overlay_alike() {
         use crate::graph::{FlatRows, Rows};
         for (name, g) in testkit::families() {
             let n = g.num_vertices() as u64;
-            let mut d = DeltaGraph::new(g.as_view());
+            let mut d = PatchedGraph::new(g.as_view());
             let mut rng = testkit::SplitMix64::new(0x70 ^ n);
             for _ in 0..(2 * n) {
                 let (u, v) = (rng.next_below(n) as VertexId, rng.next_below(n) as VertexId);
@@ -944,17 +883,17 @@ mod tests {
             let spliced = d.to_graph();
             let view = spliced.as_view();
             let flat = FlatRows::new(spliced.csr_offsets(), spliced.csr_neighbors());
-            let rows = (&d).num_rows();
+            let rows = d.as_view().num_rows();
             assert_eq!(rows, d.num_vertices(), "{name}");
             assert_eq!((&spliced).num_rows(), rows, "{name}");
             assert_eq!(view.num_rows(), rows, "{name}");
             assert_eq!(flat.num_rows(), rows, "{name}");
             for v in 0..rows as VertexId {
-                let row = (&d).row(v);
+                let row = d.as_view().row(v);
                 assert_eq!((&spliced).row(v), row, "{name}: row {v}");
                 assert_eq!(view.row(v), row, "{name}: row {v}");
                 assert_eq!(flat.row(v), row, "{name}: row {v}");
-                let from = bfs::distances_from(&d, v);
+                let from = bfs::distances_from(d.as_view(), v);
                 assert_eq!(bfs::distances_from(&spliced, v), from, "{name}: from {v}");
                 assert_eq!(bfs::distances_from(view, v), from, "{name}: from {v}");
                 assert_eq!(bfs::distances_from(flat, v), from, "{name}: from {v}");
@@ -965,13 +904,13 @@ mod tests {
     #[test]
     fn bfs_oracles_run_over_the_overlay() {
         let g = testkit::path(6); // 0-1-2-3-4-5
-        let mut d = DeltaGraph::new(g.as_view());
+        let mut d = PatchedGraph::new(g.as_view());
         d.apply(EdgeDelta::insert(0, 5)).unwrap(); // close the cycle
-        assert_eq!(bfs::distance(&d, 0, 5), Some(1));
-        assert_eq!(bfs::distance(&d, 0, 3), Some(3));
+        assert_eq!(bfs::distance(d.as_view(), 0, 5), Some(1));
+        assert_eq!(bfs::distance(d.as_view(), 0, 3), Some(3));
         d.apply(EdgeDelta::delete(2, 3)).unwrap();
         // 0-1-2 and 3-4-5 joined only through the new 0-5 edge.
-        assert_eq!(bfs::distance(&d, 2, 3), Some(5));
+        assert_eq!(bfs::distance(d.as_view(), 2, 3), Some(5));
         // Base graph still answers the old distances.
         assert_eq!(bfs::distance(&g, 2, 3), Some(1));
         assert_eq!(bfs::distance(&g, 0, 5), Some(5));

@@ -10,21 +10,21 @@
 //! Storage comes in two flavours sharing one implementation:
 //!
 //! * [`Graph`] — owns its two arrays (`Vec`-backed). Produced by
-//!   [`GraphBuilder`] (ingest), [`Graph::from_csr`], or a delta overlay's
-//!   splice ([`DeltaGraph::to_graph`](crate::DeltaGraph::to_graph)).
+//!   [`GraphBuilder`] (ingest), [`Graph::from_csr`], or a patched view's
+//!   splice ([`GraphView::to_owned_graph`]).
 //! * [`GraphView`] — borrows the same two arrays as slices. This is what
 //!   `hcl-store` hands out when serving a memory-mapped index file without
 //!   copying: the mmap'd bytes *are* the arrays. A view may also carry an
-//!   [`Overlay`] of replacement adjacency rows (a live-updated generation,
-//!   see [`FrozenGraph`](crate::FrozenGraph)): a read loads one chunk
+//!   [`Overlay`] of replacement adjacency rows (an edited graph, see
+//!   [`PatchedGraph`](crate::PatchedGraph)): a read loads one chunk
 //!   pointer, then tests one bit. Every accessor except the raw-array ones
 //!   sees the patches.
 //!
 //! `Graph` methods delegate through [`Graph::as_view`], so owned and
 //! mapped graphs behave identically. Every traversal (BFS oracle, index
 //! build, query engine) reads its rows through the [`Rows`] trait, which
-//! [`FlatRows`] and `&Graph` (bare arrays), [`GraphView`] (patch-aware)
-//! and `&DeltaGraph` (an edit overlay) implement, so one generic body
+//! [`FlatRows`] and `&Graph` (bare arrays) and [`GraphView`] (patch-aware,
+//! and so every edited graph's view) implement, so one generic body
 //! compiles to each and a loop over bare arrays pays no per-row patch
 //! test.
 //!
@@ -137,8 +137,9 @@ impl std::error::Error for CsrError {}
 
 /// Where a traversal reads the rows of a CSR array from: bare arrays
 /// ([`FlatRows`], `&Graph`) or arrays under an overlay of replacement
-/// rows (a patched [`GraphView`], a [`DeltaGraph`](crate::DeltaGraph),
-/// `hcl-index`'s patched label views). A body generic over `Rows` runs the
+/// rows (a patched [`GraphView`] — a
+/// [`PatchedGraph`](crate::PatchedGraph)'s — or `hcl-index`'s patched
+/// label views). A body generic over `Rows` runs the
 /// bare slice arithmetic when handed bare arrays — no per-row patch test —
 /// and the patch-aware lookup otherwise.
 pub trait Rows<'a, T: 'a>: Copy {
@@ -267,7 +268,7 @@ impl<'a> GraphView<'a> {
     }
 
     /// This (unpatched) view under `patches`: replacement rows made for
-    /// exactly these arrays (see [`FrozenGraph`](crate::FrozenGraph)).
+    /// exactly these arrays (see [`PatchedGraph`](crate::PatchedGraph)).
     ///
     /// # Panics
     /// Panics if `patches` were made for a different row count.
@@ -597,12 +598,6 @@ impl Graph {
     pub fn from_csr(offsets: Vec<u64>, neighbors: Vec<VertexId>) -> Result<Self, CsrError> {
         GraphView::from_csr(&offsets, &neighbors)?;
         Ok(Self { offsets, neighbors })
-    }
-
-    /// Adopts CSR arrays the caller built canonical by construction (the
-    /// delta overlay's splice), without a second validation pass.
-    pub(crate) fn from_csr_trusted(offsets: Vec<u64>, neighbors: Vec<VertexId>) -> Self {
-        Self { offsets, neighbors }
     }
 
     /// A borrowed, `Copy` view of this graph. Cheap; use it to share one

@@ -23,14 +23,14 @@
 //! * [`bitset::DenseBitSet`] — a dense membership bitset for hot-path
 //!   "is this vertex in the small special set?" probes (one bit per
 //!   vertex instead of a 4-byte table load).
-//! * [`delta`] — the dynamic-graph layer: [`delta::EdgeDelta`] edge edits,
-//!   the [`delta::DeltaGraph`] overlay that applies them without touching
-//!   the frozen CSR, and [`delta::Overlay`], the copy-on-write rows it (and
-//!   `hcl-index`'s editable labels) keep their edits in: chunks of 4 096
-//!   rows under an `Arc`'d spine, so a served generation ([`delta::FrozenGraph`])
-//!   is a clone, and an update copies only the spine and the chunks it
-//!   touches. `&DeltaGraph` reads its rows through the same [`graph::Rows`]
-//!   trait as every CSR, so traversals run over base+delta unchanged.
+//! * [`delta`] — the dynamic-graph layer: [`delta::EdgeDelta`] edge edits
+//!   and [`delta::PatchedGraph`], the one graph type that takes them: a
+//!   flat CSR base shared by `Arc` under a [`delta::Overlay`], the
+//!   copy-on-write rows it (and `hcl-index`'s editable labels) keep their
+//!   edits in — chunks of 4 096 rows under an `Arc`'d spine, so a served
+//!   generation is a clone, and an update copies only the spine and the
+//!   chunks it touches. Traversals read it through its patched
+//!   [`graph::GraphView`], the same [`graph::Rows`] source as every CSR.
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
@@ -43,5 +43,9 @@ pub mod testkit;
 
 pub use bfs::{BfsProbe, NoProbe};
 pub use bitset::DenseBitSet;
-pub use delta::{DeltaError, DeltaGraph, DeltaOp, EdgeDelta, FrozenGraph, Overlay};
+pub use delta::{DeltaError, DeltaOp, EdgeDelta, Overlay, PatchedGraph};
 pub use graph::{CsrError, FlatRows, Graph, GraphBuilder, GraphView, Rows, VertexId, INFINITY};
+
+/// [`PatchedGraph`], kept only because the frozen harness names it
+/// (ROADMAP 1(c)).
+pub type DeltaGraph<'a> = PatchedGraph;

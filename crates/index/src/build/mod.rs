@@ -330,7 +330,7 @@ impl HighwayCoverIndex {
     /// Labels `graph` for a caller-supplied landmark list, in rank order
     /// (rank 0 first), reusing caller-owned worker scratch. This is the
     /// one explicit-landmark entry point: a delete's relabel runs it over
-    /// the edited overlay (`&DeltaGraph`), a repair that keeps its
+    /// the edited graph's patched view, a repair that keeps its
     /// landmarks compares against it, and repeated builds amortise their
     /// allocations through it. `graph` is any [`Rows`] source; an owned
     /// `&Graph` is swept over its bare arrays.

@@ -433,7 +433,7 @@ fn join_workers<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Vec<T> {
 mod tests {
     use super::{join_workers, label, GroupSweep, WIDTH};
     use crate::build::rank_table;
-    use hcl_core::{bfs, testkit, DeltaGraph, Graph};
+    use hcl_core::{bfs, testkit, Graph, PatchedGraph};
 
     /// Asserts that `group` expanded each vertex once per distinct distance
     /// from its roots — neither the order a level is put in nor the
@@ -522,12 +522,12 @@ mod tests {
             testkit::broom(1_000, 3, 1_500, 23),
             testkit::grid(4, 500),
         ] {
-            let overlay = DeltaGraph::new(g.as_view());
+            let overlay = PatchedGraph::new(g.as_view());
             for k in [16, 65] {
                 let landmarks = g.top_k_by_degree(k);
                 let rank = rank_table(&landmarks, g.num_vertices());
                 let bare = label(&g, &landmarks, &rank, &mut []);
-                let over = label(&overlay, &landmarks, &rank, &mut []);
+                let over = label(overlay.as_view(), &landmarks, &rank, &mut []);
                 assert_eq!(over.label_offsets, bare.label_offsets, "k={k}");
                 assert_eq!(over.label_entries, bare.label_entries, "k={k}");
                 assert_eq!(over.highway, bare.highway, "k={k}");

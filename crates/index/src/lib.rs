@@ -38,10 +38,11 @@
 //!   [`pack_label_entry`]), which is what `hcl-store` serves straight out
 //!   of a memory-mapped file. Untrusted slices are admitted through
 //!   [`IndexView::from_parts`], which validates every invariant the engine
-//!   indexes by. A live-updated generation's view ([`FrozenIndex`]) adds a
-//!   copy-on-write overlay of replacement labels and a patched highway,
-//!   which share with the generation before every chunk and the highway
-//!   unless its update wrote to them.
+//!   indexes by. An edited labelling ([`PatchedIndex`], whose clone is a
+//!   live-updated generation) adds to its view a copy-on-write overlay of
+//!   replacement labels and a patched highway, which share with the
+//!   generation before every chunk and the highway unless its update
+//!   wrote to them.
 //!
 //! Every query result is exact; the test suite property-checks the engine
 //! against the plain BFS oracle from `hcl-core` over multiple graph
@@ -67,6 +68,6 @@ pub use build::{
 };
 pub use probe::{AnswerSource, MergeKind, Probe, QueryStats};
 pub use query::QueryContext;
-pub use repair::{DynamicIndex, FrozenIndex, RepairOutcome};
+pub use repair::{PatchedIndex, RepairOutcome};
 pub use select::SelectionStrategy;
 pub use view::{pack_label_entry, unpack_label_entry, IndexDataError, IndexView};

@@ -737,18 +737,17 @@ mod tests {
     /// Returns what the generation's overlays exercised: `[an emptied
     /// adjacency row, a patched landmark row, a pair with patched labels at
     /// both endpoints, a patched highway]`.
-    fn assert_patched_generation_is_exact<'g>(
-        base: &'g std::sync::Arc<Graph>,
-        graph: &mut hcl_core::DeltaGraph<'g>,
-        dynamic: &crate::DynamicIndex,
+    fn assert_patched_generation_is_exact(
+        base: &std::sync::Arc<Graph>,
+        graph: &mut hcl_core::PatchedGraph,
+        dynamic: &crate::PatchedIndex,
         ctx: &mut QueryContext,
         what: &str,
     ) -> [bool; 4] {
         // Publish the edits the way the update engine does: the overlays
         // cloned beside the shared bases.
-        let frozen_graph =
-            hcl_core::FrozenGraph::new(std::sync::Arc::clone(base), graph.patches().clone());
-        let frozen_index = dynamic.current().clone();
+        let frozen_graph = graph.clone();
+        let frozen_index = dynamic.clone();
         let (gv, iv) = (frozen_graph.as_view(), frozen_index.as_view());
         let (flat_graph, flat_index) = (gv.to_owned_graph(), iv.to_owned_index());
         assert_eq!(flat_graph, graph.to_graph(), "{what}: graph splice");
@@ -796,11 +795,11 @@ mod tests {
         emptied: VertexId,
         seed: u64,
     ) -> Vec<Vec<hcl_core::EdgeDelta>> {
-        use hcl_core::{DeltaGraph, EdgeDelta};
+        use hcl_core::{EdgeDelta, PatchedGraph};
         let n = base.num_vertices() as u64;
         let mut rng = hcl_core::testkit::SplitMix64::new(seed);
-        let mut graph = DeltaGraph::new(base.as_view());
-        let mut inserts = |graph: &mut DeltaGraph<'_>| {
+        let mut graph = PatchedGraph::new(base.as_view());
+        let mut inserts = |graph: &mut PatchedGraph| {
             let mut batch = Vec::new();
             while batch.len() < 2 {
                 let u = if batch.is_empty() && !landmarks.is_empty() {
@@ -832,7 +831,7 @@ mod tests {
     /// repairs labels at both ends of many pairs.
     #[test]
     fn patched_generations_answer_like_their_splice_and_the_oracle() {
-        use crate::{BuildContext, DynamicIndex, HighwayCoverIndex, IndexConfig};
+        use crate::{BuildContext, HighwayCoverIndex, IndexConfig, PatchedIndex};
         let mut ctx = QueryContext::new();
         let mut cx = BuildContext::new();
         let mut covered = [false; 4];
@@ -849,8 +848,8 @@ mod tests {
                 .filter(|v| !landmarks.contains(v))
                 .max_by_key(|&v| base.degree(v))
                 .unwrap();
-            let mut dynamic = DynamicIndex::from_view(index.as_view());
-            let mut graph = hcl_core::DeltaGraph::new(base.as_view());
+            let mut dynamic = PatchedIndex::from_view(index.as_view());
+            let mut graph = hcl_core::PatchedGraph::new(base.as_view());
             let script = patching_script(&base, &landmarks, emptied, 0x9A7C ^ n as u64);
             for (step, batch) in script.iter().enumerate() {
                 for &delta in batch {

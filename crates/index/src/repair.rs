@@ -2,30 +2,29 @@
 //!
 //! A built [`HighwayCoverIndex`] is frozen — its
 //! labels are CSR-flattened. This module keeps an *editable* twin,
-//! [`DynamicIndex`], that answers the same queries but can be repaired in
+//! [`PatchedIndex`], that answers the same queries but can be repaired in
 //! place after an edge edit instead of rebuilt from scratch.
 //!
 //! # Representation
 //!
-//! A [`DynamicIndex`] is a frozen base, shared by `Arc` with whoever serves
+//! A [`PatchedIndex`] is a frozen base, shared by `Arc` with whoever serves
 //! it, plus the edits made since: a replacement label (packed and
 //! hub-sorted like the base's) for each vertex a repair rewrote, in an
-//! [`hcl_core::Overlay`] (the copy-on-write rows the graph overlay keeps its
-//! adjacency patches in), and the highway once a repair patched a cell,
-//! behind an `Arc`. Every read — detection, the find's `d_old`, the repair —
-//! goes through one accessor: the replacement if there is one, else the
-//! base slice. The whole state is a [`FrozenIndex`], and a served
-//! generation is a clone of it ([`DynamicIndex::current`]): `Arc` clones
-//! that share the base, every label chunk and the highway. The edits after
-//! it copy on write — the overlay's spine and each chunk they land in once,
-//! the highway once — so what a publish costs is what its update touched.
-//! [`DynamicIndex::flatten`] is the fold: it splices the replacements into
-//! a fresh copy of the base arrays (each clean run of vertices one copy,
-//! its offsets shifted) and adopts the result as the new base; when no
-//! repair wrote anything since the last flatten it hands back the same
-//! `Arc`. A delete's relabel adopts what
-//! [`HighwayCoverIndex::build_in`] returns over the overlay as the base
-//! directly.
+//! [`hcl_core::Overlay`] (the copy-on-write rows a
+//! [`PatchedGraph`] keeps its adjacency patches in), and the highway once a
+//! repair patched a cell, behind an `Arc`. Every read — detection, the
+//! find's `d_old`, the repair — goes through one accessor: the replacement
+//! if there is one, else the base slice. A served generation is a clone:
+//! `Arc` clones that share the base, every label chunk and the highway.
+//! The edits after it copy on write — the overlay's spine and each chunk
+//! they land in once, the highway once — so what a publish costs is what
+//! its update touched. [`PatchedIndex::flatten`] is the fold: it splices
+//! the replacements into a fresh copy of the base arrays (each clean run of
+//! vertices one copy, its offsets shifted) and adopts the result as the new
+//! base; when no repair wrote anything since the last flatten it hands back
+//! the same `Arc`. A delete's relabel adopts what
+//! [`HighwayCoverIndex::build_in`] returns over the edited graph's view as
+//! the base directly.
 //!
 //! The repair contract is **answer identity, and near byte identity**:
 //! after any sequence of edits, queries against the repaired index return
@@ -49,7 +48,7 @@
 //!   `δ ≥ d(r_j, v)`;
 //! * **(C) cover** — for every vertex `v` and landmark `i`,
 //!   `min over (j, δ) ∈ L(v) of δ + H[j][i] = d(r_i, v)`
-//!   ([`DynamicIndex::landmark_distances`] reads exactly this). A
+//!   ([`PatchedIndex::landmark_distances`] reads exactly this). A
 //!   landmark's label is its own self entry, so its row is the highway row.
 //!
 //! Every edit starts with the paper's **detection** step on the *pre-edit*
@@ -130,7 +129,7 @@
 //! endpoint depths differ (by 1, since the edge existed), so landmark `i`
 //! is affected iff `da[i] ≠ db[i]`; an empty affected set costs nothing.
 //! Otherwise the post-edit graph is labelled afresh for the same landmark
-//! set by [`HighwayCoverIndex::build_in`] over the overlay — labels and
+//! set by [`HighwayCoverIndex::build_in`] over its view — labels and
 //! every highway row in one pass — and the index it returns becomes the
 //! new base, with no unpacking; so after a delete the index *is* a fresh
 //! build's. The asymmetry with insertion is load bearing: a deletion
@@ -142,11 +141,13 @@
 
 use crate::build::{sat_add, BuildContext, HighwayCoverIndex, NOT_A_LANDMARK};
 use crate::view::{entry_dist, entry_hub, pack_label_entry, IndexView};
-use hcl_core::{DeltaError, DeltaGraph, DeltaOp, EdgeDelta, Overlay, VertexId, INFINITY};
+use hcl_core::{
+    DeltaError, DeltaOp, EdgeDelta, GraphView, Overlay, PatchedGraph, VertexId, INFINITY,
+};
 use std::mem::size_of_val;
 use std::sync::Arc;
 
-/// What one [`DynamicIndex::apply_and_repair`] call did, for logging,
+/// What one [`PatchedIndex::apply_and_repair`] call did, for logging,
 /// metrics, and the benchmark harness.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RepairOutcome {
@@ -168,25 +169,45 @@ pub struct RepairOutcome {
     pub full_relabel: bool,
 }
 
-/// A labelling as a served generation holds it: the arrays of the last
-/// fold, shared by `Arc` with the [`DynamicIndex`] it was cloned from (and
-/// every generation since), plus the labels and highway its repairs
-/// rewrote after that fold, sharing every label chunk and the highway with
-/// the generation before unless an update wrote to them.
+/// A highway-cover labelling under edits: the arrays of the last fold (or
+/// conversion, or relabel), shared by `Arc` with every generation cloned
+/// since, plus the labels and highway its repairs rewrote after that
+/// fold. A clone is a served generation, sharing every label chunk and the
+/// highway until an edit writes to them.
+///
+/// Convert a built index in with [`from_view`](Self::from_view), apply
+/// edits with [`apply_and_repair`](Self::apply_and_repair), and get the
+/// state back flat with [`flatten`](Self::flatten) (spliced and adopted as
+/// the new base) or [`to_index`](Self::to_index) (a spliced copy that
+/// leaves the edits pending). The conversion round-trip is lossless.
 #[derive(Clone)]
-pub struct FrozenIndex {
+pub struct PatchedIndex {
     base: Arc<HighwayCoverIndex>,
     labels: Overlay<u64>,
     highway: Option<Arc<Vec<u32>>>,
+    /// Bytes the highway's copies on write and the folds' splices copied
+    /// since [`take_copied_bytes`](Self::take_copied_bytes).
+    copied: usize,
 }
 
-impl FrozenIndex {
-    /// `base` with no patches.
+/// [`PatchedIndex`], kept only because the frozen harness names it
+/// (ROADMAP 1(c)).
+pub type DynamicIndex = PatchedIndex;
+
+impl PatchedIndex {
+    /// Copies a frozen index (owned or mapped) into editable form: five
+    /// slice copies, no per-vertex work.
+    pub fn from_view(view: IndexView<'_>) -> Self {
+        Self::flat(Arc::new(view.to_owned_index()))
+    }
+
+    /// `base` with no edits.
     pub fn flat(base: Arc<HighwayCoverIndex>) -> Self {
         Self {
             labels: Overlay::new(base.num_vertices()),
             highway: None,
             base,
+            copied: 0,
         }
     }
 
@@ -204,88 +225,54 @@ impl FrozenIndex {
     /// and the patched highway if a repair wrote one.
     pub fn as_view(&self) -> IndexView<'_> {
         IndexView {
-            highway: self.highway.as_deref().unwrap_or(&self.base.highway),
+            highway: self.highway(),
             label_patches: (!self.labels.is_empty()).then_some(&self.labels),
             ..self.base.as_view()
-        }
-    }
-}
-
-/// An editable highway-cover index: same landmarks, labels, and highway as
-/// the frozen form, held as a frozen base plus the edits made since.
-///
-/// Convert a built index in with [`DynamicIndex::from_view`], apply edits
-/// with [`DynamicIndex::apply_and_repair`], and get the current state back
-/// for serving with [`DynamicIndex::current`] (a clone shares the base and
-/// every unedited chunk), or flat with [`DynamicIndex::flatten`] (spliced
-/// and adopted as the new base) or [`DynamicIndex::to_index`] (a spliced
-/// copy that leaves the edits pending). The conversion round-trip is
-/// lossless.
-pub struct DynamicIndex {
-    /// The labelling as it stands: the arrays of the last flatten (or
-    /// conversion, or relabel), shared with whoever serves them, plus the
-    /// labels and highway repaired since.
-    live: FrozenIndex,
-    /// Bytes the highway's copies on write and the folds' splices copied
-    /// since [`take_copied_bytes`](Self::take_copied_bytes).
-    copied: usize,
-}
-
-impl DynamicIndex {
-    /// Copies a frozen index (owned or mapped) into editable form: five
-    /// slice copies, no per-vertex work.
-    pub fn from_view(view: IndexView<'_>) -> Self {
-        Self {
-            live: FrozenIndex::flat(Arc::new(view.to_owned_index())),
-            copied: 0,
         }
     }
 
     /// Number of landmarks (fixed across edits).
     pub fn num_landmarks(&self) -> usize {
-        self.live.base.num_landmarks()
+        self.base.num_landmarks()
     }
 
     /// Number of vertices the index covers (fixed across edits — the delta
     /// layer does not add vertices).
     pub fn num_vertices(&self) -> usize {
-        self.live.base.num_vertices()
+        self.base.num_vertices()
     }
 
     /// Number of vertices whose label a repair rewrote since the base.
     pub fn patched_rows(&self) -> usize {
-        self.live.labels.len()
+        self.labels.len()
     }
 
     /// Total number of label entries currently held.
     pub fn num_label_entries(&self) -> usize {
-        let base = self.live.base.label_entries.len();
-        self.live.labels.patched_len(base)
+        let base = self.base.label_entries.len();
+        self.labels.patched_len(base)
     }
 
     /// The packed, hub-sorted label of `v`: its replacement if a repair
     /// rewrote it, else the base's.
     fn label(&self, v: VertexId) -> &[u64] {
-        match self.live.labels.get(v) {
+        match self.labels.get(v) {
             Some(label) => label,
-            None => self.live.base.as_view().packed_label(v),
+            None => self.base.as_view().packed_label(v),
         }
     }
 
     /// The row-major `k × k` highway as it stands.
     fn highway(&self) -> &[u32] {
-        self.live
-            .highway
-            .as_deref()
-            .unwrap_or(&self.live.base.highway)
+        self.highway.as_deref().unwrap_or(&self.base.highway)
     }
 
     /// The highway for writing: copied from the base on the first write
     /// since the last fold, and again whenever a served generation shares
     /// it.
     fn highway_mut(&mut self) -> &mut Vec<u32> {
-        let (base, bytes) = (&self.live.base, size_of_val(self.highway()));
-        let highway = self.live.highway.get_or_insert_with(|| {
+        let (base, bytes) = (&self.base, size_of_val(self.highway()));
+        let highway = self.highway.get_or_insert_with(|| {
             self.copied += bytes;
             Arc::new(base.highway.clone())
         });
@@ -324,11 +311,9 @@ impl DynamicIndex {
     /// clean run of vertices one copy, its offsets shifted), the edits left
     /// pending. [`flatten`](Self::flatten) is the form that also adopts it.
     pub fn to_index(&self) -> HighwayCoverIndex {
-        let base = &self.live.base;
-        let (label_offsets, label_entries) = self
-            .live
-            .labels
-            .splice(&base.label_offsets, &base.label_entries);
+        let base = &self.base;
+        let (label_offsets, label_entries) =
+            self.labels.splice(&base.label_offsets, &base.label_entries);
         HighwayCoverIndex {
             landmarks: base.landmarks.clone(),
             landmark_rank: base.landmark_rank.clone(),
@@ -338,20 +323,13 @@ impl DynamicIndex {
         }
     }
 
-    /// The current state as a served generation holds it; a clone of it is
-    /// the publish, `O(1)`. The edits stay pending;
-    /// [`flatten`](Self::flatten) is the fold.
-    pub fn current(&self) -> &FrozenIndex {
-        &self.live
-    }
-
     /// The frozen form of the current state, adopted as the new base: the
     /// pending edits are spliced in ([`to_index`](Self::to_index)) and
     /// cleared. With nothing pending — no label and no highway cell
     /// rewritten since the last call — this is the previous result, the
     /// same `Arc`, and copies nothing.
     pub fn flatten(&mut self) -> Arc<HighwayCoverIndex> {
-        if !self.live.labels.is_empty() || self.live.highway.is_some() {
+        if !self.labels.is_empty() || self.highway.is_some() {
             let index = self.to_index();
             self.copied += [
                 size_of_val(index.landmarks.as_slice()),
@@ -364,21 +342,24 @@ impl DynamicIndex {
             .sum::<usize>();
             self.adopt(index);
         }
-        Arc::clone(&self.live.base)
+        Arc::clone(&self.base)
     }
 
     /// Adopts `base` with no edits pending; the copies the replaced label
     /// overlay made stay counted.
     fn adopt(&mut self, base: HighwayCoverIndex) {
-        self.copied += self.live.labels.take_copied_bytes();
-        self.live = FrozenIndex::flat(Arc::new(base));
+        let copied = self.take_copied_bytes();
+        *self = Self {
+            copied,
+            ..Self::flat(Arc::new(base))
+        };
     }
 
     /// Bytes copied since the last call: the label overlay's spine and
     /// chunks and the highway, each copied on the first write while a
     /// served generation shared it, plus the arrays of every fold.
     pub fn take_copied_bytes(&mut self) -> usize {
-        self.live.labels.take_copied_bytes() + std::mem::take(&mut self.copied)
+        self.labels.take_copied_bytes() + std::mem::take(&mut self.copied)
     }
 
     /// Applies one edge delta to `graph` and repairs the index so it
@@ -391,11 +372,11 @@ impl DynamicIndex {
     ///
     /// # Panics
     /// Panics if `graph` does not have the vertex count this index was
-    /// built for — the overlay never adds vertices, so a mismatch means
+    /// built for — edits never add vertices, so a mismatch means
     /// the caller paired the wrong graph with the wrong index.
     pub fn apply_and_repair(
         &mut self,
-        graph: &mut DeltaGraph<'_>,
+        graph: &mut PatchedGraph,
         delta: EdgeDelta,
         cx: &mut BuildContext,
     ) -> Result<RepairOutcome, DeltaError> {
@@ -422,8 +403,10 @@ impl DynamicIndex {
         debug_assert!(applied, "membership probe and apply disagreed");
 
         Ok(match delta.op {
-            DeltaOp::Insert => self.repair_insert(graph, (delta.u, delta.v), &da, &db, cx),
-            DeltaOp::Delete => self.repair_delete(graph, &da, &db, cx),
+            DeltaOp::Insert => {
+                self.repair_insert(graph.as_view(), (delta.u, delta.v), &da, &db, cx)
+            }
+            DeltaOp::Delete => self.repair_delete(graph.as_view(), &da, &db, cx),
         })
     }
 
@@ -443,7 +426,7 @@ impl DynamicIndex {
     /// the module docs. Reads and writes only the affected set.
     fn repair_insert(
         &mut self,
-        graph: &DeltaGraph<'_>,
+        graph: GraphView<'_>,
         (a, b): (VertexId, VertexId),
         da: &[u32],
         db: &[u32],
@@ -519,7 +502,7 @@ impl DynamicIndex {
         // Repair, in rank order, against the patched highway. A vertex's
         // label is copied into the replacements on its first real change.
         for (i, x, d) in dropped {
-            if self.live.base.landmark_rank[x as usize] != NOT_A_LANDMARK {
+            if self.base.landmark_rank[x as usize] != NOT_A_LANDMARK {
                 continue; // a landmark's row is the highway
             }
             let row = &self.highway()[i as usize * k..(i as usize + 1) * k];
@@ -538,8 +521,8 @@ impl DynamicIndex {
             if label[slot.clone()] == *wanted {
                 continue;
             }
-            let base = self.live.base.as_view().packed_label(x);
-            self.live.labels.edit(x, base, |label| {
+            let base = self.base.as_view().packed_label(x);
+            self.labels.edit(x, base, |label| {
                 label.splice(slot, wanted.iter().copied());
             });
         }
@@ -553,7 +536,7 @@ impl DynamicIndex {
     /// and all superseded.
     fn repair_delete(
         &mut self,
-        graph: &DeltaGraph<'_>,
+        graph: GraphView<'_>,
         da: &[u32],
         db: &[u32],
         cx: &mut BuildContext,
@@ -570,7 +553,7 @@ impl DynamicIndex {
             };
         }
 
-        let landmarks = &self.live.base.landmarks;
+        let landmarks = &self.base.landmarks;
         let relabelled = HighwayCoverIndex::build_in(graph, landmarks, std::slice::from_mut(cx));
         self.adopt(relabelled);
 
@@ -589,7 +572,7 @@ mod tests {
     use crate::{BuildOptions, HighwayCoverIndex, QueryContext};
     use hcl_core::Graph;
 
-    fn assert_answers_match_rebuild(graph: &DeltaGraph<'_>, dynamic: &DynamicIndex, k: usize) {
+    fn assert_answers_match_rebuild(graph: &PatchedGraph, dynamic: &PatchedIndex, k: usize) {
         let edited = graph.to_graph();
         let rebuilt = HighwayCoverIndex::build_with(
             &edited,
@@ -623,7 +606,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let dynamic = DynamicIndex::from_view(built.as_view());
+        let dynamic = PatchedIndex::from_view(built.as_view());
         let back = dynamic.to_index();
         assert_eq!(back.as_view().landmarks(), built.as_view().landmarks());
         assert_eq!(
@@ -643,8 +626,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut dynamic = DynamicIndex::from_view(built.as_view());
-        let mut graph = DeltaGraph::new(g.as_view());
+        let mut dynamic = PatchedIndex::from_view(built.as_view());
+        let mut graph = PatchedGraph::new(g.as_view());
         let mut cx = BuildContext::new();
         let out = dynamic
             .apply_and_repair(&mut graph, EdgeDelta::insert(0, 1), &mut cx)
@@ -670,8 +653,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut dynamic = DynamicIndex::from_view(built.as_view());
-        let mut graph = DeltaGraph::new(g.as_view());
+        let mut dynamic = PatchedIndex::from_view(built.as_view());
+        let mut graph = PatchedGraph::new(g.as_view());
         let mut cx = BuildContext::new();
         let out = dynamic
             .apply_and_repair(&mut graph, EdgeDelta::insert(0, 6), &mut cx)
@@ -693,8 +676,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut dynamic = DynamicIndex::from_view(built.as_view());
-        let mut graph = DeltaGraph::new(g.as_view());
+        let mut dynamic = PatchedIndex::from_view(built.as_view());
+        let mut graph = PatchedGraph::new(g.as_view());
         let mut cx = BuildContext::new();
         let out = dynamic
             .apply_and_repair(&mut graph, EdgeDelta::delete(2, 3), &mut cx)
@@ -713,8 +696,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut dynamic = DynamicIndex::from_view(built.as_view());
-        let mut graph = DeltaGraph::new(g.as_view());
+        let mut dynamic = PatchedIndex::from_view(built.as_view());
+        let mut graph = PatchedGraph::new(g.as_view());
         let mut cx = BuildContext::new();
         let script = [
             EdgeDelta::insert(0, 15),

@@ -19,9 +19,9 @@
 //! every structural invariant the query engine relies on, so hot paths can
 //! index unchecked without risking panics on corrupt input.
 //!
-//! A live-updated generation is served as a view of the last fold's arrays
-//! under a copy-on-write [`Overlay`] of replacement labels, with its highway
-//! slice pointing at the patched matrix ([`FrozenIndex`](crate::FrozenIndex)):
+//! An edited labelling is served as a view of the last fold's arrays under
+//! a copy-on-write [`Overlay`] of replacement labels, with its highway
+//! slice pointing at the patched matrix ([`PatchedIndex`](crate::PatchedIndex)):
 //! a label read loads one chunk pointer, then tests one bit.
 //! Every accessor sees the patches except the raw label arrays
 //! ([`IndexView::label_offsets`] / [`IndexView::label_entries`]), which

@@ -10,8 +10,8 @@
 //! is measured below, not assumed.
 
 use hcl_core::testkit::{barabasi_albert, disjoint_union, families, SplitMix64};
-use hcl_core::{bfs, DeltaGraph, DeltaOp, EdgeDelta, Graph};
-use hcl_index::repair::{DynamicIndex, RepairOutcome};
+use hcl_core::{bfs, DeltaOp, EdgeDelta, Graph, PatchedGraph};
+use hcl_index::repair::{PatchedIndex, RepairOutcome};
 use hcl_index::{BuildContext, BuildOptions, HighwayCoverIndex, QueryContext};
 
 const SCRIPT_LEN: usize = 12;
@@ -30,8 +30,8 @@ fn run_script(name: &str, base: &Graph, threads: usize, seed: u64) {
         ..Default::default()
     };
     let built = HighwayCoverIndex::build_with(base, &options);
-    let mut dynamic = DynamicIndex::from_view(built.as_view());
-    let mut graph = DeltaGraph::new(base.as_view());
+    let mut dynamic = PatchedIndex::from_view(built.as_view());
+    let mut graph = PatchedGraph::new(base.as_view());
     let mut cx = BuildContext::new();
     let mut rng = SplitMix64::new(seed);
 
@@ -118,7 +118,7 @@ fn landmark_bfs(graph: &Graph, index: &HighwayCoverIndex) -> Vec<Vec<u32>> {
 }
 
 /// Every vertex's `(hub rank, distance)` label, read off the flattened form.
-fn labels_of(dynamic: &DynamicIndex) -> Vec<Vec<(u32, u32)>> {
+fn labels_of(dynamic: &PatchedIndex) -> Vec<Vec<(u32, u32)>> {
     let index = dynamic.to_index();
     (0..index.num_vertices() as u32)
         .map(|v| index.label(v).collect())
@@ -139,7 +139,7 @@ struct Snapshot<'a> {
     tag: &'a str,
     /// The graph as it stands.
     graph: &'a Graph,
-    dynamic: &'a DynamicIndex,
+    dynamic: &'a PatchedIndex,
     /// BFS distances from each landmark on the current graph.
     truth: &'a [Vec<u32>],
     edit: Option<Edit<'a>>,
@@ -157,8 +157,8 @@ fn sweep_edit_scripts(mut check: impl FnMut(&Snapshot<'_>)) {
                 ..Default::default()
             };
             let built = HighwayCoverIndex::build_with(&base, &options);
-            let mut dynamic = DynamicIndex::from_view(built.as_view());
-            let mut graph = DeltaGraph::new(base.as_view());
+            let mut dynamic = PatchedIndex::from_view(built.as_view());
+            let mut graph = PatchedGraph::new(base.as_view());
             let mut cx = BuildContext::new();
             let mut rng = SplitMix64::new(0xDE7E_C7ED ^ (n * 31 + k) as u64);
             let mut truth = landmark_bfs(&base, &built);
@@ -211,7 +211,7 @@ fn sweep_edit_scripts(mut check: impl FnMut(&Snapshot<'_>)) {
 
 /// (C): the landmark distances read off each vertex's label and the
 /// highway equal BFS's, for every vertex.
-fn assert_cover(tag: &str, dynamic: &DynamicIndex, truth: &[Vec<u32>]) {
+fn assert_cover(tag: &str, dynamic: &PatchedIndex, truth: &[Vec<u32>]) {
     for v in 0..dynamic.num_vertices() {
         let want: Vec<u32> = truth.iter().map(|d| d[v]).collect();
         assert_eq!(
@@ -225,7 +225,7 @@ fn assert_cover(tag: &str, dynamic: &DynamicIndex, truth: &[Vec<u32>]) {
 /// The invariants every repair must restore, against BFS ground truth:
 /// (U) no label entry is below the true landmark distance, (C) the cover
 /// property, and a highway that is exact for every landmark pair.
-fn assert_index_invariants(tag: &str, dynamic: &DynamicIndex, truth: &[Vec<u32>]) {
+fn assert_index_invariants(tag: &str, dynamic: &PatchedIndex, truth: &[Vec<u32>]) {
     assert_cover(tag, dynamic, truth);
     let index = dynamic.to_index();
     let view = index.as_view();
@@ -381,8 +381,8 @@ fn joining_two_components_repairs_the_whole_newly_reachable_side() {
         .iter()
         .filter(|&&lm| lm < 60)
         .count();
-    let mut dynamic = DynamicIndex::from_view(built.as_view());
-    let mut graph = DeltaGraph::new(base.as_view());
+    let mut dynamic = PatchedIndex::from_view(built.as_view());
+    let mut graph = PatchedGraph::new(base.as_view());
     let mut cx = BuildContext::new();
     assert_index_invariants("disjoint, as built", &dynamic, &landmark_bfs(&base, &built));
 
@@ -431,8 +431,8 @@ fn partial_repair_stays_small_and_local_on_a_power_law_graph() {
         ..Default::default()
     };
     let built = HighwayCoverIndex::build_with(&base, &options);
-    let mut dynamic = DynamicIndex::from_view(built.as_view());
-    let mut graph = DeltaGraph::new(base.as_view());
+    let mut dynamic = PatchedIndex::from_view(built.as_view());
+    let mut graph = PatchedGraph::new(base.as_view());
     let mut cx = BuildContext::new();
     let mut rng = SplitMix64::new(0x5CA1E);
     let mut visited = 0usize;
@@ -501,11 +501,11 @@ fn flattening_per_delta_or_per_batch_gives_the_same_bytes() {
                     ..Default::default()
                 },
             );
-            let mut per_delta = DynamicIndex::from_view(built.as_view());
-            let mut per_batch = DynamicIndex::from_view(built.as_view());
+            let mut per_delta = PatchedIndex::from_view(built.as_view());
+            let mut per_batch = PatchedIndex::from_view(built.as_view());
             let mut graphs = [
-                DeltaGraph::new(base.as_view()),
-                DeltaGraph::new(base.as_view()),
+                PatchedGraph::new(base.as_view()),
+                PatchedGraph::new(base.as_view()),
             ];
             let mut cx = BuildContext::new();
             let mut rng = SplitMix64::new(0xF1A7 ^ (n * 31 + k) as u64);
@@ -559,7 +559,7 @@ fn flattening_per_delta_or_per_batch_gives_the_same_bytes() {
 fn deltas_never_mutate_the_base_graph() {
     let base = hcl_core::testkit::barabasi_albert(60, 3, 7);
     let before: Vec<Vec<u32>> = (0..60).map(|v| base.neighbors(v).to_vec()).collect();
-    let mut graph = DeltaGraph::new(base.as_view());
+    let mut graph = PatchedGraph::new(base.as_view());
     let mut rng = SplitMix64::new(99);
     for _ in 0..40 {
         let u = rng.next_below(60) as u32;

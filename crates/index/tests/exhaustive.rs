@@ -19,8 +19,8 @@
 //! three landmarks is `#[ignore]`d and runs in release only (CI's
 //! optimised test step).
 
-use hcl_core::{bfs, DeltaGraph, DeltaOp, EdgeDelta, Graph, GraphBuilder, VertexId, INFINITY};
-use hcl_index::repair::DynamicIndex;
+use hcl_core::{bfs, DeltaOp, EdgeDelta, Graph, GraphBuilder, PatchedGraph, VertexId, INFINITY};
+use hcl_index::PatchedIndex;
 use hcl_index::{BuildContext, HighwayCoverIndex, QueryContext};
 
 /// The vertex pairs `u < v` of `0..n`, in lexicographic order.
@@ -71,7 +71,7 @@ fn landmark_lists(n: usize, max_k: usize) -> Vec<Vec<VertexId>> {
 
 /// The edit that flips pair `(u, v)` of `graph`: delete it if present,
 /// insert it otherwise.
-fn flip(graph: &DeltaGraph<'_>, (u, v): (VertexId, VertexId)) -> EdgeDelta {
+fn flip(graph: &PatchedGraph, (u, v): (VertexId, VertexId)) -> EdgeDelta {
     if graph.has_edge(u, v) {
         EdgeDelta::delete(u, v)
     } else {
@@ -130,8 +130,8 @@ impl Sweep {
         let what = || format!("{graph:?} landmarks {landmarks:?} edits {edits:?}");
         let built =
             HighwayCoverIndex::build_in(graph, landmarks, std::slice::from_mut(&mut self.cx));
-        let mut dynamic = DynamicIndex::from_view(built.as_view());
-        let mut overlay = DeltaGraph::new(graph.as_view());
+        let mut dynamic = PatchedIndex::from_view(built.as_view());
+        let mut overlay = PatchedGraph::new(graph.as_view());
         let mut relabelled = false;
         for &edit in edits {
             let outcome = dynamic
@@ -197,7 +197,7 @@ fn single_edits(n: usize, max_k: usize) -> Tally {
     for graph in graphs(n) {
         for landmarks in &lists {
             for pair in pairs(n) {
-                let edit = flip(&DeltaGraph::new(graph.as_view()), pair);
+                let edit = flip(&PatchedGraph::new(graph.as_view()), pair);
                 sweep.case(&graph, landmarks, &[edit]);
             }
         }
@@ -231,9 +231,9 @@ fn edit_pairs(n: usize, max_k: usize) -> Tally {
     let mut sweep = Sweep::new();
     let lists = landmark_lists(n, max_k);
     for graph in graphs(n) {
-        let start = DeltaGraph::new(graph.as_view());
+        let start = PatchedGraph::new(graph.as_view());
         for first in pairs(n).into_iter().filter(|&(u, v)| !start.has_edge(u, v)) {
-            let mut after = DeltaGraph::new(graph.as_view());
+            let mut after = PatchedGraph::new(graph.as_view());
             after.apply(EdgeDelta::insert(first.0, first.1)).unwrap();
             for second in pairs(n) {
                 let edits = [EdgeDelta::insert(first.0, first.1), flip(&after, second)];

@@ -1,13 +1,14 @@
 //! The update engine: the one place edge deltas become served state, for
 //! live updates and open-time replay alike.
 //!
-//! [`LiveState`] is the live graph and labels — the base arrays of the
-//! last fold plus the rows patched since — maintained incrementally by
-//! `hcl-index`'s repair path (never a full rebuild). It holds the fold
-//! rule: publishing it folds first once either overlay holds more than
-//! `n / FOLD_DIVISOR` patched rows. An open replays a pending journal
-//! through it, so a reopened file is exactly what the engine that appended
-//! the journal served, patched or flat.
+//! [`LiveState`] is the live graph and labels — one `PatchedGraph` and
+//! one `PatchedIndex`: the base arrays of the last fold plus the rows
+//! patched since — maintained incrementally by `hcl-index`'s repair path
+//! (never a full rebuild). It holds the fold rule: publishing it folds
+//! first once either overlay holds more than `n / FOLD_DIVISOR` patched
+//! rows. An open replays a pending journal through it, so a reopened file
+//! is exactly what the engine that appended the journal served, patched
+//! or flat.
 //!
 //! [`UpdateEngine`] is that state plus a [`JournalWriter`], the
 //! container's single writer. One call, [`UpdateEngine::publish`], makes a
@@ -21,11 +22,12 @@
 //! * **publish** — the next generation is an `IndexStore` sharing the
 //!   already-validated image and carrying the live state in its replayed
 //!   slot: answers identical to that reopen's, with nothing serialised or
-//!   re-validated. The live state is *cloned*, not copied: the generation
-//!   shares the graph and label arrays of the last fold (the same `Arc`s
-//!   every generation since holds, so they are resident once) and the
-//!   copy-on-write overlays of the rows patched since, chunks of 4 096 rows
-//!   under an `Arc`'d spine, plus the patched highway. The edits of the
+//!   re-validated. The live state is *cloned*, not copied (a clone of each
+//!   patched type is a generation): the generation shares the graph and
+//!   label arrays of the last fold (the same `Arc`s every generation since
+//!   holds, so they are resident once) and the copy-on-write overlays of
+//!   the rows patched since, chunks of 4 096 rows under an `Arc`'d spine,
+//!   plus the patched highway. The edits of the
 //!   next batch copy what they write to while a generation shares it: each
 //!   overlay's spine (`n / 4 096` pointers) once, each chunk they touch
 //!   once, the highway once. So a publish costs the chunks its update
@@ -33,7 +35,7 @@
 //!   was patched before; `UpdatePhases::copied_bytes` counts it.
 //! * **fold** — once either overlay holds more than `n / FOLD_DIVISOR`
 //!   patched rows, the publish first splices both into fresh base arrays
-//!   (`DeltaGraph::to_graph`, `DynamicIndex::flatten`: the previous arrays
+//!   (`PatchedGraph::flatten`, `PatchedIndex::flatten`: the previous arrays
 //!   copied run by run with the patched rows in between) and serves those
 //!   flat. That bounds the overlays' memory and read cost, and spreads the
 //!   `O(n + m)` splice over the publishes that filled them.
@@ -49,13 +51,9 @@
 //! [`UpdateError`], never a panic that would take a serving loop down.
 
 use crate::{IndexStore, JournalWriter, StoreError};
-use hcl_core::{
-    DeltaError, DeltaGraph, EdgeDelta, FrozenGraph, Graph, GraphView, Overlay, VertexId,
-};
-use hcl_index::repair::{DynamicIndex, RepairOutcome};
-use hcl_index::{BuildContext, FrozenIndex, IndexView};
+use hcl_core::{DeltaError, EdgeDelta, GraphView, PatchedGraph};
+use hcl_index::{BuildContext, IndexView, PatchedIndex, RepairOutcome};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A publish folds both overlays into fresh base arrays once either holds
@@ -67,33 +65,19 @@ const FOLD_DIVISOR: usize = 64;
 /// The live graph and labels: the base arrays of the last fold, shared
 /// with every generation published since, plus the edits applied after it.
 pub(crate) struct LiveState {
-    /// The graph as of the last fold; `patches` holds what was applied
-    /// after it.
-    graph: Arc<Graph>,
-    /// Adjacency edits applied since the last fold: the detached half of
-    /// the overlay repairs run on, kept across `apply` calls and cloned
-    /// into each generation until the next fold splices it.
-    patches: Overlay<VertexId>,
-    /// The labels of the last fold (the same `Arc` every generation since
-    /// holds) plus the labels repaired after it.
-    index: DynamicIndex,
+    graph: PatchedGraph,
+    index: PatchedIndex,
     /// Reused BFS scratch for the repair path.
     cx: BuildContext,
-    /// Bytes copied since the last publish that `patches` no longer
-    /// counts: a fold's splice, and the copies the overlay it replaced
-    /// made.
-    copied: usize,
 }
 
 impl LiveState {
     /// Copies `graph` and `index` (flat or patched) into editable form.
     pub(crate) fn new(graph: GraphView<'_>, index: IndexView<'_>) -> Self {
         Self {
-            patches: Overlay::new(graph.num_vertices()),
-            graph: Arc::new(graph.to_owned_graph()),
-            index: DynamicIndex::from_view(index),
+            graph: PatchedGraph::new(graph),
+            index: PatchedIndex::from_view(index),
             cx: BuildContext::new(),
-            copied: 0,
         }
     }
 
@@ -102,59 +86,35 @@ impl LiveState {
     /// `applied: false`; an invalid one (out-of-range endpoint, self-loop)
     /// is an error and changes nothing.
     pub(crate) fn apply(&mut self, delta: EdgeDelta) -> Result<RepairOutcome, DeltaError> {
-        let mut overlay = DeltaGraph::reattach(
-            self.graph.as_view(),
-            std::mem::replace(&mut self.patches, Overlay::new(0)),
-        );
-        let repaired = self
-            .index
-            .apply_and_repair(&mut overlay, delta, &mut self.cx);
-        self.patches = overlay.detach();
-        repaired
+        self.index
+            .apply_and_repair(&mut self.graph, delta, &mut self.cx)
     }
 
     /// Patched rows in the graph and in the label overlay.
     fn rows(&self) -> [usize; 2] {
-        [self.patches.len(), self.index.patched_rows()]
+        [self.graph.num_patched(), self.index.patched_rows()]
     }
 
-    /// The live state for serving: the base arrays and the overlays of
-    /// the rows patched since the last fold, shared. Folds first when
-    /// `fold` is set or either overlay holds more than `n / FOLD_DIVISOR`
-    /// rows; the flag says whether a fold spliced any rows (the result is
-    /// then flat).
-    pub(crate) fn publish(&mut self, fold: bool) -> (FrozenGraph, FrozenIndex, bool) {
+    /// The live state for serving: clones of both, which share the base
+    /// arrays and the overlays of the rows patched since the last fold.
+    /// Folds first when `fold` is set or either overlay holds more than
+    /// `n / FOLD_DIVISOR` rows; the flag says whether a fold spliced any
+    /// rows (the result is then flat).
+    pub(crate) fn publish(&mut self, fold: bool) -> (PatchedGraph, PatchedIndex, bool) {
         let (limit, rows) = (self.index.num_vertices() / FOLD_DIVISOR, self.rows());
         let folded = rows.iter().any(|&r| r > 0) && (fold || rows.iter().any(|&r| r > limit));
         if folded || fold {
-            // The fold: both overlays spliced into fresh base arrays,
-            // adopted with nothing left pending.
-            if !self.patches.is_empty() {
-                let fresh = Overlay::new(self.graph.num_vertices());
-                let mut patches = std::mem::replace(&mut self.patches, fresh);
-                self.copied += patches.take_copied_bytes();
-                let graph = DeltaGraph::reattach(self.graph.as_view(), patches).to_graph();
-                self.copied += std::mem::size_of_val(graph.csr_offsets())
-                    + std::mem::size_of_val(graph.csr_neighbors());
-                self.graph = Arc::new(graph);
-            }
+            self.graph.flatten();
             self.index.flatten();
         }
-        (
-            FrozenGraph::new(Arc::clone(&self.graph), self.patches.clone()),
-            self.index.current().clone(),
-            folded,
-        )
+        (self.graph.clone(), self.index.clone(), folded)
     }
 
     /// Bytes copied since the last call: both overlays' spines and chunks
     /// and the highway, each copied on the first write while a published
     /// generation shared it, plus the arrays of every fold.
     fn take_copied_bytes(&mut self) -> u64 {
-        let copied = std::mem::take(&mut self.copied)
-            + self.patches.take_copied_bytes()
-            + self.index.take_copied_bytes();
-        copied as u64
+        (self.graph.take_copied_bytes() + self.index.take_copied_bytes()) as u64
     }
 }
 
@@ -163,12 +123,12 @@ impl LiveState {
 /// The caller adds `swap` (it owns the generation handle).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct UpdatePhases {
-    /// Label repair (`DynamicIndex::apply_and_repair`).
+    /// Label repair (`PatchedIndex::apply_and_repair`).
     pub repair: Duration,
     /// Live state made servable, once per batch: the overlays cloned
     /// beside the shared base arrays (`Arc` clones), or — when the batch
     /// folds — the fold's splice into fresh base arrays
-    /// (`DeltaGraph::to_graph`, `DynamicIndex::flatten`, `O(n + m)` bytes
+    /// (`PatchedGraph::flatten`, `PatchedIndex::flatten`, `O(n + m)` bytes
     /// moved) first. The copies on write land in `repair`.
     pub materialise: Duration,
     /// Made durable: the frame append, or the whole-container publish and
@@ -399,9 +359,10 @@ impl UpdateEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcl_core::{testkit, DeltaOp};
+    use hcl_core::{testkit, DeltaOp, Graph, Overlay, VertexId};
     use hcl_index::{BuildOptions, HighwayCoverIndex, QueryContext};
     use std::collections::BTreeSet;
+    use std::sync::Arc;
 
     fn engine_for(n: usize, k: usize, seed: u64) -> (Graph, UpdateEngine) {
         let graph = testkit::barabasi_albert(n, 3, seed);
@@ -604,11 +565,11 @@ mod tests {
 
     /// Every answer `store` gives from a few sources equals BFS on
     /// `oracle`.
-    fn assert_answers_match(store: &IndexStore, oracle: &DeltaGraph<'_>, what: &str) {
+    fn assert_answers_match(store: &IndexStore, oracle: &PatchedGraph, what: &str) {
         let mut ctx = QueryContext::new();
         let n = oracle.num_vertices() as u32;
         for source in [0, n / 3, n - 1] {
-            let want = hcl_core::bfs::distances_from(oracle, source);
+            let want = hcl_core::bfs::distances_from(oracle.as_view(), source);
             for target in (0..n).step_by(7) {
                 let got = store
                     .index()
@@ -628,7 +589,7 @@ mod tests {
         let n = if cfg!(miri) { 640 } else { 3_000 };
         let (graph, mut engine) = engine_for(n, 8, 0xF01D);
         let limit = n / FOLD_DIVISOR;
-        let mut oracle = DeltaGraph::new(graph.as_view());
+        let mut oracle = PatchedGraph::new(graph.as_view());
         let mut rng = testkit::SplitMix64::new(0xF01D);
         let hub = graph.top_k_by_degree(1)[0];
         for phase in ["inserts", "after a full relabel"] {
@@ -711,7 +672,7 @@ mod tests {
         let n = if cfg!(miri) { 640 } else { 3_000 };
         let (graph, mut engine) = engine_for(n, 8, 0x150);
         let mut rng = testkit::SplitMix64::new(0x150);
-        let mut live = DeltaGraph::new(graph.as_view());
+        let mut live = PatchedGraph::new(graph.as_view());
         let mut publish = |engine: &mut UpdateEngine, delta: Option<EdgeDelta>| {
             let delta = delta.unwrap_or_else(|| loop {
                 let (u, v) = (
@@ -799,7 +760,7 @@ mod tests {
         const N: usize = 9_000;
         let (graph, mut engine) = engine_for(N, 8, 0xC0);
         let mut rng = testkit::SplitMix64::new(0xC0);
-        let mut live = DeltaGraph::new(graph.as_view());
+        let mut live = PatchedGraph::new(graph.as_view());
         // The first generation shares the fresh overlays, so every update
         // after it copies on write.
         let mut last = engine.publish(false).unwrap().store;

@@ -237,7 +237,7 @@ mod tests {
     #[test]
     fn concurrent_readers_on_a_patched_generation_see_exact_answers() {
         use crate::UpdateEngine;
-        use hcl_core::{bfs, DeltaGraph, EdgeDelta, INFINITY};
+        use hcl_core::{bfs, EdgeDelta, PatchedGraph, INFINITY};
 
         const N: u32 = 400;
         let graph = testkit::barabasi_albert(N as usize, 3, 4);
@@ -249,7 +249,7 @@ mod tests {
         let deltas: Vec<EdgeDelta> = (0..3u32)
             .map(|i| EdgeDelta::insert(i, N - 1 - 3 * i))
             .collect();
-        let mut oracle = DeltaGraph::new(graph.as_view());
+        let mut oracle = PatchedGraph::new(graph.as_view());
         let (mut patched_engine, mut flat_engine) = (
             UpdateEngine::from_store(&store, None, 0),
             UpdateEngine::from_store(&store, None, 0),
@@ -276,7 +276,7 @@ mod tests {
         };
         let pairs: Vec<(u32, u32, Option<u32>)> = (0..40u32)
             .flat_map(|u| {
-                let from = bfs::distances_from(&oracle, u);
+                let from = bfs::distances_from(oracle.as_view(), u);
                 (0..N)
                     .step_by(17)
                     .map(move |v| (u, v, Some(from[v as usize]).filter(|&d| d != INFINITY)))

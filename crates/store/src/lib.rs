@@ -45,11 +45,12 @@
 //! self-checksummed frame per acknowledged batch after the image (the
 //! *journal tail*, replayed at open) and stamps the next serving
 //! generation onto the shared, already-validated image. That generation
-//! serves the live state as the engine published it — the arrays of its
-//! last fold, shared by `Arc` with every generation since, under
-//! copy-on-write overlays of the adjacency and label rows patched after
-//! that fold — so publishing copies nothing, and the next update copies
-//! only the overlay chunks it writes to. Open-time replay runs the pending
+//! serves the live state as the engine published it — clones of its
+//! `PatchedGraph` and `PatchedIndex`: the arrays of its last fold, shared
+//! by `Arc` with every generation since, under copy-on-write overlays of
+//! the adjacency and label rows patched after that fold — so publishing
+//! copies nothing, and the next update copies only the overlay chunks it
+//! writes to. Open-time replay runs the pending
 //! journal through the same engine state and fold rule, so a small journal
 //! opens patched and a large one folds. Only a compaction writes a whole
 //! file.
@@ -89,8 +90,8 @@ pub use tail::{encode_tail_frame, AppendOutcome, JournalWriter, TailInfo};
 use backing::{cast_u32s, cast_u64s, AlignedBuf, Backing};
 use engine::LiveState;
 use format::Layout;
-use hcl_core::{DeltaError, DeltaGraph, EdgeDelta, FrozenGraph, Graph, GraphView, VertexId};
-use hcl_index::{FrozenIndex, HighwayCoverIndex, IndexView};
+use hcl_core::{DeltaError, EdgeDelta, Graph, GraphView, PatchedGraph, VertexId};
+use hcl_index::{HighwayCoverIndex, IndexView, PatchedIndex};
 use std::fs::File;
 use std::path::Path;
 use std::sync::Arc;
@@ -379,15 +380,14 @@ fn validate(bytes: &[u8]) -> Result<Validated, StoreError> {
             None => None,
         };
 
-        // Applicability needs only the edited graph: the label repair a
-        // replay adds rejects a delta exactly when the overlay does.
-        if let Some(journal) = &journal {
-            let mut overlay = DeltaGraph::new(graph);
-            for (i, &delta) in journal.deltas.iter().enumerate() {
-                overlay
-                    .apply(delta)
-                    .map_err(|why| inapplicable(i, delta, why))?;
-            }
+        // Applicability needs only the vertex count: the vertex set is
+        // fixed, a no-op delta applies as nothing, and a replay rejects a
+        // delta exactly when `EdgeDelta::validate` does.
+        let deltas = journal.iter().flat_map(|j| &j.deltas);
+        for (i, &delta) in deltas.enumerate() {
+            delta
+                .validate(graph.num_vertices())
+                .map_err(|why| inapplicable(i, delta, why))?;
         }
 
         Ok(Validated {
@@ -400,13 +400,14 @@ fn validate(bytes: &[u8]) -> Result<Validated, StoreError> {
 }
 
 /// Owned current state of a journalled container: base sections plus
-/// replayed deltas, with labels repaired incrementally. Base `Arc`s, shared
-/// with the update engine and the generations before and after this one,
-/// plus the overlays of rows patched since the engine last folded, which
-/// share every chunk the updates after this one did not touch.
+/// replayed deltas, with labels repaired incrementally — clones of the
+/// update engine's live graph and labels, whose base `Arc`s are shared
+/// with the engine and the generations before and after this one, and
+/// whose overlays of rows patched since the engine last folded share every
+/// chunk the updates after this one did not touch.
 struct ReplayedState {
-    graph: FrozenGraph,
-    index: FrozenIndex,
+    graph: PatchedGraph,
+    index: PatchedIndex,
 }
 
 impl std::fmt::Debug for IndexStore {

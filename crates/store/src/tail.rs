@@ -8,9 +8,10 @@
 //! persist costs one frame write plus one `fdatasync`, whatever the size
 //! of the container; only [`JournalWriter::compact`] writes a whole image.
 //! The generation a persist is served as ([`JournalWriter::generation`])
-//! takes the live state as the update engine froze it — the arrays of its
-//! last fold, shared, under the overlay of rows patched since — so it
-//! copies nothing but that overlay and the pending journal.
+//! takes the live state as the update engine cloned it — a `PatchedGraph`
+//! and a `PatchedIndex`: the arrays of its last fold, shared, under the
+//! overlays of rows patched since — so it copies nothing but the pending
+//! journal.
 //!
 //! This file is on the update-serving path (the `no-panics` lint covers
 //! it): every failure is a typed [`StoreError`].
@@ -20,8 +21,8 @@ use crate::durable::{self, AppendStep, IoDecision, PublishOutcome, StoreIo, Syst
 use crate::error::StoreError;
 use crate::format::{decode_delta, encode_delta, image_parts, StoredJournal, MAGIC};
 use crate::{Base, IndexStore, OpenPhases, ReplayedState};
-use hcl_core::{EdgeDelta, FrozenGraph, Graph};
-use hcl_index::{FrozenIndex, HighwayCoverIndex};
+use hcl_core::{EdgeDelta, Graph, PatchedGraph};
+use hcl_index::{HighwayCoverIndex, PatchedIndex};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -386,8 +387,8 @@ impl JournalWriter {
     /// the last compaction).
     pub fn generation(
         &self,
-        graph: FrozenGraph,
-        index: FrozenIndex,
+        graph: PatchedGraph,
+        index: PatchedIndex,
     ) -> Result<IndexStore, StoreError> {
         let (graph_vertices, index_vertices) = (
             graph.as_view().num_vertices(),

@@ -3,8 +3,8 @@
 //! appended after the image (the torn-tail sweep, damaged and foreign
 //! frames, and the writer that appends them).
 
-use hcl_core::{bfs, testkit, DeltaGraph, EdgeDelta, FrozenGraph, Graph};
-use hcl_index::{BuildOptions, FrozenIndex, HighwayCoverIndex, QueryContext};
+use hcl_core::{bfs, testkit, EdgeDelta, Graph, PatchedGraph};
+use hcl_index::{BuildOptions, HighwayCoverIndex, PatchedIndex, QueryContext};
 use hcl_store::{
     compact_file, encode_tail_frame, serialize, serialize_with_journal, BuildInfo, IndexStore,
     JournalWriter, StoreError, StoredJournal, TailInfo,
@@ -24,7 +24,7 @@ fn build(graph: &Graph, k: usize) -> HighwayCoverIndex {
 /// A deterministic mixed edit script that is effective on the given graph
 /// (every delta changes it).
 fn script(graph: &Graph, len: usize, seed: u64) -> Vec<EdgeDelta> {
-    let mut overlay = DeltaGraph::new(graph.as_view());
+    let mut overlay = PatchedGraph::new(graph.as_view());
     let mut rng = testkit::SplitMix64::new(seed);
     let n = graph.num_vertices() as u64;
     let mut out = Vec::new();
@@ -63,7 +63,7 @@ fn journalled_open_replays_to_current_answers() {
     // Base sections still carry the pre-edit graph; current views don't.
     assert_eq!(store.base_graph().num_edges(), base.num_edges());
 
-    let mut overlay = DeltaGraph::new(base.as_view());
+    let mut overlay = PatchedGraph::new(base.as_view());
     for &d in &deltas {
         overlay.apply(d).unwrap();
     }
@@ -287,7 +287,7 @@ fn tail_frames_replay_after_the_journal_section() {
     assert_eq!(store.journal_bytes(), section + tail_len);
     store.verify_checksum().expect("the image still verifies");
 
-    let mut overlay = DeltaGraph::new(base.as_view());
+    let mut overlay = PatchedGraph::new(base.as_view());
     for &d in &all {
         overlay.apply(d).unwrap();
     }
@@ -403,10 +403,23 @@ fn foreign_misnumbered_and_non_frame_tails_are_typed_errors() {
     // A well-formed header that declares no deltas.
     let empty = encode_tail_frame(&[], 2, checksum).unwrap();
     assert_corrupt(&concat(&image, &[&empty]), "zero-delta frame");
-    // A frame whose delta cannot apply (vertex out of range) decodes but
-    // must not replay.
-    let bad = encode_tail_frame(&[EdgeDelta::insert(0, 5000)], 2, checksum).unwrap();
-    assert_corrupt(&concat(&image, &[&bad]), "inapplicable delta");
+    // A frame whose delta cannot apply (vertex out of range, self-loop)
+    // decodes but must not replay, and the error names why.
+    for (delta, cause) in [
+        (EdgeDelta::insert(0, 5000), "vertex 5000 out of range"),
+        (EdgeDelta::insert(3, 3), "self-loop (3, 3)"),
+    ] {
+        let bad = concat(
+            &image,
+            &[&encode_tail_frame(&[delta], 2, checksum).unwrap()],
+        );
+        assert_corrupt(&bad, "inapplicable delta");
+        let why = IndexStore::from_bytes(&bad).unwrap_err().to_string();
+        assert!(
+            why.contains(&format!("({delta}) cannot be applied: {cause}")),
+            "{why}"
+        );
+    }
 }
 
 /// The write path: frames land after an untouched image, a reopen replays
@@ -449,8 +462,8 @@ fn writer_appends_frames_and_stamps_the_generation_a_reopen_would_produce() {
     let (graph, live) = reopened.to_owned_parts();
     let stamped = writer
         .generation(
-            FrozenGraph::flat(Arc::new(graph)),
-            FrozenIndex::flat(Arc::new(live)),
+            PatchedGraph::flat(Arc::new(graph)),
+            PatchedIndex::flat(Arc::new(live)),
         )
         .unwrap();
     assert_eq!(stamped.journal(), reopened.journal());
@@ -471,8 +484,8 @@ fn writer_appends_frames_and_stamps_the_generation_a_reopen_would_produce() {
     let other = testkit::path(9);
     assert!(matches!(
         writer.generation(
-            FrozenGraph::flat(Arc::new(other.clone())),
-            FrozenIndex::flat(Arc::new(build(&other, 2)))
+            PatchedGraph::flat(Arc::new(other.clone())),
+            PatchedIndex::flat(Arc::new(build(&other, 2)))
         ),
         Err(StoreError::Corrupt { .. })
     ));
