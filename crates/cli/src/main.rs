@@ -48,7 +48,7 @@ mod update;
 
 use hcl_core::{bfs, Graph, GraphBuilder, VertexId};
 use hcl_index::{BuildOptions, HighwayCoverIndex, QueryStats};
-use hcl_store::{IndexStore, UpdateEngine, UpdateError};
+use hcl_store::{IndexStore, UpdateEngine};
 use std::io::{BufRead, ErrorKind, IsTerminal, Read, Write};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -627,7 +627,8 @@ struct Built {
 impl Built {
     /// The container over the built arrays, its CRC included.
     fn image(&self) -> Result<hcl_store::ImageParts<'_>, String> {
-        hcl_store::image_parts(&self.graph, &self.index, self.info, Some(&self.stats), None)
+        let (graph, index) = (self.graph.as_view(), self.index.as_view());
+        hcl_store::image_parts(graph, index, self.info, Some(&self.stats), None)
             .map_err(|e| format!("serialising built index: {e}"))
     }
 }
@@ -1105,14 +1106,6 @@ fn cmd_update(args: Vec<String>) -> Result<(), String> {
 
     let t0 = Instant::now();
     let store = IndexStore::open(&path).map_err(|e| format!("opening {path}: {e}"))?;
-    // A delta the graph refuses (self-loop, endpoint out of range) fails
-    // the script before the engine copies the graph and labels.
-    let n = store.graph().num_vertices();
-    for &delta in &deltas {
-        delta
-            .validate(n)
-            .map_err(|why| UpdateError::Invalid { delta, why }.to_string())?;
-    }
     let mut engine = UpdateEngine::from_store(
         &store,
         Some(std::path::PathBuf::from(&path)),

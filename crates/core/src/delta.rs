@@ -10,6 +10,8 @@
 //! still returns a plain sorted `&[VertexId]` slice — patched vertices
 //! serve their overlay copy, everyone else serves the base CSR — so
 //! traversal code needs no per-edge branching and no iterator abstraction.
+//! The base is anything that lends flat CSR arrays ([`CsrArrays`]): an
+//! owned [`Graph`], or a store's mapped image, edited over, not copied.
 //!
 //! The patched lists live in an [`Overlay`], the row-keyed overlay
 //! `hcl-index` also keeps its edited labels in. Folding one back into a
@@ -390,19 +392,33 @@ impl<T: Copy> Overlay<T> {
     }
 }
 
-/// A graph under edits: the CSR of the last fold, shared by `Arc` with
-/// every generation cloned since, plus the adjacency rows the edits after
-/// that fold replaced. A clone is a served generation: two `Arc` clones
-/// that share the base and every overlay chunk, which the edits after it
-/// copy on write.
+/// Anything that lends the arrays of a flat CSR graph: an owned [`Graph`],
+/// or a store's validated, memory-mapped image. The base a
+/// [`PatchedGraph`] edits over.
+pub trait CsrArrays: Send + Sync {
+    /// The arrays as an unpatched view.
+    fn as_view(&self) -> GraphView<'_>;
+}
+
+impl CsrArrays for Graph {
+    fn as_view(&self) -> GraphView<'_> {
+        self.as_view()
+    }
+}
+
+/// A graph under edits: the flat CSR of the last fold (or the one it was
+/// opened over), shared by `Arc` with every generation cloned since, plus
+/// the adjacency rows the edits after that fold replaced. A clone is a
+/// served generation: two `Arc` clones that share the base and every
+/// overlay chunk, which the edits after it copy on write.
 ///
 /// Edits are applied with [`apply`](Self::apply); traversals read the rows
 /// through [`as_view`](Self::as_view), a patched [`GraphView`].
 /// [`flatten`](Self::flatten) is the fold, [`to_graph`](Self::to_graph)
 /// the spliced copy.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct PatchedGraph {
-    base: Arc<Graph>,
+    base: Arc<dyn CsrArrays>,
     patches: Overlay<VertexId>,
     /// Bytes the folds copied since [`take_copied_bytes`](Self::take_copied_bytes).
     copied: usize,
@@ -414,18 +430,13 @@ impl PatchedGraph {
         Self::flat(Arc::new(graph.to_owned_graph()))
     }
 
-    /// `base` with no edits.
-    pub fn flat(base: Arc<Graph>) -> Self {
+    /// `base` with no edits: shared, not copied.
+    pub fn flat(base: Arc<dyn CsrArrays>) -> Self {
         Self {
-            patches: Overlay::new(base.num_vertices()),
+            patches: Overlay::new(base.as_view().num_vertices()),
             base,
             copied: 0,
         }
-    }
-
-    /// The shared base CSR.
-    pub fn base(&self) -> &Arc<Graph> {
-        &self.base
     }
 
     /// The adjacency overlay over the base.
@@ -451,7 +462,7 @@ impl PatchedGraph {
 
     /// Number of vertices (fixed: always the base graph's count).
     pub fn num_vertices(&self) -> usize {
-        self.base.num_vertices()
+        self.patches.num_rows()
     }
 
     /// Number of undirected edges after all applied deltas.
@@ -496,8 +507,9 @@ impl PatchedGraph {
         if !effective {
             return Ok(false);
         }
+        let base = self.base.as_view();
         for (a, b) in [(delta.u, delta.v), (delta.v, delta.u)] {
-            let base = self.base.neighbors(a);
+            let base = base.neighbors(a);
             self.patches
                 .edit(a, base, |adj| match (delta.op, adj.binary_search(&b)) {
                     (DeltaOp::Insert, Err(pos)) => adj.insert(pos, b),
@@ -833,7 +845,7 @@ mod tests {
         for (name, g) in testkit::families() {
             let base = Arc::new(g);
             let n = base.num_vertices() as u64;
-            let mut d = PatchedGraph::flat(Arc::clone(&base));
+            let mut d = PatchedGraph::flat(base.clone());
             assert_frozen_view_matches(&d, &base, &format!("{name} unedited"));
             if n < 2 {
                 continue;

@@ -43,7 +43,7 @@ pub mod testkit;
 
 pub use bfs::{BfsProbe, NoProbe};
 pub use bitset::DenseBitSet;
-pub use delta::{DeltaError, DeltaOp, EdgeDelta, Overlay, PatchedGraph};
+pub use delta::{CsrArrays, DeltaError, DeltaOp, EdgeDelta, Overlay, PatchedGraph};
 pub use graph::{CsrError, FlatRows, Graph, GraphBuilder, GraphView, Rows, VertexId, INFINITY};
 
 /// [`PatchedGraph`], kept only because the frozen harness names it

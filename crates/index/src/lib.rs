@@ -68,6 +68,6 @@ pub use build::{
 };
 pub use probe::{AnswerSource, MergeKind, Probe, QueryStats};
 pub use query::QueryContext;
-pub use repair::{PatchedIndex, RepairOutcome};
+pub use repair::{LabelArrays, PatchedIndex, RepairOutcome};
 pub use select::SelectionStrategy;
 pub use view::{pack_label_entry, unpack_label_entry, IndexDataError, IndexView};

@@ -8,7 +8,9 @@
 //! # Representation
 //!
 //! A [`PatchedIndex`] is a frozen base, shared by `Arc` with whoever serves
-//! it, plus the edits made since: a replacement label (packed and
+//! it — anything that lends flat label arrays ([`LabelArrays`]): a built
+//! [`HighwayCoverIndex`], or a store's mapped image, repaired over, not
+//! copied — plus the edits made since: a replacement label (packed and
 //! hub-sorted like the base's) for each vertex a repair rewrote, in an
 //! [`hcl_core::Overlay`] (the copy-on-write rows a
 //! [`PatchedGraph`] keeps its adjacency patches in), and the highway once a
@@ -21,8 +23,8 @@
 //! its update touched. [`PatchedIndex::flatten`] is the fold: it splices
 //! the replacements into a fresh copy of the base arrays (each clean run of
 //! vertices one copy, its offsets shifted) and adopts the result as the new
-//! base; when no repair wrote anything since the last flatten it hands back
-//! the same `Arc`. A delete's relabel adopts what
+//! base; when no repair wrote anything since the last flatten it keeps the
+//! same base and copies nothing. A delete's relabel adopts what
 //! [`HighwayCoverIndex::build_in`] returns over the edited graph's view as
 //! the base directly.
 //!
@@ -169,20 +171,34 @@ pub struct RepairOutcome {
     pub full_relabel: bool,
 }
 
+/// Anything that lends the arrays of a flat labelling: a built
+/// [`HighwayCoverIndex`], or a store's validated, memory-mapped image. The
+/// base a [`PatchedIndex`] repairs over.
+pub trait LabelArrays: Send + Sync {
+    /// The arrays as an unpatched view.
+    fn as_view(&self) -> IndexView<'_>;
+}
+
+impl LabelArrays for HighwayCoverIndex {
+    fn as_view(&self) -> IndexView<'_> {
+        self.as_view()
+    }
+}
+
 /// A highway-cover labelling under edits: the arrays of the last fold (or
-/// conversion, or relabel), shared by `Arc` with every generation cloned
-/// since, plus the labels and highway its repairs rewrote after that
-/// fold. A clone is a served generation, sharing every label chunk and the
-/// highway until an edit writes to them.
+/// the ones it was opened over, or a relabel), shared by `Arc` with every
+/// generation cloned since, plus the labels and highway its repairs
+/// rewrote after that fold. A clone is a served generation, sharing every
+/// label chunk and the highway until an edit writes to them.
 ///
-/// Convert a built index in with [`from_view`](Self::from_view), apply
+/// Put any [`LabelArrays`] under edit with [`flat`](Self::flat), apply
 /// edits with [`apply_and_repair`](Self::apply_and_repair), and get the
 /// state back flat with [`flatten`](Self::flatten) (spliced and adopted as
 /// the new base) or [`to_index`](Self::to_index) (a spliced copy that
 /// leaves the edits pending). The conversion round-trip is lossless.
 #[derive(Clone)]
 pub struct PatchedIndex {
-    base: Arc<HighwayCoverIndex>,
+    base: Arc<dyn LabelArrays>,
     labels: Overlay<u64>,
     highway: Option<Arc<Vec<u32>>>,
     /// Bytes the highway's copies on write and the folds' splices copied
@@ -201,10 +217,10 @@ impl PatchedIndex {
         Self::flat(Arc::new(view.to_owned_index()))
     }
 
-    /// `base` with no edits.
-    pub fn flat(base: Arc<HighwayCoverIndex>) -> Self {
+    /// `base` with no edits: shared, not copied.
+    pub fn flat(base: Arc<dyn LabelArrays>) -> Self {
         Self {
-            labels: Overlay::new(base.num_vertices()),
+            labels: Overlay::new(base.as_view().num_vertices()),
             highway: None,
             base,
             copied: 0,
@@ -212,7 +228,7 @@ impl PatchedIndex {
     }
 
     /// The shared base arrays.
-    pub fn base(&self) -> &Arc<HighwayCoverIndex> {
+    pub fn base(&self) -> &Arc<dyn LabelArrays> {
         &self.base
     }
 
@@ -224,22 +240,18 @@ impl PatchedIndex {
     /// The labelling as a view: the base labels under the replacements,
     /// and the patched highway if a repair wrote one.
     pub fn as_view(&self) -> IndexView<'_> {
+        let base = self.base.as_view();
         IndexView {
-            highway: self.highway(),
+            highway: self.highway.as_deref().map_or(base.highway, Vec::as_slice),
             label_patches: (!self.labels.is_empty()).then_some(&self.labels),
-            ..self.base.as_view()
+            ..base
         }
-    }
-
-    /// Number of landmarks (fixed across edits).
-    pub fn num_landmarks(&self) -> usize {
-        self.base.num_landmarks()
     }
 
     /// Number of vertices the index covers (fixed across edits — the delta
     /// layer does not add vertices).
     pub fn num_vertices(&self) -> usize {
-        self.base.num_vertices()
+        self.labels.num_rows()
     }
 
     /// Number of vertices whose label a repair rewrote since the base.
@@ -249,32 +261,19 @@ impl PatchedIndex {
 
     /// Total number of label entries currently held.
     pub fn num_label_entries(&self) -> usize {
-        let base = self.base.label_entries.len();
+        let base = self.base.as_view().label_entries.len();
         self.labels.patched_len(base)
-    }
-
-    /// The packed, hub-sorted label of `v`: its replacement if a repair
-    /// rewrote it, else the base's.
-    fn label(&self, v: VertexId) -> &[u64] {
-        match self.labels.get(v) {
-            Some(label) => label,
-            None => self.base.as_view().packed_label(v),
-        }
-    }
-
-    /// The row-major `k × k` highway as it stands.
-    fn highway(&self) -> &[u32] {
-        self.highway.as_deref().unwrap_or(&self.base.highway)
     }
 
     /// The highway for writing: copied from the base on the first write
     /// since the last fold, and again whenever a served generation shares
     /// it.
     fn highway_mut(&mut self) -> &mut Vec<u32> {
-        let (base, bytes) = (&self.base, size_of_val(self.highway()));
+        let base = self.base.as_view().highway;
+        let bytes = size_of_val(base);
         let highway = self.highway.get_or_insert_with(|| {
             self.copied += bytes;
-            Arc::new(base.highway.clone())
+            Arc::new(base.to_vec())
         });
         if Arc::get_mut(highway).is_none() {
             self.copied += bytes;
@@ -292,18 +291,9 @@ impl PatchedIndex {
     /// # Panics
     /// Panics if `v` is not a vertex of the index.
     pub fn landmark_distances(&self, v: VertexId) -> Vec<u32> {
-        let k = self.num_landmarks();
-        let highway = self.highway();
-        let mut out = vec![INFINITY; k];
-        for &entry in self.label(v) {
-            let (hub, d) = (entry_hub(entry) as usize, entry_dist(entry));
-            // The highway is symmetric: row `hub` read across is column
-            // `hub` read down.
-            for (best, &h) in out.iter_mut().zip(&highway[hub * k..(hub + 1) * k]) {
-                *best = (*best).min(sat_add(h, d));
-            }
-        }
-        out
+        let view = self.as_view();
+        let k = view.num_landmarks();
+        (0..k).map(|i| landmark_distance(view, i, v)).collect()
     }
 
     /// The frozen, query-servable form of the current state, as a copy:
@@ -311,16 +301,7 @@ impl PatchedIndex {
     /// clean run of vertices one copy, its offsets shifted), the edits left
     /// pending. [`flatten`](Self::flatten) is the form that also adopts it.
     pub fn to_index(&self) -> HighwayCoverIndex {
-        let base = &self.base;
-        let (label_offsets, label_entries) =
-            self.labels.splice(&base.label_offsets, &base.label_entries);
-        HighwayCoverIndex {
-            landmarks: base.landmarks.clone(),
-            landmark_rank: base.landmark_rank.clone(),
-            label_offsets,
-            label_entries,
-            highway: self.highway().to_vec(),
-        }
+        self.as_view().to_owned_index()
     }
 
     /// The frozen form of the current state, adopted as the new base: the
@@ -328,7 +309,7 @@ impl PatchedIndex {
     /// cleared. With nothing pending — no label and no highway cell
     /// rewritten since the last call — this is the previous result, the
     /// same `Arc`, and copies nothing.
-    pub fn flatten(&mut self) -> Arc<HighwayCoverIndex> {
+    pub fn flatten(&mut self) -> Arc<dyn LabelArrays> {
         if !self.labels.is_empty() || self.highway.is_some() {
             let index = self.to_index();
             self.copied += [
@@ -410,18 +391,6 @@ impl PatchedIndex {
         })
     }
 
-    /// `d(landmark_i, v)` from `v`'s label and column `i` of the highway
-    /// (the matrix is symmetric) — one cell of
-    /// [`landmark_distances`](Self::landmark_distances), `O(|L(v)|)`.
-    fn landmark_distance(&self, i: usize, v: VertexId) -> u32 {
-        let (k, highway) = (self.num_landmarks(), self.highway());
-        self.label(v)
-            .iter()
-            .map(|&e| sat_add(highway[entry_hub(e) as usize * k + i], entry_dist(e)))
-            .min()
-            .unwrap_or(INFINITY)
-    }
-
     /// The insert branch: find, closed-form highway patch, repair — see
     /// the module docs. Reads and writes only the affected set.
     fn repair_insert(
@@ -432,7 +401,10 @@ impl PatchedIndex {
         db: &[u32],
         cx: &mut BuildContext,
     ) -> RepairOutcome {
-        let k = self.num_landmarks();
+        // The pre-edit labels and highway, read through one view: the base
+        // lends its arrays once per repair, not once per label read.
+        let before = self.as_view();
+        let k = before.num_landmarks();
         let mut outcome = RepairOutcome {
             applied: true,
             ..RepairOutcome::default()
@@ -470,7 +442,7 @@ impl PatchedIndex {
                 let depth = sat_add(cx.scratch.dist[x as usize], 1);
                 for &w in graph.neighbors(x) {
                     if cx.scratch.dist[w as usize] == INFINITY
-                        && depth < self.landmark_distance(i, w)
+                        && depth < landmark_distance(before, i, w)
                     {
                         cx.scratch.dist[w as usize] = depth;
                         cx.scratch.touched.push(w);
@@ -488,25 +460,31 @@ impl PatchedIndex {
 
         // Highway in closed form: a new shortest path crosses the new edge
         // once, in one direction or the other.
-        for i in 0..k {
-            for j in (i + 1)..k {
+        let shorter: Vec<(usize, usize, u32)> = (0..k)
+            .flat_map(|i| ((i + 1)..k).map(move |j| (i, j)))
+            .filter_map(|(i, j)| {
                 let via = sat_add(sat_add(da[i], 1), db[j]).min(sat_add(sat_add(db[i], 1), da[j]));
-                if via < self.highway()[i * k + j] {
-                    let highway = self.highway_mut();
-                    highway[i * k + j] = via;
-                    highway[j * k + i] = via;
-                }
+                (via < before.highway[i * k + j]).then_some((i, j, via))
+            })
+            .collect();
+        if !shorter.is_empty() {
+            let highway = self.highway_mut();
+            for (i, j, via) in shorter {
+                highway[i * k + j] = via;
+                highway[j * k + i] = via;
             }
         }
 
         // Repair, in rank order, against the patched highway. A vertex's
         // label is copied into the replacements on its first real change.
+        let base = self.base.as_view();
+        let highway = self.highway.as_deref().map_or(base.highway, Vec::as_slice);
         for (i, x, d) in dropped {
-            if self.base.landmark_rank[x as usize] != NOT_A_LANDMARK {
+            if base.landmark_rank[x as usize] != NOT_A_LANDMARK {
                 continue; // a landmark's row is the highway
             }
-            let row = &self.highway()[i as usize * k..(i as usize + 1) * k];
-            let label = self.label(x);
+            let row = &highway[i as usize * k..(i as usize + 1) * k];
+            let label = self.labels.get(x).unwrap_or_else(|| base.packed_label(x));
             let certified = label.iter().any(|&e| {
                 entry_hub(e) != i && sat_add(row[entry_hub(e) as usize], entry_dist(e)) <= d
             });
@@ -521,8 +499,7 @@ impl PatchedIndex {
             if label[slot.clone()] == *wanted {
                 continue;
             }
-            let base = self.base.as_view().packed_label(x);
-            self.labels.edit(x, base, |label| {
+            self.labels.edit(x, base.packed_label(x), |label| {
                 label.splice(slot, wanted.iter().copied());
             });
         }
@@ -553,7 +530,7 @@ impl PatchedIndex {
             };
         }
 
-        let landmarks = &self.base.landmarks;
+        let landmarks = self.base.as_view().landmarks;
         let relabelled = HighwayCoverIndex::build_in(graph, landmarks, std::slice::from_mut(cx));
         self.adopt(relabelled);
 
@@ -564,6 +541,19 @@ impl PatchedIndex {
             full_relabel: true,
         }
     }
+}
+
+/// `d(landmark_i, v)` from `v`'s label and column `i` of the highway (the
+/// matrix is symmetric) — one cell of
+/// [`PatchedIndex::landmark_distances`], `O(|L(v)|)`.
+fn landmark_distance(index: IndexView<'_>, i: usize, v: VertexId) -> u32 {
+    let k = index.num_landmarks();
+    index
+        .packed_label(v)
+        .iter()
+        .map(|&e| sat_add(index.highway[entry_hub(e) as usize * k + i], entry_dist(e)))
+        .min()
+        .unwrap_or(INFINITY)
 }
 
 #[cfg(test)]

@@ -2,9 +2,11 @@
 //! live updates and open-time replay alike.
 //!
 //! [`LiveState`] is the live graph and labels — one `PatchedGraph` and
-//! one `PatchedIndex`: the base arrays of the last fold plus the rows
-//! patched since — maintained incrementally by `hcl-index`'s repair path
-//! (never a full rebuild). It holds the fold rule: publishing it folds
+//! one `PatchedIndex`: the base arrays of the last fold (the container
+//! image's own, until one folds) plus the rows patched since — maintained
+//! incrementally by `hcl-index`'s repair path (never a full rebuild). It
+//! starts as a clone of the pair a store serves, so taking a served state
+//! under edit copies nothing. It holds the fold rule: publishing it folds
 //! first once either overlay holds more than `n / FOLD_DIVISOR` patched
 //! rows. An open replays a pending journal through it, so a reopened file
 //! is exactly what the engine that appended the journal served, patched
@@ -20,14 +22,14 @@
 //!   image is never rewritten. Reopening the file replays the frames
 //!   through this module and arrives at the live state.
 //! * **publish** — the next generation is an `IndexStore` sharing the
-//!   already-validated image and carrying the live state in its replayed
-//!   slot: answers identical to that reopen's, with nothing serialised or
-//!   re-validated. The live state is *cloned*, not copied (a clone of each
-//!   patched type is a generation): the generation shares the graph and
-//!   label arrays of the last fold (the same `Arc`s every generation since
-//!   holds, so they are resident once) and the copy-on-write overlays of
-//!   the rows patched since, chunks of 4 096 rows under an `Arc`'d spine,
-//!   plus the patched highway. The edits of the
+//!   already-validated image and serving the live state: answers identical
+//!   to that reopen's, with nothing serialised or re-validated. The live
+//!   state is *cloned*, not copied (a clone of each patched type is a
+//!   generation): the generation shares the graph and label arrays of the
+//!   last fold — the image's own until one folds — (the same `Arc`s every
+//!   generation since holds, so they are resident once) and the
+//!   copy-on-write overlays of the rows patched since, chunks of 4 096 rows
+//!   under an `Arc`'d spine, plus the patched highway. The edits of the
 //!   next batch copy what they write to while a generation shares it: each
 //!   overlay's spine (`n / 4 096` pointers) once, each chunk they touch
 //!   once, the highway once. So a publish costs the chunks its update
@@ -51,8 +53,8 @@
 //! [`UpdateError`], never a panic that would take a serving loop down.
 
 use crate::{IndexStore, JournalWriter, StoreError};
-use hcl_core::{DeltaError, EdgeDelta, GraphView, PatchedGraph};
-use hcl_index::{BuildContext, IndexView, PatchedIndex, RepairOutcome};
+use hcl_core::{DeltaError, EdgeDelta, PatchedGraph};
+use hcl_index::{BuildContext, PatchedIndex, RepairOutcome};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -72,11 +74,12 @@ pub(crate) struct LiveState {
 }
 
 impl LiveState {
-    /// Copies `graph` and `index` (flat or patched) into editable form.
-    pub(crate) fn new(graph: GraphView<'_>, index: IndexView<'_>) -> Self {
+    /// Continues editing `graph` and `index`, which share their arrays and
+    /// overlays with whoever else holds clones of them.
+    pub(crate) fn new(graph: PatchedGraph, index: PatchedIndex) -> Self {
         Self {
-            graph: PatchedGraph::new(graph),
-            index: PatchedIndex::from_view(index),
+            graph,
+            index,
             cx: BuildContext::new(),
         }
     }
@@ -137,12 +140,13 @@ pub struct UpdatePhases {
     /// The generation swap.
     pub swap: Duration,
     /// The engine's adoption of the served state: `UpdateEngine::from_store`
-    /// copying the whole graph and labels into editable form. Paid once,
-    /// by the first batch.
+    /// cloning the served graph and labels (`Arc` clones, nothing copied).
+    /// Paid once, by the first batch.
     pub adopt: Duration,
     /// Bytes the batch copied: each overlay's spine and each chunk its
-    /// edits touched while a published generation shared them, the
-    /// highway likewise, plus the arrays a fold spliced.
+    /// edits touched while a published generation (the served one, for
+    /// the first batch) shared them, the highway likewise, plus the arrays
+    /// a fold spliced.
     pub copied_bytes: u64,
     /// Landmarks whose distance function an applied delta affected
     /// (`RepairOutcome::affected_landmarks`, summed over the batch).
@@ -258,11 +262,11 @@ impl UpdateEngine {
     /// Builds the engine from an opened container, continuing its history:
     /// a later [`publish`](UpdateEngine::publish) appends to `path` (the
     /// file `store` was opened from) or, without one, journals in memory.
-    /// The live state starts as a copy of what `store` serves, timed as
-    /// the first batch's `adopt` phase.
+    /// The live state starts as a clone of the pair `store` serves, timed
+    /// as the first batch's `adopt` phase.
     pub fn from_store(store: &IndexStore, path: Option<PathBuf>, compact_after: usize) -> Self {
         let t0 = Instant::now();
-        let live = LiveState::new(store.graph(), store.index());
+        let live = LiveState::new(store.graph.clone(), store.index.clone());
         Self {
             writer: JournalWriter::new(store, path),
             live,
@@ -329,8 +333,12 @@ impl UpdateEngine {
         let (store, written) = if compacting {
             let store = self
                 .writer
-                .compact(graph.base(), index.base())
+                .compact(graph.as_view(), index.as_view())
                 .map_err(UpdateError::Compact)?;
+            // Edit on over the reopened image: the old image (its file
+            // now unlinked) and any arrays folded from it are released
+            // once no generation holds them.
+            (self.live.graph, self.live.index) = (store.graph.clone(), store.index.clone());
             let written = store.len_bytes();
             (store, written)
         } else {
@@ -502,7 +510,8 @@ mod tests {
         let store = IndexStore::open(&path).unwrap();
         let mut engine = UpdateEngine::from_store(&store, Some(path.clone()), 0);
         let mut rng = testkit::SplitMix64::new(0x4E91A7);
-        // The first publish copies the labels out of the mapped file.
+        // The first generation shares the fresh overlays over the mapped
+        // file's arrays.
         let mut last = engine.publish(false).unwrap().store;
         let (mut deletes, mut folds, mut shared) = (0, 0, 0);
         while engine.pending() < DELTAS {
@@ -719,8 +728,7 @@ mod tests {
 
     /// The overlays a published generation serves.
     fn overlays(store: &IndexStore) -> (&Overlay<VertexId>, &Overlay<u64>) {
-        let state = store.replayed.as_ref().expect("a published generation");
-        (state.graph.patches(), state.index.labels())
+        (store.graph.patches(), store.index.labels())
     }
 
     /// What the edits of one update copy on write in an overlay that the
@@ -830,6 +838,118 @@ mod tests {
             publishes > 20 && chunks_copied > publishes && highways > 1,
             "{publishes} publishes, {chunks_copied} chunks, {highways} highways"
         );
+    }
+
+    /// The first update edits over the mapped image instead of a copy of
+    /// it: the generation it publishes serves the image's own graph and
+    /// label arrays under its overlays, and copies what the cost law above
+    /// allows against the served generation's empty overlays — the spines
+    /// of the overlays it wrote, and the highway if it wrote it. A reopen,
+    /// whose one pending insert stays under the fold bound, replays into
+    /// overlays over its own mapped arrays.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn the_first_update_and_a_replay_edit_over_the_mapped_image() {
+        use hcl_core::delta::CHUNK_ROWS;
+        use std::mem::size_of_val;
+        const N: usize = 9_000;
+        let graph = testkit::barabasi_albert(N, 3, 0x5A4E);
+        let index = HighwayCoverIndex::build_with(
+            &graph,
+            &BuildOptions {
+                num_landmarks: 8,
+                ..Default::default()
+            },
+        );
+        let path = std::env::temp_dir().join(format!("hcl_shared_{}.hcl", std::process::id()));
+        crate::save(&path, &graph, &index).unwrap();
+        let store = IndexStore::open(&path).unwrap();
+        assert_eq!(store.backing_kind(), "mmap");
+        // Where the graph and label arrays of the image, or of what a
+        // store serves under its overlays, live.
+        let arrays = |store: &IndexStore, served: bool| {
+            let (graph, index) = match served {
+                true => (store.graph().unpatched(), store.index().unpatched()),
+                false => (store.base_graph(), store.base_index()),
+            };
+            [
+                graph.csr_offsets().as_ptr() as usize,
+                graph.csr_neighbors().as_ptr() as usize,
+                index.label_offsets().as_ptr() as usize,
+                index.label_entries().as_ptr() as usize,
+            ]
+        };
+
+        // A late, low-degree vertex joined to the top landmark: its label
+        // gains that landmark at distance 1.
+        let hub = graph.top_k_by_degree(1)[0];
+        let leaf = (0..N as u32)
+            .rev()
+            .find(|&v| !graph.has_edge(v, hub))
+            .unwrap();
+        let mut engine = UpdateEngine::from_store(&store, Some(path.clone()), 0);
+        assert_eq!(engine.apply(&[EdgeDelta::insert(leaf, hub)]).unwrap(), 1);
+        let published = engine.publish(false).unwrap();
+        let now = &published.store;
+        assert!(!published.folded && now.graph().is_patched() && now.index().is_patched());
+        assert_eq!(
+            arrays(now, true),
+            arrays(&store, false),
+            "the first update copied the image"
+        );
+
+        let (was_graph, was_labels) = overlays(&store);
+        let graph_chunks: BTreeSet<usize> = [leaf, hub]
+            .iter()
+            .map(|&r| r as usize / CHUNK_ROWS)
+            .collect();
+        let label_chunks: BTreeSet<usize> = (0..N as u32)
+            .filter(|&x| !store.index().label(x).eq(now.index().label(x)))
+            .map(|x| x as usize / CHUNK_ROWS)
+            .collect();
+        let highway = store.index().highway();
+        let highway_written = highway != now.index().highway();
+        let law = cow_bytes(was_graph, &graph_chunks)
+            + cow_bytes(was_labels, &label_chunks)
+            + size_of_val(highway) as u64 * u64::from(highway_written);
+        assert_eq!(published.phases.copied_bytes, law);
+
+        let reopened = IndexStore::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(reopened.graph().is_patched() && reopened.index().is_patched());
+        assert_eq!(
+            arrays(&reopened, true),
+            arrays(&reopened, false),
+            "replay copied the image"
+        );
+    }
+
+    /// The image writer lays out flat arrays only: a patched view is a
+    /// typed error, and a compaction handed one writes nothing.
+    #[test]
+    fn a_patched_view_never_reaches_an_image() {
+        let (graph, mut engine) = engine_for(640, 8, 0x1A7);
+        let hub = graph.top_k_by_degree(1)[0];
+        let leaf = (0..640).rev().find(|&v| !graph.has_edge(v, hub)).unwrap();
+        engine.apply(&[EdgeDelta::insert(leaf, hub)]).unwrap();
+        let store = engine.publish(false).unwrap().store;
+        let (patched_graph, patched_index) = (store.graph(), store.index());
+        assert!(patched_graph.is_patched() && patched_index.is_patched());
+        let (flat_graph, flat_index) = store.to_owned_parts();
+        let cases = [
+            ("graph", patched_graph, flat_index.as_view()),
+            ("labels", flat_graph.as_view(), patched_index),
+        ];
+        for (what, graph, index) in cases {
+            let laid_out = crate::image_parts(graph, index, Default::default(), None, None);
+            assert!(matches!(laid_out, Err(StoreError::Patched)), "{what}");
+        }
+        let mut writer = JournalWriter::new(&store, None);
+        assert!(matches!(
+            writer.compact(patched_graph, patched_index),
+            Err(StoreError::Patched)
+        ));
+        assert_eq!(writer.pending(), 1, "the journal is still pending");
     }
 
     #[test]

@@ -62,6 +62,9 @@ pub enum StoreError {
         /// Vertex count the index arrays imply.
         index_vertices: usize,
     },
+    /// A patched graph or label view was handed to the image writer,
+    /// which lays out flat arrays only: fold the edited state first.
+    Patched,
     /// This build cannot serve the format on the current platform (the
     /// zero-copy path requires a little-endian host).
     UnsupportedPlatform {
@@ -125,6 +128,7 @@ impl fmt::Display for StoreError {
                 f,
                 "graph has {graph_vertices} vertices but index was built for {index_vertices}"
             ),
+            StoreError::Patched => write!(f, "a patched view cannot be laid out: fold it first"),
             StoreError::UnsupportedPlatform { why } => write!(f, "unsupported platform: {why}"),
             StoreError::Publish { step, source } => {
                 write!(f, "durable publish failed at {step}: {source}")

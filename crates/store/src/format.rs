@@ -107,8 +107,8 @@
 use crate::backing::le_bytes;
 use crate::checksum::{crc64_finish, crc64_init, crc64_update};
 use crate::error::StoreError;
-use hcl_core::{DeltaOp, EdgeDelta, Graph};
-use hcl_index::{HighwayCoverIndex, SelectionStrategy};
+use hcl_core::{DeltaOp, EdgeDelta, Graph, GraphView};
+use hcl_index::{HighwayCoverIndex, IndexView, SelectionStrategy};
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -560,18 +560,21 @@ static PADDING: [u8; 8] = [0; 8];
 /// encoded; every other section is its array's bytes. The CRC is streamed
 /// over the slices and patched into the header before this returns.
 ///
-/// Fails with [`StoreError::GraphIndexMismatch`] if the index was built for
-/// a different vertex count. The layout is deterministic: the same inputs
+/// Fails with [`StoreError::Patched`] if either view carries patches (an
+/// image holds flat arrays: fold an edited state first), and with
+/// [`StoreError::GraphIndexMismatch`] if the index was built for a
+/// different vertex count. The layout is deterministic: the same inputs
 /// always concatenate to byte-identical files.
 pub fn image_parts<'a>(
-    graph: &'a Graph,
-    index: &'a HighwayCoverIndex,
+    gv: GraphView<'a>,
+    iv: IndexView<'a>,
     build: BuildInfo,
     stats: Option<&StoredBuildStats>,
     journal: Option<&StoredJournal>,
 ) -> Result<ImageParts<'a>, StoreError> {
-    let gv = graph.as_view();
-    let iv = index.as_view();
+    if gv.is_patched() || iv.is_patched() {
+        return Err(StoreError::Patched);
+    }
     if gv.num_vertices() != iv.num_vertices() {
         return Err(StoreError::GraphIndexMismatch {
             graph_vertices: gv.num_vertices(),
@@ -662,7 +665,7 @@ pub fn serialize_with(
     index: &HighwayCoverIndex,
     build: BuildInfo,
 ) -> Result<Vec<u8>, StoreError> {
-    Ok(image_parts(graph, index, build, None, None)?.to_vec())
+    Ok(image_parts(graph.as_view(), index.as_view(), build, None, None)?.to_vec())
 }
 
 /// Serialises a graph, its index, and a delta journal into a container.
@@ -678,7 +681,7 @@ pub fn serialize_with_journal(
     build: BuildInfo,
     journal: &StoredJournal,
 ) -> Result<Vec<u8>, StoreError> {
-    Ok(image_parts(graph, index, build, None, Some(journal))?.to_vec())
+    Ok(image_parts(graph.as_view(), index.as_view(), build, None, Some(journal))?.to_vec())
 }
 
 /// Serialises a graph and its index (current version) with the build's
@@ -693,7 +696,7 @@ pub fn serialize_with_stats(
     build: BuildInfo,
     stats: &StoredBuildStats,
 ) -> Result<Vec<u8>, StoreError> {
-    Ok(image_parts(graph, index, build, Some(stats), None)?.to_vec())
+    Ok(image_parts(graph.as_view(), index.as_view(), build, Some(stats), None)?.to_vec())
 }
 
 /// Recomputes and patches the header checksum of a serialised container.

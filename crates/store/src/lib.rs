@@ -40,20 +40,21 @@
 //! distance). See [`format`](self) docs in `format.rs` for the byte
 //! layout.
 //!
-//! Live edge updates never rewrite a container: [`UpdateEngine`] repairs
-//! the labels per delta, and its [`JournalWriter`] appends one small
-//! self-checksummed frame per acknowledged batch after the image (the
-//! *journal tail*, replayed at open) and stamps the next serving
-//! generation onto the shared, already-validated image. That generation
-//! serves the live state as the engine published it — clones of its
-//! `PatchedGraph` and `PatchedIndex`: the arrays of its last fold, shared
-//! by `Arc` with every generation since, under copy-on-write overlays of
-//! the adjacency and label rows patched after that fold — so publishing
-//! copies nothing, and the next update copies only the overlay chunks it
-//! writes to. Open-time replay runs the pending
-//! journal through the same engine state and fold rule, so a small journal
-//! opens patched and a large one folds. Only a compaction writes a whole
-//! file.
+//! Every store serves one editable pair, a `PatchedGraph` and a
+//! `PatchedIndex`, over its own validated image, which lends them its
+//! arrays. Live edge updates never rewrite a container: [`UpdateEngine`]
+//! clones the served pair, repairs the labels per delta, and its
+//! [`JournalWriter`] appends one small self-checksummed frame per
+//! acknowledged batch after the image (the *journal tail*, replayed at
+//! open) and stamps the next generation onto the shared image, serving the
+//! engine's pair as published: the arrays of its last fold (the image's,
+//! until one folds), shared by `Arc` with every generation since, under
+//! copy-on-write overlays of the rows patched after that fold — so neither
+//! adopting nor publishing copies the arrays, and an update copies only
+//! the overlay chunks it writes to. Open-time replay runs the pending
+//! journal through the same engine state and fold rule over the image, so
+//! a small journal opens patched and a large one folds. Only a compaction
+//! writes a whole file.
 //!
 //! Platforms without the mmap fast path get the same API over an aligned
 //! heap buffer that [`IndexStore::open`] reads the file into, and
@@ -90,8 +91,8 @@ pub use tail::{encode_tail_frame, AppendOutcome, JournalWriter, TailInfo};
 use backing::{cast_u32s, cast_u64s, AlignedBuf, Backing};
 use engine::LiveState;
 use format::Layout;
-use hcl_core::{DeltaError, EdgeDelta, Graph, GraphView, PatchedGraph, VertexId};
-use hcl_index::{HighwayCoverIndex, IndexView, PatchedIndex};
+use hcl_core::{CsrArrays, DeltaError, EdgeDelta, Graph, GraphView, PatchedGraph, VertexId};
+use hcl_index::{HighwayCoverIndex, IndexView, LabelArrays, PatchedIndex};
 use std::fs::File;
 use std::path::Path;
 use std::sync::Arc;
@@ -122,7 +123,7 @@ pub fn save_with(
     index: &HighwayCoverIndex,
     build: BuildInfo,
 ) -> Result<u64, StoreError> {
-    let image = image_parts(graph, index, build, None, None)?;
+    let image = image_parts(graph.as_view(), index.as_view(), build, None, None)?;
     // `SystemIo` proceeds at every step, so the outcome is always
     // `Committed`; the `Crashed` arm only exists for fault simulators.
     durable::publish_slices_with(path.as_ref(), &image.slices(), &durable::SystemIo)?;
@@ -145,8 +146,8 @@ pub struct CompactReport {
 /// Compacts a container's delta journal (section and tail frames) into
 /// its base sections: opens the file (which replays pending deltas and
 /// repairs the labels), then compacts it through a [`JournalWriter`], as
-/// a live update does — the replayed state as the new base, an empty
-/// journal, no tail, and the compaction counter bumped.
+/// a live update does — the replayed state, folded flat, as the new base,
+/// an empty journal, no tail, and the compaction counter bumped.
 ///
 /// The write goes through the durable temp-fsync/rename/dir-fsync path
 /// ([`durable`]), so a crash mid-compaction leaves the old journalled
@@ -165,8 +166,11 @@ pub fn compact_file(path: impl AsRef<Path>) -> Result<CompactReport, StoreError>
             compactions,
         });
     }
-    let (graph, index) = store.to_owned_parts();
-    let compacted = JournalWriter::new(&store, Some(path.to_path_buf())).compact(&graph, &index)?;
+    let (mut graph, mut index) = (store.graph.clone(), store.index.clone());
+    graph.flatten();
+    index.flatten();
+    let compacted = JournalWriter::new(&store, Some(path.to_path_buf()))
+        .compact(graph.as_view(), index.as_view())?;
     Ok(CompactReport {
         deltas_compacted: pending,
         bytes_before,
@@ -189,9 +193,9 @@ pub struct OpenPhases {
     /// Semantic validation of the labelling (`IndexView::from_parts`).
     pub labels: Duration,
     /// Pending journal deltas replayed over the base sections through the
-    /// update engine's live state: the base graph and labels copied into
-    /// editable form, label repair per delta, then one publish — the
-    /// overlays of the patched rows shared beside the copies, or, past the
+    /// update engine's live state: label repair per delta into overlays
+    /// over the mapped arrays (nothing is copied up front), then one
+    /// publish — the overlays served beside the image, or, past the
     /// engine's fold bound (`n / 64` rows in either overlay), both spliced
     /// flat.
     pub replay: Duration,
@@ -228,12 +232,13 @@ impl std::fmt::Display for OpenPhases {
 /// All validation (header, checksum, section geometry, CSR and labelling
 /// invariants, journal-tail frames) happens in the constructors;
 /// afterwards [`graph`](IndexStore::graph) and [`index`](IndexStore::index)
-/// are pointer arithmetic over the backing bytes. The store must outlive
-/// the views it hands out, which the borrow checker enforces.
+/// are pointer arithmetic over the backing bytes, under the overlays of
+/// whatever the pending journal patched. The store must outlive the views
+/// it hands out, which the borrow checker enforces.
 ///
-/// The validated image is shared (`Arc`) between a store and the
-/// generations a [`JournalWriter`] stamps from it after live updates, so
-/// publishing an update never copies or re-validates it.
+/// The validated image is shared (`Arc`) between a store, the pair it
+/// serves and the generations a [`JournalWriter`] stamps from it after
+/// live updates, so publishing an update never copies or re-validates it.
 pub struct IndexStore {
     base: Arc<Base>,
     /// The pending journal — the journal section's deltas followed by the
@@ -241,11 +246,10 @@ pub struct IndexStore {
     journal: Option<StoredJournal>,
     /// Extent of the journal tail after the image.
     tail: TailInfo,
-    /// Current graph/index: the pending journal replayed over the base
-    /// sections (at open, or by the live-update engine that appended it).
-    /// When present, [`IndexStore::graph`] and [`IndexStore::index`] serve
-    /// these instead of the (stale) base sections.
-    replayed: Option<ReplayedState>,
+    /// The current graph and labels: the pending journal replayed over the
+    /// image's arrays (at open, or by the engine that appended it).
+    graph: PatchedGraph,
+    index: PatchedIndex,
     /// Where the open that produced this store spent its time.
     open_phases: OpenPhases,
 }
@@ -263,19 +267,23 @@ impl Base {
     fn image(&self) -> &[u8] {
         &self.backing.bytes()[..self.layout.meta.file_len as usize]
     }
+}
 
+impl CsrArrays for Base {
     /// The graph sections as a view. Unchecked: a `Base` only ever holds
     /// an image that passed [`validate`].
-    fn graph(&self) -> GraphView<'_> {
+    fn as_view(&self) -> GraphView<'_> {
         let (bytes, layout) = (self.image(), &self.layout);
         GraphView::from_csr_unchecked(
             cast_u64s(&bytes[layout.graph_offsets.clone()]),
             cast_u32s(&bytes[layout.graph_neighbors.clone()]),
         )
     }
+}
 
-    /// The index sections as a view; see [`Base::graph`].
-    fn index(&self) -> IndexView<'_> {
+impl LabelArrays for Base {
+    /// The index sections as a view; unchecked, like the graph's.
+    fn as_view(&self) -> IndexView<'_> {
         let (bytes, layout) = (self.image(), &self.layout);
         IndexView::from_parts_unchecked(
             cast_u32s(&bytes[layout.landmarks.clone()]),
@@ -399,17 +407,6 @@ fn validate(bytes: &[u8]) -> Result<Validated, StoreError> {
     }
 }
 
-/// Owned current state of a journalled container: base sections plus
-/// replayed deltas, with labels repaired incrementally — clones of the
-/// update engine's live graph and labels, whose base `Arc`s are shared
-/// with the engine and the generations before and after this one, and
-/// whose overlays of rows patched since the engine last folded share every
-/// chunk the updates after this one did not touch.
-struct ReplayedState {
-    graph: PatchedGraph,
-    index: PatchedIndex,
-}
-
 impl std::fmt::Debug for IndexStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IndexStore")
@@ -484,53 +481,45 @@ impl IndexStore {
             tail,
             phases: mut open_phases,
         } = validate(backing.bytes())?;
-        let base = Base { backing, layout };
+        let base = Arc::new(Base { backing, layout });
+        let mut graph = PatchedGraph::flat(base.clone());
+        let mut index = PatchedIndex::flat(base.clone());
 
-        // Replay pending deltas over the base sections through the update
+        // Replay pending deltas over the image's arrays through the update
         // engine's live state, so the store serves *current* state,
         // published by the fold rule the live updates ran under.
-        let replayed = match &journal {
-            Some(j) if !j.is_empty() => {
-                let t = Instant::now();
-                let mut live = LiveState::new(base.graph(), base.index());
-                for (i, &delta) in j.deltas.iter().enumerate() {
-                    live.apply(delta)
-                        .map_err(|why| inapplicable(i, delta, why))?;
-                }
-                let (graph, index, _) = live.publish(false);
-                open_phases.replay = t.elapsed();
-                Some(ReplayedState { graph, index })
+        if let Some(j) = journal.as_ref().filter(|j| !j.is_empty()) {
+            let t = Instant::now();
+            let mut live = LiveState::new(graph, index);
+            for (i, &delta) in j.deltas.iter().enumerate() {
+                live.apply(delta)
+                    .map_err(|why| inapplicable(i, delta, why))?;
             }
-            _ => None,
-        };
+            (graph, index, _) = live.publish(false);
+            open_phases.replay = t.elapsed();
+        }
 
         Ok(Self {
-            base: Arc::new(base),
+            base,
             journal,
             tail,
-            replayed,
+            graph,
+            index,
             open_phases,
         })
     }
 
-    /// The *current* graph: the replayed state for a journalled container
-    /// with pending deltas (patched when a live update froze it), otherwise
-    /// the base sections zero-copy from the backing.
+    /// The *current* graph: the image's arrays under the overlays of the
+    /// pending journal's edits, or, once an update folded them, the fold's
+    /// arrays.
     pub fn graph(&self) -> GraphView<'_> {
-        match &self.replayed {
-            Some(state) => state.graph.as_view(),
-            None => self.base_graph(),
-        }
+        self.graph.as_view()
     }
 
-    /// The *current* index: the replayed (incrementally repaired) state
-    /// for a journalled container with pending deltas, otherwise the base
-    /// sections zero-copy from the backing.
+    /// The *current* index: the image's labels as the pending journal's
+    /// edits repaired them; see [`graph`](IndexStore::graph).
     pub fn index(&self) -> IndexView<'_> {
-        match &self.replayed {
-            Some(state) => state.index.as_view(),
-            None => self.base_index(),
-        }
+        self.index.as_view()
     }
 
     /// The graph exactly as stored in the base sections — the
@@ -538,13 +527,13 @@ impl IndexStore {
     /// Identical to [`graph`](IndexStore::graph) when the journal is
     /// empty or absent.
     pub fn base_graph(&self) -> GraphView<'_> {
-        self.base.graph()
+        CsrArrays::as_view(&*self.base)
     }
 
     /// The index exactly as stored in the base sections; see
     /// [`base_graph`](IndexStore::base_graph).
     pub fn base_index(&self) -> IndexView<'_> {
-        self.base.index()
+        LabelArrays::as_view(&*self.base)
     }
 
     /// The pending delta journal — the journal section's deltas followed

@@ -9,9 +9,9 @@
 //! of the container; only [`JournalWriter::compact`] writes a whole image.
 //! The generation a persist is served as ([`JournalWriter::generation`])
 //! takes the live state as the update engine cloned it — a `PatchedGraph`
-//! and a `PatchedIndex`: the arrays of its last fold, shared, under the
-//! overlays of rows patched since — so it copies nothing but the pending
-//! journal.
+//! and a `PatchedIndex`: the arrays of its last fold (the image's, until
+//! one folds), shared, under the overlays of rows patched since — so it
+//! copies nothing but the pending journal.
 //!
 //! This file is on the update-serving path (the `no-panics` lint covers
 //! it): every failure is a typed [`StoreError`].
@@ -20,9 +20,9 @@ use crate::checksum::{crc64_finish, crc64_init, crc64_update};
 use crate::durable::{self, AppendStep, IoDecision, PublishOutcome, StoreIo, SystemIo};
 use crate::error::StoreError;
 use crate::format::{decode_delta, encode_delta, image_parts, StoredJournal, MAGIC};
-use crate::{Base, IndexStore, OpenPhases, ReplayedState};
-use hcl_core::{EdgeDelta, Graph, PatchedGraph};
-use hcl_index::{HighwayCoverIndex, PatchedIndex};
+use crate::{Base, IndexStore, OpenPhases};
+use hcl_core::{EdgeDelta, GraphView, PatchedGraph};
+use hcl_index::{IndexView, PatchedIndex};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -381,8 +381,8 @@ impl JournalWriter {
     /// The generation after everything appended so far: `graph` and
     /// `index` are the live state (what replaying the pending journal over
     /// the image yields — the caller's repair path produced them) as base
-    /// arrays under shared overlays, served from the replayed slot beside
-    /// the shared, already-validated image. The one cost that grows with
+    /// arrays under shared overlays, served beside the shared,
+    /// already-validated image. The one cost that grows with
     /// history is the copy of the pending journal (12 bytes per delta since
     /// the last compaction).
     pub fn generation(
@@ -413,7 +413,8 @@ impl JournalWriter {
             base: Arc::clone(&self.base),
             journal: journalled.then(|| self.journal.clone()),
             tail: self.tail,
-            replayed: Some(ReplayedState { graph, index }),
+            graph,
+            index,
             open_phases: OpenPhases::default(),
         })
     }
@@ -422,12 +423,13 @@ impl JournalWriter {
     /// the live `graph` / `index` as its base, an empty journal, no tail
     /// and the compaction counter bumped, then continues from a validated
     /// reopen of it — the returned store, which is also the generation to
-    /// serve.
+    /// serve. Both views must be flat (fold a patched state first): a
+    /// patched one is [`StoreError::Patched`], and nothing is written.
     /// (An in-memory image is re-imaged in memory instead.)
     pub fn compact(
         &mut self,
-        graph: &Graph,
-        index: &HighwayCoverIndex,
+        graph: GraphView<'_>,
+        index: IndexView<'_>,
     ) -> Result<IndexStore, StoreError> {
         self.compact_with(graph, index, &SystemIo)?
             .ok_or_else(|| StoreError::Publish {
@@ -440,8 +442,8 @@ impl JournalWriter {
     /// layer; `None` when a simulated power cut stopped the publish.
     pub fn compact_with<Io: StoreIo>(
         &mut self,
-        graph: &Graph,
-        index: &HighwayCoverIndex,
+        graph: GraphView<'_>,
+        index: IndexView<'_>,
         io: &Io,
     ) -> Result<Option<IndexStore>, StoreError> {
         let compacted = StoredJournal {

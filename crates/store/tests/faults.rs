@@ -317,8 +317,14 @@ fn a_publish_in_slices_keeps_the_trichotomy() {
         dominated: 3,
         landmark_labels: vec![1; 8],
     };
-    let image = hcl_store::image_parts(&g, &idx, BuildInfo::default(), Some(&stats), None)
-        .expect("lay out");
+    let image = hcl_store::image_parts(
+        g.as_view(),
+        idx.as_view(),
+        BuildInfo::default(),
+        Some(&stats),
+        None,
+    )
+    .expect("lay out");
     let slices = image.slices();
     let new = image.to_vec();
     assert_eq!(slices.len(), 10, "head, 8 sections, 1 padding gap");
@@ -689,7 +695,11 @@ fn compaction_fault_schedules_keep_every_acknowledged_delta() {
         let before = IndexStore::open(&target).unwrap();
         let (graph, index) = before.to_owned_parts();
         let mut writer = JournalWriter::new(&before, Some(target.clone()));
-        let outcome = writer.compact_with(&graph, &index, &FaultAt { step, decision });
+        let outcome = writer.compact_with(
+            graph.as_view(),
+            index.as_view(),
+            &FaultAt { step, decision },
+        );
         match outcome {
             Ok(Some(_)) => panic!("{schedule}: compaction committed despite the fault"),
             Ok(None) => assert_ne!(decision, IoDecision::Fail, "{schedule}"),
@@ -726,7 +736,7 @@ fn compaction_fault_schedules_keep_every_acknowledged_delta() {
         // whatever temp the power cut stranded.
         let (graph, index) = survivor.to_owned_parts();
         let mut writer = JournalWriter::new(&survivor, Some(target.clone()));
-        let compacted = writer.compact(&graph, &index).unwrap();
+        let compacted = writer.compact(graph.as_view(), index.as_view()).unwrap();
         assert_eq!(temps(&target), Vec::<PathBuf>::new(), "{schedule}");
         assert!(
             has(&compacted, acked) && has(&compacted, also_acked),

@@ -521,7 +521,7 @@ fn writer_appends_frames_and_stamps_the_generation_a_reopen_would_produce() {
 
     // Compaction: whole new container, live state as the base, no tail.
     let (graph, live) = whole.to_owned_parts();
-    let compacted = writer.compact(&graph, &live).unwrap();
+    let compacted = writer.compact(graph.as_view(), live.as_view()).unwrap();
     assert_eq!(compacted.tail(), TailInfo::default());
     assert!(compacted.journal().unwrap().is_empty());
     assert_eq!(compacted.journal().unwrap().compactions, 1);

@@ -353,17 +353,17 @@ fn image_slices_concatenate_to_the_serialised_image() {
             let cases = [
                 (
                     "stats",
-                    hcl_store::image_parts(&g, &idx, info, Some(&stats), None),
+                    hcl_store::image_parts(g.as_view(), idx.as_view(), info, Some(&stats), None),
                     hcl_store::serialize_with_stats(&g, &idx, info, &stats),
                 ),
                 (
                     "journal",
-                    hcl_store::image_parts(&g, &idx, info, None, Some(&journal)),
+                    hcl_store::image_parts(g.as_view(), idx.as_view(), info, None, Some(&journal)),
                     hcl_store::serialize_with_journal(&g, &idx, info, &journal),
                 ),
                 (
                     "plain",
-                    hcl_store::image_parts(&g, &idx, info, None, None),
+                    hcl_store::image_parts(g.as_view(), idx.as_view(), info, None, None),
                     hcl_store::serialize_with(&g, &idx, info),
                 ),
             ];
