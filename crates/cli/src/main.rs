@@ -53,6 +53,12 @@ use std::io::{BufRead, ErrorKind, IsTerminal, Read, Write};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+/// Every block of 2 MiB or more — the build's arrays, a fold's splice, a
+/// compaction, the store's aligned buffer — lives on huge pages and goes
+/// back to the OS when freed (`hcl_store::LargePages`).
+#[global_allocator]
+static ALLOCATOR: hcl_store::LargePages = hcl_store::LargePages;
+
 const USAGE: &str = "usage: hcl <command> [args]\n\
      \n\
      commands:\n\
@@ -70,9 +76,10 @@ const USAGE: &str = "usage: hcl <command> [args]\n\
            in vertex order from a bitmap (dense), how many were expanded\n\
            by pulling from the unreached vertices instead of pushing from\n\
            the frontier (pulled), activations, entries and covered\n\
-           arrivals, the label fill) to stderr. Build counters (BFS\n\
-           visits, covered arrivals, per-landmark label contributions) are\n\
-           always recorded in the container and shown by inspect --stats.\n\
+           arrivals, the label fill) to stderr, and ends with the peak\n\
+           resident memory (memory:). Build counters (BFS visits, covered\n\
+           arrivals, per-landmark label contributions) are always\n\
+           recorded in the container and shown by inspect --stats.\n\
        query (--index FILE.hcl | <graph.edges> [--landmarks K]\n\
              [--threads T]) [--queries FILE | --random N]\n\
              [--seed S] [--workers W] [--verify] [--explain]\n\
@@ -822,6 +829,16 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
         len as f64 / 1024.0,
         serialise + publish,
     );
+    let peak = args
+        .has("--progress")
+        .then(|| metrics::proc_status_bytes(["VmHWM"]))
+        .flatten();
+    if let Some([peak]) = peak {
+        eprintln!(
+            "memory: peak resident {peak} bytes ({:.1} MiB)",
+            peak as f64 / (1 << 20) as f64
+        );
+    }
     Ok(())
 }
 

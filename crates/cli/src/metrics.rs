@@ -15,7 +15,8 @@
 //! disconnects, write timeouts, oversized lines, index reloads, the live
 //! generation's open (per-phase time), and live updates (per-phase time,
 //! affected-set size, full relabels, and a second histogram for update
-//! latency). The rendered format is Prometheus-style `name value` lines.
+//! latency), and the process's resident memory, read at scrape time. The
+//! rendered format is Prometheus-style `name value` lines.
 
 use hcl_index::AnswerSource;
 use hcl_store::{IndexStore, OpenPhases, UpdatePhases};
@@ -31,6 +32,34 @@ const SUBS: usize = 1 << SUB_BITS;
 /// far past anything a distance query can take.
 const OCTAVES: usize = 40;
 const NUM_BUCKETS: usize = SUBS + OCTAVES * SUBS;
+
+/// The `kB` values of the `/proc/self/status` lines named in `fields`,
+/// in bytes and in that order; `None` where the file is missing (off
+/// Linux) or lacks one of them. The status file gives the kernel's memory
+/// counters in kB, so nothing needs the page size.
+pub(crate) fn proc_status_bytes<const N: usize>(fields: [&str; N]) -> Option<[u64; N]> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let mut found = [None; N];
+    for line in status.lines() {
+        let Some((name, value)) = line.split_once(':') else {
+            continue;
+        };
+        if let Some(i) = fields.iter().position(|&field| field == name) {
+            let kib = value
+                .trim()
+                .strip_suffix("kB")?
+                .trim_end()
+                .parse::<u64>()
+                .ok()?;
+            found[i] = Some(kib.saturating_mul(1024));
+        }
+    }
+    let mut bytes = [0; N];
+    for (slot, value) in bytes.iter_mut().zip(found) {
+        *slot = value?;
+    }
+    Some(bytes)
+}
 
 /// A fixed-size, thread-safe, log-linear histogram of request latencies.
 pub(crate) struct LatencyHistogram {
@@ -436,6 +465,16 @@ impl ServerMetrics {
             let rows = slot.load(Ordering::Relaxed);
             let _ = writeln!(out, "hcl_overlay_rows{{overlay=\"{overlay}\"}} {rows}");
         }
+        // Read at scrape time; file pages include shared memory, as in
+        // `/proc/self/statm`'s shared count.
+        if let Some([anon, file, shmem]) = proc_status_bytes(["RssAnon", "RssFile", "RssShmem"]) {
+            let _ = writeln!(out, "hcl_process_resident_bytes{{kind=\"anon\"}} {anon}");
+            let _ = writeln!(
+                out,
+                "hcl_process_resident_bytes{{kind=\"file\"}} {}",
+                file.saturating_add(shmem)
+            );
+        }
         let _ = writeln!(
             out,
             "hcl_inflight_connections {}",
@@ -618,5 +657,37 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
+    }
+
+    #[test]
+    fn render_reports_resident_memory_where_the_kernel_does() {
+        let text = ServerMetrics::new().render(1);
+        let Some([rss]) = proc_status_bytes(["VmRSS"]) else {
+            assert!(!text.contains("hcl_process_resident_bytes"), "{text}");
+            return;
+        };
+        let resident = |kind: &str| -> u64 {
+            let key = format!("hcl_process_resident_bytes{{kind=\"{kind}\"}} ");
+            let line = text.lines().find_map(|l| l.strip_prefix(key.as_str()));
+            line.unwrap_or_else(|| panic!("no {key:?} in:\n{text}"))
+                .parse()
+                .unwrap()
+        };
+        let (anon, file) = (resident("anon"), resident("file"));
+        assert!(anon > 0 && file > 0, "anon {anon}, file {file}");
+        // Both parts of the resident set, read a moment apart from it.
+        assert!(
+            anon + file < 2 * rss + (64 << 20),
+            "{anon} + {file} vs {rss}"
+        );
+    }
+
+    #[test]
+    fn proc_status_fields_come_back_in_bytes_in_the_asked_order() {
+        let Some([hwm, rss]) = proc_status_bytes(["VmHWM", "VmRSS"]) else {
+            return;
+        };
+        assert!(hwm >= rss && rss > 0 && rss % 1024 == 0, "{hwm} {rss}");
+        assert_eq!(proc_status_bytes(["VmRSS", "NoSuchField"]), None);
     }
 }

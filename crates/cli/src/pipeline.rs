@@ -87,8 +87,8 @@ pub(crate) struct Pipeline {
     /// its whole retry loop) never interleave. Taken before `engine`.
     swap_lock: Mutex<()>,
     /// The live-update engine, created from the served generation by the
-    /// first update and dropped by any failed update or a reload, so the
-    /// next update restarts from what is being served.
+    /// first update, rebased onto it by a failed update and dropped by a
+    /// reload, so the next update restarts from what is being served.
     engine: Mutex<Option<UpdateEngine>>,
     /// The `--index` file updates append to; `None` for an index built in
     /// memory from an edge list (updates stay in memory).
@@ -228,10 +228,11 @@ impl Pipeline {
     /// delta is repaired into the engine, the batch is made durable as one
     /// journal frame (or a compaction), and the new generation is swapped
     /// in. A failure — a delta the graph refuses (self-loop, endpoint out
-    /// of range) included — drops the engine, so nothing the batch did is
-    /// served or kept (the served generation and the file on disk keep
-    /// their state); the next batch starts a new engine from the served
-    /// generation's live overlays, which costs `Arc` clones.
+    /// of range) included — rebases the engine onto the served generation,
+    /// so nothing the batch did is served or kept (the served generation
+    /// and the file on disk keep their state) and the next batch starts
+    /// from the served generation's live overlays, which costs `Arc`
+    /// clones, with the repair scratch the engine already holds.
     /// `received` starts the update-latency sample. An empty
     /// batch changes nothing: no engine, no frame, no generation, and it
     /// reports the one being served.
@@ -264,7 +265,7 @@ impl Pipeline {
         let (applied, published) = match batch {
             Ok(done) => done,
             Err(e) => {
-                *slot = None;
+                engine.rebase(&self.handle.current().store);
                 self.metrics.update_failures.inc();
                 return Err(e);
             }

@@ -160,6 +160,13 @@ impl BuildContext {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The vertices the repair's BFS scratch has room for: 0 until the
+    /// first repair sizes it to the graph, then kept for as long as the
+    /// context is, so only the first repair pays the allocation.
+    pub fn scratch_capacity(&self) -> usize {
+        self.scratch.dist.capacity()
+    }
 }
 
 /// `a + b` in distance arithmetic: saturating addition.

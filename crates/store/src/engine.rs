@@ -209,8 +209,8 @@ pub struct Published {
 }
 
 /// Why an [`UpdateEngine`] call failed, by the step that failed. Nothing
-/// the failed call did is served: drop the engine and start the next one
-/// from the generation being served.
+/// the failed call did is served: [`rebase`](UpdateEngine::rebase) the
+/// engine onto the generation being served before its next batch.
 #[derive(Debug)]
 pub enum UpdateError {
     /// A delta the graph cannot take (self-loop, out-of-range endpoint).
@@ -277,6 +277,24 @@ impl UpdateEngine {
                 ..UpdatePhases::default()
             },
         }
+    }
+
+    /// Restarts the engine from `store`, the generation being served,
+    /// after a failed call: the served pair and the journal writer are
+    /// cloned again, as [`from_store`](UpdateEngine::from_store) clones
+    /// them, and the staged deltas and phase times are dropped, so nothing
+    /// the failed batch did is kept. The repair's scratch is kept, so the
+    /// next batch does not allocate it again.
+    pub fn rebase(&mut self, store: &IndexStore) {
+        let t0 = Instant::now();
+        self.live.graph = store.graph.clone();
+        self.live.index = store.index.clone();
+        self.writer = JournalWriter::new(store, self.writer.path().map(Into::into));
+        self.staged.clear();
+        self.phases = UpdatePhases {
+            adopt: t0.elapsed(),
+            ..UpdatePhases::default()
+        };
     }
 
     /// Applies `deltas` in order through incremental label repair and
@@ -421,6 +439,50 @@ mod tests {
             assert!(err.to_string().starts_with(&format!("applying {bad}: ")));
         }
         assert_eq!(engine.pending(), 1);
+    }
+
+    /// A failed batch leaves the engine rebased onto the served store:
+    /// the deltas before the refused one are gone, and the BFS scratch the
+    /// first repair sized to the graph is still there for the next one.
+    #[test]
+    fn a_rebase_drops_the_failed_batch_and_keeps_the_repair_scratch() {
+        let graph = testkit::barabasi_albert(200, 3, 5);
+        let index = HighwayCoverIndex::build_with(
+            &graph,
+            &BuildOptions {
+                num_landmarks: 4,
+                ..Default::default()
+            },
+        );
+        let store = IndexStore::from_bytes(&crate::serialize(&graph, &index).unwrap()).unwrap();
+        let mut engine = UpdateEngine::from_store(&store, None, 0);
+        assert_eq!(engine.live.cx.scratch_capacity(), 0);
+        let far = |u: VertexId| (0..200).rev().find(|&v| v != u && !graph.has_edge(u, v));
+        let (u, v) = (0, far(0).expect("a sparse graph has non-neighbours"));
+        assert_eq!(engine.apply(&[EdgeDelta::insert(u, v)]).unwrap(), 1);
+        let capacity = engine.live.cx.scratch_capacity();
+        assert!(capacity >= 200, "{capacity}");
+
+        let (w, x) = (1, far(1).expect("a sparse graph has non-neighbours"));
+        let refused = engine.apply(&[EdgeDelta::insert(w, x), EdgeDelta::insert(3, 3)]);
+        assert!(matches!(refused, Err(UpdateError::Invalid { .. })));
+        engine.rebase(&store);
+        assert_eq!(engine.pending(), 0);
+        assert_eq!(engine.live.cx.scratch_capacity(), capacity);
+
+        // Nothing of the failed batch, nor of the unpublished insert before
+        // it, is served; the next batch repairs on the kept scratch.
+        assert_eq!(engine.apply(&[EdgeDelta::insert(w, x)]).unwrap(), 1);
+        assert_eq!(engine.live.cx.scratch_capacity(), capacity);
+        let live = engine.publish(false).unwrap().store;
+        assert_eq!(live.journal().unwrap().len(), 1);
+        assert!(live.graph().neighbors(w).contains(&x));
+        assert!(!live.graph().neighbors(u).contains(&v));
+        let mut ctx = QueryContext::new();
+        assert_eq!(
+            live.index().query_with(live.graph(), &mut ctx, w, x),
+            Some(1)
+        );
     }
 
     #[test]

@@ -61,7 +61,8 @@
 //! [`IndexStore::from_slices`] copies an in-memory image into one.
 #![deny(missing_docs)]
 // The unsafe in this crate lives in `backing.rs` (mmap FFI, the
-// aligned-buffer casts and the writer's little-endian byte view) and
+// aligned-buffer casts, the writer's little-endian byte view and the
+// `LargePages` allocator's mappings) and
 // `checksum.rs` (the carry-less CRC kernel's feature-checked call and
 // unaligned 16-byte loads); inside an unsafe fn every unsafe operation
 // must still be in an explicit `unsafe {}` block with its own SAFETY
@@ -77,6 +78,7 @@ mod format;
 mod generation;
 mod tail;
 
+pub use backing::LargePages;
 pub use checksum::{crc64, crc64_kernel};
 pub use engine::{Published, UpdateEngine, UpdateError, UpdatePhases};
 pub use error::StoreError;

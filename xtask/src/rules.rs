@@ -708,9 +708,9 @@ fn extract_metric_names(s: &str) -> Vec<String> {
 /// The unsafe-code lint gates each crate root must carry, pinned so a
 /// future refactor cannot silently drop them:
 /// `hcl-core`/`hcl-index` forbid unsafe outright; `hcl-store` (whose
-/// unsafe is the mmap FFI, aligned casts and byte view in `backing.rs`
-/// plus the CRC kernel's feature-checked call and 16-byte loads in
-/// `checksum.rs`) and
+/// unsafe is the mmap FFI, aligned casts, byte view and the `LargePages`
+/// global allocator's mappings in `backing.rs` plus the CRC kernel's
+/// feature-checked call and 16-byte loads in `checksum.rs`) and
 /// the CLI (the `server.rs` signal FFI) deny `unsafe_op_in_unsafe_fn`,
 /// and the CLI denies `unsafe_code` crate-wide with one scoped allow on
 /// the signal module.
