@@ -20,9 +20,6 @@
 //!   cycles, stars, grids, Erdős–Rényi, Barabási–Albert) plus the shared
 //!   eleven-family property-test sweep, so every crate in the workspace
 //!   can write reproducible property tests.
-//! * [`bitset::DenseBitSet`] — a dense membership bitset for hot-path
-//!   "is this vertex in the small special set?" probes (one bit per
-//!   vertex instead of a 4-byte table load).
 //! * [`delta`] — the dynamic-graph layer: [`delta::EdgeDelta`] edge edits
 //!   and [`delta::PatchedGraph`], the one graph type that takes them: a
 //!   flat CSR base shared by `Arc` under a [`delta::Overlay`], the
@@ -35,14 +32,12 @@
 #![forbid(unsafe_code)]
 
 pub mod bfs;
-pub mod bitset;
 pub mod delta;
 pub mod graph;
 pub mod rng;
 pub mod testkit;
 
 pub use bfs::{BfsProbe, NoProbe};
-pub use bitset::DenseBitSet;
 pub use delta::{CsrArrays, DeltaError, DeltaOp, EdgeDelta, Overlay, PatchedGraph};
 pub use graph::{CsrError, FlatRows, Graph, GraphBuilder, GraphView, Rows, VertexId, INFINITY};
 

@@ -28,34 +28,34 @@
 //! of 20 000 random queries galloped (6.1 %). The highway
 //! cross-product runs behind hoisted lower-bound checks (`d1 + min_dv`,
 //! `d1 + d2`) so rows that cannot beat the current best never touch the
-//! matrix, and the residual BFS tests landmark membership against a dense
-//! bitset — one bit per vertex instead of a 4-byte rank-table load.
+//! matrix.
 //!
 //! The residual BFS runs on *every* non-trivial query — also the ones the
 //! labels answer, to prove no shorter landmark-free path exists — and its
 //! time is close to linear in the edges it scans, so it does only what its
 //! own termination rule can use:
 //!
-//! * **One cell per scanned edge.** The two sides' distances are
-//!   interleaved as `[forward, backward]` in one `Vec<[u32; 2]>`, so "did
-//!   the other side reach `w`?" and "have I seen `w`?" read one 8-byte
-//!   cell (one cache line instead of two), and the touched-list reset
-//!   writes one cell per vertex.
-//! * **Exit at the floor.** Let `floor = depth_fwd + depth_bwd + 1` as a
-//!   level starts. Every landmark-free path of length `< floor` was
+//! * **One byte per scanned edge.** Each vertex has one byte of scratch:
+//!   bit 0 "reached forward", bit 1 "reached backward", bit 2 "is a
+//!   landmark". A scanned edge reads that byte and nothing else; no
+//!   distance is stored, because none is ever read (next bullet).
+//! * **Every meet is the floor.** Let `floor = depth_fwd + depth_bwd + 1`
+//!   as a level starts. Every landmark-free path of length `< floor` was
 //!   detected by an earlier level (one of its edges was scanned from a side
-//!   whose far end the other side had already reached), so no meet still to
-//!   come reads below `floor`. The moment a meet brings `best <= floor`
-//!   the answer is final and the search returns mid-scan.
+//!   whose far end the other side had already reached), so no meet reads
+//!   below `floor`. And a meet joins a vertex at this side's depth to one
+//!   the other side reached at most `depth_other` away, so none reads above
+//!   it either. The first meet is therefore exactly `floor`, and the
+//!   search returns it mid-scan.
 //! * **A write-free final level.** If `floor + 1 >= best` as a level
 //!   starts, the next level's floor is already `>= best`: the loop cannot
 //!   run again whatever this level finds, so nothing it would store is
 //!   ever read. That level only looks for meets — one read of the other
-//!   side's distance per scanned edge; no distance store, no touched or
-//!   next-frontier push, no landmark test (a meet is valid at a landmark
-//!   endpoint and impossible at any other landmark, which never holds a
-//!   distance). It is also where most scanned edges are: frontiers grow
-//!   geometrically, so the last level outweighs the ones before it.
+//!   side's bit per scanned edge; no store, no queue push, no landmark
+//!   test (a meet is valid at a landmark endpoint and impossible at any
+//!   other landmark, which no side ever reaches). It is also where most
+//!   scanned edges are: frontiers grow geometrically, so the last level
+//!   outweighs the ones before it.
 //!
 //! # Observability
 //!
@@ -68,7 +68,7 @@
 use crate::build::HighwayCoverIndex;
 use crate::probe::Probe;
 use crate::view::{entry_dist, entry_hub, IndexView};
-use hcl_core::{DenseBitSet, Graph, GraphView, NoProbe, Rows, VertexId, INFINITY};
+use hcl_core::{Graph, GraphView, NoProbe, Rows, VertexId, INFINITY};
 
 const INF64: u64 = u64::MAX;
 
@@ -76,34 +76,35 @@ const INF64: u64 = u64::MAX;
 /// common-hub join gallops through the long label instead of scanning it.
 const GALLOP_RATIO: usize = 8;
 
+/// [`QueryContext::reached`] bits: reached by the forward search (from
+/// `u`), by the backward search (from `v`), and a landmark.
+const FWD: u8 = 1;
+const BWD: u8 = 2;
+const LANDMARK: u8 = 4;
+
 /// Reusable scratch space for queries.
 ///
-/// A query needs one array of per-vertex distance cells, a few frontier
-/// vectors, and a dense landmark-membership bitset; allocating them per
-/// call would dominate the cost of cheap queries. Create one context per
-/// thread (or per serving task) and pass it to [`IndexView::query_with`].
-/// The cells are reset between queries via a touched-list, so reuse is
-/// `O(visited)`, not `O(n)`. One context can be shared across different
-/// indexes and backings; buffers grow to the largest graph seen, and the
-/// landmark bitset is rebuilt automatically whenever the context notices
-/// it is serving a different landmark set (an `O(k)` comparison per
-/// query, an `O(n / 64 + k)` rebuild only on an actual switch).
+/// A query needs one byte of per-vertex state and two queues; allocating
+/// them per call would dominate the cost of cheap queries. Create one
+/// context per thread (or per serving task) and pass it to
+/// [`IndexView::query_with`]. The bytes are reset from the queues between
+/// queries, so reuse is `O(visited)`, not `O(n)`. One context can be shared
+/// across different indexes and backings; the bytes grow to the largest
+/// graph seen, and their landmark bits are rewritten whenever the context
+/// notices it is serving a different landmark set (an `O(k)` comparison
+/// per query, an `O(k)` rewrite only on an actual switch).
 #[derive(Default)]
 pub struct QueryContext {
-    /// Per-vertex `[forward, backward]` search distances, interleaved so
-    /// one scanned edge reads one 8-byte cell; `[INFINITY; 2]` everywhere
-    /// between queries.
-    dist: Vec<[u32; 2]>,
-    /// Vertices whose cell the current search wrote.
-    touched: Vec<VertexId>,
-    frontier_fwd: Vec<VertexId>,
-    frontier_bwd: Vec<VertexId>,
-    next: Vec<VertexId>,
-    /// Dense landmark membership for the residual BFS, keyed by the
-    /// `(vertex count, landmark list)` it was built from.
-    landmark_bits: DenseBitSet,
+    /// Per-vertex [`FWD`] / [`BWD`] / [`LANDMARK`] bits. Between queries
+    /// only the landmark bits are set, exactly for the landmark list in
+    /// `landmark_key`.
+    reached: Vec<u8>,
+    /// Each side's reached vertices in BFS order, forward then backward;
+    /// a side's frontier is the suffix from its current level's start.
+    /// Empty between queries.
+    queues: [Vec<VertexId>; 2],
+    /// The landmark list the landmark bits describe.
     landmark_key: Vec<VertexId>,
-    landmark_key_n: usize,
 }
 
 impl QueryContext {
@@ -112,41 +113,41 @@ impl QueryContext {
         Self::default()
     }
 
-    fn ensure_capacity(&mut self, n: usize) {
-        if self.dist.len() < n {
-            self.dist.resize(n, [INFINITY; 2]);
-        }
-    }
-
-    /// Whether the scratch is in its between-queries state: every cell
-    /// `[INFINITY; 2]`, touched-list and frontiers empty.
+    /// Whether the scratch is in its between-queries state: no reached
+    /// bit set, the landmark bits exactly `landmark_key`, queues empty.
     #[cfg(test)]
     fn is_clean(&self) -> bool {
-        self.dist.iter().all(|&cell| cell == [INFINITY; 2])
-            && self.touched.is_empty()
-            && self.frontier_fwd.is_empty()
-            && self.frontier_bwd.is_empty()
-            && self.next.is_empty()
+        let mut want = vec![0u8; self.reached.len()];
+        for &v in &self.landmark_key {
+            want[v as usize] = LANDMARK;
+        }
+        self.reached == want && self.queues.iter().all(Vec::is_empty)
     }
 
-    /// Makes `landmark_bits` describe exactly `view`'s landmark set.
+    /// Sizes `reached` for `view` and makes its landmark bits describe
+    /// exactly `view`'s landmark set.
     ///
-    /// The cache key is the landmark list *by value* (plus the vertex
-    /// count), so the check stays sound when a context hops between
-    /// indexes, backings, or reallocated owned indexes — there is no
-    /// pointer identity to go stale.
-    fn ensure_landmark_bits(&mut self, view: &IndexView<'_>) {
+    /// The cache key is the landmark list *by value*, so the check stays
+    /// sound when a context hops between indexes, backings, or reallocated
+    /// owned indexes — there is no pointer identity to go stale. The
+    /// vertex count is no part of it: the bytes only grow, and a list's
+    /// bits are the same over any count.
+    fn prepare(&mut self, view: &IndexView<'_>) {
         let n = view.num_vertices();
-        if self.landmark_key_n == n && self.landmark_key == view.landmarks {
+        if self.reached.len() < n {
+            self.reached.resize(n, 0);
+        }
+        if self.landmark_key == view.landmarks {
             return;
         }
-        self.landmark_bits.reset(n);
+        for &v in &self.landmark_key {
+            self.reached[v as usize] &= !LANDMARK;
+        }
         for &v in view.landmarks {
-            self.landmark_bits.insert(v as usize);
+            self.reached[v as usize] |= LANDMARK;
         }
         self.landmark_key.clear();
         self.landmark_key.extend_from_slice(view.landmarks);
-        self.landmark_key_n = n;
     }
 }
 
@@ -154,10 +155,10 @@ impl HighwayCoverIndex {
     /// Exact distance between `u` and `v`, or `None` if disconnected.
     ///
     /// Convenience wrapper that allocates a **fresh [`QueryContext`] on
-    /// every call** — the distance cells, the touched-list, three
-    /// frontier lists and the landmark bitset, which the first query then
-    /// has to grow to the graph size. On a µs-scale query that allocation
-    /// and warm-up is comparable to the query itself, so anything issuing
+    /// every call** — the per-vertex reached bytes and the two search
+    /// queues, which the first query then has to grow to the graph size.
+    /// On a µs-scale query that allocation and warm-up is comparable to
+    /// the query itself, so anything issuing
     /// more than a handful of queries (batch runs, serving loops,
     /// benchmarks) should hold one context per thread and call
     /// [`query_with`](Self::query_with) instead; the CLI's random-query,
@@ -369,14 +370,14 @@ impl<'a> IndexView<'a> {
     ///
     /// Level-synchronous bidirectional BFS, always expanding the smaller
     /// frontier. Landmark vertices are never enqueued (endpoints are seeded
-    /// directly, so a landmark endpoint still works); membership is tested
-    /// against the context's dense bitset. Meets are detected on edge
-    /// scans before the landmark check, so a direct edge into the other
-    /// frontier is never missed. The search does only the work its
-    /// termination rule needs — it returns mid-scan once a meet reaches the
-    /// level's floor, and its final level writes nothing (module docs,
-    /// "Hot-path layout"). The context is back in its all-`INFINITY` state
-    /// on return, whichever way the search ends.
+    /// directly, so a landmark endpoint still works); membership is the
+    /// landmark bit of the vertex's reached byte. Meets are detected on
+    /// edge scans before the landmark check, so a direct edge into the
+    /// other frontier is never missed. The search does only the work its
+    /// termination rule needs — its first meet is the answer, found
+    /// mid-scan, and its final level writes nothing (module docs, "Hot-path
+    /// layout"). The context is back in its between-queries state on
+    /// return, whichever way the search ends.
     fn residual_bfs<'g, P: Probe>(
         &self,
         graph: impl Rows<'g, VertexId>,
@@ -386,98 +387,67 @@ impl<'a> IndexView<'a> {
         bound: u64,
         probe: &mut P,
     ) -> u64 {
-        const FWD: usize = 0;
-        const BWD: usize = 1;
         let n = self.num_vertices();
-        ctx.ensure_capacity(n);
-        ctx.ensure_landmark_bits(self);
-
-        ctx.dist[u as usize][FWD] = 0;
-        ctx.dist[v as usize][BWD] = 0;
-        ctx.touched.push(u);
-        ctx.touched.push(v);
-        ctx.frontier_fwd.push(u);
-        ctx.frontier_bwd.push(v);
+        ctx.prepare(self);
+        let reached = &mut ctx.reached[..n];
+        let queues = &mut ctx.queues;
+        reached[u as usize] |= FWD;
+        reached[v as usize] |= BWD;
+        queues[0].push(u);
+        queues[1].push(v);
 
         let mut best = bound;
         let mut depth = [0u64; 2];
-        let landmark_bits = &ctx.landmark_bits;
-        let dist = &mut ctx.dist[..n];
-
-        'search: while !ctx.frontier_fwd.is_empty() && !ctx.frontier_bwd.is_empty() {
+        let mut level_start = [0usize; 2];
+        'search: loop {
+            let width = [0, 1].map(|s| queues[s].len() - level_start[s]);
+            if width[0] == 0 || width[1] == 0 {
+                break;
+            }
             // Every landmark-free path shorter than `floor` has already
-            // been detected, so no meet from here on can read below it.
-            let floor = depth[FWD] + depth[BWD] + 1;
+            // been detected, and no meet can read above it.
+            let floor = depth[0] + depth[1] + 1;
             if floor >= best {
                 break;
             }
-            let (mine, other, frontier) = if ctx.frontier_fwd.len() <= ctx.frontier_bwd.len() {
-                (FWD, BWD, &ctx.frontier_fwd)
-            } else {
-                (BWD, FWD, &ctx.frontier_bwd)
-            };
-            probe.bfs_level(frontier.len());
-            let next_depth = depth[mine] + 1;
-
-            if floor + 1 >= best {
-                // Final level: the next floor is already `>= best`, so the
-                // loop cannot run again whatever is found here — nothing
-                // this level would store is ever read. Only look for meets.
-                for &x in frontier {
-                    let adj = graph.row(x);
-                    probe.bfs_node_expanded();
-                    probe.bfs_edges_scanned(adj.len());
-                    for &w in adj {
-                        let met = dist[w as usize][other];
-                        if met != INFINITY {
-                            best = best.min(next_depth + met as u64);
-                            if best <= floor {
-                                break 'search;
-                            }
-                        }
-                    }
-                }
-                break;
-            }
-
-            for &x in frontier {
-                let adj = graph.row(x);
+            let side = usize::from(width[0] > width[1]);
+            let (mine, other) = if side == 0 { (FWD, BWD) } else { (BWD, FWD) };
+            probe.bfs_level(width[side]);
+            // Final level: the next floor is already `>= best`, so the loop
+            // cannot run again whatever is found here — nothing this level
+            // would store is ever read. Only look for meets.
+            let last = floor + 1 >= best;
+            let queue = &mut queues[side];
+            let level_end = queue.len();
+            for i in level_start[side]..level_end {
+                let adj = graph.row(queue[i]);
                 probe.bfs_node_expanded();
                 probe.bfs_edges_scanned(adj.len());
                 for &w in adj {
-                    let cell = &mut dist[w as usize];
-                    if cell[other] != INFINITY {
-                        best = best.min(next_depth + cell[other] as u64);
-                        if best <= floor {
-                            break 'search;
-                        }
+                    let bits = reached[w as usize];
+                    if bits & other != 0 {
+                        best = floor;
+                        break 'search;
                     }
-                    if landmark_bits.contains(w as usize) {
-                        continue;
-                    }
-                    if cell[mine] == INFINITY {
-                        cell[mine] = next_depth as u32;
-                        ctx.touched.push(w);
-                        ctx.next.push(w);
+                    if !last && bits & (mine | LANDMARK) == 0 {
+                        reached[w as usize] = bits | mine;
+                        queue.push(w);
                     }
                 }
             }
-            depth[mine] = next_depth;
-            if mine == FWD {
-                std::mem::swap(&mut ctx.frontier_fwd, &mut ctx.next);
-            } else {
-                std::mem::swap(&mut ctx.frontier_bwd, &mut ctx.next);
+            if last {
+                break;
             }
-            ctx.next.clear();
+            depth[side] += 1;
+            level_start[side] = level_end;
         }
 
-        for &x in &ctx.touched {
-            dist[x as usize] = [INFINITY; 2];
+        for queue in queues {
+            for &x in queue.iter() {
+                reached[x as usize] &= LANDMARK;
+            }
+            queue.clear();
         }
-        ctx.touched.clear();
-        ctx.frontier_fwd.clear();
-        ctx.frontier_bwd.clear();
-        ctx.next.clear();
         best
     }
 }
@@ -726,6 +696,41 @@ mod tests {
                             assert!(ctx.is_clean(), "{name} k={k} ({u},{v}) bound={bound}");
                         }
                     }
+                }
+            }
+        }
+        assert!(adjacent_landmark_pairs > 0);
+    }
+
+    /// One context alternating query by query between indexes over the
+    /// same vertex count but different landmark lists — k = 1, k = 4, and
+    /// the k = 4 list reversed — keeps exactly the served index's landmark
+    /// bits and answers every ordered pair, landmark endpoints included,
+    /// like the BFS oracle.
+    #[test]
+    fn a_context_switching_landmark_lists_keeps_exact_landmark_bits() {
+        use crate::HighwayCoverIndex;
+        let g = hcl_core::testkit::barabasi_albert(60, 2, 5);
+        let top = g.top_k_by_degree(4);
+        let reversed: Vec<VertexId> = top.iter().rev().copied().collect();
+        let indexes = [&top[..1], &top[..], &reversed[..]]
+            .map(|landmarks| HighwayCoverIndex::build_in(&g, landmarks, &mut []));
+        let mut ctx = QueryContext::new();
+        let mut adjacent_landmark_pairs = 0;
+        let n = g.num_vertices() as VertexId;
+        for u in 0..n {
+            let oracle = hcl_core::bfs::distances_from(&g, u);
+            for v in 0..n {
+                let want = Some(oracle[v as usize]).filter(|&d| d != INFINITY);
+                adjacent_landmark_pairs +=
+                    usize::from(top.contains(&u) && top.contains(&v) && g.has_edge(u, v));
+                for (i, index) in indexes.iter().enumerate() {
+                    let got = index.query_with(&g, &mut ctx, u, v);
+                    assert_eq!(got, want, "index {i}: ({u}, {v})");
+                    assert!(
+                        ctx.is_clean(),
+                        "index {i}: ({u}, {v}) left the context dirty"
+                    );
                 }
             }
         }
