@@ -47,7 +47,7 @@ mod sync;
 mod update;
 
 use hcl_core::{bfs, Graph, GraphBuilder, VertexId};
-use hcl_index::{BuildOptions, HighwayCoverIndex, QueryStats};
+use hcl_index::{BuildOptions, HighwayCoverIndex, QueryStats, MAX_LANDMARKS};
 use hcl_store::{IndexStore, UpdateEngine};
 use std::io::{BufRead, ErrorKind, IsTerminal, Read, Write};
 use std::process::ExitCode;
@@ -66,7 +66,12 @@ const USAGE: &str = "usage: hcl <command> [args]\n\
              [--progress]\n\
            Build the highway-cover index once and persist it (default\n\
            output: <graph.edges>.hcl). The K highest-degree vertices are\n\
-           the landmarks, swept 64 at a time; --threads shards those groups\n\
+           the landmarks, at most 256: a label entry is one 4-byte word,\n\
+           the landmark's rank in 8 bits over its distance in 24. A\n\
+           graph whose labels would hold a distance above 2^24 - 1 (one\n\
+           of more than 2^24 vertices) fails the build naming the limit,\n\
+           and an update that would write one is refused. The landmarks\n\
+           are swept 64 at a time; --threads shards those groups\n\
            over T worker threads (default: HCL_BUILD_THREADS or all\n\
            available cores; at most one worker per 64 landmarks ever\n\
            starts), and the output is byte-identical at every thread\n\
@@ -407,6 +412,8 @@ enum Takes {
     Text,
     /// A number the check accepts (see [`parses`]).
     Number(fn(&str) -> bool),
+    /// A count no larger than the bound.
+    AtMost(usize),
     /// A [`reload_signal`] name.
     Signal,
 }
@@ -422,7 +429,7 @@ const U64: Takes = Takes::Number(parses::<u64>);
 /// and what follows it.
 type Flag = (&'static [&'static str], Takes);
 
-const LANDMARKS: Flag = (&["--landmarks", "-k"], COUNT);
+const LANDMARKS: Flag = (&["--landmarks", "-k"], Takes::AtMost(MAX_LANDMARKS));
 const THREADS: Flag = (&["--threads", "-t"], COUNT);
 const COMPACT_AFTER: Flag = (&["--compact-after"], COUNT);
 const SLOW_LOG_FILE: Flag = (&["--slow-log-file"], Takes::Text);
@@ -517,6 +524,13 @@ impl Args {
                         Takes::Number(ok) if !ok(&v) => {
                             usage_error(format_args!("invalid value for {long}: `{v}`"))
                         }
+                        Takes::AtMost(max) => match v.parse::<usize>() {
+                            Err(_) => usage_error(format_args!("invalid value for {long}: `{v}`")),
+                            Ok(n) if n > max => usage_error(format_args!(
+                                "invalid value for {long}: `{v}` (at most {max})"
+                            )),
+                            Ok(_) => Some(v),
+                        },
                         Takes::Signal if reload_signal(&v).is_none() => usage_error(format_args!(
                             "invalid {long} `{v}` (expected hup, usr1, or none)"
                         )),

@@ -716,6 +716,15 @@ fn usage_errors_name_the_problem_then_print_usage_and_exit_2() {
             &["query", "--seed", "18446744073709551616"],
             "invalid value for --seed: `18446744073709551616`",
         ),
+        // A label entry holds 256 landmark ranks.
+        (
+            &["build", "g.edges", "--landmarks", "257"],
+            "invalid value for --landmarks: `257` (at most 256)",
+        ),
+        (
+            &["serve", "-k", "100000", "g.edges"],
+            "invalid value for --landmarks: `100000` (at most 256)",
+        ),
         // A flag's value is the next argument, whatever it looks like.
         (
             &["query", "--landmarks", "-h"],

@@ -655,7 +655,7 @@ fn inspect_stats_degrades_gracefully_on_v4_containers() {
 
     let out = run_ok(&["inspect", path.to_str().unwrap(), "--stats"], "");
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("HCLSTOR v6"), "not a v6 file?\n{text}");
+    assert!(text.contains("HCLSTOR v7"), "not a v7 file?\n{text}");
     // Histogram and hubs come from the label sections and still render;
     // the build counters honestly report their absence.
     assert!(text.contains("label histogram:"), "{text}");

@@ -131,6 +131,17 @@ pub enum DeltaError {
         /// The endpoint.
         vertex: VertexId,
     },
+    /// The edit would put `vertex` farther from a landmark it is labelled
+    /// with than a label entry can hold (`hcl-index` keeps distances in 24
+    /// bits; only graphs of more than 2^24 vertices get there).
+    DistanceLimit {
+        /// The vertex whose label entry would not fit.
+        vertex: VertexId,
+        /// Its distance from that landmark after the edit.
+        distance: u32,
+        /// The largest distance a label entry holds.
+        limit: u32,
+    },
 }
 
 impl fmt::Display for DeltaError {
@@ -147,6 +158,15 @@ impl fmt::Display for DeltaError {
             DeltaError::SelfLoop { vertex } => {
                 write!(f, "self-loop ({vertex}, {vertex}) is not a valid edge")
             }
+            DeltaError::DistanceLimit {
+                vertex,
+                distance,
+                limit,
+            } => write!(
+                f,
+                "the edit would put vertex {vertex} {distance} hops from a landmark it is \
+                 labelled with, but a label entry holds distances up to {limit}"
+            ),
         }
     }
 }

@@ -32,12 +32,13 @@
 mod sweep;
 
 use crate::select::SelectionStrategy;
-use crate::view::IndexView;
+use crate::view::{IndexView, MAX_LANDMARKS};
 use hcl_core::bfs::BfsScratch;
 use hcl_core::{Graph, Rows, VertexId};
 use std::time::Instant;
 
 use sweep::label;
+pub(crate) use sweep::TooFar;
 
 /// Sentinel rank for vertices that are not landmarks.
 pub(crate) const NOT_A_LANDMARK: u32 = u32::MAX;
@@ -45,7 +46,8 @@ pub(crate) const NOT_A_LANDMARK: u32 = u32::MAX;
 /// Construction parameters for [`HighwayCoverIndex`].
 #[derive(Clone, Copy, Debug)]
 pub struct IndexConfig {
-    /// Number of landmarks (highest-degree vertices). Clamped to the vertex
+    /// Number of landmarks (highest-degree vertices), at most
+    /// [`MAX_LANDMARKS`](crate::MAX_LANDMARKS). Clamped to the vertex
     /// count at build time. More landmarks shrink the fallback search at the
     /// cost of larger labels and a longer build.
     pub num_landmarks: usize,
@@ -66,7 +68,8 @@ impl Default for IndexConfig {
 /// the module docs).
 #[derive(Clone, Copy, Debug)]
 pub struct BuildOptions {
-    /// Number of landmarks; clamped to the vertex count at build time.
+    /// Number of landmarks, at most [`MAX_LANDMARKS`](crate::MAX_LANDMARKS);
+    /// clamped to the vertex count at build time.
     pub num_landmarks: usize,
     /// Worker threads. `0` means auto: the `HCL_BUILD_THREADS` environment
     /// variable if set to a positive integer, otherwise `1` (the calling
@@ -266,10 +269,9 @@ pub struct HighwayCoverIndex {
     pub(crate) landmark_rank: Vec<u32>,
     /// CSR offsets into `label_entries`; length `n + 1`.
     pub(crate) label_offsets: Vec<u64>,
-    /// Packed `(hub << 32) | dist` label entries
-    /// ([`pack_label_entry`](crate::pack_label_entry)), hub-ascending
-    /// within each vertex.
-    pub(crate) label_entries: Vec<u64>,
+    /// Packed label entries ([`pack_label_entry`](crate::pack_label_entry)),
+    /// hub-ascending within each vertex.
+    pub(crate) label_entries: Vec<u32>,
     /// Row-major `k × k` exact landmark-to-landmark distances,
     /// [`INFINITY`](hcl_core::INFINITY) when disconnected.
     pub(crate) highway: Vec<u32>,
@@ -283,6 +285,14 @@ impl HighwayCoverIndex {
     ///
     /// Thread count defaults to auto (`HCL_BUILD_THREADS` or the calling
     /// thread); use [`HighwayCoverIndex::build_with`] for explicit control.
+    ///
+    /// # Panics
+    /// Panics, naming the limit, when asked for more than
+    /// [`MAX_LANDMARKS`](crate::MAX_LANDMARKS) landmarks on a graph that
+    /// has more vertices than that, or when a label entry would hold a
+    /// distance above [`MAX_LABEL_DISTANCE`](crate::MAX_LABEL_DISTANCE)
+    /// (possible only on graphs of more than 2^24 vertices); the same
+    /// holds for every build entry point.
     pub fn build(graph: &Graph, config: IndexConfig) -> Self {
         Self::build_with(graph, &BuildOptions::from(config))
     }
@@ -330,7 +340,8 @@ impl HighwayCoverIndex {
             &mut worker_contexts(options),
             &mut stats,
             progress,
-        );
+        )
+        .unwrap_or_else(|e| e.fail());
         (index, stats)
     }
 
@@ -349,13 +360,27 @@ impl HighwayCoverIndex {
     ///
     /// # Panics
     /// Panics with a message naming the problem if `landmarks` has more
-    /// entries than `graph` has vertices, names a vertex out of range, or
-    /// names one vertex twice.
+    /// entries than `graph` has vertices or than
+    /// [`MAX_LANDMARKS`](crate::MAX_LANDMARKS), names a vertex out of
+    /// range, or names one vertex twice, and with one naming the distance
+    /// limit if a label entry would not fit its word (see
+    /// [`build`](Self::build)).
     pub fn build_in<'g>(
         graph: impl Rows<'g, VertexId> + Send,
         landmarks: &[VertexId],
         contexts: &mut [BuildContext],
     ) -> Self {
+        Self::relabel(graph, landmarks, contexts).unwrap_or_else(|e| e.fail())
+    }
+
+    /// [`build_in`](Self::build_in), but a label entry that would not fit
+    /// its word is an error instead of a panic: the delete's relabel,
+    /// which refuses the edit instead.
+    pub(crate) fn relabel<'g>(
+        graph: impl Rows<'g, VertexId> + Send,
+        landmarks: &[VertexId],
+        contexts: &mut [BuildContext],
+    ) -> Result<Self, TooFar> {
         Self::build_observed(graph, landmarks, contexts, &mut BuildStats::default(), None)
     }
 
@@ -364,14 +389,15 @@ impl HighwayCoverIndex {
     /// [`build_with_stats`](Self::build_with_stats) measures (the
     /// un-instrumented entries hand in a throwaway — the bookkeeping is a
     /// handful of timestamps and counter folds per sweep *group*);
-    /// `progress` streams per-phase lines when given.
+    /// `progress` streams per-phase lines when given. Fails, before the
+    /// fill, when some label entry would not fit its word.
     fn build_observed<'g>(
         graph: impl Rows<'g, VertexId> + Send,
         landmarks: &[VertexId],
         contexts: &mut [BuildContext],
         stats: &mut BuildStats,
         mut progress: Option<&mut dyn FnMut(String)>,
-    ) -> Self {
+    ) -> Result<Self, TooFar> {
         let t_total = Instant::now();
         let landmark_rank = rank_table(landmarks, graph.num_rows());
         let k = landmarks.len();
@@ -384,7 +410,7 @@ impl HighwayCoverIndex {
             }
         };
 
-        let swept = label(graph, landmarks, &landmark_rank, &mut contexts[..workers]);
+        let swept = label(graph, landmarks, &landmark_rank, &mut contexts[..workers])?;
         for (number, group) in swept.groups.iter().enumerate() {
             stats.batch_us.push(group.us);
             stats.bfs_visits += group.arrivals;
@@ -417,13 +443,13 @@ impl HighwayCoverIndex {
             stats.total_us,
             stats.domination_cut_rate() * 100.0
         ));
-        HighwayCoverIndex {
+        Ok(HighwayCoverIndex {
             landmarks: landmarks.to_vec(),
             landmark_rank,
             label_offsets: swept.label_offsets,
             label_entries: swept.label_entries,
             highway: swept.highway,
-        }
+        })
     }
 
     /// A borrowed, `Copy` view of this index. Cheap; this is the type the
@@ -478,12 +504,18 @@ fn worker_contexts(options: &BuildOptions) -> Vec<BuildContext> {
 ///
 /// # Panics
 /// Panics with a message naming the problem if the list has more than `n`
-/// entries, names a vertex `≥ n`, or names one vertex twice — a bad list
-/// must fail the build loudly, not corrupt the rank table.
+/// entries or more than [`MAX_LANDMARKS`], names a vertex `≥ n`, or names
+/// one vertex twice — a bad list must fail the build loudly, not corrupt
+/// the rank table.
 fn rank_table(landmarks: &[VertexId], n: usize) -> Vec<u32> {
     assert!(
         landmarks.len() <= n,
         "landmark list has {} entries but the graph has only {n} vertices",
+        landmarks.len()
+    );
+    assert!(
+        landmarks.len() <= MAX_LANDMARKS,
+        "landmark list has {} entries but a label entry holds at most {MAX_LANDMARKS} landmarks",
         landmarks.len()
     );
     let mut landmark_rank = vec![NOT_A_LANDMARK; n];

@@ -58,7 +58,7 @@
 //! cell is addressed by (bit, rank).
 
 use super::{BuildContext, NOT_A_LANDMARK};
-use crate::view::pack_label_entry;
+use crate::view::{pack_label_entry, try_pack_label_entry, MAX_LABEL_DISTANCE};
 use hcl_core::{Rows, VertexId, INFINITY};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::ScopedJoinHandle;
@@ -292,11 +292,30 @@ fn sweep_group<'g>(
     out
 }
 
+/// A label entry its word cannot hold: `vertex` is `distance` hops from a
+/// landmark it would be labelled with, past [`MAX_LABEL_DISTANCE`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct TooFar {
+    pub(crate) vertex: VertexId,
+    pub(crate) distance: u32,
+}
+
+impl TooFar {
+    /// The build's failure: a panic naming the limit.
+    pub(crate) fn fail(self) -> ! {
+        panic!(
+            "vertex {} is {} hops from a landmark it is labelled with, but a label entry \
+             holds distances up to {MAX_LABEL_DISTANCE}",
+            self.vertex, self.distance
+        )
+    }
+}
+
 /// A complete labelling for a fixed landmark set: the hub-sorted label
 /// CSR, the exact highway, and the per-group reports it was assembled from.
 pub(crate) struct Labelling {
     pub(crate) label_offsets: Vec<u64>,
-    pub(crate) label_entries: Vec<u64>,
+    pub(crate) label_entries: Vec<u32>,
     pub(crate) highway: Vec<u32>,
     /// Label entries owned by each landmark, in rank order.
     pub(crate) landmark_labels: Vec<u64>,
@@ -307,7 +326,8 @@ pub(crate) struct Labelling {
 
 /// Labels `graph` for `landmarks` (rank order; `landmark_rank` is its
 /// inverse): one sweep per group of [`WIDTH`], the groups sharded over one
-/// worker per context, then the CSR fill.
+/// worker per context, then the CSR fill. Fails before the fill if some
+/// entry's distance does not fit its word.
 ///
 /// Groups share nothing, and the fill visits them in rank order, so the
 /// result does not depend on how many contexts there are or on how the
@@ -317,7 +337,7 @@ pub(super) fn label<'g>(
     landmarks: &[VertexId],
     landmark_rank: &[u32],
     contexts: &mut [BuildContext],
-) -> Labelling {
+) -> Result<Labelling, TooFar> {
     let k = landmarks.len();
     let starts = (0..k).step_by(WIDTH);
     let groups: Vec<GroupSweep> = if contexts.len() > 1 {
@@ -354,6 +374,20 @@ pub(super) fn label<'g>(
             .collect()
     };
 
+    // A group emits in level order, so its last emit is its deepest entry:
+    // if that fits its word, every entry does.
+    for group in &groups {
+        if let Some(emit) = group.emits.last() {
+            let rank = (group.start + emit.bits.trailing_zeros() as usize) as u32;
+            if try_pack_label_entry(rank, emit.depth).is_none() {
+                return Err(TooFar {
+                    vertex: emit.vertex,
+                    distance: emit.depth,
+                });
+            }
+        }
+    }
+
     let t = Instant::now();
     let n = graph.num_rows();
     let mut label_offsets = Vec::with_capacity(n + 1);
@@ -366,7 +400,7 @@ pub(super) fn label<'g>(
             .sum::<u64>();
         label_offsets.push(total);
     }
-    let mut label_entries = vec![0u64; total as usize];
+    let mut label_entries = vec![0u32; total as usize];
     let mut landmark_labels = vec![0u64; k];
     let mut highway = Vec::with_capacity(k * k);
     // Where each vertex's entries for the current group begin.
@@ -387,14 +421,14 @@ pub(super) fn label<'g>(
         }
         highway.extend_from_slice(&group.highway_rows);
     }
-    Labelling {
+    Ok(Labelling {
         label_offsets,
         label_entries,
         highway,
         landmark_labels,
         groups,
         fill_us: t.elapsed().as_micros() as u64,
-    }
+    })
 }
 
 /// Joins every handle, collecting the results; if any worker panicked,
@@ -476,7 +510,7 @@ mod tests {
         for k in [16, 65] {
             let landmarks = g.top_k_by_degree(k);
             let rank = rank_table(&landmarks, g.num_vertices());
-            let swept = label(&g, &landmarks, &rank, &mut []);
+            let swept = label(&g, &landmarks, &rank, &mut []).unwrap();
             for group in &swept.groups {
                 let (dense, levels) = (group.dense_levels, group.levels);
                 assert!(
@@ -502,7 +536,7 @@ mod tests {
             for k in [16, 65] {
                 let landmarks = g.top_k_by_degree(k);
                 let rank = rank_table(&landmarks, g.num_vertices());
-                let swept = label(&g, &landmarks, &rank, &mut []);
+                let swept = label(&g, &landmarks, &rank, &mut []).unwrap();
                 for group in &swept.groups {
                     let tag = format!("{name} k={k} group {}", group.start);
                     let pulled = group.pulled_levels;
@@ -526,8 +560,8 @@ mod tests {
             for k in [16, 65] {
                 let landmarks = g.top_k_by_degree(k);
                 let rank = rank_table(&landmarks, g.num_vertices());
-                let bare = label(&g, &landmarks, &rank, &mut []);
-                let over = label(overlay.as_view(), &landmarks, &rank, &mut []);
+                let bare = label(&g, &landmarks, &rank, &mut []).unwrap();
+                let over = label(overlay.as_view(), &landmarks, &rank, &mut []).unwrap();
                 assert_eq!(over.label_offsets, bare.label_offsets, "k={k}");
                 assert_eq!(over.label_entries, bare.label_entries, "k={k}");
                 assert_eq!(over.highway, bare.highway, "k={k}");

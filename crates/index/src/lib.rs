@@ -34,9 +34,11 @@
 //!
 //! * [`HighwayCoverIndex`] — owned `Vec`s, produced by a build;
 //! * [`IndexView`] — five borrowed slices over the identical flat layout
-//!   (label entries are packed `(hub << 32) | dist` words — see
-//!   [`pack_label_entry`]), which is what `hcl-store` serves straight out
-//!   of a memory-mapped file. Untrusted slices are admitted through
+//!   (each label entry is one `u32`, the landmark rank over a 24-bit
+//!   distance — see [`pack_label_entry`], and [`MAX_LANDMARKS`] /
+//!   [`MAX_LABEL_DISTANCE`] for the limits that sets), which is what
+//!   `hcl-store` serves straight out of a memory-mapped file. Untrusted
+//!   slices are admitted through
 //!   [`IndexView::from_parts`], which validates every invariant the engine
 //!   indexes by. An edited labelling ([`PatchedIndex`], whose clone is a
 //!   live-updated generation) adds to its view a copy-on-write overlay of
@@ -70,4 +72,7 @@ pub use probe::{AnswerSource, MergeKind, Probe, QueryStats};
 pub use query::QueryContext;
 pub use repair::{LabelArrays, PatchedIndex, RepairOutcome};
 pub use select::SelectionStrategy;
-pub use view::{pack_label_entry, unpack_label_entry, IndexDataError, IndexView};
+pub use view::{
+    pack_label_entry, try_pack_label_entry, unpack_label_entry, IndexDataError, IndexView,
+    MAX_LABEL_DISTANCE, MAX_LANDMARKS,
+};

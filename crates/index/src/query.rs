@@ -18,8 +18,14 @@
 //!
 //! # Hot-path layout
 //!
-//! Labels are packed `(hub << 32) | dist` words walked as **one** array
-//! stream per endpoint (no parallel hub/dist pointers). The common-hub
+//! Labels are packed 4-byte words — the landmark rank over a 24-bit
+//! distance ([`pack_label_entry`](crate::pack_label_entry)) — walked as
+//! **one** array stream per endpoint (no parallel hub/dist pointers), so
+//! a 64-byte line holds 16 entries. A 24-bit distance is never the
+//! `INFINITY` sentinel and two of them sum far below `u64::MAX`, so the
+//! merges and the highway pass read label distances unguarded; only a
+//! highway cell can be `INFINITY` (two landmarks in different
+//! components), and that one test stays. The common-hub
 //! join switches from a linear merge to a **galloping merge** when the two
 //! labels are badly skewed (one ≥ 8× the other), making the join
 //! `O(small · log large)` instead of `O(small + large)`. A label holds at
@@ -67,7 +73,7 @@
 
 use crate::build::HighwayCoverIndex;
 use crate::probe::Probe;
-use crate::view::{entry_dist, entry_hub, IndexView};
+use crate::view::{entry_dist, entry_hub, hub_key, IndexView};
 use hcl_core::{Graph, GraphView, NoProbe, Rows, VertexId, INFINITY};
 
 const INF64: u64 = u64::MAX;
@@ -284,7 +290,7 @@ impl<'a> IndexView<'a> {
     #[inline(never)]
     fn answer<'g, P: Probe>(
         &self,
-        labels: impl Rows<'a, u64>,
+        labels: impl Rows<'a, u32>,
         adjacency: impl Rows<'g, VertexId>,
         ctx: &mut QueryContext,
         u: VertexId,
@@ -305,10 +311,10 @@ impl<'a> IndexView<'a> {
     /// and the flat body a static generation runs measured a few percent
     /// slower with the call.
     #[inline(always)]
-    fn label_upper_bound<P: Probe>(&self, lu: &[u64], lv: &[u64], probe: &mut P) -> u64 {
-        // All sums below run in u64 so `u32`-sized operands cannot wrap,
-        // and INFINITY-valued operands are skipped outright: a label or
-        // highway entry at the sentinel certifies nothing, and treating it
+    fn label_upper_bound<P: Probe>(&self, lu: &[u32], lv: &[u32], probe: &mut P) -> u64 {
+        // All sums below run in u64 so `u32`-sized operands cannot wrap.
+        // Label distances are 24-bit, never the sentinel; a highway cell
+        // at INFINITY certifies nothing and is skipped, since treating it
         // as a number would let a hostile (well-formed but tampered) index
         // manufacture near-overflow "distances".
 
@@ -325,29 +331,20 @@ impl<'a> IndexView<'a> {
         // non-negative), so precomputing v's minimum label distance lets
         // whole rows — and often the whole cross-product — exit before a
         // single matrix load.
-        let min_dv = lv
-            .iter()
-            .map(|&e| entry_dist(e))
-            .filter(|&d| d != INFINITY)
-            .min()
-            .map_or(INF64, |d| d as u64);
+        let min_dv = lv.iter().map(|&e| entry_dist(e)).min().map_or(0, u64::from);
         let k = self.landmarks.len();
         for &eu in lu {
-            let (h1, d1u) = (entry_hub(eu) as usize, entry_dist(eu));
-            if d1u == INFINITY {
-                continue;
-            }
-            let d1 = d1u as u64;
-            if d1.saturating_add(min_dv) >= best {
+            let (h1, d1) = (entry_hub(eu) as usize, entry_dist(eu) as u64);
+            if d1 + min_dv >= best {
                 continue;
             }
             let row = &self.highway[h1 * k..(h1 + 1) * k];
             for &ev in lv {
-                let (h2, d2u) = (entry_hub(ev) as usize, entry_dist(ev));
-                if h2 == h1 || d2u == INFINITY {
+                let h2 = entry_hub(ev) as usize;
+                if h2 == h1 {
                     continue; // same hub was handled by the merge above
                 }
-                let base = d1 + d2u as u64;
+                let base = d1 + entry_dist(ev) as u64;
                 if base >= best {
                     continue;
                 }
@@ -458,7 +455,7 @@ impl<'a> IndexView<'a> {
 /// Chooses between a linear two-pointer merge and a galloping merge by the
 /// size ratio: on skewed pairs (leaf label vs. hub label) galloping turns
 /// the join from `O(small + large)` into `O(small · log large)`.
-fn common_hub_bound<P: Probe>(lu: &[u64], lv: &[u64], probe: &mut P) -> u64 {
+fn common_hub_bound<P: Probe>(lu: &[u32], lv: &[u32], probe: &mut P) -> u64 {
     let (small, large) = if lu.len() <= lv.len() {
         (lu, lv)
     } else {
@@ -475,7 +472,7 @@ fn common_hub_bound<P: Probe>(lu: &[u64], lv: &[u64], probe: &mut P) -> u64 {
     }
 }
 
-fn linear_merge_bound<P: Probe>(a: &[u64], b: &[u64], probe: &mut P) -> u64 {
+fn linear_merge_bound<P: Probe>(a: &[u32], b: &[u32], probe: &mut P) -> u64 {
     let mut best = INF64;
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -484,10 +481,7 @@ fn linear_merge_bound<P: Probe>(a: &[u64], b: &[u64], probe: &mut P) -> u64 {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                let (da, db) = (entry_dist(a[i]), entry_dist(b[j]));
-                if da != INFINITY && db != INFINITY {
-                    best = best.min(da as u64 + db as u64);
-                }
+                best = best.min(entry_dist(a[i]) as u64 + entry_dist(b[j]) as u64);
                 i += 1;
                 j += 1;
             }
@@ -502,10 +496,9 @@ fn linear_merge_bound<P: Probe>(a: &[u64], b: &[u64], probe: &mut P) -> u64 {
 
 /// Merge for skewed sizes: for each entry of `small`, gallop (exponential
 /// then binary search) through the remaining suffix of `large`. Entries
-/// are hub-sorted, and hubs occupy the high 32 bits, so hub comparisons
-/// are plain `u64` comparisons on `entry & HUB_MASK`.
-fn galloping_merge_bound<P: Probe>(small: &[u64], large: &[u64], probe: &mut P) -> u64 {
-    const HUB_MASK: u64 = 0xFFFF_FFFF_0000_0000;
+/// are hub-sorted, and hubs occupy the high bits, so hub comparisons are
+/// plain `u32` comparisons on rank keys ([`hub_key`]).
+fn galloping_merge_bound<P: Probe>(small: &[u32], large: &[u32], probe: &mut P) -> u64 {
     let mut best = INF64;
     let mut from = 0usize;
     // `used` counts small-side entries processed; together with `from`
@@ -514,26 +507,23 @@ fn galloping_merge_bound<P: Probe>(small: &[u64], large: &[u64], probe: &mut P) 
     let mut used = 0usize;
     for &es in small {
         used += 1;
-        let target = es & HUB_MASK;
+        let target = hub_key(es);
         // Exponential probe: find a window [from + step/2, from + step]
         // whose upper end is at or past the target hub.
         let mut step = 1usize;
-        while from + step < large.len() && large[from + step] & HUB_MASK < target {
+        while from + step < large.len() && hub_key(large[from + step]) < target {
             step *= 2;
         }
         let lo = from + step / 2;
         let hi = (from + step + 1).min(large.len());
         // Binary search the window for the first entry at or past target.
-        let idx = lo + large[lo..hi].partition_point(|&e| e & HUB_MASK < target);
+        let idx = lo + large[lo..hi].partition_point(|&e| hub_key(e) < target);
         if idx >= large.len() {
             break; // every remaining hub of `large` is smaller — done
         }
         let el = large[idx];
-        if el & HUB_MASK == target {
-            let (ds, dl) = (entry_dist(es), entry_dist(el));
-            if ds != INFINITY && dl != INFINITY {
-                best = best.min(ds as u64 + dl as u64);
-            }
+        if hub_key(el) == target {
+            best = best.min(entry_dist(es) as u64 + entry_dist(el) as u64);
             from = idx + 1;
         } else {
             from = idx;
@@ -549,21 +539,18 @@ fn galloping_merge_bound<P: Probe>(small: &[u64], large: &[u64], probe: &mut P) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::view::pack_label_entry;
+    use crate::view::{pack_label_entry, MAX_LABEL_DISTANCE};
 
-    fn entries(pairs: &[(u32, u32)]) -> Vec<u64> {
+    fn entries(pairs: &[(u32, u32)]) -> Vec<u32> {
         pairs.iter().map(|&(h, d)| pack_label_entry(h, d)).collect()
     }
 
     /// Reference implementation: brute-force minimum over common hubs.
-    fn brute(a: &[u64], b: &[u64]) -> u64 {
+    fn brute(a: &[u32], b: &[u32]) -> u64 {
         let mut best = INF64;
         for &ea in a {
             for &eb in b {
-                if entry_hub(ea) == entry_hub(eb)
-                    && entry_dist(ea) != INFINITY
-                    && entry_dist(eb) != INFINITY
-                {
+                if entry_hub(ea) == entry_hub(eb) {
                     best = best.min(entry_dist(ea) as u64 + entry_dist(eb) as u64);
                 }
             }
@@ -587,8 +574,8 @@ mod tests {
                         .into_iter()
                         .map(|h| {
                             let d = rng.next_below(50) as u32;
-                            // Sprinkle sentinel distances in, too.
-                            (h, if d == 49 { INFINITY } else { d })
+                            // Sprinkle the largest distance in, too.
+                            (h, if d == 49 { MAX_LABEL_DISTANCE } else { d })
                         })
                         .collect::<Vec<_>>(),
                 )
@@ -621,7 +608,7 @@ mod tests {
     #[test]
     fn gallop_handles_boundary_shapes() {
         let p = &mut NoProbe;
-        let empty: &[u64] = &[];
+        let empty: &[u32] = &[];
         let one = entries(&[(5, 2)]);
         let many = entries(&[(0, 1), (2, 9), (5, 3), (9, 0), (31, 7)]);
         assert_eq!(common_hub_bound(empty, &many, p), INF64);

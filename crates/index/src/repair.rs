@@ -141,8 +141,10 @@
 //! "only the affected trees" nor "only tighten" is sound. A decremental partial repair is future work; until
 //! then a delete costs a build minus selection.
 
-use crate::build::{sat_add, BuildContext, HighwayCoverIndex, NOT_A_LANDMARK};
-use crate::view::{entry_dist, entry_hub, pack_label_entry, IndexView};
+use crate::build::{sat_add, BuildContext, HighwayCoverIndex, TooFar, NOT_A_LANDMARK};
+use crate::view::{
+    entry_dist, entry_hub, pack_label_entry, try_pack_label_entry, IndexView, MAX_LABEL_DISTANCE,
+};
 use hcl_core::{
     DeltaError, DeltaOp, EdgeDelta, GraphView, Overlay, PatchedGraph, VertexId, INFINITY,
 };
@@ -199,7 +201,7 @@ impl LabelArrays for HighwayCoverIndex {
 #[derive(Clone)]
 pub struct PatchedIndex {
     base: Arc<dyn LabelArrays>,
-    labels: Overlay<u64>,
+    labels: Overlay<u32>,
     highway: Option<Arc<Vec<u32>>>,
     /// Bytes the highway's copies on write and the folds' splices copied
     /// since [`take_copied_bytes`](Self::take_copied_bytes).
@@ -233,7 +235,7 @@ impl PatchedIndex {
     }
 
     /// The replacement labels over the base.
-    pub fn labels(&self) -> &Overlay<u64> {
+    pub fn labels(&self) -> &Overlay<u32> {
         &self.labels
     }
 
@@ -349,7 +351,12 @@ impl PatchedIndex {
     /// The delta is validated (range, self-loop) before anything is
     /// touched; on error neither the graph nor the index changes. An
     /// ineffective delta (inserting a present edge, deleting an absent
-    /// one) leaves both untouched and reports `applied: false`.
+    /// one) leaves both untouched and reports `applied: false`. An edit
+    /// that would give some label entry a distance above
+    /// [`MAX_LABEL_DISTANCE`] (possible only on graphs of more than 2^24
+    /// vertices) is refused with [`DeltaError::DistanceLimit`]: the
+    /// repair finds that before it writes anything, and the graph edit is
+    /// undone, so the graph has its old edges and the index is untouched.
     ///
     /// # Panics
     /// Panics if `graph` does not have the vertex count this index was
@@ -383,16 +390,30 @@ impl PatchedIndex {
         let applied = graph.apply(delta)?;
         debug_assert!(applied, "membership probe and apply disagreed");
 
-        Ok(match delta.op {
+        let repaired = match delta.op {
             DeltaOp::Insert => {
                 self.repair_insert(graph.as_view(), (delta.u, delta.v), &da, &db, cx)
             }
             DeltaOp::Delete => self.repair_delete(graph.as_view(), &da, &db, cx),
+        };
+        repaired.or_else(|too_far| {
+            let undo = match delta.op {
+                DeltaOp::Insert => EdgeDelta::delete(delta.u, delta.v),
+                DeltaOp::Delete => EdgeDelta::insert(delta.u, delta.v),
+            };
+            graph.apply(undo)?;
+            Err(DeltaError::DistanceLimit {
+                vertex: too_far.vertex,
+                distance: too_far.distance,
+                limit: MAX_LABEL_DISTANCE,
+            })
         })
     }
 
     /// The insert branch: find, closed-form highway patch, repair — see
-    /// the module docs. Reads and writes only the affected set.
+    /// the module docs. Reads and writes only the affected set. Fails, with
+    /// nothing written, if a label entry it would write does not fit its
+    /// word.
     fn repair_insert(
         &mut self,
         graph: GraphView<'_>,
@@ -400,7 +421,7 @@ impl PatchedIndex {
         da: &[u32],
         db: &[u32],
         cx: &mut BuildContext,
-    ) -> RepairOutcome {
+    ) -> Result<RepairOutcome, TooFar> {
         // The pre-edit labels and highway, read through one view: the base
         // lends its arrays once per repair, not once per label read.
         let before = self.as_view();
@@ -455,7 +476,17 @@ impl PatchedIndex {
         }
         outcome.affected_vertices = dropped.len();
         if dropped.is_empty() {
-            return outcome;
+            return Ok(outcome);
+        }
+        // Every entry the repair could write is a dropped pair at a
+        // vertex that is not a landmark; refuse before writing if one of
+        // them does not fit.
+        let too_far = dropped.iter().find(|&&(i, x, d)| {
+            before.landmark_rank[x as usize] == NOT_A_LANDMARK
+                && try_pack_label_entry(i, d).is_none()
+        });
+        if let Some(&(_, vertex, distance)) = too_far {
+            return Err(TooFar { vertex, distance });
         }
 
         // Highway in closed form: a new shortest path crosses the new edge
@@ -503,43 +534,44 @@ impl PatchedIndex {
                 label.splice(slot, wanted.iter().copied());
             });
         }
-        outcome
+        Ok(outcome)
     }
 
     /// The delete branch: if any landmark is affected, relabel the
     /// post-edit graph for the same landmarks with
     /// [`HighwayCoverIndex::build_in`] (see the module docs for why nothing
     /// less is sound) and adopt the result as the new base, pending edits
-    /// and all superseded.
+    /// and all superseded. Fails, adopting nothing, if the relabel meets
+    /// a label entry that does not fit its word.
     fn repair_delete(
         &mut self,
         graph: GraphView<'_>,
         da: &[u32],
         db: &[u32],
         cx: &mut BuildContext,
-    ) -> RepairOutcome {
+    ) -> Result<RepairOutcome, TooFar> {
         // A removed edge lies on a shortest path from i exactly when the
         // endpoint depths differ (by 1, since the edge existed; equal
         // depths mean no shortest path from i crosses it, so i's distances
         // cannot change).
         let affected = da.iter().zip(db).filter(|(a, b)| a != b).count();
         if affected == 0 {
-            return RepairOutcome {
+            return Ok(RepairOutcome {
                 applied: true,
                 ..RepairOutcome::default()
-            };
+            });
         }
 
         let landmarks = self.base.as_view().landmarks;
-        let relabelled = HighwayCoverIndex::build_in(graph, landmarks, std::slice::from_mut(cx));
+        let relabelled = HighwayCoverIndex::relabel(graph, landmarks, std::slice::from_mut(cx))?;
         self.adopt(relabelled);
 
-        RepairOutcome {
+        Ok(RepairOutcome {
             applied: true,
             affected_landmarks: affected,
             affected_vertices: 0,
             full_relabel: true,
-        }
+        })
     }
 }
 

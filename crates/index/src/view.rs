@@ -8,12 +8,25 @@
 //! * `hcl-store`'s memory-mapped files, whose validated byte ranges are
 //!   reinterpreted as the same five slices without copying.
 //!
-//! Each label entry is one **packed `u64`** — hub rank in the high 32 bits,
-//! distance in the low 32 ([`pack_label_entry`] / [`unpack_label_entry`]).
-//! The query hot path walks one cache-line-friendly array per vertex
-//! instead of two parallel pointer streams, and because hubs occupy the
-//! high bits, per-vertex entries sorted by hub are also sorted as plain
-//! `u64`s — which is what the galloping merge in `query.rs` relies on.
+//! Each label entry is one **packed `u32`**: the landmark rank in the
+//! high 8 bits, the distance in the low 24 ([`pack_label_entry`] /
+//! [`unpack_label_entry`]). This module is the one place that knows that
+//! layout; everything else names its constants and accessors. The query
+//! hot path walks one cache-line-friendly array per vertex instead of two
+//! parallel pointer streams, and because ranks occupy the high bits,
+//! per-vertex entries sorted by rank are also sorted as plain `u32`s —
+//! which is what the galloping merge in `query.rs` relies on.
+//!
+//! The word sets two limits: at most [`MAX_LANDMARKS`] (256) landmarks,
+//! and a finite landmark distance of at most [`MAX_LABEL_DISTANCE`]
+//! (2^24 − 1), which no graph of at most 2^24 vertices can exceed. A build
+//! refuses a landmark list longer than the first and panics, naming the
+//! limit, on a graph that would break the second; an edit that would write
+//! such a distance is refused with a typed error; and
+//! [`IndexView::from_parts`] refuses more than 256 landmarks. A distance
+//! that fits 24 bits is never [`INFINITY`](hcl_core::INFINITY) and no sum
+//! of two of them overflows, so the query merges need no guard on label
+//! distances.
 //!
 //! Untrusted data enters through [`IndexView::from_parts`], which checks
 //! every structural invariant the query engine relies on, so hot paths can
@@ -31,31 +44,67 @@ use crate::build::{HighwayCoverIndex, IndexStats, NOT_A_LANDMARK};
 use hcl_core::{FlatRows, Overlay, Rows, VertexId};
 use std::fmt;
 
-/// Packs a `(hub rank, distance)` label pair into one `u64`: hub in the
-/// high 32 bits, distance in the low 32. Hub-sorted entry sequences are
-/// therefore also `u64`-sorted.
+/// Where a label entry's landmark rank starts: the low 24 bits hold the
+/// distance, the high 8 the rank.
+const RANK_SHIFT: u32 = 24;
+
+/// The largest landmark distance a label entry holds: 2^24 − 1.
+pub const MAX_LABEL_DISTANCE: u32 = (1 << RANK_SHIFT) - 1;
+
+/// The most landmarks an index holds: a label entry keeps the landmark
+/// rank in its high 8 bits, so ranks run below 256.
+pub const MAX_LANDMARKS: usize = 1 << (u32::BITS - RANK_SHIFT);
+
+/// The rank bits of a label entry.
+const HUB_MASK: u32 = !MAX_LABEL_DISTANCE;
+
+/// Packs a `(hub rank, distance)` label pair into one `u32`: hub in the
+/// high 8 bits, distance in the low 24. Hub-sorted entry sequences are
+/// therefore also `u32`-sorted. The pair must fit
+/// ([`try_pack_label_entry`] checks); debug builds assert it.
 #[inline]
-pub const fn pack_label_entry(hub: u32, dist: u32) -> u64 {
-    ((hub as u64) << 32) | dist as u64
+pub const fn pack_label_entry(hub: u32, dist: u32) -> u32 {
+    debug_assert!((hub as usize) < MAX_LANDMARKS && dist <= MAX_LABEL_DISTANCE);
+    (hub << RANK_SHIFT) | dist
+}
+
+/// [`pack_label_entry`], or `None` when the hub rank is not below
+/// [`MAX_LANDMARKS`] or the distance is above [`MAX_LABEL_DISTANCE`]. The
+/// one check every writer of a label entry that could overflow goes
+/// through.
+#[inline]
+pub const fn try_pack_label_entry(hub: u32, dist: u32) -> Option<u32> {
+    if (hub as usize) < MAX_LANDMARKS && dist <= MAX_LABEL_DISTANCE {
+        Some(pack_label_entry(hub, dist))
+    } else {
+        None
+    }
 }
 
 /// Unpacks a label entry into `(hub rank, distance)`; inverse of
 /// [`pack_label_entry`].
 #[inline]
-pub const fn unpack_label_entry(entry: u64) -> (u32, u32) {
-    ((entry >> 32) as u32, entry as u32)
+pub const fn unpack_label_entry(entry: u32) -> (u32, u32) {
+    (entry_hub(entry), entry_dist(entry))
 }
 
-/// The hub rank of a packed label entry (its high 32 bits).
+/// The hub rank of a packed label entry (its high 8 bits).
 #[inline]
-pub(crate) const fn entry_hub(entry: u64) -> u32 {
-    (entry >> 32) as u32
+pub(crate) const fn entry_hub(entry: u32) -> u32 {
+    entry >> RANK_SHIFT
 }
 
-/// The distance of a packed label entry (its low 32 bits).
+/// The distance of a packed label entry (its low 24 bits).
 #[inline]
-pub(crate) const fn entry_dist(entry: u64) -> u32 {
-    entry as u32
+pub(crate) const fn entry_dist(entry: u32) -> u32 {
+    entry & MAX_LABEL_DISTANCE
+}
+
+/// The rank key of a packed label entry: its hub bits in place, so two
+/// keys compare like the hubs and a key compares with whole entries.
+#[inline]
+pub(crate) const fn hub_key(entry: u32) -> u32 {
+    entry & HUB_MASK
 }
 
 /// Validation failure for raw index arrays ([`IndexView::from_parts`]).
@@ -89,6 +138,12 @@ pub enum IndexDataError {
         landmarks: usize,
         /// Number of vertices.
         vertices: usize,
+    },
+    /// More landmarks than a label entry has rank bits for
+    /// ([`MAX_LANDMARKS`]).
+    LandmarkLimit {
+        /// Number of landmarks.
+        landmarks: usize,
     },
     /// The highway matrix is not `k × k`.
     HighwayShape {
@@ -159,6 +214,10 @@ impl fmt::Display for IndexDataError {
             } => {
                 write!(f, "{landmarks} landmarks on a {vertices}-vertex graph")
             }
+            IndexDataError::LandmarkLimit { landmarks } => write!(
+                f,
+                "{landmarks} landmarks, but a label entry holds ranks below {MAX_LANDMARKS}"
+            ),
             IndexDataError::HighwayShape { landmarks, found } => {
                 write!(f, "highway has {found} entries, expected {landmarks}²")
             }
@@ -210,13 +269,13 @@ pub struct IndexView<'a> {
     pub(crate) landmark_rank: &'a [u32],
     /// CSR offsets into `label_entries`; length `n + 1`.
     pub(crate) label_offsets: &'a [u64],
-    /// Packed `(hub << 32) | dist` label entries, hub-ascending (hence
-    /// `u64`-ascending) within each vertex.
-    pub(crate) label_entries: &'a [u64],
+    /// Packed label entries ([`pack_label_entry`]), hub-ascending (hence
+    /// `u32`-ascending) within each vertex.
+    pub(crate) label_entries: &'a [u32],
     /// Row-major `k × k` closed landmark-to-landmark distances.
     pub(crate) highway: &'a [u32],
     /// Replacement labels over `label_offsets` / `label_entries`, if any.
-    pub(crate) label_patches: Option<&'a Overlay<u64>>,
+    pub(crate) label_patches: Option<&'a Overlay<u32>>,
 }
 
 impl<'a> IndexView<'a> {
@@ -236,7 +295,7 @@ impl<'a> IndexView<'a> {
         landmarks: &'a [VertexId],
         landmark_rank: &'a [u32],
         label_offsets: &'a [u64],
-        label_entries: &'a [u64],
+        label_entries: &'a [u32],
         highway: &'a [u32],
     ) -> Result<Self, IndexDataError> {
         let view = Self::from_parts_unchecked(
@@ -260,7 +319,7 @@ impl<'a> IndexView<'a> {
         landmarks: &'a [VertexId],
         landmark_rank: &'a [u32],
         label_offsets: &'a [u64],
-        label_entries: &'a [u64],
+        label_entries: &'a [u32],
         highway: &'a [u32],
     ) -> Self {
         Self {
@@ -304,6 +363,9 @@ impl<'a> IndexView<'a> {
                 vertices: n,
             });
         }
+        if k > MAX_LANDMARKS {
+            return Err(IndexDataError::LandmarkLimit { landmarks: k });
+        }
         if self.highway.len() != k * k {
             return Err(IndexDataError::HighwayShape {
                 landmarks: k,
@@ -329,7 +391,7 @@ impl<'a> IndexView<'a> {
             }
         }
         // Labels: hubs strictly ascending and in range. Strict hub ascent
-        // implies strict `u64` ascent of the packed entries but not the
+        // implies strict `u32` ascent of the packed entries but not the
         // other way round — equal hubs with ascending distances ascend as
         // words — so both passes compare hubs, never whole entries. The
         // accept-only pass decides; the naming loop runs only on labels it
@@ -386,7 +448,7 @@ impl<'a> IndexView<'a> {
     /// The packed label entries of vertex `v`, hub-sorted: its
     /// replacement if the view is patched there, else the base slice.
     #[inline]
-    pub(crate) fn packed_label(&self, v: VertexId) -> &'a [u64] {
+    pub(crate) fn packed_label(&self, v: VertexId) -> &'a [u32] {
         if let Some(label) = self.label_patches.and_then(|p| p.get(v)) {
             return label;
         }
@@ -417,7 +479,7 @@ impl<'a> IndexView<'a> {
 
     /// The bare label rows of an unpatched view, for query bodies generic
     /// over [`Rows`].
-    pub(crate) fn flat_label_rows(&self) -> FlatRows<'a, u64> {
+    pub(crate) fn flat_label_rows(&self) -> FlatRows<'a, u32> {
         debug_assert!(self.label_patches.is_none(), "flat rows of a patched view");
         FlatRows::new(self.label_offsets, self.label_entries)
     }
@@ -449,9 +511,9 @@ impl<'a> IndexView<'a> {
         self.label_offsets
     }
 
-    /// Flat packed `(hub << 32) | dist` label entries (for serialisation).
-    /// Base only, like [`label_offsets`](Self::label_offsets).
-    pub fn label_entries(&self) -> &'a [u64] {
+    /// Flat packed label entries ([`pack_label_entry`]), for
+    /// serialisation. Base only, like [`label_offsets`](Self::label_offsets).
+    pub fn label_entries(&self) -> &'a [u32] {
         debug_assert!(
             self.label_patches.is_none(),
             "raw entries of a patched view"
@@ -496,7 +558,7 @@ impl<'a> IndexView<'a> {
         let bytes = std::mem::size_of_val(self.landmarks)
             + std::mem::size_of_val(self.landmark_rank)
             + std::mem::size_of_val(self.label_offsets)
-            + total * std::mem::size_of::<u64>()
+            + total * std::mem::size_of::<u32>()
             + std::mem::size_of_val(self.highway);
         IndexStats {
             num_landmarks: self.landmarks.len(),
@@ -508,9 +570,9 @@ impl<'a> IndexView<'a> {
     }
 }
 
-impl<'a> Rows<'a, u64> for IndexView<'a> {
+impl<'a> Rows<'a, u32> for IndexView<'a> {
     #[inline]
-    fn row(self, v: VertexId) -> &'a [u64] {
+    fn row(self, v: VertexId) -> &'a [u32] {
         self.packed_label(v)
     }
 
@@ -533,7 +595,7 @@ mod tests {
     use hcl_core::Graph;
 
     /// Packs parallel hub/dist arrays — the shape tests are written in.
-    fn pack(hubs: &[u32], dists: &[u32]) -> Vec<u64> {
+    fn pack(hubs: &[u32], dists: &[u32]) -> Vec<u32> {
         hubs.iter()
             .zip(dists)
             .map(|(&h, &d)| pack_label_entry(h, d))
@@ -542,11 +604,41 @@ mod tests {
 
     #[test]
     fn pack_unpack_roundtrips_and_orders_by_hub() {
-        for (h, d) in [(0u32, 0u32), (1, u32::MAX), (u32::MAX, 7), (3, 3)] {
+        let (top_hub, top_dist) = (MAX_LANDMARKS as u32 - 1, MAX_LABEL_DISTANCE);
+        for (h, d) in [
+            (0u32, 0u32),
+            (1, top_dist),
+            (top_hub, 7),
+            (top_hub, top_dist),
+            (3, 3),
+        ] {
             assert_eq!(unpack_label_entry(pack_label_entry(h, d)), (h, d));
+            assert_eq!(try_pack_label_entry(h, d), Some(pack_label_entry(h, d)));
         }
         // Hub dominates the packed ordering regardless of distances.
-        assert!(pack_label_entry(1, u32::MAX) < pack_label_entry(2, 0));
+        assert!(pack_label_entry(1, top_dist) < pack_label_entry(2, 0));
+        assert_eq!(
+            hub_key(pack_label_entry(5, top_dist)),
+            pack_label_entry(5, 0)
+        );
+    }
+
+    #[test]
+    fn the_word_holds_distance_two_to_the_24_minus_1_and_refuses_two_to_the_24() {
+        assert_eq!(MAX_LABEL_DISTANCE, (1 << 24) - 1);
+        assert_eq!(MAX_LANDMARKS, 256);
+        let top = try_pack_label_entry(255, (1 << 24) - 1).expect("2^24 - 1 fits");
+        assert_eq!(unpack_label_entry(top), (255, (1 << 24) - 1));
+        assert_eq!(top, u32::MAX);
+        for (hub, dist) in [
+            (0, 1 << 24),
+            (255, 1 << 24),
+            (0, u32::MAX),
+            (256, 0),
+            (u32::MAX, 0),
+        ] {
+            assert_eq!(try_pack_label_entry(hub, dist), None, "({hub}, {dist})");
+        }
     }
 
     #[test]
@@ -584,7 +676,7 @@ mod tests {
 
     /// The label part of what `from_parts` decides, by brute force: every
     /// hub below `k`, and each label strictly ascending by hub.
-    fn labels_are_valid(offsets: &[u64], entries: &[u64], k: usize) -> bool {
+    fn labels_are_valid(offsets: &[u64], entries: &[u32], k: usize) -> bool {
         offsets.windows(2).all(|o| {
             let label = &entries[o[0] as usize..o[1] as usize];
             label.iter().all(|&e| (entry_hub(e) as usize) < k)
@@ -595,14 +687,14 @@ mod tests {
     /// Seeded single-fault mutations of `entries` at up to `positions`
     /// sampled entries (every entry when there are no more): the hub
     /// bumped by one, a hub `>= k`, a swap with another entry, and the
-    /// predecessor's hub with a larger distance (still `u64`-ascending).
+    /// predecessor's hub with a larger distance (still `u32`-ascending).
     fn label_mutations(
         offsets: &[u64],
-        entries: &[u64],
+        entries: &[u32],
         k: usize,
         positions: usize,
         rng: &mut SplitMix64,
-    ) -> Vec<(String, Vec<u64>)> {
+    ) -> Vec<(String, Vec<u32>)> {
         let len = entries.len();
         let sampled: Vec<usize> = if len <= positions {
             (0..len).collect()
@@ -614,7 +706,7 @@ mod tests {
         let mut out = Vec::new();
         for e in sampled {
             let (hub, dist) = unpack_label_entry(entries[e]);
-            let mut set = |what: String, value: u64| {
+            let mut set = |what: String, value: u32| {
                 let mut bad = entries.to_vec();
                 bad[e] = value;
                 out.push((what, bad));
@@ -661,7 +753,7 @@ mod tests {
                 let v = idx.as_view();
                 let (offsets, entries) = (v.label_offsets(), v.label_entries());
                 let k = v.num_landmarks();
-                let error = |entries: &[u64]| {
+                let error = |entries: &[u32]| {
                     IndexView::from_parts(
                         v.landmarks(),
                         v.landmark_rank(),
@@ -698,7 +790,7 @@ mod tests {
         let entries = pack(&[0, 1, 0, 1], &[0, 0, 1, 1]);
         let highway: &[u32] = &[0, 1, 1, 0];
         let check =
-            |landmarks: &[u32], rank: &[u32], offsets: &[u64], entries: &[u64], highway: &[u32]| {
+            |landmarks: &[u32], rank: &[u32], offsets: &[u64], entries: &[u32], highway: &[u32]| {
                 IndexView::from_parts(landmarks, rank, offsets, entries, highway)
                     .err()
                     .map(|e| e.to_string())
@@ -878,5 +970,17 @@ mod tests {
             IndexView::from_parts(&[0, 1], &[0, 1], &[0, 1, 1], &one, &[0, 1, 2, 0]).unwrap_err(),
             IndexDataError::HighwayAsymmetric { .. }
         ));
+        // Every vertex a landmark, no label entries: 256 is well formed,
+        // 257 is more ranks than a label entry holds.
+        for k in [MAX_LANDMARKS, MAX_LANDMARKS + 1] {
+            let landmarks: Vec<u32> = (0..k as u32).collect();
+            let offsets = vec![0u64; k + 1];
+            let highway = vec![0u32; k * k];
+            let got = IndexView::from_parts(&landmarks, &landmarks, &offsets, &[], &highway);
+            match got {
+                Ok(_) => assert_eq!(k, MAX_LANDMARKS),
+                Err(e) => assert_eq!(e, IndexDataError::LandmarkLimit { landmarks: k }),
+            }
+        }
     }
 }

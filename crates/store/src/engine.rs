@@ -789,7 +789,7 @@ mod tests {
     }
 
     /// The overlays a published generation serves.
-    fn overlays(store: &IndexStore) -> (&Overlay<VertexId>, &Overlay<u64>) {
+    fn overlays(store: &IndexStore) -> (&Overlay<VertexId>, &Overlay<u32>) {
         (store.graph.patches(), store.index.labels())
     }
 

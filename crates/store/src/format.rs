@@ -28,12 +28,17 @@
 //! Seven sections are required, in canonical order: `graph_offsets` (kind
 //! 1, u64), `graph_neighbors` (2, u32), `landmarks` (3, u32),
 //! `landmark_rank` (4, u32), `label_offsets` (5, u64), `label_entries`
-//! (9, u64), `highway` (8, u32). Each label entry is one `u64` — hub rank
-//! in the high 32 bits, distance in the low 32 (`hcl-index`'s
+//! (12, u32), `highway` (8, u32). Each label entry is one `u32` — landmark
+//! rank in the high 8 bits, distance in the low 24 (`hcl-index`'s
 //! [`pack_label_entry`](hcl_index::pack_label_entry)) — which is exactly
 //! the in-memory layout of the query hot path, so a mapped file serves
-//! with no decode step at all. Two more may follow, each independently
-//! absent:
+//! with no decode step at all. The word sets the format's two limits: at
+//! most [`MAX_LANDMARKS`](hcl_index::MAX_LANDMARKS) (256) landmarks, which
+//! the open enforces (`IndexView::from_parts` refuses more, like more
+//! landmarks than vertices), and distances up to
+//! [`MAX_LABEL_DISTANCE`](hcl_index::MAX_LABEL_DISTANCE) (2^24 − 1), which
+//! the writers enforce (a build fails and an update is refused rather
+//! than wrap). Two more may follow, each independently absent:
 //!
 //! * `build_stats` (kind 10, u64): the thread-count-invariant build
 //!   counters — see [`StoredBuildStats`] for the payload layout.
@@ -49,8 +54,9 @@
 //! every writer emits it. Any other version word — older or newer — is
 //! rejected with the typed [`StoreError::UnsupportedVersion`] rather than
 //! mis-read. Section kinds 6 and 7 belonged to a retired split-label
-//! layout; they are **reserved and never reused**, so a table entry
-//! carrying one is an unknown kind.
+//! layout, and kind 9 to version 6's `u64` label entries; they are
+//! **reserved and never reused**, so a table entry carrying one is an
+//! unknown kind.
 //!
 //! ## Journal tail (after the container image)
 //!
@@ -100,7 +106,8 @@
 //! All integers are little-endian, all arrays fixed-width (`u32`/`u64`),
 //! all section offsets 8-byte aligned — which is exactly what lets a
 //! little-endian host reinterpret the mapped file as the index's slices
-//! with no decode step. Validation happens once at open: header, checksum,
+//! with no decode step (a `u32` section of odd length is followed by 4
+//! zero bytes of padding). Validation happens once at open: header, checksum,
 //! section-table geometry, then the semantic CSR/label invariants via
 //! `hcl-core`/`hcl-index`. After that, serving is pointer arithmetic.
 
@@ -115,7 +122,7 @@ use std::ops::Range;
 /// File magic: "HCLSTOR1".
 pub const MAGIC: [u8; 8] = *b"HCLSTOR1";
 /// The format version this build writes, and the only one it reads.
-pub const FORMAT_VERSION: u32 = 6;
+pub const FORMAT_VERSION: u32 = 7;
 /// Header length in bytes.
 pub const HEADER_LEN: usize = 96;
 /// Byte offset of the checksum field inside the header.
@@ -125,9 +132,9 @@ const BUILD_META_OFFSET: usize = 64;
 
 const SECTION_ENTRY_LEN: usize = 24;
 /// Highest section-kind discriminant.
-const MAX_SECTION_KINDS: usize = 11;
+const MAX_SECTION_KINDS: usize = 12;
 
-/// Section kinds. Discriminants 6 and 7 are reserved (see the module
+/// Section kinds. Discriminants 6, 7 and 9 are reserved (see the module
 /// docs) and must never be reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u32)]
@@ -138,9 +145,9 @@ enum SectionKind {
     LandmarkRank = 4,
     LabelOffsets = 5,
     Highway = 8,
-    LabelEntries = 9,
     BuildStats = 10,
     Journal = 11,
+    LabelEntries = 12,
 }
 
 /// Canonical section-table order. The first [`NUM_REQUIRED_SECTIONS`]
@@ -168,16 +175,16 @@ impl SectionKind {
             4 => Some(Self::LandmarkRank),
             5 => Some(Self::LabelOffsets),
             8 => Some(Self::Highway),
-            9 => Some(Self::LabelEntries),
             10 => Some(Self::BuildStats),
             11 => Some(Self::Journal),
+            12 => Some(Self::LabelEntries),
             _ => None,
         }
     }
 
     fn elem_size(self) -> u32 {
         match self {
-            Self::GraphOffsets | Self::LabelOffsets | Self::LabelEntries => 8,
+            Self::GraphOffsets | Self::LabelOffsets => 8,
             Self::BuildStats | Self::Journal => 8,
             _ => 4,
         }
@@ -915,7 +922,7 @@ pub(crate) fn parse_and_validate(bytes: &[u8]) -> Result<Layout, StoreError> {
     expect("label_offsets", elems(&layout.label_offsets, 8), nv + 1)?;
     expect(
         "label_entries",
-        elems(&layout.label_entries, 8),
+        elems(&layout.label_entries, 4),
         meta.label_entries,
     )?;
     expect(

@@ -291,7 +291,7 @@ impl LabelArrays for Base {
             cast_u32s(&bytes[layout.landmarks.clone()]),
             cast_u32s(&bytes[layout.landmark_rank.clone()]),
             cast_u64s(&bytes[layout.label_offsets.clone()]),
-            cast_u64s(&bytes[layout.label_entries.clone()]),
+            cast_u32s(&bytes[layout.label_entries.clone()]),
             cast_u32s(&bytes[layout.highway.clone()]),
         )
     }
@@ -351,7 +351,7 @@ fn validate(bytes: &[u8]) -> Result<Validated, StoreError> {
             cast_u32s(&bytes[layout.landmarks.clone()]),
             cast_u32s(&bytes[layout.landmark_rank.clone()]),
             cast_u64s(&bytes[layout.label_offsets.clone()]),
-            cast_u64s(&bytes[layout.label_entries.clone()]),
+            cast_u32s(&bytes[layout.label_entries.clone()]),
             cast_u32s(&bytes[layout.highway.clone()]),
         )?;
         phases.labels = t.elapsed();

@@ -2,7 +2,7 @@
 //! [`StoreError`] — never a panic, never undefined behaviour.
 
 use hcl_core::{testkit, CsrError};
-use hcl_index::{HighwayCoverIndex, IndexConfig};
+use hcl_index::{HighwayCoverIndex, IndexConfig, IndexDataError};
 use hcl_store::{IndexStore, StoreError, HEADER_LEN};
 
 fn sample_bytes() -> Vec<u8> {
@@ -59,8 +59,8 @@ fn wrong_version_is_detected() {
     let mut path = std::env::temp_dir();
     path.push(format!("hcl_store_version_{}.hcl", std::process::id()));
     // A plain (journal-less) image stamped 5 is byte-for-byte what the
-    // last v5 writer produced.
-    for version in [0u32, 1, 2, 3, 4, 5, 7, 99] {
+    // last v5 writer produced; 6 is the retired `u64`-label-entry version.
+    for version in [0u32, 1, 2, 3, 4, 5, 6, 8, 99] {
         let mut bytes = clean.clone();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         hcl_store::rewrite_checksum(&mut bytes);
@@ -74,7 +74,7 @@ fn wrong_version_is_detected() {
             assert!(
                 matches!(
                     err,
-                    StoreError::UnsupportedVersion { found, supported: 6 } if found == version
+                    StoreError::UnsupportedVersion { found, supported: 7 } if found == version
                 ),
                 "version {version}: expected UnsupportedVersion, got {err:?}"
             );
@@ -82,8 +82,8 @@ fn wrong_version_is_detected() {
     }
     std::fs::remove_file(&path).ok();
 
-    // Section kinds 6 and 7 are reserved, not readable.
-    for kind in [6u32, 7] {
+    // Section kinds 6, 7 and 9 are reserved, not readable.
+    for kind in [6u32, 7, 9] {
         let mut bytes = clean.clone();
         bytes[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&kind.to_le_bytes());
         hcl_store::rewrite_checksum(&mut bytes);
@@ -250,15 +250,49 @@ fn semantically_invalid_index_arrays_are_rejected() {
     drop(store);
 
     let mut bytes = clean.clone();
-    // Entries are packed u64s with the hub in the high 32 bits; a hub
-    // rank >= k in the first entry must be caught by semantic validation.
-    let at = entries.offset as usize + 4;
-    bytes[at..at + 4].copy_from_slice(&250u32.to_le_bytes());
+    // Entries are packed u32s with the hub in the high 8 bits; a hub rank
+    // >= k in the first entry must be caught by semantic validation.
+    let at = entries.offset as usize + 3;
+    bytes[at] = 250;
     hcl_store::rewrite_checksum(&mut bytes);
     assert!(matches!(
         IndexStore::from_bytes(&bytes).unwrap_err(),
         StoreError::InvalidIndex(_)
     ));
+}
+
+/// A container whose landmark count a label entry cannot hold — here 257
+/// landmarks, every one a vertex, over empty labels and a zero highway,
+/// consistent in every other respect — is refused by the open, like more
+/// landmarks than vertices; 256 of them open.
+#[test]
+fn more_landmarks_than_a_label_entry_holds_are_refused() {
+    let g = testkit::star(300);
+    for k in [256usize, 257] {
+        let landmarks: Vec<u32> = (0..k as u32).collect();
+        let rank: Vec<u32> = (0..300)
+            .map(|v| if v < k as u32 { v } else { u32::MAX })
+            .collect();
+        let offsets = vec![0u64; 301];
+        let highway = vec![0u32; k * k];
+        let view =
+            hcl_index::IndexView::from_parts_unchecked(&landmarks, &rank, &offsets, &[], &highway);
+        let parts = hcl_store::image_parts(g.as_view(), view, Default::default(), None, None);
+        let bytes = parts.expect("lays out").to_vec();
+        match IndexStore::from_bytes(&bytes) {
+            Ok(store) => {
+                assert_eq!(k, 256);
+                assert_eq!(store.meta().num_landmarks, 256);
+            }
+            Err(err) => assert!(
+                matches!(
+                    err,
+                    StoreError::InvalidIndex(IndexDataError::LandmarkLimit { landmarks: 257 })
+                ) && k == 257,
+                "k = {k}: {err:?}"
+            ),
+        }
+    }
 }
 
 /// Payload bit rot that stays structurally plausible — here a flipped bit

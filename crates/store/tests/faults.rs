@@ -305,8 +305,9 @@ fn torn_write_prefixes_never_reach_the_target() {
 /// then each section and padding gap as its own slice — replays both
 /// sweeps: every step's schedules, and torn writes cut inside every slice
 /// and on both sides of, and exactly on, every slice edge. An odd vertex
-/// count leaves `landmark_rank` 4 bytes short of alignment, so one slice
-/// is padding.
+/// count leaves `landmark_rank` 4 bytes short of alignment, and an odd
+/// number of 4-byte label entries does the same to `label_entries`, so
+/// two slices are padding.
 #[test]
 fn a_publish_in_slices_keeps_the_trichotomy() {
     let old = container(4);
@@ -327,7 +328,7 @@ fn a_publish_in_slices_keeps_the_trichotomy() {
     .expect("lay out");
     let slices = image.slices();
     let new = image.to_vec();
-    assert_eq!(slices.len(), 10, "head, 8 sections, 1 padding gap");
+    assert_eq!(slices.len(), 11, "head, 8 sections, 2 padding gaps");
     assert!(slices.contains(&&[0u8; 4][..]), "a padding slice");
     assert_eq!(
         new,

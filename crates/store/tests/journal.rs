@@ -57,7 +57,7 @@ fn journalled_open_replays_to_current_answers() {
     let bytes = serialize_with_journal(&base, &index, BuildInfo::default(), &journal).unwrap();
     let store = IndexStore::from_bytes(&bytes).unwrap();
 
-    assert_eq!(store.meta().version, 6);
+    assert_eq!(store.meta().version, 7);
     assert_eq!(store.journal().unwrap().deltas, deltas);
     assert!(store.journal_bytes() > 0);
     // Base sections still carry the pre-edit graph; current views don't.
@@ -104,7 +104,7 @@ fn plain_serialize_has_no_journal_section() {
     let base = testkit::path(6);
     let index = build(&base, 2);
     let store = IndexStore::from_bytes(&serialize(&base, &index).unwrap()).unwrap();
-    assert_eq!(store.meta().version, 6);
+    assert_eq!(store.meta().version, 7);
     assert!(store.journal().is_none());
     assert_eq!(store.journal_bytes(), 0);
 }
@@ -151,7 +151,7 @@ fn compact_folds_journal_and_preserves_answers() {
         );
     }
 
-    // Compacting an already-clean v6 file is a no-op.
+    // Compacting an already-clean file is a no-op.
     let report = compact_file(&path).unwrap();
     assert_eq!(report.deltas_compacted, 0);
     assert_eq!(report.compactions, 3);

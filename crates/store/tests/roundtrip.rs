@@ -139,9 +139,10 @@ fn serialization_is_deterministic_and_meta_is_accurate() {
 /// write and verify its own files happily. Pin the header checksum of one
 /// fixed container to the value the bytewise CRC-64 writes for it: files
 /// from before the slicing kernel must keep verifying, bit for bit. (The
-/// pin moves whenever the builder's labelling does — last with the
-/// order-independent labelling — and is then re-derived with a bytewise
-/// CRC-64 outside this crate, never read back from the kernel under test.)
+/// pin moves whenever the builder's labelling or the layout does — last
+/// with format version 7's 4-byte label entries — and is then re-derived
+/// with a bytewise CRC-64 outside this crate, never read back from the
+/// kernel under test.)
 #[test]
 fn header_checksum_of_a_fixed_container_is_pinned() {
     let g = testkit::barabasi_albert(300, 3, 19);
@@ -156,10 +157,10 @@ fn header_checksum_of_a_fixed_container_is_pinned() {
         },
     );
     let bytes = hcl_store::serialize(&g, &idx).unwrap();
-    assert_eq!(bytes.len(), 20_000);
+    assert_eq!(bytes.len(), 16_848);
     let store = IndexStore::from_bytes(&bytes).expect("the checksum verifies");
-    assert_eq!(store.meta().checksum, 0xFC1E_FB9E_B60B_9F80);
-    assert_eq!(hcl_store::crc64(&bytes), 0x35CC_F4A4_44C2_6B7D);
+    assert_eq!(store.meta().checksum, 0xEB9E_E0E1_4E0F_B4C2);
+    assert_eq!(hcl_store::crc64(&bytes), 0xD8DC_C83C_2F64_EFA1);
 }
 
 /// The same pin over a graph whose labelling sweep closes both wide levels
@@ -180,10 +181,10 @@ fn checksum_of_a_two_group_broom_container_is_pinned() {
         },
     );
     let bytes = hcl_store::serialize(&g, &idx).unwrap();
-    assert_eq!(bytes.len(), 203_428);
+    assert_eq!(bytes.len(), 153_404);
     let store = IndexStore::from_bytes(&bytes).expect("the checksum verifies");
-    assert_eq!(store.meta().checksum, 0xFCF3_D75A_B45B_777F);
-    assert_eq!(hcl_store::crc64(&bytes), 0x055F_6FC4_AD01_212C);
+    assert_eq!(store.meta().checksum, 0x233A_A7F4_3E42_9712);
+    assert_eq!(hcl_store::crc64(&bytes), 0x145F_6447_1181_1E64);
 }
 
 #[test]
