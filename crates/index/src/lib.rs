@@ -73,6 +73,6 @@ pub use query::QueryContext;
 pub use repair::{LabelArrays, PatchedIndex, RepairOutcome};
 pub use select::SelectionStrategy;
 pub use view::{
-    pack_label_entry, try_pack_label_entry, unpack_label_entry, IndexDataError, IndexView,
-    MAX_LABEL_DISTANCE, MAX_LANDMARKS,
+    pack_label_entry, unpack_label_entry, IndexDataError, IndexView, MAX_LABEL_DISTANCE,
+    MAX_LANDMARKS,
 };

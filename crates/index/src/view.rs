@@ -60,8 +60,9 @@ const HUB_MASK: u32 = !MAX_LABEL_DISTANCE;
 
 /// Packs a `(hub rank, distance)` label pair into one `u32`: hub in the
 /// high 8 bits, distance in the low 24. Hub-sorted entry sequences are
-/// therefore also `u32`-sorted. The pair must fit
-/// ([`try_pack_label_entry`] checks); debug builds assert it.
+/// therefore also `u32`-sorted. The pair must fit: the hub below
+/// [`MAX_LANDMARKS`], the distance at most [`MAX_LABEL_DISTANCE`]; debug
+/// builds assert it.
 #[inline]
 pub const fn pack_label_entry(hub: u32, dist: u32) -> u32 {
     debug_assert!((hub as usize) < MAX_LANDMARKS && dist <= MAX_LABEL_DISTANCE);
@@ -73,7 +74,7 @@ pub const fn pack_label_entry(hub: u32, dist: u32) -> u32 {
 /// one check every writer of a label entry that could overflow goes
 /// through.
 #[inline]
-pub const fn try_pack_label_entry(hub: u32, dist: u32) -> Option<u32> {
+pub(crate) const fn try_pack_label_entry(hub: u32, dist: u32) -> Option<u32> {
     if (hub as usize) < MAX_LANDMARKS && dist <= MAX_LABEL_DISTANCE {
         Some(pack_label_entry(hub, dist))
     } else {
