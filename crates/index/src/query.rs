@@ -25,8 +25,8 @@
 //! `INFINITY` sentinel and two of them sum far below `u64::MAX`, so the
 //! merges and the highway pass read label distances unguarded; only a
 //! highway cell can be `INFINITY` (two landmarks in different
-//! components), and that one test stays. The common-hub
-//! join switches from a linear merge to a **galloping merge** when the two
+//! components), so that is the one sentinel test. The common-hub join
+//! switches from a linear merge to a **galloping merge** when the two
 //! labels are badly skewed (one ≥ 8× the other), making the join
 //! `O(small · log large)` instead of `O(small + large)`. A label holds at
 //! most one entry per landmark, so no label is longer than `k` and the
