@@ -614,6 +614,40 @@ fn build_reports_the_workers_that_ran() {
     );
 }
 
+/// `build --progress` reports each phase on stderr as it ends, one line
+/// each and in this order: the landmark selection, every sweep group, the
+/// label fill and the build's total, then the phase and labelling
+/// summaries, the load and build lines, the write and the peak memory.
+#[test]
+fn build_progress_reports_every_phase_in_order() {
+    let scratch = Scratch::new("progress");
+    let sample = concat!(env!("CARGO_MANIFEST_DIR"), "/../../data/sample.edges");
+    let out = run_ok(
+        hcl()
+            .args(["build", sample, "--progress", "-k", "4"])
+            .arg("--out")
+            .arg(scratch.path("sample.hcl")),
+    );
+    let err = stderr_of(&out);
+    let lines: Vec<&str> = err.lines().collect();
+    let prefixes = [
+        "select: 4 landmark(s) by degree",
+        "sweep 1: landmarks 0..4 of 4",
+        "fill:",
+        "build: done",
+        "phases: selection",
+        "labelling:",
+        "graph:",
+        "index:",
+        "wrote",
+        "memory: peak resident",
+    ];
+    assert_eq!(lines.len(), prefixes.len(), "{err}");
+    for (line, prefix) in lines.iter().zip(prefixes) {
+        assert!(line.starts_with(prefix), "expected `{prefix}…`:\n{err}");
+    }
+}
+
 /// Every flag that takes a value, per subcommand: `(subcommand, long
 /// name, short alias or "", whether the value must be a number)`.
 const VALUE_FLAGS: &[(&str, &str, &str, bool)] = &[
