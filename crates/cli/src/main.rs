@@ -47,7 +47,7 @@ mod sync;
 mod update;
 
 use hcl_core::{bfs, Graph, GraphBuilder, VertexId};
-use hcl_index::{BuildOptions, HighwayCoverIndex, QueryStats, MAX_LANDMARKS};
+use hcl_index::{BuildContext, HighwayCoverIndex, QueryStats, MAX_LANDMARKS};
 use hcl_store::{IndexStore, UpdateEngine};
 use std::io::{BufRead, ErrorKind, IsTerminal, Read, Write};
 use std::process::ExitCode;
@@ -613,9 +613,10 @@ fn resolve_landmarks(requested: Option<usize>, n: usize) -> usize {
 /// `HCL_BUILD_THREADS` environment variable, then every available core.
 /// The count never changes the built index, only how fast it appears.
 fn resolve_build_threads(explicit: Option<usize>) -> usize {
-    explicit.filter(|&t| t > 0).unwrap_or_else(|| {
-        BuildOptions::threads_from_env(std::thread::available_parallelism().map_or(1, |n| n.get()))
-    })
+    explicit
+        .filter(|&t| t > 0)
+        .or_else(BuildContext::threads_from_env)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Serving worker count: `--workers 0` means every available core;
@@ -666,18 +667,25 @@ fn build_image(
     let t0 = Instant::now();
     let (graph, load_phases) = load_graph(path)?;
     let load_time = t0.elapsed();
-    let options = BuildOptions {
-        num_landmarks: resolve_landmarks(landmarks, graph.num_vertices()),
-        threads,
-        ..BuildOptions::default()
-    };
     let t1 = Instant::now();
+    let landmarks = graph.top_k_by_degree(resolve_landmarks(landmarks, graph.num_vertices()));
+    let selection_us = t1.elapsed().as_micros() as u64;
+    if progress {
+        eprintln!(
+            "select: {} landmark(s) by degree in {selection_us} µs",
+            landmarks.len()
+        );
+    }
+    let mut contexts: Vec<BuildContext> = (0..threads).map(|_| BuildContext::new()).collect();
     let mut progress_sink = |line: String| eprintln!("{line}");
-    let (index, build_stats) = HighwayCoverIndex::build_with_stats(
+    let (index, mut build_stats) = HighwayCoverIndex::build(
         &graph,
-        &options,
+        &landmarks,
+        &mut contexts,
         progress.then_some(&mut progress_sink as &mut dyn FnMut(String)),
-    );
+    )
+    .map_err(|e| format!("labelling {path}: {e}"))?;
+    build_stats.selection_us = selection_us;
     let build_time = t1.elapsed();
     // At most one worker starts per sweep group; without landmarks the
     // calling thread does the whole build.
@@ -686,7 +694,8 @@ fn build_image(
     // The thread count is left unrecorded (0) so that the same edge list
     // builds the same file on every host and at every --threads value.
     let info = hcl_store::BuildInfo {
-        batch_size: options.resolved_batch_size() as u32,
+        // Landmarks per sweep group: one bit each of a 64-bit word.
+        batch_size: 64,
         ..hcl_store::BuildInfo::default()
     };
 

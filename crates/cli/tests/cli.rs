@@ -648,6 +648,72 @@ fn build_progress_reports_every_phase_in_order() {
     }
 }
 
+/// `build` labels the graph for its `--landmarks` highest-degree
+/// vertices, ties broken by ascending id, clamped to the vertex count.
+#[test]
+fn build_takes_the_top_k_by_degree_as_landmarks() {
+    let scratch = Scratch::new("top_k");
+    for (n, m, seed) in [(40, 2, 1), (64, 3, 9)] {
+        let g = hcl_core::testkit::barabasi_albert(n, m, seed);
+        let graph = scratch.file("g.edges", &common::edge_list(&g));
+        for k in [0, 1, 5, n, n + 10] {
+            let out = scratch.path("g.hcl");
+            run_ok(
+                hcl()
+                    .arg("build")
+                    .arg(&graph)
+                    .arg("--out")
+                    .arg(&out)
+                    .args(["--landmarks", &k.to_string()]),
+            );
+            let store = hcl_store::IndexStore::open(&out).expect("open the built container");
+            assert_eq!(
+                store.index().landmarks(),
+                &g.rank_by_degree()[..k.min(n)],
+                "BA({n}, {m}) k={k}"
+            );
+        }
+    }
+}
+
+/// A labelling that needs a distance past a label entry's 24 bits fails
+/// `build` with one `error:` line and exit code 1, not a panic. The path
+/// has 2^24 + 2 vertices: its highest-degree vertex is vertex 1, whose far
+/// end is then 2^24 hops out. It writes a 280 MB edge list and needs
+/// ≈ 1.3 GB, so it runs in release only (CI's optimised test step).
+#[test]
+#[ignore = "release only: a 2^24 + 2-vertex path, run by CI's optimised test step"]
+fn build_refuses_a_distance_past_the_label_limit_with_an_error() {
+    const FAR: u32 = 1 << 24;
+    let scratch = Scratch::new("distance_limit");
+    let graph = scratch.path("path.edges");
+    let mut edges = std::io::BufWriter::new(std::fs::File::create(&graph).expect("create"));
+    for v in 1..=FAR + 1 {
+        writeln!(edges, "{} {v}", v - 1).expect("write edge");
+    }
+    edges.flush().expect("flush edges");
+    drop(edges);
+    let out = hcl()
+        .arg("build")
+        .arg(&graph)
+        .arg("--out")
+        .arg(scratch.path("path.hcl"))
+        .args(["--landmarks", "1"])
+        .output()
+        .expect("spawn hcl");
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    let want = format!(
+        "error: labelling {}: vertex {} is {FAR} hops from a landmark it is labelled with, \
+         but a label entry holds distances up to {}\n",
+        graph.display(),
+        FAR + 1,
+        FAR - 1
+    );
+    assert_eq!(err, want);
+    assert!(!scratch.path("path.hcl").exists(), "nothing is written");
+}
+
 /// Every flag that takes a value, per subcommand: `(subcommand, long
 /// name, short alias or "", whether the value must be a number)`.
 const VALUE_FLAGS: &[(&str, &str, &str, bool)] = &[

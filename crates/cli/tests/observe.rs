@@ -641,14 +641,15 @@ fn inspect_stats_degrades_gracefully_on_v4_containers() {
     // A container with neither optional section, as the library's plain
     // `serialize` / `save` write it (`hcl build` always records stats).
     let graph = testkit::barabasi_albert(60, 2, 5);
-    let index = hcl_index::HighwayCoverIndex::build_with(
+    let landmarks = graph.top_k_by_degree(4);
+    let mut cx = hcl_index::BuildContext::new();
+    let (index, _) = hcl_index::HighwayCoverIndex::build(
         &graph,
-        &hcl_index::BuildOptions {
-            num_landmarks: 4,
-            threads: 1,
-            ..hcl_index::BuildOptions::default()
-        },
-    );
+        &landmarks,
+        std::slice::from_mut(&mut cx),
+        None,
+    )
+    .expect("build");
     let bytes = hcl_store::serialize(&graph, &index).expect("serialize");
     let path = scratch.path("plain.hcl");
     std::fs::write(&path, &bytes).expect("write plain container");

@@ -142,6 +142,9 @@ pub enum DeltaError {
         /// The largest distance a label entry holds.
         limit: u32,
     },
+    /// The labelling under edit has a landmark list its graph does not fit
+    /// (only arrays adopted without validation can), so no edit relabels it.
+    UnfitLandmarks,
 }
 
 impl fmt::Display for DeltaError {
@@ -167,6 +170,7 @@ impl fmt::Display for DeltaError {
                 "the edit would put vertex {vertex} {distance} hops from a landmark it is \
                  labelled with, but a label entry holds distances up to {limit}"
             ),
+            DeltaError::UnfitLandmarks => write!(f, "the index's landmarks do not fit its graph"),
         }
     }
 }
@@ -472,12 +476,6 @@ impl PatchedGraph {
         } else {
             base.with_patches(&self.patches)
         }
-    }
-
-    /// [`as_view`](Self::as_view), kept only because the frozen harness
-    /// names it (ROADMAP 1(c)).
-    pub fn as_dyn_view(&self) -> GraphView<'_> {
-        self.as_view()
     }
 
     /// Number of vertices (fixed: always the base graph's count).

@@ -34,13 +34,12 @@
 pub mod bfs;
 pub mod delta;
 pub mod graph;
+mod harness;
 pub mod rng;
 pub mod testkit;
 
 pub use bfs::{BfsProbe, NoProbe};
 pub use delta::{CsrArrays, DeltaError, DeltaOp, EdgeDelta, Overlay, PatchedGraph};
 pub use graph::{CsrError, FlatRows, Graph, GraphBuilder, GraphView, Rows, VertexId, INFINITY};
-
-/// [`PatchedGraph`], kept only because the frozen harness names it
-/// (ROADMAP 1(c)).
-pub type DeltaGraph<'a> = PatchedGraph;
+#[doc(hidden)]
+pub use harness::*;

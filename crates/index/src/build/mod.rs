@@ -23,123 +23,126 @@
 //! word each, in one level-synchronous full BFS that also reads the
 //! highway rows off directly — no closure pass — and lays the entries out
 //! as the hub-sorted CSR by count, prefix-sum, fill; its module docs have
-//! the details. Groups of 64 share no state, so
-//! [`BuildOptions::threads`] shards *groups* over `std::thread::scope`
+//! the details. Groups of 64 share no state, so the contexts handed to
+//! [`HighwayCoverIndex::build`] shard *groups* over `std::thread::scope`
 //! workers — at most one per 64 landmarks can ever have work — and the
 //! output is **byte-identical at every thread count** by construction,
 //! which `tests/parallel_build.rs` asserts across all testkit families.
+//!
+//! # The landmarks
+//!
+//! A build labels the graph for the landmark list it is given. `hcl`
+//! passes `graph.top_k_by_degree(k)` — descending degree, ties broken by
+//! ascending id — the choice of Farhan et al. (EDBT 2019) and the
+//! labelling IncHL+ maintains. High-degree hubs cover the most shortest
+//! paths on complex networks, so they give the smallest labels: against
+//! greedy sampled-BFS coverage and a seeded random sample, on a power-law
+//! and on a grid-with-chords graph, degree rank had the fewest label
+//! entries, built fastest and answered as fast or faster
+//! (`docs/ARCHITECTURE.md` has the numbers).
 
 mod sweep;
 
-use crate::select::SelectionStrategy;
-use crate::view::{IndexView, MAX_LANDMARKS};
+use crate::view::{IndexView, MAX_LABEL_DISTANCE, MAX_LANDMARKS};
 use hcl_core::bfs::BfsScratch;
-use hcl_core::{Graph, Rows, VertexId};
+use hcl_core::{Rows, VertexId};
+use std::fmt;
 use std::time::Instant;
 
 use sweep::label;
-pub(crate) use sweep::TooFar;
+pub(crate) use sweep::WIDTH;
 
 /// Sentinel rank for vertices that are not landmarks.
 pub(crate) const NOT_A_LANDMARK: u32 = u32::MAX;
 
-/// Construction parameters for [`HighwayCoverIndex`].
-#[derive(Clone, Copy, Debug)]
-pub struct IndexConfig {
-    /// Number of landmarks (highest-degree vertices), at most
-    /// [`MAX_LANDMARKS`](crate::MAX_LANDMARKS). Clamped to the vertex
-    /// count at build time. More landmarks shrink the fallback search at the
-    /// cost of larger labels and a longer build.
-    pub num_landmarks: usize,
+/// Why [`HighwayCoverIndex::build`] labelled nothing: the landmark list is
+/// not a list of distinct vertices of the graph that a label entry can
+/// name, or some label entry's distance does not fit its word.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BuildError {
+    /// The list has more entries than the graph has vertices.
+    TooManyLandmarks {
+        /// Entries in the list.
+        landmarks: usize,
+        /// The graph's vertex count.
+        vertices: usize,
+    },
+    /// The list has more entries than a label entry's rank can name.
+    LandmarkLimit {
+        /// Entries in the list.
+        landmarks: usize,
+        /// [`MAX_LANDMARKS`](crate::MAX_LANDMARKS).
+        limit: usize,
+    },
+    /// The list names a vertex the graph does not have.
+    LandmarkOutOfRange {
+        /// The vertex named.
+        vertex: VertexId,
+        /// The graph's vertex count.
+        vertices: usize,
+    },
+    /// The list names one vertex twice.
+    DuplicateLandmark {
+        /// The vertex named twice.
+        vertex: VertexId,
+    },
+    /// `vertex` is `distance` hops from a landmark it would be labelled
+    /// with, more than a label entry holds (possible only on graphs of
+    /// more than 2^24 vertices).
+    DistanceLimit {
+        /// The vertex whose label entry would not fit.
+        vertex: VertexId,
+        /// Its distance from that landmark.
+        distance: u32,
+        /// [`MAX_LABEL_DISTANCE`](crate::MAX_LABEL_DISTANCE).
+        limit: u32,
+    },
 }
 
-impl Default for IndexConfig {
-    fn default() -> Self {
-        Self { num_landmarks: 16 }
-    }
-}
-
-/// Full construction options: landmark count and worker threads.
-///
-/// [`IndexConfig`] stays the simple "how many landmarks" surface;
-/// `BuildOptions` adds worker-thread control for
-/// [`HighwayCoverIndex::build_with`]. Only the landmark count shapes the
-/// output: the built index is byte-identical at every thread count (see
-/// the module docs).
-#[derive(Clone, Copy, Debug)]
-pub struct BuildOptions {
-    /// Number of landmarks, at most [`MAX_LANDMARKS`](crate::MAX_LANDMARKS);
-    /// clamped to the vertex count at build time.
-    pub num_landmarks: usize,
-    /// Worker threads. `0` means auto: the `HCL_BUILD_THREADS` environment
-    /// variable if set to a positive integer, otherwise `1` (the calling
-    /// thread). Workers take whole sweep groups, so at most one per 64
-    /// landmarks is ever started. The thread count never changes the
-    /// output.
-    pub threads: usize,
-    /// Ignored. The batched builder this field configured is gone; it
-    /// stays only so struct literals written against it keep compiling.
-    pub batch_size: usize,
-    /// Ignored: landmarks are always the top `num_landmarks` by degree.
-    /// The field stays only so struct literals written against it keep
-    /// compiling.
-    pub selection: Option<SelectionStrategy>,
-}
-
-impl BuildOptions {
-    /// The worker-thread count this configuration resolves to (see
-    /// [`BuildOptions::threads`]).
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads > 0 {
-            return self.threads;
-        }
-        Self::threads_from_env(1)
-    }
-
-    /// Thread count requested via the `HCL_BUILD_THREADS` environment
-    /// variable, or `fallback` when unset/invalid/zero.
-    ///
-    /// The single authority on the env var's semantics: the library's auto
-    /// mode falls back to `1` (never surprise a host process with
-    /// parallelism), while the CLI passes all available cores.
-    pub fn threads_from_env(fallback: usize) -> usize {
-        std::env::var("HCL_BUILD_THREADS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&t| t > 0)
-            .unwrap_or(fallback)
-    }
-
-    /// Landmarks per sweep group — 64, whatever
-    /// [`BuildOptions::batch_size`] says. This is the value containers
-    /// record in the header's batch word.
-    pub fn resolved_batch_size(&self) -> usize {
-        sweep::WIDTH
-    }
-
-    /// [`SelectionStrategy::DegreeRank`], whatever
-    /// [`BuildOptions::selection`] says.
-    pub fn resolved_selection(&self) -> SelectionStrategy {
-        SelectionStrategy::DegreeRank
-    }
-}
-
-impl Default for BuildOptions {
-    fn default() -> Self {
-        Self {
-            num_landmarks: IndexConfig::default().num_landmarks,
-            threads: 0,
-            batch_size: 0,
-            selection: None,
+impl fmt::Display for BuildError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            BuildError::TooManyLandmarks {
+                landmarks,
+                vertices,
+            } => write!(
+                f,
+                "landmark list has {landmarks} entries but the graph has only {vertices} vertices"
+            ),
+            BuildError::LandmarkLimit { landmarks, limit } => write!(
+                f,
+                "landmark list has {landmarks} entries but a label entry holds at most \
+                 {limit} landmarks"
+            ),
+            BuildError::LandmarkOutOfRange { vertex, vertices } => write!(
+                f,
+                "landmark list names out-of-range vertex {vertex} (n = {vertices})"
+            ),
+            BuildError::DuplicateLandmark { vertex } => {
+                write!(f, "landmark list names vertex {vertex} twice")
+            }
+            BuildError::DistanceLimit {
+                vertex,
+                distance,
+                limit,
+            } => write!(
+                f,
+                "vertex {vertex} is {distance} hops from a landmark it is labelled with, but a \
+                 label entry holds distances up to {limit}"
+            ),
         }
     }
 }
 
-impl From<IndexConfig> for BuildOptions {
-    fn from(config: IndexConfig) -> Self {
-        Self {
-            num_landmarks: config.num_landmarks,
-            ..Self::default()
+impl std::error::Error for BuildError {}
+
+impl BuildError {
+    /// The distance refusal for `vertex` at `distance`.
+    pub(crate) fn too_far(vertex: VertexId, distance: u32) -> Self {
+        BuildError::DistanceLimit {
+            vertex,
+            distance,
+            limit: MAX_LABEL_DISTANCE,
         }
     }
 }
@@ -151,7 +154,7 @@ impl From<IndexConfig> for BuildOptions {
 /// [`BfsScratch`] the insert repair's find phase searches with. One
 /// context serves any number of builds and repairs; create one per worker
 /// thread. Callers that rebuild indexes repeatedly can hold a pool and
-/// pass it to [`HighwayCoverIndex::build_in`].
+/// pass it to [`HighwayCoverIndex::build`].
 #[derive(Default)]
 pub struct BuildContext {
     pub(crate) scratch: BfsScratch,
@@ -170,6 +173,18 @@ impl BuildContext {
     pub fn scratch_capacity(&self) -> usize {
         self.scratch.dist.capacity()
     }
+
+    /// The worker count the `HCL_BUILD_THREADS` environment variable asks
+    /// for, if it is set to a positive integer. The one reader of the
+    /// variable: a build given no contexts runs this many workers (else
+    /// one, the calling thread), and `hcl` takes it as the `--threads`
+    /// default (else every core).
+    pub fn threads_from_env() -> Option<usize> {
+        std::env::var("HCL_BUILD_THREADS")
+            .ok()
+            .and_then(|s| s.parse::<usize>().ok())
+            .filter(|&t| t > 0)
+    }
 }
 
 /// `a + b` in distance arithmetic: saturating addition.
@@ -186,7 +201,7 @@ pub(crate) fn sat_add(a: u32, b: u32) -> u32 {
 }
 
 /// Per-build instrumentation: phase wall times and sweep counters,
-/// produced by [`HighwayCoverIndex::build_with_stats`].
+/// returned by [`HighwayCoverIndex::build`].
 ///
 /// The counters (`bfs_visits`, `label_insertions`, `dominated`,
 /// `landmark_labels`) are **thread-count-invariant**: they are pure
@@ -199,7 +214,9 @@ pub(crate) fn sat_add(a: u32, b: u32) -> u32 {
 /// they measure now is stated on each.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BuildStats {
-    /// Wall time of landmark selection, in microseconds.
+    /// Wall time of landmark selection, in microseconds: 0 from
+    /// [`HighwayCoverIndex::build`], which takes its landmarks as given;
+    /// a caller that selects them records the time here.
     pub selection_us: u64,
     /// Wall time of each sweep group (64 landmarks), in microseconds, in
     /// rank order. Groups overlap in time when built with several threads.
@@ -209,7 +226,8 @@ pub struct BuildStats {
     /// Wall time of laying the entries out as the hub-sorted CSR, in
     /// microseconds. (The highway needs no closure.)
     pub closure_us: u64,
-    /// Whole-build wall time, in microseconds.
+    /// Wall time of the labelling, sweeps and fill together, in
+    /// microseconds.
     pub total_us: u64,
     /// `(landmark, vertex)` pairs reached, roots included — the vertices
     /// the per-landmark BFSs would have dequeued between them.
@@ -251,7 +269,8 @@ pub struct IndexStats {
     pub bytes: usize,
 }
 
-/// A built highway-cover 2-hop labelling over one [`Graph`] — the owned,
+/// A built highway-cover 2-hop labelling over one
+/// [`Graph`](hcl_core::Graph) — the owned,
 /// `Vec`-backed storage of the index.
 ///
 /// The index borrows nothing: it is a standalone snapshot that answers
@@ -278,129 +297,54 @@ pub struct HighwayCoverIndex {
 }
 
 impl HighwayCoverIndex {
-    /// Builds the index for `graph` with the given configuration: takes
-    /// the `num_landmarks` highest-degree vertices as landmarks, then
-    /// labels the graph for them (see the module docs for the labelling
-    /// and the sweep that computes it).
+    /// Labels `graph` for a landmark list, in rank order (rank 0 first),
+    /// with one worker per context: the one way to build an index. `hcl
+    /// build` passes the graph's `top_k_by_degree`; a delete's relabel
+    /// runs it over the edited graph's patched view, and a repair that
+    /// keeps its landmarks compares against it. `graph` is any [`Rows`]
+    /// source; an owned `&Graph` is swept over its bare arrays. See the
+    /// module docs for the labelling and the sweep that computes it.
     ///
-    /// Thread count defaults to auto (`HCL_BUILD_THREADS` or the calling
-    /// thread); use [`HighwayCoverIndex::build_with`] for explicit control.
+    /// Workers take whole sweep groups of 64 landmarks, so contexts beyond
+    /// the group count stay idle, and the result is **byte-identical at
+    /// every context count**. An empty `contexts` slice is auto mode:
+    /// [`BuildContext::threads_from_env`] fresh contexts, else the calling
+    /// thread. Callers that build repeatedly amortise their allocations by
+    /// passing the same contexts again.
     ///
-    /// # Panics
-    /// Panics, naming the limit, when asked for more than
-    /// [`MAX_LANDMARKS`](crate::MAX_LANDMARKS) landmarks on a graph that
-    /// has more vertices than that, or when a label entry would hold a
-    /// distance above [`MAX_LABEL_DISTANCE`](crate::MAX_LABEL_DISTANCE)
-    /// (possible only on graphs of more than 2^24 vertices); the same
-    /// holds for every build entry point.
-    pub fn build(graph: &Graph, config: IndexConfig) -> Self {
-        Self::build_with(graph, &BuildOptions::from(config))
-    }
-
-    /// Builds the index with explicit thread control.
-    ///
-    /// The result is **byte-identical at every thread count**;
-    /// `threads = 1` runs fully in the calling thread with one
-    /// [`BuildContext`].
-    pub fn build_with(graph: &Graph, options: &BuildOptions) -> Self {
-        let landmarks = graph.top_k_by_degree(options.num_landmarks);
-        Self::build_in(graph, &landmarks, &mut worker_contexts(options))
-    }
-
-    /// [`HighwayCoverIndex::build_with`] plus instrumentation: returns the
-    /// index together with [`BuildStats`] (phase wall times, sweep
+    /// Returns the index with its [`BuildStats`] (phase wall times, sweep
     /// counters, per-landmark label contributions), and streams one
     /// human-readable line per build event to `progress` when given (the
-    /// CLI's `build --progress` prints them to stderr).
+    /// CLI's `build --progress` prints them to stderr). Instrumentation
+    /// never changes the output.
     ///
-    /// Instrumentation never changes the output: the index is byte-
-    /// identical to a [`build_with`](Self::build_with) run, and the stats
-    /// counters are thread-count-invariant (see [`BuildStats`]).
-    pub fn build_with_stats(
-        graph: &Graph,
-        options: &BuildOptions,
-        mut progress: Option<&mut dyn FnMut(String)>,
-    ) -> (Self, BuildStats) {
-        let t = Instant::now();
-        let landmarks = graph.top_k_by_degree(options.num_landmarks);
-        let mut stats = BuildStats {
-            selection_us: t.elapsed().as_micros() as u64,
-            ..BuildStats::default()
-        };
-        if let Some(sink) = progress.as_mut() {
-            sink(format!(
-                "select: {} landmark(s) by degree in {} µs",
-                landmarks.len(),
-                stats.selection_us
-            ));
-        }
-        let index = Self::build_observed(
-            graph,
-            &landmarks,
-            &mut worker_contexts(options),
-            &mut stats,
-            progress,
-        )
-        .unwrap_or_else(|e| e.fail());
-        (index, stats)
-    }
-
-    /// Labels `graph` for a caller-supplied landmark list, in rank order
-    /// (rank 0 first), reusing caller-owned worker scratch. This is the
-    /// one explicit-landmark entry point: a delete's relabel runs it over
-    /// the edited graph's patched view, a repair that keeps its
-    /// landmarks compares against it, and repeated builds amortise their
-    /// allocations through it. `graph` is any [`Rows`] source; an owned
-    /// `&Graph` is swept over its bare arrays.
-    ///
-    /// One worker runs per context, so `contexts.len()` is the thread
-    /// count here, capped at the number of sweep groups (extra workers
-    /// could never receive work). An empty slice builds in the calling
-    /// thread with temporary scratch.
-    ///
-    /// # Panics
-    /// Panics with a message naming the problem if `landmarks` has more
-    /// entries than `graph` has vertices or than
+    /// # Errors
+    /// A [`BuildError`] naming the problem, before any sweep, if
+    /// `landmarks` has more entries than `graph` has vertices or than
     /// [`MAX_LANDMARKS`](crate::MAX_LANDMARKS), names a vertex out of
-    /// range, or names one vertex twice, and with one naming the distance
-    /// limit if a label entry would not fit its word (see
-    /// [`build`](Self::build)).
-    pub fn build_in<'g>(
+    /// range, or names one vertex twice; and, before the fill, if a label
+    /// entry would hold a distance above
+    /// [`MAX_LABEL_DISTANCE`](crate::MAX_LABEL_DISTANCE) (possible only on
+    /// graphs of more than 2^24 vertices).
+    pub fn build<'g>(
         graph: impl Rows<'g, VertexId> + Send,
         landmarks: &[VertexId],
         contexts: &mut [BuildContext],
-    ) -> Self {
-        Self::relabel(graph, landmarks, contexts).unwrap_or_else(|e| e.fail())
-    }
-
-    /// [`build_in`](Self::build_in), but a label entry that would not fit
-    /// its word is an error instead of a panic: the delete's relabel,
-    /// which refuses the edit instead.
-    pub(crate) fn relabel<'g>(
-        graph: impl Rows<'g, VertexId> + Send,
-        landmarks: &[VertexId],
-        contexts: &mut [BuildContext],
-    ) -> Result<Self, TooFar> {
-        Self::build_observed(graph, landmarks, contexts, &mut BuildStats::default(), None)
-    }
-
-    /// The one real build path: every public entry point funnels here.
-    /// `stats` is always populated apart from `selection_us`, which only
-    /// [`build_with_stats`](Self::build_with_stats) measures (the
-    /// un-instrumented entries hand in a throwaway — the bookkeeping is a
-    /// handful of timestamps and counter folds per sweep *group*);
-    /// `progress` streams per-phase lines when given. Fails, before the
-    /// fill, when some label entry would not fit its word.
-    fn build_observed<'g>(
-        graph: impl Rows<'g, VertexId> + Send,
-        landmarks: &[VertexId],
-        contexts: &mut [BuildContext],
-        stats: &mut BuildStats,
         mut progress: Option<&mut dyn FnMut(String)>,
-    ) -> Result<Self, TooFar> {
+    ) -> Result<(Self, BuildStats), BuildError> {
         let t_total = Instant::now();
-        let landmark_rank = rank_table(landmarks, graph.num_rows());
+        let landmark_rank = rank_table(landmarks, graph.num_rows())?;
         let k = landmarks.len();
+        let mut auto = Vec::new();
+        let contexts = if contexts.is_empty() {
+            auto.resize_with(
+                BuildContext::threads_from_env().unwrap_or(1),
+                BuildContext::new,
+            );
+            &mut auto[..]
+        } else {
+            contexts
+        };
         // Contexts beyond the group count could never receive work; cap
         // the pool so no idle worker threads get spawned.
         let workers = contexts.len().min(k.div_ceil(sweep::WIDTH));
@@ -411,6 +355,7 @@ impl HighwayCoverIndex {
         };
 
         let swept = label(graph, landmarks, &landmark_rank, &mut contexts[..workers])?;
+        let mut stats = BuildStats::default();
         for (number, group) in swept.groups.iter().enumerate() {
             stats.batch_us.push(group.us);
             stats.bfs_visits += group.arrivals;
@@ -437,19 +382,20 @@ impl HighwayCoverIndex {
             "fill: {} label entries laid out in {} µs",
             stats.label_insertions, stats.closure_us
         ));
-        stats.total_us = stats.selection_us + t_total.elapsed().as_micros() as u64;
+        stats.total_us = t_total.elapsed().as_micros() as u64;
         emit(format!(
             "build: done in {} µs ({:.1} % of arrivals covered)",
             stats.total_us,
             stats.domination_cut_rate() * 100.0
         ));
-        Ok(HighwayCoverIndex {
+        let index = HighwayCoverIndex {
             landmarks: landmarks.to_vec(),
             landmark_rank,
             label_offsets: swept.label_offsets,
             label_entries: swept.label_entries,
             highway: swept.highway,
-        })
+        };
+        Ok((index, stats))
     }
 
     /// A borrowed, `Copy` view of this index. Cheap; this is the type the
@@ -491,57 +437,60 @@ impl HighwayCoverIndex {
     }
 }
 
-/// One fresh context per worker `options` asks for; the build itself
-/// leaves idle the ones beyond its group count.
-fn worker_contexts(options: &BuildOptions) -> Vec<BuildContext> {
-    (0..options.resolved_threads())
-        .map(|_| BuildContext::new())
-        .collect()
-}
-
 /// The rank table of a landmark list: vertex id → rank, or
-/// [`NOT_A_LANDMARK`]; `n` entries.
-///
-/// # Panics
-/// Panics with a message naming the problem if the list has more than `n`
-/// entries or more than [`MAX_LANDMARKS`], names a vertex `≥ n`, or names
-/// one vertex twice — a bad list must fail the build loudly, not corrupt
-/// the rank table.
-fn rank_table(landmarks: &[VertexId], n: usize) -> Vec<u32> {
-    assert!(
-        landmarks.len() <= n,
-        "landmark list has {} entries but the graph has only {n} vertices",
-        landmarks.len()
-    );
-    assert!(
-        landmarks.len() <= MAX_LANDMARKS,
-        "landmark list has {} entries but a label entry holds at most {MAX_LANDMARKS} landmarks",
-        landmarks.len()
-    );
+/// [`NOT_A_LANDMARK`]; `n` entries. Fails, naming the problem, if the
+/// list has more than `n` entries or more than [`MAX_LANDMARKS`], names a
+/// vertex `≥ n`, or names one vertex twice — a bad list must fail the
+/// build, not corrupt the rank table.
+fn rank_table(landmarks: &[VertexId], n: usize) -> Result<Vec<u32>, BuildError> {
+    if landmarks.len() > n {
+        return Err(BuildError::TooManyLandmarks {
+            landmarks: landmarks.len(),
+            vertices: n,
+        });
+    }
+    if landmarks.len() > MAX_LANDMARKS {
+        return Err(BuildError::LandmarkLimit {
+            landmarks: landmarks.len(),
+            limit: MAX_LANDMARKS,
+        });
+    }
     let mut landmark_rank = vec![NOT_A_LANDMARK; n];
-    for (rank, &v) in landmarks.iter().enumerate() {
-        let slot = landmark_rank
-            .get_mut(v as usize)
-            .unwrap_or_else(|| panic!("landmark list names out-of-range vertex {v} (n = {n})"));
-        assert!(
-            *slot == NOT_A_LANDMARK,
-            "landmark list names vertex {v} twice"
-        );
+    for (rank, &vertex) in landmarks.iter().enumerate() {
+        let slot =
+            landmark_rank
+                .get_mut(vertex as usize)
+                .ok_or(BuildError::LandmarkOutOfRange {
+                    vertex,
+                    vertices: n,
+                })?;
+        if *slot != NOT_A_LANDMARK {
+            return Err(BuildError::DuplicateLandmark { vertex });
+        }
         *slot = rank as u32;
     }
-    landmark_rank
+    Ok(landmark_rank)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hcl_core::testkit;
-    use hcl_core::INFINITY;
+    use hcl_core::{Graph, INFINITY};
+
+    impl HighwayCoverIndex {
+        /// The top `k` by degree, labelled with the auto-mode contexts:
+        /// what the crate's unit tests build.
+        pub(crate) fn build_top_k(graph: &Graph, k: usize) -> Self {
+            let landmarks = graph.top_k_by_degree(k);
+            Self::build(graph, &landmarks, &mut [], None).unwrap().0
+        }
+    }
 
     #[test]
     fn star_landmark_is_the_centre() {
         let g = testkit::star(10);
-        let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 1 });
+        let idx = HighwayCoverIndex::build_top_k(&g, 1);
         assert_eq!(idx.num_landmarks(), 1);
         assert!(idx.is_landmark(0));
         // Every leaf is labelled with the centre at distance 1.
@@ -553,14 +502,14 @@ mod tests {
     #[test]
     fn landmark_count_clamps_to_vertex_count() {
         let g = testkit::path(3);
-        let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 100 });
+        let idx = HighwayCoverIndex::build_top_k(&g, 100);
         assert_eq!(idx.num_landmarks(), 3);
     }
 
     #[test]
     fn labels_are_hub_sorted() {
         let g = testkit::erdos_renyi(60, 0.08, 3);
-        let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 8 });
+        let idx = HighwayCoverIndex::build_top_k(&g, 8);
         for v in 0..60 {
             let hubs: Vec<u32> = idx.label(v).map(|(h, _)| h).collect();
             let mut sorted = hubs.clone();
@@ -573,7 +522,7 @@ mod tests {
     #[test]
     fn stats_report_plausible_sizes() {
         let g = testkit::grid(8, 8);
-        let idx = HighwayCoverIndex::build(&g, IndexConfig::default());
+        let idx = HighwayCoverIndex::build_top_k(&g, 16);
         let s = idx.stats();
         assert_eq!(s.num_landmarks, 16);
         assert!(s.total_label_entries > 0);
@@ -597,15 +546,13 @@ mod tests {
     fn build_stats_counters_are_thread_invariant_and_consistent() {
         // 130 landmarks → 3 sweep groups, so 4 threads really run workers.
         let g = testkit::barabasi_albert(300, 3, 7);
-        let opts = |threads| BuildOptions {
-            num_landmarks: 130,
-            threads,
-            ..BuildOptions::default()
-        };
+        let landmarks = g.top_k_by_degree(130);
+        let mut contexts: Vec<BuildContext> = (0..4).map(|_| BuildContext::new()).collect();
         let mut lines = Vec::new();
         let mut sink = |l: String| lines.push(l);
-        let (idx1, s1) = HighwayCoverIndex::build_with_stats(&g, &opts(1), Some(&mut sink));
-        let (idx4, s4) = HighwayCoverIndex::build_with_stats(&g, &opts(4), None);
+        let (idx1, s1) =
+            HighwayCoverIndex::build(&g, &landmarks, &mut contexts[..1], Some(&mut sink)).unwrap();
+        let (idx4, s4) = HighwayCoverIndex::build(&g, &landmarks, &mut contexts, None).unwrap();
 
         // The counters are pure functions of (graph, landmark set) —
         // identical across thread counts, like the index itself.
@@ -628,13 +575,13 @@ mod tests {
             assert_eq!(entries, held.count() as u64, "landmark {rank}");
         }
 
-        // One time per group, nothing merged.
+        // One time per group, nothing merged, no selection timed.
         assert_eq!(s1.batch_us.len(), 3);
         assert_eq!(s1.merge_us, 0);
+        assert_eq!(s1.selection_us, 0);
 
         // The progress sink saw every phase.
         for prefix in [
-            "select: ",
             "sweep 1: landmarks 0..64 of 130 ",
             "sweep 3: landmarks 128..130 of 130 ",
             "fill: ",
@@ -648,35 +595,51 @@ mod tests {
     }
 
     #[test]
-    fn build_options_resolve_explicit_values() {
-        let explicit = BuildOptions {
-            threads: 3,
-            batch_size: 5,
-            ..BuildOptions::default()
-        };
-        assert_eq!(explicit.resolved_threads(), 3);
-        // The batch size is ignored: the sweep width is what is recorded.
-        assert_eq!(explicit.resolved_batch_size(), 64);
-        assert_eq!(BuildOptions::default().resolved_batch_size(), 64);
-    }
-
-    #[test]
     fn build_in_rejects_bad_landmark_lists() {
         let g = testkit::path(4);
-        for (bad, what, names) in [
-            (&[0, 1, 2, 3, 0][..], "too long", "5 entries"),
-            (&[0, 9], "out of range", "out-of-range vertex 9"),
-            (&[1, 1], "duplicate", "vertex 1 twice"),
+        let wide = testkit::path(300);
+        let over_limit: Vec<VertexId> = (0..257).collect();
+        for (graph, bad, want, names) in [
+            (
+                &g,
+                &[0, 1, 2, 3, 0][..],
+                BuildError::TooManyLandmarks {
+                    landmarks: 5,
+                    vertices: 4,
+                },
+                "5 entries",
+            ),
+            (
+                &wide,
+                &over_limit,
+                BuildError::LandmarkLimit {
+                    landmarks: 257,
+                    limit: 256,
+                },
+                "at most 256 landmarks",
+            ),
+            (
+                &g,
+                &[0, 9],
+                BuildError::LandmarkOutOfRange {
+                    vertex: 9,
+                    vertices: 4,
+                },
+                "out-of-range vertex 9",
+            ),
+            (
+                &g,
+                &[1, 1],
+                BuildError::DuplicateLandmark { vertex: 1 },
+                "vertex 1 twice",
+            ),
         ] {
-            let err = std::panic::catch_unwind(|| HighwayCoverIndex::build_in(&g, bad, &mut []))
-                .map(|_| ())
-                .expect_err(what);
-            let msg = err
-                .downcast_ref::<String>()
-                .expect("panic message is a String");
+            let got = HighwayCoverIndex::build(graph, bad, &mut [], None).map(|_| ());
+            assert_eq!(got, Err(want), "{names}");
+            let msg = want.to_string();
             assert!(
                 msg.starts_with("landmark list ") && msg.contains(names),
-                "{what}: {msg}"
+                "{msg}"
             );
         }
     }

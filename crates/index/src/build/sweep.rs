@@ -57,8 +57,8 @@
 //! unions either way, an entry's slot is a popcount rank, and a highway
 //! cell is addressed by (bit, rank).
 
-use super::{BuildContext, NOT_A_LANDMARK};
-use crate::view::{pack_label_entry, try_pack_label_entry, MAX_LABEL_DISTANCE};
+use super::{BuildContext, BuildError, NOT_A_LANDMARK};
+use crate::view::{pack_label_entry, try_pack_label_entry};
 use hcl_core::{Rows, VertexId, INFINITY};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::ScopedJoinHandle;
@@ -292,25 +292,6 @@ fn sweep_group<'g>(
     out
 }
 
-/// A label entry its word cannot hold: `vertex` is `distance` hops from a
-/// landmark it would be labelled with, past [`MAX_LABEL_DISTANCE`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct TooFar {
-    pub(crate) vertex: VertexId,
-    pub(crate) distance: u32,
-}
-
-impl TooFar {
-    /// The build's failure: a panic naming the limit.
-    pub(crate) fn fail(self) -> ! {
-        panic!(
-            "vertex {} is {} hops from a landmark it is labelled with, but a label entry \
-             holds distances up to {MAX_LABEL_DISTANCE}",
-            self.vertex, self.distance
-        )
-    }
-}
-
 /// A complete labelling for a fixed landmark set: the hub-sorted label
 /// CSR, the exact highway, and the per-group reports it was assembled from.
 pub(crate) struct Labelling {
@@ -337,7 +318,7 @@ pub(super) fn label<'g>(
     landmarks: &[VertexId],
     landmark_rank: &[u32],
     contexts: &mut [BuildContext],
-) -> Result<Labelling, TooFar> {
+) -> Result<Labelling, BuildError> {
     let k = landmarks.len();
     let starts = (0..k).step_by(WIDTH);
     let groups: Vec<GroupSweep> = if contexts.len() > 1 {
@@ -380,10 +361,7 @@ pub(super) fn label<'g>(
         if let Some(emit) = group.emits.last() {
             let rank = (group.start + emit.bits.trailing_zeros() as usize) as u32;
             if try_pack_label_entry(rank, emit.depth).is_none() {
-                return Err(TooFar {
-                    vertex: emit.vertex,
-                    distance: emit.depth,
-                });
+                return Err(BuildError::too_far(emit.vertex, emit.depth));
             }
         }
     }
@@ -509,7 +487,7 @@ mod tests {
         let g = testkit::broom(1_000, 3, 1_500, 23);
         for k in [16, 65] {
             let landmarks = g.top_k_by_degree(k);
-            let rank = rank_table(&landmarks, g.num_vertices());
+            let rank = rank_table(&landmarks, g.num_vertices()).unwrap();
             let swept = label(&g, &landmarks, &rank, &mut []).unwrap();
             for group in &swept.groups {
                 let (dense, levels) = (group.dense_levels, group.levels);
@@ -535,7 +513,7 @@ mod tests {
         ] {
             for k in [16, 65] {
                 let landmarks = g.top_k_by_degree(k);
-                let rank = rank_table(&landmarks, g.num_vertices());
+                let rank = rank_table(&landmarks, g.num_vertices()).unwrap();
                 let swept = label(&g, &landmarks, &rank, &mut []).unwrap();
                 for group in &swept.groups {
                     let tag = format!("{name} k={k} group {}", group.start);
@@ -559,7 +537,7 @@ mod tests {
             let overlay = PatchedGraph::new(g.as_view());
             for k in [16, 65] {
                 let landmarks = g.top_k_by_degree(k);
-                let rank = rank_table(&landmarks, g.num_vertices());
+                let rank = rank_table(&landmarks, g.num_vertices()).unwrap();
                 let bare = label(&g, &landmarks, &rank, &mut []).unwrap();
                 let over = label(overlay.as_view(), &landmarks, &rank, &mut []).unwrap();
                 assert_eq!(over.label_offsets, bare.label_offsets, "k={k}");

@@ -24,11 +24,13 @@
 //! is a function of the graph and the landmark set alone, and minimal.
 //! Construction evaluates the definition for 64 landmarks at a time in one
 //! bit-parallel multi-source BFS sweep, writing entries straight into the
-//! hub-sorted CSR; groups of 64 share nothing and are optionally sharded
-//! over scoped worker threads ([`BuildOptions`] / [`BuildContext`]), so
-//! the built index is byte-identical at every thread count — see the
-//! `build` module docs. A caller with its own landmark list labels the
-//! graph for it with [`HighwayCoverIndex::build_in`].
+//! hub-sorted CSR; groups of 64 share nothing and are sharded over one
+//! scoped worker thread per [`BuildContext`], so the built index is
+//! byte-identical at every thread count — see the `build` module docs.
+//! [`HighwayCoverIndex::build`] is the one way in: it labels a graph for
+//! the landmark list it is given (`hcl` passes the `k` highest-degree
+//! vertices), and a bad list or a distance no label entry holds is a
+//! [`BuildError`], not a panic.
 //!
 //! Storage comes in two backings sharing one query engine:
 //!
@@ -53,25 +55,24 @@
 //! Observability is a compile-time opt-in: the query path is generic over
 //! the [`Probe`] trait (no-op by default, so un-instrumented queries pay
 //! nothing) and [`QueryStats`] is the standard collector; builds report
-//! deterministic sweep counters and per-phase wall times through
-//! [`BuildStats`] / [`HighwayCoverIndex::build_with_stats`].
+//! deterministic sweep counters and per-phase wall times in the
+//! [`BuildStats`] every build returns.
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod build;
+mod harness;
 mod probe;
 mod query;
 pub mod repair;
-mod select;
 mod view;
 
-pub use build::{
-    BuildContext, BuildOptions, BuildStats, HighwayCoverIndex, IndexConfig, IndexStats,
-};
+pub use build::{BuildContext, BuildError, BuildStats, HighwayCoverIndex, IndexStats};
+#[doc(hidden)]
+pub use harness::*;
 pub use probe::{AnswerSource, MergeKind, Probe, QueryStats};
 pub use query::QueryContext;
 pub use repair::{LabelArrays, PatchedIndex, RepairOutcome};
-pub use select::SelectionStrategy;
 pub use view::{
     pack_label_entry, unpack_label_entry, IndexDataError, IndexView, MAX_LABEL_DISTANCE,
     MAX_LANDMARKS,

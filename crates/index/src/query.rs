@@ -642,7 +642,7 @@ mod tests {
 
     #[test]
     fn residual_bfs_returns_the_clipped_landmark_free_distance_and_a_clean_context() {
-        use crate::{HighwayCoverIndex, IndexConfig};
+        use crate::HighwayCoverIndex;
         let mut graphs = hcl_core::testkit::families();
         graphs.push((
             "ba(150,2)".into(),
@@ -657,7 +657,7 @@ mod tests {
             let n = g.num_vertices();
             let ks: &[usize] = if n > 200 { &[0] } else { &[0, 1, 4] };
             for &k in ks {
-                let index = HighwayCoverIndex::build(g, IndexConfig { num_landmarks: k });
+                let index = HighwayCoverIndex::build_top_k(g, k);
                 let iv = index.as_view();
                 let landmarks = iv.landmarks();
                 for u in 0..n as VertexId {
@@ -700,8 +700,11 @@ mod tests {
         let g = hcl_core::testkit::barabasi_albert(60, 2, 5);
         let top = g.top_k_by_degree(4);
         let reversed: Vec<VertexId> = top.iter().rev().copied().collect();
-        let indexes = [&top[..1], &top[..], &reversed[..]]
-            .map(|landmarks| HighwayCoverIndex::build_in(&g, landmarks, &mut []));
+        let indexes = [&top[..1], &top[..], &reversed[..]].map(|landmarks| {
+            HighwayCoverIndex::build(&g, landmarks, &mut [], None)
+                .unwrap()
+                .0
+        });
         let mut ctx = QueryContext::new();
         let mut adjacent_landmark_pairs = 0;
         let n = g.num_vertices() as VertexId;
@@ -823,7 +826,7 @@ mod tests {
     /// repairs labels at both ends of many pairs.
     #[test]
     fn patched_generations_answer_like_their_splice_and_the_oracle() {
-        use crate::{BuildContext, HighwayCoverIndex, IndexConfig, PatchedIndex};
+        use crate::{BuildContext, HighwayCoverIndex, PatchedIndex};
         let mut ctx = QueryContext::new();
         let mut cx = BuildContext::new();
         let mut covered = [false; 4];
@@ -833,7 +836,7 @@ mod tests {
                 continue;
             }
             let base = std::sync::Arc::new(g);
-            let index = HighwayCoverIndex::build(&base, IndexConfig { num_landmarks: 4 });
+            let index = HighwayCoverIndex::build_top_k(&base, 4);
             let landmarks = index.as_view().landmarks().to_vec();
             // The row to empty: the busiest vertex that is not a landmark.
             let emptied = (0..n as VertexId)
@@ -867,10 +870,10 @@ mod tests {
     #[test]
     fn probed_queries_match_plain_queries_and_classify() {
         use crate::probe::{AnswerSource, QueryStats};
-        use crate::{HighwayCoverIndex, IndexConfig};
+        use crate::HighwayCoverIndex;
         for (name, g) in hcl_core::testkit::families() {
             for k in [0usize, 1, 4] {
-                let index = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: k });
+                let index = HighwayCoverIndex::build_top_k(&g, k);
                 let iv = index.as_view();
                 let mut ctx = QueryContext::new();
                 let mut stats = QueryStats::new();

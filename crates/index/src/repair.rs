@@ -25,7 +25,7 @@
 //! vertices one copy, its offsets shifted) and adopts the result as the new
 //! base; when no repair wrote anything since the last flatten it keeps the
 //! same base and copies nothing. A delete's relabel adopts what
-//! [`HighwayCoverIndex::build_in`] returns over the edited graph's view as
+//! [`HighwayCoverIndex::build`] returns over the edited graph's view as
 //! the base directly.
 //!
 //! The repair contract is **answer identity, and near byte identity**:
@@ -131,7 +131,7 @@
 //! endpoint depths differ (by 1, since the edge existed), so landmark `i`
 //! is affected iff `da[i] ≠ db[i]`; an empty affected set costs nothing.
 //! Otherwise the post-edit graph is labelled afresh for the same landmark
-//! set by [`HighwayCoverIndex::build_in`] over its view — labels and
+//! set by [`HighwayCoverIndex::build`] over its view — labels and
 //! every highway row in one pass — and the index it returns becomes the
 //! new base, with no unpacking; so after a delete the index *is* a fresh
 //! build's. The asymmetry with insertion is load bearing: a deletion
@@ -141,10 +141,8 @@
 //! "only the affected trees" nor "only tighten" is sound. A decremental partial repair is future work; until
 //! then a delete costs a build minus selection.
 
-use crate::build::{sat_add, BuildContext, HighwayCoverIndex, TooFar, NOT_A_LANDMARK};
-use crate::view::{
-    entry_dist, entry_hub, pack_label_entry, try_pack_label_entry, IndexView, MAX_LABEL_DISTANCE,
-};
+use crate::build::{sat_add, BuildContext, BuildError, HighwayCoverIndex, NOT_A_LANDMARK};
+use crate::view::{entry_dist, entry_hub, pack_label_entry, try_pack_label_entry, IndexView};
 use hcl_core::{
     DeltaError, DeltaOp, EdgeDelta, GraphView, Overlay, PatchedGraph, VertexId, INFINITY,
 };
@@ -208,9 +206,8 @@ pub struct PatchedIndex {
     copied: usize,
 }
 
-/// [`PatchedIndex`], kept only because the frozen harness names it
-/// (ROADMAP 1(c)).
-pub type DynamicIndex = PatchedIndex;
+#[doc(hidden)]
+pub use crate::harness::in_repair::*;
 
 impl PatchedIndex {
     /// Copies a frozen index (owned or mapped) into editable form: five
@@ -353,10 +350,13 @@ impl PatchedIndex {
     /// ineffective delta (inserting a present edge, deleting an absent
     /// one) leaves both untouched and reports `applied: false`. An edit
     /// that would give some label entry a distance above
-    /// [`MAX_LABEL_DISTANCE`] (possible only on graphs of more than 2^24
-    /// vertices) is refused with [`DeltaError::DistanceLimit`]: the
-    /// repair finds that before it writes anything, and the graph edit is
-    /// undone, so the graph has its old edges and the index is untouched.
+    /// [`MAX_LABEL_DISTANCE`](crate::MAX_LABEL_DISTANCE) (possible only on
+    /// graphs of more than 2^24 vertices) is refused with
+    /// [`DeltaError::DistanceLimit`]: the repair finds that before it
+    /// writes anything, and the graph edit is undone, so the graph has its
+    /// old edges and the index is untouched. A delete that must relabel an
+    /// index whose landmark list its graph does not fit is refused the
+    /// same way, with [`DeltaError::UnfitLandmarks`].
     ///
     /// # Panics
     /// Panics if `graph` does not have the vertex count this index was
@@ -396,16 +396,24 @@ impl PatchedIndex {
             }
             DeltaOp::Delete => self.repair_delete(graph.as_view(), &da, &db, cx),
         };
-        repaired.or_else(|too_far| {
+        repaired.or_else(|refused| {
             let undo = match delta.op {
                 DeltaOp::Insert => EdgeDelta::delete(delta.u, delta.v),
                 DeltaOp::Delete => EdgeDelta::insert(delta.u, delta.v),
             };
             graph.apply(undo)?;
-            Err(DeltaError::DistanceLimit {
-                vertex: too_far.vertex,
-                distance: too_far.distance,
-                limit: MAX_LABEL_DISTANCE,
+            Err(match refused {
+                BuildError::DistanceLimit {
+                    vertex,
+                    distance,
+                    limit,
+                } => DeltaError::DistanceLimit {
+                    vertex,
+                    distance,
+                    limit,
+                },
+                // The relabel's own landmark list, refused.
+                _ => DeltaError::UnfitLandmarks,
             })
         })
     }
@@ -421,7 +429,7 @@ impl PatchedIndex {
         da: &[u32],
         db: &[u32],
         cx: &mut BuildContext,
-    ) -> Result<RepairOutcome, TooFar> {
+    ) -> Result<RepairOutcome, BuildError> {
         // The pre-edit labels and highway, read through one view: the base
         // lends its arrays once per repair, not once per label read.
         let before = self.as_view();
@@ -486,7 +494,7 @@ impl PatchedIndex {
                 && try_pack_label_entry(i, d).is_none()
         });
         if let Some(&(_, vertex, distance)) = too_far {
-            return Err(TooFar { vertex, distance });
+            return Err(BuildError::too_far(vertex, distance));
         }
 
         // Highway in closed form: a new shortest path crosses the new edge
@@ -539,7 +547,7 @@ impl PatchedIndex {
 
     /// The delete branch: if any landmark is affected, relabel the
     /// post-edit graph for the same landmarks with
-    /// [`HighwayCoverIndex::build_in`] (see the module docs for why nothing
+    /// [`HighwayCoverIndex::build`] (see the module docs for why nothing
     /// less is sound) and adopt the result as the new base, pending edits
     /// and all superseded. Fails, adopting nothing, if the relabel meets
     /// a label entry that does not fit its word.
@@ -549,7 +557,7 @@ impl PatchedIndex {
         da: &[u32],
         db: &[u32],
         cx: &mut BuildContext,
-    ) -> Result<RepairOutcome, TooFar> {
+    ) -> Result<RepairOutcome, BuildError> {
         // A removed edge lies on a shortest path from i exactly when the
         // endpoint depths differ (by 1, since the edge existed; equal
         // depths mean no shortest path from i crosses it, so i's distances
@@ -563,7 +571,8 @@ impl PatchedIndex {
         }
 
         let landmarks = self.base.as_view().landmarks;
-        let relabelled = HighwayCoverIndex::relabel(graph, landmarks, std::slice::from_mut(cx))?;
+        let (relabelled, _) =
+            HighwayCoverIndex::build(graph, landmarks, std::slice::from_mut(cx), None)?;
         self.adopt(relabelled);
 
         Ok(RepairOutcome {
@@ -591,18 +600,12 @@ fn landmark_distance(index: IndexView<'_>, i: usize, v: VertexId) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BuildOptions, HighwayCoverIndex, QueryContext};
+    use crate::{HighwayCoverIndex, QueryContext};
     use hcl_core::Graph;
 
     fn assert_answers_match_rebuild(graph: &PatchedGraph, dynamic: &PatchedIndex, k: usize) {
         let edited = graph.to_graph();
-        let rebuilt = HighwayCoverIndex::build_with(
-            &edited,
-            &BuildOptions {
-                num_landmarks: k,
-                ..Default::default()
-            },
-        );
+        let rebuilt = HighwayCoverIndex::build_top_k(&edited, k);
         let repaired = dynamic.to_index();
         let mut cx_a = QueryContext::new();
         let mut cx_b = QueryContext::new();
@@ -621,13 +624,7 @@ mod tests {
     #[test]
     fn roundtrip_is_lossless() {
         let g = Graph::from_edges(&[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]);
-        let built = HighwayCoverIndex::build_with(
-            &g,
-            &BuildOptions {
-                num_landmarks: 2,
-                ..Default::default()
-            },
-        );
+        let built = HighwayCoverIndex::build_top_k(&g, 2);
         let dynamic = PatchedIndex::from_view(built.as_view());
         let back = dynamic.to_index();
         assert_eq!(back.as_view().landmarks(), built.as_view().landmarks());
@@ -641,13 +638,7 @@ mod tests {
     #[test]
     fn ineffective_deltas_touch_nothing() {
         let g = Graph::from_edges(&[(0, 1), (1, 2)]);
-        let built = HighwayCoverIndex::build_with(
-            &g,
-            &BuildOptions {
-                num_landmarks: 1,
-                ..Default::default()
-            },
-        );
+        let built = HighwayCoverIndex::build_top_k(&g, 1);
         let mut dynamic = PatchedIndex::from_view(built.as_view());
         let mut graph = PatchedGraph::new(g.as_view());
         let mut cx = BuildContext::new();
@@ -668,13 +659,7 @@ mod tests {
     fn insert_shortcut_repairs_affected_trees() {
         // A long path: inserting a chord changes many distances.
         let g = Graph::from_edges(&[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]);
-        let built = HighwayCoverIndex::build_with(
-            &g,
-            &BuildOptions {
-                num_landmarks: 3,
-                ..Default::default()
-            },
-        );
+        let built = HighwayCoverIndex::build_top_k(&g, 3);
         let mut dynamic = PatchedIndex::from_view(built.as_view());
         let mut graph = PatchedGraph::new(g.as_view());
         let mut cx = BuildContext::new();
@@ -691,13 +676,7 @@ mod tests {
         // Two triangles joined by a bridge; deleting the bridge splits the
         // graph and must leave cross-component answers at None.
         let g = Graph::from_edges(&[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]);
-        let built = HighwayCoverIndex::build_with(
-            &g,
-            &BuildOptions {
-                num_landmarks: 2,
-                ..Default::default()
-            },
-        );
+        let built = HighwayCoverIndex::build_top_k(&g, 2);
         let mut dynamic = PatchedIndex::from_view(built.as_view());
         let mut graph = PatchedGraph::new(g.as_view());
         let mut cx = BuildContext::new();
@@ -709,15 +688,26 @@ mod tests {
     }
 
     #[test]
+    fn a_delete_over_landmarks_its_graph_does_not_fit_is_refused() {
+        // Arrays adopted without validation can name one landmark twice;
+        // the relabel a delete needs refuses that list, and the edit is
+        // undone instead of relabelling the graph for it.
+        let g = Graph::from_edges(&[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        let mut built = HighwayCoverIndex::build_top_k(&g, 2);
+        built.landmarks[1] = built.landmarks[0];
+        let mut dynamic = PatchedIndex::flat(Arc::new(built));
+        let mut graph = PatchedGraph::new(g.as_view());
+        let mut cx = BuildContext::new();
+        let got = dynamic.apply_and_repair(&mut graph, EdgeDelta::delete(3, 4), &mut cx);
+        assert_eq!(got, Err(DeltaError::UnfitLandmarks));
+        assert!(graph.has_edge(3, 4));
+        assert_eq!(dynamic.patched_rows(), 0);
+    }
+
+    #[test]
     fn mixed_script_stays_exact_on_a_grid() {
         let g = hcl_core::testkit::grid(4, 4);
-        let built = HighwayCoverIndex::build_with(
-            &g,
-            &BuildOptions {
-                num_landmarks: 4,
-                ..Default::default()
-            },
-        );
+        let built = HighwayCoverIndex::build_top_k(&g, 4);
         let mut dynamic = PatchedIndex::from_view(built.as_view());
         let mut graph = PatchedGraph::new(g.as_view());
         let mut cx = BuildContext::new();

@@ -591,7 +591,6 @@ impl<'a> From<&'a HighwayCoverIndex> for IndexView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IndexConfig;
     use hcl_core::testkit::{self, SplitMix64};
     use hcl_core::Graph;
 
@@ -646,7 +645,7 @@ mod tests {
     fn build_output_validates_cleanly() {
         for k in [0, 1, 4, 16] {
             let g = testkit::erdos_renyi(50, 0.08, 9);
-            let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: k });
+            let idx = HighwayCoverIndex::build_top_k(&g, k);
             let v = idx.as_view();
             let revalidated = IndexView::from_parts(
                 v.landmarks(),
@@ -664,7 +663,7 @@ mod tests {
     #[test]
     fn to_owned_index_roundtrips() {
         let g = testkit::grid(5, 5);
-        let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 6 });
+        let idx = HighwayCoverIndex::build_top_k(&g, 6);
         let copy = idx.as_view().to_owned_index();
         for v in 0..25 {
             assert_eq!(
@@ -750,7 +749,7 @@ mod tests {
                 _ => 12,
             };
             for k in [1, 16] {
-                let idx = HighwayCoverIndex::build(g, IndexConfig { num_landmarks: k });
+                let idx = HighwayCoverIndex::build_top_k(g, k);
                 let v = idx.as_view();
                 let (offsets, entries) = (v.label_offsets(), v.label_entries());
                 let k = v.num_landmarks();

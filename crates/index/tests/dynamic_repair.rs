@@ -12,9 +12,19 @@
 use hcl_core::testkit::{barabasi_albert, disjoint_union, families, SplitMix64};
 use hcl_core::{bfs, DeltaOp, EdgeDelta, Graph, PatchedGraph};
 use hcl_index::repair::{PatchedIndex, RepairOutcome};
-use hcl_index::{BuildContext, BuildOptions, HighwayCoverIndex, QueryContext};
+use hcl_index::{BuildContext, HighwayCoverIndex, QueryContext};
 
 const SCRIPT_LEN: usize = 12;
+
+/// The top `k` by degree, labelled by `threads` fresh workers (`0`: the
+/// auto mode).
+fn build_top_k(g: &Graph, k: usize, threads: usize) -> HighwayCoverIndex {
+    let mut pool: Vec<BuildContext> = (0..threads).map(|_| BuildContext::new()).collect();
+    let landmarks = g.top_k_by_degree(k);
+    HighwayCoverIndex::build(g, &landmarks, &mut pool, None)
+        .unwrap()
+        .0
+}
 
 /// Drives one seeded edit script over one family and checks answer
 /// identity after every effective step.
@@ -24,12 +34,7 @@ fn run_script(name: &str, base: &Graph, threads: usize, seed: u64) {
         return; // no representable edge edits
     }
     let k = n.min(4);
-    let options = BuildOptions {
-        num_landmarks: k,
-        threads,
-        ..Default::default()
-    };
-    let built = HighwayCoverIndex::build_with(base, &options);
+    let built = build_top_k(base, k, threads);
     let mut dynamic = PatchedIndex::from_view(built.as_view());
     let mut graph = PatchedGraph::new(base.as_view());
     let mut cx = BuildContext::new();
@@ -52,7 +57,7 @@ fn run_script(name: &str, base: &Graph, threads: usize, seed: u64) {
         assert!(outcome.applied, "[{name}] step {step}: {delta} was a no-op");
 
         let edited = graph.to_graph();
-        let rebuilt = HighwayCoverIndex::build_with(&edited, &options);
+        let rebuilt = build_top_k(&edited, k, threads);
         let repaired = dynamic.to_index();
         let mut cx_rep = QueryContext::new();
         let mut cx_reb = QueryContext::new();
@@ -152,11 +157,7 @@ fn sweep_edit_scripts(mut check: impl FnMut(&Snapshot<'_>)) {
     for (name, base) in families() {
         let n = base.num_vertices();
         for &k in KS {
-            let options = BuildOptions {
-                num_landmarks: k,
-                ..Default::default()
-            };
-            let built = HighwayCoverIndex::build_with(&base, &options);
+            let built = build_top_k(&base, k, 0);
             let mut dynamic = PatchedIndex::from_view(built.as_view());
             let mut graph = PatchedGraph::new(base.as_view());
             let mut cx = BuildContext::new();
@@ -322,7 +323,9 @@ fn repaired_labels_are_a_superset_of_a_fresh_builds() {
         let tag = s.tag;
         let repaired = s.dynamic.to_index();
         let landmarks = repaired.as_view().landmarks();
-        let fresh = HighwayCoverIndex::build_in(s.graph, landmarks, &mut []);
+        let fresh = HighwayCoverIndex::build(s.graph, landmarks, &mut [], None)
+            .unwrap()
+            .0;
         assert_eq!(
             repaired.as_view().highway(),
             fresh.as_view().highway(),
@@ -368,13 +371,7 @@ fn joining_two_components_repairs_the_whole_newly_reachable_side() {
     let left = barabasi_albert(60, 3, 5);
     let right = barabasi_albert(40, 2, 6);
     let base = disjoint_union(&left, &right);
-    let built = HighwayCoverIndex::build_with(
-        &base,
-        &BuildOptions {
-            num_landmarks: 8,
-            ..Default::default()
-        },
-    );
+    let built = build_top_k(&base, 8, 0);
     let on_left = built
         .as_view()
         .landmarks()
@@ -426,11 +423,7 @@ fn partial_repair_stays_small_and_local_on_a_power_law_graph() {
     const N: usize = 10_000;
     const INSERTS: usize = 200;
     let base = barabasi_albert(N, 5, 0x1AC4);
-    let options = BuildOptions {
-        num_landmarks: 32,
-        ..Default::default()
-    };
-    let built = HighwayCoverIndex::build_with(&base, &options);
+    let built = build_top_k(&base, 32, 0);
     let mut dynamic = PatchedIndex::from_view(built.as_view());
     let mut graph = PatchedGraph::new(base.as_view());
     let mut cx = BuildContext::new();
@@ -455,7 +448,7 @@ fn partial_repair_stays_small_and_local_on_a_power_law_graph() {
         "{visited} vertices visited over {INSERTS} inserts: not under 1 % of {N} per insert"
     );
     let edited = graph.to_graph();
-    let fresh = HighwayCoverIndex::build_with(&edited, &options);
+    let fresh = build_top_k(&edited, 32, 0);
     let (repaired, rebuilt) = (
         dynamic.num_label_entries(),
         fresh.stats().total_label_entries,
@@ -494,13 +487,7 @@ fn flattening_per_delta_or_per_batch_gives_the_same_bytes() {
             continue; // no representable edge edits
         }
         for &k in KS {
-            let built = HighwayCoverIndex::build_with(
-                &base,
-                &BuildOptions {
-                    num_landmarks: k,
-                    ..Default::default()
-                },
-            );
+            let built = build_top_k(&base, k, 0);
             let mut per_delta = PatchedIndex::from_view(built.as_view());
             let mut per_batch = PatchedIndex::from_view(built.as_view());
             let mut graphs = [

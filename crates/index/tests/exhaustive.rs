@@ -2,7 +2,7 @@
 //! n ≤ 4 vertices, every landmark list of every size in every order (rank
 //! changes the labelling), and every single-edge insert and delete, plus
 //! the ordered edit pairs insert/insert and insert/delete. Each case is
-//! compared with [`HighwayCoverIndex::build_in`] over the same landmarks on
+//! compared with [`HighwayCoverIndex::build`] over the same landmarks on
 //! the edited graph:
 //!
 //! * the same highway;
@@ -129,7 +129,9 @@ impl Sweep {
     fn case(&mut self, graph: &Graph, landmarks: &[VertexId], edits: &[EdgeDelta]) {
         let what = || format!("{graph:?} landmarks {landmarks:?} edits {edits:?}");
         let built =
-            HighwayCoverIndex::build_in(graph, landmarks, std::slice::from_mut(&mut self.cx));
+            HighwayCoverIndex::build(graph, landmarks, std::slice::from_mut(&mut self.cx), None)
+                .unwrap()
+                .0;
         let mut dynamic = PatchedIndex::from_view(built.as_view());
         let mut overlay = PatchedGraph::new(graph.as_view());
         let mut relabelled = false;
@@ -142,7 +144,9 @@ impl Sweep {
         }
         let edited = overlay.to_graph();
         let fresh =
-            HighwayCoverIndex::build_in(&edited, landmarks, std::slice::from_mut(&mut self.cx));
+            HighwayCoverIndex::build(&edited, landmarks, std::slice::from_mut(&mut self.cx), None)
+                .unwrap()
+                .0;
         let repaired = dynamic.to_index();
         let (rv, fv) = (repaired.as_view(), fresh.as_view());
         assert_eq!(rv.highway(), fv.highway(), "{}: highway", what());

@@ -2,7 +2,8 @@
 //! label entry keeps its distance in 24 bits, so no graph of at most 2^24
 //! vertices can break it; these graphs have 2^24 + 1:
 //!
-//! * a path from its landmark end fails the build, naming the limit;
+//! * a path from its landmark end fails the build with
+//!   `BuildError::DistanceLimit`, naming its far end and the limit;
 //! * a path of 2^24 vertices (distances up to exactly the limit) plus an
 //!   isolated vertex builds, and an insert that hangs the isolated vertex
 //!   off the far end is refused with `DeltaError::DistanceLimit`;
@@ -14,7 +15,9 @@
 //! and runs in release only (CI's optimised test step).
 
 use hcl_core::{DeltaError, EdgeDelta, Graph, PatchedGraph, VertexId};
-use hcl_index::{BuildContext, HighwayCoverIndex, PatchedIndex, QueryContext, MAX_LABEL_DISTANCE};
+use hcl_index::{
+    BuildContext, BuildError, HighwayCoverIndex, PatchedIndex, QueryContext, MAX_LABEL_DISTANCE,
+};
 use std::sync::Arc;
 
 /// Vertices in each graph: one more than a label entry's distances reach.
@@ -37,7 +40,9 @@ fn path(len: VertexId, n: VertexId, closed: bool) -> Graph {
 /// What `delta` does to `graph` labelled from vertex 0: it must be refused
 /// for putting `vertex` at distance 2^24, with nothing changed.
 fn assert_refused(graph: Graph, delta: EdgeDelta, vertex: VertexId) {
-    let index = HighwayCoverIndex::build_in(&graph, &[0], &mut []);
+    let index = HighwayCoverIndex::build(&graph, &[0], &mut [], None)
+        .unwrap()
+        .0;
     let mut ctx = QueryContext::new();
     let before = index.query_with(&graph, &mut ctx, 0, vertex);
     let mut patched = PatchedIndex::flat(Arc::new(index));
@@ -66,15 +71,15 @@ fn assert_refused(graph: Graph, delta: EdgeDelta, vertex: VertexId) {
 fn distances_past_two_to_the_24_fail_the_build_and_are_refused_by_the_repair() {
     // A path from its landmark end: the far end is 2^24 hops out.
     let graph = path(N, N, false);
-    let built = std::panic::catch_unwind(|| HighwayCoverIndex::build_in(&graph, &[0], &mut []));
+    let built = HighwayCoverIndex::build(&graph, &[0], &mut [], None).map(|_| ());
     drop(graph);
-    let payload = built.map(|_| ()).expect_err("the build must fail");
-    let message = payload.downcast_ref::<String>().expect("a String payload");
-    let limit = format!("holds distances up to {MAX_LABEL_DISTANCE}");
-    assert!(message.contains(&limit), "{message}");
-    assert!(
-        message.contains(&format!("vertex {} is {} hops", N - 1, N - 1)),
-        "{message}"
+    assert_eq!(
+        built,
+        Err(BuildError::DistanceLimit {
+            vertex: N - 1,
+            distance: N - 1,
+            limit: MAX_LABEL_DISTANCE,
+        })
     );
 
     // Exactly at the limit builds; one hop past it is refused.

@@ -3,14 +3,22 @@
 //! oracle — including `None` for disconnected pairs.
 
 use hcl_core::{bfs, testkit, Graph, INFINITY};
-use hcl_index::{HighwayCoverIndex, IndexConfig, QueryContext};
+use hcl_index::{HighwayCoverIndex, QueryContext};
+
+/// The top `k` by degree, labelled with the auto-mode contexts.
+fn build_top_k(g: &Graph, k: usize) -> HighwayCoverIndex {
+    let landmarks = g.top_k_by_degree(k);
+    HighwayCoverIndex::build(g, &landmarks, &mut [], None)
+        .unwrap()
+        .0
+}
 
 /// Exhaustively checks `index.query(u, v) == bfs_oracle(u, v)` for all
 /// pairs, for each landmark count in `ks`.
 fn assert_matches_oracle(name: &str, g: &Graph, ks: &[usize]) {
     let n = g.num_vertices() as u32;
     for &k in ks {
-        let idx = HighwayCoverIndex::build(g, IndexConfig { num_landmarks: k });
+        let idx = build_top_k(g, k);
         let mut ctx = QueryContext::new();
         for u in 0..n {
             let oracle = bfs::distances_from(g, u);
@@ -48,7 +56,9 @@ fn every_strategy_matches_oracle_on_all_families() {
                 ("random:8", testkit::random_vertices(n, k, 8)),
             ];
             for (list, landmarks) in lists {
-                let idx = HighwayCoverIndex::build_in(&g, &landmarks, &mut []);
+                let idx = HighwayCoverIndex::build(&g, &landmarks, &mut [], None)
+                    .unwrap()
+                    .0;
                 let mut ctx = QueryContext::new();
                 for u in 0..n as u32 {
                     let oracle = bfs::distances_from(&g, u);
@@ -124,7 +134,7 @@ fn queries_over_views_match_owned_index() {
     // runs over the owned index/graph or over borrowed views — this is the
     // abstraction `hcl-store` relies on to serve mmap'd files.
     let g = testkit::barabasi_albert(50, 2, 5);
-    let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 8 });
+    let idx = build_top_k(&g, 8);
     let (gv, iv) = (g.as_view(), idx.as_view());
     let mut ctx = QueryContext::new();
     for u in 0..50 {
@@ -143,7 +153,7 @@ fn family_disconnected_returns_none() {
     // Disjoint union guarantees cross-component pairs; the oracle comparison
     // above already checks them, but assert explicitly that `None` shows up.
     let g = testkit::disjoint_union(&testkit::grid(3, 3), &testkit::cycle(5));
-    let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 4 });
+    let idx = build_top_k(&g, 4);
     assert_eq!(idx.query(&g, 0, 9), None);
     assert_eq!(idx.query(&g, 8, 13), None);
     assert_matches_oracle("grid ⊎ cycle", &g, KS);
@@ -172,7 +182,7 @@ fn query_context_reuse_is_clean() {
     // Reusing one context across many queries must not leak state between
     // them; interleave reachable and unreachable pairs.
     let g = testkit::disjoint_union(&testkit::path(10), &testkit::star(6));
-    let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 3 });
+    let idx = build_top_k(&g, 3);
     let mut ctx = QueryContext::new();
     for _ in 0..3 {
         assert_eq!(idx.query_with(&g, &mut ctx, 0, 9), Some(9));
@@ -185,7 +195,7 @@ fn query_context_reuse_is_clean() {
 #[test]
 fn landmark_endpoints_answer_exactly() {
     let g = testkit::grid(4, 4);
-    let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 3 });
+    let idx = build_top_k(&g, 3);
     let landmark = (0..16).find(|&v| idx.is_landmark(v)).unwrap();
     for v in 0..16 {
         let expected = bfs::distance(&g, landmark, v);

@@ -9,7 +9,7 @@
 //! ran on.
 
 use hcl_core::{bfs, testkit, Graph, VertexId, INFINITY};
-use hcl_index::{BuildContext, BuildOptions, HighwayCoverIndex};
+use hcl_index::{BuildContext, HighwayCoverIndex};
 
 /// Array-level equality of two built indexes (stronger than answer-level:
 /// the serialised container is a function of exactly these arrays).
@@ -80,13 +80,26 @@ fn landmark_lists(g: &Graph, k: usize) -> Vec<(String, Vec<VertexId>)> {
     lists
 }
 
+/// The top `k` by degree, labelled by `threads` fresh workers.
+fn build_top_k(g: &Graph, k: usize, threads: usize) -> HighwayCoverIndex {
+    let mut pool: Vec<BuildContext> = (0..threads).map(|_| BuildContext::new()).collect();
+    let landmarks = g.top_k_by_degree(k);
+    HighwayCoverIndex::build(g, &landmarks, &mut pool, None)
+        .unwrap()
+        .0
+}
+
 /// Builds for `landmarks` in the calling thread, asserts the 2-, 4- and
 /// 8-worker builds are identical to it, and hands the index back.
 fn build_at_every_thread_count(tag: &str, g: &Graph, landmarks: &[VertexId]) -> HighwayCoverIndex {
-    let sequential = HighwayCoverIndex::build_in(g, landmarks, &mut [BuildContext::new()]);
+    let sequential = HighwayCoverIndex::build(g, landmarks, &mut [BuildContext::new()], None)
+        .unwrap()
+        .0;
     for threads in [2usize, 4, 8] {
         let mut pool: Vec<BuildContext> = (0..threads).map(|_| BuildContext::new()).collect();
-        let parallel = HighwayCoverIndex::build_in(g, landmarks, &mut pool);
+        let parallel = HighwayCoverIndex::build(g, landmarks, &mut pool, None)
+            .unwrap()
+            .0;
         assert_identical(&format!("{tag} t={threads}"), &sequential, &parallel);
     }
     sequential
@@ -102,12 +115,15 @@ fn pulled_levels(g: &Graph, k: usize) -> u64 {
             pulled += count.parse::<u64>().expect("a pulled-level count");
         }
     };
-    let options = BuildOptions {
-        num_landmarks: k,
-        threads: 1,
-        ..BuildOptions::default()
-    };
-    HighwayCoverIndex::build_with_stats(g, &options, Some(&mut sink));
+    let landmarks = g.top_k_by_degree(k);
+    let mut cx = BuildContext::new();
+    HighwayCoverIndex::build(
+        g,
+        &landmarks,
+        std::slice::from_mut(&mut cx),
+        Some(&mut sink),
+    )
+    .unwrap();
     pulled
 }
 
@@ -166,20 +182,15 @@ fn assert_definition(tag: &str, g: &Graph, built: &HighwayCoverIndex) {
     }
 }
 
-/// Every [`BuildOptions::threads`] value — the knob `hcl build --threads`
-/// turns — builds the identical index.
+/// Every worker count — what `hcl build --threads` sets — builds the
+/// identical index.
 #[test]
 fn every_thread_count_builds_the_identical_index() {
     for (name, g) in graphs() {
         for k in KS {
-            let opts = |threads| BuildOptions {
-                num_landmarks: k,
-                threads,
-                ..BuildOptions::default()
-            };
-            let sequential = HighwayCoverIndex::build_with(&g, &opts(1));
+            let sequential = build_top_k(&g, k, 1);
             for threads in [2usize, 4, 8] {
-                let parallel = HighwayCoverIndex::build_with(&g, &opts(threads));
+                let parallel = build_top_k(&g, k, threads);
                 assert_identical(&format!("{name} k={k} t={threads}"), &sequential, &parallel);
             }
         }
@@ -190,17 +201,14 @@ fn every_thread_count_builds_the_identical_index() {
 fn build_in_reuses_contexts_across_builds() {
     // A held worker pool must serve repeated builds of different graphs
     // without state leaking between them.
-    let opts = BuildOptions {
-        num_landmarks: 70,
-        threads: 4,
-        ..BuildOptions::default()
-    };
     let mut pool: Vec<BuildContext> = (0..4).map(|_| BuildContext::new()).collect();
     for seed in 0..3 {
         let g = testkit::erdos_renyi(40 + 40 * seed as usize, 0.08, seed);
-        let fresh = HighwayCoverIndex::build_with(&g, &opts);
-        let landmarks = g.top_k_by_degree(opts.num_landmarks);
-        let reused = HighwayCoverIndex::build_in(&g, &landmarks, &mut pool);
+        let fresh = build_top_k(&g, 70, 4);
+        let landmarks = g.top_k_by_degree(70);
+        let reused = HighwayCoverIndex::build(&g, &landmarks, &mut pool, None)
+            .unwrap()
+            .0;
         assert_identical(&format!("seed {seed}"), &fresh, &reused);
     }
 }
@@ -211,14 +219,7 @@ fn parallel_output_stays_exact_against_the_oracle() {
     // this ties a threaded build's *answers* to ground truth on a graph
     // with unreachable pairs.
     let g = testkit::disjoint_union(&testkit::barabasi_albert(90, 2, 5), &testkit::grid(4, 4));
-    let idx = HighwayCoverIndex::build_with(
-        &g,
-        &BuildOptions {
-            num_landmarks: 72,
-            threads: 4,
-            ..BuildOptions::default()
-        },
-    );
+    let idx = build_top_k(&g, 72, 4);
     let n = g.num_vertices() as u32;
     let mut ctx = hcl_index::QueryContext::new();
     for u in 0..n {

@@ -8,9 +8,17 @@
 use hcl_core::testkit::{self, SplitMix64};
 use hcl_core::{EdgeDelta, Graph, GraphBuilder, GraphView, PatchedGraph, VertexId};
 use hcl_index::{
-    AnswerSource, BuildContext, HighwayCoverIndex, IndexConfig, IndexView, PatchedIndex,
-    QueryContext, QueryStats,
+    AnswerSource, BuildContext, HighwayCoverIndex, IndexView, PatchedIndex, QueryContext,
+    QueryStats,
 };
+
+/// The top `k` by degree, labelled with the auto-mode contexts.
+fn build_top_k(g: &Graph, k: usize) -> HighwayCoverIndex {
+    let landmarks = g.top_k_by_degree(k);
+    HighwayCoverIndex::build(g, &landmarks, &mut [], None)
+        .unwrap()
+        .0
+}
 
 const PAIRS: usize = 300;
 
@@ -78,7 +86,7 @@ fn grid_with_chords(rows: usize, cols: usize, chords: usize, seed: u64) -> Graph
 #[test]
 fn barabasi_albert_traversal_is_pinned() {
     let g = testkit::barabasi_albert(2000, 5, 0x5EED);
-    let index = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 16 });
+    let index = build_top_k(&g, 16);
     let got = totals(index.as_view(), g.as_view(), 0xA11CE);
     assert_eq!(
         got,
@@ -95,7 +103,7 @@ fn barabasi_albert_traversal_is_pinned() {
 #[test]
 fn grid_with_chords_traversal_is_pinned() {
     let g = grid_with_chords(40, 40, 32, 0xC40D);
-    let index = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 8 });
+    let index = build_top_k(&g, 8);
     let got = totals(index.as_view(), g.as_view(), 0xB0B);
     assert_eq!(
         got,
@@ -112,7 +120,7 @@ fn grid_with_chords_traversal_is_pinned() {
 #[test]
 fn patched_generation_traversal_is_pinned() {
     let base = testkit::barabasi_albert(2000, 5, 0x5EED);
-    let index = HighwayCoverIndex::build(&base, IndexConfig { num_landmarks: 16 });
+    let index = build_top_k(&base, 16);
     let mut dynamic = PatchedIndex::from_view(index.as_view());
     let mut graph = PatchedGraph::new(base.as_view());
     let mut cx = BuildContext::new();

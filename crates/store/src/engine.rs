@@ -386,19 +386,21 @@ impl UpdateEngine {
 mod tests {
     use super::*;
     use hcl_core::{testkit, DeltaOp, Graph, Overlay, VertexId};
-    use hcl_index::{BuildOptions, HighwayCoverIndex, QueryContext};
+    use hcl_index::{HighwayCoverIndex, QueryContext};
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
+    /// The top `k` by degree, labelled with the auto-mode contexts.
+    fn build_top_k(graph: &Graph, k: usize) -> HighwayCoverIndex {
+        let landmarks = graph.top_k_by_degree(k);
+        HighwayCoverIndex::build(graph, &landmarks, &mut [], None)
+            .unwrap()
+            .0
+    }
+
     fn engine_for(n: usize, k: usize, seed: u64) -> (Graph, UpdateEngine) {
         let graph = testkit::barabasi_albert(n, 3, seed);
-        let index = HighwayCoverIndex::build_with(
-            &graph,
-            &BuildOptions {
-                num_landmarks: k,
-                ..Default::default()
-            },
-        );
+        let index = build_top_k(&graph, k);
         let image = crate::serialize(&graph, &index).unwrap();
         let store = IndexStore::from_bytes(&image).unwrap();
         (graph, UpdateEngine::from_store(&store, None, 0))
@@ -447,13 +449,7 @@ mod tests {
     #[test]
     fn a_rebase_drops_the_failed_batch_and_keeps_the_repair_scratch() {
         let graph = testkit::barabasi_albert(200, 3, 5);
-        let index = HighwayCoverIndex::build_with(
-            &graph,
-            &BuildOptions {
-                num_landmarks: 4,
-                ..Default::default()
-            },
-        );
+        let index = build_top_k(&graph, 4);
         let store = IndexStore::from_bytes(&crate::serialize(&graph, &index).unwrap()).unwrap();
         let mut engine = UpdateEngine::from_store(&store, None, 0);
         assert_eq!(engine.live.cx.scratch_capacity(), 0);
@@ -517,13 +513,7 @@ mod tests {
         const N: usize = 640;
         const DELTAS: usize = 40;
         let graph = testkit::barabasi_albert(N, 3, 21);
-        let index = HighwayCoverIndex::build_with(
-            &graph,
-            &BuildOptions {
-                num_landmarks: 8,
-                ..Default::default()
-            },
-        );
+        let index = build_top_k(&graph, 8);
         let path = std::env::temp_dir().join(format!("hcl_replay_{}.hcl", std::process::id()));
         let reopen_like = |last: &IndexStore, what: &str| {
             let reopened = IndexStore::open(&path).unwrap();
@@ -916,13 +906,7 @@ mod tests {
         use std::mem::size_of_val;
         const N: usize = 9_000;
         let graph = testkit::barabasi_albert(N, 3, 0x5A4E);
-        let index = HighwayCoverIndex::build_with(
-            &graph,
-            &BuildOptions {
-                num_landmarks: 8,
-                ..Default::default()
-            },
-        );
+        let index = build_top_k(&graph, 8);
         let path = std::env::temp_dir().join(format!("hcl_shared_{}.hcl", std::process::id()));
         crate::save(&path, &graph, &index).unwrap();
         let store = IndexStore::open(&path).unwrap();

@@ -120,17 +120,20 @@ impl std::fmt::Debug for GenerationHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcl_core::testkit;
-    use hcl_index::{HighwayCoverIndex, IndexConfig, QueryContext};
+    use hcl_core::{testkit, Graph};
+    use hcl_index::{HighwayCoverIndex, QueryContext};
+
+    /// The top `k` by degree, labelled with the auto-mode contexts.
+    fn build_top_k(graph: &Graph, k: usize) -> HighwayCoverIndex {
+        let landmarks = graph.top_k_by_degree(k);
+        HighwayCoverIndex::build(graph, &landmarks, &mut [], None)
+            .unwrap()
+            .0
+    }
 
     fn store_for(seed: u64, landmarks: usize) -> IndexStore {
         let graph = testkit::barabasi_albert(200, 3, seed);
-        let index = HighwayCoverIndex::build(
-            &graph,
-            IndexConfig {
-                num_landmarks: landmarks,
-            },
-        );
+        let index = build_top_k(&graph, landmarks);
         let bytes = crate::serialize(&graph, &index).expect("serialize");
         IndexStore::from_bytes(&bytes).expect("open")
     }
@@ -241,7 +244,7 @@ mod tests {
 
         const N: u32 = 400;
         let graph = testkit::barabasi_albert(N as usize, 3, 4);
-        let index = HighwayCoverIndex::build(&graph, IndexConfig { num_landmarks: 8 });
+        let index = build_top_k(&graph, 8);
         let bytes = crate::serialize(&graph, &index).expect("serialize");
         let store = IndexStore::from_bytes(&bytes).expect("open");
         // Three inserts patch 6 adjacency rows and 4 labels: under the

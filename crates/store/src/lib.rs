@@ -14,16 +14,17 @@
 //!
 //! ```no_run
 //! # use hcl_core::{Graph, testkit};
-//! # use hcl_index::{HighwayCoverIndex, IndexConfig, QueryContext};
+//! # use hcl_index::{HighwayCoverIndex, QueryContext};
 //! let graph = testkit::barabasi_albert(10_000, 5, 42);
-//! let index = HighwayCoverIndex::build(&graph, IndexConfig::default());
+//! let landmarks = graph.top_k_by_degree(16);
+//! let (index, _stats) = HighwayCoverIndex::build(&graph, &landmarks, &mut [], None)?;
 //! hcl_store::save("web.hcl", &graph, &index)?;
 //!
 //! // …later, in a serving process:
 //! let store = hcl_store::IndexStore::open("web.hcl")?;
 //! let mut ctx = QueryContext::new();
 //! let d = store.index().query_with(store.graph(), &mut ctx, 17, 4711);
-//! # Ok::<(), hcl_store::StoreError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
 //! Integrity: the container carries magic, version, declared length, and a

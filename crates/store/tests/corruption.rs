@@ -1,13 +1,21 @@
 //! Corruption handling: every malformed container must produce a typed
 //! [`StoreError`] — never a panic, never undefined behaviour.
 
-use hcl_core::{testkit, CsrError};
-use hcl_index::{HighwayCoverIndex, IndexConfig, IndexDataError};
+use hcl_core::{testkit, CsrError, Graph};
+use hcl_index::{HighwayCoverIndex, IndexDataError};
+
+/// The top `k` by degree, labelled with the auto-mode contexts.
+fn build_top_k(g: &Graph, k: usize) -> HighwayCoverIndex {
+    let landmarks = g.top_k_by_degree(k);
+    HighwayCoverIndex::build(g, &landmarks, &mut [], None)
+        .unwrap()
+        .0
+}
 use hcl_store::{IndexStore, StoreError, HEADER_LEN};
 
 fn sample_bytes() -> Vec<u8> {
     let g = testkit::barabasi_albert(80, 3, 4);
-    let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 6 });
+    let idx = build_top_k(&g, 6);
     hcl_store::serialize(&g, &idx).expect("serialize")
 }
 
@@ -206,7 +214,7 @@ fn semantically_invalid_graph_arrays_are_rejected() {
     // Build a container whose bytes are internally consistent (checksum
     // repaired) but whose neighbour array violates CSR invariants.
     let g = testkit::path(6);
-    let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 2 });
+    let idx = build_top_k(&g, 2);
     let clean = hcl_store::serialize(&g, &idx).expect("serialize");
     let store = IndexStore::from_bytes(&clean).expect("clean loads");
     let neighbors = store
@@ -239,7 +247,7 @@ fn semantically_invalid_graph_arrays_are_rejected() {
 #[test]
 fn semantically_invalid_index_arrays_are_rejected() {
     let g = testkit::star(8);
-    let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 3 });
+    let idx = build_top_k(&g, 3);
     let clean = hcl_store::serialize(&g, &idx).expect("serialize");
     let store = IndexStore::from_bytes(&clean).expect("clean loads");
     let entries = store

@@ -20,7 +20,7 @@
 //! sweep across the whole payload.
 
 use hcl_core::{testkit, EdgeDelta, Graph};
-use hcl_index::{HighwayCoverIndex, IndexConfig};
+use hcl_index::HighwayCoverIndex;
 use hcl_store::durable::{
     publish_slices_with, publish_with, AppendStep, IoDecision, PublishOutcome, PublishStep,
     StoreIo, SystemIo,
@@ -31,10 +31,18 @@ use hcl_store::{
 use std::cell::Cell;
 use std::path::{Path, PathBuf};
 
+/// The top `k` by degree, labelled with the auto-mode contexts.
+fn build_top_k(g: &Graph, k: usize) -> HighwayCoverIndex {
+    let landmarks = g.top_k_by_degree(k);
+    HighwayCoverIndex::build(g, &landmarks, &mut [], None)
+        .unwrap()
+        .0
+}
+
 /// A sample graph on `n` vertices and its index with `k` landmarks.
 fn sample(n: usize, k: usize) -> (Graph, HighwayCoverIndex) {
     let g = testkit::barabasi_albert(n, 3, 4);
-    let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: k });
+    let idx = build_top_k(&g, k);
     (g, idx)
 }
 
@@ -526,7 +534,7 @@ fn save_is_durable_and_leaves_no_temps() {
     let scratch = Scratch::new("save");
     let target = scratch.target();
     let g = testkit::barabasi_albert(60, 3, 9);
-    let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 5 });
+    let idx = build_top_k(&g, 5);
     hcl_store::save(&target, &g, &idx).expect("save");
     assert_eq!(temps(&target), Vec::<PathBuf>::new());
     let store = IndexStore::open(&target).expect("open");

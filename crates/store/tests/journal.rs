@@ -4,7 +4,7 @@
 //! frames, and the writer that appends them).
 
 use hcl_core::{bfs, testkit, EdgeDelta, Graph, PatchedGraph};
-use hcl_index::{BuildOptions, HighwayCoverIndex, PatchedIndex, QueryContext};
+use hcl_index::{HighwayCoverIndex, PatchedIndex, QueryContext};
 use hcl_store::{
     compact_file, encode_tail_frame, serialize, serialize_with_journal, BuildInfo, IndexStore,
     JournalWriter, StoreError, StoredJournal, TailInfo,
@@ -12,13 +12,10 @@ use hcl_store::{
 use std::sync::Arc;
 
 fn build(graph: &Graph, k: usize) -> HighwayCoverIndex {
-    HighwayCoverIndex::build_with(
-        graph,
-        &BuildOptions {
-            num_landmarks: k,
-            ..Default::default()
-        },
-    )
+    let landmarks = graph.top_k_by_degree(k);
+    HighwayCoverIndex::build(graph, &landmarks, &mut [], None)
+        .unwrap()
+        .0
 }
 
 /// A deterministic mixed edit script that is effective on the given graph

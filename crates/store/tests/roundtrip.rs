@@ -3,9 +3,19 @@
 //! heap backings.
 
 use hcl_core::{testkit, Graph};
-use hcl_index::{BuildOptions, HighwayCoverIndex, IndexConfig, QueryContext};
+use hcl_index::{BuildContext, HighwayCoverIndex, QueryContext};
 use hcl_store::IndexStore;
 use std::path::PathBuf;
+
+/// The top `k` by degree, labelled by `threads` fresh workers (`0`: the
+/// auto mode).
+fn build_top_k(g: &Graph, k: usize, threads: usize) -> HighwayCoverIndex {
+    let mut pool: Vec<BuildContext> = (0..threads).map(|_| BuildContext::new()).collect();
+    let landmarks = g.top_k_by_degree(k);
+    HighwayCoverIndex::build(g, &landmarks, &mut pool, None)
+        .unwrap()
+        .0
+}
 
 fn temp_path(tag: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -38,7 +48,7 @@ fn assert_store_matches_owned(name: &str, g: &Graph, idx: &HighwayCoverIndex, st
 fn save_load_query_equals_in_memory_on_all_families() {
     for (name, g) in testkit::families() {
         for k in [0usize, 1, 4, 16] {
-            let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: k });
+            let idx = build_top_k(&g, k, 0);
 
             // Heap backing via in-memory bytes.
             let bytes = hcl_store::serialize(&g, &idx).expect("serialize");
@@ -79,7 +89,7 @@ fn save_load_query_equals_in_memory_on_all_families() {
 #[test]
 fn mmap_backing_is_used_on_supported_platforms() {
     let g = testkit::barabasi_albert(200, 3, 2);
-    let idx = HighwayCoverIndex::build(&g, IndexConfig::default());
+    let idx = build_top_k(&g, 16, 0);
     let path = temp_path("backing");
     hcl_store::save(&path, &g, &idx).expect("save");
     let store = IndexStore::open(&path).expect("open");
@@ -108,7 +118,7 @@ fn mmap_backing_is_used_on_supported_platforms() {
 #[test]
 fn serialization_is_deterministic_and_meta_is_accurate() {
     let g = testkit::barabasi_albert(150, 4, 9);
-    let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 8 });
+    let idx = build_top_k(&g, 8, 0);
     let a = hcl_store::serialize(&g, &idx).unwrap();
     let b = hcl_store::serialize(&g, &idx).unwrap();
     assert_eq!(a, b, "same inputs must produce byte-identical files");
@@ -148,14 +158,7 @@ fn header_checksum_of_a_fixed_container_is_pinned() {
     let g = testkit::barabasi_albert(300, 3, 19);
     // Every knob explicit: the ambient HCL_BUILD_* defaults must not move
     // the bytes under the pin.
-    let idx = HighwayCoverIndex::build_with(
-        &g,
-        &BuildOptions {
-            num_landmarks: 8,
-            threads: 1,
-            ..BuildOptions::default()
-        },
-    );
+    let idx = build_top_k(&g, 8, 1);
     let bytes = hcl_store::serialize(&g, &idx).unwrap();
     assert_eq!(bytes.len(), 16_848);
     let store = IndexStore::from_bytes(&bytes).expect("the checksum verifies");
@@ -172,14 +175,7 @@ fn header_checksum_of_a_fixed_container_is_pinned() {
 #[test]
 fn checksum_of_a_two_group_broom_container_is_pinned() {
     let g = testkit::broom(1_000, 3, 1_500, 23);
-    let idx = HighwayCoverIndex::build_with(
-        &g,
-        &BuildOptions {
-            num_landmarks: 65,
-            threads: 1,
-            ..BuildOptions::default()
-        },
-    );
+    let idx = build_top_k(&g, 65, 1);
     let bytes = hcl_store::serialize(&g, &idx).unwrap();
     assert_eq!(bytes.len(), 153_404);
     let store = IndexStore::from_bytes(&bytes).expect("the checksum verifies");
@@ -195,16 +191,8 @@ fn build_metadata_round_trips_through_the_header() {
         batch_size: 8,
         ..hcl_store::BuildInfo::default()
     };
-    // Build with the recorded parameters so the header tells the truth.
-    let idx = HighwayCoverIndex::build_with(
-        &g,
-        &BuildOptions {
-            num_landmarks: 8,
-            threads: info.threads as usize,
-            batch_size: info.batch_size as usize,
-            ..BuildOptions::default()
-        },
-    );
+    // Build with the recorded thread count so the header tells the truth.
+    let idx = build_top_k(&g, 8, info.threads as usize);
 
     let path = temp_path("buildinfo");
     hcl_store::save_with(&path, &g, &idx, info).expect("save_with");
@@ -226,7 +214,7 @@ fn build_metadata_round_trips_through_the_header() {
 #[test]
 fn to_owned_parts_fully_deserialises() {
     let g = testkit::grid(6, 7);
-    let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 5 });
+    let idx = build_top_k(&g, 5, 0);
     let bytes = hcl_store::serialize(&g, &idx).unwrap();
     let store = IndexStore::from_bytes(&bytes).unwrap();
     let (g2, idx2) = store.to_owned_parts();
@@ -249,7 +237,7 @@ fn to_owned_parts_fully_deserialises() {
 #[test]
 fn reserved_header_bytes_are_ignored_on_read() {
     let g = testkit::barabasi_albert(120, 3, 13);
-    let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 6 });
+    let idx = build_top_k(&g, 6, 0);
     let plain = hcl_store::serialize(&g, &idx).expect("serialize");
     assert!(plain[72..96].iter().all(|&b| b == 0), "written as zero");
 
@@ -267,7 +255,7 @@ fn reserved_header_bytes_are_ignored_on_read() {
 fn serialize_rejects_mismatched_graph() {
     let g = testkit::path(10);
     let other = testkit::path(11);
-    let idx = HighwayCoverIndex::build(&g, IndexConfig::default());
+    let idx = build_top_k(&g, 16, 0);
     assert!(matches!(
         hcl_store::serialize(&other, &idx),
         Err(hcl_store::StoreError::GraphIndexMismatch { .. })
@@ -281,15 +269,9 @@ fn serialize_rejects_mismatched_graph() {
 #[test]
 fn v5_build_stats_round_trip_and_optionality() {
     let g = testkit::barabasi_albert(120, 3, 11);
-    let (idx, stats) = HighwayCoverIndex::build_with_stats(
-        &g,
-        &BuildOptions {
-            num_landmarks: 6,
-            threads: 1,
-            ..BuildOptions::default()
-        },
-        None,
-    );
+    let landmarks = g.top_k_by_degree(6);
+    let (idx, stats) =
+        HighwayCoverIndex::build(&g, &landmarks, &mut [BuildContext::new()], None).unwrap();
     let stored = hcl_store::StoredBuildStats::from_build(&stats);
     assert_eq!(stored.landmark_labels.len(), 6);
     assert_eq!(
@@ -338,14 +320,8 @@ fn image_slices_concatenate_to_the_serialised_image() {
     };
     for (name, g) in testkit::families() {
         for k in [0usize, 3, 16] {
-            let (idx, stats) = HighwayCoverIndex::build_with_stats(
-                &g,
-                &BuildOptions {
-                    num_landmarks: k,
-                    ..BuildOptions::default()
-                },
-                None,
-            );
+            let landmarks = g.top_k_by_degree(k);
+            let (idx, stats) = HighwayCoverIndex::build(&g, &landmarks, &mut [], None).unwrap();
             let stats = hcl_store::StoredBuildStats::from_build(&stats);
             let info = hcl_store::BuildInfo {
                 batch_size: 64,

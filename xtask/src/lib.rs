@@ -85,6 +85,9 @@ pub fn run_lint(root: &Path, only: Option<&str>) -> std::io::Result<Vec<Violatio
     run("no-print", &mut |files| {
         rules::no_print(files, &mut Allowlist::load(root, "no_print"))
     });
+    run("harness-fence", &mut |files| {
+        rules::harness_fence(files, &mut Allowlist::load(root, "harness_fence"))
+    });
     run("store-format", &mut |files| {
         rules::store_format(root, files)
     });
@@ -102,6 +105,7 @@ pub const RULE_NAMES: &[&str] = &[
     "no-panics",
     "dist-arith",
     "no-print",
+    "harness-fence",
     "store-format",
     "metrics-docs",
     "crate-gates",

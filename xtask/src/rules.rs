@@ -7,7 +7,7 @@
 //! here, next to the rule it shapes.
 
 use crate::allowlist::Allowlist;
-use crate::scan::{find_words, tokens, SourceFile};
+use crate::scan::{find_words, has_word, tokens, SourceFile};
 use std::path::Path;
 
 /// One diagnostic, printed as `path:line: [rule] message`.
@@ -330,6 +330,59 @@ pub fn no_print(files: &[SourceFile], allow: &mut Allowlist) -> Vec<Violation> {
                 ));
                 break;
             }
+        }
+    }
+    drain_unused(allow, RULE, &mut out);
+    out
+}
+
+// ---------------------------------------------------------------------------
+// Rule: harness-fence
+// ---------------------------------------------------------------------------
+
+/// Names that exist only because the frozen benchmark harness (`bench/`)
+/// calls them: each crate defines its share as thin wrappers in one
+/// `harness.rs`, which ROADMAP 1(c) deletes whole.
+pub const HARNESS_NAMES: &[&str] = &[
+    "DeltaGraph",
+    "as_dyn_view",
+    "DynamicIndex",
+    "BuildOptions",
+    "SelectionStrategy",
+    "build_with",
+    "build_with_stats",
+    "resolved_threads",
+    "resolved_batch_size",
+    "resolved_selection",
+];
+
+/// No [`HARNESS_NAMES`] word in code outside a `harness.rs`, tests
+/// included: workspace code and its tests use the real API, so deleting
+/// the harness files deletes nothing else. Comments and strings do not
+/// count; vetted exceptions live in `xtask/lints/harness_fence.allow`.
+pub fn harness_fence(files: &[SourceFile], allow: &mut Allowlist) -> Vec<Violation> {
+    const RULE: &str = "harness-fence";
+    let mut out = Vec::new();
+    for file in files {
+        if file.path.rsplit('/').next() == Some("harness.rs") {
+            continue;
+        }
+        for (i, line) in file.lines.iter().enumerate() {
+            let Some(name) = HARNESS_NAMES.iter().find(|n| has_word(&line.code, n)) else {
+                continue;
+            };
+            if allow.permits(&file.path, &line.raw) {
+                continue;
+            }
+            out.push(violation(
+                file,
+                i,
+                RULE,
+                format!(
+                    "`{name}` is a harness-only name; use the real API, or keep the wrapper \
+                     in the crate's harness.rs"
+                ),
+            ));
         }
     }
     drain_unused(allow, RULE, &mut out);

@@ -204,6 +204,67 @@ fn no_print_flags_library_prints_but_not_tests_or_bins() {
     assert!(rules::no_print(&files, &mut no_allow("no_print")).is_empty());
 }
 
+// -------------------------------------------------------------- fence
+
+#[test]
+fn harness_fence_flags_harness_names_in_code_and_tests() {
+    let text = "use hcl_index::BuildOptions;\n\
+                fn f(g: &PatchedGraph) { g.as_dyn_view(); }\n\
+                // BuildOptions in a comment is prose\n\
+                #[cfg(test)]\n\
+                mod tests { fn t() { HighwayCoverIndex::build_with(&g, &o); } }\n";
+    let files = src("crates/store/src/x.rs", text);
+    let v = rules::harness_fence(&files, &mut no_allow("harness_fence"));
+    let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+    assert_eq!(lines, [1, 2, 5], "{v:?}");
+    assert!(v.iter().all(|v| v.rule == "harness-fence"), "{v:?}");
+}
+
+#[test]
+fn harness_fence_allows_every_name_inside_a_harness_file() {
+    let text = "pub struct BuildOptions;\npub type DeltaGraph<'a> = PatchedGraph;\n";
+    for path in ["crates/index/src/harness.rs", "crates/core/src/harness.rs"] {
+        let files = src(path, text);
+        assert!(rules::harness_fence(&files, &mut no_allow("harness_fence")).is_empty());
+    }
+    let files = src("crates/index/src/not_harness.rs", text);
+    assert_eq!(
+        rules::harness_fence(&files, &mut no_allow("harness_fence")).len(),
+        2
+    );
+}
+
+#[test]
+fn harness_fence_matches_whole_names_only() {
+    let text = "hcl_store::serialize_with(&g, &i, info);\n\
+                hcl_store::save_with(p, &g, &i, info);\n\
+                let build_within = build_with_contexts(1);\n";
+    let files = src("crates/cli/src/main.rs", text);
+    assert!(rules::harness_fence(&files, &mut no_allow("harness_fence")).is_empty());
+}
+
+#[test]
+fn harness_fence_allowlist_suppresses_and_reports_stale_entries() {
+    let root = TempRoot::new(
+        "fence",
+        &[(
+            "xtask/lints/harness_fence.allow",
+            "# justified\ncrates/store/src/format.rs :: pub strategy: SelectionStrategy,\n\
+             crates/store/src/format.rs :: never-matches\n",
+        )],
+    );
+    let files = src(
+        "crates/store/src/format.rs",
+        "pub struct BuildInfo {\n    pub strategy: SelectionStrategy,\n}\n",
+    );
+    let mut allow = Allowlist::load(&root.0, "harness_fence");
+    let v = rules::harness_fence(&files, &mut allow);
+    // The field is suppressed; the stale entry is the one violation.
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert!(v[0].message.contains("stale"), "{v:?}");
+    assert!(v[0].path.ends_with("harness_fence.allow"));
+}
+
 // -------------------------------------------------------------- format
 
 const FORMAT_RS_FIXTURE: &str = r#"
