@@ -58,7 +58,7 @@
 //! cell is addressed by (bit, rank).
 
 use super::{BuildContext, BuildError, NOT_A_LANDMARK};
-use crate::view::{pack_label_entry, try_pack_label_entry};
+use crate::view::{pack_label_entry, MAX_LABEL_DISTANCE};
 use hcl_core::{Rows, VertexId, INFINITY};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::ScopedJoinHandle;
@@ -134,14 +134,17 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Sweeps the group of landmarks starting at rank `start`.
+/// Sweeps the group of landmarks starting at rank `start`. Stops at the
+/// first level that emits an entry deeper than [`MAX_LABEL_DISTANCE`],
+/// naming its first such vertex in vertex order: a covered arrival or a
+/// highway cell that deep needs no entry, so it does not fail.
 fn sweep_group<'g>(
     graph: impl Rows<'g, VertexId>,
     landmarks: &[VertexId],
     landmark_rank: &[u32],
     start: usize,
     scratch: &mut SweepScratch,
-) -> GroupSweep {
+) -> Result<GroupSweep, BuildError> {
     let t = Instant::now();
     let (n, k) = (graph.num_rows(), landmarks.len());
     let group = &landmarks[start..(start + WIDTH).min(k)];
@@ -202,6 +205,7 @@ fn sweep_group<'g>(
         } else {
             arriving.sort_unstable();
         }
+        let level_emits = out.emits.len();
         for &w in arriving.iter() {
             let cell = &mut cells[w as usize];
             let new = std::mem::take(&mut cell.next);
@@ -231,6 +235,9 @@ fn sweep_group<'g>(
                     bits: fresh,
                 });
             }
+        }
+        if let Some(emit) = out.emits.get(level_emits).filter(|_| depth > MAX_LABEL_DISTANCE) {
+            return Err(BuildError::too_far(emit.vertex, depth));
         }
         std::mem::swap(active, arriving);
         arriving.clear();
@@ -289,7 +296,7 @@ fn sweep_group<'g>(
     // only ever written for arriving bits, so this is the union of `emits`.
     out.labelled = cells.iter().map(|c| c.seen & !c.cov).collect();
     out.us = t.elapsed().as_micros() as u64;
-    out
+    Ok(out)
 }
 
 /// A complete labelling for a fixed landmark set: the hub-sorted label
@@ -307,12 +314,14 @@ pub(crate) struct Labelling {
 
 /// Labels `graph` for `landmarks` (rank order; `landmark_rank` is its
 /// inverse): one sweep per group of [`WIDTH`], the groups sharded over one
-/// worker per context, then the CSR fill. Fails before the fill if some
-/// entry's distance does not fit its word.
+/// worker per context, then the CSR fill. Fails with the first failing
+/// group's error in rank order if some entry's distance does not fit its
+/// word; no group is handed out after one fails.
 ///
 /// Groups share nothing, and the fill visits them in rank order, so the
-/// result does not depend on how many contexts there are or on how the
-/// workers were scheduled.
+/// result (and the error) does not depend on how many contexts there are
+/// or on how the workers were scheduled: every group ranked before a
+/// failing one was handed out before it, so it is swept to the end.
 pub(super) fn label<'g>(
     graph: impl Rows<'g, VertexId> + Send,
     landmarks: &[VertexId],
@@ -323,7 +332,7 @@ pub(super) fn label<'g>(
     let starts = (0..k).step_by(WIDTH);
     let groups: Vec<GroupSweep> = if contexts.len() > 1 {
         let cursor = AtomicUsize::new(0);
-        let mut groups: Vec<GroupSweep> = std::thread::scope(|s| {
+        let mut groups: Vec<(usize, Result<GroupSweep, BuildError>)> = std::thread::scope(|s| {
             let handles: Vec<_> = contexts
                 .iter_mut()
                 .map(|cx| {
@@ -338,33 +347,26 @@ pub(super) fn label<'g>(
                                 break out;
                             }
                             let scratch = &mut cx.sweep;
-                            out.push(sweep_group(graph, landmarks, landmark_rank, start, scratch));
+                            let group = sweep_group(graph, landmarks, landmark_rank, start, scratch);
+                            if group.is_err() {
+                                cursor.fetch_max(k.div_ceil(WIDTH), Ordering::Relaxed);
+                            }
+                            out.push((start, group));
                         }
                     })
                 })
                 .collect();
             join_workers(handles).into_iter().flatten().collect()
         });
-        groups.sort_unstable_by_key(|g| g.start);
-        groups
+        groups.sort_unstable_by_key(|&(start, _)| start);
+        groups.into_iter().map(|(_, g)| g).collect::<Result<_, _>>()?
     } else {
         let mut spare = SweepScratch::default();
         let scratch = contexts.first_mut().map_or(&mut spare, |cx| &mut cx.sweep);
         starts
             .map(|start| sweep_group(graph, landmarks, landmark_rank, start, scratch))
-            .collect()
+            .collect::<Result<_, _>>()?
     };
-
-    // A group emits in level order, so its last emit is its deepest entry:
-    // if that fits its word, every entry does.
-    for group in &groups {
-        if let Some(emit) = group.emits.last() {
-            let rank = (group.start + emit.bits.trailing_zeros() as usize) as u32;
-            if try_pack_label_entry(rank, emit.depth).is_none() {
-                return Err(BuildError::too_far(emit.vertex, emit.depth));
-            }
-        }
-    }
 
     let t = Instant::now();
     let n = graph.num_rows();
