@@ -40,7 +40,7 @@
 //!   Unix signal) re-opens the `--index` file and atomically swaps the
 //!   new generation into the shared [`GenerationHandle`](hcl_store::GenerationHandle); in-flight
 //!   requests finish on the old mmap, which is unmapped when its last
-//!   snapshot drops. `save_with`'s rename-into-place makes the writer
+//!   snapshot drops. `save`'s rename-into-place makes the writer
 //!   side safe, so a build pipeline can overwrite the file and poke the
 //!   server with no coordination beyond the poke. A failing reload can
 //!   retry with exponential backoff (`--reload-retries`,

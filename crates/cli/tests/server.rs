@@ -582,7 +582,7 @@ fn sigterm_drains_gracefully_and_exits_zero() {
 // ---------------------------------------------------------------------------
 
 /// Atomically replaces `live` with a copy of `src` (write sibling, then
-/// rename — the same discipline `save_with` uses), so the server's
+/// rename — the same discipline `save` uses), so the server's
 /// re-open never sees a torn file.
 fn swap_in(src: &Path, live: &Path) {
     let tmp = live.with_extension("swap.tmp");

@@ -312,7 +312,7 @@ fn update_subcommand_round_trips_and_compacts() {
 }
 
 #[test]
-fn compact_file_writes_what_update_compact_writes() {
+fn engine_compaction_writes_what_update_compact_writes() {
     let scratch = Scratch::new("compact_same");
     let graph = testkit::barabasi_albert(300, 3, 0xC0DE);
     let live = build_index(&scratch, "live", &edge_list(&graph), 8);
@@ -329,7 +329,11 @@ fn compact_file_writes_what_update_compact_writes() {
     let (by_library, by_cli) = (scratch.path("library.hcl"), scratch.path("cli.hcl"));
     std::fs::copy(&live, &by_library).expect("copy container");
     std::fs::copy(&live, &by_cli).expect("copy container");
-    let report = hcl_store::compact_file(&by_library).expect("compact_file");
+    let store = hcl_store::IndexStore::open(&by_library).expect("open");
+    let mut engine = hcl_store::UpdateEngine::from_store(&store, Some(by_library.clone()), 0);
+    assert_eq!(engine.pending(), 3);
+    let published = engine.publish(true).expect("compacting publish");
+    drop((store, published.store));
     let nothing = scratch.file("nothing.deltas", "");
     let (status, stderr) = run_update(&by_cli, &nothing, &["--compact"]);
     assert!(status.success(), "compacting update failed: {stderr}");
@@ -338,10 +342,10 @@ fn compact_file_writes_what_update_compact_writes() {
         std::fs::read(&by_library).expect("read compacted"),
         std::fs::read(&by_cli).expect("read compacted"),
     );
-    assert!(library == cli, "compact_file and update --compact differ");
-    assert_eq!(report.deltas_compacted, 3);
-    assert_eq!(report.bytes_after, library.len() as u64);
-    assert_eq!(report.compactions, 1);
+    assert!(library == cli, "the engine and update --compact differ");
+    assert!(published.compacted);
+    assert_eq!(published.bytes, Some(library.len() as u64));
+    assert_eq!((engine.pending(), engine.compactions()), (0, 1));
 }
 
 #[test]

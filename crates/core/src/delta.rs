@@ -449,11 +449,6 @@ pub struct PatchedGraph {
 }
 
 impl PatchedGraph {
-    /// Copies `graph` (flat or patched) into a flat base with no edits.
-    pub fn new(graph: GraphView<'_>) -> Self {
-        Self::flat(Arc::new(graph.to_owned_graph()))
-    }
-
     /// `base` with no edits: shared, not copied.
     pub fn flat(base: Arc<dyn CsrArrays>) -> Self {
         Self {
@@ -587,7 +582,7 @@ mod tests {
     #[test]
     fn overlay_starts_identical_to_base() {
         let g = testkit::grid(4, 4);
-        let d = PatchedGraph::new(g.as_view());
+        let d = PatchedGraph::flat(Arc::new(g.clone()));
         assert_eq!(d.num_vertices(), 16);
         assert_eq!(d.num_edges(), g.num_edges());
         assert_eq!(d.num_patched(), 0);
@@ -599,7 +594,7 @@ mod tests {
     #[test]
     fn insert_and_delete_patch_both_endpoints() {
         let g = testkit::path(5); // 0-1-2-3-4
-        let mut d = PatchedGraph::new(g.as_view());
+        let mut d = PatchedGraph::flat(Arc::new(g.clone()));
         assert!(d.apply(EdgeDelta::insert(0, 4)).unwrap());
         assert!(d.has_edge(0, 4));
         assert!(d.has_edge(4, 0));
@@ -621,7 +616,7 @@ mod tests {
     #[test]
     fn ineffective_deltas_are_reported_not_applied() {
         let g = testkit::path(3);
-        let mut d = PatchedGraph::new(g.as_view());
+        let mut d = PatchedGraph::flat(Arc::new(g.clone()));
         assert!(!d.apply(EdgeDelta::insert(0, 1)).unwrap()); // already present
         assert!(!d.apply(EdgeDelta::delete(0, 2)).unwrap()); // not present
         assert_eq!(d.num_patched(), 0);
@@ -631,7 +626,7 @@ mod tests {
     #[test]
     fn invalid_deltas_are_rejected() {
         let g = testkit::path(3);
-        let mut d = PatchedGraph::new(g.as_view());
+        let mut d = PatchedGraph::flat(Arc::new(g.clone()));
         assert_eq!(
             d.apply(EdgeDelta::insert(0, 7)).unwrap_err(),
             DeltaError::VertexOutOfRange {
@@ -673,7 +668,7 @@ mod tests {
         ];
         for (name, g) in shapes {
             let n = g.num_vertices() as u64;
-            let mut d = PatchedGraph::new(g.as_view());
+            let mut d = PatchedGraph::flat(Arc::new(g.clone()));
             let mut rng = testkit::SplitMix64::new(42 ^ n);
             for step in 0..60 {
                 // Half the edits touch a run boundary: vertex 0 or n - 1.
@@ -704,7 +699,7 @@ mod tests {
 
         // Deletes that empty adjacency lists, at both ends and inside.
         let g = testkit::path(5); // 0-1-2-3-4
-        let mut d = PatchedGraph::new(g.as_view());
+        let mut d = PatchedGraph::flat(Arc::new(g.clone()));
         for (u, v) in [(0, 1), (3, 4), (1, 2)] {
             d.apply(EdgeDelta::delete(u, v)).unwrap();
         }
@@ -720,7 +715,7 @@ mod tests {
         assert_eq!(d.num_patched(), 5);
         assert_splices_like_the_builder(&d, "patched back");
         assert_eq!(d.to_graph(), g);
-        assert_eq!(PatchedGraph::new(g.as_view()).to_graph(), g);
+        assert_eq!(PatchedGraph::flat(Arc::new(g.clone())).to_graph(), g);
     }
 
     #[test]
@@ -851,10 +846,10 @@ mod tests {
         // An overlay over a patched base: one insert frozen into a served
         // generation, then another made on top of that generation's view.
         let g = Arc::new(testkit::barabasi_albert(200, 3, 7));
-        let mut first = PatchedGraph::new(g.as_view());
+        let mut first = PatchedGraph::flat(g.clone());
         first.apply(EdgeDelta::insert(0, 199)).unwrap();
         let frozen = first.clone();
-        let mut d = PatchedGraph::new(frozen.as_view());
+        let mut d = PatchedGraph::flat(Arc::new(frozen.to_graph()));
         d.apply(EdgeDelta::insert(1, 198)).unwrap();
         assert_splices_like_the_builder(&d, "over a patched base");
         let spliced = d.to_graph();
@@ -897,7 +892,7 @@ mod tests {
         use crate::graph::{FlatRows, Rows};
         for (name, g) in testkit::families() {
             let n = g.num_vertices() as u64;
-            let mut d = PatchedGraph::new(g.as_view());
+            let mut d = PatchedGraph::flat(Arc::new(g.clone()));
             let mut rng = testkit::SplitMix64::new(0x70 ^ n);
             for _ in 0..(2 * n) {
                 let (u, v) = (rng.next_below(n) as VertexId, rng.next_below(n) as VertexId);
@@ -934,7 +929,7 @@ mod tests {
     #[test]
     fn bfs_oracles_run_over_the_overlay() {
         let g = testkit::path(6); // 0-1-2-3-4-5
-        let mut d = PatchedGraph::new(g.as_view());
+        let mut d = PatchedGraph::flat(Arc::new(g.clone()));
         d.apply(EdgeDelta::insert(0, 5)).unwrap(); // close the cycle
         assert_eq!(bfs::distance(d.as_view(), 0, 5), Some(1));
         assert_eq!(bfs::distance(d.as_view(), 0, 3), Some(3));

@@ -278,8 +278,8 @@ pub struct IndexStats {
 /// needs adjacency). Label arrays are stored CSR-style in flat vectors with
 /// fixed-width elements, so the layout matches `hcl-store`'s on-disk format
 /// and a file can be served back as a borrowed
-/// [`IndexView`](crate::IndexView) without copying. All read paths delegate
-/// through [`HighwayCoverIndex::as_view`].
+/// [`IndexView`](crate::IndexView) without copying. Every read — queries,
+/// labels, landmarks — goes through [`HighwayCoverIndex::as_view`].
 pub struct HighwayCoverIndex {
     /// Landmark rank → vertex id, in ranking order (rank 0 = highest degree).
     pub(crate) landmarks: Vec<VertexId>,
@@ -411,26 +411,6 @@ impl HighwayCoverIndex {
         )
     }
 
-    /// Number of landmarks in the index.
-    pub fn num_landmarks(&self) -> usize {
-        self.landmarks.len()
-    }
-
-    /// Vertex count of the graph this index was built for.
-    pub fn num_vertices(&self) -> usize {
-        self.landmark_rank.len()
-    }
-
-    /// The `(hub rank, distance)` label entries of vertex `v`, hub-sorted.
-    pub fn label(&self, v: VertexId) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.as_view().label(v)
-    }
-
-    /// Whether vertex `v` is a landmark.
-    pub fn is_landmark(&self, v: VertexId) -> bool {
-        self.as_view().is_landmark(v)
-    }
-
     /// Size statistics for logging and tuning.
     pub fn stats(&self) -> IndexStats {
         self.as_view().stats()
@@ -491,11 +471,11 @@ mod tests {
     fn star_landmark_is_the_centre() {
         let g = testkit::star(10);
         let idx = HighwayCoverIndex::build_top_k(&g, 1);
-        assert_eq!(idx.num_landmarks(), 1);
-        assert!(idx.is_landmark(0));
+        assert_eq!(idx.as_view().num_landmarks(), 1);
+        assert!(idx.as_view().is_landmark(0));
         // Every leaf is labelled with the centre at distance 1.
         for leaf in 1..10 {
-            assert_eq!(idx.label(leaf).collect::<Vec<_>>(), vec![(0, 1)]);
+            assert_eq!(idx.as_view().label(leaf).collect::<Vec<_>>(), vec![(0, 1)]);
         }
     }
 
@@ -503,7 +483,7 @@ mod tests {
     fn landmark_count_clamps_to_vertex_count() {
         let g = testkit::path(3);
         let idx = HighwayCoverIndex::build_top_k(&g, 100);
-        assert_eq!(idx.num_landmarks(), 3);
+        assert_eq!(idx.as_view().num_landmarks(), 3);
     }
 
     #[test]
@@ -511,7 +491,7 @@ mod tests {
         let g = testkit::erdos_renyi(60, 0.08, 3);
         let idx = HighwayCoverIndex::build_top_k(&g, 8);
         for v in 0..60 {
-            let hubs: Vec<u32> = idx.label(v).map(|(h, _)| h).collect();
+            let hubs: Vec<u32> = idx.as_view().label(v).map(|(h, _)| h).collect();
             let mut sorted = hubs.clone();
             sorted.sort_unstable();
             sorted.dedup();
@@ -571,7 +551,8 @@ mod tests {
         assert_eq!(s1.bfs_visits, s1.label_insertions + s1.dominated);
         assert!(s1.domination_cut_rate() > 0.0 && s1.domination_cut_rate() < 1.0);
         for (rank, &entries) in s1.landmark_labels.iter().enumerate() {
-            let held = (0..300).filter(|&v| idx1.label(v).any(|(h, _)| h as usize == rank));
+            let held =
+                (0..300).filter(|&v| idx1.as_view().label(v).any(|(h, _)| h as usize == rank));
             assert_eq!(entries, held.count() as u64, "landmark {rank}");
         }
 

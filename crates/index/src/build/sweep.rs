@@ -236,8 +236,10 @@ fn sweep_group<'g>(
                 });
             }
         }
-        if let Some(emit) = out.emits.get(level_emits).filter(|_| depth > MAX_LABEL_DISTANCE) {
-            return Err(BuildError::too_far(emit.vertex, depth));
+        if depth > MAX_LABEL_DISTANCE {
+            if let Some(emit) = out.emits.get(level_emits) {
+                return Err(BuildError::too_far(emit.vertex, depth));
+            }
         }
         std::mem::swap(active, arriving);
         arriving.clear();
@@ -347,7 +349,8 @@ pub(super) fn label<'g>(
                                 break out;
                             }
                             let scratch = &mut cx.sweep;
-                            let group = sweep_group(graph, landmarks, landmark_rank, start, scratch);
+                            let group =
+                                sweep_group(graph, landmarks, landmark_rank, start, scratch);
                             if group.is_err() {
                                 cursor.fetch_max(k.div_ceil(WIDTH), Ordering::Relaxed);
                             }
@@ -359,7 +362,10 @@ pub(super) fn label<'g>(
             join_workers(handles).into_iter().flatten().collect()
         });
         groups.sort_unstable_by_key(|&(start, _)| start);
-        groups.into_iter().map(|(_, g)| g).collect::<Result<_, _>>()?
+        groups
+            .into_iter()
+            .map(|(_, g)| g)
+            .collect::<Result<_, _>>()?
     } else {
         let mut spare = SweepScratch::default();
         let scratch = contexts.first_mut().map_or(&mut spare, |cx| &mut cx.sweep);
@@ -448,6 +454,7 @@ mod tests {
     use super::{join_workers, label, GroupSweep, WIDTH};
     use crate::build::rank_table;
     use hcl_core::{bfs, testkit, Graph, PatchedGraph};
+    use std::sync::Arc;
 
     /// Asserts that `group` expanded each vertex once per distinct distance
     /// from its roots — neither the order a level is put in nor the
@@ -536,7 +543,7 @@ mod tests {
             testkit::broom(1_000, 3, 1_500, 23),
             testkit::grid(4, 500),
         ] {
-            let overlay = PatchedGraph::new(g.as_view());
+            let overlay = PatchedGraph::flat(Arc::new(g.clone()));
             for k in [16, 65] {
                 let landmarks = g.top_k_by_degree(k);
                 let rank = rank_table(&landmarks, g.num_vertices()).unwrap();

@@ -3,8 +3,9 @@
 //! Nothing in the workspace may name them outside this file (`cargo xtask
 //! lint`, rule `harness-fence`); ROADMAP 1(c) deletes the file whole.
 
-use crate::{BuildContext, BuildStats, HighwayCoverIndex};
+use crate::{BuildContext, BuildStats, HighwayCoverIndex, IndexView, PatchedIndex};
 use hcl_core::Graph;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The landmark choice a build makes. There is one: degree rank.
@@ -85,6 +86,14 @@ impl HighwayCoverIndex {
             .unwrap_or_else(|e| panic!("{e}"));
         stats.selection_us = selection_us;
         (index, stats)
+    }
+}
+
+impl PatchedIndex {
+    /// Copies a frozen index (owned or mapped) into editable form:
+    /// [`flat`](Self::flat) over an owned copy.
+    pub fn from_view(view: IndexView<'_>) -> Self {
+        Self::flat(Arc::new(view.to_owned_index()))
     }
 }
 

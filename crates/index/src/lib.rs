@@ -32,9 +32,12 @@
 //! vertices), and a bad list or a distance no label entry holds is a
 //! [`BuildError`], not a panic.
 //!
-//! Storage comes in two backings sharing one query engine:
+//! Storage comes in two backings, and every query goes through
+//! `as_view()`:
 //!
-//! * [`HighwayCoverIndex`] — owned `Vec`s, produced by a build;
+//! * [`HighwayCoverIndex`] — owned `Vec`s, produced by a build, with no
+//!   query API of its own: [`as_view`](HighwayCoverIndex::as_view) is the
+//!   way in (and [`stats`](HighwayCoverIndex::stats) a shortcut);
 //! * [`IndexView`] — five borrowed slices over the identical flat layout
 //!   (each label entry is one `u32`, the landmark rank over a 24-bit
 //!   distance — see [`pack_label_entry`], and [`MAX_LANDMARKS`] /

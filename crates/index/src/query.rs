@@ -71,10 +71,9 @@
 //! caller-supplied collector such as [`crate::QueryStats`] that records
 //! which mechanism answered and how much work each phase did.
 
-use crate::build::HighwayCoverIndex;
 use crate::probe::Probe;
 use crate::view::{entry_dist, entry_hub, hub_key, IndexView};
-use hcl_core::{Graph, GraphView, NoProbe, Rows, VertexId, INFINITY};
+use hcl_core::{GraphView, NoProbe, Rows, VertexId, INFINITY};
 
 const INF64: u64 = u64::MAX;
 
@@ -154,56 +153,6 @@ impl QueryContext {
         }
         self.landmark_key.clear();
         self.landmark_key.extend_from_slice(view.landmarks);
-    }
-}
-
-impl HighwayCoverIndex {
-    /// Exact distance between `u` and `v`, or `None` if disconnected.
-    ///
-    /// Convenience wrapper that allocates a **fresh [`QueryContext`] on
-    /// every call** — the per-vertex reached bytes and the two search
-    /// queues, which the first query then has to grow to the graph size.
-    /// On a µs-scale query that allocation and warm-up is comparable to
-    /// the query itself, so anything issuing
-    /// more than a handful of queries (batch runs, serving loops,
-    /// benchmarks) should hold one context per thread and call
-    /// [`query_with`](Self::query_with) instead; the CLI's random-query,
-    /// stdin, and worker-pool paths all do.
-    ///
-    /// # Panics
-    /// Panics if `u` or `v` is out of range, or if `graph` has a different
-    /// vertex count than the graph the index was built from. Passing a
-    /// *different* graph with the same vertex count is not detected and
-    /// yields meaningless answers — always query with the build graph.
-    pub fn query(&self, graph: &Graph, u: VertexId, v: VertexId) -> Option<u32> {
-        let mut ctx = QueryContext::new();
-        self.as_view().query_with(graph, &mut ctx, u, v)
-    }
-
-    /// Exact distance between `u` and `v` reusing caller-owned scratch.
-    /// See [`IndexView::query_with`] (to which this delegates) for the
-    /// algorithm and panics.
-    pub fn query_with(
-        &self,
-        graph: &Graph,
-        ctx: &mut QueryContext,
-        u: VertexId,
-        v: VertexId,
-    ) -> Option<u32> {
-        self.as_view().query_with(graph, ctx, u, v)
-    }
-
-    /// [`query_with`](Self::query_with) with observation hooks. See
-    /// [`IndexView::query_probed`].
-    pub fn query_probed<P: Probe>(
-        &self,
-        graph: &Graph,
-        ctx: &mut QueryContext,
-        u: VertexId,
-        v: VertexId,
-        probe: &mut P,
-    ) -> Option<u32> {
-        self.as_view().query_probed(graph, ctx, u, v, probe)
     }
 }
 
@@ -540,6 +489,8 @@ fn galloping_merge_bound<P: Probe>(small: &[u32], large: &[u32], probe: &mut P) 
 mod tests {
     use super::*;
     use crate::view::{pack_label_entry, MAX_LABEL_DISTANCE};
+    use hcl_core::Graph;
+    use std::sync::Arc;
 
     fn entries(pairs: &[(u32, u32)]) -> Vec<u32> {
         pairs.iter().map(|&(h, d)| pack_label_entry(h, d)).collect()
@@ -715,7 +666,7 @@ mod tests {
                 adjacent_landmark_pairs +=
                     usize::from(top.contains(&u) && top.contains(&v) && g.has_edge(u, v));
                 for (i, index) in indexes.iter().enumerate() {
-                    let got = index.query_with(&g, &mut ctx, u, v);
+                    let got = index.as_view().query_with(&g, &mut ctx, u, v);
                     assert_eq!(got, want, "index {i}: ({u}, {v})");
                     assert!(
                         ctx.is_clean(),
@@ -793,7 +744,7 @@ mod tests {
         use hcl_core::{EdgeDelta, PatchedGraph};
         let n = base.num_vertices() as u64;
         let mut rng = hcl_core::testkit::SplitMix64::new(seed);
-        let mut graph = PatchedGraph::new(base.as_view());
+        let mut graph = PatchedGraph::flat(Arc::new(base.clone()));
         let mut inserts = |graph: &mut PatchedGraph| {
             let mut batch = Vec::new();
             while batch.len() < 2 {
@@ -843,8 +794,8 @@ mod tests {
                 .filter(|v| !landmarks.contains(v))
                 .max_by_key(|&v| base.degree(v))
                 .unwrap();
-            let mut dynamic = PatchedIndex::from_view(index.as_view());
-            let mut graph = hcl_core::PatchedGraph::new(base.as_view());
+            let mut dynamic = PatchedIndex::flat(Arc::new(index));
+            let mut graph = hcl_core::PatchedGraph::flat(base.clone());
             let script = patching_script(&base, &landmarks, emptied, 0x9A7C ^ n as u64);
             for (step, batch) in script.iter().enumerate() {
                 for &delta in batch {

@@ -210,12 +210,6 @@ pub struct PatchedIndex {
 pub use crate::harness::in_repair::*;
 
 impl PatchedIndex {
-    /// Copies a frozen index (owned or mapped) into editable form: five
-    /// slice copies, no per-vertex work.
-    pub fn from_view(view: IndexView<'_>) -> Self {
-        Self::flat(Arc::new(view.to_owned_index()))
-    }
-
     /// `base` with no edits: shared, not copied.
     pub fn flat(base: Arc<dyn LabelArrays>) -> Self {
         Self {
@@ -625,7 +619,7 @@ mod tests {
     fn roundtrip_is_lossless() {
         let g = Graph::from_edges(&[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]);
         let built = HighwayCoverIndex::build_top_k(&g, 2);
-        let dynamic = PatchedIndex::from_view(built.as_view());
+        let dynamic = PatchedIndex::flat(Arc::new(built.as_view().to_owned_index()));
         let back = dynamic.to_index();
         assert_eq!(back.as_view().landmarks(), built.as_view().landmarks());
         assert_eq!(
@@ -639,8 +633,8 @@ mod tests {
     fn ineffective_deltas_touch_nothing() {
         let g = Graph::from_edges(&[(0, 1), (1, 2)]);
         let built = HighwayCoverIndex::build_top_k(&g, 1);
-        let mut dynamic = PatchedIndex::from_view(built.as_view());
-        let mut graph = PatchedGraph::new(g.as_view());
+        let mut dynamic = PatchedIndex::flat(Arc::new(built));
+        let mut graph = PatchedGraph::flat(Arc::new(g.clone()));
         let mut cx = BuildContext::new();
         let out = dynamic
             .apply_and_repair(&mut graph, EdgeDelta::insert(0, 1), &mut cx)
@@ -660,8 +654,8 @@ mod tests {
         // A long path: inserting a chord changes many distances.
         let g = Graph::from_edges(&[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]);
         let built = HighwayCoverIndex::build_top_k(&g, 3);
-        let mut dynamic = PatchedIndex::from_view(built.as_view());
-        let mut graph = PatchedGraph::new(g.as_view());
+        let mut dynamic = PatchedIndex::flat(Arc::new(built));
+        let mut graph = PatchedGraph::flat(Arc::new(g.clone()));
         let mut cx = BuildContext::new();
         let out = dynamic
             .apply_and_repair(&mut graph, EdgeDelta::insert(0, 6), &mut cx)
@@ -677,8 +671,8 @@ mod tests {
         // graph and must leave cross-component answers at None.
         let g = Graph::from_edges(&[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]);
         let built = HighwayCoverIndex::build_top_k(&g, 2);
-        let mut dynamic = PatchedIndex::from_view(built.as_view());
-        let mut graph = PatchedGraph::new(g.as_view());
+        let mut dynamic = PatchedIndex::flat(Arc::new(built));
+        let mut graph = PatchedGraph::flat(Arc::new(g.clone()));
         let mut cx = BuildContext::new();
         let out = dynamic
             .apply_and_repair(&mut graph, EdgeDelta::delete(2, 3), &mut cx)
@@ -696,7 +690,7 @@ mod tests {
         let mut built = HighwayCoverIndex::build_top_k(&g, 2);
         built.landmarks[1] = built.landmarks[0];
         let mut dynamic = PatchedIndex::flat(Arc::new(built));
-        let mut graph = PatchedGraph::new(g.as_view());
+        let mut graph = PatchedGraph::flat(Arc::new(g.clone()));
         let mut cx = BuildContext::new();
         let got = dynamic.apply_and_repair(&mut graph, EdgeDelta::delete(3, 4), &mut cx);
         assert_eq!(got, Err(DeltaError::UnfitLandmarks));
@@ -708,8 +702,8 @@ mod tests {
     fn mixed_script_stays_exact_on_a_grid() {
         let g = hcl_core::testkit::grid(4, 4);
         let built = HighwayCoverIndex::build_top_k(&g, 4);
-        let mut dynamic = PatchedIndex::from_view(built.as_view());
-        let mut graph = PatchedGraph::new(g.as_view());
+        let mut dynamic = PatchedIndex::flat(Arc::new(built));
+        let mut graph = PatchedGraph::flat(Arc::new(g.clone()));
         let mut cx = BuildContext::new();
         let script = [
             EdgeDelta::insert(0, 15),

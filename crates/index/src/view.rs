@@ -655,8 +655,8 @@ mod tests {
                 v.highway(),
             )
             .expect("freshly built index must validate");
-            assert_eq!(revalidated.num_landmarks(), idx.num_landmarks());
-            assert_eq!(revalidated.num_vertices(), idx.num_vertices());
+            assert_eq!(revalidated.num_landmarks(), idx.as_view().num_landmarks());
+            assert_eq!(revalidated.num_vertices(), idx.as_view().num_vertices());
         }
     }
 
@@ -667,8 +667,8 @@ mod tests {
         let copy = idx.as_view().to_owned_index();
         for v in 0..25 {
             assert_eq!(
-                idx.label(v).collect::<Vec<_>>(),
-                copy.label(v).collect::<Vec<_>>()
+                idx.as_view().label(v).collect::<Vec<_>>(),
+                copy.as_view().label(v).collect::<Vec<_>>()
             );
         }
         assert_eq!(idx.stats().bytes, copy.stats().bytes);

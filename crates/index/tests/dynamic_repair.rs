@@ -13,6 +13,7 @@ use hcl_core::testkit::{barabasi_albert, disjoint_union, families, SplitMix64};
 use hcl_core::{bfs, DeltaOp, EdgeDelta, Graph, PatchedGraph};
 use hcl_index::repair::{PatchedIndex, RepairOutcome};
 use hcl_index::{BuildContext, HighwayCoverIndex, QueryContext};
+use std::sync::Arc;
 
 const SCRIPT_LEN: usize = 12;
 
@@ -35,8 +36,8 @@ fn run_script(name: &str, base: &Graph, threads: usize, seed: u64) {
     }
     let k = n.min(4);
     let built = build_top_k(base, k, threads);
-    let mut dynamic = PatchedIndex::from_view(built.as_view());
-    let mut graph = PatchedGraph::new(base.as_view());
+    let mut dynamic = PatchedIndex::flat(Arc::new(built));
+    let mut graph = PatchedGraph::flat(Arc::new(base.clone()));
     let mut cx = BuildContext::new();
     let mut rng = SplitMix64::new(seed);
 
@@ -125,8 +126,8 @@ fn landmark_bfs(graph: &Graph, index: &HighwayCoverIndex) -> Vec<Vec<u32>> {
 /// Every vertex's `(hub rank, distance)` label, read off the flattened form.
 fn labels_of(dynamic: &PatchedIndex) -> Vec<Vec<(u32, u32)>> {
     let index = dynamic.to_index();
-    (0..index.num_vertices() as u32)
-        .map(|v| index.label(v).collect())
+    (0..index.as_view().num_vertices() as u32)
+        .map(|v| index.as_view().label(v).collect())
         .collect()
 }
 
@@ -158,8 +159,8 @@ fn sweep_edit_scripts(mut check: impl FnMut(&Snapshot<'_>)) {
         let n = base.num_vertices();
         for &k in KS {
             let built = build_top_k(&base, k, 0);
-            let mut dynamic = PatchedIndex::from_view(built.as_view());
-            let mut graph = PatchedGraph::new(base.as_view());
+            let mut dynamic = PatchedIndex::flat(Arc::new(built.as_view().to_owned_index()));
+            let mut graph = PatchedGraph::flat(Arc::new(base.clone()));
             let mut cx = BuildContext::new();
             let mut rng = SplitMix64::new(0xDE7E_C7ED ^ (n * 31 + k) as u64);
             let mut truth = landmark_bfs(&base, &built);
@@ -231,8 +232,8 @@ fn assert_index_invariants(tag: &str, dynamic: &PatchedIndex, truth: &[Vec<u32>]
     let index = dynamic.to_index();
     let view = index.as_view();
     let k = view.landmarks().len();
-    for v in 0..index.num_vertices() as u32 {
-        for (hub, d) in index.label(v) {
+    for v in 0..index.as_view().num_vertices() as u32 {
+        for (hub, d) in index.as_view().label(v) {
             let exact = truth[hub as usize][v as usize];
             assert!(
                 d >= exact,
@@ -333,14 +334,14 @@ fn repaired_labels_are_a_superset_of_a_fresh_builds() {
         );
         let mut surplus = 0usize;
         for v in 0..s.graph.num_vertices() as u32 {
-            let held: Vec<(u32, u32)> = repaired.label(v).collect();
-            for entry in fresh.label(v) {
+            let held: Vec<(u32, u32)> = repaired.as_view().label(v).collect();
+            for entry in fresh.as_view().label(v) {
                 assert!(
                     held.contains(&entry),
                     "{tag}: fresh entry {entry:?} of vertex {v} missing from {held:?}"
                 );
             }
-            surplus += held.len() - fresh.label(v).count();
+            surplus += held.len() - fresh.as_view().label(v).count();
         }
         if s.edit.as_ref().is_none_or(|e| e.outcome.full_relabel) {
             assert_eq!(
@@ -378,14 +379,15 @@ fn joining_two_components_repairs_the_whole_newly_reachable_side() {
         .iter()
         .filter(|&&lm| lm < 60)
         .count();
-    let mut dynamic = PatchedIndex::from_view(built.as_view());
-    let mut graph = PatchedGraph::new(base.as_view());
+    let mut dynamic = PatchedIndex::flat(Arc::new(built.as_view().to_owned_index()));
+    let mut graph = PatchedGraph::flat(Arc::new(base.clone()));
     let mut cx = BuildContext::new();
     assert_index_invariants("disjoint, as built", &dynamic, &landmark_bfs(&base, &built));
 
     // Two ordinary vertices, one per side.
-    let a = (0..60).rev().find(|&v| !built.is_landmark(v)).unwrap();
-    let b = (60..100).rev().find(|&v| !built.is_landmark(v)).unwrap();
+    let ordinary = |v: &u32| !built.as_view().is_landmark(*v);
+    let a = (0..60).rev().find(ordinary).unwrap();
+    let b = (60..100).rev().find(ordinary).unwrap();
     let outcome = dynamic
         .apply_and_repair(&mut graph, EdgeDelta::insert(a, b), &mut cx)
         .unwrap();
@@ -424,8 +426,8 @@ fn partial_repair_stays_small_and_local_on_a_power_law_graph() {
     const INSERTS: usize = 200;
     let base = barabasi_albert(N, 5, 0x1AC4);
     let built = build_top_k(&base, 32, 0);
-    let mut dynamic = PatchedIndex::from_view(built.as_view());
-    let mut graph = PatchedGraph::new(base.as_view());
+    let mut dynamic = PatchedIndex::flat(Arc::new(built));
+    let mut graph = PatchedGraph::flat(Arc::new(base.clone()));
     let mut cx = BuildContext::new();
     let mut rng = SplitMix64::new(0x5CA1E);
     let mut visited = 0usize;
@@ -488,11 +490,11 @@ fn flattening_per_delta_or_per_batch_gives_the_same_bytes() {
         }
         for &k in KS {
             let built = build_top_k(&base, k, 0);
-            let mut per_delta = PatchedIndex::from_view(built.as_view());
-            let mut per_batch = PatchedIndex::from_view(built.as_view());
+            let mut per_delta = PatchedIndex::flat(Arc::new(built.as_view().to_owned_index()));
+            let mut per_batch = PatchedIndex::flat(Arc::new(built));
             let mut graphs = [
-                PatchedGraph::new(base.as_view()),
-                PatchedGraph::new(base.as_view()),
+                PatchedGraph::flat(Arc::new(base.clone())),
+                PatchedGraph::flat(Arc::new(base.clone())),
             ];
             let mut cx = BuildContext::new();
             let mut rng = SplitMix64::new(0xF1A7 ^ (n * 31 + k) as u64);
@@ -546,7 +548,7 @@ fn flattening_per_delta_or_per_batch_gives_the_same_bytes() {
 fn deltas_never_mutate_the_base_graph() {
     let base = hcl_core::testkit::barabasi_albert(60, 3, 7);
     let before: Vec<Vec<u32>> = (0..60).map(|v| base.neighbors(v).to_vec()).collect();
-    let mut graph = PatchedGraph::new(base.as_view());
+    let mut graph = PatchedGraph::flat(Arc::new(base.clone()));
     let mut rng = SplitMix64::new(99);
     for _ in 0..40 {
         let u = rng.next_below(60) as u32;

@@ -22,6 +22,7 @@
 use hcl_core::{bfs, DeltaOp, EdgeDelta, Graph, GraphBuilder, PatchedGraph, VertexId, INFINITY};
 use hcl_index::PatchedIndex;
 use hcl_index::{BuildContext, HighwayCoverIndex, QueryContext};
+use std::sync::Arc;
 
 /// The vertex pairs `u < v` of `0..n`, in lexicographic order.
 fn pairs(n: usize) -> Vec<(VertexId, VertexId)> {
@@ -132,8 +133,8 @@ impl Sweep {
             HighwayCoverIndex::build(graph, landmarks, std::slice::from_mut(&mut self.cx), None)
                 .unwrap()
                 .0;
-        let mut dynamic = PatchedIndex::from_view(built.as_view());
-        let mut overlay = PatchedGraph::new(graph.as_view());
+        let mut dynamic = PatchedIndex::flat(Arc::new(built));
+        let mut overlay = PatchedGraph::flat(Arc::new(graph.clone()));
         let mut relabelled = false;
         for &edit in edits {
             let outcome = dynamic
@@ -163,8 +164,8 @@ impl Sweep {
 
         let mut surplus = 0;
         for v in 0..n {
-            let held: Vec<(u32, u32)> = repaired.label(v).collect();
-            let want: Vec<(u32, u32)> = fresh.label(v).collect();
+            let held: Vec<(u32, u32)> = repaired.as_view().label(v).collect();
+            let want: Vec<(u32, u32)> = fresh.as_view().label(v).collect();
             for entry in &want {
                 assert!(
                     held.contains(entry),
@@ -201,7 +202,7 @@ fn single_edits(n: usize, max_k: usize) -> Tally {
     for graph in graphs(n) {
         for landmarks in &lists {
             for pair in pairs(n) {
-                let edit = flip(&PatchedGraph::new(graph.as_view()), pair);
+                let edit = flip(&PatchedGraph::flat(Arc::new(graph.clone())), pair);
                 sweep.case(&graph, landmarks, &[edit]);
             }
         }
@@ -235,9 +236,9 @@ fn edit_pairs(n: usize, max_k: usize) -> Tally {
     let mut sweep = Sweep::new();
     let lists = landmark_lists(n, max_k);
     for graph in graphs(n) {
-        let start = PatchedGraph::new(graph.as_view());
+        let start = PatchedGraph::flat(Arc::new(graph.clone()));
         for first in pairs(n).into_iter().filter(|&(u, v)| !start.has_edge(u, v)) {
-            let mut after = PatchedGraph::new(graph.as_view());
+            let mut after = PatchedGraph::flat(Arc::new(graph.clone()));
             after.apply(EdgeDelta::insert(first.0, first.1)).unwrap();
             for second in pairs(n) {
                 let edits = [EdgeDelta::insert(first.0, first.1), flip(&after, second)];

@@ -44,7 +44,7 @@ fn assert_refused(graph: Graph, delta: EdgeDelta, vertex: VertexId) {
         .unwrap()
         .0;
     let mut ctx = QueryContext::new();
-    let before = index.query_with(&graph, &mut ctx, 0, vertex);
+    let before = index.as_view().query_with(&graph, &mut ctx, 0, vertex);
     let mut patched = PatchedIndex::flat(Arc::new(index));
     let graph = Arc::new(graph);
     let mut edited = PatchedGraph::flat(graph.clone());

@@ -27,7 +27,7 @@ fn assert_matches_oracle(name: &str, g: &Graph, ks: &[usize]) {
                     INFINITY => None,
                     d => Some(d),
                 };
-                let got = idx.query_with(g, &mut ctx, u, v);
+                let got = idx.as_view().query_with(g, &mut ctx, u, v);
                 assert_eq!(
                     got, expected,
                     "{name}: query({u}, {v}) with k={k} disagrees with BFS oracle"
@@ -68,7 +68,7 @@ fn every_strategy_matches_oracle_on_all_families() {
                             d => Some(d),
                         };
                         assert_eq!(
-                            idx.query_with(&g, &mut ctx, u, v),
+                            idx.as_view().query_with(&g, &mut ctx, u, v),
                             expected,
                             "{name}: query({u}, {v}) with k={k}, {list} landmarks, \
                              disagrees with BFS oracle"
@@ -141,7 +141,7 @@ fn queries_over_views_match_owned_index() {
         for v in 0..50 {
             assert_eq!(
                 iv.query_with(gv, &mut ctx, u, v),
-                idx.query_with(&g, &mut ctx, u, v),
+                idx.as_view().query_with(&g, &mut ctx, u, v),
                 "view/owned disagreement at ({u}, {v})"
             );
         }
@@ -153,9 +153,9 @@ fn family_disconnected_returns_none() {
     // Disjoint union guarantees cross-component pairs; the oracle comparison
     // above already checks them, but assert explicitly that `None` shows up.
     let g = testkit::disjoint_union(&testkit::grid(3, 3), &testkit::cycle(5));
-    let idx = build_top_k(&g, 4);
-    assert_eq!(idx.query(&g, 0, 9), None);
-    assert_eq!(idx.query(&g, 8, 13), None);
+    let (idx, mut ctx) = (build_top_k(&g, 4), QueryContext::new());
+    assert_eq!(idx.as_view().query_with(&g, &mut ctx, 0, 9), None);
+    assert_eq!(idx.as_view().query_with(&g, &mut ctx, 8, 13), None);
     assert_matches_oracle("grid ⊎ cycle", &g, KS);
 
     // Sparse ER graphs are naturally fragmented: make sure at least one
@@ -185,10 +185,10 @@ fn query_context_reuse_is_clean() {
     let idx = build_top_k(&g, 3);
     let mut ctx = QueryContext::new();
     for _ in 0..3 {
-        assert_eq!(idx.query_with(&g, &mut ctx, 0, 9), Some(9));
-        assert_eq!(idx.query_with(&g, &mut ctx, 0, 10), None);
-        assert_eq!(idx.query_with(&g, &mut ctx, 11, 12), Some(2));
-        assert_eq!(idx.query_with(&g, &mut ctx, 5, 5), Some(0));
+        assert_eq!(idx.as_view().query_with(&g, &mut ctx, 0, 9), Some(9));
+        assert_eq!(idx.as_view().query_with(&g, &mut ctx, 0, 10), None);
+        assert_eq!(idx.as_view().query_with(&g, &mut ctx, 11, 12), Some(2));
+        assert_eq!(idx.as_view().query_with(&g, &mut ctx, 5, 5), Some(0));
     }
 }
 
@@ -196,10 +196,11 @@ fn query_context_reuse_is_clean() {
 fn landmark_endpoints_answer_exactly() {
     let g = testkit::grid(4, 4);
     let idx = build_top_k(&g, 3);
-    let landmark = (0..16).find(|&v| idx.is_landmark(v)).unwrap();
+    let (view, mut ctx) = (idx.as_view(), QueryContext::new());
+    let landmark = (0..16).find(|&v| view.is_landmark(v)).unwrap();
     for v in 0..16 {
         let expected = bfs::distance(&g, landmark, v);
-        assert_eq!(idx.query(&g, landmark, v), expected);
-        assert_eq!(idx.query(&g, v, landmark), expected);
+        assert_eq!(view.query_with(&g, &mut ctx, landmark, v), expected);
+        assert_eq!(view.query_with(&g, &mut ctx, v, landmark), expected);
     }
 }

@@ -169,11 +169,11 @@ fn assert_definition(tag: &str, g: &Graph, built: &HighwayCoverIndex) {
     let landmarks = view.landmarks();
     let expected = labelling_by_definition(g, landmarks);
     for (v, want) in expected.iter().enumerate() {
-        let got: Vec<(u32, u32)> = built.label(v as VertexId).collect();
+        let got: Vec<(u32, u32)> = view.label(v as VertexId).collect();
         assert_eq!(&got, want, "{tag}: label of vertex {v}");
     }
     for (i, &r) in landmarks.iter().enumerate() {
-        let own: Vec<(u32, u32)> = built.label(r).collect();
+        let own: Vec<(u32, u32)> = view.label(r).collect();
         assert_eq!(own, [(i as u32, 0)], "{tag}: landmark {i}'s label");
         let from = bfs::distances_from(g, r);
         let row = &view.highway()[i * landmarks.len()..][..landmarks.len()];
@@ -230,7 +230,7 @@ fn parallel_output_stays_exact_against_the_oracle() {
                 d => Some(d),
             };
             assert_eq!(
-                idx.query_with(&g, &mut ctx, u, v),
+                idx.as_view().query_with(&g, &mut ctx, u, v),
                 expected,
                 "parallel-built index wrong at ({u}, {v})"
             );

@@ -11,6 +11,7 @@ use hcl_index::{
     AnswerSource, BuildContext, HighwayCoverIndex, IndexView, PatchedIndex, QueryContext,
     QueryStats,
 };
+use std::sync::Arc;
 
 /// The top `k` by degree, labelled with the auto-mode contexts.
 fn build_top_k(g: &Graph, k: usize) -> HighwayCoverIndex {
@@ -121,8 +122,8 @@ fn grid_with_chords_traversal_is_pinned() {
 fn patched_generation_traversal_is_pinned() {
     let base = testkit::barabasi_albert(2000, 5, 0x5EED);
     let index = build_top_k(&base, 16);
-    let mut dynamic = PatchedIndex::from_view(index.as_view());
-    let mut graph = PatchedGraph::new(base.as_view());
+    let mut dynamic = PatchedIndex::flat(Arc::new(index));
+    let mut graph = PatchedGraph::flat(Arc::new(base.clone()));
     let mut cx = BuildContext::new();
     let mut rng = SplitMix64::new(0x1A5E);
     let mut applied = 0;

@@ -1,13 +1,13 @@
 //! Durable atomic publish with a dependency-free injectable I/O layer.
 //!
-//! Every save entry point in this crate funnels into
-//! [`publish_slices_with`], which replaces the old write-temp-then-rename
-//! with a **durable publish**: the container's bytes — ordered slices, the
-//! header and table then each section straight from its array (see
-//! [`ImageParts`](crate::ImageParts)) — go to a uniquely named temporary
-//! sibling in the target's directory, the temp file is fsynced, renamed
-//! over the target, and finally the parent directory is fsynced so the
-//! rename itself survives a power cut. A crash at any point leaves the
+//! Every whole-container write in this crate — [`save`](crate::save) and
+//! a compaction — funnels into [`publish_slices_with`], which replaces the
+//! old write-temp-then-rename with a **durable publish**: the container's
+//! bytes — ordered slices, the header and table then each section
+//! straight from its array (see [`ImageParts`](crate::ImageParts)) — go
+//! to a uniquely named temporary sibling in the target's directory, the
+//! temp file is fsynced, renamed over the target, and finally the parent
+//! directory is fsynced so the rename itself survives a power cut. A crash at any point leaves the
 //! target holding either the previous complete container or the new one —
 //! never a torn half-write — and leftover `<target>.tmp.*` siblings from
 //! crashed publishes are swept on the next save to that path.
@@ -23,8 +23,8 @@
 //!   5. sync-dir      fsync(parent)     — the rename itself durable
 //! ```
 //!
-//! [`publish_with`] is the one-slice case, for a container already in
-//! memory.
+//! A container already in memory is the one-slice case,
+//! `publish_slices_with(path, &[bytes], io)`.
 //!
 //! The I/O layer follows the same zero-cost discipline as `hcl-index`'s
 //! `Probe`: [`StoreIo::decide`] defaults to [`IoDecision::Proceed`] with
@@ -49,6 +49,8 @@
 //! and remain one.
 
 use crate::error::StoreError;
+#[doc(hidden)]
+pub use crate::harness::in_durable::*;
 use std::collections::HashSet;
 use std::fs::File;
 use std::io::Write;
@@ -359,16 +361,6 @@ fn publish_step<Io: StoreIo, T>(
             Ok(None)
         }
     }
-}
-
-/// Durably publishes `bytes` at `path` through the injectable I/O layer:
-/// [`publish_slices_with`] with one slice.
-pub fn publish_with<Io: StoreIo>(
-    path: &Path,
-    bytes: &[u8],
-    io: &Io,
-) -> Result<PublishOutcome, StoreError> {
-    publish_slices_with(path, &[bytes], io)
 }
 
 /// Durably publishes the concatenation of `slices` at `path` through the

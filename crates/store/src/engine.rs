@@ -521,8 +521,12 @@ mod tests {
                 reopened.journal().unwrap().len(),
                 last.journal().unwrap().len()
             );
-            let (graph, index) = reopened.to_owned_parts();
-            let (live_graph, live_index) = last.to_owned_parts();
+            let (graph, index) = (
+                reopened.graph().to_owned_graph(),
+                reopened.index().to_owned_index(),
+            );
+            let (live_graph, live_index) =
+                (last.graph().to_owned_graph(), last.index().to_owned_index());
             assert_eq!(graph, live_graph, "{what}: graph");
             let (index, live) = (index.as_view(), live_index.as_view());
             assert_eq!(index.landmarks(), live.landmarks(), "{what}");
@@ -650,7 +654,7 @@ mod tests {
         let n = if cfg!(miri) { 640 } else { 3_000 };
         let (graph, mut engine) = engine_for(n, 8, 0xF01D);
         let limit = n / FOLD_DIVISOR;
-        let mut oracle = PatchedGraph::new(graph.as_view());
+        let mut oracle = PatchedGraph::flat(Arc::new(graph.clone()));
         let mut rng = testkit::SplitMix64::new(0xF01D);
         let hub = graph.top_k_by_degree(1)[0];
         for phase in ["inserts", "after a full relabel"] {
@@ -733,7 +737,7 @@ mod tests {
         let n = if cfg!(miri) { 640 } else { 3_000 };
         let (graph, mut engine) = engine_for(n, 8, 0x150);
         let mut rng = testkit::SplitMix64::new(0x150);
-        let mut live = PatchedGraph::new(graph.as_view());
+        let mut live = PatchedGraph::flat(Arc::new(graph.clone()));
         let mut publish = |engine: &mut UpdateEngine, delta: Option<EdgeDelta>| {
             let delta = delta.unwrap_or_else(|| loop {
                 let (u, v) = (
@@ -820,7 +824,7 @@ mod tests {
         const N: usize = 9_000;
         let (graph, mut engine) = engine_for(N, 8, 0xC0);
         let mut rng = testkit::SplitMix64::new(0xC0);
-        let mut live = PatchedGraph::new(graph.as_view());
+        let mut live = PatchedGraph::flat(Arc::new(graph.clone()));
         // The first generation shares the fresh overlays, so every update
         // after it copies on write.
         let mut last = engine.publish(false).unwrap().store;
@@ -981,7 +985,10 @@ mod tests {
         let store = engine.publish(false).unwrap().store;
         let (patched_graph, patched_index) = (store.graph(), store.index());
         assert!(patched_graph.is_patched() && patched_index.is_patched());
-        let (flat_graph, flat_index) = store.to_owned_parts();
+        let (flat_graph, flat_index) = (
+            store.graph().to_owned_graph(),
+            store.index().to_owned_index(),
+        );
         let cases = [
             ("graph", patched_graph, flat_index.as_view()),
             ("labels", flat_graph.as_view(), patched_index),

@@ -406,8 +406,10 @@ impl StoredJournal {
 /// sections are a function of the graph and the landmark count alone, on
 /// any machine.
 ///
-/// `0` in `threads`/`batch_size` means "unrecorded" (e.g. a file written
-/// through the plain [`serialize`]/[`save`](crate::save) entry points).
+/// [`image_parts`], the one layout every write goes through, takes it;
+/// the plain [`serialize`] / [`save`](crate::save) conveniences pass
+/// [`BuildInfo::default`], whose `0` in `threads` / `batch_size` means
+/// "unrecorded".
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BuildInfo {
     /// Worker threads the builder ran with; `hcl build` leaves it 0, so
@@ -654,56 +656,21 @@ pub fn image_parts<'a>(
 }
 
 /// Serialises a graph and its index into an in-memory `.hcl` container
-/// (current version), leaving the build-metadata bytes unrecorded (zero).
+/// (current version), leaving the build-metadata bytes unrecorded (zero):
+/// the [`image_parts`] layout with no optional section, joined.
 ///
 /// Fails with [`StoreError::GraphIndexMismatch`] if the index was built for
 /// a different vertex count. Output is deterministic: the same graph and
 /// index always produce byte-identical files.
 pub fn serialize(graph: &Graph, index: &HighwayCoverIndex) -> Result<Vec<u8>, StoreError> {
-    serialize_with(graph, index, BuildInfo::default())
-}
-
-/// Serialises a graph and its index (current version), recording how the
-/// index was built in the header's build-metadata bytes. See [`serialize`]
-/// for everything else; determinism holds per `(graph, index, build)`
-/// triple.
-pub fn serialize_with(
-    graph: &Graph,
-    index: &HighwayCoverIndex,
-    build: BuildInfo,
-) -> Result<Vec<u8>, StoreError> {
-    Ok(image_parts(graph.as_view(), index.as_view(), build, None, None)?.to_vec())
-}
-
-/// Serialises a graph, its index, and a delta journal into a container.
-///
-/// The graph and index must describe the **base** (as-last-compacted)
-/// state; the journal's deltas are what a reader replays on top to
-/// reconstruct current state. Pass an empty journal with a non-zero
-/// compaction counter to record "just compacted". Determinism holds per
-/// `(graph, index, build, journal)` tuple.
-pub fn serialize_with_journal(
-    graph: &Graph,
-    index: &HighwayCoverIndex,
-    build: BuildInfo,
-    journal: &StoredJournal,
-) -> Result<Vec<u8>, StoreError> {
-    Ok(image_parts(graph.as_view(), index.as_view(), build, None, Some(journal))?.to_vec())
-}
-
-/// Serialises a graph and its index (current version) with the build's
-/// thread-count-invariant counters recorded in the optional `build_stats`
-/// section. Everything else matches [`serialize_with`]; determinism holds
-/// per `(graph, index, build, stats)` tuple — stats carry no wall times,
-/// so the same build configuration yields byte-identical files at any
-/// thread count.
-pub fn serialize_with_stats(
-    graph: &Graph,
-    index: &HighwayCoverIndex,
-    build: BuildInfo,
-    stats: &StoredBuildStats,
-) -> Result<Vec<u8>, StoreError> {
-    Ok(image_parts(graph.as_view(), index.as_view(), build, Some(stats), None)?.to_vec())
+    let image = image_parts(
+        graph.as_view(),
+        index.as_view(),
+        BuildInfo::default(),
+        None,
+        None,
+    )?;
+    Ok(image.to_vec())
 }
 
 /// Recomputes and patches the header checksum of a serialised container.

@@ -8,7 +8,7 @@
 //! `Arc`, hands out `(Arc<IndexStore>, generation)` snapshots to request
 //! handlers (one cheap clone per request), and [`swap`](
 //! GenerationHandle::swap)s in a replacement atomically. Because
-//! [`save_with`](crate::save_with) renames complete files into place and
+//! [`save`](crate::save) renames complete files into place and
 //! an mmap pins its inode, the whole reload pipeline — writer saves, server
 //! re-opens, handle swaps — never exposes a torn or truncated view.
 //!
@@ -252,7 +252,7 @@ mod tests {
         let deltas: Vec<EdgeDelta> = (0..3u32)
             .map(|i| EdgeDelta::insert(i, N - 1 - 3 * i))
             .collect();
-        let mut oracle = PatchedGraph::new(graph.as_view());
+        let mut oracle = PatchedGraph::flat(Arc::new(graph.clone()));
         let (mut patched_engine, mut flat_engine) = (
             UpdateEngine::from_store(&store, None, 0),
             UpdateEngine::from_store(&store, None, 0),

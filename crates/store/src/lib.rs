@@ -27,6 +27,16 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
+//! One way in each direction. Every write is one layout, [`image_parts`]
+//! (the header, the table and each section straight from its array),
+//! published by [`durable::publish_slices_with`]; [`save`] and
+//! [`serialize`] are its two conveniences. A container opens through
+//! [`IndexStore::open`] (a file), [`IndexStore::from_bytes`] or
+//! [`IndexStore::from_slices`] (an image in memory), all running the same
+//! checks, and [`verify_file`] runs them without building a store. A
+//! journal is compacted only by [`UpdateEngine::publish`] with
+//! `force_compact` set (or its `compact_after` threshold).
+//!
 //! Integrity: the container carries magic, version, declared length, and a
 //! CRC-64 over the whole file, and every structural invariant of the CSR
 //! arrays is validated once at open. Corrupt, truncated, or tampered input
@@ -77,6 +87,7 @@ mod engine;
 mod error;
 mod format;
 mod generation;
+mod harness;
 mod tail;
 
 pub use backing::LargePages;
@@ -84,11 +95,12 @@ pub use checksum::{crc64, crc64_kernel};
 pub use engine::{Published, UpdateEngine, UpdateError, UpdatePhases};
 pub use error::StoreError;
 pub use format::{
-    image_parts, rewrite_checksum, serialize, serialize_with, serialize_with_journal,
-    serialize_with_stats, BuildInfo, ImageParts, SectionInfo, StoreMeta, StoredBuildStats,
-    StoredJournal, FORMAT_VERSION, HEADER_LEN, MAGIC,
+    image_parts, rewrite_checksum, serialize, BuildInfo, ImageParts, SectionInfo, StoreMeta,
+    StoredBuildStats, StoredJournal, FORMAT_VERSION, HEADER_LEN, MAGIC,
 };
 pub use generation::{Generation, GenerationHandle};
+#[doc(hidden)]
+pub use harness::*;
 pub use tail::{encode_tail_frame, AppendOutcome, JournalWriter, TailInfo};
 
 use backing::{cast_u32s, cast_u64s, AlignedBuf, Backing};
@@ -101,85 +113,29 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Serialises `graph` and `index` and writes them to `path` atomically,
-/// leaving the header's build-metadata bytes unrecorded; see [`save_with`].
+/// Lays `graph` and `index` out as a container, leaving the header's
+/// build-metadata bytes unrecorded, and writes it to `path` atomically
+/// through [`durable::publish_slices_with`], section by section straight
+/// from the arrays (no in-memory image): a concurrent reader sees the old
+/// complete container or the new one, never a half-write, and a process
+/// serving the old file via mmap keeps its mapping. Returns the number of
+/// bytes written.
 pub fn save(
     path: impl AsRef<Path>,
     graph: &Graph,
     index: &HighwayCoverIndex,
 ) -> Result<u64, StoreError> {
-    save_with(path, graph, index, BuildInfo::default())
-}
-
-/// Lays `graph` and `index` out as a container — recording `build`
-/// (builder threads and group width) in the header — and writes it to
-/// `path` atomically, section by section straight from the arrays (no
-/// in-memory image): the bytes go to a temporary sibling file which is
-/// then renamed over the target, so a concurrent reader either sees the
-/// old complete container or the new one — never a truncated half-write,
-/// and a process already serving the old file via mmap keeps its mapping
-/// (the old inode stays alive until unmapped) instead of faulting on
-/// truncated pages. Returns the number of bytes written.
-pub fn save_with(
-    path: impl AsRef<Path>,
-    graph: &Graph,
-    index: &HighwayCoverIndex,
-    build: BuildInfo,
-) -> Result<u64, StoreError> {
-    let image = image_parts(graph.as_view(), index.as_view(), build, None, None)?;
+    let image = image_parts(
+        graph.as_view(),
+        index.as_view(),
+        BuildInfo::default(),
+        None,
+        None,
+    )?;
     // `SystemIo` proceeds at every step, so the outcome is always
     // `Committed`; the `Crashed` arm only exists for fault simulators.
     durable::publish_slices_with(path.as_ref(), &image.slices(), &durable::SystemIo)?;
     Ok(image.len_bytes())
-}
-
-/// What [`compact_file`] did, for logging and `inspect`-style tooling.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CompactReport {
-    /// Journal deltas compacted into the base sections.
-    pub deltas_compacted: usize,
-    /// Container size before compaction, in bytes.
-    pub bytes_before: u64,
-    /// Container size after compaction, in bytes.
-    pub bytes_after: u64,
-    /// The container's compaction counter after this compaction.
-    pub compactions: u64,
-}
-
-/// Compacts a container's delta journal (section and tail frames) into
-/// its base sections: opens the file (which replays pending deltas and
-/// repairs the labels), then compacts it through a [`JournalWriter`], as
-/// a live update does — the replayed state, folded flat, as the new base,
-/// an empty journal, no tail, and the compaction counter bumped.
-///
-/// The write goes through the durable temp-fsync/rename/dir-fsync path
-/// ([`durable`]), so a crash mid-compaction leaves the old journalled
-/// container intact. A file whose journal is already empty (or absent) is
-/// left untouched.
-pub fn compact_file(path: impl AsRef<Path>) -> Result<CompactReport, StoreError> {
-    let path = path.as_ref();
-    let store = IndexStore::open(path)?;
-    let bytes_before = store.len_bytes();
-    let (pending, compactions) = store.journal().map_or((0, 0), |j| (j.len(), j.compactions));
-    if pending == 0 {
-        return Ok(CompactReport {
-            deltas_compacted: 0,
-            bytes_before,
-            bytes_after: bytes_before,
-            compactions,
-        });
-    }
-    let (mut graph, mut index) = (store.graph.clone(), store.index.clone());
-    graph.flatten();
-    index.flatten();
-    let compacted = JournalWriter::new(&store, Some(path.to_path_buf()))
-        .compact(graph.as_view(), index.as_view())?;
-    Ok(CompactReport {
-        deltas_compacted: pending,
-        bytes_before,
-        bytes_after: compacted.len_bytes(),
-        compactions: compactions + 1,
-    })
 }
 
 /// Where an open spent its time, phase by phase in the order they run.
@@ -443,12 +399,6 @@ impl IndexStore {
         Self::open_via_read(file, len)
     }
 
-    /// [`open`](IndexStore::open), kept only because the frozen harness
-    /// names it (ROADMAP 1(c)).
-    pub fn open_trusted(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::open(path)
-    }
-
     /// Opens a container by reading it fully into an aligned heap buffer:
     /// the portable path, where the file cannot be mapped.
     fn open_via_read(mut file: File, len: u64) -> Result<Self, StoreError> {
@@ -469,12 +419,6 @@ impl IndexStore {
     /// into the aligned heap buffer, without joining them first.
     pub fn from_slices(slices: &[&[u8]]) -> Result<Self, StoreError> {
         Self::from_backing(Backing::Heap(AlignedBuf::gather(slices)))
-    }
-
-    /// [`from_bytes`](IndexStore::from_bytes), kept only because the
-    /// frozen harness names it (ROADMAP 1(c)).
-    pub fn from_bytes_trusted(bytes: &[u8]) -> Result<Self, StoreError> {
-        Self::from_bytes(bytes)
     }
 
     fn from_backing(backing: Backing) -> Result<Self, StoreError> {
@@ -595,13 +539,6 @@ impl IndexStore {
     /// journal tail (complete frames and any torn remainder).
     pub fn len_bytes(&self) -> u64 {
         self.base.layout.meta.file_len + self.tail.frame_bytes + self.tail.torn_bytes
-    }
-
-    /// Copies the stored graph and index into owned structures (a full
-    /// deserialisation, for callers that want to drop the file); a
-    /// patched generation is spliced into flat arrays.
-    pub fn to_owned_parts(&self) -> (Graph, HighwayCoverIndex) {
-        (self.graph().to_owned_graph(), self.index().to_owned_index())
     }
 
     /// Re-runs the whole-image CRC-64 pass over this store's live backing

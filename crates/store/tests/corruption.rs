@@ -305,8 +305,9 @@ fn more_landmarks_than_a_label_entry_holds_are_refused() {
 
 /// Payload bit rot that stays structurally plausible — here a flipped bit
 /// in a label *distance* — is caught by the CRC, and every entry point
-/// runs it: there is one open. The two harness-only aliases are pinned
-/// here to prove they are the validated open under another name.
+/// runs it: there is one open. `from_slices` (the edge-list `query` /
+/// `serve` path) gets the image in three slices cut inside the header and
+/// the payload.
 #[test]
 fn payload_rot_is_rejected_by_every_entry_point() {
     let clean = sample_bytes();
@@ -323,15 +324,20 @@ fn payload_rot_is_rejected_by_every_entry_point() {
     let mut path = std::env::temp_dir();
     path.push(format!("hcl_store_rot_{}.hcl", std::process::id()));
     std::fs::write(&path, &bytes).unwrap();
+    let mid = HEADER_LEN + (bytes.len() - HEADER_LEN) / 2;
     let errors = [
         ("from_bytes", IndexStore::from_bytes(&bytes).unwrap_err()),
         ("open", IndexStore::open(&path).unwrap_err()),
         ("verify_file", hcl_store::verify_file(&path).unwrap_err()),
         (
-            "from_bytes_trusted",
-            IndexStore::from_bytes_trusted(&bytes).unwrap_err(),
+            "from_slices",
+            IndexStore::from_slices(&[
+                &bytes[..HEADER_LEN / 2],
+                &bytes[HEADER_LEN / 2..mid],
+                &bytes[mid..],
+            ])
+            .unwrap_err(),
         ),
-        ("open_trusted", IndexStore::open_trusted(&path).unwrap_err()),
     ];
     std::fs::remove_file(&path).ok();
     for (entry, err) in errors {

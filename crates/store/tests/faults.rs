@@ -22,8 +22,7 @@
 use hcl_core::{testkit, EdgeDelta, Graph};
 use hcl_index::HighwayCoverIndex;
 use hcl_store::durable::{
-    publish_slices_with, publish_with, AppendStep, IoDecision, PublishOutcome, PublishStep,
-    StoreIo, SystemIo,
+    publish_slices_with, AppendStep, IoDecision, PublishOutcome, PublishStep, StoreIo, SystemIo,
 };
 use hcl_store::{
     AppendOutcome, BuildInfo, IndexStore, JournalWriter, StoreError, StoredBuildStats,
@@ -179,7 +178,7 @@ fn sweep_every_schedule(tag: &str, old: &[u8], new: &[u8], publish: Publish<'_>)
             let scratch = Scratch::new(&format!("{tag}_sweep_{}_{decision:?}", step.name()));
             let target = scratch.target();
             assert!(matches!(
-                publish_with(&target, old, &SystemIo),
+                publish_slices_with(&target, &[old], &SystemIo),
                 Ok(PublishOutcome::Committed)
             ));
 
@@ -238,7 +237,7 @@ fn every_fault_schedule_leaves_old_new_or_typed_error() {
     let old = container(4);
     let new = container(8);
     sweep_every_schedule("whole", &old, &new, &|target, io| {
-        publish_with(target, &new, io)
+        publish_slices_with(target, &[&new], io)
     });
 }
 
@@ -252,7 +251,7 @@ fn sweep_torn_writes(tag: &str, old: &[u8], new: &[u8], cuts: &[usize], publish:
     for &cut in cuts {
         let schedule = format!("{tag}: cut at {cut}");
         assert!(matches!(
-            publish_with(&target, old, &SystemIo),
+            publish_slices_with(&target, &[old], &SystemIo),
             Ok(PublishOutcome::Committed)
         ));
         let io = FaultAt {
@@ -305,7 +304,7 @@ fn torn_write_prefixes_never_reach_the_target() {
         vec![0, 1, 8, 24, new.len() / 2, new.len() - 1]
     };
     sweep_torn_writes("whole", &old, &new, &cuts, &|target, io| {
-        publish_with(target, &new, io)
+        publish_slices_with(target, &[&new], io)
     });
 }
 
@@ -338,10 +337,6 @@ fn a_publish_in_slices_keeps_the_trichotomy() {
     let new = image.to_vec();
     assert_eq!(slices.len(), 11, "head, 8 sections, 2 padding gaps");
     assert!(slices.contains(&&[0u8; 4][..]), "a padding slice");
-    assert_eq!(
-        new,
-        hcl_store::serialize_with_stats(&g, &idx, BuildInfo::default(), &stats).unwrap()
-    );
     let publish = |target: &Path, io: &FaultAt| publish_slices_with(target, &slices, io);
 
     sweep_every_schedule("sliced", &old, &new, &publish);
@@ -375,7 +370,7 @@ fn concurrent_same_path_saves_never_collide() {
             let target = target.clone();
             scope.spawn(move || {
                 for _ in 0..8 {
-                    let outcome = publish_with(&target, payload, &SystemIo)
+                    let outcome = publish_slices_with(&target, &[payload], &SystemIo)
                         .expect("concurrent publish must succeed");
                     assert_eq!(outcome, PublishOutcome::Committed);
                 }
@@ -390,7 +385,7 @@ fn concurrent_same_path_saves_never_collide() {
     );
     IndexStore::open(&target).expect("survivor opens");
     // Every guard has dropped, so one more save sweeps anything left.
-    publish_with(&target, &payloads[0], &SystemIo).unwrap();
+    publish_slices_with(&target, &[&payloads[0]], &SystemIo).unwrap();
     assert_eq!(temps(&target), Vec::<PathBuf>::new());
 }
 
@@ -412,7 +407,7 @@ fn next_save_sweeps_stale_temps_from_crashed_saves() {
         std::fs::write(p, b"leftover").unwrap();
     }
 
-    publish_with(&target, &container(4), &SystemIo).unwrap();
+    publish_slices_with(&target, &[&container(4)], &SystemIo).unwrap();
     assert!(!stale_same_pid.exists(), "same-pid stale temp swept");
     assert!(!stale_foreign.exists(), "foreign-pid stale temp swept");
     assert!(
@@ -432,10 +427,10 @@ fn failed_fsyncs_name_their_step() {
 
     let scratch = Scratch::new("fsync_temp");
     let target = scratch.target();
-    publish_with(&target, &old, &SystemIo).unwrap();
-    let err = publish_with(
+    publish_slices_with(&target, &[&old], &SystemIo).unwrap();
+    let err = publish_slices_with(
         &target,
-        &new,
+        &[&new],
         &FaultAt {
             step: PublishStep::SyncTemp,
             decision: IoDecision::Fail,
@@ -451,9 +446,9 @@ fn failed_fsyncs_name_their_step() {
     // sync-dir fails *after* the atomic publish point: the caller gets a
     // typed error (durability of the rename is not guaranteed) but the
     // target already holds the complete new container.
-    let err = publish_with(
+    let err = publish_slices_with(
         &target,
-        &new,
+        &[&new],
         &FaultAt {
             step: PublishStep::SyncDir,
             decision: IoDecision::Fail,
@@ -515,20 +510,20 @@ fn publish_decides_each_step_once() {
     let bytes = container(4);
 
     let io = OneShot::at(None, IoDecision::Proceed);
-    let outcome = publish_with(&target, &bytes, &io).expect("publish");
+    let outcome = publish_slices_with(&target, &[&bytes], &io).expect("publish");
     assert_eq!(outcome, PublishOutcome::Committed);
     assert_eq!(io.calls.get(), PublishStep::ALL.len());
 
     for (i, step) in PublishStep::ALL.into_iter().enumerate() {
         let io = OneShot::at(Some(step), IoDecision::CrashAfter);
-        let outcome = publish_with(&target, &bytes, &io).expect("publish");
+        let outcome = publish_slices_with(&target, &[&bytes], &io).expect("publish");
         assert_eq!(outcome, PublishOutcome::Crashed(step), "{step:?}");
         assert_eq!(io.calls.get(), i + 1, "{step:?}: one call per step run");
     }
 }
 
-/// `save` / `save_with` ride the same durable publish: a plain save leaves
-/// no temp siblings behind and the result round-trips.
+/// `save` rides the same durable publish: it leaves no temp siblings
+/// behind and the result round-trips.
 #[test]
 fn save_is_durable_and_leaves_no_temps() {
     let scratch = Scratch::new("save");
@@ -569,7 +564,7 @@ fn append_fault_schedules_leave_old_or_new_and_never_lose_an_ack() {
     let [acked, in_flight, after] = sample_inserts();
     let scratch = Scratch::new("append");
     let target = scratch.target();
-    publish_with(&target, &container(4), &SystemIo).unwrap();
+    publish_slices_with(&target, &[&container(4)], &SystemIo).unwrap();
     let opened = IndexStore::open(&target).unwrap();
     JournalWriter::new(&opened, Some(target.clone()))
         .append(&[acked])
@@ -675,7 +670,7 @@ fn compaction_fault_schedules_keep_every_acknowledged_delta() {
     let [acked, also_acked, _] = sample_inserts();
     let scratch = Scratch::new("compact");
     let target = scratch.target();
-    publish_with(&target, &container(4), &SystemIo).unwrap();
+    publish_slices_with(&target, &[&container(4)], &SystemIo).unwrap();
     let opened = IndexStore::open(&target).unwrap();
     let mut writer = JournalWriter::new(&opened, Some(target.clone()));
     writer.append(&[acked]).unwrap();
@@ -702,7 +697,10 @@ fn compaction_fault_schedules_keep_every_acknowledged_delta() {
         let schedule = format!("compact {decision:?}@{}", step.name());
         std::fs::write(&target, &old).unwrap();
         let before = IndexStore::open(&target).unwrap();
-        let (graph, index) = before.to_owned_parts();
+        let (graph, index) = (
+            before.graph().to_owned_graph(),
+            before.index().to_owned_index(),
+        );
         let mut writer = JournalWriter::new(&before, Some(target.clone()));
         let outcome = writer.compact_with(
             graph.as_view(),
@@ -743,7 +741,10 @@ fn compaction_fault_schedules_keep_every_acknowledged_delta() {
 
         // Recovery: a clean compaction of the survivor commits and sweeps
         // whatever temp the power cut stranded.
-        let (graph, index) = survivor.to_owned_parts();
+        let (graph, index) = (
+            survivor.graph().to_owned_graph(),
+            survivor.index().to_owned_index(),
+        );
         let mut writer = JournalWriter::new(&survivor, Some(target.clone()));
         let compacted = writer.compact(graph.as_view(), index.as_view()).unwrap();
         assert_eq!(temps(&target), Vec::<PathBuf>::new(), "{schedule}");

@@ -6,10 +6,18 @@
 use hcl_core::{bfs, testkit, EdgeDelta, Graph, PatchedGraph};
 use hcl_index::{HighwayCoverIndex, PatchedIndex, QueryContext};
 use hcl_store::{
-    compact_file, encode_tail_frame, serialize, serialize_with_journal, BuildInfo, IndexStore,
-    JournalWriter, StoreError, StoredJournal, TailInfo,
+    encode_tail_frame, image_parts, serialize, BuildInfo, IndexStore, JournalWriter, StoreError,
+    StoredJournal, TailInfo, UpdateEngine,
 };
 use std::sync::Arc;
+
+/// The container of `graph` and `index` with `journal` as its journal
+/// section.
+fn with_journal(graph: &Graph, index: &HighwayCoverIndex, journal: &StoredJournal) -> Vec<u8> {
+    let (gv, iv) = (graph.as_view(), index.as_view());
+    let image = image_parts(gv, iv, BuildInfo::default(), None, Some(journal));
+    image.unwrap().to_vec()
+}
 
 fn build(graph: &Graph, k: usize) -> HighwayCoverIndex {
     let landmarks = graph.top_k_by_degree(k);
@@ -21,7 +29,7 @@ fn build(graph: &Graph, k: usize) -> HighwayCoverIndex {
 /// A deterministic mixed edit script that is effective on the given graph
 /// (every delta changes it).
 fn script(graph: &Graph, len: usize, seed: u64) -> Vec<EdgeDelta> {
-    let mut overlay = PatchedGraph::new(graph.as_view());
+    let mut overlay = PatchedGraph::flat(Arc::new(graph.clone()));
     let mut rng = testkit::SplitMix64::new(seed);
     let n = graph.num_vertices() as u64;
     let mut out = Vec::new();
@@ -51,7 +59,7 @@ fn journalled_open_replays_to_current_answers() {
         deltas: deltas.clone(),
         compactions: 0,
     };
-    let bytes = serialize_with_journal(&base, &index, BuildInfo::default(), &journal).unwrap();
+    let bytes = with_journal(&base, &index, &journal);
     let store = IndexStore::from_bytes(&bytes).unwrap();
 
     assert_eq!(store.meta().version, 7);
@@ -60,7 +68,7 @@ fn journalled_open_replays_to_current_answers() {
     // Base sections still carry the pre-edit graph; current views don't.
     assert_eq!(store.base_graph().num_edges(), base.num_edges());
 
-    let mut overlay = PatchedGraph::new(base.as_view());
+    let mut overlay = PatchedGraph::flat(Arc::new(base.clone()));
     for &d in &deltas {
         overlay.apply(d).unwrap();
     }
@@ -89,7 +97,7 @@ fn empty_journal_serves_base_sections_directly() {
         deltas: Vec::new(),
         compactions: 4,
     };
-    let bytes = serialize_with_journal(&base, &index, BuildInfo::default(), &journal).unwrap();
+    let bytes = with_journal(&base, &index, &journal);
     let store = IndexStore::from_bytes(&bytes).unwrap();
     assert_eq!(store.journal().unwrap().compactions, 4);
     assert!(store.journal().unwrap().is_empty());
@@ -117,7 +125,7 @@ fn compact_folds_journal_and_preserves_answers() {
         deltas,
         compactions: 2,
     };
-    let bytes = serialize_with_journal(&base, &index, BuildInfo::default(), &journal).unwrap();
+    let bytes = with_journal(&base, &index, &journal);
     std::fs::write(&path, &bytes).unwrap();
 
     let before = IndexStore::open(&path).unwrap();
@@ -130,9 +138,13 @@ fn compact_folds_journal_and_preserves_answers() {
     let edited_edges = before.graph().num_edges();
     drop(before);
 
-    let report = compact_file(&path).unwrap();
-    assert_eq!(report.deltas_compacted, 8);
-    assert_eq!(report.compactions, 3);
+    let store = IndexStore::open(&path).unwrap();
+    let mut engine = UpdateEngine::from_store(&store, Some(path.clone()), 0);
+    assert_eq!(engine.pending(), 8);
+    let published = engine.publish(true).unwrap();
+    assert!(published.compacted);
+    assert_eq!((engine.pending(), engine.compactions()), (0, 3));
+    drop((store, published));
 
     let after = IndexStore::open(&path).unwrap();
     assert!(after.journal().unwrap().is_empty());
@@ -148,10 +160,14 @@ fn compact_folds_journal_and_preserves_answers() {
         );
     }
 
-    // Compacting an already-clean file is a no-op.
-    let report = compact_file(&path).unwrap();
-    assert_eq!(report.deltas_compacted, 0);
-    assert_eq!(report.compactions, 3);
+    // Compacting an already-clean file is a no-op: its bytes stay.
+    let clean = std::fs::read(&path).unwrap();
+    let published = UpdateEngine::from_store(&after, Some(path.clone()), 0)
+        .publish(true)
+        .unwrap();
+    assert!(!published.compacted);
+    assert_eq!(published.store.journal().unwrap().compactions, 3);
+    assert_eq!(std::fs::read(&path).unwrap(), clean);
 }
 
 #[test]
@@ -162,7 +178,7 @@ fn undecodable_journal_is_a_hard_error() {
         deltas: vec![EdgeDelta::insert(0, 3)],
         compactions: 0,
     };
-    let mut bytes = serialize_with_journal(&base, &index, BuildInfo::default(), &journal).unwrap();
+    let mut bytes = with_journal(&base, &index, &journal);
     // The journal is the last section: word 0 of its payload is the format
     // tag. Stamp an unknown tag and re-checksum; the open must refuse
     // rather than serve stale base answers.
@@ -183,7 +199,7 @@ fn undecodable_journal_is_a_hard_error() {
         deltas: vec![EdgeDelta::insert(0, 77)],
         compactions: 0,
     };
-    let bytes = serialize_with_journal(&base, &index, BuildInfo::default(), &bad).unwrap();
+    let bytes = with_journal(&base, &index, &bad);
     let opened = IndexStore::from_bytes(&bytes);
     assert_verify_file_agrees(&bytes, &opened, "out-of-range section delta");
     match opened {
@@ -208,7 +224,7 @@ fn image_and_frames(
         deltas: all[..2].to_vec(),
         compactions: 1,
     };
-    let image = serialize_with_journal(base, &index, BuildInfo::default(), &journal).unwrap();
+    let image = with_journal(base, &index, &journal);
     let checksum = IndexStore::from_bytes(&image).unwrap().meta().checksum;
     let mut frames = Vec::new();
     let mut seq = 2;
@@ -284,7 +300,7 @@ fn tail_frames_replay_after_the_journal_section() {
     assert_eq!(store.journal_bytes(), section + tail_len);
     store.verify_checksum().expect("the image still verifies");
 
-    let mut overlay = PatchedGraph::new(base.as_view());
+    let mut overlay = PatchedGraph::flat(Arc::new(base.clone()));
     for &d in &all {
         overlay.apply(d).unwrap();
     }
@@ -456,7 +472,10 @@ fn writer_appends_frames_and_stamps_the_generation_a_reopen_would_produce() {
 
     // The generation is stamped from the caller's live state; here, the
     // reopen's own replay result.
-    let (graph, live) = reopened.to_owned_parts();
+    let (graph, live) = (
+        reopened.graph().to_owned_graph(),
+        reopened.index().to_owned_index(),
+    );
     let stamped = writer
         .generation(
             PatchedGraph::flat(Arc::new(graph)),
@@ -517,7 +536,10 @@ fn writer_appends_frames_and_stamps_the_generation_a_reopen_would_produce() {
     ));
 
     // Compaction: whole new container, live state as the base, no tail.
-    let (graph, live) = whole.to_owned_parts();
+    let (graph, live) = (
+        whole.graph().to_owned_graph(),
+        whole.index().to_owned_index(),
+    );
     let compacted = writer.compact(graph.as_view(), live.as_view()).unwrap();
     assert_eq!(compacted.tail(), TailInfo::default());
     assert!(compacted.journal().unwrap().is_empty());

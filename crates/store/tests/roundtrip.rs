@@ -4,6 +4,7 @@
 
 use hcl_core::{testkit, Graph};
 use hcl_index::{BuildContext, HighwayCoverIndex, QueryContext};
+use hcl_store::durable::{publish_slices_with, SystemIo};
 use hcl_store::IndexStore;
 use std::path::PathBuf;
 
@@ -29,12 +30,16 @@ fn assert_store_matches_owned(name: &str, g: &Graph, idx: &HighwayCoverIndex, st
     let (gv, iv) = (store.graph(), store.index());
     assert_eq!(gv.num_vertices(), g.num_vertices(), "{name}: vertex count");
     assert_eq!(gv.num_edges(), g.num_edges(), "{name}: edge count");
-    assert_eq!(iv.num_landmarks(), idx.num_landmarks(), "{name}: landmarks");
+    assert_eq!(
+        iv.num_landmarks(),
+        idx.as_view().num_landmarks(),
+        "{name}: landmarks"
+    );
     let mut ctx = QueryContext::new();
     let mut ctx_store = QueryContext::new();
     for u in 0..n {
         for v in 0..n {
-            let owned = idx.query_with(g, &mut ctx, u, v);
+            let owned = idx.as_view().query_with(g, &mut ctx, u, v);
             let stored = iv.query_with(gv, &mut ctx_store, u, v);
             assert_eq!(
                 stored, owned,
@@ -195,7 +200,8 @@ fn build_metadata_round_trips_through_the_header() {
     let idx = build_top_k(&g, 8, info.threads as usize);
 
     let path = temp_path("buildinfo");
-    hcl_store::save_with(&path, &g, &idx, info).expect("save_with");
+    let image = hcl_store::image_parts(g.as_view(), idx.as_view(), info, None, None).unwrap();
+    publish_slices_with(&path, &image.slices(), &SystemIo).expect("publish");
     let store = IndexStore::open(&path).expect("open");
     assert_eq!(store.meta().build, info);
     assert_store_matches_owned("buildinfo", &g, &idx, &store);
@@ -205,27 +211,30 @@ fn build_metadata_round_trips_through_the_header() {
     // The build metadata is covered by the checksum but must not affect
     // the served sections: two files differing only in build info serve
     // identical section bytes.
-    let a = hcl_store::serialize_with(&g, &idx, info).unwrap();
+    let a = image.to_vec();
     let b = hcl_store::serialize(&g, &idx).unwrap();
     assert_ne!(a, b, "build metadata must be recorded in the header");
     assert_eq!(a[hcl_store::HEADER_LEN..], b[hcl_store::HEADER_LEN..]);
 }
 
 #[test]
-fn to_owned_parts_fully_deserialises() {
+fn to_owned_copies_fully_deserialise() {
     let g = testkit::grid(6, 7);
     let idx = build_top_k(&g, 5, 0);
     let bytes = hcl_store::serialize(&g, &idx).unwrap();
     let store = IndexStore::from_bytes(&bytes).unwrap();
-    let (g2, idx2) = store.to_owned_parts();
+    let (g2, idx2) = (
+        store.graph().to_owned_graph(),
+        store.index().to_owned_index(),
+    );
     drop(store);
     assert_eq!(g2, g);
     let mut ctx = QueryContext::new();
     for u in 0..42 {
         for v in 0..42 {
             assert_eq!(
-                idx2.query_with(&g2, &mut ctx, u, v),
-                idx.query_with(&g, &mut ctx, u, v)
+                idx2.as_view().query_with(&g2, &mut ctx, u, v),
+                idx.as_view().query_with(&g, &mut ctx, u, v)
             );
         }
     }
@@ -279,8 +288,9 @@ fn v5_build_stats_round_trip_and_optionality() {
         idx.stats().total_label_entries as u64
     );
 
-    let with = hcl_store::serialize_with_stats(&g, &idx, hcl_store::BuildInfo::default(), &stored)
-        .expect("serialize with stats");
+    let info = hcl_store::BuildInfo::default();
+    let image = hcl_store::image_parts(g.as_view(), idx.as_view(), info, Some(&stored), None);
+    let with = image.expect("serialize with stats").to_vec();
     let without = hcl_store::serialize(&g, &idx).expect("serialize without stats");
     assert!(with.len() > without.len(), "stats section adds bytes");
 
@@ -298,8 +308,7 @@ fn v5_build_stats_round_trip_and_optionality() {
 
     // File path.
     let path = temp_path("v5_stats");
-    hcl_store::durable::publish_with(&path, &with, &hcl_store::durable::SystemIo)
-        .expect("publish stats container");
+    publish_slices_with(&path, &[&with], &SystemIo).expect("publish stats container");
     let opened = IndexStore::open(&path).expect("open v5");
     assert_eq!(opened.build_stats().as_ref(), Some(&stored));
     assert_store_matches_owned("v5 stats file", &g, &idx, &opened);
@@ -309,9 +318,10 @@ fn v5_build_stats_round_trip_and_optionality() {
 
 /// The layout the writers publish slice by slice is the in-memory image:
 /// on every family, with and without landmarks and with each optional
-/// section, the slices concatenate to exactly the `serialize_*` bytes,
-/// and the CRC streamed over them is the CRC-64 of the image with its
-/// checksum field zeroed — the one in the header.
+/// section, the slices concatenate to exactly the joined image, the plain
+/// layout of default build metadata is [`serialize`](hcl_store::serialize)'s
+/// bytes, and the CRC streamed over them is the CRC-64 of the image with
+/// its checksum field zeroed — the one in the header.
 #[test]
 fn image_slices_concatenate_to_the_serialised_image() {
     let journal = hcl_store::StoredJournal {
@@ -323,33 +333,27 @@ fn image_slices_concatenate_to_the_serialised_image() {
             let landmarks = g.top_k_by_degree(k);
             let (idx, stats) = HighwayCoverIndex::build(&g, &landmarks, &mut [], None).unwrap();
             let stats = hcl_store::StoredBuildStats::from_build(&stats);
+            let default = hcl_store::BuildInfo::default();
             let info = hcl_store::BuildInfo {
                 batch_size: 64,
-                ..hcl_store::BuildInfo::default()
+                ..default
             };
+            let (gv, iv) = (g.as_view(), idx.as_view());
             let cases = [
-                (
-                    "stats",
-                    hcl_store::image_parts(g.as_view(), idx.as_view(), info, Some(&stats), None),
-                    hcl_store::serialize_with_stats(&g, &idx, info, &stats),
-                ),
-                (
-                    "journal",
-                    hcl_store::image_parts(g.as_view(), idx.as_view(), info, None, Some(&journal)),
-                    hcl_store::serialize_with_journal(&g, &idx, info, &journal),
-                ),
-                (
-                    "plain",
-                    hcl_store::image_parts(g.as_view(), idx.as_view(), info, None, None),
-                    hcl_store::serialize_with(&g, &idx, info),
-                ),
+                ("stats", info, Some(&stats), None),
+                ("journal", info, None, Some(&journal)),
+                ("plain", info, None, None),
+                ("serialize", default, None, None),
             ];
-            for (what, image, bytes) in cases {
+            for (what, info, stats, journal) in cases {
                 let tag = format!("{name} k={k} {what}");
-                let (image, bytes) = (image.expect("lay out"), bytes.expect("serialise"));
+                let image = hcl_store::image_parts(gv, iv, info, stats, journal).expect("lay out");
+                let bytes = image.to_vec();
                 assert_eq!(image.slices().concat(), bytes, "{tag}");
-                assert_eq!(image.to_vec(), bytes, "{tag}");
                 assert_eq!(image.len_bytes(), bytes.len() as u64, "{tag}");
+                if what == "serialize" {
+                    assert_eq!(hcl_store::serialize(&g, &idx).unwrap(), bytes, "{tag}");
+                }
                 let mut zeroed = bytes.clone();
                 zeroed[24..32].fill(0);
                 assert_eq!(image.checksum(), hcl_store::crc64(&zeroed), "{tag}");

@@ -238,9 +238,38 @@ fn harness_fence_allows_every_name_inside_a_harness_file() {
 fn harness_fence_matches_whole_names_only() {
     let text = "hcl_store::serialize_with(&g, &i, info);\n\
                 hcl_store::save_with(p, &g, &i, info);\n\
-                let build_within = build_with_contexts(1);\n";
+                let build_within = build_with_contexts(1);\n\
+                durable::publish_slices_with(p, &s, io);\n\
+                writer.compact_with(g, i, io);\n";
     let files = src("crates/cli/src/main.rs", text);
     assert!(rules::harness_fence(&files, &mut no_allow("harness_fence")).is_empty());
+}
+
+#[test]
+fn harness_fence_flags_store_names_in_store_tests_but_not_in_its_harness() {
+    let text = "let s = IndexStore::open_trusted(&p)?;\n\
+                hcl_store::compact_file(&p)?;\n\
+                publish_with(&p, &bytes, &SystemIo)?;\n\
+                let b = serialize_with_journal(&g, &i, info, &j)?;\n";
+    let files = src("crates/store/tests/journal.rs", text);
+    let v = rules::harness_fence(&files, &mut no_allow("harness_fence"));
+    let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+    assert_eq!(lines, [1, 2, 3, 4], "{v:?}");
+    let files = src("crates/store/src/harness.rs", text);
+    assert!(rules::harness_fence(&files, &mut no_allow("harness_fence")).is_empty());
+}
+
+#[test]
+fn harness_fence_takes_a_fenced_path_whole() {
+    let text = "let mut g = PatchedGraph::new(base.as_view());\n\
+                let i = hcl_index::PatchedIndex::from_view(built.as_view());\n\
+                let g = PatchedGraph::flat(Arc::new(base.clone()));\n\
+                let b = GraphBuilder::new();\n\
+                let o = Overlay::new(n);\n";
+    let files = src("crates/index/tests/dynamic_repair.rs", text);
+    let v = rules::harness_fence(&files, &mut no_allow("harness_fence"));
+    let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+    assert_eq!(lines, [1, 2], "{v:?}");
 }
 
 #[test]
